@@ -275,7 +275,7 @@ func BenchmarkTypedSend(b *testing.B) {
 				b.SetBytes(int64(size))
 				b.ReportAllocs()
 				b.ResetTimer()
-				if _, err := ccift.Run(ccift.Config{Ranks: 2, Mode: ccift.Full}, prog); err != nil {
+				if _, err := engine.Run(engine.Config{Ranks: 2, Mode: protocol.Full}, prog); err != nil {
 					b.Fatal(err)
 				}
 			})
@@ -380,7 +380,7 @@ func BenchmarkCheckpointBlocked(b *testing.B) {
 					}
 					res, err := engine.Run(engine.Config{
 						Ranks: 1, Mode: protocol.Full, EveryN: 1, Store: disk,
-						SyncCheckpoint: variant == "sync",
+						Policy: protocol.Policy{Sync: variant == "sync"},
 					}, prog)
 					if err != nil {
 						b.Fatal(err)
@@ -498,7 +498,7 @@ func BenchmarkCheckpointDirtyFraction(b *testing.B) {
 					}
 					res, err := engine.Run(engine.Config{
 						Ranks: 1, Mode: protocol.Full, EveryN: 1, Store: disk,
-						FullFreeze: strings.HasPrefix(variant, "full"),
+						Policy: protocol.Policy{FullFreeze: strings.HasPrefix(variant, "full")},
 					}, prog)
 					if err != nil {
 						b.Fatal(err)
@@ -580,8 +580,7 @@ func BenchmarkAsyncRankSlowdown(b *testing.B) {
 				}
 				with += run(b, engine.Config{
 					Ranks: 1, Mode: protocol.Full, EveryN: everyN, Store: disk,
-					SyncCheckpoint:  variant == "sync",
-					NoFlushGovernor: variant == "async-nogov",
+					Policy: protocol.Policy{Sync: variant == "sync", NoGovernor: variant == "async-nogov"},
 				})
 			}
 			b.ReportMetric(float64(with.Nanoseconds())/float64(int64(iters)*int64(b.N)), "ns/iter")
@@ -728,11 +727,11 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg := ccift.Config{
-			Ranks: benchRanks, Mode: ccift.Full, EveryN: 5,
-			Failures: []ccift.Failure{{Rank: 1, AtOp: 90, Incarnation: 0}},
+		cfg := engine.Config{
+			Ranks: benchRanks, Mode: protocol.Full, EveryN: 5,
+			Failures: []engine.Failure{{Rank: 1, AtOp: 90, Incarnation: 0}},
 		}
-		res, err := ccift.Run(cfg, prog)
+		res, err := engine.Run(cfg, prog)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -40,10 +40,6 @@
 // instrumented by the cmd/ccift precompiler, which inserts Position Stack
 // and Variable Descriptor Stack bookkeeping so that checkpoints may sit
 // anywhere in the call tree.
-//
-// Run(Config, prog) is the v0 entry point, kept as a thin compatibility
-// shim over the same engine; see the README's MIGRATION section for the
-// Config-field-to-option mapping and the shim's deprecation path.
 package ccift
 
 import (
@@ -60,10 +56,6 @@ type Rank = engine.Rank
 
 // Program is the application entry point executed by every rank.
 type Program = engine.Program
-
-// Config configures a run. Zero values select sensible defaults: in-memory
-// stable storage, no checkpoint trigger, no failures.
-type Config = engine.Config
 
 // Failure schedules a stopping failure for fault-injection runs: the given
 // rank dies at its AtOp-th substrate operation of the given incarnation.
@@ -106,19 +98,6 @@ const (
 	// AnyTag matches a message with any tag.
 	AnyTag = mpi.AnyTag
 )
-
-// Run executes prog on cfg.Ranks ranks, rolling back and restarting from
-// the last committed global checkpoint whenever a rank stop-fails, until
-// the program completes on every rank.
-//
-// Run is the v0 entry point, retained as a compatibility shim: it is
-// Launch with a background context, the in-process substrate, and the
-// Config fields mapped onto their spec options. New code should call
-// Launch, which adds cancellation, substrate selection, and structured
-// errors; Run will be removed in v2.
-func Run(cfg Config, prog Program) (*Result, error) {
-	return engine.Run(cfg, prog)
-}
 
 // Stable is the stable-storage interface checkpoints are written to.
 type Stable = storage.Stable

@@ -1,6 +1,7 @@
 package ccift_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -41,11 +42,18 @@ func stencil(iters, width int) ccift.Program {
 	}
 }
 
-func TestPublicAPIRoundTrip(t *testing.T) {
-	res, err := ccift.Run(ccift.Config{Ranks: 4, Mode: ccift.Full, EveryN: 5}, stencil(15, 8))
+// launchInProc runs prog in-process under the given options.
+func launchInProc(t *testing.T, prog ccift.Program, opts ...ccift.Option) *ccift.Result {
+	t.Helper()
+	res, err := ccift.Launch(context.Background(), ccift.NewSpec(opts...), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestPublicAPIRoundTrip(t *testing.T) {
+	res := launchInProc(t, stencil(15, 8), ccift.WithRanks(4), ccift.WithMode(ccift.Full), ccift.WithEveryN(5))
 	if len(res.Values) != 4 {
 		t.Fatalf("values = %v", res.Values)
 	}
@@ -58,19 +66,10 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 
 func TestPublicAPIRecovery(t *testing.T) {
 	prog := stencil(20, 8)
-	ref, err := ccift.Run(ccift.Config{Ranks: 3, Mode: ccift.Unmodified}, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := ccift.NewMemoryStore()
-	cfg := ccift.Config{
-		Ranks: 3, Mode: ccift.Full, EveryN: 4, Store: store,
-		Failures: []ccift.Failure{{Rank: 1, AtOp: 120, Incarnation: 0}},
-	}
-	res, err := ccift.Run(cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := launchInProc(t, prog, ccift.WithRanks(3))
+	res := launchInProc(t, prog, ccift.WithRanks(3), ccift.WithMode(ccift.Full), ccift.WithEveryN(4),
+		ccift.WithStore(ccift.NewMemoryStore()),
+		ccift.WithFailures(ccift.Failure{Rank: 1, AtOp: 120, Incarnation: 0}))
 	if res.Restarts != 1 {
 		t.Fatalf("restarts = %d", res.Restarts)
 	}
@@ -84,19 +83,11 @@ func TestPublicAPIDiskStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ccift.Config{
-		Ranks: 2, Mode: ccift.Full, EveryN: 3, Store: store,
-		Failures: []ccift.Failure{{Rank: 0, AtOp: 80, Incarnation: 0}},
-	}
 	prog := stencil(12, 4)
-	ref, err := ccift.Run(ccift.Config{Ranks: 2, Mode: ccift.Unmodified}, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ccift.Run(cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := launchInProc(t, prog, ccift.WithRanks(2))
+	res := launchInProc(t, prog, ccift.WithRanks(2), ccift.WithMode(ccift.Full), ccift.WithEveryN(3),
+		ccift.WithStore(store),
+		ccift.WithFailures(ccift.Failure{Rank: 0, AtOp: 80, Incarnation: 0}))
 	if !reflect.DeepEqual(res.Values, ref.Values) {
 		t.Fatalf("disk-backed recovery diverged: %v != %v", res.Values, ref.Values)
 	}
@@ -110,8 +101,8 @@ func TestPackUnpackHelpers(t *testing.T) {
 	}
 }
 
-// ExampleRun demonstrates the quickstart flow on two ranks.
-func ExampleRun() {
+// ExampleLaunch demonstrates the quickstart flow on two ranks.
+func ExampleLaunch() {
 	prog := func(r *ccift.Rank) (any, error) {
 		var it int
 		var sum float64
@@ -124,7 +115,8 @@ func ExampleRun() {
 		}
 		return sum, nil
 	}
-	res, err := ccift.Run(ccift.Config{Ranks: 2, Mode: ccift.Full, EveryN: 2}, prog)
+	res, err := ccift.Launch(context.Background(), ccift.NewSpec(
+		ccift.WithRanks(2), ccift.WithMode(ccift.Full), ccift.WithEveryN(2)), prog)
 	if err != nil {
 		panic(err)
 	}

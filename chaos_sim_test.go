@@ -3,6 +3,7 @@ package ccift_test
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -233,10 +234,13 @@ func TestChaosExhaustedRestartsFailsWithOneSentinel(t *testing.T) {
 
 func TestChaosDeterministicReplay(t *testing.T) {
 	// The acceptance bar for the substrate: the same seed replays the same
-	// run — byte-identical Values, the same restart count, and the same
-	// protocol counters. (CheckpointBytesWritten attributes shared
-	// deduplicated chunks to whichever rank's goroutine stored them first,
-	// which virtual time does not schedule; it is compared as a sum.)
+	// run — byte-identical Values, the same restart count, the same
+	// protocol counters and the same per-rank event traces — with the
+	// async checkpoint pipeline asked for: on virtual time the protocol
+	// layer itself keeps to the deterministic synchronous path.
+	// (CheckpointBytesWritten attributes shared deduplicated chunks to
+	// whichever rank's goroutine stored them first, which virtual time does
+	// not schedule; it is compared as a sum.)
 	seed := testseed.Base(t, 1007)
 	sc := ccift.Scenario{
 		Latency: time.Millisecond, Jitter: time.Millisecond,
@@ -244,14 +248,19 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		DetectorTimeout: 25 * time.Millisecond,
 		Crashes:         []ccift.Crash{{Rank: 3, At: 45 * time.Millisecond}},
 	}
-	run := func() *ccift.Result {
-		res, err := launchSim(t, seed, sc, 40, 8)
+	run := func() (*ccift.Result, *rankTraces) {
+		tr := &rankTraces{byRank: make([][]ccift.TraceEvent, 4)}
+		res, err := launchSim(t, seed, sc, 40, 8, ccift.WithAsyncCheckpoint(true), ccift.WithTracer(tr))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, tr
 	}
-	a, b := run(), run()
+	a, at := run()
+	b, bt := run()
+	if !reflect.DeepEqual(at.byRank, bt.byRank) {
+		t.Fatalf("per-rank protocol traces diverged across identical seeds")
+	}
 	if !reflect.DeepEqual(a.Values, b.Values) {
 		t.Fatalf("values diverged across identical seeds:\n  %v\n  %v", a.Values, b.Values)
 	}
@@ -267,6 +276,20 @@ func TestChaosDeterministicReplay(t *testing.T) {
 	if aw != bw {
 		t.Fatalf("aggregate checkpoint bytes written diverged: %d vs %d", aw, bw)
 	}
+}
+
+// rankTraces records each rank's protocol events in order. Ranks run
+// concurrently between simulated events, so only the per-rank sequences
+// are a function of the seed.
+type rankTraces struct {
+	mu     sync.Mutex
+	byRank [][]ccift.TraceEvent
+}
+
+func (r *rankTraces) Trace(e ccift.TraceEvent) {
+	r.mu.Lock()
+	r.byRank[e.Rank] = append(r.byRank[e.Rank], e)
+	r.mu.Unlock()
 }
 
 func normalizeWritten(in []ccift.Stats) ([]ccift.Stats, int64) {

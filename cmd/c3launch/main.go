@@ -2,8 +2,9 @@
 // job: one OS process per rank, wire messages over TCP, checkpoints in a
 // shared on-disk store. A -kill flag delivers a real SIGKILL to the doomed
 // rank's process; the survivors detect the death (connection reset, then
-// heartbeat timeout), exit, and c3launch re-spawns the incarnation, which
-// restores itself from the last committed global checkpoint.
+// heartbeat timeout) and roll back in place, c3launch re-spawns the dead
+// rank, and the world restores itself from the last committed global
+// checkpoint.
 //
 // Usage:
 //
@@ -48,7 +49,6 @@ func main() {
 	incremental := flag.Bool("incremental", true, "dirty-region freeze (the default): copy only regions the app touched since the last checkpoint; -incremental=false re-copies the whole state every checkpoint and waives the Touch contract")
 	crossCheck := flag.Bool("crosscheck", false, "freeze verifier debug mode: fail the run, naming the variable, if a mutation escaped Touch/TouchRange (costs a full state encode per checkpoint)")
 	flushBW := flag.Float64("flushbw", 0, "cap checkpoint flush bandwidth in bytes/sec on top of the adaptive governor (0: no fixed cap)")
-	wholeWorld := flag.Bool("whole-world", false, "disable localized recovery: re-exec every rank after a death instead of respawning only the dead ranks (the pre-localized fallback)")
 	var kills apps.KillFlag
 	flag.Var(&kills, "kill", "rank@op real-SIGKILL failure (repeatable; i-th flag = i-th incarnation)")
 	flag.Parse()
@@ -78,9 +78,6 @@ func main() {
 	}
 	if *crossCheck {
 		opts = append(opts, ccift.WithFreezeCrossCheck())
-	}
-	if *wholeWorld {
-		opts = append(opts, ccift.WithWholeWorldRestart())
 	}
 	if *flushBW > 0 {
 		opts = append(opts, ccift.WithFlushBandwidth(*flushBW))

@@ -47,7 +47,6 @@ func main() {
 	incremental := flag.Bool("incremental", true, "dirty-region freeze (the default): copy only regions the app touched since the last checkpoint; -incremental=false re-copies the whole state every checkpoint and waives the Touch contract")
 	crossCheck := flag.Bool("crosscheck", false, "freeze verifier debug mode: fail the run, naming the variable, if a mutation escaped Touch/TouchRange (costs a full state encode per checkpoint)")
 	flushBW := flag.Float64("flushbw", 0, "cap checkpoint flush bandwidth in bytes/sec on top of the adaptive governor (0: no fixed cap)")
-	wholeWorld := flag.Bool("whole-world", false, "disable localized recovery: survivors re-read checkpoints from the store and -distributed re-execs every rank after a death (the pre-localized fallback)")
 	var kills apps.KillFlag
 	flag.Var(&kills, "kill", "rank@op stopping failure (repeatable; i-th flag = i-th incarnation)")
 	flag.Parse()
@@ -70,9 +69,6 @@ func main() {
 	}
 	if *crossCheck {
 		opts = append(opts, ccift.WithFreezeCrossCheck())
-	}
-	if *wholeWorld {
-		opts = append(opts, ccift.WithWholeWorldRestart())
 	}
 	if *flushBW > 0 {
 		opts = append(opts, ccift.WithFlushBandwidth(*flushBW))

@@ -4,7 +4,7 @@ import (
 	"ccift/internal/cerr"
 )
 
-// The error taxonomy. Every error returned by Launch (and Run) matches
+// The error taxonomy. Every error returned by Launch matches
 // exactly one of these sentinels via errors.Is, regardless of substrate:
 // the same failure mode reports the same category whether the ranks were
 // goroutines or OS processes. Dispatch on the category, not the message —
@@ -31,8 +31,7 @@ var (
 	// checkpoints.
 	ErrWorldDead = cerr.ErrWorldDead
 	// ErrMaxRestarts: the failure schedule (or real failures) exhausted
-	// the restart budget. ErrTooManyRestarts wraps this same category, so
-	// existing errors.Is(err, ErrTooManyRestarts) checks keep working.
+	// the restart budget (WithMaxRestarts), on any substrate.
 	ErrMaxRestarts = cerr.ErrMaxRestarts
 	// ErrSpec: the run specification is invalid (bad ranks, conflicting
 	// options, substrate-incompatible settings). Validate returns these

@@ -8,12 +8,14 @@ package ccift_test
 // (see TestMain in launch_v1_test.go).
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,7 +90,14 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 		// same program directly.
 		workerProg string
 		ctx        func() context.Context
+		// crossCheck runs the case under CCIFT_FREEZE_CROSSCHECK=1 (the
+		// workers inherit the launcher's environment).
+		crossCheck bool
 		want       error
+		// wantMsg, when set, must appear in the error text — or, on the
+		// distributed substrate, where only the category crosses the
+		// process boundary, in the workers' stderr.
+		wantMsg string
 		// substrates: by default a case runs on both; inprocOnly marks
 		// failure modes the distributed substrate cannot reach (world
 		// death needs a checkpoint-free mode, which distributed specs
@@ -173,13 +182,25 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 			want:     ccift.ErrTransport,
 			distOnly: true,
 		},
+		{
+			// The process-wide verifier override must reach worker
+			// processes too: an un-Touched write is the program's bug,
+			// reported by name, on both substrates.
+			name:       "missing Touch under CCIFT_FREEZE_CROSSCHECK",
+			opts:       base(),
+			workerProg: "stale",
+			crossCheck: true,
+			want:       ccift.ErrProgram,
+			wantMsg:    `variable "x"`,
+		},
 	}
 
 	for _, tc := range cases {
 		run := func(t *testing.T, distributed bool) {
 			opts := tc.opts
+			var stderr bytes.Buffer
 			if distributed {
-				d := ccift.Distributed{Stderr: io.Discard}
+				d := ccift.Distributed{Stderr: &stderr}
 				switch tc.name {
 				case "store directory unusable":
 					d.StoreDir = filepath.Join(notADir, "store")
@@ -187,15 +208,13 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 					d.Exe = filepath.Join(t.TempDir(), "no-such-binary")
 				}
 				opts = append(opts, ccift.WithDistributed(d))
-				// The re-exec'd workers pick their program from progEnv.
-				t.Setenv(progEnv, tc.workerProg)
 			}
-			prog := conformanceProg()
-			switch tc.workerProg {
-			case "hang":
-				prog = hangProg()
-			case "fail":
-				prog = failProg()
+			// The re-exec'd workers pick their program from progEnv; the
+			// in-process run resolves the same name directly.
+			t.Setenv(progEnv, tc.workerProg)
+			prog := testProg()
+			if tc.crossCheck {
+				t.Setenv("CCIFT_FREEZE_CROSSCHECK", "1")
 			}
 			ctx := context.Background()
 			if tc.ctx != nil {
@@ -203,6 +222,9 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 			}
 			_, err := ccift.Launch(ctx, ccift.NewSpec(opts...), prog)
 			assertExactlyOne(t, err, tc.want)
+			if !strings.Contains(err.Error()+stderr.String(), tc.wantMsg) {
+				t.Fatalf("neither err %q nor worker stderr %q mentions %q", err, stderr.String(), tc.wantMsg)
+			}
 		}
 		if !tc.distOnly {
 			t.Run(tc.name+"/inprocess", func(t *testing.T) { run(t, false) })
@@ -213,25 +235,45 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 	}
 }
 
-// TestErrMaxRestartsCompat pins the migration promise: the historical
-// ErrTooManyRestarts and the taxonomy's ErrMaxRestarts identify the same
-// failures, so pre-taxonomy errors.Is checks keep working.
-func TestErrMaxRestartsCompat(t *testing.T) {
-	_, err := ccift.Launch(context.Background(), ccift.NewSpec(
-		ccift.WithRanks(confRanks),
-		ccift.WithMode(ccift.Full),
-		ccift.WithEveryN(confEveryN),
-		ccift.WithMaxRestarts(1),
-		ccift.WithFailures(
-			ccift.Failure{Rank: 1, AtOp: 60, Incarnation: 0},
-			ccift.Failure{Rank: 1, AtOp: 60, Incarnation: 1},
-		),
-	), conformanceProg())
-	if !errors.Is(err, ccift.ErrTooManyRestarts) {
-		t.Fatalf("err %v does not match the historical ErrTooManyRestarts", err)
+// TestErrMaxRestartsAcrossSubstrates pins that exhausting WithMaxRestarts
+// is the same failure everywhere: one sentinel, and a cause whose text —
+// budget included — does not depend on whether the ranks were goroutines,
+// simulated, or OS processes.
+func TestErrMaxRestartsAcrossSubstrates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the distributed row spawns real worker processes")
 	}
-	if !errors.Is(err, ccift.ErrMaxRestarts) {
-		t.Fatalf("err %v does not match ErrMaxRestarts", err)
+	causes := map[string]string{}
+	for _, substrate := range []string{"inprocess", "simulated", "distributed"} {
+		opts := []ccift.Option{
+			ccift.WithRanks(confRanks),
+			ccift.WithMode(ccift.Full),
+			ccift.WithEveryN(confEveryN),
+			ccift.WithMaxRestarts(1),
+			ccift.WithFailures(
+				ccift.Failure{Rank: 1, AtOp: 60, Incarnation: 0},
+				ccift.Failure{Rank: 1, AtOp: 60, Incarnation: 1},
+			),
+		}
+		switch substrate {
+		case "simulated":
+			opts = append(opts, ccift.WithSimulated(ccift.Scenario{Seed: 7, Latency: time.Millisecond}))
+		case "distributed":
+			opts = append(opts, ccift.WithDistributed(ccift.Distributed{Stderr: io.Discard}))
+		}
+		_, err := ccift.Launch(context.Background(), ccift.NewSpec(opts...), conformanceProg())
+		assertExactlyOne(t, err, ccift.ErrMaxRestarts)
+		var re *ccift.RunError
+		if !errors.As(err, &re) {
+			t.Fatalf("%s: err %v is not a *RunError", substrate, err)
+		}
+		causes[substrate] = re.Err.Error()
+		if !strings.Contains(causes[substrate], "MaxRestarts = 1") {
+			t.Errorf("%s: cause %q does not carry the budget", substrate, causes[substrate])
+		}
+	}
+	if causes["simulated"] != causes["inprocess"] || causes["distributed"] != causes["inprocess"] {
+		t.Errorf("the cause differs by substrate: %q", causes)
 	}
 }
 

@@ -1,0 +1,152 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"os"
+	"time"
+
+	"ccift/internal/cerr"
+	"ccift/internal/clock"
+	"ccift/internal/mpi"
+	"ccift/internal/protocol"
+	"ccift/internal/storage"
+)
+
+// rankBody is everything one rank needs to run one incarnation. Both
+// drivers fill it — RunContext once per goroutine, RunWorker once per
+// process incarnation — and the fields that genuinely differ between them
+// are the last two groups: where the rank's recovery inputs come from, and
+// how the completion of the other ranks is announced and observed.
+type rankBody struct {
+	ctx         context.Context
+	comm        *mpi.Comm
+	incarnation int
+
+	mode      protocol.Mode
+	store     *storage.CheckpointStore
+	everyN    int
+	interval  time.Duration
+	seed      int64
+	debug     bool
+	tracer    protocol.Tracer
+	policy    protocol.Policy
+	clock     clock.Clock
+	statsSink func(protocol.StatsFrame)
+
+	// recovery is this rank's slice of the driver's recovery gather (Epoch
+	// -1: fresh start, do not restore); retained holds the rank's own
+	// in-memory checkpoint copies from the previous incarnation, if it
+	// survived one.
+	recovery *protocol.RankRecovery
+	retained []*protocol.RetainedState
+
+	// announceDone tells the other ranks this rank's program has returned;
+	// allDone reports whether every rank's has.
+	announceDone func()
+	allDone      func() bool
+}
+
+// rankOutcome is what a rank's incarnation leaves behind. stats and
+// retained are filled however the incarnation ends, panic unwinds
+// included; value only when the program completed.
+type rankOutcome struct {
+	value    any
+	stats    protocol.Stats
+	retained []*protocol.RetainedState
+}
+
+// runRank is the per-rank, per-incarnation body shared by both substrates'
+// drivers: build the protocol layer, restore from the recovery slice, run
+// the program, then keep servicing control traffic until every rank is
+// done and drain the flusher. Stop failures and cancellation leave by
+// panic (mpi.ErrKilled, ErrWorldDead, ErrCanceled), which the driver
+// classifies; a returned error is categorized and carries no rank prefix.
+func runRank(b *rankBody, prog Program, out *rankOutcome) error {
+	rank := b.comm.Rank()
+	frame := func(s protocol.Stats, final bool) {
+		b.statsSink(protocol.StatsFrame{V: protocol.StatsWireVersion,
+			Rank: rank, Incarnation: b.incarnation, Final: final, Stats: s})
+	}
+	var sink func(protocol.Stats)
+	if b.statsSink != nil {
+		sink = func(s protocol.Stats) { frame(s, false) }
+	}
+	// CCIFT_FREEZE_CROSSCHECK=1 force-enables the freeze verifier on every
+	// incremental run — CI's race job soaks the whole suite under it, so
+	// any test program that mutates registered state without Touch fails
+	// loudly there instead of recovering stale in production.
+	pol := b.policy
+	if !pol.FullFreeze && os.Getenv("CCIFT_FREEZE_CROSSCHECK") == "1" {
+		pol.FreezeCrossCheck = true
+	}
+	layer := protocol.NewLayer(b.comm, protocol.Config{
+		Mode:              b.mode,
+		Store:             b.store,
+		EveryN:            b.everyN,
+		Interval:          b.interval,
+		Debug:             b.debug,
+		Tracer:            b.tracer,
+		Ctx:               b.ctx,
+		AsyncFlush:        !pol.Sync,
+		IncrementalFreeze: !pol.FullFreeze,
+		FreezeCrossCheck:  pol.FreezeCrossCheck,
+		FlushBandwidth:    pol.FlushBandwidth,
+		NoFlushGovernor:   pol.NoGovernor,
+		// Only a Full checkpoint can be rolled back to, so only Full
+		// retains in-memory copies for the next rollback.
+		RetainForRecovery: b.mode == protocol.Full,
+		StatsSink:         sink,
+		Clock:             b.clock,
+	})
+	// Registered before the Shutdown defer below so it runs AFTER the
+	// flusher drains (defers are LIFO): the retained copies and the final
+	// counters then include a checkpoint that was still flushing. It runs
+	// on panic unwinds too, so a survivor keeps its copies across a
+	// rollback and the stats stream carries the counters of an incarnation
+	// that just died.
+	defer func() {
+		out.retained = layer.Retained()
+		out.stats = layer.Stats
+		if b.statsSink != nil {
+			frame(layer.Stats, true)
+		}
+	}()
+	// The background flusher must not outlive this incarnation: Shutdown
+	// waits for an in-flight state write, so a dying rank never leaks a
+	// goroutine still writing to the store a later incarnation reads.
+	defer layer.Shutdown()
+
+	r := newRank(layer, b.seed, b.incarnation)
+	if rec := b.recovery; rec.Epoch >= 0 {
+		app, err := layer.RestoreFrom(rec.Epoch, rec.Suppress, b.retained)
+		if err != nil {
+			return fmt.Errorf("restore: %w: %w", cerr.ErrStore, err)
+		}
+		layer.Saver.VDS.SetReplicas(rec.Replicas)
+		if err := layer.Saver.StartRestore(app); err != nil {
+			return fmt.Errorf("app restore: %w: %w", cerr.ErrStore, err)
+		}
+		r.restarting = true
+	}
+
+	v, err := prog(r)
+	if err != nil {
+		return cerr.Ensure(err, cerr.ErrProgram)
+	}
+	layer.Finish()
+	// Keep servicing protocol control traffic until every rank is done, so
+	// an in-flight global checkpoint does not stall on a rank that finished
+	// early. The rank parks in the transport and wakes only for control
+	// messages or the completion announcement — no polling.
+	b.announceDone()
+	layer.ServiceControlUntil(b.allDone)
+	// Drain the flusher before reporting: a checkpoint still in flight at
+	// completion is finished (its bytes count) and a failed flush is this
+	// rank's error.
+	if err := layer.Shutdown(); err != nil {
+		return err
+	}
+	out.value = v
+	return nil
+}

@@ -106,7 +106,7 @@ func TestCrashDuringFlushRecovery(t *testing.T) {
 			var died atomic.Bool
 			res, err := Run(Config{
 				Ranks: 3, Mode: protocol.Full, EveryN: 5, Debug: true, Store: store,
-				FullFreeze: variant == "full-freeze",
+				Policy: protocol.Policy{FullFreeze: variant == "full-freeze"},
 			}, crashProg(doomed, store.started, &died))
 			if err != nil {
 				t.Fatal(err)

@@ -36,7 +36,7 @@ func forgetfulProg(touch bool) Program {
 
 func TestFreezeCrossCheckCatchesMissingTouch(t *testing.T) {
 	_, err := Run(Config{
-		Ranks: 2, Mode: protocol.Full, EveryN: 3, FreezeCrossCheck: true,
+		Ranks: 2, Mode: protocol.Full, EveryN: 3, Policy: protocol.Policy{FreezeCrossCheck: true},
 	}, forgetfulProg(false))
 	if err == nil {
 		t.Fatal("cross-check mode accepted a program that mutates without Touch")
@@ -51,7 +51,7 @@ func TestFreezeCrossCheckCatchesMissingTouch(t *testing.T) {
 
 func TestFreezeCrossCheckPassesHonestProgram(t *testing.T) {
 	res, err := Run(Config{
-		Ranks: 2, Mode: protocol.Full, EveryN: 3, FreezeCrossCheck: true,
+		Ranks: 2, Mode: protocol.Full, EveryN: 3, Policy: protocol.Policy{FreezeCrossCheck: true},
 		Failures: []Failure{{Rank: 1, AtOp: 20, Incarnation: 0}},
 	}, forgetfulProg(true))
 	if err != nil {

@@ -7,7 +7,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,42 +73,9 @@ type Config struct {
 	// incarnation's world; nil selects the in-process indexed-mailbox
 	// transport. The public API's WithTransport option lands here.
 	NewTransport func(*mpi.World) mpi.Transport
-	// SyncCheckpoint disables the asynchronous checkpoint pipeline and
-	// restores the classic stop-serialize-fsync path. The default (false)
-	// freezes a copy of the live state and overlaps the durable write with
-	// continued computation on a per-rank background flusher; sync is kept
-	// for baselines and for measuring the overlap's win.
-	SyncCheckpoint bool
-	// ChunkSize is the chunk granularity of the content-hashed chunked
-	// state writer (bytes); 0 selects storage.DefaultChunkSize. Unchanged
-	// chunks are re-referenced instead of re-written across epochs.
-	ChunkSize int
-	// FullFreeze disables dirty-region (incremental) checkpointing and
-	// re-copies the whole registered state at every freeze. The default
-	// (false) is the incremental path: a checkpoint's blocking freeze
-	// copies only regions the program touched since the previous epoch
-	// (Rank.Touch / Rank.TouchRange / Heap.Touch write intent;
-	// registration, resize and unregister dirty implicitly) and
-	// re-references the prior frozen slabs for clean ones. Programs MUST
-	// honor the Touch contract for every registered non-scalar value they
-	// mutate — an untracked write recovers stale; set FullFreeze (or run
-	// FreezeCrossCheck once) when auditing a program that may not.
-	FullFreeze bool
-	// FreezeCrossCheck verifies every frozen view byte-for-byte against a
-	// fresh encode of the live state, turning a missed Touch into an
-	// immediate ErrProgram naming the variable. Debug mode: costs a full
-	// encode per checkpoint.
-	FreezeCrossCheck bool
-	// FlushBandwidth caps checkpoint write streaming at this many bytes
-	// per second on both the sync and async paths; 0 = no fixed cap.
-	FlushBandwidth float64
-	// NoFlushGovernor disables the adaptive flush governor that throttles
-	// the async flusher when the rank's compute throughput drops more
-	// than the target fraction below its flush-free baseline.
-	NoFlushGovernor bool
-	// ChunkPipeline selects the chunked state writer's pipeline depth
-	// (0 = default depth, negative = serial writer).
-	ChunkPipeline int
+	// Policy is the checkpoint policy, handed to every rank's protocol
+	// layer untouched; the zero value is the default fast path.
+	Policy protocol.Policy
 	// StatsSink, when non-nil, receives live per-rank counter snapshots as
 	// the run progresses (each completed checkpoint and each rank's
 	// finish), tagged with rank and incarnation. Called concurrently from
@@ -130,12 +96,6 @@ type Config struct {
 	// Clock. The detector always runs on Clock — skew between the ranks
 	// and the detector is exactly what clock-skew scenarios probe.
 	RankClock func(rank int) clock.Clock
-	// WholeWorldRestart disables localized recovery: survivors re-read
-	// their checkpoint from the store instead of their in-memory retained
-	// copy, and (on the distributed substrate) the launcher respawns the
-	// whole incarnation instead of only the dead ranks. The pre-localized
-	// behaviour, kept as a fallback and for A/B measurement.
-	WholeWorldRestart bool
 }
 
 // Result reports a completed run.
@@ -159,8 +119,8 @@ type Result struct {
 	PerRank []protocol.RankStats
 	// Incarnations reports each distributed incarnation's worker
 	// processes (empty on the in-process and simulated substrates, where
-	// ranks are goroutines). With localized recovery a surviving rank's
-	// PID is stable across entries; whole-world restart re-execs everyone.
+	// ranks are goroutines). A surviving rank's PID is stable across
+	// entries; only dead ranks are re-execed.
 	Incarnations []IncarnationInfo
 }
 
@@ -171,24 +131,18 @@ type IncarnationInfo struct {
 	PIDs []int
 	// Exits[r] describes how rank r's process left this incarnation
 	// ("exit status 0", "signal: killed", ...); empty while it kept
-	// running into the next incarnation (localized recovery's survivors).
+	// running into the next incarnation (a survivor).
 	Exits []string
 	// RecoveredEpoch is the epoch the NEXT incarnation restored from (-1
 	// for a restart from the beginning, or for the final incarnation).
 	RecoveredEpoch int
 }
 
-// ErrTooManyRestarts is returned when the failure schedule exhausts
-// MaxRestarts. It wraps the taxonomy's cerr.ErrMaxRestarts, so both the
-// historical errors.Is(err, ErrTooManyRestarts) check and the public
-// ccift.ErrMaxRestarts category match the same errors.
-var ErrTooManyRestarts = fmt.Errorf("engine: too many restarts: %w", cerr.ErrMaxRestarts)
-
 // RunError is the structured failure report of a run: which rank ended it
 // (-1 when the failure is not attributable to one rank), in which
 // incarnation, and how many rollback-restarts had been consumed. The
 // underlying cause is reachable through Unwrap, so errors.Is/As work on
-// sentinel causes (ErrTooManyRestarts, context.Canceled, ...).
+// sentinel causes (cerr.ErrMaxRestarts, context.Canceled, ...).
 type RunError struct {
 	// Rank is the rank whose program error or panic ended the run, or -1
 	// when the run ended for a world-wide reason (cancellation, exhausted
@@ -240,9 +194,6 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("%w: conflicting checkpoint triggers: EveryN (%d) and Interval (%v) are mutually exclusive — pick one",
 			cerr.ErrSpec, cfg.EveryN, cfg.Interval)
 	}
-	if cfg.ChunkSize < 0 {
-		return fmt.Errorf("%w: ChunkSize must not be negative, got %d", cerr.ErrSpec, cfg.ChunkSize)
-	}
 	for i, f := range cfg.Failures {
 		if f.Rank < 0 || f.Rank >= cfg.Ranks {
 			return fmt.Errorf("%w: Failures[%d]: rank %d out of range [0,%d)", cerr.ErrSpec, i, f.Rank, cfg.Ranks)
@@ -283,24 +234,13 @@ func RunContext(ctx context.Context, cfg Config, prog Program) (*Result, error) 
 	if cfg.MaxRestarts == 0 {
 		cfg.MaxRestarts = 10
 	}
-	// CCIFT_FREEZE_CROSSCHECK=1 force-enables the freeze verifier on every
-	// incremental run in the process — CI's race job soaks the whole suite
-	// under it, so any test program that mutates registered state without
-	// Touch fails loudly there instead of recovering stale in production.
-	if !cfg.FullFreeze && os.Getenv("CCIFT_FREEZE_CROSSCHECK") == "1" {
-		cfg.FreezeCrossCheck = true
-	}
 	cs := storage.NewCheckpointStore(cfg.Store)
 	res := &Result{}
 
-	// Localized recovery: each rank's layer retains an in-memory copy of
-	// its serialized checkpoint, carried here across incarnations so
-	// survivors of a failure restore without store reads. Disabled (nil)
-	// under WholeWorldRestart; entries of ranks that died are dropped.
-	var retained [][]*protocol.RetainedState
-	if !cfg.WholeWorldRestart && cfg.Mode == protocol.Full {
-		retained = make([][]*protocol.RetainedState, cfg.Ranks)
-	}
+	// Each rank's in-memory copies of its own recent checkpoints, carried
+	// here across incarnations so survivors of a failure restore without
+	// store reads; the entry of a rank that died is dropped.
+	retained := make([][]*protocol.RetainedState, cfg.Ranks)
 
 	for incarnation := 0; ; incarnation++ {
 		if cause := ctx.Err(); cause != nil {
@@ -316,7 +256,7 @@ func RunContext(ctx context.Context, cfg Config, prog Program) (*Result, error) 
 		}
 		if incarnation > cfg.MaxRestarts {
 			return nil, &RunError{Rank: -1, Incarnation: incarnation, Restarts: res.Restarts,
-				Err: fmt.Errorf("%w (%d)", ErrTooManyRestarts, cfg.MaxRestarts)}
+				Err: fmt.Errorf("%w (MaxRestarts = %d)", cerr.ErrMaxRestarts, cfg.MaxRestarts)}
 		}
 		epoch, haveCkpt, err := cs.Committed()
 		if err != nil {
@@ -339,17 +279,15 @@ func RunContext(ctx context.Context, cfg Config, prog Program) (*Result, error) 
 		// senders of these early messages are informed of the messageIDs so
 		// that resending these messages can be suppressed"): O(world) tiny
 		// sidecar reads build every sender's suppression list and the
-		// primary's replica set, and each rank is handed only its slice.
-		suppress := make([][]uint32, cfg.Ranks)
-		var replicas map[string][]byte
-		restore := incarnation > 0 && haveCkpt
-		if restore {
-			plan, err := protocol.GatherRecovery(cs, epoch, cfg.Ranks)
+		// primary's replica set, and each rank is handed only its slice. A
+		// nil plan is a fresh start.
+		var plan *protocol.RecoveryPlan
+		if incarnation > 0 && haveCkpt {
+			plan, err = protocol.GatherRecovery(cs, epoch, cfg.Ranks)
 			if err != nil {
 				return nil, &RunError{Rank: -1, Incarnation: incarnation, Restarts: res.Restarts,
 					Err: fmt.Errorf("%w: gather recovery plan: %w", cerr.ErrStore, err)}
 			}
-			suppress, replicas = plan.Suppress, plan.Replicas
 		}
 
 		world := mpi.NewWorld(cfg.Ranks, mpi.Options{
@@ -359,7 +297,7 @@ func RunContext(ctx context.Context, cfg Config, prog Program) (*Result, error) 
 			NewTransport: cfg.NewTransport,
 		})
 
-		out := runIncarnation(ctx, cfg, cs, world, prog, incarnation, epoch, restore, suppress, replicas, retained)
+		out := runIncarnation(ctx, cfg, cs, world, prog, incarnation, plan, retained)
 		if out.canceled {
 			cause := ctx.Err()
 			if cause == nil {
@@ -399,8 +337,7 @@ type incarnationResult struct {
 }
 
 func runIncarnation(ctx context.Context, cfg Config, cs *storage.CheckpointStore, world *mpi.World,
-	prog Program, incarnation, epoch int, restore bool, suppress [][]uint32,
-	replicas map[string][]byte, retained [][]*protocol.RetainedState) incarnationResult {
+	prog Program, incarnation int, plan *protocol.RecoveryPlan, retained [][]*protocol.RetainedState) incarnationResult {
 
 	// Cancellation: the moment ctx is done, cancel the world so every rank
 	// — blocked in the substrate or about to enter it — unwinds with
@@ -458,108 +395,50 @@ func runIncarnation(ctx context.Context, cfg Config, cs *storage.CheckpointStore
 					case mpi.ErrWorldDead, mpi.ErrCanceled:
 						// Already a global unwind; nothing to announce.
 					default:
-						// An internal failure (store write, restore, an
-						// application panic) is fail-stop too: announce it so
-						// survivors parked in receives unblock instead of
-						// waiting forever on a rank that will never send.
+						// An internal failure (store write, an application
+						// panic) is fail-stop too: announce it so survivors
+						// parked in receives unblock instead of waiting
+						// forever on a rank that will never send.
 						world.Shutdown()
 					}
 				}
 			}()
-			var sink func(protocol.Stats)
-			if cfg.StatsSink != nil {
-				sink = func(s protocol.Stats) {
-					cfg.StatsSink(protocol.StatsFrame{V: protocol.StatsWireVersion,
-						Rank: r, Incarnation: incarnation, Stats: s})
+			var out rankOutcome
+			// Carry this rank's in-memory checkpoint copies to the next
+			// incarnation, however this one ends — unless the rank itself
+			// died, in which case its memory is considered lost and it must
+			// restore from the store like a respawned process.
+			defer func() {
+				retained[r] = out.retained
+				if world.Killed(r) {
+					retained[r] = nil
 				}
-			}
-			rankClk := cfg.Clock
+			}()
+			clk := cfg.Clock
 			if cfg.RankClock != nil {
-				rankClk = cfg.RankClock(r)
+				clk = cfg.RankClock(r)
 			}
-			layer := protocol.NewLayer(world.Comm(r), protocol.Config{
-				Mode:              cfg.Mode,
-				Store:             cs,
-				EveryN:            cfg.EveryN,
-				Interval:          cfg.Interval,
-				Debug:             cfg.Debug,
-				Tracer:            cfg.Tracer,
-				Ctx:               ctx,
-				AsyncFlush:        !cfg.SyncCheckpoint,
-				ChunkSize:         cfg.ChunkSize,
-				IncrementalFreeze: !cfg.FullFreeze,
-				FreezeCrossCheck:  cfg.FreezeCrossCheck,
-				FlushBandwidth:    cfg.FlushBandwidth,
-				NoFlushGovernor:   cfg.NoFlushGovernor,
-				ChunkPipeline:     cfg.ChunkPipeline,
-				RetainForRecovery: retained != nil,
-				StatsSink:         sink,
-				Clock:             rankClk,
-			})
-			if retained != nil {
-				// Localized recovery: carry this rank's in-memory checkpoint
-				// copies to the next incarnation — unless the rank itself
-				// died, in which case its memory is considered lost and it
-				// must restore from the store like a respawned process.
-				// Registered before the Shutdown defer (LIFO) so the flusher
-				// has drained and the last flush is integrated when it runs.
-				defer func() {
-					if world.Killed(r) {
-						retained[r] = nil
-					} else {
-						retained[r] = layer.Retained()
+			errs[r] = runRank(&rankBody{
+				ctx: ctx, comm: world.Comm(r), incarnation: incarnation,
+				mode: cfg.Mode, store: cs, everyN: cfg.EveryN, interval: cfg.Interval,
+				seed: cfg.Seed, debug: cfg.Debug, tracer: cfg.Tracer, policy: cfg.Policy,
+				clock: clk, statsSink: cfg.StatsSink,
+				recovery: plan.ForRank(r), retained: retained[r],
+				announceDone: func() {
+					if finished.Add(1) == int64(n) {
+						// Last rank out: wake every finished rank parked in
+						// ServiceControlUntil so they observe completion.
+						world.Interrupt()
 					}
-				}()
-			}
-			// The background flusher must not outlive this incarnation:
-			// Shutdown waits for an in-flight state write (registered after
-			// the recover defer, so it runs first on a panic unwind and a
-			// dying rank never leaks a goroutine still writing to the
-			// store a later incarnation reads).
-			defer layer.Shutdown()
-			rank := newRank(layer, cfg.Seed, incarnation)
-			if restore {
-				var ret []*protocol.RetainedState
-				if retained != nil {
-					ret = retained[r]
-				}
-				app, err := layer.RestoreFrom(epoch, suppress[r], ret)
-				if err != nil {
-					panic(fmt.Errorf("engine: rank %d restore: %w: %w", r, cerr.ErrStore, err))
-				}
-				layer.Saver.VDS.SetReplicas(replicas)
-				if err := layer.Saver.StartRestore(app); err != nil {
-					panic(fmt.Errorf("engine: rank %d app restore: %w: %w", r, cerr.ErrStore, err))
-				}
-				rank.restarting = true
-			}
-			v, err := prog(rank)
-			values[r], errs[r] = v, err
-			stats[r] = layer.Stats
-			layer.Finish()
-			if finished.Add(1) == int64(n) {
-				// Last rank out: wake every finished rank parked in
-				// ServiceControlUntil so they observe completion.
-				world.Interrupt()
-			}
-			// Keep servicing protocol control traffic until every rank is
-			// done, so an in-flight global checkpoint does not stall on a
-			// rank that finished early. The rank parks on its mailbox and
-			// wakes only for control messages or the completion interrupt —
-			// no polling.
-			layer.ServiceControlUntil(func() bool {
-				return finished.Load() >= int64(n)
-			})
-			// Drain the flusher before reading final stats: a checkpoint
-			// still in flight at completion is finished (its bytes count)
-			// and a failed flush surfaces as this rank's error.
-			if err := layer.Shutdown(); err != nil && errs[r] == nil {
-				errs[r] = err
-			}
-			stats[r] = layer.Stats
-			if cfg.StatsSink != nil {
-				cfg.StatsSink(protocol.StatsFrame{V: protocol.StatsWireVersion,
-					Rank: r, Incarnation: incarnation, Final: true, Stats: layer.Stats})
+				},
+				allDone: func() bool { return finished.Load() >= int64(n) },
+			}, prog, &out)
+			values[r], stats[r] = out.value, out.stats
+			if errs[r] != nil {
+				// A rank whose restore, program or final flush failed will
+				// never send again: fail-stop, like a panic, so survivors
+				// parked in receives unblock.
+				world.Shutdown()
 			}
 		}(r)
 	}
@@ -572,16 +451,17 @@ func runIncarnation(ctx context.Context, cfg Config, cs *storage.CheckpointStore
 			return incarnationResult{canceled: true}
 		}
 	}
-	// A real panic (store failure, application bug) dominates ErrKilled /
-	// ErrWorldDead: the shutdown it triggered to unblock the survivors is
-	// collateral, not the cause, so scan for the cause first.
+	// A real panic (store failure, application bug) or a returned error
+	// dominates ErrKilled / ErrWorldDead: the shutdown it triggered to
+	// unblock the survivors is collateral, not the cause, so scan for the
+	// cause first.
 	for r := 0; r < n; r++ {
 		switch panics[r] {
 		case nil, mpi.ErrKilled, mpi.ErrWorldDead:
 		default:
 			// A panic carrying an already-categorized error (a store failure
-			// raised by the flusher, a restore failure) keeps its category;
-			// anything else is the application's fault.
+			// raised by the flusher) keeps its category; anything else is
+			// the application's fault.
 			var perr error
 			if e, ok := panics[r].(error); ok && cerr.Category(e) != nil {
 				perr = e
@@ -592,14 +472,14 @@ func runIncarnation(ctx context.Context, cfg Config, cs *storage.CheckpointStore
 		}
 	}
 	for r := 0; r < n; r++ {
-		switch panics[r] {
-		case mpi.ErrKilled, mpi.ErrWorldDead:
-			return incarnationResult{failed: true}
+		if errs[r] != nil {
+			return incarnationResult{err: &RunError{Rank: r, Err: errs[r]}}
 		}
 	}
 	for r := 0; r < n; r++ {
-		if errs[r] != nil {
-			return incarnationResult{err: &RunError{Rank: r, Err: cerr.Ensure(errs[r], cerr.ErrProgram)}}
+		switch panics[r] {
+		case mpi.ErrKilled, mpi.ErrWorldDead:
+			return incarnationResult{failed: true}
 		}
 	}
 	return incarnationResult{values: values, stats: stats}

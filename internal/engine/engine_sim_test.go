@@ -9,9 +9,9 @@ import (
 	"ccift/internal/sim"
 )
 
-// simConfig wires a fresh simulated substrate into cfg: transport, virtual
-// clocks, and the synchronous checkpoint path (the async flusher's overlap
-// is a wall-clock optimization that means nothing in virtual time).
+// simConfig wires a fresh simulated substrate into cfg: transport and
+// virtual clocks (on which the protocol layer itself keeps to the
+// synchronous checkpoint path and the serial chunk writer).
 func simConfig(t *testing.T, cfg Config, sc sim.Scenario) Config {
 	t.Helper()
 	s, err := sim.New(cfg.Ranks, sc)
@@ -22,7 +22,6 @@ func simConfig(t *testing.T, cfg Config, sc sim.Scenario) Config {
 	cfg.NewTransport = s.NewTransport
 	cfg.Clock = s.DetectorClock()
 	cfg.RankClock = s.RankClock
-	cfg.SyncCheckpoint = true
 	return cfg
 }
 

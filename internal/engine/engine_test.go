@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"ccift/internal/cerr"
 	"ccift/internal/mpi"
 	"ccift/internal/protocol"
 	"ccift/internal/storage"
@@ -221,8 +223,8 @@ func TestTooManyRestarts(t *testing.T) {
 	}
 	cfg := Config{Ranks: 2, Mode: protocol.Full, EveryN: 3, MaxRestarts: 3, Failures: failures}
 	_, err := Run(cfg, ringProg(10, 2))
-	if !errors.Is(err, ErrTooManyRestarts) {
-		t.Fatalf("err = %v", err)
+	if !errors.Is(err, cerr.ErrMaxRestarts) || !strings.Contains(err.Error(), "MaxRestarts = 3") {
+		t.Fatalf("err = %v, want ErrMaxRestarts naming the budget", err)
 	}
 }
 
@@ -305,6 +307,7 @@ func nondetProg(iters int) Program {
 			} else {
 				seen = append(seen, r.RecvF64(0, 1)[0])
 			}
+			r.Touch("seen")
 		}
 		return fmt.Sprintf("%.9v", seen), nil
 	}

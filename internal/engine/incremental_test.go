@@ -93,8 +93,8 @@ func TestIncrementalFreezeRecovery(t *testing.T) {
 		t.Helper()
 		res, err := Run(Config{
 			Ranks: 3, Mode: protocol.Full, EveryN: 4, Debug: true,
-			FullFreeze: !incremental,
-			Failures:   []Failure{{Rank: 1, AtOp: 50, Incarnation: 0}},
+			Policy:   protocol.Policy{FullFreeze: !incremental},
+			Failures: []Failure{{Rank: 1, AtOp: 50, Incarnation: 0}},
 		}, incrProg(iters))
 		if err != nil {
 			t.Fatalf("incremental=%v: %v", incremental, err)

@@ -17,12 +17,13 @@ import (
 // rank inside its own OS process, with the world constructed from the
 // launcher's environment (rank, size, incarnation, shared store) and the
 // wire substrate supplied by a cross-process Transport. The rollback loop
-// moves out of the process entirely — a launcher re-spawns the whole
-// incarnation — so everything here is one incarnation of one rank.
+// moves out of the process entirely — the launcher gathers the recovery
+// plan and decides who is respawned — so everything here is one
+// incarnation of one rank.
 
 // ErrIncarnationDead reports that the incarnation aborted: a peer (or this
 // rank's own kill plan, in simulated mode) stop-failed and the world was
-// shut down. The launcher responds by re-spawning everyone from the last
+// shut down. The launcher responds by rolling the world back to the last
 // committed global checkpoint.
 var ErrIncarnationDead = errors.New("engine: incarnation aborted by a stop failure")
 
@@ -40,20 +41,8 @@ type WorkerConfig struct {
 	// EveryN / Interval are the initiator's checkpoint triggers.
 	EveryN   int
 	Interval time.Duration
-	// SyncCheckpoint disables the asynchronous checkpoint pipeline (see
-	// Config.SyncCheckpoint); ChunkSize sets the chunked state writer's
-	// granularity (0 = default); FullFreeze opts out of the default
-	// dirty-region incremental freeze (see Config.FullFreeze — the
-	// program must honor the Touch contract when it is off);
-	// FreezeCrossCheck, FlushBandwidth, NoFlushGovernor and ChunkPipeline
-	// mirror the same Config fields.
-	SyncCheckpoint   bool
-	ChunkSize        int
-	FullFreeze       bool
-	FreezeCrossCheck bool
-	FlushBandwidth   float64
-	NoFlushGovernor  bool
-	ChunkPipeline    int
+	// Policy is the checkpoint policy (see Config.Policy).
+	Policy protocol.Policy
 	// KillAtOp, when non-zero, schedules this rank's death at its
 	// KillAtOp-th substrate operation. Kill performs the death; the
 	// launcher's worker installs a real self-SIGKILL (which never returns),
@@ -81,20 +70,16 @@ type WorkerConfig struct {
 	// marked Final, as the worker unwinds (normal completion AND rollback
 	// exit, so the launcher sees the counters of killed incarnations too).
 	StatsSink func(protocol.StatsFrame)
-	// Recovery, when non-nil, is this rank's slice of the launcher-side
-	// recovery gather: the launcher read the committed epoch's metadata
-	// once and shipped each worker its inputs, so the worker does no store
-	// scan of its own. Epoch -1 means "fresh start, do not restore". Nil
-	// falls back to the worker computing its own inputs from the store
-	// (the whole-world path, where there is no per-rank shipping).
+	// Recovery is this rank's slice of the launcher-side recovery gather:
+	// the launcher read the committed epoch's metadata once and shipped
+	// each worker its inputs, so the worker does no store scan of its own.
+	// Epoch -1 means "fresh start, do not restore". Required.
 	Recovery *protocol.RankRecovery
 	// Retained, when non-nil, is this process's in-memory copy of its own
 	// recent checkpoints, kept across incarnations by a worker process
 	// that survived a rollback; a copy matching the recovery epoch is
-	// restored without store reads. RetainForRecovery makes the layer keep
-	// such copies for the NEXT rollback.
-	Retained          []*protocol.RetainedState
-	RetainForRecovery bool
+	// restored without store reads.
+	Retained []*protocol.RetainedState
 }
 
 // WorkerResult reports one completed (or aborted) worker incarnation.
@@ -107,19 +92,19 @@ type WorkerResult struct {
 	// Stats are the protocol-layer statistics of this rank.
 	Stats protocol.Stats
 	// Retained carries the rank's in-memory checkpoint copies out of the
-	// incarnation (populated with RetainForRecovery set, on normal AND
-	// rollback exits) — the caller hands them back through
-	// WorkerConfig.Retained when it reruns the rank in the same process.
+	// incarnation (in Full mode, on normal AND rollback exits) — the
+	// caller hands them back through WorkerConfig.Retained when it reruns
+	// the rank in the same process.
 	Retained []*protocol.RetainedState
 }
 
 // RunWorker executes prog as one rank-process of a distributed world. It
-// restores from the newest committed checkpoint in the shared store when
-// one exists, runs the program, and services control traffic until every
-// rank announces completion. A stop failure anywhere in the world surfaces
-// as ErrIncarnationDead; the caller exits so its launcher can re-spawn the
-// incarnation. Cancelling ctx aborts the incarnation and returns an error
-// wrapping ctx.Err().
+// restores from the epoch its recovery slice names, runs the program, and
+// services control traffic until every rank announces completion. A stop
+// failure anywhere in the world surfaces as ErrIncarnationDead; the caller
+// rejoins the next incarnation or exits so its launcher can re-spawn it.
+// Cancelling ctx aborts the incarnation and returns an error wrapping
+// ctx.Err().
 func RunWorker(ctx context.Context, cfg WorkerConfig, prog Program) (res WorkerResult, err error) {
 	res.RecoveredEpoch = -1
 	if ctx == nil {
@@ -128,50 +113,14 @@ func RunWorker(ctx context.Context, cfg WorkerConfig, prog Program) (res WorkerR
 	if cfg.Rank < 0 || cfg.Rank >= cfg.Ranks || cfg.Ranks <= 0 {
 		return res, fmt.Errorf("%w: worker rank %d out of range [0,%d)", cerr.ErrSpec, cfg.Rank, cfg.Ranks)
 	}
-	if cfg.Store == nil || cfg.NewTransport == nil || cfg.Start == nil || cfg.AnnounceDone == nil || cfg.AllDone == nil {
-		return res, fmt.Errorf("%w: worker requires Store, NewTransport, Start, AnnounceDone, and AllDone", cerr.ErrSpec)
+	if cfg.Store == nil || cfg.NewTransport == nil || cfg.Start == nil || cfg.AnnounceDone == nil || cfg.AllDone == nil || cfg.Recovery == nil {
+		return res, fmt.Errorf("%w: worker requires Store, NewTransport, Start, AnnounceDone, AllDone, and Recovery", cerr.ErrSpec)
 	}
-	cs := storage.NewCheckpointStore(cfg.Store)
-
-	// Recovery inputs. The localized launcher gathers the committed
-	// epoch's metadata once and ships each worker its slice (Recovery
-	// non-nil); without it — the whole-world path — each worker computes
-	// its own inputs from the store: the suppression list is every
-	// receiver's record of early messages this rank sent (Section 4.2),
-	// and the replicated values come from the primary's checkpoint
-	// (Section 7).
-	var suppress []uint32
-	var replicas map[string][]byte
-	var epoch int
-	var restore bool
-	if cfg.Recovery != nil {
-		if cfg.Recovery.Epoch >= 0 {
-			restore = true
-			epoch = cfg.Recovery.Epoch
-			suppress = cfg.Recovery.Suppress
-			replicas = cfg.Recovery.Replicas
-		}
-	} else {
-		var haveCkpt bool
-		epoch, haveCkpt, err = cs.Committed()
-		if err != nil {
-			return res, fmt.Errorf("%w: read commit record: %w", cerr.ErrStore, err)
-		}
-		restore = cfg.Incarnation > 0 && haveCkpt
-		if restore {
-			plan, gerr := protocol.GatherRecovery(cs, epoch, cfg.Ranks)
-			if gerr != nil {
-				return res, fmt.Errorf("engine: gather recovery plan: %w: %w", cerr.ErrStore, gerr)
-			}
-			suppress = plan.Suppress[cfg.Rank]
-			replicas = plan.Replicas
-		}
-	}
-	if restore {
+	if cfg.Recovery.Epoch >= 0 {
 		if cfg.Mode != protocol.Full {
 			return res, fmt.Errorf("%w: cannot recover from a checkpoint in mode %v", cerr.ErrWorldDead, cfg.Mode)
 		}
-		res.RecoveredEpoch = epoch
+		res.RecoveredEpoch = cfg.Recovery.Epoch
 	}
 
 	opts := mpi.Options{NewTransport: cfg.NewTransport}
@@ -215,98 +164,32 @@ func RunWorker(ctx context.Context, cfg WorkerConfig, prog Program) (res WorkerR
 		}
 	}()
 
-	var sink func(protocol.Stats)
-	if cfg.StatsSink != nil {
-		sink = func(s protocol.Stats) {
-			cfg.StatsSink(protocol.StatsFrame{V: protocol.StatsWireVersion,
-				Rank: cfg.Rank, Incarnation: cfg.Incarnation, Stats: s})
-		}
+	var out rankOutcome
+	// Registered after the recover defer, so a stop-failure unwind still
+	// hands the caller the counters and the retained copies.
+	defer func() { res.Stats, res.Retained = out.stats, out.retained }()
+	if err := runRank(&rankBody{
+		ctx: ctx, comm: world.Comm(cfg.Rank), incarnation: cfg.Incarnation,
+		mode: cfg.Mode, store: storage.NewCheckpointStore(cfg.Store), everyN: cfg.EveryN, interval: cfg.Interval,
+		seed: cfg.Seed, debug: cfg.Debug, tracer: cfg.Tracer, policy: cfg.Policy,
+		statsSink: cfg.StatsSink,
+		recovery:  cfg.Recovery, retained: cfg.Retained,
+		announceDone: cfg.AnnounceDone, allDone: cfg.AllDone,
+	}, prog, &out); err != nil {
+		return res, fmt.Errorf("engine: rank %d: %w", cfg.Rank, err)
 	}
-	layer := protocol.NewLayer(world.Comm(cfg.Rank), protocol.Config{
-		Mode:              cfg.Mode,
-		Store:             cs,
-		EveryN:            cfg.EveryN,
-		Interval:          cfg.Interval,
-		Debug:             cfg.Debug,
-		Tracer:            cfg.Tracer,
-		Ctx:               ctx,
-		AsyncFlush:        !cfg.SyncCheckpoint,
-		ChunkSize:         cfg.ChunkSize,
-		IncrementalFreeze: !cfg.FullFreeze,
-		FreezeCrossCheck:  cfg.FreezeCrossCheck,
-		FlushBandwidth:    cfg.FlushBandwidth,
-		NoFlushGovernor:   cfg.NoFlushGovernor,
-		ChunkPipeline:     cfg.ChunkPipeline,
-		RetainForRecovery: cfg.RetainForRecovery,
-		StatsSink:         sink,
-	})
-	if cfg.RetainForRecovery {
-		// Capture the retained copies however the incarnation ends:
-		// registered before the Shutdown defer (LIFO) so the flusher has
-		// drained and the last flush is integrated, and running on panic
-		// unwinds too, so a surviving worker keeps its copies across a
-		// rollback (ErrIncarnationDead) without touching the store.
-		defer func() {
-			res.Retained = layer.Retained()
-		}()
-	}
-	// Final stats frame, registered before the Shutdown defer below so it
-	// runs AFTER the flusher drains (defers are LIFO): the snapshot then
-	// includes any checkpoint that was still flushing, and — because defers
-	// run on panic unwinds too — the launcher receives the counters of an
-	// incarnation that just died in a rollback.
-	if cfg.StatsSink != nil {
-		defer func() {
-			cfg.StatsSink(protocol.StatsFrame{V: protocol.StatsWireVersion,
-				Rank: cfg.Rank, Incarnation: cfg.Incarnation, Final: true, Stats: layer.Stats})
-		}()
-	}
-	// Registered after the recover defer, so a stop-failure unwind stops
-	// the flusher (waiting out any in-flight write) before the process
-	// reports rollback and exits.
-	defer layer.Shutdown()
-	rank := newRank(layer, cfg.Seed, cfg.Incarnation)
-	if restore {
-		app, err := layer.RestoreFrom(epoch, suppress, cfg.Retained)
-		if err != nil {
-			return res, fmt.Errorf("engine: rank %d restore: %w: %w", cfg.Rank, cerr.ErrStore, err)
-		}
-		layer.Saver.VDS.SetReplicas(replicas)
-		if err := layer.Saver.StartRestore(app); err != nil {
-			return res, fmt.Errorf("engine: rank %d app restore: %w: %w", cfg.Rank, cerr.ErrStore, err)
-		}
-		rank.restarting = true
-	}
-
-	v, perr := prog(rank)
-	if perr != nil {
-		return res, fmt.Errorf("engine: rank %d: %w", cfg.Rank, cerr.Ensure(perr, cerr.ErrProgram))
-	}
-	layer.Finish()
-	// Keep servicing protocol control traffic until every rank is done, so
-	// an in-flight global checkpoint does not stall on a rank that finished
-	// early — the distributed analogue of the in-process engine's
-	// finished-counter parking.
-	cfg.AnnounceDone()
-	layer.ServiceControlUntil(cfg.AllDone)
-	// In Unmodified mode the protocol layer is inert and the call above
-	// returns immediately; still wait for every peer's done announcement,
-	// because exiting (and closing this rank's sockets) while a peer is
-	// mid-computation would read as a death on its side. Fault-free
-	// overhead sweeps (fig8 -distributed) run this path; in the active
-	// modes AllDone already holds and the loop is skipped.
+	// In Unmodified mode the protocol layer is inert and the body's control
+	// servicing returns immediately; still wait for every peer's done
+	// announcement, because exiting (and closing this rank's sockets) while
+	// a peer is mid-computation would read as a death on its side.
+	// Fault-free overhead sweeps (fig8 -distributed) run this path; in the
+	// active modes AllDone already holds and the loop is skipped.
 	for !cfg.AllDone() {
 		if err := ctx.Err(); err != nil {
 			return res, fmt.Errorf("engine: worker rank %d canceled: %w: %w", cfg.Rank, cerr.ErrCanceled, err)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	// Drain the flusher before reporting: a failed state write is this
-	// worker's error, and a late-finishing flush still counts in Stats.
-	if err := layer.Shutdown(); err != nil {
-		return res, err
-	}
-	res.Value = v
-	res.Stats = layer.Stats
+	res.Value = out.value
 	return res, nil
 }

@@ -3,9 +3,10 @@
 // TCP substrate between them, and a shared on-disk checkpoint store. It is
 // the process-level analogue of engine.Run's rollback loop — a kill plan
 // here delivers a real SIGKILL to a real process, the survivors detect the
-// death through connection resets and the heartbeat detector, and the
-// launcher re-spawns the incarnation, which restores itself from the last
-// committed global checkpoint.
+// death through connection resets and the heartbeat detector and roll back
+// in place, and the launcher gathers the recovery plan once and re-spawns
+// only the dead ranks, which restore from the last committed global
+// checkpoint.
 package launch
 
 import (
@@ -44,11 +45,10 @@ const (
 	envKillAtOp    = "CCIFT_KILL_AT_OP"  // self-SIGKILL at this substrate op (doomed rank only)
 	envDetector    = "CCIFT_DETECTOR_MS" // heartbeat suspicion timeout, milliseconds
 	envStatsFD     = "CCIFT_STATS_FD"    // fd of the stats stream pipe (write end)
-	envLocalized   = "CCIFT_LOCALIZED"   // "1": per-rank respawn; survivors rejoin the next incarnation in-process
 )
 
-// Localized-recovery marker files, written atomically (temp + rename) into
-// each incarnation's rendezvous directory.
+// Recovery marker files, written atomically (temp + rename) into each
+// incarnation's rendezvous directory.
 const (
 	goMarker       = "GO"       // recovery files for this incarnation are complete; workers may join
 	abortMarker    = "ABORT"    // this incarnation's mesh was abandoned; wait for a newer GO
@@ -108,13 +108,6 @@ type Config struct {
 	// OnRestart, when non-nil, is called after each rollback-restart
 	// decision with the cumulative restart count.
 	OnRestart func(restarts int)
-	// WholeWorldRestart selects the pre-localized recovery path: any death
-	// kills and re-spawns the entire incarnation, and every worker rebuilds
-	// its own recovery inputs from the store. The default (false) is
-	// localized recovery: the launcher gathers the recovery plan once,
-	// ships each rank its slice, respawns only dead ranks, and survivors
-	// roll back in-process from their retained checkpoint copies.
-	WholeWorldRestart bool
 }
 
 // IncarnationReport describes how one incarnation ended.
@@ -122,27 +115,17 @@ type IncarnationReport struct {
 	// Exits holds each rank's exit description ("exit status 0",
 	// "signal: killed", ...). Codes holds the structured exit codes (-1
 	// when the rank died by signal); success is judged on these, never on
-	// the description strings. Under localized recovery a surviving rank
-	// has no exit in the incarnation it survived: its Exits entry stays ""
-	// (Codes entry 0) and the process carries over to the next incarnation.
+	// the description strings. A surviving rank has no exit in the
+	// incarnation it survived: its Exits entry stays "" (Codes entry 0) and
+	// the process carries over to the next incarnation.
 	Exits []string
 	Codes []int
-	// PIDs holds each rank's OS process ID during the incarnation. With
-	// localized recovery survivors keep their PID across incarnations;
-	// whole-world restart re-execs everyone.
+	// PIDs holds each rank's OS process ID during the incarnation;
+	// survivors keep their PID across incarnations.
 	PIDs []int
 	// RecoveredEpoch is the committed epoch the *next* incarnation will
 	// restore from (-1 when none was committed yet).
 	RecoveredEpoch int
-}
-
-func (r *IncarnationReport) failed() bool {
-	for _, c := range r.Codes {
-		if c != exitOK {
-			return true
-		}
-	}
-	return false
 }
 
 func newIncarnationReport(ranks int) IncarnationReport {
@@ -174,10 +157,6 @@ type Result struct {
 	PerRank []protocol.RankStats
 }
 
-// ErrTooManyRestarts is returned when the failure schedule exhausts
-// MaxRestarts. It wraps cerr.ErrMaxRestarts, the public taxonomy category.
-var ErrTooManyRestarts = fmt.Errorf("launch: too many restarts: %w", cerr.ErrMaxRestarts)
-
 type workerExit struct {
 	rank   int
 	err    error // nil on exit 0
@@ -187,7 +166,7 @@ type workerExit struct {
 }
 
 // Run launches cfg.Ranks worker processes and supervises them until the
-// job completes, re-spawning the whole incarnation whenever a process dies.
+// job completes, rolling the world back whenever a process dies.
 func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
 }
@@ -245,67 +224,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("launch: clear stale commit record: %w: %w", cerr.ErrStore, err)
 	}
 
-	// The stats aggregator reconstructs per-rank counters from the frames
-	// every worker streams back on its stats pipe; frames also forward to
-	// the caller's sink, live.
-	agg := protocol.NewAggregator(nil)
-	observe := func(f protocol.StatsFrame) {
-		agg.Observe(f)
-		if cfg.StatsSink != nil {
-			cfg.StatsSink(f)
-		}
-	}
-
-	if cfg.WholeWorldRestart {
-		return runWholeWorld(ctx, cfg, agg, observe, cleanupWork)
-	}
-	return runLocalized(ctx, cfg, agg, observe, cleanupWork)
-}
-
-// runWholeWorld is the pre-localized supervision loop: any death collapses
-// the incarnation (survivors exit with the rollback code), and the next
-// incarnation re-execs every rank.
-func runWholeWorld(ctx context.Context, cfg Config, agg *protocol.Aggregator,
-	observe func(protocol.StatsFrame), cleanupWork bool) (*Result, error) {
-	res := &Result{}
-	for incarnation := 0; ; incarnation++ {
-		if cause := ctx.Err(); cause != nil {
-			when := "before it started"
-			if incarnation > 0 {
-				when = "during rollback"
-			}
-			return nil, fmt.Errorf("launch: run canceled %s: %w: %w", when, cerr.ErrCanceled, cause)
-		}
-		if incarnation > cfg.MaxRestarts {
-			return nil, fmt.Errorf("%w (%d)", ErrTooManyRestarts, cfg.MaxRestarts)
-		}
-		report, out, err := runIncarnation(ctx, cfg, incarnation, observe)
-		if report != nil {
-			res.Incarnations = append(res.Incarnations, *report)
-		}
-		if err == nil && report.failed() {
-			// The incarnation died; read what the next one will recover
-			// from and go again.
-			epoch := committedEpoch(cfg.StoreDir)
-			res.Incarnations[len(res.Incarnations)-1].RecoveredEpoch = epoch
-			res.Restarts++
-			res.RecoveredEpochs = append(res.RecoveredEpochs, epoch)
-			if cfg.OnRestart != nil {
-				cfg.OnRestart(res.Restarts)
-			}
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.Output = out
-		res.Stats = agg.FinalStats()
-		res.PerRank = agg.PerRank()
-		if cleanupWork {
-			os.RemoveAll(cfg.WorkDir)
-		}
-		return res, nil
-	}
+	return supervise(ctx, cfg, cleanupWork)
 }
 
 // committedEpoch reads the shared store's commit record (-1 when none).
@@ -321,201 +240,29 @@ func committedEpoch(storeDir string) int {
 	return epoch
 }
 
-// runIncarnation spawns one full set of worker processes and waits for all
-// of them to exit. It returns an error only for non-recoverable outcomes
-// (spawn failure, a worker reporting a program error); a died incarnation
-// is a nil error with report.failed() true.
-func runIncarnation(ctx context.Context, cfg Config, incarnation int,
-	observe func(protocol.StatsFrame)) (*IncarnationReport, string, error) {
-	rdv := filepath.Join(cfg.WorkDir, "rdv", strconv.Itoa(incarnation))
-	if err := os.MkdirAll(rdv, 0o755); err != nil {
-		return nil, "", fmt.Errorf("launch: rendezvous dir: %w: %w", cerr.ErrSpec, err)
-	}
-
-	kill := map[int]int64{}
-	for _, k := range cfg.Kills {
-		if k.Incarnation == incarnation {
-			kill[k.Rank] = k.AtOp
-		}
-	}
-
-	cmds := make([]*exec.Cmd, cfg.Ranks)
-	var rank0Out bytes.Buffer
-	exits := make(chan workerExit, cfg.Ranks)
-	var wg sync.WaitGroup
-	var liveMu sync.Mutex
-	live := make([]bool, cfg.Ranks)
-	var errMu sync.Mutex // serializes rank-prefixed stderr lines
-	logf := func(format string, args ...any) {
-		errMu.Lock()
-		fmt.Fprintf(cfg.Stderr, format, args...)
-		errMu.Unlock()
-	}
-	// readersWG tracks the per-worker stats-pipe readers: each drains its
-	// worker's frame stream until EOF (the kernel closes the write end when
-	// the worker exits, however it exits).
-	var readersWG sync.WaitGroup
-	defer readersWG.Wait()
-	for r := 0; r < cfg.Ranks; r++ {
-		cmd := exec.Command(cfg.Exe, cfg.Args...)
-		cmd.Env = append(os.Environ(),
-			envWorker+"=1",
-			envRank+"="+strconv.Itoa(r),
-			envRanks+"="+strconv.Itoa(cfg.Ranks),
-			envIncarnation+"="+strconv.Itoa(incarnation),
-			envRendezvous+"="+rdv,
-			envStore+"="+cfg.StoreDir,
-			envDetector+"="+strconv.FormatInt(cfg.DetectorTimeout.Milliseconds(), 10),
-		)
-		if op, doomed := kill[r]; doomed {
-			cmd.Env = append(cmd.Env, envKillAtOp+"="+strconv.FormatInt(op, 10))
-		}
-		if r == 0 {
-			cmd.Stdout = &rank0Out
-		}
-		cmd.Stderr = &prefixWriter{w: cfg.Stderr, mu: &errMu, prefix: fmt.Sprintf("[rank %d] ", r)}
-		// Stats stream: the worker writes frames to the pipe's write end,
-		// inherited as fd 3 (ExtraFiles numbering); the launcher's reader
-		// goroutine folds them into the aggregator as they arrive.
-		statsR, statsW, err := os.Pipe()
-		if err != nil {
-			for _, c := range cmds[:r] {
-				c.Process.Kill()
-			}
-			return nil, "", fmt.Errorf("launch: stats pipe for rank %d: %w: %w", r, cerr.ErrTransport, err)
-		}
-		cmd.ExtraFiles = []*os.File{statsW}
-		cmd.Env = append(cmd.Env, envStatsFD+"=3")
-		if err := cmd.Start(); err != nil {
-			statsR.Close()
-			statsW.Close()
-			// Each started rank already has a watcher goroutine in Wait;
-			// killing is enough, double-Waiting would race it.
-			for _, c := range cmds[:r] {
-				c.Process.Kill()
-			}
-			return nil, "", fmt.Errorf("launch: spawn rank %d: %w: %w", r, cerr.ErrTransport, err)
-		}
-		// The child owns its copy now; the launcher must drop its own write
-		// end or the reader would never see EOF.
-		statsW.Close()
-		readersWG.Add(1)
-		go func() {
-			defer readersWG.Done()
-			defer statsR.Close()
-			protocol.ReadStatsFrames(statsR, observe)
-		}()
-		if cfg.Verbose {
-			logf("c3launch: incarnation %d: rank %d is pid %d%s\n",
-				incarnation, r, cmd.Process.Pid, doomedNote(kill, r))
-		}
-		cmds[r] = cmd
-		live[r] = true
-		wg.Add(1)
-		go func(r int, cmd *exec.Cmd) {
-			defer wg.Done()
-			err := cmd.Wait()
-			liveMu.Lock()
-			live[r] = false
-			liveMu.Unlock()
-			ws := cmd.ProcessState
-			exits <- workerExit{
-				rank:   r,
-				err:    err,
-				desc:   ws.String(),
-				code:   ws.ExitCode(),
-				signal: !ws.Exited(),
-			}
-		}(r, cmd)
-	}
-
-	killLive := func() {
-		liveMu.Lock()
-		defer liveMu.Unlock()
-		for r, c := range cmds {
-			if live[r] {
-				c.Process.Kill()
-			}
-		}
-	}
-
-	// Cancellation: the moment ctx is done, SIGKILL every live worker so
-	// the incarnation collapses immediately; the exit collection below then
-	// reports the context error instead of scheduling a re-spawn.
-	stopCancel := context.AfterFunc(ctx, killLive)
-	defer stopCancel()
-
-	// Grace reaper: once any worker exits abnormally, the survivors should
-	// notice the death themselves (connection reset, then detector timeout)
-	// and exit with the rollback code; if one wedges past the grace period,
-	// SIGKILL it so the launcher can make progress.
-	grace := 4*cfg.DetectorTimeout + 10*time.Second
-	var reapOnce sync.Once
-	reapTimer := (*time.Timer)(nil)
-	armReaper := func() {
-		reapOnce.Do(func() {
-			reapTimer = time.AfterFunc(grace, killLive)
-		})
-	}
-
-	rep := newIncarnationReport(cfg.Ranks)
-	report := &rep
-	for r, c := range cmds {
-		report.PIDs[r] = c.Process.Pid
-	}
-	var hardCauses []error
-	for i := 0; i < cfg.Ranks; i++ {
-		e := <-exits
-		report.Exits[e.rank] = e.desc
-		report.Codes[e.rank] = e.code
-		if e.err != nil {
-			armReaper()
-			if !e.signal && e.code != exitRollback {
-				// The exit code carries the worker's error category across
-				// the process boundary; unknown codes classify as program
-				// failures.
-				cat := cerr.FromExitCode(e.code)
-				if cat == nil {
-					cat = cerr.ErrProgram
-				}
-				hardCauses = append(hardCauses, cat)
-			}
-			if cfg.Verbose {
-				logf("c3launch: incarnation %d: rank %d exited: %s\n", incarnation, e.rank, e.desc)
-			}
-		}
-	}
-	wg.Wait()
-	if reapTimer != nil {
-		reapTimer.Stop()
-	}
-	if cause := ctx.Err(); cause != nil {
-		return report, "", fmt.Errorf("launch: run canceled: %w: %w", cerr.ErrCanceled, cause)
-	}
-	if len(hardCauses) > 0 {
-		// Several ranks may fail for different reasons; Category on the
-		// joined set picks the highest-priority sentinel so the run still
-		// reports exactly one category.
-		cat := cerr.Category(errors.Join(hardCauses...))
-		return report, "", fmt.Errorf("launch: incarnation %d failed hard: %w: %s",
-			incarnation, cat, strings.Join(report.Exits, ", "))
-	}
-	return report, rank0Out.String(), nil
-}
-
-// runLocalized supervises the world with per-rank respawn: a death costs
-// one launcher-side recovery gather (O(ranks) tiny sidecar reads), fresh
+// supervise runs the world with per-rank respawn: a death costs one
+// launcher-side recovery gather (O(ranks) tiny sidecar reads), fresh
 // processes for the dead ranks only, and an in-process rollback for every
 // survivor. The handshake with surviving workers runs over marker files in
 // the rendezvous tree: ABORT in the dead incarnation's directory tells
 // stragglers to stop forming its mesh, recovery.<rank> files plus a final
 // GO marker in the next incarnation's directory carry each rank's
 // recovery slice (suppression list, replica set, kill plan).
-func runLocalized(ctx context.Context, cfg Config, agg *protocol.Aggregator,
-	observe func(protocol.StatsFrame), cleanupWork bool) (*Result, error) {
+func supervise(ctx context.Context, cfg Config, cleanupWork bool) (*Result, error) {
 	n := cfg.Ranks
 	rdvRoot := filepath.Join(cfg.WorkDir, "rdv")
 	res := &Result{}
+
+	// The stats aggregator reconstructs per-rank counters from the frames
+	// every worker streams back on its stats pipe; frames also forward to
+	// the caller's sink, live.
+	agg := protocol.NewAggregator(nil)
+	observe := func(f protocol.StatsFrame) {
+		agg.Observe(f)
+		if cfg.StatsSink != nil {
+			cfg.StatsSink(f)
+		}
+	}
 
 	var errMu sync.Mutex
 	logf := func(format string, args ...any) {
@@ -556,7 +303,6 @@ func runLocalized(ctx context.Context, cfg Config, agg *protocol.Aggregator,
 		cmd := exec.Command(cfg.Exe, cfg.Args...)
 		cmd.Env = append(os.Environ(),
 			envWorker+"=1",
-			envLocalized+"=1",
 			envRank+"="+strconv.Itoa(r),
 			envRanks+"="+strconv.Itoa(n),
 			envIncarnation+"="+strconv.Itoa(incarnation),
@@ -714,7 +460,7 @@ func runLocalized(ctx context.Context, cfg Config, agg *protocol.Aggregator,
 		res.Restarts++
 		if res.Restarts > cfg.MaxRestarts {
 			killLive()
-			return nil, fmt.Errorf("%w (%d)", ErrTooManyRestarts, cfg.MaxRestarts)
+			return nil, fmt.Errorf("%w (MaxRestarts = %d)", cerr.ErrMaxRestarts, cfg.MaxRestarts)
 		}
 		epoch := committedEpoch(cfg.StoreDir)
 		cur().RecoveredEpoch = epoch
@@ -777,12 +523,10 @@ func nonEmpty(ss []string) []string {
 }
 
 // rankRecoveryFile is the gob schema of recovery.<rank>: one rank's slice
-// of the launcher-side recovery gather plus its kill plan for the
-// incarnation. Epoch -1 means "fresh start, do not restore".
+// of the launcher-side recovery gather (Epoch -1: fresh start, do not
+// restore) plus its kill plan for the incarnation.
 type rankRecoveryFile struct {
-	Epoch    int
-	Suppress []uint32
-	Replicas map[string][]byte
+	protocol.RankRecovery
 	KillAtOp int64
 }
 
@@ -808,12 +552,7 @@ func writeRecoveryFiles(cfg Config, rdvRoot string, incarnation, epoch int, kill
 		}
 	}
 	for r := 0; r < cfg.Ranks; r++ {
-		f := rankRecoveryFile{Epoch: -1, KillAtOp: kill[r]}
-		if plan != nil {
-			f.Epoch = epoch
-			f.Suppress = plan.Suppress[r]
-			f.Replicas = plan.Replicas
-		}
+		f := rankRecoveryFile{RankRecovery: *plan.ForRank(r), KillAtOp: kill[r]}
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&f); err != nil {
 			return fmt.Errorf("launch: encode recovery file: %w: %w", cerr.ErrStore, err)
@@ -901,13 +640,6 @@ func abortedMesh(rdv string) bool {
 	return err == nil
 }
 
-func doomedNote(kill map[int]int64, r int) string {
-	if op, ok := kill[r]; ok {
-		return fmt.Sprintf(" (SIGKILL at op %d)", op)
-	}
-	return ""
-}
-
 // prefixWriter prefixes every line with the rank tag so interleaved worker
 // stderr stays attributable; the shared mutex keeps ranks' lines whole.
 type prefixWriter struct {
@@ -957,19 +689,8 @@ type WorkerApp struct {
 	// pass Full; the fig8 harness sweeps the other versions for fault-free
 	// overhead measurements.
 	Mode protocol.Mode
-	// SyncCheckpoint disables the asynchronous checkpoint pipeline;
-	// ChunkSize sets the chunked state writer's granularity (0 = default);
-	// FullFreeze opts out of the default dirty-region incremental freeze
-	// (when off, the program must honor the Touch write-intent contract);
-	// FreezeCrossCheck, FlushBandwidth, NoFlushGovernor and ChunkPipeline
-	// mirror the engine.WorkerConfig fields of the same names.
-	SyncCheckpoint   bool
-	ChunkSize        int
-	FullFreeze       bool
-	FreezeCrossCheck bool
-	FlushBandwidth   float64
-	NoFlushGovernor  bool
-	ChunkPipeline    int
+	// Policy is the checkpoint policy, handed to the engine untouched.
+	Policy protocol.Policy
 	// WrapStore, when non-nil, wraps the worker's stable store before the
 	// engine sees it. Fault-injection tests use it to fail or delay
 	// specific writes (e.g. SIGKILL mid checkpoint flush); production
@@ -993,7 +714,7 @@ func workerRun(app WorkerApp) (int, error) {
 	ranks, err2 := envInt(envRanks)
 	incarnation, err3 := envInt(envIncarnation)
 	if err := errors.Join(err1, err2, err3); err != nil {
-		return cerr.CodeSpec, fmt.Errorf("%w: %w", cerr.ErrSpec, err)
+		return cerr.CodeSpec, err
 	}
 	rdv := os.Getenv(envRendezvous)
 	storeDir := os.Getenv(envStore)
@@ -1044,13 +765,10 @@ func workerRun(app WorkerApp) (int, error) {
 		store = app.WrapStore(store)
 	}
 
-	// Localized recovery: this process outlives its incarnation. When the
-	// world dies, it keeps its in-memory checkpoint copies, waits for the
-	// launcher to publish the next incarnation's recovery files and GO
-	// marker, and rejoins the new mesh in-process instead of exiting to be
-	// re-exec'd. Non-localized (whole-world) workers run exactly one
-	// incarnation and exit with the rollback code on any death.
-	localized := os.Getenv(envLocalized) == "1"
+	// This process outlives its incarnation. When the world dies, it keeps
+	// its in-memory checkpoint copies, waits for the launcher to publish
+	// the next incarnation's recovery files and GO marker, and rejoins the
+	// new mesh in-process instead of exiting to be re-exec'd.
 	rdvParent := filepath.Dir(rdv)
 	// How long a surviving worker waits for the launcher's GO before
 	// giving up and exiting with the rollback code (the launcher then
@@ -1059,38 +777,27 @@ func workerRun(app WorkerApp) (int, error) {
 	// settle-drain and an O(ranks) gather.
 	graceWait := 4*time.Duration(detectorMS)*time.Millisecond + 10*time.Second
 
-	var rec *protocol.RankRecovery
+	rec := &protocol.RankRecovery{Epoch: -1} // incarnation 0: fresh start
 	var retained []*protocol.RetainedState
 	loadRecovery := func(inc int) (int, error) {
 		f, err := readRecoveryFile(rdvParent, inc, rank)
 		if err != nil {
 			return cerr.CodeStore, fmt.Errorf("%w: read recovery file: %w", cerr.ErrStore, err)
 		}
-		rec = &protocol.RankRecovery{Epoch: f.Epoch, Suppress: f.Suppress, Replicas: f.Replicas}
-		killAtOp = f.KillAtOp
+		rec, killAtOp = &f.RankRecovery, f.KillAtOp
 		return 0, nil
 	}
-	if localized {
-		if incarnation > 0 {
-			// A replacement spawned mid-job: its recovery inputs (and kill
-			// plan) come from the launcher's published file, not the env.
-			if code, err := loadRecovery(incarnation); err != nil {
-				return code, err
-			}
-		} else {
-			rec = &protocol.RankRecovery{Epoch: -1} // fresh start
+	if incarnation > 0 {
+		// A replacement spawned mid-job: its recovery inputs (and kill
+		// plan) come from the launcher's published file, not the env.
+		if code, err := loadRecovery(incarnation); err != nil {
+			return code, err
 		}
 	}
 
 	for {
-		var publish func(int, string) error
-		var lookup func(int) (string, error)
-		if localized {
-			publish, lookup = tcptransport.FileRendezvousCancel(rdv, 30*time.Second,
-				func() bool { return abortedMesh(rdv) })
-		} else {
-			publish, lookup = tcptransport.FileRendezvous(rdv, 30*time.Second)
-		}
+		publish, lookup := tcptransport.FileRendezvous(rdv, 30*time.Second,
+			func() bool { return abortedMesh(rdv) })
 		tr, err := tcptransport.New(tcptransport.Config{
 			Rank: rank, Size: ranks,
 			Publish: publish, Lookup: lookup,
@@ -1105,19 +812,13 @@ func workerRun(app WorkerApp) (int, error) {
 
 		res, err := engine.RunWorker(context.Background(), engine.WorkerConfig{
 			Rank: rank, Ranks: ranks,
-			Incarnation:      incarnation,
-			Mode:             app.Mode,
-			Store:            store,
-			EveryN:           app.EveryN,
-			Interval:         app.Interval,
-			SyncCheckpoint:   app.SyncCheckpoint,
-			ChunkSize:        app.ChunkSize,
-			FullFreeze:       app.FullFreeze,
-			FreezeCrossCheck: app.FreezeCrossCheck,
-			FlushBandwidth:   app.FlushBandwidth,
-			NoFlushGovernor:  app.NoFlushGovernor,
-			ChunkPipeline:    app.ChunkPipeline,
-			KillAtOp:         killAtOp,
+			Incarnation: incarnation,
+			Mode:        app.Mode,
+			Store:       store,
+			EveryN:      app.EveryN,
+			Interval:    app.Interval,
+			Policy:      app.Policy,
+			KillAtOp:    killAtOp,
 			Kill: func() {
 				// A real stopping failure: no deferred cleanup, no recover, no
 				// goodbye on the sockets — the kernel reaps the process and
@@ -1125,38 +826,26 @@ func workerRun(app WorkerApp) (int, error) {
 				syscall.Kill(os.Getpid(), syscall.SIGKILL)
 				select {} // unreachable: SIGKILL cannot be handled
 			},
-			Seed:              app.Seed,
-			Debug:             app.Debug,
-			NewTransport:      tr.Attach,
-			Start:             tr.Start,
-			AnnounceDone:      tr.AnnounceDone,
-			AllDone:           tr.AllDone,
-			StatsSink:         statsSink,
-			Recovery:          rec,
-			Retained:          retained,
-			RetainForRecovery: localized,
+			Seed:         app.Seed,
+			Debug:        app.Debug,
+			NewTransport: tr.Attach,
+			Start:        tr.Start,
+			AnnounceDone: tr.AnnounceDone,
+			AllDone:      tr.AllDone,
+			StatsSink:    statsSink,
+			Recovery:     rec,
+			Retained:     retained,
 		}, app.Prog)
 		tr.Close()
 
-		rejoin := false
 		switch {
 		case errors.Is(err, engine.ErrIncarnationDead):
-			if !localized {
-				if res.RecoveredEpoch >= 0 {
-					fmt.Fprintf(os.Stderr, "rank %d: incarnation %d (recovered from epoch %d) died; awaiting re-spawn\n",
-						rank, incarnation, res.RecoveredEpoch)
-				}
-				return exitRollback, nil
-			}
-			rejoin = true
-		case err != nil && localized && errors.Is(err, cerr.ErrTransport) && abortedMesh(rdv):
+		case err != nil && errors.Is(err, cerr.ErrTransport) && abortedMesh(rdv):
 			// Mesh formation lost the race with a newer incarnation: the
 			// launcher aborted this one after another death. Rejoin.
-			rejoin = true
 		case err != nil:
 			return cerr.ExitCode(err), err
-		}
-		if !rejoin {
+		default:
 			if rank == 0 {
 				if res.RecoveredEpoch >= 0 {
 					fmt.Fprintf(os.Stderr, "rank 0: incarnation %d recovered from global checkpoint %d\n", incarnation, res.RecoveredEpoch)
@@ -1168,12 +857,12 @@ func workerRun(app WorkerApp) (int, error) {
 		if len(res.Retained) > 0 {
 			retained = res.Retained
 		}
-		fmt.Fprintf(os.Stderr, "rank %d: incarnation %d died; awaiting localized restart\n", rank, incarnation)
+		fmt.Fprintf(os.Stderr, "rank %d: incarnation %d died; awaiting restart\n", rank, incarnation)
 		next, ok := awaitNextIncarnation(rdvParent, incarnation, graceWait)
 		if !ok {
 			// The launcher never published a successor (it may be tearing the
-			// world down, or the marker was lost): fall back to the
-			// whole-world contract and let it re-exec this rank.
+			// world down, or the marker was lost): exit with the rollback
+			// code and let it re-exec this rank like a dead one.
 			return exitRollback, nil
 		}
 		incarnation = next
@@ -1187,11 +876,11 @@ func workerRun(app WorkerApp) (int, error) {
 func envInt(key string) (int, error) {
 	v := os.Getenv(key)
 	if v == "" {
-		return 0, fmt.Errorf("missing env %s", key)
+		return 0, fmt.Errorf("%w: missing env %s", cerr.ErrSpec, key)
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
-		return 0, fmt.Errorf("bad env %s=%q: %w", key, v, err)
+		return 0, fmt.Errorf("%w: bad env %s=%q: %w", cerr.ErrSpec, key, v, err)
 	}
 	return n, nil
 }

@@ -94,9 +94,9 @@ func TestMain(m *testing.M) {
 		app := launch.WorkerApp{Prog: prog, EveryN: testEveryN, Mode: protocol.Full}
 		switch variant {
 		case "sync":
-			app.SyncCheckpoint = true
+			app.Policy.Sync = true
 		case "kill-mid-flush", "kill-mid-flush-incremental":
-			app.FullFreeze = variant != "kill-mid-flush-incremental"
+			app.Policy.FullFreeze = variant != "kill-mid-flush-incremental"
 			// Only the first incarnation's rank 2 is doomed: epoch numbers
 			// restart below the trigger after recovery, so an unconditional
 			// trap would kill every re-spawn at its epoch-2 flush forever.
@@ -156,15 +156,15 @@ func TestDistributedSIGKILLRecovery(t *testing.T) {
 	if got := early.Incarnations[0].Exits[2]; got != "signal: killed" {
 		t.Fatalf("doomed rank exited %q, want a real SIGKILL (signal: killed)", got)
 	}
-	// Localized recovery (the default): survivors never exit mid-job — they
+	// Survivors never exit mid-job — they
 	// park, receive the launcher's recovery slice, and rejoin the next
 	// incarnation's mesh in the same OS process.
 	for _, r := range []int{0, 1, 3} {
 		if got := early.Incarnations[0].Exits[r]; got != "" {
-			t.Fatalf("survivor rank %d exited %q in incarnation 0, want no exit (localized recovery keeps survivors alive)", r, got)
+			t.Fatalf("survivor rank %d exited %q in incarnation 0, want no exit (survivors stay alive)", r, got)
 		}
 		if p0, p1 := early.Incarnations[0].PIDs[r], early.Incarnations[1].PIDs[r]; p0 != p1 {
-			t.Fatalf("survivor rank %d changed pid %d -> %d across the restart; localized recovery must not re-exec survivors", r, p0, p1)
+			t.Fatalf("survivor rank %d changed pid %d -> %d across the restart; survivors must not be re-execed", r, p0, p1)
 		}
 	}
 	if p0, p1 := early.Incarnations[0].PIDs[2], early.Incarnations[1].PIDs[2]; p0 == p1 {
@@ -185,41 +185,6 @@ func TestDistributedSIGKILLRecovery(t *testing.T) {
 	}
 	if late.Output != baseline.Output {
 		t.Fatalf("checkpoint-recovered output %q != fault-free output %q", late.Output, baseline.Output)
-	}
-}
-
-// TestDistributedWholeWorldRestart pins the fallback path: with
-// WholeWorldRestart set, a single death tears down every rank (survivors
-// exit with the rollback code) and the whole incarnation is re-execed, as
-// the launcher behaved before localized recovery.
-func TestDistributedWholeWorldRestart(t *testing.T) {
-	t.Setenv(envVariant, "sync")
-	baseline := runLaplace(t, nil)
-	res, err := launch.Run(launch.Config{
-		Ranks:             testRanks,
-		Kills:             []launch.KillSpec{{Rank: 2, AtOp: 100, Incarnation: 0}},
-		WholeWorldRestart: true,
-		Stderr:            io.Discard,
-	})
-	if err != nil {
-		t.Fatalf("launch.Run: %v", err)
-	}
-	if res.Restarts != 1 {
-		t.Fatalf("%d restarts, want 1", res.Restarts)
-	}
-	if got := res.Incarnations[0].Exits[2]; got != "signal: killed" {
-		t.Fatalf("doomed rank exited %q, want signal: killed", got)
-	}
-	for _, r := range []int{0, 1, 3} {
-		if got := res.Incarnations[0].Exits[r]; got != "exit status 3" {
-			t.Fatalf("survivor rank %d exited %q, want rollback exit (status 3) under whole-world restart", r, got)
-		}
-		if p0, p1 := res.Incarnations[0].PIDs[r], res.Incarnations[1].PIDs[r]; p0 == p1 {
-			t.Fatalf("rank %d kept pid %d across a whole-world restart; every rank must be re-execed", r, p0)
-		}
-	}
-	if res.Output != baseline.Output {
-		t.Fatalf("recovered output %q != fault-free output %q", res.Output, baseline.Output)
 	}
 }
 

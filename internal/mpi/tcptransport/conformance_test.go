@@ -476,7 +476,7 @@ func waitAllDone(t *testing.T, tt *tcptransport.Transport) {
 func ExampleFileRendezvous() {
 	dir, _ := os.MkdirTemp("", "rdv")
 	defer os.RemoveAll(dir)
-	publish, lookup := tcptransport.FileRendezvous(dir, time.Second)
+	publish, lookup := tcptransport.FileRendezvous(dir, time.Second, nil)
 	_ = publish(0, "127.0.0.1:9999")
 	addr, _ := lookup(0)
 	fmt.Println(addr)

@@ -14,16 +14,11 @@ import (
 // peers poll until the file appears or timeout expires. The launcher hands
 // every worker of one incarnation the same directory; a fresh directory per
 // incarnation keeps stale addresses of dead processes out of the mesh.
-func FileRendezvous(dir string, timeout time.Duration) (publish func(rank int, addr string) error, lookup func(rank int) (string, error)) {
-	return FileRendezvousCancel(dir, timeout, nil)
-}
-
-// FileRendezvousCancel is FileRendezvous with a cancellation probe: lookup
-// additionally fails fast once canceled() reports true. A launcher that
-// abandons an incarnation mid-mesh-formation (localized recovery's ABORT
-// marker) uses it so parked workers stop waiting for addresses that will
-// never be published.
-func FileRendezvousCancel(dir string, timeout time.Duration, canceled func() bool) (publish func(rank int, addr string) error, lookup func(rank int) (string, error)) {
+// canceled, when non-nil, is a cancellation probe: lookup fails fast once
+// it reports true. A launcher that abandons an incarnation
+// mid-mesh-formation (the ABORT marker) uses it so parked workers stop
+// waiting for addresses that will never be published.
+func FileRendezvous(dir string, timeout time.Duration, canceled func() bool) (publish func(rank int, addr string) error, lookup func(rank int) (string, error)) {
 	path := func(rank int) string {
 		return filepath.Join(dir, "addr."+strconv.Itoa(rank))
 	}

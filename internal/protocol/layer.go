@@ -63,6 +63,32 @@ var controlSpecs = []mpi.RecvSpec{
 	{Source: mpi.AnySource, Tag: tagStoppedLogging},
 }
 
+// Policy is the checkpoint policy of a run: how a checkpoint is frozen and
+// made durable. It is owned here and carried untouched by every
+// configuration struct above the protocol (ccift.Spec, engine.Config,
+// engine.WorkerConfig, launch.WorkerApp). The zero value is the default
+// fast path: asynchronous flush, dirty-region incremental freeze, the
+// adaptive flush governor and the pipelined chunk writer.
+type Policy struct {
+	// Sync restores the classic stop-serialize-fsync checkpoint (the
+	// Figure 8 baselines): the rank blocks until its state is durable.
+	Sync bool
+	// FullFreeze re-copies the whole registered state at every freeze and
+	// waives the Touch write-intent contract.
+	FullFreeze bool
+	// FreezeCrossCheck verifies every frozen view byte-for-byte against a
+	// fresh encode of the live state, turning a missed Touch into an
+	// immediate ErrProgram naming the variable. Debug mode: costs a full
+	// encode per checkpoint.
+	FreezeCrossCheck bool
+	// FlushBandwidth caps checkpoint write streaming at this many bytes
+	// per second on both the sync and async paths; 0 = no fixed cap.
+	FlushBandwidth float64
+	// NoGovernor disables the adaptive flush governor. A benchmark
+	// ablation only; no public option sets it.
+	NoGovernor bool
+}
+
 // Config configures a protocol layer.
 type Config struct {
 	Mode  Mode
@@ -89,11 +115,9 @@ type Config struct {
 	// freeze a copy of the live state, and the durable write overlaps
 	// continued computation. The commit record still waits for every
 	// rank's flush (see maybeReportStopped), so crash-consistency is
-	// unchanged. Off means the classic stop-serialize-fsync path.
+	// unchanged. Off means the classic stop-serialize-fsync path. Forced
+	// off on a virtual Clock (see Clock).
 	AsyncFlush bool
-	// ChunkSize is the chunk granularity of the content-hashed state
-	// writer; 0 selects storage.DefaultChunkSize.
-	ChunkSize int
 	// FlushBandwidth caps the checkpoint state writer's streaming
 	// throughput, in bytes per second, on both the synchronous and
 	// asynchronous write paths. Zero means no fixed cap. Independent of
@@ -104,10 +128,6 @@ type Config struct {
 	// compute throughput drops more than govTargetSlowdown below its
 	// flush-free baseline. The fixed FlushBandwidth cap still applies.
 	NoFlushGovernor bool
-	// ChunkPipeline selects the chunked state writer's pipeline depth:
-	// 0 picks storage.DefaultPipelineDepth, negative forces the serial
-	// writer (the simulated substrate does, for strict determinism).
-	ChunkPipeline int
 	// FreezeCrossCheck re-encodes the live state after every freeze and
 	// verifies the frozen view byte-for-byte against it, turning a
 	// missing Touch/TouchRange in the application into an immediate
@@ -136,9 +156,12 @@ type Config struct {
 	// launcher or metrics endpoint.
 	StatsSink func(Stats)
 	// Clock is the time source for interval triggers, control deadlines,
-	// and blocked/flush-time accounting; nil selects the wall clock. The
-	// simulated substrate passes a virtual (possibly per-rank skewed)
-	// clock here.
+	// and blocked/flush-time accounting; nil selects the wall clock. A
+	// non-nil Clock is the simulated substrate's virtual (possibly
+	// per-rank skewed) clock, and a layer on virtual time starts no
+	// wall-time helper goroutines its scheduler cannot order: the
+	// checkpoint is flushed synchronously and chunks are written serially,
+	// whatever AsyncFlush says.
 	Clock clock.Clock
 }
 
@@ -314,8 +337,11 @@ func NewLayer(comm *mpi.Comm, cfg Config) *Layer {
 	for i := range l.totalSent {
 		l.totalSent[i] = -1
 	}
+	if cfg.Clock != nil {
+		l.cfg.AsyncFlush = false
+	}
 	l.clk = clock.Or(cfg.Clock)
-	l.gov = newFlushGovernor(l.clk, cfg.FlushBandwidth, cfg.AsyncFlush && !cfg.NoFlushGovernor)
+	l.gov = newFlushGovernor(l.clk, cfg.FlushBandwidth, l.cfg.AsyncFlush && !cfg.NoFlushGovernor)
 	l.govMark = l.clk.Now()
 	if cfg.Ctx != nil {
 		l.done = cfg.Ctx.Done()
@@ -348,6 +374,10 @@ func (l *Layer) Restarted() bool { return l.restarted }
 
 // Comm exposes the underlying communicator (tests, baselines).
 func (l *Layer) Comm() *mpi.Comm { return l.comm }
+
+// Config returns the layer's effective configuration: what NewLayer was
+// given, after the virtual-clock rule (tests of the policy plumbing).
+func (l *Layer) Config() Config { return l.cfg }
 
 func (l *Layer) color() bool { return l.epoch%2 == 1 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ccift/internal/cerr"
 	"ccift/internal/ckpt"
 	"ccift/internal/storage"
 )
@@ -61,7 +62,7 @@ func loadRecoveryEarlyIDs(store *storage.CheckpointStore, epoch, rank int) ([][]
 		return nil, fmt.Errorf("protocol: decode recovery meta (epoch %d, rank %d): %w", epoch, rank, err)
 	}
 	if m.Epoch != epoch {
-		return nil, fmt.Errorf("protocol: recovery meta epoch %d != requested %d", m.Epoch, epoch)
+		return nil, fmt.Errorf("protocol: %w: recovery meta of rank %d records epoch %d, requested epoch %d", cerr.ErrStore, rank, m.Epoch, epoch)
 	}
 	return m.EarlyIDs, nil
 }
@@ -122,8 +123,11 @@ type RankRecovery struct {
 	Replicas map[string][]byte
 }
 
-// ForRank slices the plan for one rank.
+// ForRank slices the plan for one rank; a nil plan is a fresh start.
 func (p *RecoveryPlan) ForRank(r int) *RankRecovery {
+	if p == nil {
+		return &RankRecovery{Epoch: -1}
+	}
 	return &RankRecovery{Epoch: p.Epoch, Suppress: p.Suppress[r], Replicas: p.Replicas}
 }
 

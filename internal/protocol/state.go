@@ -131,12 +131,13 @@ func (l *Layer) writeState(p *pendingCheckpoint) (total, written int64, err erro
 	hdr.Write(tmp[:binary.PutUvarint(tmp[:], uint64(gb.Len()))])
 	hdr.Write(gb.Bytes())
 
-	w := l.cfg.Store.StateWriter(l.cfg.Ctx, p.epoch, l.rank, l.cfg.ChunkSize)
-	if l.cfg.ChunkPipeline >= 0 {
+	w := l.cfg.Store.StateWriter(l.cfg.Ctx, p.epoch, l.rank, storage.DefaultChunkSize)
+	if l.cfg.Clock == nil {
 		// Pipelined chunking: hash/probe and Put run on workers while the
 		// serializer fills the next chunk. Chunk boundaries and the
-		// manifest are identical to the serial writer.
-		w.Pipeline(l.cfg.ChunkPipeline)
+		// manifest are identical to the serial writer, which a layer on
+		// virtual time keeps (the workers hash in wall time).
+		w.Pipeline(storage.DefaultPipelineDepth)
 	}
 	// Join the pipeline workers on every exit; a no-op after Commit.
 	defer w.Abort()
@@ -294,7 +295,7 @@ func (l *Layer) RestoreFrom(epoch int, suppress []uint32, retained []*RetainedSt
 		return nil, err
 	}
 	if st.Epoch != epoch {
-		return nil, fmt.Errorf("protocol: state blob epoch %d != requested %d", st.Epoch, epoch)
+		return nil, fmt.Errorf("protocol: %w: state blob of rank %d records epoch %d, requested epoch %d", cerr.ErrStore, l.rank, st.Epoch, epoch)
 	}
 	lg, err := UnmarshalLog(logRaw)
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 	"ccift/internal/storage"
 )
 
-// RunError is the structured failure report Launch (and Run) return: which
+// RunError is the structured failure report Launch returns: which
 // rank ended the run (-1 when not attributable to one rank), in which
 // incarnation, and how many rollback-restarts were consumed. The
 // underlying cause is reachable with errors.Is/As through Unwrap and
@@ -23,12 +23,6 @@ import (
 // context.Canceled / context.DeadlineExceeded and the program's own error
 // remain in the chain alongside their category.
 type RunError = engine.RunError
-
-// ErrTooManyRestarts is the historical cause wrapped by a RunError when
-// the failure schedule exhausts the restart budget. It wraps
-// ErrMaxRestarts, the taxonomy category for the same condition; new code
-// should test for ErrMaxRestarts.
-var ErrTooManyRestarts = engine.ErrTooManyRestarts
 
 // Tracer receives protocol events from every rank (see internal/trace for
 // a recorder that renders space-time diagrams).
@@ -48,8 +42,7 @@ type Transport = mpi.Transport
 // Launch executes prog on the substrate the spec selects, under ctx.
 //
 // With a default spec the ranks run as goroutines over the in-process
-// substrate — exactly Run's behaviour, driven by options instead of a
-// Config. With WithDistributed the same program runs as one OS process per
+// substrate. With WithDistributed the same program runs as one OS process per
 // rank over a full TCP mesh, checkpoints in a shared on-disk store, and
 // failures delivered as real SIGKILLs; Launch plays the launcher role,
 // re-executing the current binary for each rank. With WithSimulated the
@@ -105,13 +98,6 @@ func Launch(ctx context.Context, spec *Spec, prog Program) (*Result, error) {
 		cfg.NewTransport = s.NewTransport
 		cfg.Clock = s.DetectorClock()
 		cfg.RankClock = s.RankClock
-		// Determinism requires every actor to be event-driven: the async
-		// flusher goroutine computes in wall time the scheduler cannot
-		// order, so simulation forces the synchronous checkpoint path and
-		// the serial chunk writer (the pipelined writer's workers hash in
-		// wall time too).
-		cfg.SyncCheckpoint = true
-		cfg.ChunkPipeline = -1
 		if spec.sim.SlowStore != nil {
 			st := cfg.Store
 			if st == nil {
@@ -152,19 +138,13 @@ func launchDistributed(ctx context.Context, spec *Spec, prog Program) (*Result, 
 		// This process is one spawned rank: run the worker role with the
 		// same spec the launcher-side call site built, and never return.
 		launch.WorkerMain(launch.WorkerApp{
-			Prog:             prog,
-			EveryN:           cfg.EveryN,
-			Interval:         cfg.Interval,
-			Seed:             cfg.Seed,
-			Debug:            cfg.Debug,
-			Mode:             cfg.Mode,
-			SyncCheckpoint:   cfg.SyncCheckpoint,
-			ChunkSize:        cfg.ChunkSize,
-			FullFreeze:       cfg.FullFreeze,
-			FreezeCrossCheck: cfg.FreezeCrossCheck,
-			FlushBandwidth:   cfg.FlushBandwidth,
-			NoFlushGovernor:  cfg.NoFlushGovernor,
-			ChunkPipeline:    cfg.ChunkPipeline,
+			Prog:     prog,
+			EveryN:   cfg.EveryN,
+			Interval: cfg.Interval,
+			Seed:     cfg.Seed,
+			Debug:    cfg.Debug,
+			Mode:     cfg.Mode,
+			Policy:   cfg.Policy,
 		})
 	}
 	kills := make([]launch.KillSpec, len(cfg.Failures))
@@ -176,17 +156,16 @@ func launchDistributed(ctx context.Context, spec *Spec, prog Program) (*Result, 
 		args = os.Args[1:]
 	}
 	lcfg := launch.Config{
-		Exe:               d.Exe,
-		Args:              args,
-		Ranks:             cfg.Ranks,
-		StoreDir:          d.StoreDir,
-		WorkDir:           d.WorkDir,
-		Kills:             kills,
-		MaxRestarts:       cfg.MaxRestarts,
-		DetectorTimeout:   d.DetectorTimeout,
-		Stderr:            d.Stderr,
-		Verbose:           d.Verbose,
-		WholeWorldRestart: cfg.WholeWorldRestart,
+		Exe:             d.Exe,
+		Args:            args,
+		Ranks:           cfg.Ranks,
+		StoreDir:        d.StoreDir,
+		WorkDir:         d.WorkDir,
+		Kills:           kills,
+		MaxRestarts:     cfg.MaxRestarts,
+		DetectorTimeout: d.DetectorTimeout,
+		Stderr:          d.Stderr,
+		Verbose:         d.Verbose,
 	}
 	if spec.metricsAddr != "" {
 		// The launcher serves the aggregated view; this branch is only

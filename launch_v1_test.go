@@ -99,12 +99,34 @@ func failProg() ccift.Program {
 	}
 }
 
+// staleProg keeps rewriting a registered slice without ever calling Touch
+// — the write-intent bug the freeze cross-check exists to catch. It runs
+// long enough for a second checkpoint to freeze the stale view on either
+// substrate (the first freeze copies everything), then ends on its own.
+func staleProg() ccift.Program {
+	return func(r *ccift.Rank) (any, error) {
+		it := ccift.Reg[int](r, "it")
+		x := ccift.Reg[[]float64](r, "x")
+		if !r.Restarting() {
+			*x = make([]float64, confWidth)
+		}
+		for ; *it < 2000; *it++ {
+			r.PotentialCheckpoint()
+			(*x)[0]++ // no r.Touch("x")
+			r.Barrier()
+		}
+		return "ok", nil
+	}
+}
+
 func testProg() ccift.Program {
 	switch os.Getenv(progEnv) {
 	case "hang":
 		return hangProg()
 	case "fail":
 		return failProg()
+	case "stale":
+		return staleProg()
 	}
 	return conformanceProg()
 }
@@ -123,6 +145,9 @@ func workerSpec() *ccift.Spec {
 
 func TestMain(m *testing.M) {
 	if ccift.IsWorker() {
+		if field := os.Getenv(policyEnv); field != "" {
+			policyWorker(field) // never returns
+		}
 		// This process is one rank of a distributed test run: the Launch
 		// call below detects the worker role, runs it, and exits.
 		_, err := ccift.Launch(context.Background(), workerSpec(), testProg())

@@ -5,9 +5,8 @@ package ccift_test
 // Launch call, must recover to the same output on all three substrates —
 // in-process goroutines, the deterministic simulation, and one OS process
 // per rank over TCP. On the distributed substrate the test additionally
-// pins the localized-recovery process contract: a single death respawns
-// only the dead rank (survivor PIDs are stable across incarnations), and
-// WithWholeWorldRestart restores the historical re-exec-everyone fallback.
+// pins the recovery process contract: a single death respawns only the
+// dead rank (survivor PIDs are stable across incarnations).
 
 import (
 	"context"
@@ -22,7 +21,7 @@ import (
 // launchRecovery runs conformanceProg with rank 2 killed at its op 150 on
 // the named substrate. The kill schedule, trigger, and world shape are
 // identical everywhere; the substrate option is the only difference.
-func launchRecovery(t *testing.T, substrate string, extra ...ccift.Option) *ccift.Result {
+func launchRecovery(t *testing.T, substrate string) *ccift.Result {
 	t.Helper()
 	opts := []ccift.Option{
 		ccift.WithRanks(confRanks),
@@ -43,7 +42,6 @@ func launchRecovery(t *testing.T, substrate string, extra ...ccift.Option) *ccif
 	default:
 		t.Fatalf("unknown substrate %q", substrate)
 	}
-	opts = append(opts, extra...)
 	res, err := ccift.Launch(context.Background(), ccift.NewSpec(opts...), conformanceProg())
 	if err != nil {
 		t.Fatalf("Launch(%s): %v", substrate, err)
@@ -65,14 +63,14 @@ func TestRecoveryConformanceAcrossSubstrates(t *testing.T) {
 	if got := fmt.Sprint(inproc.Values[0]); got != want {
 		t.Fatalf("in-process recovered result %q != fault-free %q", got, want)
 	}
-	// Localized recovery is the default: when a committed checkpoint was
+	// When a committed checkpoint was
 	// restored, the survivors must have served it from their in-memory
 	// retained copy, not the store; the dead rank's replacement has no
 	// retained copy and reads the store.
 	if len(inproc.RecoveredEpochs) == 1 && inproc.RecoveredEpochs[0] >= 1 {
 		for _, r := range []int{0, 1, 3} {
 			if inproc.Stats[r].RecoveredFromRetained == 0 {
-				t.Errorf("in-process survivor rank %d restored from the store; localized recovery must use the retained copy", r)
+				t.Errorf("in-process survivor rank %d restored from the store; a survivor must use its retained copy", r)
 			}
 		}
 		if inproc.Stats[2].RecoveredFromRetained != 0 {
@@ -89,7 +87,7 @@ func TestRecoveryConformanceAcrossSubstrates(t *testing.T) {
 	if got := fmt.Sprint(dist.Values[0]); got != want {
 		t.Fatalf("distributed recovered result %q != fault-free %q", got, want)
 	}
-	// The localized process contract: exactly one restart means two
+	// The process contract: exactly one restart means two
 	// incarnations; the survivors' worker processes carry over (stable
 	// PIDs, no exit recorded in the incarnation they survived) and only
 	// the killed rank is a fresh process.
@@ -98,47 +96,13 @@ func TestRecoveryConformanceAcrossSubstrates(t *testing.T) {
 	}
 	for _, r := range []int{0, 1, 3} {
 		if p0, p1 := dist.Incarnations[0].PIDs[r], dist.Incarnations[1].PIDs[r]; p0 != p1 {
-			t.Errorf("survivor rank %d was re-execed (pid %d -> %d); localized recovery restarts only dead ranks", r, p0, p1)
+			t.Errorf("survivor rank %d was re-execed (pid %d -> %d); only dead ranks are restarted", r, p0, p1)
 		}
 		if e := dist.Incarnations[0].Exits[r]; e != "" {
-			t.Errorf("survivor rank %d exited %q mid-job; localized recovery keeps survivors alive", r, e)
+			t.Errorf("survivor rank %d exited %q mid-job; survivors stay alive", r, e)
 		}
 	}
 	if p0, p1 := dist.Incarnations[0].PIDs[2], dist.Incarnations[1].PIDs[2]; p0 == p1 {
 		t.Errorf("killed rank 2 kept pid %d; a SIGKILLed rank must be re-execed", p0)
-	}
-}
-
-func TestRecoveryConformanceWholeWorldFallback(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns two incarnations of real processes; the fault-free conformance test covers -short")
-	}
-	ref := launchBoth(t, false)
-	want := fmt.Sprint(ref.Values[0])
-
-	// WithWholeWorldRestart must not change recovery semantics, only cost:
-	// same output, but every rank re-reads the store and (distributed)
-	// every process is re-execed.
-	inproc := launchRecovery(t, "inprocess", ccift.WithWholeWorldRestart())
-	if got := fmt.Sprint(inproc.Values[0]); got != want {
-		t.Fatalf("whole-world in-process result %q != fault-free %q", got, want)
-	}
-	for r := range inproc.Stats {
-		if n := inproc.Stats[r].RecoveredFromRetained; n != 0 {
-			t.Errorf("rank %d: %d retained restores under WithWholeWorldRestart, want 0", r, n)
-		}
-	}
-
-	dist := launchRecovery(t, "distributed", ccift.WithWholeWorldRestart())
-	if got := fmt.Sprint(dist.Values[0]); got != want {
-		t.Fatalf("whole-world distributed result %q != fault-free %q", got, want)
-	}
-	if len(dist.Incarnations) != 2 {
-		t.Fatalf("distributed run reports %d incarnations, want 2", len(dist.Incarnations))
-	}
-	for r := 0; r < confRanks; r++ {
-		if p0, p1 := dist.Incarnations[0].PIDs[r], dist.Incarnations[1].PIDs[r]; p0 == p1 {
-			t.Errorf("rank %d kept pid %d across a whole-world restart; every rank must be re-execed", r, p0)
-		}
 	}
 }

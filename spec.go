@@ -80,13 +80,8 @@ func WithDebug() Option { return func(s *Spec) { s.cfg.Debug = true } }
 // flush, so crash-recovery semantics are identical. Pass false to restore
 // the classic stop-serialize-fsync path (the Figure 8 baselines).
 func WithAsyncCheckpoint(enabled bool) Option {
-	return func(s *Spec) { s.cfg.SyncCheckpoint = !enabled }
+	return func(s *Spec) { s.cfg.Policy.Sync = !enabled }
 }
-
-// WithChunkSize sets the chunk granularity (bytes) of the content-hashed
-// state writer; unchanged chunks are re-referenced instead of re-written
-// across epochs. Zero selects the default (256 KiB).
-func WithChunkSize(n int) Option { return func(s *Spec) { s.cfg.ChunkSize = n } }
 
 // WithIncrementalFreeze toggles dirty-region checkpointing, which is ON
 // by default: the blocking freeze copies only the regions (registered
@@ -99,19 +94,12 @@ func WithChunkSize(n int) Option { return func(s *Spec) { s.cfg.ChunkSize = n } 
 // before the next PotentialCheckpoint; scalar variables are exempt, and
 // registration/resize/unregister dirty implicitly. The serialized
 // checkpoint bytes are identical to a full freeze's, so chunk dedup,
-// storage and recovery are unaffected. Pass false (or use WithFullFreeze)
-// for programs that do not maintain Touch calls; WithFreezeCrossCheck
+// storage and recovery are unaffected. Pass false for programs that do not
+// maintain Touch calls: every checkpoint then re-copies the whole
+// registered state and the contract does not apply. WithFreezeCrossCheck
 // verifies the contract at runtime.
 func WithIncrementalFreeze(enabled bool) Option {
-	return func(s *Spec) { s.cfg.FullFreeze = !enabled }
-}
-
-// WithFullFreeze is the escape hatch from the incremental-freeze default:
-// every checkpoint re-copies the whole registered state, and the Touch
-// write-intent contract does not apply. Equivalent to
-// WithIncrementalFreeze(false).
-func WithFullFreeze() Option {
-	return func(s *Spec) { s.cfg.FullFreeze = true }
+	return func(s *Spec) { s.cfg.Policy.FullFreeze = !enabled }
 }
 
 // WithFreezeCrossCheck enables the freeze verifier debug mode: after
@@ -123,7 +111,7 @@ func WithFullFreeze() Option {
 // full state encode per checkpoint, so use it in tests and when
 // migrating a program to the incremental default, not in production.
 func WithFreezeCrossCheck() Option {
-	return func(s *Spec) { s.cfg.FreezeCrossCheck = true }
+	return func(s *Spec) { s.cfg.Policy.FreezeCrossCheck = true }
 }
 
 // WithFlushBandwidth caps the checkpoint writer's streaming throughput at
@@ -134,28 +122,7 @@ func WithFreezeCrossCheck() Option {
 // useful to model a slow store deterministically or to hard-bound the
 // flusher's interference.
 func WithFlushBandwidth(bytesPerSecond float64) Option {
-	return func(s *Spec) { s.cfg.FlushBandwidth = bytesPerSecond }
-}
-
-// WithFlushGovernor toggles the adaptive flush bandwidth governor, which
-// is on by default in async mode: the rank's compute-iteration rate is
-// measured with and without a flush in flight, and the flusher's write
-// stream is token-bucket throttled so the observed slowdown converges to
-// ~10%. Pass false for an ungoverned flusher (the pre-governor behavior,
-// kept for benchmarks and for runs that prefer fastest-possible
-// checkpoint durability over steady compute throughput).
-func WithFlushGovernor(enabled bool) Option {
-	return func(s *Spec) { s.cfg.NoFlushGovernor = !enabled }
-}
-
-// WithChunkPipeline sets the chunked state writer's pipeline depth: how
-// many chunks may be in flight between the serializer, the hash/dedup
-// worker, and the store writer. Zero (the default) selects the default
-// depth; negative forces the serial single-goroutine writer. Chunk
-// boundaries, hashes and manifests are identical in every mode — only
-// wall-clock overlap changes.
-func WithChunkPipeline(depth int) Option {
-	return func(s *Spec) { s.cfg.ChunkPipeline = depth }
+	return func(s *Spec) { s.cfg.Policy.FlushBandwidth = bytesPerSecond }
 }
 
 // WithTracer streams protocol events from every rank (in-process substrate
@@ -212,10 +179,10 @@ type SlowStore = sim.SlowStore
 // entire schedule — deliveries, duplicates, retransmissions, partitions,
 // crashes — is a pure function of the scenario, replayable from its seed.
 //
-// Under simulation the engine runs the synchronous checkpoint path: the
-// async flusher's compute/flush overlap is a wall-clock optimization whose
-// scheduling the simulation cannot order deterministically. Scenario
-// crashes are silent stops, so failure detection defaults to the heartbeat
+// On virtual time the protocol layer runs the synchronous checkpoint path
+// whatever WithAsyncCheckpoint says: the async flusher's compute/flush
+// overlap is a wall-clock optimization whose scheduling the simulation
+// cannot order deterministically. Scenario crashes are silent stops, so failure detection defaults to the heartbeat
 // detector (Scenario.DetectorTimeout, then WithDetectorTimeout, then a
 // 500ms virtual default) rather than the instantaneous self-report.
 func WithSimulated(sc Scenario) Option {
@@ -249,19 +216,6 @@ type Distributed struct {
 // WithDistributed selects the TCP/process substrate.
 func WithDistributed(d Distributed) Option {
 	return func(s *Spec) { s.distributed = &d }
-}
-
-// WithWholeWorldRestart disables localized recovery, restoring the
-// pre-localized whole-world behaviour: after a death every rank re-reads
-// its checkpoint from the stable store (instead of survivors rolling back
-// from their in-memory retained copy), and on the distributed substrate
-// the launcher tears down the surviving worker processes and re-execs the
-// entire incarnation instead of respawning only the dead ranks. Kept as a
-// fallback and for A/B measurement of recovery cost; recovery semantics
-// (which epoch is restored, the recovered output) are identical either
-// way.
-func WithWholeWorldRestart() Option {
-	return func(s *Spec) { s.cfg.WholeWorldRestart = true }
 }
 
 // WithMetricsAddr exposes the run's live counters at

@@ -1,16 +1,23 @@
 package ccift_test
 
-// Table-driven validation of the v1 spec (and, through the shim, the v0
-// Config): misconfigurations that used to panic or hang deep inside a run
-// must surface as descriptive errors at the API boundary.
+// Table-driven validation of the spec: misconfigurations that used to
+// panic or hang deep inside a run must surface as descriptive errors at
+// the API boundary.
 
 import (
 	"context"
+	"fmt"
+	"io"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"ccift"
+	"ccift/internal/engine"
+	"ccift/internal/launch"
+	"ccift/internal/protocol"
 )
 
 func TestSpecValidation(t *testing.T) {
@@ -77,24 +84,26 @@ func TestSpecValidation(t *testing.T) {
 // TestLaunchValidatesBeforeRunning pins that Launch rejects a bad spec
 // without starting any rank.
 func TestLaunchValidatesBeforeRunning(t *testing.T) {
-	ran := false
-	_, err := ccift.Launch(context.Background(), ccift.NewSpec(ccift.WithRanks(-1)),
-		func(r *ccift.Rank) (any, error) { ran = true; return nil, nil })
-	if err == nil || !strings.Contains(err.Error(), "Ranks must be positive") {
-		t.Fatalf("err = %v, want a Ranks validation error", err)
-	}
-	if ran {
-		t.Fatal("program ran under an invalid spec")
-	}
-}
-
-// TestRunShimValidates pins that the v0 shim inherits the same boundary
-// validation instead of the old deep-in-the-engine panic.
-func TestRunShimValidates(t *testing.T) {
-	_, err := ccift.Run(ccift.Config{Ranks: 2, EveryN: 3, Interval: time.Second},
-		func(r *ccift.Rank) (any, error) { return nil, nil })
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("err = %v, want the conflicting-trigger error", err)
+	for _, tc := range []struct {
+		name string
+		opts []ccift.Option
+		want string
+	}{
+		{"bad-ranks", []ccift.Option{ccift.WithRanks(-1)}, "Ranks must be positive"},
+		{"conflicting-triggers", []ccift.Option{ccift.WithRanks(2), ccift.WithEveryN(3), ccift.WithInterval(time.Second)},
+			"mutually exclusive"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ran := false
+			_, err := ccift.Launch(context.Background(), ccift.NewSpec(tc.opts...),
+				func(r *ccift.Rank) (any, error) { ran = true; return nil, nil })
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want a validation error mentioning %q", err, tc.want)
+			}
+			if ran {
+				t.Fatal("program ran under an invalid spec")
+			}
+		})
 	}
 }
 
@@ -102,3 +111,109 @@ func TestRunShimValidates(t *testing.T) {
 type nopTracer struct{}
 
 func (nopTracer) Trace(ccift.TraceEvent) {}
+
+// The policy seam: protocol.Policy travels Spec → engine.Config (in
+// process) and Spec → launch.WorkerApp → engine.WorkerConfig (distributed)
+// as one value, and is translated into the layer's protocol.Config at one
+// site. policySeam says, per Policy field, which public option owns it
+// (nil: none, benchmark ablation only) and how the layer's effective
+// config shows a non-zero value.
+var policySeam = map[string]struct {
+	opt    ccift.Option
+	effect string
+}{
+	"Sync":             {ccift.WithAsyncCheckpoint(false), "AsyncFlush:false"},
+	"FullFreeze":       {ccift.WithIncrementalFreeze(false), "IncrementalFreeze:false"},
+	"FreezeCrossCheck": {ccift.WithFreezeCrossCheck(), "FreezeCrossCheck:true"},
+	"FlushBandwidth":   {ccift.WithFlushBandwidth(1 << 20), "FlushBandwidth:1.048576e+06"},
+	"NoGovernor":       {nil, "NoFlushGovernor:true"},
+}
+
+// policyEnv names, for a re-exec'd worker, the Policy field under test
+// ("-" for the zero policy).
+const policyEnv = "CCIFT_TEST_POLICY"
+
+// policyWith returns the zero Policy with the named field set non-zero.
+func policyWith(field string) protocol.Policy {
+	var p protocol.Policy
+	if f := reflect.ValueOf(&p).Elem().FieldByName(field); f.IsValid() {
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Float64:
+			f.SetFloat(1 << 20)
+		}
+	}
+	return p
+}
+
+// policyProbe reports the effective configuration of its rank's layer.
+func policyProbe(r *ccift.Rank) (any, error) {
+	return fmt.Sprintf("%+v", r.Layer().Config()), nil
+}
+
+// policyWorker is the worker role of a seam run: through the public Launch
+// when an option owns the field, through launch.WorkerApp directly
+// otherwise.
+func policyWorker(field string) {
+	if opt := policySeam[field].opt; opt != nil {
+		ccift.Launch(context.Background(), ccift.NewSpec(ccift.WithRanks(2), ccift.WithMode(ccift.Full),
+			ccift.WithDistributed(ccift.Distributed{}), opt), policyProbe)
+	}
+	launch.WorkerMain(launch.WorkerApp{Prog: policyProbe, Mode: protocol.Full, Policy: policyWith(field)})
+}
+
+func TestPolicySeam(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the worker round trips spawn real processes")
+	}
+	// The process-wide verifier override would mask the FreezeCrossCheck field.
+	t.Setenv("CCIFT_FREEZE_CROSSCHECK", "")
+	// effective runs the probe under the zero policy plus the named field
+	// ("-": none) and returns rank 0's view on both paths.
+	effective := func(field string) (inproc, worker string) {
+		t.Setenv(policyEnv, field)
+		opts := []ccift.Option{ccift.WithRanks(2), ccift.WithMode(ccift.Full)}
+		if opt := policySeam[field].opt; opt != nil {
+			opts = append(opts, opt)
+			res, err := ccift.Launch(context.Background(), ccift.NewSpec(opts...), policyProbe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dist, err := ccift.Launch(context.Background(), ccift.NewSpec(append(opts,
+				ccift.WithDistributed(ccift.Distributed{Stderr: io.Discard}))...), policyProbe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprint(res.Values[0]), fmt.Sprint(dist.Values[0])
+		}
+		res, err := engine.Run(engine.Config{Ranks: 2, Mode: protocol.Full, Policy: policyWith(field)}, policyProbe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist, err := launch.Run(launch.Config{Ranks: 2, Args: os.Args[1:], Stderr: io.Discard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(res.Values[0]), dist.Output
+	}
+	zeroIn, zeroWorker := effective("-")
+	pt := reflect.TypeOf(protocol.Policy{})
+	for i := 0; i < pt.NumField(); i++ {
+		field := pt.Field(i).Name
+		seam, ok := policySeam[field]
+		if !ok {
+			t.Errorf("protocol.Policy.%s is not in policySeam: name the option that owns it and its effect on the layer", field)
+			continue
+		}
+		in, worker := effective(field)
+		for path, got := range map[string][2]string{"in-process": {zeroIn, in}, "worker": {zeroWorker, worker}} {
+			if strings.Contains(got[0], seam.effect) {
+				t.Errorf("%s: the zero policy already shows %s", path, seam.effect)
+			}
+			if !strings.Contains(got[1], seam.effect) {
+				t.Errorf("%s: Policy.%s did not reach the layer: want %s in %s", path, field, seam.effect, got[1])
+			}
+		}
+	}
+}
