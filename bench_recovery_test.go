@@ -4,7 +4,7 @@ package ccift_test
 // simulated substrate: wall-clock time to recover and stable-store reads
 // per surviving rank, swept over world size × death fraction. Localized
 // recovery's contract is that both stay flat as the world grows — the
-// launcher-side gather reads O(world) tiny metadata blobs once, survivors
+// supervisor's gather reads O(world) tiny metadata blobs once, survivors
 // restore from their in-memory retained copies (zero store reads), and
 // only dead ranks re-read state — so reads/survivor is O(1). The previous
 // design had every rank independently scan every other rank's recovery

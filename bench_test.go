@@ -526,9 +526,7 @@ func BenchmarkCheckpointDirtyFraction(b *testing.B) {
 // state every 4 iterations over a disk store, and ns/iter is compared
 // against a no-checkpoint baseline of the same program (the "none" run
 // inside each variant). sync blocks for the whole flush; async overlaps
-// it; async-nogov disables the bandwidth governor, so its delta over
-// async is the protection the governor buys when flush I/O competes with
-// compute. CI turns slowdown-vs-none into BENCH_pr9.json.
+// it under the bandwidth governor. BENCH_pr9.json records slowdown-vs-none.
 func BenchmarkAsyncRankSlowdown(b *testing.B) {
 	const gridElems = (16384 << 10) / 8
 	const iters = 64
@@ -568,7 +566,7 @@ func BenchmarkAsyncRankSlowdown(b *testing.B) {
 		}
 		return time.Since(t0)
 	}
-	for _, variant := range []string{"sync", "async", "async-nogov"} {
+	for _, variant := range []string{"sync", "async"} {
 		b.Run(variant, func(b *testing.B) {
 			var base, with time.Duration
 			b.ResetTimer()
@@ -580,7 +578,7 @@ func BenchmarkAsyncRankSlowdown(b *testing.B) {
 				}
 				with += run(b, engine.Config{
 					Ranks: 1, Mode: protocol.Full, EveryN: everyN, Store: disk,
-					Policy: protocol.Policy{Sync: variant == "sync", NoGovernor: variant == "async-nogov"},
+					Policy: protocol.Policy{Sync: variant == "sync"},
 				})
 			}
 			b.ReportMetric(float64(with.Nanoseconds())/float64(int64(iters)*int64(b.N)), "ns/iter")

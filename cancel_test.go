@@ -27,6 +27,9 @@ func assertCanceled(t *testing.T, err error, want error) {
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %T (%v), want *ccift.RunError", err, err)
 	}
+	if re.Incarnation < 0 {
+		t.Fatalf("RunError.Incarnation = %d: every substrate names the incarnation the run ended in", re.Incarnation)
+	}
 }
 
 // launchHang starts hangProg under ctx and returns Launch's error, failing

@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,6 +19,10 @@ import (
 	"time"
 
 	"ccift"
+	"ccift/internal/engine"
+	"ccift/internal/launch"
+	"ccift/internal/protocol"
+	"ccift/internal/sim"
 )
 
 // taxonomy is the complete public sentinel set; the exactly-one assertion
@@ -235,45 +238,112 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 	}
 }
 
-// TestErrMaxRestartsAcrossSubstrates pins that exhausting WithMaxRestarts
-// is the same failure everywhere: one sentinel, and a cause whose text —
-// budget included — does not depend on whether the ranks were goroutines,
-// simulated, or OS processes.
-func TestErrMaxRestartsAcrossSubstrates(t *testing.T) {
+// TestSupervisorContractAcrossSubstrates pins that the rollback state
+// machine is one: the ways a rollback can end a run are the same failure
+// whether the ranks are goroutines, simulated, or OS processes — one
+// sentinel, one cause text, and a *RunError that names the incarnation the
+// run ended in and the rollbacks it had taken. The rows drive the three
+// runIncarnation shapes below the public options, because cancelling
+// exactly during a rollback needs the OnRestart hook and a distributed run
+// in a mode other than Full is something only a hand-built worker does
+// (Spec.Validate rejects it).
+func TestSupervisorContractAcrossSubstrates(t *testing.T) {
 	if testing.Short() {
-		t.Skip("the distributed row spawns real worker processes")
+		t.Skip("the distributed rows spawn real worker processes")
 	}
-	causes := map[string]string{}
-	for _, substrate := range []string{"inprocess", "simulated", "distributed"} {
-		opts := []ccift.Option{
-			ccift.WithRanks(confRanks),
-			ccift.WithMode(ccift.Full),
-			ccift.WithEveryN(confEveryN),
-			ccift.WithMaxRestarts(1),
-			ccift.WithFailures(
-				ccift.Failure{Rank: 1, AtOp: 60, Incarnation: 0},
-				ccift.Failure{Rank: 1, AtOp: 60, Incarnation: 1},
-			),
-		}
-		switch substrate {
-		case "simulated":
-			opts = append(opts, ccift.WithSimulated(ccift.Scenario{Seed: 7, Latency: time.Millisecond}))
-		case "distributed":
-			opts = append(opts, ccift.WithDistributed(ccift.Distributed{Stderr: io.Discard}))
-		}
-		_, err := ccift.Launch(context.Background(), ccift.NewSpec(opts...), conformanceProg())
-		assertExactlyOne(t, err, ccift.ErrMaxRestarts)
-		var re *ccift.RunError
-		if !errors.As(err, &re) {
-			t.Fatalf("%s: err %v is not a *RunError", substrate, err)
-		}
-		causes[substrate] = re.Err.Error()
-		if !strings.Contains(causes[substrate], "MaxRestarts = 1") {
-			t.Errorf("%s: cause %q does not carry the budget", substrate, causes[substrate])
-		}
+	rows := []struct {
+		name            string
+		mode            protocol.Mode
+		kills           []engine.Failure
+		maxRestarts     int
+		cancelOnRestart bool
+		want            error
+		cause           string // what the cause text must contain
+		// inRank marks a cause raised inside a rank: on the distributed
+		// substrate only its category crosses the process boundary, and
+		// the text is on the worker's stderr.
+		inRank bool
+	}{
+		{
+			name:        "budget exhausted",
+			mode:        protocol.Full,
+			kills:       []engine.Failure{{Rank: 1, AtOp: 60, Incarnation: 0}, {Rank: 1, AtOp: 60, Incarnation: 1}},
+			maxRestarts: 1,
+			want:        ccift.ErrMaxRestarts,
+			cause:       "MaxRestarts = 1",
+		},
+		{
+			name:            "cancel during rollback",
+			mode:            protocol.Full,
+			kills:           []engine.Failure{{Rank: 1, AtOp: 60, Incarnation: 0}},
+			cancelOnRestart: true,
+			want:            ccift.ErrCanceled,
+			cause:           "during rollback: context canceled",
+		},
+		{
+			// Op 100 is past the first commit of the blocking write path at
+			// this scale, so the rollback finds an epoch it cannot restore.
+			name:   "killed in a mode other than Full",
+			mode:   protocol.NoAppState,
+			kills:  []engine.Failure{{Rank: 1, AtOp: 100, Incarnation: 0}},
+			want:   ccift.ErrWorldDead,
+			cause:  "cannot recover from a checkpoint in mode no-app-state",
+			inRank: true,
+		},
 	}
-	if causes["simulated"] != causes["inprocess"] || causes["distributed"] != causes["inprocess"] {
-		t.Errorf("the cause differs by substrate: %q", causes)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			causes := map[string]string{}
+			for _, substrate := range []string{"inprocess", "simulated", "distributed"} {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				cfg := engine.Config{
+					Ranks: confRanks, Mode: row.mode, EveryN: confEveryN, Policy: protocol.Policy{Sync: true},
+					Failures: row.kills, MaxRestarts: row.maxRestarts,
+				}
+				if row.cancelOnRestart {
+					cfg.OnRestart = func(int) { cancel() }
+				}
+				var err error
+				var stderr bytes.Buffer
+				switch substrate {
+				case "simulated":
+					s, serr := sim.New(cfg.Ranks, ccift.Scenario{Seed: 7, Latency: time.Millisecond})
+					if serr != nil {
+						t.Fatal(serr)
+					}
+					defer s.Stop()
+					cfg.NewTransport, cfg.Clock, cfg.RankClock = s.NewTransport, s.DetectorClock(), s.RankClock
+					cfg.DetectorTimeout = 500 * time.Millisecond
+					fallthrough
+				case "inprocess":
+					_, err = engine.RunContext(ctx, cfg, conformanceProg())
+				case "distributed":
+					t.Setenv(workerModeEnv, row.mode.String())
+					_, err = launch.RunContext(ctx, launch.Config{Ranks: cfg.Ranks, Kills: cfg.Failures,
+						MaxRestarts: cfg.MaxRestarts, OnRestart: cfg.OnRestart, Stderr: &stderr})
+				}
+				assertExactlyOne(t, err, row.want)
+				var re *ccift.RunError
+				if !errors.As(err, &re) {
+					t.Fatalf("%s: err %v is not a *RunError", substrate, err)
+				}
+				if re.Incarnation != 1 || re.Restarts != 1 {
+					t.Errorf("%s: RunError{Incarnation: %d, Restarts: %d}, want the run to end in incarnation 1 after the 1 rollback it took",
+						substrate, re.Incarnation, re.Restarts)
+				}
+				causes[substrate] = re.Err.Error()
+				if row.inRank && substrate == "distributed" {
+					causes[substrate] = stderr.String()
+				}
+				if !strings.Contains(causes[substrate], row.cause) {
+					t.Errorf("%s: cause %q does not say %q", substrate, causes[substrate], row.cause)
+				}
+			}
+			if causes["simulated"] != causes["inprocess"] || (!row.inRank && causes["distributed"] != causes["inprocess"]) {
+				t.Errorf("the cause differs by substrate: %q", causes)
+			}
+		})
 	}
 }
 

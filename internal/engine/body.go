@@ -47,12 +47,11 @@ type rankBody struct {
 	allDone      func() bool
 }
 
-// rankOutcome is what a rank's incarnation leaves behind. stats and
-// retained are filled however the incarnation ends, panic unwinds
-// included; value only when the program completed.
+// rankOutcome is what a rank's incarnation leaves behind. retained is
+// filled however the incarnation ends, panic unwinds included; value only
+// when the program completed. (The counters leave through statsSink.)
 type rankOutcome struct {
 	value    any
-	stats    protocol.Stats
 	retained []*protocol.RetainedState
 }
 
@@ -65,12 +64,10 @@ type rankOutcome struct {
 func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 	rank := b.comm.Rank()
 	frame := func(s protocol.Stats, final bool) {
-		b.statsSink(protocol.StatsFrame{V: protocol.StatsWireVersion,
-			Rank: rank, Incarnation: b.incarnation, Final: final, Stats: s})
-	}
-	var sink func(protocol.Stats)
-	if b.statsSink != nil {
-		sink = func(s protocol.Stats) { frame(s, false) }
+		if b.statsSink != nil { // nil: a worker process without a stats pipe
+			b.statsSink(protocol.StatsFrame{V: protocol.StatsWireVersion,
+				Rank: rank, Incarnation: b.incarnation, Final: final, Stats: s})
+		}
 	}
 	// CCIFT_FREEZE_CROSSCHECK=1 force-enables the freeze verifier on every
 	// incremental run — CI's race job soaks the whole suite under it, so
@@ -92,11 +89,10 @@ func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 		IncrementalFreeze: !pol.FullFreeze,
 		FreezeCrossCheck:  pol.FreezeCrossCheck,
 		FlushBandwidth:    pol.FlushBandwidth,
-		NoFlushGovernor:   pol.NoGovernor,
 		// Only a Full checkpoint can be rolled back to, so only Full
 		// retains in-memory copies for the next rollback.
 		RetainForRecovery: b.mode == protocol.Full,
-		StatsSink:         sink,
+		StatsSink:         func(s protocol.Stats) { frame(s, false) },
 		Clock:             b.clock,
 	})
 	// Registered before the Shutdown defer below so it runs AFTER the
@@ -107,10 +103,7 @@ func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 	// that just died.
 	defer func() {
 		out.retained = layer.Retained()
-		out.stats = layer.Stats
-		if b.statsSink != nil {
-			frame(layer.Stats, true)
-		}
+		frame(layer.Stats, true)
 	}()
 	// The background flusher must not outlive this incarnation: Shutdown
 	// waits for an in-flight state write, so a dying rank never leaks a
@@ -119,6 +112,11 @@ func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 
 	r := newRank(layer, b.seed, b.incarnation)
 	if rec := b.recovery; rec.Epoch >= 0 {
+		if b.mode != protocol.Full {
+			// Only Full checkpoints hold application state; a committed
+			// epoch of any other mode cannot be rolled back to.
+			return fmt.Errorf("%w: cannot recover from a checkpoint in mode %v", cerr.ErrWorldDead, b.mode)
+		}
 		app, err := layer.RestoreFrom(rec.Epoch, rec.Suppress, b.retained)
 		if err != nil {
 			return fmt.Errorf("restore: %w: %w", cerr.ErrStore, err)
@@ -149,4 +147,32 @@ func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 	}
 	out.value = v
 	return nil
+}
+
+// rankEnd classifies how one rank left an incarnation, from the panic it
+// unwound with (nil: runRank returned) and the error runRank returned. A
+// stop failure is delivered by panic — ErrKilled for the rank's own death,
+// ErrWorldDead when a peer's death shut the world down — and so is
+// cancellation (ErrCanceled).
+func rankEnd(rank int, p any, err error) Outcome {
+	switch p {
+	case nil:
+		if err == nil {
+			return Outcome{}
+		}
+	case mpi.ErrCanceled:
+		return Outcome{Canceled: true}
+	case mpi.ErrKilled, mpi.ErrWorldDead:
+		return Outcome{Failed: true}
+	default:
+		// A panic carrying an already-categorized error (a store failure
+		// raised by the flusher) keeps its category; anything else is the
+		// application's fault.
+		if e, ok := p.(error); ok && cerr.Category(e) != nil {
+			err = e
+		} else {
+			err = fmt.Errorf("%w: rank panicked: %v", cerr.ErrProgram, p)
+		}
+	}
+	return Outcome{Err: &RunError{Rank: rank, Err: err}}
 }

@@ -1,7 +1,10 @@
-// Package engine runs MPI-style programs under the checkpointing protocol:
-// it spawns one goroutine per rank, injects stopping failures, plays the
-// role of the distributed failure detector, and drives rollback-restart
-// from the last committed global checkpoint.
+// Package engine runs MPI-style programs under the checkpointing protocol.
+// It holds the one rollback state machine every substrate runs (Supervisor:
+// restart budget, commit-record read, recovery gather, kill plan, error
+// attribution), the one per-rank body (runRank), and two of the three
+// shapes an incarnation takes: one goroutine per rank over the in-process
+// or simulated transport (RunContext), and one rank of a worker process
+// (RunWorker). The third, a world of worker processes, is internal/launch.
 package engine
 
 import (
@@ -138,19 +141,19 @@ type IncarnationInfo struct {
 	RecoveredEpoch int
 }
 
-// RunError is the structured failure report of a run: which rank ended it
-// (-1 when the failure is not attributable to one rank), in which
-// incarnation, and how many rollback-restarts had been consumed. The
-// underlying cause is reachable through Unwrap, so errors.Is/As work on
-// sentinel causes (cerr.ErrMaxRestarts, context.Canceled, ...).
+// RunError is the structured failure report of a run on every substrate:
+// which rank ended it (-1 when the failure is not attributable to one
+// rank), in which incarnation, and how many rollback-restarts had been
+// consumed. The underlying cause is reachable through Unwrap, so
+// errors.Is/As work on sentinel causes (cerr.ErrMaxRestarts,
+// context.Canceled, ...).
 type RunError struct {
 	// Rank is the rank whose program error or panic ended the run, or -1
 	// when the run ended for a world-wide reason (cancellation, exhausted
 	// restarts, storage failure).
 	Rank int
 	// Incarnation is the incarnation in which the run ended (0 is the
-	// initial execution; -1 when the substrate cannot attribute the end to
-	// one incarnation, as for the distributed launcher).
+	// initial execution).
 	Incarnation int
 	// Restarts is the number of rollback-restarts performed before the end.
 	Restarts int
@@ -162,11 +165,6 @@ func (e *RunError) Error() string {
 	who := "run"
 	if e.Rank >= 0 {
 		who = fmt.Sprintf("rank %d", e.Rank)
-	}
-	if e.Incarnation < 0 {
-		// The substrate could not attribute the failure (distributed
-		// launcher): the cause already tells the whole story.
-		return fmt.Sprintf("engine: %s failed: %v", who, e.Err)
 	}
 	return fmt.Sprintf("engine: %s failed in incarnation %d after %d restart(s): %v",
 		who, e.Incarnation, e.Restarts, e.Err)
@@ -231,113 +229,33 @@ func RunContext(ctx context.Context, cfg Config, prog Program) (*Result, error) 
 	if cfg.Store == nil {
 		cfg.Store = storage.NewMemory()
 	}
-	if cfg.MaxRestarts == 0 {
-		cfg.MaxRestarts = 10
-	}
-	cs := storage.NewCheckpointStore(cfg.Store)
-	res := &Result{}
-
-	// Each rank's in-memory copies of its own recent checkpoints, carried
-	// here across incarnations so survivors of a failure restore without
-	// store reads; the entry of a rank that died is dropped.
-	retained := make([][]*protocol.RetainedState, cfg.Ranks)
-
-	for incarnation := 0; ; incarnation++ {
-		if cause := ctx.Err(); cause != nil {
-			// Covers cancellation before the first incarnation and between
-			// incarnations — i.e. during the rollback a failed incarnation
-			// scheduled.
-			when := "before it started"
-			if incarnation > 0 {
-				when = "during rollback"
-			}
-			return nil, &RunError{Rank: -1, Incarnation: incarnation, Restarts: res.Restarts,
-				Err: fmt.Errorf("%w %s: %w", cerr.ErrCanceled, when, cause)}
-		}
-		if incarnation > cfg.MaxRestarts {
-			return nil, &RunError{Rank: -1, Incarnation: incarnation, Restarts: res.Restarts,
-				Err: fmt.Errorf("%w (MaxRestarts = %d)", cerr.ErrMaxRestarts, cfg.MaxRestarts)}
-		}
-		epoch, haveCkpt, err := cs.Committed()
-		if err != nil {
-			return nil, &RunError{Rank: -1, Incarnation: incarnation, Restarts: res.Restarts,
-				Err: fmt.Errorf("%w: read commit record: %w", cerr.ErrStore, err)}
-		}
-		if incarnation > 0 {
-			if haveCkpt && cfg.Mode != protocol.Full {
-				return nil, &RunError{Rank: -1, Incarnation: incarnation, Restarts: res.Restarts,
-					Err: fmt.Errorf("%w: cannot recover from a checkpoint in mode %v", cerr.ErrWorldDead, cfg.Mode)}
-			}
-			rec := -1
-			if haveCkpt {
-				rec = epoch
-			}
-			res.RecoveredEpochs = append(res.RecoveredEpochs, rec)
-		}
-
-		// Recovery gather, run once by the driver (Section 4.2: "the
-		// senders of these early messages are informed of the messageIDs so
-		// that resending these messages can be suppressed"): O(world) tiny
-		// sidecar reads build every sender's suppression list and the
-		// primary's replica set, and each rank is handed only its slice. A
-		// nil plan is a fresh start.
-		var plan *protocol.RecoveryPlan
-		if incarnation > 0 && haveCkpt {
-			plan, err = protocol.GatherRecovery(cs, epoch, cfg.Ranks)
-			if err != nil {
-				return nil, &RunError{Rank: -1, Incarnation: incarnation, Restarts: res.Restarts,
-					Err: fmt.Errorf("%w: gather recovery plan: %w", cerr.ErrStore, err)}
-			}
-		}
-
-		world := mpi.NewWorld(cfg.Ranks, mpi.Options{
-			ChaosSeed:    cfg.ChaosSeed,
-			ChaosAll:     cfg.ChaosAll,
-			KillPlan:     killPlan(cfg.Failures, incarnation),
-			NewTransport: cfg.NewTransport,
-		})
-
-		out := runIncarnation(ctx, cfg, cs, world, prog, incarnation, plan, retained)
-		if out.canceled {
-			cause := ctx.Err()
-			if cause == nil {
-				cause = mpi.ErrCanceled
-			}
-			return nil, &RunError{Rank: -1, Incarnation: incarnation, Restarts: res.Restarts,
-				Err: fmt.Errorf("%w: %w", cerr.ErrCanceled, cause)}
-		}
-		if out.failed {
-			res.Restarts++
-			if cfg.OnRestart != nil {
-				cfg.OnRestart(res.Restarts)
-			}
-			continue
-		}
-		if out.err != nil {
-			out.err.Incarnation = incarnation
-			out.err.Restarts = res.Restarts
-			return nil, out.err
-		}
-		res.Values = out.values
-		res.Stats = out.stats
-		res.PerRank = make([]protocol.RankStats, len(out.stats))
-		for r, s := range out.stats {
-			res.PerRank[r] = protocol.RankStats{Rank: r, Incarnation: incarnation, Stats: s}
-		}
-		return res, nil
-	}
+	w := &inProcess{cfg: cfg, sup: NewSupervisor(cfg), prog: prog,
+		retained: make([][]*protocol.RetainedState, cfg.Ranks)}
+	return w.sup.Run(ctx, w.runIncarnation)
 }
 
-type incarnationResult struct {
-	failed   bool
-	canceled bool
-	err      *RunError
-	values   []any
-	stats    []protocol.Stats
+// inProcess is the goroutine-shaped world of the in-process and simulated
+// substrates: what its incarnations share.
+type inProcess struct {
+	cfg  Config
+	sup  *Supervisor
+	prog Program
+	// retained holds each rank's in-memory copies of its own recent
+	// checkpoints, carried across incarnations so survivors of a failure
+	// restore without store reads; the entry of a rank that died is dropped.
+	retained [][]*protocol.RetainedState
 }
 
-func runIncarnation(ctx context.Context, cfg Config, cs *storage.CheckpointStore, world *mpi.World,
-	prog Program, incarnation int, plan *protocol.RecoveryPlan, retained [][]*protocol.RetainedState) incarnationResult {
+// runIncarnation runs one goroutine per rank over a fresh mpi.World and
+// classifies the incarnation once they have all unwound.
+func (w *inProcess) runIncarnation(ctx context.Context, incarnation int, plan *protocol.RecoveryPlan, kill map[int]int64) Outcome {
+	cfg, retained := w.cfg, w.retained
+	world := mpi.NewWorld(cfg.Ranks, mpi.Options{
+		ChaosSeed:    cfg.ChaosSeed,
+		ChaosAll:     cfg.ChaosAll,
+		KillPlan:     kill,
+		NewTransport: cfg.NewTransport,
+	})
 
 	// Cancellation: the moment ctx is done, cancel the world so every rank
 	// — blocked in the substrate or about to enter it — unwinds with
@@ -349,7 +267,6 @@ func runIncarnation(ctx context.Context, cfg Config, cs *storage.CheckpointStore
 	values := make([]any, n)
 	errs := make([]error, n)
 	panics := make([]any, n)
-	stats := make([]protocol.Stats, n)
 	var finished atomic.Int64
 	var wg sync.WaitGroup
 
@@ -420,9 +337,9 @@ func runIncarnation(ctx context.Context, cfg Config, cs *storage.CheckpointStore
 			}
 			errs[r] = runRank(&rankBody{
 				ctx: ctx, comm: world.Comm(r), incarnation: incarnation,
-				mode: cfg.Mode, store: cs, everyN: cfg.EveryN, interval: cfg.Interval,
+				mode: cfg.Mode, store: w.sup.cs, everyN: cfg.EveryN, interval: cfg.Interval,
 				seed: cfg.Seed, debug: cfg.Debug, tracer: cfg.Tracer, policy: cfg.Policy,
-				clock: clk, statsSink: cfg.StatsSink,
+				clock: clk, statsSink: w.sup.Observe,
 				recovery: plan.ForRank(r), retained: retained[r],
 				announceDone: func() {
 					if finished.Add(1) == int64(n) {
@@ -432,8 +349,8 @@ func runIncarnation(ctx context.Context, cfg Config, cs *storage.CheckpointStore
 					}
 				},
 				allDone: func() bool { return finished.Load() >= int64(n) },
-			}, prog, &out)
-			values[r], stats[r] = out.value, out.stats
+			}, w.prog, &out)
+			values[r] = out.value
 			if errs[r] != nil {
 				// A rank whose restore, program or final flush failed will
 				// never send again: fail-stop, like a panic, so survivors
@@ -444,53 +361,20 @@ func runIncarnation(ctx context.Context, cfg Config, cs *storage.CheckpointStore
 	}
 	wg.Wait()
 
-	// Cancellation dominates: a canceled run must report ctx.Err() even if
-	// some ranks happened to observe a concurrent injected failure.
-	for r := 0; r < n; r++ {
-		if panics[r] == mpi.ErrCanceled {
-			return incarnationResult{canceled: true}
+	// Merge the ranks' ends into the incarnation's. The supervisor reads an
+	// Outcome in dominance order: cancellation first (a canceled run must
+	// report ctx.Err() even if some ranks observed a concurrent injected
+	// failure), then a real failure — of the lowest rank that has one —
+	// before ErrKilled / ErrWorldDead, because the shutdown a failure
+	// triggered to unblock the survivors is collateral, not the cause.
+	out := Outcome{Values: values}
+	for r := n - 1; r >= 0; r-- {
+		end := rankEnd(r, panics[r], errs[r])
+		out.Canceled = out.Canceled || end.Canceled
+		out.Failed = out.Failed || end.Failed
+		if end.Err != nil {
+			out.Err = end.Err
 		}
 	}
-	// A real panic (store failure, application bug) or a returned error
-	// dominates ErrKilled / ErrWorldDead: the shutdown it triggered to
-	// unblock the survivors is collateral, not the cause, so scan for the
-	// cause first.
-	for r := 0; r < n; r++ {
-		switch panics[r] {
-		case nil, mpi.ErrKilled, mpi.ErrWorldDead:
-		default:
-			// A panic carrying an already-categorized error (a store failure
-			// raised by the flusher) keeps its category; anything else is
-			// the application's fault.
-			var perr error
-			if e, ok := panics[r].(error); ok && cerr.Category(e) != nil {
-				perr = e
-			} else {
-				perr = fmt.Errorf("%w: rank panicked: %v", cerr.ErrProgram, panics[r])
-			}
-			return incarnationResult{err: &RunError{Rank: r, Err: perr}}
-		}
-	}
-	for r := 0; r < n; r++ {
-		if errs[r] != nil {
-			return incarnationResult{err: &RunError{Rank: r, Err: errs[r]}}
-		}
-	}
-	for r := 0; r < n; r++ {
-		switch panics[r] {
-		case mpi.ErrKilled, mpi.ErrWorldDead:
-			return incarnationResult{failed: true}
-		}
-	}
-	return incarnationResult{values: values, stats: stats}
-}
-
-func killPlan(failures []Failure, incarnation int) map[int]int64 {
-	plan := map[int]int64{}
-	for _, f := range failures {
-		if f.Incarnation == incarnation {
-			plan[f.Rank] = f.AtOp
-		}
-	}
-	return plan
+	return out
 }

@@ -97,10 +97,10 @@ func TestUnregisterRebindPairsWithOriginal(t *testing.T) {
 // the context threading: a worker with a missing transport hook must error
 // out, not panic.
 func TestWorkerConfigStillValidates(t *testing.T) {
-	_, err := RunWorker(nil, WorkerConfig{Rank: 0, Ranks: 2, Mode: protocol.Full}, func(r *Rank) (any, error) {
+	_, end := RunWorker(nil, WorkerConfig{Rank: 0, Ranks: 2, Mode: protocol.Full}, func(r *Rank) (any, error) {
 		return nil, nil
 	})
-	if err == nil || !strings.Contains(err.Error(), "requires Store") {
-		t.Fatalf("err = %v, want the missing-dependencies error", err)
+	if end.Err == nil || !strings.Contains(end.Err.Error(), "requires Store") {
+		t.Fatalf("end = %+v, want the missing-dependencies error", end)
 	}
 }

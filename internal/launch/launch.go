@@ -1,12 +1,14 @@
 // Package launch runs a distributed world: N worker OS processes (the
 // launcher binary re-exec'd with worker environment variables), a full-mesh
-// TCP substrate between them, and a shared on-disk checkpoint store. It is
-// the process-level analogue of engine.Run's rollback loop — a kill plan
-// here delivers a real SIGKILL to a real process, the survivors detect the
-// death through connection resets and the heartbeat detector and roll back
-// in place, and the launcher gathers the recovery plan once and re-spawns
-// only the dead ranks, which restore from the last committed global
-// checkpoint.
+// TCP substrate between them, and a shared on-disk checkpoint store. The
+// rollback state machine is engine.Supervisor, the same one the in-process
+// and simulated substrates run; this package supplies its process-shaped
+// incarnation — publish each rank's recovery slice, spawn the ranks whose
+// process is gone, fold their exits — and the worker role on the other
+// side. A kill plan here delivers a real SIGKILL to a real process, the
+// survivors detect the death through connection resets and the heartbeat
+// detector and roll back in place, and only the dead ranks are re-spawned,
+// restoring from the last committed global checkpoint.
 package launch
 
 import (
@@ -19,15 +21,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"ccift/internal/cerr"
 	"ccift/internal/engine"
-	"ccift/internal/mpi/tcptransport"
 	"ccift/internal/protocol"
 	"ccift/internal/storage"
 )
@@ -39,10 +39,9 @@ const (
 	envWorker      = "CCIFT_WORKER"      // "1" marks a worker process
 	envRank        = "CCIFT_RANK"        // world rank of this worker
 	envRanks       = "CCIFT_RANKS"       // world size
-	envIncarnation = "CCIFT_INCARNATION" // spawn attempt, from 0
-	envRendezvous  = "CCIFT_RDV_DIR"     // address-exchange directory (fresh per incarnation)
+	envIncarnation = "CCIFT_INCARNATION" // incarnation this process was spawned into, from 0
+	envRendezvous  = "CCIFT_RDV_DIR"     // that incarnation's address-exchange directory
 	envStore       = "CCIFT_STORE_DIR"   // shared checkpoint directory
-	envKillAtOp    = "CCIFT_KILL_AT_OP"  // self-SIGKILL at this substrate op (doomed rank only)
 	envDetector    = "CCIFT_DETECTOR_MS" // heartbeat suspicion timeout, milliseconds
 	envStatsFD     = "CCIFT_STATS_FD"    // fd of the stats stream pipe (write end)
 )
@@ -62,17 +61,12 @@ const (
 // cerr.FromExitCode.
 const (
 	exitOK       = cerr.CodeOK
-	exitError    = cerr.CodeProgram // program or uncategorizable error: the launcher gives up
 	exitRollback = cerr.CodeRollback
 )
 
 // KillSpec schedules a real SIGKILL: the rank's process kills itself at its
 // AtOp-th substrate operation of the given incarnation.
-type KillSpec struct {
-	Rank        int
-	AtOp        int64
-	Incarnation int
-}
+type KillSpec = engine.Failure
 
 // Config configures a distributed run.
 type Config struct {
@@ -102,7 +96,7 @@ type Config struct {
 	// StatsSink, when non-nil, receives every stats frame the workers emit
 	// on their CCIFT_STATS_FD pipes, live as checkpoints complete. Called
 	// from per-worker reader goroutines; the sink must synchronize. The
-	// launcher aggregates the same frames itself into Result.Stats /
+	// supervisor aggregates the same frames into Result.Stats /
 	// Result.PerRank regardless.
 	StatsSink func(protocol.StatsFrame)
 	// OnRestart, when non-nil, is called after each rollback-restart
@@ -110,59 +104,22 @@ type Config struct {
 	OnRestart func(restarts int)
 }
 
-// IncarnationReport describes how one incarnation ended.
-type IncarnationReport struct {
-	// Exits holds each rank's exit description ("exit status 0",
-	// "signal: killed", ...). Codes holds the structured exit codes (-1
-	// when the rank died by signal); success is judged on these, never on
-	// the description strings. A surviving rank has no exit in the
-	// incarnation it survived: its Exits entry stays "" (Codes entry 0) and
-	// the process carries over to the next incarnation.
-	Exits []string
-	Codes []int
-	// PIDs holds each rank's OS process ID during the incarnation;
-	// survivors keep their PID across incarnations.
-	PIDs []int
-	// RecoveredEpoch is the committed epoch the *next* incarnation will
-	// restore from (-1 when none was committed yet).
-	RecoveredEpoch int
-}
-
-func newIncarnationReport(ranks int) IncarnationReport {
-	return IncarnationReport{
-		Exits:          make([]string, ranks),
-		Codes:          make([]int, ranks),
-		PIDs:           make([]int, ranks),
-		RecoveredEpoch: -1,
-	}
-}
-
-// Result reports a completed distributed run.
+// Result reports a completed distributed run: the supervisor's Result
+// (Stats and PerRank reconstructed from the workers' stats streams, one
+// Incarnations entry per spawned incarnation; Values stays empty, since
+// only rank 0's output crosses the process boundary) plus that output.
 type Result struct {
+	engine.Result
 	// Output is rank 0's standard output (the result line).
 	Output string
-	// Restarts is the number of incarnations that died and were re-spawned.
-	Restarts int
-	// RecoveredEpochs lists the epoch each restart recovered from (-1 when
-	// the restart began from scratch).
-	RecoveredEpochs []int
-	// Incarnations describes every spawned incarnation, including the
-	// final successful one.
-	Incarnations []IncarnationReport
-	// Stats holds each rank's protocol counters from the final
-	// incarnation, indexed by rank — the same shape the in-process engine
-	// reports, reconstructed from the workers' stats streams. PerRank is
-	// the tagged form.
-	Stats   []protocol.Stats
-	PerRank []protocol.RankStats
 }
 
+// workerExit is one worker process's end: err is cmd.Wait's (nil on exit
+// 0), state says how it exited.
 type workerExit struct {
-	rank   int
-	err    error // nil on exit 0
-	desc   string
-	code   int // -1 when signaled
-	signal bool
+	rank  int
+	err   error
+	state *os.ProcessState
 }
 
 // Run launches cfg.Ranks worker processes and supervises them until the
@@ -173,13 +130,15 @@ func Run(cfg Config) (*Result, error) {
 
 // RunContext is Run under a context: when ctx is canceled or its deadline
 // expires, every live worker process is SIGKILLed, no further incarnation
-// is spawned, and the run returns an error wrapping ctx's error.
+// is spawned, and the run returns a *engine.RunError wrapping ctx's error.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Ranks <= 0 {
-		return nil, fmt.Errorf("launch: %w: Ranks must be positive, got %d", cerr.ErrSpec, cfg.Ranks)
+	ecfg := engine.Config{Ranks: cfg.Ranks, Failures: cfg.Kills, MaxRestarts: cfg.MaxRestarts,
+		OnRestart: cfg.OnRestart, StatsSink: cfg.StatsSink}
+	if err := ecfg.Validate(); err != nil {
+		return nil, fmt.Errorf("launch: %w", err)
 	}
 	if cfg.Exe == "" {
 		exe, err := os.Executable()
@@ -187,9 +146,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("launch: resolve worker binary: %w: %w", cerr.ErrSpec, err)
 		}
 		cfg.Exe = exe
-	}
-	if cfg.MaxRestarts == 0 {
-		cfg.MaxRestarts = 10
 	}
 	if cfg.DetectorTimeout == 0 {
 		cfg.DetectorTimeout = 2 * time.Second
@@ -212,346 +168,280 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := os.MkdirAll(cfg.StoreDir, 0o755); err != nil {
 		return nil, fmt.Errorf("launch: store dir: %w: %w", cerr.ErrStore, err)
 	}
-	// A reused store directory may hold a previous job's commit record;
-	// restoring it into this job would resume foreign state. Checkpoints
-	// are reachable only through the commit record, so clearing it is
-	// enough — this job's epochs overwrite the old blobs as they go.
 	disk, err := storage.NewDisk(cfg.StoreDir)
 	if err != nil {
 		return nil, fmt.Errorf("launch: open store: %w: %w", cerr.ErrStore, err)
 	}
-	if err := storage.NewCheckpointStore(disk).ClearCommit(); err != nil {
-		return nil, fmt.Errorf("launch: clear stale commit record: %w: %w", cerr.ErrStore, err)
+	ecfg.Store = disk
+
+	w := &world{
+		cfg:     cfg,
+		sup:     engine.NewSupervisor(ecfg),
+		rdvRoot: filepath.Join(cfg.WorkDir, "rdv"),
+		exits:   make(chan workerExit),
+		quit:    make(chan struct{}),
+		cmds:    make([]*exec.Cmd, cfg.Ranks),
+		live:    make([]bool, cfg.Ranks),
 	}
+	stopCancel := context.AfterFunc(ctx, w.killLive)
+	// Never leak worker processes or their watchers, whatever path returns.
+	defer func() {
+		stopCancel()
+		close(w.quit)
+		w.killLive()
+		w.watchers.Wait()
+		w.readers.Wait()
+	}()
 
-	return supervise(ctx, cfg, cleanupWork)
-}
-
-// committedEpoch reads the shared store's commit record (-1 when none).
-func committedEpoch(storeDir string) int {
-	disk, err := storage.NewDisk(storeDir)
+	res, err := w.sup.Run(ctx, w.runIncarnation)
 	if err != nil {
-		return -1
+		return nil, err
 	}
-	epoch, ok, err := storage.NewCheckpointStore(disk).Committed()
-	if err != nil || !ok {
-		return -1
+	res.Incarnations = w.incs
+	if cleanupWork {
+		os.RemoveAll(cfg.WorkDir)
 	}
-	return epoch
+	return &Result{Result: *res, Output: w.rank0Out.String()}, nil
 }
 
-// supervise runs the world with per-rank respawn: a death costs one
-// launcher-side recovery gather (O(ranks) tiny sidecar reads), fresh
-// processes for the dead ranks only, and an in-process rollback for every
-// survivor. The handshake with surviving workers runs over marker files in
-// the rendezvous tree: ABORT in the dead incarnation's directory tells
-// stragglers to stop forming its mesh, recovery.<rank> files plus a final
-// GO marker in the next incarnation's directory carry each rank's
-// recovery slice (suppression list, replica set, kill plan).
-func supervise(ctx context.Context, cfg Config, cleanupWork bool) (*Result, error) {
-	n := cfg.Ranks
-	rdvRoot := filepath.Join(cfg.WorkDir, "rdv")
-	res := &Result{}
+// world is the process-shaped world the supervisor's incarnations run in:
+// a death costs fresh processes for the dead ranks only and an in-process
+// rollback for every survivor, so the processes, their exit events and
+// their stats readers outlive any one incarnation. The handshake with
+// surviving workers runs over marker files in the rendezvous tree: ABORT
+// in the dead incarnation's directory tells stragglers to stop forming its
+// mesh, recovery.<rank> files plus a final GO marker in the next
+// incarnation's directory carry each rank's recovery slice (suppression
+// list, replica set, kill plan).
+type world struct {
+	cfg     Config
+	sup     *engine.Supervisor
+	rdvRoot string
 
-	// The stats aggregator reconstructs per-rank counters from the frames
-	// every worker streams back on its stats pipe; frames also forward to
-	// the caller's sink, live.
-	agg := protocol.NewAggregator(nil)
-	observe := func(f protocol.StatsFrame) {
-		agg.Observe(f)
-		if cfg.StatsSink != nil {
-			cfg.StatsSink(f)
+	errMu             sync.Mutex // keeps lines on cfg.Stderr whole
+	readers, watchers sync.WaitGroup
+
+	// Every spawn produces exactly one exit event. Watchers hand it to the
+	// incarnation being folded, or drop it once quit closes.
+	exits chan workerExit
+	quit  chan struct{}
+
+	liveMu sync.Mutex // guards live, and cmds against killLive
+	cmds   []*exec.Cmd
+	live   []bool
+
+	rank0Out *bytes.Buffer
+	incs     []engine.IncarnationInfo
+}
+
+func (w *world) logf(format string, args ...any) {
+	w.errMu.Lock()
+	fmt.Fprintf(w.cfg.Stderr, format, args...)
+	w.errMu.Unlock()
+}
+
+func (w *world) killLive() {
+	w.liveMu.Lock()
+	defer w.liveMu.Unlock()
+	for r, c := range w.cmds {
+		if w.live[r] {
+			c.Process.Kill()
 		}
 	}
+}
 
-	var errMu sync.Mutex
-	logf := func(format string, args ...any) {
-		errMu.Lock()
-		fmt.Fprintf(cfg.Stderr, format, args...)
-		errMu.Unlock()
+func (w *world) rdvDir(incarnation int) string {
+	return filepath.Join(w.rdvRoot, strconv.Itoa(incarnation))
+}
+
+// spawn starts rank r's process for an incarnation, with a reader for its
+// stats stream and a watcher that reports its exit.
+func (w *world) spawn(r, incarnation int) error {
+	cfg := w.cfg
+	cmd := exec.Command(cfg.Exe, cfg.Args...)
+	cmd.Env = append(os.Environ(),
+		envWorker+"=1",
+		envRank+"="+strconv.Itoa(r),
+		envRanks+"="+strconv.Itoa(cfg.Ranks),
+		envIncarnation+"="+strconv.Itoa(incarnation),
+		envRendezvous+"="+w.rdvDir(incarnation),
+		envStore+"="+cfg.StoreDir,
+		envDetector+"="+strconv.FormatInt(cfg.DetectorTimeout.Milliseconds(), 10),
+		envStatsFD+"=3",
+	)
+	if r == 0 {
+		w.rank0Out = &bytes.Buffer{}
+		cmd.Stdout = w.rank0Out
 	}
-	var readersWG sync.WaitGroup
-	defer readersWG.Wait()
-	var watchWG sync.WaitGroup
-	defer watchWG.Wait()
-
-	// Every spawn produces exactly one exit event; the capacity covers the
-	// worst case (a full respawn every round) so watchers never block.
-	exits := make(chan workerExit, n*(cfg.MaxRestarts+2))
-	var liveMu sync.Mutex
-	cmds := make([]*exec.Cmd, n)
-	live := make([]bool, n)
-	done := make([]bool, n)
-	var rank0Out *bytes.Buffer
-
-	killLive := func() {
-		liveMu.Lock()
-		defer liveMu.Unlock()
-		for r, c := range cmds {
-			if live[r] {
-				c.Process.Kill()
-			}
-		}
+	cmd.Stderr = &prefixWriter{w: cfg.Stderr, mu: &w.errMu, prefix: fmt.Sprintf("[rank %d] ", r)}
+	statsR, statsW, err := os.Pipe()
+	if err != nil {
+		return fmt.Errorf("launch: stats pipe for rank %d: %w: %w", r, cerr.ErrTransport, err)
 	}
-	// Never leak worker processes, whatever path returns.
-	defer killLive()
-	stopCancel := context.AfterFunc(ctx, killLive)
-	defer stopCancel()
-
-	spawn := func(r, incarnation int, killAt int64) error {
-		rdv := filepath.Join(rdvRoot, strconv.Itoa(incarnation))
-		cmd := exec.Command(cfg.Exe, cfg.Args...)
-		cmd.Env = append(os.Environ(),
-			envWorker+"=1",
-			envRank+"="+strconv.Itoa(r),
-			envRanks+"="+strconv.Itoa(n),
-			envIncarnation+"="+strconv.Itoa(incarnation),
-			envRendezvous+"="+rdv,
-			envStore+"="+cfg.StoreDir,
-			envDetector+"="+strconv.FormatInt(cfg.DetectorTimeout.Milliseconds(), 10),
-		)
-		if killAt > 0 {
-			cmd.Env = append(cmd.Env, envKillAtOp+"="+strconv.FormatInt(killAt, 10))
-		}
-		if r == 0 {
-			rank0Out = &bytes.Buffer{}
-			cmd.Stdout = rank0Out
-		}
-		cmd.Stderr = &prefixWriter{w: cfg.Stderr, mu: &errMu, prefix: fmt.Sprintf("[rank %d] ", r)}
-		statsR, statsW, err := os.Pipe()
-		if err != nil {
-			return fmt.Errorf("launch: stats pipe for rank %d: %w: %w", r, cerr.ErrTransport, err)
-		}
-		cmd.ExtraFiles = []*os.File{statsW}
-		cmd.Env = append(cmd.Env, envStatsFD+"=3")
-		if err := cmd.Start(); err != nil {
-			statsR.Close()
-			statsW.Close()
-			return fmt.Errorf("launch: spawn rank %d: %w: %w", r, cerr.ErrTransport, err)
-		}
+	cmd.ExtraFiles = []*os.File{statsW}
+	if err := cmd.Start(); err != nil {
+		statsR.Close()
 		statsW.Close()
-		readersWG.Add(1)
-		go func() {
-			defer readersWG.Done()
-			defer statsR.Close()
-			protocol.ReadStatsFrames(statsR, observe)
-		}()
-		if cfg.Verbose {
-			note := ""
-			if killAt > 0 {
-				note = fmt.Sprintf(" (SIGKILL at op %d)", killAt)
-			}
-			logf("c3launch: incarnation %d: rank %d is pid %d%s\n", incarnation, r, cmd.Process.Pid, note)
+		return fmt.Errorf("launch: spawn rank %d: %w: %w", r, cerr.ErrTransport, err)
+	}
+	statsW.Close()
+	w.readers.Add(1)
+	go func() {
+		defer w.readers.Done()
+		defer statsR.Close()
+		protocol.ReadStatsFrames(statsR, w.sup.Observe)
+	}()
+	w.liveMu.Lock()
+	w.cmds[r] = cmd
+	w.live[r] = true
+	w.liveMu.Unlock()
+	w.watchers.Add(1)
+	go func() {
+		defer w.watchers.Done()
+		err := cmd.Wait()
+		w.liveMu.Lock()
+		w.live[r] = false
+		w.liveMu.Unlock()
+		select {
+		case w.exits <- workerExit{rank: r, err: err, state: cmd.ProcessState}:
+		case <-w.quit:
 		}
-		liveMu.Lock()
-		cmds[r] = cmd
-		live[r] = true
-		liveMu.Unlock()
-		watchWG.Add(1)
-		go func(r int, cmd *exec.Cmd) {
-			defer watchWG.Done()
-			err := cmd.Wait()
-			liveMu.Lock()
-			live[r] = false
-			liveMu.Unlock()
-			ws := cmd.ProcessState
-			exits <- workerExit{
-				rank:   r,
-				err:    err,
-				desc:   ws.String(),
-				code:   ws.ExitCode(),
-				signal: !ws.Exited(),
-			}
-		}(r, cmd)
-		return nil
+	}()
+	return nil
+}
+
+// runIncarnation is the process-shaped incarnation the supervisor drives:
+// publish every rank's recovery slice and the GO marker, spawn the ranks
+// whose process is gone (all of them at incarnation 0), fold exit events
+// until the world is done, fails hard, or has a death to roll back from,
+// and in that last case abandon the incarnation's mesh with ABORT.
+func (w *world) runIncarnation(ctx context.Context, incarnation int, plan *protocol.RecoveryPlan, kill map[int]int64) engine.Outcome {
+	n := w.cfg.Ranks
+	hard := func(rank int, err error) engine.Outcome {
+		return engine.Outcome{Err: &engine.RunError{Rank: rank, Err: err}}
+	}
+	if err := w.publishRecovery(incarnation, plan, kill); err != nil {
+		return hard(-1, err)
+	}
+	if incarnation > 0 {
+		epoch := plan.ForRank(0).Epoch // -1 for a nil plan: a restart from the beginning
+		w.incs[incarnation-1].RecoveredEpoch = epoch
+		if w.cfg.Verbose {
+			w.logf("c3launch: incarnation %d: recovery plan published (epoch %d)\n", incarnation, epoch)
+		}
 	}
 
-	incarnation := 0
-	if err := os.MkdirAll(filepath.Join(rdvRoot, "0"), 0o755); err != nil {
-		return nil, fmt.Errorf("launch: rendezvous dir: %w: %w", cerr.ErrSpec, err)
-	}
-	kill := killMapFor(cfg.Kills, 0)
+	// A surviving rank has no exit in the incarnation it survived: its
+	// Exits entry stays "" and its PID carries over to the next one.
+	rep := engine.IncarnationInfo{PIDs: make([]int, n), Exits: make([]string, n), RecoveredEpoch: -1}
 	for r := 0; r < n; r++ {
-		if err := spawn(r, 0, kill[r]); err != nil {
-			return nil, err
+		w.liveMu.Lock()
+		alive := w.live[r]
+		w.liveMu.Unlock()
+		if !alive {
+			if err := w.spawn(r, incarnation); err != nil {
+				return hard(r, err)
+			}
+			if w.cfg.Verbose {
+				note := ""
+				if kill[r] > 0 {
+					note = fmt.Sprintf(" (SIGKILL at op %d)", kill[r])
+				}
+				w.logf("c3launch: incarnation %d: rank %d is pid %d%s\n", incarnation, r, w.cmds[r].Process.Pid, note)
+			}
 		}
+		rep.PIDs[r] = w.cmds[r].Process.Pid
 	}
-	res.Incarnations = append(res.Incarnations, newIncarnationReport(n))
-	cur := func() *IncarnationReport { return &res.Incarnations[len(res.Incarnations)-1] }
-	for r := range cmds {
-		cur().PIDs[r] = cmds[r].Process.Pid
+	w.incs = append(w.incs, rep)
+	if ctx.Err() != nil {
+		w.killLive() // canceled mid-spawn: ctx's own kill may have run before these were registered
 	}
 
-	// handleExit folds one exit event into the current report and
-	// classifies it. A hard failure (anything but exit 0, the rollback
-	// code, or a signal) ends the run.
-	var hardCauses []error
-	rollbackPending := false
-	handleExit := func(e workerExit) {
-		cur().Exits[e.rank] = e.desc
-		cur().Codes[e.rank] = e.code
+	// fold classifies one exit event: success is judged on the structured
+	// exit code, never on the description string. Anything but exit 0, the
+	// rollback code or a signal is a hard failure that ends the run.
+	done := make([]bool, n)
+	var hardExits []error // each a *engine.RunError naming its rank
+	rollback := false
+	fold := func(e workerExit) {
+		rep.Exits[e.rank] = e.state.String()
 		switch {
 		case e.err == nil:
 			done[e.rank] = true
-		case e.signal || e.code == exitRollback:
-			rollbackPending = true
-			if cfg.Verbose {
-				logf("c3launch: incarnation %d: rank %d exited: %s\n", incarnation, e.rank, e.desc)
+		case !e.state.Exited() || e.state.ExitCode() == exitRollback: // died by signal, or asks to be re-spawned
+			rollback = true
+			if w.cfg.Verbose {
+				w.logf("c3launch: incarnation %d: rank %d exited: %s\n", incarnation, e.rank, e.state)
 			}
 		default:
-			cat := cerr.FromExitCode(e.code)
+			cat := cerr.FromExitCode(e.state.ExitCode())
 			if cat == nil {
 				cat = cerr.ErrProgram
 			}
-			hardCauses = append(hardCauses, fmt.Errorf("rank %d: %w (%s)", e.rank, cat, e.desc))
+			hardExits = append(hardExits, &engine.RunError{Rank: e.rank, Err: fmt.Errorf("%w: worker process ended with %s", cat, e.state)})
 		}
 	}
-	allDone := func() bool {
-		for _, d := range done {
-			if !d {
-				return false
-			}
-		}
-		return true
-	}
-
 	for {
-		handleExit(<-exits)
+		fold(<-w.exits)
 		// A death burst (multi-rank kill, cascade) should cost one rollback
 		// round, not one per corpse: linger briefly for co-dying ranks.
-		if rollbackPending {
+		if rollback {
 			settle := time.After(200 * time.Millisecond)
 		drain:
 			for {
 				select {
-				case e := <-exits:
-					handleExit(e)
+				case e := <-w.exits:
+					fold(e)
 				case <-settle:
 					break drain
 				}
 			}
 		}
-		if cause := ctx.Err(); cause != nil {
-			killLive()
-			return nil, fmt.Errorf("launch: run canceled: %w: %w", cerr.ErrCanceled, cause)
-		}
-		if len(hardCauses) > 0 {
-			killLive()
-			cat := cerr.Category(errors.Join(hardCauses...))
-			return nil, fmt.Errorf("launch: incarnation %d failed hard: %w: %s",
-				incarnation, cat, strings.Join(nonEmpty(cur().Exits), ", "))
-		}
-		if !rollbackPending {
-			if !allDone() {
-				continue
-			}
-			res.Output = rank0Out.String()
-			res.Stats = agg.FinalStats()
-			res.PerRank = agg.PerRank()
-			if cleanupWork {
-				os.RemoveAll(cfg.WorkDir)
-			}
-			return res, nil
-		}
-
-		// Rollback round: abort the dead incarnation's mesh, gather the
-		// recovery plan once, publish each rank's slice, respawn only the
-		// ranks whose processes are gone.
-		res.Restarts++
-		if res.Restarts > cfg.MaxRestarts {
-			killLive()
-			return nil, fmt.Errorf("%w (MaxRestarts = %d)", cerr.ErrMaxRestarts, cfg.MaxRestarts)
-		}
-		epoch := committedEpoch(cfg.StoreDir)
-		cur().RecoveredEpoch = epoch
-		res.RecoveredEpochs = append(res.RecoveredEpochs, epoch)
-		if cfg.OnRestart != nil {
-			cfg.OnRestart(res.Restarts)
-		}
-		if err := writeMarker(filepath.Join(rdvRoot, strconv.Itoa(incarnation)), abortMarker); err != nil {
-			killLive()
-			return nil, fmt.Errorf("launch: abort incarnation %d: %w: %w", incarnation, cerr.ErrStore, err)
-		}
-		incarnation++
-		kill = killMapFor(cfg.Kills, incarnation)
-		if err := writeRecoveryFiles(cfg, rdvRoot, incarnation, epoch, kill); err != nil {
-			killLive()
-			return nil, err
-		}
-		if cfg.Verbose {
-			logf("c3launch: incarnation %d: recovery plan published (epoch %d)\n", incarnation, epoch)
-		}
-		res.Incarnations = append(res.Incarnations, newIncarnationReport(n))
-		rollbackPending = false
-		for r := 0; r < n; r++ {
-			done[r] = false
-			liveMu.Lock()
-			alive := live[r]
-			liveMu.Unlock()
-			if !alive {
-				// The kill plan rides in the recovery file for every rank of
-				// this incarnation (survivors included); no env needed.
-				if err := spawn(r, incarnation, 0); err != nil {
-					killLive()
-					return nil, err
+		switch {
+		case ctx.Err() != nil:
+			return engine.Outcome{Canceled: true}
+		case len(hardExits) > 0:
+			// Several ranks may fail at once (a program error on one, store
+			// errors on others): cerr's priority order picks the category,
+			// the first rank that reported it is named.
+			cat := cerr.Category(errors.Join(hardExits...))
+			for _, h := range hardExits {
+				if errors.Is(h, cat) {
+					return engine.Outcome{Err: h.(*engine.RunError)}
 				}
 			}
-			cur().PIDs[r] = cmds[r].Process.Pid
+		case rollback:
+			if err := writeMarker(w.rdvDir(incarnation), abortMarker); err != nil {
+				return hard(-1, fmt.Errorf("launch: abort incarnation %d: %w: %w", incarnation, cerr.ErrStore, err))
+			}
+			return engine.Outcome{Failed: true}
+		case !slices.Contains(done, false):
+			// Every worker has exited, so every stats pipe is at EOF: wait
+			// for the readers so the final frames are in the Result.
+			w.readers.Wait()
+			return engine.Outcome{}
 		}
 	}
-}
-
-// killMapFor extracts one incarnation's kill schedule.
-func killMapFor(kills []KillSpec, incarnation int) map[int]int64 {
-	m := map[int]int64{}
-	for _, k := range kills {
-		if k.Incarnation == incarnation {
-			m[k.Rank] = k.AtOp
-		}
-	}
-	return m
-}
-
-func nonEmpty(ss []string) []string {
-	var out []string
-	for _, s := range ss {
-		if s != "" {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // rankRecoveryFile is the gob schema of recovery.<rank>: one rank's slice
-// of the launcher-side recovery gather (Epoch -1: fresh start, do not
+// of the supervisor's recovery gather (Epoch -1: fresh start, do not
 // restore) plus its kill plan for the incarnation.
 type rankRecoveryFile struct {
 	protocol.RankRecovery
 	KillAtOp int64
 }
 
-// writeRecoveryFiles gathers the recovery plan for the committed epoch
-// (O(ranks) sidecar reads; skipped entirely when nothing committed) and
-// publishes each rank's slice plus the GO marker into the incarnation's
-// rendezvous directory. GO is written last: a worker that sees it may
-// trust every recovery file is in place.
-func writeRecoveryFiles(cfg Config, rdvRoot string, incarnation, epoch int, kill map[int]int64) error {
-	dir := filepath.Join(rdvRoot, strconv.Itoa(incarnation))
+// publishRecovery writes each rank's slice of the plan, with its kill plan,
+// plus the GO marker into the incarnation's rendezvous directory. GO is
+// written last: a worker that sees it may trust every recovery file is in
+// place.
+func (w *world) publishRecovery(incarnation int, plan *protocol.RecoveryPlan, kill map[int]int64) error {
+	dir := w.rdvDir(incarnation)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("launch: rendezvous dir: %w: %w", cerr.ErrSpec, err)
 	}
-	var plan *protocol.RecoveryPlan
-	if epoch >= 0 {
-		disk, err := storage.NewDisk(cfg.StoreDir)
-		if err != nil {
-			return fmt.Errorf("launch: open store for recovery gather: %w: %w", cerr.ErrStore, err)
-		}
-		plan, err = protocol.GatherRecovery(storage.NewCheckpointStore(disk), epoch, cfg.Ranks)
-		if err != nil {
-			return fmt.Errorf("launch: gather recovery plan: %w: %w", cerr.ErrStore, err)
-		}
-	}
-	for r := 0; r < cfg.Ranks; r++ {
+	for r := 0; r < w.cfg.Ranks; r++ {
 		f := rankRecoveryFile{RankRecovery: *plan.ForRank(r), KillAtOp: kill[r]}
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&f); err != nil {
@@ -568,12 +458,8 @@ func writeRecoveryFiles(cfg Config, rdvRoot string, incarnation, epoch int, kill
 	return nil
 }
 
-func writeMarker(dir, name string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return writeFileAtomic(dir, name, []byte("1"))
-}
+// writeMarker drops a marker file (GO, ABORT) into dir.
+func writeMarker(dir, name string) error { return writeFileAtomic(dir, name, []byte("1")) }
 
 func writeFileAtomic(dir, name string, data []byte) error {
 	tmp, err := os.CreateTemp(dir, "."+name+".tmp*")
@@ -590,54 +476,6 @@ func writeFileAtomic(dir, name string, data []byte) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), filepath.Join(dir, name))
-}
-
-// readRecoveryFile loads one rank's recovery slice for an incarnation.
-func readRecoveryFile(rdvParent string, incarnation, rank int) (*rankRecoveryFile, error) {
-	path := filepath.Join(rdvParent, strconv.Itoa(incarnation), fmt.Sprintf("%s.%04d", recoveryPrefix, rank))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f rankRecoveryFile
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&f); err != nil {
-		return nil, fmt.Errorf("decode %s: %w", path, err)
-	}
-	return &f, nil
-}
-
-// awaitNextIncarnation polls the rendezvous tree for a GO marker of an
-// incarnation newer than cur, returning the newest found. ok is false on
-// timeout — the launcher never published a successor, so the caller should
-// exit with the rollback code and let itself be respawned.
-func awaitNextIncarnation(rdvParent string, cur int, timeout time.Duration) (next int, ok bool) {
-	deadline := time.Now().Add(timeout)
-	for {
-		best := -1
-		entries, _ := os.ReadDir(rdvParent)
-		for _, ent := range entries {
-			i, err := strconv.Atoi(ent.Name())
-			if err != nil || i <= cur || i <= best {
-				continue
-			}
-			if _, err := os.Stat(filepath.Join(rdvParent, ent.Name(), goMarker)); err == nil {
-				best = i
-			}
-		}
-		if best >= 0 {
-			return best, true
-		}
-		if time.Now().After(deadline) {
-			return 0, false
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// abortedMesh reports whether the launcher abandoned an incarnation's mesh.
-func abortedMesh(rdv string) bool {
-	_, err := os.Stat(filepath.Join(rdv, abortMarker))
-	return err == nil
 }
 
 // prefixWriter prefixes every line with the rank tag so interleaved worker
@@ -666,221 +504,6 @@ func (p *prefixWriter) Write(b []byte) (int, error) {
 		p.w.Write(b[:i+1])
 		p.mid = false
 		b = b[i+1:]
-	}
-	return n, nil
-}
-
-// --- worker role ---
-
-// IsWorker reports whether this process was spawned as a launch worker.
-// Binaries that can act as launchers must check this first thing in main.
-func IsWorker() bool { return os.Getenv(envWorker) == "1" }
-
-// WorkerApp carries the application-level configuration a worker main
-// resolves from its (re-parsed) flags.
-type WorkerApp struct {
-	Prog     engine.Program
-	EveryN   int
-	Interval time.Duration
-	Seed     int64
-	Debug    bool
-	// Mode selects the protocol version. Recovery requires Full — a
-	// killed run in any other mode fails hard — so production launchers
-	// pass Full; the fig8 harness sweeps the other versions for fault-free
-	// overhead measurements.
-	Mode protocol.Mode
-	// Policy is the checkpoint policy, handed to the engine untouched.
-	Policy protocol.Policy
-	// WrapStore, when non-nil, wraps the worker's stable store before the
-	// engine sees it. Fault-injection tests use it to fail or delay
-	// specific writes (e.g. SIGKILL mid checkpoint flush); production
-	// workers leave it nil.
-	WrapStore func(storage.Stable) storage.Stable
-}
-
-// WorkerMain runs the worker role to completion and exits the process with
-// the launch protocol's exit code — cerr.ExitCode of the worker's error, so
-// the launcher recovers the failure category. It never returns.
-func WorkerMain(app WorkerApp) {
-	code, err := workerRun(app)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "worker: %v\n", err)
-	}
-	os.Exit(code)
-}
-
-func workerRun(app WorkerApp) (int, error) {
-	rank, err1 := envInt(envRank)
-	ranks, err2 := envInt(envRanks)
-	incarnation, err3 := envInt(envIncarnation)
-	if err := errors.Join(err1, err2, err3); err != nil {
-		return cerr.CodeSpec, err
-	}
-	rdv := os.Getenv(envRendezvous)
-	storeDir := os.Getenv(envStore)
-	if rdv == "" || storeDir == "" {
-		return cerr.CodeSpec, fmt.Errorf("%w: missing %s or %s", cerr.ErrSpec, envRendezvous, envStore)
-	}
-	// A malformed fault-injection or detector variable must be a hard error:
-	// silently ignoring it would turn a scheduled-kill run into a fault-free
-	// run with no diagnostic.
-	detectorMS := 2000
-	if v := os.Getenv(envDetector); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			return cerr.CodeSpec, fmt.Errorf("%w: bad env %s=%q: want a positive integer", cerr.ErrSpec, envDetector, v)
-		}
-		detectorMS = n
-	}
-	var killAtOp int64
-	if v := os.Getenv(envKillAtOp); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n <= 0 { // the engine treats <=0 as "no kill"
-			return cerr.CodeSpec, fmt.Errorf("%w: bad env %s=%q: want a positive integer", cerr.ErrSpec, envKillAtOp, v)
-		}
-		killAtOp = n
-	}
-
-	// The stats stream: frames go to the launcher on the inherited pipe.
-	// Writes happen from the rank's own goroutine only, and losing the
-	// stream (launcher gone) must not fail the computation, so errors are
-	// ignored.
-	var statsSink func(protocol.StatsFrame)
-	if v := os.Getenv(envStatsFD); v != "" {
-		fd, err := strconv.Atoi(v)
-		if err != nil || fd < 3 {
-			return cerr.CodeSpec, fmt.Errorf("%w: bad env %s=%q: want a file descriptor ≥ 3", cerr.ErrSpec, envStatsFD, v)
-		}
-		statsPipe := os.NewFile(uintptr(fd), "ccift-stats")
-		defer statsPipe.Close()
-		statsSink = func(f protocol.StatsFrame) { _ = protocol.WriteStatsFrame(statsPipe, f) }
-	}
-
-	disk, err := storage.NewDisk(storeDir)
-	if err != nil {
-		return cerr.CodeStore, fmt.Errorf("%w: %w", cerr.ErrStore, err)
-	}
-	var store storage.Stable = disk
-	if app.WrapStore != nil {
-		store = app.WrapStore(store)
-	}
-
-	// This process outlives its incarnation. When the world dies, it keeps
-	// its in-memory checkpoint copies, waits for the launcher to publish
-	// the next incarnation's recovery files and GO marker, and rejoins the
-	// new mesh in-process instead of exiting to be re-exec'd.
-	rdvParent := filepath.Dir(rdv)
-	// How long a surviving worker waits for the launcher's GO before
-	// giving up and exiting with the rollback code (the launcher then
-	// re-execs it like a dead rank, so a lost marker costs one restart,
-	// not a hang). Generous: the launcher publishes right after its
-	// settle-drain and an O(ranks) gather.
-	graceWait := 4*time.Duration(detectorMS)*time.Millisecond + 10*time.Second
-
-	rec := &protocol.RankRecovery{Epoch: -1} // incarnation 0: fresh start
-	var retained []*protocol.RetainedState
-	loadRecovery := func(inc int) (int, error) {
-		f, err := readRecoveryFile(rdvParent, inc, rank)
-		if err != nil {
-			return cerr.CodeStore, fmt.Errorf("%w: read recovery file: %w", cerr.ErrStore, err)
-		}
-		rec, killAtOp = &f.RankRecovery, f.KillAtOp
-		return 0, nil
-	}
-	if incarnation > 0 {
-		// A replacement spawned mid-job: its recovery inputs (and kill
-		// plan) come from the launcher's published file, not the env.
-		if code, err := loadRecovery(incarnation); err != nil {
-			return code, err
-		}
-	}
-
-	for {
-		publish, lookup := tcptransport.FileRendezvous(rdv, 30*time.Second,
-			func() bool { return abortedMesh(rdv) })
-		tr, err := tcptransport.New(tcptransport.Config{
-			Rank: rank, Size: ranks,
-			Publish: publish, Lookup: lookup,
-			SuspectTimeout: time.Duration(detectorMS) * time.Millisecond,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "tcptransport: "+format+"\n", args...)
-			},
-		})
-		if err != nil {
-			return cerr.CodeTransport, fmt.Errorf("%w: %w", cerr.ErrTransport, err)
-		}
-
-		res, err := engine.RunWorker(context.Background(), engine.WorkerConfig{
-			Rank: rank, Ranks: ranks,
-			Incarnation: incarnation,
-			Mode:        app.Mode,
-			Store:       store,
-			EveryN:      app.EveryN,
-			Interval:    app.Interval,
-			Policy:      app.Policy,
-			KillAtOp:    killAtOp,
-			Kill: func() {
-				// A real stopping failure: no deferred cleanup, no recover, no
-				// goodbye on the sockets — the kernel reaps the process and
-				// peers see connection resets.
-				syscall.Kill(os.Getpid(), syscall.SIGKILL)
-				select {} // unreachable: SIGKILL cannot be handled
-			},
-			Seed:         app.Seed,
-			Debug:        app.Debug,
-			NewTransport: tr.Attach,
-			Start:        tr.Start,
-			AnnounceDone: tr.AnnounceDone,
-			AllDone:      tr.AllDone,
-			StatsSink:    statsSink,
-			Recovery:     rec,
-			Retained:     retained,
-		}, app.Prog)
-		tr.Close()
-
-		switch {
-		case errors.Is(err, engine.ErrIncarnationDead):
-		case err != nil && errors.Is(err, cerr.ErrTransport) && abortedMesh(rdv):
-			// Mesh formation lost the race with a newer incarnation: the
-			// launcher aborted this one after another death. Rejoin.
-		case err != nil:
-			return cerr.ExitCode(err), err
-		default:
-			if rank == 0 {
-				if res.RecoveredEpoch >= 0 {
-					fmt.Fprintf(os.Stderr, "rank 0: incarnation %d recovered from global checkpoint %d\n", incarnation, res.RecoveredEpoch)
-				}
-				fmt.Printf("result: %v\n", res.Value)
-			}
-			return exitOK, nil
-		}
-		if len(res.Retained) > 0 {
-			retained = res.Retained
-		}
-		fmt.Fprintf(os.Stderr, "rank %d: incarnation %d died; awaiting restart\n", rank, incarnation)
-		next, ok := awaitNextIncarnation(rdvParent, incarnation, graceWait)
-		if !ok {
-			// The launcher never published a successor (it may be tearing the
-			// world down, or the marker was lost): exit with the rollback
-			// code and let it re-exec this rank like a dead one.
-			return exitRollback, nil
-		}
-		incarnation = next
-		rdv = filepath.Join(rdvParent, strconv.Itoa(incarnation))
-		if code, err := loadRecovery(incarnation); err != nil {
-			return code, err
-		}
-	}
-}
-
-func envInt(key string) (int, error) {
-	v := os.Getenv(key)
-	if v == "" {
-		return 0, fmt.Errorf("%w: missing env %s", cerr.ErrSpec, key)
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("%w: bad env %s=%q: %w", cerr.ErrSpec, key, v, err)
 	}
 	return n, nil
 }

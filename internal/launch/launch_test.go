@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"ccift/internal/apps"
+	"ccift/internal/engine"
 	"ccift/internal/launch"
 	"ccift/internal/protocol"
 	"ccift/internal/storage"
@@ -79,8 +80,25 @@ func (k killOnPut) Put(key string, data []byte) error {
 	return k.Stable.Put(key, data)
 }
 
+// launcherEnv is the launcher's whole contract with a worker process. The
+// kill plan and the recovery inputs travel in the incarnation's recovery
+// file, never in the environment, so no other CCIFT_ variable may appear
+// (the freeze-verifier override is the operator's, inherited by workers).
+var launcherEnv = map[string]bool{
+	"CCIFT_WORKER": true, "CCIFT_RANK": true, "CCIFT_RANKS": true, "CCIFT_INCARNATION": true,
+	"CCIFT_RDV_DIR": true, "CCIFT_STORE_DIR": true, "CCIFT_DETECTOR_MS": true, "CCIFT_STATS_FD": true,
+	"CCIFT_FREEZE_CROSSCHECK": true,
+}
+
 func TestMain(m *testing.M) {
 	if launch.IsWorker() {
+		for _, kv := range os.Environ() {
+			name, _, _ := strings.Cut(kv, "=")
+			if strings.HasPrefix(name, "CCIFT_") && !strings.HasPrefix(name, "CCIFT_TEST_") && !launcherEnv[name] {
+				fmt.Fprintf(os.Stderr, "worker environment carries %s, which is not one of the launcher's eight variables\n", name)
+				os.Exit(2)
+			}
+		}
 		variant := os.Getenv(envVariant)
 		iters := testIters
 		if strings.HasPrefix(variant, "kill-mid-flush") || variant == "long-baseline" {
@@ -189,43 +207,66 @@ func TestDistributedSIGKILLRecovery(t *testing.T) {
 }
 
 // TestReusedStoreIgnoresStaleCommit: a checkpoint directory left over from
-// a previous job must not leak into a new one. The first job commits
-// checkpoints into the shared store; the second job (same directory) is
-// killed before its own first commit, so its rollback must restart from
-// the beginning — RecoveredEpochs[-1] would instead name the previous
-// job's final epoch if the stale commit record were honored.
+// a previous job must not leak into a new one, on any substrate — the
+// supervisor clears the commit record before its first incarnation. The
+// first job commits checkpoints into the store; the second job (same
+// directory) is killed before its own first commit, so its rollback must
+// restart from the beginning — RecoveredEpochs[-1] would instead name the
+// previous job's final epoch if the stale commit record were honored.
 func TestReusedStoreIgnoresStaleCommit(t *testing.T) {
 	t.Setenv(envVariant, "sync") // op-calibrated commit timing, as above
-	baseline := runLaplace(t, nil)
-	store := filepath.Join(t.TempDir(), "ckpt")
-
-	first, err := launch.Run(launch.Config{
-		Ranks:    testRanks,
-		StoreDir: store,
-		Kills:    []launch.KillSpec{{Rank: 2, AtOp: 300, Incarnation: 0}},
-		Stderr:   io.Discard,
-	})
+	prog, _, err := apps.Build("laplace", testRanks, testSize, testIters)
 	if err != nil {
-		t.Fatalf("first job: %v", err)
+		t.Fatal(err)
 	}
-	if len(first.RecoveredEpochs) != 1 || first.RecoveredEpochs[0] < 1 {
-		t.Fatalf("first job recovered epochs %v, want a committed epoch (the store must hold commits)", first.RecoveredEpochs)
+	// Each substrate runs one job over the store directory with one kill
+	// and reports what the supervisor recovered from and the result.
+	substrates := map[string]func(store string, kills []launch.KillSpec) (*engine.Result, string, error){
+		"distributed": func(store string, kills []launch.KillSpec) (*engine.Result, string, error) {
+			res, err := launch.Run(launch.Config{Ranks: testRanks, StoreDir: store, Kills: kills, Stderr: io.Discard})
+			if err != nil {
+				return nil, "", err
+			}
+			return &res.Result, res.Output, nil
+		},
+		"in-process": func(store string, kills []launch.KillSpec) (*engine.Result, string, error) {
+			disk, err := storage.NewDisk(store)
+			if err != nil {
+				return nil, "", err
+			}
+			res, err := engine.Run(engine.Config{Ranks: testRanks, Mode: protocol.Full, EveryN: testEveryN,
+				Store: disk, Policy: protocol.Policy{Sync: true}, Failures: kills}, prog)
+			if err != nil {
+				return nil, "", err
+			}
+			return res, fmt.Sprint(res.Values[0]), nil
+		},
 	}
-
-	second, err := launch.Run(launch.Config{
-		Ranks:    testRanks,
-		StoreDir: store,
-		Kills:    []launch.KillSpec{{Rank: 2, AtOp: 100, Incarnation: 0}},
-		Stderr:   io.Discard,
-	})
-	if err != nil {
-		t.Fatalf("second job: %v", err)
-	}
-	if len(second.RecoveredEpochs) != 1 || second.RecoveredEpochs[0] != -1 {
-		t.Fatalf("second job recovered epochs %v, want [-1]: the previous job's commit record leaked in", second.RecoveredEpochs)
-	}
-	if second.Output != baseline.Output {
-		t.Fatalf("second job output %q != fault-free output %q", second.Output, baseline.Output)
+	for name, run := range substrates {
+		t.Run(name, func(t *testing.T) {
+			_, baseline, err := run(filepath.Join(t.TempDir(), "ckpt"), nil)
+			if err != nil {
+				t.Fatalf("baseline: %v", err)
+			}
+			store := filepath.Join(t.TempDir(), "ckpt")
+			first, _, err := run(store, []launch.KillSpec{{Rank: 2, AtOp: 300, Incarnation: 0}})
+			if err != nil {
+				t.Fatalf("first job: %v", err)
+			}
+			if len(first.RecoveredEpochs) != 1 || first.RecoveredEpochs[0] < 1 {
+				t.Fatalf("first job recovered epochs %v, want a committed epoch (the store must hold commits)", first.RecoveredEpochs)
+			}
+			second, output, err := run(store, []launch.KillSpec{{Rank: 2, AtOp: 100, Incarnation: 0}})
+			if err != nil {
+				t.Fatalf("second job: %v", err)
+			}
+			if len(second.RecoveredEpochs) != 1 || second.RecoveredEpochs[0] != -1 {
+				t.Fatalf("second job recovered epochs %v, want [-1]: the previous job's commit record leaked in", second.RecoveredEpochs)
+			}
+			if output != baseline {
+				t.Fatalf("second job output %q != fault-free output %q", output, baseline)
+			}
+		})
 	}
 }
 

@@ -84,9 +84,6 @@ type Policy struct {
 	// FlushBandwidth caps checkpoint write streaming at this many bytes
 	// per second on both the sync and async paths; 0 = no fixed cap.
 	FlushBandwidth float64
-	// NoGovernor disables the adaptive flush governor. A benchmark
-	// ablation only; no public option sets it.
-	NoGovernor bool
 }
 
 // Config configures a protocol layer.
@@ -123,11 +120,6 @@ type Config struct {
 	// asynchronous write paths. Zero means no fixed cap. Independent of
 	// the adaptive governor, which only ever throttles further.
 	FlushBandwidth float64
-	// NoFlushGovernor disables the adaptive flush governor (see
-	// governor.go) that throttles the async flusher when the rank's
-	// compute throughput drops more than govTargetSlowdown below its
-	// flush-free baseline. The fixed FlushBandwidth cap still applies.
-	NoFlushGovernor bool
 	// FreezeCrossCheck re-encodes the live state after every freeze and
 	// verifies the frozen view byte-for-byte against it, turning a
 	// missing Touch/TouchRange in the application into an immediate
@@ -341,7 +333,7 @@ func NewLayer(comm *mpi.Comm, cfg Config) *Layer {
 		l.cfg.AsyncFlush = false
 	}
 	l.clk = clock.Or(cfg.Clock)
-	l.gov = newFlushGovernor(l.clk, cfg.FlushBandwidth, l.cfg.AsyncFlush && !cfg.NoFlushGovernor)
+	l.gov = newFlushGovernor(l.clk, cfg.FlushBandwidth, l.cfg.AsyncFlush)
 	l.govMark = l.clk.Now()
 	if cfg.Ctx != nil {
 		l.done = cfg.Ctx.Done()

@@ -25,7 +25,7 @@ import (
 //     the early IDs, written right after the state manifest commits, so a
 //     gather reads O(world) tiny blobs instead of full states;
 //   - a single gather (GatherRecovery) run once by the recovery driver —
-//     the in-process engine or the distributed launcher — which then ships
+//     engine.Supervisor, on every substrate — which then ships
 //     each rank only its own slice (RankRecovery).
 
 // recoveryMeta is the sidecar blob's gob schema. Epoch is recorded so a

@@ -102,9 +102,9 @@ func (c *CheckpointStore) Commit(epoch int) error {
 }
 
 // ClearCommit removes the commit record, so recovery restarts from the
-// beginning. A job launcher reusing a checkpoint directory calls this
-// before its first incarnation: a stale record from a previous job would
-// otherwise be restored by the first rollback of the new one.
+// beginning. A run's supervisor calls this before its first incarnation:
+// a stale record a previous job left in a reused store would otherwise be
+// restored by the first rollback of the new one.
 func (c *CheckpointStore) ClearCommit() error {
 	return c.S.Delete(commitKey)
 }

@@ -14,11 +14,11 @@ import (
 	"ccift/internal/storage"
 )
 
-// RunError is the structured failure report Launch returns: which
-// rank ended the run (-1 when not attributable to one rank), in which
-// incarnation, and how many rollback-restarts were consumed. The
-// underlying cause is reachable with errors.Is/As through Unwrap and
-// always matches exactly one taxonomy sentinel (ErrCanceled, ErrSpec,
+// RunError is the structured failure report Launch returns on every
+// substrate: which rank ended the run (-1 when not attributable to one
+// rank), in which incarnation, and how many rollback-restarts were
+// consumed. The underlying cause is reachable with errors.Is/As through
+// Unwrap and always matches exactly one taxonomy sentinel (ErrCanceled, ErrSpec,
 // ErrStore, ErrTransport, ErrWorldDead, ErrMaxRestarts, ErrProgram);
 // context.Canceled / context.DeadlineExceeded and the program's own error
 // remain in the chain alongside their category.
@@ -85,10 +85,36 @@ func Launch(ctx context.Context, spec *Spec, prog Program) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.distributed != nil {
-		return launchDistributed(ctx, spec, prog)
-	}
 	cfg := spec.cfg
+	if spec.distributed != nil && launch.IsWorker() {
+		// This process is one spawned rank: run the worker role with the
+		// same spec the launcher-side call site built, and never return.
+		launch.WorkerMain(launch.WorkerApp{
+			Prog:     prog,
+			EveryN:   cfg.EveryN,
+			Interval: cfg.Interval,
+			Seed:     cfg.Seed,
+			Debug:    cfg.Debug,
+			Mode:     cfg.Mode,
+			Policy:   cfg.Policy,
+		})
+	}
+	if spec.metricsAddr != "" {
+		// On the distributed substrate the launcher serves the aggregated
+		// view: workers took WorkerMain above, so they never contend for
+		// the address.
+		mr, err := newMetricsRun(spec.metricsAddr, cfg.Ranks)
+		if err != nil {
+			return nil, err
+		}
+		defer mr.close()
+		agg := protocol.NewAggregator(mr.observe)
+		cfg.StatsSink = agg.Observe
+		cfg.OnRestart = mr.onRestart
+	}
+	if spec.distributed != nil {
+		return launchDistributed(ctx, cfg, spec.distributed)
+	}
 	if spec.sim != nil {
 		s, err := sim.New(cfg.Ranks, *spec.sim)
 		if err != nil {
@@ -113,16 +139,6 @@ func Launch(ctx context.Context, spec *Spec, prog Program) (*Result, error) {
 			cfg.DetectorTimeout = 500 * time.Millisecond
 		}
 	}
-	if spec.metricsAddr != "" {
-		mr, err := newMetricsRun(spec.metricsAddr, cfg.Ranks)
-		if err != nil {
-			return nil, err
-		}
-		defer mr.close()
-		agg := protocol.NewAggregator(mr.observe)
-		cfg.StatsSink = agg.Observe
-		cfg.OnRestart = mr.onRestart
-	}
 	return engine.RunContext(ctx, cfg, prog)
 }
 
@@ -132,77 +148,35 @@ func Launch(ctx context.Context, spec *Spec, prog Program) (*Result, error) {
 // handles the worker role.
 func IsWorker() bool { return launch.IsWorker() }
 
-func launchDistributed(ctx context.Context, spec *Spec, prog Program) (*Result, error) {
-	cfg, d := spec.cfg, spec.distributed
-	if launch.IsWorker() {
-		// This process is one spawned rank: run the worker role with the
-		// same spec the launcher-side call site built, and never return.
-		launch.WorkerMain(launch.WorkerApp{
-			Prog:     prog,
-			EveryN:   cfg.EveryN,
-			Interval: cfg.Interval,
-			Seed:     cfg.Seed,
-			Debug:    cfg.Debug,
-			Mode:     cfg.Mode,
-			Policy:   cfg.Policy,
-		})
-	}
-	kills := make([]launch.KillSpec, len(cfg.Failures))
-	for i, f := range cfg.Failures {
-		kills[i] = launch.KillSpec{Rank: f.Rank, AtOp: f.AtOp, Incarnation: f.Incarnation}
-	}
+// launchDistributed plays the launcher role: cfg is the spec's run
+// configuration, with the metrics hooks already attached.
+func launchDistributed(ctx context.Context, cfg engine.Config, d *Distributed) (*Result, error) {
 	args := d.Args
 	if args == nil {
 		args = os.Args[1:]
 	}
-	lcfg := launch.Config{
+	lres, err := launch.RunContext(ctx, launch.Config{
 		Exe:             d.Exe,
 		Args:            args,
 		Ranks:           cfg.Ranks,
 		StoreDir:        d.StoreDir,
 		WorkDir:         d.WorkDir,
-		Kills:           kills,
+		Kills:           cfg.Failures,
 		MaxRestarts:     cfg.MaxRestarts,
 		DetectorTimeout: d.DetectorTimeout,
 		Stderr:          d.Stderr,
 		Verbose:         d.Verbose,
-	}
-	if spec.metricsAddr != "" {
-		// The launcher serves the aggregated view; this branch is only
-		// reached in the launcher role (workers took WorkerMain above), so
-		// re-exec'd workers never contend for the address.
-		mr, err := newMetricsRun(spec.metricsAddr, cfg.Ranks)
-		if err != nil {
-			return nil, &RunError{Rank: -1, Incarnation: -1, Err: err}
-		}
-		defer mr.close()
-		agg := protocol.NewAggregator(mr.observe)
-		lcfg.StatsSink = agg.Observe
-		lcfg.OnRestart = mr.onRestart
-	}
-	lres, err := launch.RunContext(ctx, lcfg)
+		StatsSink:       cfg.StatsSink,
+		OnRestart:       cfg.OnRestart,
+	})
 	if err != nil {
-		// The launcher does not attribute failures to a rank or incarnation;
-		// -1 marks both unknown.
-		return nil, &RunError{Rank: -1, Incarnation: -1, Err: err}
+		return nil, err
 	}
 	// Only rank 0's rendered result crosses the process boundary: Values
 	// holds that one string (fmt's rendering of the program's return value,
 	// which the worker prints as "result: <value>"). The per-rank protocol
 	// counters DO cross it, via the workers' stats streams.
-	res := &Result{
-		Restarts:        lres.Restarts,
-		RecoveredEpochs: lres.RecoveredEpochs,
-		Stats:           lres.Stats,
-		PerRank:         lres.PerRank,
-	}
-	for _, inc := range lres.Incarnations {
-		res.Incarnations = append(res.Incarnations, engine.IncarnationInfo{
-			PIDs:           inc.PIDs,
-			Exits:          inc.Exits,
-			RecoveredEpoch: inc.RecoveredEpoch,
-		})
-	}
+	res := &lres.Result
 	for _, line := range strings.Split(lres.Output, "\n") {
 		if v, ok := strings.CutPrefix(line, "result: "); ok {
 			res.Values = append(res.Values, v)

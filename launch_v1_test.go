@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"ccift"
+	"ccift/internal/launch"
+	"ccift/internal/protocol"
 )
 
 // Parameters shared by the launcher-side tests and the re-exec'd workers
@@ -29,6 +31,10 @@ const (
 	// progEnv selects which program a spawned worker runs; the launcher
 	// sets it (and the workers inherit the environment).
 	progEnv = "CCIFT_TEST_PROG"
+	// workerModeEnv, when set, makes a spawned worker run the conformance
+	// program in the named protocol mode on the blocking write path, below
+	// the public Launch (which only distributes Full).
+	workerModeEnv = "CCIFT_TEST_WORKER_MODE"
 )
 
 // conformanceProg is a halo-exchange stencil written against the typed v1
@@ -147,6 +153,14 @@ func TestMain(m *testing.M) {
 	if ccift.IsWorker() {
 		if field := os.Getenv(policyEnv); field != "" {
 			policyWorker(field) // never returns
+		}
+		if name := os.Getenv(workerModeEnv); name != "" {
+			mode := protocol.Full
+			if name == protocol.NoAppState.String() {
+				mode = protocol.NoAppState
+			}
+			launch.WorkerMain(launch.WorkerApp{Prog: conformanceProg(), EveryN: confEveryN,
+				Mode: mode, Policy: protocol.Policy{Sync: true}})
 		}
 		// This process is one rank of a distributed test run: the Launch
 		// call below detects the worker role, runs it, and exits.

@@ -116,8 +116,7 @@ func (nopTracer) Trace(ccift.TraceEvent) {}
 // process) and Spec → launch.WorkerApp → engine.WorkerConfig (distributed)
 // as one value, and is translated into the layer's protocol.Config at one
 // site. policySeam says, per Policy field, which public option owns it
-// (nil: none, benchmark ablation only) and how the layer's effective
-// config shows a non-zero value.
+// and how the layer's effective config shows a non-zero value.
 var policySeam = map[string]struct {
 	opt    ccift.Option
 	effect string
@@ -126,7 +125,6 @@ var policySeam = map[string]struct {
 	"FullFreeze":       {ccift.WithIncrementalFreeze(false), "IncrementalFreeze:false"},
 	"FreezeCrossCheck": {ccift.WithFreezeCrossCheck(), "FreezeCrossCheck:true"},
 	"FlushBandwidth":   {ccift.WithFlushBandwidth(1 << 20), "FlushBandwidth:1.048576e+06"},
-	"NoGovernor":       {nil, "NoFlushGovernor:true"},
 }
 
 // policyEnv names, for a re-exec'd worker, the Policy field under test
