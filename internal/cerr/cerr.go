@@ -92,7 +92,7 @@ const (
 	CodeOK          = 0
 	CodeProgram     = 1 // also: any uncategorized failure
 	CodeSpec        = 2 // doubles as the usage exit code, per CLI convention
-	CodeRollback    = 3 // launch-internal: incarnation died, re-spawn me
+	CodeRollback    = 3 // reserved: was launch's "re-spawn me"; no worker exits with it since the control stream
 	CodeStore       = 4
 	CodeTransport   = 5
 	CodeMaxRestarts = 6

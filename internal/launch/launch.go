@@ -3,18 +3,18 @@
 // TCP substrate between them, and a shared on-disk checkpoint store. The
 // rollback state machine is engine.Supervisor, the same one the in-process
 // and simulated substrates run; this package supplies its process-shaped
-// incarnation — publish each rank's recovery slice, spawn the ranks whose
-// process is gone, fold their exits — and the worker role on the other
-// side. A kill plan here delivers a real SIGKILL to a real process, the
-// survivors detect the death through connection resets and the heartbeat
-// detector and roll back in place, and only the dead ranks are re-spawned,
-// restoring from the last committed global checkpoint.
+// incarnation (runIncarnation) and the worker role on the other side of
+// each process's control stream (control.go). A kill plan here delivers a
+// real SIGKILL to a real process: the launcher reaps it and aborts the
+// incarnation on every survivor — connection resets and the heartbeat
+// detector say the same, later — the survivors roll back in place, and only
+// the dead ranks are re-spawned, restoring from the last committed global
+// checkpoint.
 package launch
 
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -24,6 +24,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"syscall"
 	"time"
 
 	"ccift/internal/cerr"
@@ -39,29 +40,11 @@ const (
 	envWorker      = "CCIFT_WORKER"      // "1" marks a worker process
 	envRank        = "CCIFT_RANK"        // world rank of this worker
 	envRanks       = "CCIFT_RANKS"       // world size
-	envIncarnation = "CCIFT_INCARNATION" // incarnation this process was spawned into, from 0
-	envRendezvous  = "CCIFT_RDV_DIR"     // that incarnation's address-exchange directory
+	envIncarnation = "CCIFT_INCARNATION" // incarnation this process was spawned into (for fault injection; start names the one to run)
 	envStore       = "CCIFT_STORE_DIR"   // shared checkpoint directory
 	envDetector    = "CCIFT_DETECTOR_MS" // heartbeat suspicion timeout, milliseconds
 	envStatsFD     = "CCIFT_STATS_FD"    // fd of the stats stream pipe (write end)
-)
-
-// Recovery marker files, written atomically (temp + rename) into each
-// incarnation's rendezvous directory.
-const (
-	goMarker       = "GO"       // recovery files for this incarnation are complete; workers may join
-	abortMarker    = "ABORT"    // this incarnation's mesh was abandoned; wait for a newer GO
-	recoveryPrefix = "recovery" // recovery.<rank>: gob rankRecoveryFile
-)
-
-// Exit codes workers report back to the launcher: cerr's shared exit-code
-// protocol, so a worker's error category survives the process boundary.
-// exitOK ends the job, exitRollback schedules a re-spawn, and every other
-// code is a hard failure whose category the launcher recovers with
-// cerr.FromExitCode.
-const (
-	exitOK       = cerr.CodeOK
-	exitRollback = cerr.CodeRollback
+	envControlFD   = "CCIFT_CONTROL_FD"  // fd of the control stream (see control.go)
 )
 
 // KillSpec schedules a real SIGKILL: the rank's process kills itself at its
@@ -77,9 +60,9 @@ type Config struct {
 	Args []string
 	// Ranks is the number of worker processes. Required.
 	Ranks int
-	// StoreDir is the shared checkpoint directory; default a fresh
-	// directory under WorkDir. WorkDir is the scratch root (rendezvous
-	// files); default a fresh temp directory, removed on success.
+	// StoreDir is the shared checkpoint directory; default "ckpt" under
+	// WorkDir, the scratch root, whose own default is a fresh temp
+	// directory removed when the run ends.
 	StoreDir string
 	WorkDir  string
 	// Kills is the SIGKILL schedule.
@@ -114,14 +97,6 @@ type Result struct {
 	Output string
 }
 
-// workerExit is one worker process's end: err is cmd.Wait's (nil on exit
-// 0), state says how it exited.
-type workerExit struct {
-	rank  int
-	err   error
-	state *os.ProcessState
-}
-
 // Run launches cfg.Ranks worker processes and supervises them until the
 // job completes, rolling the world back whenever a process dies.
 func Run(cfg Config) (*Result, error) {
@@ -129,8 +104,8 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // RunContext is Run under a context: when ctx is canceled or its deadline
-// expires, every live worker process is SIGKILLed, no further incarnation
-// is spawned, and the run returns a *engine.RunError wrapping ctx's error.
+// expires, the incarnation ends, every live worker process is SIGKILLed, and
+// the run returns a *engine.RunError wrapping ctx's error.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -153,44 +128,37 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Stderr == nil {
 		cfg.Stderr = os.Stderr
 	}
-	cleanupWork := false
-	if cfg.WorkDir == "" {
-		dir, err := os.MkdirTemp("", "c3launch-*")
-		if err != nil {
-			return nil, fmt.Errorf("launch: scratch dir: %w: %w", cerr.ErrSpec, err)
-		}
-		cfg.WorkDir = dir
-		cleanupWork = true
-	}
 	if cfg.StoreDir == "" {
+		if cfg.WorkDir == "" {
+			dir, err := os.MkdirTemp("", "c3launch-*")
+			if err != nil {
+				return nil, fmt.Errorf("launch: scratch dir: %w: %w", cerr.ErrSpec, err)
+			}
+			// Runs last of the teardown, however the run ends: by then no
+			// worker is left to write into it.
+			defer os.RemoveAll(dir)
+			cfg.WorkDir = dir
+		}
 		cfg.StoreDir = filepath.Join(cfg.WorkDir, "ckpt")
 	}
-	if err := os.MkdirAll(cfg.StoreDir, 0o755); err != nil {
-		return nil, fmt.Errorf("launch: store dir: %w: %w", cerr.ErrStore, err)
-	}
-	disk, err := storage.NewDisk(cfg.StoreDir)
+	disk, err := storage.NewDisk(cfg.StoreDir) // creates it
 	if err != nil {
 		return nil, fmt.Errorf("launch: open store: %w: %w", cerr.ErrStore, err)
 	}
 	ecfg.Store = disk
 
 	w := &world{
-		cfg:     cfg,
-		sup:     engine.NewSupervisor(ecfg),
-		rdvRoot: filepath.Join(cfg.WorkDir, "rdv"),
-		exits:   make(chan workerExit),
-		quit:    make(chan struct{}),
-		cmds:    make([]*exec.Cmd, cfg.Ranks),
-		live:    make([]bool, cfg.Ranks),
+		cfg:    cfg,
+		sup:    engine.NewSupervisor(ecfg),
+		events: make(chan event),
+		quit:   make(chan struct{}),
+		procs:  make([]*proc, cfg.Ranks),
 	}
-	stopCancel := context.AfterFunc(ctx, w.killLive)
 	// Never leak worker processes or their watchers, whatever path returns.
 	defer func() {
-		stopCancel()
 		close(w.quit)
-		w.killLive()
-		w.watchers.Wait()
-		w.readers.Wait()
+		w.kill(false)
+		w.tails.Wait()
 	}()
 
 	res, err := w.sup.Run(ctx, w.runIncarnation)
@@ -198,40 +166,46 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res.Incarnations = w.incs
-	if cleanupWork {
-		os.RemoveAll(cfg.WorkDir)
-	}
 	return &Result{Result: *res, Output: w.rank0Out.String()}, nil
 }
 
 // world is the process-shaped world the supervisor's incarnations run in:
 // a death costs fresh processes for the dead ranks only and an in-process
-// rollback for every survivor, so the processes, their exit events and
-// their stats readers outlive any one incarnation. The handshake with
-// surviving workers runs over marker files in the rendezvous tree: ABORT
-// in the dead incarnation's directory tells stragglers to stop forming its
-// mesh, recovery.<rank> files plus a final GO marker in the next
-// incarnation's directory carry each rank's recovery slice (suppression
-// list, replica set, kill plan).
+// rollback for every survivor, so the processes, their events and their
+// stats readers outlive any one incarnation.
 type world struct {
-	cfg     Config
-	sup     *engine.Supervisor
-	rdvRoot string
+	cfg Config
+	sup *engine.Supervisor
 
-	errMu             sync.Mutex // keeps lines on cfg.Stderr whole
-	readers, watchers sync.WaitGroup
+	errMu sync.Mutex     // keeps lines on cfg.Stderr whole
+	tails sync.WaitGroup // every process's stats reader and watcher
 
-	// Every spawn produces exactly one exit event. Watchers hand it to the
-	// incarnation being folded, or drop it once quit closes.
-	exits chan workerExit
-	quit  chan struct{}
+	// Each process's watcher posts its events in order (every ready, then
+	// its exit) to the incarnation listening, or drops them once quit closes.
+	events chan event
+	quit   chan struct{}
 
-	liveMu sync.Mutex // guards live, and cmds against killLive
-	cmds   []*exec.Cmd
-	live   []bool
+	procs []*proc // by rank; nil: that rank's process is gone
 
 	rank0Out *bytes.Buffer
 	incs     []engine.IncarnationInfo
+}
+
+// proc is one worker process.
+type proc struct {
+	rank    int
+	cmd     *exec.Cmd
+	ctl     *os.File // the launcher's end of its control stream
+	addr    string   // the listener its last ready reported, while it is parked; "" while it runs
+	started int      // the last incarnation it was sent start for; -1: none yet
+}
+
+// event is p's ready frame or, with state set, its exit (err is cmd.Wait's).
+type event struct {
+	p     *proc
+	addr  string
+	err   error
+	state *os.ProcessState
 }
 
 func (w *world) logf(format string, args ...any) {
@@ -240,34 +214,35 @@ func (w *world) logf(format string, args ...any) {
 	w.errMu.Unlock()
 }
 
-func (w *world) killLive() {
-	w.liveMu.Lock()
-	defer w.liveMu.Unlock()
-	for r, c := range w.cmds {
-		if w.live[r] {
-			c.Process.Kill()
+// kill SIGKILLs every process not yet reaped (running: only those not parked).
+func (w *world) kill(running bool) {
+	for _, p := range w.procs {
+		if p != nil && !(running && p.addr != "") {
+			p.cmd.Process.Kill()
 		}
 	}
 }
 
-func (w *world) rdvDir(incarnation int) string {
-	return filepath.Join(w.rdvRoot, strconv.Itoa(incarnation))
-}
-
-// spawn starts rank r's process for an incarnation, with a reader for its
-// stats stream and a watcher that reports its exit.
+// spawn starts rank r's process (to first run incarnation), with a reader
+// for its stats stream and a watcher for its control stream and exit.
 func (w *world) spawn(r, incarnation int) error {
 	cfg := w.cfg
+	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM|syscall.SOCK_CLOEXEC, 0)
+	if err != nil {
+		return fmt.Errorf("launch: control stream for rank %d: %w: %w", r, cerr.ErrTransport, err)
+	}
+	syscall.SetNonblock(fds[0], true) // the launcher's end is read through the poller, not by a parked thread
+	ctl, ctlChild := os.NewFile(uintptr(fds[0]), envControlFD), os.NewFile(uintptr(fds[1]), envControlFD)
 	cmd := exec.Command(cfg.Exe, cfg.Args...)
 	cmd.Env = append(os.Environ(),
 		envWorker+"=1",
 		envRank+"="+strconv.Itoa(r),
 		envRanks+"="+strconv.Itoa(cfg.Ranks),
 		envIncarnation+"="+strconv.Itoa(incarnation),
-		envRendezvous+"="+w.rdvDir(incarnation),
 		envStore+"="+cfg.StoreDir,
 		envDetector+"="+strconv.FormatInt(cfg.DetectorTimeout.Milliseconds(), 10),
 		envStatsFD+"=3",
+		envControlFD+"=4",
 	)
 	if r == 0 {
 		w.rank0Out = &bytes.Buffer{}
@@ -275,207 +250,211 @@ func (w *world) spawn(r, incarnation int) error {
 	}
 	cmd.Stderr = &prefixWriter{w: cfg.Stderr, mu: &w.errMu, prefix: fmt.Sprintf("[rank %d] ", r)}
 	statsR, statsW, err := os.Pipe()
-	if err != nil {
-		return fmt.Errorf("launch: stats pipe for rank %d: %w: %w", r, cerr.ErrTransport, err)
-	}
-	cmd.ExtraFiles = []*os.File{statsW}
-	if err := cmd.Start(); err != nil {
-		statsR.Close()
+	if err == nil {
+		cmd.ExtraFiles = []*os.File{statsW, ctlChild}
+		err = cmd.Start()
 		statsW.Close()
+	}
+	ctlChild.Close()
+	if err != nil {
+		statsR.Close()
+		ctl.Close()
 		return fmt.Errorf("launch: spawn rank %d: %w: %w", r, cerr.ErrTransport, err)
 	}
-	statsW.Close()
-	w.readers.Add(1)
+	if cfg.Verbose {
+		w.logf("c3launch: incarnation %d: rank %d is pid %d\n", incarnation, r, cmd.Process.Pid)
+	}
+	w.tails.Add(2)
 	go func() {
-		defer w.readers.Done()
+		defer w.tails.Done()
 		defer statsR.Close()
 		protocol.ReadStatsFrames(statsR, w.sup.Observe)
 	}()
-	w.liveMu.Lock()
-	w.cmds[r] = cmd
-	w.live[r] = true
-	w.liveMu.Unlock()
-	w.watchers.Add(1)
+	p := &proc{rank: r, cmd: cmd, ctl: ctl, started: -1}
+	w.procs[r] = p
 	go func() {
-		defer w.watchers.Done()
-		err := cmd.Wait()
-		w.liveMu.Lock()
-		w.live[r] = false
-		w.liveMu.Unlock()
-		select {
-		case w.exits <- workerExit{rank: r, err: err, state: cmd.ProcessState}:
-		case <-w.quit:
+		defer w.tails.Done()
+		post := func(e event) {
+			select {
+			case w.events <- e:
+			case <-w.quit:
+			}
 		}
+		// The stream ends with the process, so one goroutine keeps its events in order.
+		for f, err := readCtlFrame(ctl); err == nil; f, err = readCtlFrame(ctl) {
+			if f.Kind == ctlReady {
+				post(event{p: p, addr: f.Addr})
+			}
+		}
+		err := cmd.Wait()
+		ctl.Close()
+		post(event{p: p, err: err, state: cmd.ProcessState})
 	}()
 	return nil
 }
 
-// runIncarnation is the process-shaped incarnation the supervisor drives:
-// publish every rank's recovery slice and the GO marker, spawn the ranks
-// whose process is gone (all of them at incarnation 0), fold exit events
-// until the world is done, fails hard, or has a death to roll back from,
-// and in that last case abandon the incarnation's mesh with ABORT.
-func (w *world) runIncarnation(ctx context.Context, incarnation int, plan *protocol.RecoveryPlan, kill map[int]int64) engine.Outcome {
-	n := w.cfg.Ranks
-	hard := func(rank int, err error) engine.Outcome {
-		return engine.Outcome{Err: &engine.RunError{Rank: rank, Err: err}}
+// reap books one exit: the rank has no process now, and the incarnation the
+// process last ran — not whichever the launcher is in — records how it
+// ended. Anything but exit 0 or a signal (judged on the exit code, never
+// the description) is a hard failure, returned in the code's category.
+func (w *world) reap(e event) *engine.RunError {
+	p := e.p
+	w.procs[p.rank] = nil
+	if p.started >= 0 {
+		w.incs[p.started].Exits[p.rank] = e.state.String()
 	}
-	if err := w.publishRecovery(incarnation, plan, kill); err != nil {
-		return hard(-1, err)
+	if w.cfg.Verbose && e.err != nil {
+		w.logf("c3launch: incarnation %d: rank %d exited: %s\n", p.started, p.rank, e.state)
 	}
-	if incarnation > 0 {
-		epoch := plan.ForRank(0).Epoch // -1 for a nil plan: a restart from the beginning
-		w.incs[incarnation-1].RecoveredEpoch = epoch
-		if w.cfg.Verbose {
-			w.logf("c3launch: incarnation %d: recovery plan published (epoch %d)\n", incarnation, epoch)
+	if e.err == nil || !e.state.Exited() {
+		return nil
+	}
+	cat := cerr.FromExitCode(e.state.ExitCode())
+	if cat == nil {
+		cat = cerr.ErrProgram
+	}
+	return &engine.RunError{Rank: p.rank, Err: fmt.Errorf("%w: worker process ended with %s", cat, e.state)}
+}
+
+// muster fills the empty ranks with fresh processes (to first run
+// incarnation) and waits until every process — with all unset, only the
+// survivors, which have run an incarnation — has parked; nil once they have.
+// One that dies instead (a burst's co-victim, a cascade) is replaced in the
+// same round: a burst costs one rollback because every rank parks or dies,
+// not because a window passed. One that does neither within the bound is
+// killed, a corpse like any other.
+func (w *world) muster(ctx context.Context, incarnation int, all bool) *engine.Outcome {
+	bound := 4*w.cfg.DetectorTimeout + 10*time.Second
+	overdue := time.NewTimer(bound)
+	defer overdue.Stop()
+	for {
+		for r, p := range w.procs {
+			if p == nil {
+				if err := w.spawn(r, incarnation); err != nil {
+					return &engine.Outcome{Err: &engine.RunError{Rank: r, Err: err}}
+				}
+			}
+		}
+		if !slices.ContainsFunc(w.procs, func(p *proc) bool { return p.addr == "" && (all || p.started >= 0) }) {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return &engine.Outcome{Canceled: true}
+		case <-overdue.C:
+			w.kill(true)
+			overdue.Reset(bound)
+		case e := <-w.events:
+			if e.state == nil {
+				e.p.addr = e.addr
+			} else if hard := w.reap(e); hard != nil {
+				return &engine.Outcome{Err: hard}
+			} else if e.p.started < 0 {
+				// It never ran an incarnation: charge the restart budget
+				// rather than respawn without bound.
+				return &engine.Outcome{Failed: true}
+			}
 		}
 	}
+}
 
+// runIncarnation is the process-shaped incarnation the supervisor drives,
+// the first included; every step is a reaction to an event. Muster every
+// rank, send each its start, and fold events until the world is done, fails
+// hard, or has a death to roll back from.
+func (w *world) runIncarnation(ctx context.Context, incarnation int, plan *protocol.RecoveryPlan, kill map[int]int64) engine.Outcome {
+	n := w.cfg.Ranks
+	if incarnation > 0 {
+		w.incs[incarnation-1].RecoveredEpoch = plan.ForRank(0).Epoch // -1 for a nil plan: a restart from the beginning
+	}
 	// A surviving rank has no exit in the incarnation it survived: its
 	// Exits entry stays "" and its PID carries over to the next one.
 	rep := engine.IncarnationInfo{PIDs: make([]int, n), Exits: make([]string, n), RecoveredEpoch: -1}
-	for r := 0; r < n; r++ {
-		w.liveMu.Lock()
-		alive := w.live[r]
-		w.liveMu.Unlock()
-		if !alive {
-			if err := w.spawn(r, incarnation); err != nil {
-				return hard(r, err)
-			}
-			if w.cfg.Verbose {
-				note := ""
-				if kill[r] > 0 {
-					note = fmt.Sprintf(" (SIGKILL at op %d)", kill[r])
-				}
-				w.logf("c3launch: incarnation %d: rank %d is pid %d%s\n", incarnation, r, w.cmds[r].Process.Pid, note)
-			}
-		}
-		rep.PIDs[r] = w.cmds[r].Process.Pid
-	}
 	w.incs = append(w.incs, rep)
-	if ctx.Err() != nil {
-		w.killLive() // canceled mid-spawn: ctx's own kill may have run before these were registered
+
+	if out := w.muster(ctx, incarnation, true); out != nil {
+		return *out
 	}
 
-	// fold classifies one exit event: success is judged on the structured
-	// exit code, never on the description string. Anything but exit 0, the
-	// rollback code or a signal is a hard failure that ends the run.
-	done := make([]bool, n)
-	var hardExits []error // each a *engine.RunError naming its rank
-	rollback := false
-	fold := func(e workerExit) {
-		rep.Exits[e.rank] = e.state.String()
-		switch {
-		case e.err == nil:
-			done[e.rank] = true
-		case !e.state.Exited() || e.state.ExitCode() == exitRollback: // died by signal, or asks to be re-spawned
-			rollback = true
-			if w.cfg.Verbose {
-				w.logf("c3launch: incarnation %d: rank %d exited: %s\n", incarnation, e.rank, e.state)
-			}
-		default:
-			cat := cerr.FromExitCode(e.state.ExitCode())
-			if cat == nil {
-				cat = cerr.ErrProgram
-			}
-			hardExits = append(hardExits, &engine.RunError{Rank: e.rank, Err: fmt.Errorf("%w: worker process ended with %s", cat, e.state)})
-		}
+	// Every address in the table is a bound listener, so the workers' mesh
+	// forms without a lookup wait or a dial retry.
+	start := ctlFrame{Kind: ctlStart, Incarnation: incarnation, Addrs: make([]string, n)}
+	for r, p := range w.procs {
+		start.Addrs[r] = p.addr
 	}
-	for {
-		fold(<-w.exits)
-		// A death burst (multi-rank kill, cascade) should cost one rollback
-		// round, not one per corpse: linger briefly for co-dying ranks.
-		if rollback {
-			settle := time.After(200 * time.Millisecond)
-		drain:
-			for {
-				select {
-				case e := <-w.exits:
-					fold(e)
-				case <-settle:
-					break drain
-				}
-			}
+	for r, p := range w.procs {
+		p.addr, p.started, rep.PIDs[r] = "", incarnation, p.cmd.Process.Pid
+		start.Recovery, start.KillAtOp = *plan.ForRank(r), kill[r]
+		writeCtlFrame(p.ctl, &start) // a failed write means the process is gone, which its exit reports
+	}
+
+	done, rollback := 0, false
+	var failed *engine.RunError
+	fold := func(e event) {
+		if e.state == nil {
+			// Parked mid-incarnation: this worker saw it die (a reset, a
+			// silent peer) before the launcher saw anything.
+			e.p.addr, rollback = e.addr, true
+			return
 		}
-		switch {
-		case ctx.Err() != nil:
-			return engine.Outcome{Canceled: true}
-		case len(hardExits) > 0:
+		switch hard := w.reap(e); {
+		case hard != nil:
 			// Several ranks may fail at once (a program error on one, store
 			// errors on others): cerr's priority order picks the category,
 			// the first rank that reported it is named.
-			cat := cerr.Category(errors.Join(hardExits...))
-			for _, h := range hardExits {
-				if errors.Is(h, cat) {
-					return engine.Outcome{Err: h.(*engine.RunError)}
+			if failed == nil || !errors.Is(failed, cerr.Category(errors.Join(failed, hard))) {
+				failed = hard
+			}
+		case e.err == nil:
+			done++
+		default:
+			rollback = true
+		}
+	}
+	for {
+		select {
+		case <-ctx.Done():
+			return engine.Outcome{Canceled: true}
+		case e := <-w.events:
+			fold(e)
+		}
+		// Whatever else is already queued — co-dying ranks, several hard
+		// failures at once — belongs to the same decision.
+		for queued := true; queued; {
+			select {
+			case e := <-w.events:
+				fold(e)
+			default:
+				queued = false
+			}
+		}
+		switch {
+		case failed != nil:
+			return engine.Outcome{Err: failed}
+		case rollback:
+			// The launcher reaping its child is the fastest death detector
+			// on the host: survivors end the incarnation now, not on a reset
+			// or a heartbeat timeout.
+			for _, p := range w.procs {
+				if p != nil && p.addr == "" {
+					writeCtlFrame(p.ctl, &ctlFrame{Kind: ctlAbort, Incarnation: incarnation})
 				}
 			}
-		case rollback:
-			if err := writeMarker(w.rdvDir(incarnation), abortMarker); err != nil {
-				return hard(-1, fmt.Errorf("launch: abort incarnation %d: %w: %w", incarnation, cerr.ErrStore, err))
+			// Replace the dead now (their exec and listener bind overlap the
+			// supervisor's recovery gather), but return only once the
+			// survivors have parked: only then has every process stopped
+			// writing the store the supervisor is about to read.
+			if out := w.muster(ctx, incarnation+1, false); out != nil {
+				return *out
 			}
 			return engine.Outcome{Failed: true}
-		case !slices.Contains(done, false):
+		case done == n:
 			// Every worker has exited, so every stats pipe is at EOF: wait
 			// for the readers so the final frames are in the Result.
-			w.readers.Wait()
+			w.tails.Wait()
 			return engine.Outcome{}
 		}
 	}
-}
-
-// rankRecoveryFile is the gob schema of recovery.<rank>: one rank's slice
-// of the supervisor's recovery gather (Epoch -1: fresh start, do not
-// restore) plus its kill plan for the incarnation.
-type rankRecoveryFile struct {
-	protocol.RankRecovery
-	KillAtOp int64
-}
-
-// publishRecovery writes each rank's slice of the plan, with its kill plan,
-// plus the GO marker into the incarnation's rendezvous directory. GO is
-// written last: a worker that sees it may trust every recovery file is in
-// place.
-func (w *world) publishRecovery(incarnation int, plan *protocol.RecoveryPlan, kill map[int]int64) error {
-	dir := w.rdvDir(incarnation)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("launch: rendezvous dir: %w: %w", cerr.ErrSpec, err)
-	}
-	for r := 0; r < w.cfg.Ranks; r++ {
-		f := rankRecoveryFile{RankRecovery: *plan.ForRank(r), KillAtOp: kill[r]}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&f); err != nil {
-			return fmt.Errorf("launch: encode recovery file: %w: %w", cerr.ErrStore, err)
-		}
-		name := fmt.Sprintf("%s.%04d", recoveryPrefix, r)
-		if err := writeFileAtomic(dir, name, buf.Bytes()); err != nil {
-			return fmt.Errorf("launch: write %s: %w: %w", name, cerr.ErrStore, err)
-		}
-	}
-	if err := writeMarker(dir, goMarker); err != nil {
-		return fmt.Errorf("launch: write GO marker: %w: %w", cerr.ErrStore, err)
-	}
-	return nil
-}
-
-// writeMarker drops a marker file (GO, ABORT) into dir.
-func writeMarker(dir, name string) error { return writeFileAtomic(dir, name, []byte("1")) }
-
-func writeFileAtomic(dir, name string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, "."+name+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, name))
 }
 
 // prefixWriter prefixes every line with the rank tag so interleaved worker
@@ -490,20 +469,15 @@ type prefixWriter struct {
 func (p *prefixWriter) Write(b []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := len(b)
-	for len(b) > 0 {
+	for _, line := range bytes.SplitAfter(b, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
 		if !p.mid {
 			io.WriteString(p.w, p.prefix)
-			p.mid = true
 		}
-		i := bytes.IndexByte(b, '\n')
-		if i < 0 {
-			p.w.Write(b)
-			break
-		}
-		p.w.Write(b[:i+1])
-		p.mid = false
-		b = b[i+1:]
+		p.w.Write(line)
+		p.mid = line[len(line)-1] != '\n'
 	}
-	return n, nil
+	return len(b), nil
 }

@@ -8,16 +8,22 @@ package launch_test
 // run's.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 
 	"ccift/internal/apps"
+	"ccift/internal/cerr"
 	"ccift/internal/engine"
 	"ccift/internal/launch"
 	"ccift/internal/protocol"
@@ -81,12 +87,14 @@ func (k killOnPut) Put(key string, data []byte) error {
 }
 
 // launcherEnv is the launcher's whole contract with a worker process. The
-// kill plan and the recovery inputs travel in the incarnation's recovery
-// file, never in the environment, so no other CCIFT_ variable may appear
-// (the freeze-verifier override is the operator's, inherited by workers).
+// kill plan, the recovery inputs and the peers' addresses travel in the
+// control stream's start frame, never in the environment, so no other
+// CCIFT_ variable may appear (the freeze-verifier override is the
+// operator's, inherited by workers). CCIFT_INCARNATION is the incarnation
+// the process was spawned into, which the kill-mid-flush variant reads.
 var launcherEnv = map[string]bool{
 	"CCIFT_WORKER": true, "CCIFT_RANK": true, "CCIFT_RANKS": true, "CCIFT_INCARNATION": true,
-	"CCIFT_RDV_DIR": true, "CCIFT_STORE_DIR": true, "CCIFT_DETECTOR_MS": true, "CCIFT_STATS_FD": true,
+	"CCIFT_STORE_DIR": true, "CCIFT_DETECTOR_MS": true, "CCIFT_STATS_FD": true, "CCIFT_CONTROL_FD": true,
 	"CCIFT_FREEZE_CROSSCHECK": true,
 }
 
@@ -392,4 +400,161 @@ func TestDistributedKillChain(t *testing.T) {
 	if res.Output != baseline.Output {
 		t.Fatalf("twice-recovered output %q != fault-free output %q", res.Output, baseline.Output)
 	}
+}
+
+// spawnLog is a launch.Config.Stderr that keeps the verbose launcher's
+// "rank R is pid P" lines: the only record of a process that exists
+// outside Result.Incarnations.
+type spawnLog struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (l *spawnLog) Write(b []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(b)
+}
+
+var spawnLine = regexp.MustCompile(`c3launch: incarnation \d+: rank (\d+) is pid (\d+)`)
+
+// spawned returns every process the launcher started so far, as
+// (rank, pid) pairs in spawn order.
+func (l *spawnLog) spawned() [][2]int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out [][2]int
+	for _, m := range spawnLine.FindAllStringSubmatch(l.buf.String(), -1) {
+		rank, _ := strconv.Atoi(m[1])
+		pid, _ := strconv.Atoi(m[2])
+		out = append(out, [2]int{rank, pid})
+	}
+	return out
+}
+
+// TestDistributedKillBurst: two ranks die at the same moment — real
+// SIGKILLs from outside, back to back, once a checkpoint has been taken.
+// The burst must cost one rollback round, not two: every rank parks or
+// dies, both corpses are replaced exactly once, and the survivors never
+// notice more than one incarnation change.
+func TestDistributedKillBurst(t *testing.T) {
+	t.Setenv(envVariant, "long-baseline")
+	baseline := runLaplace(t, nil)
+
+	victims := []int{1, 2}
+	log := &spawnLog{}
+	var once sync.Once
+	res, err := launch.Run(launch.Config{
+		Ranks: testRanks, Stderr: log, Verbose: true,
+		StatsSink: func(f protocol.StatsFrame) {
+			if f.Stats.CheckpointsTaken == 0 {
+				return
+			}
+			once.Do(func() {
+				for _, p := range log.spawned() {
+					if slices.Contains(victims, p[0]) {
+						syscall.Kill(p[1], syscall.SIGKILL)
+					}
+				}
+			})
+		},
+	})
+	if err != nil {
+		t.Fatalf("launch.Run: %v", err)
+	}
+	if res.Restarts != 1 || len(res.Incarnations) != 2 {
+		t.Fatalf("%d restarts over %d incarnations, want the burst to cost exactly one rollback", res.Restarts, len(res.Incarnations))
+	}
+	first, second := res.Incarnations[0], res.Incarnations[1]
+	for r := 0; r < testRanks; r++ {
+		if slices.Contains(victims, r) {
+			if first.Exits[r] != "signal: killed" || first.PIDs[r] == second.PIDs[r] {
+				t.Errorf("victim rank %d: exit %q, pid %d -> %d; want signal: killed and a fresh process", r, first.Exits[r], first.PIDs[r], second.PIDs[r])
+			}
+		} else if first.Exits[r] != "" || first.PIDs[r] != second.PIDs[r] {
+			t.Errorf("survivor rank %d: exit %q, pid %d -> %d; want no exit and the same process", r, first.Exits[r], first.PIDs[r], second.PIDs[r])
+		}
+	}
+	if n := len(log.spawned()); n != testRanks+len(victims) {
+		t.Errorf("%d processes spawned, want %d: each corpse replaced exactly once", n, testRanks+len(victims))
+	}
+	if res.Output != baseline.Output {
+		t.Fatalf("recovered output %q != fault-free output %q", res.Output, baseline.Output)
+	}
+}
+
+// TestDistributedKillCascade: a second death while the recovery from the
+// first is barely under way — rank 1 dies at its second operation of
+// incarnation 1, during or just after mesh formation. Each death costs
+// exactly one rollback, and no exit event of a process already replaced is
+// mistaken for a death of the incarnation that replaced it: every process
+// the launcher ever spawned ran in some incarnation.
+func TestDistributedKillCascade(t *testing.T) {
+	baseline := runLaplace(t, nil)
+	log := &spawnLog{}
+	res, err := launch.Run(launch.Config{
+		Ranks: testRanks, Stderr: log, Verbose: true,
+		Kills: []launch.KillSpec{{Rank: 2, AtOp: 100, Incarnation: 0}, {Rank: 1, AtOp: 2, Incarnation: 1}},
+	})
+	if err != nil {
+		t.Fatalf("launch.Run: %v", err)
+	}
+	if res.Restarts != 2 || res.Restarts != len(res.Incarnations)-1 {
+		t.Fatalf("%d restarts over %d incarnations, want 2 over 3", res.Restarts, len(res.Incarnations))
+	}
+	if got := res.Incarnations[1].Exits[1]; got != "signal: killed" {
+		t.Fatalf("incarnation 1's doomed rank exited %q, want signal: killed", got)
+	}
+	ran := map[int]bool{}
+	for _, inc := range res.Incarnations {
+		for _, pid := range inc.PIDs {
+			ran[pid] = true
+		}
+	}
+	for _, p := range log.spawned() {
+		if !ran[p[1]] {
+			t.Errorf("rank %d's process %d was spawned but ran in no incarnation: a spurious rollback", p[0], p[1])
+		}
+	}
+	if n := len(log.spawned()); n != testRanks+2 {
+		t.Errorf("%d processes spawned, want %d", n, testRanks+2)
+	}
+	if res.Output != baseline.Output {
+		t.Fatalf("twice-recovered output %q != fault-free output %q", res.Output, baseline.Output)
+	}
+}
+
+// TestScratchDirRemovedOnFailure: the default scratch directory (with the
+// checkpoint store inside) is the launcher's to remove however the run
+// ends, not only when it succeeds.
+func TestScratchDirRemovedOnFailure(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	assertEmpty := func(when string) {
+		t.Helper()
+		if left, _ := os.ReadDir(tmp); len(left) != 0 {
+			t.Fatalf("%s left %s behind in $TMPDIR", when, left[0].Name())
+		}
+	}
+
+	_, err := launch.Run(launch.Config{
+		Ranks: testRanks, Stderr: io.Discard, MaxRestarts: 1,
+		Kills: []launch.KillSpec{{Rank: 1, AtOp: 60, Incarnation: 0}, {Rank: 1, AtOp: 60, Incarnation: 1}},
+	})
+	if !errors.Is(err, cerr.ErrMaxRestarts) {
+		t.Fatalf("err = %v, want ErrMaxRestarts", err)
+	}
+	assertEmpty("a run that exhausted its restart budget")
+
+	t.Setenv(envVariant, "long-baseline")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = launch.RunContext(ctx, launch.Config{
+		Ranks: testRanks, Stderr: io.Discard,
+		StatsSink: func(protocol.StatsFrame) { cancel() }, // mid-run: a checkpoint was just taken
+	})
+	if !errors.Is(err, cerr.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	assertEmpty("a canceled run")
 }

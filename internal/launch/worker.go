@@ -3,13 +3,11 @@ package launch
 // The worker role: what the launcher's re-exec'd binary runs as one rank.
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"syscall"
 	"time"
@@ -59,42 +57,25 @@ func WorkerMain(app WorkerApp) {
 }
 
 func workerRun(app WorkerApp) (int, error) {
-	rank, err1 := envInt(envRank)
-	ranks, err2 := envInt(envRanks)
-	incarnation, err3 := envInt(envIncarnation)
-	if err := errors.Join(err1, err2, err3); err != nil {
+	rank, err1 := envInt(envRank, 0)
+	ranks, err2 := envInt(envRanks, 1)
+	detectorMS, err3 := envInt(envDetector, 1)
+	statsFD, err4 := envInt(envStatsFD, 3)
+	ctlFD, err5 := envInt(envControlFD, 3)
+	if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
 		return cerr.CodeSpec, err
 	}
-	rdv := os.Getenv(envRendezvous)
 	storeDir := os.Getenv(envStore)
-	if rdv == "" || storeDir == "" {
-		return cerr.CodeSpec, fmt.Errorf("%w: missing %s or %s", cerr.ErrSpec, envRendezvous, envStore)
-	}
-	// A malformed detector variable must be a hard error, not a silent
-	// fallback to the default.
-	detectorMS := 2000
-	if v := os.Getenv(envDetector); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			return cerr.CodeSpec, fmt.Errorf("%w: bad env %s=%q: want a positive integer", cerr.ErrSpec, envDetector, v)
-		}
-		detectorMS = n
+	if storeDir == "" {
+		return cerr.CodeSpec, fmt.Errorf("%w: missing env %s", cerr.ErrSpec, envStore)
 	}
 
-	// The stats stream: frames go to the launcher on the inherited pipe.
-	// Writes happen from the rank's own goroutine only, and losing the
-	// stream (launcher gone) must not fail the computation, so errors are
-	// ignored.
-	var statsSink func(protocol.StatsFrame)
-	if v := os.Getenv(envStatsFD); v != "" {
-		fd, err := strconv.Atoi(v)
-		if err != nil || fd < 3 {
-			return cerr.CodeSpec, fmt.Errorf("%w: bad env %s=%q: want a file descriptor ≥ 3", cerr.ErrSpec, envStatsFD, v)
-		}
-		statsPipe := os.NewFile(uintptr(fd), "ccift-stats")
-		defer statsPipe.Close()
-		statsSink = func(f protocol.StatsFrame) { _ = protocol.WriteStatsFrame(statsPipe, f) }
-	}
+	// The stats stream: frames go to the launcher on the inherited pipe,
+	// from the rank's own goroutine only. Losing the stream (launcher gone)
+	// must not fail the computation, so errors are ignored.
+	statsPipe := os.NewFile(uintptr(statsFD), envStatsFD)
+	defer statsPipe.Close()
+	statsSink := func(f protocol.StatsFrame) { _ = protocol.WriteStatsFrame(statsPipe, f) }
 
 	disk, err := storage.NewDisk(storeDir)
 	if err != nil {
@@ -105,28 +86,20 @@ func workerRun(app WorkerApp) (int, error) {
 		store = app.WrapStore(store)
 	}
 
-	// This process outlives its incarnation. When the world dies, it keeps
-	// its in-memory checkpoint copies, waits for the launcher to publish
-	// the next incarnation's recovery files and GO marker, and rejoins the
-	// new mesh in-process instead of exiting to be re-exec'd.
-	rdvParent := filepath.Dir(rdv)
-	// How long a surviving worker waits for the launcher's GO before
-	// giving up and exiting with the rollback code (the launcher then
-	// re-execs it like a dead rank, so a lost marker costs one restart,
-	// not a hang). Generous: the launcher publishes right after its
-	// settle-drain and an O(ranks) gather.
-	graceWait := 4*time.Duration(detectorMS)*time.Millisecond + 10*time.Second
-
+	// This process outlives its incarnation. When the world dies it keeps
+	// its in-memory checkpoint copies, parks again, and rejoins the next
+	// mesh in-process instead of exiting to be re-exec'd.
+	ctl := os.NewFile(uintptr(ctlFD), envControlFD)
+	defer ctl.Close()
+	starts := make(chan *ctlFrame)
+	go readControl(ctl, starts) // ends with the stream, which outlives this function only with the process
 	var retained []*protocol.RetainedState
 	for {
-		// Every incarnation, the first included, hands this rank its
-		// recovery inputs and kill plan in the launcher's published file.
-		rec, err := readRecoveryFile(rdvParent, incarnation, rank)
-		if err != nil {
-			return cerr.CodeStore, fmt.Errorf("%w: read recovery file: %w", cerr.ErrStore, err)
-		}
-		publish, lookup := tcptransport.FileRendezvous(rdv, 30*time.Second,
-			func() bool { return abortedMesh(rdv) })
+		// Park: bind the next mesh's listener, report it, and block until
+		// the launcher has heard the same from (or replaced) every rank, so
+		// every address start brings is a bound listener.
+		addrs := make([]string, ranks)
+		publish, lookup := tcptransport.StaticRendezvous(addrs)
 		tr, err := tcptransport.New(tcptransport.Config{
 			Rank: rank, Size: ranks,
 			Publish: publish, Lookup: lookup,
@@ -138,16 +111,24 @@ func workerRun(app WorkerApp) (int, error) {
 		if err != nil {
 			return cerr.CodeTransport, fmt.Errorf("%w: %w", cerr.ErrTransport, err)
 		}
+		writeCtlFrame(ctl, &ctlFrame{Kind: ctlReady, Addr: tr.Addr()}) // a failed write means the stream is closed, which starts reports
+		st, ok := <-starts
+		if !ok {
+			// An orphan's work can reach nobody: neither compute on nor linger.
+			tr.Close()
+			return cerr.CodeCanceled, fmt.Errorf("rank %d: %w: control stream closed, the launcher is gone", rank, cerr.ErrCanceled)
+		}
+		copy(addrs, st.Addrs)
 
-		kept, end := engine.RunWorker(context.Background(), engine.WorkerConfig{
+		kept, end := engine.RunWorker(st.ctx, engine.WorkerConfig{
 			Rank: rank, Ranks: ranks,
-			Incarnation: incarnation,
+			Incarnation: st.Incarnation,
 			Mode:        app.Mode,
 			Store:       store,
 			EveryN:      app.EveryN,
 			Interval:    app.Interval,
 			Policy:      app.Policy,
-			KillAtOp:    rec.KillAtOp,
+			KillAtOp:    st.KillAtOp,
 			Kill: func() {
 				// A real stopping failure: no deferred cleanup, no recover, no
 				// goodbye on the sockets — the kernel reaps the process and
@@ -162,101 +143,63 @@ func workerRun(app WorkerApp) (int, error) {
 			AnnounceDone: tr.AnnounceDone,
 			AllDone:      tr.AllDone,
 			StatsSink:    statsSink,
-			Recovery:     &rec.RankRecovery,
+			Recovery:     &st.Recovery,
 			Retained:     retained,
 		}, app.Prog)
 		tr.Close()
 
 		switch {
-		case end.Failed:
-		case end.Err != nil && errors.Is(end.Err, cerr.ErrTransport) && abortedMesh(rdv):
-			// Mesh formation lost the race with a newer incarnation: the
-			// launcher aborted this one after another death. Rejoin.
-		case end.Canceled:
-			return cerr.CodeCanceled, fmt.Errorf("rank %d: %w", rank, cerr.ErrCanceled)
+		case end.Failed, end.Canceled:
+			// A peer died: this rank's sockets said so, or the launcher did
+			// (st.ctx is canceled by nothing else).
 		case end.Err != nil:
 			return cerr.ExitCode(end.Err), fmt.Errorf("rank %d: %w", rank, end.Err.Err)
 		default:
 			if rank == 0 {
-				if rec.Epoch >= 0 {
-					fmt.Fprintf(os.Stderr, "rank 0: incarnation %d recovered from global checkpoint %d\n", incarnation, rec.Epoch)
+				if st.Recovery.Epoch >= 0 {
+					fmt.Fprintf(os.Stderr, "rank 0: incarnation %d recovered from global checkpoint %d\n", st.Incarnation, st.Recovery.Epoch)
 				}
 				fmt.Printf("result: %v\n", end.Values[0])
 			}
-			return exitOK, nil
+			return cerr.CodeOK, nil
 		}
 		if len(kept) > 0 {
 			retained = kept
 		}
-		fmt.Fprintf(os.Stderr, "rank %d: incarnation %d died; awaiting restart\n", rank, incarnation)
-		next, ok := awaitNextIncarnation(rdvParent, incarnation, graceWait)
-		if !ok {
-			// The launcher never published a successor (it may be tearing the
-			// world down, or the marker was lost): exit with the rollback
-			// code and let it re-exec this rank like a dead one.
-			return exitRollback, nil
-		}
-		incarnation = next
-		rdv = filepath.Join(rdvParent, strconv.Itoa(incarnation))
+		fmt.Fprintf(os.Stderr, "rank %d: incarnation %d died; awaiting restart\n", rank, st.Incarnation)
 	}
 }
 
-// readRecoveryFile loads one rank's recovery slice for an incarnation.
-func readRecoveryFile(rdvParent string, incarnation, rank int) (*rankRecoveryFile, error) {
-	path := filepath.Join(rdvParent, strconv.Itoa(incarnation), fmt.Sprintf("%s.%04d", recoveryPrefix, rank))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f rankRecoveryFile
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&f); err != nil {
-		return nil, fmt.Errorf("decode %s: %w", path, err)
-	}
-	return &f, nil
-}
-
-// awaitNextIncarnation polls the rendezvous tree for a GO marker of an
-// incarnation newer than cur, returning the newest found. ok is false on
-// timeout — the launcher never published a successor, so the caller should
-// exit with the rollback code and let itself be respawned.
-func awaitNextIncarnation(rdvParent string, cur int, timeout time.Duration) (next int, ok bool) {
-	deadline := time.Now().Add(timeout)
+// readControl is the worker's end of the control stream: it hands each
+// start to the rank loop and cancels that start's context on the abort that
+// may follow it, or when the stream ends — the launcher is gone — which
+// closing starts tells the rank loop.
+func readControl(ctl io.Reader, starts chan<- *ctlFrame) {
+	defer close(starts)
+	cancel := context.CancelFunc(func() {})
 	for {
-		best := -1
-		entries, _ := os.ReadDir(rdvParent)
-		for _, ent := range entries {
-			i, err := strconv.Atoi(ent.Name())
-			if err != nil || i <= cur || i <= best {
-				continue
-			}
-			if _, err := os.Stat(filepath.Join(rdvParent, ent.Name(), goMarker)); err == nil {
-				best = i
-			}
+		f, err := readCtlFrame(ctl)
+		switch {
+		case err != nil:
+			cancel()
+			return
+		case f.Kind == ctlStart:
+			cancel() // the previous incarnation's, long over
+			f.ctx, cancel = context.WithCancel(context.Background())
+			starts <- f
+		case f.Kind == ctlAbort:
+			cancel() // the stream is ordered: an abort names the latest start's incarnation
 		}
-		if best >= 0 {
-			return best, true
-		}
-		if time.Now().After(deadline) {
-			return 0, false
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 
-// abortedMesh reports whether the launcher abandoned an incarnation's mesh.
-func abortedMesh(rdv string) bool {
-	_, err := os.Stat(filepath.Join(rdv, abortMarker))
-	return err == nil
-}
-
-func envInt(key string) (int, error) {
+// envInt reads a required integer variable no smaller than least. A missing
+// or malformed one is a hard error, never a silent default.
+func envInt(key string, least int) (int, error) {
 	v := os.Getenv(key)
-	if v == "" {
-		return 0, fmt.Errorf("%w: missing env %s", cerr.ErrSpec, key)
-	}
 	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("%w: bad env %s=%q: %w", cerr.ErrSpec, key, v, err)
+	if err != nil || n < least {
+		return 0, fmt.Errorf("%w: bad env %s=%q: want an integer ≥ %d", cerr.ErrSpec, key, v, least)
 	}
 	return n, nil
 }

@@ -11,8 +11,6 @@ package tcptransport_test
 
 import (
 	"encoding/binary"
-	"fmt"
-	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -473,12 +471,36 @@ func waitAllDone(t *testing.T, tt *tcptransport.Transport) {
 	}
 }
 
-func ExampleFileRendezvous() {
-	dir, _ := os.MkdirTemp("", "rdv")
-	defer os.RemoveAll(dir)
-	publish, lookup := tcptransport.FileRendezvous(dir, time.Second, nil)
-	_ = publish(0, "127.0.0.1:9999")
-	addr, _ := lookup(0)
-	fmt.Println(addr)
-	// Output: 127.0.0.1:9999
+// TestTCPCancelWakesSendDuringMeshFormation: a Send parked until its peer's
+// connection comes up is a blocked operation like any other, so canceling
+// the world ends it with ErrCanceled — the launch worker relies on this
+// when the launcher aborts an incarnation whose mesh is still forming.
+func TestTCPCancelWakesSendDuringMeshFormation(t *testing.T) {
+	t.Parallel()
+	publish, lookup := tcptransport.StaticRendezvous(make([]string, 2))
+	tr, err := tcptransport.New(tcptransport.Config{Rank: 0, Size: 2, Publish: publish, Lookup: lookup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	world := mpi.NewWorld(2, mpi.Options{NewTransport: tr.Attach})
+	if err := tr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan any, 1)
+	go func() {
+		defer func() { got <- recover() }()
+		tr.Send(1, msg(0, 1, 0)) // rank 1 dials rank 0, and never will
+		got <- nil
+	}()
+	time.Sleep(20 * time.Millisecond) // let it park
+	world.Cancel()
+	select {
+	case p := <-got:
+		if p != mpi.ErrCanceled {
+			t.Fatalf("parked Send ended with %v, want ErrCanceled", p)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Cancel did not wake the Send parked on mesh formation")
+	}
 }

@@ -57,7 +57,8 @@ type Config struct {
 	// Publish announces this rank's bound address to the rendezvous (called
 	// once, before any Lookup). Lookup resolves a peer's address, blocking
 	// until the peer has published or a rendezvous-level timeout expires.
-	// FileRendezvous provides both over a shared directory.
+	// StaticRendezvous provides both over a table of already-bound
+	// listeners.
 	Publish func(rank int, addr string) error
 	Lookup  func(rank int) (string, error)
 	// HeartbeatPeriod is the liveness beacon interval; default 250ms.
@@ -554,13 +555,17 @@ func (t *Transport) Send(dst int, m *mpi.Message) {
 }
 
 // awaitPeer blocks until dst's connection is established, returning nil if
-// the world dies or the transport closes first.
+// the transport closes first and panicking, like every blocked operation,
+// once the world is canceled or dies.
 func (t *Transport) awaitPeer(dst int) *peerConn {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
 		if pc := t.peers[dst]; pc != nil {
 			return pc
+		}
+		if t.world.Canceled() {
+			panic(mpi.ErrCanceled)
 		}
 		if t.world.Dead() {
 			panic(mpi.ErrWorldDead)
