@@ -104,13 +104,14 @@ func EncodeTo(buf *bytes.Buffer, ptr any) error {
 
 // Decode deserializes raw (produced by Encode) into the value pointed to by
 // ptr. The dynamic type of ptr must match the one used at encode time.
+// What it stores through ptr is a copy (for *[]float64, a conversion) and
+// never a view of raw, which a survivor restores from again.
 func Decode(raw []byte, ptr any) error {
-	rd := bytes.NewReader(raw)
-	return DecodeFrom(rd, ptr)
+	return decodeFrom(&cursor{raw}, ptr)
 }
 
-// DecodeFrom deserializes one value from rd into ptr.
-func DecodeFrom(rd *bytes.Reader, ptr any) error {
+// decodeFrom deserializes one value from rd into ptr.
+func decodeFrom(rd *cursor, ptr any) error {
 	tag, err := rd.ReadByte()
 	if err != nil {
 		return err
@@ -181,7 +182,7 @@ func DecodeFrom(rd *bytes.Reader, ptr any) error {
 		if err != nil {
 			return err
 		}
-		*p = b
+		*p = bytes.Clone(b) // live program memory: the one copy
 	case *[]float64:
 		if tag != tagFloat64Slice {
 			return mismatch(tagFloat64Slice)
@@ -195,11 +196,11 @@ func DecodeFrom(rd *bytes.Reader, ptr any) error {
 		if tag != tagIntSlice {
 			return mismatch(tagIntSlice)
 		}
-		n, err := readUvarint(rd)
+		n, err := readCount(rd, 8)
 		if err != nil {
 			return err
 		}
-		xs := resizeInts(*p, int(n))
+		xs := resizeInts(*p, n)
 		for i := range xs {
 			v, err := readUint64(rd)
 			if err != nil {
@@ -212,7 +213,7 @@ func DecodeFrom(rd *bytes.Reader, ptr any) error {
 		if tag != tagInt64Slice {
 			return mismatch(tagInt64Slice)
 		}
-		n, err := readUvarint(rd)
+		n, err := readCount(rd, 8)
 		if err != nil {
 			return err
 		}
@@ -229,12 +230,12 @@ func DecodeFrom(rd *bytes.Reader, ptr any) error {
 		if tag != tagFloat64Matrix {
 			return mismatch(tagFloat64Matrix)
 		}
-		n, err := readUvarint(rd)
+		n, err := readCount(rd, 1)
 		if err != nil {
 			return err
 		}
 		rows := *p
-		if len(rows) != int(n) {
+		if len(rows) != n {
 			rows = make([][]float64, n)
 		}
 		for i := range rows {
@@ -267,12 +268,36 @@ func writeUint64(buf *bytes.Buffer, v uint64) {
 	buf.Write(b[:])
 }
 
-func readUint64(rd *bytes.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(rd, b[:]); err != nil {
+// cursor reads an immutable blob front to back. The readers below hand out
+// sub-slices of it (capacity clipped, so an append cannot reach the bytes
+// behind), not copies; whoever turns one into mutable program memory
+// copies it, once.
+type cursor struct{ b []byte }
+
+func (c *cursor) ReadByte() (byte, error) {
+	b, err := c.take(1)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	return b[0], nil
+}
+
+// take returns the next n bytes as a view of the blob.
+func (c *cursor) take(n uint64) ([]byte, error) {
+	if n > uint64(len(c.b)) {
+		return nil, fmt.Errorf("ckpt: truncated blob: need %d bytes, have %d", n, len(c.b))
+	}
+	v := c.b[:n:n]
+	c.b = c.b[n:]
+	return v, nil
+}
+
+func readUint64(rd *cursor) (uint64, error) {
+	b, err := rd.take(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b), nil
 }
 
 func writeUvarint(buf *bytes.Buffer, v uint64) {
@@ -281,8 +306,27 @@ func writeUvarint(buf *bytes.Buffer, v uint64) {
 	buf.Write(b[:n])
 }
 
-func readUvarint(rd *bytes.Reader) (uint64, error) {
-	return binary.ReadUvarint(rd)
+func readUvarint(rd *cursor) (uint64, error) {
+	v, n := binary.Uvarint(rd.b)
+	if n <= 0 {
+		return 0, fmt.Errorf("ckpt: truncated or overlong uvarint")
+	}
+	rd.b = rd.b[n:]
+	return v, nil
+}
+
+// readCount reads an element count and checks it against what is left of
+// the blob at elemBytes or more per element: a lying count is an error
+// before anything is allocated from it.
+func readCount(rd *cursor, elemBytes int) (int, error) {
+	n, err := readUvarint(rd)
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(len(rd.b)/elemBytes) {
+		return 0, fmt.Errorf("ckpt: truncated blob: %d elements of %d bytes in %d bytes", n, elemBytes, len(rd.b))
+	}
+	return int(n), nil
 }
 
 func writeString(buf *bytes.Buffer, s string) {
@@ -290,7 +334,7 @@ func writeString(buf *bytes.Buffer, s string) {
 	buf.WriteString(s)
 }
 
-func readString(rd *bytes.Reader) (string, error) {
+func readString(rd *cursor) (string, error) {
 	b, err := readBytes(rd)
 	return string(b), err
 }
@@ -300,23 +344,17 @@ func writeBytes(buf *bytes.Buffer, b []byte) {
 	buf.Write(b)
 }
 
-func readBytes(rd *bytes.Reader) ([]byte, error) {
+// readBytes returns a length-prefixed field as a view of the blob.
+func readBytes(rd *cursor) ([]byte, error) {
 	n, err := readUvarint(rd)
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(rd.Len()) {
-		return nil, fmt.Errorf("ckpt: truncated blob: need %d bytes, have %d", n, rd.Len())
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(rd, b); err != nil {
-		return nil, err
-	}
-	return b, nil
+	return rd.take(n)
 }
 
-// floatChunk is the conversion batch for float64 slices: one Buffer.Write
-// (or ReadFull) per 1024 elements instead of per element, which keeps the
+// floatChunk is the conversion batch for writing float64 slices: one
+// Write per 1024 elements instead of per element, which keeps the
 // encoder near memory bandwidth — checkpoint cost in Figure 8 is dominated
 // by this path.
 const floatChunk = 1024
@@ -359,32 +397,21 @@ func writeFloat64sRawTo(w io.Writer, xs []float64) error {
 	return nil
 }
 
-func readFloat64sInto(rd *bytes.Reader, dst []float64) ([]float64, error) {
-	n, err := readUvarint(rd)
+// readFloat64sInto converts straight out of the blob into dst (reused
+// when it has the capacity): one pass, no bounce buffer.
+func readFloat64sInto(rd *cursor, dst []float64) ([]float64, error) {
+	n, err := readCount(rd, 8)
 	if err != nil {
 		return nil, err
 	}
-	if 8*n > uint64(rd.Len()) {
-		return nil, fmt.Errorf("ckpt: truncated float64 slice: need %d bytes, have %d", 8*n, rd.Len())
-	}
-	if uint64(cap(dst)) >= n {
+	src, _ := rd.take(uint64(8 * n))
+	if cap(dst) >= n {
 		dst = dst[:n]
 	} else {
 		dst = make([]float64, n)
 	}
-	var chunk [8 * floatChunk]byte
-	for off := 0; off < len(dst); {
-		c := len(dst) - off
-		if c > floatChunk {
-			c = floatChunk
-		}
-		if _, err := io.ReadFull(rd, chunk[:8*c]); err != nil {
-			return nil, err
-		}
-		for i := 0; i < c; i++ {
-			dst[off+i] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*i:]))
-		}
-		off += c
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i : 8*i+8]))
 	}
 	return dst, nil
 }

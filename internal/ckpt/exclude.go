@@ -125,12 +125,25 @@ func fingerprint(ptr any) ([]byte, error) {
 	return h.Sum(nil), nil
 }
 
+// ReplicatedCarried reports how many replicated values the frozen state
+// carries in full — what ExtractReplicated would find in its serialized
+// form: every replicated registration on the primary rank, none elsewhere.
+func (f *Frozen) ReplicatedCarried() int {
+	n := 0
+	for _, e := range f.vds {
+		if e.kind == kindReplicated && e.size > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // ExtractReplicated parses a Saver snapshot and returns the replicated
-// values it carries (non-empty only for the primary rank's snapshot). The
-// recovery driver calls this on the primary's application-state blob and
-// hands the result to every other rank's Saver.
+// values it carries (non-empty only for the primary rank's snapshot), as
+// views of snapshot. The recovery driver calls this on the primary's
+// application-state blob and hands the result to every other rank's Saver.
 func ExtractReplicated(snapshot []byte) (map[string][]byte, error) {
-	rd := bytes.NewReader(snapshot)
+	rd := &cursor{snapshot}
 	// Skip the PS trace section.
 	n, err := readUvarint(rd)
 	if err != nil {

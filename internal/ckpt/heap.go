@@ -121,26 +121,27 @@ func (h *Heap) Snapshot() ([]byte, error) {
 // Restore replaces the heap contents with a snapshot; handles allocated
 // after the snapshot are discarded, exactly as a rollback requires.
 func (h *Heap) Restore(snapshot []byte) error {
-	rd := bytes.NewReader(snapshot)
+	rd := &cursor{snapshot}
 	next, err := readUvarint(rd)
 	if err != nil {
 		return fmt.Errorf("ckpt: corrupt heap snapshot: %w", err)
 	}
-	n, err := readUvarint(rd)
+	n, err := readCount(rd, 2) // id, data length
 	if err != nil {
 		return fmt.Errorf("ckpt: corrupt heap snapshot: %w", err)
 	}
 	blocks := make(map[int]*Block, n)
 	liveBytes := 0
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		id, err := readUvarint(rd)
 		if err != nil {
 			return fmt.Errorf("ckpt: corrupt heap snapshot: %w", err)
 		}
-		data, err := readBytes(rd)
+		view, err := readBytes(rd)
 		if err != nil {
 			return fmt.Errorf("ckpt: corrupt heap snapshot: %w", err)
 		}
+		data := bytes.Clone(view) // the block's own memory
 		h.muts++
 		blocks[int(id)] = &Block{ID: int(id), Data: data, gen: h.muts}
 		liveBytes += len(data)

@@ -80,13 +80,15 @@ func (s *Saver) StateBytes() (int, error) {
 
 // StartRestore loads a snapshot and arms the PS resume cursor and the VDS
 // restore map; the heap is restored immediately (its handles must resolve
-// before the application re-executes).
+// before the application re-executes). blob is only read and must stay
+// unmodified: the restore map holds views of it, and each value is copied
+// out once, into the program's own memory, when its registration arrives.
 func (s *Saver) StartRestore(blob []byte) error {
 	// Restored live state shares no history with any previous freeze: the
 	// retained regions are stale and must never be re-referenced.
 	s.dropRetained()
-	rd := bytes.NewReader(blob)
-	n, err := readUvarint(rd)
+	rd := &cursor{blob}
+	n, err := readCount(rd, 1)
 	if err != nil {
 		return fmt.Errorf("ckpt: corrupt state snapshot: %w", err)
 	}

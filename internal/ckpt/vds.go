@@ -349,15 +349,16 @@ func (v *VDS) entrySize(e vdsEntry) (int, error) {
 	return 0, fmt.Errorf("ckpt: entry %q has invalid kind %d", e.name, e.kind)
 }
 
-// parseVDSSnapshot decodes the section produced by Snapshot.
+// parseVDSSnapshot decodes the section produced by Snapshot. Each entry's
+// data is a view of snapshot, not a copy.
 func parseVDSSnapshot(snapshot []byte) ([]restoreEntry, error) {
-	rd := bytes.NewReader(snapshot)
-	n, err := readUvarint(rd)
+	rd := &cursor{snapshot}
+	n, err := readCount(rd, 3) // name length, kind, data length
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: corrupt VDS snapshot: %w", err)
 	}
 	out := make([]restoreEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		name, err := readString(rd)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: corrupt VDS snapshot: %w", err)

@@ -104,11 +104,11 @@ func (s *Supervisor) Run(ctx context.Context,
 				// these early messages are informed of the messageIDs so
 				// that resending these messages can be suppressed"):
 				// O(world) tiny sidecar reads build every sender's
-				// suppression list and the primary's replica set, and each
-				// rank is handed only its slice.
+				// suppression list (the primary's state is opened only if
+				// it carries replicas), and each rank is handed its slice.
 				rec = epoch
 				if plan, err = protocol.GatherRecovery(s.cs, epoch, s.cfg.Ranks); err != nil {
-					return fail(fmt.Errorf("%w: gather recovery plan: %w", cerr.ErrStore, err))
+					return fail(fmt.Errorf("gather recovery plan: %w", cerr.Ensure(err, cerr.ErrStore)))
 				}
 			}
 			res.RecoveredEpochs = append(res.RecoveredEpochs, rec)

@@ -54,7 +54,8 @@ const (
 // flush boundaries) and the flusher goroutine (token-bucket acquire on
 // every chunk-stream write); mu guards all of it.
 type flushGovernor struct {
-	clk clock.Clock
+	clk  clock.Clock
+	done <-chan struct{} // the run context's; nil (never ready) without one
 
 	mu sync.Mutex
 	// fixed is the WithFlushBandwidth cap in bytes/sec; 0 = none.
@@ -72,8 +73,8 @@ type flushGovernor struct {
 	throttleNs int64
 }
 
-func newFlushGovernor(clk clock.Clock, fixedBPS float64, adapt bool) *flushGovernor {
-	return &flushGovernor{clk: clk, fixed: fixedBPS, adapt: adapt, last: clk.Now()}
+func newFlushGovernor(clk clock.Clock, done <-chan struct{}, fixedBPS float64, adapt bool) *flushGovernor {
+	return &flushGovernor{clk: clk, done: done, fixed: fixedBPS, adapt: adapt, last: clk.Now()}
 }
 
 // rate returns the effective cap in bytes/sec, 0 meaning unlimited.
@@ -135,46 +136,44 @@ func (g *flushGovernor) observeFlush(ops int64, window time.Duration, flushBytes
 	}
 }
 
-// acquire charges n bytes against the token bucket, sleeping on the
-// governor's clock when the bucket is dry. Runs on the writer's
-// goroutine (the flusher in async mode, the rank in sync mode — where
-// only the fixed cap applies).
+// acquire charges n bytes against the token bucket and, when that leaves
+// the bucket in debt, sleeps the debt off once before the write proceeds.
+// The charge is unconditional: a write larger than a full bucket (256 KB
+// at the floor rate) pays its whole deficit and goes ahead, where waiting
+// for a capped bucket to hold n tokens would never end. The sleep also
+// ends with the run's context; the writer behind it then fails on the
+// same context. Runs on the writer's goroutine (the flusher in async mode,
+// the rank in sync mode — where only the fixed cap applies).
 func (g *flushGovernor) acquire(n int) {
 	if n <= 0 {
 		return
 	}
-	for {
-		g.mu.Lock()
-		r := g.rate()
-		if r <= 0 {
-			g.mu.Unlock()
-			return
-		}
-		now := g.clk.Now()
-		g.tokens += now.Sub(g.last).Seconds() * r
-		g.last = now
-		if burst := govBurstSeconds * r; g.tokens > burst {
-			g.tokens = burst
-		}
-		if g.tokens >= float64(n) {
-			g.tokens -= float64(n)
-			g.mu.Unlock()
-			return
-		}
-		// Sleep until the deficit refills (batched to govMinSleep so tiny
-		// writes don't each schedule a timer).
-		need := (float64(n) - g.tokens) / r
-		d := time.Duration(need * float64(time.Second))
-		if d < govMinSleep {
-			g.tokens -= float64(n) // run a small deficit; next acquire pays it
-			g.mu.Unlock()
-			return
-		}
+	g.mu.Lock()
+	r := g.rate()
+	if r <= 0 {
 		g.mu.Unlock()
-		<-g.clk.After(d)
+		return
+	}
+	now := g.clk.Now()
+	g.tokens += now.Sub(g.last).Seconds() * r
+	g.last = now
+	if burst := govBurstSeconds * r; g.tokens > burst {
+		g.tokens = burst
+	}
+	g.tokens -= float64(n)
+	d := time.Duration(-g.tokens / r * float64(time.Second))
+	g.mu.Unlock()
+	// A debt shorter than govMinSleep accrues instead of scheduling a
+	// timer; the next acquire pays it.
+	if d < govMinSleep {
+		return
+	}
+	select {
+	case <-g.clk.After(d):
 		g.mu.Lock()
 		g.throttleNs += d.Nanoseconds()
 		g.mu.Unlock()
+	case <-g.done:
 	}
 }
 

@@ -333,11 +333,11 @@ func NewLayer(comm *mpi.Comm, cfg Config) *Layer {
 		l.cfg.AsyncFlush = false
 	}
 	l.clk = clock.Or(cfg.Clock)
-	l.gov = newFlushGovernor(l.clk, cfg.FlushBandwidth, l.cfg.AsyncFlush)
-	l.govMark = l.clk.Now()
 	if cfg.Ctx != nil {
 		l.done = cfg.Ctx.Done()
 	}
+	l.gov = newFlushGovernor(l.clk, l.done, cfg.FlushBandwidth, l.cfg.AsyncFlush)
+	l.govMark = l.clk.Now()
 	// Rank 0 carries the replicated-data copies (Section 7's distributed
 	// redundant data optimization) and plays the initiator.
 	l.Saver.VDS.Primary = l.rank == 0

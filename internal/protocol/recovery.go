@@ -2,7 +2,7 @@ package protocol
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -13,58 +13,99 @@ import (
 
 // Recovery gather: what a restart needs to know before any rank re-executes.
 //
-// Each rank's checkpoint carries its early-message ID sets (Section 4.2);
-// on rollback every SENDER must learn which of its messages the receivers
-// already hold, so the union of all receivers' sets, re-indexed by sender,
-// is the world's suppression table. Historically each recovering worker
-// rebuilt that table itself by reading every rank's full state blob —
-// O(world) full-blob reads per worker, O(world²) for the world. Two things
-// fix that:
+// Section 4.2 is "roll back, hand senders their suppression lists,
+// re-execute": on rollback every SENDER must learn which of its messages
+// the receivers already hold, so the union of all receivers' early-ID
+// sets, re-indexed by sender, is the world's suppression table. Nothing in
+// that asks the coordinator to read application state, and it does not.
+// Every local checkpoint ends with a recovery-metadata sidecar
+// (storage.MetaKey) of about a hundred bytes; one gather (GatherRecovery),
+// run once per rollback by engine.Supervisor on every substrate, reads
+// exactly `ranks` of them and ships each rank only its slice
+// (RankRecovery). The primary's state object is opened only when its
+// sidecar counts replicated values (Section 7): the values stay in the
+// state stream, where they dedup across epochs, rather than being stored
+// a second time in the sidecar.
 //
-//   - a per-rank recovery-metadata sidecar (storage.MetaKey) holding just
-//     the early IDs, written right after the state manifest commits, so a
-//     gather reads O(world) tiny blobs instead of full states;
-//   - a single gather (GatherRecovery) run once by the recovery driver —
-//     engine.Supervisor, on every substrate — which then ships
-//     each rank only its own slice (RankRecovery).
+// The sidecar is required. The supervisor clears the commit record before
+// incarnation 0, so a job only ever restores epochs it wrote itself; a
+// committed epoch without a readable sidecar is a corrupt store
+// (cerr.ErrStore), never a cue to read every rank's state instead.
 
-// recoveryMeta is the sidecar blob's gob schema. Epoch is recorded so a
-// reader can detect a sidecar that somehow outlived its epoch directory.
+// recoveryMeta is the sidecar's content. Epoch is recorded so a reader can
+// detect a sidecar that somehow outlived its epoch directory.
 type recoveryMeta struct {
-	Epoch    int
-	EarlyIDs [][]uint32
+	Epoch      int
+	EarlyIDs   [][]uint32 // indexed by sending rank
+	Replicated int        // replicated values carried by this rank's state
 }
 
-// saveRecoveryMeta writes the sidecar for one rank's checkpoint. Called
-// after the state manifest commit: the sidecar is an accelerator, so it
-// must never exist without the state it summarizes.
-func saveRecoveryMeta(store *storage.CheckpointStore, epoch, rank int, earlyIDs [][]uint32) error {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(&recoveryMeta{Epoch: epoch, EarlyIDs: earlyIDs}); err != nil {
-		return fmt.Errorf("protocol: encode recovery meta: %w", err)
+// metaMagic opens a sidecar, followed by uvarints: epoch, replicated count,
+// sender count, then per sender an ID count and the IDs.
+var metaMagic = []byte("C3RM0002")
+
+func (m *recoveryMeta) marshal() []byte {
+	b := append([]byte(nil), metaMagic...)
+	b = binary.AppendUvarint(b, uint64(m.Epoch))
+	b = binary.AppendUvarint(b, uint64(m.Replicated))
+	b = binary.AppendUvarint(b, uint64(len(m.EarlyIDs)))
+	for _, set := range m.EarlyIDs {
+		b = binary.AppendUvarint(b, uint64(len(set)))
+		for _, id := range set {
+			b = binary.AppendUvarint(b, uint64(id))
+		}
 	}
-	return store.PutMeta(epoch, rank, b.Bytes())
+	return b
 }
 
-// loadRecoveryEarlyIDs reads one rank's early-ID sets for an epoch: from
-// the sidecar when present, else from the full state blob (checkpoints
-// written before the sidecar existed).
-func loadRecoveryEarlyIDs(store *storage.CheckpointStore, epoch, rank int) ([][]uint32, error) {
+// unmarshalRecoveryMeta decodes a sidecar. Every count is checked against
+// the bytes that are left before anything is allocated from it.
+func unmarshalRecoveryMeta(raw []byte) (*recoveryMeta, error) {
+	rest, ok := bytes.CutPrefix(raw, metaMagic)
+	bad := !ok
+	next := func(limit uint64) uint64 {
+		v, n := binary.Uvarint(rest)
+		if n <= 0 || v > limit {
+			bad, rest = true, nil
+			return 0
+		}
+		rest = rest[n:]
+		return v
+	}
+	count := func() uint64 { return next(uint64(len(rest))) } // an element is a byte or more
+	m := &recoveryMeta{Epoch: int(next(1 << 31)), Replicated: int(next(1 << 31))}
+	m.EarlyIDs = make([][]uint32, count())
+	for s := range m.EarlyIDs {
+		if n := count(); n > 0 {
+			m.EarlyIDs[s] = make([]uint32, n)
+			for i := range m.EarlyIDs[s] {
+				m.EarlyIDs[s][i] = uint32(next(1<<32 - 1))
+			}
+		}
+	}
+	if bad || len(rest) != 0 {
+		return nil, errors.New("truncated, overlong or not a sidecar")
+	}
+	return m, nil
+}
+
+// loadRecoveryMeta reads one rank's sidecar for a committed epoch.
+func loadRecoveryMeta(store *storage.CheckpointStore, epoch, rank, ranks int) (*recoveryMeta, error) {
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("protocol: %w: recovery sidecar of rank %d, epoch %d: "+format, append([]any{cerr.ErrStore, rank, epoch}, args...)...)
+	}
 	raw, err := store.GetMeta(epoch, rank)
 	if err != nil {
-		if errors.Is(err, storage.ErrNotFound) {
-			return LoadEarlyIDs(store, epoch, rank)
-		}
-		return nil, err
+		return nil, corrupt("%w", err)
 	}
-	var m recoveryMeta
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("protocol: decode recovery meta (epoch %d, rank %d): %w", epoch, rank, err)
+	m, err := unmarshalRecoveryMeta(raw)
+	if err != nil {
+		return nil, corrupt("%w", err)
 	}
-	if m.Epoch != epoch {
-		return nil, fmt.Errorf("protocol: %w: recovery meta of rank %d records epoch %d, requested epoch %d", cerr.ErrStore, rank, m.Epoch, epoch)
+	if m.Epoch != epoch || len(m.EarlyIDs) > ranks {
+		return nil, corrupt("records epoch %d and %d senders in a world of %d", m.Epoch, len(m.EarlyIDs), ranks)
 	}
-	return m.EarlyIDs, nil
+	return m, nil
 }
 
 // RecoveryPlan is everything a world needs to roll back to one committed
@@ -79,39 +120,59 @@ type RecoveryPlan struct {
 	// IDs rank s must not re-send during recovery.
 	Suppress [][]uint32
 	// Replicas holds the primary rank's replicated values (Section 7);
-	// nil when the primary's checkpoint carries no application state.
+	// nil when the primary's checkpoint carries none.
 	Replicas map[string][]byte
 }
 
-// GatherRecovery builds the world's recovery plan for a committed epoch:
-// ranks sidecar reads (tiny blobs) plus one full state read (rank 0, for
-// the replicated values). The suppression re-index preserves the historic
-// order — receiver-major, each receiver's per-sender set appended whole —
-// so recovery behaves byte-identically to the old per-worker scan.
+// GatherRecovery builds the world's recovery plan for a committed epoch
+// from `ranks` sidecar reads, plus one read of the primary's state (its
+// manifest and chunks) only when the primary's sidecar says that state
+// carries replicated values. The suppression re-index is receiver-major,
+// each receiver's per-sender set appended whole, so the order every sender
+// sees is the same on every substrate.
 func GatherRecovery(store *storage.CheckpointStore, epoch, ranks int) (*RecoveryPlan, error) {
 	plan := &RecoveryPlan{Epoch: epoch, Suppress: make([][]uint32, ranks)}
 	for r := 0; r < ranks; r++ {
-		ids, err := loadRecoveryEarlyIDs(store, epoch, r)
+		m, err := loadRecoveryMeta(store, epoch, r, ranks)
 		if err != nil {
-			return nil, fmt.Errorf("protocol: gather early IDs of rank %d: %w", r, err)
+			return nil, err
 		}
-		for sender, set := range ids {
+		for sender, set := range m.EarlyIDs {
 			if len(set) > 0 {
 				plan.Suppress[sender] = append(plan.Suppress[sender], set...)
 			}
 		}
-	}
-	primaryApp, err := LoadAppState(store, epoch, 0)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: gather primary app state: %w", err)
-	}
-	if len(primaryApp) > 0 {
-		plan.Replicas, err = ckpt.ExtractReplicated(primaryApp)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: extract replicated data: %w", err)
+		if r == 0 && m.Replicated > 0 {
+			if plan.Replicas, err = loadReplicas(store, epoch, m.Replicated); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return plan, nil
+}
+
+// loadReplicas extracts the primary's replicated values from its state
+// object; want is the count its sidecar promised.
+func loadReplicas(store *storage.CheckpointStore, epoch, want int) (map[string][]byte, error) {
+	raw, err := store.GetState(epoch, 0)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: gather primary state (epoch %d): %w", epoch, err)
+	}
+	st, err := unmarshalState(raw)
+	if err != nil {
+		return nil, err
+	}
+	replicas, err := ckpt.ExtractReplicated(st.App)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: %w: extract replicated data (epoch %d): %w", cerr.ErrStore, epoch, err)
+	}
+	if len(replicas) != want {
+		return nil, fmt.Errorf("protocol: %w: primary state of epoch %d carries %d replicated values, its sidecar says %d", cerr.ErrStore, epoch, len(replicas), want)
+	}
+	for name, view := range replicas {
+		replicas[name] = bytes.Clone(view) // the plan outlives the gather; do not pin the whole state
+	}
+	return replicas, nil
 }
 
 // RankRecovery is one rank's slice of a RecoveryPlan — what a driver ships

@@ -136,11 +136,11 @@ func TestFigure3(t *testing.T) {
 	if !foundLate {
 		t.Fatal("Q's persisted log is missing the late message")
 	}
-	ids, err := LoadEarlyIDs(cs, 1, 2)
+	meta, err := loadRecoveryMeta(cs, 1, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids[1]) != 1 {
+	if ids := meta.EarlyIDs; len(ids[1]) != 1 {
 		t.Fatalf("persisted early IDs = %v", ids)
 	}
 }
@@ -173,11 +173,11 @@ func TestFigure3Recovery(t *testing.T) {
 	// job).
 	suppress := make([][]uint32, 3)
 	for r := 0; r < 3; r++ {
-		ids, err := LoadEarlyIDs(cs, 1, r)
+		meta, err := loadRecoveryMeta(cs, 1, r, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for sender, set := range ids {
+		for sender, set := range meta.EarlyIDs {
 			suppress[sender] = append(suppress[sender], set...)
 		}
 	}

@@ -63,8 +63,7 @@ func (p *pendingCheckpoint) retainedBytes() []byte {
 }
 
 // stateMagicV2 marks the streamed state-blob layout: magic, uvarint-framed
-// gob protocol header, then the raw application-state stream. (Legacy
-// blobs are a bare gob of checkpointState; unmarshalState reads both.)
+// gob protocol header, then the raw application-state stream.
 var stateMagicV2 = []byte("C3SB0002")
 
 // captureState is the blocking half of a local checkpoint: it copies the
@@ -148,7 +147,13 @@ func (l *Layer) writeState(p *pendingCheckpoint) (total, written int64, err erro
 	if p.retain != nil {
 		// Tee every serialized byte into the retained in-memory copy; the
 		// copy is byte-identical to the store blob, so unmarshalState (and
-		// so RestoreFrom) reads it directly.
+		// so RestoreFrom) reads it directly. Its size is known exactly, so
+		// it is allocated once instead of regrowing by doubling.
+		size := hdr.Len()
+		if p.frozen != nil {
+			size += p.frozen.StateBytes()
+		}
+		p.retain.Grow(size)
 		gw = teeSection{w: gw, buf: p.retain}
 	}
 	if _, err := gw.Write(hdr.Bytes()); err != nil {
@@ -169,13 +174,14 @@ func (l *Layer) writeState(p *pendingCheckpoint) (total, written int64, err erro
 	if err != nil {
 		return total, written, err
 	}
-	// The recovery-metadata sidecar rides behind the state manifest: it
-	// only accelerates the recovery gather, so it must never exist without
-	// the state it summarizes. One tiny Put per checkpoint.
-	if err := saveRecoveryMeta(l.cfg.Store, p.epoch, l.rank, p.hdr.EarlyIDs); err != nil {
-		return total, written, err
+	// The recovery-metadata sidecar rides behind the state manifest — it
+	// must never exist without the state it summarizes — and completes the
+	// local checkpoint: the recovery gather reads nothing else.
+	meta := recoveryMeta{Epoch: p.epoch, EarlyIDs: p.hdr.EarlyIDs}
+	if p.frozen != nil {
+		meta.Replicated = p.frozen.ReplicatedCarried()
 	}
-	return total, written, nil
+	return total, written, l.cfg.Store.PutMeta(p.epoch, l.rank, meta.marshal())
 }
 
 // governedSection wraps the chunked state writer with the flush
@@ -208,56 +214,20 @@ func (t teeSection) Write(p []byte) (int, error) {
 
 func (t teeSection) Cut() error { return t.w.Cut() }
 
+// unmarshalState decodes a state blob; App is a view of raw, not a copy.
 func unmarshalState(raw []byte) (*checkpointState, error) {
+	rest, ok := bytes.CutPrefix(raw, stateMagicV2)
+	n, w := binary.Uvarint(rest)
+	if !ok || w <= 0 || n > uint64(len(rest)-w) {
+		return nil, fmt.Errorf("protocol: %w: corrupt checkpoint state header", cerr.ErrStore)
+	}
+	hdr, app := rest[w:w+int(n)], rest[w+int(n):]
 	var st checkpointState
-	if bytes.HasPrefix(raw, stateMagicV2) {
-		rd := bytes.NewReader(raw[len(stateMagicV2):])
-		n, err := binary.ReadUvarint(rd)
-		if err != nil || uint64(rd.Len()) < n {
-			return nil, fmt.Errorf("protocol: corrupt checkpoint state header")
-		}
-		off := len(raw) - rd.Len()
-		if err := gob.NewDecoder(bytes.NewReader(raw[off : off+int(n)])).Decode(&st); err != nil {
-			return nil, fmt.Errorf("protocol: decode checkpoint state: %w", err)
-		}
-		st.App = raw[off+int(n):]
-		return &st, nil
+	if err := gob.NewDecoder(bytes.NewReader(hdr)).Decode(&st); err != nil {
+		return nil, fmt.Errorf("protocol: %w: decode checkpoint state: %w", cerr.ErrStore, err)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("protocol: decode checkpoint state: %w", err)
-	}
+	st.App = app
 	return &st, nil
-}
-
-// LoadEarlyIDs reads the early-message ID sets a rank saved with its local
-// checkpoint for the given epoch. The recovery driver gathers these from
-// every rank and informs each sender which message IDs to suppress
-// (Section 4.2).
-func LoadEarlyIDs(store *storage.CheckpointStore, epoch, rank int) ([][]uint32, error) {
-	raw, err := store.GetState(epoch, rank)
-	if err != nil {
-		return nil, err
-	}
-	st, err := unmarshalState(raw)
-	if err != nil {
-		return nil, err
-	}
-	return st.EarlyIDs, nil
-}
-
-// LoadAppState reads the application-state blob a rank saved with its
-// local checkpoint. The recovery driver uses it to extract the primary
-// rank's replicated values before re-invoking the application.
-func LoadAppState(store *storage.CheckpointStore, epoch, rank int) ([]byte, error) {
-	raw, err := store.GetState(epoch, rank)
-	if err != nil {
-		return nil, err
-	}
-	st, err := unmarshalState(raw)
-	if err != nil {
-		return nil, err
-	}
-	return st.App, nil
 }
 
 // Restore rebuilds the layer from the committed global checkpoint at the

@@ -31,11 +31,14 @@ func StateKey(epoch, rank int) string { return fmt.Sprintf("ckpt/%08d/state.%04d
 // LogKey names the message/non-determinism log blob for (epoch, rank).
 func LogKey(epoch, rank int) string { return fmt.Sprintf("ckpt/%08d/log.%04d", epoch, rank) }
 
-// MetaKey names the recovery-metadata manifest for (epoch, rank): a small
-// sidecar blob holding just what the recovery driver gathers (the early-
-// message ID sets), so a restart reads O(ranks) tiny blobs instead of
-// every rank's full state. Written after the state manifest commits, and
-// pruned with the rest of the epoch directory.
+// MetaKey names the recovery-metadata sidecar for (epoch, rank): a small
+// blob holding what the recovery driver gathers from that rank's checkpoint
+// (its early-message ID sets and how many replicated values its state
+// carries), so a restart reads O(ranks) tiny blobs and no rank's state. It
+// is part of the checkpoint, not an accelerator: written after the state
+// manifest and before the rank reports the epoch durable, pruned with the
+// rest of the epoch directory, and a committed epoch without one is a
+// corrupt store.
 func MetaKey(epoch, rank int) string { return fmt.Sprintf("ckpt/%08d/meta.%04d", epoch, rank) }
 
 const commitKey = "ckpt/COMMIT"
@@ -77,9 +80,7 @@ func (c *CheckpointStore) PutMeta(epoch, rank int, data []byte) error {
 	return c.S.Put(MetaKey(epoch, rank), data)
 }
 
-// GetMeta loads a rank's recovery-metadata sidecar for an epoch. Returns
-// ErrNotFound for checkpoints written before the sidecar existed; callers
-// fall back to reading the full state blob.
+// GetMeta loads a rank's recovery-metadata sidecar for an epoch.
 func (c *CheckpointStore) GetMeta(epoch, rank int) ([]byte, error) {
 	return c.S.Get(MetaKey(epoch, rank))
 }

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"ccift/internal/cerr"
 )
 
 // Chunked streaming storage: a large blob is stored as content-hashed
@@ -312,7 +314,7 @@ func (w *ChunkedWriter) Commit() (total, written int64, err error) {
 	if w.committed {
 		return 0, 0, fmt.Errorf("storage: ChunkedWriter for %s committed twice", w.key)
 	}
-	cerr := w.Cut()
+	cutErr := w.Cut()
 	if w.pipe != nil {
 		// Join the workers even when the final Cut failed — a left-behind
 		// worker blocked on its channel would leak.
@@ -326,8 +328,11 @@ func (w *ChunkedWriter) Commit() (total, written int64, err error) {
 		w.total += w.pipe.total
 		w.written += w.pipe.written
 	}
-	if cerr != nil {
-		return 0, 0, cerr
+	if cutErr != nil {
+		return 0, 0, cutErr
+	}
+	if w.total > MaxBlobBytes {
+		return 0, 0, fmt.Errorf("%w: blob %s is %d bytes; no reader accepts more than %d", cerr.ErrStore, w.key, w.total, MaxBlobBytes)
 	}
 	man := MarshalManifest(w.refs)
 	if err := w.s.Put(w.key, man); err != nil {
@@ -354,41 +359,83 @@ func MarshalManifest(refs []ChunkRef) []byte {
 // IsManifest reports whether blob is a chunk manifest.
 func IsManifest(blob []byte) bool { return bytes.HasPrefix(blob, manifestMagic) }
 
-// ParseManifest decodes a manifest blob.
+// MaxBlobBytes bounds a chunked blob and each of its chunks: the 1 GiB
+// that internal/launch applies to a control frame. A manifest is stored
+// data, so its lengths are checked against this before anything is
+// allocated from them, and Commit refuses to publish a blob past it.
+const MaxBlobBytes = 1 << 30
+
+func corruptManifest(format string, args ...any) error {
+	return fmt.Errorf("%w: corrupt manifest: "+format, append([]any{cerr.ErrStore}, args...)...)
+}
+
+// ParseManifest decodes a manifest blob. Every ref it returns has a length
+// in (0, MaxBlobBytes] and the lengths sum to at most MaxBlobBytes.
 func ParseManifest(blob []byte) ([]ChunkRef, error) {
 	if !IsManifest(blob) {
-		return nil, fmt.Errorf("storage: not a chunk manifest")
+		return nil, fmt.Errorf("%w: not a chunk manifest", cerr.ErrStore)
 	}
 	rd := bytes.NewReader(blob[len(manifestMagic):])
 	n, err := binary.ReadUvarint(rd)
 	if err != nil {
-		return nil, fmt.Errorf("storage: corrupt manifest: %w", err)
+		return nil, corruptManifest("%w", err)
 	}
-	if n > uint64(rd.Len()) { // each ref is > 1 byte; cheap sanity bound
-		return nil, fmt.Errorf("storage: corrupt manifest: %d refs in %d bytes", n, rd.Len())
+	if n > uint64(rd.Len())/(1+sha256.Size) { // a ref is a length byte or more plus a sum
+		return nil, corruptManifest("%d refs in %d bytes", n, rd.Len())
 	}
 	refs := make([]ChunkRef, 0, n)
+	var total uint64
 	for i := uint64(0); i < n; i++ {
 		l, err := binary.ReadUvarint(rd)
 		if err != nil {
-			return nil, fmt.Errorf("storage: corrupt manifest: %w", err)
+			return nil, corruptManifest("%w", err)
 		}
-		var r ChunkRef
-		r.Len = int64(l)
+		if total += l; l == 0 || l > MaxBlobBytes || total > MaxBlobBytes {
+			return nil, corruptManifest("ref %d is %d bytes (blob so far %d, bound %d)", i, l, total, MaxBlobBytes)
+		}
+		r := ChunkRef{Len: int64(l)}
 		if _, err := io.ReadFull(rd, r.Sum[:]); err != nil {
-			return nil, fmt.Errorf("storage: corrupt manifest: truncated ref")
+			return nil, corruptManifest("truncated ref %d", i)
 		}
 		refs = append(refs, r)
 	}
 	if rd.Len() != 0 {
-		return nil, fmt.Errorf("storage: corrupt manifest: %d trailing bytes", rd.Len())
+		return nil, corruptManifest("%d trailing bytes", rd.Len())
 	}
 	return refs, nil
+}
+
+// fetched is one chunk as the store returned it, and its slot (ref.Len
+// bytes) in the blob being assembled.
+type fetched struct {
+	ref        ChunkRef
+	chunk, dst []byte
+}
+
+// place verifies the chunk's length and content hash against its ref and
+// copies it into its slot.
+func (f fetched) place() error {
+	if int64(len(f.chunk)) != f.ref.Len {
+		return fmt.Errorf("%w: assemble: chunk %s is %d bytes, manifest says %d", cerr.ErrStore, f.ref.Key(), len(f.chunk), f.ref.Len)
+	}
+	if sha256.Sum256(f.chunk) != f.ref.Sum {
+		return fmt.Errorf("%w: assemble: chunk %s fails content verification", cerr.ErrStore, f.ref.Key())
+	}
+	copy(f.dst, f.chunk)
+	return nil
 }
 
 // Assemble reassembles a chunked blob from its manifest, verifying each
 // chunk's length and content hash (a torn or swept chunk must surface as
 // an error, never as silently corrupt state).
+//
+// The Gets are issued here, on the caller's goroutine, in manifest order;
+// hashing and the copy into the pre-sized result run on one worker behind
+// them, so chunk N is verified while chunk N+1 is read. A store on virtual
+// time therefore sees the calls a serial reader would make, from the same
+// goroutine in the same order — which is why there is no serial variant to
+// select. A blob of one chunk has nothing to overlap and is placed by the
+// caller, as a one-chunk ChunkedWriter spawns no pipeline.
 func Assemble(s Stable, manifest []byte) ([]byte, error) {
 	refs, err := ParseManifest(manifest)
 	if err != nil {
@@ -398,19 +445,47 @@ func Assemble(s Stable, manifest []byte) ([]byte, error) {
 	for _, r := range refs {
 		size += r.Len
 	}
-	out := make([]byte, 0, size)
+	out := make([]byte, size)
+	// As on the write side, the depth bounds the chunks read ahead of the
+	// worker — and so the memory in flight — to a few.
+	jobs, done := make(chan fetched, DefaultPipelineDepth), make(chan error, 1)
+	placeAll := func() {
+		for f := range jobs {
+			if err := f.place(); err != nil {
+				done <- err // the caller stops reading at its next hand-over
+				return
+			}
+		}
+		done <- nil
+	}
+	pipelined := len(refs) > 1
+	if pipelined {
+		go placeAll()
+	}
+	var getErr error
+	off := int64(0)
 	for _, r := range refs {
 		chunk, err := s.Get(r.Key())
 		if err != nil {
-			return nil, fmt.Errorf("storage: assemble: %w", err)
+			getErr = fmt.Errorf("storage: assemble: %w", err)
+			break
 		}
-		if int64(len(chunk)) != r.Len {
-			return nil, fmt.Errorf("storage: assemble: chunk %s is %d bytes, manifest says %d", r.Key(), len(chunk), r.Len)
+		select {
+		case jobs <- fetched{ref: r, chunk: chunk, dst: out[off : off+r.Len]}:
+			off += r.Len
+		case err := <-done: // the worker met a bad chunk and has returned
+			return nil, err
 		}
-		if sha256.Sum256(chunk) != r.Sum {
-			return nil, fmt.Errorf("storage: assemble: chunk %s fails content verification", r.Key())
-		}
-		out = append(out, chunk...)
+	}
+	close(jobs)
+	if !pipelined {
+		placeAll()
+	}
+	if err := <-done; getErr == nil {
+		getErr = err
+	}
+	if getErr != nil {
+		return nil, getErr
 	}
 	return out, nil
 }
