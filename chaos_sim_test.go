@@ -235,29 +235,45 @@ func TestChaosExhaustedRestartsFailsWithOneSentinel(t *testing.T) {
 func TestChaosDeterministicReplay(t *testing.T) {
 	// The acceptance bar for the substrate: the same seed replays the same
 	// run — byte-identical Values, the same restart count, the same
-	// protocol counters and the same per-rank event traces — with the
-	// async checkpoint pipeline asked for: on virtual time the protocol
-	// layer itself keeps to the deterministic synchronous path.
-	// (CheckpointBytesWritten attributes shared deduplicated chunks to
-	// whichever rank's goroutine stored them first, which virtual time does
-	// not schedule; it is compared as a sum.)
+	// protocol counters, the same per-rank event traces and the same store
+	// left behind — under the default policy's own write path: every
+	// checkpoint is flushed by a task beside its rank, which the scenario's
+	// slow store keeps open for milliseconds of virtual time while the rank
+	// computes on, and the governor and the chunk writer run as they do in
+	// production. The counters are compared whole, per rank,
+	// CheckpointBytesWritten included: the simulated store answers each
+	// dedup probe from the virtual timeline (sim.WrapStore), so which rank
+	// stored a chunk two of them hold is part of the replay too.
 	seed := testseed.Base(t, 1007)
 	sc := ccift.Scenario{
 		Latency: time.Millisecond, Jitter: time.Millisecond,
 		DropProb: 0.05, DupProb: 0.1,
 		DetectorTimeout: 25 * time.Millisecond,
+		SlowStore:       &ccift.SlowStore{Delay: 300 * time.Microsecond},
 		Crashes:         []ccift.Crash{{Rank: 3, At: 45 * time.Millisecond}},
 	}
-	run := func() (*ccift.Result, *rankTraces) {
+	run := func() (*ccift.Result, *rankTraces, map[string]int) {
 		tr := &rankTraces{byRank: make([][]ccift.TraceEvent, 4)}
-		res, err := launchSim(t, seed, sc, 40, 8, ccift.WithAsyncCheckpoint(true), ccift.WithTracer(tr))
+		store := ccift.NewMemoryStore()
+		res, err := launchSim(t, seed, sc, 40, 8, ccift.WithTracer(tr), ccift.WithStore(store))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, tr
+		return res, tr, storeListing(t, store)
 	}
-	a, at := run()
-	b, bt := run()
+	a, at, astore := run()
+	b, bt, bstore := run()
+	// The async path really ran: the store's delays were waited out by
+	// flush tasks (CheckpointFlushNs), not by ranks stopped inside
+	// takeCheckpoint — a freeze takes no virtual time at all.
+	var flushNs, blockedNs int64
+	for _, s := range a.Stats {
+		flushNs += s.CheckpointFlushNs
+		blockedNs += s.CheckpointBlockedNs
+	}
+	if flushNs == 0 || blockedNs != 0 {
+		t.Fatalf("flush time %dns, blocked time %dns: want the store's delays on the flush tasks and none on the ranks", flushNs, blockedNs)
+	}
 	if !reflect.DeepEqual(at.byRank, bt.byRank) {
 		t.Fatalf("per-rank protocol traces diverged across identical seeds")
 	}
@@ -268,13 +284,11 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		t.Fatalf("recovery shape diverged: %d/%v vs %d/%v restarts/epochs",
 			a.Restarts, a.RecoveredEpochs, b.Restarts, b.RecoveredEpochs)
 	}
-	as, aw := normalizeWritten(a.Stats)
-	bs, bw := normalizeWritten(b.Stats)
-	if !reflect.DeepEqual(as, bs) {
-		t.Fatalf("protocol counters diverged:\n  %+v\n  %+v", as, bs)
+	if !reflect.DeepEqual(a.Stats, b.Stats) {
+		t.Fatalf("protocol counters diverged:\n  %+v\n  %+v", a.Stats, b.Stats)
 	}
-	if aw != bw {
-		t.Fatalf("aggregate checkpoint bytes written diverged: %d vs %d", aw, bw)
+	if !reflect.DeepEqual(astore, bstore) {
+		t.Fatalf("the runs left different stores behind:\n  %v\n  %v", astore, bstore)
 	}
 }
 
@@ -292,15 +306,22 @@ func (r *rankTraces) Trace(e ccift.TraceEvent) {
 	r.mu.Unlock()
 }
 
-func normalizeWritten(in []ccift.Stats) ([]ccift.Stats, int64) {
-	out := make([]ccift.Stats, len(in))
-	var sum int64
-	for i, s := range in {
-		sum += s.CheckpointBytesWritten
-		s.CheckpointBytesWritten = 0
-		out[i] = s
+// storeListing is every key a run left in its store, with the blob's size.
+func storeListing(t *testing.T, s ccift.Stable) map[string]int {
+	t.Helper()
+	keys, err := s.List("")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out, sum
+	out := make(map[string]int, len(keys))
+	for _, k := range keys {
+		b, err := s.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[k] = len(b)
+	}
+	return out
 }
 
 func TestSimulated1000RankWorld(t *testing.T) {
@@ -324,9 +345,11 @@ func TestSimulated1000RankWorld(t *testing.T) {
 	const ranks = 1000
 	seed := testseed.Base(t, 1008)
 	ref := soakRef(t, ranks, 3, 4)
+	store := &countingStable{Stable: ccift.NewMemoryStore()}
 	start := time.Now()
 	res, err := ccift.Launch(context.Background(), ccift.NewSpec(
 		ccift.WithRanks(ranks), ccift.WithMode(ccift.Full), ccift.WithEveryN(2),
+		ccift.WithStore(store),
 		ccift.WithSimulated(ccift.Scenario{
 			Seed: seed, Latency: time.Millisecond,
 			DetectorTimeout: 30 * time.Second,
@@ -358,5 +381,17 @@ func TestSimulated1000RankWorld(t *testing.T) {
 	}
 	if want := ranks - 1; retained != want {
 		t.Fatalf("%d ranks restored from retained state, want %d (all survivors)", retained, want)
+	}
+	// And the store saw it: the whole run — the commits' prunes (a manifest
+	// read per rank), the recovery gather (a sidecar per rank) and the one
+	// replacement's restore — read two blobs per rank (2007, the same on
+	// every run), where every rank scanning every rank's metadata would
+	// have read a million. The bound leaves the recovery's half room for
+	// half a read more per rank. (TestRecoveryStoreReadsLinearInRanks
+	// isolates the recovery's share at 8, 64 and 256 ranks.)
+	if reads := store.gets.Load(); reads > 5*ranks/2 {
+		t.Fatalf("%d store reads in a %d-rank run with one recovery, want at most %d", reads, ranks, 5*ranks/2)
+	} else {
+		t.Logf("%d store reads (%.2f per rank)", reads, float64(reads)/ranks)
 	}
 }

@@ -149,8 +149,9 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 				// epoch it cannot recover from.
 				ccift.WithMode(ccift.NoAppState),
 				ccift.WithEveryN(confEveryN),
-				// Op 100 is comfortably past the first commit (which lands
-				// around op 70 at this scale), so a checkpoint exists.
+				// Simulated, so that a checkpoint exists by construction: in
+				// this scenario rank 1's op 100 follows the first commit.
+				ccift.WithSimulated(ccift.Scenario{Seed: 7, Latency: time.Millisecond}),
 				ccift.WithFailures(ccift.Failure{Rank: 1, AtOp: 100}),
 			},
 			want:       ccift.ErrWorldDead,

@@ -92,8 +92,7 @@ const (
 	CodeOK          = 0
 	CodeProgram     = 1 // also: any uncategorized failure
 	CodeSpec        = 2 // doubles as the usage exit code, per CLI convention
-	CodeRollback    = 3 // reserved: was launch's "re-spawn me"; no worker exits with it since the control stream
-	CodeStore       = 4
+	CodeStore       = 4 // 3 is retired: launch's old "re-spawn me", which no worker exits with
 	CodeTransport   = 5
 	CodeMaxRestarts = 6
 	CodeCanceled    = 7
@@ -127,7 +126,7 @@ func ExitCode(err error) int {
 }
 
 // FromExitCode maps a worker's exit code back to its category sentinel;
-// nil for CodeOK, CodeRollback, and codes this version does not know
+// nil for CodeOK and codes this version does not know
 // (future workers may grow new ones — an unknown code degrades to nil and
 // the caller falls back to its generic classification).
 func FromExitCode(code int) error {

@@ -53,7 +53,7 @@ func TestExitCodeRoundTrip(t *testing.T) {
 	if ExitCode(errors.New("mystery")) != CodeProgram {
 		t.Errorf("uncategorized error should exit CodeProgram")
 	}
-	if FromExitCode(CodeRollback) != nil || FromExitCode(99) != nil {
-		t.Errorf("rollback/unknown codes must not map to a category")
+	if FromExitCode(3) != nil || FromExitCode(99) != nil {
+		t.Errorf("retired/unknown codes must not map to a category")
 	}
 }

@@ -48,6 +48,25 @@ func (systemClock) AfterFunc(d time.Duration, f func()) Timer {
 	return time.AfterFunc(d, f)
 }
 
+// Go starts f as a helper task of the caller on c and returns a function
+// that blocks until f has returned. On the wall clock the task is a plain
+// goroutine. A clock whose time is scheduled (internal/sim) implements Go
+// itself, so its scheduler knows the task exists: virtual time must not
+// advance past wall-time work it cannot otherwise see, and a caller blocked
+// in wait must count as blocked, not as running. The checkpoint flusher
+// (internal/protocol) is started through here on every clock.
+func Go(c Clock, f func()) (wait func()) {
+	if s, ok := c.(interface{ Go(func()) func() }); ok {
+		return s.Go(f)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	return func() { <-done }
+}
+
 // Or returns c if non-nil and System otherwise; config plumbing uses it
 // so a zero-valued Config keeps wall-clock behavior.
 func Or(c Clock) Clock {

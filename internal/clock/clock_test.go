@@ -43,3 +43,17 @@ func TestOr(t *testing.T) {
 		t.Fatal("Or(c) != c")
 	}
 }
+
+func TestGoOnTheWallClock(t *testing.T) {
+	var ran atomic.Bool
+	release := make(chan struct{})
+	wait := Go(System, func() { <-release; ran.Store(true) })
+	if ran.Load() {
+		t.Fatal("the task ran ahead of its release")
+	}
+	close(release)
+	wait()
+	if !ran.Load() {
+		t.Fatal("wait returned before the task had")
+	}
+}

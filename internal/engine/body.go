@@ -96,7 +96,7 @@ func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 		Clock:             b.clock,
 	})
 	// Registered before the Shutdown defer below so it runs AFTER the
-	// flusher drains (defers are LIFO): the retained copies and the final
+	// flush drains (defers are LIFO): the retained copies and the final
 	// counters then include a checkpoint that was still flushing. It runs
 	// on panic unwinds too, so a survivor keeps its copies across a
 	// rollback and the stats stream carries the counters of an incarnation
@@ -105,9 +105,9 @@ func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 		out.retained = layer.Retained()
 		frame(layer.Stats, true)
 	}()
-	// The background flusher must not outlive this incarnation: Shutdown
-	// waits for an in-flight state write, so a dying rank never leaks a
-	// goroutine still writing to the store a later incarnation reads.
+	// The flush task must not outlive this incarnation: Shutdown waits for
+	// an in-flight state write, so a dying rank never leaves a task still
+	// writing to the store a later incarnation reads.
 	defer layer.Shutdown()
 
 	r := newRank(layer, b.seed, b.incarnation)
@@ -132,6 +132,9 @@ func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 	if err != nil {
 		return cerr.Ensure(err, cerr.ErrProgram)
 	}
+	// The initiator comes back from Finish only once the global checkpoint
+	// in flight has committed (the end-of-program rule, see Layer.Finish),
+	// so its announcement is what releases the others.
 	layer.Finish()
 	// Keep servicing protocol control traffic until every rank is done, so
 	// an in-flight global checkpoint does not stall on a rank that finished
@@ -139,9 +142,9 @@ func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 	// messages or the completion announcement — no polling.
 	b.announceDone()
 	layer.ServiceControlUntil(b.allDone)
-	// Drain the flusher before reporting: a checkpoint still in flight at
-	// completion is finished (its bytes count) and a failed flush is this
-	// rank's error.
+	// Drain the flush before reporting: a local checkpoint still in flight
+	// at completion is finished (its bytes count) and a failed flush is
+	// this rank's error.
 	if err := layer.Shutdown(); err != nil {
 		return err
 	}

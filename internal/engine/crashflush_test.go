@@ -3,116 +3,120 @@ package engine
 import (
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"ccift/internal/mpi"
 	"ccift/internal/protocol"
+	"ccift/internal/sim"
 	"ccift/internal/storage"
 )
 
-// In-process crash-during-flush: the deterministic companion of the
-// distributed TestDistributedKillMidFlush. A fault-injecting Stable
-// wrapper holds the doomed rank's epoch-2 state-manifest write open and
-// signals the moment it begins; the rank then dies (fail-stop panic) with
-// its checkpoint flush provably in flight. Epoch 1 is committed before any
-// rank can begin checkpoint 2 (the initiator starts a new global
-// checkpoint only after the previous commit record is durable), and epoch
-// 2 can never commit because the dead rank never reports stoppedLogging —
-// so recovery from exactly epoch 1 is guaranteed, and the recovered run
-// must reproduce the fault-free values.
+// Crash during flush, as a virtual-time schedule: the deterministic
+// companion of the distributed TestDistributedKillMidFlush. The scenario's
+// slow store makes every store call take 4 ms of virtual time, so the
+// doomed rank's epoch-2 flush — a flush task beside the rank, as in
+// production — stays open for tens of milliseconds, and Scenario.Crashes
+// stops the rank in the middle of the task's manifest write. Epoch 1 is
+// committed before any rank can begin checkpoint 2 (the initiator starts a
+// new global checkpoint only after the previous commit record is durable),
+// and epoch 2 can never commit because the dead rank never reports
+// stoppedLogging — so recovery from exactly epoch 1 is guaranteed, and the
+// recovered run must reproduce the fault-free values.
 
-// slowManifest delays writes to one key and closes started when the first
-// such write begins. Every other operation passes straight through.
-type slowManifest struct {
+// putClock records, on virtual time, when the first write of one key began.
+type putClock struct {
 	storage.Stable
-	key     string
-	delay   time.Duration
-	started chan struct{}
-	once    sync.Once
+	s   *sim.Sim
+	key string
+
+	mu    sync.Mutex
+	began time.Duration // 0: not written
 }
 
-func (s *slowManifest) Put(key string, data []byte) error {
-	if key == s.key {
-		s.once.Do(func() { close(s.started) })
-		time.Sleep(s.delay)
+func (p *putClock) Put(key string, data []byte) error {
+	if key == p.key {
+		p.mu.Lock()
+		if p.began == 0 {
+			p.began = p.s.Elapsed()
+		}
+		p.mu.Unlock()
 	}
-	return s.Stable.Put(key, data)
+	return p.Stable.Put(key, data)
 }
 
-// crashProg builds a ring-exchange program; when started is non-nil, rank
-// `doomed` dies — once — as soon as started closes (i.e. as soon as its
-// own checkpoint flush is mid-write). A nil channel builds the fault-free
-// reference program. Beyond the scalars, each rank carries a grid it
-// partially rewrites (with Touch write intent) every iteration and folds
-// into its result, so the incremental-freeze variant cannot recover from
-// a stale frozen region without the checksum diverging.
-func crashProg(doomed int, started <-chan struct{}, died *atomic.Bool) Program {
-	return func(r *Rank) (any, error) {
-		next := (r.Rank() + 1) % r.Size()
-		prev := (r.Rank() - 1 + r.Size()) % r.Size()
-		var it int
-		var total float64
-		grid := make([]float64, 2048)
-		r.Register("it", &it)
-		r.Register("total", &total)
-		r.Register("grid", &grid)
-		for ; it < 30; it++ {
-			r.PotentialCheckpoint()
-			if r.Rank() == doomed {
-				select {
-				case <-started:
-					if died.CompareAndSwap(false, true) {
-						// Simulated process crash: no cleanup, flush still
-						// in flight on the background flusher.
-						panic(mpi.ErrKilled)
-					}
-				default:
-				}
-			}
-			h := r.Irecv(prev, 1)
-			r.Isend(next, 1, mpi.F64Bytes([]float64{float64(r.Rank()*1000 + it)}))
-			m := r.Wait(h)
-			total += mpi.BytesF64(m.Data)[0]
-			for j := 0; j < 64; j++ {
-				grid[(it*131+j)%len(grid)] += total
-			}
-			r.Touch("grid")
+// crashProg is a ring exchange. Beyond the scalars, each rank carries a
+// grid it partially rewrites (with Touch write intent) every iteration and
+// folds into its result, so the incremental-freeze variant cannot recover
+// from a stale frozen region without the checksum diverging.
+func crashProg(r *Rank) (any, error) {
+	next := (r.Rank() + 1) % r.Size()
+	prev := (r.Rank() - 1 + r.Size()) % r.Size()
+	var it int
+	var total float64
+	grid := make([]float64, 2048)
+	r.Register("it", &it)
+	r.Register("total", &total)
+	r.Register("grid", &grid)
+	for ; it < 60; it++ {
+		r.PotentialCheckpoint()
+		h := r.Irecv(prev, 1)
+		r.Isend(next, 1, mpi.F64Bytes([]float64{float64(r.Rank()*1000 + it)}))
+		m := r.Wait(h)
+		total += mpi.BytesF64(m.Data)[0]
+		for j := 0; j < 64; j++ {
+			grid[(it*131+j)%len(grid)] += total
 		}
-		for _, x := range grid {
-			total += x
-		}
-		return total, nil
+		r.Touch("grid")
 	}
+	for _, x := range grid {
+		total += x
+	}
+	return total, nil
 }
 
 func TestCrashDuringFlushRecovery(t *testing.T) {
 	const doomed = 2
-	var noDeath atomic.Bool
-	ref := runRef(t, Config{Ranks: 3, Mode: protocol.Unmodified}, crashProg(doomed, nil, &noDeath))
+	const putDelay = 4 * time.Millisecond
+	ref := runRef(t, Config{Ranks: 3, Mode: protocol.Unmodified}, crashProg)
+
+	// run executes the schedule with the given crashes and reports when the
+	// doomed rank's epoch-2 state manifest — the last write of its state
+	// flush — began in the first incarnation.
+	run := func(t *testing.T, fullFreeze bool, crashes []sim.Crash) (*Result, time.Duration) {
+		t.Helper()
+		cfg, s := simConfig(t, Config{
+			Ranks: 3, Mode: protocol.Full, EveryN: 5, Debug: true,
+			Policy:          protocol.Policy{FullFreeze: fullFreeze},
+			DetectorTimeout: 20 * time.Millisecond,
+		}, sim.Scenario{Seed: 1, Latency: time.Millisecond, SlowStore: &sim.SlowStore{Delay: putDelay}, Crashes: crashes})
+		pc := &putClock{Stable: cfg.Store, s: s, key: storage.StateKey(2, doomed)}
+		cfg.Store = pc
+		res, err := Run(cfg, crashProg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, pc.began
+	}
 
 	// Both write modes must survive a crash mid-flush: the async pipeline
 	// with full freezes, and the dirty-region incremental pipeline whose
 	// epoch-2 flush shares epoch-1 slabs at the moment of death.
 	for _, variant := range []string{"full-freeze", "incremental"} {
 		t.Run(variant, func(t *testing.T) {
-			store := &slowManifest{
-				Stable:  storage.NewMemory(),
-				key:     storage.StateKey(2, doomed),
-				delay:   150 * time.Millisecond,
-				started: make(chan struct{}),
+			// The schedule is a function of the scenario, so a fault-free
+			// pass tells when the write the crash must interrupt begins.
+			clean, began := run(t, variant == "full-freeze", nil)
+			if began == 0 || clean.Restarts != 0 || !reflect.DeepEqual(clean.Values, ref) {
+				t.Fatalf("fault-free pass: epoch-2 manifest write at %v, %d restarts, values %v (want %v)", began, clean.Restarts, clean.Values, ref)
 			}
-			var died atomic.Bool
-			res, err := Run(Config{
-				Ranks: 3, Mode: protocol.Full, EveryN: 5, Debug: true, Store: store,
-				Policy: protocol.Policy{FullFreeze: variant == "full-freeze"},
-			}, crashProg(doomed, store.started, &died))
-			if err != nil {
-				t.Fatal(err)
+			crashAt := began + putDelay/2
+			res, again := run(t, variant == "full-freeze", []sim.Crash{{Rank: doomed, At: crashAt}})
+			if again != began {
+				t.Fatalf("the schedule moved: epoch-2 manifest write began at %v, then at %v", began, again)
 			}
-			if !died.Load() {
-				t.Fatal("the doomed rank never died: epoch 2's flush was not observed in flight")
+			if res.Restarts != 1 {
+				t.Fatalf("%d restarts, want the one crash at %v (inside the write open from %v to %v)", res.Restarts, crashAt, began, began+putDelay)
 			}
 			if len(res.RecoveredEpochs) != 1 || res.RecoveredEpochs[0] != 1 {
 				t.Fatalf("recovered epochs %v, want [1]: a crash mid-flush must fall back to the previous committed epoch, never the one in flight", res.RecoveredEpochs)

@@ -35,9 +35,13 @@ func forgetfulProg(touch bool) Program {
 }
 
 func TestFreezeCrossCheckCatchesMissingTouch(t *testing.T) {
-	_, err := Run(Config{
+	// Simulated: the verifier can only object to the second freeze (the
+	// first copies everything), and the run takes a second one only if the
+	// first checkpoint commits in time — which a scenario decides, not the
+	// flusher's speed.
+	_, err := Run(onSim(t, Config{
 		Ranks: 2, Mode: protocol.Full, EveryN: 3, Policy: protocol.Policy{FreezeCrossCheck: true},
-	}, forgetfulProg(false))
+	}), forgetfulProg(false))
 	if err == nil {
 		t.Fatal("cross-check mode accepted a program that mutates without Touch")
 	}

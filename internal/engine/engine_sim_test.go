@@ -7,12 +7,16 @@ import (
 
 	"ccift/internal/protocol"
 	"ccift/internal/sim"
+	"ccift/internal/storage"
 )
 
-// simConfig wires a fresh simulated substrate into cfg: transport and
-// virtual clocks (on which the protocol layer itself keeps to the
-// synchronous checkpoint path and the serial chunk writer).
-func simConfig(t *testing.T, cfg Config, sc sim.Scenario) Config {
+// simConfig puts cfg on a fresh simulated substrate: transport, virtual
+// clocks and, when the scenario has one, the slow store. The protocol layer
+// runs its default path there — flush tasks, governor, chunk writer — so
+// with Latency > 0 how many checkpoints a run takes, and which commit a
+// kill follows, is a function of (program, cfg, scenario) alone. Tests
+// whose assertion depends on either live here, not on the wall clock.
+func simConfig(t *testing.T, cfg Config, sc sim.Scenario) (Config, *sim.Sim) {
 	t.Helper()
 	s, err := sim.New(cfg.Ranks, sc)
 	if err != nil {
@@ -22,6 +26,18 @@ func simConfig(t *testing.T, cfg Config, sc sim.Scenario) Config {
 	cfg.NewTransport = s.NewTransport
 	cfg.Clock = s.DetectorClock()
 	cfg.RankClock = s.RankClock
+	if cfg.Store == nil {
+		cfg.Store = storage.NewMemory()
+	}
+	cfg.Store = s.WrapStore(cfg.Store)
+	return cfg, s
+}
+
+// onSim is simConfig on the scenario most tests want: a millisecond of
+// latency per hop and an instant store.
+func onSim(t *testing.T, cfg Config) Config {
+	t.Helper()
+	cfg, _ = simConfig(t, cfg, sim.Scenario{Seed: 1, Latency: time.Millisecond})
 	return cfg
 }
 
@@ -34,7 +50,7 @@ func TestSimHeartbeatDetectorRecovery(t *testing.T) {
 	ref := runRef(t, Config{Ranks: 3, Mode: protocol.Unmodified}, prog)
 
 	sc := sim.Scenario{Seed: 1, Latency: 200 * time.Microsecond}
-	cfg := simConfig(t, Config{
+	cfg, _ := simConfig(t, Config{
 		Ranks: 3, Mode: protocol.Full, EveryN: 4, Debug: true,
 		DetectorTimeout: 30 * time.Second, // virtual: costs nothing real
 		Failures:        []Failure{{Rank: 1, AtOp: 90, Incarnation: 0}},
@@ -64,13 +80,15 @@ func TestSimHeartbeatDetectorRecovery(t *testing.T) {
 // and the checkpoint count is exactly reproducible.
 func TestSimIntervalInitiatorVirtualTime(t *testing.T) {
 	prog := ringProg(120, 4)
-	mk := func() Config {
-		return simConfig(t, Config{
+	mk := func() (Config, storage.Stable) {
+		cfg, _ := simConfig(t, Config{
 			Ranks: 2, Mode: protocol.Full, Debug: true,
 			Interval: 50 * time.Millisecond,
 		}, sim.Scenario{Seed: 7, Latency: time.Millisecond})
+		return cfg, cfg.Store
 	}
-	res, err := Run(mk(), prog)
+	cfg, store := mk()
+	res, err := Run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,36 +97,40 @@ func TestSimIntervalInitiatorVirtualTime(t *testing.T) {
 	if got := res.Stats[0].CheckpointsTaken; got < 1 {
 		t.Fatalf("interval trigger never fired: %d checkpoints", got)
 	}
-	// Same seed, fresh simulation: identical values and counters.
-	again, err := Run(mk(), prog)
+	// Same seed, fresh simulation: identical values, counters and store.
+	cfg, storeAgain := mk()
+	again, err := Run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(again.Values, res.Values) {
 		t.Fatalf("values diverged across identical simulated runs")
 	}
-	a, aw := normalizeStats(res.Stats)
-	b, bw := normalizeStats(again.Stats)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("protocol counters diverged:\n  %+v\n  %+v", a, b)
+	// Per rank and whole, CheckpointBytesWritten included: the simulated
+	// store answers each dedup probe from the virtual timeline, so which of
+	// two ranks stored a chunk both hold is not left to wall time.
+	if !reflect.DeepEqual(again.Stats, res.Stats) {
+		t.Fatalf("protocol counters diverged:\n  %+v\n  %+v", res.Stats, again.Stats)
 	}
-	if aw != bw {
-		t.Fatalf("aggregate bytes written diverged: %d vs %d", aw, bw)
+	if a, b := storeListing(t, store), storeListing(t, storeAgain); !reflect.DeepEqual(a, b) {
+		t.Fatalf("the runs left different stores behind:\n  %v\n  %v", a, b)
 	}
 }
 
-// normalizeStats prepares per-rank protocol counters for cross-run
-// comparison. CheckpointBytesWritten attributes each deduplicated chunk to
-// whichever rank stored it first — a race between rank goroutines the
-// simulation does not schedule — so per-rank values vary while the sum is
-// exact. It is zeroed per rank and returned as an aggregate instead.
-func normalizeStats(in []protocol.Stats) ([]protocol.Stats, int64) {
-	out := make([]protocol.Stats, len(in))
-	var written int64
-	for i, s := range in {
-		written += s.CheckpointBytesWritten
-		s.CheckpointBytesWritten = 0
-		out[i] = s
+// storeListing is every key a run left in its store, with the blob's size.
+func storeListing(t *testing.T, s storage.Stable) map[string]int {
+	t.Helper()
+	keys, err := s.List("")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out, written
+	out := make(map[string]int, len(keys))
+	for _, k := range keys {
+		b, err := s.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[k] = len(b)
+	}
+	return out
 }

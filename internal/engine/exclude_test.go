@@ -6,7 +6,6 @@ import (
 
 	"ccift/internal/mpi"
 	"ccift/internal/protocol"
-	"ccift/internal/storage"
 )
 
 // TestReplicatedStateRecovery: data every rank holds identically is saved
@@ -33,17 +32,18 @@ func TestReplicatedStateRecovery(t *testing.T) {
 	}
 	ref := runRef(t, Config{Ranks: 3, Mode: protocol.Unmodified}, prog)
 
-	store := storage.NewMemory()
-	cfg := Config{
-		Ranks: 3, Mode: protocol.Full, EveryN: 5, Store: store, Debug: true,
+	// Simulated: op 150 of rank 2 follows the fourth commit, so the restart
+	// redistributes the table from a checkpoint, not from a rerun.
+	cfg := onSim(t, Config{
+		Ranks: 3, Mode: protocol.Full, EveryN: 5, Debug: true,
 		Failures: []Failure{{Rank: 2, AtOp: 150, Incarnation: 0}},
-	}
+	})
 	res, err := Run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Restarts != 1 || res.RecoveredEpochs[0] < 1 {
-		t.Fatalf("restarts=%d epochs=%v", res.Restarts, res.RecoveredEpochs)
+	if res.Restarts != 1 || res.RecoveredEpochs[0] != 4 {
+		t.Fatalf("restarts=%d epochs=%v, want one restart from epoch 4", res.Restarts, res.RecoveredEpochs)
 	}
 	if !reflect.DeepEqual(res.Values, ref) {
 		t.Fatalf("values %v != ref %v", res.Values, ref)
@@ -91,44 +91,62 @@ func TestReplicatedModesAgree(t *testing.T) {
 // TestComputedRecomputeRunsOncePerRestart guards against the recompute
 // function being invoked during failure-free runs.
 func TestComputedRecomputeOnlyOnRestart(t *testing.T) {
-	var recomputes int
-	prog := func(r *Rank) (any, error) {
-		var it int
-		data := make([]float64, 64)
-		r.Register("it", &it)
-		r.RegisterComputed("data", &data, func() error {
-			recomputes++
-			for i := range data {
-				data[i] = float64(i)
+	// The kill must follow the first commit, so that the restart is a
+	// restore — the only place a recomputation belongs. Two ranks run
+	// simulated (barriers take virtual time). A one-rank world never parks,
+	// so no virtual time can pass inside it; with the inline write it has no
+	// concurrency at all, and the op count alone places the kill.
+	for _, ranks := range []int{1, 2} {
+		place := func(cfg Config) Config {
+			if ranks == 1 {
+				cfg.Policy.Sync = true
+				return cfg
 			}
-			return nil
-		})
-		if !r.Restarting() {
-			for i := range data {
-				data[i] = float64(i)
+			return onSim(t, cfg)
+		}
+		var recomputes int
+		prog := func(r *Rank) (any, error) {
+			var it int
+			data := make([]float64, 64)
+			r.Register("it", &it)
+			r.RegisterComputed("data", &data, func() error {
+				if r.Rank() == 0 {
+					recomputes++
+				}
+				for i := range data {
+					data[i] = float64(i)
+				}
+				return nil
+			})
+			if !r.Restarting() {
+				for i := range data {
+					data[i] = float64(i)
+				}
 			}
+			for ; it < 12; it++ {
+				r.PotentialCheckpoint()
+				r.Barrier()
+			}
+			return data[63], nil
 		}
-		for ; it < 8; it++ {
-			r.PotentialCheckpoint()
-			r.Barrier()
+		if _, err := Run(place(Config{Ranks: ranks, Mode: protocol.Full, EveryN: 3}), prog); err != nil {
+			t.Fatal(err)
 		}
-		return data[63], nil
-	}
-	if _, err := Run(Config{Ranks: 1, Mode: protocol.Full, EveryN: 3}, prog); err != nil {
-		t.Fatal(err)
-	}
-	if recomputes != 0 {
-		t.Fatalf("recompute ran %d times in a failure-free run", recomputes)
-	}
-	recomputes = 0
-	cfg := Config{
-		Ranks: 1, Mode: protocol.Full, EveryN: 3, Debug: true,
-		Failures: []Failure{{Rank: 0, AtOp: 30, Incarnation: 0}},
-	}
-	if _, err := Run(cfg, prog); err != nil {
-		t.Fatal(err)
-	}
-	if recomputes != 1 {
-		t.Fatalf("recompute ran %d times across one restart, want 1", recomputes)
+		if recomputes != 0 {
+			t.Fatalf("%d ranks: recompute ran %d times in a failure-free run", ranks, recomputes)
+		}
+		res, err := Run(place(Config{
+			Ranks: ranks, Mode: protocol.Full, EveryN: 3, Debug: true,
+			Failures: []Failure{{Rank: 0, AtOp: int64(30 * ranks), Incarnation: 0}},
+		}), prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Restarts != 1 || res.RecoveredEpochs[0] < 1 {
+			t.Fatalf("%d ranks: restarts=%d epochs=%v, want one restart from a checkpoint", ranks, res.Restarts, res.RecoveredEpochs)
+		}
+		if recomputes != 1 {
+			t.Fatalf("%d ranks: rank 0's recompute ran %d times across one restart, want 1", ranks, recomputes)
+		}
 	}
 }

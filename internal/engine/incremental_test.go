@@ -91,16 +91,19 @@ func TestIncrementalFreezeRecovery(t *testing.T) {
 
 	run := func(incremental bool) *Result {
 		t.Helper()
-		res, err := Run(Config{
+		// Simulated: both runs take the same checkpoints at the same
+		// iterations, so their copy volumes compare like with like, and op
+		// 50 of rank 1 follows the first commit.
+		res, err := Run(onSim(t, Config{
 			Ranks: 3, Mode: protocol.Full, EveryN: 4, Debug: true,
 			Policy:   protocol.Policy{FullFreeze: !incremental},
 			Failures: []Failure{{Rank: 1, AtOp: 50, Incarnation: 0}},
-		}, incrProg(iters))
+		}), incrProg(iters))
 		if err != nil {
 			t.Fatalf("incremental=%v: %v", incremental, err)
 		}
-		if res.Restarts != 1 {
-			t.Fatalf("incremental=%v: %d restarts, want 1", incremental, res.Restarts)
+		if res.Restarts != 1 || res.RecoveredEpochs[0] != 1 {
+			t.Fatalf("incremental=%v: %d restarts from %v, want one from epoch 1", incremental, res.Restarts, res.RecoveredEpochs)
 		}
 		if !reflect.DeepEqual(res.Values, ref) {
 			t.Fatalf("incremental=%v: values %v != fault-free %v", incremental, res.Values, ref)

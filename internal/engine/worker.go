@@ -130,17 +130,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig, prog Program) (retained []
 	}, prog, &out); err != nil {
 		return nil, rankEnd(cfg.Rank, nil, err)
 	}
-	// In Unmodified mode the protocol layer is inert and the body's control
-	// servicing returns immediately; still wait for every peer's done
-	// announcement, because exiting (and closing this rank's sockets) while
-	// a peer is mid-computation would read as a death on its side.
-	// Fault-free overhead sweeps (fig8 -distributed) run this path; in the
-	// active modes AllDone already holds and the loop is skipped.
-	for !cfg.AllDone() {
-		if ctx.Err() != nil {
-			return nil, Outcome{Canceled: true}
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// Every peer has announced done by now, in Unmodified mode too (the
+	// body parks on the transport until then): exiting, and closing this
+	// rank's sockets, cannot read as a death on a peer still computing.
 	return nil, Outcome{Values: []any{out.value}}
 }

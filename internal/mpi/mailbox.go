@@ -38,10 +38,10 @@ func (s RecvSpec) Matches(m *Message) bool {
 	if s.Source != AnySource && s.Source != m.Source {
 		return false
 	}
-	if s.Tag != AnyTag && s.Tag != m.Tag {
-		return false
-	}
-	return true
+	// AnyTag stands for any application tag. The reserved (negative) tags —
+	// collectives, the protocol layer's control traffic, a rank's own task
+	// events — match by name only: a wildcard receive must not swallow them.
+	return s.Tag == m.Tag || s.Tag == AnyTag && m.Tag >= 0
 }
 
 // node is one queued message. Embedded links make removal O(1) in both the

@@ -188,6 +188,23 @@ func (c *Comm) SelectWait(specs []RecvSpec, stop func() bool) (int, *Message) {
 	return c.world.tr.AwaitCond(c.members[c.myIdx], c.stamp(specs), stop)
 }
 
+// Local is the Source of a message that no rank sent: a rank's own helper
+// task posted it with Notify.
+const Local = -2
+
+// Notify queues an empty message with the given (reserved, negative) tag in
+// this rank's own mailbox, where a Select on this communicator with an
+// AnySource spec for the tag receives it. It is how a task the rank started
+// — the checkpoint flusher — reports back, so unlike every other method of
+// a Comm it may be called from another goroutine than the rank's, and it is
+// not a substrate operation: it counts no op, consults no kill plan and
+// never panics. The transport orders the event like any delivery (the
+// simulated one at a quiescence point), and a rank parked in Select or
+// SelectWait wakes for it.
+func (c *Comm) Notify(tag int) {
+	c.world.tr.Send(c.members[c.myIdx], &Message{Source: Local, Tag: tag, ctx: c.ctx})
+}
+
 // PollSelect is the non-blocking variant of Select; it returns (-1, nil)
 // when nothing matches.
 func (c *Comm) PollSelect(specs []RecvSpec) (int, *Message) {

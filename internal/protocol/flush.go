@@ -7,15 +7,31 @@ import (
 	"time"
 
 	"ccift/internal/cerr"
+	"ccift/internal/clock"
 	"ccift/internal/mpi"
 )
 
-// The background checkpoint flusher. In async mode takeCheckpoint hands
-// the captured checkpoint to a per-layer goroutine that serializes it and
-// streams it into stable storage while the rank computes on. The layer
-// itself stays single-threaded: the flusher communicates only through the
-// flushOut channel, and the rank integrates results (stats, the
-// stoppedLogging report) from its own goroutine via pollFlush.
+// The checkpoint flush: one write path, on every clock.
+//
+// takeCheckpoint hands the captured checkpoint to a flush task — one per
+// checkpoint — that serializes it and streams it into stable storage
+// (writeState). Under the default policy the task is started through the
+// clock seam (clock.Go) and the rank computes on: on the wall clock that
+// is a goroutine, on a virtual clock an actor the simulation's scheduler
+// counts, so the simulated substrate runs this very path and not a
+// synchronous stand-in. Under Policy.Sync the rank runs the same task body
+// itself. The clock owns the task; the layer owns nothing but its handle.
+//
+// The layer stays single-threaded. The task touches only the capture and
+// the layer's immutable fields, leaves its outcome in the flushTask, and
+// then posts tagFlushDone into the rank's own mailbox at transport level
+// (mpi.Comm.Notify: no substrate operation, so no op is counted on the
+// flusher's behalf and no kill fires on its goroutine). The substrate
+// orders that event like any delivery: the rank meets it wherever it
+// services control — at its next operation, inside a blocking receive, or
+// parked in ServiceControlUntil — and integrates the outcome there
+// (finishFlush), the one integration function of all three ways a flush
+// ends: the event, the inline sync write, and the drain in Shutdown.
 //
 // Correctness under crashes hangs on one rule: a rank reports
 // stoppedLogging — and therefore the initiator can write the commit
@@ -24,8 +40,13 @@ import (
 // uncommitted, so recovery falls back to the previous committed epoch,
 // exactly as a crash mid-checkpoint did on the synchronous path.
 
-type flushResult struct {
-	epoch          int
+// flushTask is one checkpoint's flush. The fields below wait are written by
+// the task and read by the rank only once the task is known to be over: it
+// received the task's tagFlushDone, or wait returned.
+type flushTask struct {
+	epoch int
+	wait  func() // blocks until the task has returned
+
 	total, written int64
 	dur            time.Duration
 	throttleNs     int64  // governor sleep time during this write
@@ -33,93 +54,77 @@ type flushResult struct {
 	err            error
 }
 
-// startFlush hands a captured checkpoint to the flusher, starting the
-// goroutine on first use. At most one flush is in flight per layer: the
-// protocol admits one global checkpoint at a time, and the next cannot be
-// requested until this one's commit — which waits for this flush.
+// startFlush starts the flush of a captured checkpoint. At most one is in
+// flight per layer: the protocol admits one global checkpoint at a time,
+// and the next cannot be requested until this one's commit — which waits
+// for this flush.
 func (l *Layer) startFlush(p *pendingCheckpoint) {
-	if l.flushPending {
+	if l.flush != nil {
 		panic("protocol: checkpoint flush started while one is in flight")
 	}
-	if l.flushJobs == nil {
-		l.flushJobs = make(chan *pendingCheckpoint)
-		l.flushOut = make(chan flushResult, 1)
-		l.flushWG.Add(1)
-		go l.flushLoop()
+	t := &flushTask{epoch: p.epoch, wait: func() {}}
+	l.flush = t
+	write := func() {
+		start := l.clk.Now()
+		t.total, t.written, t.err = l.writeState(p)
+		t.dur, t.throttleNs, t.retain = l.clk.Since(start), l.gov.drainThrottle(), p.retainedBytes()
+	}
+	if !l.cfg.AsyncFlush {
+		write()
+		l.flushDone()
+		return
 	}
 	// The flush-free window ends here: feed its compute rate into the
 	// governor's idle baseline and open the flush-time window.
 	now := l.clk.Now()
 	l.gov.observeIdle(l.potentialCalls-l.govMarkOps, now.Sub(l.govMark))
 	l.govMark, l.govMarkOps = now, l.potentialCalls
-	l.flushPending = true
-	l.flushJobs <- p
+	t.wait = clock.Go(l.clk, func() {
+		write()
+		l.comm.Notify(tagFlushDone)
+	})
 }
 
-func (l *Layer) flushLoop() {
-	defer l.flushWG.Done()
-	for p := range l.flushJobs {
-		start := l.clk.Now()
-		total, written, err := l.writeState(p)
-		l.flushOut <- flushResult{epoch: p.epoch, total: total, written: written,
-			dur: l.clk.Since(start), throttleNs: l.gov.drainThrottle(), retain: p.retainedBytes(), err: err}
-		// Wake ranks parked in the transport (ServiceControlUntil) so the
-		// completion is observed without waiting for unrelated traffic.
-		l.comm.World().Interrupt()
+// flushDone integrates the finished flush on the rank's live path — the
+// completion event or the inline write — where a failed write ends the rank
+// and a durable one may complete the local checkpoint.
+func (l *Layer) flushDone() {
+	if err := l.finishFlush(); err != nil {
+		// An error value, so the engine's classifier keeps the category.
+		panic(err)
 	}
-}
-
-// flushReady reports whether a finished flush awaits integration; wake
-// conditions poll it so a parked rank resumes on completion.
-func (l *Layer) flushReady() bool { return l.flushPending && len(l.flushOut) > 0 }
-
-// pollFlush integrates a finished flush, if any: stats, the checkpoint
-// trace event, and — when the log is already finalized — the deferred
-// stoppedLogging report. Runs at every protocol operation; never blocks.
-func (l *Layer) pollFlush() {
-	if !l.flushPending {
-		return
-	}
-	select {
-	case r := <-l.flushOut:
-		l.finishFlush(r)
-	default:
-	}
-}
-
-func (l *Layer) finishFlush(r flushResult) {
-	l.flushPending = false
-	if r.err != nil {
-		if errors.Is(r.err, context.Canceled) || errors.Is(r.err, context.DeadlineExceeded) {
-			panic(mpi.ErrCanceled)
-		}
-		// Panic with an error value so the engine's classifier keeps the
-		// store category instead of reading a flattened string.
-		panic(fmt.Errorf("protocol: persist state (epoch %d, rank %d): %w: %w", r.epoch, l.rank, cerr.ErrStore, r.err))
-	}
-	l.integrateFlush(r)
 	l.maybeReportStopped()
 }
 
-// integrateFlush applies a successful flush's outcome to the layer's
-// counters and trace stream; shared by the normal path (finishFlush) and
-// the drain path (Shutdown), both on the rank's goroutine.
-func (l *Layer) integrateFlush(r flushResult) {
-	l.Stats.CheckpointBytes += r.total
-	l.Stats.CheckpointBytesWritten += r.written
-	l.Stats.CheckpointFlushNs += r.dur.Nanoseconds()
-	l.Stats.FlushThrottleNs += r.throttleNs
+// finishFlush applies the finished flush task's outcome to the layer —
+// counters, governor feedback, the retained copy, the trace stream — and
+// clears it. A failed write comes back as the rank's error: mpi.ErrCanceled
+// when the run's context ended it, a store error otherwise.
+func (l *Layer) finishFlush() error {
+	t := l.flush
+	l.flush = nil
+	if t.err != nil {
+		if errors.Is(t.err, context.Canceled) || errors.Is(t.err, context.DeadlineExceeded) {
+			return mpi.ErrCanceled
+		}
+		return fmt.Errorf("protocol: persist state (epoch %d, rank %d): %w: %w", t.epoch, l.rank, cerr.ErrStore, t.err)
+	}
+	l.Stats.CheckpointBytes += t.total
+	l.Stats.CheckpointBytesWritten += t.written
+	l.Stats.CheckpointFlushNs += t.dur.Nanoseconds()
+	l.Stats.FlushThrottleNs += t.throttleNs
 	// The flush-time window ends here: compare its compute rate against
 	// the idle baseline and let the governor adjust its cap (async only;
 	// the governor ignores the call otherwise).
 	now := l.clk.Now()
-	l.gov.observeFlush(l.potentialCalls-l.govMarkOps, now.Sub(l.govMark), r.total, r.dur)
+	l.gov.observeFlush(l.potentialCalls-l.govMarkOps, now.Sub(l.govMark), t.total, t.dur)
 	l.govMark, l.govMarkOps = now, l.potentialCalls
-	if r.retain != nil {
-		l.retainStates.put(r.epoch, r.retain)
+	if t.retain != nil {
+		l.retainStates.put(t.epoch, t.retain)
 	}
-	l.trace(TraceCheckpoint, -1, 0, 0, int(r.total))
+	l.trace(TraceCheckpoint, -1, 0, 0, int(t.total))
 	l.emitStats()
+	return nil
 }
 
 // maybeReportStopped sends stoppedLogging once per checkpoint, and only
@@ -128,36 +133,24 @@ func (l *Layer) integrateFlush(r flushResult) {
 // rank's report, so a crash before this point recovers from the previous
 // committed epoch.
 func (l *Layer) maybeReportStopped() {
-	if l.logDone && !l.flushPending && !l.stopSent {
+	if l.logDone && l.flush == nil && !l.stopSent {
 		l.stopSent = true
 		l.sendCtl(0, tagStoppedLogging, uint64(l.epoch))
 	}
 }
 
-// Shutdown stops the flusher, waiting for an in-flight state write to
-// finish (or abort, if the layer's context was canceled), and returns the
+// Shutdown waits for a flush still in flight to finish (or abort, if the
+// layer's context was canceled) and integrates it, so the run's final
+// counters and retained copies include every checkpoint; it returns the
 // write's error if it failed. It never panics — the engine calls it during
-// both normal completion and panic unwinds — and it is idempotent. Stats
-// of a flush that completed after the program finished are still
-// integrated, so the run's final counters include every checkpoint.
+// both normal completion and panic unwinds — and it is idempotent.
 func (l *Layer) Shutdown() error {
-	if l.flushJobs == nil || l.flushClosed {
+	if l.flush == nil {
 		return nil
 	}
-	l.flushClosed = true
-	close(l.flushJobs)
-	l.flushWG.Wait()
-	if !l.flushPending {
-		return nil
+	l.flush.wait()
+	if err := l.finishFlush(); err != mpi.ErrCanceled {
+		return err
 	}
-	r := <-l.flushOut
-	l.flushPending = false
-	if r.err != nil {
-		if errors.Is(r.err, context.Canceled) || errors.Is(r.err, context.DeadlineExceeded) {
-			return nil // the run is unwinding for cancellation already
-		}
-		return fmt.Errorf("protocol: persist state (epoch %d, rank %d): %w: %w", r.epoch, l.rank, cerr.ErrStore, r.err)
-	}
-	l.integrateFlush(r)
-	return nil
+	return nil // the run is unwinding for cancellation already
 }

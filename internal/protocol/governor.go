@@ -23,7 +23,7 @@ import (
 // bytes-per-second cap (WithFlushBandwidth) honored on both paths, which
 // also makes throttling deterministic under the simulated clock. Sleeps
 // go through clock.After, and their total per flush is reported up
-// through flushResult into Stats.FlushThrottleNs and the
+// through the flushTask into Stats.FlushThrottleNs and the
 // ccift_flush_throttle_ns histogram.
 
 // Governor tuning constants.
@@ -51,7 +51,7 @@ const (
 )
 
 // flushGovernor is shared between the rank goroutine (feedback updates at
-// flush boundaries) and the flusher goroutine (token-bucket acquire on
+// flush boundaries) and the flush task (token-bucket acquire on
 // every chunk-stream write); mu guards all of it.
 type flushGovernor struct {
 	clk  clock.Clock
@@ -178,7 +178,7 @@ func (g *flushGovernor) acquire(n int) {
 }
 
 // drainThrottle returns and clears the sleep time accumulated since the
-// previous drain; the flusher attaches it to the flush's result.
+// previous drain; the flush task leaves it in its flushTask.
 func (g *flushGovernor) drainThrottle() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"ccift/internal/cerr"
@@ -46,13 +45,19 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// Control message tags (application tags must be non-negative).
+// Control message tags (application tags must be non-negative). The first
+// five are Figure 4's. tagCannotCheckpoint is the end-of-program rule, the
+// one way a checkpoint that cannot complete is given up (see Finish);
+// tagFlushDone is not a message between ranks at all but the event a rank's
+// own flush task posts when it is over (see flush.go).
 const (
 	tagPleaseCheckpoint = -11
 	tagMySendCount      = -12
 	tagReadyToStop      = -13
 	tagStopLogging      = -14
 	tagStoppedLogging   = -15
+	tagCannotCheckpoint = -16
+	tagFlushDone        = -17
 )
 
 var controlSpecs = []mpi.RecvSpec{
@@ -61,6 +66,8 @@ var controlSpecs = []mpi.RecvSpec{
 	{Source: mpi.AnySource, Tag: tagReadyToStop},
 	{Source: mpi.AnySource, Tag: tagStopLogging},
 	{Source: mpi.AnySource, Tag: tagStoppedLogging},
+	{Source: mpi.AnySource, Tag: tagCannotCheckpoint},
+	{Source: mpi.AnySource, Tag: tagFlushDone},
 }
 
 // Policy is the checkpoint policy of a run: how a checkpoint is frozen and
@@ -107,13 +114,14 @@ type Config struct {
 	Debug bool
 	// Tracer, when non-nil, receives protocol events (see TraceEvent).
 	Tracer Tracer
-	// AsyncFlush moves checkpoint serialization and storage I/O onto a
-	// background flusher goroutine: takeCheckpoint blocks the rank only to
-	// freeze a copy of the live state, and the durable write overlaps
-	// continued computation. The commit record still waits for every
-	// rank's flush (see maybeReportStopped), so crash-consistency is
-	// unchanged. Off means the classic stop-serialize-fsync path. Forced
-	// off on a virtual Clock (see Clock).
+	// AsyncFlush runs each checkpoint's serialization and storage I/O as a
+	// flush task beside the rank (see flush.go): takeCheckpoint blocks the
+	// rank only to freeze a copy of the live state, and the durable write
+	// overlaps continued computation. The commit record still waits for
+	// every rank's flush (see maybeReportStopped), so crash-consistency is
+	// unchanged. Off, the rank runs the same task body itself before it
+	// goes on: the classic stop-serialize-fsync checkpoint. Either way it
+	// is the same write path, on the wall clock and on a virtual one.
 	AsyncFlush bool
 	// FlushBandwidth caps the checkpoint state writer's streaming
 	// throughput, in bytes per second, on both the synchronous and
@@ -147,13 +155,12 @@ type Config struct {
 	// goroutine; the substrate uses them to stream live counters to a
 	// launcher or metrics endpoint.
 	StatsSink func(Stats)
-	// Clock is the time source for interval triggers, control deadlines,
-	// and blocked/flush-time accounting; nil selects the wall clock. A
-	// non-nil Clock is the simulated substrate's virtual (possibly
-	// per-rank skewed) clock, and a layer on virtual time starts no
-	// wall-time helper goroutines its scheduler cannot order: the
-	// checkpoint is flushed synchronously and chunks are written serially,
-	// whatever AsyncFlush says.
+	// Clock is the time source for interval triggers, the flush governor,
+	// and blocked/flush-time accounting, and the owner of the flush task
+	// (clock.Go); nil selects the wall clock. A non-nil Clock is the
+	// simulated substrate's virtual (possibly per-rank skewed) clock. It
+	// changes nothing else: the layer takes no decision on which clock it
+	// runs, so the simulator executes the default policy's own code.
 	Clock clock.Clock
 }
 
@@ -264,21 +271,16 @@ type Layer struct {
 	// not a ctx.Err() mutex acquisition.
 	done <-chan struct{}
 
-	// Background checkpoint flusher (see flush.go). flushJobs/flushOut are
-	// the only cross-goroutine channels; flushPending, logDone and
-	// stopSent are the rank goroutine's single-threaded view of the
-	// current checkpoint's durability.
-	flushJobs    chan *pendingCheckpoint
-	flushOut     chan flushResult
-	flushWG      sync.WaitGroup
-	flushPending bool
-	flushClosed  bool
-	logDone      bool
-	stopSent     bool
+	// The current checkpoint's durability, as the rank's goroutine sees
+	// it: flush is the flush task not yet integrated (see flush.go; nil
+	// when the state is durable), logDone and stopSent the log's half.
+	flush    *flushTask
+	logDone  bool
+	stopSent bool
 
 	// Retained checkpoint copies (localized recovery): the serialized
 	// state and log blobs of the newest two epochs, as streamed to the
-	// store. Written from the rank's goroutine only (integrateFlush /
+	// store. Written from the rank's goroutine only (finishFlush /
 	// finalizeLog). Empty unless cfg.RetainForRecovery.
 	retainStates retainedRing
 	retainLogs   retainedRing
@@ -291,7 +293,7 @@ type Layer struct {
 	potentialCalls int64
 
 	// Flush bandwidth governor (see governor.go): gov is shared with the
-	// flusher goroutine; govMark/govMarkOps delimit the current
+	// flush task; govMark/govMarkOps delimit the current
 	// throughput-measurement window on the rank's goroutine.
 	gov        *flushGovernor
 	govMark    time.Time
@@ -300,11 +302,15 @@ type Layer struct {
 
 type initiatorState struct {
 	inProgress bool
-	target     int
-	ready      int
-	stopped    int
-	lastStart  time.Time
-	sincePrev  int64 // PotentialCheckpoint calls since the last initiation
+	// closed: some rank's program has returned (the initiator's own, or a
+	// rank that declined target), so no further checkpoint could complete
+	// and none is started.
+	closed    bool
+	target    int
+	ready     int
+	stopped   int
+	lastStart time.Time
+	sincePrev int64 // PotentialCheckpoint calls since the last initiation
 }
 
 // NewLayer builds the protocol layer for one rank on the given world
@@ -329,14 +335,11 @@ func NewLayer(comm *mpi.Comm, cfg Config) *Layer {
 	for i := range l.totalSent {
 		l.totalSent[i] = -1
 	}
-	if cfg.Clock != nil {
-		l.cfg.AsyncFlush = false
-	}
 	l.clk = clock.Or(cfg.Clock)
 	if cfg.Ctx != nil {
 		l.done = cfg.Ctx.Done()
 	}
-	l.gov = newFlushGovernor(l.clk, l.done, cfg.FlushBandwidth, l.cfg.AsyncFlush)
+	l.gov = newFlushGovernor(l.clk, l.done, cfg.FlushBandwidth, cfg.AsyncFlush)
 	l.govMark = l.clk.Now()
 	// Rank 0 carries the replicated-data copies (Section 7's distributed
 	// redundant data optimization) and plays the initiator.
@@ -367,8 +370,8 @@ func (l *Layer) Restarted() bool { return l.restarted }
 // Comm exposes the underlying communicator (tests, baselines).
 func (l *Layer) Comm() *mpi.Comm { return l.comm }
 
-// Config returns the layer's effective configuration: what NewLayer was
-// given, after the virtual-clock rule (tests of the policy plumbing).
+// Config returns the configuration NewLayer was given (tests of the policy
+// plumbing).
 func (l *Layer) Config() Config { return l.cfg }
 
 func (l *Layer) color() bool { return l.epoch%2 == 1 }
@@ -383,7 +386,6 @@ func (l *Layer) enterOp() {
 	if !l.active() {
 		return
 	}
-	l.pollFlush()
 	l.drainControl()
 	if l.init != nil {
 		l.maybeInitiate(false)
@@ -421,6 +423,9 @@ func (l *Layer) handleControl(specIdx int, m *mpi.Message) {
 		if target > l.epoch && target > l.requestedEpoch {
 			l.checkpointRequested = true
 			l.requestedEpoch = target
+			if l.finished {
+				l.declineCheckpoint(target)
+			}
 		}
 	case tagMySendCount:
 		epoch := int(ctlU64(m.Data, 0))
@@ -487,14 +492,39 @@ func (l *Layer) handleControl(specIdx int, m *mpi.Message) {
 				}
 			}
 		}
+	case tagCannotCheckpoint:
+		if l.init == nil {
+			panic("protocol: cannotCheckpoint received by non-initiator")
+		}
+		if int(ctlU64(m.Data, 0)) == l.init.target && l.init.inProgress {
+			// A rank's program returned before it could do its part of
+			// this checkpoint, and it will take part in no other: give the
+			// global checkpoint up instead of waiting for a commit that
+			// cannot happen, and start no further one.
+			l.init.inProgress, l.init.closed = false, true
+		}
+	case tagFlushDone:
+		l.flushDone()
 	}
+}
+
+// declineCheckpoint tells the initiator that this rank's program has
+// returned with its part of checkpoint epoch undone, and that it
+// never will be done: the local checkpoint not taken (no PotentialCheckpoint
+// is left to take it at), or taken with a logging phase that cannot end (a
+// late message the program never received). The rank's share of that
+// checkpoint ends here.
+func (l *Layer) declineCheckpoint(epoch int) {
+	l.checkpointRequested, l.amLogging = false, false
+	l.sendCtl(0, tagCannotCheckpoint, uint64(epoch))
 }
 
 // maybeInitiate starts a new global checkpoint when the configured trigger
 // fires (or when forced). Only one global checkpoint may be in progress at
-// a time.
+// a time, and none starts that could not complete: every rank, the
+// initiator included, must still reach a PotentialCheckpoint to take part.
 func (l *Layer) maybeInitiate(force bool) {
-	if l.init == nil || l.init.inProgress {
+	if l.init == nil || l.init.inProgress || l.init.closed {
 		return
 	}
 	fire := force
@@ -555,6 +585,12 @@ func (l *Layer) receivedAll() {
 				panic(fmt.Sprintf("protocol: rank %d received %d late/intra messages from %d but only %d were sent",
 					l.rank, l.previousReceiveCount[p], p, l.totalSent[p]))
 			}
+			if l.finished && l.totalSent[p] >= 0 {
+				// p's count is known and this rank's program, which has
+				// returned, will receive nothing more: the counts can never
+				// meet.
+				l.declineCheckpoint(l.epoch)
+			}
 			return
 		}
 	}
@@ -611,8 +647,8 @@ func (l *Layer) PotentialCheckpoint() {
 // Figure 4 plus the state saving of Section 5. The state save is split
 // into snapshot-now (captureState: protocol counters + a frozen copy of
 // the application state, the only part the rank blocks for) and
-// flush (writeState: serialize + chunked durable write), which runs
-// inline in sync mode and on the background flusher in async mode.
+// flush (writeState: serialize + chunked durable write), which
+// startFlush runs as a task beside the rank, or inline under Policy.Sync.
 func (l *Layer) takeCheckpoint() {
 	start := l.clk.Now()
 	l.epoch++
@@ -627,17 +663,7 @@ func (l *Layer) takeCheckpoint() {
 	}
 	l.logDone = false
 	l.stopSent = false
-	if l.cfg.AsyncFlush {
-		l.startFlush(p)
-	} else {
-		// Inline write, integrated through the same path as a finished
-		// background flush so the two modes cannot drift (stats, trace
-		// event, cancellation translation).
-		fstart := l.clk.Now()
-		total, written, err := l.writeState(p)
-		l.finishFlush(flushResult{epoch: p.epoch, total: total, written: written,
-			dur: l.clk.Since(fstart), throttleNs: l.gov.drainThrottle(), retain: p.retainedBytes(), err: err})
-	}
+	l.startFlush(p)
 	l.Stats.CheckpointsTaken++
 	l.Stats.CheckpointBlockedNs += l.clk.Since(start).Nanoseconds()
 	l.emitStats()
@@ -669,9 +695,36 @@ func (l *Layer) takeCheckpoint() {
 }
 
 // Finish marks the application as complete on this rank; afterwards the
-// layer only services control traffic via ServiceControl.
+// layer only services control traffic via ServiceControlUntil.
+//
+// End-of-program rule: a global checkpoint in flight when the program
+// returns is carried to its commit, not abandoned. The initiator does not
+// come back from Finish — and so does not announce its completion — while
+// the checkpoint is in progress; the other ranks, held in
+// ServiceControlUntil by that missing announcement, flush, report and let it
+// commit. A run therefore commits every checkpoint all of its ranks took
+// part in, whatever the flushes' speed, and ends later only by the commit
+// round trip (Shutdown waits for the rank's own state write in any case).
+//
+// The checkpoint that is given up is the one some rank cannot do its part
+// of because its program has returned: it was asked for a local checkpoint
+// and no PotentialCheckpoint is left to take it at, or it took one and is
+// short of a late message it will now never receive. That rank declines
+// (declineCheckpoint — here, or when the request or the sender's count
+// reaches it later) and the initiator gives the checkpoint up, so the wait
+// below always ends: every rank either does its part or says it cannot. A
+// trigger that fires in the program's last iterations buys nothing.
 func (l *Layer) Finish() {
 	l.finished = true
+	if l.checkpointRequested {
+		l.declineCheckpoint(l.requestedEpoch)
+	} else if l.amLogging {
+		l.receivedAll() // declines if a known count can no longer be met
+	}
+	if l.init != nil {
+		l.init.closed = true
+		l.ServiceControlUntil(func() bool { return !l.init.inProgress })
+	}
 	l.emitStats()
 }
 
@@ -687,65 +740,24 @@ func (l *Layer) emitStats() {
 // poll on their own schedule (tests, external drivers) use this, while
 // finished ranks should prefer ServiceControlUntil, which blocks instead
 // of spinning.
-func (l *Layer) ServiceControl() {
-	if !l.active() {
-		return
-	}
-	l.pollFlush()
-	l.drainControl()
-	if l.init != nil {
-		l.maybeInitiate(false)
-	}
-}
+func (l *Layer) ServiceControl() { l.enterOp() }
 
 // ServiceControlUntil services control traffic until stop reports true,
 // parking on the transport in between: the rank wakes only when a control
-// message arrives, the world is interrupted (the engine's completion
-// signal), or — for an interval-triggered initiator — the next initiation
-// deadline passes. This replaces the finished-rank busy-poll: checkpoints
-// initiated while other ranks are still running cannot stall on this
-// rank's silence, and an idle rank consumes no CPU.
+// message or its own flush task's completion event arrives, or the world
+// is interrupted (the engine's completion signal). An in-flight checkpoint
+// cannot stall on this rank's silence, and an idle rank consumes no CPU.
+// In Unmodified mode no control traffic exists and the rank just parks.
 func (l *Layer) ServiceControlUntil(stop func() bool) {
-	if !l.active() {
-		return
-	}
 	for {
 		l.raiseIfCanceled()
-		l.pollFlush()
 		l.drainControl()
-		// Completion is checked between draining and initiating: queued
-		// control traffic is always handled, but the initiator must not
-		// launch a fresh global checkpoint once every rank has finished —
-		// it could never complete, and the replaced busy-poll never
-		// serviced after the last finisher either.
+		// Completion is checked after draining: queued control traffic is
+		// always handled first.
 		if stop() {
 			return
 		}
-		if l.init != nil {
-			l.maybeInitiate(false)
-		}
-		// A finished flush must wake the rank too: its stoppedLogging
-		// report (and so the initiator's commit) would otherwise wait for
-		// unrelated traffic. The flusher interrupts the world on
-		// completion, and this condition turns the interrupt into a loop
-		// iteration.
-		wake := func() bool { return stop() || l.flushReady() }
-		var timer clock.Timer
-		if l.init != nil && l.cfg.Interval > 0 && !l.init.inProgress {
-			// The interval trigger must fire even with no inbound traffic;
-			// arm a one-shot wakeup for the next deadline instead of
-			// polling the clock.
-			deadline := l.init.lastStart.Add(l.cfg.Interval)
-			world := l.comm.World()
-			timer = l.clk.AfterFunc(deadline.Sub(l.clk.Now()), world.Interrupt)
-			base := wake
-			wake = func() bool { return base() || !l.clk.Now().Before(deadline) }
-		}
-		idx, m := l.comm.SelectWait(controlSpecs, wake)
-		if timer != nil {
-			timer.Stop()
-		}
-		if m != nil {
+		if idx, m := l.comm.SelectWait(controlSpecs, stop); m != nil {
 			l.handleControl(idx, m)
 		}
 	}

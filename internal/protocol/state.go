@@ -21,8 +21,8 @@ import (
 // pipeline possible: captureState copies everything the checkpoint needs
 // while the rank is stopped (protocol counters plus a ckpt.Frozen view of
 // the application state — O(live-state-copy)); writeState serializes the
-// capture and streams it through the store's chunked writer, either inline
-// (sync mode) or on the background flusher.
+// capture and streams it through the store's chunked writer, as the body
+// of the checkpoint's flush task (see flush.go).
 
 type reqRecord struct {
 	Handle Handle
@@ -48,8 +48,8 @@ type pendingCheckpoint struct {
 	frozen *ckpt.Frozen    // nil outside Full mode
 	// retain, when non-nil, tees every serialized byte writeState streams
 	// to the store — the in-memory copy localized recovery restores
-	// survivors from. Owned by the flusher while the write runs; handed
-	// back to the rank goroutine inside the flushResult.
+	// survivors from. Owned by the flush task while the write runs; handed
+	// back to the rank goroutine through the flushTask.
 	retain *bytes.Buffer
 }
 
@@ -111,9 +111,9 @@ func (l *Layer) captureState() (*pendingCheckpoint, error) {
 }
 
 // writeState serializes a captured checkpoint and streams it into the
-// store through the chunked writer. It runs on the flusher goroutine in
-// async mode, so it must not touch any mutable Layer state — only the
-// immutable cfg/rank and the capture itself. It reports the logical blob
+// store through the chunked writer. It runs on the flush task's goroutine
+// unless the policy is Sync, so it must not touch any mutable Layer state —
+// only the immutable cfg/rank and the capture itself. It reports the logical blob
 // size and the bytes actually written (dedup savings excluded).
 func (l *Layer) writeState(p *pendingCheckpoint) (total, written int64, err error) {
 	// However the write ends, the frozen slabs go back to the Saver's pool:
@@ -131,14 +131,7 @@ func (l *Layer) writeState(p *pendingCheckpoint) (total, written int64, err erro
 	hdr.Write(gb.Bytes())
 
 	w := l.cfg.Store.StateWriter(l.cfg.Ctx, p.epoch, l.rank, storage.DefaultChunkSize)
-	if l.cfg.Clock == nil {
-		// Pipelined chunking: hash/probe and Put run on workers while the
-		// serializer fills the next chunk. Chunk boundaries and the
-		// manifest are identical to the serial writer, which a layer on
-		// virtual time keeps (the workers hash in wall time).
-		w.Pipeline(storage.DefaultPipelineDepth)
-	}
-	// Join the pipeline workers on every exit; a no-op after Commit.
+	// Join the writer's hash worker on every exit; a no-op after Commit.
 	defer w.Abort()
 	// All stream writes pass through the governor's token bucket, so a
 	// bandwidth cap (fixed or adaptive) paces the whole write — the

@@ -17,6 +17,15 @@
 // which is what makes zero-latency scenarios (the conformance suite)
 // behave like an ordinary transport.
 //
+// What counts as running: each live rank of the attached world, and each
+// helper task a rank started through its clock (clock.Go — the protocol
+// layer's checkpoint flush is one). An actor stops counting while it is
+// parked in the transport, in a virtual sleep (the slow store's delays, the
+// flush governor's throttle), or — a rank — waiting for its own task. So a
+// flush task hashing a chunk in wall time holds virtual time still, the
+// same task waiting out a slow Put lets it run on, and whatever the task
+// posts is stamped at an instant the scenario decides, not the host.
+//
 // Determinism: sends are stamped at the frozen virtual now; every random
 // draw comes from a per-link PRNG stream keyed by (seed, context, src,
 // dst), so concurrent goroutine interleaving can neither reorder nor
@@ -26,6 +35,18 @@
 // therefore results and protocol counters — a pure function of (program,
 // scenario). The scheduler applies the whole batch of due events before
 // waking any rank, so a rank never observes a half-applied instant.
+//
+// That holds for a run with asynchronous helpers because a task is started
+// through the clock, never with a bare go statement; it reports back with
+// mpi.Comm.Notify — an event on a link of its own (source mpi.Local),
+// delivered after the link latency like any frame, not a channel its rank
+// polls at a wall-time-dependent moment; and it makes its store calls from
+// one goroutine in a fixed order (storage.ChunkedWriter, storage.Assemble).
+// Two actors touching the shared store at one virtual instant do run in
+// wall-time order; the simulated store makes the outcome independent of it
+// (see simStore: a Put is visible to the dedup probe from the next instant
+// on). A SlowStore with Jitter draws from one stream in call order, so
+// reproducible scenarios leave its Jitter at zero.
 //
 // The transport decodes wire frames into the exported mpi.Mailbox, so
 // matching semantics, chaos insertion, and ErrWorldDead/ErrCanceled
@@ -162,6 +183,7 @@ type Sim struct {
 	parkedN  int
 	doneN    int
 	sleepers int
+	tasks    int // helper tasks started through simClock.Go and not yet returned
 
 	sleepCond *sync.Cond // virtual sleepers wait here
 
@@ -271,16 +293,17 @@ func (s *Sim) flushWakes() {
 }
 
 // canAdvance reports whether virtual time may jump to the next event
-// (mu held): every live rank of the attached world must be parked in the
-// transport or blocked in a virtual sleep. With no ranks (n == 0) the
-// clock free-runs on pending timers.
+// (mu held): every actor — each live rank of the attached world and each
+// helper task a rank started through its clock (see simClock.Go) — must be
+// parked in the transport or blocked in a virtual sleep. With no ranks
+// (n == 0) the clock free-runs on pending timers.
 func (s *Sim) canAdvance() bool {
 	if s.n == 0 {
 		return true
 	}
-	active := 0
+	active := s.tasks
 	if s.curTr != nil {
-		active = s.n - s.doneN
+		active += s.n - s.doneN
 	}
 	blocked := s.parkedN + s.sleepers
 	return blocked >= active && blocked > 0
@@ -512,6 +535,42 @@ func (c simClock) After(d time.Duration) <-chan time.Time {
 		ch <- c.Now()
 	}()
 	return ch
+}
+
+// Go implements the clock.Go seam: f runs on its own goroutine as an actor
+// the scheduler counts (see the package comment), from this call until f
+// returns. The returned wait blocks until then, and its caller — a rank
+// draining its flush — counts as blocked meanwhile, so the sleeps f is
+// waiting out can elapse.
+func (c simClock) Go(f func()) (wait func()) {
+	s := c.s
+	var done, waiting bool
+	exited := make(chan struct{})
+	s.mu.Lock()
+	s.tasks++
+	s.mu.Unlock()
+	go func() {
+		defer close(exited)
+		f()
+		s.mu.Lock()
+		s.tasks--
+		done = true
+		if waiting {
+			s.sleepers-- // the waker clears the waiter's count, as evWake does
+		}
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	}()
+	return func() {
+		s.mu.Lock()
+		if !done {
+			waiting = true
+			s.sleepers++
+			s.cond.Broadcast()
+		}
+		s.mu.Unlock()
+		<-exited
+	}
 }
 
 type simTimer struct {

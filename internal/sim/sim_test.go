@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ccift/internal/clock"
 	"ccift/internal/mpi"
 	"ccift/internal/sim"
 	"ccift/internal/storage"
@@ -225,6 +226,55 @@ func TestSlowStoreDelaysInVirtualTime(t *testing.T) {
 	}
 }
 
+// TestStoreProbeSeesOnlyEarlierInstants: the rule that makes dedup probes
+// replayable. Actors that touch the store at one virtual instant run in
+// wall-time order, so a Put answers Has only from the next instant on —
+// whoever probes a chunk at the instant it is first stored misses, in
+// either order — while a blob the store already held, and one stored at an
+// earlier instant, are seen.
+func TestStoreProbeSeesOnlyEarlierInstants(t *testing.T) {
+	s := sim.MustNew(0, sim.Scenario{Seed: 9})
+	defer s.Stop()
+	inner := storage.NewMemory()
+	if err := inner.Put("old", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	st := s.WrapStore(inner)
+	has := func(key string) bool {
+		t.Helper()
+		ok, err := storage.Has(st, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	if !has("old") || has("k") {
+		t.Fatalf("Has(old), Has(k) = %v, %v before any Put, want true, false", has("old"), has("k"))
+	}
+	if err := st.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if has("k") {
+		t.Fatal("a Put answered a probe at its own virtual instant")
+	}
+	s.Sleep(time.Microsecond)
+	if !has("k") {
+		t.Fatal("a Put of an earlier instant is invisible to the probe")
+	}
+	if err := st.Put("k", []byte("v")); err != nil { // a second writer: visible since the first
+		t.Fatal(err)
+	}
+	if !has("k") {
+		t.Fatal("a re-Put hid a blob that was already visible")
+	}
+	if err := st.Delete("k"); err != nil {
+		t.Fatal(err)
+	}
+	if has("k") {
+		t.Fatal("a deleted blob still answers the probe")
+	}
+}
+
 func TestScenarioRoundTripsThroughJSON(t *testing.T) {
 	sc := sim.Scenario{
 		Seed: 99, Latency: time.Millisecond, Jitter: 250 * time.Microsecond,
@@ -258,5 +308,40 @@ func TestScenarioValidation(t *testing.T) {
 		if _, err := sim.New(2, sc); err == nil {
 			t.Errorf("scenario %d accepted, want error", i)
 		}
+	}
+}
+
+// TestTaskHoldsVirtualTime: a helper task started through the clock seam is
+// an actor the scheduler counts. While it works in wall time virtual time
+// stands still — even with every rank parked and a delivery pending — so
+// what it posts is stamped at the instant it was started in; its virtual
+// sleeps elapse; and a rank blocked in wait counts as blocked, not running.
+func TestTaskHoldsVirtualTime(t *testing.T) {
+	s, w := ring(t, sim.Scenario{Seed: 1, Latency: time.Millisecond, Partitions: []sim.Partition{
+		// Rank 1 is cut off throughout: its own task's event must not care.
+		{From: 0, Until: time.Hour, Ranks: []int{1}},
+	}})
+	w.RankDone(0)
+	c := w.Comm(1)
+	const tag = -40
+	var posted, woke time.Duration
+	waitTask := clock.Go(s.RankClock(1), func() {
+		time.Sleep(20 * time.Millisecond) // wall-time work the scheduler cannot see
+		posted = s.Elapsed()
+		c.Notify(tag)
+		s.Sleep(5 * time.Millisecond)
+		woke = s.Elapsed()
+	})
+	// Rank 1 parks; only the task's event can wake it.
+	_, m := c.Select([]mpi.RecvSpec{{Source: mpi.AnySource, Tag: tag}})
+	if m.Source != mpi.Local || posted != 0 {
+		t.Fatalf("event from %d, posted at %v: want mpi.Local, posted at virtual 0 (time must not pass a running task)", m.Source, posted)
+	}
+	if got := s.Elapsed(); got != time.Millisecond {
+		t.Fatalf("the task's event arrived at %v, want the link latency (1ms) and no partition hold", got)
+	}
+	waitTask() // the only live rank blocks here; the task's sleep must still elapse
+	if woke != 5*time.Millisecond {
+		t.Fatalf("the task woke at %v, want 5ms", woke)
 	}
 }

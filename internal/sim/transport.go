@@ -88,9 +88,11 @@ func (t *transport) Send(dst int, m *mpi.Message) {
 
 	// Departure: a frame sent into a partition window is held by the
 	// reliability layer and leaves when the partition heals (windows may
-	// chain back to back).
+	// chain back to back). A rank's own task reporting back (mpi.Local)
+	// crosses no network, so no partition holds it; it takes the link
+	// latency like any frame, which is what lands it at a quiescence point.
 	dep := s.now
-	for changed := true; changed; {
+	for changed := src != mpi.Local; changed; {
 		changed = false
 		for _, p := range s.sc.Partitions {
 			if dep >= p.From && dep < p.Until && p.separates(src, dst) {

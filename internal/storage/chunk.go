@@ -8,7 +8,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"sync"
 
 	"ccift/internal/cerr"
 )
@@ -26,9 +25,9 @@ import (
 // enough that a few dirty pages do not force a whole-state rewrite.
 const DefaultChunkSize = 256 << 10
 
-// DefaultPipelineDepth is the chunk pipeline depth when Pipeline is asked
-// for one: deep enough to keep the hash worker busy while a chunk fills,
-// shallow enough that the in-flight buffers stay cache-friendly.
+// DefaultPipelineDepth bounds the chunks Assemble reads ahead of its
+// verifier, and so the memory in flight: deep enough to keep the verifier
+// busy while a Get is out, shallow enough to stay cache-friendly.
 const DefaultPipelineDepth = 4
 
 // chunkPrefix is the shared content-addressed chunk namespace.
@@ -54,19 +53,38 @@ func (r ChunkRef) Key() string { return chunkPrefix + hex.EncodeToString(r.Sum[:
 // content before it — serializers call it between sections and around
 // large values. Commit writes the manifest under the writer's key.
 //
+// Like Assemble on the read side, the writer has one path. Every store call
+// of a stream — the dedup probe and the Put of each chunk, then the
+// manifest — is issued by the goroutine that calls Write/Cut/Commit, in
+// stream order, so a store on virtual time (internal/sim's SlowStore: a
+// sleep and a PRNG draw per call) sees exactly what a serial writer would
+// show it, and there is no serial writer to select. What overlaps is the
+// SHA-256: from a stream's second full chunk on, a full chunk is handed to
+// one lazily spawned worker and stored one flush later, so chunk N is
+// hashed while chunk N+1 fills and chunk N-1 is Put. A blob that never
+// fills a second chunk spawns nothing.
+//
 // The writer is single-use and not safe for concurrent use.
 type ChunkedWriter struct {
 	s         Stable
 	ctx       context.Context
 	key       string
 	chunkSize int
-	buf       []byte
+	buf       []byte // the chunk being filled
 	refs      []ChunkRef
 	total     int64 // logical blob bytes
 	written   int64 // bytes actually Put (manifest + dedup-missed chunks)
 	committed bool
-	pipeDepth int            // >0: pipeline requested, spawned on first full chunk
-	pipe      *chunkPipeline // nil until the pipeline actually spawns
+	err       error // the first failed store call: the stream has a hole, nothing more is stored
+
+	// The hash worker (nil until a second full chunk) and the two buffers
+	// that rotate around it: ahead is the chunk the worker holds, flushed
+	// but not yet stored; spare is free. Exactly one of them is set once
+	// the worker runs.
+	sawFull      bool
+	hashIn       chan []byte
+	hashOut      chan [sha256.Size]byte
+	ahead, spare []byte
 }
 
 // NewChunkedWriter returns a writer that stores chunks in s and, on
@@ -80,161 +98,22 @@ func NewChunkedWriter(ctx context.Context, s Stable, key string, chunkSize int) 
 	return &ChunkedWriter{s: s, ctx: ctx, key: key, chunkSize: chunkSize, buf: make([]byte, 0, chunkSize)}
 }
 
-// Pipeline switches the writer into pipelined mode: chunk N is hashed and
-// dedup-probed on a worker while chunk N+1 fills on the caller, and Put
-// runs on a second worker behind the probe — so the `Has` probe for chunk
-// N+1 overlaps the store write of chunk N. Chunk boundaries, hashes, and
-// the manifest are identical to serial mode; only wall-clock overlap
-// changes. depth bounds the chunks in flight (<= 0 selects
-// DefaultPipelineDepth). Must be called before the first Write; returns
-// the writer for chaining.
-//
-// The workers spawn lazily, on the first flush of a FULL chunk: a blob
-// smaller than one chunk never fills one, so it takes the serial path
-// with zero goroutine or channel overhead — pipelining only pays once
-// there are at least two chunks to overlap.
-func (w *ChunkedWriter) Pipeline(depth int) *ChunkedWriter {
-	if w.pipe != nil || w.pipeDepth != 0 || w.total != 0 || len(w.buf) != 0 || len(w.refs) != 0 || w.committed {
-		panic("storage: ChunkedWriter.Pipeline after first Write")
-	}
-	if depth <= 0 {
-		depth = DefaultPipelineDepth
-	}
-	w.pipeDepth = depth
-	return w
-}
+// Pipeline selects nothing: the writer overlaps hashing on its own once a
+// stream is long enough (see the type comment). The method remains for
+// callers written against a writer that took a pipeline depth here.
+func (w *ChunkedWriter) Pipeline(int) *ChunkedWriter { return w }
 
-// startPipeline spawns the hash and put workers. Called from flush once
-// the stream has proven to be multi-chunk.
-func (w *ChunkedWriter) startPipeline() {
-	depth := w.pipeDepth
-	p := &chunkPipeline{
-		hashCh: make(chan []byte, depth),
-		putCh:  make(chan chunkPut, depth),
-		free:   make(chan []byte, depth+2),
-	}
-	// Seed the buffer free-list: one buffer per in-flight slot plus one for
-	// each worker's hands. The caller's fill buffer is w.buf itself.
-	for i := 0; i < depth+2; i++ {
-		p.free <- make([]byte, 0, w.chunkSize)
-	}
-	p.wg.Add(2)
-	go p.hashWorker(w.s, w.ctx)
-	go p.putWorker(w.s)
-	w.pipe = p
-}
-
-// chunkPipeline is the worker state behind a pipelined ChunkedWriter. The
-// caller's flush hands a filled buffer to hashCh; the hash worker hashes
-// it and probes the store, then forwards to putCh; the put worker stores
-// missing chunks and appends manifest refs. Both channels are FIFO with a
-// single consumer each, so refs accumulate in stream order. Buffers
-// recycle through free — the stores copy on Put, so a buffer is reusable
-// the moment its Put returns (the serial path relies on the same
-// property).
-type chunkPipeline struct {
-	hashCh chan []byte
-	putCh  chan chunkPut
-	free   chan []byte
-	wg     sync.WaitGroup
-
-	mu  sync.Mutex
-	err error // first error from either worker; latched, drains continue
-
-	// Owned by the put worker until wg.Wait returns.
-	refs    []ChunkRef
-	total   int64
-	written int64
-
-	closed bool // hashCh closed (Commit or Abort ran)
-}
-
-func (p *chunkPipeline) latch(err error) {
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.mu.Unlock()
-}
-
-func (p *chunkPipeline) errNow() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
-
-// hashWorker hashes each chunk and probes the store for it. On a latched
-// error it keeps draining (recycling buffers) so the producer never
-// blocks on a dead pipeline.
-func (p *chunkPipeline) hashWorker(s Stable, ctx context.Context) {
-	defer p.wg.Done()
-	defer close(p.putCh)
-	for buf := range p.hashCh {
-		if p.errNow() != nil {
-			p.free <- buf
-			continue
-		}
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				p.latch(err)
-				p.free <- buf
-				continue
-			}
-		}
-		sum := sha256.Sum256(buf)
-		ref := ChunkRef{Sum: sum, Len: int64(len(buf))}
-		ok, err := Has(s, ref.Key())
-		if err != nil {
-			p.latch(fmt.Errorf("storage: probe chunk: %w", err))
-			p.free <- buf
-			continue
-		}
-		p.putCh <- chunkPut{buf: buf, ref: ref, need: !ok}
-	}
-}
-
-type chunkPut struct {
-	buf  []byte
-	ref  ChunkRef
-	need bool
-}
-
-// putWorker stores missing chunks and builds the manifest ref list.
-func (p *chunkPipeline) putWorker(s Stable) {
-	defer p.wg.Done()
-	for j := range p.putCh {
-		if p.errNow() == nil {
-			if j.need {
-				if err := s.Put(j.ref.Key(), j.buf); err != nil {
-					p.latch(fmt.Errorf("storage: put chunk: %w", err))
-					p.free <- j.buf
-					continue
-				}
-				p.written += j.ref.Len
-			}
-			p.total += j.ref.Len
-			p.refs = append(p.refs, j.ref)
-		}
-		p.free <- j.buf
-	}
-}
-
-// join closes the intake and waits for both workers. Idempotent.
-func (p *chunkPipeline) join() {
-	if !p.closed {
-		p.closed = true
-		close(p.hashCh)
-	}
-	p.wg.Wait()
-}
-
-// Abort tears down a pipelined writer that will not be committed, joining
-// its workers. Safe to call in any state, including after Commit and on a
-// serial writer (both no-ops), so callers can simply defer it.
+// Abort joins the hash worker of a writer that will not be committed. Safe
+// to call in any state, including after Commit and on a writer that never
+// spawned one (both no-ops), so callers can simply defer it.
 func (w *ChunkedWriter) Abort() {
-	if w.pipe != nil && !w.committed {
-		w.pipe.join()
+	if w.hashIn == nil {
+		return
 	}
+	close(w.hashIn)
+	for range w.hashOut { // a sum nobody stored; the worker closes hashOut as it exits
+	}
+	w.hashIn = nil
 }
 
 // Write implements io.Writer, spilling every full chunk to the store.
@@ -261,48 +140,91 @@ func (w *ChunkedWriter) Write(p []byte) (int, error) {
 // across epochs regardless of earlier length changes.
 func (w *ChunkedWriter) Cut() error {
 	if len(w.buf) == 0 {
-		return nil
+		return w.err
 	}
 	return w.flush()
 }
 
+// flush closes the chunk in w.buf.
 func (w *ChunkedWriter) flush() error {
+	if w.err != nil {
+		return w.err
+	}
 	if w.ctx != nil {
 		if err := w.ctx.Err(); err != nil {
 			return err
 		}
 	}
-	if w.pipe == nil && w.pipeDepth > 0 && len(w.buf) == w.chunkSize {
-		// First full chunk: the blob is large enough that overlap pays;
-		// spawn the workers now. Partial-chunk flushes (Cut boundaries on a
-		// sub-chunk blob) never reach here, so small blobs stay serial.
-		w.startPipeline()
-	}
-	if w.pipe != nil {
-		// Hand the filled buffer to the hash worker and take a recycled one;
-		// the send blocks only when the full pipeline depth is in flight.
-		if err := w.pipe.errNow(); err != nil {
+	full := len(w.buf) == w.chunkSize
+	if !full || !w.sawFull {
+		// A stream's first full chunk, and every short chunk a Cut closes,
+		// is hashed here and stored at once, behind the chunk the worker
+		// may still hold.
+		w.sawFull = w.sawFull || full
+		if err := w.storeAhead(); err != nil {
 			return err
 		}
-		w.pipe.hashCh <- w.buf
-		w.buf = (<-w.pipe.free)[:0]
+		err := w.store(sha256.Sum256(w.buf), w.buf)
+		w.buf = w.buf[:0]
+		return err
+	}
+	if w.hashIn == nil {
+		w.hashIn, w.hashOut = make(chan []byte), make(chan [sha256.Size]byte, 1)
+		w.spare = make([]byte, 0, w.chunkSize)
+		go func(in <-chan []byte, out chan<- [sha256.Size]byte) {
+			defer close(out)
+			for b := range in {
+				out <- sha256.Sum256(b)
+			}
+		}(w.hashIn, w.hashOut)
+	}
+	// Hand this chunk to the worker, then store the one it has finished:
+	// that Put runs while this chunk is hashed.
+	prev := w.ahead
+	var sum [sha256.Size]byte
+	if prev != nil {
+		sum = <-w.hashOut
+	}
+	w.hashIn <- w.buf
+	w.ahead = w.buf
+	if prev == nil {
+		w.buf, w.spare = w.spare, nil
 		return nil
 	}
-	sum := sha256.Sum256(w.buf)
-	ref := ChunkRef{Sum: sum, Len: int64(len(w.buf))}
+	err := w.store(sum, prev)
+	w.buf = prev[:0]
+	return err
+}
+
+// storeAhead stores the chunk the hash worker holds, if any.
+func (w *ChunkedWriter) storeAhead() error {
+	if w.ahead == nil {
+		return nil
+	}
+	err := w.store(<-w.hashOut, w.ahead)
+	w.ahead, w.spare = nil, w.ahead[:0]
+	return err
+}
+
+// store probes for one hashed chunk, Puts it if the store lacks it, and
+// appends its manifest ref. The stores copy on Put, so chunk's buffer is
+// reusable the moment this returns.
+func (w *ChunkedWriter) store(sum [sha256.Size]byte, chunk []byte) error {
+	ref := ChunkRef{Sum: sum, Len: int64(len(chunk))}
 	ok, err := Has(w.s, ref.Key())
 	if err != nil {
-		return fmt.Errorf("storage: probe chunk: %w", err)
+		w.err = fmt.Errorf("storage: probe chunk: %w", err)
+		return w.err
 	}
 	if !ok {
-		if err := w.s.Put(ref.Key(), w.buf); err != nil {
-			return fmt.Errorf("storage: put chunk: %w", err)
+		if err := w.s.Put(ref.Key(), chunk); err != nil {
+			w.err = fmt.Errorf("storage: put chunk: %w", err)
+			return w.err
 		}
 		w.written += ref.Len
 	}
 	w.total += ref.Len
 	w.refs = append(w.refs, ref)
-	w.buf = w.buf[:0]
 	return nil
 }
 
@@ -314,22 +236,14 @@ func (w *ChunkedWriter) Commit() (total, written int64, err error) {
 	if w.committed {
 		return 0, 0, fmt.Errorf("storage: ChunkedWriter for %s committed twice", w.key)
 	}
-	cutErr := w.Cut()
-	if w.pipe != nil {
-		// Join the workers even when the final Cut failed — a left-behind
-		// worker blocked on its channel would leak.
-		w.pipe.join()
-		if err := w.pipe.errNow(); err != nil {
-			return 0, 0, err
-		}
-		// Chunks cut before the pipeline spawned accumulated serially in
-		// w.refs; the pipe's refs continue the same stream order after them.
-		w.refs = append(w.refs, w.pipe.refs...)
-		w.total += w.pipe.total
-		w.written += w.pipe.written
+	// However this ends the worker is joined: nothing outlives the writer.
+	defer w.Abort()
+	if err := w.Cut(); err != nil {
+		return 0, 0, err
 	}
-	if cutErr != nil {
-		return 0, 0, cutErr
+	// A stream that ended on a chunk boundary left its last chunk ahead.
+	if err := w.storeAhead(); err != nil {
+		return 0, 0, err
 	}
 	if w.total > MaxBlobBytes {
 		return 0, 0, fmt.Errorf("%w: blob %s is %d bytes; no reader accepts more than %d", cerr.ErrStore, w.key, w.total, MaxBlobBytes)
@@ -435,7 +349,7 @@ func (f fetched) place() error {
 // time therefore sees the calls a serial reader would make, from the same
 // goroutine in the same order — which is why there is no serial variant to
 // select. A blob of one chunk has nothing to overlap and is placed by the
-// caller, as a one-chunk ChunkedWriter spawns no pipeline.
+// caller, as a ChunkedWriter short of a second full chunk spawns no worker.
 func Assemble(s Stable, manifest []byte) ([]byte, error) {
 	refs, err := ParseManifest(manifest)
 	if err != nil {
@@ -446,8 +360,6 @@ func Assemble(s Stable, manifest []byte) ([]byte, error) {
 		size += r.Len
 	}
 	out := make([]byte, size)
-	// As on the write side, the depth bounds the chunks read ahead of the
-	// worker — and so the memory in flight — to a few.
 	jobs, done := make(chan fetched, DefaultPipelineDepth), make(chan error, 1)
 	placeAll := func() {
 		for f := range jobs {

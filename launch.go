@@ -124,13 +124,10 @@ func Launch(ctx context.Context, spec *Spec, prog Program) (*Result, error) {
 		cfg.NewTransport = s.NewTransport
 		cfg.Clock = s.DetectorClock()
 		cfg.RankClock = s.RankClock
-		if spec.sim.SlowStore != nil {
-			st := cfg.Store
-			if st == nil {
-				st = storage.NewMemory()
-			}
-			cfg.Store = s.WrapStore(st)
+		if cfg.Store == nil {
+			cfg.Store = storage.NewMemory()
 		}
+		cfg.Store = s.WrapStore(cfg.Store)
 		if spec.sim.DetectorTimeout != 0 {
 			cfg.DetectorTimeout = spec.sim.DetectorTimeout
 		} else if cfg.DetectorTimeout == 0 {

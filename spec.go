@@ -75,8 +75,8 @@ func WithDebug() Option { return func(s *Spec) { s.cfg.Debug = true } }
 // WithAsyncCheckpoint toggles the asynchronous checkpoint pipeline, which
 // is on by default: a checkpoint blocks the rank only to freeze a copy of
 // its live state, and serialization plus the durable (chunked,
-// content-deduplicated) write overlap continued computation on a
-// background flusher. The commit record still waits for every rank's
+// content-deduplicated) write overlap continued computation in a flush
+// task beside the rank. The commit record still waits for every rank's
 // flush, so crash-recovery semantics are identical. Pass false to restore
 // the classic stop-serialize-fsync path (the Figure 8 baselines).
 func WithAsyncCheckpoint(enabled bool) Option {
@@ -179,12 +179,13 @@ type SlowStore = sim.SlowStore
 // entire schedule — deliveries, duplicates, retransmissions, partitions,
 // crashes — is a pure function of the scenario, replayable from its seed.
 //
-// On virtual time the protocol layer runs the synchronous checkpoint path
-// whatever WithAsyncCheckpoint says: the async flusher's compute/flush
-// overlap is a wall-clock optimization whose scheduling the simulation
-// cannot order deterministically. Scenario crashes are silent stops, so failure detection defaults to the heartbeat
-// detector (Scenario.DetectorTimeout, then WithDetectorTimeout, then a
-// 500ms virtual default) rather than the instantaneous self-report.
+// The checkpoint policy is the same code there as anywhere: a checkpoint's
+// flush runs as a task beside its rank that the simulation's scheduler
+// counts as an actor, so the default asynchronous pipeline is what a
+// simulated run executes. Scenario crashes are silent stops, so failure
+// detection defaults to the heartbeat detector (Scenario.DetectorTimeout,
+// then WithDetectorTimeout, then a 500ms virtual default) rather than the
+// instantaneous self-report.
 func WithSimulated(sc Scenario) Option {
 	return func(s *Spec) { s.sim = &sc }
 }
