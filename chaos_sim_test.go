@@ -171,9 +171,9 @@ func TestChaosSlowStoreDuringFlush(t *testing.T) {
 }
 
 func TestChaosThrottledFlushCrashRecovery(t *testing.T) {
-	// PR 9's flush pipeline under chaos: a hard bandwidth cap
+	// The flush pipeline under chaos: a hard bandwidth cap
 	// (WithFlushBandwidth) meters every checkpoint write through the
-	// governor's token bucket — whose sleeps elapse on the scenario's
+	// pacer's token bucket — whose sleeps elapse on the scenario's
 	// VIRTUAL clock — while the store itself crawls and a rank dies with
 	// throttled flushes in flight. Slow, metered flushes delay commits;
 	// recovery must come from whichever epoch actually committed and
@@ -239,8 +239,8 @@ func TestChaosDeterministicReplay(t *testing.T) {
 	// left behind — under the default policy's own write path: every
 	// checkpoint is flushed by a task beside its rank, which the scenario's
 	// slow store keeps open for milliseconds of virtual time while the rank
-	// computes on, and the governor and the chunk writer run as they do in
-	// production. The counters are compared whole, per rank,
+	// computes on, and the chunk writer runs as it does in production, with
+	// nothing pacing it. The counters are compared whole, per rank,
 	// CheckpointBytesWritten included: the simulated store answers each
 	// dedup probe from the virtual timeline (sim.WrapStore), so which rank
 	// stored a chunk two of them hold is part of the replay too.
@@ -265,11 +265,15 @@ func TestChaosDeterministicReplay(t *testing.T) {
 	b, bt, bstore := run()
 	// The async path really ran: the store's delays were waited out by
 	// flush tasks (CheckpointFlushNs), not by ranks stopped inside
-	// takeCheckpoint — a freeze takes no virtual time at all.
+	// takeCheckpoint — a freeze takes no virtual time at all. And with no
+	// WithFlushBandwidth cap, no write slept for pacing.
 	var flushNs, blockedNs int64
-	for _, s := range a.Stats {
+	for r, s := range a.Stats {
 		flushNs += s.CheckpointFlushNs
 		blockedNs += s.CheckpointBlockedNs
+		if s.FlushThrottleNs != 0 {
+			t.Fatalf("rank %d: FlushThrottleNs = %d with no bandwidth cap set", r, s.FlushThrottleNs)
+		}
 	}
 	if flushNs == 0 || blockedNs != 0 {
 		t.Fatalf("flush time %dns, blocked time %dns: want the store's delays on the flush tasks and none on the ranks", flushNs, blockedNs)

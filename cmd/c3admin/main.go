@@ -151,7 +151,7 @@ func cmdEpochs(st *store.Store) error {
 		fmt.Println("store holds no epochs")
 		return nil
 	}
-	fmt.Printf("%-7s  %-5s  %-10s  %-10s  %-8s  %s\n", "EPOCH", "RANKS", "STATE", "LOGS", "CHUNKED", "")
+	fmt.Printf("%-7s  %-5s  %-10s  %-10s  %-10s  %-8s  %s\n", "EPOCH", "RANKS", "STATE", "LOGS", "META", "CHUNKED", "")
 	for _, e := range epochs {
 		chunked := 0
 		for _, r := range e.Ranks {
@@ -163,8 +163,8 @@ func cmdEpochs(st *store.Store) error {
 		if e.Committed {
 			mark = "<- committed"
 		}
-		fmt.Printf("%-7d  %-5d  %-10s  %-10s  %d/%-6d  %s\n",
-			e.Epoch, len(e.Ranks), humanBytes(e.StateBytes), humanBytes(e.LogBytes),
+		fmt.Printf("%-7d  %-5d  %-10s  %-10s  %-10s  %d/%-6d  %s\n",
+			e.Epoch, len(e.Ranks), humanBytes(e.StateBytes), humanBytes(e.LogBytes), humanBytes(e.MetaBytes),
 			chunked, len(e.Ranks), mark)
 	}
 	return nil

@@ -46,7 +46,7 @@ func main() {
 	syncCkpt := flag.Bool("sync", false, "blocking checkpoint writes (the Figure 8 baseline) instead of the async pipeline")
 	incremental := flag.Bool("incremental", true, "dirty-region freeze (the default): copy only regions the app touched since the last checkpoint; -incremental=false re-copies the whole state every checkpoint and waives the Touch contract")
 	crossCheck := flag.Bool("crosscheck", false, "freeze verifier debug mode: fail the run, naming the variable, if a mutation escaped Touch/TouchRange (costs a full state encode per checkpoint)")
-	flushBW := flag.Float64("flushbw", 0, "cap checkpoint flush bandwidth in bytes/sec on top of the adaptive governor (0: no fixed cap)")
+	flushBW := flag.Float64("flushbw", 0, "cap checkpoint flush bandwidth at this many bytes/sec (0: no cap, the write stream is not paced)")
 	var kills apps.KillFlag
 	flag.Var(&kills, "kill", "rank@op stopping failure (repeatable; i-th flag = i-th incarnation)")
 	flag.Parse()

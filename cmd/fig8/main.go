@@ -12,7 +12,7 @@
 //	fig8 -app cg            # one chart
 //	fig8 -scale paper       # the paper's problem-size regime (slow)
 //	fig8 -ranks 16 -repeats 3
-//	fig8 -async             # governed async pipeline instead of blocking ckpts
+//	fig8 -async             # async flush pipeline instead of blocking ckpts
 //	fig8 -distributed       # each cell as real OS processes over TCP
 //	fig8 -distributed -short -app laplace   # the CI smoke path
 //	fig8 -sim -simseed 42   # each cell over the simulated substrate
@@ -54,7 +54,7 @@ func main() {
 	repeats := flag.Int("repeats", 3, "repetitions per cell; the best run is reported")
 	scaleName := flag.String("scale", "quick", "problem scale: quick or paper")
 	verdicts := flag.Bool("verdicts", true, "print Section 6.2 shape verdicts")
-	async := flag.Bool("async", false, "measure the governed asynchronous flush pipeline instead of the paper's blocking checkpoints (see README: the default figure stays sync)")
+	async := flag.Bool("async", false, "measure the asynchronous flush pipeline instead of the paper's blocking checkpoints (see README: the default figure stays sync)")
 	distributed := flag.Bool("distributed", false, "run each cell as one OS process per rank over TCP (the paper's curves on the real-process substrate)")
 	simulated := flag.Bool("sim", false, "run each cell over the deterministic simulated substrate (virtual time, seeded network)")
 	simSeed := flag.Int64("simseed", 1, "scenario seed for -sim; the same seed replays the same sweep")
@@ -303,7 +303,7 @@ func workerMain(app string, ranks, size, iters, every int, modeName string, asyn
 		EveryN: every,
 		Mode:   mode,
 		// The sweep measures the paper's blocking checkpoint semantics
-		// unless -async flips the cell onto the governed pipeline,
+		// unless -async flips the cell onto the async pipeline,
 		// exactly like the in-process harness (see Experiment.runOnce).
 		Policy: protocol.Policy{Sync: !async},
 	})

@@ -132,21 +132,34 @@ func Program(p Params) engine.Program {
 				q[li] = s
 			}
 
+			// Converged to the last bit: rs is exactly 0 and the step would
+			// be 0/0. x is the fixed point, so the updates are skipped and
+			// the direction zeroed — the iterations left multiply zeros, not
+			// denormals — while every collective still runs: the work and
+			// the message pattern of a run depend on Iters alone.
+			converged := rs == 0
+
 			// alpha = rs / (p · q)
 			pq := r.AllreduceF64([]float64{dot(dir, q)}, sumOp)[0]
-			alpha := rs / pq
-			for i := range x {
-				x[i] += alpha * dir[i]
-				res[i] -= alpha * q[i]
+			if !converged {
+				alpha := rs / pq
+				for i := range x {
+					x[i] += alpha * dir[i]
+					res[i] -= alpha * q[i]
+				}
 			}
 
 			// beta = rs' / rs
 			rsNew := r.AllreduceF64([]float64{dot(res, res)}, sumOp)[0]
-			beta := rsNew / rs
-			rs = rsNew
-			for i := range dir {
-				dir[i] = res[i] + beta*dir[i]
+			if converged {
+				clear(dir)
+			} else {
+				beta := rsNew / rs
+				for i := range dir {
+					dir[i] = res[i] + beta*dir[i]
+				}
 			}
+			rs = rsNew
 			// Write intent for incremental freeze: the iteration updated
 			// every vector except the (read-only) matrix block; rs is a
 			// scalar and needs no touch. Harmless when tracking is off.

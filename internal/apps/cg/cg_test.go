@@ -1,6 +1,7 @@
 package cg
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -67,6 +68,42 @@ func TestCGRecovery(t *testing.T) {
 		got := run(t, cfg, p)
 		if !reflect.DeepEqual(got, ref) {
 			t.Fatalf("atOp=%d: %v != %v", atOp, got, ref)
+		}
+	}
+}
+
+// TestCGChecksumFiniteAtAnyLength: CG reaches rs == 0 exactly long before a
+// benchmark-length run ends, and the iterations after that must hold the
+// solution, not turn it into 0/0 — an output oracle of NaNs agrees with
+// anything as text and with nothing as numbers. A run killed after the
+// fixed point recovers to the same numbers.
+func TestCGChecksumFiniteAtAnyLength(t *testing.T) {
+	var ref Checksum
+	for _, iters := range []int{50, 200, 2000} {
+		ck := run(t, engine.Config{Ranks: 4, Mode: protocol.Unmodified}, Params{N: 32, Iters: iters})[0].(Checksum)
+		for _, v := range []float64{ck.Sum, ck.Norm2, ck.Residual} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("Iters=%d: checksum %+v is not finite", iters, ck)
+			}
+		}
+		if iters == 200 {
+			ref = ck
+		}
+	}
+	cfg := engine.Config{
+		Ranks: 4, Mode: protocol.Full, EveryN: 20,
+		Failures: []engine.Failure{{Rank: 2, AtOp: 1500}},
+	}
+	res, err := engine.Run(cfg, Program(Params{N: 32, Iters: 200}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Restarts != 1 {
+		t.Fatalf("%d restarts, want the one injected kill to land", res.Restarts)
+	}
+	for rank, v := range res.Values {
+		if v.(Checksum) != ref {
+			t.Fatalf("rank %d recovered to %+v, fault-free run gives %+v", rank, v, ref)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // simConfig puts cfg on a fresh simulated substrate: transport, virtual
 // clocks and, when the scenario has one, the slow store. The protocol layer
-// runs its default path there — flush tasks, governor, chunk writer — so
+// runs its default path there — flush tasks, chunk writer — so
 // with Latency > 0 how many checkpoints a run takes, and which commit a
 // kill follows, is a function of (program, cfg, scenario) alone. Tests
 // whose assertion depends on either live here, not on the wall clock.

@@ -50,7 +50,7 @@ type Experiment struct {
 	// BandwidthMBps throttles checkpoint writes, modelling the paper's
 	// 40 MB/s local disks. Zero disables.
 	BandwidthMBps float64
-	// Async measures the governed asynchronous flush pipeline instead of
+	// Async measures the asynchronous flush pipeline instead of
 	// the paper's blocking checkpoint semantics. The default (sync) is
 	// what Figure 8 charts — see runOnce — so the published curves stay
 	// comparable to the paper; Async exists for the fig8 -async sweep
@@ -148,7 +148,7 @@ func (e Experiment) runOnce(ctx context.Context, size Size, mode protocol.Mode) 
 		// by BenchmarkCheckpointBlocked / BENCH_pr4.json, where blocked
 		// vs flush time is told apart — wall-clock alone would conflate
 		// the paper's overhead with flush contention.) Async flips the
-		// sweep onto the governed pipeline for an apples-to-apples
+		// sweep onto the async pipeline for an apples-to-apples
 		// wall-clock comparison of the same cells.
 		Policy: protocol.Policy{Sync: !e.Async},
 	}

@@ -3,7 +3,6 @@ package harness
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"ccift/internal/engine"
 	"ccift/internal/mpi"
@@ -121,28 +120,29 @@ func TestOverheadComputation(t *testing.T) {
 	}
 }
 
-// TestFig8QuickVerdicts runs the real Figure-8 experiments at a reduced
-// size in short mode and asserts the paper's shape claims hold. This is
-// the harness-level regression test behind EXPERIMENTS.md E8; cmd/fig8
-// runs the full-size version.
+// TestFig8QuickVerdicts runs the real Figure-8 experiments at the quick
+// scale, once per cell, and asserts what is deterministic about them: at
+// every size of every chart, the four program versions compute the same
+// checksum. The paper's shape claims (Table.Verdicts) compare wall-clock
+// times across sizes, which takes repeats and an otherwise idle machine: CI
+// evaluates them with `go run ./cmd/fig8 -ranks 4`, which exits 1 on a
+// failed verdict.
 func TestFig8QuickVerdicts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep")
 	}
 	for _, e := range Experiments(4, Quick) {
-		e.Repeats = 3
-		start := time.Now()
-		table, err := e.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", e.App, err)
-		}
-		if err := table.ChecksumsAgree(); err != nil {
-			t.Fatalf("%s: %v", e.App, err)
-		}
-		for _, v := range table.Verdicts() {
-			if !v.Pass {
-				t.Errorf("%s (%.1fs): FAIL %s — %s", e.App, time.Since(start).Seconds(), v.Claim, v.Note)
+		e.Repeats = 1
+		// Nothing here reads a clock, so the charts may share the cores.
+		t.Run(e.App, func(t *testing.T) {
+			t.Parallel()
+			table, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if err := table.ChecksumsAgree(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

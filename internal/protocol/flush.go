@@ -49,7 +49,6 @@ type flushTask struct {
 
 	total, written int64
 	dur            time.Duration
-	throttleNs     int64  // governor sleep time during this write
 	retain         []byte // teed serialized blob (localized recovery), or nil
 	err            error
 }
@@ -67,18 +66,13 @@ func (l *Layer) startFlush(p *pendingCheckpoint) {
 	write := func() {
 		start := l.clk.Now()
 		t.total, t.written, t.err = l.writeState(p)
-		t.dur, t.throttleNs, t.retain = l.clk.Since(start), l.gov.drainThrottle(), p.retainedBytes()
+		t.dur, t.retain = l.clk.Since(start), p.retainedBytes()
 	}
 	if !l.cfg.AsyncFlush {
 		write()
 		l.flushDone()
 		return
 	}
-	// The flush-free window ends here: feed its compute rate into the
-	// governor's idle baseline and open the flush-time window.
-	now := l.clk.Now()
-	l.gov.observeIdle(l.potentialCalls-l.govMarkOps, now.Sub(l.govMark))
-	l.govMark, l.govMarkOps = now, l.potentialCalls
 	t.wait = clock.Go(l.clk, func() {
 		write()
 		l.comm.Notify(tagFlushDone)
@@ -97,7 +91,7 @@ func (l *Layer) flushDone() {
 }
 
 // finishFlush applies the finished flush task's outcome to the layer —
-// counters, governor feedback, the retained copy, the trace stream — and
+// counters, the retained copy, the trace stream — and
 // clears it. A failed write comes back as the rank's error: mpi.ErrCanceled
 // when the run's context ended it, a store error otherwise.
 func (l *Layer) finishFlush() error {
@@ -112,13 +106,9 @@ func (l *Layer) finishFlush() error {
 	l.Stats.CheckpointBytes += t.total
 	l.Stats.CheckpointBytesWritten += t.written
 	l.Stats.CheckpointFlushNs += t.dur.Nanoseconds()
-	l.Stats.FlushThrottleNs += t.throttleNs
-	// The flush-time window ends here: compare its compute rate against
-	// the idle baseline and let the governor adjust its cap (async only;
-	// the governor ignores the call otherwise).
-	now := l.clk.Now()
-	l.gov.observeFlush(l.potentialCalls-l.govMarkOps, now.Sub(l.govMark), t.total, t.dur)
-	l.govMark, l.govMarkOps = now, l.potentialCalls
+	if l.pace != nil {
+		l.Stats.FlushThrottleNs = l.pace.sleptNs
+	}
 	if t.retain != nil {
 		l.retainStates.put(t.epoch, t.retain)
 	}

@@ -74,8 +74,8 @@ var controlSpecs = []mpi.RecvSpec{
 // made durable. It is owned here and carried untouched by every
 // configuration struct above the protocol (ccift.Spec, engine.Config,
 // engine.WorkerConfig, launch.WorkerApp). The zero value is the default
-// fast path: asynchronous flush, dirty-region incremental freeze, the
-// adaptive flush governor and the pipelined chunk writer.
+// fast path: asynchronous flush, dirty-region incremental freeze and the
+// hash-ahead chunk writer, with no cap on the write stream.
 type Policy struct {
 	// Sync restores the classic stop-serialize-fsync checkpoint (the
 	// Figure 8 baselines): the rank blocks until its state is durable.
@@ -89,7 +89,8 @@ type Policy struct {
 	// encode per checkpoint.
 	FreezeCrossCheck bool
 	// FlushBandwidth caps checkpoint write streaming at this many bytes
-	// per second on both the sync and async paths; 0 = no fixed cap.
+	// per second on both the sync and async paths; 0 = no cap, and no
+	// pacing code on the write path.
 	FlushBandwidth float64
 }
 
@@ -125,8 +126,8 @@ type Config struct {
 	AsyncFlush bool
 	// FlushBandwidth caps the checkpoint state writer's streaming
 	// throughput, in bytes per second, on both the synchronous and
-	// asynchronous write paths. Zero means no fixed cap. Independent of
-	// the adaptive governor, which only ever throttles further.
+	// asynchronous write paths (see pacer.go). Zero means no cap: the
+	// stream goes to the chunk writer unpaced.
 	FlushBandwidth float64
 	// FreezeCrossCheck re-encodes the live state after every freeze and
 	// verifies the frozen view byte-for-byte against it, turning a
@@ -155,7 +156,7 @@ type Config struct {
 	// goroutine; the substrate uses them to stream live counters to a
 	// launcher or metrics endpoint.
 	StatsSink func(Stats)
-	// Clock is the time source for interval triggers, the flush governor,
+	// Clock is the time source for interval triggers, the flush pacer,
 	// and blocked/flush-time accounting, and the owner of the flush task
 	// (clock.Go); nil selects the wall clock. A non-nil Clock is the
 	// simulated substrate's virtual (possibly per-rank skewed) clock. It
@@ -189,9 +190,8 @@ type Stats struct {
 	// async pipeline's headline number.
 	CheckpointBlockedNs int64 `json:"checkpoint_blocked_ns"`
 	CheckpointFlushNs   int64 `json:"checkpoint_flush_ns"`
-	// FlushThrottleNs is time the flush governor spent sleeping the
-	// state writer (token-bucket stalls) — the price paid to keep the
-	// rank's compute throughput within the target slowdown.
+	// FlushThrottleNs is time the state writer slept under the
+	// FlushBandwidth cap (token-bucket stalls); 0 when no cap is set.
 	FlushThrottleNs int64 `json:"flush_throttle_ns"`
 	// CheckpointBytesCopied counts bytes memcopied into frozen views at
 	// capture time; with incremental freeze, clean regions re-reference
@@ -289,15 +289,11 @@ type Layer struct {
 	// layer only services control traffic.
 	finished bool
 
-	Stats          Stats
-	potentialCalls int64
+	Stats Stats
 
-	// Flush bandwidth governor (see governor.go): gov is shared with the
-	// flush task; govMark/govMarkOps delimit the current
-	// throughput-measurement window on the rank's goroutine.
-	gov        *flushGovernor
-	govMark    time.Time
-	govMarkOps int64
+	// pace is the FlushBandwidth token bucket (pacer.go); nil when no cap
+	// is set. The flush in flight owns it until it is integrated.
+	pace *flushPacer
 }
 
 type initiatorState struct {
@@ -339,8 +335,9 @@ func NewLayer(comm *mpi.Comm, cfg Config) *Layer {
 	if cfg.Ctx != nil {
 		l.done = cfg.Ctx.Done()
 	}
-	l.gov = newFlushGovernor(l.clk, l.done, cfg.FlushBandwidth, cfg.AsyncFlush)
-	l.govMark = l.clk.Now()
+	if cfg.FlushBandwidth > 0 {
+		l.pace = newFlushPacer(l.clk, l.done, cfg.FlushBandwidth)
+	}
 	// Rank 0 carries the replicated-data copies (Section 7's distributed
 	// redundant data optimization) and plays the initiator.
 	l.Saver.VDS.Primary = l.rank == 0
@@ -626,7 +623,6 @@ func (l *Layer) finalizeLog() {
 // suppressed re-sends have been re-executed, so that the counts and logs of
 // the new checkpoint are complete.
 func (l *Layer) PotentialCheckpoint() {
-	l.potentialCalls++
 	if l.init != nil {
 		l.init.sincePrev++
 	}

@@ -38,44 +38,42 @@ func (c *stepClock) After(d time.Duration) <-chan time.Time {
 	return ch
 }
 
-// TestGovernorOversizedWriteProceeds is the ROADMAP item 0c livelock: at
-// the floor rate a full bucket holds 256 KB, so a 1 MiB write could never
-// find the bucket full enough and the flusher slept forever. It now pays
-// its whole deficit — about a second at 1 MiB/s — and goes ahead, and the
-// writes behind it are paced at the same rate.
-func TestGovernorOversizedWriteProceeds(t *testing.T) {
+// TestPacerOversizedWriteProceeds: at 1 MiB/s a full bucket holds 256 KB,
+// so a pacer that waited for the bucket to hold a 1 MiB write would sleep
+// forever (the ROADMAP item 0c livelock). The write pays its whole deficit
+// — about a second — and goes ahead, and the writes behind it are paced at
+// the same rate.
+func TestPacerOversizedWriteProceeds(t *testing.T) {
+	const rate = 1 << 20
 	clk := &stepClock{now: time.Unix(1000, 0)}
-	g := newFlushGovernor(clk, nil, 0, true)
-	g.adaptive = govMinRate
-	if burst := govBurstSeconds * g.rate(); burst >= 1<<20 {
+	p := newFlushPacer(clk, nil, rate)
+	if burst := paceBurstSeconds * rate; burst >= 1<<20 {
 		t.Fatalf("a full bucket holds %v bytes: 1 MiB is not oversized", burst)
 	}
 	start := clk.Now()
-	g.acquire(1 << 20)
+	p.acquire(1 << 20)
 	if d := clk.Since(start); d < 990*time.Millisecond || d > 1010*time.Millisecond {
 		t.Fatalf("1 MiB at 1 MiB/s took %v of virtual time, want about 1 s", d)
 	}
-	if ns := g.drainThrottle(); ns != clk.Since(start).Nanoseconds() {
-		t.Fatalf("throttle time %d ns, slept %v", ns, clk.Since(start))
+	if p.sleptNs != clk.Since(start).Nanoseconds() {
+		t.Fatalf("throttle time %d ns, slept %v", p.sleptNs, clk.Since(start))
 	}
 	for i := 0; i < 4; i++ {
-		g.acquire(256 << 10)
+		p.acquire(256 << 10)
 	}
 	if d := clk.Since(start); d < 1990*time.Millisecond || d > 2010*time.Millisecond {
 		t.Fatalf("2 MiB at 1 MiB/s took %v of virtual time, want about 2 s", d)
 	}
 }
 
-// TestGovernorSleepEndsOnCancel: a throttled flusher must notice that the
-// run is over; the chunk writer behind acquire then fails on the same
-// context.
-func TestGovernorSleepEndsOnCancel(t *testing.T) {
+// TestPacerSleepEndsOnCancel: a throttled flusher must notice that the run
+// is over; the chunk writer behind acquire then fails on the same context.
+func TestPacerSleepEndsOnCancel(t *testing.T) {
 	done := make(chan struct{})
-	g := newFlushGovernor(&stepClock{now: time.Unix(1000, 0), frozen: true}, done, 0, true)
-	g.adaptive = govMinRate
+	p := newFlushPacer(&stepClock{now: time.Unix(1000, 0), frozen: true}, done, 1<<20)
 	returned := make(chan struct{})
 	go func() {
-		g.acquire(1 << 20)
+		p.acquire(1 << 20)
 		close(returned)
 	}()
 	select {

@@ -133,10 +133,13 @@ func (l *Layer) writeState(p *pendingCheckpoint) (total, written int64, err erro
 	w := l.cfg.Store.StateWriter(l.cfg.Ctx, p.epoch, l.rank, storage.DefaultChunkSize)
 	// Join the writer's hash worker on every exit; a no-op after Commit.
 	defer w.Abort()
-	// All stream writes pass through the governor's token bucket, so a
-	// bandwidth cap (fixed or adaptive) paces the whole write — the
-	// serialization memcopies as well as the store Puts behind them.
-	var gw ckpt.SectionWriter = governedSection{w: w, gov: l.gov}
+	var sw ckpt.SectionWriter = w
+	if l.pace != nil {
+		// Under a FlushBandwidth cap every stream write is charged to the
+		// token bucket, so the cap paces the whole write — the
+		// serialization memcopies as well as the store Puts behind them.
+		sw = pacedSection{w: w, pace: l.pace}
+	}
 	if p.retain != nil {
 		// Tee every serialized byte into the retained in-memory copy; the
 		// copy is byte-identical to the store blob, so unmarshalState (and
@@ -147,19 +150,19 @@ func (l *Layer) writeState(p *pendingCheckpoint) (total, written int64, err erro
 			size += p.frozen.StateBytes()
 		}
 		p.retain.Grow(size)
-		gw = teeSection{w: gw, buf: p.retain}
+		sw = teeSection{w: sw, buf: p.retain}
 	}
-	if _, err := gw.Write(hdr.Bytes()); err != nil {
+	if _, err := sw.Write(hdr.Bytes()); err != nil {
 		return 0, 0, err
 	}
 	// Cut after the header: its size varies epoch to epoch, and the cut
 	// keeps that variation from shifting the application stream's chunk
 	// boundaries (which would defeat cross-epoch dedup).
-	if err := gw.Cut(); err != nil {
+	if err := sw.Cut(); err != nil {
 		return 0, 0, err
 	}
 	if p.frozen != nil {
-		if err := p.frozen.WriteTo(gw); err != nil {
+		if err := p.frozen.WriteTo(sw); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -177,24 +180,24 @@ func (l *Layer) writeState(p *pendingCheckpoint) (total, written int64, err erro
 	return total, written, l.cfg.Store.PutMeta(p.epoch, l.rank, meta.marshal())
 }
 
-// governedSection wraps the chunked state writer with the flush
-// governor's token bucket; Cut passes through so chunk boundaries are
+// pacedSection charges the chunked state writer's stream to the
+// FlushBandwidth token bucket; Cut passes through so chunk boundaries are
 // unchanged.
-type governedSection struct {
-	w   *storage.ChunkedWriter
-	gov *flushGovernor
+type pacedSection struct {
+	w    *storage.ChunkedWriter
+	pace *flushPacer
 }
 
-func (g governedSection) Write(p []byte) (int, error) {
-	g.gov.acquire(len(p))
-	return g.w.Write(p)
+func (s pacedSection) Write(p []byte) (int, error) {
+	s.pace.acquire(len(p))
+	return s.w.Write(p)
 }
 
-func (g governedSection) Cut() error { return g.w.Cut() }
+func (s pacedSection) Cut() error { return s.w.Cut() }
 
 // teeSection copies the serialized stream into the retained buffer on its
-// way to the store. It wraps the governed writer, so the copy itself is
-// not throttled.
+// way to the store. Under a FlushBandwidth cap it wraps the paced writer,
+// so the copy itself is not throttled.
 type teeSection struct {
 	w   ckpt.SectionWriter
 	buf *bytes.Buffer

@@ -20,11 +20,11 @@
 // What counts as running: each live rank of the attached world, and each
 // helper task a rank started through its clock (clock.Go — the protocol
 // layer's checkpoint flush is one). An actor stops counting while it is
-// parked in the transport, in a virtual sleep (the slow store's delays, the
-// flush governor's throttle), or — a rank — waiting for its own task. So a
-// flush task hashing a chunk in wall time holds virtual time still, the
-// same task waiting out a slow Put lets it run on, and whatever the task
-// posts is stamped at an instant the scenario decides, not the host.
+// parked in the transport, in a virtual sleep (the slow store's delays, a
+// WithFlushBandwidth cap's pacing), or — a rank — waiting for its own task.
+// So a flush task hashing a chunk in wall time holds virtual time still,
+// the same task waiting out a slow Put lets it run on, and whatever the
+// task posts is stamped at an instant the scenario decides, not the host.
 //
 // Determinism: sends are stamped at the frozen virtual now; every random
 // draw comes from a per-link PRNG stream keyed by (seed, context, src,
@@ -527,8 +527,8 @@ func (c simClock) After(d time.Duration) <-chan time.Time {
 	// Sleep's sleeper accounting tells the scheduler that counts as
 	// quiescent. With a bare AfterFunc event, a rank sleeping here would
 	// look active forever and virtual time could never advance to fire
-	// the timer — a virtual-time deadlock (the flush governor's throttle
-	// sleeps hit exactly this).
+	// the timer — a virtual-time deadlock (the flush pacer's sleeps under
+	// a WithFlushBandwidth cap hit exactly this).
 	dv := time.Duration(float64(d) / c.sk.rate())
 	go func() {
 		c.s.Sleep(dv)

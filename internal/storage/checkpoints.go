@@ -25,11 +25,26 @@ type CheckpointStore struct {
 // NewCheckpointStore wraps s.
 func NewCheckpointStore(s Stable) *CheckpointStore { return &CheckpointStore{S: s} }
 
+// BlobKind is one of the per-rank blobs an epoch directory holds. The key
+// constructors below write the kinds and RankBlobOfKey reads them back, so
+// a kind added here is one every lister of the store sees.
+type BlobKind string
+
+const (
+	StateBlob BlobKind = "state"
+	LogBlob   BlobKind = "log"
+	MetaBlob  BlobKind = "meta"
+)
+
+func rankBlobKey(epoch int, kind BlobKind, rank int) string {
+	return fmt.Sprintf("ckpt/%08d/%s.%04d", epoch, kind, rank)
+}
+
 // StateKey names the application+protocol state blob for (epoch, rank).
-func StateKey(epoch, rank int) string { return fmt.Sprintf("ckpt/%08d/state.%04d", epoch, rank) }
+func StateKey(epoch, rank int) string { return rankBlobKey(epoch, StateBlob, rank) }
 
 // LogKey names the message/non-determinism log blob for (epoch, rank).
-func LogKey(epoch, rank int) string { return fmt.Sprintf("ckpt/%08d/log.%04d", epoch, rank) }
+func LogKey(epoch, rank int) string { return rankBlobKey(epoch, LogBlob, rank) }
 
 // MetaKey names the recovery-metadata sidecar for (epoch, rank): a small
 // blob holding what the recovery driver gathers from that rank's checkpoint
@@ -39,7 +54,7 @@ func LogKey(epoch, rank int) string { return fmt.Sprintf("ckpt/%08d/log.%04d", e
 // manifest and before the rank reports the epoch durable, pruned with the
 // rest of the epoch directory, and a committed epoch without one is a
 // corrupt store.
-func MetaKey(epoch, rank int) string { return fmt.Sprintf("ckpt/%08d/meta.%04d", epoch, rank) }
+func MetaKey(epoch, rank int) string { return rankBlobKey(epoch, MetaBlob, rank) }
 
 const commitKey = "ckpt/COMMIT"
 
@@ -133,67 +148,75 @@ func (c *CheckpointStore) Committed() (epoch int, ok bool, err error) {
 	return int(v - 1), true, nil
 }
 
-// Prune deletes the state and log blobs of every epoch older than
-// keepEpoch, then sweeps content-hashed chunks referenced by no remaining
-// state manifest. The initiator calls it right after writing the commit
-// record for keepEpoch: recovery always starts from the newest committed
-// epoch, so older artifacts are unreachable — without pruning the store
-// grows without bound.
-//
-// Multi-process safety: Prune runs only on the initiator, between the
-// commit of keepEpoch (every rank's flush for it has completed) and the
-// next pleaseCheckpoint broadcast — so no rank is writing state or chunks
-// concurrently, and readers (recovering processes) only ever open the
-// committed epoch, which is never touched.
-func (c *CheckpointStore) Prune(keepEpoch int) error {
+// EpochOfKey splits a "ckpt/<8-digit epoch>/<name>" key into the epoch it
+// belongs to and its name within the epoch directory; ok is false for the
+// commit record, chunks and foreign keys. Prune goes by this alone: an old
+// epoch directory is deleted whole, whatever it holds.
+func EpochOfKey(key string) (epoch int, name string, ok bool) {
+	rest, found := strings.CutPrefix(key, "ckpt/")
+	if !found || len(rest) < 9 || rest[8] != '/' {
+		return 0, "", false
+	}
+	epoch, err := strconv.Atoi(rest[:8])
+	return epoch, rest[9:], err == nil
+}
+
+// RankBlobOfKey inverts StateKey, LogKey and MetaKey; ok is false for any
+// other key.
+func RankBlobOfKey(key string) (epoch, rank int, kind BlobKind, ok bool) {
+	epoch, name, ok := EpochOfKey(key)
+	k, suffix, found := strings.Cut(name, ".")
+	rank, err := strconv.Atoi(suffix)
+	switch kind = BlobKind(k); kind {
+	case StateBlob, LogBlob, MetaBlob:
+		return epoch, rank, kind, ok && found && err == nil
+	}
+	return 0, 0, "", false
+}
+
+// PruneKeys lists what a prune to keepEpoch deletes, in deletion order:
+// every key of an epoch older than keepEpoch — state, log, recovery
+// sidecar — then every content-hashed chunk that no remaining state
+// manifest references (manifests of epochs newer than keepEpoch count).
+// It is the whole decision: Prune deletes exactly these keys, and the
+// admin dry run (store.PrunePlan) reports them. The commit record and
+// foreign keys are never listed.
+func (c *CheckpointStore) PruneKeys(keepEpoch int) ([]string, error) {
 	keys, err := c.S.List("ckpt/")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var chunkKeys, keptStates []string
+	var doomed, chunkKeys []string
+	referenced := make(map[string]bool)
 	for _, k := range keys {
-		if k == commitKey {
-			continue
-		}
 		if strings.HasPrefix(k, chunkPrefix) {
 			chunkKeys = append(chunkKeys, k)
 			continue
 		}
-		rest, ok := strings.CutPrefix(k, "ckpt/")
-		if !ok || len(rest) < 9 || rest[8] != '/' {
-			continue // not an epoch blob; leave foreign keys alone
-		}
-		epoch, err := strconv.Atoi(rest[:8])
-		if err != nil {
+		epoch, _, ok := EpochOfKey(k)
+		if !ok {
 			continue
 		}
 		if epoch < keepEpoch {
-			if err := c.S.Delete(k); err != nil {
-				return err
-			}
+			doomed = append(doomed, k)
 			continue
 		}
-		if strings.HasPrefix(rest[9:], "state.") {
-			keptStates = append(keptStates, k)
+		if _, _, kind, ok := RankBlobOfKey(k); !ok || kind != StateBlob {
+			continue
 		}
-	}
-	// Chunk sweep: a chunk survives iff some remaining manifest references
-	// it (including manifests of epochs newer than keepEpoch).
-	referenced := make(map[string]bool)
-	for _, k := range keptStates {
 		blob, err := c.S.Get(k)
 		if err != nil {
 			if errors.Is(err, ErrNotFound) {
 				continue
 			}
-			return err
+			return nil, err
 		}
 		if !IsManifest(blob) {
 			continue
 		}
 		refs, err := ParseManifest(blob)
 		if err != nil {
-			return fmt.Errorf("storage: prune: %s: %w", k, err)
+			return nil, fmt.Errorf("storage: prune: %s: %w", k, err)
 		}
 		for _, r := range refs {
 			referenced[r.Key()] = true
@@ -201,9 +224,31 @@ func (c *CheckpointStore) Prune(keepEpoch int) error {
 	}
 	for _, k := range chunkKeys {
 		if !referenced[k] {
-			if err := c.S.Delete(k); err != nil {
-				return err
-			}
+			doomed = append(doomed, k)
+		}
+	}
+	return doomed, nil
+}
+
+// Prune deletes what PruneKeys lists: every epoch older than keepEpoch and
+// the chunks only those epochs referenced. The initiator calls it right
+// after writing the commit record for keepEpoch: recovery always starts
+// from the newest committed epoch, so older artifacts are unreachable —
+// without pruning the store grows without bound.
+//
+// Multi-process safety: Prune runs only on the initiator, between the
+// commit of keepEpoch (every rank's flush for it has completed) and the
+// next pleaseCheckpoint broadcast — so no rank is writing state or chunks
+// concurrently, and readers (recovering processes) only ever open the
+// committed epoch, which is never touched.
+func (c *CheckpointStore) Prune(keepEpoch int) error {
+	keys, err := c.PruneKeys(keepEpoch)
+	if err != nil {
+		return err
+	}
+	for _, k := range keys {
+		if err := c.S.Delete(k); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -318,3 +318,23 @@ func TestPruneConcurrentWithNewEpochWrites(t *testing.T) {
 		}
 	}
 }
+
+// RankBlobOfKey is the inverse of the three key constructors and of nothing
+// else in the store.
+func TestRankBlobOfKeyInvertsTheKeyConstructors(t *testing.T) {
+	for kind, key := range map[BlobKind]string{
+		StateBlob: StateKey(12, 3),
+		LogBlob:   LogKey(12, 3),
+		MetaBlob:  MetaKey(12, 3),
+	} {
+		epoch, rank, got, ok := RankBlobOfKey(key)
+		if !ok || epoch != 12 || rank != 3 || got != kind {
+			t.Errorf("RankBlobOfKey(%q) = %d, %d, %q, %v", key, epoch, rank, got, ok)
+		}
+	}
+	for _, key := range []string{commitKey, chunkPrefix + "ab", "ckpt/00000012/other.0003", "ckpt/00000012/state.x", "elsewhere/00000012/state.0003"} {
+		if _, _, _, ok := RankBlobOfKey(key); ok {
+			t.Errorf("RankBlobOfKey(%q) accepted a key no constructor builds", key)
+		}
+	}
+}

@@ -116,11 +116,11 @@ func WithFreezeCrossCheck() Option {
 
 // WithFlushBandwidth caps the checkpoint writer's streaming throughput at
 // the given bytes per second, on both the synchronous and asynchronous
-// paths. Zero (the default) means no fixed cap. This is independent of
-// the adaptive flush governor, which watches the rank's compute
-// throughput and only ever throttles further; a fixed cap is chiefly
-// useful to model a slow store deterministically or to hard-bound the
-// flusher's interference.
+// paths. Zero (the default) means no cap: the stream is not paced at all.
+// The rate is fixed — nothing measures the rank and adapts it — so a cap
+// is chiefly useful to model a slow store deterministically (its sleeps
+// follow a simulated run's virtual clock) or to hard-bound the flusher's
+// interference. Time slept under it is Stats.FlushThrottleNs.
 func WithFlushBandwidth(bytesPerSecond float64) Option {
 	return func(s *Spec) { s.cfg.Policy.FlushBandwidth = bytesPerSecond }
 }

@@ -22,7 +22,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"ccift/internal/cerr"
@@ -72,9 +71,11 @@ func (st *Store) Committed() (epoch int, ok bool, err error) {
 type RankBlob struct {
 	Rank int
 	// StateBytes is the logical (assembled) size of the rank's state
-	// blob; LogBytes the size of its message/non-determinism log.
+	// blob; LogBytes the size of its message/non-determinism log;
+	// MetaBytes the size of its recovery sidecar.
 	StateBytes int64
 	LogBytes   int64
+	MetaBytes  int64
 	// Chunked reports whether the state blob is stored as a chunk
 	// manifest (the async pipeline's format) rather than inline; Chunks
 	// is the manifest's reference count when it is.
@@ -90,9 +91,10 @@ type Epoch struct {
 	// Ranks holds one entry per rank with artifacts in this epoch,
 	// ordered by rank.
 	Ranks []RankBlob
-	// StateBytes and LogBytes are the logical totals over Ranks.
+	// StateBytes, LogBytes and MetaBytes are the logical totals over Ranks.
 	StateBytes int64
 	LogBytes   int64
+	MetaBytes  int64
 }
 
 // Epochs lists every epoch with artifacts in the store, oldest first.
@@ -116,7 +118,7 @@ func (st *Store) Epochs() ([]Epoch, error) {
 		return byEpoch[epoch][r]
 	}
 	for _, k := range keys {
-		epoch, r, kind, ok := parseEpochKey(k)
+		epoch, r, kind, ok := storage.RankBlobOfKey(k)
 		if !ok {
 			continue
 		}
@@ -126,7 +128,7 @@ func (st *Store) Epochs() ([]Epoch, error) {
 		}
 		b := rank(epoch, r)
 		switch kind {
-		case "state":
+		case storage.StateBlob:
 			if storage.IsManifest(blob) {
 				refs, err := storage.ParseManifest(blob)
 				if err != nil {
@@ -139,8 +141,10 @@ func (st *Store) Epochs() ([]Epoch, error) {
 			} else {
 				b.StateBytes = int64(len(blob))
 			}
-		case "log":
+		case storage.LogBlob:
 			b.LogBytes = int64(len(blob))
+		case storage.MetaBlob:
+			b.MetaBytes = int64(len(blob))
 		}
 	}
 	epochs := make([]Epoch, 0, len(byEpoch))
@@ -150,6 +154,7 @@ func (st *Store) Epochs() ([]Epoch, error) {
 			ep.Ranks = append(ep.Ranks, *b)
 			ep.StateBytes += b.StateBytes
 			ep.LogBytes += b.LogBytes
+			ep.MetaBytes += b.MetaBytes
 		}
 		sort.Slice(ep.Ranks, func(i, j int) bool { return ep.Ranks[i].Rank < ep.Ranks[j].Rank })
 		epochs = append(epochs, ep)
@@ -263,7 +268,7 @@ func (st *Store) chunkTable() ([]Chunk, int64, error) {
 	}
 	var logical int64
 	for _, k := range keys {
-		if _, _, kind, ok := parseEpochKey(k); !ok || kind != "state" {
+		if _, _, kind, ok := storage.RankBlobOfKey(k); !ok || kind != storage.StateBlob {
 			continue
 		}
 		blob, err := st.s.Get(k)
@@ -407,7 +412,7 @@ func (st *Store) Verify() (*VerifyReport, error) {
 	// once; "" marks a chunk that verified clean.
 	verdicts := map[string]string{}
 	for _, k := range keys {
-		if _, _, kind, ok := parseEpochKey(k); !ok || kind != "state" {
+		if _, _, kind, ok := storage.RankBlobOfKey(k); !ok || kind != storage.StateBlob {
 			continue
 		}
 		blob, err := st.s.Get(k)
@@ -471,10 +476,12 @@ type PrunePlan struct {
 	ReclaimBytes int64
 }
 
-// PrunePlan computes what pruning to keepEpoch would delete. keepEpoch <
-// 0 selects the committed epoch — the invariant the running system
-// itself maintains. Planning with no commit record and keepEpoch < 0 is
-// an error rather than a plan that deletes everything.
+// PrunePlan computes what pruning to keepEpoch would delete: the key list
+// is storage's own (CheckpointStore.PruneKeys, which Prune executes), so
+// the dry run cannot drift from the prune. keepEpoch < 0 selects the
+// committed epoch — the invariant the running system itself maintains.
+// Planning with no commit record and keepEpoch < 0 is an error rather
+// than a plan that deletes everything.
 func (st *Store) PrunePlan(keepEpoch int) (*PrunePlan, error) {
 	if keepEpoch < 0 {
 		committed, ok, err := st.Committed()
@@ -486,57 +493,21 @@ func (st *Store) PrunePlan(keepEpoch int) (*PrunePlan, error) {
 		}
 		keepEpoch = committed
 	}
-	keys, err := st.s.List("ckpt/")
+	keys, err := st.cs.PruneKeys(keepEpoch)
 	if err != nil {
-		return nil, fmt.Errorf("%w: list %s: %w", cerr.ErrStore, st.dir, err)
+		return nil, fmt.Errorf("%w: prune plan %s: %w", cerr.ErrStore, st.dir, err)
 	}
-	plan := &PrunePlan{KeepEpoch: keepEpoch}
-	// Epoch blobs older than keepEpoch go; then chunks referenced only by
-	// manifests that go (the same join storage's Prune performs).
+	plan := &PrunePlan{KeepEpoch: keepEpoch, Keys: keys}
 	doomedEpochs := map[int]bool{}
-	referenced := map[string]bool{}
 	for _, k := range keys {
-		epoch, _, kind, ok := parseEpochKey(k)
-		if !ok {
-			continue
-		}
-		if epoch < keepEpoch {
+		if epoch, _, ok := storage.EpochOfKey(k); ok {
 			doomedEpochs[epoch] = true
-			plan.Keys = append(plan.Keys, k)
-			blob, err := st.s.Get(k)
-			if err != nil {
-				return nil, fmt.Errorf("%w: read %s: %w", cerr.ErrStore, k, err)
-			}
-			plan.ReclaimBytes += int64(len(blob))
-			continue
-		}
-		if kind != "state" {
-			continue
 		}
 		blob, err := st.s.Get(k)
 		if err != nil {
 			return nil, fmt.Errorf("%w: read %s: %w", cerr.ErrStore, k, err)
 		}
-		if !storage.IsManifest(blob) {
-			continue
-		}
-		refs, err := storage.ParseManifest(blob)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %w", cerr.ErrStore, k, err)
-		}
-		for _, r := range refs {
-			referenced[r.Key()] = true
-		}
-	}
-	for _, k := range keys {
-		if strings.HasPrefix(k, "ckpt/chunks/") && !referenced[k] {
-			plan.Keys = append(plan.Keys, k)
-			blob, err := st.s.Get(k)
-			if err != nil {
-				return nil, fmt.Errorf("%w: read %s: %w", cerr.ErrStore, k, err)
-			}
-			plan.ReclaimBytes += int64(len(blob))
-		}
+		plan.ReclaimBytes += int64(len(blob))
 	}
 	for e := range doomedEpochs {
 		plan.Epochs = append(plan.Epochs, e)
@@ -618,27 +589,4 @@ func Jobs(root string) ([]Job, error) {
 		jobs = append(jobs, j)
 	}
 	return jobs, nil
-}
-
-// parseEpochKey splits a "ckpt/<8-digit epoch>/<kind>.<4-digit rank>"
-// key; ok is false for the commit record, chunks, and foreign keys.
-func parseEpochKey(key string) (epoch, rank int, kind string, ok bool) {
-	rest, found := strings.CutPrefix(key, "ckpt/")
-	if !found || len(rest) < 9 || rest[8] != '/' {
-		return 0, 0, "", false
-	}
-	epoch, err := strconv.Atoi(rest[:8])
-	if err != nil {
-		return 0, 0, "", false
-	}
-	name := rest[9:]
-	kind, suffix, found := strings.Cut(name, ".")
-	if !found || (kind != "state" && kind != "log") {
-		return 0, 0, "", false
-	}
-	rank, err = strconv.Atoi(suffix)
-	if err != nil {
-		return 0, 0, "", false
-	}
-	return epoch, rank, kind, true
 }

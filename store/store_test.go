@@ -7,6 +7,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	"ccift/internal/cerr"
@@ -15,8 +17,8 @@ import (
 
 // seedStore writes a two-epoch checkpoint tree the way the runtime does:
 // chunked state per rank (epoch 1 re-uses epoch 0's chunks except one
-// dirty chunk per rank), logs, a commit record for epoch 1, and one
-// orphaned chunk. Returns the store dir.
+// dirty chunk per rank), recovery sidecars, logs, a commit record for epoch
+// 1, and one orphaned chunk. Returns the store dir.
 func seedStore(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -41,6 +43,9 @@ func seedStore(t *testing.T) string {
 				t.Fatal(err)
 			}
 			if _, _, err := w.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := cs.PutMeta(epoch, rank, []byte("sidecar")); err != nil {
 				t.Fatal(err)
 			}
 			if err := cs.PutLog(epoch, rank, []byte("log")); err != nil {
@@ -94,6 +99,9 @@ func TestEpochsAndManifest(t *testing.T) {
 		}
 		if e.StateBytes != 2*3*1024 {
 			t.Errorf("epoch %d StateBytes=%d, want %d", e.Epoch, e.StateBytes, 2*3*1024)
+		}
+		if want := int64(2 * len("sidecar")); e.MetaBytes != want {
+			t.Errorf("epoch %d MetaBytes=%d, want %d", e.Epoch, e.MetaBytes, want)
 		}
 		for _, r := range e.Ranks {
 			if !r.Chunked || r.Chunks != 3 {
@@ -181,13 +189,18 @@ func TestPrunePlanAndPrune(t *testing.T) {
 	if len(plan.Epochs) != 1 || plan.Epochs[0] != 0 {
 		t.Fatalf("plan.Epochs=%v, want [0]", plan.Epochs)
 	}
-	// Epoch 0's 4 blobs (2 states + 2 logs), the epoch-0-only dirty
-	// chunk, and the orphan.
-	if len(plan.Keys) != 6 {
-		t.Fatalf("plan.Keys=%v, want 6 keys", plan.Keys)
+	// Epoch 0's 6 blobs (2 states + 2 sidecars + 2 logs), the
+	// epoch-0-only dirty chunk, and the orphan.
+	if len(plan.Keys) != 8 {
+		t.Fatalf("plan.Keys=%v, want 8 keys", plan.Keys)
 	}
-	if plan.ReclaimBytes == 0 {
-		t.Fatal("plan reclaims nothing")
+	before := diskKeys(t, dir)
+	var planned int64
+	for _, k := range plan.Keys {
+		planned += before[k]
+	}
+	if plan.ReclaimBytes != planned {
+		t.Fatalf("ReclaimBytes=%d, the planned keys hold %d", plan.ReclaimBytes, planned)
 	}
 
 	// The dry run deleted nothing.
@@ -197,6 +210,19 @@ func TestPrunePlanAndPrune(t *testing.T) {
 
 	if err := st.Prune(-1); err != nil {
 		t.Fatal(err)
+	}
+	// The dry run previews the prune exactly: the keys gone from the store
+	// are the plan's keys, no more and no fewer.
+	after := diskKeys(t, dir)
+	var removed []string
+	for k := range before {
+		if _, kept := after[k]; !kept {
+			removed = append(removed, k)
+		}
+	}
+	sort.Strings(removed)
+	if !reflect.DeepEqual(removed, plan.Keys) {
+		t.Fatalf("prune removed\n  %v\nthe plan listed\n  %v", removed, plan.Keys)
 	}
 	epochs, err := st.Epochs()
 	if err != nil {
@@ -220,6 +246,28 @@ func TestPrunePlanAndPrune(t *testing.T) {
 	if len(state) != 3*1024 {
 		t.Fatalf("recovered state is %d bytes, want %d", len(state), 3*1024)
 	}
+}
+
+// diskKeys maps every key under ckpt/ in the store at dir to its size.
+func diskKeys(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	disk, err := storage.NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := disk.List("ckpt/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make(map[string]int64, len(keys))
+	for _, k := range keys {
+		blob, err := disk.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[k] = int64(len(blob))
+	}
+	return sizes
 }
 
 func TestPruneWithoutCommitNeedsExplicitEpoch(t *testing.T) {
