@@ -24,11 +24,13 @@ import (
 // previous epoch's frozen copy, so a mostly-clean epoch blocks the rank
 // for O(dirty bytes) instead of O(state). The sharing is what the slab
 // refcounts below exist for: Frozen.Release must not hand a buffer back to
-// the pool while a newer epoch's view (or the Saver's own retention of the
-// last frozen state) still reads it. Scalar values are exempt from the
-// tracking — their copies are a few bytes, and loop counters legitimately
-// change every iteration without a Touch, so dirty-tracking them would
-// trade a free copy for a stale-counter hazard.
+// the pool while another epoch's view (or the Saver's own retention of the
+// last frozen state) still reads it — which is also what lets a caller keep
+// the views of the last few epochs for the price of their dirty pages.
+// Scalar values are exempt from the tracking — their copies are a few
+// bytes, and loop counters legitimately change every iteration without a
+// Touch, so dirty-tracking them would trade a free copy for a stale-counter
+// hazard.
 
 // SectionWriter is the sink Frozen.WriteTo streams into. Cut marks a
 // dedup-friendly boundary: a chunked writer closes its current chunk there,
@@ -54,11 +56,11 @@ const fingerprintSize = 16
 
 // bufPool recycles the large slabs ([]float64 grids, []byte heap blocks)
 // of released Frozen views. The protocol admits one outstanding checkpoint
-// at a time, so in steady state every epoch's Freeze reuses the previous
+// at a time, so in steady state every epoch's Freeze reuses an earlier
 // epoch's warm, already-faulted pages — the epoch-buffered flavor of
 // copy-on-write — and the blocking phase shrinks to a plain memcpy. The
-// mutex makes get (rank goroutine, during Freeze) safe against put
-// (flusher goroutine, after the durable write).
+// mutex makes get (during Freeze) safe against a put from a goroutine that
+// releases a view elsewhere.
 type bufPool struct {
 	mu  sync.Mutex
 	f64 [][]float64
@@ -73,18 +75,36 @@ type bufPool struct {
 // view references it.
 const poolKeep = 256
 
-func (p *bufPool) getF64(n int) []float64 {
-	p.mu.Lock()
-	for i, b := range p.f64 {
-		if cap(b) >= n {
-			p.f64[i] = p.f64[len(p.f64)-1]
-			p.f64 = p.f64[:len(p.f64)-1]
-			p.mu.Unlock()
-			return b[:n]
+// take removes and returns the smallest pooled buffer that holds n
+// elements, or nil. Smallest, not first: a 4 KB vector that takes a 64 KB
+// page slab keeps it for as long as some frozen view references the vector,
+// while the next page capture allocates afresh — the pool would grow by a
+// page every time the two met.
+func take[T any](free *[][]T, n int) []T {
+	best := -1
+	for i, b := range *free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap((*free)[best])) {
+			best = i
 		}
 	}
+	if best < 0 {
+		return nil
+	}
+	b, last := (*free)[best], len(*free)-1
+	(*free)[best] = (*free)[last]
+	(*free)[last] = nil
+	*free = (*free)[:last]
+	return b[:n]
+}
+
+func (p *bufPool) getF64(n int) []float64 {
+	p.mu.Lock()
+	b := take(&p.f64, n)
 	p.mu.Unlock()
-	return make([]float64, n)
+	if b == nil {
+		b = make([]float64, n)
+	}
+	return b
 }
 
 func (p *bufPool) putF64(b []float64) {
@@ -100,16 +120,12 @@ func (p *bufPool) putF64(b []float64) {
 
 func (p *bufPool) getBytes(n int) []byte {
 	p.mu.Lock()
-	for i, b := range p.byt {
-		if cap(b) >= n {
-			p.byt[i] = p.byt[len(p.byt)-1]
-			p.byt = p.byt[:len(p.byt)-1]
-			p.mu.Unlock()
-			return b[:n]
-		}
-	}
+	b := take(&p.byt, n)
 	p.mu.Unlock()
-	return make([]byte, n)
+	if b == nil {
+		b = make([]byte, n)
+	}
+	return b
 }
 
 func (p *bufPool) putBytes(b []byte) {
@@ -126,9 +142,9 @@ func (p *bufPool) putBytes(b []byte) {
 // slab is one pooled frozen buffer. Incremental freezes share clean
 // regions between consecutive Frozen views (and the Saver's retention of
 // the last frozen epoch), so the buffer returns to the pool only when the
-// LAST holder releases it. refs is atomic because a Frozen is released on
-// the flusher goroutine while the rank goroutine retains and releases
-// during Freeze.
+// LAST holder releases it. refs is atomic so that a Frozen may be released
+// on another goroutine than the one that retains and releases during
+// Freeze.
 type slab struct {
 	refs atomic.Int32
 	// Exactly one of f64/byt is non-nil: the pooled buffer this slab owns.
@@ -180,7 +196,7 @@ type Frozen struct {
 	dirty   int
 	regions int
 
-	pool     *bufPool // origin Saver's slab pool; nil for pool-less freezes
+	pool     *bufPool // origin Saver's slab pool; nil once disowned
 	released bool
 }
 
@@ -325,28 +341,38 @@ func (s *Saver) dropRetained() {
 	s.lastVDS, s.lastHeap = nil, nil
 }
 
-// Release returns the frozen view's large slabs to the originating Saver's
-// pool, so the next epoch's Freeze reuses them. Callers invoke it once the
-// serialized bytes are durable (or the flush has been abandoned); the
-// Frozen must not be read afterwards. Safe on nil and idempotent. A slab
-// shared with a newer epoch's view (incremental freeze) is refcounted and
-// survives until its last holder releases it.
+// Release gives up the view: its large slabs go back to the originating
+// Saver's pool, so a later epoch's Freeze reuses them, and the view drops
+// every reference it held. A Frozen has one owner at a time — the flush task
+// while it writes, then whoever keeps the epoch for rollback — and the last
+// owner calls Release once no one will read the view again; until then
+// WriteTo and Snapshot may run any number of times. Safe on nil and
+// idempotent. A slab shared with another epoch's view (incremental freeze)
+// is refcounted and reaches the pool when its last holder releases it.
 func (f *Frozen) Release() {
-	if f == nil || f.pool == nil || f.released {
+	if f == nil || f.released {
 		return
 	}
 	f.released = true
-	for i := range f.vds {
-		f.vds[i].releaseSlabs(f.pool)
-		f.vds[i].ptr, f.vds[i].enc, f.vds[i].slab, f.vds[i].pages = nil, nil, nil, nil
-	}
-	for i := range f.heap.blocks {
-		if sl := f.heap.blocks[i].slab; sl != nil {
-			sl.release(f.pool)
+	if f.pool != nil {
+		for i := range f.vds {
+			f.vds[i].releaseSlabs(f.pool)
 		}
-		f.heap.blocks[i].data, f.heap.blocks[i].slab = nil, nil
+		for _, b := range f.heap.blocks {
+			if b.slab != nil {
+				b.slab.release(f.pool)
+			}
+		}
 	}
+	f.vds, f.heap.blocks = nil, nil
 }
+
+// Disown cuts the view loose from its Saver, for a view that outlives it (a
+// survivor's retained checkpoint crossing into the next incarnation): the
+// view stops pinning the Saver — and through it the dead incarnation's live
+// state — and Release leaves its slabs to the garbage collector instead of
+// a pool nobody will draw from again.
+func (f *Frozen) Disown() { f.pool = nil }
 
 // scalarPtr reports whether ptr is one of the always-recaptured scalar
 // types. Their copies are a few bytes, and counters legitimately change

@@ -46,10 +46,13 @@ func restoreFrom(t *testing.T, blob []byte) *aliasState {
 }
 
 // TestRestoreNeverAliasesTheBlob: a survivor restores from the same
-// retained blob at every rollback, and the restore path hands out views of
-// it internally — so nothing the program can reach may be one. Restore,
-// scribble over (and append to) every restored value, restore again: the
-// blob's hash and the second restore must be what they were.
+// retained frozen view at every rollback — each time through a transient
+// blob the view serializes, of which the restore path hands out views
+// internally — so nothing the program can reach may be part of either.
+// Restore, scribble over (and append to) every restored value and over the
+// transient blob, restore again from the same view: the view's bytes and the
+// second restore must be what they were. (A replacement restores from a blob
+// assembled from the store; that blob, kept, must not change either.)
 func TestRestoreNeverAliasesTheBlob(t *testing.T) {
 	src := NewSaver()
 	want := &aliasState{
@@ -68,16 +71,21 @@ func TestRestoreNeverAliasesTheBlob(t *testing.T) {
 	for i := range blk.Data {
 		blk.Data[i] = byte(i)
 	}
-	f, err := src.Freeze()
+	view, err := src.Freeze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := f.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	defer view.Release()
+	snapshot := func() []byte {
+		t.Helper()
+		blob, err := view.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
 	}
-	f.Release()
-	sum := sha256.Sum256(blob)
+	kept := snapshot()
+	sum := sha256.Sum256(kept)
 
 	check := func(when string, got *aliasState) {
 		t.Helper()
@@ -86,33 +94,46 @@ func TestRestoreNeverAliasesTheBlob(t *testing.T) {
 			got.block == nil || !bytes.Equal(got.block.Data, blk.Data) {
 			t.Fatalf("%s restore differs from the frozen state", when)
 		}
-		if sha256.Sum256(blob) != sum {
-			t.Fatalf("%s restore changed the blob", when)
+		if sha256.Sum256(kept) != sum {
+			t.Fatalf("%s restore changed the kept blob", when)
 		}
+		if sha256.Sum256(snapshot()) != sum {
+			t.Fatalf("%s restore changed the frozen view", when)
+		}
+	}
+	scribble := func(st *aliasState) {
+		for i := range st.raw {
+			st.raw[i] = 0
+		}
+		st.raw = append(st.raw, bytes.Repeat([]byte{0xFF}, 4096)...)
+		for i := range st.grid {
+			st.grid[i] = -1
+		}
+		for _, row := range st.rows {
+			for i := range row {
+				row[i] = -1
+			}
+		}
+		for i := range st.block.Data {
+			st.block.Data[i] = 0xFF
+		}
+		st.block.Data = append(st.block.Data, 1, 2, 3)
 	}
 
-	first := restoreFrom(t, blob)
+	first := restoreFrom(t, kept)
 	check("first", first)
-	for i := range first.raw {
-		first.raw[i] = 0
+	scribble(first)
+	check("second", restoreFrom(t, kept))
+
+	// The survivor's path: one view, a transient blob per rollback.
+	transient := snapshot()
+	third := restoreFrom(t, transient)
+	check("first rollback from the view", third)
+	scribble(third)
+	for i := range transient {
+		transient[i] = 0x5A
 	}
-	first.raw = append(first.raw, bytes.Repeat([]byte{0xFF}, 4096)...)
-	for i := range first.grid {
-		first.grid[i] = -1
-	}
-	for _, row := range first.rows {
-		for i := range row {
-			row[i] = -1
-		}
-	}
-	for i := range first.block.Data {
-		first.block.Data[i] = 0xFF
-	}
-	first.block.Data = append(first.block.Data, 1, 2, 3)
-	if sha256.Sum256(blob) != sum {
-		t.Fatal("mutating restored values reached the blob")
-	}
-	check("second", restoreFrom(t, blob))
+	check("second rollback from the view", restoreFrom(t, snapshot()))
 }
 
 // TestDecodeCountsAreNotTrusted: an element count is stored data; one that

@@ -36,8 +36,9 @@ type rankBody struct {
 
 	// recovery is this rank's slice of the driver's recovery gather (Epoch
 	// -1: fresh start, do not restore); retained holds the rank's own
-	// in-memory checkpoint copies from the previous incarnation, if it
-	// survived one.
+	// in-memory checkpoints from the previous incarnation, if it survived
+	// one. The incarnation takes them over: what it did not release comes
+	// back in rankOutcome.retained.
 	recovery *protocol.RankRecovery
 	retained []*protocol.RetainedState
 
@@ -89,9 +90,6 @@ func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 		IncrementalFreeze: !pol.FullFreeze,
 		FreezeCrossCheck:  pol.FreezeCrossCheck,
 		FlushBandwidth:    pol.FlushBandwidth,
-		// Only a Full checkpoint can be rolled back to, so only Full
-		// retains in-memory copies for the next rollback.
-		RetainForRecovery: b.mode == protocol.Full,
 		StatsSink:         func(s protocol.Stats) { frame(s, false) },
 		Clock:             b.clock,
 	})
@@ -126,6 +124,11 @@ func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 			return fmt.Errorf("app restore: %w: %w", cerr.ErrStore, err)
 		}
 		r.restarting = true
+	} else {
+		// Nothing has committed, so nothing retained can be rolled back to.
+		for _, ret := range b.retained {
+			ret.Frozen.Release()
+		}
 	}
 
 	v, err := prog(r)

@@ -68,10 +68,12 @@ type WorkerConfig struct {
 	// each worker its inputs, so the worker does no store scan of its own.
 	// Epoch -1 means "fresh start, do not restore". Required.
 	Recovery *protocol.RankRecovery
-	// Retained, when non-nil, is this process's in-memory copy of its own
-	// recent checkpoints, kept across incarnations by a worker process
-	// that survived a rollback; a copy matching the recovery epoch is
-	// restored without store reads.
+	// Retained, when non-nil, is what RunWorker returned for this process's
+	// previous incarnation: the frozen views of its own recent checkpoints,
+	// kept by a worker process that survived a rollback. The incarnation
+	// takes them over — the view of the recovery epoch is restored without
+	// store reads and retained on, the rest released — so the caller keeps
+	// nothing but what the next return hands it.
 	Retained []*protocol.RetainedState
 }
 
@@ -83,9 +85,9 @@ type WorkerConfig struct {
 // incarnation, or exits so its launcher can re-spawn it), ctx ending the
 // run is Canceled, anything else that stopped this rank is Err, and
 // completion carries the program's one return value. retained is the
-// rank's in-memory checkpoint copies (in Full mode, on normal AND rollback
-// exits): the caller hands them back through WorkerConfig.Retained when it
-// reruns the rank in the same process.
+// rank's in-memory checkpoints (in Full mode, on normal AND rollback
+// exits), and replaces whatever the caller passed in: it hands them back
+// through WorkerConfig.Retained when it reruns the rank in the same process.
 func RunWorker(ctx context.Context, cfg WorkerConfig, prog Program) (retained []*protocol.RetainedState, end Outcome) {
 	if ctx == nil {
 		ctx = context.Background()

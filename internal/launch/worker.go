@@ -163,9 +163,7 @@ func workerRun(app WorkerApp) (int, error) {
 			}
 			return cerr.CodeOK, nil
 		}
-		if len(kept) > 0 {
-			retained = kept
-		}
+		retained = kept
 		fmt.Fprintf(os.Stderr, "rank %d: incarnation %d died; awaiting restart\n", rank, st.Incarnation)
 	}
 }

@@ -44,12 +44,11 @@ import (
 // the task and read by the rank only once the task is known to be over: it
 // received the task's tagFlushDone, or wait returned.
 type flushTask struct {
-	epoch int
-	wait  func() // blocks until the task has returned
+	p    *pendingCheckpoint
+	wait func() // blocks until the task has returned
 
 	total, written int64
 	dur            time.Duration
-	retain         []byte // teed serialized blob (localized recovery), or nil
 	err            error
 }
 
@@ -61,12 +60,12 @@ func (l *Layer) startFlush(p *pendingCheckpoint) {
 	if l.flush != nil {
 		panic("protocol: checkpoint flush started while one is in flight")
 	}
-	t := &flushTask{epoch: p.epoch, wait: func() {}}
+	t := &flushTask{p: p, wait: func() {}}
 	l.flush = t
 	write := func() {
 		start := l.clk.Now()
 		t.total, t.written, t.err = l.writeState(p)
-		t.dur, t.retain = l.clk.Since(start), p.retainedBytes()
+		t.dur = l.clk.Since(start)
 	}
 	if !l.cfg.AsyncFlush {
 		write()
@@ -91,17 +90,20 @@ func (l *Layer) flushDone() {
 }
 
 // finishFlush applies the finished flush task's outcome to the layer —
-// counters, the retained copy, the trace stream — and
-// clears it. A failed write comes back as the rank's error: mpi.ErrCanceled
-// when the run's context ended it, a store error otherwise.
+// counters, the trace stream — and clears it. The frozen view changes hands
+// here: a durable one becomes the epoch's retained copy (released when the
+// ring evicts it), one whose write failed is released at once. A failed write
+// comes back as the rank's error: mpi.ErrCanceled when the run's context
+// ended it, a store error otherwise.
 func (l *Layer) finishFlush() error {
 	t := l.flush
 	l.flush = nil
 	if t.err != nil {
+		t.p.frozen.Release()
 		if errors.Is(t.err, context.Canceled) || errors.Is(t.err, context.DeadlineExceeded) {
 			return mpi.ErrCanceled
 		}
-		return fmt.Errorf("protocol: persist state (epoch %d, rank %d): %w: %w", t.epoch, l.rank, cerr.ErrStore, t.err)
+		return fmt.Errorf("protocol: persist state (epoch %d, rank %d): %w: %w", t.p.epoch, l.rank, cerr.ErrStore, t.err)
 	}
 	l.Stats.CheckpointBytes += t.total
 	l.Stats.CheckpointBytesWritten += t.written
@@ -109,8 +111,8 @@ func (l *Layer) finishFlush() error {
 	if l.pace != nil {
 		l.Stats.FlushThrottleNs = l.pace.sleptNs
 	}
-	if t.retain != nil {
-		l.retainStates.put(t.epoch, t.retain)
+	if t.p.frozen != nil {
+		l.ring[0].Header, l.ring[0].Frozen = t.p.hdrRaw, t.p.frozen
 	}
 	l.trace(TraceCheckpoint, -1, 0, 0, int(t.total))
 	l.emitStats()

@@ -40,7 +40,7 @@ func checkpointing(t *testing.T, g *gatedStore, ctx context.Context, async bool)
 	t.Helper()
 	w := mpi.NewWorld(1, mpi.Options{})
 	l := NewLayer(w.Comm(0), Config{Mode: Full, Store: storage.NewCheckpointStore(g), Ctx: ctx,
-		AsyncFlush: async, RetainForRecovery: true, Debug: true})
+		AsyncFlush: async, Debug: true})
 	state := make([]byte, 1024)
 	if err := l.Saver.VDS.Push("state", &state); err != nil {
 		t.Fatal(err)
@@ -51,6 +51,17 @@ func checkpointing(t *testing.T, g *gatedStore, ctx context.Context, async bool)
 		t.Fatalf("epoch %d after the first checkpoint", l.Epoch())
 	}
 	return l
+}
+
+// retainedBlob serializes a retained checkpoint the way the store holds it:
+// the header, then the frozen view's application section.
+func retainedBlob(t *testing.T, r *RetainedState) []byte {
+	t.Helper()
+	app, err := r.Frozen.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(append([]byte(nil), r.Header...), app...)
 }
 
 func open() chan struct{} { c := make(chan struct{}); close(c); return c }
@@ -69,8 +80,8 @@ func TestFlushEndsIntegrateAlike(t *testing.T) {
 		},
 	}
 	inline := checkpointing(t, &gatedStore{Stable: storage.NewMemory(), gate: open()}, nil, false)
-	if inline.flush != nil || inline.Stats.CheckpointBytes == 0 || inline.retainStates.get(1) == nil {
-		t.Fatalf("inline write not integrated on return: flush %v, %d bytes, retained %v", inline.flush, inline.Stats.CheckpointBytes, inline.retainStates.get(1) != nil)
+	if inline.flush != nil || inline.Stats.CheckpointBytes == 0 || inline.ring[0].Frozen == nil {
+		t.Fatalf("inline write not integrated on return: flush %v, %d bytes, retained %v", inline.flush, inline.Stats.CheckpointBytes, inline.ring[0].Frozen != nil)
 	}
 	for name, end := range ends {
 		g := &gatedStore{Stable: storage.NewMemory(), gate: make(chan struct{})}
@@ -85,8 +96,8 @@ func TestFlushEndsIntegrateAlike(t *testing.T) {
 		if got, want := l.Stats.CheckpointBytes, inline.Stats.CheckpointBytes; got != want {
 			t.Fatalf("%s: %d checkpoint bytes, the inline write integrated %d", name, got, want)
 		}
-		if !bytes.Equal(l.retainStates.get(1), inline.retainStates.get(1)) {
-			t.Fatalf("%s: the retained copy differs from the inline write's", name)
+		if !bytes.Equal(retainedBlob(t, l.ring[0]), retainedBlob(t, inline.ring[0])) {
+			t.Fatalf("%s: the retained view differs from the inline write's", name)
 		}
 		if err := l.Shutdown(); err != nil { // idempotent
 			t.Fatalf("%s: second Shutdown: %v", name, err)

@@ -111,7 +111,9 @@ type Config struct {
 	// this much wall time has elapsed since the last request. Zero
 	// disables. (The paper uses a 30-second interval.)
 	Interval time.Duration
-	// Debug enables internal consistency assertions.
+	// Debug enables internal consistency assertions — among them one that
+	// reads the store: a rollback from a retained frozen view checks the
+	// view against the epoch's state object.
 	Debug bool
 	// Tracer, when non-nil, receives protocol events (see TraceEvent).
 	Tracer Tracer
@@ -135,12 +137,6 @@ type Config struct {
 	// ErrProgram naming the stale variable instead of silently divergent
 	// recovered state. Debug mode: costs a full encode per checkpoint.
 	FreezeCrossCheck bool
-	// RetainForRecovery keeps an in-memory copy of the serialized
-	// checkpoint (state and log blobs of the newest two epochs) alongside
-	// the durable write. A surviving rank hands the copies back through
-	// RestoreFrom on rollback and never touches the store — the localized
-	// recovery path. Costs one extra in-memory copy of the state blob.
-	RetainForRecovery bool
 	// IncrementalFreeze enables dirty-region tracking in the state-saving
 	// runtime: a checkpoint's blocking freeze copies only regions touched
 	// since the previous epoch (see ckpt.Saver.Incremental) and
@@ -278,12 +274,11 @@ type Layer struct {
 	logDone  bool
 	stopSent bool
 
-	// Retained checkpoint copies (localized recovery): the serialized
-	// state and log blobs of the newest two epochs, as streamed to the
-	// store. Written from the rank's goroutine only (finishFlush /
-	// finalizeLog). Empty unless cfg.RetainForRecovery.
-	retainStates retainedRing
-	retainLogs   retainedRing
+	// Retained checkpoints (localized recovery, see RetainedState): the
+	// epoch the rank is in and the one before. Touched from the rank's
+	// goroutine only (retainEpoch, finishFlush, finalizeLog). Empty outside
+	// Full mode.
+	ring [2]*RetainedState
 
 	// Completion: once the application on this rank has finished, the
 	// layer only services control traffic.
@@ -607,8 +602,8 @@ func (l *Layer) finalizeLog() {
 	if err := l.cfg.Store.PutLog(l.epoch, l.rank, blob); err != nil {
 		panic(fmt.Errorf("protocol: persist log (epoch %d, rank %d): %w: %w", l.epoch, l.rank, cerr.ErrStore, err))
 	}
-	if l.cfg.RetainForRecovery {
-		l.retainLogs.put(l.epoch, blob)
+	if l.ring[0] != nil {
+		l.ring[0].Log = blob
 	}
 	l.Stats.LogBytes += int64(len(blob))
 	l.amLogging = false
@@ -648,6 +643,9 @@ func (l *Layer) PotentialCheckpoint() {
 func (l *Layer) takeCheckpoint() {
 	start := l.clk.Now()
 	l.epoch++
+	if l.cfg.Mode == Full {
+		l.retainEpoch() // ahead of the freeze, which reuses the slabs this releases
+	}
 
 	// Save node state: application state (Section 5.1) + MPI library state
 	// (Section 5.2) + the early-message IDs and epoch (Figure 4).

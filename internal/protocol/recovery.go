@@ -192,79 +192,55 @@ func (p *RecoveryPlan) ForRank(r int) *RankRecovery {
 	return &RankRecovery{Epoch: p.Epoch, Suppress: p.Suppress[r], Replicas: p.Replicas}
 }
 
-// RetainedState is a surviving rank's in-memory copy of one epoch's
-// serialized checkpoint — the exact bytes its flusher streamed to the
-// store. A rank that did not die rolls back from these instead of
-// re-reading the store, so a single death in a large world touches the
+// RetainedState is a surviving rank's in-memory copy of one epoch's local
+// checkpoint. The application section is not a second serialized copy but
+// the frozen view the flush streamed to the store, so the views of
+// consecutive epochs share every clean page and keeping them costs the
+// dirty pages only. A rank that did not die rolls back from these instead
+// of re-reading the store, so a single death in a large world touches the
 // store O(1) per survivor.
 type RetainedState struct {
-	Epoch      int
-	State, Log []byte
+	Epoch  int
+	Header []byte       // the bytes that open the epoch's state object (magic, framed protocol section)
+	Frozen *ckpt.Frozen // Snapshot() yields the bytes that follow Header there
+	Log    []byte
 }
 
-// retainedRing keeps the newest two epochs of one blob kind. Two, not one:
-// at rollback time the committed epoch may trail the newest locally
-// written one (a death mid-checkpoint), and retaining only the newest
-// would miss exactly the epoch recovery wants.
-type retainedRing struct {
-	epochs [2]int
-	blobs  [2][]byte
-}
-
-func (r *retainedRing) put(epoch int, blob []byte) {
-	if r.epochs[0] == epoch || r.blobs[0] == nil {
-		r.epochs[0], r.blobs[0] = epoch, blob
-		return
+// retainEpoch opens the ring entry of the local checkpoint being taken and
+// releases the one that falls off: ring[0] is the epoch the rank is in,
+// ring[1] the one before. Two, not one: at rollback time the committed
+// epoch may trail the newest locally written one (a death mid-checkpoint),
+// and retaining only the newest would miss exactly the epoch recovery
+// wants. Not three: the previous epoch committed before any rank was asked
+// for this one, so nothing older can be rolled back to — and releasing it
+// here, ahead of the freeze, is what lets a program that dirties every page
+// freeze into those very slabs.
+func (l *Layer) retainEpoch() {
+	if old := l.ring[1]; old != nil {
+		old.Frozen.Release()
 	}
-	if epoch > r.epochs[0] {
-		r.epochs[1], r.blobs[1] = r.epochs[0], r.blobs[0]
-		r.epochs[0], r.blobs[0] = epoch, blob
-	} else {
-		r.epochs[1], r.blobs[1] = epoch, blob
-	}
+	l.ring[1], l.ring[0] = l.ring[0], &RetainedState{Epoch: l.epoch}
 }
 
-func (r *retainedRing) get(epoch int) []byte {
-	for i, e := range r.epochs {
-		if e == epoch && r.blobs[i] != nil {
-			return r.blobs[i]
-		}
-	}
-	return nil
-}
-
-// Retained returns the rank's in-memory checkpoint copies, newest first —
-// the driver stores them across incarnations and hands them back through
-// RestoreFrom. Nil when retention is off or nothing durable exists yet.
+// Retained hands the driver the rank's in-memory checkpoints, newest first,
+// once the incarnation is over (after Shutdown): the driver carries them to
+// the rank's next incarnation, which takes them over in RestoreFrom. Only
+// an epoch with both halves — flushed state and finalized log — can be
+// rolled back to; a half-taken one is released. The views outlive this
+// layer's Saver, so they are cut loose from its pool. Nil outside Full mode
+// or when nothing durable exists yet.
 func (l *Layer) Retained() []*RetainedState {
-	if !l.cfg.RetainForRecovery {
-		return nil
-	}
 	var out []*RetainedState
-	for _, e := range []int{l.retainStates.epochs[0], l.retainStates.epochs[1]} {
-		st, lg := l.retainStates.get(e), l.retainLogs.get(e)
-		if st != nil && lg != nil && !containsEpoch(out, e) {
-			out = append(out, &RetainedState{Epoch: e, State: st, Log: lg})
+	for _, r := range l.ring {
+		if r == nil {
+			continue
 		}
+		if r.Frozen == nil || r.Log == nil {
+			r.Frozen.Release()
+			continue
+		}
+		r.Frozen.Disown()
+		out = append(out, r)
 	}
 	return out
-}
-
-func containsEpoch(rs []*RetainedState, e int) bool {
-	for _, r := range rs {
-		if r.Epoch == e {
-			return true
-		}
-	}
-	return false
-}
-
-// retainedFor picks the retained copy matching epoch, if any.
-func retainedFor(rs []*RetainedState, epoch int) *RetainedState {
-	for _, r := range rs {
-		if r != nil && r.Epoch == epoch {
-			return r
-		}
-	}
-	return nil
 }

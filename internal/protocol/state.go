@@ -42,24 +42,13 @@ type checkpointState struct {
 }
 
 // pendingCheckpoint is one captured-but-not-yet-durable local checkpoint.
+// The flush task owns it while the write runs and hands it back to the rank
+// goroutine through the flushTask.
 type pendingCheckpoint struct {
 	epoch  int
 	hdr    checkpointState // App nil; the app section is streamed from frozen
 	frozen *ckpt.Frozen    // nil outside Full mode
-	// retain, when non-nil, tees every serialized byte writeState streams
-	// to the store — the in-memory copy localized recovery restores
-	// survivors from. Owned by the flush task while the write runs; handed
-	// back to the rank goroutine through the flushTask.
-	retain *bytes.Buffer
-}
-
-// retainedBytes returns the teed serialized blob, or nil when retention is
-// off.
-func (p *pendingCheckpoint) retainedBytes() []byte {
-	if p.retain == nil {
-		return nil
-	}
-	return p.retain.Bytes()
+	hdrRaw []byte          // hdr as writeState streamed it: the bytes that open the state object
 }
 
 // stateMagicV2 marks the streamed state-blob layout: magic, uvarint-framed
@@ -71,9 +60,6 @@ var stateMagicV2 = []byte("C3SB0002")
 // storage I/O happens here.
 func (l *Layer) captureState() (*pendingCheckpoint, error) {
 	p := &pendingCheckpoint{epoch: l.epoch}
-	if l.cfg.RetainForRecovery {
-		p.retain = &bytes.Buffer{}
-	}
 	p.hdr = checkpointState{
 		Epoch: l.epoch,
 		// The outer slices are re-pointed (earlyIDs) or appended to
@@ -113,13 +99,11 @@ func (l *Layer) captureState() (*pendingCheckpoint, error) {
 // writeState serializes a captured checkpoint and streams it into the
 // store through the chunked writer. It runs on the flush task's goroutine
 // unless the policy is Sync, so it must not touch any mutable Layer state —
-// only the immutable cfg/rank and the capture itself. It reports the logical blob
-// size and the bytes actually written (dedup savings excluded).
+// only the immutable cfg/rank and the capture itself, whose frozen view it
+// reads and does not release: that is finishFlush's, which keeps the view
+// for rollback. It reports the logical blob size and the bytes actually
+// written (dedup savings excluded).
 func (l *Layer) writeState(p *pendingCheckpoint) (total, written int64, err error) {
-	// However the write ends, the frozen slabs go back to the Saver's pool:
-	// the protocol admits no new checkpoint until this one is integrated,
-	// so the next Freeze — which reuses them — cannot have begun yet.
-	defer p.frozen.Release()
 	var hdr bytes.Buffer
 	hdr.Write(stateMagicV2)
 	var gb bytes.Buffer
@@ -129,6 +113,7 @@ func (l *Layer) writeState(p *pendingCheckpoint) (total, written int64, err erro
 	var tmp [binary.MaxVarintLen64]byte
 	hdr.Write(tmp[:binary.PutUvarint(tmp[:], uint64(gb.Len()))])
 	hdr.Write(gb.Bytes())
+	p.hdrRaw = hdr.Bytes()
 
 	w := l.cfg.Store.StateWriter(l.cfg.Ctx, p.epoch, l.rank, storage.DefaultChunkSize)
 	// Join the writer's hash worker on every exit; a no-op after Commit.
@@ -140,19 +125,7 @@ func (l *Layer) writeState(p *pendingCheckpoint) (total, written int64, err erro
 		// serialization memcopies as well as the store Puts behind them.
 		sw = pacedSection{w: w, pace: l.pace}
 	}
-	if p.retain != nil {
-		// Tee every serialized byte into the retained in-memory copy; the
-		// copy is byte-identical to the store blob, so unmarshalState (and
-		// so RestoreFrom) reads it directly. Its size is known exactly, so
-		// it is allocated once instead of regrowing by doubling.
-		size := hdr.Len()
-		if p.frozen != nil {
-			size += p.frozen.StateBytes()
-		}
-		p.retain.Grow(size)
-		sw = teeSection{w: sw, buf: p.retain}
-	}
-	if _, err := sw.Write(hdr.Bytes()); err != nil {
+	if _, err := sw.Write(p.hdrRaw); err != nil {
 		return 0, 0, err
 	}
 	// Cut after the header: its size varies epoch to epoch, and the cut
@@ -195,26 +168,12 @@ func (s pacedSection) Write(p []byte) (int, error) {
 
 func (s pacedSection) Cut() error { return s.w.Cut() }
 
-// teeSection copies the serialized stream into the retained buffer on its
-// way to the store. Under a FlushBandwidth cap it wraps the paced writer,
-// so the copy itself is not throttled.
-type teeSection struct {
-	w   ckpt.SectionWriter
-	buf *bytes.Buffer
-}
-
-func (t teeSection) Write(p []byte) (int, error) {
-	t.buf.Write(p)
-	return t.w.Write(p)
-}
-
-func (t teeSection) Cut() error { return t.w.Cut() }
-
-// unmarshalState decodes a state blob; App is a view of raw, not a copy.
+// unmarshalState decodes a state blob — or its header alone, which is what a
+// survivor retains; App is a view of raw, not a copy.
 func unmarshalState(raw []byte) (*checkpointState, error) {
 	rest, ok := bytes.CutPrefix(raw, stateMagicV2)
 	n, w := binary.Uvarint(rest)
-	if !ok || w <= 0 || n > uint64(len(rest)-w) {
+	if !ok || w <= 0 || n > uint64(len(rest)-w) || !gobFramed(rest[w:w+int(n)]) {
 		return nil, fmt.Errorf("protocol: %w: corrupt checkpoint state header", cerr.ErrStore)
 	}
 	hdr, app := rest[w:w+int(n)], rest[w+int(n):]
@@ -226,6 +185,33 @@ func unmarshalState(raw []byte) (*checkpointState, error) {
 	return &st, nil
 }
 
+// gobFramed reports whether b is a whole number of gob messages. The gob
+// decoder allocates a message's claimed length (up to 10 MB at a time)
+// before it reads it; checked here first, every claim it meets is backed by
+// bytes that are present.
+func gobFramed(b []byte) bool {
+	for len(b) > 0 {
+		n, w := uint64(b[0]), 1
+		if b[0] > 0x7f {
+			// A negated byte count, then that many bytes, high byte first.
+			k := 256 - int(b[0])
+			if k > 8 || k >= len(b) {
+				return false
+			}
+			n = 0
+			for _, c := range b[1 : 1+k] {
+				n = n<<8 | uint64(c)
+			}
+			w += k
+		}
+		if n > uint64(len(b)-w) {
+			return false
+		}
+		b = b[w+int(n):]
+	}
+	return true
+}
+
 // Restore rebuilds the layer from the committed global checkpoint at the
 // given epoch, always reading the store. See RestoreFrom.
 func (l *Layer) Restore(epoch int, suppress []uint32) ([]byte, error) {
@@ -235,15 +221,27 @@ func (l *Layer) Restore(epoch int, suppress []uint32) ([]byte, error) {
 // RestoreFrom rebuilds the layer from the committed global checkpoint at
 // the given epoch. suppress lists the message IDs (gathered from every
 // receiver's early-ID sets) that this rank must not re-send during
-// recovery. retained, when it holds a copy for exactly this epoch, serves
-// the state and log blobs from memory — a surviving rank's localized
-// rollback touches the store not at all. It returns the application-state
-// blob for the caller to hand to the state-saving runtime before the
-// application function re-executes.
+// recovery. retained is what the rank's previous incarnation left behind
+// (Layer.Retained), and the layer takes it over. The entry for exactly this
+// epoch serves the header and the log from memory and the application
+// section from its frozen view, serialized for the length of the restore —
+// a surviving rank's localized rollback touches the store not at all — and
+// stays retained for the next rollback; every other entry is released. It
+// returns the application-state blob for the caller to hand to the
+// state-saving runtime before the application function re-executes.
 func (l *Layer) RestoreFrom(epoch int, suppress []uint32, retained []*RetainedState) ([]byte, error) {
+	var ret *RetainedState
+	for _, r := range retained {
+		if r.Epoch == epoch {
+			ret = r
+		} else {
+			r.Frozen.Release()
+		}
+	}
 	var raw, logRaw []byte
-	if ret := retainedFor(retained, epoch); ret != nil {
-		raw, logRaw = ret.State, ret.Log
+	if ret != nil {
+		raw, logRaw = ret.Header, ret.Log
+		l.ring[0] = ret
 		l.Stats.RecoveredFromRetained++
 	} else {
 		var err error
@@ -259,6 +257,18 @@ func (l *Layer) RestoreFrom(epoch int, suppress []uint32, retained []*RetainedSt
 	st, err := unmarshalState(raw)
 	if err != nil {
 		return nil, err
+	}
+	if ret != nil {
+		if st.App, err = ret.Frozen.Snapshot(); err != nil {
+			return nil, fmt.Errorf("protocol: serialize retained state (epoch %d, rank %d): %w", epoch, l.rank, err)
+		}
+		if l.cfg.Debug {
+			// A survivor and a replacement must roll back to the same bytes.
+			stored, err := l.cfg.Store.GetState(epoch, l.rank)
+			if err != nil || !bytes.HasPrefix(stored, raw) || !bytes.Equal(stored[len(raw):], st.App) {
+				panic(fmt.Sprintf("protocol: rank %d: retained view of epoch %d is not the store's state object (read: %v)", l.rank, epoch, err))
+			}
+		}
 	}
 	if st.Epoch != epoch {
 		return nil, fmt.Errorf("protocol: %w: state blob of rank %d records epoch %d, requested epoch %d", cerr.ErrStore, l.rank, st.Epoch, epoch)

@@ -301,6 +301,18 @@ func TestFuzzRecoveryWindows(t *testing.T) {
 			if !reflect.DeepEqual(res.Values, ref) {
 				t.Fatalf("%s: diverged from the fault-free reference:\n  got %v\n  ref %v", where, res.Values, ref)
 			}
+			// Whatever the window left half-written, every survivor still
+			// held the committed epoch's frozen view and rolled back from it
+			// (Debug checks each such view against the store's state object).
+			fromView := int64(1)
+			if w.recovers(epoch) < 0 {
+				fromView = 0 // a restart from the beginning restores nothing
+			}
+			for r, s := range res.Stats {
+				if r != rank && s.RecoveredFromRetained != fromView {
+					t.Fatalf("%s: survivor %d restored %d times from its retained view, want %d", where, r, s.RecoveredFromRetained, fromView)
+				}
+			}
 		}
 	}
 }

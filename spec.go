@@ -69,7 +69,9 @@ func WithMaxRestarts(n int) Option { return func(s *Spec) { s.cfg.MaxRestarts = 
 // WithSeed sets the base seed for per-rank application randomness.
 func WithSeed(seed int64) Option { return func(s *Spec) { s.cfg.Seed = seed } }
 
-// WithDebug enables protocol assertions.
+// WithDebug enables protocol assertions. One of them reads the store: a
+// survivor's rollback from its retained frozen view also reads the epoch's
+// state object and requires the view to serialize to exactly those bytes.
 func WithDebug() Option { return func(s *Spec) { s.cfg.Debug = true } }
 
 // WithAsyncCheckpoint toggles the asynchronous checkpoint pipeline, which
