@@ -1,6 +1,6 @@
 // Command c3admin inspects and maintains ccift checkpoint stores — the
-// shared directories distributed runs (c3launch, c3run -distributed, any
-// Launch with WithDistributed) checkpoint into. It is a thin CLI over the
+// shared directories distributed runs (c3run -distributed, any Launch with
+// WithDistributed) checkpoint into. It is a thin CLI over the
 // public ccift/store package.
 //
 // Usage:
@@ -151,21 +151,14 @@ func cmdEpochs(st *store.Store) error {
 		fmt.Println("store holds no epochs")
 		return nil
 	}
-	fmt.Printf("%-7s  %-5s  %-10s  %-10s  %-10s  %-8s  %s\n", "EPOCH", "RANKS", "STATE", "LOGS", "META", "CHUNKED", "")
+	fmt.Printf("%-7s  %-5s  %-10s  %-10s  %-10s  %s\n", "EPOCH", "RANKS", "STATE", "LOGS", "META", "")
 	for _, e := range epochs {
-		chunked := 0
-		for _, r := range e.Ranks {
-			if r.Chunked {
-				chunked++
-			}
-		}
 		mark := ""
 		if e.Committed {
 			mark = "<- committed"
 		}
-		fmt.Printf("%-7d  %-5d  %-10s  %-10s  %-10s  %d/%-6d  %s\n",
-			e.Epoch, len(e.Ranks), humanBytes(e.StateBytes), humanBytes(e.LogBytes), humanBytes(e.MetaBytes),
-			chunked, len(e.Ranks), mark)
+		fmt.Printf("%-7d  %-5d  %-10s  %-10s  %-10s  %s\n",
+			e.Epoch, len(e.Ranks), humanBytes(e.StateBytes), humanBytes(e.LogBytes), humanBytes(e.MetaBytes), mark)
 	}
 	return nil
 }
@@ -192,10 +185,6 @@ func cmdManifest(args []string) error {
 	}
 	fmt.Printf("key:     %s\n", m.Key)
 	fmt.Printf("logical: %s\n", humanBytes(m.LogicalBytes))
-	if !m.Chunked {
-		fmt.Println("format:  inline blob (blocking checkpoint path)")
-		return nil
-	}
 	fmt.Printf("format:  chunk manifest, %d refs\n", len(m.Refs))
 	for i, r := range m.Refs {
 		fmt.Printf("  [%4d] %s  %s\n", i, r.Hash, humanBytes(r.Bytes))
@@ -209,7 +198,7 @@ func cmdChunks(st *store.Store) error {
 		return err
 	}
 	if len(chunks) == 0 {
-		fmt.Println("store holds no chunks (inline blobs only, or empty)")
+		fmt.Println("store holds no chunks")
 		return nil
 	}
 	fmt.Printf("%-6s  %-10s  %s\n", "REFS", "BYTES", "CHUNK")
@@ -242,8 +231,8 @@ func cmdVerify(st *store.Store) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("checked %d chunked manifests (%d inline blobs), re-hashed %d unique chunks, %s\n",
-		rep.Manifests, rep.InlineBlobs, rep.ChunksHashed, humanBytes(rep.BytesHashed))
+	fmt.Printf("checked %d manifests, re-hashed %d unique chunks, %s\n",
+		rep.Manifests, rep.ChunksHashed, humanBytes(rep.BytesHashed))
 	if len(rep.Issues) == 0 {
 		fmt.Println("store is intact: every chunk hashes to its content address")
 		return nil

@@ -10,12 +10,16 @@
 //	c3run -app neurosys -store /tmp/ckpts      # checkpoints on disk
 //	c3run -app laplace -distributed -ranks 4   # one OS process per rank over
 //	                                           # TCP; -kill is a real SIGKILL
+//	c3run -distributed -kill 2@100 -v          # ... and log every spawn/exit
 //	c3run -app cg -timeout 30s                 # cancel the run after 30s
 //
 // The tool prints per-incarnation progress, the recovered epoch of each
 // restart, and the final protocol statistics. It is a thin wrapper over
 // ccift.Launch: one spec selects the substrate, and in a -distributed run
-// the re-exec'd worker processes re-enter the very same Launch call.
+// the re-exec'd worker processes re-enter the very same Launch call, which
+// detects the worker environment and runs the single-rank role. There the
+// survivors of a kill detect the death (connection reset, then heartbeat
+// timeout) and roll back in place while only the dead rank is re-spawned.
 package main
 
 import (
@@ -43,6 +47,10 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "cancel the run after this long (0: no deadline)")
 	traceOut := flag.Bool("trace", false, "print a space-time diagram of protocol events")
 	distributed := flag.Bool("distributed", false, "run each rank as its own OS process over TCP (kills become real SIGKILLs)")
+	detector := flag.Duration("detector", 0, "-distributed: the workers' heartbeat suspicion timeout (0: the 2s default)")
+	verbose := flag.Bool("v", false, "-distributed: log spawn/exit events")
+	seed := flag.Int64("seed", 0, "base seed for application randomness")
+	maxRestarts := flag.Int("max-restarts", 10, "bound on rollbacks")
 	syncCkpt := flag.Bool("sync", false, "blocking checkpoint writes (the Figure 8 baseline) instead of the async pipeline")
 	incremental := flag.Bool("incremental", true, "dirty-region freeze (the default): copy only regions the app touched since the last checkpoint; -incremental=false re-copies the whole state every checkpoint and waives the Touch contract")
 	crossCheck := flag.Bool("crosscheck", false, "freeze verifier debug mode: fail the run, naming the variable, if a mutation escaped Touch/TouchRange (costs a full state encode per checkpoint)")
@@ -64,6 +72,8 @@ func main() {
 		ccift.WithRanks(*ranks),
 		ccift.WithMode(ccift.Full),
 		ccift.WithFailures(kills...),
+		ccift.WithSeed(*seed),
+		ccift.WithMaxRestarts(*maxRestarts),
 		ccift.WithAsyncCheckpoint(!*syncCkpt),
 		ccift.WithIncrementalFreeze(*incremental),
 	}
@@ -87,7 +97,7 @@ func main() {
 		if *traceOut {
 			fmt.Fprintln(os.Stderr, "c3run: -trace is not supported with -distributed (the recorder is in-process); ignoring")
 		}
-		opts = append(opts, ccift.WithDistributed(ccift.Distributed{StoreDir: *storeDir}))
+		opts = append(opts, ccift.WithDistributed(ccift.Distributed{StoreDir: *storeDir, DetectorTimeout: *detector, Verbose: *verbose}))
 	} else {
 		if *traceOut {
 			rec = trace.New()

@@ -50,6 +50,6 @@ var (
 
 // ExitCode maps an error from Launch to the conventional process exit code
 // of its category (0 for nil, 1 for program/uncategorized errors) — the
-// same mapping the bundled CLIs (c3run, c3launch, c3admin) use, so shell
+// same mapping the bundled CLIs (c3run, c3admin) use, so shell
 // scripts can dispatch on categories the way Go code uses errors.Is.
 func ExitCode(err error) int { return cerr.ExitCode(err) }

@@ -1,6 +1,6 @@
 // Package apps registers the benchmark applications by name, so every
-// driver — the in-process c3run, the distributed c3launch, tests — builds
-// programs from one table instead of each keeping its own copy.
+// driver — c3run on either substrate, fig8, tests — builds programs from
+// one table instead of each keeping its own copy.
 package apps
 
 import (
@@ -93,9 +93,9 @@ func HumanBytes(n int64) string {
 	}
 }
 
-// Summary renders the run epilogue both driver CLIs print: elapsed time,
-// restart count, per-restart recovery provenance, and the first rank's
-// result value.
+// Summary renders the run epilogue c3run prints on either substrate:
+// elapsed time, restart count, per-restart recovery provenance, and the
+// first rank's result value.
 func Summary(values []any, restarts int, recovered []int, elapsed time.Duration) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "completed in %.2fs with %d restart(s)\n", elapsed.Seconds(), restarts)

@@ -85,7 +85,7 @@ func Ensure(err, fallback error) error {
 }
 
 // Process exit codes shared by the launch worker protocol and the CLIs
-// (c3run, c3launch, c3admin). A worker classifies its failure with
+// (c3run, c3admin). A worker classifies its failure with
 // Category and exits with the matching code; the launcher maps the code
 // back to the sentinel, so the category survives the process boundary.
 const (

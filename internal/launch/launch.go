@@ -130,7 +130,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	if cfg.StoreDir == "" {
 		if cfg.WorkDir == "" {
-			dir, err := os.MkdirTemp("", "c3launch-*")
+			dir, err := os.MkdirTemp("", "ccift-launch-*")
 			if err != nil {
 				return nil, fmt.Errorf("launch: scratch dir: %w: %w", cerr.ErrSpec, err)
 			}
@@ -262,7 +262,7 @@ func (w *world) spawn(r, incarnation int) error {
 		return fmt.Errorf("launch: spawn rank %d: %w: %w", r, cerr.ErrTransport, err)
 	}
 	if cfg.Verbose {
-		w.logf("c3launch: incarnation %d: rank %d is pid %d\n", incarnation, r, cmd.Process.Pid)
+		w.logf("launch: incarnation %d: rank %d is pid %d\n", incarnation, r, cmd.Process.Pid)
 	}
 	w.tails.Add(2)
 	go func() {
@@ -304,7 +304,7 @@ func (w *world) reap(e event) *engine.RunError {
 		w.incs[p.started].Exits[p.rank] = e.state.String()
 	}
 	if w.cfg.Verbose && e.err != nil {
-		w.logf("c3launch: incarnation %d: rank %d exited: %s\n", p.started, p.rank, e.state)
+		w.logf("launch: incarnation %d: rank %d exited: %s\n", p.started, p.rank, e.state)
 	}
 	if e.err == nil || !e.state.Exited() {
 		return nil

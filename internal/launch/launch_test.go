@@ -416,7 +416,7 @@ func (l *spawnLog) Write(b []byte) (int, error) {
 	return l.buf.Write(b)
 }
 
-var spawnLine = regexp.MustCompile(`c3launch: incarnation \d+: rank (\d+) is pid (\d+)`)
+var spawnLine = regexp.MustCompile(`launch: incarnation \d+: rank (\d+) is pid (\d+)`)
 
 // spawned returns every process the launcher started so far, as
 // (rank, pid) pairs in spawn order.

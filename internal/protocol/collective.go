@@ -100,109 +100,75 @@ func (l *Layer) collectiveExit(seq int64, result []byte) {
 	}
 }
 
-// Allreduce combines data across all ranks with op, protocol-managed.
-func (l *Layer) Allreduce(data []byte, op mpi.Op) []byte {
+// collective runs one data collective under the protocol: the op count, the
+// inactive fast path, the recovery replay or control exchange, the call
+// itself, and the logging of its result. rooted marks collectives whose
+// non-root result is nil, which must survive the log round trip as nil.
+func (l *Layer) collective(rooted bool, call func() []byte) []byte {
 	l.enterOp()
 	if !l.active() {
-		return l.comm.Allreduce(data, op)
+		return call()
 	}
 	seq := l.collSeq
 	if res, ok := l.collectiveEntry(); ok {
+		if rooted {
+			return unwrapMaybe(res)
+		}
 		return res
 	}
-	res := l.comm.Allreduce(data, op)
-	l.collectiveExit(seq, res)
+	res := call()
+	if rooted {
+		l.collectiveExit(seq, wrapMaybe(res))
+	} else {
+		l.collectiveExit(seq, res)
+	}
 	return res
+}
+
+// Allreduce combines data across all ranks with op, protocol-managed.
+func (l *Layer) Allreduce(data []byte, op mpi.Op) []byte {
+	return l.collective(false, func() []byte { return l.comm.Allreduce(data, op) })
 }
 
 // Allgather concatenates equal-sized payloads from all ranks.
 func (l *Layer) Allgather(data []byte) []byte {
-	l.enterOp()
-	if !l.active() {
-		return l.comm.Allgather(data)
-	}
-	seq := l.collSeq
-	if res, ok := l.collectiveEntry(); ok {
-		return res
-	}
-	res := l.comm.Allgather(data)
-	l.collectiveExit(seq, res)
-	return res
+	return l.collective(false, func() []byte { return l.comm.Allgather(data) })
 }
 
 // Bcast distributes root's payload to all ranks.
 func (l *Layer) Bcast(root int, data []byte) []byte {
-	l.enterOp()
-	if !l.active() {
-		return l.comm.Bcast(root, data)
-	}
-	seq := l.collSeq
-	if res, ok := l.collectiveEntry(); ok {
-		return res
-	}
-	res := l.comm.Bcast(root, data)
-	l.collectiveExit(seq, res)
-	return res
+	return l.collective(false, func() []byte { return l.comm.Bcast(root, data) })
 }
 
 // Reduce combines payloads at root; non-roots receive nil.
 func (l *Layer) Reduce(root int, data []byte, op mpi.Op) []byte {
-	l.enterOp()
-	if !l.active() {
-		return l.comm.Reduce(root, data, op)
-	}
-	seq := l.collSeq
-	if res, ok := l.collectiveEntry(); ok {
-		return unwrapMaybe(res)
-	}
-	res := l.comm.Reduce(root, data, op)
-	l.collectiveExit(seq, wrapMaybe(res))
-	return res
+	return l.collective(true, func() []byte { return l.comm.Reduce(root, data, op) })
 }
 
 // Gather concatenates payloads at root; non-roots receive nil.
 func (l *Layer) Gather(root int, data []byte) []byte {
-	l.enterOp()
-	if !l.active() {
-		return l.comm.Gather(root, data)
-	}
-	seq := l.collSeq
-	if res, ok := l.collectiveEntry(); ok {
-		return unwrapMaybe(res)
-	}
-	res := l.comm.Gather(root, data)
-	l.collectiveExit(seq, wrapMaybe(res))
-	return res
+	return l.collective(true, func() []byte { return l.comm.Gather(root, data) })
 }
 
 // Scatter distributes root's payload in equal blocks.
 func (l *Layer) Scatter(root int, data []byte) []byte {
-	l.enterOp()
-	if !l.active() {
-		return l.comm.Scatter(root, data)
-	}
-	seq := l.collSeq
-	if res, ok := l.collectiveEntry(); ok {
-		return res
-	}
-	res := l.comm.Scatter(root, data)
-	l.collectiveExit(seq, res)
-	return res
+	return l.collective(false, func() []byte { return l.comm.Scatter(root, data) })
 }
 
 // Alltoall exchanges equal-sized blocks between all ranks.
 func (l *Layer) Alltoall(data []byte) []byte {
-	l.enterOp()
-	if !l.active() {
-		return l.comm.Alltoall(data)
-	}
-	seq := l.collSeq
-	if res, ok := l.collectiveEntry(); ok {
-		return res
-	}
-	res := l.comm.Alltoall(data)
-	l.collectiveExit(seq, res)
-	return res
+	return l.collective(false, func() []byte { return l.comm.Alltoall(data) })
+}
+
+// Scan computes the inclusive prefix reduction, protocol-managed.
+func (l *Layer) Scan(data []byte, op mpi.Op) []byte {
+	return l.collective(false, func() []byte { return l.comm.Scan(data, op) })
+}
+
+// Reducescatter combines per-rank blocks and scatters the result,
+// protocol-managed.
+func (l *Layer) Reducescatter(data []byte, op mpi.Op) []byte {
+	return l.collective(false, func() []byte { return l.comm.Reducescatter(data, op) })
 }
 
 // Barrier synchronizes all ranks. It is treated as a loggable collective:
@@ -220,17 +186,7 @@ func (l *Layer) Alltoall(data []byte) []byte {
 // checkpoint happens at the barrier site rather than at a loop-top
 // PotentialCheckpoint.
 func (l *Layer) Barrier() {
-	l.enterOp()
-	if !l.active() {
-		l.comm.Barrier()
-		return
-	}
-	seq := l.collSeq
-	if _, ok := l.collectiveEntry(); ok {
-		return // originally executed while logging; synchronization already happened
-	}
-	l.comm.Barrier()
-	l.collectiveExit(seq, nil)
+	l.collective(false, func() []byte { l.comm.Barrier(); return nil })
 }
 
 // AlignedBarrier is the paper's MPI_Barrier treatment (Section 4.5): the
@@ -272,37 +228,6 @@ func unwrapMaybe(b []byte) []byte {
 		return nil
 	}
 	return b[1:]
-}
-
-// Scan computes the inclusive prefix reduction, protocol-managed.
-func (l *Layer) Scan(data []byte, op mpi.Op) []byte {
-	l.enterOp()
-	if !l.active() {
-		return l.comm.Scan(data, op)
-	}
-	seq := l.collSeq
-	if res, ok := l.collectiveEntry(); ok {
-		return res
-	}
-	res := l.comm.Scan(data, op)
-	l.collectiveExit(seq, res)
-	return res
-}
-
-// Reducescatter combines per-rank blocks and scatters the result,
-// protocol-managed.
-func (l *Layer) Reducescatter(data []byte, op mpi.Op) []byte {
-	l.enterOp()
-	if !l.active() {
-		return l.comm.Reducescatter(data, op)
-	}
-	seq := l.collSeq
-	if res, ok := l.collectiveEntry(); ok {
-		return res
-	}
-	res := l.comm.Reducescatter(data, op)
-	l.collectiveExit(seq, res)
-	return res
 }
 
 // Sendrecv performs the combined send-and-receive through the protocol

@@ -26,8 +26,8 @@ type CheckpointStore struct {
 func NewCheckpointStore(s Stable) *CheckpointStore { return &CheckpointStore{S: s} }
 
 // BlobKind is one of the per-rank blobs an epoch directory holds. The key
-// constructors below write the kinds and RankBlobOfKey reads them back, so
-// a kind added here is one every lister of the store sees.
+// constructors below write the kinds and classify reads them back, so a
+// kind added here is one every walker of the store sees.
 type BlobKind string
 
 const (
@@ -36,8 +36,15 @@ const (
 	MetaBlob  BlobKind = "meta"
 )
 
+// LayoutDir is the directory of a store every key of this file and of
+// chunk.go lives under; Walk is the one function that lists it.
+const (
+	LayoutDir  = "ckpt"
+	layoutRoot = LayoutDir + "/"
+)
+
 func rankBlobKey(epoch int, kind BlobKind, rank int) string {
-	return fmt.Sprintf("ckpt/%08d/%s.%04d", epoch, kind, rank)
+	return fmt.Sprintf(layoutRoot+"%08d/%s.%04d", epoch, kind, rank)
 }
 
 // StateKey names the application+protocol state blob for (epoch, rank).
@@ -56,13 +63,18 @@ func LogKey(epoch, rank int) string { return rankBlobKey(epoch, LogBlob, rank) }
 // corrupt store.
 func MetaKey(epoch, rank int) string { return rankBlobKey(epoch, MetaBlob, rank) }
 
-const commitKey = "ckpt/COMMIT"
+const commitKey = layoutRoot + "COMMIT"
 
-// PutState durably stores a rank's local checkpoint state for an epoch as
-// one inline blob. The asynchronous pipeline streams through StateWriter
-// instead; this path remains for the blocking baselines and small states.
+// PutState durably stores a rank's local checkpoint state for an epoch. It
+// is StateWriter fed one buffer: a state key always holds a chunk manifest.
 func (c *CheckpointStore) PutState(epoch, rank int, data []byte) error {
-	return c.S.Put(StateKey(epoch, rank), data)
+	w := c.StateWriter(nil, epoch, rank, 0)
+	defer w.Abort()
+	if _, err := w.Write(data); err != nil {
+		return err
+	}
+	_, _, err := w.Commit()
+	return err
 }
 
 // StateWriter returns a chunked streaming writer for a rank's state blob:
@@ -73,21 +85,20 @@ func (c *CheckpointStore) StateWriter(ctx context.Context, epoch, rank, chunkSiz
 	return NewChunkedWriter(ctx, c.S, StateKey(epoch, rank), chunkSize)
 }
 
-// GetState loads a rank's local checkpoint state for an epoch, reassembling
-// it from chunks when the key holds a manifest.
+// GetState loads a rank's local checkpoint state for an epoch, reassembled
+// from the chunks its manifest names. A state key holding anything but a
+// manifest is a corrupt store.
 func (c *CheckpointStore) GetState(epoch, rank int) ([]byte, error) {
-	return c.getBlob(StateKey(epoch, rank))
-}
-
-func (c *CheckpointStore) getBlob(key string) ([]byte, error) {
-	b, err := c.S.Get(key)
+	key := StateKey(epoch, rank)
+	man, err := c.S.Get(key)
 	if err != nil {
 		return nil, err
 	}
-	if IsManifest(b) {
-		return Assemble(c.S, b)
+	state, err := Assemble(c.S, man)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", key, err)
 	}
-	return b, nil
+	return state, nil
 }
 
 // PutMeta durably stores a rank's recovery-metadata sidecar for an epoch.
@@ -148,30 +159,97 @@ func (c *CheckpointStore) Committed() (epoch int, ok bool, err error) {
 	return int(v - 1), true, nil
 }
 
-// EpochOfKey splits a "ckpt/<8-digit epoch>/<name>" key into the epoch it
-// belongs to and its name within the epoch directory; ok is false for the
-// commit record, chunks and foreign keys. Prune goes by this alone: an old
-// epoch directory is deleted whole, whatever it holds.
-func EpochOfKey(key string) (epoch int, name string, ok bool) {
-	rest, found := strings.CutPrefix(key, "ckpt/")
-	if !found || len(rest) < 9 || rest[8] != '/' {
-		return 0, "", false
-	}
-	epoch, err := strconv.Atoi(rest[:8])
-	return epoch, rest[9:], err == nil
+// Class says what a key under ckpt/ is.
+type Class int
+
+const (
+	Foreign      Class = iota // nothing this package writes; never touched
+	CommitRecord              // ckpt/COMMIT
+	Chunk                     // ckpt/chunks/<hex>; Name is the content address
+	RankBlob                  // ckpt/<epoch>/<kind>.<rank>
+	EpochFile                 // anything else in an epoch directory: pruned with it, whatever it is
+)
+
+// Entry is one key of the store, classified. The prune, the admin views of
+// package store and Disk's directory reclaim all read the layout through
+// it, so an on-disk change is made in classify and the key constructors and
+// nowhere else.
+type Entry struct {
+	Key   string
+	Class Class
+	Name  string   // Chunk, RankBlob, EpochFile: the key's last element
+	Epoch int      // RankBlob, EpochFile
+	Kind  BlobKind // RankBlob
+	Rank  int      // RankBlob
 }
 
-// RankBlobOfKey inverts StateKey, LogKey and MetaKey; ok is false for any
-// other key.
-func RankBlobOfKey(key string) (epoch, rank int, kind BlobKind, ok bool) {
-	epoch, name, ok := EpochOfKey(key)
-	k, suffix, found := strings.Cut(name, ".")
-	rank, err := strconv.Atoi(suffix)
-	switch kind = BlobKind(k); kind {
-	case StateBlob, LogBlob, MetaBlob:
-		return epoch, rank, kind, ok && found && err == nil
+// classify inverts commitKey, ChunkRef.Key, StateKey, LogKey and MetaKey.
+func classify(key string) Entry {
+	e := Entry{Key: key}
+	if key == commitKey {
+		e.Class = CommitRecord
+		return e
 	}
-	return 0, 0, "", false
+	if name, ok := strings.CutPrefix(key, chunkPrefix); ok {
+		e.Class, e.Name = Chunk, name
+		return e
+	}
+	rest, ok := strings.CutPrefix(key, layoutRoot)
+	if !ok || len(rest) < 9 || rest[8] != '/' {
+		return e
+	}
+	epoch, err := strconv.Atoi(rest[:8])
+	if err != nil {
+		return e
+	}
+	e.Class, e.Epoch, e.Name = EpochFile, epoch, rest[9:]
+	kind, suffix, found := strings.Cut(e.Name, ".")
+	switch BlobKind(kind) {
+	case StateBlob, LogBlob, MetaBlob:
+		if rank, err := strconv.Atoi(suffix); found && err == nil {
+			e.Class, e.Kind, e.Rank = RankBlob, BlobKind(kind), rank
+		}
+	}
+	return e
+}
+
+// Walk enumerates the store: one List, every key classified once, in key
+// order. It reads no blob; Read and Refs load what a walker needs of an
+// entry, so the per-commit prune pays for the manifests it must see and
+// nothing else.
+func (c *CheckpointStore) Walk() ([]Entry, error) {
+	keys, err := c.S.List(layoutRoot)
+	if err != nil {
+		return nil, err
+	}
+	entries := make([]Entry, len(keys))
+	for i, k := range keys {
+		entries[i] = classify(k)
+	}
+	return entries, nil
+}
+
+// Read loads the blob under a walked key. ok is false when the key has
+// vanished since the walk — a running job's initiator pruned it — which
+// every walker skips, as if it had listed the store a moment later.
+func (c *CheckpointStore) Read(key string) (blob []byte, ok bool, err error) {
+	blob, err = c.S.Get(key)
+	if errors.Is(err, ErrNotFound) {
+		return nil, false, nil
+	}
+	return blob, err == nil, err
+}
+
+// Refs loads the chunk manifest under a state key; ok is as for Read. A
+// state key that holds anything else is a corrupt store: an error of the
+// ErrStore category.
+func (c *CheckpointStore) Refs(key string) (refs []ChunkRef, ok bool, err error) {
+	blob, ok, err := c.Read(key)
+	if !ok {
+		return nil, false, err
+	}
+	refs, err = ParseManifest(blob)
+	return refs, err == nil, err
 }
 
 // PruneKeys lists what a prune to keepEpoch deletes, in deletion order:
@@ -181,50 +259,34 @@ func RankBlobOfKey(key string) (epoch, rank int, kind BlobKind, ok bool) {
 // It is the whole decision: Prune deletes exactly these keys, and the
 // admin dry run (store.PrunePlan) reports them. The commit record and
 // foreign keys are never listed.
-func (c *CheckpointStore) PruneKeys(keepEpoch int) ([]string, error) {
-	keys, err := c.S.List("ckpt/")
+func (c *CheckpointStore) PruneKeys(keepEpoch int) ([]Entry, error) {
+	entries, err := c.Walk()
 	if err != nil {
 		return nil, err
 	}
-	var doomed, chunkKeys []string
+	var doomed, chunks []Entry
 	referenced := make(map[string]bool)
-	for _, k := range keys {
-		if strings.HasPrefix(k, chunkPrefix) {
-			chunkKeys = append(chunkKeys, k)
-			continue
-		}
-		epoch, _, ok := EpochOfKey(k)
-		if !ok {
-			continue
-		}
-		if epoch < keepEpoch {
-			doomed = append(doomed, k)
-			continue
-		}
-		if _, _, kind, ok := RankBlobOfKey(k); !ok || kind != StateBlob {
-			continue
-		}
-		blob, err := c.S.Get(k)
-		if err != nil {
-			if errors.Is(err, ErrNotFound) {
-				continue
+	for _, e := range entries {
+		switch e.Class {
+		case Chunk:
+			chunks = append(chunks, e)
+		case RankBlob, EpochFile:
+			if e.Epoch < keepEpoch {
+				doomed = append(doomed, e)
+			} else if e.Kind == StateBlob {
+				refs, _, err := c.Refs(e.Key)
+				if err != nil {
+					return nil, fmt.Errorf("storage: prune: %s: %w", e.Key, err)
+				}
+				for _, r := range refs {
+					referenced[r.Key()] = true
+				}
 			}
-			return nil, err
-		}
-		if !IsManifest(blob) {
-			continue
-		}
-		refs, err := ParseManifest(blob)
-		if err != nil {
-			return nil, fmt.Errorf("storage: prune: %s: %w", k, err)
-		}
-		for _, r := range refs {
-			referenced[r.Key()] = true
 		}
 	}
-	for _, k := range chunkKeys {
-		if !referenced[k] {
-			doomed = append(doomed, k)
+	for _, e := range chunks {
+		if !referenced[e.Key] {
+			doomed = append(doomed, e)
 		}
 	}
 	return doomed, nil
@@ -242,12 +304,12 @@ func (c *CheckpointStore) PruneKeys(keepEpoch int) ([]string, error) {
 // concurrently, and readers (recovering processes) only ever open the
 // committed epoch, which is never touched.
 func (c *CheckpointStore) Prune(keepEpoch int) error {
-	keys, err := c.PruneKeys(keepEpoch)
+	doomed, err := c.PruneKeys(keepEpoch)
 	if err != nil {
 		return err
 	}
-	for _, k := range keys {
-		if err := c.S.Delete(k); err != nil {
+	for _, e := range doomed {
+		if err := c.S.Delete(e.Key); err != nil {
 			return err
 		}
 	}

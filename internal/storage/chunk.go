@@ -31,11 +31,9 @@ const DefaultChunkSize = 256 << 10
 const DefaultPipelineDepth = 4
 
 // chunkPrefix is the shared content-addressed chunk namespace.
-const chunkPrefix = "ckpt/chunks/"
+const chunkPrefix = layoutRoot + "chunks/"
 
-// manifestMagic marks a blob as a chunk manifest rather than inline data.
-// (Inline blobs in this store are gob or codec streams, which cannot begin
-// with these eight bytes.)
+// manifestMagic opens every chunk manifest, the one format a state key holds.
 var manifestMagic = []byte("C3CM0001")
 
 // ChunkRef names one chunk of a manifest.
@@ -44,8 +42,24 @@ type ChunkRef struct {
 	Len int64
 }
 
+// Hex returns the chunk's content address as it appears in its key.
+func (r ChunkRef) Hex() string { return hex.EncodeToString(r.Sum[:]) }
+
 // Key returns the store key the referenced chunk lives under.
-func (r ChunkRef) Key() string { return chunkPrefix + hex.EncodeToString(r.Sum[:]) }
+func (r ChunkRef) Key() string { return chunkPrefix + r.Hex() }
+
+// Defect is the one chunk verifier, behind Assemble and the admin verify
+// pass alike: it says what is wrong with chunk, as the store returned it,
+// as the chunk r names — "" when it has r's length and hashes to r's address.
+func (r ChunkRef) Defect(chunk []byte) string {
+	if int64(len(chunk)) != r.Len {
+		return fmt.Sprintf("is %d bytes, manifest says %d", len(chunk), r.Len)
+	}
+	if sha256.Sum256(chunk) != r.Sum {
+		return "does not hash to its content address"
+	}
+	return ""
+}
 
 // ChunkedWriter streams a blob into content-hashed chunks. It implements
 // io.Writer plus Cut, the dedup boundary hook: Cut closes the current
@@ -270,9 +284,6 @@ func MarshalManifest(refs []ChunkRef) []byte {
 	return buf.Bytes()
 }
 
-// IsManifest reports whether blob is a chunk manifest.
-func IsManifest(blob []byte) bool { return bytes.HasPrefix(blob, manifestMagic) }
-
 // MaxBlobBytes bounds a chunked blob and each of its chunks: the 1 GiB
 // that internal/launch applies to a control frame. A manifest is stored
 // data, so its lengths are checked against this before anything is
@@ -286,7 +297,7 @@ func corruptManifest(format string, args ...any) error {
 // ParseManifest decodes a manifest blob. Every ref it returns has a length
 // in (0, MaxBlobBytes] and the lengths sum to at most MaxBlobBytes.
 func ParseManifest(blob []byte) ([]ChunkRef, error) {
-	if !IsManifest(blob) {
+	if !bytes.HasPrefix(blob, manifestMagic) {
 		return nil, fmt.Errorf("%w: not a chunk manifest", cerr.ErrStore)
 	}
 	rd := bytes.NewReader(blob[len(manifestMagic):])
@@ -326,14 +337,10 @@ type fetched struct {
 	chunk, dst []byte
 }
 
-// place verifies the chunk's length and content hash against its ref and
-// copies it into its slot.
+// place checks the chunk against its ref and copies it into its slot.
 func (f fetched) place() error {
-	if int64(len(f.chunk)) != f.ref.Len {
-		return fmt.Errorf("%w: assemble: chunk %s is %d bytes, manifest says %d", cerr.ErrStore, f.ref.Key(), len(f.chunk), f.ref.Len)
-	}
-	if sha256.Sum256(f.chunk) != f.ref.Sum {
-		return fmt.Errorf("%w: assemble: chunk %s fails content verification", cerr.ErrStore, f.ref.Key())
+	if defect := f.ref.Defect(f.chunk); defect != "" {
+		return fmt.Errorf("%w: assemble: chunk %s %s", cerr.ErrStore, f.ref.Key(), defect)
 	}
 	copy(f.dst, f.chunk)
 	return nil

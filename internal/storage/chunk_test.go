@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -319,22 +320,33 @@ func TestPruneConcurrentWithNewEpochWrites(t *testing.T) {
 	}
 }
 
-// RankBlobOfKey is the inverse of the three key constructors and of nothing
-// else in the store.
-func TestRankBlobOfKeyInvertsTheKeyConstructors(t *testing.T) {
+// classify is the inverse of the key constructors and of nothing else in
+// the store: every kind of key lands in exactly one class.
+func TestClassifyInvertsTheKeyConstructors(t *testing.T) {
 	for kind, key := range map[BlobKind]string{
 		StateBlob: StateKey(12, 3),
 		LogBlob:   LogKey(12, 3),
 		MetaBlob:  MetaKey(12, 3),
 	} {
-		epoch, rank, got, ok := RankBlobOfKey(key)
-		if !ok || epoch != 12 || rank != 3 || got != kind {
-			t.Errorf("RankBlobOfKey(%q) = %d, %d, %q, %v", key, epoch, rank, got, ok)
+		e := classify(key)
+		if e.Class != RankBlob || e.Epoch != 12 || e.Rank != 3 || e.Kind != kind || e.Key != key {
+			t.Errorf("classify(%q) = %+v", key, e)
 		}
 	}
-	for _, key := range []string{commitKey, chunkPrefix + "ab", "ckpt/00000012/other.0003", "ckpt/00000012/state.x", "elsewhere/00000012/state.0003"} {
-		if _, _, _, ok := RankBlobOfKey(key); ok {
-			t.Errorf("RankBlobOfKey(%q) accepted a key no constructor builds", key)
+	ref := ChunkRef{Sum: sha256.Sum256([]byte("c")), Len: 1}
+	for key, want := range map[string]Entry{
+		commitKey:                       {Class: CommitRecord},
+		ref.Key():                       {Class: Chunk, Name: ref.Hex()},
+		"ckpt/00000012/other.0003":      {Class: EpochFile, Epoch: 12, Name: "other.0003"},
+		"ckpt/00000012/state.x":         {Class: EpochFile, Epoch: 12, Name: "state.x"},
+		"ckpt/00000012/state":           {Class: EpochFile, Epoch: 12, Name: "state"},
+		"ckpt/blob":                     {Class: Foreign},
+		"ckpt/0000001x/state.0003":      {Class: Foreign},
+		"elsewhere/00000012/state.0003": {Class: Foreign},
+	} {
+		want.Key = key
+		if got := classify(key); got != want {
+			t.Errorf("classify(%q) = %+v, want %+v", key, got, want)
 		}
 	}
 }

@@ -262,9 +262,35 @@ func (d *Disk) Delete(key string) error {
 	if err != nil {
 		return err
 	}
+	dir := filepath.Dir(p)
+	if c := classify(key).Class; (c == RankBlob || c == EpochFile) && reclaimDir(dir) {
+		dir = filepath.Dir(dir)
+	}
 	// Make the removal durable too: a cleared commit record that
 	// resurrects after a crash would resume a foreign job's state.
-	return syncDir(filepath.Dir(p))
+	return syncDir(dir)
+}
+
+// reclaimDir removes an epoch directory that holds no published key any
+// more, together with the temp files a writer killed mid-Put orphaned in it
+// (List hides those, so no prune would ever name them), and reports whether
+// it did. Only a prune deletes epoch keys, and only of epochs older than the
+// committed one, which nothing writes into; ckpt/ and ckpt/chunks/ are never
+// candidates — a rank may be creating a file in them right now.
+func reclaimDir(dir string) bool {
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		return false
+	}
+	for _, f := range left {
+		if !strings.HasPrefix(f.Name(), tmpPrefix) {
+			return false
+		}
+	}
+	for _, f := range left {
+		os.Remove(filepath.Join(dir, f.Name())) // a temp file that stays makes the Remove below fail
+	}
+	return os.Remove(dir) == nil
 }
 
 // List implements Stable.

@@ -6,9 +6,16 @@
 // dedup working, which content-hashed chunks are orphaned, and what would
 // a prune delete. cmd/c3admin is a thin CLI over this package.
 //
+// The package is a view. The layout — key names, the manifest format, the
+// chunk check — belongs to the checkpoint store the runtime itself writes
+// through (internal/storage); every function here projects one enumeration
+// of it and reads each blob it needs once.
+//
 // Everything except Prune is read-only and safe to run against the store
-// of a live job; Prune (and a PrunePlan applied with it) must only run
-// when no job is writing the store.
+// of a live job: a key the job prunes between the enumeration and its read
+// is skipped, as if the enumeration had run a moment later. Prune (and a
+// PrunePlan applied with it) must only run when no job is writing the
+// store.
 //
 // Errors returned by this package wrap ccift.ErrStore (and
 // ccift.ErrSpec for invalid arguments), so callers dispatch with
@@ -16,13 +23,12 @@
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strings"
 
 	"ccift/internal/cerr"
 	"ccift/internal/storage"
@@ -31,7 +37,6 @@ import (
 // Store is an opened checkpoint directory.
 type Store struct {
 	dir string
-	s   storage.Stable
 	cs  *storage.CheckpointStore
 }
 
@@ -50,37 +55,40 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: open %s: %w", cerr.ErrStore, dir, err)
 	}
-	return &Store{dir: dir, s: d, cs: storage.NewCheckpointStore(d)}, nil
+	return &Store{dir: dir, cs: storage.NewCheckpointStore(d)}, nil
 }
 
 // Dir returns the directory the store was opened on.
 func (st *Store) Dir() string { return st.dir }
+
+// bad puts a storage error in the ErrStore category, naming the directory
+// and, when the error is about one, the key.
+func (st *Store) bad(err error, key ...string) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %s: %w", cerr.ErrStore, filepath.Join(append([]string{st.dir}, key...)...), err)
+}
 
 // Committed returns the epoch named by the store's commit record — the
 // checkpoint a recovering job would restore. ok is false when no global
 // checkpoint has ever been committed.
 func (st *Store) Committed() (epoch int, ok bool, err error) {
 	epoch, ok, err = st.cs.Committed()
-	if err != nil {
-		return 0, false, fmt.Errorf("%w: %s: %w", cerr.ErrStore, st.dir, err)
-	}
-	return epoch, ok, nil
+	return epoch, ok, st.bad(err)
 }
 
 // RankBlob summarizes one rank's artifacts within an epoch.
 type RankBlob struct {
 	Rank int
-	// StateBytes is the logical (assembled) size of the rank's state
-	// blob; LogBytes the size of its message/non-determinism log;
-	// MetaBytes the size of its recovery sidecar.
+	// StateBytes is the logical (assembled) size of the rank's state blob
+	// and Chunks the number of chunks its manifest references; LogBytes is
+	// the size of its message/non-determinism log; MetaBytes the size of
+	// its recovery sidecar.
 	StateBytes int64
+	Chunks     int
 	LogBytes   int64
 	MetaBytes  int64
-	// Chunked reports whether the state blob is stored as a chunk
-	// manifest (the async pipeline's format) rather than inline; Chunks
-	// is the manifest's reference count when it is.
-	Chunked bool
-	Chunks  int
 }
 
 // Epoch summarizes one global checkpoint epoch present in the store.
@@ -99,68 +107,76 @@ type Epoch struct {
 
 // Epochs lists every epoch with artifacts in the store, oldest first.
 func (st *Store) Epochs() ([]Epoch, error) {
-	keys, err := st.s.List("ckpt/")
-	if err != nil {
-		return nil, fmt.Errorf("%w: list %s: %w", cerr.ErrStore, st.dir, err)
-	}
 	committed, hasCommit, err := st.Committed()
 	if err != nil {
 		return nil, err
 	}
-	byEpoch := map[int]map[int]*RankBlob{}
-	rank := func(epoch, r int) *RankBlob {
-		if byEpoch[epoch] == nil {
-			byEpoch[epoch] = map[int]*RankBlob{}
-		}
-		if byEpoch[epoch][r] == nil {
-			byEpoch[epoch][r] = &RankBlob{Rank: r}
-		}
-		return byEpoch[epoch][r]
+	entries, err := st.cs.Walk()
+	if err != nil {
+		return nil, st.bad(err)
 	}
-	for _, k := range keys {
-		epoch, r, kind, ok := storage.RankBlobOfKey(k)
+	var epochs []Epoch // the walk is in key order: an epoch's keys are adjacent, older epochs first
+	for _, e := range entries {
+		if e.Class != storage.RankBlob {
+			continue
+		}
+		var size int64
+		var chunks int
+		var ok bool
+		if e.Kind == storage.StateBlob {
+			var refs []storage.ChunkRef
+			refs, ok, err = st.cs.Refs(e.Key)
+			size, chunks = logicalBytes(refs), len(refs)
+		} else {
+			var blob []byte
+			blob, ok, err = st.cs.Read(e.Key)
+			size = int64(len(blob))
+		}
+		if err != nil {
+			return nil, st.bad(err, e.Key)
+		}
 		if !ok {
 			continue
 		}
-		blob, err := st.s.Get(k)
-		if err != nil {
-			return nil, fmt.Errorf("%w: read %s: %w", cerr.ErrStore, k, err)
+		if n := len(epochs); n == 0 || epochs[n-1].Epoch != e.Epoch {
+			epochs = append(epochs, Epoch{Epoch: e.Epoch, Committed: hasCommit && e.Epoch == committed})
 		}
-		b := rank(epoch, r)
-		switch kind {
+		ep := &epochs[len(epochs)-1]
+		i := sort.Search(len(ep.Ranks), func(i int) bool { return ep.Ranks[i].Rank >= e.Rank })
+		if i == len(ep.Ranks) || ep.Ranks[i].Rank != e.Rank {
+			ep.Ranks = slices.Insert(ep.Ranks, i, RankBlob{Rank: e.Rank})
+		}
+		switch b := &ep.Ranks[i]; e.Kind {
 		case storage.StateBlob:
-			if storage.IsManifest(blob) {
-				refs, err := storage.ParseManifest(blob)
-				if err != nil {
-					return nil, fmt.Errorf("%w: %s: %w", cerr.ErrStore, k, err)
-				}
-				b.Chunked, b.Chunks = true, len(refs)
-				for _, ref := range refs {
-					b.StateBytes += ref.Len
-				}
-			} else {
-				b.StateBytes = int64(len(blob))
-			}
+			b.StateBytes, b.Chunks = size, chunks
+			ep.StateBytes += size
 		case storage.LogBlob:
-			b.LogBytes = int64(len(blob))
+			b.LogBytes = size
+			ep.LogBytes += size
 		case storage.MetaBlob:
-			b.MetaBytes = int64(len(blob))
+			b.MetaBytes = size
+			ep.MetaBytes += size
 		}
 	}
-	epochs := make([]Epoch, 0, len(byEpoch))
-	for e, ranks := range byEpoch {
-		ep := Epoch{Epoch: e, Committed: hasCommit && e == committed}
-		for _, b := range ranks {
-			ep.Ranks = append(ep.Ranks, *b)
-			ep.StateBytes += b.StateBytes
-			ep.LogBytes += b.LogBytes
-			ep.MetaBytes += b.MetaBytes
-		}
-		sort.Slice(ep.Ranks, func(i, j int) bool { return ep.Ranks[i].Rank < ep.Ranks[j].Rank })
-		epochs = append(epochs, ep)
-	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i].Epoch < epochs[j].Epoch })
 	return epochs, nil
+}
+
+func logicalBytes(refs []storage.ChunkRef) (n int64) {
+	for _, r := range refs {
+		n += r.Len
+	}
+	return n
+}
+
+// countEpochs counts the epochs with rank blobs in a walk; it reads nothing.
+func countEpochs(entries []storage.Entry) int {
+	seen := map[int]bool{}
+	for _, e := range entries {
+		if e.Class == storage.RankBlob {
+			seen[e.Epoch] = true
+		}
+	}
+	return len(seen)
 }
 
 // ChunkRef names one chunk of a manifest, in inspection form.
@@ -173,40 +189,27 @@ type ChunkRef struct {
 // Manifest describes one rank's state blob within an epoch.
 type Manifest struct {
 	// Key is the store key the blob lives under.
-	Key string
-	// Chunked is false for inline (non-manifest) state blobs, in which
-	// case Refs is empty and LogicalBytes is the blob length.
-	Chunked      bool
+	Key          string
 	LogicalBytes int64
 	Refs         []ChunkRef
 }
 
-// Manifest loads the state-blob manifest for (epoch, rank). Inline blobs
-// (written by the blocking checkpoint path) are reported with Chunked
-// false rather than as an error.
+// Manifest loads the state-blob manifest for (epoch, rank).
 func (st *Store) Manifest(epoch, rank int) (*Manifest, error) {
 	if epoch < 0 || rank < 0 {
 		return nil, fmt.Errorf("%w: manifest wants epoch >= 0 and rank >= 0, got (%d, %d)", cerr.ErrSpec, epoch, rank)
 	}
 	key := storage.StateKey(epoch, rank)
-	blob, err := st.s.Get(key)
+	refs, ok, err := st.cs.Refs(key)
+	if err == nil && !ok {
+		err = storage.ErrNotFound
+	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: read %s: %w", cerr.ErrStore, key, err)
+		return nil, st.bad(err, key)
 	}
-	m := &Manifest{Key: key}
-	if !storage.IsManifest(blob) {
-		m.LogicalBytes = int64(len(blob))
-		return m, nil
-	}
-	refs, err := storage.ParseManifest(blob)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %w", cerr.ErrStore, key, err)
-	}
-	m.Chunked = true
-	m.Refs = make([]ChunkRef, len(refs))
+	m := &Manifest{Key: key, LogicalBytes: logicalBytes(refs), Refs: make([]ChunkRef, len(refs))}
 	for i, r := range refs {
-		m.Refs[i] = ChunkRef{Hash: strings.TrimPrefix(r.Key(), "ckpt/chunks/"), Bytes: r.Len}
-		m.LogicalBytes += r.Len
+		m.Refs[i] = ChunkRef{Hash: r.Hex(), Bytes: r.Len}
 	}
 	return m, nil
 }
@@ -224,89 +227,21 @@ type Chunk struct {
 // Chunks lists every stored chunk with its reference count, sorted by
 // descending Refs then hash, so the most-shared content leads.
 func (st *Store) Chunks() ([]Chunk, error) {
-	chunks, _, err := st.chunkTable()
-	if err != nil {
-		return nil, err
-	}
-	return chunks, nil
+	chunks, _, err := st.scan()
+	return chunks, err
 }
 
 // Orphans lists chunks no manifest references. A small number is normal
 // transiently (a crash between a flush and the following commit's sweep);
 // they are reclaimed by the next prune.
 func (st *Store) Orphans() ([]Chunk, error) {
-	chunks, _, err := st.chunkTable()
-	if err != nil {
-		return nil, err
-	}
-	var orphans []Chunk
-	for _, c := range chunks {
-		if c.Refs == 0 {
-			orphans = append(orphans, c)
+	chunks, err := st.Chunks()
+	for i, c := range chunks {
+		if c.Refs == 0 { // sorted by descending Refs: the orphans are the tail
+			return chunks[i:], err
 		}
 	}
-	return orphans, nil
-}
-
-// chunkTable builds the refcount table: every chunk key on disk joined
-// against every manifest's references. The second result is the total
-// logical bytes referenced (the pre-dedup volume).
-func (st *Store) chunkTable() ([]Chunk, int64, error) {
-	keys, err := st.s.List("ckpt/")
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: list %s: %w", cerr.ErrStore, st.dir, err)
-	}
-	table := map[string]*Chunk{}
-	for _, k := range keys {
-		if h, ok := strings.CutPrefix(k, "ckpt/chunks/"); ok {
-			blob, err := st.s.Get(k)
-			if err != nil {
-				return nil, 0, fmt.Errorf("%w: read %s: %w", cerr.ErrStore, k, err)
-			}
-			table[h] = &Chunk{Hash: h, Bytes: int64(len(blob))}
-		}
-	}
-	var logical int64
-	for _, k := range keys {
-		if _, _, kind, ok := storage.RankBlobOfKey(k); !ok || kind != storage.StateBlob {
-			continue
-		}
-		blob, err := st.s.Get(k)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: read %s: %w", cerr.ErrStore, k, err)
-		}
-		if !storage.IsManifest(blob) {
-			logical += int64(len(blob))
-			continue
-		}
-		refs, err := storage.ParseManifest(blob)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%w: %s: %w", cerr.ErrStore, k, err)
-		}
-		for _, r := range refs {
-			logical += r.Len
-			h := strings.TrimPrefix(r.Key(), "ckpt/chunks/")
-			if c := table[h]; c != nil {
-				c.Refs++
-			} else {
-				// Referenced but missing on disk: surface it in the table
-				// with Bytes from the manifest so `c3admin chunks` makes
-				// the corruption visible instead of hiding it.
-				table[h] = &Chunk{Hash: h, Bytes: r.Len, Refs: 1}
-			}
-		}
-	}
-	chunks := make([]Chunk, 0, len(table))
-	for _, c := range table {
-		chunks = append(chunks, *c)
-	}
-	sort.Slice(chunks, func(i, j int) bool {
-		if chunks[i].Refs != chunks[j].Refs {
-			return chunks[i].Refs > chunks[j].Refs
-		}
-		return chunks[i].Hash < chunks[j].Hash
-	})
-	return chunks, logical, nil
+	return nil, err
 }
 
 // Summary is the store-wide health report c3admin prints by default.
@@ -316,9 +251,8 @@ type Summary struct {
 	HasCommit      bool
 	Epochs         int
 	// LogicalBytes is the pre-dedup state volume (every manifest's
-	// assembled size plus inline blobs); ChunkBytes the unique chunk
-	// bytes actually stored. DedupRatio is the fraction of logical bytes
-	// dedup avoided storing (0 when nothing is chunked).
+	// assembled size); ChunkBytes the unique chunk bytes actually stored.
+	// DedupRatio is the fraction of logical bytes dedup avoided storing.
 	LogicalBytes int64
 	ChunkBytes   int64
 	DedupRatio   float64
@@ -329,42 +263,86 @@ type Summary struct {
 
 // Summary computes the store-wide report.
 func (st *Store) Summary() (*Summary, error) {
+	_, s, err := st.scan()
+	return s, err
+}
+
+// scan walks the store once and joins every chunk key against every
+// manifest's references: the refcount table, sorted as Chunks promises,
+// and the Summary that totals it.
+func (st *Store) scan() ([]Chunk, *Summary, error) {
 	s := &Summary{Dir: st.dir}
 	var err error
-	s.CommittedEpoch, s.HasCommit, err = st.Committed()
-	if err != nil {
-		return nil, err
+	if s.CommittedEpoch, s.HasCommit, err = st.Committed(); err != nil {
+		return nil, nil, err
 	}
-	epochs, err := st.Epochs()
+	entries, err := st.cs.Walk()
 	if err != nil {
-		return nil, err
+		return nil, nil, st.bad(err)
 	}
-	s.Epochs = len(epochs)
-	chunks, logical, err := st.chunkTable()
-	if err != nil {
-		return nil, err
+	s.Epochs = countEpochs(entries)
+	table := map[string]*Chunk{}
+	chunk := func(hash string) *Chunk {
+		if table[hash] == nil {
+			table[hash] = &Chunk{Hash: hash}
+		}
+		return table[hash]
 	}
-	s.LogicalBytes = logical
-	s.Chunks = len(chunks)
-	for _, c := range chunks {
+	for _, e := range entries {
+		switch {
+		case e.Class == storage.Chunk:
+			blob, ok, err := st.cs.Read(e.Key)
+			if err != nil {
+				return nil, nil, st.bad(err, e.Key)
+			}
+			if ok {
+				chunk(e.Name).Bytes = int64(len(blob))
+			}
+		case e.Kind == storage.StateBlob:
+			refs, _, err := st.cs.Refs(e.Key)
+			if err != nil {
+				return nil, nil, st.bad(err, e.Key)
+			}
+			s.LogicalBytes += logicalBytes(refs)
+			for _, r := range refs {
+				// A chunk referenced but missing on disk stays in the table
+				// with the manifest's length, so `c3admin chunks` makes the
+				// corruption visible instead of hiding it.
+				c := chunk(r.Hex())
+				if c.Refs++; c.Bytes == 0 {
+					c.Bytes = r.Len
+				}
+			}
+		}
+	}
+	chunks := make([]Chunk, 0, len(table))
+	for _, c := range table {
+		chunks = append(chunks, *c)
 		s.ChunkBytes += c.Bytes
 		if c.Refs == 0 {
 			s.Orphans++
 			s.OrphanBytes += c.Bytes
 		}
 	}
-	if s.LogicalBytes > 0 && s.ChunkBytes > 0 {
+	sort.Slice(chunks, func(i, j int) bool {
+		if chunks[i].Refs != chunks[j].Refs {
+			return chunks[i].Refs > chunks[j].Refs
+		}
+		return chunks[i].Hash < chunks[j].Hash
+	})
+	if s.Chunks = len(chunks); s.LogicalBytes > 0 && s.ChunkBytes > 0 {
 		s.DedupRatio = 1 - float64(s.ChunkBytes)/float64(s.LogicalBytes)
 		if s.DedupRatio < 0 {
 			s.DedupRatio = 0
 		}
 	}
-	return s, nil
+	return chunks, s, nil
 }
 
-// VerifyIssue is one integrity failure Verify found: a chunk whose bytes
-// no longer hash to their content address, a chunk a manifest references
-// that is missing from disk, or a manifest that does not parse.
+// VerifyIssue is one integrity failure Verify found: a state key that does
+// not hold a well-formed manifest, a chunk a manifest references that is
+// missing from disk, or a chunk whose bytes no longer have the length or
+// the hash its manifest records.
 type VerifyIssue struct {
 	// Key is the state-blob key whose verification surfaced the issue.
 	Key string
@@ -384,11 +362,8 @@ func (i VerifyIssue) String() string {
 
 // VerifyReport is the result of a full-store integrity pass.
 type VerifyReport struct {
-	// Manifests counts chunked state blobs checked; InlineBlobs counts
-	// inline state blobs (which carry no content hash to re-check and are
-	// reported for visibility only).
-	Manifests   int
-	InlineBlobs int
+	// Manifests counts the state manifests checked.
+	Manifests int
 	// ChunksHashed counts unique chunks re-hashed; BytesHashed their
 	// volume. Chunks shared by many manifests are hashed once.
 	ChunksHashed int
@@ -397,69 +372,54 @@ type VerifyReport struct {
 	Issues []VerifyIssue
 }
 
-// Verify re-reads every state manifest in the store and re-hashes every
-// chunk it references, confirming each chunk's bytes still match its
-// content address and declared length. It is read-only and safe against a
-// live job's store; a non-empty Issues means recovery from the affected
-// epoch would fail or — worse — silently restore corrupt state.
+// Verify re-reads every state manifest in the store and puts every chunk
+// it references through the check recovery itself applies: the bytes must
+// have the declared length and hash to their content address. It is
+// read-only and safe against a live job's store; a non-empty Issues means
+// recovery from the affected epoch would fail or — worse — silently
+// restore corrupt state.
 func (st *Store) Verify() (*VerifyReport, error) {
-	keys, err := st.s.List("ckpt/")
+	entries, err := st.cs.Walk()
 	if err != nil {
-		return nil, fmt.Errorf("%w: list %s: %w", cerr.ErrStore, st.dir, err)
+		return nil, st.bad(err)
 	}
 	rep := &VerifyReport{}
 	// verdicts caches per-chunk results so dedup-shared chunks are hashed
 	// once; "" marks a chunk that verified clean.
 	verdicts := map[string]string{}
-	for _, k := range keys {
-		if _, _, kind, ok := storage.RankBlobOfKey(k); !ok || kind != storage.StateBlob {
+	for _, e := range entries {
+		if e.Kind != storage.StateBlob {
 			continue
 		}
-		blob, err := st.s.Get(k)
-		if err != nil {
-			return nil, fmt.Errorf("%w: read %s: %w", cerr.ErrStore, k, err)
+		refs, ok, err := st.cs.Refs(e.Key)
+		if err != nil { // unreadable, or read and not a manifest: reported, and the pass goes on
+			rep.Issues = append(rep.Issues, VerifyIssue{Key: e.Key, Detail: err.Error()})
 		}
-		if !storage.IsManifest(blob) {
-			rep.InlineBlobs++
-			continue
-		}
-		refs, err := storage.ParseManifest(blob)
-		if err != nil {
-			rep.Issues = append(rep.Issues, VerifyIssue{Key: k, Detail: fmt.Sprintf("corrupt manifest: %v", err)})
+		if !ok {
 			continue
 		}
 		rep.Manifests++
 		for _, r := range refs {
-			h := hex.EncodeToString(r.Sum[:])
+			h := r.Hex()
 			detail, seen := verdicts[h]
 			if !seen {
-				detail = st.verifyChunk(r, rep)
+				if blob, ok, err := st.cs.Read(r.Key()); err != nil {
+					detail = err.Error()
+				} else if !ok {
+					detail = "missing from store"
+				} else {
+					rep.ChunksHashed++
+					rep.BytesHashed += int64(len(blob))
+					detail = r.Defect(blob)
+				}
 				verdicts[h] = detail
 			}
 			if detail != "" {
-				rep.Issues = append(rep.Issues, VerifyIssue{Key: k, Chunk: h, Detail: detail})
+				rep.Issues = append(rep.Issues, VerifyIssue{Key: e.Key, Chunk: h, Detail: detail})
 			}
 		}
 	}
 	return rep, nil
-}
-
-// verifyChunk re-hashes one chunk; the returned string is empty when it is
-// intact and a human-readable defect otherwise.
-func (st *Store) verifyChunk(r storage.ChunkRef, rep *VerifyReport) string {
-	blob, err := st.s.Get(r.Key())
-	if err != nil {
-		return fmt.Sprintf("missing from store (%v)", err)
-	}
-	rep.ChunksHashed++
-	rep.BytesHashed += int64(len(blob))
-	if int64(len(blob)) != r.Len {
-		return fmt.Sprintf("length %d, manifest says %d", len(blob), r.Len)
-	}
-	if sha256.Sum256(blob) != r.Sum {
-		return "content does not hash to its address"
-	}
-	return ""
 }
 
 // PrunePlan is the dry-run result of a prune: exactly what Prune would
@@ -483,38 +443,44 @@ type PrunePlan struct {
 // Planning with no commit record and keepEpoch < 0 is an error rather
 // than a plan that deletes everything.
 func (st *Store) PrunePlan(keepEpoch int) (*PrunePlan, error) {
-	if keepEpoch < 0 {
-		committed, ok, err := st.Committed()
+	keepEpoch, err := st.keepEpoch(keepEpoch)
+	if err != nil {
+		return nil, err
+	}
+	doomed, err := st.cs.PruneKeys(keepEpoch)
+	if err != nil {
+		return nil, st.bad(err)
+	}
+	plan := &PrunePlan{KeepEpoch: keepEpoch}
+	for _, e := range doomed {
+		blob, ok, err := st.cs.Read(e.Key)
 		if err != nil {
-			return nil, err
+			return nil, st.bad(err, e.Key)
 		}
 		if !ok {
-			return nil, fmt.Errorf("%w: prune: store has no commit record; pass an explicit keep epoch", cerr.ErrSpec)
+			continue
 		}
-		keepEpoch = committed
-	}
-	keys, err := st.cs.PruneKeys(keepEpoch)
-	if err != nil {
-		return nil, fmt.Errorf("%w: prune plan %s: %w", cerr.ErrStore, st.dir, err)
-	}
-	plan := &PrunePlan{KeepEpoch: keepEpoch, Keys: keys}
-	doomedEpochs := map[int]bool{}
-	for _, k := range keys {
-		if epoch, _, ok := storage.EpochOfKey(k); ok {
-			doomedEpochs[epoch] = true
+		if e.Class != storage.Chunk && !slices.Contains(plan.Epochs, e.Epoch) {
+			plan.Epochs = append(plan.Epochs, e.Epoch)
 		}
-		blob, err := st.s.Get(k)
-		if err != nil {
-			return nil, fmt.Errorf("%w: read %s: %w", cerr.ErrStore, k, err)
-		}
+		plan.Keys = append(plan.Keys, e.Key)
 		plan.ReclaimBytes += int64(len(blob))
-	}
-	for e := range doomedEpochs {
-		plan.Epochs = append(plan.Epochs, e)
 	}
 	sort.Ints(plan.Epochs)
 	sort.Strings(plan.Keys)
 	return plan, nil
+}
+
+// keepEpoch resolves a prune's argument: < 0 selects the committed epoch.
+func (st *Store) keepEpoch(epoch int) (int, error) {
+	if epoch >= 0 {
+		return epoch, nil
+	}
+	committed, ok, err := st.Committed()
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: prune: store has no commit record; pass an explicit keep epoch", cerr.ErrSpec)
+	}
+	return committed, err
 }
 
 // Prune applies a prune to keepEpoch (< 0 selects the committed epoch,
@@ -523,20 +489,14 @@ func (st *Store) PrunePlan(keepEpoch int) (*PrunePlan, error) {
 // store — the running system prunes after every commit on its own, so
 // manual pruning is for stores a job left behind.
 func (st *Store) Prune(keepEpoch int) error {
-	if keepEpoch < 0 {
-		committed, ok, err := st.Committed()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("%w: prune: store has no commit record; pass an explicit keep epoch", cerr.ErrSpec)
-		}
-		keepEpoch = committed
+	keepEpoch, err := st.keepEpoch(keepEpoch)
+	if err == nil {
+		err = st.cs.Prune(keepEpoch)
 	}
-	if err := st.cs.Prune(keepEpoch); err != nil {
-		return fmt.Errorf("%w: prune %s: %w", cerr.ErrStore, st.dir, err)
+	if err != nil && !errors.Is(err, cerr.ErrSpec) {
+		err = st.bad(err)
 	}
-	return nil
+	return err
 }
 
 // Job is one checkpoint store found under a root directory.
@@ -551,42 +511,37 @@ type Job struct {
 }
 
 // Jobs scans root for checkpoint stores: root itself and any descendant
-// directory holding a ckpt/ tree. Launchers typically give each job its
-// own store directory under a shared root; Jobs is how an operator finds
-// them all.
+// directory holding a checkpoint tree. Launchers typically give each job
+// its own store directory under a shared root; Jobs is how an operator
+// finds them all.
 func Jobs(root string) ([]Job, error) {
-	var dirs []string
+	var jobs []Job
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || d.Name() != storage.LayoutDir {
+			return err
+		}
+		st, err := Open(filepath.Dir(path))
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && d.Name() == "ckpt" {
-			dirs = append(dirs, filepath.Dir(path))
-			return filepath.SkipDir // a store's ckpt tree holds no nested stores
+		j := Job{Dir: st.dir}
+		if j.CommittedEpoch, j.HasCommit, err = st.Committed(); err != nil {
+			return err
 		}
-		return nil
+		entries, err := st.cs.Walk()
+		if err != nil {
+			return st.bad(err)
+		}
+		j.Epochs = countEpochs(entries)
+		jobs = append(jobs, j)
+		return filepath.SkipDir // a store's tree holds no nested stores
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%w: scan %s: %w", cerr.ErrStore, root, err)
+		if !errors.Is(err, cerr.ErrStore) {
+			err = fmt.Errorf("%w: scan %s: %w", cerr.ErrStore, root, err)
+		}
+		return nil, err
 	}
-	sort.Strings(dirs)
-	jobs := make([]Job, 0, len(dirs))
-	for _, dir := range dirs {
-		st, err := Open(dir)
-		if err != nil {
-			return nil, err
-		}
-		j := Job{Dir: dir}
-		j.CommittedEpoch, j.HasCommit, err = st.Committed()
-		if err != nil {
-			return nil, err
-		}
-		epochs, err := st.Epochs()
-		if err != nil {
-			return nil, err
-		}
-		j.Epochs = len(epochs)
-		jobs = append(jobs, j)
-	}
+	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Dir < jobs[j].Dir })
 	return jobs, nil
 }

@@ -5,10 +5,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"ccift/internal/cerr"
@@ -104,8 +106,8 @@ func TestEpochsAndManifest(t *testing.T) {
 			t.Errorf("epoch %d MetaBytes=%d, want %d", e.Epoch, e.MetaBytes, want)
 		}
 		for _, r := range e.Ranks {
-			if !r.Chunked || r.Chunks != 3 {
-				t.Errorf("epoch %d rank %d: chunked=%v chunks=%d, want chunked with 3", e.Epoch, r.Rank, r.Chunked, r.Chunks)
+			if r.Chunks != 3 || r.StateBytes != 3*1024 {
+				t.Errorf("epoch %d rank %d: chunks=%d state=%d, want 3 chunks of 1 KiB", e.Epoch, r.Rank, r.Chunks, r.StateBytes)
 			}
 			if r.LogBytes != 3 {
 				t.Errorf("epoch %d rank %d LogBytes=%d", e.Epoch, r.Rank, r.LogBytes)
@@ -117,8 +119,8 @@ func TestEpochsAndManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Chunked || len(m.Refs) != 3 || m.LogicalBytes != 3*1024 {
-		t.Fatalf("manifest: chunked=%v refs=%d logical=%d", m.Chunked, len(m.Refs), m.LogicalBytes)
+	if len(m.Refs) != 3 || m.LogicalBytes != 3*1024 {
+		t.Fatalf("manifest: refs=%d logical=%d", len(m.Refs), m.LogicalBytes)
 	}
 	if _, err := st.Manifest(7, 0); !errors.Is(err, cerr.ErrStore) {
 		t.Errorf("missing manifest: err=%v, want ErrStore", err)
@@ -343,11 +345,11 @@ func TestVerifyIntactStore(t *testing.T) {
 	if len(rep.Issues) != 0 {
 		t.Fatalf("intact store reported issues: %v", rep.Issues)
 	}
-	// 4 chunked manifests (2 epochs x 2 ranks), no inline blobs; the 5
-	// referenced unique chunks are hashed once each despite 12 references
-	// (the orphan is unreferenced and not hashed).
-	if rep.Manifests != 4 || rep.InlineBlobs != 0 {
-		t.Fatalf("manifests=%d inline=%d, want 4/0", rep.Manifests, rep.InlineBlobs)
+	// 4 manifests (2 epochs x 2 ranks); the 5 referenced unique chunks are
+	// hashed once each despite 12 references (the orphan is unreferenced
+	// and not hashed).
+	if rep.Manifests != 4 {
+		t.Fatalf("manifests=%d, want 4", rep.Manifests)
 	}
 	if rep.ChunksHashed != 5 || rep.BytesHashed != 5*1024 {
 		t.Fatalf("hashed %d chunks / %d bytes, want 5 / %d", rep.ChunksHashed, rep.BytesHashed, 5*1024)
@@ -417,5 +419,150 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	// The corrupt chunk was still hashed only once.
 	if rep.ChunksHashed != 4 {
 		t.Fatalf("hashed %d chunks, want 4 (5 referenced, 1 missing)", rep.ChunksHashed)
+	}
+}
+
+// pruningStable is the store of a live job as an inspector meets it: the
+// job's initiator commits and prunes right after the inspector's List, so
+// the enumeration names keys that are gone by the time they are read.
+type pruningStable struct {
+	storage.Stable
+	keep   int
+	pruned bool
+}
+
+func (p *pruningStable) List(prefix string) ([]string, error) {
+	keys, err := p.Stable.List(prefix)
+	if err == nil && !p.pruned {
+		p.pruned = true
+		err = storage.NewCheckpointStore(p.Stable).Prune(p.keep)
+	}
+	return keys, err
+}
+
+// TestInspectionSurvivesAConcurrentPrune is the package doc's promise:
+// every read-only view is safe against the store of a live job.
+func TestInspectionSurvivesAConcurrentPrune(t *testing.T) {
+	views := map[string]func(*Store) (epochs int, err error){
+		"Epochs": func(st *Store) (int, error) {
+			epochs, err := st.Epochs()
+			return len(epochs), err
+		},
+		"Summary": func(st *Store) (int, error) {
+			s, err := st.Summary()
+			if err == nil && (s.Orphans != 0 || s.LogicalBytes != 2*3*1024) {
+				err = fmt.Errorf("summary saw half a prune: %+v", s)
+			}
+			return 1, err
+		},
+		"Verify": func(st *Store) (int, error) {
+			rep, err := st.Verify()
+			if err == nil && (len(rep.Issues) != 0 || rep.Manifests != 2) {
+				err = fmt.Errorf("verify of a store pruned under it: %+v", rep)
+			}
+			return 1, err
+		},
+	}
+	for name, view := range views {
+		t.Run(name, func(t *testing.T) {
+			dir := seedStore(t)
+			disk, err := storage.NewDisk(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := &pruningStable{Stable: disk, keep: 1}
+			st := &Store{dir: dir, cs: storage.NewCheckpointStore(live)}
+			epochs, err := view(st)
+			if err != nil {
+				t.Fatalf("%s against a store pruned after its List: %v", name, err)
+			}
+			if !live.pruned || epochs != 1 {
+				t.Fatalf("%s: pruned=%v, %d epochs; want the one epoch the prune kept", name, live.pruned, epochs)
+			}
+		})
+	}
+}
+
+// TestCorruptStores: each way a state object can be wrong is one Issue of a
+// Verify that still finishes, and an ErrStore naming the key from the views
+// that need the manifest.
+func TestCorruptStores(t *testing.T) {
+	key := storage.StateKey(1, 0)
+	firstRef := func(t *testing.T, disk *storage.Disk) storage.ChunkRef {
+		refs, ok, err := storage.NewCheckpointStore(disk).Refs(key)
+		if err != nil || !ok {
+			t.Fatal(ok, err)
+		}
+		return refs[0]
+	}
+	rewrite := func(f func([]byte) []byte) func(*testing.T, *storage.Disk, string) {
+		return func(t *testing.T, disk *storage.Disk, k string) {
+			blob, err := disk.Get(k)
+			if err == nil {
+				err = disk.Put(k, f(blob))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, tc := range map[string]struct {
+		damage   func(t *testing.T, disk *storage.Disk, chunkKey string)
+		manifest bool // the defect is in the state object itself, not in a chunk
+	}{
+		"not a manifest": {manifest: true, damage: func(t *testing.T, disk *storage.Disk, _ string) {
+			rewrite(func([]byte) []byte { return []byte("raw state bytes") })(t, disk, key)
+		}},
+		"truncated manifest": {manifest: true, damage: func(t *testing.T, disk *storage.Disk, _ string) {
+			rewrite(func(b []byte) []byte { return b[:len(b)-5] })(t, disk, key)
+		}},
+		"missing chunk": {damage: func(t *testing.T, disk *storage.Disk, chunkKey string) {
+			if err := disk.Delete(chunkKey); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		"wrong length":  {damage: rewrite(func(b []byte) []byte { return b[:len(b)-1] })},
+		"wrong content": {damage: rewrite(func(b []byte) []byte { b[7] ^= 1; return b })},
+	} {
+		t.Run(name, func(t *testing.T) {
+			// One epoch, one rank, one chunk: every defect is exactly one Issue.
+			dir := t.TempDir()
+			disk, err := storage.NewDisk(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs := storage.NewCheckpointStore(disk)
+			if err := cs.PutState(1, 0, bytes.Repeat([]byte("x"), 4<<10)); err != nil {
+				t.Fatal(err)
+			}
+			ref := firstRef(t, disk)
+			tc.damage(t, disk, ref.Key())
+
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := st.Verify()
+			if err != nil {
+				t.Fatalf("Verify did not finish: %v", err)
+			}
+			if len(rep.Issues) != 1 || rep.Issues[0].Key != key || rep.Issues[0].Detail == "" {
+				t.Fatalf("issues %v, want one on %s", rep.Issues, key)
+			}
+			if got := rep.Issues[0].Chunk; tc.manifest != (got == "") || (!tc.manifest && got != ref.Hex()) {
+				t.Fatalf("issue names chunk %q (manifest-level defect: %v, chunk %s)", got, tc.manifest, ref.Hex())
+			}
+			_, eerr := st.Epochs()
+			_, merr := st.Manifest(1, 0)
+			_, serr := st.Summary()
+			for view, err := range map[string]error{"Epochs": eerr, "Manifest": merr, "Summary": serr} {
+				if tc.manifest && (!errors.Is(err, cerr.ErrStore) || !strings.Contains(err.Error(), key)) {
+					t.Errorf("%s over a state key that holds no manifest: %v; want ErrStore naming %s", view, err, key)
+				}
+				if !tc.manifest && err != nil {
+					t.Errorf("%s reads no chunk, yet: %v", view, err)
+				}
+			}
+		})
 	}
 }
