@@ -82,8 +82,8 @@ type Mode = protocol.Mode
 const (
 	// Unmodified bypasses the protocol layer entirely.
 	Unmodified = protocol.Unmodified
-	// PiggybackOnly attaches piggybacks and control collectives but never
-	// takes checkpoints.
+	// PiggybackOnly attaches piggybacks and the collectives' control
+	// information but never takes checkpoints.
 	PiggybackOnly = protocol.PiggybackOnly
 	// NoAppState runs the full protocol but skips application state.
 	NoAppState = protocol.NoAppState

@@ -357,9 +357,11 @@ func TestSimulated1000RankWorld(t *testing.T) {
 		ccift.WithSimulated(ccift.Scenario{
 			Seed: seed, Latency: time.Millisecond,
 			DetectorTimeout: 30 * time.Second,
-			// At 100ms virtual, epoch 1 has committed: the rollback is a
-			// genuine checkpoint recovery, not a restart from scratch.
-			Crashes: []ccift.Crash{{Rank: 137, At: 100 * time.Millisecond}},
+			// At 60ms virtual, epoch 1 has committed and the run (four
+			// allreduces of twenty hops each, no control round before
+			// them) has 20ms to go: the rollback is a genuine checkpoint
+			// recovery, not a restart from scratch.
+			Crashes: []ccift.Crash{{Rank: 137, At: 60 * time.Millisecond}},
 		}),
 	), stencil(3, 4))
 	if err != nil {

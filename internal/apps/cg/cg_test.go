@@ -92,7 +92,7 @@ func TestCGChecksumFiniteAtAnyLength(t *testing.T) {
 	}
 	cfg := engine.Config{
 		Ranks: 4, Mode: protocol.Full, EveryN: 20,
-		Failures: []engine.Failure{{Rank: 2, AtOp: 1500}},
+		Failures: []engine.Failure{{Rank: 2, AtOp: 1000}},
 	}
 	res, err := engine.Run(cfg, Program(Params{N: 32, Iters: 200}))
 	if err != nil {

@@ -4,7 +4,8 @@
 // Runge-Kutta method; the program is parallelized by assigning each
 // processor a block of neurons, and communication consists of 5
 // MPI_Allgathers and 1 MPI_Gather per loop iteration — the pattern that
-// makes the protocol's control collectives visible at small problem sizes.
+// makes what the protocol adds to a collective visible at small problem
+// sizes.
 package neurosys
 
 import (

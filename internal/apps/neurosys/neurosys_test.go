@@ -2,6 +2,7 @@ package neurosys
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"ccift/internal/engine"
@@ -72,21 +73,35 @@ func TestNeurosysRecovery(t *testing.T) {
 	}
 }
 
+// collectiveCounter counts the data collectives each rank executes.
+type collectiveCounter struct{ perRank []atomic.Int64 }
+
+func (c *collectiveCounter) Trace(e protocol.TraceEvent) {
+	if e.Kind == protocol.TraceCollective {
+		c.perRank[e.Rank].Add(1)
+	}
+}
+
 func TestCommunicationPattern(t *testing.T) {
-	// The paper counts 5 allgathers and 1 gather per iteration; verify via
-	// the protocol's control-collective statistics (each data collective
-	// runs exactly one control allgather, plus the final checksum
-	// allreduce).
-	iters := 7
-	res, err := engine.Run(engine.Config{Ranks: 2, Mode: protocol.PiggybackOnly},
+	// The paper counts 5 allgathers and 1 gather per iteration. The data
+	// collectives themselves are the TraceCollective events: six per step
+	// plus the final checksum allreduce. Of those only the gather — a
+	// rooted collective, whose leaves never hear the root — is preceded by
+	// an explicit control exchange; the allgathers and the allreduce carry
+	// their control word on their own messages.
+	const iters, ranks = 7, 2
+	count := &collectiveCounter{perRank: make([]atomic.Int64, ranks)}
+	res, err := engine.Run(engine.Config{Ranks: ranks, Mode: protocol.PiggybackOnly, Tracer: count},
 		Program(Params{K: 4, Iters: iters}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(iters*6 + 1)
 	for r, s := range res.Stats {
-		if s.ControlCollectives != want {
-			t.Fatalf("rank %d: %d control collectives, want %d", r, s.ControlCollectives, want)
+		if got, want := count.perRank[r].Load(), int64(iters*(5+1)+1); got != want {
+			t.Fatalf("rank %d: %d data collectives, want %d (5 allgathers + 1 gather per step, 1 allreduce)", r, got, want)
+		}
+		if s.ControlCollectives != iters {
+			t.Fatalf("rank %d: %d explicit control exchanges, want %d (one per gather)", r, s.ControlCollectives, iters)
 		}
 	}
 }

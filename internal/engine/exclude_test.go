@@ -32,11 +32,11 @@ func TestReplicatedStateRecovery(t *testing.T) {
 	}
 	ref := runRef(t, Config{Ranks: 3, Mode: protocol.Unmodified}, prog)
 
-	// Simulated: op 150 of rank 2 follows the fourth commit, so the restart
+	// Simulated: op 130 of rank 2 follows the fourth commit, so the restart
 	// redistributes the table from a checkpoint, not from a rerun.
 	cfg := onSim(t, Config{
 		Ranks: 3, Mode: protocol.Full, EveryN: 5, Debug: true,
-		Failures: []Failure{{Rank: 2, AtOp: 150, Incarnation: 0}},
+		Failures: []Failure{{Rank: 2, AtOp: 130, Incarnation: 0}},
 	})
 	res, err := Run(cfg, prog)
 	if err != nil {

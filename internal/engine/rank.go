@@ -79,12 +79,15 @@ func (r *Rank) Waitall(hs []protocol.Handle) []*protocol.AppMessage { return r.l
 // sends it through here, so encoding is the payload's only copy.
 func (r *Rank) SendOwned(dst, tag int, data []byte) { r.l.SendOwned(dst, tag, data) }
 
-// SendF64 sends a float64 vector. Prefer the generic ccift.Send, which
-// skips this path's second payload copy.
-func (r *Rank) SendF64(dst, tag int, xs []float64) { r.l.Send(dst, tag, mpi.F64Bytes(xs)) }
+// SendF64 sends a float64 vector: the substrate's defensive copy of xs's
+// own memory is the payload's only copy.
+func (r *Rank) SendF64(dst, tag int, xs []float64) { r.l.Send(dst, tag, mpi.Wire(xs)) }
 
-// RecvF64 receives a float64 vector.
-func (r *Rank) RecvF64(src, tag int) []float64 { return mpi.BytesF64(r.l.Recv(src, tag).Data) }
+// RecvF64 receives a float64 vector. It panics if the payload is not a
+// whole number of elements.
+func (r *Rank) RecvF64(src, tag int) []float64 {
+	return mpi.Unpacked[float64](r.l.Recv(src, tag).Data)
+}
 
 // --- collectives ---
 
@@ -101,17 +104,24 @@ func (r *Rank) AlignedBarrier() { r.l.AlignedBarrier() }
 // Allreduce combines byte payloads across ranks.
 func (r *Rank) Allreduce(data []byte, op mpi.Op) []byte { return r.l.Allreduce(data, op) }
 
-// AllreduceF64 combines float64 vectors across ranks.
+// AllreduceInto is Allreduce into dst (len(data) bytes): the form the typed
+// front ends build on, so a result is allocated once, with its element type.
+func (r *Rank) AllreduceInto(dst, data []byte, op mpi.Op) { r.l.AllreduceInto(dst, data, op) }
+
+// AllreduceF64 combines float64 vectors across ranks. The result is
+// allocated once, as []float64, and the collective fills its memory; xs is
+// sent from its own.
 func (r *Rank) AllreduceF64(xs []float64, op mpi.Op) []float64 {
-	return mpi.BytesF64(r.l.Allreduce(mpi.F64Bytes(xs), op))
+	return mpi.Filled[float64](len(xs), func(w []byte) { r.l.AllreduceInto(w, mpi.Wire(xs), op) })
 }
 
 // Allgather concatenates equal-sized payloads from all ranks.
 func (r *Rank) Allgather(data []byte) []byte { return r.l.Allgather(data) }
 
-// AllgatherF64 concatenates equal-length float64 vectors from all ranks.
+// AllgatherF64 concatenates equal-length float64 vectors from all ranks,
+// filling the one []float64 it allocates (see AllreduceF64).
 func (r *Rank) AllgatherF64(xs []float64) []float64 {
-	return mpi.BytesF64(r.l.Allgather(mpi.F64Bytes(xs)))
+	return mpi.Filled[float64](len(xs)*r.Size(), func(w []byte) { r.l.AllgatherInto(w, mpi.Wire(xs)) })
 }
 
 // Gather concatenates payloads at root (nil elsewhere).
@@ -119,11 +129,11 @@ func (r *Rank) Gather(root int, data []byte) []byte { return r.l.Gather(root, da
 
 // GatherF64 concatenates float64 vectors at root (nil elsewhere).
 func (r *Rank) GatherF64(root int, xs []float64) []float64 {
-	out := r.l.Gather(root, mpi.F64Bytes(xs))
-	if out == nil {
+	if r.Rank() != root {
+		r.l.GatherInto(root, nil, mpi.Wire(xs))
 		return nil
 	}
-	return mpi.BytesF64(out)
+	return mpi.Filled[float64](len(xs)*r.Size(), func(w []byte) { r.l.GatherInto(root, w, mpi.Wire(xs)) })
 }
 
 // Bcast distributes root's payload.
@@ -316,7 +326,7 @@ func (r *Rank) Scan(data []byte, op mpi.Op) []byte { return r.l.Scan(data, op) }
 
 // ScanF64 is Scan over a float64 vector.
 func (r *Rank) ScanF64(xs []float64, op mpi.Op) []float64 {
-	return mpi.BytesF64(r.l.Scan(mpi.F64Bytes(xs), op))
+	return mpi.Filled[float64](len(xs), func(w []byte) { r.l.ScanInto(w, mpi.Wire(xs), op) })
 }
 
 // Reducescatter combines per-rank blocks across all ranks and returns this

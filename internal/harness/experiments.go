@@ -94,7 +94,7 @@ func LaplaceExperiment(ranks int, scale Scale) Experiment {
 
 // NeurosysExperiment is Figure 8 (right): the neuron-network simulator, 5
 // allgathers and 1 gather per RK4 step — the communication-heavy, tiny-state
-// regime where the protocol's control collectives dominate.
+// regime where what the protocol adds to a collective dominates.
 func NeurosysExperiment(ranks int, scale Scale) Experiment {
 	e := Experiment{App: "neurosys", Ranks: ranks, BandwidthMBps: bandwidth(scale)}
 	type sz struct {

@@ -9,6 +9,18 @@ import "fmt"
 // *above* this interface and never sees the internal messages — the
 // property Section 4.5 calls out as the reason collective handling stays
 // simple.
+//
+// Each collective has one implementation, the form that writes into a
+// result the caller provides (AllgatherInto, AllreduceInto, ...); the form
+// that returns a fresh slice allocates it and calls that. The collectives
+// whose message pattern brings something from every participant to every
+// participant — Allreduce, Allgather, Alltoall, Reducescatter, Barrier —
+// also carry a 32-bit word: each participant contributes one, it travels in
+// Message.Header of the collective's own messages, OR-ed with whatever the
+// sender has heard so far, and every participant gets back the OR of all of
+// them. The word is opaque here. The protocol layer uses it for the control
+// information Section 4.5 sends in a collective of its own, so that a data
+// collective costs the rounds the unmodified program pays.
 
 // Op combines two equally-sized payloads for reductions: dst = dst ⊕ src.
 type Op interface {
@@ -31,9 +43,21 @@ func (c *Comm) nextColl() int64 {
 	return c.collSeq
 }
 
-// Barrier blocks until every rank in the communicator has entered it
-// (dissemination algorithm, ⌈log2 n⌉ rounds).
-func (c *Comm) Barrier() {
+// checkLen panics when a collective meets a payload or a result buffer of
+// the wrong size: the participants disagree about the call.
+func checkLen(coll string, got, want int) {
+	if got != want {
+		panic(fmt.Sprintf("mpi: %s length mismatch: %d vs %d", coll, got, want))
+	}
+}
+
+// Barrier blocks until every rank in the communicator has entered it.
+func (c *Comm) Barrier() { c.BarrierWord(0) }
+
+// BarrierWord is Barrier carrying the participants' words (dissemination
+// algorithm, ⌈log2 n⌉ rounds; each round forwards everything heard so far,
+// so the last one completes every participant's OR).
+func (c *Comm) BarrierWord(word uint32) uint32 {
 	c.world.enter(c.members[c.myIdx])
 	seq := c.nextColl()
 	n := c.Size()
@@ -41,19 +65,22 @@ func (c *Comm) Barrier() {
 	for k, round := 1, 0; k < n; k, round = k*2, round+1 {
 		dst := (me + k) % n
 		src := (me - k + n) % n
-		c.send(dst, c.collTag(seq, round), nil)
-		c.recvInternal(src, c.collTag(seq, round))
+		c.sendh(dst, c.collTag(seq, round), word, nil)
+		word |= c.recvInternal(src, c.collTag(seq, round)).Header
 	}
+	return word
 }
 
 // Bcast distributes root's payload to every rank (binomial tree) and
 // returns it.
 func (c *Comm) Bcast(root int, data []byte) []byte {
 	c.world.enter(c.members[c.myIdx])
-	return c.bcast(root, data)
+	data, _ = c.bcast(root, data, 0)
+	return data
 }
 
-func (c *Comm) bcast(root int, data []byte) []byte {
+// bcast returns root's payload and root's word OR-ed with the caller's.
+func (c *Comm) bcast(root int, data []byte, word uint32) ([]byte, uint32) {
 	seq := c.nextColl()
 	n := c.Size()
 	// Work in a rotated space where root is rank 0 (MPICH-style binomial).
@@ -64,6 +91,7 @@ func (c *Comm) bcast(root int, data []byte) []byte {
 			parent := (vrank - mask + root) % n
 			m := c.recvInternal(parent, c.collTag(seq, 0))
 			data = m.Data
+			word |= m.Header
 			break
 		}
 		mask <<= 1
@@ -74,149 +102,200 @@ func (c *Comm) bcast(root int, data []byte) []byte {
 	for mask > 0 {
 		if vrank+mask < n {
 			dst := (vrank + mask + root) % n
-			c.send(dst, c.collTag(seq, 0), data)
+			c.sendh(dst, c.collTag(seq, 0), word, data)
 		}
 		mask >>= 1
 	}
-	return data
+	return data, word
 }
 
 // Reduce combines every rank's payload with op, leaving the result at root
 // (binomial tree). Non-roots return nil.
 func (c *Comm) Reduce(root int, data []byte, op Op) []byte {
 	c.world.enter(c.members[c.myIdx])
-	return c.reduce(root, data, op)
+	acc := make([]byte, len(data))
+	c.reduce(root, acc, data, op, 0)
+	if c.myIdx != root {
+		return nil
+	}
+	return acc
 }
 
-func (c *Comm) reduce(root int, data []byte, op Op) []byte {
+// reduce accumulates in acc (len(data), on every rank: interior ranks of
+// the tree combine their subtree there) and leaves the result in root's.
+// Root gets back the OR of every word, the others that of their subtree.
+func (c *Comm) reduce(root int, acc, data []byte, op Op, word uint32) uint32 {
 	seq := c.nextColl()
 	n := c.Size()
 	vrank := (c.myIdx - root + n) % n
-	acc := append([]byte(nil), data...)
+	copy(acc, data)
 	for mask := 1; mask < n; mask *= 2 {
 		if vrank&mask != 0 {
 			parent := ((vrank &^ mask) + root) % n
-			c.send(parent, c.collTag(seq, bitIndex(mask)), acc)
-			return nil
+			c.sendh(parent, c.collTag(seq, bitIndex(mask)), word, acc)
+			break
 		}
 		if vrank+mask < n {
 			m := c.recvInternal(AnySource, c.collTag(seq, bitIndex(mask)))
-			if len(m.Data) != len(acc) {
-				panic(fmt.Sprintf("mpi: Reduce length mismatch: %d vs %d", len(m.Data), len(acc)))
-			}
+			checkLen("Reduce", len(m.Data), len(acc))
 			op.Combine(acc, m.Data)
+			word |= m.Header
 		}
 	}
-	return acc
+	return word
 }
 
 // Allreduce combines every rank's payload with op and returns the combined
-// value on all ranks. For power-of-two communicators it uses recursive
+// value on all ranks.
+func (c *Comm) Allreduce(data []byte, op Op) []byte {
+	out := make([]byte, len(data))
+	c.AllreduceInto(out, data, op, 0)
+	return out
+}
+
+// AllreduceInto is Allreduce into dst (len(data) bytes), carrying the
+// participants' words. For power-of-two communicators it uses recursive
 // doubling (the butterfly of the paper's CG code); otherwise it reduces to
 // rank 0 and broadcasts.
-func (c *Comm) Allreduce(data []byte, op Op) []byte {
+func (c *Comm) AllreduceInto(dst, data []byte, op Op, word uint32) uint32 {
 	c.world.enter(c.members[c.myIdx])
+	checkLen("Allreduce", len(dst), len(data))
 	n := c.Size()
 	if n&(n-1) != 0 {
-		acc := c.reduce(0, data, op)
-		return c.bcast(0, acc)
+		word = c.reduce(0, dst, data, op, word)
+		return c.bcastInto(dst, word)
 	}
 	seq := c.nextColl()
-	acc := append([]byte(nil), data...)
+	copy(dst, data)
 	for mask, round := 1, 0; mask < n; mask, round = mask*2, round+1 {
 		partner := c.myIdx ^ mask
-		c.send(partner, c.collTag(seq, round), acc)
+		c.sendh(partner, c.collTag(seq, round), word, dst)
 		m := c.recvInternal(partner, c.collTag(seq, round))
-		if len(m.Data) != len(acc) {
-			panic(fmt.Sprintf("mpi: Allreduce length mismatch: %d vs %d", len(m.Data), len(acc)))
-		}
-		op.Combine(acc, m.Data)
+		checkLen("Allreduce", len(m.Data), len(dst))
+		op.Combine(dst, m.Data)
+		word |= m.Header
 	}
-	return acc
+	return word
+}
+
+// bcastInto broadcasts rank 0's dst into everyone else's: the second half
+// of the collectives that gather or reduce at rank 0 first.
+func (c *Comm) bcastInto(dst []byte, word uint32) uint32 {
+	res, word := c.bcast(0, dst, word)
+	if c.myIdx != 0 {
+		checkLen("Bcast", len(res), len(dst))
+		copy(dst, res)
+	}
+	return word
 }
 
 // Gather concatenates every rank's equal-sized payload at root in rank
 // order. Non-roots return nil.
 func (c *Comm) Gather(root int, data []byte) []byte {
-	c.world.enter(c.members[c.myIdx])
-	return c.gather(root, data)
-}
-
-func (c *Comm) gather(root int, data []byte) []byte {
-	seq := c.nextColl()
-	n := c.Size()
-	if c.myIdx != root {
-		c.send(root, c.collTag(seq, 0), data)
-		return nil
+	var out []byte
+	if c.myIdx == root {
+		out = make([]byte, len(data)*c.Size())
 	}
-	out := make([]byte, len(data)*n)
-	copy(out[root*len(data):], data)
-	for i := 0; i < n-1; i++ {
-		m := c.recvInternal(AnySource, c.collTag(seq, 0))
-		if len(m.Data) != len(data) {
-			panic(fmt.Sprintf("mpi: Gather length mismatch: %d vs %d", len(m.Data), len(data)))
-		}
-		copy(out[m.Source*len(data):], m.Data)
-	}
+	c.GatherInto(root, out, data)
 	return out
 }
 
+// GatherInto is Gather into root's dst (Size()·len(data) bytes; ignored on
+// the other ranks).
+func (c *Comm) GatherInto(root int, dst, data []byte) {
+	c.world.enter(c.members[c.myIdx])
+	c.gather(root, dst, data, 0)
+}
+
+func (c *Comm) gather(root int, dst, data []byte, word uint32) uint32 {
+	seq := c.nextColl()
+	n := c.Size()
+	if c.myIdx != root {
+		c.sendh(root, c.collTag(seq, 0), word, data)
+		return word
+	}
+	checkLen("Gather", len(dst), len(data)*n)
+	copy(dst[root*len(data):], data)
+	for i := 0; i < n-1; i++ {
+		m := c.recvInternal(AnySource, c.collTag(seq, 0))
+		checkLen("Gather", len(m.Data), len(data))
+		copy(dst[m.Source*len(data):], m.Data)
+		word |= m.Header
+	}
+	return word
+}
+
 // Allgather concatenates every rank's equal-sized payload on all ranks in
-// rank order. Power-of-two communicators use recursive doubling (butterfly);
-// others gather to rank 0 and broadcast.
+// rank order.
 func (c *Comm) Allgather(data []byte) []byte {
+	out := make([]byte, len(data)*c.Size())
+	c.AllgatherInto(out, data, 0)
+	return out
+}
+
+// AllgatherInto is Allgather into dst (Size()·len(data) bytes), carrying
+// the participants' words. Power-of-two communicators use recursive
+// doubling (butterfly); others gather to rank 0 and broadcast.
+func (c *Comm) AllgatherInto(dst, data []byte, word uint32) uint32 {
 	c.world.enter(c.members[c.myIdx])
 	n := c.Size()
+	blk := len(data)
+	checkLen("Allgather", len(dst), blk*n)
 	if n&(n-1) != 0 {
-		out := c.gather(0, data)
-		return c.bcast(0, out)
+		word = c.gather(0, dst, data, word)
+		return c.bcastInto(dst, word)
 	}
 	seq := c.nextColl()
-	blk := len(data)
-	out := make([]byte, blk*n)
-	copy(out[c.myIdx*blk:], data)
+	copy(dst[c.myIdx*blk:], data)
 	// Recursive doubling: at the start of the round with offset mask, this
 	// rank owns the mask blocks of its aligned group [myIdx &^ (mask-1),
 	// +mask); exchanging groups with the partner doubles the holding.
 	for mask, round := 1, 0; mask < n; mask, round = mask*2, round+1 {
 		partner := c.myIdx ^ mask
 		myStart := c.myIdx &^ (mask - 1)
-		c.send(partner, c.collTag(seq, round), out[myStart*blk:(myStart+mask)*blk])
+		c.sendh(partner, c.collTag(seq, round), word, dst[myStart*blk:(myStart+mask)*blk])
 		m := c.recvInternal(partner, c.collTag(seq, round))
 		theirStart := partner &^ (mask - 1)
-		if len(m.Data) != mask*blk {
-			panic(fmt.Sprintf("mpi: Allgather length mismatch: %d vs %d", len(m.Data), mask*blk))
-		}
-		copy(out[theirStart*blk:], m.Data)
+		checkLen("Allgather", len(m.Data), mask*blk)
+		copy(dst[theirStart*blk:], m.Data)
+		word |= m.Header
 	}
-	return out
+	return word
 }
 
 // Alltoall sends block i of this rank's payload to rank i and returns the
 // blocks received from every rank, in rank order. The payload must divide
 // evenly into Size() blocks.
 func (c *Comm) Alltoall(data []byte) []byte {
+	out := make([]byte, len(data))
+	c.AlltoallInto(out, data, 0)
+	return out
+}
+
+// AlltoallInto is Alltoall into dst (len(data) bytes), carrying the
+// participants' words.
+func (c *Comm) AlltoallInto(dst, data []byte, word uint32) uint32 {
 	c.world.enter(c.members[c.myIdx])
 	seq := c.nextColl()
 	n := c.Size()
 	if len(data)%n != 0 {
 		panic(fmt.Sprintf("mpi: Alltoall payload %d not divisible by %d ranks", len(data), n))
 	}
+	checkLen("Alltoall", len(dst), len(data))
 	blk := len(data) / n
-	out := make([]byte, len(data))
-	copy(out[c.myIdx*blk:], data[c.myIdx*blk:(c.myIdx+1)*blk])
+	copy(dst[c.myIdx*blk:], data[c.myIdx*blk:(c.myIdx+1)*blk])
 	for i := 1; i < n; i++ {
-		dst := (c.myIdx + i) % n
-		c.send(dst, c.collTag(seq, 0), data[dst*blk:(dst+1)*blk])
+		to := (c.myIdx + i) % n
+		c.sendh(to, c.collTag(seq, 0), word, data[to*blk:(to+1)*blk])
 	}
+	seen := word
 	for i := 1; i < n; i++ {
 		m := c.recvInternal(AnySource, c.collTag(seq, 0))
-		if len(m.Data) != blk {
-			panic(fmt.Sprintf("mpi: Alltoall length mismatch: %d vs %d", len(m.Data), blk))
-		}
-		copy(out[m.Source*blk:], m.Data)
+		checkLen("Alltoall", len(m.Data), blk)
+		copy(dst[m.Source*blk:], m.Data)
+		seen |= m.Header
 	}
-	return out
+	return seen
 }
 
 // Scatter distributes root's payload in equal blocks: rank i receives block
@@ -277,59 +356,69 @@ func (c *Comm) Sendrecv(dst, sendTag int, data []byte, src, recvTag int) *Messag
 }
 
 // Scan computes the inclusive prefix reduction: rank i receives the
-// combination of the payloads of ranks 0..i (MPI_Scan). Implemented as a
-// linear chain, the standard algorithm for modest rank counts.
+// combination of the payloads of ranks 0..i (MPI_Scan).
 func (c *Comm) Scan(data []byte, op Op) []byte {
+	out := make([]byte, len(data))
+	c.ScanInto(out, data, op)
+	return out
+}
+
+// ScanInto is Scan into dst (len(data) bytes). Implemented as a linear
+// chain, the standard algorithm for modest rank counts.
+func (c *Comm) ScanInto(dst, data []byte, op Op) {
 	c.world.enter(c.members[c.myIdx])
+	checkLen("Scan", len(dst), len(data))
 	seq := c.nextColl()
-	acc := append([]byte(nil), data...)
-	if c.myIdx > 0 {
+	if c.myIdx == 0 {
+		copy(dst, data)
+	} else {
 		m := c.recvInternal(c.myIdx-1, c.collTag(seq, 0))
-		// acc = prefix ⊕ own: Combine folds src into dst, so start from the
-		// predecessor's prefix and fold our contribution in.
-		prefix := append([]byte(nil), m.Data...)
-		op.Combine(prefix, acc)
-		acc = prefix
+		checkLen("Scan", len(m.Data), len(data))
+		// prefix ⊕ own, in that order: Combine folds src into dst, so fold
+		// our contribution into the predecessor's prefix (the message's
+		// buffer is ours once received).
+		op.Combine(m.Data, data)
+		copy(dst, m.Data)
 	}
 	if c.myIdx < c.Size()-1 {
-		c.send(c.myIdx+1, c.collTag(seq, 0), acc)
+		c.send(c.myIdx+1, c.collTag(seq, 0), dst)
 	}
-	return acc
 }
 
 // Reducescatter combines equal-sized per-rank blocks across all ranks and
 // scatters the result: rank i receives the reduction of everyone's i-th
 // block (MPI_Reduce_scatter_block). data must be size×blockLen bytes.
 func (c *Comm) Reducescatter(data []byte, op Op) []byte {
+	out := make([]byte, len(data)/c.Size())
+	c.ReducescatterInto(out, data, op, 0)
+	return out
+}
+
+// ReducescatterInto is Reducescatter into dst (len(data)/Size() bytes),
+// carrying the participants' words: reduce at rank 0 over a binomial tree
+// (the words ride up with the partial sums), then scatter the blocks (their
+// OR rides down). Reduce-then-scatter is the simple algorithm; recursive
+// halving is an optimization with identical semantics.
+func (c *Comm) ReducescatterInto(dst, data []byte, op Op, word uint32) uint32 {
 	c.world.enter(c.members[c.myIdx])
 	n := c.Size()
 	if len(data)%n != 0 {
 		panic(fmt.Sprintf("mpi: Reducescatter: payload %d bytes not divisible by %d ranks", len(data), n))
 	}
 	blockLen := len(data) / n
+	checkLen("Reducescatter", len(dst), blockLen)
+	acc := make([]byte, len(data))
+	word = c.reduce(0, acc, data, op, word)
 	seq := c.nextColl()
-
-	// Reduce at rank 0 over a binomial tree, then scatter the blocks.
-	// (Reduce-then-scatter is the simple algorithm; recursive halving is an
-	// optimization with identical semantics.)
-	acc := append([]byte(nil), data...)
-	vrank := c.myIdx
-	for mask := 1; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			c.send(c.myIdx-mask, c.collTag(seq, bitIndex(mask)), acc)
-			break
-		}
-		if peer := c.myIdx + mask; peer < n {
-			m := c.recvInternal(peer, c.collTag(seq, bitIndex(mask)))
-			op.Combine(acc, m.Data)
-		}
-	}
 	if c.myIdx == 0 {
 		for r := 1; r < n; r++ {
-			c.send(r, c.collTag(seq, 40), acc[r*blockLen:(r+1)*blockLen])
+			c.sendh(r, c.collTag(seq, 0), word, acc[r*blockLen:(r+1)*blockLen])
 		}
-		return acc[:blockLen:blockLen]
+		copy(dst, acc)
+		return word
 	}
-	m := c.recvInternal(0, c.collTag(seq, 40))
-	return m.Data
+	m := c.recvInternal(0, c.collTag(seq, 0))
+	checkLen("Reducescatter", len(m.Data), blockLen)
+	copy(dst, m.Data)
+	return word | m.Header
 }

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -138,5 +139,117 @@ func TestReducescatterMatchesReduceThenScatter(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// wordCollectives are the collectives that carry the participants' words:
+// each returns what the call handed back to this rank.
+var wordCollectives = map[string]func(c *Comm, word uint32) uint32{
+	"Barrier": func(c *Comm, word uint32) uint32 { return c.BarrierWord(word) },
+	"Allreduce": func(c *Comm, word uint32) uint32 {
+		in := F64Bytes([]float64{float64(c.Rank() + 1)})
+		out := make([]byte, len(in))
+		seen := c.AllreduceInto(out, in, SumF64, word)
+		if n := c.Size(); BytesF64(out)[0] != float64(n*(n+1)/2) {
+			panic(fmt.Sprintf("allreduce = %v", BytesF64(out)))
+		}
+		return seen
+	},
+	"Allgather": func(c *Comm, word uint32) uint32 {
+		out := make([]byte, c.Size())
+		seen := c.AllgatherInto(out, []byte{byte(c.Rank())}, word)
+		for r, b := range out {
+			if int(b) != r {
+				panic(fmt.Sprintf("allgather = %v", out))
+			}
+		}
+		return seen
+	},
+	"Alltoall": func(c *Comm, word uint32) uint32 {
+		in := make([]byte, c.Size())
+		for i := range in {
+			in[i] = byte(c.Rank()*16 + i)
+		}
+		out := make([]byte, len(in))
+		seen := c.AlltoallInto(out, in, word)
+		for r, b := range out {
+			if int(b) != r*16+c.Rank() {
+				panic(fmt.Sprintf("alltoall = %v", out))
+			}
+		}
+		return seen
+	},
+	"Reducescatter": func(c *Comm, word uint32) uint32 {
+		in := make([]float64, c.Size())
+		for i := range in {
+			in[i] = float64(i)
+		}
+		out := make([]byte, 8)
+		seen := c.ReducescatterInto(out, F64Bytes(in), SumF64, word)
+		if BytesF64(out)[0] != float64(c.Rank()*c.Size()) {
+			panic(fmt.Sprintf("reducescatter = %v", BytesF64(out)))
+		}
+		return seen
+	},
+}
+
+// TestCollectivesBringEveryWordToEveryRank: at every communicator size —
+// the butterfly ones and the ones that fall back to rank 0 — each
+// participant of a word-carrying collective gets back the OR of all the
+// words, its own included, and a sub-communicator's call carries only its
+// own members'.
+func TestCollectivesBringEveryWordToEveryRank(t *testing.T) {
+	for name, coll := range wordCollectives {
+		for n := 1; n <= 9; n++ {
+			got := make([]uint32, n)
+			runRanks(t, n, Options{}, func(c *Comm) {
+				got[c.Rank()] = coll(c, 1<<uint(c.Rank()))
+				// A second call must not see the first one's words.
+				if again := coll(c, 0); again != 0 {
+					panic(fmt.Sprintf("%s: a call of all-zero words returned %#x", name, again))
+				}
+			})
+			for r, seen := range got {
+				if want := uint32(1)<<uint(n) - 1; seen != want {
+					t.Fatalf("%s, %d ranks: rank %d got %#x, want %#x", name, n, r, seen, want)
+				}
+			}
+		}
+		const n = 6
+		got := make([]uint32, n)
+		runRanks(t, n, Options{}, func(c *Comm) {
+			sub := c.Split(c.Rank()%2, c.Rank())
+			got[c.Rank()] = coll(sub, 1<<uint(c.Rank()))
+		})
+		for r, seen := range got {
+			want := uint32(0b010101)
+			if r%2 == 1 {
+				want = 0b101010
+			}
+			if seen != want {
+				t.Fatalf("%s on a split communicator: rank %d got %#b, want its own half %#b", name, r, seen, want)
+			}
+		}
+	}
+}
+
+// TestIntoFormsRejectAMisSizedResult: the destination of an into-form is
+// checked like a peer's payload.
+func TestIntoFormsRejectAMisSizedResult(t *testing.T) {
+	calls := map[string]func(c *Comm){
+		"Allgather": func(c *Comm) { c.AllgatherInto(make([]byte, 3), []byte{1, 2}, 0) },
+		"Allreduce": func(c *Comm) { c.AllreduceInto(make([]byte, 9), make([]byte, 8), SumF64, 0) },
+		"Scan":      func(c *Comm) { c.ScanInto(make([]byte, 7), make([]byte, 8), SumF64) },
+		"Gather":    func(c *Comm) { c.GatherInto(0, nil, []byte{1}) },
+	}
+	for name, call := range calls {
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), name+" length mismatch") {
+					t.Fatalf("%s: panic %v, want its length mismatch", name, p)
+				}
+			}()
+			call(NewWorld(1, Options{}).Comm(0))
+		}()
 	}
 }

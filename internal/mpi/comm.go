@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -104,16 +105,6 @@ func (c *Comm) agreeContext() int64 {
 	return getI64(b, 0)
 }
 
-func putI64(b []byte, off int, v int64) {
-	for i := 0; i < 8; i++ {
-		b[off+i] = byte(v >> (8 * i))
-	}
-}
+func putI64(b []byte, off int, v int64) { binary.LittleEndian.PutUint64(b[off:], uint64(v)) }
 
-func getI64(b []byte, off int) int64 {
-	var v int64
-	for i := 0; i < 8; i++ {
-		v |= int64(b[off+i]) << (8 * i)
-	}
-	return v
-}
+func getI64(b []byte, off int) int64 { return int64(binary.LittleEndian.Uint64(b[off:])) }

@@ -5,70 +5,68 @@ import (
 	"math"
 )
 
-// Built-in reduction operators over packed little-endian payloads.
+// Built-in reduction operators over packed little-endian payloads. Each is
+// its own loop over 8-byte lanes — the load and store are single moves on a
+// little-endian host, and the combining operation is a direct call or an
+// inlined expression, not a closure invoked per element.
 
 type opFunc func(dst, src []byte)
 
 func (f opFunc) Combine(dst, src []byte) { f(dst, src) }
 
-func eachF64(dst, src []byte, f func(a, b float64) float64) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
-		b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-		binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(f(a, b)))
-	}
-}
+func f64At(b []byte, i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b[i:])) }
 
-func eachI64(dst, src []byte, f func(a, b int64) int64) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		a := int64(binary.LittleEndian.Uint64(dst[i:]))
-		b := int64(binary.LittleEndian.Uint64(src[i:]))
-		binary.LittleEndian.PutUint64(dst[i:], uint64(f(a, b)))
-	}
-}
+func putF64(b []byte, i int, x float64) { binary.LittleEndian.PutUint64(b[i:], math.Float64bits(x)) }
 
 // SumF64 sums payloads interpreted as packed float64 vectors.
 var SumF64 Op = opFunc(func(dst, src []byte) {
-	eachF64(dst, src, func(a, b float64) float64 { return a + b })
+	for i := 0; i+8 <= len(dst); i += 8 {
+		putF64(dst, i, f64At(dst, i)+f64At(src, i))
+	}
 })
 
-// MaxF64 takes the elementwise maximum of packed float64 vectors.
+// MaxF64 takes the elementwise maximum of packed float64 vectors
+// (math.Max semantics for NaN, ±0 and ±Inf).
 var MaxF64 Op = opFunc(func(dst, src []byte) {
-	eachF64(dst, src, math.Max)
+	for i := 0; i+8 <= len(dst); i += 8 {
+		putF64(dst, i, math.Max(f64At(dst, i), f64At(src, i)))
+	}
 })
 
-// MinF64 takes the elementwise minimum of packed float64 vectors.
+// MinF64 takes the elementwise minimum of packed float64 vectors
+// (math.Min semantics for NaN, ±0 and ±Inf).
 var MinF64 Op = opFunc(func(dst, src []byte) {
-	eachF64(dst, src, math.Min)
+	for i := 0; i+8 <= len(dst); i += 8 {
+		putF64(dst, i, math.Min(f64At(dst, i), f64At(src, i)))
+	}
 })
 
 // SumI64 sums payloads interpreted as packed int64 vectors.
 var SumI64 Op = opFunc(func(dst, src []byte) {
-	eachI64(dst, src, func(a, b int64) int64 { return a + b })
+	for i := 0; i+8 <= len(dst); i += 8 {
+		putI64(dst, i, getI64(dst, i)+getI64(src, i))
+	}
 })
 
 // MinI64 takes the elementwise minimum of packed int64 vectors.
 var MinI64 Op = opFunc(func(dst, src []byte) {
-	eachI64(dst, src, func(a, b int64) int64 {
-		if b < a {
-			return b
+	for i := 0; i+8 <= len(dst); i += 8 {
+		if b := getI64(src, i); b < getI64(dst, i) {
+			putI64(dst, i, b)
 		}
-		return a
-	})
+	}
 })
 
 // MaxI64 takes the elementwise maximum of packed int64 vectors.
 var MaxI64 Op = opFunc(func(dst, src []byte) {
-	eachI64(dst, src, func(a, b int64) int64 {
-		if b > a {
-			return b
+	for i := 0; i+8 <= len(dst); i += 8 {
+		if b := getI64(src, i); b > getI64(dst, i) {
+			putI64(dst, i, b)
 		}
-		return a
-	})
+	}
 })
 
-// BAnd is the bytewise AND; with 0/1 bytes it is a logical conjunction
-// (used by the protocol layer's amLogging exchange, Section 4.5).
+// BAnd is the bytewise AND; with 0/1 bytes it is a logical conjunction.
 var BAnd Op = opFunc(func(dst, src []byte) {
 	for i := range dst {
 		dst[i] &= src[i]
@@ -82,52 +80,25 @@ var BOr Op = opFunc(func(dst, src []byte) {
 	}
 })
 
+// The fixed-width pack and unpack helpers are elems.go's one copy under
+// their long-standing names.
+
 // F64Bytes packs a float64 slice into a little-endian payload.
-func F64Bytes(xs []float64) []byte {
-	out := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
-	}
-	return out
-}
+func F64Bytes(xs []float64) []byte { return Packed(xs) }
 
-// BytesF64 unpacks a little-endian payload into a float64 slice.
-func BytesF64(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
+// BytesF64 unpacks a little-endian payload into a float64 slice. It panics
+// if len(b) is not a multiple of 8.
+func BytesF64(b []byte) []float64 { return Unpacked[float64](b) }
 
-// BytesF64Into unpacks into dst, which must have length len(b)/8.
-func BytesF64Into(dst []float64, b []byte) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-}
+// BytesF64Into unpacks into dst; b must hold exactly len(dst) elements.
+func BytesF64Into(dst []float64, b []byte) { unpack(dst, b) }
 
 // F64BytesInto packs xs into dst, which must have length 8*len(xs).
-func F64BytesInto(dst []byte, xs []float64) {
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(x))
-	}
-}
+func F64BytesInto(dst []byte, xs []float64) { wireCopy(dst[:8*len(xs)], view(xs), 8) }
 
 // I64Bytes packs an int64 slice into a little-endian payload.
-func I64Bytes(xs []int64) []byte {
-	out := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(out[8*i:], uint64(x))
-	}
-	return out
-}
+func I64Bytes(xs []int64) []byte { return Packed(xs) }
 
-// BytesI64 unpacks a little-endian payload into an int64 slice.
-func BytesI64(b []byte) []int64 {
-	out := make([]int64, len(b)/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
+// BytesI64 unpacks a little-endian payload into an int64 slice. It panics
+// if len(b) is not a multiple of 8.
+func BytesI64(b []byte) []int64 { return Unpacked[int64](b) }

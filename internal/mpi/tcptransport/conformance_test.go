@@ -11,6 +11,7 @@ package tcptransport_test
 
 import (
 	"encoding/binary"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -330,6 +331,42 @@ func TestTCPSendHdrHeaderSurvivesWire(t *testing.T) {
 	}
 	if seqOf(t, got) != 77 {
 		t.Fatalf("payload seq %d, want 77", seqOf(t, got))
+	}
+}
+
+// TestTCPCollectiveWordSurvivesWire: a collective's control word travels in
+// the header slot of its own internal messages, so over sockets it is the
+// frame codec that carries it. Three ranks take the gather-and-broadcast
+// path, four the butterfly; every rank must get back every rank's bit.
+func TestTCPCollectiveWordSurvivesWire(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{3, 4} {
+		cl := buildTCP(t, n)
+		got := make([]uint32, n)
+		sums := make([]float64, n)
+		var wg sync.WaitGroup
+		for r := 0; r < n; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				c := cl.world(r).Comm(r)
+				in := mpi.F64Bytes([]float64{float64(r + 1)})
+				out := make([]byte, len(in))
+				got[r] = c.AllreduceInto(out, in, mpi.SumF64, 1<<uint(8*r))
+				sums[r] = mpi.BytesF64(out)[0]
+			}(r)
+		}
+		wg.Wait()
+		cl.close()
+		var want uint32
+		for r := 0; r < n; r++ {
+			want |= 1 << uint(8*r)
+		}
+		for r := 0; r < n; r++ {
+			if got[r] != want || sums[r] != float64(n*(n+1)/2) {
+				t.Fatalf("%d ranks over TCP: rank %d got word %#x and sum %v, want %#x and %d", n, r, got[r], sums[r], want, n*(n+1)/2)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -49,4 +50,38 @@ func TestDecodeMessageRejectsTornFrames(t *testing.T) {
 	if _, err := DecodeMessage(append(append([]byte(nil), enc...), 0xFF)); err == nil {
 		t.Fatal("decoding frame with trailing garbage succeeded, want error")
 	}
+}
+
+// FuzzDecodeMessage: the frame decoder every cross-process transport feeds
+// from a socket never panics on arbitrary bytes and never allocates out of
+// proportion to them (the length field cannot make it), and what it accepts
+// survives a re-encode — Header included, which on a collective's tag
+// carries the protocol's control word. The seeds are the checked-in corpus
+// (testdata/fuzz/FuzzDecodeMessage): the empty frame, a short header, a
+// length field claiming 2 GiB, a maximal header word, a collective's frame.
+func FuzzDecodeMessage(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) > 64<<10 {
+			t.Skip()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := DecodeMessage(raw)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("allocated %d bytes decoding %d", grew, len(raw))
+		}
+		if err != nil {
+			return
+		}
+		enc := AppendMessage(nil, m)
+		if !bytes.Equal(enc, raw) {
+			t.Fatalf("re-encoded frame differs: %x, decoded from %x", enc, raw)
+		}
+		again, err := DecodeMessage(enc)
+		if err != nil || again.Source != m.Source || again.Tag != m.Tag || again.Header != m.Header ||
+			again.ctx != m.ctx || !bytes.Equal(again.Data, m.Data) {
+			t.Fatalf("round trip: %+v (%v), want %+v", again, err, m)
+		}
+	})
 }

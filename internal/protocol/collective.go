@@ -8,74 +8,136 @@ import (
 
 // Collective communication handling (Section 4.5).
 //
-// Every data collective is preceded by a one-byte-per-rank control
-// allgather carrying each participant's (epoch color, amLogging) — the
-// "command" collective that the paper's Neurosys measurements surface as
-// overhead on tiny problem sizes. A logging participant logs the data
-// result unless some participant in the *same (new) epoch* has already
-// stopped logging, in which case it stops logging first and does not log
-// the result (the Figure 5 call-B rule). Participants still in the old
-// epoch (Figure 5 call A) do not prevent logging: on recovery they will not
-// re-execute the call, and the post-checkpoint participants will read their
-// logged results instead of re-executing it.
+// The paper precedes every data collective with a control collective that
+// tells each participant the others' (epoch color, amLogging). Here that
+// information is a presence set — one bit per control state, "somebody in
+// this call is in that state" — and one function, applyControl, applies the
+// rules to it. A logging participant logs the data result unless some
+// participant in the *same (new) epoch* has already stopped logging, in
+// which case it stops logging first and does not log the result (the
+// Figure 5 call-B rule). Participants still in the old epoch (Figure 5
+// call A) do not prevent logging: on recovery they will not re-execute the
+// call, and the post-checkpoint participants will read their logged results
+// instead of re-executing it. A non-logging participant that sees a logging
+// one of the other color notes the checkpoint it has yet to take. A
+// logging participant's state also says whether it has reported
+// readyToStopLogging: a call whose every participant is logging and ready
+// has shown all of them what the initiator is still counting messages to
+// learn, and they stop logging there.
 //
-// MPI_Barrier gets special treatment: converting a barrier into a no-op on
-// recovery would break its synchronization semantics, so all participants
-// must execute it in the same epoch. The control exchange detects epoch
-// disagreement and forces laggards to take their (pending) checkpoint
-// before the barrier proper.
+// How the set reaches a participant depends on the collective. Allreduce,
+// Allgather, Alltoall, Reducescatter and Barrier bring something from
+// every participant to every participant, so each contributes its bit as
+// the word mpi carries on the collective's own messages and the rules are
+// applied when the data call returns: no extra round. Bcast, Reduce,
+// Gather, Scatter and Scan keep an explicit exchange (a one-byte allgather)
+// before the data call, because agreement is the constraint: a participant
+// that logs a call skips it on recovery, one that did not re-executes it,
+// and in a rooted pattern a leaf never hears the root — it would log what
+// the root re-executes and the root would wait for its contribution forever.
+//
+// MPI_Barrier gets special treatment in the paper: converting a barrier
+// into a no-op on recovery would break its synchronization semantics, so
+// all participants must execute it in the same epoch. AlignedBarrier
+// implements that; it needs the verdict before the barrier proper, so it
+// too runs the explicit exchange.
 
 const (
 	ctlColorBit   = 1 << 0
 	ctlLoggingBit = 1 << 1
+	ctlReadyBit   = 1 << 2 // logging, and has reported readyToStopLogging
+	ctlStateMask  = ctlColorBit | ctlLoggingBit | ctlReadyBit
 )
 
-func (l *Layer) ctlByte() byte {
-	var b byte
+// ctlState numbers this participant's control state: its epoch color,
+// amLogging and, while logging, whether it has reported ready.
+func (l *Layer) ctlState() uint32 {
+	var s uint32
 	if l.color() {
-		b |= ctlColorBit
+		s |= ctlColorBit
 	}
 	if l.amLogging {
-		b |= ctlLoggingBit
+		s |= ctlLoggingBit
+		if l.readySent {
+			s |= ctlReadyBit
+		}
 	}
-	return b
+	return s
 }
 
-// collectiveControl performs the control allgather and applies the logging
-// rules. It reports whether this rank, being in the old epoch of an
-// ongoing checkpoint, must take its local checkpoint (used by Barrier).
-func (l *Layer) collectiveControl() (laggard bool) {
-	flags := l.comm.Allgather([]byte{l.ctlByte()})
+// exchangeControl is the explicit control collective: it returns the
+// presence set of this call's participants.
+func (l *Layer) exchangeControl() (seen uint32) {
+	states := l.comm.Allgather([]byte{byte(l.ctlState())})
 	l.Stats.ControlCollectives++
-	myColor := l.color()
-	for _, f := range flags {
-		color := f&ctlColorBit != 0
-		logging := f&ctlLoggingBit != 0
-		if l.amLogging && color == myColor && !logging {
-			// Same (new) epoch, logging already stopped: its contribution
-			// to the data call may depend on unlogged non-determinism.
+	for _, s := range states {
+		seen |= 1 << (s & ctlStateMask)
+	}
+	return seen
+}
+
+// applyControl applies the logging rules to the presence set of a
+// collective's participants, however it was obtained. It reports whether
+// this rank, being in the old epoch of an ongoing checkpoint, must take
+// its local checkpoint (used by AlignedBarrier).
+func (l *Layer) applyControl(seen uint32) (laggard bool) {
+	mine := l.ctlState() & ctlColorBit
+	if l.amLogging {
+		// Same (new) epoch, logging already stopped: its contribution to
+		// the data call may depend on unlogged non-determinism.
+		stopped := seen&(1<<mine) != 0
+		// Every participant — a Layer collective runs on the world
+		// communicator, so every process — is logging in this epoch and has
+		// reported ready: exactly what the initiator is counting messages
+		// to learn before it tells everyone to stop, learnt here by all at
+		// once. (The messages lag a program of back-to-back collectives,
+		// which services control only between them, by a call or two — and
+		// every call of the lag is a result in every participant's log.)
+		allReady := seen == 1<<(mine|ctlLoggingBit|ctlReadyBit)
+		if stopped || allReady {
 			l.finalizeLog()
 		}
-		if !l.amLogging && color != myColor && logging {
-			// A participant is logging in a different epoch: it is in the
-			// new epoch of an ongoing checkpoint and we have not taken
-			// ours yet. Note the pending request (the pleaseCheckpoint
-			// control message may still be in flight) …
-			if l.requestedEpoch <= l.epoch {
-				l.checkpointRequested = true
-				l.requestedEpoch = l.epoch + 1
-			}
-			laggard = true
+	}
+	otherLogging := mine ^ ctlColorBit | ctlLoggingBit
+	if !l.amLogging && seen&(1<<otherLogging|1<<(otherLogging|ctlReadyBit)) != 0 {
+		// A participant is logging in a different epoch: it is in the new
+		// epoch of an ongoing checkpoint and we have not taken ours yet.
+		// Note the pending request (the pleaseCheckpoint control message
+		// may still be in flight) …
+		if l.requestedEpoch <= l.epoch {
+			l.checkpointRequested = true
+			l.requestedEpoch = l.epoch + 1
 		}
+		laggard = true
 	}
 	return laggard
 }
 
-// collectiveEntry is the shared prologue of data collectives: consult the
-// recovery replay, otherwise run the control exchange. When it returns
-// (nil, false), the caller must execute the data call and pass the result
-// to collectiveExit.
-func (l *Layer) collectiveEntry() (logged []byte, replayed bool) {
+// collShape is what the protocol needs to know of a collective.
+type collShape uint8
+
+const (
+	// rides: the message pattern brings every participant's word to every
+	// participant, so the control information rides on the data call.
+	rides collShape = 1 << iota
+	// rooted: the non-root result is nil, which must survive the log round
+	// trip as nil.
+	rooted
+)
+
+// collective runs one data collective under the protocol: the op count, the
+// inactive fast path, the recovery replay, the control information (riding
+// on the call, or exchanged before it), the call itself and the logging of
+// its result. call executes the collective with this rank's control word
+// and returns its result and the words it brought back; when the caller
+// provided the result buffer, dst is that buffer and a replayed result is
+// copied into it.
+func (l *Layer) collective(shape collShape, dst []byte, call func(word uint32) ([]byte, uint32)) []byte {
+	l.enterOp()
+	if !l.active() {
+		res, _ := call(0)
+		return res
+	}
 	seq := l.collSeq
 	l.collSeq++
 	if l.replay != nil {
@@ -84,91 +146,135 @@ func (l *Layer) collectiveEntry() (logged []byte, replayed bool) {
 			// participants may not re-execute it at all, so the result
 			// comes from the log (Section 4.5).
 			l.Stats.ReplayedResults++
-			return e.Data, true
+			res := e.Data
+			if shape&rooted != 0 {
+				res = unwrapMaybe(res)
+			}
+			if dst == nil {
+				return res
+			}
+			if len(res) != len(dst) {
+				panic(fmt.Sprintf("protocol: rank %d: collective %d: logged result of %d bytes replayed into %d", l.rank, seq, len(res), len(dst)))
+			}
+			copy(dst, res)
+			return dst
 		}
 	}
-	l.collectiveControl()
-	return nil, false
-}
-
-func (l *Layer) collectiveExit(seq int64, result []byte) {
-	l.trace(TraceCollective, -1, 0, uint32(seq), len(result))
-	if l.amLogging {
-		cp := make([]byte, len(result))
-		copy(cp, result)
-		l.log.Add(Entry{Kind: KindCollective, Seq: seq, Data: cp})
-	}
-}
-
-// collective runs one data collective under the protocol: the op count, the
-// inactive fast path, the recovery replay or control exchange, the call
-// itself, and the logging of its result. rooted marks collectives whose
-// non-root result is nil, which must survive the log round trip as nil.
-func (l *Layer) collective(rooted bool, call func() []byte) []byte {
-	l.enterOp()
-	if !l.active() {
-		return call()
-	}
-	seq := l.collSeq
-	if res, ok := l.collectiveEntry(); ok {
-		if rooted {
-			return unwrapMaybe(res)
-		}
-		return res
-	}
-	res := call()
-	if rooted {
-		l.collectiveExit(seq, wrapMaybe(res))
+	var res []byte
+	if shape&rides != 0 {
+		var seen uint32
+		res, seen = call(1 << l.ctlState())
+		l.applyControl(seen)
 	} else {
-		l.collectiveExit(seq, res)
+		l.applyControl(l.exchangeControl())
+		res, _ = call(0)
+	}
+	l.trace(TraceCollective, -1, 0, uint32(seq), len(res))
+	if l.amLogging {
+		var cp []byte
+		if shape&rooted != 0 {
+			cp = wrapMaybe(res)
+		} else {
+			cp = make([]byte, len(res))
+			copy(cp, res)
+		}
+		l.log.Add(Entry{Kind: KindCollective, Seq: seq, Data: cp})
 	}
 	return res
 }
 
 // Allreduce combines data across all ranks with op, protocol-managed.
 func (l *Layer) Allreduce(data []byte, op mpi.Op) []byte {
-	return l.collective(false, func() []byte { return l.comm.Allreduce(data, op) })
+	out := make([]byte, len(data))
+	l.AllreduceInto(out, data, op)
+	return out
+}
+
+// AllreduceInto is Allreduce into dst (len(data) bytes).
+func (l *Layer) AllreduceInto(dst, data []byte, op mpi.Op) {
+	l.collective(rides, dst, func(word uint32) ([]byte, uint32) {
+		return dst, l.comm.AllreduceInto(dst, data, op, word)
+	})
 }
 
 // Allgather concatenates equal-sized payloads from all ranks.
 func (l *Layer) Allgather(data []byte) []byte {
-	return l.collective(false, func() []byte { return l.comm.Allgather(data) })
+	out := make([]byte, len(data)*l.size)
+	l.AllgatherInto(out, data)
+	return out
+}
+
+// AllgatherInto is Allgather into dst (Size()·len(data) bytes).
+func (l *Layer) AllgatherInto(dst, data []byte) {
+	l.collective(rides, dst, func(word uint32) ([]byte, uint32) {
+		return dst, l.comm.AllgatherInto(dst, data, word)
+	})
 }
 
 // Bcast distributes root's payload to all ranks.
 func (l *Layer) Bcast(root int, data []byte) []byte {
-	return l.collective(false, func() []byte { return l.comm.Bcast(root, data) })
+	return l.collective(0, nil, func(uint32) ([]byte, uint32) { return l.comm.Bcast(root, data), 0 })
 }
 
 // Reduce combines payloads at root; non-roots receive nil.
 func (l *Layer) Reduce(root int, data []byte, op mpi.Op) []byte {
-	return l.collective(true, func() []byte { return l.comm.Reduce(root, data, op) })
+	return l.collective(rooted, nil, func(uint32) ([]byte, uint32) { return l.comm.Reduce(root, data, op), 0 })
 }
 
 // Gather concatenates payloads at root; non-roots receive nil.
 func (l *Layer) Gather(root int, data []byte) []byte {
-	return l.collective(true, func() []byte { return l.comm.Gather(root, data) })
+	var out []byte
+	if l.rank == root {
+		out = make([]byte, len(data)*l.size)
+	}
+	l.GatherInto(root, out, data)
+	return out
+}
+
+// GatherInto is Gather into root's dst (Size()·len(data) bytes; nil on the
+// other ranks).
+func (l *Layer) GatherInto(root int, dst, data []byte) {
+	l.collective(rooted, dst, func(uint32) ([]byte, uint32) {
+		l.comm.GatherInto(root, dst, data)
+		return dst, 0
+	})
 }
 
 // Scatter distributes root's payload in equal blocks.
 func (l *Layer) Scatter(root int, data []byte) []byte {
-	return l.collective(false, func() []byte { return l.comm.Scatter(root, data) })
+	return l.collective(0, nil, func(uint32) ([]byte, uint32) { return l.comm.Scatter(root, data), 0 })
 }
 
 // Alltoall exchanges equal-sized blocks between all ranks.
 func (l *Layer) Alltoall(data []byte) []byte {
-	return l.collective(false, func() []byte { return l.comm.Alltoall(data) })
+	out := make([]byte, len(data))
+	return l.collective(rides, out, func(word uint32) ([]byte, uint32) {
+		return out, l.comm.AlltoallInto(out, data, word)
+	})
 }
 
 // Scan computes the inclusive prefix reduction, protocol-managed.
 func (l *Layer) Scan(data []byte, op mpi.Op) []byte {
-	return l.collective(false, func() []byte { return l.comm.Scan(data, op) })
+	out := make([]byte, len(data))
+	l.ScanInto(out, data, op)
+	return out
+}
+
+// ScanInto is Scan into dst (len(data) bytes).
+func (l *Layer) ScanInto(dst, data []byte, op mpi.Op) {
+	l.collective(0, dst, func(uint32) ([]byte, uint32) {
+		l.comm.ScanInto(dst, data, op)
+		return dst, 0
+	})
 }
 
 // Reducescatter combines per-rank blocks and scatters the result,
 // protocol-managed.
 func (l *Layer) Reducescatter(data []byte, op mpi.Op) []byte {
-	return l.collective(false, func() []byte { return l.comm.Reducescatter(data, op) })
+	out := make([]byte, len(data)/l.size)
+	return l.collective(rides, out, func(word uint32) ([]byte, uint32) {
+		return out, l.comm.ReducescatterInto(out, data, op, word)
+	})
 }
 
 // Barrier synchronizes all ranks. It is treated as a loggable collective:
@@ -186,7 +292,7 @@ func (l *Layer) Reducescatter(data []byte, op mpi.Op) []byte {
 // checkpoint happens at the barrier site rather than at a loop-top
 // PotentialCheckpoint.
 func (l *Layer) Barrier() {
-	l.collective(false, func() []byte { l.comm.Barrier(); return nil })
+	l.collective(rides, nil, func(word uint32) ([]byte, uint32) { return nil, l.comm.BarrierWord(word) })
 }
 
 // AlignedBarrier is the paper's MPI_Barrier treatment (Section 4.5): the
@@ -203,7 +309,7 @@ func (l *Layer) AlignedBarrier() {
 		return
 	}
 	l.collSeq++ // consumes a collective slot; never logged
-	if laggard := l.collectiveControl(); laggard {
+	if laggard := l.applyControl(l.exchangeControl()); laggard {
 		if l.cfg.Debug && l.replay != nil && !l.replay.Exhausted() {
 			panic(fmt.Sprintf("protocol: rank %d: barrier-forced checkpoint while replay pending", l.rank))
 		}

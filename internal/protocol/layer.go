@@ -21,8 +21,8 @@ type Mode int
 const (
 	// Unmodified bypasses the protocol layer entirely (version 1).
 	Unmodified Mode = iota
-	// PiggybackOnly attaches piggybacks and control collectives but never
-	// takes checkpoints (version 2).
+	// PiggybackOnly attaches piggybacks and the collectives' control
+	// information but never takes checkpoints (version 2).
 	PiggybackOnly
 	// NoAppState runs the full protocol — logs, MPI library state, control
 	// traffic — but skips serializing application state (version 3).
@@ -164,6 +164,9 @@ type Config struct {
 // Stats counts protocol activity for the evaluation harness. The json
 // tags are the stable wire names of the cross-process stats stream (see
 // stats.go); add fields freely, but never rename or reuse a tag.
+// ControlCollectives counts explicit control exchanges — one per rooted
+// collective (Bcast, Reduce, Gather, Scatter, Scan) and AlignedBarrier; the
+// symmetric collectives carry their control word on their own messages.
 type Stats struct {
 	MessagesSent       int64 `json:"messages_sent"`
 	BytesSent          int64 `json:"bytes_sent"`
@@ -231,6 +234,7 @@ type Layer struct {
 	// Protocol variables of Figure 4.
 	epoch                int
 	amLogging            bool
+	readySent            bool // logging, and readyToStopLogging sent for this epoch
 	nextMessageID        uint32
 	checkpointRequested  bool
 	requestedEpoch       int
@@ -587,6 +591,7 @@ func (l *Layer) receivedAll() {
 		}
 	}
 	l.sendCtl(0, tagReadyToStop, uint64(l.epoch))
+	l.readySent = true
 	for p := range l.totalSent {
 		l.totalSent[p] = -1
 	}
@@ -677,6 +682,7 @@ func (l *Layer) takeCheckpoint() {
 	}
 	l.checkpointRequested = false
 	l.amLogging = true
+	l.readySent = false
 	l.nextMessageID = 0
 	l.recvSeq = 0
 	l.collSeq = 0

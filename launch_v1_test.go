@@ -108,7 +108,9 @@ func failProg() ccift.Program {
 // staleProg keeps rewriting a registered slice without ever calling Touch
 // — the write-intent bug the freeze cross-check exists to catch. It runs
 // long enough for a second checkpoint to freeze the stale view on either
-// substrate (the first freeze copies everything), then ends on its own.
+// substrate (the first freeze copies everything; an iteration is one
+// barrier of a few microseconds in-process, and the second checkpoint waits
+// for the first one's flush task to get a core), then ends on its own.
 func staleProg() ccift.Program {
 	return func(r *ccift.Rank) (any, error) {
 		it := ccift.Reg[int](r, "it")
@@ -116,7 +118,7 @@ func staleProg() ccift.Program {
 		if !r.Restarting() {
 			*x = make([]float64, confWidth)
 		}
-		for ; *it < 2000; *it++ {
+		for ; *it < 20000; *it++ {
 			r.PotentialCheckpoint()
 			(*x)[0]++ // no r.Touch("x")
 			r.Barrier()

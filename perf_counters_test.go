@@ -1,21 +1,28 @@
 package ccift_test
 
-// The two performance gates that are counters, not timings: store reads
-// per recovery as the world grows, and bytes copied per checkpoint at a
-// fixed dirty fraction. Both are functions of the code and the scenario,
+// The performance gates that are counters, not timings: store reads per
+// recovery as the world grows, bytes copied per checkpoint at a fixed dirty
+// fraction, and what a collective costs — its rounds and sends in virtual
+// time, its allocations. All are functions of the code and the scenario,
 // not of the machine, so they are ordinary tests with absolute bounds.
 // Everything that is a timing is bench/'s business.
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ccift"
 	"ccift/internal/engine"
+	"ccift/internal/mpi"
 	"ccift/internal/protocol"
+	"ccift/internal/sim"
 	"ccift/internal/storage"
 )
 
@@ -200,5 +207,184 @@ func TestIncrementalCopyVolumeAtTenPercentDirty(t *testing.T) {
 				t.Fatalf("an incremental freeze copied %d B per checkpoint at 10%% dirty, want between %d and %d (full: %d)", copied[false], lo, hi, copied[true])
 			}
 		})
+	}
+}
+
+// simulatedCost runs prog on a fresh simulated cluster with one millisecond
+// per hop and nothing else in the schedule, and returns what the run cost
+// the substrate: virtual time and frames delivered. Both are functions of
+// the program and the mode.
+func simulatedCost(t *testing.T, ranks int, mode protocol.Mode, prog engine.Program) (time.Duration, int64) {
+	t.Helper()
+	s, err := sim.New(ranks, sim.Scenario{Seed: 1, Latency: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	_, err = engine.Run(engine.Config{
+		Ranks: ranks, Mode: mode,
+		NewTransport: s.NewTransport, Clock: s.DetectorClock(), RankClock: s.RankClock,
+		Store: s.WrapStore(storage.NewMemory()),
+	}, prog)
+	if err != nil {
+		t.Fatalf("%d ranks, %v: %v", ranks, mode, err)
+	}
+	return s.Elapsed(), s.Stats().Delivered
+}
+
+// TestCollectiveCostsItsOwnRounds: under the protocol a symmetric collective
+// takes the rounds and the sends the unmodified program takes — its control
+// word rides on its own messages — and a rooted one takes exactly one
+// allgather more, the explicit control exchange. No checkpoint is ever
+// requested, so nothing else is on the wire.
+func TestCollectiveCostsItsOwnRounds(t *testing.T) {
+	const calls = 5
+	xs := []float64{1, 2, 3, 4}
+	repeat := func(call func(r *engine.Rank)) engine.Program {
+		return func(r *engine.Rank) (any, error) {
+			for i := 0; i < calls; i++ {
+				call(r)
+			}
+			return nil, nil
+		}
+	}
+	allreduce := repeat(func(r *engine.Rank) { r.AllreduceF64(xs, mpi.SumF64) })
+	allgather := repeat(func(r *engine.Rank) { r.AllgatherF64(xs) })
+	gather := repeat(func(r *engine.Rank) { r.GatherF64(0, xs) })
+	exchangeThenGather := repeat(func(r *engine.Rank) {
+		r.Allgather([]byte{0})
+		r.GatherF64(0, xs)
+	})
+	for _, ranks := range []int{2, 8, 64} {
+		for name, prog := range map[string]engine.Program{"Allreduce": allreduce, "Allgather": allgather} {
+			baseT, baseN := simulatedCost(t, ranks, protocol.Unmodified, prog)
+			fullT, fullN := simulatedCost(t, ranks, protocol.Full, prog)
+			if fullT != baseT || fullN != baseN {
+				t.Fatalf("%s × %d at %d ranks: %v and %d sends in Full mode, %v and %d unmodified — a symmetric collective must cost no extra round",
+					name, calls, ranks, fullT, fullN, baseT, baseN)
+			}
+		}
+		plainT, plainN := simulatedCost(t, ranks, protocol.Unmodified, gather)
+		wantT, wantN := simulatedCost(t, ranks, protocol.Unmodified, exchangeThenGather)
+		fullT, fullN := simulatedCost(t, ranks, protocol.Full, gather)
+		if fullT != wantT || fullN != wantN || fullN <= plainN {
+			t.Fatalf("Gather × %d at %d ranks: %v and %d sends in Full mode, want those of a one-byte allgather plus the gather (%v, %d; the gather alone: %v, %d)",
+				calls, ranks, fullT, fullN, wantT, wantN, plainT, plainN)
+		}
+	}
+}
+
+// TestFloatCollectiveAllocations: a float collective allocates its typed
+// result, and each message it sends costs the substrate's defensive copy
+// and the message header — nothing to pack into, nothing to unpack from,
+// and under the protocol no control exchange beside it. At 2 ranks (one
+// exchange) that is 3 allocations per call per rank; AllocsPerRun counts
+// the whole process, so a run — one call on each of the two ranks — is 6.
+// (The parent measured 10 here, five per call, and 16 in Full mode.)
+func TestFloatCollectiveAllocations(t *testing.T) {
+	const runs = 200
+	xs := make([]float64, 512)
+	calls := map[string]func(r *engine.Rank){
+		"AllgatherF64": func(r *engine.Rank) { r.AllgatherF64(xs) },
+		"AllreduceF64": func(r *engine.Rank) { r.AllreduceF64(xs, mpi.SumF64) },
+	}
+	for _, mode := range []protocol.Mode{protocol.Unmodified, protocol.Full} {
+		for name, call := range calls {
+			var perRun float64
+			_, err := engine.Run(engine.Config{Ranks: 2, Mode: mode}, func(r *engine.Rank) (any, error) {
+				if r.Rank() == 0 {
+					perRun = testing.AllocsPerRun(runs, func() { call(r) })
+				} else {
+					for i := 0; i < runs+1; i++ { // AllocsPerRun warms up with one extra call
+						call(r)
+					}
+				}
+				return nil, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if perRun > 6 {
+				t.Fatalf("%s, %v: %.0f allocations per call pair at 2 ranks, want at most 6 (result, send copy and message on each rank)", name, mode, perRun)
+			}
+		}
+	}
+}
+
+// TestReductionOperatorsMatchPerElementReference: the operators' typed loops
+// agree bit for bit with the per-element implementation they replaced — one
+// closure call per lane over encoding/binary — on vectors that include NaN,
+// ±0 and ±Inf. math.Max / math.Min semantics are the contract (Max(NaN,
+// +Inf) is +Inf, Max(-0, +0) is +0), not those of the max and min builtins.
+func TestReductionOperatorsMatchPerElementReference(t *testing.T) {
+	refF64 := func(f func(a, b float64) float64) func(dst, src []byte) {
+		return func(dst, src []byte) {
+			for i := 0; i+8 <= len(dst); i += 8 {
+				a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
+				b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
+				binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(f(a, b)))
+			}
+		}
+	}
+	refI64 := func(f func(a, b int64) int64) func(dst, src []byte) {
+		return func(dst, src []byte) {
+			for i := 0; i+8 <= len(dst); i += 8 {
+				a := int64(binary.LittleEndian.Uint64(dst[i:]))
+				b := int64(binary.LittleEndian.Uint64(src[i:]))
+				binary.LittleEndian.PutUint64(dst[i:], uint64(f(a, b)))
+			}
+		}
+	}
+	ops := []struct {
+		name string
+		op   mpi.Op
+		ref  func(dst, src []byte)
+	}{
+		{"SumF64", mpi.SumF64, refF64(func(a, b float64) float64 { return a + b })},
+		{"MaxF64", mpi.MaxF64, refF64(math.Max)},
+		{"MinF64", mpi.MinF64, refF64(math.Min)},
+		{"SumI64", mpi.SumI64, refI64(func(a, b int64) int64 { return a + b })},
+		{"MinI64", mpi.MinI64, refI64(func(a, b int64) int64 {
+			if b < a {
+				return b
+			}
+			return a
+		})},
+		{"MaxI64", mpi.MaxI64, refI64(func(a, b int64) int64 {
+			if b > a {
+				return b
+			}
+			return a
+		})},
+	}
+	special := []uint64{
+		math.Float64bits(math.NaN()), 0x7FF8000000000001, 0xFFF0000000000001, // NaNs, one signalling
+		math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)),
+		0, 1 << 63, // +0, -0
+		1, math.MaxUint64, 1 << 62, // denormal; as integers: -1 and a sum that overflows
+	}
+	rng := rand.New(rand.NewSource(25))
+	lane := func() uint64 {
+		if rng.Intn(3) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.Uint64()
+	}
+	for _, o := range ops {
+		for trial := 0; trial < 200; trial++ {
+			// Trailing bytes short of a lane are left alone by both.
+			n := 8*rng.Intn(40) + rng.Intn(2)*3
+			dst, src := make([]byte, n), make([]byte, n)
+			for i := 0; i+8 <= n; i += 8 {
+				binary.LittleEndian.PutUint64(dst[i:], lane())
+				binary.LittleEndian.PutUint64(src[i:], lane())
+			}
+			want := append([]byte(nil), dst...)
+			o.ref(want, src)
+			o.op.Combine(dst, src)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("%s, trial %d: %x, the per-element reference gives %x", o.name, trial, dst, want)
+			}
+		}
 	}
 }

@@ -1,21 +1,18 @@
 package ccift
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-
-	"ccift/internal/mpi"
-)
+import "ccift/internal/mpi"
 
 // Typed messaging and state. These generic front ends subsume the
 // SendF64/RecvF64 method pairs: one function per direction for every
-// fixed-width element type, and — on the send side — one payload copy
-// instead of two. SendF64 packs into a wire buffer (copy one) and the
-// substrate defensively copies again (copy two); Send encodes into a fresh
-// buffer and hands its ownership to the substrate, so the encode is the
-// only copy. The wire format is the same little-endian packing F64Bytes
-// produces, so typed and untyped ranks interoperate.
+// fixed-width element type, and a payload is copied once. The wire format
+// is the elements packed little-endian — on a little-endian host, the
+// vector's own memory — so Send encodes into a fresh buffer and hands its
+// ownership to the substrate (the encode is the only copy), Recv decodes
+// with one copy into the typed result, and a collective allocates its
+// result once, with its element type, has the substrate fill that memory
+// and sends the caller's vector from its own: the substrate's defensive
+// send copy is the contribution's only copy. Typed and untyped ranks
+// interoperate: F64Bytes produces the same bytes.
 
 // Element enumerates the fixed-width element types the typed messaging
 // front end can put on the wire.
@@ -25,14 +22,14 @@ type Element interface {
 
 // Send sends a vector of fixed-width elements to dst with the given tag.
 func Send[T Element](r *Rank, dst, tag int, xs []T) {
-	r.SendOwned(dst, tag, packElems(xs))
+	r.SendOwned(dst, tag, mpi.Packed(xs))
 }
 
 // Recv receives a vector of fixed-width elements matching (src, tag); src
-// may be AnySource and tag AnyTag. It panics if the payload length is not
-// a multiple of the element size — i.e. the sender used a different type.
+// may be AnySource and tag AnyTag. It panics if the payload is not a whole
+// number of elements — i.e. the sender used a different type.
 func Recv[T Element](r *Rank, src, tag int) []T {
-	return unpackElems[T](r.Recv(src, tag).Data)
+	return mpi.Unpacked[T](r.Recv(src, tag).Data)
 }
 
 // Element64 is the subset of Element the built-in reduction operators can
@@ -46,7 +43,7 @@ type Element64 interface {
 // restricted to 8-byte elements because the built-in Ops combine 8-byte
 // lanes (SumF64, MaxI64, ...).
 func Allreduce[T Element64](r *Rank, xs []T, op Op) []T {
-	return unpackElems[T](r.Allreduce(packElems[T](xs), op))
+	return mpi.Filled[T](len(xs), func(w []byte) { r.AllreduceInto(w, mpi.Wire(xs), op) })
 }
 
 // Reg registers a new zero-valued variable of type T under name and
@@ -59,117 +56,4 @@ func Reg[T any](r *Rank, name string) *T {
 	p := new(T)
 	r.Register(name, p)
 	return p
-}
-
-// elemSize reports the wire size of one element of type T.
-func elemSize[T Element]() int {
-	var z T
-	switch any(z).(type) {
-	case byte:
-		return 1
-	case int16, uint16:
-		return 2
-	case int32, uint32, float32:
-		return 4
-	default:
-		return 8
-	}
-}
-
-// packElems encodes xs into a fresh little-endian wire buffer.
-func packElems[T Element](xs []T) []byte {
-	switch v := any(xs).(type) {
-	case []byte:
-		out := make([]byte, len(v))
-		copy(out, v)
-		return out
-	case []float64:
-		return mpi.F64Bytes(v)
-	case []int64:
-		return mpi.I64Bytes(v)
-	case []uint64:
-		out := make([]byte, 8*len(v))
-		for i, x := range v {
-			binary.LittleEndian.PutUint64(out[8*i:], x)
-		}
-		return out
-	case []float32:
-		out := make([]byte, 4*len(v))
-		for i, x := range v {
-			binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(x))
-		}
-		return out
-	case []int32:
-		out := make([]byte, 4*len(v))
-		for i, x := range v {
-			binary.LittleEndian.PutUint32(out[4*i:], uint32(x))
-		}
-		return out
-	case []uint32:
-		out := make([]byte, 4*len(v))
-		for i, x := range v {
-			binary.LittleEndian.PutUint32(out[4*i:], x)
-		}
-		return out
-	case []int16:
-		out := make([]byte, 2*len(v))
-		for i, x := range v {
-			binary.LittleEndian.PutUint16(out[2*i:], uint16(x))
-		}
-		return out
-	case []uint16:
-		out := make([]byte, 2*len(v))
-		for i, x := range v {
-			binary.LittleEndian.PutUint16(out[2*i:], x)
-		}
-		return out
-	}
-	panic("ccift: unreachable element type") // Element is exhaustive above
-}
-
-// unpackElems decodes a wire payload into a fresh element vector.
-func unpackElems[T Element](b []byte) []T {
-	size := elemSize[T]()
-	if len(b)%size != 0 {
-		var z T
-		panic(fmt.Sprintf("ccift: typed receive of %T: payload length %d is not a multiple of the element size %d (sender used a different type?)",
-			z, len(b), size))
-	}
-	n := len(b) / size
-	out := make([]T, n)
-	switch v := any(out).(type) {
-	case []byte:
-		copy(v, b)
-	case []float64:
-		mpi.BytesF64Into(v, b)
-	case []int64:
-		for i := range v {
-			v[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-		}
-	case []uint64:
-		for i := range v {
-			v[i] = binary.LittleEndian.Uint64(b[8*i:])
-		}
-	case []float32:
-		for i := range v {
-			v[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-		}
-	case []int32:
-		for i := range v {
-			v[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-		}
-	case []uint32:
-		for i := range v {
-			v[i] = binary.LittleEndian.Uint32(b[4*i:])
-		}
-	case []int16:
-		for i := range v {
-			v[i] = int16(binary.LittleEndian.Uint16(b[2*i:]))
-		}
-	case []uint16:
-		for i := range v {
-			v[i] = binary.LittleEndian.Uint16(b[2*i:])
-		}
-	}
-	return out
 }

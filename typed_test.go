@@ -86,8 +86,8 @@ func TestTypedSizeMismatchPanics(t *testing.T) {
 			ccift.Recv[float64](r, 0, 1)
 			return nil, nil
 		})
-	if err == nil || !strings.Contains(err.Error(), "not a multiple of the element size") {
-		t.Fatalf("err = %v, want the element-size diagnostic", err)
+	if err == nil || !strings.Contains(err.Error(), "payload length mismatch: 3 bytes vs 0 whole float64 elements of 8 bytes") {
+		t.Fatalf("err = %v, want the payload-length diagnostic", err)
 	}
 }
 
