@@ -1,6 +1,11 @@
 package mpi
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
+)
 
 // Message is an application-visible message as delivered by Recv or Wait.
 type Message struct {
@@ -179,6 +184,17 @@ type mailbox struct {
 	// every round trip; a sweep reclaims them once they clearly dominate
 	// (amortized O(1) per message, bounding the map size by live traffic).
 	emptyBuckets int
+
+	// The wait discipline (see wait): wake is bumped by every deliver and
+	// every interrupt, so a receiver spinning outside the lock learns of
+	// either from one load; gate decides, from what this mailbox's own
+	// spins came to, whether the next wait spins at all; parks counts
+	// cond.Wait calls. spinHook, when set, runs once inside each spin's unlocked
+	// window (tests place an event there).
+	wake     atomic.Uint64
+	gate     spinGate
+	parks    uint64
+	spinHook func()
 }
 
 func newMailbox(w *World) *mailbox {
@@ -228,6 +244,16 @@ func (b *mailbox) deliver(m *Message) {
 	if b.indexed > 0 && b.indexed == b.count-1 {
 		b.bucketAppend(n)
 	}
+	b.wake.Add(1)
+	b.cond.Broadcast()
+	b.mu.Unlock()
+}
+
+// interrupt ends every receiver's spin or park so that it re-observes
+// world-death and its stop condition.
+func (b *mailbox) interrupt() {
+	b.wake.Add(1)
+	b.mu.Lock()
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }
@@ -499,35 +525,113 @@ func (b *mailbox) scanMatch(specs []RecvSpec) (int, *Message) {
 	return -1, nil
 }
 
-// await blocks until a message matching one of specs arrives, removing and
-// returning it. It panics with ErrWorldDead if the world is shut down while
-// waiting.
-func (b *mailbox) await(specs []RecvSpec) (int, *Message) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for {
-		b.world.raiseIfHalted()
-		if si, m := b.tryMatch(specs); m != nil {
-			return si, m
-		}
-		b.cond.Wait()
+// spinBudget bounds one spin in wall time: about what a park and its
+// wake-up cost the pair of ranks, the point past which waiting awake can no
+// longer be the cheaper way to wait. Swept on the two lock-step workloads
+// (2 vCPUs): 5 µs recovers almost nothing of what parking costs them, 20 µs
+// about two thirds, 50 µs all of it, 100 µs no more.
+const spinBudget = 50 * time.Microsecond
+
+// A spinGate says whether a wait that found nothing may spin before it
+// parks, from what this mailbox's recent spins came to. It keeps a balance:
+// a spin that ended in a park adds one (up to gateMisses), a spin that
+// spared the park pays one back. At gateMisses the gate is closed and lets
+// only every gateProbe-th wait try again; one such probe that pays off
+// reopens it, and the next miss closes it again. A mailbox fed over a
+// socket, a finished rank waiting for the world to end and an oversubscribed
+// world thereby park as they did before spinning existed, without anyone
+// having to say which they are. Paying back one for one, rather than
+// forgetting every miss at the first hit, is for the mailbox between the
+// two kinds: over TCP about every other probe finds its frame inside the
+// budget, and a gate that took each such hit for a change of regime spent
+// four more budgets finding out — of CPU the sending process wanted.
+type spinGate struct {
+	misses int // spins that ended in a park, less those that did not; 0..gateMisses
+	waits  int // waits let through to the park since the gate closed or last probed
+}
+
+const (
+	gateMisses = 4
+	gateProbe  = 16
+)
+
+// allow reports whether the wait now at its park point may spin first.
+func (g *spinGate) allow() bool {
+	if g.misses < gateMisses {
+		return true
+	}
+	if g.waits++; g.waits < gateProbe {
+		return false
+	}
+	g.waits = 0
+	return true
+}
+
+// record takes the outcome of a spin that allow let through: hit when it
+// spared the wait its park.
+func (g *spinGate) record(hit bool) {
+	switch {
+	case hit && g.misses > 0:
+		g.misses--
+		g.waits = 0
+	case !hit && g.misses < gateMisses:
+		g.misses++
 	}
 }
 
-// awaitCond is await with a cancellation condition: it returns (-1, nil)
-// once stop() reports true, re-evaluating whenever the mailbox is woken.
-func (b *mailbox) awaitCond(specs []RecvSpec, stop func() bool) (int, *Message) {
+// wait blocks until a message matching one of specs arrives, removing and
+// returning it, or — with a stop condition — until stop() reports true, when
+// it returns (-1, nil). It panics with the halt sentinel if the world is
+// canceled or shut down while waiting.
+//
+// It is the one wait discipline. A receive that finds nothing is, in a
+// lock-step program, usually a few microseconds ahead of its sender, and
+// parking costs more than that: a futex wake of an idle P and the
+// scheduler's hand-off delay, on every message. So before its first park the
+// receiver drops the lock and yields for up to spinBudget, watching the
+// wake sequence, then takes the lock again and runs the whole of ready —
+// halt, match, stop — before it may park: whatever happened in the unlocked
+// window (a delivery, an interrupt with stop now true, a shutdown) is seen
+// there, so nothing is lost by having looked away.
+func (b *mailbox) wait(specs []RecvSpec, stop func() bool) (int, *Message) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for {
-		b.world.raiseIfHalted()
-		if si, m := b.tryMatch(specs); m != nil {
-			return si, m
-		}
-		if stop() {
-			return -1, nil
-		}
+	si, m, done := b.ready(specs, stop)
+	if !done && b.gate.allow() {
+		seq := b.wake.Load()
+		b.mu.Unlock()
+		b.spin(seq)
+		b.mu.Lock()
+		si, m, done = b.ready(specs, stop)
+		b.gate.record(done)
+	}
+	for !done {
+		b.parks++
 		b.cond.Wait()
+		si, m, done = b.ready(specs, stop)
+	}
+	return si, m
+}
+
+// ready is what a waiter evaluates, under mu, every time before it parks
+// and after it wakes: the halt panic, then the match, then stop. done means
+// the wait is over, with (-1, nil) when it was stop that ended it.
+func (b *mailbox) ready(specs []RecvSpec, stop func() bool) (si int, m *Message, done bool) {
+	b.world.raiseIfHalted()
+	si, m = b.tryMatch(specs)
+	return si, m, m != nil || stop != nil && stop()
+}
+
+// spin yields until the wake sequence moves on from seq or spinBudget has
+// passed (mu not held). Yielding, not busy-waiting: with one P the sender
+// needs this one to run at all, and a flush task or a socket reader is
+// never kept off it.
+func (b *mailbox) spin(seq uint64) {
+	if b.spinHook != nil {
+		b.spinHook()
+	}
+	for start := time.Now(); b.wake.Load() == seq && time.Since(start) < spinBudget; {
+		runtime.Gosched()
 	}
 }
 

@@ -21,6 +21,12 @@ package mpi
 //   - Blocking calls must panic with ErrWorldDead once the world is shut
 //     down (ErrCanceled once it is canceled), and re-check their condition
 //     whenever Interrupt is called.
+//   - A blocked call need not be asleep: Await and AwaitCond may yield-spin
+//     briefly before they park (the mailbox does, see mailbox.wait), and an
+//     implementation that does owes a spinning receiver what it owes a
+//     parked one — Interrupt ends a spin as it ends a park, and no delivery,
+//     stop condition or halt that lands while the receiver is between the
+//     two is lost.
 type Transport interface {
 	// Send queues m at dst's mailbox. The transport takes ownership of m.
 	Send(dst int, m *Message)
@@ -29,7 +35,8 @@ type Transport interface {
 	Await(rank int, specs []RecvSpec) (int, *Message)
 	// AwaitCond is Await with a cancellation condition: it additionally
 	// returns (-1, nil) once stop() reports true. stop is re-evaluated
-	// under the mailbox lock whenever a message arrives or Interrupt runs.
+	// under the mailbox lock whenever a message arrives or Interrupt runs,
+	// and once more after a spin before the receiver parks.
 	AwaitCond(rank int, specs []RecvSpec, stop func() bool) (int, *Message)
 	// Poll is the non-blocking Await; (-1, nil) when nothing matches.
 	Poll(rank int, specs []RecvSpec) (int, *Message)
@@ -40,9 +47,9 @@ type Transport interface {
 	// restricts the count to application messages (Tag >= 0) on ctx.
 	Pending(rank int) int
 	PendingApp(rank int, ctx int64) int
-	// Interrupt wakes every blocked receiver so AwaitCond conditions and
-	// world-death are re-observed. Shutdown and the engine's completion
-	// signal both route through here.
+	// Interrupt wakes every blocked receiver, spinning or parked, so
+	// AwaitCond conditions and world-death are re-observed. Shutdown and
+	// the engine's completion signal both route through here.
 	Interrupt()
 }
 
@@ -65,11 +72,11 @@ func newInprocTransport(w *World) *inprocTransport {
 func (t *inprocTransport) Send(dst int, m *Message) { t.boxes[dst].deliver(m) }
 
 func (t *inprocTransport) Await(rank int, specs []RecvSpec) (int, *Message) {
-	return t.boxes[rank].await(specs)
+	return t.boxes[rank].wait(specs, nil)
 }
 
 func (t *inprocTransport) AwaitCond(rank int, specs []RecvSpec, stop func() bool) (int, *Message) {
-	return t.boxes[rank].awaitCond(specs, stop)
+	return t.boxes[rank].wait(specs, stop)
 }
 
 func (t *inprocTransport) Poll(rank int, specs []RecvSpec) (int, *Message) {
@@ -88,8 +95,6 @@ func (t *inprocTransport) PendingApp(rank int, ctx int64) int {
 
 func (t *inprocTransport) Interrupt() {
 	for _, b := range t.boxes {
-		b.mu.Lock()
-		b.cond.Broadcast()
-		b.mu.Unlock()
+		b.interrupt()
 	}
 }

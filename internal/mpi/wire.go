@@ -79,12 +79,12 @@ func (mb *Mailbox) Deliver(m *Message) { mb.b.deliver(m) }
 // Await blocks until a message matching one of specs is queued, removes and
 // returns it with the index of the matched spec. Panics with ErrWorldDead
 // once the world is shut down.
-func (mb *Mailbox) Await(specs []RecvSpec) (int, *Message) { return mb.b.await(specs) }
+func (mb *Mailbox) Await(specs []RecvSpec) (int, *Message) { return mb.b.wait(specs, nil) }
 
 // AwaitCond is Await with a cancellation condition; it returns (-1, nil)
 // once stop() reports true, re-evaluating whenever the mailbox is woken.
 func (mb *Mailbox) AwaitCond(specs []RecvSpec, stop func() bool) (int, *Message) {
-	return mb.b.awaitCond(specs, stop)
+	return mb.b.wait(specs, stop)
 }
 
 // Poll is the non-blocking Await.
@@ -103,8 +103,4 @@ func (mb *Mailbox) PendingApp(ctx int64) int { return mb.b.pendingApp(ctx) }
 
 // Interrupt wakes every receiver blocked on the mailbox so AwaitCond
 // conditions and world-death are re-observed.
-func (mb *Mailbox) Interrupt() {
-	mb.b.mu.Lock()
-	mb.b.cond.Broadcast()
-	mb.b.mu.Unlock()
-}
+func (mb *Mailbox) Interrupt() { mb.b.interrupt() }

@@ -31,21 +31,34 @@ func TestClockFreeRuns(t *testing.T) {
 }
 
 func TestAfterFuncOrderAndStop(t *testing.T) {
-	s := sim.MustNew(0, sim.Scenario{})
+	// One rank (never attached) turns the free-running clock off: time moves
+	// only while every actor is blocked. The body is the one actor — a task
+	// of the clock — so no timer can fire between being armed and being
+	// stopped, however late the scheduler lets this goroutine run; it then
+	// sleeps past the last timer, which is what lets them fire. (The task's
+	// own wait function is for a caller that is an actor too: it would count
+	// this goroutine as blocked and let time run under the task.)
+	s := sim.MustNew(1, sim.Scenario{})
 	defer s.Stop()
 	clk := s.Clock()
 	var order []int
+	var stopped, stoppedAgain bool
 	done := make(chan struct{})
-	clk.AfterFunc(30*time.Millisecond, func() { order = append(order, 3); close(done) })
-	clk.AfterFunc(10*time.Millisecond, func() { order = append(order, 1) })
-	tm := clk.AfterFunc(20*time.Millisecond, func() { order = append(order, 2) })
-	if !tm.Stop() {
+	clock.Go(clk, func() {
+		defer close(done)
+		clk.AfterFunc(30*time.Millisecond, func() { order = append(order, 3) })
+		clk.AfterFunc(10*time.Millisecond, func() { order = append(order, 1) })
+		tm := clk.AfterFunc(20*time.Millisecond, func() { order = append(order, 2) })
+		stopped, stoppedAgain = tm.Stop(), tm.Stop()
+		s.Sleep(40 * time.Millisecond)
+	})
+	<-done
+	if !stopped {
 		t.Fatal("Stop on a pending timer returned false")
 	}
-	if tm.Stop() {
+	if stoppedAgain {
 		t.Fatal("second Stop returned true")
 	}
-	<-done
 	if !reflect.DeepEqual(order, []int{1, 3}) {
 		t.Fatalf("firing order = %v, want [1 3]", order)
 	}

@@ -78,7 +78,7 @@ func TestAssembleRoundTrip(t *testing.T) {
 }
 
 // TestAssembleDamagedChunk damages one chunk at a time — removed, cut
-// short, replaced by its neighbour's content, one bit flipped — at the
+// short, grown, replaced by its neighbour's content, one bit flipped — at the
 // first, a middle and the last position. Each must be an error (never
 // wrong bytes) of the store category, and must leave no goroutine behind.
 func TestAssembleDamagedChunk(t *testing.T) {
@@ -91,6 +91,14 @@ func TestAssembleDamagedChunk(t *testing.T) {
 		"truncated": func(t *testing.T, s Stable, refs []ChunkRef, i int) {
 			c, _ := s.Get(refs[i].Key())
 			if err := s.Put(refs[i].Key(), c[:len(c)-1]); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"extended": func(t *testing.T, s Stable, refs []ChunkRef, i int) {
+			// The slot holds refs[i].Len bytes that hash correctly; what makes
+			// the chunk bad is what lies beyond them.
+			c, _ := s.Get(refs[i].Key())
+			if err := s.Put(refs[i].Key(), append(c, 0)); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -134,6 +142,32 @@ func TestAssembleDamagedChunk(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestGetIntoNeverCutsOrPads: with and without the store's fast path, a
+// blob of the expected size lands in the buffer, and one of any other size
+// is reported at the size it has — which is all Assemble's length check has
+// to go on.
+func TestGetIntoNeverCutsOrPads(t *testing.T) {
+	blob := []byte("0123456789")
+	for name, s := range assembleStores(t) {
+		if err := s.Put("k", blob); err != nil {
+			t.Fatal(err)
+		}
+		for _, room := range []int{len(blob), len(blob) - 1, len(blob) + 1, 0} {
+			dst := make([]byte, room)
+			n, err := GetInto(s, "k", dst)
+			if err != nil || n != len(blob) {
+				t.Fatalf("%s, %d-byte buffer: GetInto = %d, %v; want the blob's %d bytes", name, room, n, err, len(blob))
+			}
+			if room == len(blob) && !bytes.Equal(dst, blob) {
+				t.Fatalf("%s: read %q", name, dst)
+			}
+		}
+		if _, err := GetInto(s, "absent", nil); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: a missing key is %v, want ErrNotFound", name, err)
 		}
 	}
 }

@@ -52,8 +52,14 @@ func (r ChunkRef) Key() string { return chunkPrefix + r.Hex() }
 // pass alike: it says what is wrong with chunk, as the store returned it,
 // as the chunk r names — "" when it has r's length and hashes to r's address.
 func (r ChunkRef) Defect(chunk []byte) string {
-	if int64(len(chunk)) != r.Len {
-		return fmt.Sprintf("is %d bytes, manifest says %d", len(chunk), r.Len)
+	return r.defectAt(len(chunk), chunk)
+}
+
+// defectAt is Defect for a chunk read into its slot (GetInto): size is the
+// length the store holds, and chunk holds the bytes only when that is r.Len.
+func (r ChunkRef) defectAt(size int, chunk []byte) string {
+	if int64(size) != r.Len {
+		return fmt.Sprintf("is %d bytes, manifest says %d", size, r.Len)
 	}
 	if sha256.Sum256(chunk) != r.Sum {
 		return "does not hash to its content address"
@@ -330,33 +336,27 @@ func ParseManifest(blob []byte) ([]ChunkRef, error) {
 	return refs, nil
 }
 
-// fetched is one chunk as the store returned it, and its slot (ref.Len
-// bytes) in the blob being assembled.
+// fetched is one chunk read into its slot (ref.Len bytes of the blob being
+// assembled), and the size the store holds it at.
 type fetched struct {
-	ref        ChunkRef
-	chunk, dst []byte
-}
-
-// place checks the chunk against its ref and copies it into its slot.
-func (f fetched) place() error {
-	if defect := f.ref.Defect(f.chunk); defect != "" {
-		return fmt.Errorf("%w: assemble: chunk %s %s", cerr.ErrStore, f.ref.Key(), defect)
-	}
-	copy(f.dst, f.chunk)
-	return nil
+	ref  ChunkRef
+	size int
+	slot []byte
 }
 
 // Assemble reassembles a chunked blob from its manifest, verifying each
 // chunk's length and content hash (a torn or swept chunk must surface as
 // an error, never as silently corrupt state).
 //
-// The Gets are issued here, on the caller's goroutine, in manifest order;
-// hashing and the copy into the pre-sized result run on one worker behind
-// them, so chunk N is verified while chunk N+1 is read. A store on virtual
-// time therefore sees the calls a serial reader would make, from the same
-// goroutine in the same order — which is why there is no serial variant to
-// select. A blob of one chunk has nothing to overlap and is placed by the
-// caller, as a ChunkedWriter short of a second full chunk spawns no worker.
+// The reads are issued here, on the caller's goroutine, in manifest order,
+// each straight into the chunk's slot of the pre-sized result (GetInto: no
+// slice and no copy per chunk on a store that can, Get and a copy on one
+// that cannot); hashing runs in place on one worker behind them, so chunk N
+// is verified while chunk N+1 is read. A store on virtual time therefore
+// sees the calls a serial reader would make, from the same goroutine in the
+// same order — which is why there is no serial variant to select. A blob of
+// one chunk has nothing to overlap and is verified by the caller, as a
+// ChunkedWriter short of a second full chunk spawns no worker.
 func Assemble(s Stable, manifest []byte) ([]byte, error) {
 	refs, err := ParseManifest(manifest)
 	if err != nil {
@@ -368,10 +368,11 @@ func Assemble(s Stable, manifest []byte) ([]byte, error) {
 	}
 	out := make([]byte, size)
 	jobs, done := make(chan fetched, DefaultPipelineDepth), make(chan error, 1)
-	placeAll := func() {
+	verifyAll := func() {
 		for f := range jobs {
-			if err := f.place(); err != nil {
-				done <- err // the caller stops reading at its next hand-over
+			if defect := f.ref.defectAt(f.size, f.slot); defect != "" {
+				// The caller stops reading at its next hand-over.
+				done <- fmt.Errorf("%w: assemble: chunk %s %s", cerr.ErrStore, f.ref.Key(), defect)
 				return
 			}
 		}
@@ -379,18 +380,19 @@ func Assemble(s Stable, manifest []byte) ([]byte, error) {
 	}
 	pipelined := len(refs) > 1
 	if pipelined {
-		go placeAll()
+		go verifyAll()
 	}
 	var getErr error
 	off := int64(0)
 	for _, r := range refs {
-		chunk, err := s.Get(r.Key())
+		slot := out[off : off+r.Len]
+		size, err := GetInto(s, r.Key(), slot)
 		if err != nil {
 			getErr = fmt.Errorf("storage: assemble: %w", err)
 			break
 		}
 		select {
-		case jobs <- fetched{ref: r, chunk: chunk, dst: out[off : off+r.Len]}:
+		case jobs <- fetched{ref: r, size: size, slot: slot}:
 			off += r.Len
 		case err := <-done: // the worker met a bad chunk and has returned
 			return nil, err
@@ -398,7 +400,7 @@ func Assemble(s Stable, manifest []byte) ([]byte, error) {
 	}
 	close(jobs)
 	if !pipelined {
-		placeAll()
+		verifyAll()
 	}
 	if err := <-done; getErr == nil {
 		getErr = err

@@ -9,6 +9,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -55,6 +56,32 @@ func Has(s Stable, key string) (bool, error) {
 		return false, nil
 	}
 	return err == nil, err
+}
+
+// intoReader is the optional read-into-buffer path: a store that can place
+// a blob in memory the caller already owns (Disk) spares the read side a
+// slice and a copy per blob.
+type intoReader interface {
+	GetInto(key string, dst []byte) (int, error)
+}
+
+// GetInto reads the blob under key into dst, a buffer of the size the
+// caller expects the blob to have, and returns the size the blob does have.
+// dst holds the blob only when the two are equal: a caller that checks
+// nothing else must check that, and a blob longer or shorter than expected
+// is never cut or padded to fit. Stores without the fast path are read
+// with Get and copied, to the same bytes. Assemble's chunk reads go through
+// here.
+func GetInto(s Stable, key string, dst []byte) (int, error) {
+	if r, ok := s.(intoReader); ok {
+		return r.GetInto(key, dst)
+	}
+	b, err := s.Get(key)
+	if err != nil {
+		return 0, err
+	}
+	copy(dst, b)
+	return len(b), nil
 }
 
 // Memory is an in-memory Stable implementation for tests and benchmarks
@@ -241,6 +268,28 @@ func (d *Disk) Get(key string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
 	return b, err
+}
+
+// GetInto implements the optional read-into-buffer path: the file is read
+// straight into dst when it is exactly len(dst) bytes long, and only
+// measured when it is not.
+func (d *Disk) GetInto(key string, dst []byte) (int, error) {
+	f, err := os.Open(d.path(key))
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, fmt.Errorf("%w: %s", ErrNotFound, key)
+	}
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	if st.Size() != int64(len(dst)) {
+		return int(st.Size()), nil
+	}
+	return io.ReadFull(f, dst)
 }
 
 // Has implements the optional fast existence probe.
