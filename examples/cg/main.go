@@ -99,13 +99,26 @@ func cgProgram(n, iters int) ccift.Program {
 			for i := range *res {
 				(*res)[i], (*dir)[i] = 1, 1
 			}
-			*rs = ccift.Allreduce(r, []float64{dot(*res, *res)}, ccift.SumF64)[0]
+		}
+
+		// Scratch the loop keeps: the collectives' into-forms fill p and
+		// total in place, so an iteration allocates nothing. Every iteration
+		// rewrites them before it reads them — nothing to Register.
+		p := make([]float64, n)
+		q := make([]float64, rows)
+		part, total := make([]float64, 1), make([]float64, 1)
+		allDot := func(a, b []float64) float64 {
+			part[0] = dot(a, b)
+			r.AllreduceF64Into(total, part, ccift.SumF64)
+			return total[0]
+		}
+		if !r.Restarting() {
+			*rs = allDot(*res, *res)
 		}
 
 		for ; *it < iters; *it++ {
 			r.PotentialCheckpoint()
-			p := r.AllgatherF64(*dir)
-			q := make([]float64, rows)
+			r.AllgatherF64Into(p, *dir)
 			for li := 0; li < rows; li++ {
 				row := (*a)[li*n : (li+1)*n]
 				s := 0.0
@@ -114,12 +127,12 @@ func cgProgram(n, iters int) ccift.Program {
 				}
 				q[li] = s
 			}
-			alpha := *rs / ccift.Allreduce(r, []float64{dot(*dir, q)}, ccift.SumF64)[0]
+			alpha := *rs / allDot(*dir, q)
 			for i := range *x {
 				(*x)[i] += alpha * (*dir)[i]
 				(*res)[i] -= alpha * q[i]
 			}
-			rsNew := ccift.Allreduce(r, []float64{dot(*res, *res)}, ccift.SumF64)[0]
+			rsNew := allDot(*res, *res)
 			beta := rsNew / *rs
 			*rs = rsNew
 			for i := range *dir {
@@ -130,7 +143,7 @@ func cgProgram(n, iters int) ccift.Program {
 			// scalars, which never need a Touch.
 			r.Touch("x", "res", "dir")
 		}
-		norm := ccift.Allreduce(r, []float64{dot(*x, *x)}, ccift.SumF64)[0]
+		norm := allDot(*x, *x)
 		return fmt.Sprintf("‖x‖=%.9f residual=%.3g", math.Sqrt(norm), math.Sqrt(*rs)), nil
 	}
 }

@@ -106,6 +106,17 @@ func neurosysProgram(k, iters int) ccift.Program {
 			return -vi + math.Tanh(in-0.3*inh+(*drive)[i])
 		}
 
+		// Scratch the loop keeps: the collectives' into-forms fill all (and,
+		// at the root, observed) in place, so a step allocates nothing. Every
+		// step rewrites them before it reads them — nothing to Register.
+		all := make([]float64, n)
+		stage := make([]float64, local)
+		k1, k2, k3, k4 := make([]float64, local), make([]float64, local), make([]float64, local), make([]float64, local)
+		var observed []float64
+		if r.Rank() == 0 {
+			observed = make([]float64, n)
+		}
+
 		for ; *it < iters; *it++ {
 			r.PotentialCheckpoint()
 			vs := *v
@@ -113,23 +124,19 @@ func neurosysProgram(k, iters int) ccift.Program {
 			// RK4: each sub-stage needs the full network state — the five
 			// allgathers of the paper's description (four stages plus the
 			// final assembly below).
-			all := r.AllgatherF64(vs)
-			k1 := make([]float64, local)
+			r.AllgatherF64Into(all, vs)
 			for i := range k1 {
 				k1[i] = deriv(all, i, vs[i])
 			}
-			all = r.AllgatherF64(stageState(vs, k1, dt/2))
-			k2 := make([]float64, local)
+			r.AllgatherF64Into(all, stageState(stage, vs, k1, dt/2))
 			for i := range k2 {
 				k2[i] = deriv(all, i, vs[i]+dt/2*k1[i])
 			}
-			all = r.AllgatherF64(stageState(vs, k2, dt/2))
-			k3 := make([]float64, local)
+			r.AllgatherF64Into(all, stageState(stage, vs, k2, dt/2))
 			for i := range k3 {
 				k3[i] = deriv(all, i, vs[i]+dt/2*k2[i])
 			}
-			all = r.AllgatherF64(stageState(vs, k3, dt))
-			k4 := make([]float64, local)
+			r.AllgatherF64Into(all, stageState(stage, vs, k3, dt))
 			for i := range k4 {
 				k4[i] = deriv(all, i, vs[i]+dt*k3[i])
 			}
@@ -140,9 +147,9 @@ func neurosysProgram(k, iters int) ccift.Program {
 			// membrane block changes per step; drive is read-only after
 			// initialization and it is a scalar.
 			r.Touch("v")
-			_ = r.AllgatherF64(vs) // network state published for monitoring
+			r.AllgatherF64Into(all, vs) // network state published for monitoring
 			if *it%50 == 0 {
-				r.GatherF64(0, vs) // periodic observation at the root
+				r.GatherF64Into(0, observed, vs) // periodic observation at the root
 			}
 		}
 
@@ -155,8 +162,8 @@ func neurosysProgram(k, iters int) ccift.Program {
 	}
 }
 
-func stageState(v, k []float64, h float64) []float64 {
-	out := make([]float64, len(v))
+// stageState fills out with v + h·k and returns it.
+func stageState(out, v, k []float64, h float64) []float64 {
 	for i := range v {
 		out[i] = v[i] + h*k[i]
 	}

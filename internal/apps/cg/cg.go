@@ -104,6 +104,18 @@ func Program(p Params) engine.Program {
 		r.Register("q", &q)
 		r.Register("rs", &rs)
 
+		// What the collectives fill: scratch that every iteration rewrites
+		// before it reads it, so it is kept across iterations and not
+		// registered.
+		pFull := make([]float64, p.N) // the whole direction vector
+		part := make([]float64, 1)    // this rank's share of a dot product
+		dotSum := make([]float64, 1)  // and the sum of everyone's
+		allDot := func(local float64) float64 {
+			part[0] = local
+			r.AllreduceF64Into(dotSum, part, sumOp)
+			return dotSum[0]
+		}
+
 		if !r.Restarting() {
 			if err := fillMatrix(); err != nil {
 				return nil, err
@@ -113,8 +125,7 @@ func Program(p Params) engine.Program {
 				res[i] = 1
 				dir[i] = 1
 			}
-			local := dot(res, res)
-			rs = r.AllreduceF64([]float64{local}, sumOp)[0]
+			rs = allDot(dot(res, res))
 		}
 
 		for ; it < p.Iters; it++ {
@@ -122,7 +133,7 @@ func Program(p Params) engine.Program {
 
 			// q = A · p : gather the full direction vector, multiply the
 			// local block rows.
-			pFull := r.AllgatherF64(dir)
+			r.AllgatherF64Into(pFull, dir)
 			for li := 0; li < rows; li++ {
 				row := a[li*p.N : (li+1)*p.N]
 				s := 0.0
@@ -140,7 +151,7 @@ func Program(p Params) engine.Program {
 			converged := rs == 0
 
 			// alpha = rs / (p · q)
-			pq := r.AllreduceF64([]float64{dot(dir, q)}, sumOp)[0]
+			pq := allDot(dot(dir, q))
 			if !converged {
 				alpha := rs / pq
 				for i := range x {
@@ -150,7 +161,7 @@ func Program(p Params) engine.Program {
 			}
 
 			// beta = rs' / rs
-			rsNew := r.AllreduceF64([]float64{dot(res, res)}, sumOp)[0]
+			rsNew := allDot(dot(res, res))
 			if converged {
 				clear(dir)
 			} else {

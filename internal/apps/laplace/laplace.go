@@ -75,24 +75,26 @@ func Program(p Params) engine.Program {
 			r.PotentialCheckpoint()
 
 			// Halo exchange with Irecv/Isend/Wait, as a real MPI code
-			// would write it.
+			// would write it. A border row is sent from the grid's own
+			// memory (Isend copies eagerly) and decoded straight into the
+			// ghost row.
 			var hUp, hDown protocol.Handle
 			hasUp, hasDown := up >= 0, down < ranks
 			if hasUp {
 				hUp = r.Irecv(up, tagDown)
-				r.Isend(up, tagUp, mpi.F64Bytes(row(grid, 1)))
+				r.Isend(up, tagUp, mpi.Wire(row(grid, 1)))
 			}
 			if hasDown {
 				hDown = r.Irecv(down, tagUp)
-				r.Isend(down, tagDown, mpi.F64Bytes(row(grid, rows)))
+				r.Isend(down, tagDown, mpi.Wire(row(grid, rows)))
 			}
 			if hasUp {
 				m := r.Wait(hUp)
-				copy(row(grid, 0), mpi.BytesF64(m.Data))
+				mpi.BytesF64Into(row(grid, 0), m.Data)
 			}
 			if hasDown {
 				m := r.Wait(hDown)
-				copy(row(grid, rows+1), mpi.BytesF64(m.Data))
+				mpi.BytesF64Into(row(grid, rows+1), m.Data)
 			}
 
 			for li := 1; li <= rows; li++ {

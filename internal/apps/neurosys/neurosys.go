@@ -92,6 +92,14 @@ func Program(p Params) engine.Program {
 		k3 := make([]float64, local)
 		k4 := make([]float64, local)
 		tmp := make([]float64, local)
+		// What the collectives fill: scratch that every step rewrites before
+		// it reads it, so it is kept across steps and not registered.
+		full := make([]float64, n) // the whole network's state
+		act := make([]float64, 1)  // this block's activity
+		var acts []float64         // every block's, at the root
+		if r.Rank() == 0 {
+			acts = make([]float64, ranks)
+		}
 
 		axpy := func(dst, a []float64, h float64, b []float64) {
 			for i := range dst {
@@ -104,16 +112,16 @@ func Program(p Params) engine.Program {
 
 			// RK4: each stage gathers the full network state (4
 			// allgathers) …
-			full := r.AllgatherF64(v)
+			r.AllgatherF64Into(full, v)
 			deriv(full, v, k1)
 			axpy(tmp, v, p.Dt/2, k1)
-			full = r.AllgatherF64(tmp)
+			r.AllgatherF64Into(full, tmp)
 			deriv(full, tmp, k2)
 			axpy(tmp, v, p.Dt/2, k2)
-			full = r.AllgatherF64(tmp)
+			r.AllgatherF64Into(full, tmp)
 			deriv(full, tmp, k3)
 			axpy(tmp, v, p.Dt, k3)
-			full = r.AllgatherF64(tmp)
+			r.AllgatherF64Into(full, tmp)
 			deriv(full, tmp, k4)
 			for i := range v {
 				v[i] += p.Dt / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
@@ -123,12 +131,12 @@ func Program(p Params) engine.Program {
 			r.Touch("v")
 			// … a fifth allgather publishes the updated state, and the
 			// root gathers per-block activity statistics.
-			full = r.AllgatherF64(v)
-			act := 0.0
+			r.AllgatherF64Into(full, v)
+			act[0] = 0
 			for _, x := range full[lo : lo+local] {
-				act += math.Abs(x)
+				act[0] += math.Abs(x)
 			}
-			_ = r.GatherF64(0, []float64{act})
+			r.GatherF64Into(0, acts, act)
 		}
 
 		sum := 0.0

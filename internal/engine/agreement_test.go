@@ -22,7 +22,10 @@ import (
 // AlignedBarrier keep the explicit exchange. Each row below puts its call
 // into both of Figure 5's situations inside a logging phase on the
 // simulator, crashes a rank after the commit, and requires the recovered
-// run to end — and to end identical to the fault-free one.
+// run to end — and to end identical to the fault-free one. The simulator
+// re-delivers three frames in ten and poisons every payload a world releases
+// (simConfig): neither a duplicate nor a result, logged or returned, may
+// alias a recycled message.
 
 // agreementCall is one collective as the scenario program uses it: it
 // contributes v and folds the call's result into one number.
@@ -183,7 +186,7 @@ func TestCollectiveAgreementSurvivesRecovery(t *testing.T) {
 						cfg, s := simConfig(t, Config{
 							Ranks: ranks, Mode: protocol.Full, EveryN: everyN, Debug: true,
 							DetectorTimeout: 20 * time.Millisecond,
-						}, sim.Scenario{Seed: 1, Latency: time.Millisecond, Crashes: crashes})
+						}, sim.Scenario{Seed: 1, Latency: time.Millisecond, DupProb: 0.3, Crashes: crashes})
 						res, err := RunContext(ctx, cfg, agreementProg(row.call, steps, loner, skew, entries))
 						if err != nil {
 							t.Fatalf("%s, crashes %v: %v", name, crashes, err)

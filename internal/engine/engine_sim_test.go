@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ccift/internal/mpi"
 	"ccift/internal/protocol"
 	"ccift/internal/sim"
 	"ccift/internal/storage"
@@ -23,7 +24,12 @@ func simConfig(t *testing.T, cfg Config, sc sim.Scenario) (Config, *sim.Sim) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Stop)
-	cfg.NewTransport = s.NewTransport
+	// Every simulated run poisons the payloads its world releases: a result
+	// or a log entry that still aliased one would read 0xDB.
+	cfg.NewTransport = func(w *mpi.World) mpi.Transport {
+		w.PoisonReleased()
+		return s.NewTransport(w)
+	}
 	cfg.Clock = s.DetectorClock()
 	cfg.RankClock = s.RankClock
 	if cfg.Store == nil {

@@ -108,32 +108,59 @@ func (r *Rank) Allreduce(data []byte, op mpi.Op) []byte { return r.l.Allreduce(d
 // front ends build on, so a result is allocated once, with its element type.
 func (r *Rank) AllreduceInto(dst, data []byte, op mpi.Op) { r.l.AllreduceInto(dst, data, op) }
 
-// AllreduceF64 combines float64 vectors across ranks. The result is
-// allocated once, as []float64, and the collective fills its memory; xs is
-// sent from its own.
+// AllreduceF64Into combines float64 vectors across ranks into dst, which
+// is the caller's: len(xs) long, not overlapping xs, and — being rewritten
+// by every call — scratch that needs no Register. The collective fills
+// dst's memory and sends xs from its own, so a program that keeps dst
+// across iterations allocates nothing here.
+func (r *Rank) AllreduceF64Into(dst, xs []float64, op mpi.Op) {
+	mpi.Fill(dst, func(w []byte) { r.l.AllreduceInto(w, mpi.Wire(xs), op) })
+}
+
+// AllreduceF64 is AllreduceF64Into a fresh result, the caller's forever.
 func (r *Rank) AllreduceF64(xs []float64, op mpi.Op) []float64 {
-	return mpi.Filled[float64](len(xs), func(w []byte) { r.l.AllreduceInto(w, mpi.Wire(xs), op) })
+	out := make([]float64, len(xs))
+	r.AllreduceF64Into(out, xs, op)
+	return out
 }
 
 // Allgather concatenates equal-sized payloads from all ranks.
 func (r *Rank) Allgather(data []byte) []byte { return r.l.Allgather(data) }
 
-// AllgatherF64 concatenates equal-length float64 vectors from all ranks,
-// filling the one []float64 it allocates (see AllreduceF64).
+// AllgatherF64Into concatenates equal-length float64 vectors from all ranks
+// into dst (Size()·len(xs) long; see AllreduceF64Into for the rule).
+func (r *Rank) AllgatherF64Into(dst, xs []float64) {
+	mpi.Fill(dst, func(w []byte) { r.l.AllgatherInto(w, mpi.Wire(xs)) })
+}
+
+// AllgatherF64 is AllgatherF64Into a fresh result.
 func (r *Rank) AllgatherF64(xs []float64) []float64 {
-	return mpi.Filled[float64](len(xs)*r.Size(), func(w []byte) { r.l.AllgatherInto(w, mpi.Wire(xs)) })
+	out := make([]float64, len(xs)*r.Size())
+	r.AllgatherF64Into(out, xs)
+	return out
 }
 
 // Gather concatenates payloads at root (nil elsewhere).
 func (r *Rank) Gather(root int, data []byte) []byte { return r.l.Gather(root, data) }
 
-// GatherF64 concatenates float64 vectors at root (nil elsewhere).
-func (r *Rank) GatherF64(root int, xs []float64) []float64 {
+// GatherF64Into concatenates float64 vectors in root's dst (Size()·len(xs)
+// long; see AllreduceF64Into for the rule). The other ranks' dst is ignored.
+func (r *Rank) GatherF64Into(root int, dst, xs []float64) {
 	if r.Rank() != root {
 		r.l.GatherInto(root, nil, mpi.Wire(xs))
-		return nil
+		return
 	}
-	return mpi.Filled[float64](len(xs)*r.Size(), func(w []byte) { r.l.GatherInto(root, w, mpi.Wire(xs)) })
+	mpi.Fill(dst, func(w []byte) { r.l.GatherInto(root, w, mpi.Wire(xs)) })
+}
+
+// GatherF64 is GatherF64Into a fresh result at root (nil elsewhere).
+func (r *Rank) GatherF64(root int, xs []float64) []float64 {
+	var out []float64
+	if r.Rank() == root {
+		out = make([]float64, len(xs)*r.Size())
+	}
+	r.GatherF64Into(root, out, xs)
+	return out
 }
 
 // Bcast distributes root's payload.

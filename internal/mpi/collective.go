@@ -21,6 +21,12 @@ import "fmt"
 // them. The word is opaque here. The protocol layer uses it for the control
 // information Section 4.5 sends in a collective of its own, so that a data
 // collective costs the rounds the unmodified program pays.
+//
+// A collective's internal messages never leave this file, so it also ends
+// their lifetime: every receive below that has copied or combined the
+// payload into the caller's buffer hands the message back (World.Release).
+// The two whose result is the payload itself — Bcast and Scatter — do not:
+// that buffer is the caller's.
 
 // Op combines two equally-sized payloads for reductions: dst = dst ⊕ src.
 type Op interface {
@@ -66,7 +72,9 @@ func (c *Comm) BarrierWord(word uint32) uint32 {
 		dst := (me + k) % n
 		src := (me - k + n) % n
 		c.sendh(dst, c.collTag(seq, round), word, nil)
-		word |= c.recvInternal(src, c.collTag(seq, round)).Header
+		m := c.recvInternal(src, c.collTag(seq, round))
+		word |= m.Header
+		c.world.Release(m)
 	}
 	return word
 }
@@ -75,12 +83,15 @@ func (c *Comm) BarrierWord(word uint32) uint32 {
 // returns it.
 func (c *Comm) Bcast(root int, data []byte) []byte {
 	c.world.enter(c.members[c.myIdx])
-	data, _ = c.bcast(root, data, 0)
+	data, _ = c.bcast(root, data, nil, 0)
 	return data
 }
 
 // bcast returns root's payload and root's word OR-ed with the caller's.
-func (c *Comm) bcast(root int, data []byte, word uint32) ([]byte, uint32) {
+// With into nil the payload returned off root is the received message's,
+// which thereby belongs to the caller; otherwise it is copied to into
+// (len(data) bytes at root) and the message goes back.
+func (c *Comm) bcast(root int, data, into []byte, word uint32) ([]byte, uint32) {
 	seq := c.nextColl()
 	n := c.Size()
 	// Work in a rotated space where root is rank 0 (MPICH-style binomial).
@@ -92,6 +103,12 @@ func (c *Comm) bcast(root int, data []byte, word uint32) ([]byte, uint32) {
 			m := c.recvInternal(parent, c.collTag(seq, 0))
 			data = m.Data
 			word |= m.Header
+			if into != nil {
+				checkLen("Bcast", len(m.Data), len(into))
+				copy(into, m.Data)
+				data = into
+				c.world.Release(m)
+			}
 			break
 		}
 		mask <<= 1
@@ -113,36 +130,56 @@ func (c *Comm) bcast(root int, data []byte, word uint32) ([]byte, uint32) {
 // (binomial tree). Non-roots return nil.
 func (c *Comm) Reduce(root int, data []byte, op Op) []byte {
 	c.world.enter(c.members[c.myIdx])
-	acc := make([]byte, len(data))
-	c.reduce(root, acc, data, op, 0)
+	acc, _ := c.reduce(root, nil, data, op, 0)
 	if c.myIdx != root {
 		return nil
 	}
 	return acc
 }
 
-// reduce accumulates in acc (len(data), on every rank: interior ranks of
-// the tree combine their subtree there) and leaves the result in root's.
-// Root gets back the OR of every word, the others that of their subtree.
-func (c *Comm) reduce(root int, acc, data []byte, op Op, word uint32) uint32 {
+// reduce leaves the combination of every rank's data in root's accumulator
+// and returns that: acc (len(data) bytes) when the caller brought one, one
+// it allocates otherwise. Only a rank with something to combine touches an
+// accumulator — the root, and the interior ranks of the tree for their
+// subtree; a leaf forwards data as it is. Root also gets back the OR of
+// every word, the others that of their subtree.
+func (c *Comm) reduce(root int, acc, data []byte, op Op, word uint32) ([]byte, uint32) {
 	seq := c.nextColl()
 	n := c.Size()
 	vrank := (c.myIdx - root + n) % n
-	copy(acc, data)
+	combined := false // acc holds this rank's data and its children's so far
+	start := func() {
+		if acc == nil {
+			acc = make([]byte, len(data))
+		}
+		copy(acc, data)
+		combined = true
+	}
 	for mask := 1; mask < n; mask *= 2 {
 		if vrank&mask != 0 {
 			parent := ((vrank &^ mask) + root) % n
-			c.sendh(parent, c.collTag(seq, bitIndex(mask)), word, acc)
-			break
+			up := data
+			if combined {
+				up = acc
+			}
+			c.sendh(parent, c.collTag(seq, bitIndex(mask)), word, up)
+			return acc, word
 		}
 		if vrank+mask < n {
 			m := c.recvInternal(AnySource, c.collTag(seq, bitIndex(mask)))
-			checkLen("Reduce", len(m.Data), len(acc))
+			checkLen("Reduce", len(m.Data), len(data))
+			if !combined {
+				start()
+			}
 			op.Combine(acc, m.Data)
 			word |= m.Header
+			c.world.Release(m)
 		}
 	}
-	return word
+	if !combined { // a communicator of one
+		start()
+	}
+	return acc, word
 }
 
 // Allreduce combines every rank's payload with op and returns the combined
@@ -162,7 +199,7 @@ func (c *Comm) AllreduceInto(dst, data []byte, op Op, word uint32) uint32 {
 	checkLen("Allreduce", len(dst), len(data))
 	n := c.Size()
 	if n&(n-1) != 0 {
-		word = c.reduce(0, dst, data, op, word)
+		_, word = c.reduce(0, dst, data, op, word)
 		return c.bcastInto(dst, word)
 	}
 	seq := c.nextColl()
@@ -174,6 +211,7 @@ func (c *Comm) AllreduceInto(dst, data []byte, op Op, word uint32) uint32 {
 		checkLen("Allreduce", len(m.Data), len(dst))
 		op.Combine(dst, m.Data)
 		word |= m.Header
+		c.world.Release(m)
 	}
 	return word
 }
@@ -181,11 +219,7 @@ func (c *Comm) AllreduceInto(dst, data []byte, op Op, word uint32) uint32 {
 // bcastInto broadcasts rank 0's dst into everyone else's: the second half
 // of the collectives that gather or reduce at rank 0 first.
 func (c *Comm) bcastInto(dst []byte, word uint32) uint32 {
-	res, word := c.bcast(0, dst, word)
-	if c.myIdx != 0 {
-		checkLen("Bcast", len(res), len(dst))
-		copy(dst, res)
-	}
+	_, word = c.bcast(0, dst, dst, word)
 	return word
 }
 
@@ -221,6 +255,7 @@ func (c *Comm) gather(root int, dst, data []byte, word uint32) uint32 {
 		checkLen("Gather", len(m.Data), len(data))
 		copy(dst[m.Source*len(data):], m.Data)
 		word |= m.Header
+		c.world.Release(m)
 	}
 	return word
 }
@@ -259,6 +294,7 @@ func (c *Comm) AllgatherInto(dst, data []byte, word uint32) uint32 {
 		checkLen("Allgather", len(m.Data), mask*blk)
 		copy(dst[theirStart*blk:], m.Data)
 		word |= m.Header
+		c.world.Release(m)
 	}
 	return word
 }
@@ -294,6 +330,7 @@ func (c *Comm) AlltoallInto(dst, data []byte, word uint32) uint32 {
 		checkLen("Alltoall", len(m.Data), blk)
 		copy(dst[m.Source*blk:], m.Data)
 		seen |= m.Header
+		c.world.Release(m)
 	}
 	return seen
 }
@@ -379,6 +416,7 @@ func (c *Comm) ScanInto(dst, data []byte, op Op) {
 		// buffer is ours once received).
 		op.Combine(m.Data, data)
 		copy(dst, m.Data)
+		c.world.Release(m)
 	}
 	if c.myIdx < c.Size()-1 {
 		c.send(c.myIdx+1, c.collTag(seq, 0), dst)
@@ -407,8 +445,7 @@ func (c *Comm) ReducescatterInto(dst, data []byte, op Op, word uint32) uint32 {
 	}
 	blockLen := len(data) / n
 	checkLen("Reducescatter", len(dst), blockLen)
-	acc := make([]byte, len(data))
-	word = c.reduce(0, acc, data, op, word)
+	acc, word := c.reduce(0, nil, data, op, word)
 	seq := c.nextColl()
 	if c.myIdx == 0 {
 		for r := 1; r < n; r++ {
@@ -420,5 +457,7 @@ func (c *Comm) ReducescatterInto(dst, data []byte, op Op, word uint32) uint32 {
 	m := c.recvInternal(0, c.collTag(seq, 0))
 	checkLen("Reducescatter", len(m.Data), blockLen)
 	copy(dst, m.Data)
-	return word | m.Header
+	word |= m.Header
+	c.world.Release(m)
+	return word
 }

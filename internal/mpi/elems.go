@@ -93,17 +93,22 @@ func Wire[T Fixed](xs []T) []byte {
 	return view(xs)
 }
 
-// Filled allocates an n-element vector and has fill write its wire form:
-// straight into the vector's memory on a little-endian host, through a
-// buffer that is then decoded otherwise.
+// Fill has fill write the wire form of dst's elements: straight into the
+// vector's memory on a little-endian host, through a buffer that is then
+// decoded otherwise.
+func Fill[T Fixed](dst []T, fill func(wire []byte)) {
+	if bigEndian {
+		w := make([]byte, len(dst)*elemSize[T]())
+		fill(w)
+		unpack(dst, w)
+		return
+	}
+	fill(view(dst))
+}
+
+// Filled is Fill of a fresh n-element vector.
 func Filled[T Fixed](n int, fill func(wire []byte)) []T {
 	out := make([]T, n)
-	if bigEndian {
-		w := make([]byte, n*elemSize[T]())
-		fill(w)
-		unpack(out, w)
-		return out
-	}
-	fill(view(out))
+	Fill(out, fill)
 	return out
 }

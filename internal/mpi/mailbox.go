@@ -25,6 +25,10 @@ type Message struct {
 	Data []byte
 
 	ctx int64 // communicator context the message belongs to
+	// recyclable marks a message that owns its payload outright (sendh's
+	// copy, a decoded frame) and has not been handed back: the only kind
+	// World.Release accepts.
+	recyclable bool
 }
 
 // RecvSpec describes what a receive is willing to match.
@@ -51,8 +55,8 @@ func (s RecvSpec) Matches(m *Message) bool {
 
 // node is one queued message. Embedded links make removal O(1) in both the
 // delivery-ordered master list and the exact-match bucket; nodes are
-// recycled through a per-mailbox freelist so the steady state allocates
-// nothing beyond the Message itself.
+// recycled through a per-mailbox freelist, as messages are through their
+// world's (World.Release), so the steady state allocates nothing.
 type node struct {
 	m   *Message
 	key uint64 // master-order key: list order == key order

@@ -89,6 +89,15 @@ type World struct {
 	chaos   *rand.Rand
 
 	ctxCounter atomic.Int64
+
+	// free recycles messages and the payload buffers they carry (see
+	// message and Release). It belongs to the world, so a rollback, which
+	// builds a fresh one, starts from an empty list: nothing a dead
+	// incarnation released can surface in the next.
+	free sync.Pool
+	// releaseHook, when set, sees every message Release is about to put
+	// on the free list (tests poison or record it).
+	releaseHook func(*Message)
 }
 
 // NewWorld creates a world with n ranks.
@@ -131,6 +140,56 @@ func (w *World) Comm(rank int) *Comm {
 		members[i] = i
 	}
 	return &Comm{world: w, ctx: 0, members: members, myIdx: rank}
+}
+
+// message returns a message with an n-byte payload buffer for sendh to
+// fill: one from the free list when there is one (its buffer too, when that
+// is large enough), a fresh one otherwise.
+func (w *World) message(n int) *Message {
+	m, _ := w.free.Get().(*Message)
+	if m == nil {
+		m = new(Message)
+	}
+	if m.Data == nil || cap(m.Data) < n { // never nil: an empty payload is empty, as it always was
+		m.Data = make([]byte, n)
+	}
+	m.Data = m.Data[:n]
+	m.recyclable = true
+	return m
+}
+
+// Release hands m back to the world once nothing will read it or its
+// payload again. The ownership rule: a receive that has copied or combined
+// the payload into its caller's buffer releases the message (the
+// collectives do); a payload that is returned to the caller — every
+// point-to-point receive, Bcast, Scatter — is the caller's forever and is
+// never released. A Transport that serialises messages in Send may release
+// one as soon as it is encoded. Only a message that owns its payload
+// outright is taken — one sendh filled, or one DecodeMessage built; a
+// SendShared message, whose buffer the sender still holds, a Notify, and a
+// second Release of the same message are ignored, so a transport need not
+// know which kind it was handed.
+func (w *World) Release(m *Message) {
+	if !m.recyclable {
+		return
+	}
+	m.recyclable = false
+	if w.releaseHook != nil {
+		w.releaseHook(m)
+	}
+	w.free.Put(m)
+}
+
+// PoisonReleased is a test seam, not an option: from here on every released
+// payload is overwritten before it goes back on the free list, so a reader
+// that kept a released buffer sees poison instead of plausible stale data.
+// Call it before any rank runs.
+func (w *World) PoisonReleased() {
+	w.releaseHook = func(m *Message) {
+		for i := range m.Data {
+			m.Data[i] = 0xDB
+		}
+	}
 }
 
 // Killed reports whether rank has stop-failed (failure-detector plumbing:

@@ -15,6 +15,14 @@ import (
 func runRanks(t *testing.T, n int, opts Options, fn func(c *Comm)) *World {
 	t.Helper()
 	w := NewWorld(n, opts)
+	runWorld(t, w, fn)
+	return w
+}
+
+// runWorld runs fn as every rank of w and fails the test with any panic.
+func runWorld(t *testing.T, w *World, fn func(c *Comm)) {
+	t.Helper()
+	n := w.Size()
 	var wg sync.WaitGroup
 	errs := make(chan any, n)
 	for r := 0; r < n; r++ {
@@ -34,7 +42,6 @@ func runRanks(t *testing.T, n int, opts Options, fn func(c *Comm)) *World {
 	for e := range errs {
 		t.Fatal(e)
 	}
-	return w
 }
 
 func TestSendRecvBasic(t *testing.T) {

@@ -78,9 +78,10 @@ func (c *Comm) sendh(dst, tag int, header uint32, data []byte) {
 	if c.world.killed[wdst].Load() {
 		return // stopping failure: the destination no longer receives
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.world.tr.Send(wdst, &Message{Source: c.myIdx, Tag: tag, Header: header, Data: cp, ctx: c.ctx})
+	m := c.world.message(len(data))
+	m.Source, m.Tag, m.Header, m.ctx = c.myIdx, tag, header, c.ctx
+	copy(m.Data, data)
+	c.world.tr.Send(wdst, m)
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns it.

@@ -552,6 +552,7 @@ func (t *Transport) Send(dst int, m *mpi.Message) {
 	t.writeFrame(dst, pc, frameMsg, func(buf []byte) []byte {
 		return mpi.AppendMessage(buf, m)
 	})
+	t.world.Release(m) // encoded and written: the peer decodes its own
 }
 
 // awaitPeer blocks until dst's connection is established, returning nil if

@@ -12,7 +12,9 @@ package mpi
 //   - Delivery is reliable and eager: Send completes once the message is
 //     queued at the destination; the *Message (including Data) is owned by
 //     the transport from that point and by the receiver after matching
-//     (read-only when the buffer was handed over via Comm.SendShared).
+//     (read-only when the buffer was handed over via Comm.SendShared). A
+//     transport that delivers an encoding of m, not m, may give m back with
+//     World.Release once it is encoded.
 //   - Per-(sender, context) order is preserved (MPI's non-overtaking
 //     guarantee); cross-sender interleaving is unconstrained.
 //   - Matching semantics are those of matchOrder: the queued message

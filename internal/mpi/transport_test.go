@@ -11,12 +11,16 @@ import (
 // be swapped in through Options.NewTransport without the communicator or
 // anything above it changing.
 type countingTransport struct {
-	inner *inprocTransport
-	sends atomic.Int64
+	inner  *inprocTransport
+	sends  atomic.Int64
+	onSend func(*Message) // when set, sees every message before it is delivered
 }
 
 func (t *countingTransport) Send(dst int, m *Message) {
 	t.sends.Add(1)
+	if t.onSend != nil {
+		t.onSend(m)
+	}
 	t.inner.Send(dst, m)
 }
 func (t *countingTransport) Await(rank int, specs []RecvSpec) (int, *Message) {

@@ -38,7 +38,8 @@ func AppendMessage(buf []byte, m *Message) []byte {
 }
 
 // DecodeMessage parses exactly one encoded message from b. The returned
-// Message owns a fresh copy of the payload, so the caller may reuse b.
+// Message owns a fresh copy of the payload, so the caller may reuse b — and
+// the world it is delivered in may recycle it, once a receiver releases it.
 func DecodeMessage(b []byte) (*Message, error) {
 	if len(b) < msgWireHeader {
 		return nil, fmt.Errorf("mpi: message frame too short: %d bytes", len(b))
@@ -52,6 +53,8 @@ func DecodeMessage(b []byte) (*Message, error) {
 		Tag:    int(int32(binary.LittleEndian.Uint32(b[12:]))),
 		Header: binary.LittleEndian.Uint32(b[16:]),
 		ctx:    int64(binary.LittleEndian.Uint64(b[0:])),
+
+		recyclable: true,
 	}
 	if dlen > 0 {
 		m.Data = make([]byte, dlen)

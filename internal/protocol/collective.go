@@ -68,9 +68,10 @@ func (l *Layer) ctlState() uint32 {
 // exchangeControl is the explicit control collective: it returns the
 // presence set of this call's participants.
 func (l *Layer) exchangeControl() (seen uint32) {
-	states := l.comm.Allgather([]byte{byte(l.ctlState())})
+	l.ctlMine[0] = byte(l.ctlState())
+	l.comm.AllgatherInto(l.ctlStates, l.ctlMine[:], 0)
 	l.Stats.ControlCollectives++
-	for _, s := range states {
+	for _, s := range l.ctlStates {
 		seen |= 1 << (s & ctlStateMask)
 	}
 	return seen

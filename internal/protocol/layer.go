@@ -266,6 +266,11 @@ type Layer struct {
 	// Select on the receive hot path.
 	selSpecs []mpi.RecvSpec
 
+	// exchangeControl's scratch: every rank's state byte, and this rank's
+	// contribution to them.
+	ctlStates []byte
+	ctlMine   [1]byte
+
 	// done is cfg.Ctx's done channel (nil when no context was supplied);
 	// kept unwrapped so the per-op cancellation check is one channel poll,
 	// not a ctx.Err() mutex acquisition.
@@ -326,6 +331,7 @@ func NewLayer(comm *mpi.Comm, cfg Config) *Layer {
 		log:                  NewLog(),
 		suppress:             map[uint32]bool{},
 		handles:              newHandleTable(),
+		ctlStates:            make([]byte, n),
 	}
 	for i := range l.totalSent {
 		l.totalSent[i] = -1
@@ -559,7 +565,8 @@ func (l *Layer) CheckpointInProgress() bool {
 }
 
 func (l *Layer) sendCtl(dst, tag int, words ...uint64) {
-	buf := make([]byte, 8*len(words))
+	var arr [16]byte // a control message is one or two words, and Send copies what it is given
+	buf := arr[:8*len(words)]
 	for i, w := range words {
 		binary.LittleEndian.PutUint64(buf[8*i:], w)
 	}

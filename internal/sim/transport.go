@@ -73,6 +73,7 @@ func (t *transport) RankDone(rank int) {
 // frame index).
 func (t *transport) Send(dst int, m *mpi.Message) {
 	frame := mpi.AppendMessage(nil, m)
+	t.w.Release(m) // the frame is what travels (and what a duplicate re-delivers)
 	ctx := int64(binary.LittleEndian.Uint64(frame[0:]))
 	src := int(int32(binary.LittleEndian.Uint32(frame[8:])))
 
