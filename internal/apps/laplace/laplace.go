@@ -75,26 +75,28 @@ func Program(p Params) engine.Program {
 			r.PotentialCheckpoint()
 
 			// Halo exchange with Irecv/Isend/Wait, as a real MPI code
-			// would write it. A border row is sent from the grid's own
-			// memory (Isend copies eagerly) and decoded straight into the
-			// ghost row.
-			var hUp, hDown protocol.Handle
+			// would write it, every request completed. A border row is
+			// sent from the grid's own memory (Isend copies eagerly) and
+			// decoded straight into the ghost row, after which its message
+			// is recycled: the exchange allocates nothing, and no request
+			// outlives the iteration.
+			var hUp, hDown, sUp, sDown protocol.Handle
 			hasUp, hasDown := up >= 0, down < ranks
 			if hasUp {
 				hUp = r.Irecv(up, tagDown)
-				r.Isend(up, tagUp, mpi.Wire(row(grid, 1)))
+				sUp = r.Isend(up, tagUp, mpi.Wire(row(grid, 1)))
 			}
 			if hasDown {
 				hDown = r.Irecv(down, tagUp)
-				r.Isend(down, tagDown, mpi.Wire(row(grid, rows)))
+				sDown = r.Isend(down, tagDown, mpi.Wire(row(grid, rows)))
 			}
 			if hasUp {
-				m := r.Wait(hUp)
-				mpi.BytesF64Into(row(grid, 0), m.Data)
+				r.WaitF64Into(hUp, row(grid, 0))
+				r.Wait(sUp)
 			}
 			if hasDown {
-				m := r.Wait(hDown)
-				mpi.BytesF64Into(row(grid, rows+1), m.Data)
+				r.WaitF64Into(hDown, row(grid, rows+1))
+				r.Wait(sDown)
 			}
 
 			for li := 1; li <= rows; li++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -253,11 +254,44 @@ func decodeFrom(rd *cursor, ptr any) error {
 		if err != nil {
 			return err
 		}
+		if !GobFramed(b) {
+			return fmt.Errorf("ckpt: gob decode %T: %w", ptr, errTornGob)
+		}
 		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(ptr); err != nil {
 			return fmt.Errorf("ckpt: gob decode %T: %w", ptr, err)
 		}
 	}
 	return nil
+}
+
+// errTornGob is a gob field whose messages claim more bytes than it holds.
+var errTornGob = errors.New("a message claims more bytes than the field holds")
+
+// GobFramed reports whether b is a whole number of gob messages. The gob
+// decoder allocates a message's claimed length (up to 10 MB at a time)
+// before it reads it; checked here first, every claim it meets is backed by
+// bytes that are present.
+func GobFramed(b []byte) bool {
+	for len(b) > 0 {
+		n, w := uint64(b[0]), 1
+		if b[0] > 0x7f {
+			// A negated byte count, then that many bytes, high byte first.
+			k := 256 - int(b[0])
+			if k > 8 || k >= len(b) {
+				return false
+			}
+			n = 0
+			for _, c := range b[1 : 1+k] {
+				n = n<<8 | uint64(c)
+			}
+			w += k
+		}
+		if n > uint64(len(b)-w) {
+			return false
+		}
+		b = b[w+int(n):]
+	}
+	return true
 }
 
 // --- primitive writers/readers ---
@@ -353,51 +387,60 @@ func readBytes(rd *cursor) ([]byte, error) {
 	return rd.take(n)
 }
 
-// floatChunk is the conversion batch for writing float64 slices: one
-// Write per 1024 elements instead of per element, which keeps the
-// encoder near memory bandwidth — checkpoint cost in Figure 8 is dominated
-// by this path.
-const floatChunk = 1024
+// floatScratch is the conversion batch for writing float64 slices, in
+// bytes: one Write per 1024 elements instead of per element, which keeps
+// the encoder near memory bandwidth — checkpoint cost in Figure 8 is
+// dominated by this path. A streamed write converts through a buffer of
+// this size that its caller owns: an array here would escape through the
+// io.Writer and cost an allocation per call.
+const floatScratch = 8 * 1024
 
+// writeFloat64s converts straight into the buffer's free space.
 func writeFloat64s(buf *bytes.Buffer, xs []float64) {
+	writeUvarint(buf, uint64(len(xs)))
 	buf.Grow(8 * len(xs))
-	writeFloat64sTo(buf, xs) // a bytes.Buffer never returns a write error
+	out := buf.AvailableBuffer()[:8*len(xs)]
+	putFloat64s(out, xs)
+	buf.Write(out)
 }
 
 // writeFloat64sTo is the io.Writer form of writeFloat64s; the checkpoint
 // flusher streams grids through it straight into the chunked store writer,
-// with no intermediate whole-state buffer.
-func writeFloat64sTo(w io.Writer, xs []float64) error {
-	var lenb [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenb[:], uint64(len(xs)))
-	if _, err := w.Write(lenb[:n]); err != nil {
+// with no intermediate whole-state buffer, converting through scratch.
+func writeFloat64sTo(w io.Writer, xs []float64, scratch []byte) error {
+	n := binary.PutUvarint(scratch, uint64(len(xs)))
+	if _, err := w.Write(scratch[:n]); err != nil {
 		return err
 	}
-	return writeFloat64sRawTo(w, xs)
+	return writeFloat64sRawTo(w, xs, scratch)
 }
 
 // writeFloat64sRawTo streams the little-endian payload without a length
 // prefix — the per-page form: a paged frozen entry writes one prefix for
-// the whole slice and then each page's payload through this.
-func writeFloat64sRawTo(w io.Writer, xs []float64) error {
-	var chunk [8 * floatChunk]byte
+// the whole slice and then each page's payload through this — one
+// len(scratch)/8 elements at a time.
+func writeFloat64sRawTo(w io.Writer, xs []float64, scratch []byte) error {
 	for len(xs) > 0 {
-		n := min(len(xs), floatChunk)
-		// Walking both slices, not indexing them, is what lets the compiler
-		// drop the per-element bounds checks: the loop then runs at memcpy
-		// speed (a third faster), and a survivor's rollback serializes its
-		// whole state through it.
-		out := chunk[:]
-		for _, x := range xs[:n] {
-			binary.LittleEndian.PutUint64(out, math.Float64bits(x))
-			out = out[8:]
-		}
-		if _, err := w.Write(chunk[:8*n]); err != nil {
+		n := min(len(xs), len(scratch)/8)
+		out := scratch[:8*n]
+		putFloat64s(out, xs[:n])
+		if _, err := w.Write(out); err != nil {
 			return err
 		}
 		xs = xs[n:]
 	}
 	return nil
+}
+
+// putFloat64s writes xs little-endian into out (8·len(xs) bytes). Walking
+// both slices, not indexing them, is what lets the compiler drop the
+// per-element bounds checks: the loop then runs at memcpy speed (a third
+// faster), and a survivor's rollback serializes its whole state through it.
+func putFloat64s(out []byte, xs []float64) {
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(out, math.Float64bits(x))
+		out = out[8:]
+	}
 }
 
 // readFloat64sInto converts straight out of the blob into dst (reused
@@ -413,7 +456,7 @@ func readFloat64sInto(rd *cursor, dst []float64) ([]float64, error) {
 	} else {
 		dst = make([]float64, n)
 	}
-	for i := range dst { // src walked, not indexed: see writeFloat64sRawTo
+	for i := range dst { // src walked, not indexed: see putFloat64s
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
 		src = src[8:]
 	}

@@ -25,6 +25,8 @@ import (
 // block. Cost is one full encode of the live state per call, so this is
 // a debug mode, not a production default.
 func (s *Saver) VerifyFrozen(f *Frozen) error {
+	floats := s.pool.takeFloats()
+	defer s.pool.giveFloats(floats)
 	for i := range f.vds {
 		fe := &f.vds[i]
 		idx, ok := s.VDS.index[fe.name]
@@ -50,7 +52,7 @@ func (s *Saver) VerifyFrozen(f *Frozen) error {
 		}
 		var got, scratch bytes.Buffer
 		got.Grow(fe.size)
-		if err := fe.writeValue(nopSection{&got}, &scratch); err != nil {
+		if err := fe.writeValue(nopSection{&got}, &scratch, floats); err != nil {
 			return fmt.Errorf("ckpt: freeze cross-check: serialize frozen %q: %w", fe.name, err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {

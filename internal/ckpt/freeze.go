@@ -65,6 +65,35 @@ type bufPool struct {
 	mu  sync.Mutex
 	f64 [][]float64
 	byt [][]byte
+	// floats is the float encoder's scratch (see floatScratch): one per
+	// Saver, lent to one WriteTo at a time; nil while lent.
+	floats []byte
+}
+
+// takeFloats lends the float encoder's scratch to a WriteTo — the pool's
+// when it is in, a fresh one when another WriteTo holds it or there is no
+// pool (a disowned view).
+func (p *bufPool) takeFloats() []byte {
+	var b []byte
+	if p != nil {
+		p.mu.Lock()
+		b, p.floats = p.floats, nil
+		p.mu.Unlock()
+	}
+	if b == nil {
+		b = make([]byte, floatScratch)
+	}
+	return b
+}
+
+// giveFloats takes the scratch back.
+func (p *bufPool) giveFloats(b []byte) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.floats = b
+	p.mu.Unlock()
 }
 
 // poolKeep bounds retained slabs per type; beyond it a released buffer is
@@ -673,6 +702,8 @@ func psSectionSize(trace []int) int {
 // variables and heap blocks across epochs.
 func (f *Frozen) WriteTo(w SectionWriter) error {
 	var scratch bytes.Buffer
+	floats := f.pool.takeFloats()
+	defer f.pool.giveFloats(floats)
 
 	// PS section.
 	writeUvarint(&scratch, uint64(len(f.trace)))
@@ -689,6 +720,7 @@ func (f *Frozen) WriteTo(w SectionWriter) error {
 	// VDS section (framed, then entry stream).
 	writeUvarint(&scratch, uint64(f.vdsSectionSize()))
 	writeUvarint(&scratch, uint64(len(f.vds)))
+	cw := &countingSection{w: w}
 	for _, e := range f.vds {
 		writeString(&scratch, e.name)
 		scratch.WriteByte(byte(e.kind))
@@ -707,8 +739,8 @@ func (f *Frozen) WriteTo(w SectionWriter) error {
 		// (copyValue/encodedSize) and the codec's actual output must fail
 		// the write here — never surface as a corrupt blob at restore,
 		// when the state needed to recover is already gone.
-		cw := &countingSection{w: w}
-		if err := e.writeValue(cw, &scratch); err != nil {
+		cw.n = 0
+		if err := e.writeValue(cw, &scratch, floats); err != nil {
 			return err
 		}
 		if cw.n != e.size {
@@ -761,8 +793,9 @@ func (f *Frozen) WriteTo(w SectionWriter) error {
 }
 
 // writeValue encodes the entry's value (exactly e.size bytes) into w,
-// buffering small pieces through scratch.
-func (e *frozenEntry) writeValue(w SectionWriter, scratch *bytes.Buffer) error {
+// buffering small pieces through scratch and converting floats through
+// floats.
+func (e *frozenEntry) writeValue(w SectionWriter, scratch *bytes.Buffer, floats []byte) error {
 	if e.enc != nil {
 		scratch.Write(e.enc)
 		return flushScratch(w, scratch)
@@ -782,7 +815,7 @@ func (e *frozenEntry) writeValue(w SectionWriter, scratch *bytes.Buffer) error {
 		}
 		for i := range e.pages {
 			if pg := &e.pages[i]; pg.f64 != nil {
-				if err := writeFloat64sRawTo(w, pg.f64); err != nil {
+				if err := writeFloat64sRawTo(w, pg.f64, floats); err != nil {
 					return err
 				}
 			} else {
@@ -803,7 +836,7 @@ func (e *frozenEntry) writeValue(w SectionWriter, scratch *bytes.Buffer) error {
 		if err := flushScratch(w, scratch); err != nil {
 			return err
 		}
-		return writeFloat64sTo(w, *p)
+		return writeFloat64sTo(w, *p, floats)
 	}
 	if err := EncodeTo(scratch, e.ptr); err != nil {
 		return err

@@ -1,0 +1,153 @@
+package ckpt
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// The serialized state is a storage format: chunk boundaries decide dedup
+// across epochs, and a survivor's retained view must serialize to the bytes
+// the store holds. These digests were taken from the encoder that converted
+// floats through a per-call array, before it converted through one scratch
+// per Saver; any change to the stream, or to where it is cut, changes them.
+
+// goldenState registers a seeded random state on a fresh incremental Saver:
+// every fast-path type of the codec, float and byte slices below and above
+// the paging threshold (with a short last page), the three entry kinds, heap
+// blocks on both sides of cutoverBytes, and a position trace. (No gob value:
+// gob numbers the types it meets process-wide, so its bytes depend on what
+// else the test binary encoded first.)
+func goldenState(t *testing.T, seed int64) *Saver {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	s := NewSaver()
+	s.Incremental = true
+	s.VDS.Primary = seed%2 == 1
+	for i := rng.Intn(4); i >= 0; i-- {
+		s.PS.Push(rng.Intn(1 << 16))
+	}
+	floats := func(n int) []float64 { // exact arithmetic only: the same bits on every architecture
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Ldexp(rng.Float64()-0.5, rng.Intn(120)-60)
+		}
+		return xs
+	}
+	raw := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	sizes := []int{0, 1, 7, 1023, 1024, 1025, 4096, pageBytes / 8, pageBytes/8 + 1, 3*pageBytes/8 + 129}
+	size := func() int { return sizes[rng.Intn(len(sizes))] }
+	vars := []any{
+		ptr(rng.Int()), ptr(rng.Int63()), ptr(rng.Uint64()), ptr(rng.Float64()), ptr(rng.Intn(2) == 0),
+		ptr(string(raw(rng.Intn(40)))),
+		ptr(floats(size())), ptr(floats(size())), ptr(floats(size())),
+		ptr(raw(size() * 8)), ptr(raw(size())),
+		ptr([]int{rng.Int(), -rng.Int(), 0}), ptr([]int64{rng.Int63(), -1}),
+		ptr([][]float64{floats(size()), nil, floats(3)}),
+	}
+	for i, v := range vars {
+		name := string(rune('a' + i))
+		var err error
+		switch rng.Intn(4) {
+		case 0:
+			err = s.VDS.PushReplicated(name, v)
+		case 1:
+			err = s.VDS.PushComputed(name, v, func() error { return nil })
+		default:
+			err = s.VDS.Push(name, v)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := rng.Intn(5); i >= 0; i-- {
+		copy(s.Heap.Alloc(sizes[rng.Intn(len(sizes))]*3).Data, raw(len(sizes)))
+	}
+	return s
+}
+
+func ptr[T any](v T) *T { return &v }
+
+// streamDigest is a SectionWriter that hashes the stream and every offset
+// it is cut at.
+type streamDigest struct {
+	h hash.Hash
+	n uint64
+}
+
+func (d *streamDigest) Write(p []byte) (int, error) {
+	d.n += uint64(len(p))
+	return d.h.Write(p)
+}
+
+func (d *streamDigest) Cut() error {
+	var off [8]byte
+	binary.LittleEndian.PutUint64(off[:], d.n)
+	d.h.Write([]byte("cut"))
+	d.h.Write(off[:])
+	return nil
+}
+
+// goldenDigest serializes two epochs of the seed's state — the first
+// freeze, then an incremental one after touching some entries — through
+// Frozen.WriteTo (stream and cuts) and Saver.Snapshot, and digests all four.
+func goldenDigest(t *testing.T, seed int64) string {
+	t.Helper()
+	s := goldenState(t, seed)
+	all := &streamDigest{h: sha256.New()}
+	for epoch := 0; epoch < 2; epoch++ {
+		if epoch == 1 {
+			rng := rand.New(rand.NewSource(-seed))
+			for i, e := range s.VDS.entries {
+				if xs, ok := e.ptr.(*[]float64); ok && len(*xs) > 0 && i%2 == 0 {
+					(*xs)[rng.Intn(len(*xs))] = rng.Float64()
+					if err := s.VDS.TouchRange(e.name, 0, len(*xs)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		f, err := s.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := &streamDigest{h: sha256.New()}
+		if err := f.WriteTo(stream); err != nil {
+			t.Fatal(err)
+		}
+		all.Write(stream.h.Sum(nil))
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		all.Write(snap)
+		f.Release()
+	}
+	return hex.EncodeToString(all.h.Sum(nil))
+}
+
+func TestStateStreamIsByteIdentical(t *testing.T) {
+	want := map[int64]string{
+		1: "6710842dec241fd500bc364bf2eaa24f0c864f7aa0b503a72849d1610bbb1559",
+		2: "ec8dfe4a0551c0cde98e2b962fca617badacb18c872e8fa08d6946921bff6158",
+		3: "7696ec7139c8a2c9820ac02d0b36319ad5d21149f4b61c679b6c45e99076fa2a",
+		4: "7d153d6c1189fa469a228cd635760c5e91fb9b368301cf7f2bf46e6d097010ef",
+		5: "9085da17bc671fbb9978083c689522ffabda62d187dbd0e1c7e3154d670a0e84",
+		6: "d8566679a3aa808dc756930bd0307a01745f68f5180755176d0e70eb6ff26093",
+		7: "b9036c119036e0bb7b695d08ee6ff27e28db64575bd56f475eec06ab9e606025",
+		8: "0331a4183397e5ad7803c914be7005cdd07433f3fe565fa3bafed50a2e4e429c",
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		if got := goldenDigest(t, seed); got != want[seed] {
+			t.Errorf("seed %d: state stream digest %s, want %s", seed, got, want[seed])
+		}
+	}
+}

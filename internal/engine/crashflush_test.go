@@ -55,6 +55,7 @@ func crashProg(r *Rank) (any, error) {
 	var it int
 	var total float64
 	grid := make([]float64, 2048)
+	in := make([]float64, 1) // rewritten by every receive: scratch
 	r.Register("it", &it)
 	r.Register("total", &total)
 	r.Register("grid", &grid)
@@ -62,8 +63,8 @@ func crashProg(r *Rank) (any, error) {
 		r.PotentialCheckpoint()
 		h := r.Irecv(prev, 1)
 		r.Isend(next, 1, mpi.F64Bytes([]float64{float64(r.Rank()*1000 + it)}))
-		m := r.Wait(h)
-		total += mpi.BytesF64(m.Data)[0]
+		r.WaitF64Into(h, in)
+		total += in[0]
 		for j := 0; j < 64; j++ {
 			grid[(it*131+j)%len(grid)] += total
 		}

@@ -83,10 +83,21 @@ func (r *Rank) SendOwned(dst, tag int, data []byte) { r.l.SendOwned(dst, tag, da
 // own memory is the payload's only copy.
 func (r *Rank) SendF64(dst, tag int, xs []float64) { r.l.Send(dst, tag, mpi.Wire(xs)) }
 
-// RecvF64 receives a float64 vector. It panics if the payload is not a
-// whole number of elements.
-func (r *Rank) RecvF64(src, tag int) []float64 {
-	return mpi.Unpacked[float64](r.l.Recv(src, tag).Data)
+// RecvF64 receives a float64 vector into a fresh slice, the caller's
+// forever; the message goes back to the world. It panics if the payload is
+// not a whole number of elements.
+func (r *Rank) RecvF64(src, tag int) (xs []float64) {
+	r.l.RecvFunc(src, tag, func(p []byte) { xs = mpi.Unpacked[float64](p) })
+	return xs
+}
+
+// WaitF64Into completes the receive request h into dst, which is the
+// caller's: its length must equal the payload's in elements (anything else
+// panics), and once the payload is decoded into it the message goes back to
+// the world. A program that waits into the same vector every iteration — a
+// halo exchange into its ghost row — allocates nothing here.
+func (r *Rank) WaitF64Into(h protocol.Handle, dst []float64) {
+	mpi.Fill(dst, func(w []byte) { r.l.WaitInto(h, w) })
 }
 
 // --- collectives ---

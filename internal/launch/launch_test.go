@@ -99,6 +99,10 @@ var launcherEnv = map[string]bool{
 }
 
 func TestMain(m *testing.M) {
+	// Workers write their checkpoints to Disk with the chunk writers'
+	// released buffers poisoned: a chunk Disk had not copied would fail the
+	// replacement's verified restore.
+	storage.PoisonReleasedChunks()
 	if launch.IsWorker() {
 		for _, kv := range os.Environ() {
 			name, _, _ := strings.Cut(kv, "=")

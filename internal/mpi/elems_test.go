@@ -89,13 +89,13 @@ func TestFilledWritesTheTypedResultInPlace(t *testing.T) {
 
 // TestTornPayloadOneRule: every unpacker applies the same rule to a payload
 // that is not a whole number of elements — it panics, naming both lengths —
-// where BytesF64/BytesI64 used to drop the partial element, BytesF64Into
+// where BytesF64/BytesI64 used to drop the partial element, the into-form
 // died on an index and only the generic path complained.
 func TestTornPayloadOneRule(t *testing.T) {
 	unpackers := map[string]func(b []byte) int{
 		"BytesF64":         func(b []byte) int { return len(BytesF64(b)) },
 		"BytesI64":         func(b []byte) int { return len(BytesI64(b)) },
-		"BytesF64Into":     func(b []byte) int { dst := make([]float64, len(b)/8); BytesF64Into(dst, b); return len(dst) },
+		"unpack":           func(b []byte) int { dst := make([]float64, len(b)/8); unpack(dst, b); return len(dst) },
 		"Unpacked[uint64]": func(b []byte) int { return len(Unpacked[uint64](b)) },
 	}
 	for name, unpackLen := range unpackers {
@@ -124,10 +124,10 @@ func TestTornPayloadOneRule(t *testing.T) {
 		func() {
 			defer func() {
 				if p := recover(); p == nil {
-					t.Fatalf("BytesF64Into(%d elements, 8 bytes) did not panic", elems)
+					t.Fatalf("unpack(%d elements, 8 bytes) did not panic", elems)
 				}
 			}()
-			BytesF64Into(make([]float64, elems), make([]byte, 8))
+			unpack(make([]float64, elems), make([]byte, 8))
 		}()
 	}
 }

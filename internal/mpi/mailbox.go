@@ -131,20 +131,41 @@ func (tb *tagBuckets) popHead() {
 	last := len(tb.heap) - 1
 	tb.heap[0] = tb.heap[last]
 	tb.heap = tb.heap[:last]
-	for i := 0; ; {
+	tb.down(0)
+}
+
+// down sifts the entry at i down to its place (mailbox mu held).
+func (tb *tagBuckets) down(i int) {
+	for n := len(tb.heap); ; {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < last && tb.heap[l].key < tb.heap[small].key {
+		if l < n && tb.heap[l].key < tb.heap[small].key {
 			small = l
 		}
-		if r < last && tb.heap[r].key < tb.heap[small].key {
+		if r < n && tb.heap[r].key < tb.heap[small].key {
 			small = r
 		}
 		if small == i {
-			break
+			return
 		}
 		tb.heap[small], tb.heap[i] = tb.heap[i], tb.heap[small]
 		i = small
+	}
+}
+
+// dropEmpty removes every heap entry of a bucket with no head — all stale —
+// so that no entry refers to a bucket the sweep recycles (mailbox mu held).
+func (tb *tagBuckets) dropEmpty() {
+	kept := tb.heap[:0]
+	for _, e := range tb.heap {
+		if e.bkt.head != nil {
+			kept = append(kept, e)
+		}
+	}
+	clear(tb.heap[len(kept):])
+	tb.heap = kept
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		tb.down(i)
 	}
 }
 
@@ -186,8 +207,12 @@ type mailbox struct {
 	// Emptied buckets stay registered so ping-pong traffic on one (ctx,
 	// tag, source) triple reuses its bucket instead of re-allocating it
 	// every round trip; a sweep reclaims them once they clearly dominate
-	// (amortized O(1) per message, bounding the map size by live traffic).
+	// (amortized O(1) per message, bounding the map size by live traffic)
+	// and keeps what it reclaimed for the next new triple — every collective
+	// round uses a fresh tag — as the free list keeps nodes.
 	emptyBuckets int
+	freeBuckets  []*bucket
+	freeTags     []*tagBuckets
 
 	// The wait discipline (see wait): wake is bumped by every deliver and
 	// every interrupt, so a receiver spinning outside the lock learns of
@@ -366,12 +391,21 @@ func (b *mailbox) bucketAppend(n *node) {
 	bk := bucketKey{ctx: n.m.ctx, source: n.m.Source, tag: n.m.Tag}
 	bkt := b.exact[bk]
 	if bkt == nil {
-		bkt = &bucket{bk: bk}
+		if n := len(b.freeBuckets); n > 0 {
+			bkt, b.freeBuckets = b.freeBuckets[n-1], b.freeBuckets[:n-1]
+			*bkt = bucket{bk: bk}
+		} else {
+			bkt = &bucket{bk: bk}
+		}
 		b.exact[bk] = bkt
 		tk := tagKey{ctx: bk.ctx, tag: bk.tag}
 		tb := b.byTag[tk]
 		if tb == nil {
-			tb = &tagBuckets{srcs: make(map[int]*bucket)}
+			if n := len(b.freeTags); n > 0 {
+				tb, b.freeTags = b.freeTags[n-1], b.freeTags[:n-1]
+			} else {
+				tb = &tagBuckets{srcs: make(map[int]*bucket)}
+			}
 			b.byTag[tk] = tb
 		}
 		tb.srcs[bk.source] = bkt
@@ -435,7 +469,8 @@ func (b *mailbox) remove(n *node) {
 	b.freeNode(n)
 }
 
-// sweepEmptyBuckets drops every cached-empty bucket from both indexes.
+// sweepEmptyBuckets drops every cached-empty bucket from both indexes and
+// puts it, and every per-tag index left with no bucket, on the free lists.
 // Triggered when empties outnumber live traffic, so the collective tag
 // space (a fresh tag per collective round) cannot grow the maps without
 // bound.
@@ -445,12 +480,17 @@ func (b *mailbox) sweepEmptyBuckets() {
 			continue
 		}
 		delete(b.exact, bk)
-		tk := tagKey{ctx: bk.ctx, tag: bk.tag}
-		if tb := b.byTag[tk]; tb != nil {
-			delete(tb.srcs, bk.source)
-			if len(tb.srcs) == 0 {
-				delete(b.byTag, tk)
-			}
+		delete(bkt.tb.srcs, bk.source)
+		b.freeBuckets = append(b.freeBuckets, bkt)
+	}
+	for tk, tb := range b.byTag {
+		if len(tb.srcs) == 0 {
+			delete(b.byTag, tk)
+			clear(tb.heap)
+			tb.heap, tb.live = tb.heap[:0], 0
+			b.freeTags = append(b.freeTags, tb)
+		} else {
+			tb.dropEmpty()
 		}
 	}
 	b.emptyBuckets = 0

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -175,6 +176,94 @@ func TestGateFollowsWhatTheMailboxSees(t *testing.T) {
 	}
 	if spins != 3 {
 		t.Fatalf("after a probe that hit, %d of 3 waits spun", spins)
+	}
+}
+
+// TestRecycledBucketsMatchLikeTheQueue: the indexed mailbox, whose buckets
+// and per-tag indexes are swept and reused as collective rounds move to fresh
+// tags, takes what an ordered scan of the queue would — the earliest queued
+// message any spec accepts, ties to the lowest spec. The queue drains between
+// rounds, so master keys are handed out again from the start: a heap entry
+// left pointing at a recycled bucket would be taken for that bucket's new
+// head here.
+func TestRecycledBucketsMatchLikeTheQueue(t *testing.T) {
+	_, b := spinBox(func(*World, *mailbox) {})
+	rng := rand.New(rand.NewSource(31))
+	var queue []*Message
+	tag := 100
+	for round := 0; round < 400; round++ {
+		tags := []int{1, tag, tag + 1} // a tag every round shares, and two fresh ones
+		tag += 2
+		for n := scanThreshold + 1 + rng.Intn(8); n > 0; n-- {
+			m := &Message{Source: rng.Intn(4), Tag: tags[rng.Intn(len(tags))]}
+			b.deliver(m)
+			queue = append(queue, m)
+		}
+		for len(queue) > 0 {
+			specs := make([]RecvSpec, 1+rng.Intn(2))
+			for i := range specs {
+				q := queue[rng.Intn(len(queue))]
+				specs[i] = RecvSpec{Source: q.Source, Tag: q.Tag}
+				if rng.Intn(2) == 0 {
+					specs[i].Source = AnySource
+				}
+			}
+			wantAt, wantSpec := -1, -1
+			for i, q := range queue {
+				for si := range specs {
+					if specs[si].Matches(q) {
+						wantAt, wantSpec = i, si
+						break
+					}
+				}
+				if wantAt >= 0 {
+					break
+				}
+			}
+			b.mu.Lock()
+			si, m := b.tryMatch(specs)
+			b.mu.Unlock()
+			if m != queue[wantAt] || si != wantSpec {
+				t.Fatalf("round %d: specs %+v matched spec %d, message %+v; the queue's first match is spec %d, %+v",
+					round, specs, si, m, wantSpec, queue[wantAt])
+			}
+			queue = append(queue[:wantAt], queue[wantAt+1:]...)
+		}
+	}
+	if len(b.freeBuckets) == 0 && len(b.freeTags) == 0 {
+		t.Fatal("no bucket was ever swept")
+	}
+}
+
+// TestFreshTagsAllocateNoBucket: a round of messages on fresh tags — what
+// every collective round is — long enough to be indexed, allocates nothing
+// once the first sweep has filled the free lists.
+func TestFreshTagsAllocateNoBucket(t *testing.T) {
+	_, b := spinBox(func(*World, *mailbox) {})
+	msgs := make([]Message, 2*scanThreshold)
+	spec := make([]RecvSpec, 1)
+	tag := 0
+	round := func() {
+		for i := range msgs {
+			msgs[i] = Message{Source: i % 2, Tag: tag + i/2}
+			b.deliver(&msgs[i])
+		}
+		for i := range msgs {
+			spec[0] = RecvSpec{Source: AnySource, Tag: tag + i/2}
+			b.mu.Lock()
+			_, m := b.tryMatch(spec)
+			b.mu.Unlock()
+			if m != &msgs[i] {
+				panic(fmt.Sprintf("tag %d: matched %+v, want %+v", tag+i/2, m, msgs[i]))
+			}
+		}
+		tag += len(msgs) / 2
+	}
+	for i := 0; i < 100; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Fatalf("a round of %d messages on fresh tags made %.0f allocations, want none", len(msgs), allocs)
 	}
 }
 

@@ -90,9 +90,6 @@ func F64Bytes(xs []float64) []byte { return Packed(xs) }
 // if len(b) is not a multiple of 8.
 func BytesF64(b []byte) []float64 { return Unpacked[float64](b) }
 
-// BytesF64Into unpacks into dst; b must hold exactly len(dst) elements.
-func BytesF64Into(dst []float64, b []byte) { unpack(dst, b) }
-
 // F64BytesInto packs xs into dst, which must have length 8*len(xs).
 func F64BytesInto(dst []byte, xs []float64) { wireCopy(dst[:8*len(xs)], view(xs), 8) }
 

@@ -39,6 +39,9 @@ type handleTable struct {
 	reqs     map[Handle]*reqState
 	nextComm CommHandle
 	comms    map[CommHandle]*mpi.Comm
+	// free holds the states of completed receive requests for the next
+	// Irecv: a program that posts a receive per iteration allocates none.
+	free []*reqState
 }
 
 func newHandleTable() *handleTable {
@@ -57,6 +60,18 @@ func (t *handleTable) newRequest(st *reqState) Handle {
 	return h
 }
 
+// newRecv registers a receive request for (src, tag).
+func (t *handleTable) newRecv(src, tag int) Handle {
+	var st *reqState
+	if n := len(t.free); n > 0 {
+		st, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		st = new(reqState)
+	}
+	*st = reqState{isRecv: true, src: src, tag: tag}
+	return t.newRequest(st)
+}
+
 func (t *handleTable) request(h Handle) *reqState {
 	st, ok := t.reqs[h]
 	if !ok {
@@ -65,7 +80,14 @@ func (t *handleTable) request(h Handle) *reqState {
 	return st
 }
 
-func (t *handleTable) release(h Handle) { delete(t.reqs, h) }
+// release forgets h. Its state goes back to the free list, so nothing may
+// read it afterwards.
+func (t *handleTable) release(h Handle) {
+	if st := t.reqs[h]; st != sendDone {
+		t.free = append(t.free, st)
+	}
+	delete(t.reqs, h)
+}
 
 // CommDup duplicates the communicator behind parent, records the call for
 // recovery replay, and returns the new pseudo-handle. Collective over the

@@ -67,20 +67,61 @@ func (l *Layer) sendApp(dst, tag int, data []byte, owned bool) {
 }
 
 // Recv blocks until a message matching (src, tag) is delivered to the
-// application; src may be mpi.AnySource and tag mpi.AnyTag.
+// application; src may be mpi.AnySource and tag mpi.AnyTag. The payload is
+// the caller's.
 func (l *Layer) Recv(src, tag int) *AppMessage {
 	l.enterOp()
+	return l.receive(src, tag).app()
+}
+
+// RecvFunc is Recv for a caller that copies the payload out: take sees it,
+// must not keep it, and once take returns the message goes back to the
+// world (see WaitInto).
+func (l *Layer) RecvFunc(src, tag int, take func(payload []byte)) {
+	l.enterOp()
+	d := l.receive(src, tag)
+	take(d.data)
+	l.consumed(d)
+}
+
+// delivery is an application message as the receive path hands it over:
+// off the wire, with m the substrate message its payload lives in, or
+// replayed from the recovery log, with m nil and the payload the log's.
+type delivery struct {
+	src, tag int
+	data     []byte
+	m        *mpi.Message
+}
+
+// app is the delivery as the allocating receives return it.
+func (d delivery) app() *AppMessage {
+	return &AppMessage{Source: d.src, Tag: d.tag, Data: d.data}
+}
+
+// consumed hands the delivery's substrate message back to the world once
+// its payload has been copied out. A late message's log entry is the log's
+// own copy (deliver), and a replayed payload belongs to the log, so nothing
+// reads the message again.
+func (l *Layer) consumed(d delivery) {
+	if d.m != nil {
+		l.comm.World().Release(d.m)
+	}
+}
+
+// receive is the one receive path: a plain substrate receive outside the
+// protocol, recvApp under it.
+func (l *Layer) receive(src, tag int) delivery {
 	if !l.active() {
 		m := l.comm.Recv(src, tag)
-		return &AppMessage{Source: m.Source, Tag: m.Tag, Data: m.Data}
+		return delivery{src: m.Source, tag: m.Tag, data: m.Data, m: m}
 	}
 	return l.recvApp(src, tag)
 }
 
-// recvApp is the shared delivery path of Recv and Wait-on-receive. It
+// recvApp is the protocol's delivery path behind every receive. It
 // consults the recovery replay first, then performs a live receive while
 // servicing control traffic.
-func (l *Layer) recvApp(src, tag int) *AppMessage {
+func (l *Layer) recvApp(src, tag int) delivery {
 	if l.replay != nil {
 		seq := l.recvSeq
 		if e := l.replay.Late(seq); e != nil {
@@ -94,7 +135,7 @@ func (l *Layer) recvApp(src, tag int) *AppMessage {
 			l.recvSeq++
 			l.Stats.ReplayedLate++
 			l.trace(TraceReplayLate, e.Src, e.Tag, 0, len(e.Data))
-			return &AppMessage{Source: e.Src, Tag: e.Tag, Data: e.Data}
+			return delivery{src: e.Src, tag: e.Tag, data: e.Data}
 		}
 		if e := l.replay.PeekWildcard(seq); e != nil {
 			// The original execution resolved this wildcard receive to a
@@ -124,7 +165,7 @@ func (l *Layer) appSelectSpecs(src, tag int) []mpi.RecvSpec {
 
 // deliver processes an incoming application message: strip the piggyback,
 // classify, bookkeep, and hand the payload to the application.
-func (l *Layer) deliver(m *mpi.Message, wasWildcard bool) *AppMessage {
+func (l *Layer) deliver(m *mpi.Message, wasWildcard bool) delivery {
 	if l.replay != nil {
 		l.replay.ConsumeWildcard(l.recvSeq)
 	}
@@ -165,7 +206,7 @@ func (l *Layer) deliver(m *mpi.Message, wasWildcard bool) *AppMessage {
 		l.receivedAll()
 	}
 	l.recvSeq++
-	return &AppMessage{Source: m.Source, Tag: m.Tag, Data: payload}
+	return delivery{src: m.Source, tag: m.Tag, data: payload, m: m}
 }
 
 // --- Request pseudo-handles (Section 5.2, transient opaque objects) ---
@@ -175,12 +216,19 @@ func (l *Layer) deliver(m *mpi.Message, wasWildcard bool) *AppMessage {
 // inside the layer and are reconstructed on recovery.
 type Handle int64
 
+// reqState is a live request behind a pseudo-handle. A completed request
+// is released at once, so the only complete one in the table is a send —
+// or whatever a restored request record says.
 type reqState struct {
 	isRecv   bool
 	src, tag int
 	done     bool
-	msg      *AppMessage
 }
+
+// sendDone is the state of every Isend request: the transport copies
+// eagerly, so a send is complete at birth, and nothing writes to a complete
+// request's state — they can all share this one.
+var sendDone = &reqState{done: true}
 
 // Isend posts a non-blocking send and returns its pseudo-handle. The
 // transport copies eagerly, so the request is immediately complete: on
@@ -189,7 +237,7 @@ type reqState struct {
 // is exactly what a completed pseudo-handle does.
 func (l *Layer) Isend(dst, tag int, data []byte) Handle {
 	l.Send(dst, tag, data)
-	return l.handles.newRequest(&reqState{done: true})
+	return l.handles.newRequest(sendDone)
 }
 
 // Irecv posts a non-blocking receive and returns its pseudo-handle.
@@ -198,26 +246,45 @@ func (l *Layer) Isend(dst, tag int, data []byte) Handle {
 // would return, Section 2).
 func (l *Layer) Irecv(src, tag int) Handle {
 	l.enterOp()
-	return l.handles.newRequest(&reqState{isRecv: true, src: src, tag: tag})
+	return l.handles.newRecv(src, tag)
 }
 
 // Wait blocks until the request completes; for receives it returns the
 // delivered message, for sends nil. The pseudo-handle is released.
 func (l *Layer) Wait(h Handle) *AppMessage {
+	if d, ok := l.complete(h); ok {
+		return d.app()
+	}
+	return nil
+}
+
+// WaitInto is Wait for a receive whose payload the caller copies into dst,
+// a buffer of exactly the payload's length (anything else panics, naming
+// both). Once the payload is copied the message goes back to the world's
+// free list, so a receive the program repeats — a halo exchange — allocates
+// nothing. A send request completes and leaves dst alone.
+func (l *Layer) WaitInto(h Handle, dst []byte) {
+	d, ok := l.complete(h)
+	if !ok {
+		return
+	}
+	if len(d.data) != len(dst) {
+		panic(fmt.Sprintf("protocol: rank %d: WaitInto a %d-byte buffer, the message from rank %d (tag %d) carries %d bytes",
+			l.rank, len(dst), d.src, d.tag, len(d.data)))
+	}
+	copy(dst, d.data)
+	l.consumed(d)
+}
+
+// complete blocks until the request completes and releases its
+// pseudo-handle; ok reports a receive, d its message.
+func (l *Layer) complete(h Handle) (d delivery, ok bool) {
 	st := l.handles.request(h)
-	if !st.done {
-		if st.isRecv {
-			if l.active() {
-				st.msg = l.recvApp(st.src, st.tag)
-			} else {
-				m := l.comm.Recv(st.src, st.tag)
-				st.msg = &AppMessage{Source: m.Source, Tag: m.Tag, Data: m.Data}
-			}
-		}
-		st.done = true
+	if !st.done && st.isRecv {
+		d, ok = l.receive(st.src, st.tag), true
 	}
 	l.handles.release(h)
-	return st.msg
+	return d, ok
 }
 
 // Test checks a request without blocking; ok reports completion, and a
@@ -225,12 +292,7 @@ func (l *Layer) Wait(h Handle) *AppMessage {
 func (l *Layer) Test(h Handle) (*AppMessage, bool) {
 	l.enterOp()
 	st := l.handles.request(h)
-	if st.done {
-		l.handles.release(h)
-		return st.msg, true
-	}
-	if !st.isRecv {
-		st.done = true
+	if st.done || !st.isRecv {
 		l.handles.release(h)
 		return nil, true
 	}
@@ -240,10 +302,8 @@ func (l *Layer) Test(h Handle) (*AppMessage, bool) {
 		if e := l.replay.Late(l.recvSeq); e != nil {
 			l.recvSeq++
 			l.Stats.ReplayedLate++
-			st.msg = &AppMessage{Source: e.Src, Tag: e.Tag, Data: e.Data}
-			st.done = true
 			l.handles.release(h)
-			return st.msg, true
+			return &AppMessage{Source: e.Src, Tag: e.Tag, Data: e.Data}, true
 		}
 		if e := l.replay.PeekWildcard(l.recvSeq); e != nil {
 			src, tag = e.Src, e.Tag
@@ -251,10 +311,9 @@ func (l *Layer) Test(h Handle) (*AppMessage, bool) {
 	}
 	l.selSpecs = append(l.selSpecs[:0], mpi.RecvSpec{Source: src, Tag: tag})
 	if idx, m := l.comm.PollSelect(l.selSpecs); idx == 0 && m != nil {
-		st.msg = l.deliver(m, st.src == mpi.AnySource || st.tag == mpi.AnyTag)
-		st.done = true
+		d := l.deliver(m, st.src == mpi.AnySource || st.tag == mpi.AnyTag)
 		l.handles.release(h)
-		return st.msg, true
+		return d.app(), true
 	}
 	return nil, false
 }

@@ -173,7 +173,7 @@ func (s pacedSection) Cut() error { return s.w.Cut() }
 func unmarshalState(raw []byte) (*checkpointState, error) {
 	rest, ok := bytes.CutPrefix(raw, stateMagicV2)
 	n, w := binary.Uvarint(rest)
-	if !ok || w <= 0 || n > uint64(len(rest)-w) || !gobFramed(rest[w:w+int(n)]) {
+	if !ok || w <= 0 || n > uint64(len(rest)-w) || !ckpt.GobFramed(rest[w:w+int(n)]) {
 		return nil, fmt.Errorf("protocol: %w: corrupt checkpoint state header", cerr.ErrStore)
 	}
 	hdr, app := rest[w:w+int(n)], rest[w+int(n):]
@@ -183,33 +183,6 @@ func unmarshalState(raw []byte) (*checkpointState, error) {
 	}
 	st.App = app
 	return &st, nil
-}
-
-// gobFramed reports whether b is a whole number of gob messages. The gob
-// decoder allocates a message's claimed length (up to 10 MB at a time)
-// before it reads it; checked here first, every claim it meets is backed by
-// bytes that are present.
-func gobFramed(b []byte) bool {
-	for len(b) > 0 {
-		n, w := uint64(b[0]), 1
-		if b[0] > 0x7f {
-			// A negated byte count, then that many bytes, high byte first.
-			k := 256 - int(b[0])
-			if k > 8 || k >= len(b) {
-				return false
-			}
-			n = 0
-			for _, c := range b[1 : 1+k] {
-				n = n<<8 | uint64(c)
-			}
-			w += k
-		}
-		if n > uint64(len(b)-w) {
-			return false
-		}
-		b = b[w+int(n):]
-	}
-	return true
 }
 
 // Restore rebuilds the layer from the committed global checkpoint at the

@@ -6,8 +6,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 
 	"ccift/internal/cerr"
 )
@@ -84,7 +87,11 @@ func (r ChunkRef) defectAt(size int, chunk []byte) string {
 // hashed while chunk N+1 fills and chunk N-1 is Put. A blob that never
 // fills a second chunk spawns nothing.
 //
-// The writer is single-use and not safe for concurrent use.
+// The writer is single-use and not safe for concurrent use. Its chunk
+// buffers come from a free list shared by every writer and go back to it
+// when the writer is finished — Commit has returned, or the owner called
+// Abort — so a steady-state flush fills the buffers the previous one gave
+// back instead of allocating two chunks' worth.
 type ChunkedWriter struct {
 	s         Stable
 	ctx       context.Context
@@ -95,7 +102,7 @@ type ChunkedWriter struct {
 	total     int64 // logical blob bytes
 	written   int64 // bytes actually Put (manifest + dedup-missed chunks)
 	committed bool
-	err       error // the first failed store call: the stream has a hole, nothing more is stored
+	err       error // the first failed store call (the stream has a hole, nothing more is stored), or errFinished
 
 	// The hash worker (nil until a second full chunk) and the two buffers
 	// that rotate around it: ahead is the chunk the worker holds, flushed
@@ -105,6 +112,38 @@ type ChunkedWriter struct {
 	hashIn       chan []byte
 	hashOut      chan [sha256.Size]byte
 	ahead, spare []byte
+
+	// held are the free-list entries behind buf, ahead and spare: however
+	// those three rotate, they are views of these two buffers, which go back
+	// to the free list as they are when the writer finishes.
+	held [2]*[]byte
+}
+
+// chunkFree is the free list of chunk buffers. A sync.Pool drops what it
+// holds across two collections, so an idle process keeps no chunk buffer.
+var chunkFree sync.Pool
+
+// poisonFreed is the PoisonReleasedChunks seam.
+var poisonFreed atomic.Bool
+
+// PoisonReleasedChunks is a test seam, not an option: from here on, for the
+// life of the process, every chunk buffer a finished writer hands back is
+// overwritten before it goes on the free list. A Stable that kept a view of
+// a buffer it was given in Put, instead of a copy, then holds poison where
+// the chunk's bytes were, and the next read that verifies the chunk fails.
+func PoisonReleasedChunks() { poisonFreed.Store(true) }
+
+// errFinished is what a finished writer answers every later call with.
+var errFinished = errors.New("storage: chunked writer already finished")
+
+// chunkBuffer takes a buffer of at least n bytes' capacity off the free
+// list, or makes one.
+func chunkBuffer(n int) *[]byte {
+	if p, _ := chunkFree.Get().(*[]byte); p != nil && cap(*p) >= n {
+		return p
+	}
+	b := make([]byte, 0, n)
+	return &b
 }
 
 // NewChunkedWriter returns a writer that stores chunks in s and, on
@@ -115,7 +154,10 @@ func NewChunkedWriter(ctx context.Context, s Stable, key string, chunkSize int) 
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	return &ChunkedWriter{s: s, ctx: ctx, key: key, chunkSize: chunkSize, buf: make([]byte, 0, chunkSize)}
+	w := &ChunkedWriter{s: s, ctx: ctx, key: key, chunkSize: chunkSize}
+	w.held[0] = chunkBuffer(chunkSize)
+	w.buf = (*w.held[0])[:0]
+	return w
 }
 
 // Pipeline selects nothing: the writer overlaps hashing on its own once a
@@ -123,21 +165,43 @@ func NewChunkedWriter(ctx context.Context, s Stable, key string, chunkSize int) 
 // callers written against a writer that took a pipeline depth here.
 func (w *ChunkedWriter) Pipeline(int) *ChunkedWriter { return w }
 
-// Abort joins the hash worker of a writer that will not be committed. Safe
-// to call in any state, including after Commit and on a writer that never
-// spawned one (both no-ops), so callers can simply defer it.
+// Abort finishes a writer that will not be committed: it joins the hash
+// worker and hands the chunk buffers back, after which every call fails.
+// Safe to call in any state, including after Commit (which finishes the
+// writer itself) and more than once, so callers can simply defer it.
 func (w *ChunkedWriter) Abort() {
-	if w.hashIn == nil {
-		return
+	if w.hashIn != nil {
+		close(w.hashIn)
+		for range w.hashOut { // a sum nobody stored; the worker closes hashOut as it exits
+		}
+		w.hashIn = nil
 	}
-	close(w.hashIn)
-	for range w.hashOut { // a sum nobody stored; the worker closes hashOut as it exits
+	if w.err == nil {
+		w.err = errFinished
 	}
-	w.hashIn = nil
+	// The worker is joined and every Put has returned — and a store copies
+	// on Put — so nothing reads the buffers any more.
+	w.buf, w.ahead, w.spare = nil, nil, nil
+	for i, p := range w.held {
+		if p == nil {
+			continue
+		}
+		if poisonFreed.Load() {
+			b := (*p)[:cap(*p)]
+			for j := range b {
+				b[j] = 0xDB
+			}
+		}
+		chunkFree.Put(p)
+		w.held[i] = nil
+	}
 }
 
 // Write implements io.Writer, spilling every full chunk to the store.
 func (w *ChunkedWriter) Write(p []byte) (int, error) {
+	if w.err != nil {
+		return 0, w.err
+	}
 	n := len(p)
 	for len(p) > 0 {
 		room := w.chunkSize - len(w.buf)
@@ -190,7 +254,8 @@ func (w *ChunkedWriter) flush() error {
 	}
 	if w.hashIn == nil {
 		w.hashIn, w.hashOut = make(chan []byte), make(chan [sha256.Size]byte, 1)
-		w.spare = make([]byte, 0, w.chunkSize)
+		w.held[1] = chunkBuffer(w.chunkSize)
+		w.spare = (*w.held[1])[:0]
 		go func(in <-chan []byte, out chan<- [sha256.Size]byte) {
 			defer close(out)
 			for b := range in {

@@ -18,6 +18,7 @@ import (
 	"ccift"
 	"ccift/internal/launch"
 	"ccift/internal/protocol"
+	"ccift/internal/storage"
 )
 
 // Parameters shared by the launcher-side tests and the re-exec'd workers
@@ -152,6 +153,10 @@ func workerSpec() *ccift.Spec {
 }
 
 func TestMain(m *testing.M) {
+	// Launcher and worker processes alike poison the chunk buffers a
+	// finished writer gives back, so a store that kept a view of one fails
+	// the next verified read (internal/storage's seam).
+	storage.PoisonReleasedChunks()
 	if ccift.IsWorker() {
 		if field := os.Getenv(policyEnv); field != "" {
 			policyWorker(field) // never returns

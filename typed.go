@@ -27,9 +27,12 @@ func Send[T Element](r *Rank, dst, tag int, xs []T) {
 
 // Recv receives a vector of fixed-width elements matching (src, tag); src
 // may be AnySource and tag AnyTag. It panics if the payload is not a whole
-// number of elements — i.e. the sender used a different type.
-func Recv[T Element](r *Rank, src, tag int) []T {
-	return mpi.Unpacked[T](r.Recv(src, tag).Data)
+// number of elements — i.e. the sender used a different type. The decoded
+// vector is the only copy the receive keeps: the message goes back to the
+// world.
+func Recv[T Element](r *Rank, src, tag int) (xs []T) {
+	r.Layer().RecvFunc(src, tag, func(p []byte) { xs = mpi.Unpacked[T](p) })
+	return xs
 }
 
 // Element64 is the subset of Element the built-in reduction operators can
