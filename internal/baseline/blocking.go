@@ -46,7 +46,7 @@ func NewBlocking(comm *mpi.Comm, store *storage.CheckpointStore) *Blocking {
 //
 // All ranks must call Checkpoint collectively, like an MPI collective.
 func (b *Blocking) Checkpoint(state []byte) (crossed int, err error) {
-	b.comm.Barrier()
+	b.comm.Barrier(0)
 	// Between the barriers every rank is inside Checkpoint, so any queued
 	// application message was sent before its sender's state was saved and
 	// will be received after this rank's state was saved: a crossing
@@ -67,13 +67,13 @@ func (b *Blocking) Checkpoint(state []byte) (crossed int, err error) {
 	// Second barrier: every rank's state is durable before the commit
 	// record moves; third barrier: the commit is visible before any rank
 	// leaves the checkpoint (otherwise a racing Restore could miss it).
-	b.comm.Barrier()
+	b.comm.Barrier(0)
 	if b.comm.Rank() == 0 {
 		if err := b.store.Commit(epoch); err != nil {
 			return crossed, fmt.Errorf("baseline: blocking commit: %w", err)
 		}
 	}
-	b.comm.Barrier()
+	b.comm.Barrier(0)
 	b.Epoch = epoch
 	return crossed, nil
 }

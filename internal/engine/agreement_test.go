@@ -58,26 +58,36 @@ var agreementCalls = []struct {
 		return sumF64(r.AllgatherF64([]float64{v, -v / 3}))
 	}},
 	{"Alltoall", func(r *Rank, _ int, v float64) float64 {
-		return sumF64(mpi.BytesF64(r.Alltoall(mpi.F64Bytes(blocks(r, v)))))
+		dst := make([]byte, 8*r.Size())
+		r.AlltoallInto(dst, mpi.F64Bytes(blocks(r, v)))
+		return sumF64(mpi.BytesF64(dst))
 	}},
 	{"Reducescatter", func(r *Rank, _ int, v float64) float64 {
-		return mpi.BytesF64(r.Reducescatter(mpi.F64Bytes(blocks(r, v)), mpi.SumF64))[0]
+		dst := make([]byte, 8)
+		r.ReducescatterInto(dst, mpi.F64Bytes(blocks(r, v)), mpi.SumF64)
+		return mpi.BytesF64(dst)[0]
 	}},
 	{"Barrier", func(r *Rank, _ int, v float64) float64 {
 		r.Barrier()
 		return v
 	}},
 	{"Bcast", func(r *Rank, root int, v float64) float64 {
-		return mpi.BytesF64(r.Bcast(root, mpi.F64Bytes([]float64{v})))[0]
+		buf := mpi.F64Bytes([]float64{v})
+		r.BcastInto(root, buf)
+		return mpi.BytesF64(buf)[0]
 	}},
 	{"Reduce", func(r *Rank, root int, v float64) float64 {
-		return v + sumF64(mpi.BytesF64(r.Reduce(root, mpi.F64Bytes([]float64{v}), mpi.SumF64)))
+		dst := make([]byte, 8) // stays zero off root
+		r.ReduceInto(root, dst, mpi.F64Bytes([]float64{v}), mpi.SumF64)
+		return v + mpi.BytesF64(dst)[0]
 	}},
 	{"Gather", func(r *Rank, root int, v float64) float64 {
 		return v + sumF64(r.GatherF64(root, []float64{v}))
 	}},
 	{"Scatter", func(r *Rank, root int, v float64) float64 {
-		return mpi.BytesF64(r.Scatter(root, mpi.F64Bytes(blocks(r, v))))[0]
+		dst := make([]byte, 8)
+		r.ScatterInto(root, dst, mpi.F64Bytes(blocks(r, v)))
+		return mpi.BytesF64(dst)[0]
 	}},
 	{"Scan", func(r *Rank, _ int, v float64) float64 {
 		return r.ScanF64([]float64{v}, mpi.SumF64)[0]

@@ -32,8 +32,9 @@ func scanProg(iters int) Program {
 			for i := range blocks {
 				blocks[i] = float64(me) + float64(i)*0.25
 			}
-			own := mpi.BytesF64(r.Reducescatter(mpi.F64Bytes(blocks), mpi.SumF64))
-			acc += own[0] * 0.01
+			own := make([]byte, 8)
+			r.ReducescatterInto(own, mpi.F64Bytes(blocks), mpi.SumF64)
+			acc += mpi.BytesF64(own)[0] * 0.01
 
 			// Ring rotation via the combined call.
 			m := r.Sendrecv((me+1)%n, 1, mpi.F64Bytes([]float64{acc}), (me-1+n)%n, 1)

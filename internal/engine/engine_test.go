@@ -259,11 +259,13 @@ func collectiveProg(iters int) Program {
 			sum := r.AllreduceF64([]float64{float64(r.Rank() + it)}, mpi.SumF64)
 			all := r.AllgatherF64([]float64{sum[0] + float64(r.Rank())})
 			root := r.GatherF64(0, []float64{all[it%n]})
-			var fromRoot []float64
+			fromRoot := make([]float64, n)
 			if r.Rank() == 0 {
-				fromRoot = root
+				copy(fromRoot, root)
 			}
-			fromRoot = mpi.BytesF64(r.Bcast(0, mpi.F64Bytes(fromRoot)))
+			buf := mpi.F64Bytes(fromRoot)
+			r.BcastInto(0, buf)
+			fromRoot = mpi.BytesF64(buf)
 			r.Barrier()
 			acc[0] += sum[0]
 			acc[1] += all[(it+1)%n]
@@ -470,7 +472,8 @@ func TestCommDupSurvivesRecovery(t *testing.T) {
 			r.PotentialCheckpoint()
 			// Use the duplicated communicator directly for a barrier-like
 			// allreduce (raw escape hatch, not protocol-managed).
-			out := r.SubComm(dup).Allreduce(mpi.F64Bytes([]float64{1}), mpi.SumF64)
+			out := make([]byte, 8)
+			r.SubComm(dup).AllreduceInto(out, mpi.F64Bytes([]float64{1}), mpi.SumF64, 0)
 			sum += mpi.BytesF64(out)[0]
 		}
 		return sum, nil

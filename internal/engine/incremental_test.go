@@ -58,7 +58,8 @@ func incrProg(iters int) Program {
 					sum = sum*31 + uint64(x)
 				}
 			}
-			out := r.Allgather(u64Bytes(sum))
+			out := make([]byte, 8*r.Size())
+			r.AllgatherInto(out, u64Bytes(sum))
 			var agg uint64
 			for i := 0; i+8 <= len(out); i += 8 {
 				agg += bytesU64(out[i : i+8])

@@ -101,6 +101,9 @@ func (r *Rank) WaitF64Into(h protocol.Handle, dst []float64) {
 }
 
 // --- collectives ---
+//
+// Each fills a result the caller provides, of the length every rank knows
+// (see mpi's collectives); a root-only result is ignored on the other ranks.
 
 // Barrier synchronizes all ranks; on recovery a barrier that was executed
 // while logging is not re-executed (see protocol.Layer.Barrier).
@@ -112,11 +115,9 @@ func (r *Rank) Barrier() { r.l.Barrier() }
 // it, because resume must land at the barrier itself.
 func (r *Rank) AlignedBarrier() { r.l.AlignedBarrier() }
 
-// Allreduce combines byte payloads across ranks.
-func (r *Rank) Allreduce(data []byte, op mpi.Op) []byte { return r.l.Allreduce(data, op) }
-
-// AllreduceInto is Allreduce into dst (len(data) bytes): the form the typed
-// front ends build on, so a result is allocated once, with its element type.
+// AllreduceInto combines byte payloads across ranks into dst (len(data)
+// bytes): the form the typed front ends build on, so a result is allocated
+// once, with its element type.
 func (r *Rank) AllreduceInto(dst, data []byte, op mpi.Op) { r.l.AllreduceInto(dst, data, op) }
 
 // AllreduceF64Into combines float64 vectors across ranks into dst, which
@@ -135,8 +136,9 @@ func (r *Rank) AllreduceF64(xs []float64, op mpi.Op) []float64 {
 	return out
 }
 
-// Allgather concatenates equal-sized payloads from all ranks.
-func (r *Rank) Allgather(data []byte) []byte { return r.l.Allgather(data) }
+// AllgatherInto concatenates equal-sized payloads from all ranks into dst
+// (Size()·len(data) bytes).
+func (r *Rank) AllgatherInto(dst, data []byte) { r.l.AllgatherInto(dst, data) }
 
 // AllgatherF64Into concatenates equal-length float64 vectors from all ranks
 // into dst (Size()·len(xs) long; see AllreduceF64Into for the rule).
@@ -151,16 +153,12 @@ func (r *Rank) AllgatherF64(xs []float64) []float64 {
 	return out
 }
 
-// Gather concatenates payloads at root (nil elsewhere).
-func (r *Rank) Gather(root int, data []byte) []byte { return r.l.Gather(root, data) }
+// GatherInto concatenates payloads in root's dst (Size()·len(data) bytes).
+func (r *Rank) GatherInto(root int, dst, data []byte) { r.l.GatherInto(root, dst, data) }
 
 // GatherF64Into concatenates float64 vectors in root's dst (Size()·len(xs)
-// long; see AllreduceF64Into for the rule). The other ranks' dst is ignored.
+// long; see AllreduceF64Into for the rule).
 func (r *Rank) GatherF64Into(root int, dst, xs []float64) {
-	if r.Rank() != root {
-		r.l.GatherInto(root, nil, mpi.Wire(xs))
-		return
-	}
 	mpi.Fill(dst, func(w []byte) { r.l.GatherInto(root, w, mpi.Wire(xs)) })
 }
 
@@ -174,17 +172,37 @@ func (r *Rank) GatherF64(root int, xs []float64) []float64 {
 	return out
 }
 
-// Bcast distributes root's payload.
-func (r *Rank) Bcast(root int, data []byte) []byte { return r.l.Bcast(root, data) }
+// BcastInto distributes root's buf into every rank's buf.
+func (r *Rank) BcastInto(root int, buf []byte) { r.l.BcastInto(root, buf) }
 
-// Reduce combines payloads at root (nil elsewhere).
-func (r *Rank) Reduce(root int, data []byte, op mpi.Op) []byte { return r.l.Reduce(root, data, op) }
+// ReduceInto combines payloads with op into root's dst (len(data) bytes).
+func (r *Rank) ReduceInto(root int, dst, data []byte, op mpi.Op) { r.l.ReduceInto(root, dst, data, op) }
 
-// Scatter distributes root's payload in equal blocks.
-func (r *Rank) Scatter(root int, data []byte) []byte { return r.l.Scatter(root, data) }
+// ScatterInto distributes root's data in equal blocks, one to each rank's
+// dst.
+func (r *Rank) ScatterInto(root int, dst, data []byte) { r.l.ScatterInto(root, dst, data) }
 
-// Alltoall exchanges equal-sized blocks between all ranks.
-func (r *Rank) Alltoall(data []byte) []byte { return r.l.Alltoall(data) }
+// AlltoallInto exchanges equal-sized blocks between all ranks into dst
+// (len(data) bytes).
+func (r *Rank) AlltoallInto(dst, data []byte) { r.l.AlltoallInto(dst, data) }
+
+// ScanInto computes the inclusive prefix reduction across ranks 0..i into
+// dst (len(data) bytes).
+func (r *Rank) ScanInto(dst, data []byte, op mpi.Op) { r.l.ScanInto(dst, data, op) }
+
+// ScanF64 is ScanInto over a float64 vector, into a fresh result.
+func (r *Rank) ScanF64(xs []float64, op mpi.Op) []float64 {
+	return mpi.Filled[float64](len(xs), func(w []byte) { r.l.ScanInto(w, mpi.Wire(xs), op) })
+}
+
+// ReducescatterInto combines per-rank blocks across all ranks into this
+// rank's block of the result, dst (len(data)/Size() bytes).
+func (r *Rank) ReducescatterInto(dst, data []byte, op mpi.Op) { r.l.ReducescatterInto(dst, data, op) }
+
+// Sendrecv sends to dst and receives from src in one deadlock-free call.
+func (r *Rank) Sendrecv(dst, sendTag int, data []byte, src, recvTag int) *protocol.AppMessage {
+	return r.l.Sendrecv(dst, sendTag, data, src, recvTag)
+}
 
 // --- checkpointing hooks (what the precompiler inserts) ---
 
@@ -358,23 +376,6 @@ func (r *Rank) RandomUint64() uint64 {
 // Nondet routes an arbitrary non-deterministic decision through the
 // protocol's event log.
 func (r *Rank) Nondet(gen func() []byte) []byte { return r.l.NondetBytes(gen) }
-
-// Scan computes the inclusive prefix reduction across ranks 0..i.
-func (r *Rank) Scan(data []byte, op mpi.Op) []byte { return r.l.Scan(data, op) }
-
-// ScanF64 is Scan over a float64 vector.
-func (r *Rank) ScanF64(xs []float64, op mpi.Op) []float64 {
-	return mpi.Filled[float64](len(xs), func(w []byte) { r.l.ScanInto(w, mpi.Wire(xs), op) })
-}
-
-// Reducescatter combines per-rank blocks across all ranks and returns this
-// rank's block of the result.
-func (r *Rank) Reducescatter(data []byte, op mpi.Op) []byte { return r.l.Reducescatter(data, op) }
-
-// Sendrecv sends to dst and receives from src in one deadlock-free call.
-func (r *Rank) Sendrecv(dst, sendTag int, data []byte, src, recvTag int) *protocol.AppMessage {
-	return r.l.Sendrecv(dst, sendTag, data, src, recvTag)
-}
 
 // Iprobe reports whether a message matching (src, tag) is available
 // without receiving it; src may be AnySource and tag AnyTag.

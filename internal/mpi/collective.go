@@ -10,23 +10,23 @@ import "fmt"
 // property Section 4.5 calls out as the reason collective handling stays
 // simple.
 //
-// Each collective has one implementation, the form that writes into a
-// result the caller provides (AllgatherInto, AllreduceInto, ...); the form
-// that returns a fresh slice allocates it and calls that. The collectives
-// whose message pattern brings something from every participant to every
-// participant — Allreduce, Allgather, Alltoall, Reducescatter, Barrier —
-// also carry a 32-bit word: each participant contributes one, it travels in
-// Message.Header of the collective's own messages, OR-ed with whatever the
-// sender has heard so far, and every participant gets back the OR of all of
-// them. The word is opaque here. The protocol layer uses it for the control
-// information Section 4.5 sends in a collective of its own, so that a data
-// collective costs the rounds the unmodified program pays.
+// Each collective has one form, the one that writes into a result the
+// caller provides. As with MPI's count arguments, every participant knows
+// how long its result is and passes a buffer of that length; a result only
+// the root gets (ReduceInto, GatherInto) is ignored on the other ranks. The
+// collectives whose message pattern brings something from every participant
+// to every participant — Allreduce, Allgather, Alltoall, Reducescatter,
+// Barrier — also carry a 32-bit word: each participant contributes one, it
+// travels in Message.Header of the collective's own messages, OR-ed with
+// whatever the sender has heard so far, and every participant gets back the
+// OR of all of them. The word is opaque here. The protocol layer uses it for
+// the control information Section 4.5 sends in a collective of its own, so
+// that a data collective costs the rounds the unmodified program pays.
 //
 // A collective's internal messages never leave this file, so it also ends
-// their lifetime: every receive below that has copied or combined the
-// payload into the caller's buffer hands the message back (World.Release).
-// The two whose result is the payload itself — Bcast and Scatter — do not:
-// that buffer is the caller's.
+// their lifetime: every receive below copies or combines the payload into
+// the caller's buffer (or the rank's accumulator) and hands the message
+// back (World.Release).
 
 // Op combines two equally-sized payloads for reductions: dst = dst ⊕ src.
 type Op interface {
@@ -57,13 +57,11 @@ func checkLen(coll string, got, want int) {
 	}
 }
 
-// Barrier blocks until every rank in the communicator has entered it.
-func (c *Comm) Barrier() { c.BarrierWord(0) }
-
-// BarrierWord is Barrier carrying the participants' words (dissemination
-// algorithm, ⌈log2 n⌉ rounds; each round forwards everything heard so far,
-// so the last one completes every participant's OR).
-func (c *Comm) BarrierWord(word uint32) uint32 {
+// Barrier blocks until every rank in the communicator has entered it, and
+// returns the OR of the participants' words (dissemination algorithm,
+// ⌈log2 n⌉ rounds; each round forwards everything heard so far, so the last
+// one completes every participant's OR).
+func (c *Comm) Barrier(word uint32) uint32 {
 	c.world.enter(c.members[c.myIdx])
 	seq := c.nextColl()
 	n := c.Size()
@@ -79,19 +77,16 @@ func (c *Comm) BarrierWord(word uint32) uint32 {
 	return word
 }
 
-// Bcast distributes root's payload to every rank (binomial tree) and
-// returns it.
-func (c *Comm) Bcast(root int, data []byte) []byte {
+// BcastInto distributes root's buf into every other rank's buf, which is as
+// long (binomial tree).
+func (c *Comm) BcastInto(root int, buf []byte) {
 	c.world.enter(c.members[c.myIdx])
-	data, _ = c.bcast(root, data, nil, 0)
-	return data
+	c.bcast(root, buf, 0)
 }
 
-// bcast returns root's payload and root's word OR-ed with the caller's.
-// With into nil the payload returned off root is the received message's,
-// which thereby belongs to the caller; otherwise it is copied to into
-// (len(data) bytes at root) and the message goes back.
-func (c *Comm) bcast(root int, data, into []byte, word uint32) ([]byte, uint32) {
+// bcast copies root's buf into everyone else's and returns root's word
+// OR-ed with the caller's.
+func (c *Comm) bcast(root int, buf []byte, word uint32) uint32 {
 	seq := c.nextColl()
 	n := c.Size()
 	// Work in a rotated space where root is rank 0 (MPICH-style binomial).
@@ -101,14 +96,10 @@ func (c *Comm) bcast(root int, data, into []byte, word uint32) ([]byte, uint32) 
 		if vrank&mask != 0 {
 			parent := (vrank - mask + root) % n
 			m := c.recvInternal(parent, c.collTag(seq, 0))
-			data = m.Data
+			checkLen("Bcast", len(m.Data), len(buf))
+			copy(buf, m.Data)
 			word |= m.Header
-			if into != nil {
-				checkLen("Bcast", len(m.Data), len(into))
-				copy(into, m.Data)
-				data = into
-				c.world.Release(m)
-			}
+			c.world.Release(m)
 			break
 		}
 		mask <<= 1
@@ -119,30 +110,31 @@ func (c *Comm) bcast(root int, data, into []byte, word uint32) ([]byte, uint32) 
 	for mask > 0 {
 		if vrank+mask < n {
 			dst := (vrank + mask + root) % n
-			c.sendh(dst, c.collTag(seq, 0), word, data)
+			c.sendh(dst, c.collTag(seq, 0), word, buf)
 		}
 		mask >>= 1
 	}
-	return data, word
+	return word
 }
 
-// Reduce combines every rank's payload with op, leaving the result at root
-// (binomial tree). Non-roots return nil.
-func (c *Comm) Reduce(root int, data []byte, op Op) []byte {
+// ReduceInto combines every rank's data with op into root's dst (len(data)
+// bytes; ignored on the other ranks), over a binomial tree.
+func (c *Comm) ReduceInto(root int, dst, data []byte, op Op) {
 	c.world.enter(c.members[c.myIdx])
-	acc, _ := c.reduce(root, nil, data, op, 0)
-	if c.myIdx != root {
-		return nil
+	if c.myIdx == root {
+		checkLen("Reduce", len(dst), len(data))
+	} else {
+		dst = nil
 	}
-	return acc
+	c.reduce(root, dst, data, op, 0)
 }
 
 // reduce leaves the combination of every rank's data in root's accumulator
-// and returns that: acc (len(data) bytes) when the caller brought one, one
-// it allocates otherwise. Only a rank with something to combine touches an
-// accumulator — the root, and the interior ranks of the tree for their
-// subtree; a leaf forwards data as it is. Root also gets back the OR of
-// every word, the others that of their subtree.
+// and returns that: acc (len(data) bytes) when the caller brought one, the
+// communicator's own otherwise. Only a rank with something to combine
+// touches an accumulator — the root, and the interior ranks of the tree for
+// their subtree; a leaf forwards data as it is. Root also gets back the OR
+// of every word, the others that of their subtree.
 func (c *Comm) reduce(root int, acc, data []byte, op Op, word uint32) ([]byte, uint32) {
 	seq := c.nextColl()
 	n := c.Size()
@@ -150,23 +142,26 @@ func (c *Comm) reduce(root int, acc, data []byte, op Op, word uint32) ([]byte, u
 	combined := false // acc holds this rank's data and its children's so far
 	start := func() {
 		if acc == nil {
-			acc = make([]byte, len(data))
+			if cap(c.acc) < len(data) {
+				c.acc = make([]byte, len(data))
+			}
+			acc = c.acc[:len(data)]
 		}
 		copy(acc, data)
 		combined = true
 	}
-	for mask := 1; mask < n; mask *= 2 {
+	for mask, round := 1, 0; mask < n; mask, round = mask*2, round+1 {
 		if vrank&mask != 0 {
 			parent := ((vrank &^ mask) + root) % n
 			up := data
 			if combined {
 				up = acc
 			}
-			c.sendh(parent, c.collTag(seq, bitIndex(mask)), word, up)
+			c.sendh(parent, c.collTag(seq, round), word, up)
 			return acc, word
 		}
 		if vrank+mask < n {
-			m := c.recvInternal(AnySource, c.collTag(seq, bitIndex(mask)))
+			m := c.recvInternal(AnySource, c.collTag(seq, round))
 			checkLen("Reduce", len(m.Data), len(data))
 			if !combined {
 				start()
@@ -182,25 +177,17 @@ func (c *Comm) reduce(root int, acc, data []byte, op Op, word uint32) ([]byte, u
 	return acc, word
 }
 
-// Allreduce combines every rank's payload with op and returns the combined
-// value on all ranks.
-func (c *Comm) Allreduce(data []byte, op Op) []byte {
-	out := make([]byte, len(data))
-	c.AllreduceInto(out, data, op, 0)
-	return out
-}
-
-// AllreduceInto is Allreduce into dst (len(data) bytes), carrying the
-// participants' words. For power-of-two communicators it uses recursive
-// doubling (the butterfly of the paper's CG code); otherwise it reduces to
-// rank 0 and broadcasts.
+// AllreduceInto combines every rank's data with op into every rank's dst
+// (len(data) bytes), carrying the participants' words. For power-of-two
+// communicators it uses recursive doubling (the butterfly of the paper's CG
+// code); otherwise it reduces to rank 0 and broadcasts.
 func (c *Comm) AllreduceInto(dst, data []byte, op Op, word uint32) uint32 {
 	c.world.enter(c.members[c.myIdx])
 	checkLen("Allreduce", len(dst), len(data))
 	n := c.Size()
 	if n&(n-1) != 0 {
 		_, word = c.reduce(0, dst, data, op, word)
-		return c.bcastInto(dst, word)
+		return c.bcast(0, dst, word)
 	}
 	seq := c.nextColl()
 	copy(dst, data)
@@ -216,26 +203,8 @@ func (c *Comm) AllreduceInto(dst, data []byte, op Op, word uint32) uint32 {
 	return word
 }
 
-// bcastInto broadcasts rank 0's dst into everyone else's: the second half
-// of the collectives that gather or reduce at rank 0 first.
-func (c *Comm) bcastInto(dst []byte, word uint32) uint32 {
-	_, word = c.bcast(0, dst, dst, word)
-	return word
-}
-
-// Gather concatenates every rank's equal-sized payload at root in rank
-// order. Non-roots return nil.
-func (c *Comm) Gather(root int, data []byte) []byte {
-	var out []byte
-	if c.myIdx == root {
-		out = make([]byte, len(data)*c.Size())
-	}
-	c.GatherInto(root, out, data)
-	return out
-}
-
-// GatherInto is Gather into root's dst (Size()·len(data) bytes; ignored on
-// the other ranks).
+// GatherInto concatenates every rank's equal-sized data in root's dst in
+// rank order (Size()·len(data) bytes; ignored on the other ranks).
 func (c *Comm) GatherInto(root int, dst, data []byte) {
 	c.world.enter(c.members[c.myIdx])
 	c.gather(root, dst, data, 0)
@@ -260,17 +229,17 @@ func (c *Comm) gather(root int, dst, data []byte, word uint32) uint32 {
 	return word
 }
 
-// Allgather concatenates every rank's equal-sized payload on all ranks in
-// rank order.
+// Allgather is AllgatherInto a fresh result.
 func (c *Comm) Allgather(data []byte) []byte {
 	out := make([]byte, len(data)*c.Size())
 	c.AllgatherInto(out, data, 0)
 	return out
 }
 
-// AllgatherInto is Allgather into dst (Size()·len(data) bytes), carrying
-// the participants' words. Power-of-two communicators use recursive
-// doubling (butterfly); others gather to rank 0 and broadcast.
+// AllgatherInto concatenates every rank's equal-sized data in every rank's
+// dst in rank order (Size()·len(data) bytes), carrying the participants'
+// words. Power-of-two communicators use recursive doubling (butterfly);
+// others gather to rank 0 and broadcast.
 func (c *Comm) AllgatherInto(dst, data []byte, word uint32) uint32 {
 	c.world.enter(c.members[c.myIdx])
 	n := c.Size()
@@ -278,7 +247,7 @@ func (c *Comm) AllgatherInto(dst, data []byte, word uint32) uint32 {
 	checkLen("Allgather", len(dst), blk*n)
 	if n&(n-1) != 0 {
 		word = c.gather(0, dst, data, word)
-		return c.bcastInto(dst, word)
+		return c.bcast(0, dst, word)
 	}
 	seq := c.nextColl()
 	copy(dst[c.myIdx*blk:], data)
@@ -299,17 +268,10 @@ func (c *Comm) AllgatherInto(dst, data []byte, word uint32) uint32 {
 	return word
 }
 
-// Alltoall sends block i of this rank's payload to rank i and returns the
-// blocks received from every rank, in rank order. The payload must divide
-// evenly into Size() blocks.
-func (c *Comm) Alltoall(data []byte) []byte {
-	out := make([]byte, len(data))
-	c.AlltoallInto(out, data, 0)
-	return out
-}
-
-// AlltoallInto is Alltoall into dst (len(data) bytes), carrying the
-// participants' words.
+// AlltoallInto sends block i of this rank's data to rank i and puts the
+// blocks received from every rank in dst (len(data) bytes), in rank order,
+// carrying the participants' words. data must divide evenly into Size()
+// blocks.
 func (c *Comm) AlltoallInto(dst, data []byte, word uint32) uint32 {
 	c.world.enter(c.members[c.myIdx])
 	seq := c.nextColl()
@@ -335,27 +297,31 @@ func (c *Comm) AlltoallInto(dst, data []byte, word uint32) uint32 {
 	return seen
 }
 
-// Scatter distributes root's payload in equal blocks: rank i receives block
-// i. The payload length at root must divide evenly into Size() blocks.
-func (c *Comm) Scatter(root int, data []byte) []byte {
+// ScatterInto distributes root's data in equal blocks: rank i's dst
+// receives block i. data, ignored on the other ranks, must divide evenly
+// into Size() blocks at root.
+func (c *Comm) ScatterInto(root int, dst, data []byte) {
 	c.world.enter(c.members[c.myIdx])
 	seq := c.nextColl()
 	n := c.Size()
-	if c.myIdx == root {
-		if len(data)%n != 0 {
-			panic(fmt.Sprintf("mpi: Scatter payload %d not divisible by %d ranks", len(data), n))
-		}
-		blk := len(data) / n
-		for i := 0; i < n; i++ {
-			if i == root {
-				continue
-			}
+	if c.myIdx != root {
+		m := c.recvInternal(root, c.collTag(seq, 0))
+		checkLen("Scatter", len(m.Data), len(dst))
+		copy(dst, m.Data)
+		c.world.Release(m)
+		return
+	}
+	if len(data)%n != 0 {
+		panic(fmt.Sprintf("mpi: Scatter payload %d not divisible by %d ranks", len(data), n))
+	}
+	blk := len(data) / n
+	checkLen("Scatter", len(dst), blk)
+	for i := 0; i < n; i++ {
+		if i != root {
 			c.send(i, c.collTag(seq, 0), data[i*blk:(i+1)*blk])
 		}
-		return append([]byte(nil), data[root*blk:(root+1)*blk]...)
 	}
-	m := c.recvInternal(root, c.collTag(seq, 0))
-	return m.Data
+	copy(dst, data[root*blk:])
 }
 
 // recvInternal is a receive that does not count as a user-visible substrate
@@ -368,40 +334,10 @@ func (c *Comm) recvInternal(src, tag int) *Message {
 	return m
 }
 
-func bitIndex(mask int) int {
-	i := 0
-	for mask > 1 {
-		mask >>= 1
-		i++
-	}
-	return i
-}
-
-// Additional MPI collective and combined operations: Sendrecv, Scan, and
-// Reducescatter. These complete the operation set the paper's MPI context
-// assumes; like the rest of the substrate they decompose into point-to-point
-// messages below the protocol layer.
-
-// Sendrecv sends to dst with sendTag and receives from src with recvTag in
-// one combined operation, deadlock-free regardless of ordering (MPI's
-// MPI_Sendrecv). The transport buffers eagerly, so send-then-receive cannot
-// block.
-func (c *Comm) Sendrecv(dst, sendTag int, data []byte, src, recvTag int) *Message {
-	c.world.enter(c.members[c.myIdx])
-	c.send(dst, sendTag, data)
-	return c.recv(src, recvTag)
-}
-
-// Scan computes the inclusive prefix reduction: rank i receives the
-// combination of the payloads of ranks 0..i (MPI_Scan).
-func (c *Comm) Scan(data []byte, op Op) []byte {
-	out := make([]byte, len(data))
-	c.ScanInto(out, data, op)
-	return out
-}
-
-// ScanInto is Scan into dst (len(data) bytes). Implemented as a linear
-// chain, the standard algorithm for modest rank counts.
+// ScanInto computes the inclusive prefix reduction into dst (len(data)
+// bytes): rank i gets the combination of the data of ranks 0..i (MPI_Scan).
+// Implemented as a linear chain, the standard algorithm for modest rank
+// counts.
 func (c *Comm) ScanInto(dst, data []byte, op Op) {
 	c.world.enter(c.members[c.myIdx])
 	checkLen("Scan", len(dst), len(data))
@@ -423,20 +359,13 @@ func (c *Comm) ScanInto(dst, data []byte, op Op) {
 	}
 }
 
-// Reducescatter combines equal-sized per-rank blocks across all ranks and
-// scatters the result: rank i receives the reduction of everyone's i-th
-// block (MPI_Reduce_scatter_block). data must be size×blockLen bytes.
-func (c *Comm) Reducescatter(data []byte, op Op) []byte {
-	out := make([]byte, len(data)/c.Size())
-	c.ReducescatterInto(out, data, op, 0)
-	return out
-}
-
-// ReducescatterInto is Reducescatter into dst (len(data)/Size() bytes),
-// carrying the participants' words: reduce at rank 0 over a binomial tree
-// (the words ride up with the partial sums), then scatter the blocks (their
-// OR rides down). Reduce-then-scatter is the simple algorithm; recursive
-// halving is an optimization with identical semantics.
+// ReducescatterInto combines equal-sized per-rank blocks across all ranks
+// and scatters the result: rank i's dst (len(data)/Size() bytes) receives
+// the reduction of everyone's i-th block (MPI_Reduce_scatter_block),
+// carrying the participants' words. It reduces at rank 0 over a binomial
+// tree (the words ride up with the partial sums), then scatters the blocks
+// (their OR rides down). Reduce-then-scatter is the simple algorithm;
+// recursive halving is an optimization with identical semantics.
 func (c *Comm) ReducescatterInto(dst, data []byte, op Op, word uint32) uint32 {
 	c.world.enter(c.members[c.myIdx])
 	n := c.Size()

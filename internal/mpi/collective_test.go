@@ -8,13 +8,15 @@ import (
 )
 
 func TestSendrecvRingRotation(t *testing.T) {
-	// Classic ring rotation: everyone sends right and receives from the
-	// left in one combined call; no ordering discipline needed.
+	// Classic ring rotation: everyone sends right, then receives from the
+	// left; no ordering discipline needed, because the transport buffers
+	// eagerly and a send never blocks (what MPI_Sendrecv, and
+	// protocol.Layer.Sendrecv over this substrate, rely on).
 	const n = 5
 	runRanks(t, n, Options{}, func(c *Comm) {
 		me := c.Rank()
-		payload := []byte{byte(me)}
-		m := c.Sendrecv((me+1)%n, 1, payload, (me-1+n)%n, 1)
+		c.Send((me+1)%n, 1, []byte{byte(me)})
+		m := c.Recv((me-1+n)%n, 1)
 		if int(m.Data[0]) != (me-1+n)%n {
 			panic(fmt.Sprintf("rank %d got %d", me, m.Data[0]))
 		}
@@ -23,7 +25,8 @@ func TestSendrecvRingRotation(t *testing.T) {
 
 func TestSendrecvSelf(t *testing.T) {
 	runRanks(t, 2, Options{}, func(c *Comm) {
-		m := c.Sendrecv(c.Rank(), 3, []byte{42}, c.Rank(), 3)
+		c.Send(c.Rank(), 3, []byte{42})
+		m := c.Recv(c.Rank(), 3)
 		if m.Data[0] != 42 {
 			panic("self sendrecv lost the payload")
 		}
@@ -34,7 +37,8 @@ func TestScanPrefixSums(t *testing.T) {
 	for n := 1; n <= 6; n++ {
 		results := make([]float64, n)
 		runRanks(t, n, Options{}, func(c *Comm) {
-			out := c.Scan(F64Bytes([]float64{float64(c.Rank() + 1)}), SumF64)
+			out := make([]byte, 8)
+			c.ScanInto(out, F64Bytes([]float64{float64(c.Rank() + 1)}), SumF64)
 			results[c.Rank()] = BytesF64(out)[0]
 		})
 		for r := 0; r < n; r++ {
@@ -57,9 +61,11 @@ func TestScanProperty(t *testing.T) {
 			go func(r int) {
 				defer func() { done <- struct{}{} }()
 				c := w.Comm(r)
-				x := []float64{float64(vals[r])}
-				s := BytesF64(c.Scan(F64Bytes(x), SumF64))[0]
-				a := BytesF64(c.Allreduce(F64Bytes(x), SumF64))[0]
+				x := F64Bytes([]float64{float64(vals[r])})
+				scan := make([]byte, 8)
+				c.ScanInto(scan, x, SumF64)
+				s := BytesF64(scan)[0]
+				a := BytesF64(allreduce(c, x, SumF64))[0]
 				if r == n-1 {
 					lastScan, allred = s, a
 				}
@@ -84,7 +90,8 @@ func TestReducescatterBlocks(t *testing.T) {
 		for i := range blocks {
 			blocks[i] = float64(c.Rank()*10 + i)
 		}
-		out := c.Reducescatter(F64Bytes(blocks), SumF64)
+		out := make([]byte, 8)
+		c.ReducescatterInto(out, F64Bytes(blocks), SumF64, 0)
 		results[c.Rank()] = BytesF64(out)
 	})
 	for r := 0; r < n; r++ {
@@ -106,7 +113,7 @@ func TestReducescatterRejectsBadSize(t *testing.T) {
 		}
 	}()
 	w := NewWorld(2, Options{})
-	w.Comm(0).Reducescatter(make([]byte, 9), SumF64) // 9 % 2 != 0
+	w.Comm(0).ReducescatterInto(make([]byte, 4), make([]byte, 9), SumF64, 0) // 9 % 2 != 0
 }
 
 func TestReducescatterMatchesReduceThenScatter(t *testing.T) {
@@ -124,9 +131,12 @@ func TestReducescatterMatchesReduceThenScatter(t *testing.T) {
 				for i := range blocks {
 					blocks[i] = float64(vals[r]) + float64(i)*0.5
 				}
-				rs := c.Reducescatter(F64Bytes(blocks), SumF64)
-				red := c.Reduce(0, F64Bytes(blocks), SumF64)
-				sc := c.Scatter(0, red)
+				rs := make([]byte, 8)
+				c.ReducescatterInto(rs, F64Bytes(blocks), SumF64, 0)
+				red := make([]byte, 8*n) // the root's; ignored elsewhere
+				c.ReduceInto(0, red, F64Bytes(blocks), SumF64)
+				sc := make([]byte, 8)
+				c.ScatterInto(0, sc, red)
 				if string(rs) != string(sc) {
 					ok = false
 				}
@@ -145,7 +155,7 @@ func TestReducescatterMatchesReduceThenScatter(t *testing.T) {
 // wordCollectives are the collectives that carry the participants' words:
 // each returns what the call handed back to this rank.
 var wordCollectives = map[string]func(c *Comm, word uint32) uint32{
-	"Barrier": func(c *Comm, word uint32) uint32 { return c.BarrierWord(word) },
+	"Barrier": func(c *Comm, word uint32) uint32 { return c.Barrier(word) },
 	"Allreduce": func(c *Comm, word uint32) uint32 {
 		in := F64Bytes([]float64{float64(c.Rank() + 1)})
 		out := make([]byte, len(in))
@@ -237,10 +247,14 @@ func TestCollectivesBringEveryWordToEveryRank(t *testing.T) {
 // checked like a peer's payload.
 func TestIntoFormsRejectAMisSizedResult(t *testing.T) {
 	calls := map[string]func(c *Comm){
-		"Allgather": func(c *Comm) { c.AllgatherInto(make([]byte, 3), []byte{1, 2}, 0) },
-		"Allreduce": func(c *Comm) { c.AllreduceInto(make([]byte, 9), make([]byte, 8), SumF64, 0) },
-		"Scan":      func(c *Comm) { c.ScanInto(make([]byte, 7), make([]byte, 8), SumF64) },
-		"Gather":    func(c *Comm) { c.GatherInto(0, nil, []byte{1}) },
+		"Allgather":     func(c *Comm) { c.AllgatherInto(make([]byte, 3), []byte{1, 2}, 0) },
+		"Allreduce":     func(c *Comm) { c.AllreduceInto(make([]byte, 9), make([]byte, 8), SumF64, 0) },
+		"Alltoall":      func(c *Comm) { c.AlltoallInto(make([]byte, 3), make([]byte, 4), 0) },
+		"Reduce":        func(c *Comm) { c.ReduceInto(0, make([]byte, 7), make([]byte, 8), SumF64) },
+		"Reducescatter": func(c *Comm) { c.ReducescatterInto(make([]byte, 2), make([]byte, 8), SumF64, 0) },
+		"Scan":          func(c *Comm) { c.ScanInto(make([]byte, 7), make([]byte, 8), SumF64) },
+		"Scatter":       func(c *Comm) { c.ScatterInto(0, make([]byte, 2), []byte{1}) },
+		"Gather":        func(c *Comm) { c.GatherInto(0, nil, []byte{1}) },
 	}
 	for name, call := range calls {
 		func() {

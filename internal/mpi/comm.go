@@ -21,6 +21,10 @@ type Comm struct {
 	// scratch is the reusable receive-spec buffer for this rank's
 	// single-threaded matched receives (see Comm.stamp).
 	scratch []RecvSpec
+	// acc is the accumulator of a reduction whose caller brought none (an
+	// interior rank of the tree, ReducescatterInto's root): kept, so a
+	// steady-state reduction allocates nothing.
+	acc []byte
 }
 
 // Rank returns this process's rank within the communicator.
@@ -101,7 +105,7 @@ func (c *Comm) agreeContext() int64 {
 	}
 	b := make([]byte, 8)
 	putI64(b, 0, ctx)
-	b = c.Bcast(0, b)
+	c.BcastInto(0, b)
 	return getI64(b, 0)
 }
 

@@ -160,10 +160,10 @@ func (w *World) message(n int) *Message {
 
 // Release hands m back to the world once nothing will read it or its
 // payload again. The ownership rule: a receive that has copied or combined
-// the payload into its caller's buffer releases the message (the
-// collectives do); a payload that is returned to the caller — every
-// point-to-point receive, Bcast, Scatter — is the caller's forever and is
-// never released. A Transport that serialises messages in Send may release
+// the payload into its caller's buffer releases the message (every
+// collective does); a payload that is returned to the caller — a
+// point-to-point receive's — is the caller's forever and is never
+// released. A Transport that serialises messages in Send may release
 // one as soon as it is encoded. Only a message that owns its payload
 // outright is taken — one sendh filled, or one DecodeMessage built; a
 // SendShared message, whose buffer the sender still holds, a Notify, and a

@@ -200,6 +200,13 @@ func TestSelfSend(t *testing.T) {
 
 func collectiveSizes() []int { return []int{1, 2, 3, 4, 7, 8, 16} }
 
+// allreduce is AllreduceInto a fresh result, carrying no word.
+func allreduce(c *Comm, data []byte, op Op) []byte {
+	out := make([]byte, len(data))
+	c.AllreduceInto(out, data, op, 0)
+	return out
+}
+
 func TestBarrier(t *testing.T) {
 	for _, n := range collectiveSizes() {
 		n := n
@@ -210,7 +217,7 @@ func TestBarrier(t *testing.T) {
 				mu.Lock()
 				arrived++
 				mu.Unlock()
-				c.Barrier()
+				c.Barrier(0)
 				mu.Lock()
 				if arrived != n {
 					mu.Unlock()
@@ -228,12 +235,12 @@ func TestBcast(t *testing.T) {
 			n, root := n, root
 			t.Run(fmt.Sprintf("n=%d root=%d", n, root), func(t *testing.T) {
 				runRanks(t, n, Options{}, func(c *Comm) {
-					var data []byte
-					if c.Rank() == root {
-						data = []byte(fmt.Sprintf("payload-from-%d", root))
-					}
-					got := c.Bcast(root, data)
 					want := fmt.Sprintf("payload-from-%d", root)
+					got := make([]byte, len(want))
+					if c.Rank() == root {
+						copy(got, want)
+					}
+					c.BcastInto(root, got)
 					if string(got) != want {
 						panic(fmt.Sprintf("rank %d got %q", c.Rank(), got))
 					}
@@ -249,15 +256,16 @@ func TestReduceSum(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			runRanks(t, n, Options{}, func(c *Comm) {
 				data := F64Bytes([]float64{float64(c.Rank() + 1), 1})
-				out := c.Reduce(0, data, SumF64)
+				out := F64Bytes([]float64{-1, -1})
+				c.ReduceInto(0, out, data, SumF64)
+				got := BytesF64(out)
 				if c.Rank() == 0 {
-					got := BytesF64(out)
 					want := float64(n*(n+1)) / 2
 					if got[0] != want || got[1] != float64(n) {
 						panic(fmt.Sprintf("reduce got %v want [%v %v]", got, want, n))
 					}
-				} else if out != nil {
-					panic("non-root should get nil")
+				} else if got[0] != -1 || got[1] != -1 {
+					panic(fmt.Sprintf("a non-root's dst was written: %v", got))
 				}
 			})
 		})
@@ -271,8 +279,7 @@ func TestAllreduce(t *testing.T) {
 			results := make([][]float64, n)
 			runRanks(t, n, Options{}, func(c *Comm) {
 				data := F64Bytes([]float64{float64(c.Rank() + 1)})
-				out := c.Allreduce(data, SumF64)
-				results[c.Rank()] = BytesF64(out)
+				results[c.Rank()] = BytesF64(allreduce(c, data, SumF64))
 			})
 			want := float64(n*(n+1)) / 2
 			for r, got := range results {
@@ -286,7 +293,7 @@ func TestAllreduce(t *testing.T) {
 
 func TestAllreduceMax(t *testing.T) {
 	runRanks(t, 8, Options{}, func(c *Comm) {
-		out := c.Allreduce(F64Bytes([]float64{float64(c.Rank())}), MaxF64)
+		out := allreduce(c, F64Bytes([]float64{float64(c.Rank())}), MaxF64)
 		if BytesF64(out)[0] != 7 {
 			panic("max")
 		}
@@ -301,7 +308,7 @@ func TestAllreduceBAnd(t *testing.T) {
 		if c.Rank() == 2 {
 			flag = 0
 		}
-		out := c.Allreduce([]byte{flag}, BAnd)
+		out := allreduce(c, []byte{flag}, BAnd)
 		if out[0] != 0 {
 			panic("conjunction should be false")
 		}
@@ -314,15 +321,15 @@ func TestGather(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			runRanks(t, n, Options{}, func(c *Comm) {
 				data := []byte{byte(c.Rank()), byte(c.Rank() * 2)}
-				out := c.Gather(0, data)
+				var out []byte
 				if c.Rank() == 0 {
-					for r := 0; r < n; r++ {
-						if out[2*r] != byte(r) || out[2*r+1] != byte(2*r) {
-							panic(fmt.Sprintf("gather out=%v", out))
-						}
+					out = make([]byte, 2*n)
+				}
+				c.GatherInto(0, out, data)
+				for r := 0; r < len(out)/2; r++ {
+					if out[2*r] != byte(r) || out[2*r+1] != byte(2*r) {
+						panic(fmt.Sprintf("gather out=%v", out))
 					}
-				} else if out != nil {
-					panic("non-root gather should be nil")
 				}
 			})
 		})
@@ -335,10 +342,12 @@ func TestAllgather(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			runRanks(t, n, Options{}, func(c *Comm) {
 				data := F64Bytes([]float64{float64(c.Rank()), float64(c.Rank() * 10)})
-				out := BytesF64(c.Allgather(data))
+				out := make([]byte, len(data)*n)
+				c.AllgatherInto(out, data, 0)
+				all := BytesF64(out)
 				for r := 0; r < n; r++ {
-					if out[2*r] != float64(r) || out[2*r+1] != float64(10*r) {
-						panic(fmt.Sprintf("rank %d allgather=%v", c.Rank(), out))
+					if all[2*r] != float64(r) || all[2*r+1] != float64(10*r) {
+						panic(fmt.Sprintf("rank %d allgather=%v", c.Rank(), all))
 					}
 				}
 			})
@@ -355,7 +364,8 @@ func TestAlltoall(t *testing.T) {
 				for i := range data {
 					data[i] = byte(c.Rank()*16 + i)
 				}
-				out := c.Alltoall(data)
+				out := make([]byte, n)
+				c.AlltoallInto(out, data, 0)
 				for i := range out {
 					if out[i] != byte(i*16+c.Rank()) {
 						panic(fmt.Sprintf("rank %d alltoall=%v", c.Rank(), out))
@@ -378,7 +388,8 @@ func TestScatter(t *testing.T) {
 						data[i] = byte(i + 1)
 					}
 				}
-				out := c.Scatter(0, data)
+				out := make([]byte, 1)
+				c.ScatterInto(0, out, data)
 				if len(out) != 1 || out[0] != byte(c.Rank()+1) {
 					panic(fmt.Sprintf("rank %d scatter=%v", c.Rank(), out))
 				}
@@ -405,7 +416,7 @@ func TestCommDup(t *testing.T) {
 				panic("dup comm mismatch")
 			}
 		}
-		dup.Barrier()
+		dup.Barrier(0)
 	})
 }
 
@@ -420,7 +431,7 @@ func TestCommSplit(t *testing.T) {
 		if sub.Rank() != c.Rank()/2 {
 			panic(fmt.Sprintf("split rank = %d", sub.Rank()))
 		}
-		out := BytesF64(sub.Allreduce(F64Bytes([]float64{float64(c.Rank())}), SumF64))
+		out := BytesF64(allreduce(sub, F64Bytes([]float64{float64(c.Rank())}), SumF64))
 		want := []float64{0 + 2 + 4, 1 + 3 + 5}[color]
 		if out[0] != want {
 			panic(fmt.Sprintf("split allreduce = %v want %v", out[0], want))
@@ -623,7 +634,7 @@ func TestCollectiveCountsAsOneOp(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			c := w.Comm(r)
-			c.Allreduce(F64Bytes([]float64{1}), SumF64)
+			allreduce(c, F64Bytes([]float64{1}), SumF64)
 		}(r)
 	}
 	wg.Wait()

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -51,22 +53,34 @@ func concatOf(all [][]float64) (out []float64) {
 	return out
 }
 
+// atRoot is a root-only result buffer: n bytes at root, nil elsewhere.
+func atRoot(c *Comm, root, n int) []byte {
+	if c.Rank() != root {
+		return nil
+	}
+	return make([]byte, n)
+}
+
 var ownershipCases = []struct {
 	name string
 	call func(c *Comm, round int) []byte
 	want func(rank, n, round int) []byte
 }{
 	{"Barrier",
-		func(c *Comm, _ int) []byte { c.Barrier(); return nil },
+		func(c *Comm, _ int) []byte { c.Barrier(0); return nil },
 		func(_, _, _ int) []byte { return nil }},
 	{"Bcast",
 		func(c *Comm, round int) []byte {
-			return c.Bcast(round%c.Size(), F64Bytes(contribution(c.Rank(), round, 3)))
+			buf := F64Bytes(contribution(c.Rank(), round, 3)) // root's goes out, the others' is overwritten
+			c.BcastInto(round%c.Size(), buf)
+			return buf
 		},
 		func(_, n, round int) []byte { return F64Bytes(contribution(round%n, round, 3)) }},
 	{"Reduce",
 		func(c *Comm, round int) []byte {
-			return c.Reduce(round%c.Size(), F64Bytes(contribution(c.Rank(), round, 3)), SumF64)
+			dst := atRoot(c, round%c.Size(), 24)
+			c.ReduceInto(round%c.Size(), dst, F64Bytes(contribution(c.Rank(), round, 3)), SumF64)
+			return dst
 		},
 		func(rank, n, round int) []byte {
 			if rank != round%n {
@@ -76,14 +90,16 @@ var ownershipCases = []struct {
 		}},
 	{"Allreduce",
 		func(c *Comm, round int) []byte {
-			return c.Allreduce(F64Bytes(contribution(c.Rank(), round, 3)), SumF64)
+			return allreduce(c, F64Bytes(contribution(c.Rank(), round, 3)), SumF64)
 		},
 		func(_, n, round int) []byte {
 			return lanesOf(n, round, 3, sumOf)
 		}},
 	{"Gather",
 		func(c *Comm, round int) []byte {
-			return c.Gather(round%c.Size(), F64Bytes(contribution(c.Rank(), round, 3)))
+			dst := atRoot(c, round%c.Size(), 24*c.Size())
+			c.GatherInto(round%c.Size(), dst, F64Bytes(contribution(c.Rank(), round, 3)))
+			return dst
 		},
 		func(rank, n, round int) []byte {
 			if rank != round%n {
@@ -100,7 +116,9 @@ var ownershipCases = []struct {
 		}},
 	{"Alltoall",
 		func(c *Comm, round int) []byte {
-			return c.Alltoall(F64Bytes(contribution(c.Rank(), round, c.Size())))
+			dst := make([]byte, 8*c.Size())
+			c.AlltoallInto(dst, F64Bytes(contribution(c.Rank(), round, c.Size())), 0)
+			return dst
 		},
 		func(rank, n, round int) []byte {
 			return lanesOf(n, round, n, func(all [][]float64) (out []float64) {
@@ -112,21 +130,27 @@ var ownershipCases = []struct {
 		}},
 	{"Scatter",
 		func(c *Comm, round int) []byte {
-			return c.Scatter(round%c.Size(), F64Bytes(contribution(c.Rank(), round, c.Size())))
+			dst := make([]byte, 8)
+			c.ScatterInto(round%c.Size(), dst, F64Bytes(contribution(c.Rank(), round, c.Size())))
+			return dst
 		},
 		func(rank, n, round int) []byte {
 			return F64Bytes(contribution(round%n, round, n)[rank : rank+1])
 		}},
 	{"Scan",
 		func(c *Comm, round int) []byte {
-			return c.Scan(F64Bytes(contribution(c.Rank(), round, 3)), SumF64)
+			dst := make([]byte, 24)
+			c.ScanInto(dst, F64Bytes(contribution(c.Rank(), round, 3)), SumF64)
+			return dst
 		},
 		func(rank, n, round int) []byte {
 			return lanesOf(n, round, 3, func(all [][]float64) []float64 { return sumOf(all[:rank+1]) })
 		}},
 	{"Reducescatter",
 		func(c *Comm, round int) []byte {
-			return c.Reducescatter(F64Bytes(contribution(c.Rank(), round, c.Size())), SumF64)
+			dst := make([]byte, 8)
+			c.ReducescatterInto(dst, F64Bytes(contribution(c.Rank(), round, c.Size())), SumF64, 0)
+			return dst
 		},
 		func(rank, n, round int) []byte {
 			return lanesOf(n, round, n, func(all [][]float64) []float64 {
@@ -139,10 +163,11 @@ var ownershipCases = []struct {
 		}},
 	// Point-to-point rides along: its messages come from the same free list
 	// the collectives feed, and its payloads are the receiver's.
-	{"Sendrecv",
+	{"Send+Recv",
 		func(c *Comm, round int) []byte {
 			n, me := c.Size(), c.Rank()
-			return c.Sendrecv((me+1)%n, 5, F64Bytes(contribution(me, round, 3)), (me-1+n)%n, 5).Data
+			c.Send((me+1)%n, 5, F64Bytes(contribution(me, round, 3)))
+			return c.Recv((me-1+n)%n, 5).Data
 		},
 		func(rank, n, round int) []byte { return F64Bytes(contribution((rank-1+n)%n, round, 3)) }},
 }
@@ -182,6 +207,31 @@ func TestRecycledPayloadsNeverReachACaller(t *testing.T) {
 	w := NewWorld(6, Options{})
 	w.PoisonReleased()
 	runWorld(t, w, func(c *Comm) { ownershipProgram(c.Split(c.Rank()%2, c.Rank())) })
+}
+
+// TestEveryCollectiveGivesBackEveryMessage: one call of a collective
+// releases exactly the messages its ranks received — Bcast and Scatter
+// too, which once handed theirs to the caller — at every communicator
+// size; a point-to-point receive releases none, its payload is the
+// caller's.
+func TestEveryCollectiveGivesBackEveryMessage(t *testing.T) {
+	for _, oc := range ownershipCases {
+		for n := 1; n <= 9; n++ {
+			var received, released atomic.Int64
+			w := NewWorld(n, Options{NewTransport: func(w *World) Transport {
+				return &countingTransport{inner: newInprocTransport(w), onAwait: func(*Message) { received.Add(1) }}
+			}})
+			w.releaseHook = func(*Message) { released.Add(1) }
+			runWorld(t, w, func(c *Comm) { oc.call(c, n-1) }) // rooted at the last rank
+			want := received.Load()
+			if oc.name == "Send+Recv" {
+				want = 0
+			}
+			if got := released.Load(); got != want {
+				t.Fatalf("%s at %d ranks: %d messages released of %d received, want %d", oc.name, n, got, received.Load(), want)
+			}
+		}
+	}
 }
 
 // TestRollbackStartsFromAnEmptyFreeList: the free list dies with the
@@ -243,5 +293,75 @@ func TestRollbackStartsFromAnEmptyFreeList(t *testing.T) {
 	runWorld(t, second, ownershipProgram)
 	if reused != 0 {
 		t.Fatalf("%d messages released in the first incarnation were sent again in the second", reused)
+	}
+}
+
+// TestIntoFormsAllocateNothing: every collective fills a result its caller
+// keeps and recycles its messages and send copies, so once the free list is
+// warm a call allocates nothing. At 2 ranks AllocsPerRun, which counts the
+// whole process, sees both. Each call is paired with a Barrier: a rooted
+// collective's senders do not wait for the root, and would run ahead of the
+// releases that refill the free list.
+func TestIntoFormsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	const n, runs, blk = 2, 200, 64
+	data, blocks := make([]byte, blk), make([]byte, blk*n)
+	for _, row := range []struct {
+		name string
+		call func(c *Comm, dst, all []byte) // dst is blk bytes, all blk·n
+	}{
+		{"Barrier", func(c *Comm, _, _ []byte) { c.Barrier(0) }},
+		{"BcastInto", func(c *Comm, dst, _ []byte) { c.BcastInto(0, dst) }},
+		{"ReduceInto", func(c *Comm, dst, _ []byte) { c.ReduceInto(0, dst, data, SumF64) }},
+		{"AllreduceInto", func(c *Comm, dst, _ []byte) { c.AllreduceInto(dst, data, SumF64, 0) }},
+		{"GatherInto", func(c *Comm, _, all []byte) { c.GatherInto(0, all, data) }},
+		{"AllgatherInto", func(c *Comm, _, all []byte) { c.AllgatherInto(all, data, 0) }},
+		{"AlltoallInto", func(c *Comm, _, all []byte) { c.AlltoallInto(all, blocks, 0) }},
+		{"ScatterInto", func(c *Comm, dst, _ []byte) { c.ScatterInto(0, dst, blocks) }},
+		{"ScanInto", func(c *Comm, dst, _ []byte) { c.ScanInto(dst, data, SumF64) }},
+		{"ReducescatterInto", func(c *Comm, dst, _ []byte) { c.ReducescatterInto(dst, blocks, SumF64, 0) }},
+	} {
+		var perRun float64
+		runRanks(t, n, Options{}, func(c *Comm) {
+			dst, all := make([]byte, blk), make([]byte, blk*n)
+			call := func() {
+				row.call(c, dst, all)
+				c.Barrier(0)
+			}
+			if c.Rank() == 0 {
+				perRun = testing.AllocsPerRun(runs, call)
+				return
+			}
+			for i := 0; i < runs+1; i++ { // AllocsPerRun warms up with one extra call
+				call()
+			}
+		})
+		if perRun != 0 {
+			t.Fatalf("%s at %d ranks: %.2f allocations per call, want none", row.name, n, perRun)
+		}
+	}
+}
+
+// TestOnlyInteriorRanksKeepAnAccumulator: in the binomial reduce tree the
+// root combines into its caller's dst, an interior rank into the
+// accumulator its communicator keeps, and a leaf forwards its data as it
+// is, without ever making one.
+func TestOnlyInteriorRanksKeepAnAccumulator(t *testing.T) {
+	const n = 4 // rank 2 is interior; 1 and 3 are leaves
+	var mu sync.Mutex
+	kept := make([]bool, n)
+	runRanks(t, n, Options{}, func(c *Comm) {
+		dst := atRoot(c, 0, 8)
+		for i := 0; i < 3; i++ {
+			c.ReduceInto(0, dst, F64Bytes([]float64{1}), SumF64)
+		}
+		mu.Lock()
+		kept[c.Rank()] = c.acc != nil
+		mu.Unlock()
+	})
+	if want := []bool{false, false, true, false}; !slices.Equal(kept, want) {
+		t.Fatalf("ranks that keep an accumulator: %v, want %v", kept, want)
 	}
 }

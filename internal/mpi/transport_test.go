@@ -14,6 +14,8 @@ type countingTransport struct {
 	inner  *inprocTransport
 	sends  atomic.Int64
 	onSend func(*Message) // when set, sees every message before it is delivered
+	// onAwait, when set, sees every message a blocking receive returns.
+	onAwait func(*Message)
 }
 
 func (t *countingTransport) Send(dst int, m *Message) {
@@ -24,7 +26,11 @@ func (t *countingTransport) Send(dst int, m *Message) {
 	t.inner.Send(dst, m)
 }
 func (t *countingTransport) Await(rank int, specs []RecvSpec) (int, *Message) {
-	return t.inner.Await(rank, specs)
+	i, m := t.inner.Await(rank, specs)
+	if t.onAwait != nil && m != nil {
+		t.onAwait(m)
+	}
+	return i, m
 }
 func (t *countingTransport) AwaitCond(rank int, specs []RecvSpec, stop func() bool) (int, *Message) {
 	return t.inner.AwaitCond(rank, specs, stop)
@@ -55,7 +61,7 @@ func TestCustomTransportPlugsIn(t *testing.T) {
 			}
 		}
 		// Collectives decompose into wire sends on the same substrate.
-		out := BytesF64(c.Allreduce(F64Bytes([]float64{1}), SumF64))
+		out := BytesF64(allreduce(c, F64Bytes([]float64{1}), SumF64))
 		if out[0] != 4 {
 			panic(fmt.Sprintf("allreduce over custom transport = %v", out[0]))
 		}

@@ -114,30 +114,19 @@ func (l *Layer) applyControl(seen uint32) (laggard bool) {
 	return laggard
 }
 
-// collShape is what the protocol needs to know of a collective.
-type collShape uint8
-
-const (
-	// rides: the message pattern brings every participant's word to every
-	// participant, so the control information rides on the data call.
-	rides collShape = 1 << iota
-	// rooted: the non-root result is nil, which must survive the log round
-	// trip as nil.
-	rooted
-)
-
 // collective runs one data collective under the protocol: the op count, the
 // inactive fast path, the recovery replay, the control information (riding
-// on the call, or exchanged before it), the call itself and the logging of
-// its result. call executes the collective with this rank's control word
-// and returns its result and the words it brought back; when the caller
-// provided the result buffer, dst is that buffer and a replayed result is
-// copied into it.
-func (l *Layer) collective(shape collShape, dst []byte, call func(word uint32) ([]byte, uint32)) []byte {
+// on the call when rides, exchanged before it otherwise), the call itself
+// and the logging of its result. The result is dst, which call fills — nil
+// where the caller gets nothing back (Barrier, a rooted collective off its
+// root), which makes an empty log entry — and a replayed result is copied
+// into it. call executes the collective with this rank's control word and
+// returns the words it brought back.
+func (l *Layer) collective(rides bool, dst []byte, call func(word uint32) uint32) {
 	l.enterOp()
 	if !l.active() {
-		res, _ := call(0)
-		return res
+		call(0)
+		return
 	}
 	seq := l.collSeq
 	l.collSeq++
@@ -147,135 +136,93 @@ func (l *Layer) collective(shape collShape, dst []byte, call func(word uint32) (
 			// participants may not re-execute it at all, so the result
 			// comes from the log (Section 4.5).
 			l.Stats.ReplayedResults++
-			res := e.Data
-			if shape&rooted != 0 {
-				res = unwrapMaybe(res)
+			if len(e.Data) != len(dst) {
+				panic(fmt.Sprintf("protocol: rank %d: collective %d: logged result of %d bytes replayed into %d", l.rank, seq, len(e.Data), len(dst)))
 			}
-			if dst == nil {
-				return res
-			}
-			if len(res) != len(dst) {
-				panic(fmt.Sprintf("protocol: rank %d: collective %d: logged result of %d bytes replayed into %d", l.rank, seq, len(res), len(dst)))
-			}
-			copy(dst, res)
-			return dst
+			copy(dst, e.Data)
+			return
 		}
 	}
-	var res []byte
-	if shape&rides != 0 {
-		var seen uint32
-		res, seen = call(1 << l.ctlState())
-		l.applyControl(seen)
+	if rides {
+		l.applyControl(call(1 << l.ctlState()))
 	} else {
 		l.applyControl(l.exchangeControl())
-		res, _ = call(0)
+		call(0)
 	}
-	l.trace(TraceCollective, -1, 0, uint32(seq), len(res))
+	l.trace(TraceCollective, -1, 0, uint32(seq), len(dst))
 	if l.amLogging {
-		var cp []byte
-		if shape&rooted != 0 {
-			cp = wrapMaybe(res)
-		} else {
-			cp = make([]byte, len(res))
-			copy(cp, res)
-		}
-		l.log.Add(Entry{Kind: KindCollective, Seq: seq, Data: cp})
+		l.log.Add(Entry{Kind: KindCollective, Seq: seq, Data: append([]byte(nil), dst...)})
 	}
-	return res
 }
 
-// Allreduce combines data across all ranks with op, protocol-managed.
-func (l *Layer) Allreduce(data []byte, op mpi.Op) []byte {
-	out := make([]byte, len(data))
-	l.AllreduceInto(out, data, op)
-	return out
+// atRoot is a rooted collective's result: dst at root, nothing elsewhere.
+func (l *Layer) atRoot(root int, dst []byte) []byte {
+	if l.rank != root {
+		return nil
+	}
+	return dst
 }
 
-// AllreduceInto is Allreduce into dst (len(data) bytes).
+// AllreduceInto combines data across all ranks with op into dst (len(data)
+// bytes).
 func (l *Layer) AllreduceInto(dst, data []byte, op mpi.Op) {
-	l.collective(rides, dst, func(word uint32) ([]byte, uint32) {
-		return dst, l.comm.AllreduceInto(dst, data, op, word)
-	})
+	l.collective(true, dst, func(word uint32) uint32 { return l.comm.AllreduceInto(dst, data, op, word) })
 }
 
-// Allgather concatenates equal-sized payloads from all ranks.
+// Allgather is AllgatherInto a fresh result.
 func (l *Layer) Allgather(data []byte) []byte {
 	out := make([]byte, len(data)*l.size)
 	l.AllgatherInto(out, data)
 	return out
 }
 
-// AllgatherInto is Allgather into dst (Size()·len(data) bytes).
+// AllgatherInto concatenates equal-sized payloads from all ranks into dst
+// (Size()·len(data) bytes).
 func (l *Layer) AllgatherInto(dst, data []byte) {
-	l.collective(rides, dst, func(word uint32) ([]byte, uint32) {
-		return dst, l.comm.AllgatherInto(dst, data, word)
-	})
+	l.collective(true, dst, func(word uint32) uint32 { return l.comm.AllgatherInto(dst, data, word) })
 }
 
-// Bcast distributes root's payload to all ranks.
-func (l *Layer) Bcast(root int, data []byte) []byte {
-	return l.collective(0, nil, func(uint32) ([]byte, uint32) { return l.comm.Bcast(root, data), 0 })
+// AlltoallInto exchanges equal-sized blocks between all ranks into dst
+// (len(data) bytes).
+func (l *Layer) AlltoallInto(dst, data []byte) {
+	l.collective(true, dst, func(word uint32) uint32 { return l.comm.AlltoallInto(dst, data, word) })
 }
 
-// Reduce combines payloads at root; non-roots receive nil.
-func (l *Layer) Reduce(root int, data []byte, op mpi.Op) []byte {
-	return l.collective(rooted, nil, func(uint32) ([]byte, uint32) { return l.comm.Reduce(root, data, op), 0 })
+// ReducescatterInto combines per-rank blocks and scatters the result: this
+// rank's block goes to dst (len(data)/Size() bytes).
+func (l *Layer) ReducescatterInto(dst, data []byte, op mpi.Op) {
+	l.collective(true, dst, func(word uint32) uint32 { return l.comm.ReducescatterInto(dst, data, op, word) })
 }
 
-// Gather concatenates payloads at root; non-roots receive nil.
-func (l *Layer) Gather(root int, data []byte) []byte {
-	var out []byte
-	if l.rank == root {
-		out = make([]byte, len(data)*l.size)
-	}
-	l.GatherInto(root, out, data)
-	return out
+// BcastInto distributes root's buf into every rank's buf.
+func (l *Layer) BcastInto(root int, buf []byte) {
+	l.collective(false, buf, func(uint32) uint32 { l.comm.BcastInto(root, buf); return 0 })
 }
 
-// GatherInto is Gather into root's dst (Size()·len(data) bytes; nil on the
-// other ranks).
+// ReduceInto combines payloads with op into root's dst (len(data) bytes;
+// ignored on the other ranks).
+func (l *Layer) ReduceInto(root int, dst, data []byte, op mpi.Op) {
+	dst = l.atRoot(root, dst)
+	l.collective(false, dst, func(uint32) uint32 { l.comm.ReduceInto(root, dst, data, op); return 0 })
+}
+
+// GatherInto concatenates payloads in root's dst (Size()·len(data) bytes;
+// ignored on the other ranks).
 func (l *Layer) GatherInto(root int, dst, data []byte) {
-	l.collective(rooted, dst, func(uint32) ([]byte, uint32) {
-		l.comm.GatherInto(root, dst, data)
-		return dst, 0
-	})
+	dst = l.atRoot(root, dst)
+	l.collective(false, dst, func(uint32) uint32 { l.comm.GatherInto(root, dst, data); return 0 })
 }
 
-// Scatter distributes root's payload in equal blocks.
-func (l *Layer) Scatter(root int, data []byte) []byte {
-	return l.collective(0, nil, func(uint32) ([]byte, uint32) { return l.comm.Scatter(root, data), 0 })
+// ScatterInto distributes root's data in equal blocks, one to each rank's
+// dst.
+func (l *Layer) ScatterInto(root int, dst, data []byte) {
+	l.collective(false, dst, func(uint32) uint32 { l.comm.ScatterInto(root, dst, data); return 0 })
 }
 
-// Alltoall exchanges equal-sized blocks between all ranks.
-func (l *Layer) Alltoall(data []byte) []byte {
-	out := make([]byte, len(data))
-	return l.collective(rides, out, func(word uint32) ([]byte, uint32) {
-		return out, l.comm.AlltoallInto(out, data, word)
-	})
-}
-
-// Scan computes the inclusive prefix reduction, protocol-managed.
-func (l *Layer) Scan(data []byte, op mpi.Op) []byte {
-	out := make([]byte, len(data))
-	l.ScanInto(out, data, op)
-	return out
-}
-
-// ScanInto is Scan into dst (len(data) bytes).
+// ScanInto computes the inclusive prefix reduction into dst (len(data)
+// bytes).
 func (l *Layer) ScanInto(dst, data []byte, op mpi.Op) {
-	l.collective(0, dst, func(uint32) ([]byte, uint32) {
-		l.comm.ScanInto(dst, data, op)
-		return dst, 0
-	})
-}
-
-// Reducescatter combines per-rank blocks and scatters the result,
-// protocol-managed.
-func (l *Layer) Reducescatter(data []byte, op mpi.Op) []byte {
-	out := make([]byte, len(data)/l.size)
-	return l.collective(rides, out, func(word uint32) ([]byte, uint32) {
-		return out, l.comm.ReducescatterInto(out, data, op, word)
-	})
+	l.collective(false, dst, func(uint32) uint32 { l.comm.ScanInto(dst, data, op); return 0 })
 }
 
 // Barrier synchronizes all ranks. It is treated as a loggable collective:
@@ -292,9 +239,7 @@ func (l *Layer) Reducescatter(data []byte, op mpi.Op) []byte {
 // which precompiler-instrumented programs have, because the forced
 // checkpoint happens at the barrier site rather than at a loop-top
 // PotentialCheckpoint.
-func (l *Layer) Barrier() {
-	l.collective(rides, nil, func(word uint32) ([]byte, uint32) { return nil, l.comm.BarrierWord(word) })
-}
+func (l *Layer) Barrier() { l.collective(true, nil, l.comm.Barrier) }
 
 // AlignedBarrier is the paper's MPI_Barrier treatment (Section 4.5): the
 // control exchange detects epoch disagreement, and a participant that has
@@ -306,7 +251,7 @@ func (l *Layer) Barrier() {
 func (l *Layer) AlignedBarrier() {
 	l.enterOp()
 	if !l.active() {
-		l.comm.Barrier()
+		l.comm.Barrier(0)
 		return
 	}
 	l.collSeq++ // consumes a collective slot; never logged
@@ -318,23 +263,7 @@ func (l *Layer) AlignedBarrier() {
 			l.takeCheckpoint()
 		}
 	}
-	l.comm.Barrier()
-}
-
-// wrapMaybe encodes a possibly-nil byte slice so that nil (the non-root
-// result of rooted collectives) survives the log round trip.
-func wrapMaybe(b []byte) []byte {
-	if b == nil {
-		return []byte{0}
-	}
-	return append([]byte{1}, b...)
-}
-
-func unwrapMaybe(b []byte) []byte {
-	if len(b) == 0 || b[0] == 0 {
-		return nil
-	}
-	return b[1:]
+	l.comm.Barrier(0)
 }
 
 // Sendrecv performs the combined send-and-receive through the protocol

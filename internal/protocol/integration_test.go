@@ -221,7 +221,8 @@ func TestCommDupSplitReplay(t *testing.T) {
 			}
 			// The replayed split must actually work: reduce ranks within
 			// each half.
-			out := sub.Allreduce(mpi.F64Bytes([]float64{float64(r)}), mpi.SumF64)
+			out := make([]byte, 8)
+			sub.AllreduceInto(out, mpi.F64Bytes([]float64{float64(r)}), mpi.SumF64, 0)
 			sum := mpi.BytesF64(out)[0]
 			want := 0.0
 			for q := r % 2; q < n; q += 2 {

@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+
+	"ccift/internal/cerr"
 )
 
 // The log a process writes between taking its local checkpoint and stopping
@@ -91,41 +94,43 @@ func (l *Log) Marshal() []byte {
 	return buf.Bytes()
 }
 
-// UnmarshalLog parses a serialized log.
+// UnmarshalLog parses a serialized log. Anything Marshal cannot have
+// written is a store-category error: a kind byte outside the four kinds —
+// which NewReplay would drop, turning a late message into a receive that
+// waits forever — a source or tag outside int32, a truncated entry.
 func UnmarshalLog(raw []byte) (*Log, error) {
 	rd := bytes.NewReader(raw)
 	n, err := binary.ReadUvarint(rd)
 	if err != nil {
-		return nil, fmt.Errorf("protocol: corrupt log: %w", err)
+		return nil, fmt.Errorf("protocol: %w: corrupt log: %w", cerr.ErrStore, err)
 	}
 	l := NewLog()
 	for i := uint64(0); i < n; i++ {
+		corrupt := func(format string, args ...any) error {
+			return fmt.Errorf("protocol: %w: corrupt log entry %d: "+format, append([]any{cerr.ErrStore, i}, args...)...)
+		}
 		kind, err := rd.ReadByte()
 		if err != nil {
-			return nil, fmt.Errorf("protocol: corrupt log entry %d: %w", i, err)
+			return nil, corrupt("%w", err)
 		}
-		seq, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, err
+		if kind < byte(KindLate) || kind > byte(KindEvent) {
+			return nil, corrupt("unknown kind %d", kind)
 		}
-		src, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, err
+		var seq, src, tag, dlen uint64 // src and tag are stored +2
+		for _, v := range []*uint64{&seq, &src, &tag, &dlen} {
+			if *v, err = binary.ReadUvarint(rd); err != nil {
+				return nil, corrupt("%w", err)
+			}
 		}
-		tag, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, err
-		}
-		dlen, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, err
+		if src > math.MaxInt32+2 || tag > math.MaxInt32+2 {
+			return nil, corrupt("source %d or tag %d outside int32", int64(src)-2, int64(tag)-2)
 		}
 		if dlen > uint64(rd.Len()) {
-			return nil, fmt.Errorf("protocol: corrupt log entry %d: truncated payload", i)
+			return nil, corrupt("truncated payload")
 		}
 		data := make([]byte, dlen)
 		if _, err := io.ReadFull(rd, data); err != nil {
-			return nil, err
+			return nil, corrupt("%w", err)
 		}
 		l.Add(Entry{
 			Kind: EntryKind(kind),

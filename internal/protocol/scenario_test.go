@@ -223,6 +223,13 @@ func TestFigure3Recovery(t *testing.T) {
 	}
 }
 
+// allreduce is AllreduceInto a fresh result.
+func allreduce(l *Layer, data []byte, op mpi.Op) []byte {
+	out := make([]byte, len(data))
+	l.AllreduceInto(out, data, op)
+	return out
+}
+
 // TestFigure5CallA reproduces collective communication call A of Figure 5:
 // P and Q execute an Allreduce after taking their local checkpoints, R
 // executes it before. P and Q must log the result; on recovery they read it
@@ -243,20 +250,20 @@ func TestFigure5CallA(t *testing.T) {
 		defer wg.Done()
 		P.PotentialCheckpoint()
 		close(qReady)
-		results[0] = mpi.BytesF64(P.Allreduce(mpi.F64Bytes([]float64{1}), mpi.SumF64))
+		results[0] = mpi.BytesF64(allreduce(P, mpi.F64Bytes([]float64{1}), mpi.SumF64))
 		pqDone <- struct{}{}
 	}()
 	go func() { // Q: checkpoint, then allreduce
 		defer wg.Done()
 		<-qReady
 		Q.PotentialCheckpoint()
-		results[1] = mpi.BytesF64(Q.Allreduce(mpi.F64Bytes([]float64{2}), mpi.SumF64))
+		results[1] = mpi.BytesF64(allreduce(Q, mpi.F64Bytes([]float64{2}), mpi.SumF64))
 		pqDone <- struct{}{}
 	}()
 	go func() { // R: allreduce BEFORE its checkpoint
 		defer wg.Done()
 		<-qReady
-		results[2] = mpi.BytesF64(R.Allreduce(mpi.F64Bytes([]float64{4}), mpi.SumF64))
+		results[2] = mpi.BytesF64(allreduce(R, mpi.F64Bytes([]float64{4}), mpi.SumF64))
 		<-pqDone
 		<-pqDone
 		R.PotentialCheckpoint()
@@ -305,11 +312,11 @@ func TestFigure5CallA(t *testing.T) {
 	}
 	// Sequential calls cannot deadlock: the results come from the log with
 	// no communication.
-	got := mpi.BytesF64(ls2[0].Allreduce(mpi.F64Bytes([]float64{1}), mpi.SumF64))
+	got := mpi.BytesF64(allreduce(ls2[0], mpi.F64Bytes([]float64{1}), mpi.SumF64))
 	if got[0] != 7 {
 		t.Fatalf("P replayed allreduce = %v", got)
 	}
-	got = mpi.BytesF64(ls2[1].Allreduce(mpi.F64Bytes([]float64{2}), mpi.SumF64))
+	got = mpi.BytesF64(allreduce(ls2[1], mpi.F64Bytes([]float64{2}), mpi.SumF64))
 	if got[0] != 7 {
 		t.Fatalf("Q replayed allreduce = %v", got)
 	}
@@ -350,7 +357,7 @@ func TestFigure5CallB(t *testing.T) {
 		wg.Add(1)
 		go func(i int, l *Layer) {
 			defer wg.Done()
-			results[i] = mpi.BytesF64(l.Allreduce(mpi.F64Bytes([]float64{float64(i + 1)}), mpi.SumF64))
+			results[i] = mpi.BytesF64(allreduce(l, mpi.F64Bytes([]float64{float64(i + 1)}), mpi.SumF64))
 		}(i, l)
 	}
 	wg.Wait()

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
 	"runtime"
 	"strings"
 	"sync"
@@ -237,14 +239,35 @@ func simulatedCost(t *testing.T, ranks int, mode protocol.Mode, prog engine.Prog
 	return s.Elapsed(), s.Stats().Delivered
 }
 
-// TestCollectiveCostsItsOwnRounds: under the protocol a symmetric collective
+// TestCollectiveCostsItsOwnRounds: under the protocol each of the five
+// collectives that bring every participant's word to every participant
 // takes the rounds and the sends the unmodified program takes — its control
-// word rides on its own messages — and a rooted one takes exactly one
-// allgather more, the explicit control exchange. No checkpoint is ever
-// requested, so nothing else is on the wire.
+// word rides on its own messages — and each of the five rooted ones takes
+// exactly one allgather more, the explicit control exchange. No checkpoint
+// is ever requested, so nothing else is on the wire.
 func TestCollectiveCostsItsOwnRounds(t *testing.T) {
 	const calls = 5
 	xs := []float64{1, 2, 3, 4}
+	type collective struct {
+		name string
+		call func(r *engine.Rank)
+	}
+	// What a call allocates is not what this test counts: buffers are fresh.
+	blocks := func(r *engine.Rank) []byte { return make([]byte, 8*r.Size()) }
+	riding := []collective{
+		{"Allreduce", func(r *engine.Rank) { r.AllreduceF64(xs, mpi.SumF64) }},
+		{"Allgather", func(r *engine.Rank) { r.AllgatherF64(xs) }},
+		{"Alltoall", func(r *engine.Rank) { r.AlltoallInto(blocks(r), blocks(r)) }},
+		{"Reducescatter", func(r *engine.Rank) { r.ReducescatterInto(make([]byte, 8), blocks(r), mpi.SumF64) }},
+		{"Barrier", (*engine.Rank).Barrier},
+	}
+	rooted := []collective{
+		{"Bcast", func(r *engine.Rank) { r.BcastInto(0, mpi.F64Bytes(xs)) }},
+		{"Reduce", func(r *engine.Rank) { r.ReduceInto(0, make([]byte, 32), mpi.F64Bytes(xs), mpi.SumF64) }},
+		{"Gather", func(r *engine.Rank) { r.GatherF64(0, xs) }},
+		{"Scatter", func(r *engine.Rank) { r.ScatterInto(0, make([]byte, 8), blocks(r)) }},
+		{"Scan", func(r *engine.Rank) { r.ScanF64(xs, mpi.SumF64) }},
+	}
 	repeat := func(call func(r *engine.Rank)) engine.Program {
 		return func(r *engine.Rank) (any, error) {
 			for i := 0; i < calls; i++ {
@@ -253,28 +276,24 @@ func TestCollectiveCostsItsOwnRounds(t *testing.T) {
 			return nil, nil
 		}
 	}
-	allreduce := repeat(func(r *engine.Rank) { r.AllreduceF64(xs, mpi.SumF64) })
-	allgather := repeat(func(r *engine.Rank) { r.AllgatherF64(xs) })
-	gather := repeat(func(r *engine.Rank) { r.GatherF64(0, xs) })
-	exchangeThenGather := repeat(func(r *engine.Rank) {
-		r.Allgather([]byte{0})
-		r.GatherF64(0, xs)
-	})
+	exchange := func(r *engine.Rank) { r.AllgatherInto(make([]byte, r.Size()), []byte{0}) }
 	for _, ranks := range []int{2, 8, 64} {
-		for name, prog := range map[string]engine.Program{"Allreduce": allreduce, "Allgather": allgather} {
-			baseT, baseN := simulatedCost(t, ranks, protocol.Unmodified, prog)
-			fullT, fullN := simulatedCost(t, ranks, protocol.Full, prog)
+		for _, c := range riding {
+			baseT, baseN := simulatedCost(t, ranks, protocol.Unmodified, repeat(c.call))
+			fullT, fullN := simulatedCost(t, ranks, protocol.Full, repeat(c.call))
 			if fullT != baseT || fullN != baseN {
-				t.Fatalf("%s × %d at %d ranks: %v and %d sends in Full mode, %v and %d unmodified — a symmetric collective must cost no extra round",
-					name, calls, ranks, fullT, fullN, baseT, baseN)
+				t.Fatalf("%s × %d at %d ranks: %v and %d sends in Full mode, %v and %d unmodified — a riding collective must cost no extra round",
+					c.name, calls, ranks, fullT, fullN, baseT, baseN)
 			}
 		}
-		plainT, plainN := simulatedCost(t, ranks, protocol.Unmodified, gather)
-		wantT, wantN := simulatedCost(t, ranks, protocol.Unmodified, exchangeThenGather)
-		fullT, fullN := simulatedCost(t, ranks, protocol.Full, gather)
-		if fullT != wantT || fullN != wantN || fullN <= plainN {
-			t.Fatalf("Gather × %d at %d ranks: %v and %d sends in Full mode, want those of a one-byte allgather plus the gather (%v, %d; the gather alone: %v, %d)",
-				calls, ranks, fullT, fullN, wantT, wantN, plainT, plainN)
+		for _, c := range rooted {
+			plainT, plainN := simulatedCost(t, ranks, protocol.Unmodified, repeat(c.call))
+			wantT, wantN := simulatedCost(t, ranks, protocol.Unmodified, repeat(func(r *engine.Rank) { exchange(r); c.call(r) }))
+			fullT, fullN := simulatedCost(t, ranks, protocol.Full, repeat(c.call))
+			if fullT != wantT || fullN != wantN || fullN <= plainN {
+				t.Fatalf("%s × %d at %d ranks: %v and %d sends in Full mode, want those of a one-byte allgather plus the call (%v, %d; the call alone: %v, %d)",
+					c.name, calls, ranks, fullT, fullN, wantT, wantN, plainT, plainN)
+			}
 		}
 	}
 }
@@ -349,8 +368,24 @@ func TestFloatCollectiveAllocations(t *testing.T) {
 // buffers were allocated per flush before, 3.4 MB and a cycle). Before
 // collectives recycled their messages this run allocated 174 MB unmodified
 // and 177 MB in Full mode, over 49–65 cycles.
+//
+// The cycle count is taken in a process of its own: every goroutine an
+// earlier test ran leaves its descriptor live for good (0.55 MB after the
+// package's 1000-rank world), the 4 MB minimum heap goal does not grow with
+// it, and in the whole package at -cpu 4 the Full run met a cycle at
+// 1.95 MB.
 func TestSteadyStateRunAllocatesLittle(t *testing.T) {
 	skipAllocationGateUnderRace(t)
+	if os.Getenv(ownProcessEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$", "-test.v", fmt.Sprintf("-test.cpu=%d", runtime.GOMAXPROCS(0)))
+		cmd.Env = append(os.Environ(), ownProcessEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		t.Logf("in a process of its own:\n%s", out)
+		if err != nil {
+			t.Fatalf("in a process of its own: %v", err)
+		}
+		return
+	}
 	prog := neurosys.Program(neurosys.Params{K: 32, Iters: 600})
 	for _, c := range []struct {
 		mode     protocol.Mode
@@ -373,15 +408,28 @@ func TestSteadyStateRunAllocatesLittle(t *testing.T) {
 	}
 }
 
+// ownProcessEnv marks the test binary re-run by a test that must measure
+// in a process of its own.
+const ownProcessEnv = "CCIFT_TEST_OWN_PROCESS"
+
 // runAllocs runs prog under cfg and returns how many allocations, bytes
 // and GC cycles the whole process made meanwhile, and the run's result. It
 // starts from a collected heap with the free lists' victims gone too, so a
-// run starts a full heap-growth allowance away from the next cycle.
+// run starts a full heap-growth allowance away from the next cycle — and
+// with a pacer that has forgotten earlier tests. The pacer starts a cycle
+// between 70 % and 95 % of the way to the heap goal, the nearer 70 % the
+// faster it has seen the program allocate during a mark, and that estimate
+// is the largest of the last five cycles' (runtime/mgcpacer.go:
+// lastConsMark). After two collections TestSteadyFlushAllocatesNoBuffers'
+// estimate was still in place: the next Full neurosys run met a cycle in
+// every run of the -count=3 -cpu 1,2,4 gate on 2 vCPUs, and a halo run one
+// that emptied the free lists in 3 of 10. Five replace the whole history.
 func runAllocs(t *testing.T, cfg engine.Config, prog engine.Program) (mallocs, bytes uint64, gcs uint32, res *engine.Result) {
 	t.Helper()
 	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.GC()
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+	}
 	runtime.ReadMemStats(&before)
 	res, err := engine.Run(cfg, prog)
 	runtime.ReadMemStats(&after)
@@ -395,13 +443,17 @@ func runAllocs(t *testing.T, cfg engine.Config, prog engine.Program) (mallocs, b
 // WaitF64Into straight into the ghost row, every request completed — runs
 // an iteration without allocating, unmodified and under the protocol while
 // it is not logging: the request states and messages are recycled and no
-// AppMessage is built. Two runs that differ by 2000 iterations differ by a
-// handful of the process's allocations, nowhere near one per iteration (the
-// parent made ten per iteration at 2 ranks: per rank a message, its payload,
-// an AppMessage and two request states).
+// AppMessage is built. Two runs that differ by 20000 iterations differ by
+// at most about a hundred of the process's allocations, nowhere near one per
+// iteration (ten per iteration at 2 ranks before the recycling: per rank a
+// message, its payload, an AppMessage and two request states). What is left
+// is the runtime's: a rank that parks on its mailbox takes a sudog, and the
+// per-P caches the collections emptied refill as the ranks meet on different
+// Ps — up to 76 at 2000 iterations, which failed the bound in up to 3 of 10
+// runs of the -count=3 -cpu 1,2,4 gate, and up to 116 at 20000.
 func TestHaloExchangeAllocatesNothing(t *testing.T) {
 	skipAllocationGateUnderRace(t)
-	const extra = 2000
+	const extra = 20000
 	for _, mode := range []protocol.Mode{protocol.Unmodified, protocol.Full} {
 		cfg := engine.Config{Ranks: 2, Mode: mode} // no trigger: Full never logs
 		short, _, _, _ := runAllocs(t, cfg, laplace.Program(laplace.Params{N: 32, Iters: 10}))
@@ -480,15 +532,20 @@ func TestSteadyFlushAllocatesNoBuffers(t *testing.T) {
 }
 
 // TestReduceLeafForwardsItsData: in the binomial tree only a rank with a
-// child's contribution to combine needs an accumulator. At 2 ranks that is
-// the root alone, at 4 the root and rank 2 — one allocation each per call,
-// the message and the send copy being recycled; the barrier keeps the leaves
-// from running ahead of the root's releases. (The parent allocated an
-// accumulator on every rank: 2 and 4, beside a message and a copy per send.)
+// child's contribution to combine needs an accumulator — the root combines
+// into the dst it brings, an interior rank (rank 2 of 4) into the one its
+// communicator keeps, and a leaf forwards its data — so with the message
+// and the send copy recycled a steady-state call allocates nothing at 2
+// ranks or at 4; the barrier keeps the leaves from running ahead of the
+// root's releases. (Measured 0 and 0 at -cpu 1, 2 and 4. When Reduce
+// returned a fresh result the root allocated it and rank 2 its
+// accumulator, 1 and 2; before that every rank made an accumulator, beside
+// a message and a copy per send. Which ranks keep one is internal/mpi's
+// TestOnlyInteriorRanksKeepAnAccumulator.)
 func TestReduceLeafForwardsItsData(t *testing.T) {
 	skipAllocationGateUnderRace(t)
 	const runs = 200
-	for ranks, want := range map[int]float64{2: 1, 4: 2} {
+	for _, ranks := range []int{2, 4} {
 		var perRun float64
 		w := mpi.NewWorld(ranks, mpi.Options{})
 		var wg sync.WaitGroup
@@ -497,9 +554,13 @@ func TestReduceLeafForwardsItsData(t *testing.T) {
 			go func(c *mpi.Comm) {
 				defer wg.Done()
 				data := make([]byte, 512)
+				var dst []byte
+				if c.Rank() == 0 {
+					dst = make([]byte, len(data))
+				}
 				call := func() {
-					c.Reduce(0, data, mpi.SumF64)
-					c.Barrier()
+					c.ReduceInto(0, dst, data, mpi.SumF64)
+					c.Barrier(0)
 				}
 				if c.Rank() == 0 {
 					perRun = testing.AllocsPerRun(runs, call)
@@ -511,8 +572,8 @@ func TestReduceLeafForwardsItsData(t *testing.T) {
 			}(w.Comm(r))
 		}
 		wg.Wait()
-		if perRun > want {
-			t.Fatalf("Reduce at %d ranks: %.0f allocations per call across the world, want at most %.0f (one accumulator per rank that combines)", ranks, perRun, want)
+		if perRun != 0 {
+			t.Fatalf("Reduce at %d ranks: %.2f allocations per call across the world, want none", ranks, perRun)
 		}
 	}
 }
