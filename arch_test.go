@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -59,6 +60,16 @@ func funcsCalling(files map[string]*ast.File, match func(*ast.CallExpr) bool) (s
 	}
 	slices.Sort(sites)
 	return sites
+}
+
+// declared returns the names a field or a var/const spec declares and the
+// type it declares them with (nil when the spec leaves it to the values).
+func declared(n ast.Node) ([]*ast.Ident, ast.Expr) {
+	if f, ok := n.(*ast.Field); ok {
+		return f.Names, f.Type
+	}
+	vs := n.(*ast.ValueSpec)
+	return vs.Names, vs.Type
 }
 
 // collectiveName matches the exported methods that are collectives, in any
@@ -138,6 +149,74 @@ func TestArchitecture(t *testing.T) {
 		sites := funcsCalling(parseDir(t, "internal/protocol", 0), control)
 		if want := []string{"internal/protocol/collective.go: exchangeControl"}; !slices.Equal(sites, want) {
 			t.Fatalf("control allgathers in %v, want %v: the riding collectives carry their control word on their own messages, and the rooted ones and AlignedBarrier share the one explicit exchange — a second is a per-collective control round growing back", sites, want)
+		}
+	})
+
+	t.Run("no serialized copy of the state retained in internal/protocol", func(t *testing.T) {
+		// A tee on the state writer, or a state-sized buffer kept beside the
+		// retained view, is 4 MB per epoch per rank growing back.
+		var got []string
+		for path, f := range parseDir(t, "internal/protocol", 0) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if n.Name == "teeSection" || n.Name == "retainedBytes" {
+						got = append(got, path+": "+n.Name)
+					}
+				case *ast.SelectorExpr:
+					if s := types.ExprString(n); s == "io.MultiWriter" || s == "io.TeeReader" {
+						got = append(got, path+": "+s)
+					}
+				case *ast.Field, *ast.ValueSpec:
+					names, typ := declared(n)
+					for _, id := range names {
+						if s := types.ExprString(typ); strings.HasPrefix(id.Name, "retain") && strings.TrimPrefix(s, "*") == "bytes.Buffer" {
+							got = append(got, path+": "+id.Name+" "+s)
+						}
+					}
+				}
+				return true
+			})
+		}
+		if len(got) > 0 {
+			t.Fatalf("%v: internal/protocol retains frozen views (ckpt.Frozen), not serialized state blobs", got)
+		}
+	})
+
+	t.Run("a survivor serializes its retained view only to cross-check it under Debug", func(t *testing.T) {
+		// A survivor arms its Saver straight from the view; a Snapshot outside
+		// the Debug cross-check is the serialize-then-decode rollback growing
+		// back, and none at all is the cross-check gone.
+		snapshot := func(call *ast.CallExpr) bool {
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			return ok && sel.Sel.Name == "Snapshot"
+		}
+		var got []string
+		for path, f := range parseDir(t, "internal/protocol", 0) {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				var debug []ast.Node // the bodies of the function's `if ….Debug` branches
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if is, ok := n.(*ast.IfStmt); ok && strings.HasSuffix(types.ExprString(is.Cond), ".Debug") {
+						debug = append(debug, is.Body)
+					}
+					if call, ok := n.(*ast.CallExpr); ok && snapshot(call) {
+						site := path + ": " + fn.Name.Name
+						if slices.ContainsFunc(debug, func(b ast.Node) bool { return b.Pos() <= call.Pos() && call.End() <= b.End() }) {
+							site += ", under Debug"
+						}
+						got = append(got, site)
+					}
+					return true
+				})
+			}
+		}
+		slices.Sort(got)
+		if want := []string{"internal/protocol/state.go: RestoreFrom, under Debug"}; !slices.Equal(got, want) {
+			t.Fatalf("Snapshot calls in internal/protocol: %v, want %v: a survivor restores straight out of its retained view, and serializes it only for the Debug check against the store's object", got, want)
 		}
 	})
 

@@ -89,17 +89,16 @@ func (v *VDS) PushReplicated(name string, ptr any) error {
 			if rec.kind != kindReplicated {
 				return fmt.Errorf("ckpt: restore %q: checkpoint kind %d, registered as replicated", name, rec.kind)
 			}
-			data := rec.data
-			if len(data) == 0 {
+			if rec.pages == nil && len(rec.data) == 0 {
 				// This rank was not the primary: the value comes from the
 				// primary's checkpoint, distributed by the recovery driver.
 				replica, ok := v.replicas[name]
 				if !ok {
 					return fmt.Errorf("ckpt: restore %q: no replica available — was the primary's checkpoint loaded?", name)
 				}
-				data = replica
+				rec.data = replica
 			}
-			if err := Decode(data, ptr); err != nil {
+			if err := rec.into(ptr); err != nil {
 				return fmt.Errorf("ckpt: restore replicated %q: %w", name, err)
 			}
 			delete(v.restore, name)

@@ -130,9 +130,8 @@ func (h *Heap) Restore(snapshot []byte) error {
 	if err != nil {
 		return fmt.Errorf("ckpt: corrupt heap snapshot: %w", err)
 	}
-	blocks := make(map[int]*Block, n)
-	liveBytes := 0
-	for i := 0; i < n; i++ {
+	fh := frozenHeap{next: int(next), blocks: make([]frozenBlock, n)}
+	for i := range fh.blocks {
 		id, err := readUvarint(rd)
 		if err != nil {
 			return fmt.Errorf("ckpt: corrupt heap snapshot: %w", err)
@@ -141,15 +140,22 @@ func (h *Heap) Restore(snapshot []byte) error {
 		if err != nil {
 			return fmt.Errorf("ckpt: corrupt heap snapshot: %w", err)
 		}
-		data := bytes.Clone(view) // the block's own memory
-		h.muts++
-		blocks[int(id)] = &Block{ID: int(id), Data: data, gen: h.muts}
-		liveBytes += len(data)
+		fh.blocks[i] = frozenBlock{id: int(id), data: view}
 	}
-	h.blocks = blocks
-	h.nextID = int(next)
-	h.liveBytes = liveBytes
+	h.install(fh)
 	return nil
+}
+
+// install replaces the heap contents with fh's blocks, each cloned into the
+// block's own memory.
+func (h *Heap) install(fh frozenHeap) {
+	h.blocks = make(map[int]*Block, len(fh.blocks))
+	h.nextID, h.liveBytes = fh.next, 0
+	for _, b := range fh.blocks {
+		h.muts++
+		h.blocks[b.id] = &Block{ID: b.id, Data: bytes.Clone(b.data), gen: h.muts}
+		h.liveBytes += len(b.data)
+	}
 }
 
 // Realloc resizes a live block in place, preserving its handle and the

@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ccift/internal/ckpt"
@@ -34,9 +35,10 @@ type diffGob struct {
 // liveVar is one registered variable, shared by pointer between both
 // Savers. mutable is false for computed entries (read-only by contract).
 type liveVar struct {
-	name    string
-	ptr     any
-	mutable bool
+	name       string
+	ptr        any
+	mutable    bool
+	replicated bool
 }
 
 // teeSection records the bytes flowing into a chunked writer so one
@@ -165,7 +167,7 @@ func (d *diffDriver) register() {
 		}
 	case 8:
 		xs := d.newSlice(d.sliceLen())
-		v.ptr = &xs
+		v.ptr, v.replicated = &xs, true
 		if err := d.inc.VDS.PushReplicated(name, &xs); err != nil {
 			d.fatalf("inc push replicated: %v", err)
 		}
@@ -348,7 +350,7 @@ func (d *diffDriver) rebind() {
 		return
 	}
 	xs := d.newSlice(d.sliceLen())
-	v.ptr = &xs
+	v.ptr, v.replicated = &xs, false // Push re-registers it as saved
 	if err := d.inc.VDS.Push(v.name, &xs); err != nil {
 		d.fatalf("inc rebind: %v", err)
 	}
@@ -446,6 +448,7 @@ func (d *diffDriver) checkpoint() {
 	if err != nil {
 		d.fatalf("incremental freeze: %v", err)
 	}
+	d.checkRestore(fi)
 	p := &pendingWrite{
 		epoch: d.epoch,
 		want:  append([]byte(nil), fullTee.buf.Bytes()...),
@@ -490,6 +493,116 @@ func (d *diffDriver) join() {
 	}
 	if !bytes.Equal(mi, mf) {
 		d.fatalf("epoch %d: chunk manifests differ (%d vs %d bytes)", p.epoch, len(mi), len(mf))
+	}
+}
+
+// checkRestore rolls back from one checkpoint both ways — a survivor's,
+// straight from the view, and a replacement's, from its serialization —
+// into fresh Savers that register every live variable anew, and requires
+// the same values, heap blocks and resume trace of both. Then it scribbles
+// over everything the view restored and requires the view to serialize to
+// the same bytes as before.
+func (d *diffDriver) checkRestore(f *ckpt.Frozen) {
+	d.t.Helper()
+	blob, err := f.Snapshot()
+	if err != nil {
+		d.fatalf("epoch %d: snapshot: %v", d.epoch, err)
+	}
+	replicas := map[string][]byte{}
+	for _, v := range d.vars {
+		if v.replicated {
+			if replicas[v.name], err = ckpt.Encode(v.ptr); err != nil {
+				d.fatalf("encode replica %q: %v", v.name, err)
+			}
+		}
+	}
+	fromView, fromBlob := ckpt.NewSaver(), ckpt.NewSaver()
+	if err := fromView.StartRestoreView(f); err != nil {
+		d.fatalf("epoch %d: restore from the view: %v", d.epoch, err)
+	}
+	if err := fromBlob.StartRestore(blob); err != nil {
+		d.fatalf("epoch %d: restore from the blob: %v", d.epoch, err)
+	}
+	restored := func(s *ckpt.Saver) (vals []any, heap [][]byte, trace []int) {
+		s.VDS.SetReplicas(replicas)
+		for _, v := range d.vars {
+			p := reflect.New(reflect.TypeOf(v.ptr).Elem())
+			var err error
+			switch {
+			case !v.mutable:
+				live := reflect.ValueOf(v.ptr).Elem()
+				err = s.VDS.PushComputed(v.name, p.Interface(), func() error { p.Elem().Set(live); return nil })
+			case v.replicated:
+				err = s.VDS.PushReplicated(v.name, p.Interface())
+			default:
+				err = s.VDS.Push(v.name, p.Interface())
+			}
+			if err != nil {
+				d.fatalf("epoch %d: restore %q: %v", d.epoch, v.name, err)
+			}
+			vals = append(vals, p.Interface())
+		}
+		if n := s.VDS.PendingRestores(); n != 0 {
+			d.fatalf("epoch %d: %d values never restored", d.epoch, n)
+		}
+		for _, id := range d.heapIDs {
+			heap = append(heap, s.Heap.Lookup(id).Data)
+			if !bytes.Equal(heap[len(heap)-1], d.inc.Heap.Lookup(id).Data) {
+				d.fatalf("epoch %d: heap block %d restored wrong", d.epoch, id)
+			}
+		}
+		for s.PS.Resuming() {
+			trace = append(trace, s.PS.Resume())
+		}
+		return vals, heap, trace
+	}
+	vals, heap, trace := restored(fromView)
+	wantVals, _, wantTrace := restored(fromBlob)
+	if !reflect.DeepEqual(vals, wantVals) || !reflect.DeepEqual(trace, wantTrace) || fromView.Heap.Live() != fromBlob.Heap.Live() {
+		d.fatalf("epoch %d: the restore from the view differs from the restore from its serialization", d.epoch)
+	}
+	for i, v := range vals {
+		if d.vars[i].mutable {
+			scribble(v)
+		}
+	}
+	for _, b := range heap {
+		for i := range b {
+			b[i] = 0xEE
+		}
+	}
+	if again, err := f.Snapshot(); err != nil || !bytes.Equal(again, blob) {
+		d.fatalf("epoch %d: overwriting what was restored from the view changed the view (%v)", d.epoch, err)
+	}
+}
+
+// scribble overwrites every element a restored value holds.
+func scribble(ptr any) {
+	switch p := ptr.(type) {
+	case *int:
+		*p = -1
+	case *float64:
+		*p = -1
+	case *string:
+		*p = "scribbled"
+	case *[]byte:
+		for i := range *p {
+			(*p)[i] = 0xEE
+		}
+	case *[]int:
+		for i := range *p {
+			(*p)[i] = -1
+		}
+	case *[]float64:
+		for i := range *p {
+			(*p)[i] = -1
+		}
+	case *[][]float64:
+		for _, row := range *p {
+			scribble(&row)
+		}
+	case *diffGob:
+		scribble(&p.C)
 	}
 }
 

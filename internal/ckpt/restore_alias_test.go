@@ -29,11 +29,12 @@ func (st *aliasState) register(t *testing.T, s *Saver) {
 	}
 }
 
-// restoreFrom runs a whole restore of blob into a fresh Saver.
-func restoreFrom(t *testing.T, blob []byte) *aliasState {
+// restore runs a whole restore into a fresh Saver, armed by arm: from a
+// blob, or straight from a frozen view; block is the heap block's handle.
+func restore(t *testing.T, arm func(*Saver) error, block int) *aliasState {
 	t.Helper()
 	s := NewSaver()
-	if err := s.StartRestore(blob); err != nil {
+	if err := arm(s); err != nil {
 		t.Fatal(err)
 	}
 	st := &aliasState{}
@@ -41,20 +42,27 @@ func restoreFrom(t *testing.T, blob []byte) *aliasState {
 	if n := s.VDS.PendingRestores(); n != 0 {
 		t.Fatalf("%d values never restored", n)
 	}
-	st.block = s.Heap.Lookup(1)
+	st.block = s.Heap.Lookup(block)
 	return st
 }
 
-// TestRestoreNeverAliasesTheBlob: a survivor restores from the same
-// retained frozen view at every rollback — each time through a transient
-// blob the view serializes, of which the restore path hands out views
-// internally — so nothing the program can reach may be part of either.
-// Restore, scribble over (and append to) every restored value and over the
-// transient blob, restore again from the same view: the view's bytes and the
-// second restore must be what they were. (A replacement restores from a blob
-// assembled from the store; that blob, kept, must not change either.)
+// TestRestoreNeverAliasesTheBlob: a survivor restores straight from the
+// same retained frozen view at every rollback, and a replacement from a blob
+// the restore path hands out views of internally, so nothing the program can
+// reach may be part of either. Restore, scribble over (and append to) every
+// restored value, restore again from the same view or blob: the view's
+// bytes, the kept blob and the second restore must be what they were. The
+// first page of the paged []byte sits in a pooled slab far larger than the
+// value — what a restore that reused a page's spare room would alias.
 func TestRestoreNeverAliasesTheBlob(t *testing.T) {
 	src := NewSaver()
+	big := src.Heap.Alloc(4 << 20)
+	warm, err := src.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm.Release() // the pool's one byte slab is 4 MB now
+	src.Heap.Free(big.ID)
 	want := &aliasState{
 		raw:    bytes.Repeat([]byte{0xAB}, 100_000), // paged
 		grid:   make([]float64, 20_000),             // paged
@@ -109,10 +117,14 @@ func TestRestoreNeverAliasesTheBlob(t *testing.T) {
 		for i := range st.grid {
 			st.grid[i] = -1
 		}
+		st.grid = append(st.grid, -1)
 		for _, row := range st.rows {
 			for i := range row {
 				row[i] = -1
 			}
+		}
+		for i := range st.counts {
+			st.counts[i] = -1
 		}
 		for i := range st.block.Data {
 			st.block.Data[i] = 0xFF
@@ -120,20 +132,15 @@ func TestRestoreNeverAliasesTheBlob(t *testing.T) {
 		st.block.Data = append(st.block.Data, 1, 2, 3)
 	}
 
-	first := restoreFrom(t, kept)
-	check("first", first)
-	scribble(first)
-	check("second", restoreFrom(t, kept))
-
-	// The survivor's path: one view, a transient blob per rollback.
-	transient := snapshot()
-	third := restoreFrom(t, transient)
-	check("first rollback from the view", third)
-	scribble(third)
-	for i := range transient {
-		transient[i] = 0x5A
+	for path, arm := range map[string]func(*Saver) error{
+		"the kept blob": func(s *Saver) error { return s.StartRestore(kept) },
+		"the view":      func(s *Saver) error { return s.StartRestoreView(view) },
+	} {
+		first := restore(t, arm, blk.ID)
+		check("first rollback from "+path+": the", first)
+		scribble(first)
+		check("second rollback from "+path+": the", restore(t, arm, blk.ID))
 	}
-	check("second rollback from the view", restoreFrom(t, snapshot()))
 }
 
 // TestDecodeCountsAreNotTrusted: an element count is stored data; one that

@@ -114,3 +114,33 @@ func (s *Saver) StartRestore(blob []byte) error {
 	}
 	return s.Heap.Restore(heap)
 }
+
+// StartRestoreView arms the restore StartRestore would arm from f.Snapshot(),
+// straight from the frozen view: a survivor's rollback, which then moves each
+// restored byte once. A page-granular value is copied page by page into its
+// variable when the registration arrives; every other value goes through the
+// codec, from the view's pre-encoded record or an encode of its owned copy
+// (a []float64 or []byte that does not page is at most a page); heap blocks
+// are cloned now.
+// The restore map reads f's pages until the last registration: f must not go
+// back to a pool before then (a disowned view's pages are the collector's).
+func (s *Saver) StartRestoreView(f *Frozen) error {
+	s.dropRetained()
+	s.PS.StartResume(f.trace)
+	restore := make(map[string]restoreRec, len(f.vds))
+	for i := range f.vds {
+		e := &f.vds[i]
+		rec := restoreRec{kind: e.kind, data: e.enc, pages: e.pages, elems: e.elems}
+		if e.ptr != nil {
+			raw, err := Encode(e.ptr)
+			if err != nil {
+				return fmt.Errorf("ckpt: encode %q: %w", e.name, err)
+			}
+			rec.data = raw
+		}
+		restore[e.name] = rec
+	}
+	s.VDS.restore = restore
+	s.Heap.install(f.heap)
+	return nil
+}

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 )
 
@@ -109,6 +110,50 @@ func (e *vdsEntry) pageGens(elems, numPages int) []uint64 {
 type restoreRec struct {
 	kind entryKind
 	data []byte
+	// pages and elems are a frozen view's page-granular capture
+	// (Saver.StartRestoreView): copied into the variable page by page,
+	// never decoded.
+	pages []frozenPage
+	elems int
+}
+
+// into restores the record's value through ptr.
+func (rec restoreRec) into(ptr any) error {
+	if rec.pages == nil {
+		return Decode(rec.data, ptr)
+	}
+	switch p := ptr.(type) {
+	case *[]float64:
+		if rec.pages[0].f64 != nil {
+			*p = copyPages(*p, rec.elems, rec.pages, func(pg *frozenPage) []float64 { return pg.f64 })
+			return nil
+		}
+	case *[]byte:
+		if rec.pages[0].byt != nil {
+			*p = copyPages(*p, rec.elems, rec.pages, func(pg *frozenPage) []byte { return pg.byt })
+			return nil
+		}
+	}
+	return fmt.Errorf("ckpt: decode %T: %w", ptr, errPagedType)
+}
+
+// errPagedType is a page-granular value restored into a variable of another
+// type.
+var errPagedType = errors.New("the checkpoint holds a paged value of another type")
+
+// copyPages fills dst — resized when its capacity holds n elements,
+// reallocated when not, never pointed at a page, which the view keeps for
+// the next rollback — with the pages in order.
+func copyPages[T any](dst []T, n int, pages []frozenPage, page func(*frozenPage) []T) []T {
+	if cap(dst) < n {
+		dst = make([]T, n)
+	}
+	dst = dst[:n]
+	off := 0
+	for i := range pages {
+		off += copy(dst[off:], page(&pages[i]))
+	}
+	return dst
 }
 
 // NewVDS returns an empty variable descriptor stack.
@@ -134,7 +179,7 @@ func (v *VDS) Push(name string, ptr any) error {
 			if rec.kind != kindSaved {
 				return fmt.Errorf("ckpt: restore %q: checkpoint kind %d, registered as saved", name, rec.kind)
 			}
-			if err := Decode(rec.data, ptr); err != nil {
+			if err := rec.into(ptr); err != nil {
 				return fmt.Errorf("ckpt: restore %q: %w", name, err)
 			}
 			delete(v.restore, name)

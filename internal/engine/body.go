@@ -115,13 +115,8 @@ func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 			// epoch of any other mode cannot be rolled back to.
 			return fmt.Errorf("%w: cannot recover from a checkpoint in mode %v", cerr.ErrWorldDead, b.mode)
 		}
-		app, err := layer.RestoreFrom(rec.Epoch, rec.Suppress, b.retained)
-		if err != nil {
+		if err := layer.RestoreFrom(rec, b.retained); err != nil {
 			return fmt.Errorf("restore: %w: %w", cerr.ErrStore, err)
-		}
-		layer.Saver.VDS.SetReplicas(rec.Replicas)
-		if err := layer.Saver.StartRestore(app); err != nil {
-			return fmt.Errorf("app restore: %w: %w", cerr.ErrStore, err)
 		}
 		r.restarting = true
 	} else {

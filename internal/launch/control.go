@@ -9,9 +9,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"ccift/internal/cerr"
 	"ccift/internal/protocol"
@@ -44,13 +44,34 @@ type ctlFrame struct {
 // maxFrame rule), generously: a start frame carries a rank's replica set.
 const maxCtlFrame = 1 << 30
 
-// writeCtlFrame writes f as [u32 length | gob body] in one Write call.
+// writeCtlFrame writes f as [u32 length | body] in one Write call. The body
+// is uvarints and length-prefixed strings: kind, incarnation, address, then
+// in a start the kill op, the recovery epoch (two's complement), and the
+// addresses, suppressed IDs and replicas, each list behind its length.
 func writeCtlFrame(w io.Writer, f *ctlFrame) error {
-	buf := bytes.NewBuffer(make([]byte, 4))
-	if err := gob.NewEncoder(buf).Encode(f); err != nil {
-		return fmt.Errorf("launch: encode control frame: %w: %w", cerr.ErrTransport, err)
+	b := make([]byte, 4, 64)
+	u := func(v uint64) { b = binary.AppendUvarint(b, v) }
+	str := func(s string) { u(uint64(len(s))); b = append(b, s...) }
+	u(uint64(f.Kind))
+	u(uint64(f.Incarnation))
+	str(f.Addr)
+	if rec := &f.Recovery; f.Kind == ctlStart {
+		u(uint64(f.KillAtOp))
+		u(uint64(rec.Epoch))
+		u(uint64(len(f.Addrs)))
+		for _, a := range f.Addrs {
+			str(a)
+		}
+		u(uint64(len(rec.Suppress)))
+		for _, id := range rec.Suppress {
+			u(uint64(id))
+		}
+		u(uint64(len(rec.Replicas)))
+		for name, v := range rec.Replicas {
+			str(name)
+			str(string(v))
+		}
 	}
-	b := buf.Bytes()
 	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
 	if _, err := w.Write(b); err != nil {
 		return fmt.Errorf("launch: write control frame: %w: %w", cerr.ErrTransport, err)
@@ -75,9 +96,48 @@ func readCtlFrame(r io.Reader) (*ctlFrame, error) {
 	if _, err := io.CopyN(&body, r, int64(n)); err != nil {
 		return nil, fmt.Errorf("launch: truncated control frame: %w: %w", cerr.ErrTransport, err)
 	}
-	var f ctlFrame
-	if err := gob.NewDecoder(&body).Decode(&f); err != nil {
-		return nil, fmt.Errorf("launch: decode control frame: %w: %w", cerr.ErrTransport, err)
+	// A count is checked against the bytes left before anything is made of it.
+	b, bad := body.Bytes(), false
+	num := func(limit uint64) uint64 {
+		v, n := binary.Uvarint(b)
+		if n <= 0 || v > limit {
+			bad, b = true, nil
+			return 0
+		}
+		b = b[n:]
+		return v
 	}
-	return &f, nil
+	count := func() int { // of elements of a byte or more
+		if v := num(math.MaxInt32); v <= uint64(len(b)) {
+			return int(v)
+		}
+		bad, b = true, nil
+		return 0
+	}
+	field := func() []byte {
+		n := count()
+		v := b[:n:n]
+		b = b[n:]
+		return v
+	}
+	f := &ctlFrame{Kind: ctlKind(num(uint64(ctlAbort))), Incarnation: int(num(math.MaxInt32)), Addr: string(field())}
+	if rec := &f.Recovery; f.Kind == ctlStart {
+		f.KillAtOp, rec.Epoch = int64(num(math.MaxUint64)), int(num(math.MaxUint64))
+		f.Addrs = make([]string, count())
+		for i := range f.Addrs {
+			f.Addrs[i] = string(field())
+		}
+		rec.Suppress = make([]uint32, count())
+		for i := range rec.Suppress {
+			rec.Suppress[i] = uint32(num(math.MaxUint32))
+		}
+		rec.Replicas = map[string][]byte{}
+		for n := count(); n > 0; n-- {
+			rec.Replicas[string(field())] = field() // name, then value: calls run left to right
+		}
+	}
+	if bad || f.Kind == 0 || len(b) != 0 {
+		return nil, fmt.Errorf("launch: %w: corrupt control frame", cerr.ErrTransport)
+	}
+	return f, nil
 }

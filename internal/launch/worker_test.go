@@ -74,6 +74,50 @@ func TestControlFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzReadCtlFrame: arbitrary bytes never panic the control-frame decoder
+// and never make it allocate more than 1 MiB; a frame it accepts is written
+// and read back unchanged.
+func FuzzReadCtlFrame(f *testing.F) {
+	for _, fr := range []*ctlFrame{
+		{Kind: ctlReady, Addr: "127.0.0.1:4242"},
+		{Kind: ctlAbort, Incarnation: 3},
+		{Kind: ctlStart, Incarnation: 1, Addrs: []string{"a:1", "b:2"}, KillAtOp: 77,
+			Recovery: protocol.RankRecovery{Epoch: -1, Suppress: []uint32{9, 1 << 31}, Replicas: map[string][]byte{"table": {1, 2, 3}, "": nil}}},
+	} {
+		var b bytes.Buffer
+		if err := writeCtlFrame(&b, fr); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+		f.Add(b.Bytes()[:b.Len()-1])
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0x3f, byte(ctlStart)}) // claims 1 GiB, holds a byte
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) > 8<<10 {
+			t.Skip()
+		}
+		before := heapAlloc()
+		fr, err := readCtlFrame(bytes.NewReader(raw))
+		if grew := heapAlloc() - before; grew > 1<<20 {
+			t.Fatalf("allocated %d bytes reading %d", grew, len(raw))
+		}
+		if err != nil {
+			if fr != nil || !errors.Is(err, cerr.ErrTransport) {
+				t.Fatalf("frame %v, err %v; want no frame and a cerr.ErrTransport error", fr, err)
+			}
+			return
+		}
+		var again bytes.Buffer
+		if err := writeCtlFrame(&again, fr); err != nil {
+			t.Fatal(err)
+		}
+		back, err := readCtlFrame(&again)
+		if err != nil || !reflect.DeepEqual(back, fr) {
+			t.Fatalf("read %+v back as %+v (%v)", fr, back, err)
+		}
+	})
+}
+
 // heapAlloc is the cumulative number of bytes this process has allocated.
 func heapAlloc() uint64 {
 	var m runtime.MemStats

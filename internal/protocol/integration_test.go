@@ -114,7 +114,7 @@ func TestNondetEventLogAndReplay(t *testing.T) {
 	// the generator now returns different values.
 	w2 := mpi.NewWorld(2, mpi.Options{})
 	P2 := NewLayer(w2.Comm(0), Config{Mode: Full, Store: cs, Debug: true})
-	if _, err := P2.Restore(1, nil); err != nil {
+	if err := P2.Restore(1, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -208,7 +208,7 @@ func TestCommDupSplitReplay(t *testing.T) {
 				}
 			}()
 			l := NewLayer(w2.Comm(r), Config{Mode: Full, Store: cs, Debug: true})
-			if _, err := l.Restore(e, nil); err != nil {
+			if err := l.Restore(e, nil); err != nil {
 				panic(err)
 			}
 			dup := l.SubComm(handles[r])
@@ -268,10 +268,10 @@ func TestRequestHandlesAcrossRestore(t *testing.T) {
 	w2 := mpi.NewWorld(2, mpi.Options{})
 	P2 := NewLayer(w2.Comm(0), Config{Mode: Full, Store: cs, Debug: true})
 	Q2 := NewLayer(w2.Comm(1), Config{Mode: Full, Store: cs, Debug: true})
-	if _, err := P2.Restore(1, nil); err != nil {
+	if err := P2.Restore(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Q2.Restore(1, nil); err != nil {
+	if err := Q2.Restore(1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if m := Q2.Wait(recvH); string(m.Data) != "posted-before-ckpt" {
@@ -410,7 +410,7 @@ func TestSendNegativeTagPanics(t *testing.T) {
 // useful error instead of corrupting state.
 func TestRestoreMissingEpochFails(t *testing.T) {
 	ls, _, _ := newTestLayers(t, 1, Full)
-	if _, err := ls[0].Restore(9, nil); err == nil {
+	if err := ls[0].Restore(9, nil); err == nil {
 		t.Fatal("restore of missing epoch succeeded")
 	}
 }
@@ -470,7 +470,7 @@ func TestIprobe(t *testing.T) {
 
 	w2 := mpi.NewWorld(2, mpi.Options{})
 	Q2 := NewLayer(w2.Comm(1), Config{Mode: Full, Store: cs, Debug: true})
-	if _, err := Q2.Restore(1, nil); err != nil {
+	if err := Q2.Restore(1, nil); err != nil {
 		t.Fatal(err)
 	}
 	ok, src, tag = Q2.Iprobe(0, 7)

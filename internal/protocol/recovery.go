@@ -197,12 +197,13 @@ func (p *RecoveryPlan) ForRank(r int) *RankRecovery {
 // the frozen view the flush streamed to the store, so the views of
 // consecutive epochs share every clean page and keeping them costs the
 // dirty pages only. A rank that did not die rolls back from these instead
-// of re-reading the store, so a single death in a large world touches the
+// of re-reading the store — its Saver restores straight out of the view,
+// without serializing it — so a single death in a large world touches the
 // store O(1) per survivor.
 type RetainedState struct {
 	Epoch  int
 	Header []byte       // the bytes that open the epoch's state object (magic, framed protocol section)
-	Frozen *ckpt.Frozen // Snapshot() yields the bytes that follow Header there
+	Frozen *ckpt.Frozen // Snapshot() would yield the bytes that follow Header there
 	Log    []byte
 }
 

@@ -204,31 +204,23 @@ func TestRetainedMidFlushViewIsReleased(t *testing.T) {
 	rr.gets.keys = nil
 	for rollback := 1; rollback <= 2; rollback++ {
 		l := NewLayer(mpi.NewWorld(1, mpi.Options{}).Comm(0), Config{Mode: Full, Store: rr.cs, IncrementalFreeze: true})
-		app, err := l.RestoreFrom(1, nil, kept)
-		if err != nil {
+		if err := l.RestoreFrom(&RankRecovery{Epoch: 1}, kept); err != nil {
 			t.Fatal(err)
 		}
 		if l.Stats.RecoveredFromRetained != 1 || len(rr.gets.keys) != 0 {
 			t.Fatalf("rollback %d: %d retained restores, store reads %v", rollback, l.Stats.RecoveredFromRetained, rr.gets.keys)
 		}
-		if err := l.Saver.StartRestore(app); err != nil {
-			t.Fatal(err)
-		}
 		got := &ringRank{}
 		got.register(t, l)
-		if got.it != 1 || !reflect.DeepEqual(got.vec, rr.vecAt(1)) || len(got.grid) != len(rr.grid) {
+		if got.it != 1 || !reflect.DeepEqual(got.vec, rr.vecAt(1)) || !reflect.DeepEqual(got.grid, rr.gridAt(1)) {
 			t.Fatalf("rollback %d: restored it=%d, vec[0]=%v, %d grid elements", rollback, got.it, got.vec[:1], len(got.grid))
 		}
-		// Everything the program was handed, and the blob it was decoded
-		// from, is the program's to overwrite.
+		// Everything the program was handed is the program's to overwrite.
 		for i := range got.grid {
 			got.grid[i] = -1
 		}
 		for i := range got.vec {
 			got.vec[i] = -1
-		}
-		for i := range app {
-			app[i] = 0x5A
 		}
 		// This incarnation dies before it checkpoints: the view it rolled
 		// back from is what it hands on.
@@ -245,4 +237,17 @@ func (rr *ringRank) vecAt(it int) []float64 {
 		v[i] = float64(it)
 	}
 	return v
+}
+
+// gridAt is the grid after `it` checkpoints of rr.checkpoint(t, 1).
+func (rr *ringRank) gridAt(it int) []float64 {
+	g := make([]float64, len(rr.grid))
+	pages := len(g) / ringPage
+	for c := 1; c <= it; c++ {
+		off := c % pages * ringPage
+		for i := off; i < off+ringPage; i++ {
+			g[i] = float64(c*1000 + i)
+		}
+	}
+	return g
 }

@@ -185,7 +185,7 @@ func TestFigure3Recovery(t *testing.T) {
 		t.Fatalf("suppress sets = %v", suppress)
 	}
 	for r := 0; r < 3; r++ {
-		if _, err := ls2[r].Restore(1, suppress[r]); err != nil {
+		if err := ls2[r].Restore(1, suppress[r]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -306,7 +306,7 @@ func TestFigure5CallA(t *testing.T) {
 	ls2 := make([]*Layer, 3)
 	for r := 0; r < 3; r++ {
 		ls2[r] = NewLayer(w2.Comm(r), Config{Mode: Full, Store: cs, Debug: true})
-		if _, err := ls2[r].Restore(1, nil); err != nil {
+		if err := ls2[r].Restore(1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -455,7 +455,7 @@ func TestLoggedBarrierSkippedOnRecovery(t *testing.T) {
 	var l2 [3]*Layer
 	for i := range l2 {
 		l2[i] = NewLayer(w2.Comm(i), Config{Mode: Full, Store: cs, Debug: true})
-		if _, err := l2[i].Restore(1, nil); err != nil {
+		if err := l2[i].Restore(1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -523,10 +523,10 @@ func TestDeferralRule(t *testing.T) {
 	w2 := mpi.NewWorld(2, mpi.Options{})
 	P2 := NewLayer(w2.Comm(0), Config{Mode: Full, Store: cs, Debug: true})
 	Q2 := NewLayer(w2.Comm(1), Config{Mode: Full, Store: cs, Debug: true})
-	if _, err := P2.Restore(1, nil); err != nil {
+	if err := P2.Restore(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Q2.Restore(1, nil); err != nil {
+	if err := Q2.Restore(1, nil); err != nil {
 		t.Fatal(err)
 	}
 

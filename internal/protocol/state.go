@@ -187,22 +187,24 @@ func unmarshalState(raw []byte) (*checkpointState, error) {
 
 // Restore rebuilds the layer from the committed global checkpoint at the
 // given epoch, always reading the store. See RestoreFrom.
-func (l *Layer) Restore(epoch int, suppress []uint32) ([]byte, error) {
-	return l.RestoreFrom(epoch, suppress, nil)
+func (l *Layer) Restore(epoch int, suppress []uint32) error {
+	return l.RestoreFrom(&RankRecovery{Epoch: epoch, Suppress: suppress}, nil)
 }
 
 // RestoreFrom rebuilds the layer from the committed global checkpoint at
-// the given epoch. suppress lists the message IDs (gathered from every
-// receiver's early-ID sets) that this rank must not re-send during
-// recovery. retained is what the rank's previous incarnation left behind
-// (Layer.Retained), and the layer takes it over. The entry for exactly this
-// epoch serves the header and the log from memory and the application
-// section from its frozen view, serialized for the length of the restore —
-// a surviving rank's localized rollback touches the store not at all — and
-// stays retained for the next rollback; every other entry is released. It
-// returns the application-state blob for the caller to hand to the
-// state-saving runtime before the application function re-executes.
-func (l *Layer) RestoreFrom(epoch int, suppress []uint32, retained []*RetainedState) ([]byte, error) {
+// rec.Epoch and, in Full mode, arms the Saver with its application state, so
+// the registrations of the re-executing application restore their values.
+// rec.Suppress lists the message IDs (gathered from every receiver's early-ID
+// sets) that this rank must not re-send during recovery; rec.Replicas are the
+// primary's replicated values. retained is what the rank's previous
+// incarnation left behind (Layer.Retained), and the layer takes it over. The
+// entry for exactly this epoch serves the header and the log from memory and
+// arms the Saver straight from its frozen view — a surviving rank's localized
+// rollback serializes nothing and touches the store not at all — and stays
+// retained for the next rollback; every other entry is released. Without one,
+// the state object and the log are read from the store.
+func (l *Layer) RestoreFrom(rec *RankRecovery, retained []*RetainedState) error {
+	epoch := rec.Epoch
 	var ret *RetainedState
 	for _, r := range retained {
 		if r.Epoch == epoch {
@@ -216,39 +218,46 @@ func (l *Layer) RestoreFrom(epoch int, suppress []uint32, retained []*RetainedSt
 		raw, logRaw = ret.Header, ret.Log
 		l.ring[0] = ret
 		l.Stats.RecoveredFromRetained++
+		if l.cfg.Debug {
+			// A survivor and a replacement must roll back to the same bytes.
+			app, err := ret.Frozen.Snapshot()
+			stored, gerr := l.cfg.Store.GetState(epoch, l.rank)
+			if err != nil || gerr != nil || !bytes.HasPrefix(stored, raw) || !bytes.Equal(stored[len(raw):], app) {
+				panic(fmt.Sprintf("protocol: rank %d: retained view of epoch %d is not the store's state object (serialize: %v, read: %v)", l.rank, epoch, err, gerr))
+			}
+		}
 	} else {
 		var err error
 		raw, err = l.cfg.Store.GetState(epoch, l.rank)
 		if err != nil {
-			return nil, fmt.Errorf("protocol: load state (epoch %d, rank %d): %w", epoch, l.rank, err)
+			return fmt.Errorf("protocol: load state (epoch %d, rank %d): %w", epoch, l.rank, err)
 		}
 		logRaw, err = l.cfg.Store.GetLog(epoch, l.rank)
 		if err != nil {
-			return nil, fmt.Errorf("protocol: load log (epoch %d, rank %d): %w", epoch, l.rank, err)
+			return fmt.Errorf("protocol: load log (epoch %d, rank %d): %w", epoch, l.rank, err)
 		}
 	}
 	st, err := unmarshalState(raw)
 	if err != nil {
-		return nil, err
-	}
-	if ret != nil {
-		if st.App, err = ret.Frozen.Snapshot(); err != nil {
-			return nil, fmt.Errorf("protocol: serialize retained state (epoch %d, rank %d): %w", epoch, l.rank, err)
-		}
-		if l.cfg.Debug {
-			// A survivor and a replacement must roll back to the same bytes.
-			stored, err := l.cfg.Store.GetState(epoch, l.rank)
-			if err != nil || !bytes.HasPrefix(stored, raw) || !bytes.Equal(stored[len(raw):], st.App) {
-				panic(fmt.Sprintf("protocol: rank %d: retained view of epoch %d is not the store's state object (read: %v)", l.rank, epoch, err))
-			}
-		}
+		return err
 	}
 	if st.Epoch != epoch {
-		return nil, fmt.Errorf("protocol: %w: state blob of rank %d records epoch %d, requested epoch %d", cerr.ErrStore, l.rank, st.Epoch, epoch)
+		return fmt.Errorf("protocol: %w: state blob of rank %d records epoch %d, requested epoch %d", cerr.ErrStore, l.rank, st.Epoch, epoch)
 	}
 	lg, err := UnmarshalLog(logRaw)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if l.cfg.Mode == Full {
+		if ret != nil {
+			err = l.Saver.StartRestoreView(ret.Frozen)
+		} else {
+			err = l.Saver.StartRestore(st.App)
+		}
+		if err != nil {
+			return fmt.Errorf("protocol: restore application state (epoch %d, rank %d): %w", epoch, l.rank, err)
+		}
+		l.Saver.VDS.SetReplicas(rec.Replicas)
 	}
 
 	l.epoch = epoch
@@ -271,8 +280,8 @@ func (l *Layer) RestoreFrom(epoch int, suppress []uint32, retained []*RetainedSt
 	l.earlyIDs = make([][]uint32, l.size)
 
 	l.replay = NewReplay(lg)
-	l.suppress = make(map[uint32]bool, len(suppress))
-	for _, id := range suppress {
+	l.suppress = make(map[uint32]bool, len(rec.Suppress))
+	for _, id := range rec.Suppress {
 		l.suppress[id] = true
 	}
 	l.suppressPending = len(l.suppress)
@@ -285,7 +294,7 @@ func (l *Layer) RestoreFrom(epoch int, suppress []uint32, retained []*RetainedSt
 	for _, r := range st.Requests {
 		l.handles.reqs[r.Handle] = &reqState{isRecv: r.IsRecv, src: r.Src, tag: r.Tag, done: r.Done}
 	}
-	return st.App, nil
+	return nil
 }
 
 // ReplayPending reports whether the layer is still consuming a recovered

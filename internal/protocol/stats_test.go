@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"bytes"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -39,6 +41,45 @@ func TestStatsFrameForwardCompat(t *testing.T) {
 	if f.Stats.MessagesSent != 42 || f.Stats.BytesSent != 1000 {
 		t.Fatalf("known counters lost: %+v", f.Stats)
 	}
+}
+
+// FuzzParseStatsFrame: arbitrary bytes never panic the stats-frame decoder
+// and never make it allocate more than 1 MiB; a frame it accepts survives a
+// write and a read, stamped with this build's version.
+func FuzzParseStatsFrame(f *testing.F) {
+	var line bytes.Buffer
+	if err := WriteStatsFrame(&line, StatsFrame{Rank: 2, Incarnation: 1, Final: true, Stats: Stats{MessagesSent: 7, CheckpointBlockedNs: 12345}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.TrimSpace(line.Bytes()))
+	f.Add([]byte(`{"v":3,"rank":1,"flux":[1,2,{"x":null}],"stats":{"messages_sent":42,"warp_ns":123}}`))
+	f.Add([]byte(`{"v":1,"stats":{"messages_sent":1e3}}`))
+	f.Add([]byte(`{"rank":0,"stats":{}}`))
+	f.Add([]byte(`[[[[[[[[[[[[[[[[`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) > 8<<10 {
+			t.Skip()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fr, err := ParseStatsFrame(raw)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("allocated %d bytes decoding %d", grew, len(raw))
+		}
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := WriteStatsFrame(&again, fr); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseStatsFrame(bytes.TrimSpace(again.Bytes()))
+		fr.V = StatsWireVersion
+		if err != nil || !reflect.DeepEqual(back, fr) {
+			t.Fatalf("read %+v back as %+v (%v)", fr, back, err)
+		}
+	})
 }
 
 func TestStatsFrameRejectsUnversioned(t *testing.T) {

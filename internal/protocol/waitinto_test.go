@@ -102,7 +102,7 @@ func TestWaitIntoOwnsNothingItReleased(t *testing.T) {
 		}
 	}
 	for r, l := range ls2 {
-		if _, err := l.Restore(1, suppress[r]); err != nil {
+		if err := l.Restore(1, suppress[r]); err != nil {
 			t.Fatal(err)
 		}
 	}

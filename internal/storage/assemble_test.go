@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -77,10 +78,42 @@ func TestAssembleRoundTrip(t *testing.T) {
 	}
 }
 
+// readProbe records, at every chunk read Assemble issues, how many
+// goroutines are running; the read numbered holdRead (from 1) waits until
+// one of them has exited, which a verifier does only once it has reported a
+// bad chunk.
+type readProbe struct {
+	Stable
+	seen     []int
+	holdRead int
+}
+
+func (p *readProbe) GetInto(key string, dst []byte) (int, error) {
+	p.seen = append(p.seen, runtime.NumGoroutine())
+	if len(p.seen) == p.holdRead {
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() >= p.seen[0] && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return GetInto(p.Stable, key, dst)
+}
+
+// atProcs runs f at GOMAXPROCS 1, 2 and 4, whatever -cpu the test runs at.
+func atProcs(t *testing.T, f func(t *testing.T, procs int)) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		f(t, procs)
+	}
+}
+
 // TestAssembleDamagedChunk damages one chunk at a time — removed, cut
 // short, grown, replaced by its neighbour's content, one bit flipped — at the
-// first, a middle and the last position. Each must be an error (never
-// wrong bytes) of the store category, and must leave no goroutine behind.
+// first, a middle and the last position, at GOMAXPROCS 1, 2 and 4. Each must
+// be one error (never wrong bytes) of the store category that names the
+// damaged chunk and no other; once a verifier has reported it, the caller
+// reads at most the chunk it is reading already; and no goroutine is left
+// behind.
 func TestAssembleDamagedChunk(t *testing.T) {
 	damage := map[string]func(t *testing.T, s Stable, refs []ChunkRef, i int){
 		"missing": func(t *testing.T, s Stable, refs []ChunkRef, i int) {
@@ -126,20 +159,31 @@ func TestAssembleDamagedChunk(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%d/%s", kind, i, name), func(t *testing.T) {
 					_, man, refs := chunkedBlob(t, s, chunks)
 					apply(t, s, refs, i)
-					before := runtime.NumGoroutine()
-					got, err := Assemble(s, man)
-					if err == nil || got != nil {
-						t.Fatalf("Assemble returned %d bytes, err %v; want an error and no bytes", len(got), err)
-					}
-					if kind != "missing" && !errors.Is(err, cerr.ErrStore) {
-						t.Fatalf("error %v is not of the store category", err)
-					}
-					if kind == "missing" && !errors.Is(err, ErrNotFound) {
-						t.Fatalf("error %v does not wrap ErrNotFound", err)
-					}
-					if after := settledGoroutines(before); after > before {
-						t.Fatalf("goroutines: %d before, %d after", before, after)
-					}
+					atProcs(t, func(t *testing.T, procs int) {
+						p := &readProbe{Stable: s, holdRead: i + 2}
+						before := runtime.NumGoroutine()
+						got, err := Assemble(p, man)
+						if err == nil || got != nil {
+							t.Fatalf("procs %d: Assemble returned %d bytes, err %v; want an error and no bytes", procs, len(got), err)
+						}
+						if kind != "missing" && !errors.Is(err, cerr.ErrStore) {
+							t.Fatalf("procs %d: error %v is not of the store category", procs, err)
+						}
+						if kind == "missing" && !errors.Is(err, ErrNotFound) {
+							t.Fatalf("procs %d: error %v does not wrap ErrNotFound", procs, err)
+						}
+						for j, r := range refs {
+							if strings.Contains(err.Error(), r.Hex()) != (j == i) {
+								t.Fatalf("procs %d: error %q, want one naming chunk %d (%s) alone", procs, err, i, refs[i].Hex())
+							}
+						}
+						if len(p.seen) > i+2 {
+							t.Fatalf("procs %d: %d chunk reads for a bad chunk %d: reading went on after a verifier reported it", procs, len(p.seen), i)
+						}
+						if after := settledGoroutines(before); after > before {
+							t.Fatalf("procs %d: goroutines: %d before, %d after", procs, before, after)
+						}
+					})
 				})
 			}
 		}
@@ -172,38 +216,38 @@ func TestGetIntoNeverCutsOrPads(t *testing.T) {
 	}
 }
 
-// goroutineProbe records the goroutine count seen from inside every Get.
-type goroutineProbe struct {
-	Stable
-	seen []int
-}
-
-func (p *goroutineProbe) Get(key string) ([]byte, error) {
-	p.seen = append(p.seen, runtime.NumGoroutine())
-	return p.Stable.Get(key)
-}
-
-// TestAssembleWorkerOnlyForMultiChunk pins the bypass: a one-chunk blob is
-// read, verified and placed on the caller alone; a longer one has exactly
-// one worker behind the caller's Gets, which all stay on the caller.
-func TestAssembleWorkerOnlyForMultiChunk(t *testing.T) {
-	for chunks, wantExtra := range map[int]int{1: 0, 5: 1} {
-		m := NewMemory()
-		_, man, _ := chunkedBlob(t, m, chunks)
-		p := &goroutineProbe{Stable: m}
-		before := runtime.NumGoroutine()
-		if _, err := Assemble(p, man); err != nil {
-			t.Fatal(err)
-		}
-		if len(p.seen) != chunks {
-			t.Fatalf("%d-chunk blob: %d Gets", chunks, len(p.seen))
-		}
-		for i, n := range p.seen {
-			if n-before != wantExtra {
-				t.Fatalf("%d-chunk blob, Get %d: %d goroutines beside the caller's %d, want %d", chunks, i, n-before, before, wantExtra)
+// TestAssembleVerifiersBoundedByCoresAndChunks pins the verifier count: a
+// one-chunk blob is read, verified and placed on the caller alone; a longer
+// one has min(GOMAXPROCS, chunks) verifiers behind the caller's reads —
+// exactly one at GOMAXPROCS 1 — and the reads all stay on the caller.
+func TestAssembleVerifiersBoundedByCoresAndChunks(t *testing.T) {
+	atProcs(t, func(t *testing.T, procs int) {
+		for _, chunks := range []int{1, 2, 3, 17} {
+			m := NewMemory()
+			data, man, _ := chunkedBlob(t, m, chunks)
+			p := &readProbe{Stable: m}
+			before := runtime.NumGoroutine()
+			got, err := Assemble(p, man)
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("procs %d, %d chunks: %v, or the assembled bytes differ", procs, chunks, err)
+			}
+			if len(p.seen) != chunks {
+				t.Fatalf("procs %d, %d-chunk blob: %d reads", procs, chunks, len(p.seen))
+			}
+			want := min(procs, chunks)
+			if chunks == 1 {
+				want = 0
+			}
+			for i, n := range p.seen {
+				if n-before != want {
+					t.Fatalf("procs %d, %d-chunk blob, read %d: %d goroutines beside the caller's %d, want %d verifiers", procs, chunks, i, n-before, before, want)
+				}
+			}
+			if after := settledGoroutines(before); after > before {
+				t.Fatalf("procs %d: goroutines: %d before, %d after", procs, before, after)
 			}
 		}
-	}
+	})
 }
 
 // manifestWith builds a manifest whose refs carry the given (raw) lengths.

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -28,9 +29,10 @@ import (
 // enough that a few dirty pages do not force a whole-state rewrite.
 const DefaultChunkSize = 256 << 10
 
-// DefaultPipelineDepth bounds the chunks Assemble reads ahead of its
-// verifier, and so the memory in flight: deep enough to keep the verifier
-// busy while a Get is out, shallow enough to stay cache-friendly.
+// DefaultPipelineDepth bounds the chunks Assemble has read and its
+// verifiers have not yet taken up: deep enough to keep every verifier busy
+// while a Get is out, shallow enough that a chunk is hashed while it is
+// still in cache.
 const DefaultPipelineDepth = 4
 
 // chunkPrefix is the shared content-addressed chunk namespace.
@@ -409,6 +411,14 @@ type fetched struct {
 	slot []byte
 }
 
+// verify is the chunk check on a fetched slot, as an error naming the chunk.
+func (f fetched) verify() error {
+	if defect := f.ref.defectAt(f.size, f.slot); defect != "" {
+		return fmt.Errorf("%w: assemble: chunk %s %s", cerr.ErrStore, f.ref.Key(), defect)
+	}
+	return nil
+}
+
 // Assemble reassembles a chunked blob from its manifest, verifying each
 // chunk's length and content hash (a torn or swept chunk must surface as
 // an error, never as silently corrupt state).
@@ -416,12 +426,15 @@ type fetched struct {
 // The reads are issued here, on the caller's goroutine, in manifest order,
 // each straight into the chunk's slot of the pre-sized result (GetInto: no
 // slice and no copy per chunk on a store that can, Get and a copy on one
-// that cannot); hashing runs in place on one worker behind them, so chunk N
-// is verified while chunk N+1 is read. A store on virtual time therefore
+// that cannot); hashing runs in place behind them on min(GOMAXPROCS,
+// chunks) verifiers, so while chunk N+1 is read the chunks before it are
+// hashed on every core the process has. A store on virtual time therefore
 // sees the calls a serial reader would make, from the same goroutine in the
 // same order — which is why there is no serial variant to select. A blob of
 // one chunk has nothing to overlap and is verified by the caller, as a
-// ChunkedWriter short of a second full chunk spawns no worker.
+// ChunkedWriter short of a second full chunk spawns no worker. The first
+// bad chunk a verifier reports ends the reading: the caller issues no read
+// once it has seen it, joins every verifier and returns that one error.
 func Assemble(s Stable, manifest []byte) ([]byte, error) {
 	refs, err := ParseManifest(manifest)
 	if err != nil {
@@ -432,46 +445,55 @@ func Assemble(s Stable, manifest []byte) ([]byte, error) {
 		size += r.Len
 	}
 	out := make([]byte, size)
-	jobs, done := make(chan fetched, DefaultPipelineDepth), make(chan error, 1)
-	verifyAll := func() {
-		for f := range jobs {
-			if defect := f.ref.defectAt(f.size, f.slot); defect != "" {
-				// The caller stops reading at its next hand-over.
-				done <- fmt.Errorf("%w: assemble: chunk %s %s", cerr.ErrStore, f.ref.Key(), defect)
-				return
+	workers := min(runtime.GOMAXPROCS(0), len(refs))
+	if len(refs) < 2 {
+		workers = 0
+	}
+	jobs, bad := make(chan fetched, DefaultPipelineDepth), make(chan error, workers)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for f := range jobs {
+				if err := f.verify(); err != nil {
+					bad <- err // buffered: one per verifier
+					return
+				}
 			}
-		}
-		done <- nil
+		}()
 	}
-	pipelined := len(refs) > 1
-	if pipelined {
-		go verifyAll()
-	}
-	var getErr error
 	off := int64(0)
 	for _, r := range refs {
-		slot := out[off : off+r.Len]
-		size, err := GetInto(s, r.Key(), slot)
+		select {
+		case err = <-bad:
+		default:
+		}
 		if err != nil {
-			getErr = fmt.Errorf("storage: assemble: %w", err)
 			break
 		}
+		f := fetched{ref: r, slot: out[off : off+r.Len]}
+		off += r.Len
+		if f.size, err = GetInto(s, r.Key(), f.slot); err != nil {
+			err = fmt.Errorf("storage: assemble: %w", err)
+			break
+		}
+		if workers == 0 {
+			err = f.verify()
+			continue
+		}
 		select {
-		case jobs <- fetched{ref: r, size: size, slot: slot}:
-			off += r.Len
-		case err := <-done: // the worker met a bad chunk and has returned
-			return nil, err
+		case jobs <- f:
+		case err = <-bad:
 		}
 	}
 	close(jobs)
-	if !pipelined {
-		verifyAll()
+	wg.Wait()
+	if err == nil && len(bad) > 0 {
+		err = <-bad
 	}
-	if err := <-done; getErr == nil {
-		getErr = err
-	}
-	if getErr != nil {
-		return nil, getErr
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
