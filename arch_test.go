@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -91,34 +92,236 @@ var collectiveSurface = map[[2]string][]string{
 		"GatherInto", "ReduceInto", "ReducescatterInto", "ScanInto", "ScatterInto", "Sendrecv",
 	},
 	{"internal/engine", "Rank"}: {
-		"AlignedBarrier", "AllgatherF64", "AllgatherF64Into", "AllgatherInto", "AllreduceF64", "AllreduceF64Into",
-		"AllreduceInto", "AlltoallInto", "Barrier", "BcastInto", "GatherF64", "GatherF64Into", "GatherInto",
+		"AlignedBarrier", "AllgatherF64Into", "AllgatherInto", "AllreduceF64", "AllreduceF64Into",
+		"AllreduceInto", "AlltoallInto", "Barrier", "BcastInto", "GatherF64Into", "GatherInto",
 		"ReduceInto", "ReducescatterInto", "ScanF64", "ScanInto", "ScatterInto", "Sendrecv",
 	},
 }
 
-func TestArchitecture(t *testing.T) {
-	t.Run("only internal/mpi/elems.go imports unsafe", func(t *testing.T) {
-		var got []string
-		err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
-			if err != nil || !d.IsDir() {
-				return err
+// goFiles parses every non-test Go file of the module outside bench/ and
+// testdata/, keyed by path.
+func goFiles(t *testing.T) map[string]*ast.File {
+	t.Helper()
+	files := map[string]*ast.File{}
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir == "bench" || d.Name() == "testdata" || dir != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		maps.Copy(files, parseDir(t, dir, 0))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// exportsWithoutUsers lists "dir.Name" (or "dir.Type.Method") for every
+// exported top-level identifier, and every exported method of an exported
+// type, declared in internal/ that no non-test file outside its own file
+// names. The match is by name: a method counts as used wherever a selector
+// of its name appears, a function, variable or constant wherever another
+// file of its package mentions it or another package selects it through an
+// import. A type counts wherever it is named at all, its own file included:
+// an exported signature that names it makes it part of that API. Methods of
+// the types the root package re-exports are exempt: programs outside the
+// module are their users.
+func exportsWithoutUsers(files map[string]*ast.File) []string {
+	type use struct{ pkg, name string }
+	pkgName := map[string]string{} // import path → package name
+	for path, f := range files {
+		pkgName[pkgPath(path)] = f.Name.Name
+	}
+	// importsOf maps a file's local package names to import paths.
+	importsOf := func(f *ast.File) map[string]string {
+		imports := map[string]string{}
+		for _, imp := range f.Imports {
+			ip := strings.Trim(imp.Path.Value, `"`)
+			name := pkgName[ip]
+			if imp.Name != nil {
+				name = imp.Name.Name
 			}
-			if dir == "bench" || d.Name() == "testdata" || dir != "." && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
+			imports[name] = ip
+		}
+		return imports
+	}
+	// typeOf resolves a type expression of a file to "import path.Name".
+	typeOf := func(path string, imports map[string]string, typ ast.Expr) string {
+		for {
+			switch t := typ.(type) {
+			case *ast.StarExpr:
+				typ = t.X
+			case *ast.IndexExpr:
+				typ = t.X
+			case *ast.Ident:
+				return pkgPath(path) + "." + t.Name
+			case *ast.SelectorExpr:
+				if x, ok := t.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					return imports[x.Name] + "." + t.Sel.Name
+				}
+				return ""
+			default:
+				return ""
 			}
-			for path, f := range parseDir(t, dir, parser.ImportsOnly) {
-				for _, imp := range f.Imports {
-					if imp.Path.Value == `"unsafe"` {
-						got = append(got, path)
+		}
+	}
+	used := map[use][]string{}  // (package, name), or ("", selector) → files naming it
+	public := map[string]bool{} // "path.Type"
+	for path, f := range files {
+		imports := importsOf(f)
+		self := pkgPath(path)
+		declName := map[*ast.Ident]bool{}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				declName[d.Name] = true
+				if d.Recv != nil {
+					ast.Inspect(d.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							declName[id] = true
+						}
+						return true
+					})
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					declName[ts.Name] = true
+					if self == "ccift" && ts.Assign.IsValid() {
+						public[typeOf(path, imports, ts.Type)] = true
 					}
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					used[use{imports[x.Name], n.Sel.Name}] = append(used[use{imports[x.Name], n.Sel.Name}], path)
+					return false
+				}
+				used[use{"", n.Sel.Name}] = append(used[use{"", n.Sel.Name}], path)
+			case *ast.Ident:
+				if !declName[n] {
+					used[use{self, n.Name}] = append(used[use{self, n.Name}], path)
+				}
+			}
+			return true
+		})
+	}
+	elsewhere := func(u use, path string) bool {
+		return slices.ContainsFunc(used[u], func(p string) bool { return p != path })
+	}
+	var orphans []string
+	for path, f := range files {
+		if !strings.HasPrefix(path, "internal/") {
+			continue
+		}
+		self := pkgPath(path)
+		dir := filepath.Dir(path)
+		imports := importsOf(f)
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if !d.Name.IsExported() {
+					continue
+				}
+				if d.Recv == nil {
+					if !elsewhere(use{self, d.Name.Name}, path) {
+						orphans = append(orphans, dir+"."+d.Name.Name)
+					}
+					continue
+				}
+				recv := typeOf(path, imports, d.Recv.List[0].Type)
+				name := recv[strings.LastIndex(recv, ".")+1:]
+				if ast.IsExported(name) && !public[recv] && !elsewhere(use{"", d.Name.Name}, path) {
+					orphans = append(orphans, dir+"."+name+"."+d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						if s.Name.IsExported() && len(used[use{self, s.Name.Name}]) == 0 {
+							orphans = append(orphans, dir+"."+s.Name.Name)
+						}
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							if id.IsExported() && !elsewhere(use{self, id.Name}, path) {
+								orphans = append(orphans, dir+"."+id.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(orphans)
+	return orphans
+}
+
+// pkgPath is the import path of the package a file of the module is in.
+func pkgPath(file string) string {
+	if dir := filepath.Dir(file); dir != "." {
+		return "ccift/" + dir
+	}
+	return "ccift"
+}
+
+// exportAllowList is every export of internal/ that stays without a non-test
+// user outside its own file, with the reason. A key ending in "." covers a
+// whole package or type.
+var exportAllowList = map[string]string{
+	"internal/baseline.":                           "the reference models the paper argues against (Section 3: blocking, Chandy–Lamport, sender-based logging), run only by their own tests",
+	"internal/testseed.":                           "the suites' shared seed helper: a package only tests import",
+	"internal/ckpt.Heap.":                          "the program-facing heap, reached through Rank.Heap()",
+	"internal/ckpt.PositionStack.":                 "the program-facing position stack, reached through Rank.PS()",
+	"internal/cerr.CodeProgram":                    "one exit-code table: ExitCode returns every value and the README documents them",
+	"internal/cerr.CodeMaxRestarts":                "one exit-code table: ExitCode returns every value and the README documents them",
+	"internal/cerr.CodeWorldDead":                  "one exit-code table: ExitCode returns every value and the README documents them",
+	"internal/engine.Run":                          "bench/ pins it (exec.go)",
+	"internal/launch.Run":                          "bench/ pins it (exec.go)",
+	"internal/protocol.Layer.CheckpointInProgress": "bench/ pins it (exec.go)",
+	"internal/storage.ChunkedWriter.Pipeline":      "bench/ pins it (probes.go)",
+	"internal/protocol.Layer.Config":               "TestPolicySeam's probe reads what a worker process's layer was configured with",
+	"internal/protocol.VerifyEveryFreeze":          "a test seam a TestMain calls, like storage.PoisonReleasedChunks",
+	"internal/storage.PoisonReleasedChunks":        "a test seam every suite's TestMain calls",
+	"internal/storage.Disk.GetInto":                "an optional method storage.GetInto finds by type assertion",
+	"internal/storage.Disk.Has":                    "an optional method storage.Has finds by type assertion",
+	"internal/storage.Memory.Has":                  "an optional method storage.Has finds by type assertion",
+	"internal/storage.Throttled.Has":               "an optional method storage.Has finds by type assertion",
+	"internal/storage.LogKey":                      "the layout's key constructors are one set: tests that damage a store name a rank's blobs by them",
+	"internal/storage.MetaKey":                     "the layout's key constructors are one set: tests that damage a store name a rank's blobs by them",
+}
+
+// exportAllowed reports the exportAllowList key that covers an export.
+func exportAllowed(name string) (string, bool) {
+	for key := range exportAllowList {
+		if key == name || strings.HasSuffix(key, ".") && strings.HasPrefix(name, key) {
+			return key, true
+		}
+	}
+	return "", false
+}
+
+func TestArchitecture(t *testing.T) {
+	files := goFiles(t)
+
+	t.Run("only internal/mpi/elems.go imports unsafe", func(t *testing.T) {
+		var got []string
+		for path, f := range files {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"unsafe"` {
+					got = append(got, path)
+				}
+			}
+		}
+		slices.Sort(got)
 		if !slices.Equal(got, []string{"internal/mpi/elems.go"}) {
 			t.Fatalf("unsafe is imported by %v: only internal/mpi/elems.go may view typed memory as bytes (and never the reverse); a second file is the per-element pack loops, or worse, growing back", got)
 		}
@@ -240,6 +443,27 @@ func TestArchitecture(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Errorf("the collectives of *%s.%s are %v, want %v: each collective is one form that fills a result the caller provides, and a second spelling (a form returning a fresh slice, a typed variant) is a surface that grows at every layer at once — add one here only with the reason it needs to exist",
 					filepath.Base(pt[0]), pt[1], got, want)
+			}
+		}
+	})
+
+	t.Run("every export in internal/ has a user outside its own file", func(t *testing.T) {
+		var got []string
+		matched := map[string]bool{}
+		for _, name := range exportsWithoutUsers(files) {
+			if key, ok := exportAllowed(name); ok {
+				matched[key] = true
+			} else {
+				got = append(got, name)
+			}
+		}
+		if len(got) > 0 {
+			t.Errorf("%v: exported from internal/ with no non-test user outside their own file — delete what nothing calls, unexport what only its package calls (its tests included), or add it to exportAllowList with the reason it stays", got)
+		}
+		// An entry nothing matches any more is a reason that outlived its export.
+		for key := range exportAllowList {
+			if !matched[key] {
+				t.Errorf("exportAllowList lists %s, which is no longer an export without users: drop the entry", key)
 			}
 		}
 	})

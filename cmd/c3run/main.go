@@ -53,8 +53,7 @@ func main() {
 	maxRestarts := flag.Int("max-restarts", 10, "bound on rollbacks")
 	syncCkpt := flag.Bool("sync", false, "blocking checkpoint writes (the Figure 8 baseline) instead of the async pipeline")
 	incremental := flag.Bool("incremental", true, "dirty-region freeze (the default): copy only regions the app touched since the last checkpoint; -incremental=false re-copies the whole state every checkpoint and waives the Touch contract")
-	crossCheck := flag.Bool("crosscheck", false, "freeze verifier debug mode: fail the run, naming the variable, if a mutation escaped Touch/TouchRange (costs a full state encode per checkpoint)")
-	flushBW := flag.Float64("flushbw", 0, "cap checkpoint flush bandwidth at this many bytes/sec (0: no cap, the write stream is not paced)")
+	debug := flag.Bool("debug", false, "protocol assertions, among them the freeze verifier: fail the run, naming the variable, if a write escaped Touch/TouchRange (costs a full state encode per checkpoint)")
 	var kills apps.KillFlag
 	flag.Var(&kills, "kill", "rank@op stopping failure (repeatable; i-th flag = i-th incarnation)")
 	flag.Parse()
@@ -77,11 +76,8 @@ func main() {
 		ccift.WithAsyncCheckpoint(!*syncCkpt),
 		ccift.WithIncrementalFreeze(*incremental),
 	}
-	if *crossCheck {
-		opts = append(opts, ccift.WithFreezeCrossCheck())
-	}
-	if *flushBW > 0 {
-		opts = append(opts, ccift.WithFlushBandwidth(*flushBW))
+	if *debug {
+		opts = append(opts, ccift.WithDebug())
 	}
 	if *metricsAddr != "" {
 		opts = append(opts, ccift.WithMetricsAddr(*metricsAddr))

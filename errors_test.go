@@ -93,9 +93,6 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 		// same program directly.
 		workerProg string
 		ctx        func() context.Context
-		// crossCheck runs the case under CCIFT_FREEZE_CROSSCHECK=1 (the
-		// workers inherit the launcher's environment).
-		crossCheck bool
 		want       error
 		// wantMsg, when set, must appear in the error text — or, on the
 		// distributed substrate, where only the category crosses the
@@ -187,13 +184,12 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 			distOnly: true,
 		},
 		{
-			// The process-wide verifier override must reach worker
-			// processes too: an un-Touched write is the program's bug,
-			// reported by name, on both substrates.
-			name:       "missing Touch under CCIFT_FREEZE_CROSSCHECK",
-			opts:       base(),
+			// The freeze verifier is a Debug assertion on worker processes
+			// too: an un-Touched write is the program's bug, reported by
+			// name, on both substrates.
+			name:       "missing Touch under Debug",
+			opts:       base(ccift.WithDebug()),
 			workerProg: "stale",
-			crossCheck: true,
 			want:       ccift.ErrProgram,
 			wantMsg:    `variable "x"`,
 		},
@@ -217,9 +213,6 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 			// in-process run resolves the same name directly.
 			t.Setenv(progEnv, tc.workerProg)
 			prog := testProg()
-			if tc.crossCheck {
-				t.Setenv("CCIFT_FREEZE_CROSSCHECK", "1")
-			}
 			ctx := context.Background()
 			if tc.ctx != nil {
 				ctx = tc.ctx()

@@ -7,10 +7,10 @@
 //	go run ./cmd/ccift -o examples/precompiled/main.go examples/precompiled/main.go.in
 //
 // Note what the programmer did NOT write: no state registration, no resume
-// dispatch, no position bookkeeping. The checkpoint sits mid-iteration —
-// after the sends and receives — and a second one hides inside relax(); the
-// precompiler's Position Stack instrumentation is what makes resuming at
-// those points possible.
+// dispatch, no position bookkeeping, no Touch. The checkpoint sits
+// mid-iteration — after the sends and receives — and a second one hides
+// inside relax(); the precompiler's Position Stack instrumentation is what
+// makes resuming at those points possible.
 package main
 
 import (
@@ -88,12 +88,13 @@ ccift_c1:
 		}
 		r.SendF64(next, 1, []float64{acc})
 		in = r.RecvF64(prev, 1)
-		r.Touch("worker.in") // precompiler-emitted write intent: Recv rebound the slice
 		acc = acc*0.75 + in[0]*0.25
+		r.Touch("worker.in")
 		r.PS().Push(1)
 		r.PotentialCheckpoint()
 	ccift_l1:
 		r.PS().Pop()
+		r.Touch("worker.in")
 		r.PS().Push(2)
 	ccift_l2:
 		acc = relax(r, acc)

@@ -18,8 +18,8 @@ import (
 	"ccift/internal/engine"
 )
 
-// Names lists the registered applications.
-func Names() []string { return []string{"cg", "laplace", "neurosys"} }
+// names lists the registered applications.
+func names() []string { return []string{"cg", "laplace", "neurosys"} }
 
 // Fail is the drivers' shared error exit: it reports err on stderr with a
 // hint for the taxonomy category it matches, then exits with the
@@ -146,6 +146,6 @@ func Build(app string, ranks, size, iters int) (engine.Program, int64, error) {
 		p := neurosys.Params{K: size, Iters: iters}
 		return neurosys.Program(p), int64(p.StateBytesPerRank(ranks)), nil
 	default:
-		return nil, 0, fmt.Errorf("unknown app %q (want %v)", app, Names())
+		return nil, 0, fmt.Errorf("unknown app %q (want %v)", app, names())
 	}
 }

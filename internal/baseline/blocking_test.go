@@ -151,14 +151,14 @@ func TestProtocolLogsWhatBlockingLoses(t *testing.T) {
 	w := mpi.NewWorld(2, mpi.Options{})
 	store := storage.NewCheckpointStore(storage.NewMemory())
 	mk := func(r int) *protocol.Layer {
-		return protocol.NewLayer(w.Comm(r), protocol.Config{Mode: protocol.Full, Store: store, Debug: true})
+		return protocol.NewLayer(w.Comm(r), protocol.Config{Mode: protocol.Full, Store: store, Debug: true, EveryN: 1})
 	}
 	P, Q := mk(0), mk(1)
 
 	P.Send(1, 7, []byte("crosses-the-checkpoint")) // sent in epoch 0
-	P.RequestCheckpoint()
-	P.PotentialCheckpoint() // P checkpoints; the message is now in flight across the line
-	Q.PotentialCheckpoint() // Q checkpoints without having received it
+	P.PotentialCheckpoint()                        // EveryN 1: the initiator's first call starts a global checkpoint
+	P.PotentialCheckpoint()                        // P checkpoints; the message is now in flight across the line
+	Q.PotentialCheckpoint()                        // Q checkpoints without having received it
 	if got := Q.Recv(0, 7); string(got.Data) != "crosses-the-checkpoint" {
 		t.Fatalf("Q received %q", got.Data)
 	}

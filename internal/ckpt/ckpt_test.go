@@ -273,8 +273,8 @@ func TestVDSSaveRestore(t *testing.T) {
 	if x2 != 10 || !reflect.DeepEqual(ys2, []float64{1, 2}) {
 		t.Fatalf("restored x=%d ys=%v", x2, ys2)
 	}
-	if v2.PendingRestores() != 0 {
-		t.Fatalf("pending restores = %d", v2.PendingRestores())
+	if len(v2.restore) != 0 {
+		t.Fatalf("pending restores = %d", len(v2.restore))
 	}
 }
 
@@ -303,7 +303,7 @@ func TestVDSScopeExit(t *testing.T) {
 	if a2 != 1 {
 		t.Fatalf("a = %d", a2)
 	}
-	if v2.PendingRestores() != 0 {
+	if len(v2.restore) != 0 {
 		t.Fatal("b should not be in the snapshot")
 	}
 }

@@ -54,7 +54,7 @@ func TestComputedRestoreRecomputesAndVerifies(t *testing.T) {
 	if !ran {
 		t.Fatal("recompute did not run on restore")
 	}
-	if v2.PendingRestores() != 0 {
+	if len(v2.restore) != 0 {
 		t.Fatal("restore not consumed")
 	}
 	for i := range data2 {

@@ -542,7 +542,7 @@ func (d *diffDriver) checkRestore(f *ckpt.Frozen) {
 			}
 			vals = append(vals, p.Interface())
 		}
-		if n := s.VDS.PendingRestores(); n != 0 {
+		if n := ckpt.PendingRestores(s.VDS); n != 0 {
 			d.fatalf("epoch %d: %d values never restored", d.epoch, n)
 		}
 		for _, id := range d.heapIDs {

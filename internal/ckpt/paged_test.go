@@ -88,7 +88,7 @@ func TestPagedFreezeSharesCleanPages(t *testing.T) {
 // TestPagedDroppedTouchGoesStale is the suite's own mutation test: writing
 // into a clean page WITHOUT TouchRange must reproduce the stale previous
 // value in the next incremental freeze — the exact defect the 1000-seed
-// differential suite (and the FreezeCrossCheck mode) exists to catch. If
+// differential suite (and Debug's freeze verifier) exists to catch. If
 // page-gen bookkeeping ever started copying everything regardless of
 // stamps, this test would fail and reveal the suite had lost its teeth.
 func TestPagedDroppedTouchGoesStale(t *testing.T) {

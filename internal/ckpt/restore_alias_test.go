@@ -39,7 +39,7 @@ func restore(t *testing.T, arm func(*Saver) error, block int) *aliasState {
 	}
 	st := &aliasState{}
 	st.register(t, s)
-	if n := s.VDS.PendingRestores(); n != 0 {
+	if n := len(s.VDS.restore); n != 0 {
 		t.Fatalf("%d values never restored", n)
 	}
 	st.block = s.Heap.Lookup(block)

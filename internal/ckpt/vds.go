@@ -303,14 +303,6 @@ func (v *VDS) Live(name string) bool {
 	return ok
 }
 
-// TopName returns the name of the most recently pushed live variable.
-func (v *VDS) TopName() (string, bool) {
-	if len(v.entries) == 0 {
-		return "", false
-	}
-	return v.entries[len(v.entries)-1].name, true
-}
-
 // Len reports the number of live descriptors.
 func (v *VDS) Len() int { return len(v.entries) }
 
@@ -441,7 +433,3 @@ func (v *VDS) StartRestore(snapshot []byte) error {
 	}
 	return nil
 }
-
-// PendingRestores reports how many saved variables have not yet been
-// re-registered. A fully resumed program should report zero.
-func (v *VDS) PendingRestores() int { return len(v.restore) }

@@ -2,7 +2,7 @@
 // detector heartbeats and suspicion, the protocol initiator interval,
 // checkpoint blocked/flush accounting, and control-servicing deadlines.
 //
-// Production code uses System, a thin veneer over package time. The
+// Production code uses system, a thin veneer over package time. The
 // simulated substrate (internal/sim) substitutes a virtual clock whose
 // time advances only when every simulated rank is quiescent, so a
 // 30-second heartbeat schedule across a thousand ranks elapses in
@@ -24,9 +24,6 @@ type Clock interface {
 	// AfterFunc arranges for f to run once d has elapsed on this clock
 	// and returns a handle that can cancel it.
 	AfterFunc(d time.Duration, f func()) Timer
-	// After returns a channel that receives the clock's time once d has
-	// elapsed. The channel has capacity 1; the send never blocks.
-	After(d time.Duration) <-chan time.Time
 }
 
 // Timer is a cancellable pending AfterFunc. Stop reports whether the call
@@ -35,14 +32,13 @@ type Timer interface {
 	Stop() bool
 }
 
-// System is the wall-clock Clock used outside simulation.
-var System Clock = systemClock{}
+// system is the wall-clock Clock used outside simulation.
+var system Clock = systemClock{}
 
 type systemClock struct{}
 
-func (systemClock) Now() time.Time                         { return time.Now() }
-func (systemClock) Since(t time.Time) time.Duration        { return time.Since(t) }
-func (systemClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (systemClock) Now() time.Time                  { return time.Now() }
+func (systemClock) Since(t time.Time) time.Duration { return time.Since(t) }
 
 func (systemClock) AfterFunc(d time.Duration, f func()) Timer {
 	return time.AfterFunc(d, f)
@@ -67,11 +63,11 @@ func Go(c Clock, f func()) (wait func()) {
 	return func() { <-done }
 }
 
-// Or returns c if non-nil and System otherwise; config plumbing uses it
+// Or returns c if non-nil and system otherwise; config plumbing uses it
 // so a zero-valued Config keeps wall-clock behavior.
 func Or(c Clock) Clock {
 	if c != nil {
 		return c
 	}
-	return System
+	return system
 }

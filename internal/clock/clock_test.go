@@ -7,16 +7,16 @@ import (
 )
 
 func TestSystemNowAdvances(t *testing.T) {
-	a := System.Now()
+	a := system.Now()
 	time.Sleep(2 * time.Millisecond)
-	if d := System.Since(a); d <= 0 {
+	if d := system.Since(a); d <= 0 {
 		t.Fatalf("Since = %v, want > 0", d)
 	}
 }
 
 func TestSystemAfterFuncFiresAndStops(t *testing.T) {
 	var fired atomic.Int32
-	tm := System.AfterFunc(time.Millisecond, func() { fired.Add(1) })
+	tm := system.AfterFunc(time.Millisecond, func() { fired.Add(1) })
 	deadline := time.Now().Add(2 * time.Second)
 	for fired.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -28,15 +28,15 @@ func TestSystemAfterFuncFiresAndStops(t *testing.T) {
 		t.Fatal("Stop after firing reported cancellation")
 	}
 
-	tm = System.AfterFunc(time.Hour, func() { fired.Add(1) })
+	tm = system.AfterFunc(time.Hour, func() { fired.Add(1) })
 	if !tm.Stop() {
 		t.Fatal("Stop before firing reported already-run")
 	}
 }
 
 func TestOr(t *testing.T) {
-	if Or(nil) != System {
-		t.Fatal("Or(nil) != System")
+	if Or(nil) != system {
+		t.Fatal("Or(nil) != system")
 	}
 	c := systemClock{}
 	if Or(c) != c {
@@ -47,7 +47,7 @@ func TestOr(t *testing.T) {
 func TestGoOnTheWallClock(t *testing.T) {
 	var ran atomic.Bool
 	release := make(chan struct{})
-	wait := Go(System, func() { <-release; ran.Store(true) })
+	wait := Go(system, func() { <-release; ran.Store(true) })
 	if ran.Load() {
 		t.Fatal("the task ran ahead of its release")
 	}

@@ -63,11 +63,6 @@ func (d *Detector) Suspects() []int {
 	return out
 }
 
-// Suspected reports whether any rank is currently suspected.
-func (d *Detector) Suspected() bool {
-	return len(d.Suspects()) > 0
-}
-
 // Monitor runs heartbeat generation and suspicion polling for a set of
 // simulated process runtimes. alive reports whether a rank's process still
 // exists (its runtime heartbeats independently of application progress, as

@@ -15,7 +15,10 @@ import (
 
 func virtualClock(t *testing.T) *sim.Sim {
 	t.Helper()
-	s := sim.MustNew(0, sim.Scenario{})
+	s, err := sim.New(0, sim.Scenario{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(s.Stop)
 	return s
 }
@@ -25,13 +28,13 @@ func TestCompleteness(t *testing.T) {
 	s := virtualClock(t)
 	clk := s.Clock()
 	d := New(3, 20*time.Millisecond, clk)
-	for !d.Suspected() {
+	for len(d.Suspects()) == 0 {
 		if s.Elapsed() > 2*time.Second {
 			t.Fatal("silent ranks never suspected")
 		}
 		d.Heartbeat(0)
 		d.Heartbeat(1) // rank 2 is silent
-		<-clk.After(time.Millisecond)
+		s.Sleep(time.Millisecond)
 	}
 	sus := d.Suspects()
 	if len(sus) != 1 || sus[0] != 2 {
@@ -47,10 +50,10 @@ func TestAccuracy(t *testing.T) {
 	for s.Elapsed() < 300*time.Millisecond {
 		d.Heartbeat(0)
 		d.Heartbeat(1)
-		if d.Suspected() {
+		if len(d.Suspects()) > 0 {
 			t.Fatalf("false suspicion: %v", d.Suspects())
 		}
-		<-clk.After(5 * time.Millisecond)
+		s.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -68,7 +71,7 @@ func TestMonitorFiresOnDeath(t *testing.T) {
 		func(sus []int) { fired <- sus },
 		stop)
 
-	<-clk.After(50 * time.Millisecond) // both alive: no suspicion yet
+	s.Sleep(50 * time.Millisecond) // both alive: no suspicion yet
 	select {
 	case sus := <-fired:
 		t.Fatalf("premature suspicion: %v", sus)
@@ -124,7 +127,7 @@ func TestMonitorStops(t *testing.T) {
 	fired := make(chan []int, 1)
 	d.Monitor(time.Millisecond, func(int) bool { return true }, func(sus []int) { fired <- sus }, stop)
 	close(stop)
-	<-clk.After(20 * time.Millisecond)
+	s.Sleep(20 * time.Millisecond)
 	select {
 	case sus := <-fired:
 		t.Fatalf("monitor fired after stop: %v", sus)

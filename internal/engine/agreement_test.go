@@ -55,7 +55,9 @@ var agreementCalls = []struct {
 		return r.AllreduceF64([]float64{v}, mpi.SumF64)[0]
 	}},
 	{"Allgather", func(r *Rank, _ int, v float64) float64 {
-		return sumF64(r.AllgatherF64([]float64{v, -v / 3}))
+		dst := make([]float64, 2*r.Size())
+		r.AllgatherF64Into(dst, []float64{v, -v / 3})
+		return sumF64(dst)
 	}},
 	{"Alltoall", func(r *Rank, _ int, v float64) float64 {
 		dst := make([]byte, 8*r.Size())
@@ -82,7 +84,9 @@ var agreementCalls = []struct {
 		return v + mpi.BytesF64(dst)[0]
 	}},
 	{"Gather", func(r *Rank, root int, v float64) float64 {
-		return v + sumF64(r.GatherF64(root, []float64{v}))
+		dst := make([]float64, r.Size()) // stays zero off root
+		r.GatherF64Into(root, dst, []float64{v})
+		return v + sumF64(dst)
 	}},
 	{"Scatter", func(r *Rank, root int, v float64) float64 {
 		dst := make([]byte, 8)
@@ -156,7 +160,7 @@ func agreementProg(call agreementCall, steps, loner, skew int, entries *entryLog
 			if entries != nil {
 				// Nothing is delivered between this and the call's own
 				// entry: virtual time stands still while a rank runs.
-				r.Layer().ServiceControl()
+				r.Layer().ServiceControlUntil(func() bool { return true })
 				entries.note(step, entryState{r.Epoch(), r.Layer().Logging()})
 			}
 			acc = acc*0.5 + call(r, step%n, float64(me+1)+float64(step)*0.25+acc*0.125)

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"os"
 	"time"
 
 	"ccift/internal/cerr"
@@ -70,14 +69,6 @@ func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 				Rank: rank, Incarnation: b.incarnation, Final: final, Stats: s})
 		}
 	}
-	// CCIFT_FREEZE_CROSSCHECK=1 force-enables the freeze verifier on every
-	// incremental run — CI's race job soaks the whole suite under it, so
-	// any test program that mutates registered state without Touch fails
-	// loudly there instead of recovering stale in production.
-	pol := b.policy
-	if !pol.FullFreeze && os.Getenv("CCIFT_FREEZE_CROSSCHECK") == "1" {
-		pol.FreezeCrossCheck = true
-	}
 	layer := protocol.NewLayer(b.comm, protocol.Config{
 		Mode:              b.mode,
 		Store:             b.store,
@@ -86,10 +77,8 @@ func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 		Debug:             b.debug,
 		Tracer:            b.tracer,
 		Ctx:               b.ctx,
-		AsyncFlush:        !pol.Sync,
-		IncrementalFreeze: !pol.FullFreeze,
-		FreezeCrossCheck:  pol.FreezeCrossCheck,
-		FlushBandwidth:    pol.FlushBandwidth,
+		AsyncFlush:        !b.policy.Sync,
+		IncrementalFreeze: !b.policy.FullFreeze,
 		StatsSink:         func(s protocol.Stats) { frame(s, false) },
 		Clock:             b.clock,
 	})

@@ -9,8 +9,8 @@ import (
 	"ccift/internal/protocol"
 )
 
-// FreezeCrossCheck is the debug mode for the incremental-by-default era:
-// after every freeze it re-reads live state and fails the run loudly if a
+// Debug's freeze verifier guards the incremental-by-default era: after
+// every freeze it re-reads live state and fails the run loudly if a
 // mutation was not followed by Touch — instead of letting the staleness
 // surface as silently wrong recovered values.
 
@@ -40,10 +40,10 @@ func TestFreezeCrossCheckCatchesMissingTouch(t *testing.T) {
 	// first checkpoint commits in time — which a scenario decides, not the
 	// flusher's speed.
 	_, err := Run(onSim(t, Config{
-		Ranks: 2, Mode: protocol.Full, EveryN: 3, Policy: protocol.Policy{FreezeCrossCheck: true},
+		Ranks: 2, Mode: protocol.Full, EveryN: 3, Debug: true,
 	}), forgetfulProg(false))
 	if err == nil {
-		t.Fatal("cross-check mode accepted a program that mutates without Touch")
+		t.Fatal("Debug accepted a program that mutates without Touch")
 	}
 	if !errors.Is(err, cerr.ErrProgram) {
 		t.Fatalf("cross-check violation should be ErrProgram, got %v", err)
@@ -55,7 +55,7 @@ func TestFreezeCrossCheckCatchesMissingTouch(t *testing.T) {
 
 func TestFreezeCrossCheckPassesHonestProgram(t *testing.T) {
 	res, err := Run(Config{
-		Ranks: 2, Mode: protocol.Full, EveryN: 3, Policy: protocol.Policy{FreezeCrossCheck: true},
+		Ranks: 2, Mode: protocol.Full, EveryN: 3, Debug: true,
 		Failures: []Failure{{Rank: 1, AtOp: 20, Incarnation: 0}},
 	}, forgetfulProg(true))
 	if err != nil {

@@ -257,8 +257,10 @@ func collectiveProg(iters int) Program {
 		for ; it < iters; it++ {
 			r.PotentialCheckpoint()
 			sum := r.AllreduceF64([]float64{float64(r.Rank() + it)}, mpi.SumF64)
-			all := r.AllgatherF64([]float64{sum[0] + float64(r.Rank())})
-			root := r.GatherF64(0, []float64{all[it%n]})
+			all := make([]float64, n)
+			r.AllgatherF64Into(all, []float64{sum[0] + float64(r.Rank())})
+			root := make([]float64, n)
+			r.GatherF64Into(0, root, []float64{all[it%n]})
 			fromRoot := make([]float64, n)
 			if r.Rank() == 0 {
 				copy(fromRoot, root)

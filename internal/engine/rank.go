@@ -146,13 +146,6 @@ func (r *Rank) AllgatherF64Into(dst, xs []float64) {
 	mpi.Fill(dst, func(w []byte) { r.l.AllgatherInto(w, mpi.Wire(xs)) })
 }
 
-// AllgatherF64 is AllgatherF64Into a fresh result.
-func (r *Rank) AllgatherF64(xs []float64) []float64 {
-	out := make([]float64, len(xs)*r.Size())
-	r.AllgatherF64Into(out, xs)
-	return out
-}
-
 // GatherInto concatenates payloads in root's dst (Size()·len(data) bytes).
 func (r *Rank) GatherInto(root int, dst, data []byte) { r.l.GatherInto(root, dst, data) }
 
@@ -160,16 +153,6 @@ func (r *Rank) GatherInto(root int, dst, data []byte) { r.l.GatherInto(root, dst
 // long; see AllreduceF64Into for the rule).
 func (r *Rank) GatherF64Into(root int, dst, xs []float64) {
 	mpi.Fill(dst, func(w []byte) { r.l.GatherInto(root, w, mpi.Wire(xs)) })
-}
-
-// GatherF64 is GatherF64Into a fresh result at root (nil elsewhere).
-func (r *Rank) GatherF64(root int, xs []float64) []float64 {
-	var out []float64
-	if r.Rank() == root {
-		out = make([]float64, len(xs)*r.Size())
-	}
-	r.GatherF64Into(root, out, xs)
-	return out
 }
 
 // BcastInto distributes root's buf into every rank's buf.

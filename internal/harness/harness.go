@@ -8,7 +8,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -17,8 +16,8 @@ import (
 	"ccift/internal/storage"
 )
 
-// Modes in Figure 8's bar order.
-var Modes = []protocol.Mode{protocol.Unmodified, protocol.PiggybackOnly, protocol.NoAppState, protocol.Full}
+// modes in Figure 8's bar order.
+var modes = []protocol.Mode{protocol.Unmodified, protocol.PiggybackOnly, protocol.NoAppState, protocol.Full}
 
 // Size is one problem size of a benchmark.
 type Size struct {
@@ -111,7 +110,7 @@ func (e Experiment) RunContextWith(ctx context.Context, run CellRunner) (*Table,
 	}
 	for _, size := range e.Sizes {
 		row := Row{Size: size}
-		for _, mode := range Modes {
+		for _, mode := range modes {
 			best := Cell{Mode: mode, Seconds: -1}
 			for rep := 0; rep < repeats; rep++ {
 				cell, err := run(ctx, size, mode)
@@ -172,17 +171,17 @@ func (e Experiment) runOnce(ctx context.Context, size Size, mode protocol.Mode) 
 // fig8's distributed workers need to rebuild a cell's configuration from
 // re-exec'd flags.
 func ParseMode(s string) (protocol.Mode, error) {
-	for _, m := range Modes {
+	for _, m := range modes {
 		if m.String() == s {
 			return m, nil
 		}
 	}
-	return 0, fmt.Errorf("harness: unknown mode %q (want one of %v)", s, Modes)
+	return 0, fmt.Errorf("harness: unknown mode %q (want one of %v)", s, modes)
 }
 
-// Overhead returns a cell's runtime overhead relative to the unmodified
+// overhead returns a cell's runtime overhead relative to the unmodified
 // version of the same row, in percent.
-func (r Row) Overhead(mode protocol.Mode) float64 {
+func (r Row) overhead(mode protocol.Mode) float64 {
 	base := r.Cells[0].Seconds
 	for _, c := range r.Cells {
 		if c.Mode == mode {
@@ -209,7 +208,7 @@ func (t *Table) Render() string {
 			row.Size.Label,
 			humanBytes(row.Size.StateBytes),
 			row.Cells[0].Seconds, row.Cells[1].Seconds, row.Cells[2].Seconds, row.Cells[3].Seconds,
-			row.Overhead(protocol.PiggybackOnly), row.Overhead(protocol.Full))
+			row.overhead(protocol.PiggybackOnly), row.overhead(protocol.Full))
 	}
 	full := t.Rows[len(t.Rows)-1].Cells[3]
 	fmt.Fprintf(&b, "(largest size, full mode: %d local checkpoints, %.1f MB checkpoint data, %.2f MB logs)\n",
@@ -247,14 +246,14 @@ func (t *Table) Verdicts() []Verdict {
 		// "the reason for the increased overhead is the size of
 		// application state": full-checkpoint overhead grows with state
 		// size, and the no-app-state bar stays close to unmodified.
-		small := t.Rows[0].Overhead(protocol.Full)
-		large := t.Rows[len(t.Rows)-1].Overhead(protocol.Full)
+		small := t.Rows[0].overhead(protocol.Full)
+		large := t.Rows[len(t.Rows)-1].overhead(protocol.Full)
 		out = append(out, Verdict{
 			Claim: "CG: full-checkpoint overhead grows with application state size",
 			Pass:  large > small,
 			Note:  fmt.Sprintf("full overhead %.1f%% (smallest) -> %.1f%% (largest)", small, large),
 		})
-		largeNoApp := t.Rows[len(t.Rows)-1].Overhead(protocol.NoAppState)
+		largeNoApp := t.Rows[len(t.Rows)-1].overhead(protocol.NoAppState)
 		out = append(out, Verdict{
 			Claim: "CG: protocol without application state stays cheap at the largest size",
 			Pass:  largeNoApp < large/2,
@@ -263,7 +262,7 @@ func (t *Table) Verdicts() []Verdict {
 	case "laplace":
 		worst := 0.0
 		for _, row := range t.Rows {
-			if o := row.Overhead(protocol.Full); o > worst {
+			if o := row.overhead(protocol.Full); o > worst {
 				worst = o
 			}
 		}
@@ -280,8 +279,8 @@ func (t *Table) Verdicts() []Verdict {
 	case "neurosys":
 		// Piggyback/control overhead shrinks as the problem grows (160%
 		// at 16x16 down to 2.7% at 128x128 in the paper).
-		first := t.Rows[0].Overhead(protocol.PiggybackOnly)
-		last := t.Rows[len(t.Rows)-1].Overhead(protocol.PiggybackOnly)
+		first := t.Rows[0].overhead(protocol.PiggybackOnly)
+		last := t.Rows[len(t.Rows)-1].overhead(protocol.PiggybackOnly)
 		out = append(out, Verdict{
 			Claim: "Neurosys: piggyback/control-collective overhead shrinks as problem size grows",
 			Pass:  last < first,
@@ -313,9 +312,4 @@ func humanBytes(n int) string {
 	default:
 		return fmt.Sprintf("%dB", n)
 	}
-}
-
-// SortKey makes mode ordering stable for external consumers.
-func SortKey(cells []Cell) {
-	sort.Slice(cells, func(i, j int) bool { return cells[i].Mode < cells[j].Mode })
 }

@@ -45,7 +45,7 @@ func TestExperimentRunAllModes(t *testing.T) {
 		t.Fatalf("rows = %d", len(table.Rows))
 	}
 	for _, row := range table.Rows {
-		if len(row.Cells) != len(Modes) {
+		if len(row.Cells) != len(modes) {
 			t.Fatalf("cells = %d", len(row.Cells))
 		}
 		for _, c := range row.Cells {
@@ -112,26 +112,26 @@ func TestOverheadComputation(t *testing.T) {
 		{Mode: protocol.NoAppState, Seconds: 3},
 		{Mode: protocol.Full, Seconds: 4},
 	}}
-	if o := row.Overhead(protocol.Full); o != 100 {
+	if o := row.overhead(protocol.Full); o != 100 {
 		t.Fatalf("full overhead = %v", o)
 	}
-	if o := row.Overhead(protocol.PiggybackOnly); o != 25 {
+	if o := row.overhead(protocol.PiggybackOnly); o != 25 {
 		t.Fatalf("pb overhead = %v", o)
 	}
 }
 
-// TestFig8QuickVerdicts runs the real Figure-8 experiments at the quick
+// TestFig8QuickVerdicts runs the real Figure-8 experiments at the smoke
 // scale, once per cell, and asserts what is deterministic about them: at
 // every size of every chart, the four program versions compute the same
-// checksum. The paper's shape claims (Table.Verdicts) compare wall-clock
-// times across sizes, which takes repeats and an otherwise idle machine: CI
-// evaluates them with `go run ./cmd/fig8 -ranks 4`, which exits 1 on a
-// failed verdict.
+// checksum. The quick-scale sweep and the paper's shape claims
+// (Table.Verdicts), which compare wall-clock times across sizes and take
+// repeats and an otherwise idle machine, are CI's: `go run ./cmd/fig8
+// -ranks 4` exits 1 on a failed verdict or a checksum mismatch.
 func TestFig8QuickVerdicts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep")
 	}
-	for _, e := range Experiments(4, Quick) {
+	for _, e := range Experiments(4, Smoke) {
 		e.Repeats = 1
 		// Nothing here reads a clock, so the charts may share the cores.
 		t.Run(e.App, func(t *testing.T) {

@@ -89,8 +89,8 @@ func (k killOnPut) Put(key string, data []byte) error {
 // launcherEnv is the launcher's whole contract with a worker process. The
 // kill plan, the recovery inputs and the peers' addresses travel in the
 // control stream's start frame, never in the environment, so no other
-// CCIFT_ variable may appear (the freeze-verifier override is the
-// operator's, inherited by workers). CCIFT_INCARNATION is the incarnation
+// CCIFT_ variable may appear (CCIFT_FREEZE_CROSSCHECK, the test suites'
+// verifier soak, is the operator's, inherited by workers). CCIFT_INCARNATION is the incarnation
 // the process was spawned into, which the kill-mid-flush variant reads.
 var launcherEnv = map[string]bool{
 	"CCIFT_WORKER": true, "CCIFT_RANK": true, "CCIFT_RANKS": true, "CCIFT_INCARNATION": true,

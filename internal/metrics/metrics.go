@@ -79,15 +79,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
@@ -356,9 +347,9 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// Handler returns an http.Handler serving the rendered registry; mount it
+// handler returns an http.Handler serving the rendered registry; mount it
 // at /metrics (Serve does).
-func (r *Registry) Handler() http.Handler {
+func (r *Registry) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		fmt.Fprint(w, r.Render())
@@ -380,8 +371,8 @@ func (r *Registry) Serve(addr string) (*Server, error) {
 		return nil, fmt.Errorf("metrics: listen %s: %w", addr, err)
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", r.Handler())
-	mux.Handle("/", r.Handler())
+	mux.Handle("/metrics", r.handler())
+	mux.Handle("/", r.handler())
 	srv := &http.Server{Handler: mux}
 	go func() { _ = srv.Serve(ln) }()
 	return &Server{ln: ln, srv: srv}, nil

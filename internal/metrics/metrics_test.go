@@ -75,8 +75,8 @@ func TestHistogramExposition(t *testing.T) {
 	for _, v := range []float64{5, 7, 50, 999, 5000} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 || h.Sum() != 6061 {
-		t.Fatalf("count=%d sum=%g, want 5/6061", h.Count(), h.Sum())
+	if h.count() != 5 || h.Sum() != 6061 {
+		t.Fatalf("count=%d sum=%g, want 5/6061", h.count(), h.Sum())
 	}
 
 	out := r.Render()
@@ -147,4 +147,13 @@ func TestVecExposition(t *testing.T) {
 		}
 	}()
 	r.CounterVec("ccift_rank_checkpoints_total", "", "node")
+}
+
+// count returns the total number of observations.
+func (h *Histogram) count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }

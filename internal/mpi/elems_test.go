@@ -94,7 +94,7 @@ func TestFilledWritesTheTypedResultInPlace(t *testing.T) {
 func TestTornPayloadOneRule(t *testing.T) {
 	unpackers := map[string]func(b []byte) int{
 		"BytesF64":         func(b []byte) int { return len(BytesF64(b)) },
-		"BytesI64":         func(b []byte) int { return len(BytesI64(b)) },
+		"Unpacked[int64]":  func(b []byte) int { return len(Unpacked[int64](b)) },
 		"unpack":           func(b []byte) int { dst := make([]float64, len(b)/8); unpack(dst, b); return len(dst) },
 		"Unpacked[uint64]": func(b []byte) int { return len(Unpacked[uint64](b)) },
 	}

@@ -38,9 +38,8 @@ type RecvSpec struct {
 	ctx    int64
 }
 
-// Matches reports whether the spec accepts m; exported so Transport
-// implementations outside this package can reuse the matching rule.
-func (s RecvSpec) Matches(m *Message) bool {
+// matches reports whether the spec accepts m.
+func (s RecvSpec) matches(m *Message) bool {
 	if m.ctx != s.ctx {
 		return false
 	}
@@ -559,7 +558,7 @@ func (b *mailbox) minFor(tb *tagBuckets) *node {
 func (b *mailbox) scanMatch(specs []RecvSpec) (int, *Message) {
 	for q := b.head; q != nil; q = q.next {
 		for si := range specs {
-			if specs[si].Matches(q.m) {
+			if specs[si].matches(q.m) {
 				m := q.m
 				b.remove(q)
 				return si, m
@@ -694,7 +693,7 @@ func (b *mailbox) probe(spec RecvSpec) (bool, *Message) {
 	b.world.raiseIfHalted()
 	if spec.Tag == AnyTag || b.count <= scanThreshold {
 		for q := b.head; q != nil; q = q.next {
-			if spec.Matches(q.m) {
+			if spec.matches(q.m) {
 				return true, q.m
 			}
 		}

@@ -211,7 +211,7 @@ func TestRecycledBucketsMatchLikeTheQueue(t *testing.T) {
 			wantAt, wantSpec := -1, -1
 			for i, q := range queue {
 				for si := range specs {
-					if specs[si].Matches(q) {
+					if specs[si].matches(q) {
 						wantAt, wantSpec = i, si
 						break
 					}

@@ -300,6 +300,13 @@ func TestAllreduceMax(t *testing.T) {
 	})
 }
 
+// bAnd is the bytewise AND; with 0/1 bytes it is a logical conjunction.
+var bAnd Op = opFunc(func(dst, src []byte) {
+	for i := range dst {
+		dst[i] &= src[i]
+	}
+})
+
 func TestAllreduceBAnd(t *testing.T) {
 	// Conjunction of flags: exactly what the protocol layer's amLogging
 	// exchange needs.
@@ -308,7 +315,7 @@ func TestAllreduceBAnd(t *testing.T) {
 		if c.Rank() == 2 {
 			flag = 0
 		}
-		out := allreduce(c, []byte{flag}, BAnd)
+		out := allreduce(c, []byte{flag}, bAnd)
 		if out[0] != 0 {
 			panic("conjunction should be false")
 		}
@@ -588,7 +595,7 @@ func TestF64RoundTrip(t *testing.T) {
 
 func TestI64RoundTrip(t *testing.T) {
 	f := func(xs []int64) bool {
-		back := BytesI64(I64Bytes(xs))
+		back := Unpacked[int64](Packed(xs))
 		if len(back) != len(xs) {
 			return false
 		}

@@ -66,20 +66,6 @@ var MaxI64 Op = opFunc(func(dst, src []byte) {
 	}
 })
 
-// BAnd is the bytewise AND; with 0/1 bytes it is a logical conjunction.
-var BAnd Op = opFunc(func(dst, src []byte) {
-	for i := range dst {
-		dst[i] &= src[i]
-	}
-})
-
-// BOr is the bytewise OR.
-var BOr Op = opFunc(func(dst, src []byte) {
-	for i := range dst {
-		dst[i] |= src[i]
-	}
-})
-
 // The fixed-width pack and unpack helpers are elems.go's one copy under
 // their long-standing names.
 
@@ -89,13 +75,3 @@ func F64Bytes(xs []float64) []byte { return Packed(xs) }
 // BytesF64 unpacks a little-endian payload into a float64 slice. It panics
 // if len(b) is not a multiple of 8.
 func BytesF64(b []byte) []float64 { return Unpacked[float64](b) }
-
-// F64BytesInto packs xs into dst, which must have length 8*len(xs).
-func F64BytesInto(dst []byte, xs []float64) { wireCopy(dst[:8*len(xs)], view(xs), 8) }
-
-// I64Bytes packs an int64 slice into a little-endian payload.
-func I64Bytes(xs []int64) []byte { return Packed(xs) }
-
-// BytesI64 unpacks a little-endian payload into an int64 slice. It panics
-// if len(b) is not a multiple of 8.
-func BytesI64(b []byte) []int64 { return Unpacked[int64](b) }

@@ -20,9 +20,6 @@ import (
 // All integers are little-endian.
 const msgWireHeader = 24
 
-// MessageWireSize reports the encoded size of m.
-func MessageWireSize(m *Message) int { return msgWireHeader + len(m.Data) }
-
 // AppendMessage appends the wire encoding of m to buf and returns the
 // extended slice. It is the encoder used by transports that move messages
 // between address spaces; the in-process transport never pays for it.

@@ -20,7 +20,7 @@ func TestPrecompiledExampleInSync(t *testing.T) {
 	if err != nil {
 		t.Fatalf("committed output missing: %v", err)
 	}
-	got, err := TransformFile("main.go.in", src)
+	got, err := transformFile("main.go.in", src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,14 @@
 package precompiler
 
 import (
+	"bytes"
+	"go/ast"
+	"go/format"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"ccift/internal/engine"
@@ -10,13 +16,15 @@ import (
 )
 
 // This file proves the emitted instrumentation pattern end to end: the
-// functions below are the precompiler's output for testdata/pipeline.input
-// (see TestPipelineGoldenMatchesIntegration), transcribed into compilable
-// test code. They place one checkpoint site mid-iteration — after a send
-// and a receive — and a second inside a callee, so recovery exercises the
-// Position Stack for real: resuming at the site must skip the already-
-// executed send (a naive loop-top restart would double-send and corrupt
-// the stream) and must rebuild the solver→step activation chain.
+// functions below are the precompiler's output for the testdata inputs,
+// transcribed into compilable test code (assertTranscribed holds each one
+// equal to what Transform emits). pipeline and step place one checkpoint
+// site mid-iteration — after a send and a receive — and a second inside a
+// callee, so recovery exercises the Position Stack for real: resuming at the
+// site must skip the already-executed send (a naive loop-top restart would
+// double-send and corrupt the stream) and must rebuild the solver→step
+// activation chain. accumulate writes a registered slice in place, which the
+// default incremental freeze sees only through the emitted Touch.
 
 func pipeline(r *engine.Rank, iters int) float64 {
 	var it int
@@ -60,10 +68,12 @@ ccift_c1:
 		r.SendF64(next, 1, []float64{acc})
 		in = r.RecvF64(prev, 1)
 		acc = acc*0.5 + in[0]*0.5
+		r.Touch("pipeline.in")
 		r.PS().Push(1)
 		r.PotentialCheckpoint()
 	ccift_l1:
 		r.PS().Pop()
+		r.Touch("pipeline.in")
 		r.PS().Push(2)
 	ccift_l2:
 		acc = step(r, acc)
@@ -93,6 +103,95 @@ func step(r *engine.Rank, x float64) float64 {
 ccift_l1:
 	r.PS().Pop()
 	return y + 0.25
+}
+
+func accumulate(r *engine.Rank, iters int) float64 {
+	var it int
+	var grid []float64
+	r.Register("accumulate.iters", &iters)
+	defer r.Unregister()
+	r.Register("accumulate.it", &it)
+	defer r.Unregister()
+	r.Register("accumulate.grid", &grid)
+	defer r.Unregister()
+	var ccift_target int
+	if r.PS().Resuming() {
+		ccift_target = r.PS().Resume()
+	}
+	switch ccift_target {
+	case 1:
+		goto ccift_c1
+	}
+	grid = make([]float64, 4)
+ccift_c1:
+	for ; it < iters; it++ {
+		switch ccift_target {
+		case 1:
+			ccift_target = 0
+			goto ccift_l1
+		}
+		grid[it%4] += float64(r.Rank() + it)
+		r.Barrier()
+		r.Touch("accumulate.grid")
+		r.PS().Push(1)
+		r.PotentialCheckpoint()
+	ccift_l1:
+		r.PS().Pop()
+	}
+	return grid[0] + grid[1] + grid[2] + grid[3]
+}
+
+// funcSources returns the named functions of a Go source, formatted alone
+// (no comments, no blank lines the printer would keep).
+func funcSources(t *testing.T, name string, src []byte, funcs ...string) map[string]string {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, name, src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			var buf bytes.Buffer
+			if err := format.Node(&buf, token.NewFileSet(), &ast.FuncDecl{Name: fd.Name, Type: fd.Type, Body: fd.Body}); err != nil {
+				t.Fatal(err)
+			}
+			out[fd.Name.Name] = string(bytes.ReplaceAll(buf.Bytes(), []byte("\n\n"), []byte("\n")))
+		}
+	}
+	for _, fn := range funcs {
+		if out[fn] == "" {
+			t.Fatalf("%s declares no function %s", name, fn)
+		}
+	}
+	return out
+}
+
+// assertTranscribed fails unless each named function of this file is what
+// the precompiler emits for testdata/<input>.input: the recovery tests below
+// run the transformer's real output, not a hand-written approximation.
+func assertTranscribed(t *testing.T, input string, funcs ...string) {
+	t.Helper()
+	self, err := os.ReadFile("integration_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile(filepath.Join("testdata", input+".input"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	emitted, err := transformFile(input+".go", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := funcSources(t, "integration_test.go", self, funcs...)
+	want := funcSources(t, input+".go", emitted, funcs...)
+	for _, fn := range funcs {
+		if have[fn] != want[fn] {
+			t.Errorf("integration_test.go's %s is not the precompiler's output for testdata/%s.input:\n--- transcribed ---\n%s\n--- emitted ---\n%s", fn, input, have[fn], want[fn])
+		}
+	}
 }
 
 func pipelineProg(iters int) engine.Program {
@@ -169,52 +268,39 @@ func TestPSDepthBalanced(t *testing.T) {
 	}
 }
 
-// TestPipelineGoldenMatchesIntegration ties this file to the transformer:
-// the pipeline testdata input must transform cleanly and carry the same
-// resume-label structure as the hand-transcribed functions above.
+// TestPipelineGoldenMatchesIntegration ties pipeline and step to the
+// transformer: the recovery tests above run exactly its output.
 func TestPipelineGoldenMatchesIntegration(t *testing.T) {
-	src := `package app
-
-import "ccift/internal/engine"
-
-func pipeline(r *engine.Rank, iters int) float64 {
-	var it int
-	var acc float64
-	var in []float64
-	var next int
-	var prev int
-	next = (r.Rank() + 1) % r.Size()
-	prev = (r.Rank() - 1 + r.Size()) % r.Size()
-	acc = float64(r.Rank())
-	for ; it < iters; it++ {
-		r.SendF64(next, 1, []float64{acc})
-		in = r.RecvF64(prev, 1)
-		acc = acc*0.5 + in[0]*0.5
-		r.PotentialCheckpoint()
-		acc = step(r, acc)
-	}
-	return acc
+	assertTranscribed(t, "pipeline", "pipeline", "step")
 }
 
-func step(r *engine.Rank, x float64) float64 {
-	var y float64
-	y = x*0.5 + 1
-	r.PotentialCheckpoint()
-	return y + 0.25
-}
-`
-	out, err := TransformFile("pipeline.go", []byte(src))
+// TestPrecompiledInPlaceWritesRecover: a precompiled program that writes a
+// registered slice in place, with Debug off so no verifier stands in for
+// the emitted Touch, must recover the fault-free answer under the default
+// incremental freeze. Without the Touch the checkpoints after the first
+// re-reference the first one's grid, and every recovery below comes back
+// with a stale sum.
+func TestPrecompiledInPlaceWritesRecover(t *testing.T) {
+	assertTranscribed(t, "accumulate", "accumulate")
+	const iters, ranks = 200, 2
+	prog := func(r *engine.Rank) (any, error) { return accumulate(r, iters), nil }
+	ref, err := engine.Run(engine.Config{Ranks: ranks, Mode: protocol.Unmodified}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		"ccift_c1:", "ccift_l1:", "ccift_l2:",
-		`r.Register("pipeline.acc", &acc)`,
-		`r.Register("step.y", &y)`,
-		"r.PS().Push(1)", "r.PS().Push(2)",
-	} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("transformed pipeline missing %q:\n%s", want, out)
+	for _, atOp := range []int64{150, 250, 350} {
+		res, err := engine.Run(engine.Config{
+			Ranks: ranks, Mode: protocol.Full, EveryN: 10, Policy: protocol.Policy{Sync: true},
+			Failures: []engine.Failure{{Rank: 1, AtOp: atOp}},
+		}, prog)
+		if err != nil {
+			t.Fatalf("atOp=%d: %v", atOp, err)
+		}
+		if res.Restarts != 1 {
+			t.Fatalf("atOp=%d: %d restarts, want the kill to land once", atOp, res.Restarts)
+		}
+		if !reflect.DeepEqual(res.Values, ref.Values) {
+			t.Fatalf("atOp=%d: recovered %v, fault-free %v", atOp, res.Values, ref.Values)
 		}
 	}
 }

@@ -16,6 +16,13 @@
 //     variable declaration is registered so that checkpoints save, and
 //     restarts restore, its value.
 //
+//   - Write intent: the runtime's default incremental freeze re-copies only
+//     the variables touched since the last checkpoint. The programmer writes
+//     no Touch, so the precompiler emits one before each Position Stack push,
+//     naming every registered variable of the function not declared with a
+//     scalar type (scalars are always re-copied). Every checkpoint the
+//     function reaches, directly or through a call, then sees its writes.
+//
 // C's goto can jump anywhere; Go's cannot jump into a block. The dispatch
 // therefore cascades: the function-level dispatch jumps either directly to
 // a top-level resume label or to the enclosing for/if/block statement of a
@@ -48,16 +55,15 @@ import (
 	"strconv"
 )
 
-// Names of the identifiers the transformation emits. They are exported so
-// tests and documentation have a single source of truth.
+// Names of the identifiers the transformation emits.
 const (
-	// TargetVar is the per-function resume routing variable.
-	TargetVar = "ccift_target"
-	// LabelPrefix prefixes resume labels at checkpointable sites.
-	LabelPrefix = "ccift_l"
-	// ContainerPrefix prefixes labels on statements that contain nested
+	// targetVar is the per-function resume routing variable.
+	targetVar = "ccift_target"
+	// labelPrefix prefixes resume labels at checkpointable sites.
+	labelPrefix = "ccift_l"
+	// containerPrefix prefixes labels on statements that contain nested
 	// resume sites.
-	ContainerPrefix = "ccift_c"
+	containerPrefix = "ccift_c"
 )
 
 // rankTypeNames are the type names recognized as the protocol runtime
@@ -135,15 +141,6 @@ func Transform(files []File) ([][]byte, error) {
 		out[i] = buf.Bytes()
 	}
 	return out, nil
-}
-
-// TransformFile is the single-file convenience form of Transform.
-func TransformFile(name string, src []byte) ([]byte, error) {
-	out, err := Transform([]File{{Name: name, Src: src}})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
 }
 
 type funcInfo struct {
@@ -261,6 +258,8 @@ type funcCtx struct {
 	rank          string
 	nextLabel     int
 	nextContainer int
+	// touch names the registered variables emitted before every push.
+	touch []string
 }
 
 // labelRef describes one resume label discovered in (or below) a block.
@@ -277,18 +276,33 @@ type labelRef struct {
 
 func (c *funcCtx) siteLabel() (int, string) {
 	c.nextLabel++
-	return c.nextLabel, LabelPrefix + strconv.Itoa(c.nextLabel)
+	return c.nextLabel, labelPrefix + strconv.Itoa(c.nextLabel)
 }
 
 func (c *funcCtx) containerLabel() string {
 	c.nextContainer++
-	return ContainerPrefix + strconv.Itoa(c.nextContainer)
+	return containerPrefix + strconv.Itoa(c.nextContainer)
 }
 
 // instrumentFunc rewrites one checkpointable function in place.
 func (t *transformer) instrumentFunc(fi *funcInfo) error {
 	c := &funcCtx{t: t, name: fi.decl.Name.Name, rank: fi.rank}
 	body := fi.decl.Body
+	// The registered variables: the non-rank parameters, then the leading
+	// var group (see below). Sites are instrumented after this, so each
+	// push can name the non-scalar ones.
+	type variable struct {
+		name string
+		typ  ast.Expr
+	}
+	var vars []variable
+	for _, p := range fi.decl.Type.Params.List {
+		for _, n := range p.Names {
+			if n.Name != fi.rank && n.Name != "_" {
+				vars = append(vars, variable{n.Name, p.Type})
+			}
+		}
+	}
 
 	// Leading declaration group of the function body: these (plus the
 	// non-rank parameters) become VDS registrations, and the resume
@@ -300,6 +314,26 @@ func (t *transformer) instrumentFunc(fi *funcInfo) error {
 			continue
 		}
 		break
+	}
+	for _, s := range body.List[:lead] {
+		gen := s.(*ast.DeclStmt).Decl.(*ast.GenDecl)
+		if gen.Tok != token.VAR {
+			continue
+		}
+		for _, spec := range gen.Specs {
+			if vs, ok := spec.(*ast.ValueSpec); ok {
+				for _, n := range vs.Names {
+					if n.Name != "_" {
+						vars = append(vars, variable{n.Name, vs.Type})
+					}
+				}
+			}
+		}
+	}
+	for _, v := range vars {
+		if !scalarType(v.typ) {
+			c.touch = append(c.touch, c.name+"."+v.name)
+		}
 	}
 
 	rest, refs, err := c.instrumentStmts(body.List[lead:])
@@ -316,40 +350,15 @@ func (t *transformer) instrumentFunc(fi *funcInfo) error {
 
 	// Figure 7: register parameters and leading variables. The deferred
 	// unregistrations pop in LIFO order, mirroring scope exit.
-	for _, p := range fi.decl.Type.Params.List {
-		for _, n := range p.Names {
-			if n.Name == fi.rank || n.Name == "_" {
-				continue
-			}
-			out = append(out, c.registerStmt(n.Name))
-			out = append(out, c.unregisterStmt())
-		}
-	}
-	for _, s := range body.List[:lead] {
-		gen := s.(*ast.DeclStmt).Decl.(*ast.GenDecl)
-		if gen.Tok != token.VAR {
-			continue
-		}
-		for _, spec := range gen.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for _, n := range vs.Names {
-				if n.Name == "_" {
-					continue
-				}
-				out = append(out, c.registerStmt(n.Name))
-				out = append(out, c.unregisterStmt())
-			}
-		}
+	for _, v := range vars {
+		out = append(out, c.registerStmt(v.name), c.unregisterStmt())
 	}
 
 	// Figure 6: the resume dispatch. if restart, goto PS.item(i++).
 	out = append(out, &ast.DeclStmt{Decl: &ast.GenDecl{
 		Tok: token.VAR,
 		Specs: []ast.Spec{&ast.ValueSpec{
-			Names: []*ast.Ident{ast.NewIdent(TargetVar)},
+			Names: []*ast.Ident{ast.NewIdent(targetVar)},
 			Type:  ast.NewIdent("int"),
 		}},
 	}})
@@ -357,7 +366,7 @@ func (t *transformer) instrumentFunc(fi *funcInfo) error {
 		Cond: c.psCall("Resuming"),
 		Body: &ast.BlockStmt{List: []ast.Stmt{
 			&ast.AssignStmt{
-				Lhs: []ast.Expr{ast.NewIdent(TargetVar)},
+				Lhs: []ast.Expr{ast.NewIdent(targetVar)},
 				Tok: token.ASSIGN,
 				Rhs: []ast.Expr{c.psCall("Resume")},
 			},
@@ -400,7 +409,7 @@ func (c *funcCtx) dispatch(refs []labelRef) ast.Stmt {
 			// Routing ends here: clear the target before jumping so loop
 			// bodies do not re-dispatch on later iterations.
 			body = append(body, &ast.AssignStmt{
-				Lhs: []ast.Expr{ast.NewIdent(TargetVar)},
+				Lhs: []ast.Expr{ast.NewIdent(targetVar)},
 				Tok: token.ASSIGN,
 				Rhs: []ast.Expr{intLit(0)},
 			})
@@ -409,7 +418,7 @@ func (c *funcCtx) dispatch(refs []labelRef) ast.Stmt {
 		cases = append(cases, &ast.CaseClause{List: exprs, Body: body})
 	}
 	return &ast.SwitchStmt{
-		Tag:  ast.NewIdent(TargetVar),
+		Tag:  ast.NewIdent(targetVar),
 		Body: &ast.BlockStmt{List: cases},
 	}
 }
@@ -606,11 +615,10 @@ func (c *funcCtx) wrapContainer(s ast.Stmt, refs []labelRef) ([]ast.Stmt, []labe
 //	PS.pop()
 func (c *funcCtx) wrapCheckpointSite(st *ast.ExprStmt) ([]ast.Stmt, []labelRef, error) {
 	n, name := c.siteLabel()
-	stmts := []ast.Stmt{
-		c.psStmt("Push", intLit(n)),
+	stmts := append(c.pushStmts(n),
 		st,
 		&ast.LabeledStmt{Label: ast.NewIdent(name), Stmt: c.psStmt("Pop")},
-	}
+	)
 	return stmts, []labelRef{{label: n, target: name, direct: true}}, nil
 }
 
@@ -623,12 +631,47 @@ func (c *funcCtx) wrapCheckpointSite(st *ast.ExprStmt) ([]ast.Stmt, []labelRef, 
 //	PS.pop()
 func (c *funcCtx) wrapCallSite(call ast.Stmt) ([]ast.Stmt, []labelRef, error) {
 	n, name := c.siteLabel()
-	stmts := []ast.Stmt{
-		c.psStmt("Push", intLit(n)),
+	stmts := append(c.pushStmts(n),
 		&ast.LabeledStmt{Label: ast.NewIdent(name), Stmt: call},
 		c.psStmt("Pop"),
-	}
+	)
 	return stmts, []labelRef{{label: n, target: name, direct: true}}, nil
+}
+
+// pushStmts builds a site's push, preceded by the write intent on the
+// function's non-scalar variables when it has any:
+//
+//	r.Touch("fn.grid", ...)
+//	PS.push(n)
+func (c *funcCtx) pushStmts(n int) []ast.Stmt {
+	push := c.psStmt("Push", intLit(n))
+	if len(c.touch) == 0 {
+		return []ast.Stmt{push}
+	}
+	var names []ast.Expr
+	for _, v := range c.touch {
+		names = append(names, &ast.BasicLit{Kind: token.STRING, Value: strconv.Quote(v)})
+	}
+	touch := &ast.ExprStmt{X: &ast.CallExpr{
+		Fun:  &ast.SelectorExpr{X: ast.NewIdent(c.rank), Sel: ast.NewIdent("Touch")},
+		Args: names,
+	}}
+	return []ast.Stmt{touch, push}
+}
+
+// scalarType reports whether a declared type is one the runtime re-copies
+// at every freeze without a Touch (ckpt's scalar kinds). A variable
+// declared without a type is not known to be one.
+func scalarType(typ ast.Expr) bool {
+	id, ok := typ.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	switch id.Name {
+	case "int", "int64", "uint64", "float64", "bool", "string":
+		return true
+	}
+	return false
 }
 
 // requireNoNestedSites passes a statement through unchanged after checking

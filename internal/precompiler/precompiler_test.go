@@ -29,7 +29,7 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := TransformFile(name+".go", src)
+			got, err := transformFile(name+".go", src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,6 +88,7 @@ type Rank struct{}
 func (*Rank) PS() *PS                  { return nil }
 func (*Rank) Register(string, any)     {}
 func (*Rank) Unregister()              {}
+func (*Rank) Touch(...string)          {}
 func (*Rank) PotentialCheckpoint()     {}
 func (*Rank) Send(int, int, []byte)    {}
 
@@ -120,7 +121,7 @@ func inner(r *Rank, x float64) float64 {
 // transformed source: every goto must be legal, every label used, every
 // emitted identifier resolvable.
 func TestTransformedOutputTypeChecks(t *testing.T) {
-	out, err := TransformFile("app.go", []byte(selfContained))
+	out, err := transformFile("app.go", []byte(selfContained))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +152,11 @@ func alsoPure() string {
 	return s
 }
 `
-	out, err := TransformFile("app.go", []byte(src))
+	out, err := transformFile("app.go", []byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(out), TargetVar) || strings.Contains(string(out), "Register") {
+	if strings.Contains(string(out), targetVar) || strings.Contains(string(out), "Register") {
 		t.Fatalf("pure functions were instrumented:\n%s", out)
 	}
 }
@@ -248,7 +249,7 @@ func f() { var r *Rank; g(r) }`,
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := TransformFile("app.go", []byte(header+"\n"+tc.body+"\n"))
+			_, err := transformFile("app.go", []byte(header+"\n"+tc.body+"\n"))
 			if err == nil {
 				t.Fatalf("expected error containing %q, got success", tc.wantErr)
 			}
@@ -294,4 +295,13 @@ func driver(r *Rank) {
 	if !strings.Contains(string(out[1]), "ccift_l1") {
 		t.Fatalf("driver in b.go was not instrumented:\n%s", out[1])
 	}
+}
+
+// transformFile is the single-file convenience form of Transform.
+func transformFile(name string, src []byte) ([]byte, error) {
+	out, err := Transform([]File{{Name: name, Src: src}})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }

@@ -108,9 +108,6 @@ func (l *Layer) finishFlush() error {
 	l.Stats.CheckpointBytes += t.total
 	l.Stats.CheckpointBytesWritten += t.written
 	l.Stats.CheckpointFlushNs += t.dur.Nanoseconds()
-	if l.pace != nil {
-		l.Stats.FlushThrottleNs = l.pace.sleptNs
-	}
 	if t.p.frozen != nil {
 		l.ring[0].Header, l.ring[0].Frozen = t.p.hdrRaw, t.p.frozen
 	}

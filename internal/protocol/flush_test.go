@@ -45,7 +45,7 @@ func checkpointing(t *testing.T, g *gatedStore, ctx context.Context, async bool)
 	if err := l.Saver.VDS.Push("state", &state); err != nil {
 		t.Fatal(err)
 	}
-	l.RequestCheckpoint()
+	l.requestCheckpoint()
 	l.PotentialCheckpoint()
 	if l.Epoch() != 1 {
 		t.Fatalf("epoch %d after the first checkpoint", l.Epoch())

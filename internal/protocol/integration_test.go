@@ -54,7 +54,7 @@ func TestFullRoundUnderTraffic(t *testing.T) {
 		next, prev := (me+1)%n, (me-1+n)%n
 		for it := 0; it < iters; it++ {
 			if me == 0 && (it == 5 || it == 25) {
-				l.RequestCheckpoint()
+				l.requestCheckpoint()
 			}
 			l.PotentialCheckpoint()
 			l.Send(next, 1, []byte{byte(it)})
@@ -65,7 +65,7 @@ func TestFullRoundUnderTraffic(t *testing.T) {
 		}
 		// Drive the protocol to completion.
 		for i := 0; i < 200; i++ {
-			l.ServiceControl()
+			l.serviceControl()
 		}
 	})
 	e, ok, err := cs.Committed()
@@ -95,7 +95,7 @@ func TestNondetEventLogAndReplay(t *testing.T) {
 	ls, cs, _ := newTestLayers(t, 2, Full)
 	P, Q := ls[0], ls[1]
 
-	P.RequestCheckpoint()
+	P.requestCheckpoint()
 	P.PotentialCheckpoint()
 	Q.PotentialCheckpoint()
 	if !P.Logging() {
@@ -164,21 +164,21 @@ func TestCommDupSplitReplay(t *testing.T) {
 			// Even/odd split.
 			splits[l.Rank()] = l.CommSplit(WorldComm, l.Rank()%2, l.Rank())
 			if l.Rank() == 0 {
-				l.RequestCheckpoint()
+				l.requestCheckpoint()
 			}
 			// Repeated checkpoint opportunities until the global checkpoint
 			// commits: the request may arrive at any point relative to this
 			// rank's progress, so no fixed round count is safe.
 			for i := 0; i < 1_000_000; i++ {
 				l.PotentialCheckpoint()
-				l.ServiceControl()
+				l.serviceControl()
 				if _, ok, _ := cs.Committed(); ok {
 					break
 				}
 			}
 			// Extra rounds so every rank's stoppedLogging drains.
 			for i := 0; i < 50; i++ {
-				l.ServiceControl()
+				l.serviceControl()
 			}
 		}(l)
 	}
@@ -250,7 +250,7 @@ func TestRequestHandlesAcrossRestore(t *testing.T) {
 	sendH := P.Isend(1, 1, []byte("posted-before-ckpt"))
 	recvH := Q.Irecv(0, 1)
 
-	P.RequestCheckpoint()
+	P.requestCheckpoint()
 	P.PotentialCheckpoint()
 	Q.PotentialCheckpoint()
 	// Q receives the message while logging: it is late, in Q's log.
@@ -322,7 +322,7 @@ func TestCountConservation(t *testing.T) {
 			next, prev := (me+1)%n, (me-1+n)%n
 			for it := 0; it < iters; it++ {
 				if me == 0 && it == ckptAt {
-					l.RequestCheckpoint()
+					l.requestCheckpoint()
 				}
 				l.PotentialCheckpoint()
 				l.Send(next, 1, []byte{byte(it)})
@@ -334,7 +334,7 @@ func TestCountConservation(t *testing.T) {
 			// bug from hanging the property.
 			deadline := time.Now().Add(5 * time.Second)
 			for {
-				l.ServiceControl()
+				l.serviceControl()
 				if _, committed, _ := l.cfg.Store.Committed(); committed || time.Now().After(deadline) {
 					break
 				}
@@ -383,12 +383,12 @@ func runLayersQuiet(n int, mode Mode, fn func(l *Layer)) (*storage.CheckpointSto
 func TestOverlappingCheckpointRefused(t *testing.T) {
 	ls, _, _ := newTestLayers(t, 2, Full)
 	P := ls[0]
-	P.RequestCheckpoint()
+	P.requestCheckpoint()
 	if !P.CheckpointInProgress() {
 		t.Fatal("first request should start the protocol")
 	}
 	target := P.init.target
-	P.RequestCheckpoint() // must be a no-op
+	P.requestCheckpoint() // must be a no-op
 	if P.init.target != target {
 		t.Fatal("second request changed the in-progress target")
 	}
@@ -420,7 +420,7 @@ func TestRestoreMissingEpochFails(t *testing.T) {
 func TestLogRoundTripThroughStore(t *testing.T) {
 	ls, cs, _ := newTestLayers(t, 2, Full)
 	P, Q := ls[0], ls[1]
-	P.RequestCheckpoint()
+	P.requestCheckpoint()
 	P.Send(1, 1, bytes.Repeat([]byte{7}, 100))
 	P.PotentialCheckpoint()
 	Q.PotentialCheckpoint()
@@ -462,7 +462,7 @@ func TestIprobe(t *testing.T) {
 	// Late-message probe across recovery: log a late message, restore, and
 	// probe before receiving.
 	P.Send(1, 7, []byte("late"))
-	P.RequestCheckpoint()
+	P.requestCheckpoint()
 	P.PotentialCheckpoint()
 	Q.PotentialCheckpoint()
 	Q.Recv(0, 7)

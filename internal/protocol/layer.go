@@ -75,7 +75,7 @@ var controlSpecs = []mpi.RecvSpec{
 // configuration struct above the protocol (ccift.Spec, engine.Config,
 // engine.WorkerConfig, launch.WorkerApp). The zero value is the default
 // fast path: asynchronous flush, dirty-region incremental freeze and the
-// hash-ahead chunk writer, with no cap on the write stream.
+// hash-ahead chunk writer.
 type Policy struct {
 	// Sync restores the classic stop-serialize-fsync checkpoint (the
 	// Figure 8 baselines): the rank blocks until its state is durable.
@@ -83,15 +83,6 @@ type Policy struct {
 	// FullFreeze re-copies the whole registered state at every freeze and
 	// waives the Touch write-intent contract.
 	FullFreeze bool
-	// FreezeCrossCheck verifies every frozen view byte-for-byte against a
-	// fresh encode of the live state, turning a missed Touch into an
-	// immediate ErrProgram naming the variable. Debug mode: costs a full
-	// encode per checkpoint.
-	FreezeCrossCheck bool
-	// FlushBandwidth caps checkpoint write streaming at this many bytes
-	// per second on both the sync and async paths; 0 = no cap, and no
-	// pacing code on the write path.
-	FlushBandwidth float64
 }
 
 // Config configures a protocol layer.
@@ -111,9 +102,12 @@ type Config struct {
 	// this much wall time has elapsed since the last request. Zero
 	// disables. (The paper uses a 30-second interval.)
 	Interval time.Duration
-	// Debug enables internal consistency assertions — among them one that
-	// reads the store: a rollback from a retained frozen view checks the
-	// view against the epoch's state object.
+	// Debug enables internal consistency assertions. Two of them cost
+	// more than a comparison: an incremental freeze is verified
+	// byte-for-byte against a fresh encode of the live state (a missed
+	// Touch becomes an immediate ErrProgram naming the variable), and a
+	// rollback from a retained frozen view reads the epoch's state object
+	// and checks the view against it.
 	Debug bool
 	// Tracer, when non-nil, receives protocol events (see TraceEvent).
 	Tracer Tracer
@@ -126,17 +120,6 @@ type Config struct {
 	// goes on: the classic stop-serialize-fsync checkpoint. Either way it
 	// is the same write path, on the wall clock and on a virtual one.
 	AsyncFlush bool
-	// FlushBandwidth caps the checkpoint state writer's streaming
-	// throughput, in bytes per second, on both the synchronous and
-	// asynchronous write paths (see pacer.go). Zero means no cap: the
-	// stream goes to the chunk writer unpaced.
-	FlushBandwidth float64
-	// FreezeCrossCheck re-encodes the live state after every freeze and
-	// verifies the frozen view byte-for-byte against it, turning a
-	// missing Touch/TouchRange in the application into an immediate
-	// ErrProgram naming the stale variable instead of silently divergent
-	// recovered state. Debug mode: costs a full encode per checkpoint.
-	FreezeCrossCheck bool
 	// IncrementalFreeze enables dirty-region tracking in the state-saving
 	// runtime: a checkpoint's blocking freeze copies only regions touched
 	// since the previous epoch (see ckpt.Saver.Incremental) and
@@ -152,8 +135,8 @@ type Config struct {
 	// goroutine; the substrate uses them to stream live counters to a
 	// launcher or metrics endpoint.
 	StatsSink func(Stats)
-	// Clock is the time source for interval triggers, the flush pacer,
-	// and blocked/flush-time accounting, and the owner of the flush task
+	// Clock is the time source for interval triggers and
+	// blocked/flush-time accounting, and the owner of the flush task
 	// (clock.Go); nil selects the wall clock. A non-nil Clock is the
 	// simulated substrate's virtual (possibly per-rank skewed) clock. It
 	// changes nothing else: the layer takes no decision on which clock it
@@ -189,8 +172,8 @@ type Stats struct {
 	// async pipeline's headline number.
 	CheckpointBlockedNs int64 `json:"checkpoint_blocked_ns"`
 	CheckpointFlushNs   int64 `json:"checkpoint_flush_ns"`
-	// FlushThrottleNs is time the state writer slept under the
-	// FlushBandwidth cap (token-bucket stalls); 0 when no cap is set.
+	// FlushThrottleNs is always 0: nothing paces the state writer. The
+	// field stays only while the benchmark module reads it.
 	FlushThrottleNs int64 `json:"flush_throttle_ns"`
 	// CheckpointBytesCopied counts bytes memcopied into frozen views at
 	// capture time; with incremental freeze, clean regions re-reference
@@ -253,7 +236,6 @@ type Layer struct {
 	replay          *Replay
 	suppress        map[uint32]bool
 	suppressPending int
-	restarted       bool
 
 	// MPI library state (Section 5.2).
 	handles *handleTable
@@ -294,10 +276,6 @@ type Layer struct {
 	finished bool
 
 	Stats Stats
-
-	// pace is the FlushBandwidth token bucket (pacer.go); nil when no cap
-	// is set. The flush in flight owns it until it is integrated.
-	pace *flushPacer
 }
 
 type initiatorState struct {
@@ -340,9 +318,6 @@ func NewLayer(comm *mpi.Comm, cfg Config) *Layer {
 	if cfg.Ctx != nil {
 		l.done = cfg.Ctx.Done()
 	}
-	if cfg.FlushBandwidth > 0 {
-		l.pace = newFlushPacer(l.clk, l.done, cfg.FlushBandwidth)
-	}
 	// Rank 0 carries the replicated-data copies (Section 7's distributed
 	// redundant data optimization) and plays the initiator.
 	l.Saver.VDS.Primary = l.rank == 0
@@ -364,10 +339,6 @@ func (l *Layer) Epoch() int { return l.epoch }
 
 // Logging reports whether the layer is currently logging (amLogging).
 func (l *Layer) Logging() bool { return l.amLogging }
-
-// Restarted reports whether this incarnation was restored from a
-// checkpoint.
-func (l *Layer) Restarted() bool { return l.restarted }
 
 // Comm exposes the underlying communicator (tests, baselines).
 func (l *Layer) Comm() *mpi.Comm { return l.comm }
@@ -548,15 +519,6 @@ func (l *Layer) maybeInitiate(force bool) {
 	for q := 0; q < l.size; q++ {
 		l.sendCtl(q, tagPleaseCheckpoint, uint64(l.init.target))
 	}
-}
-
-// RequestCheckpoint forces the initiator to start a global checkpoint now
-// (rank 0 only); used by tests and the recovery demo driver.
-func (l *Layer) RequestCheckpoint() {
-	if l.init == nil {
-		panic("protocol: RequestCheckpoint on non-initiator rank")
-	}
-	l.maybeInitiate(true)
 }
 
 // CheckpointInProgress reports whether the initiator is mid-protocol.
@@ -742,12 +704,6 @@ func (l *Layer) emitStats() {
 		l.cfg.StatsSink(l.Stats)
 	}
 }
-
-// ServiceControl processes pending control traffic once; callers that
-// poll on their own schedule (tests, external drivers) use this, while
-// finished ranks should prefer ServiceControlUntil, which blocks instead
-// of spinning.
-func (l *Layer) ServiceControl() { l.enterOp() }
 
 // ServiceControlUntil services control traffic until stop reports true,
 // parking on the transport in between: the rank wakes only when a control

@@ -219,10 +219,6 @@ func (r *Replay) Event(seq int64) *Entry {
 	return nil
 }
 
-// PendingLate reports how many logged late messages have not been
-// re-delivered yet.
-func (r *Replay) PendingLate() int { return len(r.late) - r.li }
-
 // Exhausted reports whether every entry has been consumed. A process may
 // not take a new checkpoint while its previous log is still being replayed
 // (the deferral rule; see Layer.PotentialCheckpoint).

@@ -184,8 +184,8 @@ func TestReplayCursors(t *testing.T) {
 	if e := r.Late(4); e == nil || string(e.Data) != "b" {
 		t.Fatalf("late at 4: %+v", e)
 	}
-	if r.PendingLate() != 0 {
-		t.Fatalf("pending late = %d", r.PendingLate())
+	if n := len(r.late) - r.li; n != 0 {
+		t.Fatalf("pending late = %d", n)
 	}
 	if e := r.Collective(0); e != nil {
 		t.Fatal("collective 0 was not logged")

@@ -15,3 +15,17 @@ func TestMain(m *testing.M) {
 	storage.PoisonReleasedChunks()
 	os.Exit(m.Run())
 }
+
+// serviceControl processes pending control traffic once, for a caller
+// that polls on its own schedule; a finished rank parks in
+// ServiceControlUntil instead.
+func (l *Layer) serviceControl() { l.enterOp() }
+
+// requestCheckpoint forces the initiator to start a global checkpoint now
+// (rank 0 only), wherever a hand-driven layer needs one.
+func (l *Layer) requestCheckpoint() {
+	if l.init == nil {
+		panic("protocol: requestCheckpoint on non-initiator rank")
+	}
+	l.maybeInitiate(true)
+}

@@ -56,7 +56,7 @@ func committedWorld(t *testing.T, replicated bool) (*storage.CheckpointStore, *g
 			}
 		}
 	}
-	ls[0].RequestCheckpoint()
+	ls[0].requestCheckpoint()
 	// An early message, so the suppression table is not empty: rank 1 is
 	// already in epoch 1 when it sends, rank 2 still in epoch 0.
 	ls[1].PotentialCheckpoint()

@@ -127,7 +127,7 @@ func (rr *ringRank) checkpoint(t *testing.T, dirty int) {
 	if err := rr.l.Saver.VDS.Touch("vec"); err != nil {
 		t.Fatal(err)
 	}
-	rr.l.RequestCheckpoint()
+	rr.l.requestCheckpoint()
 	rr.l.PotentialCheckpoint()
 	pump(t, []*Layer{rr.l}, rr.cs, rr.l.Epoch())
 }
@@ -183,7 +183,7 @@ func TestRetainedMidFlushViewIsReleased(t *testing.T) {
 	rr.checkpoint(t, 1)
 	// Epoch 2: state flushed, log never finalized (stopLogging not serviced).
 	rr.it++
-	rr.l.RequestCheckpoint()
+	rr.l.requestCheckpoint()
 	rr.l.PotentialCheckpoint()
 	if half := rr.l.ring[0]; half.Epoch != 2 || half.Frozen == nil || half.Log != nil {
 		t.Fatalf("ring[0] = %+v, want epoch 2 with its state and no log", half)

@@ -29,7 +29,7 @@ func pump(t *testing.T, ls []*Layer, cs *storage.CheckpointStore, wantEpoch int)
 	t.Helper()
 	for round := 0; round < 100; round++ {
 		for _, l := range ls {
-			l.ServiceControl()
+			l.serviceControl()
 		}
 		if e, ok, _ := cs.Committed(); ok && e >= wantEpoch {
 			return
@@ -48,7 +48,7 @@ func TestFigure3(t *testing.T) {
 	P, Q, R := ls[0], ls[1], ls[2]
 
 	// The initiator (P, rank 0) starts global checkpoint 1.
-	P.RequestCheckpoint()
+	P.requestCheckpoint()
 
 	// P, still in epoch 0, sends a message to Q.
 	P.Send(1, 7, []byte("late-payload"))
@@ -153,7 +153,7 @@ func TestFigure3Recovery(t *testing.T) {
 	ls, cs, _ := newTestLayers(t, 3, Full)
 	P, Q, R := ls[0], ls[1], ls[2]
 
-	P.RequestCheckpoint()
+	P.requestCheckpoint()
 	P.Send(1, 7, []byte("late-payload"))
 	Q.PotentialCheckpoint()
 	_ = Q.Recv(0, 7)
@@ -218,7 +218,7 @@ func TestFigure3Recovery(t *testing.T) {
 	if string(fm.Data) != "fresh" {
 		t.Fatalf("fresh payload %q", fm.Data)
 	}
-	if !Q2.replay.Exhausted() || Q2.SuppressPending() != 0 {
+	if !Q2.replay.Exhausted() || Q2.suppressPending != 0 {
 		t.Fatal("Q's replay should be complete")
 	}
 }
@@ -238,7 +238,7 @@ func TestFigure5CallA(t *testing.T) {
 	ls, cs, _ := newTestLayers(t, 3, Full)
 	P, Q, R := ls[0], ls[1], ls[2]
 
-	P.RequestCheckpoint()
+	P.requestCheckpoint()
 
 	var results [3][]float64
 	var wg sync.WaitGroup
@@ -335,7 +335,7 @@ func TestFigure5CallB(t *testing.T) {
 	ls, cs, _ := newTestLayers(t, 3, Full)
 	P, Q, R := ls[0], ls[1], ls[2]
 
-	P.RequestCheckpoint()
+	P.requestCheckpoint()
 	P.PotentialCheckpoint()
 	Q.PotentialCheckpoint()
 	R.PotentialCheckpoint()
@@ -389,7 +389,7 @@ func TestAlignedBarrierEpochAlignment(t *testing.T) {
 	ls, cs, _ := newTestLayers(t, 3, Full)
 	P := ls[0]
 
-	P.RequestCheckpoint()
+	P.requestCheckpoint()
 	P.PotentialCheckpoint() // P moves to epoch 1; Q and R are still at 0
 	if P.Epoch() != 1 || ls[1].Epoch() != 0 || ls[2].Epoch() != 0 {
 		t.Fatal("setup failed")
@@ -428,7 +428,7 @@ func TestLoggedBarrierSkippedOnRecovery(t *testing.T) {
 	ls, cs, _ := newTestLayers(t, 3, Full)
 	P, Q, R := ls[0], ls[1], ls[2]
 
-	P.RequestCheckpoint()
+	P.requestCheckpoint()
 	P.PotentialCheckpoint()
 	Q.PotentialCheckpoint()
 	if !P.Logging() || !Q.Logging() || R.Logging() {
@@ -480,7 +480,7 @@ func TestStopLoggingInfection(t *testing.T) {
 	ls, cs, _ := newTestLayers(t, 2, Full)
 	P, Q := ls[0], ls[1]
 
-	P.RequestCheckpoint()
+	P.requestCheckpoint()
 	P.PotentialCheckpoint()
 	Q.PotentialCheckpoint()
 	if !P.Logging() || !Q.Logging() {
@@ -512,7 +512,7 @@ func TestDeferralRule(t *testing.T) {
 	P, Q := ls[0], ls[1]
 
 	// Build a committed checkpoint where Q has a late message in its log.
-	P.RequestCheckpoint()
+	P.requestCheckpoint()
 	P.Send(1, 7, []byte("late"))
 	Q.PotentialCheckpoint()
 	_ = Q.Recv(0, 7)
@@ -531,7 +531,7 @@ func TestDeferralRule(t *testing.T) {
 	}
 
 	// A new checkpoint is requested immediately.
-	P2.RequestCheckpoint()
+	P2.requestCheckpoint()
 	// Q2 hits a potential checkpoint before consuming its late message: it
 	// must defer.
 	Q2.PotentialCheckpoint()

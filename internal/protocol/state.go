@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"sync/atomic"
 
 	"ccift/internal/cerr"
 	"ccift/internal/ckpt"
@@ -51,6 +52,16 @@ type pendingCheckpoint struct {
 	hdrRaw []byte          // hdr as writeState streamed it: the bytes that open the state object
 }
 
+// verifyFreezes is the VerifyEveryFreeze seam.
+var verifyFreezes atomic.Bool
+
+// VerifyEveryFreeze is a test seam, not an option: from here on, for the
+// life of the process, every incremental freeze is verified against the
+// live state as if Debug were set. A suite calls it from TestMain to soak
+// every program it runs — Debug or not, worker processes included — for a
+// write that escaped Touch.
+func VerifyEveryFreeze() { verifyFreezes.Store(true) }
+
 // stateMagicV2 marks the streamed state-blob layout: magic, uvarint-framed
 // gob protocol header, then the raw application-state stream.
 var stateMagicV2 = []byte("C3SB0002")
@@ -77,11 +88,12 @@ func (l *Layer) captureState() (*pendingCheckpoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		if l.cfg.FreezeCrossCheck {
+		if l.cfg.IncrementalFreeze && (l.cfg.Debug || verifyFreezes.Load()) {
 			// The rank is still blocked, so the live state is exactly what
 			// the frozen view claims to be: any byte difference means a
 			// mutation escaped the Touch write-intent contract — the
-			// application's bug, reported in its category.
+			// application's bug, reported in its category. (A full freeze
+			// copies everything and has no contract to check.)
 			if err := l.Saver.VerifyFrozen(f); err != nil {
 				f.Release()
 				return nil, fmt.Errorf("%w: %w", cerr.ErrProgram, err)
@@ -118,24 +130,17 @@ func (l *Layer) writeState(p *pendingCheckpoint) (total, written int64, err erro
 	w := l.cfg.Store.StateWriter(l.cfg.Ctx, p.epoch, l.rank, storage.DefaultChunkSize)
 	// Join the writer's hash worker on every exit; a no-op after Commit.
 	defer w.Abort()
-	var sw ckpt.SectionWriter = w
-	if l.pace != nil {
-		// Under a FlushBandwidth cap every stream write is charged to the
-		// token bucket, so the cap paces the whole write — the
-		// serialization memcopies as well as the store Puts behind them.
-		sw = pacedSection{w: w, pace: l.pace}
-	}
-	if _, err := sw.Write(p.hdrRaw); err != nil {
+	if _, err := w.Write(p.hdrRaw); err != nil {
 		return 0, 0, err
 	}
 	// Cut after the header: its size varies epoch to epoch, and the cut
 	// keeps that variation from shifting the application stream's chunk
 	// boundaries (which would defeat cross-epoch dedup).
-	if err := sw.Cut(); err != nil {
+	if err := w.Cut(); err != nil {
 		return 0, 0, err
 	}
 	if p.frozen != nil {
-		if err := p.frozen.WriteTo(sw); err != nil {
+		if err := p.frozen.WriteTo(w); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -152,21 +157,6 @@ func (l *Layer) writeState(p *pendingCheckpoint) (total, written int64, err erro
 	}
 	return total, written, l.cfg.Store.PutMeta(p.epoch, l.rank, meta.marshal())
 }
-
-// pacedSection charges the chunked state writer's stream to the
-// FlushBandwidth token bucket; Cut passes through so chunk boundaries are
-// unchanged.
-type pacedSection struct {
-	w    *storage.ChunkedWriter
-	pace *flushPacer
-}
-
-func (s pacedSection) Write(p []byte) (int, error) {
-	s.pace.acquire(len(p))
-	return s.w.Write(p)
-}
-
-func (s pacedSection) Cut() error { return s.w.Cut() }
 
 // unmarshalState decodes a state blob — or its header alone, which is what a
 // survivor retains; App is a view of raw, not a copy.
@@ -267,7 +257,6 @@ func (l *Layer) RestoreFrom(rec *RankRecovery, retained []*RetainedState) error 
 	l.requestedEpoch = 0
 	l.recvSeq, l.collSeq, l.eventSeq = 0, 0, 0
 	l.log = NewLog()
-	l.restarted = true
 	for p := 0; p < l.size; p++ {
 		// Early messages recorded at the checkpoint were sent in the
 		// restored epoch: they seed the receive counts exactly as the
@@ -296,12 +285,3 @@ func (l *Layer) RestoreFrom(rec *RankRecovery, retained []*RetainedState) error 
 	}
 	return nil
 }
-
-// ReplayPending reports whether the layer is still consuming a recovered
-// log (diagnostics and tests).
-func (l *Layer) ReplayPending() bool {
-	return l.replay != nil && !l.replay.Exhausted()
-}
-
-// SuppressPending reports how many early re-sends are still due.
-func (l *Layer) SuppressPending() int { return l.suppressPending }

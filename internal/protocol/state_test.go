@@ -19,7 +19,7 @@ func stateHeader(t testing.TB) []byte {
 	l := NewLayer(w.Comm(0), Config{Mode: Full, Store: storage.NewCheckpointStore(storage.NewMemory())})
 	l.CommDup(WorldComm)
 	l.Irecv(0, 3)
-	l.RequestCheckpoint()
+	l.requestCheckpoint()
 	l.PotentialCheckpoint()
 	return l.ring[0].Header
 }

@@ -50,10 +50,10 @@ func WriteStatsFrame(w io.Writer, f StatsFrame) error {
 	return err
 }
 
-// ParseStatsFrame decodes one line of the stream. Unknown fields (at any
+// parseStatsFrame decodes one line of the stream. Unknown fields (at any
 // nesting level) are ignored so newer emitters interoperate with older
 // readers; a missing or zero version marks the line as not a stats frame.
-func ParseStatsFrame(line []byte) (StatsFrame, error) {
+func parseStatsFrame(line []byte) (StatsFrame, error) {
 	var f StatsFrame
 	if err := json.Unmarshal(line, &f); err != nil {
 		return StatsFrame{}, fmt.Errorf("protocol: decode stats frame: %w", err)
@@ -75,7 +75,7 @@ func ReadStatsFrames(r io.Reader, sink func(StatsFrame)) {
 		if len(line) == 0 {
 			continue
 		}
-		if f, err := ParseStatsFrame(line); err == nil {
+		if f, err := parseStatsFrame(line); err == nil {
 			sink(f)
 		}
 	}
@@ -152,14 +152,8 @@ func (a *Aggregator) Observe(f StatsFrame) {
 	}
 }
 
-// Total returns the whole-run cumulative counters: every superseded
+// totalLocked returns the whole-run cumulative counters: every superseded
 // incarnation plus the latest snapshot of each rank's current one.
-func (a *Aggregator) Total() Stats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.totalLocked()
-}
-
 func (a *Aggregator) totalLocked() Stats {
 	t := a.base
 	for _, f := range a.cur {

@@ -15,7 +15,7 @@ func TestStatsFrameRoundTrip(t *testing.T) {
 	if err := WriteStatsFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ParseStatsFrame(bytes.TrimSpace(buf.Bytes()))
+	out, err := parseStatsFrame(bytes.TrimSpace(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestStatsFrameRoundTrip(t *testing.T) {
 func TestStatsFrameForwardCompat(t *testing.T) {
 	fixture := `{"v":3,"rank":1,"incarnation":2,"final":true,"flux_capacitance":9,` +
 		`"stats":{"messages_sent":42,"bytes_sent":1000,"quantum_retries":7,"warp_ns":123}}`
-	f, err := ParseStatsFrame([]byte(fixture))
+	f, err := parseStatsFrame([]byte(fixture))
 	if err != nil {
 		t.Fatalf("future frame rejected: %v", err)
 	}
@@ -62,7 +62,7 @@ func FuzzParseStatsFrame(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		fr, err := ParseStatsFrame(raw)
+		fr, err := parseStatsFrame(raw)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Fatalf("allocated %d bytes decoding %d", grew, len(raw))
@@ -74,7 +74,7 @@ func FuzzParseStatsFrame(f *testing.F) {
 		if err := WriteStatsFrame(&again, fr); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ParseStatsFrame(bytes.TrimSpace(again.Bytes()))
+		back, err := parseStatsFrame(bytes.TrimSpace(again.Bytes()))
 		fr.V = StatsWireVersion
 		if err != nil || !reflect.DeepEqual(back, fr) {
 			t.Fatalf("read %+v back as %+v (%v)", fr, back, err)
@@ -83,10 +83,10 @@ func FuzzParseStatsFrame(f *testing.F) {
 }
 
 func TestStatsFrameRejectsUnversioned(t *testing.T) {
-	if _, err := ParseStatsFrame([]byte(`{"rank":0,"stats":{}}`)); err == nil {
+	if _, err := parseStatsFrame([]byte(`{"rank":0,"stats":{}}`)); err == nil {
 		t.Fatal("frame without version field must be rejected")
 	}
-	if _, err := ParseStatsFrame([]byte(`not json`)); err == nil {
+	if _, err := parseStatsFrame([]byte(`not json`)); err == nil {
 		t.Fatal("garbage must be rejected")
 	}
 }
@@ -119,7 +119,7 @@ func TestAggregatorAcrossIncarnations(t *testing.T) {
 	agg.Observe(StatsFrame{Rank: 0, Incarnation: 0, Stats: Stats{MessagesSent: 5}})
 	agg.Observe(StatsFrame{Rank: 0, Incarnation: 0, Stats: Stats{MessagesSent: 10}})
 	agg.Observe(StatsFrame{Rank: 1, Incarnation: 0, Stats: Stats{MessagesSent: 4}})
-	if tot := agg.Total(); tot.MessagesSent != 14 {
+	if tot := agg.totalLocked(); tot.MessagesSent != 14 {
 		t.Fatalf("incarnation-0 total = %d, want 14 (latest per rank)", tot.MessagesSent)
 	}
 
@@ -127,7 +127,7 @@ func TestAggregatorAcrossIncarnations(t *testing.T) {
 	// must keep counting (Prometheus monotonicity).
 	agg.Observe(StatsFrame{Rank: 0, Incarnation: 1, Stats: Stats{MessagesSent: 2}})
 	agg.Observe(StatsFrame{Rank: 1, Incarnation: 1, Stats: Stats{MessagesSent: 3}})
-	if tot := agg.Total(); tot.MessagesSent != 14+5 {
+	if tot := agg.totalLocked(); tot.MessagesSent != 14+5 {
 		t.Fatalf("post-rollback total = %d, want 19", tot.MessagesSent)
 	}
 	if lastTotal.MessagesSent != 19 {
@@ -136,7 +136,7 @@ func TestAggregatorAcrossIncarnations(t *testing.T) {
 
 	// A stale incarnation-0 frame racing in late must not regress anything.
 	agg.Observe(StatsFrame{Rank: 1, Incarnation: 0, Stats: Stats{MessagesSent: 999}})
-	if tot := agg.Total(); tot.MessagesSent != 19 {
+	if tot := agg.totalLocked(); tot.MessagesSent != 19 {
 		t.Fatalf("stale frame changed total to %d", tot.MessagesSent)
 	}
 

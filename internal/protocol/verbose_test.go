@@ -1,9 +1,75 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
+
+// The unoptimized piggyback of Section 4.2: "A simple implementation of
+// the protocol can piggyback all three values — epoch, amLogging,
+// nextMessageID — on each message." The layer's wire format uses the
+// optimized single integer (Piggyback); this verbose form exists to make
+// the paper's optimization argument executable: because at most one global
+// checkpoint is in progress, epochs differ by at most one, so the epoch's
+// parity (color) plus the receiver's amLogging flag recover the full
+// classification. TestVerboseCompactAgree cross-checks the two codecs over
+// the protocol's reachable state space.
+
+// VerbosePiggyback carries the full epoch number.
+type VerbosePiggyback struct {
+	// Epoch is the sender's epoch at send time.
+	Epoch int
+	// Logging is the sender's amLogging flag.
+	Logging bool
+	// MessageID is the sender's per-epoch message sequence number.
+	MessageID uint32
+}
+
+// verboseBytes is the verbose wire size: 8 (epoch) + 1 (flag) + 4 (ID) —
+// more than three times the optimized encoding's 4 bytes.
+const verboseBytes = 13
+
+// Encode serializes the verbose triple.
+func (p VerbosePiggyback) Encode() []byte {
+	out := make([]byte, verboseBytes)
+	binary.LittleEndian.PutUint64(out, uint64(p.Epoch))
+	if p.Logging {
+		out[8] = 1
+	}
+	binary.LittleEndian.PutUint32(out[9:], p.MessageID)
+	return out
+}
+
+// DecodeVerbosePiggyback parses the verbose wire form.
+func DecodeVerbosePiggyback(b []byte) VerbosePiggyback {
+	return VerbosePiggyback{
+		Epoch:     int(binary.LittleEndian.Uint64(b)),
+		Logging:   b[8] != 0,
+		MessageID: binary.LittleEndian.Uint32(b[9:]),
+	}
+}
+
+// Compact converts the verbose triple to the optimized single-integer
+// form: the epoch collapses to its parity.
+func (p VerbosePiggyback) Compact() Piggyback {
+	return Piggyback{Color: p.Epoch%2 == 1, Logging: p.Logging, MessageID: p.MessageID}
+}
+
+// ClassifyVerbose is Definition 1 applied directly to epoch numbers: late
+// if the sender's epoch is behind the receiver's, early if ahead,
+// intra-epoch if equal. It needs no amLogging disambiguation — that flag
+// is only required once epochs are compressed to one bit.
+func ClassifyVerbose(senderEpoch, receiverEpoch int) Class {
+	switch {
+	case senderEpoch < receiverEpoch:
+		return Late
+	case senderEpoch > receiverEpoch:
+		return Early
+	default:
+		return Intra
+	}
+}
 
 func TestVerboseEncodeRoundTrip(t *testing.T) {
 	f := func(epoch uint16, logging bool, id uint32) bool {

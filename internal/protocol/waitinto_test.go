@@ -54,7 +54,7 @@ func TestWaitIntoOwnsNothingItReleased(t *testing.T) {
 	ls := poisonedLayers(t, 3, Full, cs)
 	P, Q, R := ls[0], ls[1], ls[2]
 
-	P.RequestCheckpoint()
+	P.requestCheckpoint()
 	P.Send(1, 7, []byte("late-payload"))
 	Q.PotentialCheckpoint()
 	if got := waitInto(Q, 0, 7, 12); string(got) != "late-payload" || Q.Stats.LateLogged != 1 {
@@ -107,8 +107,8 @@ func TestWaitIntoOwnsNothingItReleased(t *testing.T) {
 		}
 	}
 	Q2 := ls2[1]
-	if got := waitInto(Q2, 0, 7, 12); string(got) != "late-payload" || Q2.Stats.ReplayedLate != 1 || Q2.ReplayPending() {
-		t.Fatalf("replayed late: %q, %d replayed, replay pending %v", got, Q2.Stats.ReplayedLate, Q2.ReplayPending())
+	if got := waitInto(Q2, 0, 7, 12); string(got) != "late-payload" || Q2.Stats.ReplayedLate != 1 || !Q2.replay.Exhausted() {
+		t.Fatalf("replayed late: %q, %d replayed, replay pending %v", got, Q2.Stats.ReplayedLate, !Q2.replay.Exhausted())
 	}
 }
 

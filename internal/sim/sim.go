@@ -20,8 +20,8 @@
 // What counts as running: each live rank of the attached world, and each
 // helper task a rank started through its clock (clock.Go — the protocol
 // layer's checkpoint flush is one). An actor stops counting while it is
-// parked in the transport, in a virtual sleep (the slow store's delays, a
-// WithFlushBandwidth cap's pacing), or — a rank — waiting for its own task.
+// parked in the transport, in a virtual sleep (the slow store's delays), or
+// — a rank — waiting for its own task.
 // So a flush task hashing a chunk in wall time holds virtual time still,
 // the same task waiting out a slow Put lets it run on, and whatever the
 // task posts is stamped at an instant the scenario decides, not the host.
@@ -219,15 +219,6 @@ func New(n int, sc Scenario) (*Sim, error) {
 	}
 	go s.loop()
 	return s, nil
-}
-
-// MustNew is New for callers with static scenarios.
-func MustNew(n int, sc Scenario) *Sim {
-	s, err := New(n, sc)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Stop terminates the scheduler and wakes anything blocked on the
@@ -518,23 +509,6 @@ func (c simClock) AfterFunc(d time.Duration, f func()) clock.Timer {
 	}
 	c.s.push(e)
 	return simTimer{s: c.s, e: e}
-}
-
-func (c simClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	// Route through Sim.Sleep (on a helper goroutine) rather than a bare
-	// timer event: the caller of After blocks receiving from ch, and only
-	// Sleep's sleeper accounting tells the scheduler that counts as
-	// quiescent. With a bare AfterFunc event, a rank sleeping here would
-	// look active forever and virtual time could never advance to fire
-	// the timer — a virtual-time deadlock (the flush pacer's sleeps under
-	// a WithFlushBandwidth cap hit exactly this).
-	dv := time.Duration(float64(d) / c.sk.rate())
-	go func() {
-		c.s.Sleep(dv)
-		ch <- c.Now()
-	}()
-	return ch
 }
 
 // Go implements the clock.Go seam: f runs on its own goroutine as an actor

@@ -13,12 +13,22 @@ import (
 	"ccift/internal/storage"
 )
 
+// newSim is sim.New for a test's static scenario.
+func newSim(t *testing.T, n int, sc sim.Scenario) *sim.Sim {
+	t.Helper()
+	s, err := sim.New(n, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // wait blocks until d of virtual time has elapsed — a virtual barrier for
 // tests, costing microseconds of wall time.
-func wait(s *sim.Sim, d time.Duration) { <-s.Clock().After(d) }
+func wait(s *sim.Sim, d time.Duration) { s.Sleep(d) }
 
 func TestClockFreeRuns(t *testing.T) {
-	s := sim.MustNew(0, sim.Scenario{})
+	s := newSim(t, 0, sim.Scenario{})
 	defer s.Stop()
 	start := time.Now()
 	wait(s, time.Hour)
@@ -38,7 +48,7 @@ func TestAfterFuncOrderAndStop(t *testing.T) {
 	// sleeps past the last timer, which is what lets them fire. (The task's
 	// own wait function is for a caller that is an actor too: it would count
 	// this goroutine as blocked and let time run under the task.)
-	s := sim.MustNew(1, sim.Scenario{})
+	s := newSim(t, 1, sim.Scenario{})
 	defer s.Stop()
 	clk := s.Clock()
 	var order []int
@@ -67,11 +77,13 @@ func TestAfterFuncOrderAndStop(t *testing.T) {
 func TestSkewedClockRate(t *testing.T) {
 	// A rank clock running at 2x sees its timers fire after half the true
 	// virtual time, and its Now advances twice as fast.
-	s := sim.MustNew(0, sim.Scenario{Skews: map[int]sim.Skew{0: {Rate: 2}}})
+	s := newSim(t, 0, sim.Scenario{Skews: map[int]sim.Skew{0: {Rate: 2}}})
 	defer s.Stop()
 	fast := s.RankClock(0)
 	t0 := fast.Now()
-	<-fast.After(2 * time.Second)
+	fired := make(chan struct{})
+	fast.AfterFunc(2*time.Second, func() { close(fired) })
+	<-fired
 	if e := s.Elapsed(); e < time.Second || e >= 2*time.Second {
 		t.Fatalf("true virtual elapsed = %v, want [1s, 2s)", e)
 	}
@@ -81,7 +93,7 @@ func TestSkewedClockRate(t *testing.T) {
 }
 
 func TestVirtualSleep(t *testing.T) {
-	s := sim.MustNew(0, sim.Scenario{})
+	s := newSim(t, 0, sim.Scenario{})
 	defer s.Stop()
 	start := time.Now()
 	s.Sleep(10 * time.Minute)
@@ -224,7 +236,7 @@ func TestScenarioCrashKillsAtVirtualTime(t *testing.T) {
 }
 
 func TestSlowStoreDelaysInVirtualTime(t *testing.T) {
-	s := sim.MustNew(0, sim.Scenario{Seed: 9,
+	s := newSim(t, 0, sim.Scenario{Seed: 9,
 		SlowStore: &sim.SlowStore{Delay: 20 * time.Millisecond}})
 	defer s.Stop()
 	st := s.WrapStore(storage.NewMemory())
@@ -246,7 +258,7 @@ func TestSlowStoreDelaysInVirtualTime(t *testing.T) {
 // either order — while a blob the store already held, and one stored at an
 // earlier instant, are seen.
 func TestStoreProbeSeesOnlyEarlierInstants(t *testing.T) {
-	s := sim.MustNew(0, sim.Scenario{Seed: 9})
+	s := newSim(t, 0, sim.Scenario{Seed: 9})
 	defer s.Stop()
 	inner := storage.NewMemory()
 	if err := inner.Put("old", []byte("v")); err != nil {

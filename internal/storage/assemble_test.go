@@ -269,10 +269,10 @@ func manifestWith(lens ...uint64) []byte {
 func TestManifestLengthsAreNotTrusted(t *testing.T) {
 	for name, man := range map[string][]byte{
 		"zero":       manifestWith(0),
-		"over bound": manifestWith(MaxBlobBytes + 1),
+		"over bound": manifestWith(maxBlobBytes + 1),
 		"2^60":       manifestWith(1 << 60),
 		"negative":   manifestWith(1 << 63),
-		"total":      manifestWith(MaxBlobBytes/2, MaxBlobBytes/2, 1),
+		"total":      manifestWith(maxBlobBytes/2, maxBlobBytes/2, 1),
 		"lying refs": append(append([]byte(nil), manifestMagic...), binary.AppendUvarint(nil, 1<<40)...),
 		"not one":    []byte("C3CMxxxx"),
 	} {
@@ -291,7 +291,7 @@ func TestManifestLengthsAreNotTrusted(t *testing.T) {
 			t.Fatalf("%s: allocated %d bytes on the way to the error", name, grew)
 		}
 	}
-	if refs, err := ParseManifest(manifestWith(MaxBlobBytes)); err != nil || len(refs) != 1 {
+	if refs, err := ParseManifest(manifestWith(maxBlobBytes)); err != nil || len(refs) != 1 {
 		t.Fatalf("a ref of exactly the bound: %v", err)
 	}
 }
@@ -300,7 +300,7 @@ func TestManifestLengthsAreNotTrusted(t *testing.T) {
 // when it is written, while the state it holds still exists.
 func TestCommitRefusesUnreadableBlob(t *testing.T) {
 	w := NewChunkedWriter(context.Background(), NewMemory(), "blob", 0)
-	w.total = MaxBlobBytes // as if a GiB had been streamed already
+	w.total = maxBlobBytes // as if a GiB had been streamed already
 	if _, err := w.Write([]byte{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestCommitRefusesUnreadableBlob(t *testing.T) {
 // never make it allocate out of proportion to the input; what it accepts
 // survives a re-encode.
 func FuzzParseManifest(f *testing.F) {
-	f.Add(MarshalManifest(nil))
+	f.Add(marshalManifest(nil))
 	f.Add(manifestWith(testChunk, testChunk, 7))
 	f.Add(manifestWith(testChunk, testChunk, 7)[:50]) // truncated inside a sum
 	f.Add(manifestWith(1 << 60))
@@ -340,15 +340,15 @@ func FuzzParseManifest(f *testing.F) {
 		}
 		var total int64
 		for _, r := range refs {
-			if r.Len <= 0 || r.Len > MaxBlobBytes {
+			if r.Len <= 0 || r.Len > maxBlobBytes {
 				t.Fatalf("accepted a ref of %d bytes", r.Len)
 			}
 			total += r.Len
 		}
-		if total > MaxBlobBytes {
+		if total > maxBlobBytes {
 			t.Fatalf("accepted a blob of %d bytes", total)
 		}
-		again, err := ParseManifest(MarshalManifest(refs))
+		again, err := ParseManifest(marshalManifest(refs))
 		if err != nil || len(again) != len(refs) {
 			t.Fatalf("re-encoded manifest: %d refs, %v", len(again), err)
 		}

@@ -163,8 +163,8 @@ func (c *CheckpointStore) Committed() (epoch int, ok bool, err error) {
 type Class int
 
 const (
-	Foreign      Class = iota // nothing this package writes; never touched
-	CommitRecord              // ckpt/COMMIT
+	foreign      Class = iota // nothing this package writes; never touched
+	commitRecord              // ckpt/COMMIT
 	Chunk                     // ckpt/chunks/<hex>; Name is the content address
 	RankBlob                  // ckpt/<epoch>/<kind>.<rank>
 	EpochFile                 // anything else in an epoch directory: pruned with it, whatever it is
@@ -187,7 +187,7 @@ type Entry struct {
 func classify(key string) Entry {
 	e := Entry{Key: key}
 	if key == commitKey {
-		e.Class = CommitRecord
+		e.Class = commitRecord
 		return e
 	}
 	if name, ok := strings.CutPrefix(key, chunkPrefix); ok {

@@ -29,11 +29,11 @@ import (
 // enough that a few dirty pages do not force a whole-state rewrite.
 const DefaultChunkSize = 256 << 10
 
-// DefaultPipelineDepth bounds the chunks Assemble has read and its
+// defaultPipelineDepth bounds the chunks Assemble has read and its
 // verifiers have not yet taken up: deep enough to keep every verifier busy
 // while a Get is out, shallow enough that a chunk is hashed while it is
 // still in cache.
-const DefaultPipelineDepth = 4
+const defaultPipelineDepth = 4
 
 // chunkPrefix is the shared content-addressed chunk namespace.
 const chunkPrefix = layoutRoot + "chunks/"
@@ -332,10 +332,10 @@ func (w *ChunkedWriter) Commit() (total, written int64, err error) {
 	if err := w.storeAhead(); err != nil {
 		return 0, 0, err
 	}
-	if w.total > MaxBlobBytes {
-		return 0, 0, fmt.Errorf("%w: blob %s is %d bytes; no reader accepts more than %d", cerr.ErrStore, w.key, w.total, MaxBlobBytes)
+	if w.total > maxBlobBytes {
+		return 0, 0, fmt.Errorf("%w: blob %s is %d bytes; no reader accepts more than %d", cerr.ErrStore, w.key, w.total, maxBlobBytes)
 	}
-	man := MarshalManifest(w.refs)
+	man := marshalManifest(w.refs)
 	if err := w.s.Put(w.key, man); err != nil {
 		return 0, 0, fmt.Errorf("storage: put manifest: %w", err)
 	}
@@ -344,8 +344,8 @@ func (w *ChunkedWriter) Commit() (total, written int64, err error) {
 	return w.total, w.written, nil
 }
 
-// MarshalManifest encodes chunk references as a manifest blob.
-func MarshalManifest(refs []ChunkRef) []byte {
+// marshalManifest encodes chunk references as a manifest blob.
+func marshalManifest(refs []ChunkRef) []byte {
 	var buf bytes.Buffer
 	buf.Write(manifestMagic)
 	var tmp [binary.MaxVarintLen64]byte
@@ -357,18 +357,18 @@ func MarshalManifest(refs []ChunkRef) []byte {
 	return buf.Bytes()
 }
 
-// MaxBlobBytes bounds a chunked blob and each of its chunks: the 1 GiB
+// maxBlobBytes bounds a chunked blob and each of its chunks: the 1 GiB
 // that internal/launch applies to a control frame. A manifest is stored
 // data, so its lengths are checked against this before anything is
 // allocated from them, and Commit refuses to publish a blob past it.
-const MaxBlobBytes = 1 << 30
+const maxBlobBytes = 1 << 30
 
 func corruptManifest(format string, args ...any) error {
 	return fmt.Errorf("%w: corrupt manifest: "+format, append([]any{cerr.ErrStore}, args...)...)
 }
 
 // ParseManifest decodes a manifest blob. Every ref it returns has a length
-// in (0, MaxBlobBytes] and the lengths sum to at most MaxBlobBytes.
+// in (0, maxBlobBytes] and the lengths sum to at most maxBlobBytes.
 func ParseManifest(blob []byte) ([]ChunkRef, error) {
 	if !bytes.HasPrefix(blob, manifestMagic) {
 		return nil, fmt.Errorf("%w: not a chunk manifest", cerr.ErrStore)
@@ -388,8 +388,8 @@ func ParseManifest(blob []byte) ([]ChunkRef, error) {
 		if err != nil {
 			return nil, corruptManifest("%w", err)
 		}
-		if total += l; l == 0 || l > MaxBlobBytes || total > MaxBlobBytes {
-			return nil, corruptManifest("ref %d is %d bytes (blob so far %d, bound %d)", i, l, total, MaxBlobBytes)
+		if total += l; l == 0 || l > maxBlobBytes || total > maxBlobBytes {
+			return nil, corruptManifest("ref %d is %d bytes (blob so far %d, bound %d)", i, l, total, maxBlobBytes)
 		}
 		r := ChunkRef{Len: int64(l)}
 		if _, err := io.ReadFull(rd, r.Sum[:]); err != nil {
@@ -449,7 +449,7 @@ func Assemble(s Stable, manifest []byte) ([]byte, error) {
 	if len(refs) < 2 {
 		workers = 0
 	}
-	jobs, bad := make(chan fetched, DefaultPipelineDepth), make(chan error, workers)
+	jobs, bad := make(chan fetched, defaultPipelineDepth), make(chan error, workers)
 	var wg sync.WaitGroup
 	for range workers {
 		wg.Add(1)

@@ -335,14 +335,14 @@ func TestClassifyInvertsTheKeyConstructors(t *testing.T) {
 	}
 	ref := ChunkRef{Sum: sha256.Sum256([]byte("c")), Len: 1}
 	for key, want := range map[string]Entry{
-		commitKey:                       {Class: CommitRecord},
+		commitKey:                       {Class: commitRecord},
 		ref.Key():                       {Class: Chunk, Name: ref.Hex()},
 		"ckpt/00000012/other.0003":      {Class: EpochFile, Epoch: 12, Name: "other.0003"},
 		"ckpt/00000012/state.x":         {Class: EpochFile, Epoch: 12, Name: "state.x"},
 		"ckpt/00000012/state":           {Class: EpochFile, Epoch: 12, Name: "state"},
-		"ckpt/blob":                     {Class: Foreign},
-		"ckpt/0000001x/state.0003":      {Class: Foreign},
-		"elsewhere/00000012/state.0003": {Class: Foreign},
+		"ckpt/blob":                     {Class: foreign},
+		"ckpt/0000001x/state.0003":      {Class: foreign},
+		"elsewhere/00000012/state.0003": {Class: foreign},
 	} {
 		want.Key = key
 		if got := classify(key); got != want {

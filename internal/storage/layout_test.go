@@ -122,7 +122,7 @@ func TestWalkClassifiesEveryKeyOnce(t *testing.T) {
 		byClass[e.Class]++
 	}
 	// 2 epochs x 2 ranks x 3 blobs; the shared chunk + 4 own; the rest one each.
-	want := map[Class]int{RankBlob: 12, Chunk: 5, CommitRecord: 1, EpochFile: 1, Foreign: 1}
+	want := map[Class]int{RankBlob: 12, Chunk: 5, commitRecord: 1, EpochFile: 1, foreign: 1}
 	if !reflect.DeepEqual(byClass, want) {
 		t.Fatalf("classes %v, want %v", byClass, want)
 	}

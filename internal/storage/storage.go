@@ -154,13 +154,6 @@ func (m *Memory) List(prefix string) ([]string, error) {
 	return keys, nil
 }
 
-// BytesWritten reports the total number of payload bytes stored so far.
-func (m *Memory) BytesWritten() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bytesWritten
-}
-
 // Disk stores blobs as files under a directory. Keys may contain '/'
 // separators, which map to subdirectories. Writes go through a uniquely
 // named temporary file, an fsync, a rename, and directory fsyncs up to the

@@ -78,8 +78,8 @@ func TestMemoryBytesWritten(t *testing.T) {
 	m := NewMemory()
 	_ = m.Put("a", make([]byte, 10))
 	_ = m.Put("b", make([]byte, 5))
-	if m.BytesWritten() != 15 {
-		t.Fatalf("BytesWritten = %d", m.BytesWritten())
+	if m.bytesWritten != 15 {
+		t.Fatalf("bytes written = %d", m.bytesWritten)
 	}
 }
 

@@ -92,7 +92,7 @@ func TestWriterMatchesSerialReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				man, _ := s.Get(StateKey(1, 0))
-				if !bytes.Equal(man, MarshalManifest(want)) {
+				if !bytes.Equal(man, marshalManifest(want)) {
 					t.Fatalf("manifest differs from the serial reference's (%d refs wanted)", len(want))
 				}
 				if total != int64(len(data)) || written != int64(len(data)+len(man)) {

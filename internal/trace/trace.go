@@ -30,8 +30,8 @@ func (r *Recorder) Trace(e protocol.TraceEvent) {
 	r.mu.Unlock()
 }
 
-// Events returns a copy of the recorded events in arrival order.
-func (r *Recorder) Events() []protocol.TraceEvent {
+// snapshot returns a copy of the recorded events in arrival order.
+func (r *Recorder) snapshot() []protocol.TraceEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]protocol.TraceEvent, len(r.events))
@@ -44,19 +44,6 @@ func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.events)
-}
-
-// Count returns how many events of the given kind were recorded.
-func (r *Recorder) Count(kind protocol.TraceKind) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, e := range r.events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
 }
 
 // glyphs maps event kinds to single-character timeline marks. 'x' for a
@@ -99,7 +86,7 @@ func glyph(k protocol.TraceKind) byte {
 // 'C'. Long traces are truncated to the last maxCols events.
 func (r *Recorder) Timeline(ranks int) string {
 	const maxCols = 160
-	events := r.Events()
+	events := r.snapshot()
 	if len(events) > maxCols {
 		events = events[len(events)-maxCols:]
 	}
@@ -121,40 +108,10 @@ func (r *Recorder) Timeline(ranks int) string {
 	return b.String()
 }
 
-// Arrows lists every message event with its classification, the textual
-// complement to Timeline:
-//
-//	P <- Q  tag 1 id 3  late (logged)
-func (r *Recorder) Arrows() string {
-	var b strings.Builder
-	for _, e := range r.Events() {
-		switch e.Kind {
-		case protocol.TraceSend:
-			fmt.Fprintf(&b, "P%d -> P%d  tag %d id %d  (%d B, epoch %d)\n",
-				e.Rank, e.Peer, e.Tag, e.ID, e.Bytes, e.Epoch)
-		case protocol.TraceRecvIntra, protocol.TraceRecvLate, protocol.TraceRecvEarly:
-			class := map[protocol.TraceKind]string{
-				protocol.TraceRecvIntra: "intra-epoch",
-				protocol.TraceRecvLate:  "late (logged)",
-				protocol.TraceRecvEarly: "early (ID recorded)",
-			}[e.Kind]
-			fmt.Fprintf(&b, "P%d <- P%d  tag %d id %d  %s\n",
-				e.Rank, e.Peer, e.Tag, e.ID, class)
-		case protocol.TraceSendSuppressed:
-			fmt.Fprintf(&b, "P%d -x P%d  tag %d id %d  re-send suppressed\n",
-				e.Rank, e.Peer, e.Tag, e.ID)
-		case protocol.TraceReplayLate:
-			fmt.Fprintf(&b, "P%d <~ P%d  tag %d  late message replayed from log\n",
-				e.Rank, e.Peer, e.Tag)
-		}
-	}
-	return b.String()
-}
-
 // Summary aggregates event counts per kind.
 func (r *Recorder) Summary() string {
 	counts := map[protocol.TraceKind]int{}
-	for _, e := range r.Events() {
+	for _, e := range r.snapshot() {
 		counts[e.Kind]++
 	}
 	kinds := []protocol.TraceKind{

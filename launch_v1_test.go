@@ -107,7 +107,7 @@ func failProg() ccift.Program {
 }
 
 // staleProg keeps rewriting a registered slice without ever calling Touch
-// — the write-intent bug the freeze cross-check exists to catch. It runs
+// — the write-intent bug Debug's freeze verifier exists to catch. It runs
 // long enough for a second checkpoint to freeze the stale view on either
 // substrate (the first freeze copies everything; an iteration is one
 // barrier of a few microseconds in-process, and the second checkpoint waits
@@ -144,12 +144,17 @@ func testProg() ccift.Program {
 // application-level fields (mode, trigger, seed) must match the
 // launcher-side spec, which is why both sides build from the same consts.
 func workerSpec() *ccift.Spec {
-	return ccift.NewSpec(
+	opts := []ccift.Option{
 		ccift.WithRanks(confRanks),
 		ccift.WithMode(ccift.Full),
 		ccift.WithEveryN(confEveryN),
 		ccift.WithDistributed(ccift.Distributed{}),
-	)
+	}
+	if os.Getenv(progEnv) == "stale" {
+		// The stale program's launcher runs it under WithDebug.
+		opts = append(opts, ccift.WithDebug())
+	}
+	return ccift.NewSpec(opts...)
 }
 
 func TestMain(m *testing.M) {
@@ -157,6 +162,12 @@ func TestMain(m *testing.M) {
 	// finished writer gives back, so a store that kept a view of one fails
 	// the next verified read (internal/storage's seam).
 	storage.PoisonReleasedChunks()
+	if os.Getenv("CCIFT_FREEZE_CROSSCHECK") == "1" {
+		// CI's soak: every incremental freeze of every program here is
+		// verified against the live state, Debug or not, in the launcher
+		// and in the worker processes that inherit the variable.
+		protocol.VerifyEveryFreeze()
+	}
 	if ccift.IsWorker() {
 		if field := os.Getenv(policyEnv); field != "" {
 			policyWorker(field) // never returns

@@ -256,7 +256,7 @@ func TestCollectiveCostsItsOwnRounds(t *testing.T) {
 	blocks := func(r *engine.Rank) []byte { return make([]byte, 8*r.Size()) }
 	riding := []collective{
 		{"Allreduce", func(r *engine.Rank) { r.AllreduceF64(xs, mpi.SumF64) }},
-		{"Allgather", func(r *engine.Rank) { r.AllgatherF64(xs) }},
+		{"Allgather", func(r *engine.Rank) { r.AllgatherF64Into(make([]float64, len(xs)*r.Size()), xs) }},
 		{"Alltoall", func(r *engine.Rank) { r.AlltoallInto(blocks(r), blocks(r)) }},
 		{"Reducescatter", func(r *engine.Rank) { r.ReducescatterInto(make([]byte, 8), blocks(r), mpi.SumF64) }},
 		{"Barrier", (*engine.Rank).Barrier},
@@ -264,7 +264,7 @@ func TestCollectiveCostsItsOwnRounds(t *testing.T) {
 	rooted := []collective{
 		{"Bcast", func(r *engine.Rank) { r.BcastInto(0, mpi.F64Bytes(xs)) }},
 		{"Reduce", func(r *engine.Rank) { r.ReduceInto(0, make([]byte, 32), mpi.F64Bytes(xs), mpi.SumF64) }},
-		{"Gather", func(r *engine.Rank) { r.GatherF64(0, xs) }},
+		{"Gather", func(r *engine.Rank) { r.GatherF64Into(0, make([]float64, len(xs)*r.Size()), xs) }},
 		{"Scatter", func(r *engine.Rank) { r.ScatterInto(0, make([]byte, 8), blocks(r)) }},
 		{"Scan", func(r *engine.Rank) { r.ScanF64(xs, mpi.SumF64) }},
 	}
@@ -327,9 +327,7 @@ func TestFloatCollectiveAllocations(t *testing.T) {
 		want float64
 		call func(r *engine.Rank, dst []float64)
 	}{
-		{"AllgatherF64", 2, func(r *engine.Rank, _ []float64) { r.AllgatherF64(xs) }},
 		{"AllreduceF64", 2, func(r *engine.Rank, _ []float64) { r.AllreduceF64(xs, mpi.SumF64) }},
-		{"GatherF64", 1, func(r *engine.Rank, _ []float64) { r.GatherF64(0, xs); r.Barrier() }},
 		{"AllgatherF64Into", 0, func(r *engine.Rank, dst []float64) { r.AllgatherF64Into(dst, xs) }},
 		{"AllreduceF64Into", 0, func(r *engine.Rank, dst []float64) { r.AllreduceF64Into(dst[:len(xs)], xs, mpi.SumF64) }},
 		{"GatherF64Into", 0, func(r *engine.Rank, dst []float64) { r.GatherF64Into(0, dst, xs); r.Barrier() }},

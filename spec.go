@@ -69,9 +69,16 @@ func WithMaxRestarts(n int) Option { return func(s *Spec) { s.cfg.MaxRestarts = 
 // WithSeed sets the base seed for per-rank application randomness.
 func WithSeed(seed int64) Option { return func(s *Spec) { s.cfg.Seed = seed } }
 
-// WithDebug enables protocol assertions. One of them reads the store: a
-// survivor's rollback from its retained frozen view also reads the epoch's
-// state object and requires the view to serialize to exactly those bytes.
+// WithDebug enables protocol assertions. Two of them are more than a
+// comparison. Every incremental freeze is verified byte-for-byte against a
+// fresh encode of the live state while the rank is still blocked, so a
+// write that escaped Touch fails the run with an ErrProgram-category error
+// naming the variable (or heap block) instead of recovering stale state;
+// that costs a full state encode per checkpoint. And a survivor's rollback
+// from its retained frozen view also reads the epoch's state object and
+// requires the view to serialize to exactly those bytes. Use it in tests
+// and when migrating a program to the incremental default, not in
+// production.
 func WithDebug() Option { return func(s *Spec) { s.cfg.Debug = true } }
 
 // WithAsyncCheckpoint toggles the asynchronous checkpoint pipeline, which
@@ -98,33 +105,12 @@ func WithAsyncCheckpoint(enabled bool) Option {
 // checkpoint bytes are identical to a full freeze's, so chunk dedup,
 // storage and recovery are unaffected. Pass false for programs that do not
 // maintain Touch calls: every checkpoint then re-copies the whole
-// registered state and the contract does not apply. WithFreezeCrossCheck
-// verifies the contract at runtime.
+// registered state and the contract does not apply. WithDebug verifies the
+// contract at runtime. Programs made by the ccift precompiler honor it: it
+// touches a function's registered non-scalar variables before each
+// checkpoint the function reaches.
 func WithIncrementalFreeze(enabled bool) Option {
 	return func(s *Spec) { s.cfg.Policy.FullFreeze = !enabled }
-}
-
-// WithFreezeCrossCheck enables the freeze verifier debug mode: after
-// every freeze, while the rank is still blocked, the frozen view is
-// compared byte-for-byte against a fresh encode of the live state. A
-// mutation that escaped Touch/TouchRange — which would otherwise surface
-// as silently stale recovered state — fails the run immediately with an
-// ErrProgram-category error naming the variable (or heap block). Costs a
-// full state encode per checkpoint, so use it in tests and when
-// migrating a program to the incremental default, not in production.
-func WithFreezeCrossCheck() Option {
-	return func(s *Spec) { s.cfg.Policy.FreezeCrossCheck = true }
-}
-
-// WithFlushBandwidth caps the checkpoint writer's streaming throughput at
-// the given bytes per second, on both the synchronous and asynchronous
-// paths. Zero (the default) means no cap: the stream is not paced at all.
-// The rate is fixed — nothing measures the rank and adapts it — so a cap
-// is chiefly useful to model a slow store deterministically (its sleeps
-// follow a simulated run's virtual clock) or to hard-bound the flusher's
-// interference. Time slept under it is Stats.FlushThrottleNs.
-func WithFlushBandwidth(bytesPerSecond float64) Option {
-	return func(s *Spec) { s.cfg.Policy.FlushBandwidth = bytesPerSecond }
 }
 
 // WithTracer streams protocol events from every rank (in-process substrate

@@ -116,15 +116,16 @@ func (nopTracer) Trace(ccift.TraceEvent) {}
 // process) and Spec → launch.WorkerApp → engine.WorkerConfig (distributed)
 // as one value, and is translated into the layer's protocol.Config at one
 // site. policySeam says, per Policy field, which public option owns it
-// and how the layer's effective config shows a non-zero value.
+// and how the layer's effective config shows a non-zero value. Debug is
+// not a Policy field, but it selects the freeze verifier and travels the
+// same two paths, so it has a row too.
 var policySeam = map[string]struct {
 	opt    ccift.Option
 	effect string
 }{
-	"Sync":             {ccift.WithAsyncCheckpoint(false), "AsyncFlush:false"},
-	"FullFreeze":       {ccift.WithIncrementalFreeze(false), "IncrementalFreeze:false"},
-	"FreezeCrossCheck": {ccift.WithFreezeCrossCheck(), "FreezeCrossCheck:true"},
-	"FlushBandwidth":   {ccift.WithFlushBandwidth(1 << 20), "FlushBandwidth:1.048576e+06"},
+	"Sync":       {ccift.WithAsyncCheckpoint(false), "AsyncFlush:false"},
+	"FullFreeze": {ccift.WithIncrementalFreeze(false), "IncrementalFreeze:false"},
+	"Debug":      {ccift.WithDebug(), "Debug:true"},
 }
 
 // policyEnv names, for a re-exec'd worker, the Policy field under test
@@ -135,12 +136,7 @@ const policyEnv = "CCIFT_TEST_POLICY"
 func policyWith(field string) protocol.Policy {
 	var p protocol.Policy
 	if f := reflect.ValueOf(&p).Elem().FieldByName(field); f.IsValid() {
-		switch f.Kind() {
-		case reflect.Bool:
-			f.SetBool(true)
-		case reflect.Float64:
-			f.SetFloat(1 << 20)
-		}
+		f.SetBool(true)
 	}
 	return p
 }
@@ -165,8 +161,6 @@ func TestPolicySeam(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the worker round trips spawn real processes")
 	}
-	// The process-wide verifier override would mask the FreezeCrossCheck field.
-	t.Setenv("CCIFT_FREEZE_CROSSCHECK", "")
 	// effective runs the probe under the zero policy plus the named field
 	// ("-": none) and returns rank 0's view on both paths.
 	effective := func(field string) (inproc, worker string) {
@@ -196,9 +190,12 @@ func TestPolicySeam(t *testing.T) {
 		return fmt.Sprint(res.Values[0]), dist.Output
 	}
 	zeroIn, zeroWorker := effective("-")
+	fields := []string{"Debug"}
 	pt := reflect.TypeOf(protocol.Policy{})
 	for i := 0; i < pt.NumField(); i++ {
-		field := pt.Field(i).Name
+		fields = append(fields, pt.Field(i).Name)
+	}
+	for _, field := range fields {
 		seam, ok := policySeam[field]
 		if !ok {
 			t.Errorf("protocol.Policy.%s is not in policySeam: name the option that owns it and its effect on the layer", field)
