@@ -27,6 +27,7 @@ import (
 	"ccift/internal/apps/laplace"
 	"ccift/internal/apps/neurosys"
 	"ccift/internal/engine"
+	"ccift/internal/harness"
 	"ccift/internal/mpi"
 	"ccift/internal/protocol"
 	"ccift/internal/sim"
@@ -294,6 +295,71 @@ func TestCollectiveCostsItsOwnRounds(t *testing.T) {
 				t.Fatalf("%s × %d at %d ranks: %v and %d sends in Full mode, want those of a one-byte allgather plus the call (%v, %d; the call alone: %v, %d)",
 					c.name, calls, ranks, fullT, fullN, wantT, wantN, plainT, plainN)
 			}
+		}
+	}
+}
+
+// protocolCounters is the part of a run's Stats that the protocol alone
+// decides: control traffic, the logging phases' contents and the
+// checkpoints taken. On virtual time every one of them is a function of the
+// program and the scenario seed.
+type protocolCounters struct {
+	ControlMessages, ControlCollectives, LateLogged, EarlyRecorded,
+	EventsLogged, LogBytes, CheckpointsTaken, SuppressedSends int64
+}
+
+func countersOf(stats []protocol.Stats) (c protocolCounters) {
+	for _, s := range stats {
+		c.ControlMessages += s.ControlMessages
+		c.ControlCollectives += s.ControlCollectives
+		c.LateLogged += s.LateLogged
+		c.EarlyRecorded += s.EarlyRecorded
+		c.EventsLogged += s.EventsLogged
+		c.LogBytes += s.LogBytes
+		c.CheckpointsTaken += s.CheckpointsTaken
+		c.SuppressedSends += s.SuppressedSends
+	}
+	return c
+}
+
+// TestProtocolCountersOnTheSimulator pins what the protocol does, not how
+// fast: the three Figure 8 programs at smoke size, 2 ranks, Full mode on a
+// fixed simulated schedule, and the control messages one global checkpoint
+// costs as the world grows (Figure 4: every rank's mySendCount to every
+// rank, plus the initiator's four phases — n² + 4n). A change in logging
+// volume or control traffic fails here instead of getting lost in benchmark
+// noise.
+func TestProtocolCountersOnTheSimulator(t *testing.T) {
+	apps := []struct {
+		exp  harness.Experiment
+		want protocolCounters
+	}{
+		{harness.CGExperiment(2, harness.Smoke), protocolCounters{
+			ControlMessages: 24, LogBytes: 4124, CheckpointsTaken: 4}},
+		{harness.LaplaceExperiment(2, harness.Smoke), protocolCounters{
+			ControlMessages: 40, LogBytes: 6, CheckpointsTaken: 6}},
+		{harness.NeurosysExperiment(2, harness.Smoke), protocolCounters{
+			ControlMessages: 24, ControlCollectives: 160, LogBytes: 16436, CheckpointsTaken: 4}},
+	}
+	for _, a := range apps {
+		size := a.exp.Sizes[0]
+		res := launchInProc(t, size.Program,
+			ccift.WithRanks(2), ccift.WithMode(ccift.Full), ccift.WithEveryN(size.EveryN),
+			ccift.WithSimulated(ccift.Scenario{Seed: 7, Latency: 200 * time.Microsecond}))
+		if got := countersOf(res.Stats); got != a.want {
+			t.Errorf("%s at smoke size: %#v, want %#v", a.exp.App, got, a.want)
+		}
+	}
+	// Twelve iterations at EveryN 4: two global checkpoints commit, and the
+	// third, requested in the last iterations, is declined by every rank
+	// whose program has returned — n more requests and n declines.
+	for _, n := range []int64{2, 8, 64} {
+		res := launchInProc(t, stencil(12, 8),
+			ccift.WithRanks(int(n)), ccift.WithMode(ccift.Full), ccift.WithEveryN(4),
+			ccift.WithSimulated(ccift.Scenario{Seed: 7, Latency: time.Millisecond}))
+		got := countersOf(res.Stats)
+		if want := 2*(n*n+4*n) + 2*n; got.CheckpointsTaken != 2*n || got.ControlMessages != want {
+			t.Errorf("%d ranks: %d control messages and %d local checkpoints, want %d and %d", n, got.ControlMessages, got.CheckpointsTaken, want, 2*n)
 		}
 	}
 }
