@@ -94,8 +94,41 @@ var collectiveSurface = map[[2]string][]string{
 	{"internal/engine", "Rank"}: {
 		"AlignedBarrier", "AllgatherF64Into", "AllgatherInto", "AllreduceF64", "AllreduceF64Into",
 		"AllreduceInto", "AlltoallInto", "Barrier", "BcastInto", "GatherF64Into", "GatherInto",
-		"ReduceInto", "ReducescatterInto", "ScanF64", "ScanInto", "ScatterInto", "Sendrecv",
+		"ReduceInto", "ReducescatterInto", "ScanInto", "ScatterInto", "Sendrecv",
 	},
+}
+
+// figure4Fields are the protocol variables of Figure 4 and the initiator's
+// state: the fields of internal/protocol's machine.
+var figure4Fields = map[string]bool{
+	"epoch": true, "amLogging": true, "readySent": true, "nextMessageID": true,
+	"checkpointRequested": true, "requestedEpoch": true, "sendCount": true, "earlyIDs": true,
+	"currentReceiveCount": true, "previousReceiveCount": true, "totalSent": true,
+	"init": true, "inProgress": true, "closed": true, "target": true, "ready": true,
+	"stopped": true, "sincePrev": true, "logDone": true, "flushing": true, "stopSent": true,
+	"finished": true, "suppress": true, "suppressPending": true,
+}
+
+// figure4Field returns the Figure 4 field an assignment's target writes
+// (l.m.epoch, l.m.sendCount[q], l.m.init.ready), or "".
+func figure4Field(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if figure4Fields[x.Sel.Name] {
+				return x.Sel.Name
+			}
+			e = x.X
+		default:
+			return ""
+		}
+	}
 }
 
 // goFiles parses every non-test Go file of the module outside bench/ and
@@ -444,6 +477,138 @@ func TestArchitecture(t *testing.T) {
 				t.Errorf("the collectives of *%s.%s are %v, want %v: each collective is one form that fills a result the caller provides, and a second spelling (a form returning a fresh slice, a typed variant) is a surface that grows at every layer at once — add one here only with the reason it needs to exist",
 					filepath.Base(pt[0]), pt[1], got, want)
 			}
+		}
+	})
+
+	t.Run("machine.go imports nothing from internal/ and no time", func(t *testing.T) {
+		// Figure 4 as a pure state machine (protocol/machine.go) can be
+		// stepped without a world only while it reaches for no substrate,
+		// store or clock.
+		f, ok := files["internal/protocol/machine.go"]
+		if !ok {
+			t.Fatal("internal/protocol/machine.go is gone: the protocol's state machine lives there")
+		}
+		for _, imp := range f.Imports {
+			if p := strings.Trim(imp.Path.Value, `"`); strings.HasPrefix(p, "ccift/internal/") || p == "time" {
+				t.Errorf("internal/protocol/machine.go imports %s: the state machine does no I/O and reads no clock; the Layer, its shell, does", p)
+			}
+		}
+	})
+
+	t.Run("Figure 4's variables are assigned in machine.go alone", func(t *testing.T) {
+		var got []string
+		for path, f := range parseDir(t, "internal/protocol", 0) {
+			if path == "internal/protocol/machine.go" {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				var lhs []ast.Expr
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					lhs = n.Lhs
+				case *ast.IncDecStmt:
+					lhs = []ast.Expr{n.X}
+				}
+				for _, e := range lhs {
+					if name := figure4Field(e); name != "" {
+						got = append(got, path+": "+types.ExprString(e))
+					}
+				}
+				return true
+			})
+		}
+		slices.Sort(got)
+		if len(got) > 0 {
+			t.Fatalf("%v: the protocol's epoch, logging and coordination state changes only through a transition of the state machine (internal/protocol/machine.go); the Layer reads it and runs the actions it queues", got)
+		}
+	})
+
+	t.Run("no clock fork in protocol or storage, no sleep in internal/engine", func(t *testing.T) {
+		// One checkpoint write path on every clock: a branch on
+		// which clock the layer or the writer runs is the sim-sync mode
+		// growing back, and a sleep in the engine or its tests is a
+		// wall-clock stand-in for a wait that belongs on virtual time.
+		var got []string
+		for _, dir := range []string{"internal/protocol", "internal/storage"} {
+			for path, f := range parseDir(t, dir, 0) {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if b, ok := n.(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.NEQ) {
+						x, y := types.ExprString(b.X), types.ExprString(b.Y)
+						if x == "nil" && strings.HasSuffix(y, "Clock") || y == "nil" && strings.HasSuffix(x, "Clock") {
+							got = append(got, path+": "+types.ExprString(b))
+						}
+					}
+					return true
+				})
+			}
+		}
+		entries, err := os.ReadDir("internal/engine")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fset := token.NewFileSet()
+		for _, e := range entries {
+			if !strings.HasSuffix(e.Name(), ".go") {
+				continue
+			}
+			path := "internal/engine/" + e.Name()
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if s, ok := n.(*ast.SelectorExpr); ok && types.ExprString(s) == "time.Sleep" {
+					got = append(got, path+": time.Sleep")
+				}
+				return true
+			})
+		}
+		if len(got) > 0 {
+			t.Fatalf("%v: internal/protocol and internal/storage take no decision on the clock they run on, and internal/engine (tests included) parks on the transport or tests on virtual time instead of sleeping", got)
+		}
+	})
+
+	t.Run("no feedback state in the flush path", func(t *testing.T) {
+		// Nothing paces the flush: the adaptive governor went
+		// because no workload engaged it, and the fixed cap that replaced it
+		// for the same reason. A rate the code adapts is the governor growing
+		// back without a workload that needs it.
+		governor := regexp.MustCompile(`observe(Idle|Flush)|govMark|idleRate|potentialCalls`)
+		var got []string
+		for path, f := range parseDir(t, "internal/protocol", 0) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && governor.MatchString(id.Name) {
+					got = append(got, path+": "+id.Name)
+				}
+				return true
+			})
+		}
+		if len(got) > 0 {
+			t.Fatalf("%v: flush pacing has no feedback state", got)
+		}
+	})
+
+	t.Run("Rank's methods match api/rank.txt", func(t *testing.T) {
+		// The program-facing surface is a checked-in list, like the options
+		// (api/options.txt): a method added to Rank is a visible one-line
+		// diff that has to be argued for.
+		var got []string
+		for _, f := range parseDir(t, "internal/engine", 0) {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Recv == nil || !fn.Name.IsExported() || types.ExprString(fn.Recv.List[0].Type) != "*Rank" {
+					continue
+				}
+				got = append(got, fn.Name.Name+strings.TrimPrefix(types.ExprString(fn.Type), "func"))
+			}
+		}
+		slices.Sort(got)
+		want, err := os.ReadFile("api/rank.txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := strings.Join(got, "\n") + "\n"; g != string(want) {
+			t.Fatalf("the exported methods of engine.Rank (ccift.Rank) are\n%s\napi/rank.txt lists\n%s\nadd or remove a method only with its reason, and update the file to the list above", g, want)
 		}
 	})
 

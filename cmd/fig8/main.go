@@ -117,12 +117,6 @@ func main() {
 	}
 	if *simulated {
 		fmt.Printf("fig8: simulated substrate — seed %d, %v per-hop latency, virtual time\n", *simSeed, *simLat)
-		if *async {
-			// The simulated substrate pins blocking checkpoints so the
-			// seeded event schedule stays deterministic (see Launch).
-			fmt.Println("fig8: -sim forces synchronous checkpoints; ignoring -async")
-			*async = false
-		}
 		if *verdicts {
 			// Under virtual time the wall clock measures the simulator's
 			// event loop, not the paper's runtime overheads; only checksum
@@ -166,7 +160,7 @@ func main() {
 		case *distributed:
 			table, err = e.RunContextWith(ctx, distributedRunner(exe, e.App, *ranks, *async))
 		case *simulated:
-			table, err = e.RunContextWith(ctx, simRunner(*ranks, *simSeed, *simLat))
+			table, err = e.RunContextWith(ctx, simRunner(*ranks, *simSeed, *simLat, *async))
 		default:
 			table, err = e.RunContext(ctx)
 		}
@@ -239,11 +233,12 @@ func distributedRunner(exe, app string, ranks int, async bool) harness.CellRunne
 }
 
 // simRunner runs one cell through the identical public Launch call over the
-// simulated substrate: same program, same checkpoint trigger, but every
+// simulated substrate: same program, same checkpoint trigger, same
+// checkpoint policy as the other runners (blocking unless async), but every
 // message crosses the seeded discrete-event network in virtual time. The
 // checksum column then proves the four versions agree under simulated
 // latency too, and a repeated sweep with the same -simseed is replayable.
-func simRunner(ranks int, seed int64, latency time.Duration) harness.CellRunner {
+func simRunner(ranks int, seed int64, latency time.Duration, async bool) harness.CellRunner {
 	return func(ctx context.Context, size harness.Size, mode protocol.Mode) (harness.Cell, error) {
 		start := time.Now()
 		res, err := ccift.Launch(ctx, ccift.NewSpec(
@@ -251,6 +246,7 @@ func simRunner(ranks int, seed int64, latency time.Duration) harness.CellRunner 
 			ccift.WithMode(mode),
 			ccift.WithEveryN(size.EveryN),
 			ccift.WithInterval(size.Interval),
+			ccift.WithAsyncCheckpoint(async),
 			ccift.WithSimulated(ccift.Scenario{Seed: seed, Latency: latency}),
 		), size.Program)
 		if err != nil {

@@ -4,8 +4,11 @@ import (
 	"context"
 	"flag"
 	"os"
+	"sync"
 	"testing"
+	"time"
 
+	"ccift/internal/engine"
 	"ccift/internal/harness"
 	"ccift/internal/launch"
 	"ccift/internal/protocol"
@@ -59,6 +62,33 @@ func TestDistributedCellStats(t *testing.T) {
 	}
 	if cell.CheckpointMB == 0 {
 		t.Error("cell.CheckpointMB = 0: checkpoint-volume column would render empty")
+	}
+}
+
+// TestSimulatedCellKeepsThePolicy: a -sim cell runs the checkpoint the
+// sweep asked for, like the in-process and distributed runners — the
+// paper's blocking checkpoint without -async, the pipeline with it. (The
+// simulated runner once passed no policy, so every cell of the default
+// sweep ran the async pipeline while the in-process one ran blocking.)
+func TestSimulatedCellKeepsThePolicy(t *testing.T) {
+	size := harness.LaplaceExperiment(2, harness.Smoke).Sizes[0]
+	for _, async := range []bool{false, true} {
+		var flushes []bool
+		var mu sync.Mutex
+		probe := size
+		probe.Program = func(r *engine.Rank) (any, error) {
+			mu.Lock()
+			flushes = append(flushes, r.Layer().Config().AsyncFlush)
+			mu.Unlock()
+			return size.Program(r)
+		}
+		cell, err := simRunner(2, 1, 200*time.Microsecond, async)(context.Background(), probe, protocol.Full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cell.Checkpoints == 0 || len(flushes) != 2 || flushes[0] != async || flushes[1] != async {
+			t.Fatalf("-async=%v: %d checkpoints, ranks ran with AsyncFlush %v", async, cell.Checkpoints, flushes)
+		}
 	}
 }
 

@@ -439,22 +439,3 @@ func TestSaverRoundTrip(t *testing.T) {
 		t.Fatalf("inner label = %d", l)
 	}
 }
-
-func TestSaverStateBytesGrowsWithData(t *testing.T) {
-	s := NewSaver()
-	small, err := s.StateBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := make([]float64, 1024)
-	if err := s.VDS.Push("grid", &grid); err != nil {
-		t.Fatal(err)
-	}
-	big, err := s.StateBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big < small+8*1024 {
-		t.Fatalf("StateBytes did not grow: %d -> %d", small, big)
-	}
-}

@@ -618,34 +618,6 @@ func copyValue(ptr any, pool *bufPool) (owned any, sl *slab, size int, ok bool) 
 	return nil, nil, 0, false
 }
 
-// encodedSize computes len(Encode(ptr)) without copying or encoding for
-// fast-path types; ok is false when only a real encode can tell.
-func encodedSize(ptr any) (int, bool) {
-	switch p := ptr.(type) {
-	case *int, *int64, *uint64, *float64:
-		return 9, true
-	case *bool:
-		return 2, true
-	case *string:
-		return 1 + uvarintLen(uint64(len(*p))) + len(*p), true
-	case *[]byte:
-		return 1 + uvarintLen(uint64(len(*p))) + len(*p), true
-	case *[]float64:
-		return 1 + uvarintLen(uint64(len(*p))) + 8*len(*p), true
-	case *[]int:
-		return 1 + uvarintLen(uint64(len(*p))) + 8*len(*p), true
-	case *[]int64:
-		return 1 + uvarintLen(uint64(len(*p))) + 8*len(*p), true
-	case *[][]float64:
-		size := 1 + uvarintLen(uint64(len(*p)))
-		for _, row := range *p {
-			size += uvarintLen(uint64(len(row))) + 8*len(row)
-		}
-		return size, true
-	}
-	return 0, false
-}
-
 // --- serialization against the frozen view ---
 
 // Snapshot serializes the frozen state into one blob, byte-identical to

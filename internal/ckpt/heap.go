@@ -91,16 +91,6 @@ func (h *Heap) Live() int { return len(h.blocks) }
 // LiveBytes reports the total payload bytes of live blocks.
 func (h *Heap) LiveBytes() int { return h.liveBytes }
 
-// sectionSize reports the exact serialized size of Snapshot's output
-// without copying any block data.
-func (h *Heap) sectionSize() int {
-	size := uvarintLen(uint64(h.nextID)) + uvarintLen(uint64(len(h.blocks)))
-	for id, b := range h.blocks {
-		size += uvarintLen(uint64(id)) + uvarintLen(uint64(len(b.Data))) + len(b.Data)
-	}
-	return size
-}
-
 // Snapshot serializes the HOS and all live blocks.
 func (h *Heap) Snapshot() ([]byte, error) {
 	var buf bytes.Buffer

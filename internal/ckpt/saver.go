@@ -62,22 +62,6 @@ func (s *Saver) Snapshot() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// StateBytes reports the exact size of the application state a checkpoint
-// would currently save. Figure 8 annotates each problem size with this
-// number — per data point, so it is computed from component sizes rather
-// than by serializing the whole state: O(descriptors), not O(bytes).
-// (Only values outside the codec's fast paths need a real encode to be
-// sized.)
-func (s *Saver) StateBytes() (int, error) {
-	vds, err := s.VDS.sectionSize()
-	if err != nil {
-		return 0, err
-	}
-	heap := s.Heap.sectionSize()
-	ps := psSectionSize(s.PS.labels)
-	return ps + uvarintLen(uint64(vds)) + vds + uvarintLen(uint64(heap)) + heap, nil
-}
-
 // StartRestore loads a snapshot and arms the PS resume cursor and the VDS
 // restore map; the heap is restored immediately (its handles must resolve
 // before the application re-executes). blob is only read and must stay

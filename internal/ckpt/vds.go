@@ -346,46 +346,6 @@ func (v *VDS) Snapshot() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// sectionSize reports the exact serialized size of Snapshot's output
-// without encoding the fast-path values (only gob-fallback entries are
-// sized by a real encode).
-func (v *VDS) sectionSize() (int, error) {
-	size := uvarintLen(uint64(len(v.entries)))
-	for _, e := range v.entries {
-		vs, err := v.entrySize(e)
-		if err != nil {
-			return 0, err
-		}
-		size += entryOverhead(e.name, vs) + vs
-	}
-	return size, nil
-}
-
-func (v *VDS) entrySize(e vdsEntry) (int, error) {
-	valueSize := func() (int, error) {
-		if n, ok := encodedSize(e.ptr); ok {
-			return n, nil
-		}
-		raw, err := Encode(e.ptr)
-		if err != nil {
-			return 0, fmt.Errorf("ckpt: encode %q: %w", e.name, err)
-		}
-		return len(raw), nil
-	}
-	switch e.kind {
-	case kindSaved:
-		return valueSize()
-	case kindComputed:
-		return fingerprintSize, nil
-	case kindReplicated:
-		if v.Primary {
-			return valueSize()
-		}
-		return 0, nil
-	}
-	return 0, fmt.Errorf("ckpt: entry %q has invalid kind %d", e.name, e.kind)
-}
-
 // parseVDSSnapshot decodes the section produced by Snapshot. Each entry's
 // data is a view of snapshot, not a copy.
 func parseVDSSnapshot(snapshot []byte) ([]restoreEntry, error) {

@@ -94,7 +94,9 @@ var agreementCalls = []struct {
 		return mpi.BytesF64(dst)[0]
 	}},
 	{"Scan", func(r *Rank, _ int, v float64) float64 {
-		return r.ScanF64([]float64{v}, mpi.SumF64)[0]
+		dst := make([]byte, 8)
+		r.ScanInto(dst, mpi.F64Bytes([]float64{v}), mpi.SumF64)
+		return mpi.BytesF64(dst)[0]
 	}},
 	{"AlignedBarrier", func(r *Rank, _ int, v float64) float64 {
 		r.AlignedBarrier()

@@ -24,8 +24,9 @@ func scanProg(iters int) Program {
 			r.PotentialCheckpoint()
 
 			// Prefix sums over rank contributions.
-			pre := r.ScanF64([]float64{float64(me + it)}, mpi.SumF64)
-			acc += pre[0]
+			pre := make([]byte, 8)
+			r.ScanInto(pre, mpi.F64Bytes([]float64{float64(me + it)}), mpi.SumF64)
+			acc += mpi.BytesF64(pre)[0]
 
 			// Reduce-scatter of per-rank blocks.
 			blocks := make([]float64, n)

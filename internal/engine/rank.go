@@ -70,9 +70,6 @@ func (r *Rank) Wait(h protocol.Handle) *protocol.AppMessage { return r.l.Wait(h)
 // Test checks a pseudo-handle without blocking.
 func (r *Rank) Test(h protocol.Handle) (*protocol.AppMessage, bool) { return r.l.Test(h) }
 
-// Waitall completes pseudo-handles in order.
-func (r *Rank) Waitall(hs []protocol.Handle) []*protocol.AppMessage { return r.l.Waitall(hs) }
-
 // SendOwned sends a buffer whose ownership the caller hands over: no
 // defensive copy is made, so the caller must not modify data after the
 // call. The typed ccift.Send front end encodes into a fresh buffer and
@@ -172,11 +169,6 @@ func (r *Rank) AlltoallInto(dst, data []byte) { r.l.AlltoallInto(dst, data) }
 // ScanInto computes the inclusive prefix reduction across ranks 0..i into
 // dst (len(data) bytes).
 func (r *Rank) ScanInto(dst, data []byte, op mpi.Op) { r.l.ScanInto(dst, data, op) }
-
-// ScanF64 is ScanInto over a float64 vector, into a fresh result.
-func (r *Rank) ScanF64(xs []float64, op mpi.Op) []float64 {
-	return mpi.Filled[float64](len(xs), func(w []byte) { r.l.ScanInto(w, mpi.Wire(xs), op) })
-}
 
 // ReducescatterInto combines per-rank blocks across all ranks into this
 // rank's block of the result, dst (len(data)/Size() bytes).
@@ -316,16 +308,6 @@ func (r *Rank) PS() *ckpt.PositionStack { return r.l.Saver.PS }
 
 // Heap returns the checkpointable heap manager.
 func (r *Rank) Heap() *ckpt.Heap { return r.l.Saver.Heap }
-
-// StateBytes reports the serialized size of the currently registered
-// application state (the number Figure 8 annotates problem sizes with).
-func (r *Rank) StateBytes() int {
-	n, err := r.l.Saver.StateBytes()
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
 
 // --- MPI library opaque objects ---
 

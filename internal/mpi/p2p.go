@@ -153,16 +153,6 @@ func (c *Comm) Test(r *Request) (*Message, bool) {
 	return nil, false
 }
 
-// Waitall completes every request, returning messages in request order
-// (nil entries for sends).
-func (c *Comm) Waitall(rs []*Request) []*Message {
-	out := make([]*Message, len(rs))
-	for i, r := range rs {
-		out[i] = c.Wait(r)
-	}
-	return out
-}
-
 // Iprobe reports whether a message matching (src, tag) is available,
 // without receiving it.
 func (c *Comm) Iprobe(src, tag int) (bool, *Message) {

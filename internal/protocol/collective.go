@@ -6,41 +6,28 @@ import (
 	"ccift/internal/mpi"
 )
 
-// Collective communication handling (Section 4.5).
+// Collective communication handling (Section 4.5). The paper precedes every
+// data collective with a control collective that tells each participant the
+// others' (epoch color, amLogging). Here that is a presence set — one bit per
+// control state, "somebody in this call is in that state" — and the state
+// machine applies the rules to it (machine.collective). A logging
+// participant logs the result unless one in its (new) epoch has stopped
+// logging, in which case it stops first and logs nothing (Figure 5, call B);
+// old-epoch participants (call A) do not prevent logging: on recovery they
+// do not re-execute the call, and the others read their logged results. A
+// non-logging participant that sees a logging one of the other color notes
+// the checkpoint it has yet to take, and a call whose every participant is
+// logging and has reported ready ends logging there.
 //
-// The paper precedes every data collective with a control collective that
-// tells each participant the others' (epoch color, amLogging). Here that
-// information is a presence set — one bit per control state, "somebody in
-// this call is in that state" — and one function, applyControl, applies the
-// rules to it. A logging participant logs the data result unless some
-// participant in the *same (new) epoch* has already stopped logging, in
-// which case it stops logging first and does not log the result (the
-// Figure 5 call-B rule). Participants still in the old epoch (Figure 5
-// call A) do not prevent logging: on recovery they will not re-execute the
-// call, and the post-checkpoint participants will read their logged results
-// instead of re-executing it. A non-logging participant that sees a logging
-// one of the other color notes the checkpoint it has yet to take. A
-// logging participant's state also says whether it has reported
-// readyToStopLogging: a call whose every participant is logging and ready
-// has shown all of them what the initiator is still counting messages to
-// learn, and they stop logging there.
-//
-// How the set reaches a participant depends on the collective. Allreduce,
-// Allgather, Alltoall, Reducescatter and Barrier bring something from
-// every participant to every participant, so each contributes its bit as
-// the word mpi carries on the collective's own messages and the rules are
-// applied when the data call returns: no extra round. Bcast, Reduce,
-// Gather, Scatter and Scan keep an explicit exchange (a one-byte allgather)
-// before the data call, because agreement is the constraint: a participant
-// that logs a call skips it on recovery, one that did not re-executes it,
-// and in a rooted pattern a leaf never hears the root — it would log what
-// the root re-executes and the root would wait for its contribution forever.
-//
-// MPI_Barrier gets special treatment in the paper: converting a barrier
-// into a no-op on recovery would break its synchronization semantics, so
-// all participants must execute it in the same epoch. AlignedBarrier
-// implements that; it needs the verdict before the barrier proper, so it
-// too runs the explicit exchange.
+// Allreduce, Allgather, Alltoall, Reducescatter and Barrier bring something
+// from every participant to every participant, so each contributes its bit
+// as the word mpi carries on the collective's own messages: no extra round.
+// Bcast, Reduce, Gather, Scatter and Scan keep an explicit one-byte
+// allgather before the data call, because they need agreement: one that
+// logs a call skips it on recovery and one that did not re-executes it, and
+// in a rooted pattern a leaf never hears the root. AlignedBarrier (the
+// paper's barrier: every participant in the same epoch) needs the verdict
+// before the barrier proper, so it runs the explicit exchange too.
 
 const (
 	ctlColorBit   = 1 << 0
@@ -49,26 +36,10 @@ const (
 	ctlStateMask  = ctlColorBit | ctlLoggingBit | ctlReadyBit
 )
 
-// ctlState numbers this participant's control state: its epoch color,
-// amLogging and, while logging, whether it has reported ready.
-func (l *Layer) ctlState() uint32 {
-	var s uint32
-	if l.color() {
-		s |= ctlColorBit
-	}
-	if l.amLogging {
-		s |= ctlLoggingBit
-		if l.readySent {
-			s |= ctlReadyBit
-		}
-	}
-	return s
-}
-
 // exchangeControl is the explicit control collective: it returns the
 // presence set of this call's participants.
 func (l *Layer) exchangeControl() (seen uint32) {
-	l.ctlMine[0] = byte(l.ctlState())
+	l.ctlMine[0] = byte(l.m.ctlState())
 	l.comm.AllgatherInto(l.ctlStates, l.ctlMine[:], 0)
 	l.Stats.ControlCollectives++
 	for _, s := range l.ctlStates {
@@ -77,82 +48,63 @@ func (l *Layer) exchangeControl() (seen uint32) {
 	return seen
 }
 
-// applyControl applies the logging rules to the presence set of a
-// collective's participants, however it was obtained. It reports whether
-// this rank, being in the old epoch of an ongoing checkpoint, must take
-// its local checkpoint (used by AlignedBarrier).
+// applyControl hands the machine a collective's presence set, however it
+// was obtained, and acts on what it decides; laggard as machine.collective.
 func (l *Layer) applyControl(seen uint32) (laggard bool) {
-	mine := l.ctlState() & ctlColorBit
-	if l.amLogging {
-		// Same (new) epoch, logging already stopped: its contribution to
-		// the data call may depend on unlogged non-determinism.
-		stopped := seen&(1<<mine) != 0
-		// Every participant — a Layer collective runs on the world
-		// communicator, so every process — is logging in this epoch and has
-		// reported ready: exactly what the initiator is counting messages
-		// to learn before it tells everyone to stop, learnt here by all at
-		// once. (The messages lag a program of back-to-back collectives,
-		// which services control only between them, by a call or two — and
-		// every call of the lag is a result in every participant's log.)
-		allReady := seen == 1<<(mine|ctlLoggingBit|ctlReadyBit)
-		if stopped || allReady {
-			l.finalizeLog()
-		}
-	}
-	otherLogging := mine ^ ctlColorBit | ctlLoggingBit
-	if !l.amLogging && seen&(1<<otherLogging|1<<(otherLogging|ctlReadyBit)) != 0 {
-		// A participant is logging in a different epoch: it is in the new
-		// epoch of an ongoing checkpoint and we have not taken ours yet.
-		// Note the pending request (the pleaseCheckpoint control message
-		// may still be in flight) …
-		if l.requestedEpoch <= l.epoch {
-			l.checkpointRequested = true
-			l.requestedEpoch = l.epoch + 1
-		}
-		laggard = true
-	}
+	laggard = l.m.collective(seen)
+	l.act()
 	return laggard
 }
 
-// collective runs one data collective under the protocol: the op count, the
-// inactive fast path, the recovery replay, the control information (riding
-// on the call when rides, exchanged before it otherwise), the call itself
-// and the logging of its result. The result is dst, which call fills — nil
-// where the caller gets nothing back (Barrier, a rooted collective off its
-// root), which makes an empty log entry — and a replayed result is copied
-// into it. call executes the collective with this rank's control word and
-// returns the words it brought back.
+// collective runs one data collective under the protocol: the prologue
+// (see collectivePrologue), the control information (riding on the call
+// when rides, exchanged before it otherwise), the call itself and the
+// logging of its result. The result is dst, which call fills — nil where
+// the caller gets nothing back (Barrier, a rooted collective off its root),
+// which makes an empty log entry. call executes the collective with this
+// rank's control word and returns the words it brought back.
 func (l *Layer) collective(rides bool, dst []byte, call func(word uint32) uint32) {
-	l.enterOp()
-	if !l.active() {
-		call(0)
+	seq, live := l.collectivePrologue(dst, call)
+	if !live {
 		return
 	}
-	seq := l.collSeq
-	l.collSeq++
-	if l.replay != nil {
-		if e := l.replay.Collective(seq); e != nil {
-			// The call originally executed while logging; some
-			// participants may not re-execute it at all, so the result
-			// comes from the log (Section 4.5).
-			l.Stats.ReplayedResults++
-			if len(e.Data) != len(dst) {
-				panic(fmt.Sprintf("protocol: rank %d: collective %d: logged result of %d bytes replayed into %d", l.rank, seq, len(e.Data), len(dst)))
-			}
-			copy(dst, e.Data)
-			return
-		}
-	}
 	if rides {
-		l.applyControl(call(1 << l.ctlState()))
+		l.applyControl(call(1 << l.m.ctlState()))
 	} else {
 		l.applyControl(l.exchangeControl())
 		call(0)
 	}
 	l.trace(TraceCollective, -1, 0, uint32(seq), len(dst))
-	if l.amLogging {
+	if l.m.amLogging {
 		l.log.Add(Entry{Kind: KindCollective, Seq: seq, Data: append([]byte(nil), dst...)})
 	}
+}
+
+// collectivePrologue is how every collective under the layer starts: the
+// op count, the inactive fast path (call runs with no word), the call's
+// slot in the collective sequence, and the recovery replay, which completes
+// a call that originally executed while logging by copying the logged
+// result into dst — some participants may not re-execute it at all
+// (Section 4.5). live reports a call the protocol still has to run.
+func (l *Layer) collectivePrologue(dst []byte, call func(word uint32) uint32) (seq int64, live bool) {
+	l.enterOp()
+	if !l.active() {
+		call(0)
+		return 0, false
+	}
+	seq = l.collSeq
+	l.collSeq++
+	if l.replay != nil {
+		if e := l.replay.Collective(seq); e != nil {
+			l.Stats.ReplayedResults++
+			if len(e.Data) != len(dst) {
+				panic(fmt.Sprintf("protocol: rank %d: collective %d: logged result of %d bytes replayed into %d", l.rank, seq, len(e.Data), len(dst)))
+			}
+			copy(dst, e.Data)
+			return seq, false
+		}
+	}
+	return seq, true
 }
 
 // atRoot is a rooted collective's result: dst at root, nothing elsewhere.
@@ -247,14 +199,12 @@ func (l *Layer) Barrier() { l.collective(true, nil, l.comm.Barrier) }
 // precompiler inserts a potential checkpoint before each barrier — so that
 // the barrier proper executes with every process in the same epoch.
 // Callers must be able to resume at this exact program point (position
-// stack instrumentation).
+// stack instrumentation). It takes a collective slot but is never logged,
+// so a replay never completes it.
 func (l *Layer) AlignedBarrier() {
-	l.enterOp()
-	if !l.active() {
-		l.comm.Barrier(0)
+	if _, live := l.collectivePrologue(nil, l.comm.Barrier); !live {
 		return
 	}
-	l.collSeq++ // consumes a collective slot; never logged
 	if laggard := l.applyControl(l.exchangeControl()); laggard {
 		if l.cfg.Debug && l.replay != nil && !l.replay.Exhausted() {
 			panic(fmt.Sprintf("protocol: rank %d: barrier-forced checkpoint while replay pending", l.rank))

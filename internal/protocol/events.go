@@ -24,7 +24,7 @@ func (l *Layer) NondetBytes(gen func() []byte) []byte {
 		}
 	}
 	v := gen()
-	if l.amLogging {
+	if l.m.amLogging {
 		cp := make([]byte, len(v))
 		copy(cp, v)
 		l.log.Add(Entry{Kind: KindEvent, Seq: seq, Data: cp})

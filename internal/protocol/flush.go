@@ -11,34 +11,23 @@ import (
 	"ccift/internal/mpi"
 )
 
-// The checkpoint flush: one write path, on every clock.
-//
-// takeCheckpoint hands the captured checkpoint to a flush task — one per
-// checkpoint — that serializes it and streams it into stable storage
-// (writeState). Under the default policy the task is started through the
-// clock seam (clock.Go) and the rank computes on: on the wall clock that
-// is a goroutine, on a virtual clock an actor the simulation's scheduler
-// counts, so the simulated substrate runs this very path and not a
-// synchronous stand-in. Under Policy.Sync the rank runs the same task body
-// itself. The clock owns the task; the layer owns nothing but its handle.
+// The checkpoint flush: one write path, on every clock. takeCheckpoint
+// hands the captured checkpoint to a flush task that serializes it and
+// streams it into stable storage (writeState). By default the task is
+// started through clock.Go — a goroutine on the wall clock, an actor the
+// simulation's scheduler counts on a virtual one — and the rank computes on;
+// under Policy.Sync the rank runs the same body itself.
 //
 // The layer stays single-threaded. The task touches only the capture and
 // the layer's immutable fields, leaves its outcome in the flushTask, and
-// then posts tagFlushDone into the rank's own mailbox at transport level
-// (mpi.Comm.Notify: no substrate operation, so no op is counted on the
-// flusher's behalf and no kill fires on its goroutine). The substrate
-// orders that event like any delivery: the rank meets it wherever it
-// services control — at its next operation, inside a blocking receive, or
-// parked in ServiceControlUntil — and integrates the outcome there
-// (finishFlush), the one integration function of all three ways a flush
-// ends: the event, the inline sync write, and the drain in Shutdown.
-//
-// Correctness under crashes hangs on one rule: a rank reports
-// stoppedLogging — and therefore the initiator can write the commit
-// record — only after BOTH its log write and its state flush are durable
-// (maybeReportStopped). A crash mid-flush leaves the new epoch
-// uncommitted, so recovery falls back to the previous committed epoch,
-// exactly as a crash mid-checkpoint did on the synchronous path.
+// posts tagFlushDone into the rank's own mailbox (mpi.Comm.Notify: no
+// substrate operation, so no op is counted and no kill fires on its
+// behalf). The rank meets that event wherever it services control and
+// integrates the outcome there (finishFlush), as it does after the inline
+// write and in Shutdown's drain. A rank reports stoppedLogging — so the
+// commit record can be written — only once its log and its state are both
+// durable (machine.reportStopped): a crash mid-flush recovers from the
+// previous committed epoch.
 
 // flushTask is one checkpoint's flush. The fields below wait are written by
 // the task and read by the rank only once the task is known to be over: it
@@ -80,13 +69,14 @@ func (l *Layer) startFlush(p *pendingCheckpoint) {
 
 // flushDone integrates the finished flush on the rank's live path — the
 // completion event or the inline write — where a failed write ends the rank
-// and a durable one may complete the local checkpoint.
+// and a durable one may complete the local checkpoint (the caller acts on
+// what the machine queues).
 func (l *Layer) flushDone() {
 	if err := l.finishFlush(); err != nil {
 		// An error value, so the engine's classifier keeps the category.
 		panic(err)
 	}
-	l.maybeReportStopped()
+	l.m.flushed()
 }
 
 // finishFlush applies the finished flush task's outcome to the layer —
@@ -114,18 +104,6 @@ func (l *Layer) finishFlush() error {
 	l.trace(TraceCheckpoint, -1, 0, 0, int(t.total))
 	l.emitStats()
 	return nil
-}
-
-// maybeReportStopped sends stoppedLogging once per checkpoint, and only
-// when both halves of the local checkpoint are durable: the finalized log
-// and the flushed state. The initiator's commit record waits on every
-// rank's report, so a crash before this point recovers from the previous
-// committed epoch.
-func (l *Layer) maybeReportStopped() {
-	if l.logDone && l.flush == nil && !l.stopSent {
-		l.stopSent = true
-		l.sendCtl(0, tagStoppedLogging, uint64(l.epoch))
-	}
 }
 
 // Shutdown waits for a flush still in flight to finish (or abort, if the

@@ -86,8 +86,8 @@ func TestFlushEndsIntegrateAlike(t *testing.T) {
 	for name, end := range ends {
 		g := &gatedStore{Stable: storage.NewMemory(), gate: make(chan struct{})}
 		l := checkpointing(t, g, nil, true)
-		if l.flush == nil || l.Stats.CheckpointBytes != 0 || l.stopSent {
-			t.Fatalf("%s: the held flush reads as finished: flush %v, %d bytes, stopSent %v", name, l.flush, l.Stats.CheckpointBytes, l.stopSent)
+		if l.flush == nil || l.Stats.CheckpointBytes != 0 || l.m.stopSent {
+			t.Fatalf("%s: the held flush reads as finished: flush %v, %d bytes, stopSent %v", name, l.flush, l.Stats.CheckpointBytes, l.m.stopSent)
 		}
 		end(l, g)
 		if l.flush != nil {

@@ -94,13 +94,7 @@ func (t *handleTable) release(h Handle) {
 // parent communicator.
 func (l *Layer) CommDup(parent CommHandle) CommHandle {
 	l.enterOp()
-	c := l.lookupComm(parent)
-	dup := c.Dup()
-	h := l.handles.nextComm
-	l.handles.nextComm++
-	l.handles.comms[h] = dup
-	l.persist = append(l.persist, PersistRecord{Op: "dup", Parent: parent, Result: h})
-	return h
+	return l.addComm(l.lookupComm(parent).Dup(), PersistRecord{Op: "dup", Parent: parent})
 }
 
 // CommSplit splits the communicator behind parent, records the call, and
@@ -108,15 +102,19 @@ func (l *Layer) CommDup(parent CommHandle) CommHandle {
 // Collective over the parent communicator.
 func (l *Layer) CommSplit(parent CommHandle, color, key int) CommHandle {
 	l.enterOp()
-	c := l.lookupComm(parent)
-	sub := c.Split(color, key)
-	h := l.handles.nextComm
+	return l.addComm(l.lookupComm(parent).Split(color, key), PersistRecord{Op: "split", Parent: parent, Args: []int64{int64(color), int64(key)}})
+}
+
+// addComm gives c (nil: a split's color < 0) the next pseudo-handle and
+// records the call that made it for replay.
+func (l *Layer) addComm(c *mpi.Comm, rec PersistRecord) CommHandle {
+	rec.Result = l.handles.nextComm
 	l.handles.nextComm++
-	if sub != nil {
-		l.handles.comms[h] = sub
+	if c != nil {
+		l.handles.comms[rec.Result] = c
 	}
-	l.persist = append(l.persist, PersistRecord{Op: "split", Parent: parent, Args: []int64{int64(color), int64(key)}, Result: h})
-	return h
+	l.persist = append(l.persist, rec)
+	return rec.Result
 }
 
 // SubComm returns the raw communicator behind a pseudo-handle. Sub-

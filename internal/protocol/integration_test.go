@@ -114,7 +114,7 @@ func TestNondetEventLogAndReplay(t *testing.T) {
 	// the generator now returns different values.
 	w2 := mpi.NewWorld(2, mpi.Options{})
 	P2 := NewLayer(w2.Comm(0), Config{Mode: Full, Store: cs, Debug: true})
-	if err := P2.Restore(1, nil); err != nil {
+	if err := P2.RestoreFrom(&RankRecovery{Epoch: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -208,7 +208,7 @@ func TestCommDupSplitReplay(t *testing.T) {
 				}
 			}()
 			l := NewLayer(w2.Comm(r), Config{Mode: Full, Store: cs, Debug: true})
-			if err := l.Restore(e, nil); err != nil {
+			if err := l.RestoreFrom(&RankRecovery{Epoch: e}, nil); err != nil {
 				panic(err)
 			}
 			dup := l.SubComm(handles[r])
@@ -268,10 +268,10 @@ func TestRequestHandlesAcrossRestore(t *testing.T) {
 	w2 := mpi.NewWorld(2, mpi.Options{})
 	P2 := NewLayer(w2.Comm(0), Config{Mode: Full, Store: cs, Debug: true})
 	Q2 := NewLayer(w2.Comm(1), Config{Mode: Full, Store: cs, Debug: true})
-	if err := P2.Restore(1, nil); err != nil {
+	if err := P2.RestoreFrom(&RankRecovery{Epoch: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := Q2.Restore(1, nil); err != nil {
+	if err := Q2.RestoreFrom(&RankRecovery{Epoch: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if m := Q2.Wait(recvH); string(m.Data) != "posted-before-ckpt" {
@@ -387,9 +387,9 @@ func TestOverlappingCheckpointRefused(t *testing.T) {
 	if !P.CheckpointInProgress() {
 		t.Fatal("first request should start the protocol")
 	}
-	target := P.init.target
+	target := P.m.init.target
 	P.requestCheckpoint() // must be a no-op
-	if P.init.target != target {
+	if P.m.init.target != target {
 		t.Fatal("second request changed the in-progress target")
 	}
 }
@@ -410,7 +410,7 @@ func TestSendNegativeTagPanics(t *testing.T) {
 // useful error instead of corrupting state.
 func TestRestoreMissingEpochFails(t *testing.T) {
 	ls, _, _ := newTestLayers(t, 1, Full)
-	if err := ls[0].Restore(9, nil); err == nil {
+	if err := ls[0].RestoreFrom(&RankRecovery{Epoch: 9}, nil); err == nil {
 		t.Fatal("restore of missing epoch succeeded")
 	}
 }
@@ -470,7 +470,7 @@ func TestIprobe(t *testing.T) {
 
 	w2 := mpi.NewWorld(2, mpi.Options{})
 	Q2 := NewLayer(w2.Comm(1), Config{Mode: Full, Store: cs, Debug: true})
-	if err := Q2.Restore(1, nil); err != nil {
+	if err := Q2.RestoreFrom(&RankRecovery{Epoch: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	ok, src, tag = Q2.Iprobe(0, 7)

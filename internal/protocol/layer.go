@@ -32,15 +32,8 @@ const (
 )
 
 func (m Mode) String() string {
-	switch m {
-	case Unmodified:
-		return "unmodified"
-	case PiggybackOnly:
-		return "piggyback-only"
-	case NoAppState:
-		return "no-app-state"
-	case Full:
-		return "full"
+	if names := [...]string{"unmodified", "piggyback-only", "no-app-state", "full"}; m >= 0 && int(m) < len(names) {
+		return names[m]
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
@@ -102,31 +95,26 @@ type Config struct {
 	// this much wall time has elapsed since the last request. Zero
 	// disables. (The paper uses a 30-second interval.)
 	Interval time.Duration
-	// Debug enables internal consistency assertions. Two of them cost
-	// more than a comparison: an incremental freeze is verified
-	// byte-for-byte against a fresh encode of the live state (a missed
-	// Touch becomes an immediate ErrProgram naming the variable), and a
-	// rollback from a retained frozen view reads the epoch's state object
-	// and checks the view against it.
+	// Debug enables internal consistency assertions: the protocol state
+	// machine's invariant check after every transition; an incremental
+	// freeze verified byte-for-byte against a fresh encode of the live state
+	// (a missed Touch is an immediate ErrProgram naming the variable); and a
+	// rollback from a retained view checked against the store's state object.
 	Debug bool
 	// Tracer, when non-nil, receives protocol events (see TraceEvent).
 	Tracer Tracer
 	// AsyncFlush runs each checkpoint's serialization and storage I/O as a
-	// flush task beside the rank (see flush.go): takeCheckpoint blocks the
-	// rank only to freeze a copy of the live state, and the durable write
-	// overlaps continued computation. The commit record still waits for
-	// every rank's flush (see maybeReportStopped), so crash-consistency is
-	// unchanged. Off, the rank runs the same task body itself before it
-	// goes on: the classic stop-serialize-fsync checkpoint. Either way it
-	// is the same write path, on the wall clock and on a virtual one.
+	// flush task beside the rank (see flush.go), so the rank blocks only to
+	// freeze a copy of the live state; the commit record still waits for
+	// every rank's flush. Off, the rank runs the same task body itself: the
+	// classic stop-serialize-fsync checkpoint. It is the same write path on
+	// the wall clock and on a virtual one.
 	AsyncFlush bool
-	// IncrementalFreeze enables dirty-region tracking in the state-saving
-	// runtime: a checkpoint's blocking freeze copies only regions touched
-	// since the previous epoch (see ckpt.Saver.Incremental) and
-	// re-references the prior frozen slabs for clean ones. Requires the
+	// IncrementalFreeze enables dirty-region tracking (ckpt.Saver.Incremental):
+	// a freeze copies only regions touched since the previous epoch and
+	// re-references the prior frozen slabs for clean ones. It requires the
 	// application to honor the Touch write-intent contract; the serialized
-	// state is byte-identical to a full freeze, so storage and recovery
-	// are unaffected. Off by default.
+	// state is byte-identical to a full freeze.
 	IncrementalFreeze bool
 	// StatsSink, when non-nil, receives cumulative snapshots of this
 	// layer's Stats at observable progress points (each completed
@@ -135,12 +123,10 @@ type Config struct {
 	// goroutine; the substrate uses them to stream live counters to a
 	// launcher or metrics endpoint.
 	StatsSink func(Stats)
-	// Clock is the time source for interval triggers and
-	// blocked/flush-time accounting, and the owner of the flush task
-	// (clock.Go); nil selects the wall clock. A non-nil Clock is the
-	// simulated substrate's virtual (possibly per-rank skewed) clock. It
-	// changes nothing else: the layer takes no decision on which clock it
-	// runs, so the simulator executes the default policy's own code.
+	// Clock is the time source for interval triggers and blocked/flush-time
+	// accounting, and the owner of the flush task (clock.Go); nil selects the
+	// wall clock. The layer takes no decision on which clock it runs, so the
+	// simulator's virtual clock executes the default policy's own code.
 	Clock clock.Clock
 }
 
@@ -200,9 +186,13 @@ type AppMessage struct {
 	Data   []byte
 }
 
-// Layer is the per-process protocol layer. It is not safe for concurrent
-// use: each rank drives its own layer, mirroring a single-threaded MPI
-// process.
+// Layer is the per-process protocol layer: the I/O shell around the
+// protocol's state machine (machine.go). It turns what the substrate and
+// the program do into machine transitions and carries out the actions they
+// queue; everything else here — the log, the replay, the pseudo-handles,
+// the flush, the retained ring — is the state saving of Section 5. It is
+// not safe for concurrent use: each rank drives its own layer, mirroring a
+// single-threaded MPI process.
 type Layer struct {
 	comm *mpi.Comm
 	cfg  Config
@@ -214,38 +204,25 @@ type Layer struct {
 	// checkpoint serializes.
 	Saver *ckpt.Saver
 
-	// Protocol variables of Figure 4.
-	epoch                int
-	amLogging            bool
-	readySent            bool // logging, and readyToStopLogging sent for this epoch
-	nextMessageID        uint32
-	checkpointRequested  bool
-	requestedEpoch       int
-	sendCount            []int64
-	earlyIDs             [][]uint32
-	currentReceiveCount  []int64
-	previousReceiveCount []int64
-	totalSent            []int64 // -1 = unknown (⊥)
+	// m is Figure 4: the protocol variables and the initiator's state.
+	m machine
+	// lastStart is when the initiator last started a global checkpoint
+	// (the Interval trigger's clock reading).
+	lastStart time.Time
 
 	log      *Log
 	recvSeq  int64
 	collSeq  int64
 	eventSeq int64
 
-	// Recovery state.
-	replay          *Replay
-	suppress        map[uint32]bool
-	suppressPending int
+	// replay is the recovered log being re-executed after a rollback.
+	replay *Replay
 
 	// MPI library state (Section 5.2).
 	handles *handleTable
 	persist []PersistRecord
 
-	// Initiator state (rank 0 only).
-	init *initiatorState
-
-	// selSpecs is the reusable receive-spec buffer for the app+control
-	// Select on the receive hot path.
+	// selSpecs is the receive path's reusable app+control spec buffer.
 	selSpecs []mpi.RecvSpec
 
 	// exchangeControl's scratch: every rank's state byte, and this rank's
@@ -253,42 +230,19 @@ type Layer struct {
 	ctlStates []byte
 	ctlMine   [1]byte
 
-	// done is cfg.Ctx's done channel (nil when no context was supplied);
-	// kept unwrapped so the per-op cancellation check is one channel poll,
-	// not a ctx.Err() mutex acquisition.
+	// done is cfg.Ctx's done channel (nil without one): the per-op
+	// cancellation check is one channel poll, not a ctx.Err() lock.
 	done <-chan struct{}
 
-	// The current checkpoint's durability, as the rank's goroutine sees
-	// it: flush is the flush task not yet integrated (see flush.go; nil
-	// when the state is durable), logDone and stopSent the log's half.
-	flush    *flushTask
-	logDone  bool
-	stopSent bool
+	// flush is the current checkpoint's flush task not yet integrated (see
+	// flush.go; nil when the state is durable).
+	flush *flushTask
 
-	// Retained checkpoints (localized recovery, see RetainedState): the
-	// epoch the rank is in and the one before. Touched from the rank's
-	// goroutine only (retainEpoch, finishFlush, finalizeLog). Empty outside
-	// Full mode.
+	// Retained checkpoints (see RetainedState) of the epoch the rank is in
+	// and the one before; rank goroutine only. Empty outside Full mode.
 	ring [2]*RetainedState
 
-	// Completion: once the application on this rank has finished, the
-	// layer only services control traffic.
-	finished bool
-
 	Stats Stats
-}
-
-type initiatorState struct {
-	inProgress bool
-	// closed: some rank's program has returned (the initiator's own, or a
-	// rank that declined target), so no further checkpoint could complete
-	// and none is started.
-	closed    bool
-	target    int
-	ready     int
-	stopped   int
-	lastStart time.Time
-	sincePrev int64 // PotentialCheckpoint calls since the last initiation
 }
 
 // NewLayer builds the protocol layer for one rank on the given world
@@ -296,23 +250,14 @@ type initiatorState struct {
 func NewLayer(comm *mpi.Comm, cfg Config) *Layer {
 	n := comm.Size()
 	l := &Layer{
-		comm:                 comm,
-		cfg:                  cfg,
-		rank:                 comm.Rank(),
-		size:                 n,
-		Saver:                ckpt.NewSaver(),
-		sendCount:            make([]int64, n),
-		earlyIDs:             make([][]uint32, n),
-		currentReceiveCount:  make([]int64, n),
-		previousReceiveCount: make([]int64, n),
-		totalSent:            make([]int64, n),
-		log:                  NewLog(),
-		suppress:             map[uint32]bool{},
-		handles:              newHandleTable(),
-		ctlStates:            make([]byte, n),
-	}
-	for i := range l.totalSent {
-		l.totalSent[i] = -1
+		comm:      comm,
+		cfg:       cfg,
+		rank:      comm.Rank(),
+		size:      n,
+		Saver:     ckpt.NewSaver(),
+		log:       NewLog(),
+		handles:   newHandleTable(),
+		ctlStates: make([]byte, n),
 	}
 	l.clk = clock.Or(cfg.Clock)
 	if cfg.Ctx != nil {
@@ -322,9 +267,8 @@ func NewLayer(comm *mpi.Comm, cfg Config) *Layer {
 	// redundant data optimization) and plays the initiator.
 	l.Saver.VDS.Primary = l.rank == 0
 	l.Saver.Incremental = cfg.IncrementalFreeze
-	if l.rank == 0 && cfg.Mode >= NoAppState {
-		l.init = &initiatorState{lastStart: l.clk.Now()}
-	}
+	l.m = newMachine(l.rank, n, cfg.EveryN, l.rank == 0 && cfg.Mode >= NoAppState)
+	l.lastStart = l.clk.Now()
 	return l
 }
 
@@ -335,10 +279,10 @@ func (l *Layer) Rank() int { return l.rank }
 func (l *Layer) Size() int { return l.size }
 
 // Epoch returns the current epoch number (Section 2).
-func (l *Layer) Epoch() int { return l.epoch }
+func (l *Layer) Epoch() int { return l.m.epoch }
 
 // Logging reports whether the layer is currently logging (amLogging).
-func (l *Layer) Logging() bool { return l.amLogging }
+func (l *Layer) Logging() bool { return l.m.amLogging }
 
 // Comm exposes the underlying communicator (tests, baselines).
 func (l *Layer) Comm() *mpi.Comm { return l.comm }
@@ -347,9 +291,36 @@ func (l *Layer) Comm() *mpi.Comm { return l.comm }
 // plumbing).
 func (l *Layer) Config() Config { return l.cfg }
 
-func (l *Layer) color() bool { return l.epoch%2 == 1 }
-
 func (l *Layer) active() bool { return l.cfg.Mode != Unmodified }
+
+// act carries out what the machine's transitions queued, in order, after
+// its invariant check under Debug. The actions touch the substrate and the
+// store only, never the machine, so nothing is queued while they run.
+func (l *Layer) act() {
+	if l.cfg.Debug {
+		if err := l.m.verify(); err != nil {
+			panic(err.Error())
+		}
+	}
+	for i := range l.m.out {
+		a := &l.m.out[i]
+		switch a.kind {
+		case actSend:
+			if a.dst != everyRank {
+				l.sendCtl(a.dst, a.tag, a.words[:a.n])
+				continue
+			}
+			for q := 0; q < l.size; q++ {
+				l.sendCtl(q, a.tag, a.words[:a.n])
+			}
+		case actFinalizeLog:
+			l.writeLog()
+		case actCommit:
+			l.commit(int(a.words[0]))
+		}
+	}
+	l.m.out = l.m.out[:0]
+}
 
 // enterOp runs at the top of every protocol-layer call: it observes
 // cancellation, services pending control messages, and lets the initiator
@@ -360,9 +331,7 @@ func (l *Layer) enterOp() {
 		return
 	}
 	l.drainControl()
-	if l.init != nil {
-		l.maybeInitiate(false)
-	}
+	l.maybeInitiate(false)
 }
 
 // raiseIfCanceled panics with mpi.ErrCanceled once the layer's context is
@@ -381,152 +350,47 @@ func (l *Layer) raiseIfCanceled() {
 // drainControl handles every queued control message.
 func (l *Layer) drainControl() {
 	for {
-		idx, m := l.comm.PollSelect(controlSpecs)
-		if m == nil {
+		idx, msg := l.comm.PollSelect(controlSpecs)
+		if msg == nil {
 			return
 		}
-		l.handleControl(idx, m)
+		l.handleControl(idx, msg)
 	}
 }
 
-func (l *Layer) handleControl(specIdx int, m *mpi.Message) {
-	switch controlSpecs[specIdx].Tag {
-	case tagPleaseCheckpoint:
-		target := int(ctlU64(m.Data, 0))
-		if target > l.epoch && target > l.requestedEpoch {
-			l.checkpointRequested = true
-			l.requestedEpoch = target
-			if l.finished {
-				l.declineCheckpoint(target)
-			}
-		}
-	case tagMySendCount:
-		epoch := int(ctlU64(m.Data, 0))
-		count := int64(ctlU64(m.Data, 1))
-		// The count describes the sender's previous epoch and is meant for
-		// our logging phase of checkpoint `epoch`. Accept it if we are in
-		// that epoch (logging) or one behind (we have not checkpointed
-		// yet); anything else is stale and impossible under the protocol's
-		// ordering guarantees.
-		if epoch == l.epoch || epoch == l.epoch+1 {
-			l.totalSent[m.Source] = count
-			if l.amLogging {
-				l.receivedAll()
-			}
-		} else if l.cfg.Debug {
-			panic(fmt.Sprintf("protocol: rank %d: stale mySendCount(epoch=%d) in epoch %d", l.rank, epoch, l.epoch))
-		}
-	case tagStopLogging:
-		epoch := int(ctlU64(m.Data, 0))
-		if epoch == l.epoch && l.amLogging {
-			l.finalizeLog()
-		}
-	case tagReadyToStop:
-		if l.init == nil {
-			panic("protocol: readyToStopLogging received by non-initiator")
-		}
-		if int(ctlU64(m.Data, 0)) == l.init.target && l.init.inProgress {
-			l.init.ready++
-			if l.init.ready == l.size {
-				// Phase 3: every process has taken its local checkpoint;
-				// no further message can be early, so logging may stop.
-				for q := 0; q < l.size; q++ {
-					l.sendCtl(q, tagStopLogging, uint64(l.init.target))
-				}
-			}
-		}
-	case tagStoppedLogging:
-		if l.init == nil {
-			panic("protocol: stoppedLogging received by non-initiator")
-		}
-		if int(ctlU64(m.Data, 0)) == l.init.target && l.init.inProgress {
-			l.init.stopped++
-			if l.init.stopped == l.size {
-				// Phase 4 completion: record the new global checkpoint as
-				// the one to use for recovery.
-				if err := l.cfg.Store.Commit(l.init.target); err != nil {
-					// An error value, not a string: the engine's classifier
-					// keeps the store category.
-					panic(fmt.Errorf("protocol: commit checkpoint %d: %w: %w", l.init.target, cerr.ErrStore, err))
-				}
-				l.trace(TraceCommit, -1, 0, 0, l.init.target)
-				l.init.inProgress = false
-				// Epochs older than the newly committed one are
-				// unreachable (recovery always starts from the newest
-				// commit): delete their blobs and sweep orphaned chunks.
-				// Safe against concurrent writers because the next
-				// pleaseCheckpoint is only broadcast after this returns.
-				// GC is best-effort — the commit record is already durable,
-				// so a prune failure must not kill a job whose checkpoints
-				// are all intact; the next commit's sweep retries anything
-				// still unreferenced.
-				if err := l.cfg.Store.Prune(l.init.target); err != nil {
-					fmt.Fprintf(os.Stderr, "protocol: prune epochs below %d (non-fatal): %v\n", l.init.target, err)
-				}
-			}
-		}
-	case tagCannotCheckpoint:
-		if l.init == nil {
-			panic("protocol: cannotCheckpoint received by non-initiator")
-		}
-		if int(ctlU64(m.Data, 0)) == l.init.target && l.init.inProgress {
-			// A rank's program returned before it could do its part of
-			// this checkpoint, and it will take part in no other: give the
-			// global checkpoint up instead of waiting for a commit that
-			// cannot happen, and start no further one.
-			l.init.inProgress, l.init.closed = false, true
-		}
-	case tagFlushDone:
+// handleControl hands a control message to the machine — or integrates the
+// rank's own flush, whose completion arrives the same way — and acts.
+func (l *Layer) handleControl(specIdx int, msg *mpi.Message) {
+	if tag := controlSpecs[specIdx].Tag; tag == tagFlushDone {
 		l.flushDone()
+	} else {
+		var w1 uint64
+		if len(msg.Data) > 8 {
+			w1 = ctlU64(msg.Data, 1)
+		}
+		l.m.control(msg.Source, tag, ctlU64(msg.Data, 0), w1)
 	}
+	l.act()
 }
 
-// declineCheckpoint tells the initiator that this rank's program has
-// returned with its part of checkpoint epoch undone, and that it
-// never will be done: the local checkpoint not taken (no PotentialCheckpoint
-// is left to take it at), or taken with a logging phase that cannot end (a
-// late message the program never received). The rank's share of that
-// checkpoint ends here.
-func (l *Layer) declineCheckpoint(epoch int) {
-	l.checkpointRequested, l.amLogging = false, false
-	l.sendCtl(0, tagCannotCheckpoint, uint64(epoch))
-}
-
-// maybeInitiate starts a new global checkpoint when the configured trigger
-// fires (or when forced). Only one global checkpoint may be in progress at
-// a time, and none starts that could not complete: every rank, the
-// initiator included, must still reach a PotentialCheckpoint to take part.
+// maybeInitiate lets the initiator start a global checkpoint when forced,
+// when the Interval has elapsed on the layer's clock, or when the machine's
+// EveryN trigger is due.
 func (l *Layer) maybeInitiate(force bool) {
-	if l.init == nil || l.init.inProgress || l.init.closed {
+	if !l.m.canInitiate() {
 		return
 	}
-	fire := force
-	if !fire && l.cfg.EveryN > 0 && l.init.sincePrev >= int64(l.cfg.EveryN) {
-		fire = true
-	}
-	if !fire && l.cfg.Interval > 0 && l.clk.Since(l.init.lastStart) >= l.cfg.Interval {
-		fire = true
-	}
-	if !fire {
-		return
-	}
-	l.init.inProgress = true
-	l.init.target = l.epoch + 1
-	l.init.ready = 0
-	l.init.stopped = 0
-	l.init.lastStart = l.clk.Now()
-	l.init.sincePrev = 0
-	for q := 0; q < l.size; q++ {
-		l.sendCtl(q, tagPleaseCheckpoint, uint64(l.init.target))
+	due := force || l.cfg.Interval > 0 && l.clk.Since(l.lastStart) >= l.cfg.Interval
+	if l.m.initiate(due) {
+		l.lastStart = l.clk.Now()
+		l.act()
 	}
 }
 
 // CheckpointInProgress reports whether the initiator is mid-protocol.
-func (l *Layer) CheckpointInProgress() bool {
-	return l.init != nil && l.init.inProgress
-}
+func (l *Layer) CheckpointInProgress() bool { return l.m.init.inProgress }
 
-func (l *Layer) sendCtl(dst, tag int, words ...uint64) {
+func (l *Layer) sendCtl(dst, tag int, words []uint64) {
 	var arr [16]byte // a control message is one or two words, and Send copies what it is given
 	buf := arr[:8*len(words)]
 	for i, w := range words {
@@ -540,50 +404,38 @@ func ctlU64(b []byte, i int) uint64 {
 	return binary.LittleEndian.Uint64(b[8*i:])
 }
 
-// receivedAll implements receivedAll?() of Figure 4: once this process has
-// received every late message from the previous epoch, it tells the
-// initiator it is ready to stop logging.
-func (l *Layer) receivedAll() {
-	for p := 0; p < l.size; p++ {
-		if l.previousReceiveCount[p] != l.totalSent[p] {
-			if l.cfg.Debug && l.totalSent[p] >= 0 && l.previousReceiveCount[p] > l.totalSent[p] {
-				panic(fmt.Sprintf("protocol: rank %d received %d late/intra messages from %d but only %d were sent",
-					l.rank, l.previousReceiveCount[p], p, l.totalSent[p]))
-			}
-			if l.finished && l.totalSent[p] >= 0 {
-				// p's count is known and this rank's program, which has
-				// returned, will receive nothing more: the counts can never
-				// meet.
-				l.declineCheckpoint(l.epoch)
-			}
-			return
-		}
-	}
-	l.sendCtl(0, tagReadyToStop, uint64(l.epoch))
-	l.readySent = true
-	for p := range l.totalSent {
-		l.totalSent[p] = -1
-	}
-}
-
-// finalizeLog implements finalizeLog() of Figure 4: write the log to stable
-// storage and stop logging. The stoppedLogging report to the initiator is
-// sent through maybeReportStopped, which additionally waits for this
-// epoch's state flush — the commit record must never be written while any
-// rank's checkpoint is still in flight.
-func (l *Layer) finalizeLog() {
+// writeLog writes the log of the logging phase the machine has just
+// ended to stable storage. The epoch's retained copy keeps it too.
+func (l *Layer) writeLog() {
 	blob := l.log.Marshal()
-	if err := l.cfg.Store.PutLog(l.epoch, l.rank, blob); err != nil {
-		panic(fmt.Errorf("protocol: persist log (epoch %d, rank %d): %w: %w", l.epoch, l.rank, cerr.ErrStore, err))
+	if err := l.cfg.Store.PutLog(l.m.epoch, l.rank, blob); err != nil {
+		panic(fmt.Errorf("protocol: persist log (epoch %d, rank %d): %w: %w", l.m.epoch, l.rank, cerr.ErrStore, err))
 	}
 	if l.ring[0] != nil {
 		l.ring[0].Log = blob
 	}
 	l.Stats.LogBytes += int64(len(blob))
-	l.amLogging = false
 	l.trace(TraceLogFinalized, -1, 0, 0, len(blob))
-	l.logDone = true
-	l.maybeReportStopped()
+}
+
+// commit records global checkpoint epoch as the one to use for recovery.
+func (l *Layer) commit(epoch int) {
+	if err := l.cfg.Store.Commit(epoch); err != nil {
+		// An error value, not a string: the engine's classifier keeps the
+		// store category.
+		panic(fmt.Errorf("protocol: commit checkpoint %d: %w: %w", epoch, cerr.ErrStore, err))
+	}
+	l.trace(TraceCommit, -1, 0, 0, epoch)
+	// Epochs older than the newly committed one are unreachable (recovery
+	// always starts from the newest commit): delete their blobs and sweep
+	// orphaned chunks. Safe against concurrent writers because the next
+	// pleaseCheckpoint is only broadcast after this returns. GC is
+	// best-effort — the commit record is already durable, so a prune
+	// failure must not kill a job whose checkpoints are all intact; the
+	// next commit's sweep retries anything still unreferenced.
+	if err := l.cfg.Store.Prune(epoch); err != nil {
+		fmt.Fprintf(os.Stderr, "protocol: prune epochs below %d (non-fatal): %v\n", epoch, err)
+	}
 }
 
 // PotentialCheckpoint is the application's checkpoint opportunity. A local
@@ -592,107 +444,68 @@ func (l *Layer) finalizeLog() {
 // suppressed re-sends have been re-executed, so that the counts and logs of
 // the new checkpoint are complete.
 func (l *Layer) PotentialCheckpoint() {
-	if l.init != nil {
-		l.init.sincePrev++
-	}
+	l.m.potential()
 	l.enterOp()
 	if l.cfg.Mode != NoAppState && l.cfg.Mode != Full {
 		return
 	}
-	if !l.checkpointRequested {
-		return
-	}
-	if l.replay != nil && (!l.replay.Exhausted() || l.suppressPending > 0) {
+	if !l.m.checkpointRequested || l.m.suppressPending > 0 || l.replay != nil && !l.replay.Exhausted() {
 		return
 	}
 	l.takeCheckpoint()
 }
 
-// takeCheckpoint performs potentialCheckpoint()'s state transition from
-// Figure 4 plus the state saving of Section 5. The state save is split
-// into snapshot-now (captureState: protocol counters + a frozen copy of
-// the application state, the only part the rank blocks for) and
-// flush (writeState: serialize + chunked durable write), which
-// startFlush runs as a task beside the rank, or inline under Policy.Sync.
+// takeCheckpoint performs potentialCheckpoint() from Figure 4 plus the
+// state saving of Section 5. The state save is split into snapshot-now
+// (captureState: protocol counters + a frozen copy of the application
+// state, the only part the rank blocks for) and flush (writeState:
+// serialize + chunked durable write), which startFlush runs as a task
+// beside the rank, or inline under Policy.Sync. The capture records the
+// epoch that ends, so it precedes the machine's transition; the control
+// messages the transition queues go out once the flush has started.
 func (l *Layer) takeCheckpoint() {
 	start := l.clk.Now()
-	l.epoch++
+	epoch := l.m.epoch + 1
 	if l.cfg.Mode == Full {
-		l.retainEpoch() // ahead of the freeze, which reuses the slabs this releases
+		l.retainEpoch(epoch) // ahead of the freeze, which reuses the slabs this releases
 	}
 
 	// Save node state: application state (Section 5.1) + MPI library state
 	// (Section 5.2) + the early-message IDs and epoch (Figure 4).
-	p, err := l.captureState()
+	p, err := l.captureState(epoch)
 	if err != nil {
 		// Panic with the error value so the engine's classifier keeps the
 		// category (a freeze cross-check failure carries ErrProgram).
 		panic(fmt.Errorf("protocol: snapshot state: %w", err))
 	}
-	l.logDone = false
-	l.stopSent = false
+	l.m.checkpoint()
 	l.startFlush(p)
 	l.Stats.CheckpointsTaken++
 	l.Stats.CheckpointBlockedNs += l.clk.Since(start).Nanoseconds()
 	l.emitStats()
 
-	// Tell every receiver how many messages we sent it in the epoch that
-	// just ended.
-	for q := 0; q < l.size; q++ {
-		l.sendCtl(q, tagMySendCount, uint64(l.epoch), uint64(l.sendCount[q]))
-	}
-	for p := 0; p < l.size; p++ {
-		l.previousReceiveCount[p] = l.currentReceiveCount[p]
-		// Early messages we received in the old epoch were sent in the new
-		// one, so they seed the new epoch's receive counts.
-		l.currentReceiveCount[p] = int64(len(l.earlyIDs[p]))
-		l.earlyIDs[p] = nil
-		l.sendCount[p] = 0
-	}
-	l.checkpointRequested = false
-	l.amLogging = true
-	l.readySent = false
-	l.nextMessageID = 0
-	l.recvSeq = 0
-	l.collSeq = 0
-	l.eventSeq = 0
+	l.recvSeq, l.collSeq, l.eventSeq = 0, 0, 0
 	l.log = NewLog()
 	l.replay = nil
-	l.suppress = map[uint32]bool{}
-	l.suppressPending = 0
-	l.receivedAll()
+	l.act()
 }
 
 // Finish marks the application as complete on this rank; afterwards the
 // layer only services control traffic via ServiceControlUntil.
 //
 // End-of-program rule: a global checkpoint in flight when the program
-// returns is carried to its commit, not abandoned. The initiator does not
-// come back from Finish — and so does not announce its completion — while
-// the checkpoint is in progress; the other ranks, held in
-// ServiceControlUntil by that missing announcement, flush, report and let it
-// commit. A run therefore commits every checkpoint all of its ranks took
-// part in, whatever the flushes' speed, and ends later only by the commit
-// round trip (Shutdown waits for the rank's own state write in any case).
-//
-// The checkpoint that is given up is the one some rank cannot do its part
-// of because its program has returned: it was asked for a local checkpoint
-// and no PotentialCheckpoint is left to take it at, or it took one and is
-// short of a late message it will now never receive. That rank declines
-// (declineCheckpoint — here, or when the request or the sender's count
-// reaches it later) and the initiator gives the checkpoint up, so the wait
-// below always ends: every rank either does its part or says it cannot. A
-// trigger that fires in the program's last iterations buys nothing.
+// returns is carried to its commit. The initiator does not come back from
+// Finish while it is in progress, so the other ranks, held in
+// ServiceControlUntil until it does, flush, report and let it commit. The
+// checkpoint given up is one a rank whose program has returned cannot do
+// its part of — no PotentialCheckpoint left to take it at, or a late
+// message it will never receive — and that rank declines it (here, or when
+// the request or the count reaches it later), so the wait always ends.
 func (l *Layer) Finish() {
-	l.finished = true
-	if l.checkpointRequested {
-		l.declineCheckpoint(l.requestedEpoch)
-	} else if l.amLogging {
-		l.receivedAll() // declines if a known count can no longer be met
-	}
-	if l.init != nil {
-		l.init.closed = true
-		l.ServiceControlUntil(func() bool { return !l.init.inProgress })
+	l.m.finish()
+	l.act()
+	if l.m.initiator {
+		l.ServiceControlUntil(func() bool { return !l.m.init.inProgress })
 	}
 	l.emitStats()
 }
@@ -720,8 +533,8 @@ func (l *Layer) ServiceControlUntil(stop func() bool) {
 		if stop() {
 			return
 		}
-		if idx, m := l.comm.SelectWait(controlSpecs, stop); m != nil {
-			l.handleControl(idx, m)
+		if idx, msg := l.comm.SelectWait(controlSpecs, stop); msg != nil {
+			l.handleControl(idx, msg)
 		}
 	}
 }

@@ -143,95 +143,74 @@ func UnmarshalLog(raw []byte) (*Log, error) {
 	return l, nil
 }
 
-// Replay walks a recovered log. Each entry kind has an independent cursor
-// keyed by its per-epoch sequence number; recovery consults the cursor at
-// each operation and consumes the entry when the sequence numbers match.
+// Replay walks a recovered log. Each entry kind has its own cursor, keyed
+// by the kind's per-epoch sequence number: recovery consults it at each
+// operation, and the entry is consumed when the sequence numbers match.
 type Replay struct {
-	late, wildcard, collective, event []Entry
-	li, wi, ci, ei                    int
+	late, wildcard, collective, event cursor
+}
+
+// cursor is one kind's entries in log order and the next one due.
+type cursor struct {
+	entries []Entry
+	next    int
+}
+
+// at returns the entry due at seq, or nil; take consumes it as well.
+func (c *cursor) at(seq int64) *Entry {
+	if c.next < len(c.entries) && c.entries[c.next].Seq == seq {
+		return &c.entries[c.next]
+	}
+	return nil
+}
+
+func (c *cursor) take(seq int64) *Entry {
+	e := c.at(seq)
+	if e != nil {
+		c.next++
+	}
+	return e
 }
 
 // NewReplay indexes a recovered log for replay.
 func NewReplay(l *Log) *Replay {
 	r := &Replay{}
+	cursors := [...]*cursor{KindLate: &r.late, KindWildcard: &r.wildcard, KindCollective: &r.collective, KindEvent: &r.event}
 	for _, e := range l.entries {
-		switch e.Kind {
-		case KindLate:
-			r.late = append(r.late, e)
-		case KindWildcard:
-			r.wildcard = append(r.wildcard, e)
-		case KindCollective:
-			r.collective = append(r.collective, e)
-		case KindEvent:
-			r.event = append(r.event, e)
-		}
+		c := cursors[e.Kind]
+		c.entries = append(c.entries, e)
 	}
 	return r
 }
 
 // Late returns the logged late message for receive sequence seq, consuming
-// it, or nil when the receive at seq was not a late message.
-func (r *Replay) Late(seq int64) *Entry {
-	if r.li < len(r.late) && r.late[r.li].Seq == seq {
-		e := &r.late[r.li]
-		r.li++
-		return e
-	}
-	return nil
-}
+// it, or nil when the receive at seq was not a late message. PeekLate does
+// not consume it (probe support).
+func (r *Replay) Late(seq int64) *Entry     { return r.late.take(seq) }
+func (r *Replay) PeekLate(seq int64) *Entry { return r.late.at(seq) }
 
 // PeekWildcard returns the logged (source, tag) resolution for receive
-// sequence seq without consuming it, or nil. The entry is consumed by
-// ConsumeWildcard once the receive actually completes.
-func (r *Replay) PeekWildcard(seq int64) *Entry {
-	if r.wi < len(r.wildcard) && r.wildcard[r.wi].Seq == seq {
-		return &r.wildcard[r.wi]
-	}
-	return nil
-}
-
-// ConsumeWildcard consumes the wildcard entry for seq if present.
-func (r *Replay) ConsumeWildcard(seq int64) {
-	if r.wi < len(r.wildcard) && r.wildcard[r.wi].Seq == seq {
-		r.wi++
-	}
-}
+// sequence seq without consuming it, or nil; ConsumeWildcard consumes it
+// once the receive actually completes.
+func (r *Replay) PeekWildcard(seq int64) *Entry { return r.wildcard.at(seq) }
+func (r *Replay) ConsumeWildcard(seq int64)     { r.wildcard.take(seq) }
 
 // Collective returns the logged result for collective-call sequence seq,
 // consuming it, or nil when that call must be re-executed live.
-func (r *Replay) Collective(seq int64) *Entry {
-	if r.ci < len(r.collective) && r.collective[r.ci].Seq == seq {
-		e := &r.collective[r.ci]
-		r.ci++
-		return e
-	}
-	return nil
-}
+func (r *Replay) Collective(seq int64) *Entry { return r.collective.take(seq) }
 
 // Event returns the logged non-deterministic value for event sequence seq,
 // consuming it, or nil.
-func (r *Replay) Event(seq int64) *Entry {
-	if r.ei < len(r.event) && r.event[r.ei].Seq == seq {
-		e := &r.event[r.ei]
-		r.ei++
-		return e
-	}
-	return nil
-}
+func (r *Replay) Event(seq int64) *Entry { return r.event.take(seq) }
 
 // Exhausted reports whether every entry has been consumed. A process may
 // not take a new checkpoint while its previous log is still being replayed
 // (the deferral rule; see Layer.PotentialCheckpoint).
 func (r *Replay) Exhausted() bool {
-	return r.li == len(r.late) && r.wi == len(r.wildcard) &&
-		r.ci == len(r.collective) && r.ei == len(r.event)
-}
-
-// PeekLate returns the logged late message for receive sequence seq
-// without consuming it, or nil (probe support).
-func (r *Replay) PeekLate(seq int64) *Entry {
-	if r.li < len(r.late) && r.late[r.li].Seq == seq {
-		return &r.late[r.li]
+	for _, c := range [...]*cursor{&r.late, &r.wildcard, &r.collective, &r.event} {
+		if c.next < len(c.entries) {
+			return false
+		}
 	}
-	return nil
+	return true
 }

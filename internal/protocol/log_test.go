@@ -184,7 +184,7 @@ func TestReplayCursors(t *testing.T) {
 	if e := r.Late(4); e == nil || string(e.Data) != "b" {
 		t.Fatalf("late at 4: %+v", e)
 	}
-	if n := len(r.late) - r.li; n != 0 {
+	if n := len(r.late.entries) - r.late.next; n != 0 {
 		t.Fatalf("pending late = %d", n)
 	}
 	if e := r.Collective(0); e != nil {

@@ -24,7 +24,7 @@ func (l *Layer) serviceControl() { l.enterOp() }
 // requestCheckpoint forces the initiator to start a global checkpoint now
 // (rank 0 only), wherever a hand-driven layer needs one.
 func (l *Layer) requestCheckpoint() {
-	if l.init == nil {
+	if !l.m.initiator {
 		panic("protocol: requestCheckpoint on non-initiator rank")
 	}
 	l.maybeInitiate(true)

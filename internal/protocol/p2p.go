@@ -38,25 +38,16 @@ func (l *Layer) sendApp(dst, tag int, data []byte, owned bool) {
 	if tag < 0 {
 		panic(fmt.Sprintf("protocol: application tags must be non-negative, got %d", tag))
 	}
-	id := l.nextMessageID
-	l.nextMessageID++
-	l.sendCount[dst]++
+	pb, suppressed := l.m.appSend(dst)
 	l.Stats.MessagesSent++
 	l.Stats.BytesSent += int64(len(data))
-	if l.suppress[id] {
-		// This exact message was received by its destination before the
-		// destination's checkpoint; re-sending it would duplicate it
-		// (Section 3.2). The ID still consumes sequence and count space so
-		// the books match the original execution.
-		delete(l.suppress, id)
-		l.suppressPending--
+	if suppressed {
 		l.Stats.SuppressedSends++
-		l.trace(TraceSendSuppressed, dst, tag, id, len(data))
+		l.trace(TraceSendSuppressed, dst, tag, pb.MessageID, len(data))
 		return
 	}
-	pb := Piggyback{Color: l.color(), Logging: l.amLogging, MessageID: id}
 	l.Stats.PiggybackBytes += pbBytes
-	l.trace(TraceSend, dst, tag, id, len(data))
+	l.trace(TraceSend, dst, tag, pb.MessageID, len(data))
 	// The packed piggyback travels in the wire message's header segment:
 	// attaching it costs no allocation or copy of the payload.
 	if owned {
@@ -122,35 +113,44 @@ func (l *Layer) receive(src, tag int) delivery {
 // consults the recovery replay first, then performs a live receive while
 // servicing control traffic.
 func (l *Layer) recvApp(src, tag int) delivery {
-	if l.replay != nil {
-		seq := l.recvSeq
-		if e := l.replay.Late(seq); e != nil {
-			// The receive at this sequence number originally matched a
-			// message sent before the sender's checkpoint; the sender will
-			// not re-send it, so it is re-delivered from the log.
-			if src != mpi.AnySource && src != e.Src || tag != mpi.AnyTag && tag != e.Tag {
-				panic(fmt.Sprintf("protocol: rank %d replay divergence at recv %d: logged (src=%d,tag=%d), requested (src=%d,tag=%d)",
-					l.rank, seq, e.Src, e.Tag, src, tag))
-			}
-			l.recvSeq++
-			l.Stats.ReplayedLate++
-			l.trace(TraceReplayLate, e.Src, e.Tag, 0, len(e.Data))
-			return delivery{src: e.Src, tag: e.Tag, data: e.Data}
-		}
-		if e := l.replay.PeekWildcard(seq); e != nil {
-			// The original execution resolved this wildcard receive to a
-			// specific sender; recovery must make the same choice. The
-			// entry is consumed by deliver once the message arrives.
-			src, tag = e.Src, e.Tag
-		}
+	d, ok := l.replayHead(src, tag)
+	if ok {
+		return d
 	}
 	for {
-		idx, m := l.comm.Select(l.appSelectSpecs(src, tag))
+		idx, m := l.comm.Select(l.appSelectSpecs(d.src, d.tag))
 		if idx == 0 {
 			return l.deliver(m, src == mpi.AnySource || tag == mpi.AnyTag)
 		}
 		l.handleControl(idx-1, m)
 	}
+}
+
+// replayHead is the recovery replay's part of every receive of (src, tag).
+// ok reports one the log completes: a late message, which its sender will
+// not re-send. Otherwise d holds the (src, tag) to match live, narrowed to
+// the sender a logged wildcard receive resolved to (deliver consumes that
+// entry once the message arrives).
+func (l *Layer) replayHead(src, tag int) (d delivery, ok bool) {
+	d.src, d.tag = src, tag
+	if l.replay == nil {
+		return d, false
+	}
+	seq := l.recvSeq
+	if e := l.replay.Late(seq); e != nil {
+		if src != mpi.AnySource && src != e.Src || tag != mpi.AnyTag && tag != e.Tag {
+			panic(fmt.Sprintf("protocol: rank %d replay divergence at recv %d: logged (src=%d,tag=%d), requested (src=%d,tag=%d)",
+				l.rank, seq, e.Src, e.Tag, src, tag))
+		}
+		l.recvSeq++
+		l.Stats.ReplayedLate++
+		l.trace(TraceReplayLate, e.Src, e.Tag, 0, len(e.Data))
+		return delivery{src: e.Src, tag: e.Tag, data: e.Data}, true
+	}
+	if e := l.replay.PeekWildcard(seq); e != nil {
+		d.src, d.tag = e.Src, e.Tag
+	}
+	return d, false
 }
 
 // appSelectSpecs builds {app spec, control specs...} in the layer's
@@ -172,39 +172,24 @@ func (l *Layer) deliver(m *mpi.Message, wasWildcard bool) delivery {
 	// Zero-copy detach: the piggyback rides in the header segment and the
 	// payload is handed to the application as-is.
 	pb, payload := UnpackPiggyback(m.Header), m.Data
-	switch Classify(pb, l.color(), l.amLogging) {
+	switch l.m.appReceive(m.Source, pb) {
 	case Early:
-		if l.cfg.Debug && l.amLogging {
-			panic(fmt.Sprintf("protocol: rank %d: early message while logging", l.rank))
-		}
-		l.earlyIDs[m.Source] = append(l.earlyIDs[m.Source], pb.MessageID)
 		l.Stats.EarlyRecorded++
 		l.trace(TraceRecvEarly, m.Source, m.Tag, pb.MessageID, len(payload))
 	case Intra:
-		if l.amLogging && !pb.Logging {
-			// The sender has stopped logging, so every process has taken
-			// its checkpoint and events we log from here on could depend
-			// on unlogged non-determinism: stop logging before the
-			// application sees this message (Section 4.1, Phase 4).
-			l.finalizeLog()
-		}
-		l.currentReceiveCount[m.Source]++
+		l.act() // a log the message ended is written before the application sees it
 		l.trace(TraceRecvIntra, m.Source, m.Tag, pb.MessageID, len(payload))
-		if l.amLogging && wasWildcard {
+		if l.m.amLogging && wasWildcard {
 			l.log.Add(Entry{Kind: KindWildcard, Seq: l.recvSeq, Src: m.Source, Tag: m.Tag})
 		}
 	case Late:
-		if l.cfg.Debug && !l.amLogging {
-			panic(fmt.Sprintf("protocol: rank %d: late message while not logging", l.rank))
-		}
 		cp := make([]byte, len(payload))
 		copy(cp, payload)
 		l.log.Add(Entry{Kind: KindLate, Seq: l.recvSeq, Src: m.Source, Tag: m.Tag, Data: cp})
 		l.Stats.LateLogged++
 		l.trace(TraceRecvLate, m.Source, m.Tag, pb.MessageID, len(payload))
-		l.previousReceiveCount[m.Source]++
-		l.receivedAll()
 	}
+	l.act()
 	l.recvSeq++
 	return delivery{src: m.Source, tag: m.Tag, data: payload, m: m}
 }
@@ -296,35 +281,17 @@ func (l *Layer) Test(h Handle) (*AppMessage, bool) {
 		l.handles.release(h)
 		return nil, true
 	}
-	src, tag := st.src, st.tag
-	if l.replay != nil {
-		// A logged late message for this receive completes it instantly.
-		if e := l.replay.Late(l.recvSeq); e != nil {
-			l.recvSeq++
-			l.Stats.ReplayedLate++
-			l.handles.release(h)
-			return &AppMessage{Source: e.Src, Tag: e.Tag, Data: e.Data}, true
+	d, ok := l.replayHead(st.src, st.tag)
+	if !ok {
+		l.selSpecs = append(l.selSpecs[:0], mpi.RecvSpec{Source: d.src, Tag: d.tag})
+		idx, m := l.comm.PollSelect(l.selSpecs)
+		if idx != 0 || m == nil {
+			return nil, false
 		}
-		if e := l.replay.PeekWildcard(l.recvSeq); e != nil {
-			src, tag = e.Src, e.Tag
-		}
+		d = l.deliver(m, st.src == mpi.AnySource || st.tag == mpi.AnyTag)
 	}
-	l.selSpecs = append(l.selSpecs[:0], mpi.RecvSpec{Source: src, Tag: tag})
-	if idx, m := l.comm.PollSelect(l.selSpecs); idx == 0 && m != nil {
-		d := l.deliver(m, st.src == mpi.AnySource || st.tag == mpi.AnyTag)
-		l.handles.release(h)
-		return d.app(), true
-	}
-	return nil, false
-}
-
-// Waitall completes every request in order.
-func (l *Layer) Waitall(hs []Handle) []*AppMessage {
-	out := make([]*AppMessage, len(hs))
-	for i, h := range hs {
-		out[i] = l.Wait(h)
-	}
-	return out
+	l.handles.release(h)
+	return d.app(), true
 }
 
 // Iprobe reports whether a message matching (src, tag) is available

@@ -1,18 +1,15 @@
 // Package protocol implements the paper's primary contribution: a
 // non-blocking, coordinated checkpointing protocol that works with
-// application-level state saving (Section 4). The protocol layer sits
-// between the application and the MPI library, piggybacks control
-// information on application messages, classifies messages as late,
-// intra-epoch or early, logs late messages and non-deterministic events
-// while a global checkpoint is in progress, suppresses early-message
-// resends during recovery, and reconstructs MPI library state from
-// pseudo-handles and persistent-object call replay (Section 5.2).
+// application-level state saving (Section 4). Figure 4 is one pure state
+// machine (machine.go): the epoch, logging, the counts and the initiator's
+// four control phases, stepped by events without a world. Layer is its I/O
+// shell between the application and the MPI library: it piggybacks the
+// machine's word on messages, logs late messages and non-deterministic
+// events, suppresses early-message resends during recovery, and rebuilds
+// MPI library state from pseudo-handles and call replay (Section 5.2).
 package protocol
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Piggyback is the control information carried on every application
 // message (Section 4.2). The protocol only needs the *color* of the
@@ -32,9 +29,7 @@ type Piggyback struct {
 // encoding packs everything into a single 32-bit integer (two flag bits +
 // 30-bit message ID). On the live path the packed word travels in the
 // wire message's out-of-band header segment (mpi.Message.Header), so
-// attaching it never re-allocates or copies the payload; attach/detach
-// below are the byte-prefixed form of the same encoding, kept for
-// single-buffer serialization.
+// attaching it never re-allocates or copies the payload.
 const pbBytes = 4
 
 const (
@@ -64,22 +59,6 @@ func UnpackPiggyback(v uint32) Piggyback {
 	}
 }
 
-// attach prepends the packed piggyback to an application payload.
-func attach(p Piggyback, data []byte) []byte {
-	out := make([]byte, pbBytes+len(data))
-	binary.LittleEndian.PutUint32(out, p.Pack())
-	copy(out[pbBytes:], data)
-	return out
-}
-
-// detach splits a wire message into its piggyback and application payload.
-func detach(wire []byte) (Piggyback, []byte) {
-	if len(wire) < pbBytes {
-		panic(fmt.Sprintf("protocol: short message (%d bytes): missing piggyback", len(wire)))
-	}
-	return UnpackPiggyback(binary.LittleEndian.Uint32(wire)), wire[pbBytes:]
-}
-
 // Class is the message classification of Definition 1.
 type Class int
 
@@ -99,13 +78,8 @@ const (
 )
 
 func (c Class) String() string {
-	switch c {
-	case Intra:
-		return "intra-epoch"
-	case Late:
-		return "late"
-	case Early:
-		return "early"
+	if names := [...]string{Intra: "intra-epoch", Late: "late", Early: "early"}; c >= 0 && int(c) < len(names) {
+		return names[c]
 	}
 	return fmt.Sprintf("Class(%d)", int(c))
 }

@@ -27,27 +27,6 @@ func TestPiggybackSingleInteger(t *testing.T) {
 	}
 }
 
-func TestAttachDetach(t *testing.T) {
-	p := Piggyback{Color: true, MessageID: 42}
-	wire := attach(p, []byte("payload"))
-	if len(wire) != 7+pbBytes {
-		t.Fatalf("wire length %d", len(wire))
-	}
-	gotPB, gotData := detach(wire)
-	if gotPB != p || string(gotData) != "payload" {
-		t.Fatalf("detach = %+v %q", gotPB, gotData)
-	}
-}
-
-func TestDetachShortMessagePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	detach([]byte{1, 2})
-}
-
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		name            string

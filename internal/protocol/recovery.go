@@ -11,26 +11,19 @@ import (
 	"ccift/internal/storage"
 )
 
-// Recovery gather: what a restart needs to know before any rank re-executes.
-//
-// Section 4.2 is "roll back, hand senders their suppression lists,
-// re-execute": on rollback every SENDER must learn which of its messages
-// the receivers already hold, so the union of all receivers' early-ID
-// sets, re-indexed by sender, is the world's suppression table. Nothing in
-// that asks the coordinator to read application state, and it does not.
-// Every local checkpoint ends with a recovery-metadata sidecar
-// (storage.MetaKey) of about a hundred bytes; one gather (GatherRecovery),
-// run once per rollback by engine.Supervisor on every substrate, reads
-// exactly `ranks` of them and ships each rank only its slice
+// Recovery gather: what a restart needs to know before any rank
+// re-executes. On rollback every sender must learn which of its messages
+// the receivers already hold (Section 4.2), so the union of all receivers'
+// early-ID sets, re-indexed by sender, is the world's suppression table —
+// nothing there needs application state. Every local checkpoint ends with a
+// recovery-metadata sidecar (storage.MetaKey) of about a hundred bytes; the
+// one gather (GatherRecovery), run once per rollback by engine.Supervisor,
+// reads exactly `ranks` of them and ships each rank its slice
 // (RankRecovery). The primary's state object is opened only when its
-// sidecar counts replicated values (Section 7): the values stay in the
-// state stream, where they dedup across epochs, rather than being stored
-// a second time in the sidecar.
-//
-// The sidecar is required. The supervisor clears the commit record before
-// incarnation 0, so a job only ever restores epochs it wrote itself; a
-// committed epoch without a readable sidecar is a corrupt store
-// (cerr.ErrStore), never a cue to read every rank's state instead.
+// sidecar counts replicated values (Section 7), which stay in the state
+// stream where they dedup across epochs. The sidecar is required: the
+// supervisor clears the commit record before incarnation 0, so a committed
+// epoch without one is a corrupt store (cerr.ErrStore).
 
 // recoveryMeta is the sidecar's content. Epoch is recorded so a reader can
 // detect a sidecar that somehow outlived its epoch directory.
@@ -207,8 +200,8 @@ type RetainedState struct {
 	Log    []byte
 }
 
-// retainEpoch opens the ring entry of the local checkpoint being taken and
-// releases the one that falls off: ring[0] is the epoch the rank is in,
+// retainEpoch opens the ring entry of the local checkpoint of epoch, being
+// taken, and releases the one that falls off: ring[0] is the epoch the rank is in,
 // ring[1] the one before. Two, not one: at rollback time the committed
 // epoch may trail the newest locally written one (a death mid-checkpoint),
 // and retaining only the newest would miss exactly the epoch recovery
@@ -216,11 +209,11 @@ type RetainedState struct {
 // for this one, so nothing older can be rolled back to — and releasing it
 // here, ahead of the freeze, is what lets a program that dirties every page
 // freeze into those very slabs.
-func (l *Layer) retainEpoch() {
+func (l *Layer) retainEpoch(epoch int) {
 	if old := l.ring[1]; old != nil {
 		old.Frozen.Release()
 	}
-	l.ring[1], l.ring[0] = l.ring[0], &RetainedState{Epoch: l.epoch}
+	l.ring[1], l.ring[0] = l.ring[0], &RetainedState{Epoch: epoch}
 }
 
 // Retained hands the driver the rank's in-memory checkpoints, newest first,

@@ -80,8 +80,8 @@ func TestFigure3(t *testing.T) {
 	if string(em.Data) != "early-payload" {
 		t.Fatalf("early payload %q", em.Data)
 	}
-	if len(R.earlyIDs[1]) != 1 {
-		t.Fatalf("R earlyIDs[Q] = %v", R.earlyIDs[1])
+	if len(R.m.earlyIDs[1]) != 1 {
+		t.Fatalf("R earlyIDs[Q] = %v", R.m.earlyIDs[1])
 	}
 	if R.Stats.EarlyRecorded != 1 {
 		t.Fatalf("EarlyRecorded = %d", R.Stats.EarlyRecorded)
@@ -93,8 +93,8 @@ func TestFigure3(t *testing.T) {
 	if string(im.Data) != "intra" {
 		t.Fatalf("intra payload %q", im.Data)
 	}
-	if R.currentReceiveCount[0] != 1 {
-		t.Fatalf("R currentReceiveCount[P] = %d", R.currentReceiveCount[0])
+	if R.m.currentReceiveCount[0] != 1 {
+		t.Fatalf("R currentReceiveCount[P] = %d", R.m.currentReceiveCount[0])
 	}
 
 	// R and P take their checkpoints; the protocol completes and commits.
@@ -104,8 +104,8 @@ func TestFigure3(t *testing.T) {
 		t.Fatalf("epochs: P=%d R=%d", P.Epoch(), R.Epoch())
 	}
 	// R's early message seeds its new-epoch receive count from Q.
-	if R.currentReceiveCount[1] != 1 {
-		t.Fatalf("R currentReceiveCount[Q] after ckpt = %d", R.currentReceiveCount[1])
+	if R.m.currentReceiveCount[1] != 1 {
+		t.Fatalf("R currentReceiveCount[Q] after ckpt = %d", R.m.currentReceiveCount[1])
 	}
 
 	pump(t, ls, cs, 1)
@@ -185,7 +185,7 @@ func TestFigure3Recovery(t *testing.T) {
 		t.Fatalf("suppress sets = %v", suppress)
 	}
 	for r := 0; r < 3; r++ {
-		if err := ls2[r].Restore(1, suppress[r]); err != nil {
+		if err := ls2[r].RestoreFrom(&RankRecovery{Epoch: 1, Suppress: suppress[r]}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,7 +218,7 @@ func TestFigure3Recovery(t *testing.T) {
 	if string(fm.Data) != "fresh" {
 		t.Fatalf("fresh payload %q", fm.Data)
 	}
-	if !Q2.replay.Exhausted() || Q2.suppressPending != 0 {
+	if !Q2.replay.Exhausted() || Q2.m.suppressPending != 0 {
 		t.Fatal("Q's replay should be complete")
 	}
 }
@@ -306,7 +306,7 @@ func TestFigure5CallA(t *testing.T) {
 	ls2 := make([]*Layer, 3)
 	for r := 0; r < 3; r++ {
 		ls2[r] = NewLayer(w2.Comm(r), Config{Mode: Full, Store: cs, Debug: true})
-		if err := ls2[r].Restore(1, nil); err != nil {
+		if err := ls2[r].RestoreFrom(&RankRecovery{Epoch: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -346,7 +346,8 @@ func TestFigure5CallB(t *testing.T) {
 	// Simulate stopLogging having reached R but still being in flight to P
 	// and Q (on a real network control messages race data messages; the
 	// eager test transport needs the state forced).
-	R.finalizeLog()
+	R.m.finalizeLog()
+	R.act()
 	if R.Logging() {
 		t.Fatal("R should have stopped logging")
 	}
@@ -455,7 +456,7 @@ func TestLoggedBarrierSkippedOnRecovery(t *testing.T) {
 	var l2 [3]*Layer
 	for i := range l2 {
 		l2[i] = NewLayer(w2.Comm(i), Config{Mode: Full, Store: cs, Debug: true})
-		if err := l2[i].Restore(1, nil); err != nil {
+		if err := l2[i].RestoreFrom(&RankRecovery{Epoch: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -488,7 +489,8 @@ func TestStopLoggingInfection(t *testing.T) {
 	}
 
 	// Q stops logging (simulating a stopLogging that has not reached P).
-	Q.finalizeLog()
+	Q.m.finalizeLog()
+	Q.act()
 	// Q sends an intra-epoch message; its piggyback carries logging=false.
 	Q.Send(0, 3, []byte("from-stopped"))
 
@@ -523,10 +525,10 @@ func TestDeferralRule(t *testing.T) {
 	w2 := mpi.NewWorld(2, mpi.Options{})
 	P2 := NewLayer(w2.Comm(0), Config{Mode: Full, Store: cs, Debug: true})
 	Q2 := NewLayer(w2.Comm(1), Config{Mode: Full, Store: cs, Debug: true})
-	if err := P2.Restore(1, nil); err != nil {
+	if err := P2.RestoreFrom(&RankRecovery{Epoch: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := Q2.Restore(1, nil); err != nil {
+	if err := Q2.RestoreFrom(&RankRecovery{Epoch: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -12,18 +12,13 @@ import (
 	"ccift/internal/storage"
 )
 
-// The serialized local checkpoint: the protocol section of Figure 4's
-// potentialCheckpoint (epoch, early-message IDs), the MPI library state of
-// Section 5.2 (outstanding request records, persistent-object call log),
-// and the application state of Section 5.1 (PS + VDS + heap, produced by
-// ckpt.Saver).
-//
-// The write path is split in two, which is what makes the asynchronous
-// pipeline possible: captureState copies everything the checkpoint needs
-// while the rank is stopped (protocol counters plus a ckpt.Frozen view of
-// the application state — O(live-state-copy)); writeState serializes the
-// capture and streams it through the store's chunked writer, as the body
-// of the checkpoint's flush task (see flush.go).
+// The serialized local checkpoint: the protocol section of Figure 4 (epoch,
+// early-message IDs), the MPI library state of Section 5.2 (request
+// records, persistent-object call log) and the application state of
+// Section 5.1 (ckpt.Saver). captureState copies what the checkpoint needs
+// while the rank is stopped — the counters and a ckpt.Frozen view of the
+// application state — and writeState serializes the capture and streams it
+// through the store's chunked writer, as the flush task's body (flush.go).
 
 type reqRecord struct {
 	Handle Handle
@@ -66,17 +61,17 @@ func VerifyEveryFreeze() { verifyFreezes.Store(true) }
 // gob protocol header, then the raw application-state stream.
 var stateMagicV2 = []byte("C3SB0002")
 
-// captureState is the blocking half of a local checkpoint: it copies the
-// protocol section and freezes the application state. No serialization or
-// storage I/O happens here.
-func (l *Layer) captureState() (*pendingCheckpoint, error) {
-	p := &pendingCheckpoint{epoch: l.epoch}
+// captureState is the blocking half of the local checkpoint of epoch: it
+// copies the protocol section and freezes the application state. No
+// serialization or storage I/O happens here.
+func (l *Layer) captureState(epoch int) (*pendingCheckpoint, error) {
+	p := &pendingCheckpoint{epoch: epoch}
 	p.hdr = checkpointState{
-		Epoch: l.epoch,
+		Epoch: epoch,
 		// The outer slices are re-pointed (earlyIDs) or appended to
 		// (persist) after the capture, so they are copied; the inner data
 		// is never mutated once recorded.
-		EarlyIDs: append([][]uint32(nil), l.earlyIDs...),
+		EarlyIDs: append([][]uint32(nil), l.m.earlyIDs...),
 		Persist:  append([]PersistRecord(nil), l.persist...),
 		NextReq:  l.handles.nextReq,
 	}
@@ -175,12 +170,6 @@ func unmarshalState(raw []byte) (*checkpointState, error) {
 	return &st, nil
 }
 
-// Restore rebuilds the layer from the committed global checkpoint at the
-// given epoch, always reading the store. See RestoreFrom.
-func (l *Layer) Restore(epoch int, suppress []uint32) error {
-	return l.RestoreFrom(&RankRecovery{Epoch: epoch, Suppress: suppress}, nil)
-}
-
 // RestoreFrom rebuilds the layer from the committed global checkpoint at
 // rec.Epoch and, in Full mode, arms the Saver with its application state, so
 // the registrations of the re-executing application restore their values.
@@ -250,30 +239,10 @@ func (l *Layer) RestoreFrom(rec *RankRecovery, retained []*RetainedState) error 
 		l.Saver.VDS.SetReplicas(rec.Replicas)
 	}
 
-	l.epoch = epoch
-	l.amLogging = false // the committed checkpoint's logging phase finished
-	l.nextMessageID = 0
-	l.checkpointRequested = false
-	l.requestedEpoch = 0
+	l.m.restore(epoch, st.EarlyIDs, rec.Suppress)
 	l.recvSeq, l.collSeq, l.eventSeq = 0, 0, 0
 	l.log = NewLog()
-	for p := 0; p < l.size; p++ {
-		// Early messages recorded at the checkpoint were sent in the
-		// restored epoch: they seed the receive counts exactly as the
-		// original post-checkpoint transition did.
-		l.currentReceiveCount[p] = int64(len(st.EarlyIDs[p]))
-		l.previousReceiveCount[p] = 0
-		l.sendCount[p] = 0
-		l.totalSent[p] = -1
-	}
-	l.earlyIDs = make([][]uint32, l.size)
-
 	l.replay = NewReplay(lg)
-	l.suppress = make(map[uint32]bool, len(rec.Suppress))
-	for _, id := range rec.Suppress {
-		l.suppress[id] = true
-	}
-	l.suppressPending = len(l.suppress)
 
 	// MPI library state: replay persistent-object calls, re-initialize
 	// request pseudo-handles.

@@ -38,27 +38,11 @@ const (
 )
 
 func (k TraceKind) String() string {
-	switch k {
-	case TraceSend:
-		return "send"
-	case TraceSendSuppressed:
-		return "send-suppressed"
-	case TraceRecvIntra:
-		return "recv-intra"
-	case TraceRecvLate:
-		return "recv-late"
-	case TraceRecvEarly:
-		return "recv-early"
-	case TraceReplayLate:
-		return "replay-late"
-	case TraceCheckpoint:
-		return "checkpoint"
-	case TraceLogFinalized:
-		return "log-finalized"
-	case TraceCommit:
-		return "commit"
-	case TraceCollective:
-		return "collective"
+	names := [...]string{TraceSend: "send", TraceSendSuppressed: "send-suppressed", TraceRecvIntra: "recv-intra",
+		TraceRecvLate: "recv-late", TraceRecvEarly: "recv-early", TraceReplayLate: "replay-late",
+		TraceCheckpoint: "checkpoint", TraceLogFinalized: "log-finalized", TraceCommit: "commit", TraceCollective: "collective"}
+	if int(k) < len(names) && names[k] != "" {
+		return names[k]
 	}
 	return "unknown"
 }
@@ -75,7 +59,7 @@ func (l *Layer) trace(kind TraceKind, peer, tag int, id uint32, bytes int) {
 		return
 	}
 	l.cfg.Tracer.Trace(TraceEvent{
-		Rank: l.rank, Epoch: l.epoch, Kind: kind,
+		Rank: l.rank, Epoch: l.m.epoch, Kind: kind,
 		Peer: peer, Tag: tag, ID: id, Bytes: bytes,
 	})
 }

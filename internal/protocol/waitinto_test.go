@@ -65,8 +65,8 @@ func TestWaitIntoOwnsNothingItReleased(t *testing.T) {
 		t.Fatalf("early: %q, %d recorded", got, R.Stats.EarlyRecorded)
 	}
 	P.Send(2, 9, []byte("intra"))
-	if got := waitInto(R, 0, 9, 5); string(got) != "intra" || R.currentReceiveCount[0] != 1 {
-		t.Fatalf("intra: %q, receive count %d", got, R.currentReceiveCount[0])
+	if got := waitInto(R, 0, 9, 5); string(got) != "intra" || R.m.currentReceiveCount[0] != 1 {
+		t.Fatalf("intra: %q, receive count %d", got, R.m.currentReceiveCount[0])
 	}
 	churn(P, R)
 	if e := Q.log.entries[0]; e.Kind != KindLate || string(e.Data) != "late-payload" {
@@ -102,7 +102,7 @@ func TestWaitIntoOwnsNothingItReleased(t *testing.T) {
 		}
 	}
 	for r, l := range ls2 {
-		if err := l.Restore(1, suppress[r]); err != nil {
+		if err := l.RestoreFrom(&RankRecovery{Epoch: 1, Suppress: suppress[r]}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

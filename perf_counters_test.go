@@ -267,7 +267,7 @@ func TestCollectiveCostsItsOwnRounds(t *testing.T) {
 		{"Reduce", func(r *engine.Rank) { r.ReduceInto(0, make([]byte, 32), mpi.F64Bytes(xs), mpi.SumF64) }},
 		{"Gather", func(r *engine.Rank) { r.GatherF64Into(0, make([]float64, len(xs)*r.Size()), xs) }},
 		{"Scatter", func(r *engine.Rank) { r.ScatterInto(0, make([]byte, 8), blocks(r)) }},
-		{"Scan", func(r *engine.Rank) { r.ScanF64(xs, mpi.SumF64) }},
+		{"Scan", func(r *engine.Rank) { r.ScanInto(make([]byte, 32), mpi.F64Bytes(xs), mpi.SumF64) }},
 	}
 	repeat := func(call func(r *engine.Rank)) engine.Program {
 		return func(r *engine.Rank) (any, error) {
