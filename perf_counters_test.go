@@ -719,3 +719,137 @@ func TestReductionOperatorsMatchPerElementReference(t *testing.T) {
 		}
 	}
 }
+
+// keyOps counts store operations by the class of key they touch: a
+// content-hashed chunk, a rank's state manifest, log or recovery record, and
+// the commit record.
+type keyOps struct{ Chunk, State, Log, Meta, Commit int64 }
+
+func (k *keyOps) add(key string) {
+	if strings.HasPrefix(key, chunkKeys) {
+		k.Chunk++
+		return
+	}
+	kind, _, ok := strings.Cut(key[strings.LastIndexByte(key, '/')+1:], ".")
+	switch {
+	case !ok:
+		k.Commit++
+	case kind == string(storage.StateBlob):
+		k.State++
+	case kind == string(storage.LogBlob):
+		k.Log++
+	case kind == string(storage.MetaBlob):
+		k.Meta++
+	}
+}
+
+// opCounter is a Stable that counts Puts, dedup probes and Gets by key class.
+type opCounter struct {
+	storage.Stable
+	mu              sync.Mutex
+	puts, has, gets keyOps
+}
+
+func (c *opCounter) count(ops *keyOps, key string) {
+	c.mu.Lock()
+	ops.add(key)
+	c.mu.Unlock()
+}
+
+func (c *opCounter) Put(key string, data []byte) error {
+	c.count(&c.puts, key)
+	return c.Stable.Put(key, data)
+}
+
+func (c *opCounter) Has(key string) (bool, error) {
+	c.count(&c.has, key)
+	return storage.Has(c.Stable, key)
+}
+
+func (c *opCounter) Get(key string) ([]byte, error) {
+	c.count(&c.gets, key)
+	return c.Stable.Get(key)
+}
+
+// TestStoreOpsPerCheckpointOnTheSimulator pins what a local checkpoint asks
+// of the store: the Puts and dedup probes of the three Figure 8 programs at
+// smoke size, 2 ranks, on the schedule of TestProtocolCountersOnTheSimulator,
+// per key class, in Full and NoAppState mode — totals over the run, so a
+// count divided by the run's local checkpoints is what one rank's
+// checkpoint costs — and, in Full mode, the Gets of a replacement restoring rank 1
+// from the committed epoch the run leaves behind (its slice of the recovery
+// gather, then RestoreFrom with nothing retained). The simulated store makes
+// every dedup probe's answer a function of the virtual timeline, so the
+// counts are exact: a key written or read once more per checkpoint fails
+// here.
+func TestStoreOpsPerCheckpointOnTheSimulator(t *testing.T) {
+	type row struct {
+		exp         harness.Experiment
+		mode        ccift.Mode
+		ckpts       int64
+		puts, has   keyOps
+		replacement keyOps // Gets; Full mode only
+	}
+	rows := []row{
+		{harness.CGExperiment(2, harness.Smoke), ccift.Full, 4,
+			keyOps{Chunk: 18, State: 4, Log: 4, Meta: 4, Commit: 2}, keyOps{Chunk: 24},
+			keyOps{Chunk: 6, State: 1, Log: 1}},
+		{harness.LaplaceExperiment(2, harness.Smoke), ccift.Full, 6,
+			keyOps{Chunk: 30, State: 6, Log: 6, Meta: 6, Commit: 3}, keyOps{Chunk: 42},
+			keyOps{Chunk: 7, State: 1, Log: 1}},
+		{harness.NeurosysExperiment(2, harness.Smoke), ccift.Full, 4,
+			keyOps{Chunk: 8, State: 4, Log: 4, Meta: 4, Commit: 2}, keyOps{Chunk: 16},
+			keyOps{Chunk: 4, State: 1, Log: 1}},
+		{harness.CGExperiment(2, harness.Smoke), ccift.NoAppState, 4,
+			keyOps{Chunk: 4, State: 4, Log: 4, Meta: 4, Commit: 2}, keyOps{Chunk: 4}, keyOps{}},
+		{harness.LaplaceExperiment(2, harness.Smoke), ccift.NoAppState, 6,
+			keyOps{Chunk: 6, State: 6, Log: 6, Meta: 6, Commit: 3}, keyOps{Chunk: 6}, keyOps{}},
+		{harness.NeurosysExperiment(2, harness.Smoke), ccift.NoAppState, 4,
+			keyOps{Chunk: 2, State: 4, Log: 4, Meta: 4, Commit: 2}, keyOps{Chunk: 4}, keyOps{}},
+	}
+	for _, r := range rows {
+		size := r.exp.Sizes[0]
+		s, err := sim.New(2, sim.Scenario{Seed: 7, Latency: 200 * time.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Above the simulated store, which answers a probe of a key this run
+		// stored without asking the store below it.
+		st := &opCounter{Stable: s.WrapStore(storage.NewMemory())}
+		res, err := engine.Run(engine.Config{
+			Ranks: 2, Mode: r.mode, EveryN: size.EveryN, Store: st,
+			NewTransport: s.NewTransport, Clock: s.DetectorClock(), RankClock: s.RankClock,
+		}, size.Program)
+		s.Stop()
+		if err != nil {
+			t.Fatalf("%s, %v: %v", r.exp.App, r.mode, err)
+		}
+		ckpts := countersOf(res.Stats).CheckpointsTaken
+		t.Logf("%s, %v: %d local checkpoints; Puts %+v, Has %+v", r.exp.App, r.mode, ckpts, st.puts, st.has)
+		if ckpts != r.ckpts || st.puts != r.puts || st.has != r.has {
+			t.Errorf("%s, %v: %d local checkpoints with Puts %#v and Has %#v, want %d with %#v and %#v",
+				r.exp.App, r.mode, ckpts, st.puts, st.has, r.ckpts, r.puts, r.has)
+		}
+		if r.mode != ccift.Full {
+			continue
+		}
+		cs := storage.NewCheckpointStore(st)
+		epoch, ok, err := cs.Committed()
+		if err != nil || !ok {
+			t.Fatalf("%s: no committed epoch (%v)", r.exp.App, err)
+		}
+		plan, err := protocol.GatherRecovery(cs, epoch, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.gets = keyOps{}
+		l := protocol.NewLayer(mpi.NewWorld(2, mpi.Options{}).Comm(1), protocol.Config{Mode: protocol.Full, Store: cs})
+		if err := l.RestoreFrom(plan.ForRank(1), nil); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: the replacement's Gets %+v", r.exp.App, st.gets)
+		if st.gets != r.replacement {
+			t.Errorf("%s: a replacement restoring epoch %d made Gets %#v, want %#v", r.exp.App, epoch, st.gets, r.replacement)
+		}
+	}
+}
