@@ -568,6 +568,86 @@ func TestArchitecture(t *testing.T) {
 		}
 	})
 
+	t.Run("no sleep or settle window in internal/launch", func(t *testing.T) {
+		// Distributed recovery is event-driven end to end: a sleep or a
+		// time.After in the launcher or the worker role is a poll or a
+		// settle window growing back. The one bounded wait (a rank that
+		// neither parks nor dies) uses a stoppable time.NewTimer.
+		sites := funcsCalling(parseDir(t, "internal/launch", 0), func(call *ast.CallExpr) bool {
+			s := types.ExprString(call.Fun)
+			return s == "time.Sleep" || s == "time.After"
+		})
+		if len(sites) > 0 {
+			t.Fatalf("%v: internal/launch reacts to events (a frame, an exit), it does not wait out a timer", sites)
+		}
+	})
+
+	t.Run("one owner of the store layout", func(t *testing.T) {
+		// The keys, the manifest format and the one enumeration of ckpt/
+		// live in internal/storage; everything else (the commit's prune,
+		// package store behind c3admin) projects its walk. A key literal, a
+		// manifest parse or a List anywhere else is a second walker growing
+		// back — the kind that once missed the meta.<rank> blobs.
+		// (internal/sim's List is a delegating Stable wrapper.)
+		var got []string
+		for path, f := range files {
+			if strings.HasPrefix(path, "internal/storage/") {
+				continue
+			}
+			admin := strings.HasPrefix(path, "store/") || strings.HasPrefix(path, "cmd/")
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.BasicLit:
+					if n.Kind == token.STRING && strings.HasPrefix(n.Value[1:], "ckpt/") {
+						got = append(got, path+": "+n.Value)
+					}
+				case *ast.SelectorExpr:
+					if name := n.Sel.Name; name == "IsManifest" || name == "ParseManifest" || admin && name == "List" {
+						got = append(got, path+": "+types.ExprString(n))
+					}
+				}
+				return true
+			})
+		}
+		walks := funcsCalling(parseDir(t, "internal/storage", 0), func(call *ast.CallExpr) bool {
+			s := types.ExprString(call.Fun)
+			return strings.HasSuffix(s, ".List") && s != "t.Inner.List" // Throttled delegates
+		})
+		if want := []string{"internal/storage/checkpoints.go: Walk"}; !slices.Equal(walks, want) {
+			got = append(got, walks...)
+		}
+		slices.Sort(got)
+		if len(got) > 0 {
+			t.Fatalf("%v: the store layout belongs to internal/storage — its key constructors, and one function that lists it (CheckpointStore.Walk), which everything else reads through Walk, Read and Refs", got)
+		}
+	})
+
+	t.Run("one supervision loop", func(t *testing.T) {
+		// The rollback logic exists once (engine.Supervisor): a second place
+		// that mints the restart-budget error or gathers a recovery plan is a
+		// second rollback loop growing back.
+		internal := map[string]*ast.File{}
+		for path, f := range files {
+			if strings.HasPrefix(path, "internal/") && !strings.HasPrefix(path, "internal/cerr/") {
+				internal[path] = f
+			}
+		}
+		budget := funcsCalling(internal, func(call *ast.CallExpr) bool {
+			if len(call.Args) < 2 {
+				return false
+			}
+			lit, ok := call.Args[0].(*ast.BasicLit)
+			return ok && strings.HasPrefix(lit.Value, `"%w`) && types.ExprString(call.Args[1]) == "cerr.ErrMaxRestarts"
+		})
+		gathers := funcsCalling(internal, func(call *ast.CallExpr) bool {
+			return types.ExprString(call.Fun) == "protocol.GatherRecovery"
+		})
+		want := []string{"internal/engine/supervise.go: Run"}
+		if !slices.Equal(budget, want) || !slices.Equal(gathers, want) {
+			t.Fatalf("ErrMaxRestarts is minted in %v and the recovery plan gathered in %v, want each once, in %v", budget, gathers, want)
+		}
+	})
+
 	t.Run("no feedback state in the flush path", func(t *testing.T) {
 		// Nothing paces the flush: the adaptive governor went
 		// because no workload engaged it, and the fixed cap that replaced it

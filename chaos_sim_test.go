@@ -380,7 +380,7 @@ func TestSimulated1000RankWorld(t *testing.T) {
 		t.Fatalf("%d ranks restored from retained state, want %d (all survivors)", retained, want)
 	}
 	// And the store saw it: the whole run — the commits' prunes (a manifest
-	// read per rank), the recovery gather (a sidecar per rank) and the one
+	// read per rank), the recovery gather (a protocol record per rank) and the one
 	// replacement's restore — read two blobs per rank (2007, the same on
 	// every run), where every rank scanning every rank's metadata would
 	// have read a million. The bound leaves the recovery's half room for

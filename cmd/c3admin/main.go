@@ -151,7 +151,7 @@ func cmdEpochs(st *store.Store) error {
 		fmt.Println("store holds no epochs")
 		return nil
 	}
-	fmt.Printf("%-7s  %-5s  %-10s  %-10s  %-10s  %s\n", "EPOCH", "RANKS", "STATE", "LOGS", "META", "")
+	fmt.Printf("%-7s  %-5s  %-10s  %-10s  %-10s  %s\n", "EPOCH", "RANKS", "APP STATE", "LOGS", "RECORDS", "")
 	for _, e := range epochs {
 		mark := ""
 		if e.Committed {
@@ -272,7 +272,7 @@ func cmdPrune(args []string) error {
 		fmt.Println("dry run; pass -apply to delete (only when no job is writing the store)")
 		return nil
 	}
-	if err := st.Prune(plan.KeepEpoch); err != nil {
+	if err := st.Prune(plan); err != nil {
 		return err
 	}
 	fmt.Println("pruned")

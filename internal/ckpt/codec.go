@@ -254,7 +254,7 @@ func decodeFrom(rd *cursor, ptr any) error {
 		if err != nil {
 			return err
 		}
-		if !GobFramed(b) {
+		if !gobFramed(b) {
 			return fmt.Errorf("ckpt: gob decode %T: %w", ptr, errTornGob)
 		}
 		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(ptr); err != nil {
@@ -267,11 +267,11 @@ func decodeFrom(rd *cursor, ptr any) error {
 // errTornGob is a gob field whose messages claim more bytes than it holds.
 var errTornGob = errors.New("a message claims more bytes than the field holds")
 
-// GobFramed reports whether b is a whole number of gob messages. The gob
+// gobFramed reports whether b is a whole number of gob messages. The gob
 // decoder allocates a message's claimed length (up to 10 MB at a time)
 // before it reads it; checked here first, every claim it meets is backed by
 // bytes that are present.
-func GobFramed(b []byte) bool {
+func gobFramed(b []byte) bool {
 	for len(b) > 0 {
 		n, w := uint64(b[0]), 1
 		if b[0] > 0x7f {

@@ -8,7 +8,7 @@ import (
 // fuzzTargets returns a fresh pointer of every type the codec decodes on
 // its own, keyed by the name the seed state registers it under — plus a gob
 // value without slices or maps, whose every length gob checks against the
-// bytes present once GobFramed has passed the field.
+// bytes present once gobFramed has passed the field.
 func fuzzTargets() map[string]any {
 	return map[string]any{
 		"int": new(int), "i64": new(int64), "u64": new(uint64), "f64": new(float64), "bool": new(bool),

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -139,4 +141,57 @@ func storeListing(t *testing.T, s storage.Stable) map[string]int {
 		out[k] = len(b)
 	}
 	return out
+}
+
+// commitClock records the virtual instant at which each commit record
+// became durable.
+type commitClock struct {
+	storage.Stable
+	s  *sim.Sim
+	mu sync.Mutex
+	at []time.Duration
+}
+
+func (c *commitClock) Put(key string, data []byte) error {
+	err := c.Stable.Put(key, data)
+	if strings.HasSuffix(key, "/COMMIT") {
+		c.mu.Lock()
+		c.at = append(c.at, c.s.Elapsed())
+		c.mu.Unlock()
+	}
+	return err
+}
+
+// TestSlowStoreStallsReplay: a jittered SlowStore draws every stall from
+// the call's own operation, key and virtual instant. The two ranks' flush
+// tasks meet the store at the same instants and run there in wall-time
+// order, so a stall drawn in call order went to whichever ran first; drawn
+// this way, every run gives each rank the same flush time and commits at
+// the same instants.
+func TestSlowStoreStallsReplay(t *testing.T) {
+	sc := sim.Scenario{Seed: 5, Latency: 200 * time.Microsecond,
+		SlowStore: &sim.SlowStore{Delay: 200 * time.Microsecond, Jitter: 600 * time.Microsecond}}
+	run := func() (flush [2]int64, commits []time.Duration) {
+		cfg, s := simConfig(t, Config{Ranks: 2, Mode: protocol.Full, EveryN: 3}, sc)
+		cc := &commitClock{Stable: cfg.Store, s: s}
+		cfg.Store = cc
+		res, err := Run(cfg, ringProg(100, 33_000)) // two chunks a rank
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range flush {
+			flush[r] = res.Stats[r].CheckpointFlushNs
+		}
+		return flush, cc.at
+	}
+	flush, commits := run()
+	if len(commits) < 3 || flush[0] == 0 || flush[1] == 0 {
+		t.Fatalf("%d commits, flush times %v: want several checkpoints on a slow store", len(commits), flush)
+	}
+	t.Logf("flush times %v, commits at %v", flush, commits)
+	for i := 0; i < 2; i++ {
+		if f, c := run(); f != flush || !reflect.DeepEqual(c, commits) {
+			t.Fatalf("run %d: flush times %v and commits at %v; the first run: %v and %v", i+2, f, c, flush, commits)
+		}
+	}
 }

@@ -47,7 +47,8 @@ const maxCtlFrame = 1 << 30
 // writeCtlFrame writes f as [u32 length | body] in one Write call. The body
 // is uvarints and length-prefixed strings: kind, incarnation, address, then
 // in a start the kill op, the recovery epoch (two's complement), and the
-// addresses, suppressed IDs and replicas, each list behind its length.
+// addresses, suppressed IDs and replicas, each list behind its length, and
+// the rank's protocol record.
 func writeCtlFrame(w io.Writer, f *ctlFrame) error {
 	b := make([]byte, 4, 64)
 	u := func(v uint64) { b = binary.AppendUvarint(b, v) }
@@ -71,6 +72,7 @@ func writeCtlFrame(w io.Writer, f *ctlFrame) error {
 			str(name)
 			str(string(v))
 		}
+		str(string(rec.Record))
 	}
 	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
 	if _, err := w.Write(b); err != nil {
@@ -135,6 +137,7 @@ func readCtlFrame(r io.Reader) (*ctlFrame, error) {
 		for n := count(); n > 0; n-- {
 			rec.Replicas[string(field())] = field() // name, then value: calls run left to right
 		}
+		rec.Record = field()
 	}
 	if bad || f.Kind == 0 || len(b) != 0 {
 		return nil, fmt.Errorf("launch: %w: corrupt control frame", cerr.ErrTransport)

@@ -14,9 +14,6 @@ type Request struct {
 	msg  *Message
 }
 
-// IsRecv reports whether the request was produced by Irecv.
-func (r *Request) IsRecv() bool { return r.recv != nil }
-
 // Spec returns the posted receive spec of an Irecv request.
 func (r *Request) Spec() (source, tag int) {
 	if r.recv == nil {

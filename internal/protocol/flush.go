@@ -7,13 +7,14 @@ import (
 	"time"
 
 	"ccift/internal/cerr"
+	"ccift/internal/ckpt"
 	"ccift/internal/clock"
 	"ccift/internal/mpi"
 )
 
 // The checkpoint flush: one write path, on every clock. takeCheckpoint
-// hands the captured checkpoint to a flush task that serializes it and
-// streams it into stable storage (writeState). By default the task is
+// hands the captured checkpoint to a flush task that streams it into
+// stable storage (writeState). By default the task is
 // started through clock.Go — a goroutine on the wall clock, an actor the
 // simulation's scheduler counts on a virtual one — and the rank computes on;
 // under Policy.Sync the rank runs the same body itself.
@@ -29,12 +30,15 @@ import (
 // durable (machine.reportStopped): a crash mid-flush recovers from the
 // previous committed epoch.
 
-// flushTask is one checkpoint's flush. The fields below wait are written by
-// the task and read by the rank only once the task is known to be over: it
-// received the task's tagFlushDone, or wait returned.
+// flushTask is one checkpoint's flush: what captureState copied while the
+// rank was stopped, and the write's outcome. The fields below wait are
+// written by the task and read by the rank only once the task is known to
+// be over: it received the task's tagFlushDone, or wait returned.
 type flushTask struct {
-	p    *pendingCheckpoint
-	wait func() // blocks until the task has returned
+	epoch  int
+	record []byte       // the protocol record, encoded
+	frozen *ckpt.Frozen // the application state; nil outside Full mode
+	wait   func()       // blocks until the task has returned
 
 	total, written int64
 	dur            time.Duration
@@ -45,15 +49,15 @@ type flushTask struct {
 // flight per layer: the protocol admits one global checkpoint at a time,
 // and the next cannot be requested until this one's commit — which waits
 // for this flush.
-func (l *Layer) startFlush(p *pendingCheckpoint) {
+func (l *Layer) startFlush(t *flushTask) {
 	if l.flush != nil {
 		panic("protocol: checkpoint flush started while one is in flight")
 	}
-	t := &flushTask{p: p, wait: func() {}}
+	t.wait = func() {}
 	l.flush = t
 	write := func() {
 		start := l.clk.Now()
-		t.total, t.written, t.err = l.writeState(p)
+		t.total, t.written, t.err = l.writeState(t)
 		t.dur = l.clk.Since(start)
 	}
 	if !l.cfg.AsyncFlush {
@@ -89,17 +93,17 @@ func (l *Layer) finishFlush() error {
 	t := l.flush
 	l.flush = nil
 	if t.err != nil {
-		t.p.frozen.Release()
+		t.frozen.Release()
 		if errors.Is(t.err, context.Canceled) || errors.Is(t.err, context.DeadlineExceeded) {
 			return mpi.ErrCanceled
 		}
-		return fmt.Errorf("protocol: persist state (epoch %d, rank %d): %w: %w", t.p.epoch, l.rank, cerr.ErrStore, t.err)
+		return fmt.Errorf("protocol: persist state (epoch %d, rank %d): %w: %w", t.epoch, l.rank, cerr.ErrStore, t.err)
 	}
 	l.Stats.CheckpointBytes += t.total
 	l.Stats.CheckpointBytesWritten += t.written
 	l.Stats.CheckpointFlushNs += t.dur.Nanoseconds()
-	if t.p.frozen != nil {
-		l.ring[0].Header, l.ring[0].Frozen = t.p.hdrRaw, t.p.frozen
+	if t.frozen != nil {
+		l.ring[0].Frozen = t.frozen
 	}
 	l.trace(TraceCheckpoint, -1, 0, 0, int(t.total))
 	l.emitStats()

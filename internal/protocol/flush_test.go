@@ -53,15 +53,15 @@ func checkpointing(t *testing.T, g *gatedStore, ctx context.Context, async bool)
 	return l
 }
 
-// retainedBlob serializes a retained checkpoint the way the store holds it:
-// the header, then the frozen view's application section.
+// retainedBlob serializes a retained checkpoint's frozen view the way the
+// store holds it.
 func retainedBlob(t *testing.T, r *RetainedState) []byte {
 	t.Helper()
 	app, err := r.Frozen.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(append([]byte(nil), r.Header...), app...)
+	return app
 }
 
 func open() chan struct{} { c := make(chan struct{}); close(c); return c }

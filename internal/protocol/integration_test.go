@@ -114,7 +114,7 @@ func TestNondetEventLogAndReplay(t *testing.T) {
 	// the generator now returns different values.
 	w2 := mpi.NewWorld(2, mpi.Options{})
 	P2 := NewLayer(w2.Comm(0), Config{Mode: Full, Store: cs, Debug: true})
-	if err := P2.RestoreFrom(&RankRecovery{Epoch: 1}, nil); err != nil {
+	if err := P2.RestoreFrom(recoverySlices(t, cs, 1, 2)[0], nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -196,6 +196,7 @@ func TestCommDupSplitReplay(t *testing.T) {
 	// Restore all ranks in a fresh world; the pseudo-handles must resolve
 	// to working communicators with the original shapes.
 	w2 := mpi.NewWorld(n, mpi.Options{})
+	recs := recoverySlices(t, cs, e, n)
 	var wg2 sync.WaitGroup
 	fail := make(chan string, n)
 	for r := 0; r < n; r++ {
@@ -208,7 +209,7 @@ func TestCommDupSplitReplay(t *testing.T) {
 				}
 			}()
 			l := NewLayer(w2.Comm(r), Config{Mode: Full, Store: cs, Debug: true})
-			if err := l.RestoreFrom(&RankRecovery{Epoch: e}, nil); err != nil {
+			if err := l.RestoreFrom(recs[r], nil); err != nil {
 				panic(err)
 			}
 			dup := l.SubComm(handles[r])
@@ -268,10 +269,11 @@ func TestRequestHandlesAcrossRestore(t *testing.T) {
 	w2 := mpi.NewWorld(2, mpi.Options{})
 	P2 := NewLayer(w2.Comm(0), Config{Mode: Full, Store: cs, Debug: true})
 	Q2 := NewLayer(w2.Comm(1), Config{Mode: Full, Store: cs, Debug: true})
-	if err := P2.RestoreFrom(&RankRecovery{Epoch: 1}, nil); err != nil {
+	recs := recoverySlices(t, cs, 1, 2)
+	if err := P2.RestoreFrom(recs[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := Q2.RestoreFrom(&RankRecovery{Epoch: 1}, nil); err != nil {
+	if err := Q2.RestoreFrom(recs[1], nil); err != nil {
 		t.Fatal(err)
 	}
 	if m := Q2.Wait(recvH); string(m.Data) != "posted-before-ckpt" {
@@ -470,7 +472,7 @@ func TestIprobe(t *testing.T) {
 
 	w2 := mpi.NewWorld(2, mpi.Options{})
 	Q2 := NewLayer(w2.Comm(1), Config{Mode: Full, Store: cs, Debug: true})
-	if err := Q2.RestoreFrom(&RankRecovery{Epoch: 1}, nil); err != nil {
+	if err := Q2.RestoreFrom(recoverySlices(t, cs, 1, 2)[1], nil); err != nil {
 		t.Fatal(err)
 	}
 	ok, src, tag = Q2.Iprobe(0, 7)

@@ -457,9 +457,9 @@ func (l *Layer) PotentialCheckpoint() {
 
 // takeCheckpoint performs potentialCheckpoint() from Figure 4 plus the
 // state saving of Section 5. The state save is split into snapshot-now
-// (captureState: protocol counters + a frozen copy of the application
-// state, the only part the rank blocks for) and flush (writeState:
-// serialize + chunked durable write), which startFlush runs as a task
+// (captureState: the encoded protocol record + a frozen copy of the
+// application state, the only part the rank blocks for) and flush
+// (writeState: chunked durable write), which startFlush runs as a task
 // beside the rank, or inline under Policy.Sync. The capture records the
 // epoch that ends, so it precedes the machine's transition; the control
 // messages the transition queues go out once the flush has started.

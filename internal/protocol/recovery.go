@@ -15,96 +15,150 @@ import (
 // re-executes. On rollback every sender must learn which of its messages
 // the receivers already hold (Section 4.2), so the union of all receivers'
 // early-ID sets, re-indexed by sender, is the world's suppression table —
-// nothing there needs application state. Every local checkpoint ends with a
-// recovery-metadata sidecar (storage.MetaKey) of about a hundred bytes; the
-// one gather (GatherRecovery), run once per rollback by engine.Supervisor,
+// nothing there needs application state. Every local checkpoint ends with
+// its protocol record (storage.MetaKey), a few hundred bytes; the one
+// gather (GatherRecovery), run once per rollback by engine.Supervisor,
 // reads exactly `ranks` of them and ships each rank its slice
-// (RankRecovery). The primary's state object is opened only when its
-// sidecar counts replicated values (Section 7), which stay in the state
-// stream where they dedup across epochs. The sidecar is required: the
-// supervisor clears the commit record before incarnation 0, so a committed
-// epoch without one is a corrupt store (cerr.ErrStore).
+// (RankRecovery), its own record included. The primary's application
+// stream is opened only when its record counts replicated values
+// (Section 7), which stay in the stream where they dedup across epochs.
+// The record is required: the supervisor clears the commit record before
+// incarnation 0, so a committed epoch without one is a corrupt store
+// (cerr.ErrStore).
 
-// recoveryMeta is the sidecar's content. Epoch is recorded so a reader can
-// detect a sidecar that somehow outlived its epoch directory.
-type recoveryMeta struct {
+// record is a local checkpoint's protocol record: the protocol section of
+// Figure 4 (the epoch and the early-message IDs), the MPI library state of
+// Section 5.2 (the persistent-object call log and the request records, by
+// handle) and how many replicated values the rank's application stream
+// carries. It is the checkpoint's only copy of all of these; the state
+// object holds the application stream alone. Epoch is recorded so a reader
+// can detect a record that somehow outlived its epoch directory.
+type record struct {
 	Epoch      int
 	EarlyIDs   [][]uint32 // indexed by sending rank
-	Replicated int        // replicated values carried by this rank's state
+	Replicated int
+	Persist    []PersistRecord
+	Requests   []reqRecord // sorted by handle: the bytes are a function of the state
+	NextReq    Handle
 }
 
-// metaMagic opens a sidecar, followed by uvarints: epoch, replicated count,
-// sender count, then per sender an ID count and the IDs.
-var metaMagic = []byte("C3RM0002")
-
-func (m *recoveryMeta) marshal() []byte {
-	b := append([]byte(nil), metaMagic...)
-	b = binary.AppendUvarint(b, uint64(m.Epoch))
-	b = binary.AppendUvarint(b, uint64(m.Replicated))
-	b = binary.AppendUvarint(b, uint64(len(m.EarlyIDs)))
-	for _, set := range m.EarlyIDs {
-		b = binary.AppendUvarint(b, uint64(len(set)))
-		for _, id := range set {
-			b = binary.AppendUvarint(b, uint64(id))
-		}
-	}
-	return b
+type reqRecord struct {
+	Handle Handle
+	reqState
 }
 
-// unmarshalRecoveryMeta decodes a sidecar. Every count is checked against
-// the bytes that are left before anything is allocated from it.
-func unmarshalRecoveryMeta(raw []byte) (*recoveryMeta, error) {
-	rest, ok := bytes.CutPrefix(raw, metaMagic)
-	bad := !ok
-	next := func(limit uint64) uint64 {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 || v > limit {
-			bad, rest = true, nil
-			return 0
-		}
-		rest = rest[n:]
-		return v
-	}
-	count := func() uint64 { return next(uint64(len(rest))) } // an element is a byte or more
-	m := &recoveryMeta{Epoch: int(next(1 << 31)), Replicated: int(next(1 << 31))}
-	m.EarlyIDs = make([][]uint32, count())
-	for s := range m.EarlyIDs {
-		if n := count(); n > 0 {
-			m.EarlyIDs[s] = make([]uint32, n)
-			for i := range m.EarlyIDs[s] {
-				m.EarlyIDs[s][i] = uint32(next(1<<32 - 1))
-			}
-		}
-	}
-	if bad || len(rest) != 0 {
-		return nil, errors.New("truncated, overlong or not a sidecar")
+// recordMagic opens a record. Every number after it is a varint, every
+// list its length and then its elements, in the order code visits them.
+var recordMagic = []byte("C3RM0003")
+
+// code is the record's one layout: it visits every field in wire order,
+// and c appends or decodes each.
+func (m *record) code(c *codec) {
+	val(c, &m.Epoch)
+	val(c, &m.Replicated)
+	seq(c, &m.EarlyIDs, 1, func(set *[]uint32) { seq(c, set, 1, func(id *uint32) { val(c, id) }) })
+	seq(c, &m.Persist, 4, func(p *PersistRecord) {
+		c.str(&p.Op)
+		val(c, &p.Parent)
+		seq(c, &p.Args, 1, func(a *int64) { val(c, a) })
+		val(c, &p.Result)
+		c.bad = c.bad || c.dec && !(p.Op == "dup" && len(p.Args) == 0 || p.Op == "split" && len(p.Args) == 2)
+	})
+	seq(c, &m.Requests, 5, func(r *reqRecord) {
+		val(c, &r.Handle)
+		c.flag(&r.isRecv)
+		val(c, &r.src)
+		val(c, &r.tag)
+		c.flag(&r.done)
+	})
+	val(c, &m.NextReq)
+}
+
+func (m *record) marshal() []byte {
+	c := &codec{b: append([]byte(nil), recordMagic...)}
+	m.code(c)
+	return c.b
+}
+
+// unmarshalRecord decodes a record. Every count is checked against the
+// bytes that are left — at the fewest bytes an element can take — before
+// anything is allocated from it.
+func unmarshalRecord(raw []byte) (*record, error) {
+	rest, ok := bytes.CutPrefix(raw, recordMagic)
+	c, m := &codec{b: rest, dec: true, bad: !ok}, &record{}
+	m.code(c)
+	if c.bad || len(c.b) != 0 {
+		return nil, errors.New("truncated, overlong or not a protocol record")
 	}
 	return m, nil
 }
 
-// loadRecoveryMeta reads one rank's sidecar for a committed epoch.
-func loadRecoveryMeta(store *storage.CheckpointStore, epoch, rank, ranks int) (*recoveryMeta, error) {
-	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("protocol: %w: recovery sidecar of rank %d, epoch %d: "+format, append([]any{cerr.ErrStore, rank, epoch}, args...)...)
+// codec appends a record (b is the output) or decodes one (dec; b is what
+// is left of the input, and bad is set at the first value that does not
+// fit, after which every value reads as zero).
+type codec struct {
+	b        []byte
+	dec, bad bool
+}
+
+// val codes an integer as a varint; decoded, it must fit in T.
+func val[T ~int | ~int64 | ~uint32](c *codec, v *T) {
+	if !c.dec {
+		c.b = binary.AppendVarint(c.b, int64(*v))
+		return
 	}
-	raw, err := store.GetMeta(epoch, rank)
-	if err != nil {
-		return nil, corrupt("%w", err)
+	x, n := binary.Varint(c.b)
+	if n <= 0 || int64(T(x)) != x || c.bad {
+		*v, c.bad = 0, true
+		return
 	}
-	m, err := unmarshalRecoveryMeta(raw)
-	if err != nil {
-		return nil, corrupt("%w", err)
+	*v, c.b = T(x), c.b[n:]
+}
+
+// count codes a length; decoded, the bytes left must hold that many
+// elements of at least min bytes.
+func (c *codec) count(n, min int) int {
+	val(c, &n)
+	if c.dec && (n < 0 || n > len(c.b)/min) {
+		n, c.bad = 0, true
 	}
-	if m.Epoch != epoch || len(m.EarlyIDs) > ranks {
-		return nil, corrupt("records epoch %d and %d senders in a world of %d", m.Epoch, len(m.EarlyIDs), ranks)
+	return n
+}
+
+// seq codes a list, each element through elem; decoded, an empty list is
+// nil.
+func seq[T any](c *codec, s *[]T, min int, elem func(*T)) {
+	n := c.count(len(*s), min)
+	if c.dec && n > 0 {
+		*s = make([]T, n)
 	}
-	return m, nil
+	for i := 0; i < n && !c.bad; i++ {
+		elem(&(*s)[i])
+	}
+}
+
+func (c *codec) str(s *string) {
+	n := c.count(len(*s), 1)
+	if !c.dec {
+		c.b = append(c.b, *s...)
+	} else if !c.bad {
+		*s, c.b = string(c.b[:n]), c.b[n:]
+	}
+}
+
+func (c *codec) flag(v *bool) {
+	x := 0
+	if *v {
+		x = 1
+	}
+	val(c, &x)
+	*v, c.bad = x == 1, c.bad || x>>1 != 0
 }
 
 // RecoveryPlan is everything a world needs to roll back to one committed
-// epoch: per-SENDER suppression lists and the primary's replicated values.
-// Built once per restart by the recovery driver with O(world) small store
-// reads, then sliced per rank.
+// epoch: per-SENDER suppression lists, the primary's replicated values and
+// every rank's protocol record. Built once per restart by the recovery
+// driver with O(world) small store reads, then sliced per rank.
 type RecoveryPlan struct {
 	// Epoch is the committed epoch the plan restores, or -1 for a restart
 	// from the beginning (no checkpoint committed yet).
@@ -115,21 +169,35 @@ type RecoveryPlan struct {
 	// Replicas holds the primary rank's replicated values (Section 7);
 	// nil when the primary's checkpoint carries none.
 	Replicas map[string][]byte
+	// records holds every rank's protocol record as the store held it.
+	records [][]byte
 }
 
 // GatherRecovery builds the world's recovery plan for a committed epoch
-// from `ranks` sidecar reads, plus one read of the primary's state (its
-// manifest and chunks) only when the primary's sidecar says that state
-// carries replicated values. The suppression re-index is receiver-major,
-// each receiver's per-sender set appended whole, so the order every sender
-// sees is the same on every substrate.
+// from `ranks` record reads, plus one read of the primary's application
+// stream (its manifest and chunks) only when the primary's record says
+// that stream carries replicated values. Each record is decoded once here
+// and kept as read, for its rank. The suppression re-index is
+// receiver-major, each receiver's per-sender set appended whole, so the
+// order every sender sees is the same on every substrate.
 func GatherRecovery(store *storage.CheckpointStore, epoch, ranks int) (*RecoveryPlan, error) {
-	plan := &RecoveryPlan{Epoch: epoch, Suppress: make([][]uint32, ranks)}
+	plan := &RecoveryPlan{Epoch: epoch, Suppress: make([][]uint32, ranks), records: make([][]byte, ranks)}
 	for r := 0; r < ranks; r++ {
-		m, err := loadRecoveryMeta(store, epoch, r, ranks)
-		if err != nil {
-			return nil, err
+		corrupt := func(format string, args ...any) error {
+			return fmt.Errorf("protocol: %w: protocol record of rank %d, epoch %d: "+format, append([]any{cerr.ErrStore, r, epoch}, args...)...)
 		}
+		raw, err := store.GetMeta(epoch, r)
+		if err != nil {
+			return nil, corrupt("%w", err)
+		}
+		m, err := unmarshalRecord(raw)
+		if err != nil {
+			return nil, corrupt("%w", err)
+		}
+		if m.Epoch != epoch || len(m.EarlyIDs) > ranks {
+			return nil, corrupt("records epoch %d and %d senders in a world of %d", m.Epoch, len(m.EarlyIDs), ranks)
+		}
+		plan.records[r] = raw
 		for sender, set := range m.EarlyIDs {
 			if len(set) > 0 {
 				plan.Suppress[sender] = append(plan.Suppress[sender], set...)
@@ -144,23 +212,19 @@ func GatherRecovery(store *storage.CheckpointStore, epoch, ranks int) (*Recovery
 	return plan, nil
 }
 
-// loadReplicas extracts the primary's replicated values from its state
-// object; want is the count its sidecar promised.
+// loadReplicas extracts the primary's replicated values from its
+// application stream; want is the count its record promised.
 func loadReplicas(store *storage.CheckpointStore, epoch, want int) (map[string][]byte, error) {
-	raw, err := store.GetState(epoch, 0)
+	app, err := store.GetState(epoch, 0)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: gather primary state (epoch %d): %w", epoch, err)
 	}
-	st, err := unmarshalState(raw)
-	if err != nil {
-		return nil, err
-	}
-	replicas, err := ckpt.ExtractReplicated(st.App)
+	replicas, err := ckpt.ExtractReplicated(app)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: %w: extract replicated data (epoch %d): %w", cerr.ErrStore, epoch, err)
 	}
 	if len(replicas) != want {
-		return nil, fmt.Errorf("protocol: %w: primary state of epoch %d carries %d replicated values, its sidecar says %d", cerr.ErrStore, epoch, len(replicas), want)
+		return nil, fmt.Errorf("protocol: %w: primary state of epoch %d carries %d replicated values, its record says %d", cerr.ErrStore, epoch, len(replicas), want)
 	}
 	for name, view := range replicas {
 		replicas[name] = bytes.Clone(view) // the plan outlives the gather; do not pin the whole state
@@ -175,6 +239,9 @@ type RankRecovery struct {
 	Epoch    int
 	Suppress []uint32
 	Replicas map[string][]byte
+	// Record is the rank's own protocol record of Epoch, as stored: the
+	// whole protocol section RestoreFrom rebuilds the layer from.
+	Record []byte
 }
 
 // ForRank slices the plan for one rank; a nil plan is a fresh start.
@@ -182,12 +249,14 @@ func (p *RecoveryPlan) ForRank(r int) *RankRecovery {
 	if p == nil {
 		return &RankRecovery{Epoch: -1}
 	}
-	return &RankRecovery{Epoch: p.Epoch, Suppress: p.Suppress[r], Replicas: p.Replicas}
+	return &RankRecovery{Epoch: p.Epoch, Suppress: p.Suppress[r], Replicas: p.Replicas, Record: p.records[r]}
 }
 
 // RetainedState is a surviving rank's in-memory copy of one epoch's local
-// checkpoint. The application section is not a second serialized copy but
-// the frozen view the flush streamed to the store, so the views of
+// checkpoint: the application state and the log. (The protocol section
+// comes with the rank's slice of the gather, RankRecovery.Record.) The
+// application state is not a second serialized copy but the frozen view
+// the flush streamed to the store, so the views of
 // consecutive epochs share every clean page and keeping them costs the
 // dirty pages only. A rank that did not die rolls back from these instead
 // of re-reading the store — its Saver restores straight out of the view,
@@ -195,8 +264,7 @@ func (p *RecoveryPlan) ForRank(r int) *RankRecovery {
 // store O(1) per survivor.
 type RetainedState struct {
 	Epoch  int
-	Header []byte       // the bytes that open the epoch's state object (magic, framed protocol section)
-	Frozen *ckpt.Frozen // Snapshot() would yield the bytes that follow Header there
+	Frozen *ckpt.Frozen // Snapshot() would yield the epoch's state object
 	Log    []byte
 }
 

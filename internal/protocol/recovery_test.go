@@ -70,9 +70,9 @@ func committedWorld(t *testing.T, replicated bool) (*storage.CheckpointStore, *g
 }
 
 // TestGatherReadsOnlySidecars: for a program without replicated data the
-// gather is exactly `ranks` Gets, all of them sidecars; with replicated
-// data it additionally reads the primary's state once — its manifest and
-// each chunk — and nothing else.
+// gather is exactly `ranks` Gets, all of them protocol records; with
+// replicated data it additionally reads the primary's state once — its
+// manifest and each chunk — and nothing else.
 func TestGatherReadsOnlySidecars(t *testing.T) {
 	const ranks = 3
 	for _, replicated := range []bool{false, true} {
@@ -107,7 +107,7 @@ func TestGatherReadsOnlySidecars(t *testing.T) {
 			wantStates, wantChunks = 1, len(refs)
 		}
 		if metas != ranks || states != wantStates || chunks != wantChunks || other != 0 {
-			t.Fatalf("replicated=%v: gather read %d sidecars, %d state manifests, %d chunks, %d other keys; want %d, %d, %d, 0\n%v",
+			t.Fatalf("replicated=%v: gather read %d protocol records, %d state manifests, %d chunks, %d other keys; want %d, %d, %d, 0\n%v",
 				replicated, metas, states, chunks, other, ranks, wantStates, wantChunks, gl.keys)
 		}
 		if len(plan.Suppress[1]) != 1 || len(plan.Suppress[0])+len(plan.Suppress[2]) != 0 {
@@ -126,15 +126,16 @@ func TestGatherReadsOnlySidecars(t *testing.T) {
 	}
 }
 
-// TestGatherRequiresSidecar: a committed epoch whose sidecar is gone, or
-// is another epoch's, or is not a sidecar, is a corrupt store — reported
-// with rank and epoch, never papered over by reading the state instead.
+// TestGatherRequiresSidecar: a committed epoch whose protocol record is
+// gone, or is another epoch's, or is not a record, is a corrupt store —
+// reported with rank and epoch, never papered over by reading the state
+// instead.
 func TestGatherRequiresSidecar(t *testing.T) {
-	other := (&recoveryMeta{Epoch: 7, EarlyIDs: make([][]uint32, 3)}).marshal()
+	other := (&record{Epoch: 7, EarlyIDs: make([][]uint32, 3)}).marshal()
 	for name, damage := range map[string]func(cs *storage.CheckpointStore) error{
 		"deleted":     func(cs *storage.CheckpointStore) error { return cs.S.Delete(storage.MetaKey(1, 1)) },
 		"wrong epoch": func(cs *storage.CheckpointStore) error { return cs.PutMeta(1, 1, other) },
-		"garbage":     func(cs *storage.CheckpointStore) error { return cs.PutMeta(1, 1, []byte("not a sidecar")) },
+		"garbage":     func(cs *storage.CheckpointStore) error { return cs.PutMeta(1, 1, []byte("not a record")) },
 	} {
 		cs, gl, _ := committedWorld(t, false)
 		if err := damage(cs); err != nil {
@@ -156,29 +157,119 @@ func TestGatherRequiresSidecar(t *testing.T) {
 	}
 }
 
+// recoverySlices gathers the recovery plan of a committed epoch and slices
+// it for every rank of the world, as the supervisor does.
+func recoverySlices(t testing.TB, cs *storage.CheckpointStore, epoch, ranks int) []*RankRecovery {
+	t.Helper()
+	plan, err := GatherRecovery(cs, epoch, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]*RankRecovery, ranks)
+	for r := range recs {
+		recs[r] = plan.ForRank(r)
+	}
+	return recs
+}
+
+// sampleRecord has an entry in every section, negative values among them
+// (a wildcard receive's source and tag, a split's color).
+func sampleRecord() *record {
+	return &record{Epoch: 3, Replicated: 1, EarlyIDs: [][]uint32{nil, {1, 2, 1<<32 - 1}, {9}},
+		Persist: []PersistRecord{
+			{Op: "dup", Parent: WorldComm, Result: 1},
+			{Op: "split", Parent: 1, Args: []int64{-1, 4}, Result: 2},
+		},
+		Requests: []reqRecord{
+			{2, reqState{isRecv: true, src: -1, tag: -2}},
+			{5, reqState{src: 1, tag: 7, done: true}},
+		},
+		NextReq: 6}
+}
+
 func TestRecoveryMetaRoundTrip(t *testing.T) {
-	for _, m := range []*recoveryMeta{
-		{Epoch: 0, EarlyIDs: [][]uint32{}},
-		{Epoch: 3, Replicated: 2, EarlyIDs: [][]uint32{nil, {1, 2, 1<<32 - 1}, nil, {7}}},
-	} {
-		got, err := unmarshalRecoveryMeta(m.marshal())
+	for _, m := range []*record{{}, sampleRecord()} {
+		got, err := unmarshalRecord(m.marshal())
 		if err != nil || !reflect.DeepEqual(got, m) {
 			t.Fatalf("round trip of %+v: %+v, %v", m, got, err)
 		}
 	}
 }
 
-// FuzzRecoveryMeta: arbitrary bytes never panic the sidecar decoder and
+// TestRecordIsTheProtocolSection: a local checkpoint's record carries the
+// layer's whole protocol section — its request records sorted by handle,
+// its persistent-object calls, NextReq — and RestoreFrom, handed nothing
+// but the gather's slice, rebuilds the pseudo-handle table from it.
+func TestRecordIsTheProtocolSection(t *testing.T) {
+	w := mpi.NewWorld(1, mpi.Options{})
+	cs := storage.NewCheckpointStore(storage.NewMemory())
+	l := NewLayer(w.Comm(0), Config{Mode: Full, Store: cs})
+	dup := l.CommDup(WorldComm)
+	var reqs []Handle
+	for tag := 3; tag < 8; tag++ {
+		reqs = append(reqs, l.Irecv(0, tag))
+	}
+	l.requestCheckpoint()
+	l.PotentialCheckpoint()
+	pump(t, []*Layer{l}, cs, 1)
+	raw, err := cs.GetMeta(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := unmarshalRecord(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Epoch != 1 || len(m.Persist) != 1 || m.Persist[0].Result != dup || len(m.Requests) != len(reqs) || m.NextReq != reqs[len(reqs)-1]+1 {
+		t.Fatalf("record %+v, want epoch 1, the dup and %d receives", m, len(reqs))
+	}
+	for i, r := range m.Requests {
+		if r.Handle != reqs[i] || !r.isRecv || r.tag != 3+i {
+			t.Fatalf("request record %d is %+v, want the receive %d on tag %d, in handle order", i, r, reqs[i], 3+i)
+		}
+	}
+	plan, err := GatherRecovery(cs, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2 := NewLayer(mpi.NewWorld(1, mpi.Options{}).Comm(0), Config{Mode: Full, Store: cs})
+	if err := l2.RestoreFrom(plan.ForRank(0), nil); err != nil {
+		t.Fatal(err)
+	}
+	if l2.SubComm(dup) == nil || len(l2.handles.reqs) != len(reqs) || l2.handles.nextReq != m.NextReq {
+		t.Fatalf("restored %d requests and next handle %d, want %d and %d", len(l2.handles.reqs), l2.handles.nextReq, len(reqs), m.NextReq)
+	}
+}
+
+// FuzzRecoveryMeta: arbitrary bytes never panic the record decoder and
 // never make it allocate out of proportion to the input; what it accepts
 // survives a re-encode.
 func FuzzRecoveryMeta(f *testing.F) {
-	valid := (&recoveryMeta{Epoch: 3, Replicated: 1, EarlyIDs: [][]uint32{nil, {1, 2, 3}, {9}}}).marshal()
+	valid := sampleRecord().marshal()
+	// enc writes varints and literal strings behind the magic.
+	enc := func(parts ...any) []byte {
+		b := append([]byte(nil), recordMagic...)
+		for _, p := range parts {
+			if s, ok := p.(string); ok {
+				b = append(b, s...)
+			} else {
+				b = binary.AppendVarint(b, int64(p.(int)))
+			}
+		}
+		return b
+	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)-2])                                                             // truncated inside an ID set
-	f.Add(append(append([]byte(nil), valid...), 0))                                         // trailing byte
-	f.Add(binary.AppendUvarint(append([]byte(nil), valid[:10]...), 1<<40))                  // 2^40 senders, none present
-	f.Add(append(append([]byte(nil), metaMagic...), 1, 0, 1, 0xff, 0xff, 0xff, 0xff, 0x0f)) // 2^32 IDs, none present
-	f.Add([]byte("C3RM0002"))
+	f.Add(valid[:len(valid)-2])                          // truncated inside the request records
+	f.Add(append(append([]byte(nil), valid...), 0))      // trailing byte
+	f.Add(enc(3, 1, 1<<40))                              // 2^40 senders, none present
+	f.Add(enc(1, 0, 1, 1<<32))                           // 2^32 IDs, none present
+	f.Add(enc(1, 0, 0, 1<<16))                           // 2^16 persistent calls, none present
+	f.Add(enc(1, 0, 0, 0, 1<<16))                        // 2^16 requests, none present
+	f.Add(enc(1, 0, 0, 1, 5, "split", 0, 1, 3, 2, 0, 0)) // a split with one argument
+	f.Add(enc(1, 0, 0, 1, 3, "dup", 0, 1, 7, 1, 0, 0))   // a dup with an argument
+	f.Add(enc(1, 0, 0, 0, 1, -1, 1, -1, -2, 0, -7))      // negative handle, source, tag and NextReq
+	f.Add(enc(1, 0, 0, 0, 1, 2, 2, 0, 0, 0, 0))          // a flag that is neither 0 nor 1
+	f.Add([]byte("C3RM0003"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) > 16<<10 {
@@ -186,7 +277,7 @@ func FuzzRecoveryMeta(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		m, err := unmarshalRecoveryMeta(raw)
+		m, err := unmarshalRecord(raw)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Fatalf("allocated %d bytes decoding %d", grew, len(raw))
@@ -194,9 +285,9 @@ func FuzzRecoveryMeta(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again, err := unmarshalRecoveryMeta(m.marshal())
+		again, err := unmarshalRecord(m.marshal())
 		if err != nil || !reflect.DeepEqual(again, m) {
-			t.Fatalf("re-encoded sidecar: %+v (%v), want %+v", again, err, m)
+			t.Fatalf("re-encoded record: %+v (%v), want %+v", again, err, m)
 		}
 	})
 }

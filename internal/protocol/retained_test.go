@@ -201,10 +201,11 @@ func TestRetainedMidFlushViewIsReleased(t *testing.T) {
 	}
 	want := retainedBlob(t, kept[0])
 
+	rec := recoverySlices(t, rr.cs, 1, 1)[0]
 	rr.gets.keys = nil
 	for rollback := 1; rollback <= 2; rollback++ {
 		l := NewLayer(mpi.NewWorld(1, mpi.Options{}).Comm(0), Config{Mode: Full, Store: rr.cs, IncrementalFreeze: true})
-		if err := l.RestoreFrom(&RankRecovery{Epoch: 1}, kept); err != nil {
+		if err := l.RestoreFrom(rec, kept); err != nil {
 			t.Fatal(err)
 		}
 		if l.Stats.RecoveredFromRetained != 1 || len(rr.gets.keys) != 0 {

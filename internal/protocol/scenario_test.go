@@ -136,7 +136,11 @@ func TestFigure3(t *testing.T) {
 	if !foundLate {
 		t.Fatal("Q's persisted log is missing the late message")
 	}
-	meta, err := loadRecoveryMeta(cs, 1, 2, 3)
+	raw, err := cs.GetMeta(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := unmarshalRecord(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,21 +175,12 @@ func TestFigure3Recovery(t *testing.T) {
 	}
 	// Gather early IDs and build suppression sets (the recovery driver's
 	// job).
-	suppress := make([][]uint32, 3)
-	for r := 0; r < 3; r++ {
-		meta, err := loadRecoveryMeta(cs, 1, r, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for sender, set := range meta.EarlyIDs {
-			suppress[sender] = append(suppress[sender], set...)
-		}
-	}
-	if len(suppress[1]) != 1 {
-		t.Fatalf("suppress sets = %v", suppress)
+	recs := recoverySlices(t, cs, 1, 3)
+	if len(recs[1].Suppress) != 1 || len(recs[0].Suppress)+len(recs[2].Suppress) != 0 {
+		t.Fatalf("suppress sets = %v, %v, %v", recs[0].Suppress, recs[1].Suppress, recs[2].Suppress)
 	}
 	for r := 0; r < 3; r++ {
-		if err := ls2[r].RestoreFrom(&RankRecovery{Epoch: 1, Suppress: suppress[r]}, nil); err != nil {
+		if err := ls2[r].RestoreFrom(recs[r], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -304,9 +299,10 @@ func TestFigure5CallA(t *testing.T) {
 	// after it and never calls Allreduce again. ---
 	w2 := mpi.NewWorld(3, mpi.Options{})
 	ls2 := make([]*Layer, 3)
+	recs := recoverySlices(t, cs, 1, 3)
 	for r := 0; r < 3; r++ {
 		ls2[r] = NewLayer(w2.Comm(r), Config{Mode: Full, Store: cs, Debug: true})
-		if err := ls2[r].RestoreFrom(&RankRecovery{Epoch: 1}, nil); err != nil {
+		if err := ls2[r].RestoreFrom(recs[r], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -454,9 +450,10 @@ func TestLoggedBarrierSkippedOnRecovery(t *testing.T) {
 
 	w2 := mpi.NewWorld(3, mpi.Options{})
 	var l2 [3]*Layer
+	recs := recoverySlices(t, cs, 1, 3)
 	for i := range l2 {
 		l2[i] = NewLayer(w2.Comm(i), Config{Mode: Full, Store: cs, Debug: true})
-		if err := l2[i].RestoreFrom(&RankRecovery{Epoch: 1}, nil); err != nil {
+		if err := l2[i].RestoreFrom(recs[i], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -525,10 +522,11 @@ func TestDeferralRule(t *testing.T) {
 	w2 := mpi.NewWorld(2, mpi.Options{})
 	P2 := NewLayer(w2.Comm(0), Config{Mode: Full, Store: cs, Debug: true})
 	Q2 := NewLayer(w2.Comm(1), Config{Mode: Full, Store: cs, Debug: true})
-	if err := P2.RestoreFrom(&RankRecovery{Epoch: 1}, nil); err != nil {
+	recs := recoverySlices(t, cs, 1, 2)
+	if err := P2.RestoreFrom(recs[0], nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := Q2.RestoreFrom(&RankRecovery{Epoch: 1}, nil); err != nil {
+	if err := Q2.RestoreFrom(recs[1], nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -91,18 +91,9 @@ func TestWaitIntoOwnsNothingItReleased(t *testing.T) {
 	// Roll back to epoch 1 on a fresh poisoned world. Q re-executes its
 	// receive: the sender does not re-send, so the bytes come from the log.
 	ls2 := poisonedLayers(t, 3, Full, cs)
-	suppress := make([][]uint32, 3)
-	for r := 0; r < 3; r++ {
-		meta, err := loadRecoveryMeta(cs, 1, r, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for sender, set := range meta.EarlyIDs {
-			suppress[sender] = append(suppress[sender], set...)
-		}
-	}
+	recs := recoverySlices(t, cs, 1, 3)
 	for r, l := range ls2 {
-		if err := l.RestoreFrom(&RankRecovery{Epoch: 1, Suppress: suppress[r]}, nil); err != nil {
+		if err := l.RestoreFrom(recs[r], nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -124,9 +124,9 @@ func (k Skew) rate() float64 {
 
 // SlowStore injects a seeded virtual-time delay into every stable-storage
 // Put and Get (with probability Prob per operation; zero means always).
-// The delay is Delay plus a uniform [0, Jitter) draw. Because the sleep is
-// virtual, a slow disk costs nothing in wall time but is fully visible in
-// the protocol's blocked-time counters.
+// The delay is Delay plus a uniform [0, Jitter) draw seeded by the call's
+// operation, key and virtual instant. The sleep is virtual: a slow disk
+// costs no wall time but is fully visible in the blocked-time counters.
 type SlowStore struct {
 	Delay  time.Duration `json:"delay"`
 	Jitter time.Duration `json:"jitter,omitempty"`

@@ -45,8 +45,8 @@
 // Two actors touching the shared store at one virtual instant do run in
 // wall-time order; the simulated store makes the outcome independent of it
 // (see simStore: a Put is visible to the dedup probe from the next instant
-// on). A SlowStore with Jitter draws from one stream in call order, so
-// reproducible scenarios leave its Jitter at zero.
+// on), and a SlowStore draws each stall from the operation, its key and
+// its instant, so its Jitter replays too.
 //
 // The transport decodes wire frames into the exported mpi.Mailbox, so
 // matching semantics, chaos insertion, and ErrWorldDead/ErrCanceled

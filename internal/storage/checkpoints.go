@@ -12,12 +12,12 @@ import (
 // CheckpointStore layers the checkpoint naming scheme and the initiator's
 // commit record on top of a Stable blob store.
 //
-// A global checkpoint for epoch e consists of one state blob and one log
-// blob per rank plus, once every rank has reported stoppedLogging, a commit
-// record naming e as "the checkpoint to be used for recovery" (Section 4.1,
-// Phase 4 of the paper). Recovery always starts from the newest committed
-// epoch; a crash in the middle of checkpoint e+1 therefore falls back to
-// epoch e.
+// A global checkpoint for epoch e consists of one state blob (application
+// state; none outside Full mode), one log and one protocol record per rank
+// plus, once every rank has reported stoppedLogging, a commit record naming
+// e as "the checkpoint to be used for recovery" (Section 4.1, Phase 4 of
+// the paper). Recovery always starts from the newest committed epoch; a
+// crash in the middle of checkpoint e+1 therefore falls back to epoch e.
 type CheckpointStore struct {
 	S Stable
 }
@@ -47,20 +47,18 @@ func rankBlobKey(epoch int, kind BlobKind, rank int) string {
 	return fmt.Sprintf(layoutRoot+"%08d/%s.%04d", epoch, kind, rank)
 }
 
-// StateKey names the application+protocol state blob for (epoch, rank).
+// StateKey names the application state object for (epoch, rank).
 func StateKey(epoch, rank int) string { return rankBlobKey(epoch, StateBlob, rank) }
 
 // LogKey names the message/non-determinism log blob for (epoch, rank).
 func LogKey(epoch, rank int) string { return rankBlobKey(epoch, LogBlob, rank) }
 
-// MetaKey names the recovery-metadata sidecar for (epoch, rank): a small
-// blob holding what the recovery driver gathers from that rank's checkpoint
-// (its early-message ID sets and how many replicated values its state
-// carries), so a restart reads O(ranks) tiny blobs and no rank's state. It
-// is part of the checkpoint, not an accelerator: written after the state
-// manifest and before the rank reports the epoch durable, pruned with the
-// rest of the epoch directory, and a committed epoch without one is a
-// corrupt store.
+// MetaKey names the protocol record of (epoch, rank): everything of the
+// rank's local checkpoint that is not application state (epoch, early-
+// message IDs, request records, persistent-object calls), and all a
+// restart's gather reads of it. It is written after the state manifest and
+// before the rank reports the epoch durable, pruned with the rest of the
+// epoch directory, and a committed epoch without one is a corrupt store.
 func MetaKey(epoch, rank int) string { return rankBlobKey(epoch, MetaBlob, rank) }
 
 const commitKey = layoutRoot + "COMMIT"
@@ -101,12 +99,12 @@ func (c *CheckpointStore) GetState(epoch, rank int) ([]byte, error) {
 	return state, nil
 }
 
-// PutMeta durably stores a rank's recovery-metadata sidecar for an epoch.
+// PutMeta durably stores a rank's protocol record for an epoch.
 func (c *CheckpointStore) PutMeta(epoch, rank int, data []byte) error {
 	return c.S.Put(MetaKey(epoch, rank), data)
 }
 
-// GetMeta loads a rank's recovery-metadata sidecar for an epoch.
+// GetMeta loads a rank's protocol record for an epoch.
 func (c *CheckpointStore) GetMeta(epoch, rank int) ([]byte, error) {
 	return c.S.Get(MetaKey(epoch, rank))
 }
@@ -253,12 +251,12 @@ func (c *CheckpointStore) Refs(key string) (refs []ChunkRef, ok bool, err error)
 }
 
 // PruneKeys lists what a prune to keepEpoch deletes, in deletion order:
-// every key of an epoch older than keepEpoch — state, log, recovery
-// sidecar — then every content-hashed chunk that no remaining state
+// every key of an epoch older than keepEpoch — state, log, protocol
+// record — then every content-hashed chunk that no remaining state
 // manifest references (manifests of epochs newer than keepEpoch count).
-// It is the whole decision: Prune deletes exactly these keys, and the
-// admin dry run (store.PrunePlan) reports them. The commit record and
-// foreign keys are never listed.
+// It is the whole decision: Delete removes exactly these keys, for Prune
+// and for the admin prune that applies the plan it printed
+// (store.PrunePlan). The commit record and foreign keys are never listed.
 func (c *CheckpointStore) PruneKeys(keepEpoch int) ([]Entry, error) {
 	entries, err := c.Walk()
 	if err != nil {
@@ -308,6 +306,12 @@ func (c *CheckpointStore) Prune(keepEpoch int) error {
 	if err != nil {
 		return err
 	}
+	return c.Delete(doomed)
+}
+
+// Delete removes walked keys in the order given — a PruneKeys plan's: an
+// epoch's blobs before the chunks only they referenced — and lists nothing.
+func (c *CheckpointStore) Delete(doomed []Entry) error {
 	for _, e := range doomed {
 		if err := c.S.Delete(e.Key); err != nil {
 			return err

@@ -16,7 +16,7 @@ import (
 )
 
 // writeEpochs stores `epochs` global checkpoints of `ranks` ranks the way
-// the runtime does — chunked state, log, sidecar — and commits the last.
+// the runtime does — chunked state, log, protocol record — and commits the last.
 func writeEpochs(t *testing.T, cs *CheckpointStore, epochs, ranks int) {
 	t.Helper()
 	for epoch := 1; epoch <= epochs; epoch++ {
@@ -70,7 +70,7 @@ func (c *countingStable) List(prefix string) ([]string, error) {
 // TestPruneKeysReadsOnlyTheManifestsItKeeps is the guard on the shared walk:
 // the prune runs on the initiator after every commit, so it may cost one
 // List and one Get per state manifest of an epoch it keeps — no chunk, log,
-// sidecar or commit-record read, and nothing of the epochs it deletes.
+// protocol-record or commit-record read, and nothing of the epochs it deletes.
 func TestPruneKeysReadsOnlyTheManifestsItKeeps(t *testing.T) {
 	const epochs, ranks, keep = 4, 3, 3
 	mem := NewMemory()

@@ -13,9 +13,8 @@
 //
 // Everything except Prune is read-only and safe to run against the store
 // of a live job: a key the job prunes between the enumeration and its read
-// is skipped, as if the enumeration had run a moment later. Prune (and a
-// PrunePlan applied with it) must only run when no job is writing the
-// store.
+// is skipped, as if the enumeration had run a moment later. Prune, which
+// applies a PrunePlan, must only run when no job is writing the store.
 //
 // Errors returned by this package wrap ccift.ErrStore (and
 // ccift.ErrSpec for invalid arguments), so callers dispatch with
@@ -81,10 +80,12 @@ func (st *Store) Committed() (epoch int, ok bool, err error) {
 // RankBlob summarizes one rank's artifacts within an epoch.
 type RankBlob struct {
 	Rank int
-	// StateBytes is the logical (assembled) size of the rank's state blob
-	// and Chunks the number of chunks its manifest references; LogBytes is
-	// the size of its message/non-determinism log; MetaBytes the size of
-	// its recovery sidecar.
+	// StateBytes is the logical (assembled) size of the rank's state blob —
+	// its application state; Chunks the number of chunks its manifest
+	// references; LogBytes the size of its message/non-determinism log;
+	// MetaBytes the size of its protocol record (epoch, early-message IDs,
+	// request records and persistent-object calls), which the recovery
+	// gather reads. A rank of a NoAppState run has no state blob.
 	StateBytes int64
 	Chunks     int
 	LogBytes   int64
@@ -269,7 +270,9 @@ func (st *Store) Summary() (*Summary, error) {
 
 // scan walks the store once and joins every chunk key against every
 // manifest's references: the refcount table, sorted as Chunks promises,
-// and the Summary that totals it.
+// and the Summary that totals it. A referenced chunk's size is the one its
+// manifest records, so only an orphan — a chunk no manifest names — is
+// read.
 func (st *Store) scan() ([]Chunk, *Summary, error) {
 	s := &Summary{Dir: st.dir}
 	var err error
@@ -282,37 +285,37 @@ func (st *Store) scan() ([]Chunk, *Summary, error) {
 	}
 	s.Epochs = countEpochs(entries)
 	table := map[string]*Chunk{}
-	chunk := func(hash string) *Chunk {
-		if table[hash] == nil {
-			table[hash] = &Chunk{Hash: hash}
+	for _, e := range entries {
+		if e.Kind != storage.StateBlob {
+			continue
 		}
-		return table[hash]
+		refs, _, err := st.cs.Refs(e.Key)
+		if err != nil {
+			return nil, nil, st.bad(err, e.Key)
+		}
+		s.LogicalBytes += logicalBytes(refs)
+		for _, r := range refs {
+			// A chunk referenced but missing on disk stays in the table
+			// with the manifest's length, so `c3admin chunks` makes the
+			// corruption visible instead of hiding it.
+			c := table[r.Hex()]
+			if c == nil {
+				c = &Chunk{Hash: r.Hex(), Bytes: r.Len}
+				table[c.Hash] = c
+			}
+			c.Refs++
+		}
 	}
 	for _, e := range entries {
-		switch {
-		case e.Class == storage.Chunk:
-			blob, ok, err := st.cs.Read(e.Key)
-			if err != nil {
-				return nil, nil, st.bad(err, e.Key)
-			}
-			if ok {
-				chunk(e.Name).Bytes = int64(len(blob))
-			}
-		case e.Kind == storage.StateBlob:
-			refs, _, err := st.cs.Refs(e.Key)
-			if err != nil {
-				return nil, nil, st.bad(err, e.Key)
-			}
-			s.LogicalBytes += logicalBytes(refs)
-			for _, r := range refs {
-				// A chunk referenced but missing on disk stays in the table
-				// with the manifest's length, so `c3admin chunks` makes the
-				// corruption visible instead of hiding it.
-				c := chunk(r.Hex())
-				if c.Refs++; c.Bytes == 0 {
-					c.Bytes = r.Len
-				}
-			}
+		if e.Class != storage.Chunk || table[e.Name] != nil {
+			continue
+		}
+		blob, ok, err := st.cs.Read(e.Key)
+		if err != nil {
+			return nil, nil, st.bad(err, e.Key)
+		}
+		if ok {
+			table[e.Name] = &Chunk{Hash: e.Name, Bytes: int64(len(blob))}
 		}
 	}
 	chunks := make([]Chunk, 0, len(table))
@@ -422,8 +425,8 @@ func (st *Store) Verify() (*VerifyReport, error) {
 	return rep, nil
 }
 
-// PrunePlan is the dry-run result of a prune: exactly what Prune would
-// delete, without deleting it.
+// PrunePlan is the dry-run result of a prune: exactly what Prune deletes
+// when it applies the plan.
 type PrunePlan struct {
 	// KeepEpoch is the newest epoch the plan preserves (everything older
 	// is deleted, plus chunks only older epochs referenced).
@@ -434,18 +437,26 @@ type PrunePlan struct {
 	Keys []string
 	// ReclaimBytes is the on-disk volume those keys hold.
 	ReclaimBytes int64
+	// doomed are Keys in the order Prune deletes them.
+	doomed []storage.Entry
 }
 
 // PrunePlan computes what pruning to keepEpoch would delete: the key list
-// is storage's own (CheckpointStore.PruneKeys, which Prune executes), so
-// the dry run cannot drift from the prune. keepEpoch < 0 selects the
+// is storage's own (CheckpointStore.PruneKeys), and Prune deletes exactly
+// the keys of the plan, so the dry run cannot drift from the prune. keepEpoch < 0 selects the
 // committed epoch — the invariant the running system itself maintains.
 // Planning with no commit record and keepEpoch < 0 is an error rather
 // than a plan that deletes everything.
 func (st *Store) PrunePlan(keepEpoch int) (*PrunePlan, error) {
-	keepEpoch, err := st.keepEpoch(keepEpoch)
-	if err != nil {
-		return nil, err
+	if keepEpoch < 0 {
+		committed, ok, err := st.Committed()
+		if err == nil && !ok {
+			err = fmt.Errorf("%w: prune: store has no commit record; pass an explicit keep epoch", cerr.ErrSpec)
+		}
+		if err != nil {
+			return nil, err
+		}
+		keepEpoch = committed
 	}
 	doomed, err := st.cs.PruneKeys(keepEpoch)
 	if err != nil {
@@ -464,6 +475,7 @@ func (st *Store) PrunePlan(keepEpoch int) (*PrunePlan, error) {
 			plan.Epochs = append(plan.Epochs, e.Epoch)
 		}
 		plan.Keys = append(plan.Keys, e.Key)
+		plan.doomed = append(plan.doomed, e)
 		plan.ReclaimBytes += int64(len(blob))
 	}
 	sort.Ints(plan.Epochs)
@@ -471,32 +483,13 @@ func (st *Store) PrunePlan(keepEpoch int) (*PrunePlan, error) {
 	return plan, nil
 }
 
-// keepEpoch resolves a prune's argument: < 0 selects the committed epoch.
-func (st *Store) keepEpoch(epoch int) (int, error) {
-	if epoch >= 0 {
-		return epoch, nil
-	}
-	committed, ok, err := st.Committed()
-	if err == nil && !ok {
-		err = fmt.Errorf("%w: prune: store has no commit record; pass an explicit keep epoch", cerr.ErrSpec)
-	}
-	return committed, err
-}
-
-// Prune applies a prune to keepEpoch (< 0 selects the committed epoch,
-// as in PrunePlan): epoch blobs older than keepEpoch are deleted and
-// unreferenced chunks swept. Run it only when no job is writing the
-// store — the running system prunes after every commit on its own, so
-// manual pruning is for stores a job left behind.
-func (st *Store) Prune(keepEpoch int) error {
-	keepEpoch, err := st.keepEpoch(keepEpoch)
-	if err == nil {
-		err = st.cs.Prune(keepEpoch)
-	}
-	if err != nil && !errors.Is(err, cerr.ErrSpec) {
-		err = st.bad(err)
-	}
-	return err
+// Prune applies a plan: it deletes the plan's keys — epoch blobs older
+// than its KeepEpoch, then the chunks only they referenced — and nothing
+// else, without enumerating the store again. Run it only when no job is
+// writing the store — the running system prunes after every commit on its
+// own, so manual pruning is for stores a job left behind.
+func (st *Store) Prune(plan *PrunePlan) error {
+	return st.bad(st.cs.Delete(plan.doomed))
 }
 
 // Job is one checkpoint store found under a root directory.

@@ -19,7 +19,7 @@ import (
 
 // seedStore writes a two-epoch checkpoint tree the way the runtime does:
 // chunked state per rank (epoch 1 re-uses epoch 0's chunks except one
-// dirty chunk per rank), recovery sidecars, logs, a commit record for epoch
+// dirty chunk per rank), protocol records, logs, a commit record for epoch
 // 1, and one orphaned chunk. Returns the store dir.
 func seedStore(t *testing.T) string {
 	t.Helper()
@@ -191,7 +191,7 @@ func TestPrunePlanAndPrune(t *testing.T) {
 	if len(plan.Epochs) != 1 || plan.Epochs[0] != 0 {
 		t.Fatalf("plan.Epochs=%v, want [0]", plan.Epochs)
 	}
-	// Epoch 0's 6 blobs (2 states + 2 sidecars + 2 logs), the
+	// Epoch 0's 6 blobs (2 states + 2 protocol records + 2 logs), the
 	// epoch-0-only dirty chunk, and the orphan.
 	if len(plan.Keys) != 8 {
 		t.Fatalf("plan.Keys=%v, want 8 keys", plan.Keys)
@@ -210,7 +210,7 @@ func TestPrunePlanAndPrune(t *testing.T) {
 		t.Fatalf("dry run mutated the store: %d epochs", len(epochs))
 	}
 
-	if err := st.Prune(-1); err != nil {
+	if err := st.Prune(plan); err != nil {
 		t.Fatal(err)
 	}
 	// The dry run previews the prune exactly: the keys gone from the store
@@ -285,11 +285,64 @@ func TestPruneWithoutCommitNeedsExplicitEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.PrunePlan(-1); !errors.Is(err, cerr.ErrSpec) {
-		t.Errorf("PrunePlan(-1) with no commit: err=%v, want ErrSpec", err)
+	if plan, err := st.PrunePlan(-1); plan != nil || !errors.Is(err, cerr.ErrSpec) {
+		t.Errorf("PrunePlan(-1) with no commit: plan %+v, err=%v; want no plan (nothing for Prune to apply) and ErrSpec", plan, err)
 	}
-	if err := st.Prune(-1); !errors.Is(err, cerr.ErrSpec) {
-		t.Errorf("Prune(-1) with no commit: err=%v, want ErrSpec", err)
+}
+
+// opCounter counts the Lists and the chunk Gets a view issues.
+type opCounter struct {
+	storage.Stable
+	lists, chunkGets int
+}
+
+func (c *opCounter) List(prefix string) ([]string, error) {
+	c.lists++
+	return c.Stable.List(prefix)
+}
+
+func (c *opCounter) Get(key string) ([]byte, error) {
+	if strings.HasPrefix(key, "ckpt/chunks/") {
+		c.chunkGets++
+	}
+	return c.Stable.Get(key)
+}
+
+// TestViewsReadWhatTheyNeedOnce: the summary takes a referenced chunk's
+// size from its manifest and reads only the orphan, and an applied prune
+// deletes the plan's keys without a second walk.
+func TestViewsReadWhatTheyNeedOnce(t *testing.T) {
+	dir := seedStore(t)
+	disk, err := storage.NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &opCounter{Stable: disk}
+	st := &Store{dir: dir, cs: storage.NewCheckpointStore(c)}
+	s, err := st.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.chunkGets != 1 || s.Orphans != 1 || s.Chunks != 6 {
+		t.Fatalf("summary of 5 referenced chunks and an orphan read %d chunks (summary %+v), want the orphan alone", c.chunkGets, s)
+	}
+	c.lists = 0
+	plan, err := st.PrunePlan(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Prune(plan); err != nil {
+		t.Fatal(err)
+	}
+	if c.lists != 1 {
+		t.Fatalf("planning and applying a prune listed the store %d times, want once: the plan is the walk", c.lists)
+	}
+	*c = opCounter{Stable: disk}
+	if s, err = st.Summary(); err != nil {
+		t.Fatal(err)
+	}
+	if c.chunkGets != 0 || c.lists != 1 || s.Orphans != 0 || s.Chunks != 4 {
+		t.Fatalf("summary of a pruned store: %d chunk reads, %d walks (summary %+v), want none and one", c.chunkGets, c.lists, s)
 	}
 }
 
