@@ -340,7 +340,7 @@ func TestSimulated1000RankWorld(t *testing.T) {
 	const ranks = 1000
 	seed := testseed.Base(t, 1008)
 	ref := soakRef(t, ranks, 3, 4)
-	store := &countingStable{Stable: ccift.NewMemoryStore()}
+	store := &opCounter{Stable: ccift.NewMemoryStore()}
 	start := time.Now()
 	res, err := ccift.Launch(context.Background(), ccift.NewSpec(
 		ccift.WithRanks(ranks), ccift.WithMode(ccift.Full), ccift.WithEveryN(2),
@@ -386,7 +386,7 @@ func TestSimulated1000RankWorld(t *testing.T) {
 	// have read a million. The bound leaves the recovery's half room for
 	// half a read more per rank. (TestRecoveryStoreReadsLinearInRanks
 	// isolates the recovery's share at 8, 64 and 256 ranks.)
-	if reads := store.gets.Load(); reads > 5*ranks/2 {
+	if reads := store.gets.sum(); reads > 5*ranks/2 {
 		t.Fatalf("%d store reads in a %d-rank run with one recovery, want at most %d", reads, ranks, 5*ranks/2)
 	} else {
 		t.Logf("%d store reads (%.2f per rank)", reads, float64(reads)/ranks)

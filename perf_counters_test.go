@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,21 +33,58 @@ import (
 	"ccift/internal/storage"
 )
 
-// countingStable counts Get calls — the store reads recovery performs.
-// Has is forwarded to the inner store's fast probe so the chunk writer's
-// dedup probes during forward execution don't inflate the read count.
-type countingStable struct {
+// keyOps counts store operations by the class of key they touch: a
+// content-hashed chunk, a rank's state manifest, log or protocol record, and
+// the commit record.
+type keyOps struct{ Chunk, State, Log, Meta, Commit int64 }
+
+func (k keyOps) sum() int64 { return k.Chunk + k.State + k.Log + k.Meta + k.Commit }
+
+func (k *keyOps) add(key string) {
+	if strings.HasPrefix(key, chunkKeys) {
+		k.Chunk++
+		return
+	}
+	kind, _, ok := strings.Cut(key[strings.LastIndexByte(key, '/')+1:], ".")
+	switch {
+	case !ok:
+		k.Commit++
+	case kind == string(storage.StateBlob):
+		k.State++
+	case kind == string(storage.LogBlob):
+		k.Log++
+	case kind == string(storage.MetaBlob):
+		k.Meta++
+	}
+}
+
+// opCounter is a Stable that counts Puts, dedup probes and Gets by key
+// class. Its Has is the dedup probe's own, so a probe never counts as a Get.
+type opCounter struct {
 	storage.Stable
-	gets atomic.Int64
+	mu              sync.Mutex
+	puts, has, gets keyOps
 }
 
-func (c *countingStable) Get(key string) ([]byte, error) {
-	c.gets.Add(1)
-	return c.Stable.Get(key)
+func (c *opCounter) count(ops *keyOps, key string) {
+	c.mu.Lock()
+	ops.add(key)
+	c.mu.Unlock()
 }
 
-func (c *countingStable) Has(key string) (bool, error) {
+func (c *opCounter) Put(key string, data []byte) error {
+	c.count(&c.puts, key)
+	return c.Stable.Put(key, data)
+}
+
+func (c *opCounter) Has(key string) (bool, error) {
+	c.count(&c.has, key)
 	return storage.Has(c.Stable, key)
+}
+
+func (c *opCounter) Get(key string) ([]byte, error) {
+	c.count(&c.gets, key)
+	return c.Stable.Get(key)
 }
 
 // recoveryIters sizes the stencil per world so the program is still
@@ -70,7 +106,7 @@ func recoveryIters(world int) int {
 // Gets the whole run made.
 func runCountingReads(t *testing.T, world int, crashes []ccift.Crash) (*ccift.Result, int64) {
 	t.Helper()
-	cs := &countingStable{Stable: storage.NewMemory()}
+	cs := &opCounter{Stable: storage.NewMemory()}
 	res, err := ccift.Launch(context.Background(), ccift.NewSpec(
 		ccift.WithRanks(world), ccift.WithMode(ccift.Full), ccift.WithEveryN(2),
 		ccift.WithStore(cs),
@@ -83,7 +119,7 @@ func runCountingReads(t *testing.T, world int, crashes []ccift.Crash) (*ccift.Re
 	if err != nil {
 		t.Fatalf("world=%d crashes=%v: %v", world, len(crashes), err)
 	}
-	return res, cs.gets.Load()
+	return res, cs.gets.sum()
 }
 
 // TestRecoveryStoreReadsLinearInRanks: what a death costs the store must
@@ -719,57 +755,6 @@ func TestReductionOperatorsMatchPerElementReference(t *testing.T) {
 			}
 		}
 	}
-}
-
-// keyOps counts store operations by the class of key they touch: a
-// content-hashed chunk, a rank's state manifest, log or recovery record, and
-// the commit record.
-type keyOps struct{ Chunk, State, Log, Meta, Commit int64 }
-
-func (k *keyOps) add(key string) {
-	if strings.HasPrefix(key, chunkKeys) {
-		k.Chunk++
-		return
-	}
-	kind, _, ok := strings.Cut(key[strings.LastIndexByte(key, '/')+1:], ".")
-	switch {
-	case !ok:
-		k.Commit++
-	case kind == string(storage.StateBlob):
-		k.State++
-	case kind == string(storage.LogBlob):
-		k.Log++
-	case kind == string(storage.MetaBlob):
-		k.Meta++
-	}
-}
-
-// opCounter is a Stable that counts Puts, dedup probes and Gets by key class.
-type opCounter struct {
-	storage.Stable
-	mu              sync.Mutex
-	puts, has, gets keyOps
-}
-
-func (c *opCounter) count(ops *keyOps, key string) {
-	c.mu.Lock()
-	ops.add(key)
-	c.mu.Unlock()
-}
-
-func (c *opCounter) Put(key string, data []byte) error {
-	c.count(&c.puts, key)
-	return c.Stable.Put(key, data)
-}
-
-func (c *opCounter) Has(key string) (bool, error) {
-	c.count(&c.has, key)
-	return storage.Has(c.Stable, key)
-}
-
-func (c *opCounter) Get(key string) ([]byte, error) {
-	c.count(&c.gets, key)
-	return c.Stable.Get(key)
 }
 
 // TestStoreOpsPerCheckpointOnTheSimulator pins what a local checkpoint asks
