@@ -320,6 +320,9 @@ var exportAllowList = map[string]string{
 	"internal/engine.Run":                          "bench/ pins it (exec.go)",
 	"internal/launch.Run":                          "bench/ pins it (exec.go)",
 	"internal/protocol.Layer.CheckpointInProgress": "bench/ pins it (exec.go)",
+	"internal/mpi.World.OpCount":                   "bench/ pins it (exec.go, ring.go)",
+	"internal/mpi.World.PoisonReleased":            "a test seam, like storage.PoisonReleasedChunks",
+	"internal/mpi.World.Transport":                 "the tests of the simulated and TCP transports drive a world's transport directly",
 	"internal/storage.ChunkedWriter.Pipeline":      "bench/ pins it (probes.go)",
 	"internal/protocol.Layer.Config":               "TestPolicySeam's probe reads what a worker process's layer was configured with",
 	"internal/protocol.VerifyEveryFreeze":          "a test seam a TestMain calls, like storage.PoisonReleasedChunks",
@@ -357,6 +360,19 @@ func TestArchitecture(t *testing.T) {
 		slices.Sort(got)
 		if !slices.Equal(got, []string{"internal/mpi/elems.go"}) {
 			t.Fatalf("unsafe is imported by %v: only internal/mpi/elems.go may view typed memory as bytes (and never the reverse); a second file is the per-element pack loops, or worse, growing back", got)
+		}
+	})
+
+	t.Run("internal/mpi imports no math/rand", func(t *testing.T) {
+		// The message-order adversary is the simulator's seeded per-link
+		// jitter (internal/sim). A PRNG in the substrate is a second,
+		// unseeded-by-the-scenario reordering mode growing back.
+		for path, f := range parseDir(t, "internal/mpi", 0) {
+			for _, imp := range f.Imports {
+				if p := strings.Trim(imp.Path.Value, `"`); p == "math/rand" || p == "math/rand/v2" {
+					t.Errorf("%s imports %s: internal/mpi delivers in arrival order; reordering belongs to internal/sim", path, p)
+				}
+			}
 		}
 	})
 

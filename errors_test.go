@@ -112,9 +112,9 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 		},
 		{
 			name:     "conflicting spec options",
-			opts:     base(ccift.WithChaos(7, false)),
+			opts:     base(ccift.WithTracer(nopTracer{})),
 			want:     ccift.ErrSpec,
-			distOnly: true, // WithChaos is valid in-process; the conflict is with WithDistributed
+			distOnly: true, // WithTracer is valid in-process; the conflict is with WithDistributed
 		},
 		{
 			name: "canceled before start",

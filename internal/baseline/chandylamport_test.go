@@ -4,26 +4,35 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"ccift/internal/mpi"
+	"ccift/internal/sim"
 )
 
 // TestCLConsistentUnderOwnAssumptions: with system-level state saving
 // (record at marker arrival) and arrival-order observation, Chandy-Lamport
 // produces a consistent snapshot — zero early receives — across a busy
-// exchange. This is the baseline working as designed.
+// exchange, over a simulated network whose jitter (four times its
+// latency) reorders frames across senders. This is the baseline working as
+// designed.
 func TestCLConsistentUnderOwnAssumptions(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		const n, rounds = 3, 20
 		cls := make([]*CL, n)
 		var mu sync.Mutex
 
-		w := mpi.NewWorld(n, mpi.Options{ChaosSeed: seed}) // seed 0: no chaos
+		s, err := sim.New(n, sim.Scenario{Seed: seed, Latency: 100 * time.Microsecond, Jitter: 400 * time.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := mpi.NewWorld(n, mpi.Options{NewTransport: s.NewTransport})
 		var wg sync.WaitGroup
 		for r := 0; r < n; r++ {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
+				defer w.RankDone(r)
 				c := w.Comm(r)
 				cl := NewCL(c, func() []byte { return []byte{byte(r)} })
 				mu.Lock()
@@ -45,6 +54,7 @@ func TestCLConsistentUnderOwnAssumptions(t *testing.T) {
 			}(r)
 		}
 		wg.Wait()
+		s.Stop()
 
 		for r, cl := range cls {
 			if !cl.Done() {

@@ -78,20 +78,15 @@ func TestNewCollectivesSurviveRecovery(t *testing.T) {
 	}
 }
 
+// TestNewCollectivesUnderChaos: Scan, Reducescatter and Sendrecv recover
+// under cross-sender reordering.
 func TestNewCollectivesUnderChaos(t *testing.T) {
 	prog := scanProg(10)
 	ref := runRef(t, Config{Ranks: 3, Mode: protocol.Unmodified}, prog)
-	for seed := int64(1); seed <= 3; seed++ {
-		cfg := Config{
-			Ranks: 3, Mode: protocol.Full, EveryN: 3, Debug: true, ChaosSeed: seed,
-			Failures: []Failure{{Rank: 1, AtOp: 50, Incarnation: 0}},
-		}
-		res, err := Run(cfg, prog)
-		if err != nil {
-			t.Fatalf("seed=%d: %v", seed, err)
-		}
-		if !reflect.DeepEqual(res.Values, ref) {
-			t.Fatalf("seed=%d: values %v != ref %v", seed, res.Values, ref)
-		}
-	}
+	checkReordered(t, Config{
+		Ranks: 3, Mode: protocol.Full, EveryN: 3, Debug: true,
+	}, 1, prog, ref, []reorderedKill{
+		{1, 90, 1}, {2, 90, 1}, {3, 90, 1},
+		{1, 120, 2}, {2, 120, 2}, {3, 120, 2},
+	})
 }

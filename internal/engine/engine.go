@@ -54,9 +54,6 @@ type Config struct {
 	Failures []Failure
 	// MaxRestarts bounds rollback attempts. Default 10.
 	MaxRestarts int
-	// ChaosSeed enables adversarial reordering of application messages.
-	ChaosSeed int64
-	ChaosAll  bool
 	// Seed is the base seed for per-rank application randomness. The
 	// incarnation number is mixed in, so un-logged randomness genuinely
 	// diverges across restarts (the protocol's event log is what keeps
@@ -74,7 +71,7 @@ type Config struct {
 	DetectorTimeout time.Duration
 	// NewTransport, when non-nil, supplies the wire substrate for each
 	// incarnation's world; nil selects the in-process indexed-mailbox
-	// transport. The public API's WithTransport option lands here.
+	// transport. The simulated substrate plugs in here.
 	NewTransport func(*mpi.World) mpi.Transport
 	// Policy is the checkpoint policy, handed to every rank's protocol
 	// layer untouched; the zero value is the default fast path.
@@ -251,8 +248,6 @@ type inProcess struct {
 func (w *inProcess) runIncarnation(ctx context.Context, incarnation int, plan *protocol.RecoveryPlan, kill map[int]int64) Outcome {
 	cfg, retained := w.cfg, w.retained
 	world := mpi.NewWorld(cfg.Ranks, mpi.Options{
-		ChaosSeed:    cfg.ChaosSeed,
-		ChaosAll:     cfg.ChaosAll,
 		KillPlan:     kill,
 		NewTransport: cfg.NewTransport,
 	})

@@ -49,6 +49,40 @@ func onSim(t *testing.T, cfg Config) Config {
 	return cfg
 }
 
+// reorderedKill is one run of a reordering suite: the scenario seed, the
+// operation at which the failing rank dies, and the epoch the one rollback
+// must recover from.
+type reorderedKill struct {
+	seed, atOp int64
+	want       int
+}
+
+// checkReordered runs prog under cfg once per kill, rank dying at the
+// kill's operation, over a network whose jitter is four times its latency:
+// every frame, control traffic included, can arrive ahead of a causally
+// earlier frame from another sender, while each link stays FIFO. The
+// protocol must not assume FIFO delivery across senders (Section 3.3): each
+// run must end with ref's values, after exactly one rollback to the kill's
+// epoch.
+func checkReordered(t *testing.T, cfg Config, rank int, prog Program, ref []any, kills []reorderedKill) {
+	t.Helper()
+	for _, k := range kills {
+		run := cfg
+		run.Failures = []Failure{{Rank: rank, AtOp: k.atOp}}
+		run, _ = simConfig(t, run, sim.Scenario{Seed: k.seed, Latency: 100 * time.Microsecond, Jitter: 400 * time.Microsecond})
+		res, err := Run(run, prog)
+		if err != nil {
+			t.Fatalf("seed=%d atOp=%d: %v", k.seed, k.atOp, err)
+		}
+		if !reflect.DeepEqual(res.Values, ref) {
+			t.Fatalf("seed=%d atOp=%d: values %v != ref %v", k.seed, k.atOp, res.Values, ref)
+		}
+		if !reflect.DeepEqual(res.RecoveredEpochs, []int{k.want}) {
+			t.Fatalf("seed=%d atOp=%d: recovered from %v, want [%d]", k.seed, k.atOp, res.RecoveredEpochs, k.want)
+		}
+	}
+}
+
 // TestSimHeartbeatDetectorRecovery is the virtual-time port of
 // TestHeartbeatDetectorRecovery: the dead rank falls silent, the heartbeat
 // detector suspects it after a purely virtual timeout, and the rollback

@@ -58,7 +58,7 @@ func (s RecvSpec) matches(m *Message) bool {
 // world's (World.Release), so the steady state allocates nothing.
 type node struct {
 	m   *Message
-	key uint64 // master-order key: list order == key order
+	key uint64 // master-order key: an arrival counter, so list order == key order
 
 	prev, next   *node // master (delivery-order) list
 	bprev, bnext *node // bucket list
@@ -66,10 +66,9 @@ type node struct {
 }
 
 // bucket is the FIFO of queued messages sharing one exact (ctx, tag,
-// source) triple. Within a bucket, delivery order and arrival order
-// coincide: chaos insertion never reorders messages of the same sender
-// and context, so appending at the tail keeps the bucket sorted by master
-// order and the head is always the earliest match.
+// source) triple. Delivery only appends, so appending at the tail keeps
+// the bucket sorted by master order and the head is always the earliest
+// match.
 type bucket struct {
 	bk         bucketKey
 	tb         *tagBuckets
@@ -168,22 +167,15 @@ func (tb *tagBuckets) dropEmpty() {
 	}
 }
 
-// Master-order keys are spaced keyGap apart on append; a chaos insertion
-// takes the midpoint of its neighbors. When a gap is exhausted the list is
-// renumbered (rare: it takes ~20 consecutive insertions into the same gap).
-const keyGap = 1 << 20
-
 // mailbox holds the arrived-but-unmatched messages of one rank. Matching
-// follows delivery order (possibly perturbed by chaos insertion), so two
-// messages with the same (source, tag, ctx) are received in arrival order,
-// while tag matching lets the application receive messages out of order —
-// the non-FIFO property of Section 3.3.
+// follows delivery order, so two messages with the same (source, tag, ctx)
+// are received in arrival order, while tag matching lets the application
+// receive messages out of order — the non-FIFO property of Section 3.3.
 //
 // Receives with fully-specified specs (no wildcards, or only a source
 // wildcard) resolve through the bucket indexes in O(specs) instead of
 // O(queue × specs); AnyTag receives keep the ordered master-list scan so
-// wildcard semantics — and the chaos interleavings the tests pin down —
-// are preserved byte for byte.
+// wildcard semantics are preserved byte for byte.
 type mailbox struct {
 	world *World
 	mu    sync.Mutex
@@ -196,8 +188,8 @@ type mailbox struct {
 	// buckets only once a matching call actually needs the indexed path
 	// (queue longer than scanThreshold). Light traffic therefore never
 	// touches the maps at all. `indexed` counts bucket-linked nodes;
-	// bucket order always mirrors master order because a new arrival can
-	// never be chaos-inserted ahead of a same-(ctx, source) message.
+	// bucket order always mirrors master order because delivery only
+	// appends.
 	indexed int
 	exact   map[bucketKey]*bucket  // (ctx, tag, source) -> FIFO
 	byTag   map[tagKey]*tagBuckets // (ctx, tag) -> per-source index
@@ -252,23 +244,25 @@ func (b *mailbox) freeNode(n *node) {
 	b.free = n
 }
 
-// deliver appends (or chaos-inserts) a message and wakes waiting receivers.
+// deliver appends a message and wakes waiting receivers.
 func (b *mailbox) deliver(m *Message) {
 	b.mu.Lock()
 	n := b.newNode(m)
-	if before := b.chaosTarget(m); before != nil {
-		b.insertBefore(n, before)
+	n.key = 1
+	if b.tail == nil {
+		b.head = n
 	} else {
-		b.appendNode(n)
+		n.key = b.tail.key + 1
+		n.prev = b.tail
+		b.tail.next = n
 	}
+	b.tail = n
 	b.count++
 	// While the bucket indexes are live (every queued node is linked),
-	// index the arrival immediately: chaos never reorders same-(ctx,
-	// source) messages, so appending to the bucket keeps it sorted by
-	// master order even for a chaos-inserted node, and the indexed match
-	// path stays O(specs) instead of rescanning the master list per
-	// receive. Once the indexes drain to empty the lazy path takes over
-	// again, so light traffic still never touches the maps.
+	// index the arrival immediately, so the indexed match path stays
+	// O(specs) instead of rescanning the master list per receive. Once the
+	// indexes drain to empty the lazy path takes over again, so light
+	// traffic still never touches the maps.
 	if b.indexed > 0 && b.indexed == b.count-1 {
 		b.bucketAppend(n)
 	}
@@ -286,106 +280,9 @@ func (b *mailbox) interrupt() {
 	b.mu.Unlock()
 }
 
-// chaosTarget picks the node the arriving message is inserted before, or
-// nil for normal (append) delivery. Reordering respects MPI's
-// non-overtaking guarantee: two messages from the same sender on the same
-// communicator are matched in send order, so an arriving message may only
-// be inserted ahead of undelivered messages from *other* senders (and only
-// within its own communicator context, since cross-communicator ordering
-// cannot be compared). What remains is exactly the network's legal
-// nondeterminism: the arrival interleaving across senders.
-func (b *mailbox) chaosTarget(m *Message) *node {
-	w := b.world
-	if w.chaos == nil || b.head == nil {
-		return nil
-	}
-	if m.Tag < 0 && !w.opts.ChaosAll {
-		return nil
-	}
-	// The message may land anywhere in the longest list suffix consisting
-	// of same-context messages from other senders.
-	suffixLen := 0
-	var start *node
-	for q := b.tail; q != nil; q = q.prev {
-		if q.m.ctx != m.ctx || q.m.Source == m.Source {
-			break
-		}
-		suffixLen++
-		start = q
-	}
-	if suffixLen == 0 {
-		return nil
-	}
-	w.chaosMu.Lock()
-	defer w.chaosMu.Unlock()
-	if w.chaos.Intn(2) == 0 {
-		return nil
-	}
-	for off := w.chaos.Intn(suffixLen); off > 0; off-- {
-		start = start.next
-	}
-	return start
-}
-
-func (b *mailbox) appendNode(n *node) {
-	if b.tail == nil {
-		n.key = keyGap
-		b.head, b.tail = n, n
-		return
-	}
-	n.key = b.tail.key + keyGap
-	n.prev = b.tail
-	b.tail.next = n
-	b.tail = n
-}
-
-func (b *mailbox) insertBefore(n, x *node) {
-	var lo uint64
-	if x.prev != nil {
-		lo = x.prev.key
-	}
-	key := lo + (x.key-lo)/2
-	if key == lo { // gap exhausted: renumber and retry
-		b.renumber()
-		lo = 0
-		if x.prev != nil {
-			lo = x.prev.key
-		}
-		key = lo + (x.key-lo)/2
-	}
-	n.key = key
-	n.prev = x.prev
-	n.next = x
-	if x.prev != nil {
-		x.prev.next = n
-	} else {
-		b.head = n
-	}
-	x.prev = n
-}
-
-func (b *mailbox) renumber() {
-	key := uint64(keyGap)
-	for q := b.head; q != nil; q = q.next {
-		q.key = key
-		key += keyGap
-	}
-	// Every head entry in every lazy heap now carries a stale key: rebuild
-	// them from the live buckets. Renumbering is rare (it takes ~20 chaos
-	// insertions into one gap), so the full rebuild stays off the hot path.
-	for _, tb := range b.byTag {
-		tb.heap = tb.heap[:0]
-		for _, bkt := range tb.srcs {
-			if bkt.head != nil {
-				tb.pushHead(bkt)
-			}
-		}
-	}
-}
-
 // bucketAppend registers n at the tail of its (ctx, tag, source) bucket.
-// Appending is always correct: chaos never reorders same-(ctx, source)
-// messages, so bucket order mirrors master order.
+// Appending is always correct: nodes are indexed in master order, so
+// bucket order mirrors it.
 func (b *mailbox) bucketAppend(n *node) {
 	bk := bucketKey{ctx: n.m.ctx, source: n.m.Source, tag: n.m.Tag}
 	bkt := b.exact[bk]

@@ -15,7 +15,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 )
@@ -46,13 +45,6 @@ var (
 
 // Options configure a World.
 type Options struct {
-	// ChaosSeed, when non-zero, enables adversarial reordering of
-	// application-level messages (tags >= 0): an arriving message may be
-	// inserted ahead of earlier undelivered messages. This models the
-	// application-level non-FIFO behaviour that MPI tag matching produces.
-	ChaosSeed int64
-	// ChaosAll extends reordering to negative (reserved/control) tags.
-	ChaosAll bool
 	// KillPlan maps rank -> operation index (1-based count of that rank's
 	// substrate operations) at which the rank stop-fails.
 	KillPlan map[int]int64
@@ -85,9 +77,6 @@ type World struct {
 	failMu   sync.Mutex
 	failures []int // ranks that stop-failed, in detection order
 
-	chaosMu sync.Mutex
-	chaos   *rand.Rand
-
 	ctxCounter atomic.Int64
 
 	// free recycles messages and the payload buffers they carry (see
@@ -110,9 +99,6 @@ func NewWorld(n int, opts Options) *World {
 		opts:    opts,
 		killed:  make([]atomic.Bool, n),
 		opCount: make([]atomic.Int64, n),
-	}
-	if opts.ChaosSeed != 0 {
-		w.chaos = rand.New(rand.NewSource(opts.ChaosSeed))
 	}
 	if opts.NewTransport != nil {
 		w.tr = opts.NewTransport(w)

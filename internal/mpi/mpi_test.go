@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-
-	"ccift/internal/testseed"
 )
 
 // runRanks executes fn concurrently on every rank of a fresh world and
@@ -444,85 +442,6 @@ func TestCommSplit(t *testing.T) {
 			panic(fmt.Sprintf("split allreduce = %v want %v", out[0], want))
 		}
 	})
-}
-
-func TestChaosReordersAcrossSenders(t *testing.T) {
-	// With chaos enabled, the arrival interleaving across senders is
-	// adversarial: a message may overtake a causally earlier message from a
-	// different sender. The scenario forces causality without chaos — rank 0
-	// sends A to rank 2 and only then releases rank 1 to send B — so any
-	// B-before-A observation is chaos at work.
-	reordered := false
-	base := testseed.Base(t, 1)
-	for seed := base; seed < base+50 && !reordered; seed++ {
-		runRanks(t, 3, Options{ChaosSeed: seed}, func(c *Comm) {
-			switch c.Rank() {
-			case 0:
-				c.Send(2, 1, []byte{'A'})
-				c.Send(1, 9, nil) // release rank 1
-			case 1:
-				c.Recv(0, 9)
-				c.Send(2, 1, []byte{'B'})
-				c.Send(2, 9, nil) // both messages are now queued at rank 2
-			case 2:
-				// Wait until A and B are both in the mailbox, so the
-				// receive observes the queue order chaos produced rather
-				// than racing the deliveries.
-				c.Recv(1, 9)
-				first := c.Recv(AnySource, 1)
-				c.Recv(AnySource, 1)
-				if first.Data[0] == 'B' {
-					reordered = true
-				}
-			}
-		})
-	}
-	if !reordered {
-		t.Fatal("chaos never produced a cross-sender reordering in 50 seeds")
-	}
-}
-
-func TestChaosNeverViolatesSenderOrder(t *testing.T) {
-	// MPI's non-overtaking guarantee: two messages from the same sender that
-	// match the same receive are delivered in send order, chaos or not; and
-	// reordering must never lose or duplicate messages.
-	f := func(seed int64, countRaw uint8) bool {
-		count := int(countRaw%32) + 1
-		ok := true
-		w := NewWorld(3, Options{ChaosSeed: seed})
-		var wg sync.WaitGroup
-		wg.Add(3)
-		for sender := 0; sender < 2; sender++ {
-			go func(sender int) {
-				defer wg.Done()
-				c := w.Comm(sender)
-				for i := 0; i < count; i++ {
-					c.Send(2, 1, []byte{byte(sender), byte(i)})
-				}
-			}(sender)
-		}
-		go func() {
-			defer wg.Done()
-			c := w.Comm(2)
-			next := [2]int{}
-			for i := 0; i < 2*count; i++ {
-				m := c.Recv(AnySource, 1)
-				s, v := int(m.Data[0]), int(m.Data[1])
-				if m.Source != s || v != next[s] {
-					ok = false
-				}
-				next[s]++
-			}
-			if next[0] != count || next[1] != count {
-				ok = false
-			}
-		}()
-		wg.Wait()
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestKillPlanStopsRank(t *testing.T) {

@@ -3,8 +3,8 @@
 // distributed substrate behind the Transport seam: wire messages are
 // encoded with the mpi frame codec, travel over a full mesh of sockets,
 // and are decoded into the same indexed mailbox the in-process transport
-// uses — so Await/Poll/Probe/Interrupt, matchOrder semantics, and chaos
-// insertion are inherited unchanged.
+// uses — so Await/Poll/Probe/Interrupt and matchOrder semantics are
+// inherited unchanged.
 //
 // Failure model: a SIGKILLed peer's sockets reset, which every survivor
 // observes directly (fast path); a silently hung peer is caught by the

@@ -56,8 +56,7 @@ type Transport interface {
 }
 
 // inprocTransport is the default substrate: one indexed mailbox per rank
-// in shared memory. It consults the World for chaos insertion and
-// world-death.
+// in shared memory. It consults the World for world-death.
 type inprocTransport struct {
 	world *World
 	boxes []*mailbox

@@ -63,17 +63,15 @@ func DecodeMessage(b []byte) (*Message, error) {
 // Mailbox is the exported handle on the indexed mailbox, for Transport
 // implementations outside this package: a cross-process transport decodes
 // frames arriving on its sockets into a Mailbox and inherits matchOrder
-// semantics — ordering, tie-breaking, Probe/Poll/Await behaviour, chaos
-// insertion, and ErrWorldDead propagation — unchanged from the in-process
-// substrate.
+// semantics — ordering, tie-breaking, Probe/Poll/Await behaviour, and
+// ErrWorldDead propagation — unchanged from the in-process substrate.
 type Mailbox struct{ b *mailbox }
 
-// NewMailbox builds a mailbox attached to w (for world-death checks and
-// chaos insertion).
+// NewMailbox builds a mailbox attached to w (for world-death checks).
 func NewMailbox(w *World) *Mailbox { return &Mailbox{b: newMailbox(w)} }
 
-// Deliver queues m, applying the world's chaos insertion policy, and wakes
-// waiting receivers.
+// Deliver queues m behind every message already queued and wakes waiting
+// receivers.
 func (mb *Mailbox) Deliver(m *Message) { mb.b.deliver(m) }
 
 // Await blocks until a message matching one of specs is queued, removes and

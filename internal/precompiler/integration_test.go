@@ -10,9 +10,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"ccift/internal/engine"
 	"ccift/internal/protocol"
+	"ccift/internal/sim"
+	"ccift/internal/storage"
 )
 
 // This file proves the emitted instrumentation pattern end to end: the
@@ -226,25 +229,44 @@ func TestInstrumentedPipelineRecovers(t *testing.T) {
 	}
 }
 
-// TestInstrumentedPipelineUnderChaos adds adversarial cross-sender
-// reordering on top of the failure sweep.
+// TestInstrumentedPipelineUnderChaos adds cross-sender reordering on top
+// of the failure sweep: over a simulated network whose jitter is four
+// times its latency a frame can overtake a causally earlier frame from
+// another sender. The schedule is a function of the seed, so each run
+// names the committed epoch its rollback must restore.
 func TestInstrumentedPipelineUnderChaos(t *testing.T) {
 	const iters, ranks = 15, 3
 	ref, err := engine.Run(engine.Config{Ranks: ranks, Mode: protocol.Unmodified}, pipelineProg(iters))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := int64(1); seed <= 4; seed++ {
+	for _, k := range []struct {
+		seed, atOp int64
+		want       int
+	}{
+		{1, 60, 1}, {2, 60, 1}, {3, 60, 1}, {4, 60, -1},
+		{1, 90, 1}, {2, 90, 1}, {3, 90, 1}, {4, 90, 1},
+	} {
+		s, err := sim.New(ranks, sim.Scenario{Seed: k.seed, Latency: 100 * time.Microsecond, Jitter: 400 * time.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
 		cfg := engine.Config{
-			Ranks: ranks, Mode: protocol.Full, EveryN: 4, Debug: true, ChaosSeed: seed,
-			Failures: []engine.Failure{{Rank: 1, AtOp: 60, Incarnation: 0}},
+			Ranks: ranks, Mode: protocol.Full, EveryN: 4, Debug: true,
+			Failures:     []engine.Failure{{Rank: 1, AtOp: k.atOp}},
+			NewTransport: s.NewTransport, Clock: s.DetectorClock(), RankClock: s.RankClock,
+			Store: s.WrapStore(storage.NewMemory()),
 		}
 		res, err := engine.Run(cfg, pipelineProg(iters))
+		s.Stop()
 		if err != nil {
-			t.Fatalf("seed=%d: %v", seed, err)
+			t.Fatalf("seed=%d atOp=%d: %v", k.seed, k.atOp, err)
 		}
 		if !reflect.DeepEqual(res.Values, ref.Values) {
-			t.Fatalf("seed=%d: values %v != ref %v", seed, res.Values, ref.Values)
+			t.Fatalf("seed=%d atOp=%d: values %v != ref %v", k.seed, k.atOp, res.Values, ref.Values)
+		}
+		if !reflect.DeepEqual(res.RecoveredEpochs, []int{k.want}) {
+			t.Fatalf("seed=%d atOp=%d: recovered from %v, want [%d]", k.seed, k.atOp, res.RecoveredEpochs, k.want)
 		}
 	}
 }

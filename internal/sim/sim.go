@@ -49,8 +49,11 @@
 // its instant, so its Jitter replays too.
 //
 // The transport decodes wire frames into the exported mpi.Mailbox, so
-// matching semantics, chaos insertion, and ErrWorldDead/ErrCanceled
-// propagation are inherited from the in-process substrate unchanged.
+// matching semantics and ErrWorldDead/ErrCanceled propagation are
+// inherited from the in-process substrate unchanged. Per-link latency and
+// jitter are the substrate's message-order adversary: with Jitter larger
+// than Latency a frame can arrive ahead of a causally earlier frame from
+// another sender, while the FIFO clamp keeps each link in send order.
 package sim
 
 import (

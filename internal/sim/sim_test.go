@@ -3,14 +3,18 @@ package sim_test
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"ccift/internal/clock"
 	"ccift/internal/mpi"
 	"ccift/internal/sim"
 	"ccift/internal/storage"
+	"ccift/internal/testseed"
 )
 
 // newSim is sim.New for a test's static scenario.
@@ -368,5 +372,119 @@ func TestTaskHoldsVirtualTime(t *testing.T) {
 	waitTask() // the only live rank blocks here; the task's sleep must still elapse
 	if woke != 5*time.Millisecond {
 		t.Fatalf("the task woke at %v, want 5ms", woke)
+	}
+}
+
+// runRanks runs fn as every rank of an n-rank world on a fresh simulation
+// of sc, fails the test with any rank's panic, and returns the simulation
+// and the world once every rank has returned.
+func runRanks(t *testing.T, n int, sc sim.Scenario, fn func(c *mpi.Comm)) (*sim.Sim, *mpi.World) {
+	t.Helper()
+	s := newSim(t, n, sc)
+	t.Cleanup(s.Stop)
+	w := mpi.NewWorld(n, mpi.Options{NewTransport: s.NewTransport})
+	errs := make(chan any, n)
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			defer w.RankDone(r)
+			defer func() {
+				if p := recover(); p != nil {
+					errs <- fmt.Sprintf("rank %d: %v", r, p)
+				}
+			}()
+			fn(w.Comm(r))
+		}(r)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	return s, w
+}
+
+// reordering is the simulator's message-order adversary: jitter larger
+// than the latency, so a frame can arrive ahead of a causally earlier frame
+// from another sender.
+func reordering(seed int64) sim.Scenario {
+	return sim.Scenario{Seed: seed, Latency: 100 * time.Microsecond, Jitter: 400 * time.Microsecond}
+}
+
+// TestJitterOvertakesAcrossSenders: the arrival interleaving across senders
+// is the network's to choose. Rank 0 sends A to rank 2 and only then
+// releases rank 1 to send B, so B is causally after A; a B-before-A
+// observation at rank 2 is the jitter overtaking. It must happen within 50
+// seeds, and the seed that shows it must show it again.
+func TestJitterOvertakesAcrossSenders(t *testing.T) {
+	overtakes := func(seed int64) bool {
+		var first byte
+		runRanks(t, 3, reordering(seed), func(c *mpi.Comm) {
+			switch c.Rank() {
+			case 0:
+				c.Send(2, 1, []byte{'A'})
+				c.Send(1, 9, nil) // release rank 1
+			case 1:
+				c.Recv(0, 9)
+				c.Send(2, 1, []byte{'B'})
+				c.Send(2, 9, nil) // arrives after B: the link is FIFO
+			case 2:
+				c.Recv(1, 9) // B is queued now
+				first = c.Recv(mpi.AnySource, 1).Data[0]
+				c.Recv(mpi.AnySource, 1)
+			}
+		})
+		return first == 'B'
+	}
+	base := testseed.Base(t, 1)
+	for seed := base; seed < base+50; seed++ {
+		if overtakes(seed) {
+			if !overtakes(seed) {
+				t.Fatalf("seed %d overtook once and not on replay", seed)
+			}
+			return
+		}
+	}
+	t.Fatal("jitter never made a message overtake a causally earlier one from another sender in 50 seeds")
+}
+
+// TestJitterKeepsSenderOrder: MPI's non-overtaking guarantee survives the
+// adversary. Two senders stream to one AnySource receiver over reordering,
+// duplicating links; each sender's messages arrive in send order, and none
+// is lost or delivered twice.
+func TestJitterKeepsSenderOrder(t *testing.T) {
+	f := func(seed int64, countRaw uint8) bool {
+		count := int(countRaw%32) + 1
+		sc := reordering(seed)
+		sc.DupProb = 0.2
+		ok := true
+		s, w := runRanks(t, 3, sc, func(c *mpi.Comm) {
+			if c.Rank() < 2 {
+				for i := 0; i < count; i++ {
+					c.Send(2, 1, []byte{byte(c.Rank()), byte(i)})
+				}
+				return
+			}
+			next := [2]int{}
+			for i := 0; i < 2*count; i++ {
+				m := c.Recv(mpi.AnySource, 1)
+				src, v := int(m.Data[0]), int(m.Data[1])
+				if m.Source != src || v != next[src] {
+					ok = false
+				}
+				next[src]++
+			}
+		})
+		// Every rank is done; a virtual sleeper lets the straggling
+		// duplicates land, and none may reach the mailbox.
+		s.Sleep(time.Second)
+		st := s.Stats()
+		return ok && w.Transport().Pending(2) == 0 && st.DupSuppressed == st.Duplicated
+	}
+	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(testseed.Base(t, 1)))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -14,8 +14,7 @@ func mpiDecode(frame []byte) (*mpi.Message, error) { return mpi.DecodeMessage(fr
 // transport is the mpi.Transport for one incarnation's world. Frames are
 // encoded with the shared wire codec, scheduled through the event heap
 // with the scenario's latency/fault model, and decoded into per-rank
-// mpi.Mailbox instances, which supply matching, chaos insertion, and
-// world-death semantics.
+// mpi.Mailbox instances, which supply matching and world-death semantics.
 type transport struct {
 	s     *Sim
 	w     *mpi.World

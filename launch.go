@@ -1,6 +1,7 @@
 package ccift
 
 import (
+	"cmp"
 	"context"
 	"os"
 	"strings"
@@ -8,7 +9,6 @@ import (
 
 	"ccift/internal/engine"
 	"ccift/internal/launch"
-	"ccift/internal/mpi"
 	"ccift/internal/protocol"
 	"ccift/internal/sim"
 	"ccift/internal/storage"
@@ -30,14 +30,6 @@ type Tracer = protocol.Tracer
 
 // TraceEvent is one observable protocol action delivered to a Tracer.
 type TraceEvent = protocol.TraceEvent
-
-// World is one incarnation's substrate world; custom transports installed
-// with WithTransport are handed it at construction.
-type World = mpi.World
-
-// Transport is the wire substrate beneath a World. See the contract on the
-// interface for what an implementation must honor.
-type Transport = mpi.Transport
 
 // Launch executes prog on the substrate the spec selects, under ctx.
 //
@@ -128,13 +120,9 @@ func Launch(ctx context.Context, spec *Spec, prog Program) (*Result, error) {
 			cfg.Store = storage.NewMemory()
 		}
 		cfg.Store = s.WrapStore(cfg.Store)
-		if spec.sim.DetectorTimeout != 0 {
-			cfg.DetectorTimeout = spec.sim.DetectorTimeout
-		} else if cfg.DetectorTimeout == 0 {
-			// Scenario crashes are silent stops; only the heartbeat
-			// detector can observe them, and virtual timeouts are free.
-			cfg.DetectorTimeout = 500 * time.Millisecond
-		}
+		// Scenario crashes are silent stops; only the heartbeat detector
+		// can observe them, and virtual timeouts are free.
+		cfg.DetectorTimeout = cmp.Or(spec.sim.DetectorTimeout, 500*time.Millisecond)
 	}
 	return engine.RunContext(ctx, cfg, prog)
 }

@@ -117,27 +117,6 @@ func WithIncrementalFreeze(enabled bool) Option {
 // only; the recorder lives in this process).
 func WithTracer(t Tracer) Option { return func(s *Spec) { s.cfg.Tracer = t } }
 
-// WithChaos enables adversarial reordering of application messages; all
-// additionally reorders reserved control tags.
-func WithChaos(seed int64, all bool) Option {
-	return func(s *Spec) { s.cfg.ChaosSeed, s.cfg.ChaosAll = seed, all }
-}
-
-// WithDetectorTimeout routes in-process failure detection through the
-// heartbeat detector with the given suspicion timeout instead of the
-// default instantaneous self-report.
-func WithDetectorTimeout(d time.Duration) Option {
-	return func(s *Spec) { s.cfg.DetectorTimeout = d }
-}
-
-// WithTransport installs a custom wire substrate beneath the in-process
-// world: f is invoked with the freshly built world of each incarnation and
-// must return the Transport it runs on. Latency models and cross-process
-// shims plug in here without the engine or protocol layers changing.
-func WithTransport(f func(w *World) Transport) Option {
-	return func(s *Spec) { s.cfg.NewTransport = f }
-}
-
 // Scenario configures the simulated substrate selected by WithSimulated:
 // the seed every pseudo-random schedule derives from, per-link latency and
 // jitter, drop/duplication probabilities, partition windows, scheduled rank
@@ -171,9 +150,8 @@ type SlowStore = sim.SlowStore
 // flush runs as a task beside its rank that the simulation's scheduler
 // counts as an actor, so the default asynchronous pipeline is what a
 // simulated run executes. Scenario crashes are silent stops, so failure
-// detection defaults to the heartbeat detector (Scenario.DetectorTimeout,
-// then WithDetectorTimeout, then a 500ms virtual default) rather than the
-// instantaneous self-report.
+// detection runs through the heartbeat detector (Scenario.DetectorTimeout,
+// or a 500ms virtual default) rather than the instantaneous self-report.
 func WithSimulated(sc Scenario) Option {
 	return func(s *Spec) { s.sim = &sc }
 }
@@ -228,9 +206,6 @@ func (s *Spec) Validate() error {
 		if s.distributed != nil {
 			return fmt.Errorf("%w: WithSimulated and WithDistributed are mutually exclusive: a run uses one substrate", cerr.ErrSpec)
 		}
-		if s.cfg.NewTransport != nil {
-			return fmt.Errorf("%w: WithTransport and WithSimulated are mutually exclusive: the simulated substrate brings its own transport", cerr.ErrSpec)
-		}
 		if err := s.sim.Validate(s.cfg.Ranks); err != nil {
 			// Validate's errors already carry cerr.ErrSpec.
 			return fmt.Errorf("simulated scenario: %w", err)
@@ -247,15 +222,6 @@ func (s *Spec) Validate() error {
 		}
 		if s.cfg.Tracer != nil {
 			return fmt.Errorf("%w: WithTracer is in-process only: the recorder cannot observe worker processes", cerr.ErrSpec)
-		}
-		if s.cfg.NewTransport != nil {
-			return fmt.Errorf("%w: WithTransport and WithDistributed are mutually exclusive: the distributed substrate brings its own TCP transport", cerr.ErrSpec)
-		}
-		if s.cfg.ChaosSeed != 0 {
-			return fmt.Errorf("%w: WithChaos is in-process only: a real network's interleaving cannot be seeded", cerr.ErrSpec)
-		}
-		if s.cfg.DetectorTimeout != 0 {
-			return fmt.Errorf("%w: WithDetectorTimeout is in-process only; set Distributed.DetectorTimeout for worker heartbeats", cerr.ErrSpec)
 		}
 	}
 	return nil

@@ -54,13 +54,6 @@ func TestSpecValidation(t *testing.T) {
 			ccift.WithDistributed(dist)}, "require Full mode"},
 		{"distributed-with-tracer", []ccift.Option{ccift.WithRanks(2), ccift.WithMode(ccift.Full),
 			ccift.WithTracer(nopTracer{}), ccift.WithDistributed(dist)}, "in-process only"},
-		{"distributed-with-chaos", []ccift.Option{ccift.WithRanks(2), ccift.WithMode(ccift.Full),
-			ccift.WithChaos(7, false), ccift.WithDistributed(dist)}, "in-process only"},
-		{"distributed-with-transport", []ccift.Option{ccift.WithRanks(2), ccift.WithMode(ccift.Full),
-			ccift.WithTransport(func(w *ccift.World) ccift.Transport { return nil }), ccift.WithDistributed(dist)},
-			"mutually exclusive"},
-		{"distributed-with-detector-timeout", []ccift.Option{ccift.WithRanks(2), ccift.WithMode(ccift.Full),
-			ccift.WithDetectorTimeout(time.Second), ccift.WithDistributed(dist)}, "Distributed.DetectorTimeout"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
