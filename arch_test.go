@@ -638,6 +638,49 @@ func TestArchitecture(t *testing.T) {
 		}
 	})
 
+	t.Run("one owner of record layouts", func(t *testing.T) {
+		// The records read back from outside the process — the protocol
+		// record, the log, the chunk manifest, the control frame — are
+		// layouts of internal/wire's codec, which checks every count
+		// against the bytes present. A varint call anywhere else is a hand
+		// decoder growing back; internal/ckpt's state stream is the one
+		// exception (a streaming writer with chunk cuts). internal/wire
+		// sits below every package, so it imports only the standard library.
+		var got []string
+		for path, f := range parseDir(t, "internal/wire", 0) {
+			for _, imp := range f.Imports {
+				if p := strings.Trim(imp.Path.Value, `"`); strings.HasPrefix(p, "ccift") || strings.Contains(strings.Split(p, "/")[0], ".") {
+					got = append(got, path+" imports "+p)
+				}
+			}
+		}
+		varint := regexp.MustCompile(`^(Put|Append|Read)?(Uvarint|Varint)$`)
+		for path, f := range files {
+			if strings.HasPrefix(path, "internal/wire/") || strings.HasPrefix(path, "internal/ckpt/") {
+				continue
+			}
+			for _, imp := range f.Imports {
+				if imp.Path.Value != `"encoding/binary"` {
+					continue
+				}
+				name := "binary"
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					if s, ok := n.(*ast.SelectorExpr); ok && types.ExprString(s.X) == name && varint.MatchString(s.Sel.Name) {
+						got = append(got, path+": "+types.ExprString(s))
+					}
+					return true
+				})
+			}
+		}
+		slices.Sort(got)
+		if len(got) > 0 {
+			t.Fatalf("%v: a record read back from outside the process is a layout of internal/wire's codec, which imports only the standard library", got)
+		}
+	})
+
 	t.Run("one supervision loop", func(t *testing.T) {
 		// The rollback logic exists once (engine.Supervisor): a second place
 		// that mints the restart-budget error or gathers a recovery plan is a

@@ -20,6 +20,7 @@ import (
 	"ccift/internal/cerr"
 	"ccift/internal/engine"
 	"ccift/internal/protocol"
+	"ccift/internal/wire"
 )
 
 func TestControlFrameRoundTrip(t *testing.T) {
@@ -50,8 +51,8 @@ func TestControlFrameRoundTrip(t *testing.T) {
 	// A stream that ends — cleanly or mid-frame — and one whose length word
 	// lies are categorized errors, and the lie is refused before anything
 	// of that size is allocated.
-	huge := binary.LittleEndian.AppendUint32(nil, maxCtlFrame+1)
-	claims1GB := append(binary.LittleEndian.AppendUint32(nil, maxCtlFrame), "only these bytes follow"...)
+	huge := binary.LittleEndian.AppendUint32(nil, wire.MaxFrame+1)
+	claims1GB := append(binary.LittleEndian.AppendUint32(nil, wire.MaxFrame), "only these bytes follow"...)
 	for name, raw := range map[string][]byte{
 		"end of stream":       nil,
 		"truncated header":    one[:2],

@@ -11,6 +11,10 @@ package tcptransport_test
 
 import (
 	"encoding/binary"
+	"fmt"
+	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -539,5 +543,65 @@ func TestTCPCancelWakesSendDuringMeshFormation(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Cancel did not wake the Send parked on mesh formation")
+	}
+}
+
+// TestTCPFrameLengthIsNotTrusted: a frame's length word is a claim, not an
+// allocation size. A peer that completes the hello, claims a 1 GiB frame
+// and hangs up is a broken connection — the world is shut down and the
+// peer recorded as killed — and the transport allocates no more than the
+// bytes that arrived on the way. (Not parallel: it measures the process's
+// allocations.)
+func TestTCPFrameLengthIsNotTrusted(t *testing.T) {
+	publish, lookup := tcptransport.StaticRendezvous(make([]string, 2))
+	broken := make(chan string, 1)
+	tr, err := tcptransport.New(tcptransport.Config{Rank: 0, Size: 2, Publish: publish, Lookup: lookup,
+		Logf: func(format string, args ...any) {
+			if msg := fmt.Sprintf(format, args...); strings.Contains(msg, "presumed dead") {
+				select {
+				case broken <- msg:
+				default:
+				}
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	world := mpi.NewWorld(2, mpi.Options{NewTransport: tr.Attach})
+	if err := tr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hello := []byte{5, 0, 0, 0, 1} // [u32 length | type hello] and rank 1
+	hello = binary.LittleEndian.AppendUint32(hello, 1)
+	if _, err := c.Write(hello); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := c.Write(binary.LittleEndian.AppendUint32(nil, 1<<30)); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	select {
+	case msg := <-broken:
+		t.Log(msg)
+	case <-time.After(10 * time.Second):
+		t.Fatal("a peer that hung up mid-frame was not reported")
+	}
+	runtime.ReadMemStats(&after)
+	for deadline := time.Now().Add(5 * time.Second); !world.Dead() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond) // the report precedes the shutdown
+	}
+	if !world.Dead() || !world.Killed(1) {
+		t.Fatalf("world dead %v, peer 1 killed %v; want the broken connection to shut the world down", world.Dead(), world.Killed(1))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a 4-byte claim of 1 GiB allocated %d bytes", grew)
 	}
 }

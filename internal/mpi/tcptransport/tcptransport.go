@@ -26,27 +26,24 @@ package tcptransport
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 
+	"ccift/internal/cerr"
 	"ccift/internal/detector"
 	"ccift/internal/mpi"
+	"ccift/internal/wire"
 )
 
 // Frame types. Every frame is [u32 length | u8 type | body]; length counts
-// type byte plus body.
+// type byte plus body, and wire.ReadFrame reads it.
 const (
 	frameHello     = 1 // body: u32 sender world rank (first frame on a dialed conn)
 	frameMsg       = 2 // body: mpi wire message
 	frameHeartbeat = 3 // body: empty
 	frameDone      = 4 // body: empty; sender's application has finished
 )
-
-// maxFrame bounds a frame's self-declared length so a corrupt stream
-// cannot provoke an unbounded allocation.
-const maxFrame = 1 << 30
 
 // Config configures a Transport.
 type Config struct {
@@ -241,9 +238,7 @@ func (t *Transport) dialPeer(peer int) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	hello := make([]byte, 0, 9)
-	hello = appendFrameHeader(hello, frameHello, 4)
-	hello = binary.LittleEndian.AppendUint32(hello, uint32(t.cfg.Rank))
+	hello := binary.LittleEndian.AppendUint32([]byte{5, 0, 0, 0, frameHello}, uint32(t.cfg.Rank))
 	if _, err := c.Write(hello); err != nil {
 		c.Close()
 		t.peerDead(peer, fmt.Errorf("hello: %w", err))
@@ -277,34 +272,24 @@ func (t *Transport) register(peer int, c net.Conn) bool {
 func readHello(c net.Conn) (int, error) {
 	c.SetReadDeadline(time.Now().Add(10 * time.Second))
 	defer c.SetReadDeadline(time.Time{})
-	var hdr [5]byte
-	if _, err := io.ReadFull(c, hdr[:]); err != nil {
+	var buf [5]byte
+	body, err := wire.ReadFrame(c, buf[:0])
+	if err != nil {
 		return -1, err
 	}
-	if binary.LittleEndian.Uint32(hdr[:4]) != 5 || hdr[4] != frameHello {
-		return -1, fmt.Errorf("tcptransport: bad hello frame")
+	if len(body) != 5 || body[0] != frameHello {
+		return -1, fmt.Errorf("tcptransport: %w: bad hello frame", cerr.ErrTransport)
 	}
-	var body [4]byte
-	if _, err := io.ReadFull(c, body[:]); err != nil {
-		return -1, err
-	}
-	return int(binary.LittleEndian.Uint32(body[:])), nil
+	return int(binary.LittleEndian.Uint32(body[1:])), nil
 }
 
 // --- frame I/O ---
-
-// appendFrameHeader appends the length word and type byte for a frame with
-// the given body length.
-func appendFrameHeader(buf []byte, typ byte, bodyLen int) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(bodyLen+1))
-	return append(buf, typ)
-}
 
 // writeFrame builds the frame in the peer's scratch buffer and writes it in
 // one call. A write error means the peer's socket is gone.
 func (t *Transport) writeFrame(peer int, pc *peerConn, typ byte, body func([]byte) []byte) {
 	pc.wmu.Lock()
-	buf := appendFrameHeader(pc.buf[:0], typ, 0)
+	buf := append(pc.buf[:0], 0, 0, 0, 0, typ)
 	if body != nil {
 		buf = body(buf)
 	}
@@ -319,23 +304,10 @@ func (t *Transport) writeFrame(peer int, pc *peerConn, typ byte, body func([]byt
 
 // readLoop decodes frames from one peer until the connection breaks.
 func (t *Transport) readLoop(peer int, c net.Conn) {
-	var hdr [4]byte
-	var body []byte
+	var body []byte // reused: a frame that fits lands in it
 	for {
-		if _, err := io.ReadFull(c, hdr[:]); err != nil {
-			t.connBroken(peer, err)
-			return
-		}
-		n := int(binary.LittleEndian.Uint32(hdr[:]))
-		if n < 1 || n > maxFrame {
-			t.connBroken(peer, fmt.Errorf("bad frame length %d", n))
-			return
-		}
-		if cap(body) < n {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := io.ReadFull(c, body); err != nil {
+		var err error
+		if body, err = wire.ReadFrame(c, body); err != nil {
 			t.connBroken(peer, err)
 			return
 		}
@@ -353,7 +325,7 @@ func (t *Transport) readLoop(peer int, c net.Conn) {
 		case frameDone:
 			t.markDone(peer)
 		default:
-			t.connBroken(peer, fmt.Errorf("unknown frame type %d", body[0]))
+			t.connBroken(peer, fmt.Errorf("tcptransport: %w: unknown frame type %d", cerr.ErrTransport, body[0]))
 			return
 		}
 	}

@@ -3,6 +3,8 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
+
+	"ccift/internal/cerr"
 )
 
 // Wire encoding of one Message, used by cross-process transports. The
@@ -39,11 +41,11 @@ func AppendMessage(buf []byte, m *Message) []byte {
 // the world it is delivered in may recycle it, once a receiver releases it.
 func DecodeMessage(b []byte) (*Message, error) {
 	if len(b) < msgWireHeader {
-		return nil, fmt.Errorf("mpi: message frame too short: %d bytes", len(b))
+		return nil, fmt.Errorf("mpi: %w: message frame too short: %d bytes", cerr.ErrTransport, len(b))
 	}
 	dlen := int(binary.LittleEndian.Uint32(b[20:]))
 	if len(b) != msgWireHeader+dlen {
-		return nil, fmt.Errorf("mpi: message frame length %d, want %d", len(b), msgWireHeader+dlen)
+		return nil, fmt.Errorf("mpi: %w: message frame length %d, want %d", cerr.ErrTransport, len(b), msgWireHeader+dlen)
 	}
 	m := &Message{
 		Source: int(int32(binary.LittleEndian.Uint32(b[8:]))),

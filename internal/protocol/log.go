@@ -1,13 +1,11 @@
 package protocol
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"ccift/internal/cerr"
+	"ccift/internal/wire"
 )
 
 // The log a process writes between taking its local checkpoint and stopping
@@ -74,71 +72,36 @@ func (l *Log) Len() int { return len(l.entries) }
 // benchmarks comparing against sender-based message logging.
 func (l *Log) Bytes() int { return l.bytes }
 
-// Marshal serializes the log for stable storage.
-func (l *Log) Marshal() []byte {
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	putUv := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf.Write(tmp[:n])
-	}
-	putUv(uint64(len(l.entries)))
-	for _, e := range l.entries {
-		buf.WriteByte(byte(e.Kind))
-		putUv(uint64(e.Seq))
-		putUv(uint64(int64(e.Src) + 2)) // +2 keeps AnySource (-1) non-negative
-		putUv(uint64(int64(e.Tag) + 2))
-		putUv(uint64(len(e.Data)))
-		buf.Write(e.Data)
-	}
-	return buf.Bytes()
+// code is the log's one layout: per entry its kind, sequence number, source
+// and tag (+2 keeps AnySource non-negative) and payload, all uvarints.
+// Decoded, a kind outside the four — which NewReplay would drop, turning a
+// late message into a receive that waits forever — fails, as does a source
+// or tag outside int32.
+func (l *Log) code(c *wire.Codec) {
+	wire.Seq(c, "entry", &l.entries, 5, func(e *Entry) {
+		src, tag := uint64(int64(e.Src)+2), uint64(int64(e.Tag)+2)
+		wire.Uint(c, &e.Kind)
+		c.Require(e.Kind >= KindLate && e.Kind <= KindEvent, "unknown kind %d", e.Kind)
+		wire.Uint(c, &e.Seq)
+		wire.Uint(c, &src)
+		wire.Uint(c, &tag)
+		c.Require(src <= math.MaxInt32+2 && tag <= math.MaxInt32+2, "source %d or tag %d outside int32", int64(src)-2, int64(tag)-2)
+		if c.Decoding() {
+			e.Src, e.Tag = int(int64(src)-2), int(int64(tag)-2)
+		}
+		wire.Bytes(c, &e.Data)
+	})
 }
 
+// Marshal serializes the log for stable storage.
+func (l *Log) Marshal() []byte { return wire.Encode(nil, l.code) }
+
 // UnmarshalLog parses a serialized log. Anything Marshal cannot have
-// written is a store-category error: a kind byte outside the four kinds —
-// which NewReplay would drop, turning a late message into a receive that
-// waits forever — a source or tag outside int32, a truncated entry.
+// written is a store-category error naming the entry it is in.
 func UnmarshalLog(raw []byte) (*Log, error) {
-	rd := bytes.NewReader(raw)
-	n, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, fmt.Errorf("protocol: %w: corrupt log: %w", cerr.ErrStore, err)
-	}
 	l := NewLog()
-	for i := uint64(0); i < n; i++ {
-		corrupt := func(format string, args ...any) error {
-			return fmt.Errorf("protocol: %w: corrupt log entry %d: "+format, append([]any{cerr.ErrStore, i}, args...)...)
-		}
-		kind, err := rd.ReadByte()
-		if err != nil {
-			return nil, corrupt("%w", err)
-		}
-		if kind < byte(KindLate) || kind > byte(KindEvent) {
-			return nil, corrupt("unknown kind %d", kind)
-		}
-		var seq, src, tag, dlen uint64 // src and tag are stored +2
-		for _, v := range []*uint64{&seq, &src, &tag, &dlen} {
-			if *v, err = binary.ReadUvarint(rd); err != nil {
-				return nil, corrupt("%w", err)
-			}
-		}
-		if src > math.MaxInt32+2 || tag > math.MaxInt32+2 {
-			return nil, corrupt("source %d or tag %d outside int32", int64(src)-2, int64(tag)-2)
-		}
-		if dlen > uint64(rd.Len()) {
-			return nil, corrupt("truncated payload")
-		}
-		data := make([]byte, dlen)
-		if _, err := io.ReadFull(rd, data); err != nil {
-			return nil, corrupt("%w", err)
-		}
-		l.Add(Entry{
-			Kind: EntryKind(kind),
-			Seq:  int64(seq),
-			Src:  int(int64(src) - 2),
-			Tag:  int(int64(tag) - 2),
-			Data: data,
-		})
+	if err := wire.Decode(raw, l.code); err != nil {
+		return nil, fmt.Errorf("protocol: %w: corrupt log %w", cerr.ErrStore, err) // "entry 3: …"
 	}
 	return l, nil
 }

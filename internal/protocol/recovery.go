@@ -2,13 +2,13 @@ package protocol
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"ccift/internal/cerr"
 	"ccift/internal/ckpt"
 	"ccift/internal/storage"
+	"ccift/internal/wire"
 )
 
 // Recovery gather: what a restart needs to know before any rank
@@ -47,112 +47,50 @@ type reqRecord struct {
 	reqState
 }
 
-// recordMagic opens a record. Every number after it is a varint, every
-// list its length and then its elements, in the order code visits them.
-var recordMagic = []byte("C3RM0003")
+// recordMagic opens a record; code, through the shared codec, is the rest:
+// every count a uvarint, every other number a zigzag varint.
+var recordMagic = []byte("C3RM0004")
 
-// code is the record's one layout: it visits every field in wire order,
-// and c appends or decodes each.
-func (m *record) code(c *codec) {
-	val(c, &m.Epoch)
-	val(c, &m.Replicated)
-	seq(c, &m.EarlyIDs, 1, func(set *[]uint32) { seq(c, set, 1, func(id *uint32) { val(c, id) }) })
-	seq(c, &m.Persist, 4, func(p *PersistRecord) {
-		c.str(&p.Op)
-		val(c, &p.Parent)
-		seq(c, &p.Args, 1, func(a *int64) { val(c, a) })
-		val(c, &p.Result)
-		c.bad = c.bad || c.dec && !(p.Op == "dup" && len(p.Args) == 0 || p.Op == "split" && len(p.Args) == 2)
+// code is the record's one layout: it visits every field in wire order.
+func (m *record) code(c *wire.Codec) {
+	wire.Int(c, &m.Epoch)
+	wire.Int(c, &m.Replicated)
+	wire.Seq(c, "sender", &m.EarlyIDs, 1, func(set *[]uint32) {
+		wire.Seq(c, "id", set, 1, func(id *uint32) { wire.Uint(c, id) })
 	})
-	seq(c, &m.Requests, 5, func(r *reqRecord) {
-		val(c, &r.Handle)
-		c.flag(&r.isRecv)
-		val(c, &r.src)
-		val(c, &r.tag)
-		c.flag(&r.done)
+	wire.Seq(c, "persistent call", &m.Persist, 4, func(p *PersistRecord) {
+		wire.Str(c, &p.Op)
+		wire.Int(c, &p.Parent)
+		wire.Seq(c, "argument", &p.Args, 1, func(a *int64) { wire.Int(c, a) })
+		wire.Int(c, &p.Result)
+		c.Require(p.Op == "dup" && len(p.Args) == 0 || p.Op == "split" && len(p.Args) == 2, "%q with %d arguments", p.Op, len(p.Args))
 	})
-	val(c, &m.NextReq)
+	wire.Seq(c, "request", &m.Requests, 5, func(r *reqRecord) {
+		wire.Int(c, &r.Handle)
+		wire.Flag(c, &r.isRecv)
+		wire.Int(c, &r.src)
+		wire.Int(c, &r.tag)
+		wire.Flag(c, &r.done)
+	})
+	wire.Int(c, &m.NextReq)
 }
 
 func (m *record) marshal() []byte {
-	c := &codec{b: append([]byte(nil), recordMagic...)}
-	m.code(c)
-	return c.b
+	return wire.Encode(bytes.Clone(recordMagic), m.code)
 }
 
-// unmarshalRecord decodes a record. Every count is checked against the
-// bytes that are left — at the fewest bytes an element can take — before
-// anything is allocated from it.
+// unmarshalRecord decodes a record; one of another format (a store written
+// by an older build) is refused.
 func unmarshalRecord(raw []byte) (*record, error) {
 	rest, ok := bytes.CutPrefix(raw, recordMagic)
-	c, m := &codec{b: rest, dec: true, bad: !ok}, &record{}
-	m.code(c)
-	if c.bad || len(c.b) != 0 {
-		return nil, errors.New("truncated, overlong or not a protocol record")
+	if !ok {
+		return nil, errors.New("not a " + string(recordMagic) + " protocol record")
+	}
+	m := &record{}
+	if err := wire.Decode(rest, m.code); err != nil {
+		return nil, err
 	}
 	return m, nil
-}
-
-// codec appends a record (b is the output) or decodes one (dec; b is what
-// is left of the input, and bad is set at the first value that does not
-// fit, after which every value reads as zero).
-type codec struct {
-	b        []byte
-	dec, bad bool
-}
-
-// val codes an integer as a varint; decoded, it must fit in T.
-func val[T ~int | ~int64 | ~uint32](c *codec, v *T) {
-	if !c.dec {
-		c.b = binary.AppendVarint(c.b, int64(*v))
-		return
-	}
-	x, n := binary.Varint(c.b)
-	if n <= 0 || int64(T(x)) != x || c.bad {
-		*v, c.bad = 0, true
-		return
-	}
-	*v, c.b = T(x), c.b[n:]
-}
-
-// count codes a length; decoded, the bytes left must hold that many
-// elements of at least min bytes.
-func (c *codec) count(n, min int) int {
-	val(c, &n)
-	if c.dec && (n < 0 || n > len(c.b)/min) {
-		n, c.bad = 0, true
-	}
-	return n
-}
-
-// seq codes a list, each element through elem; decoded, an empty list is
-// nil.
-func seq[T any](c *codec, s *[]T, min int, elem func(*T)) {
-	n := c.count(len(*s), min)
-	if c.dec && n > 0 {
-		*s = make([]T, n)
-	}
-	for i := 0; i < n && !c.bad; i++ {
-		elem(&(*s)[i])
-	}
-}
-
-func (c *codec) str(s *string) {
-	n := c.count(len(*s), 1)
-	if !c.dec {
-		c.b = append(c.b, *s...)
-	} else if !c.bad {
-		*s, c.b = string(c.b[:n]), c.b[n:]
-	}
-}
-
-func (c *codec) flag(v *bool) {
-	x := 0
-	if *v {
-		x = 1
-	}
-	val(c, &x)
-	*v, c.bad = x == 1, c.bad || x>>1 != 0
 }
 
 // RecoveryPlan is everything a world needs to roll back to one committed
@@ -242,6 +180,29 @@ type RankRecovery struct {
 	// Record is the rank's own protocol record of Epoch, as stored: the
 	// whole protocol section RestoreFrom rebuilds the layer from.
 	Record []byte
+}
+
+// Code is the slice's one layout, as a launcher ships it to a worker
+// process: the epoch, the suppressed IDs, the replicated values by name
+// and the rank's protocol record.
+func (r *RankRecovery) Code(c *wire.Codec) {
+	wire.Int(c, &r.Epoch)
+	wire.Seq(c, "suppressed id", &r.Suppress, 1, func(id *uint32) { wire.Uint(c, id) })
+	names := make([]string, 0, len(r.Replicas)) // decoded, filled by Seq
+	for name := range r.Replicas {
+		names = append(names, name)
+	}
+	if c.Decoding() {
+		r.Replicas = map[string][]byte{}
+	}
+	wire.Seq(c, "replica", &names, 2, func(name *string) {
+		wire.Str(c, name)
+		v := r.Replicas[*name]
+		if wire.Bytes(c, &v); c.Decoding() {
+			r.Replicas[*name] = v
+		}
+	})
+	wire.Bytes(c, &r.Record)
 }
 
 // ForRank slices the plan for one rank; a nil plan is a fresh start.

@@ -246,30 +246,36 @@ func TestRecordIsTheProtocolSection(t *testing.T) {
 // survives a re-encode.
 func FuzzRecoveryMeta(f *testing.F) {
 	valid := sampleRecord().marshal()
-	// enc writes varints and literal strings behind the magic.
+	// enc writes literal strings, uvarints (u: the counts, IDs and flags)
+	// and varints behind the magic.
+	type u uint64
 	enc := func(parts ...any) []byte {
 		b := append([]byte(nil), recordMagic...)
 		for _, p := range parts {
-			if s, ok := p.(string); ok {
-				b = append(b, s...)
-			} else {
+			switch p := p.(type) {
+			case string:
+				b = append(b, p...)
+			case u:
+				b = binary.AppendUvarint(b, uint64(p))
+			default:
 				b = binary.AppendVarint(b, int64(p.(int)))
 			}
 		}
 		return b
 	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)-2])                          // truncated inside the request records
-	f.Add(append(append([]byte(nil), valid...), 0))      // trailing byte
-	f.Add(enc(3, 1, 1<<40))                              // 2^40 senders, none present
-	f.Add(enc(1, 0, 1, 1<<32))                           // 2^32 IDs, none present
-	f.Add(enc(1, 0, 0, 1<<16))                           // 2^16 persistent calls, none present
-	f.Add(enc(1, 0, 0, 0, 1<<16))                        // 2^16 requests, none present
-	f.Add(enc(1, 0, 0, 1, 5, "split", 0, 1, 3, 2, 0, 0)) // a split with one argument
-	f.Add(enc(1, 0, 0, 1, 3, "dup", 0, 1, 7, 1, 0, 0))   // a dup with an argument
-	f.Add(enc(1, 0, 0, 0, 1, -1, 1, -1, -2, 0, -7))      // negative handle, source, tag and NextReq
-	f.Add(enc(1, 0, 0, 0, 1, 2, 2, 0, 0, 0, 0))          // a flag that is neither 0 nor 1
-	f.Add([]byte("C3RM0003"))
+	f.Add(valid[:len(valid)-2])                                         // truncated inside the request records
+	f.Add(append(append([]byte(nil), valid...), 0))                     // trailing byte
+	f.Add(enc(3, 1, u(1<<40)))                                          // 2^40 senders, none present
+	f.Add(enc(1, 0, u(1), u(1<<32)))                                    // 2^32 IDs, none present
+	f.Add(enc(1, 0, u(0), u(1<<16)))                                    // 2^16 persistent calls, none present
+	f.Add(enc(1, 0, u(0), u(0), u(1<<16)))                              // 2^16 requests, none present
+	f.Add(enc(1, 0, u(0), u(1), u(5), "split", 0, u(1), 3, 2, u(0), 0)) // a split with one argument
+	f.Add(enc(1, 0, u(0), u(1), u(3), "dup", 0, u(1), 7, 1, u(0), 0))   // a dup with an argument
+	f.Add(enc(1, 0, u(0), u(0), u(1), -1, u(1), -1, -2, u(0), -7))      // negative handle, source, tag and NextReq
+	f.Add(enc(1, 0, u(0), u(0), u(1), 2, u(2), 0, 0, u(0), 0))          // a flag that is neither 0 nor 1
+	f.Add([]byte("C3RM0003"))                                           // the previous format's magic
+	f.Add([]byte("C3RM0004"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) > 16<<10 {

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"ccift/internal/cerr"
 )
 
 // CheckpointStore layers the checkpoint naming scheme and the initiator's
@@ -148,7 +150,7 @@ func (c *CheckpointStore) Committed() (epoch int, ok bool, err error) {
 		// A torn commit record would be a storage-layer atomicity bug;
 		// surface it as an error rather than a panic in the recovering
 		// process.
-		return 0, false, fmt.Errorf("storage: commit record is %d bytes, want 8", len(b))
+		return 0, false, fmt.Errorf("storage: %w: commit record is %d bytes, want 8", cerr.ErrStore, len(b))
 	}
 	v := binary.LittleEndian.Uint64(b)
 	if v == 0 {

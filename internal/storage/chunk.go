@@ -4,16 +4,15 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"ccift/internal/cerr"
+	"ccift/internal/wire"
 )
 
 // Chunked streaming storage: a large blob is stored as content-hashed
@@ -344,63 +343,45 @@ func (w *ChunkedWriter) Commit() (total, written int64, err error) {
 	return w.total, w.written, nil
 }
 
+// manifest is a blob's chunk references, in blob order.
+type manifest []ChunkRef
+
+// code is the manifest's one layout: the ref count, then per ref its
+// length (a uvarint) and its sum. Decoded, every length is in
+// (0, maxBlobBytes] and the lengths sum to at most maxBlobBytes.
+func (m *manifest) code(c *wire.Codec) {
+	var total int64
+	wire.Seq(c, "ref", (*[]ChunkRef)(m), 1+sha256.Size, func(r *ChunkRef) {
+		wire.Uint(c, &r.Len)
+		total += r.Len
+		c.Require(r.Len > 0 && r.Len <= maxBlobBytes && total <= maxBlobBytes, "%d bytes (blob so far %d, bound %d)", r.Len, total, maxBlobBytes)
+		wire.Fixed(c, r.Sum[:])
+	})
+}
+
 // marshalManifest encodes chunk references as a manifest blob.
 func marshalManifest(refs []ChunkRef) []byte {
-	var buf bytes.Buffer
-	buf.Write(manifestMagic)
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(refs)))])
-	for _, r := range refs {
-		buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(r.Len))])
-		buf.Write(r.Sum[:])
-	}
-	return buf.Bytes()
+	m := manifest(refs)
+	return wire.Encode(bytes.Clone(manifestMagic), m.code)
 }
 
-// maxBlobBytes bounds a chunked blob and each of its chunks: the 1 GiB
-// that internal/launch applies to a control frame. A manifest is stored
-// data, so its lengths are checked against this before anything is
-// allocated from them, and Commit refuses to publish a blob past it.
-const maxBlobBytes = 1 << 30
-
-func corruptManifest(format string, args ...any) error {
-	return fmt.Errorf("%w: corrupt manifest: "+format, append([]any{cerr.ErrStore}, args...)...)
-}
+// maxBlobBytes bounds a chunked blob and each of its chunks: the 1 GiB of
+// a frame, which carries a replicated value. A manifest's lengths are
+// checked against it, and Commit refuses to publish a blob past it.
+const maxBlobBytes = wire.MaxFrame
 
 // ParseManifest decodes a manifest blob. Every ref it returns has a length
 // in (0, maxBlobBytes] and the lengths sum to at most maxBlobBytes.
 func ParseManifest(blob []byte) ([]ChunkRef, error) {
-	if !bytes.HasPrefix(blob, manifestMagic) {
+	rest, ok := bytes.CutPrefix(blob, manifestMagic)
+	if !ok {
 		return nil, fmt.Errorf("%w: not a chunk manifest", cerr.ErrStore)
 	}
-	rd := bytes.NewReader(blob[len(manifestMagic):])
-	n, err := binary.ReadUvarint(rd)
-	if err != nil {
-		return nil, corruptManifest("%w", err)
+	var m manifest
+	if err := wire.Decode(rest, m.code); err != nil {
+		return nil, fmt.Errorf("%w: corrupt manifest: %w", cerr.ErrStore, err)
 	}
-	if n > uint64(rd.Len())/(1+sha256.Size) { // a ref is a length byte or more plus a sum
-		return nil, corruptManifest("%d refs in %d bytes", n, rd.Len())
-	}
-	refs := make([]ChunkRef, 0, n)
-	var total uint64
-	for i := uint64(0); i < n; i++ {
-		l, err := binary.ReadUvarint(rd)
-		if err != nil {
-			return nil, corruptManifest("%w", err)
-		}
-		if total += l; l == 0 || l > maxBlobBytes || total > maxBlobBytes {
-			return nil, corruptManifest("ref %d is %d bytes (blob so far %d, bound %d)", i, l, total, maxBlobBytes)
-		}
-		r := ChunkRef{Len: int64(l)}
-		if _, err := io.ReadFull(rd, r.Sum[:]); err != nil {
-			return nil, corruptManifest("truncated ref %d", i)
-		}
-		refs = append(refs, r)
-	}
-	if rd.Len() != 0 {
-		return nil, corruptManifest("%d trailing bytes", rd.Len())
-	}
-	return refs, nil
+	return m, nil
 }
 
 // fetched is one chunk read into its slot (ref.Len bytes of the blob being
