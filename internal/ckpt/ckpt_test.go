@@ -2,9 +2,11 @@ package ckpt
 
 import (
 	"math"
+	"net/netip"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestCodecRoundTripScalars(t *testing.T) {
@@ -113,6 +115,22 @@ func TestCodecGobFallback(t *testing.T) {
 	roundTrip(t, &m, &m2)
 	if m2["a"] != 1 {
 		t.Fatalf("map: got %v", m2)
+	}
+	// Every kind of type definition gob sends: a struct, a slice, an
+	// array, a map, a GobEncoder and a BinaryMarshaler.
+	type nested struct {
+		Rows  []point
+		Grid  [2][3]int
+		Index map[string][]int
+		When  time.Time
+		Where netip.Addr
+	}
+	n := nested{Rows: []point{{1, 2}, {3, 4}}, Grid: [2][3]int{{1}, {0, 2}}, Index: map[string][]int{"k": {5}},
+		When: time.Unix(1e9, 7).UTC(), Where: netip.MustParseAddr("10.0.0.1")}
+	var n2 nested
+	roundTrip(t, &n, &n2)
+	if !reflect.DeepEqual(n2, n) {
+		t.Fatalf("nested: got %+v", n2)
 	}
 }
 
@@ -241,8 +259,24 @@ func TestPositionStackPopEmptyPanics(t *testing.T) {
 	NewPositionStack().Pop()
 }
 
+// rollback snapshots s and arms a fresh Saver from the blob, as a
+// replacement's rollback does.
+func rollback(t *testing.T, s *Saver) *Saver {
+	t.Helper()
+	blob, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewSaver()
+	if err := r.StartRestore(blob); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestVDSSaveRestore(t *testing.T) {
-	v := NewVDS()
+	s := NewSaver()
+	v := s.VDS
 	x := 10
 	ys := []float64{1, 2}
 	if err := v.Push("x", &x); err != nil {
@@ -251,17 +285,9 @@ func TestVDSSaveRestore(t *testing.T) {
 	if err := v.Push("ys", &ys); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := v.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// Mutate after the checkpoint, then restore into fresh variables (a new
-	// incarnation re-registers).
-	v2 := NewVDS()
-	if err := v2.StartRestore(snap); err != nil {
-		t.Fatal(err)
-	}
+	// Restore into fresh variables (a new incarnation re-registers).
+	v2 := rollback(t, s).VDS
 	var x2 int
 	var ys2 []float64
 	if err := v2.Push("x", &x2); err != nil {
@@ -279,7 +305,8 @@ func TestVDSSaveRestore(t *testing.T) {
 }
 
 func TestVDSScopeExit(t *testing.T) {
-	v := NewVDS()
+	s := NewSaver()
+	v := s.VDS
 	a, b := 1, 2
 	if err := v.Push("a", &a); err != nil {
 		t.Fatal(err)
@@ -288,14 +315,7 @@ func TestVDSScopeExit(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.Pop() // b leaves scope
-	snap, err := v.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := NewVDS()
-	if err := v2.StartRestore(snap); err != nil {
-		t.Fatal(err)
-	}
+	v2 := rollback(t, s).VDS
 	var a2 int
 	if err := v2.Push("a", &a2); err != nil {
 		t.Fatal(err)
@@ -309,7 +329,8 @@ func TestVDSScopeExit(t *testing.T) {
 }
 
 func TestVDSRebind(t *testing.T) {
-	v := NewVDS()
+	s := NewSaver()
+	v := s.VDS
 	x := 1
 	if err := v.Push("x", &x); err != nil {
 		t.Fatal(err)
@@ -321,14 +342,7 @@ func TestVDSRebind(t *testing.T) {
 	if v.Len() != 1 {
 		t.Fatalf("len = %d", v.Len())
 	}
-	snap, err := v.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := NewVDS()
-	if err := v2.StartRestore(snap); err != nil {
-		t.Fatal(err)
-	}
+	v2 := rollback(t, s).VDS
 	var z int
 	if err := v2.Push("x", &z); err != nil {
 		t.Fatal(err)
@@ -345,7 +359,8 @@ func TestVDSNilPointer(t *testing.T) {
 }
 
 func TestHeapAllocFreeSnapshot(t *testing.T) {
-	h := NewHeap()
+	s := NewSaver()
+	h := s.Heap
 	b1 := h.Alloc(4)
 	b2 := h.Alloc(8)
 	copy(b1.Data, []byte{1, 2, 3, 4})
@@ -355,15 +370,7 @@ func TestHeapAllocFreeSnapshot(t *testing.T) {
 		t.Fatalf("live=%d bytes=%d", h.Live(), h.LiveBytes())
 	}
 
-	snap, err := h.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	h2 := NewHeap()
-	if err := h2.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
+	h2 := rollback(t, s).Heap
 	got := h2.Lookup(b1.ID)
 	if got == nil || got.Data[3] != 4 {
 		t.Fatalf("block 1 not restored: %+v", got)

@@ -137,34 +137,19 @@ func (f *Frozen) ReplicatedCarried() int {
 	return n
 }
 
-// ExtractReplicated parses a Saver snapshot and returns the replicated
-// values it carries (non-empty only for the primary rank's snapshot), as
-// views of snapshot. The recovery driver calls this on the primary's
+// ExtractReplicated parses a state blob and returns the replicated values
+// it carries (non-empty only for the primary rank's blob), as views of
+// snapshot. The recovery driver calls this on the primary's
 // application-state blob and hands the result to every other rank's Saver.
 func ExtractReplicated(snapshot []byte) (map[string][]byte, error) {
-	rd := &cursor{snapshot}
-	// Skip the PS trace section.
-	n, err := readUvarint(rd)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: corrupt snapshot: %w", err)
-	}
-	for i := uint64(0); i < n; i++ {
-		if _, err := readUvarint(rd); err != nil {
-			return nil, fmt.Errorf("ckpt: corrupt snapshot: %w", err)
-		}
-	}
-	vdsRaw, err := readBytes(rd)
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: corrupt snapshot: %w", err)
-	}
-	entries, err := parseVDSSnapshot(vdsRaw)
+	f, err := parseState(snapshot)
 	if err != nil {
 		return nil, err
 	}
 	out := map[string][]byte{}
-	for _, e := range entries {
-		if e.kind == kindReplicated && len(e.data) > 0 {
-			out[e.name] = e.data
+	for _, e := range f.vds {
+		if e.kind == kindReplicated && len(e.enc) > 0 {
+			out[e.name] = e.enc
 		}
 	}
 	return out, nil

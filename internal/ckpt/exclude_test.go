@@ -6,7 +6,8 @@ import (
 )
 
 func TestComputedEntrySavesOnlyFingerprint(t *testing.T) {
-	v := NewVDS()
+	s := NewSaver()
+	v := s.VDS
 	big := make([]float64, 1<<16)
 	for i := range big {
 		big[i] = float64(i)
@@ -14,7 +15,7 @@ func TestComputedEntrySavesOnlyFingerprint(t *testing.T) {
 	if err := v.PushComputed("big", &big, func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := v.Snapshot()
+	snap, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,25 +30,19 @@ func TestComputedRestoreRecomputesAndVerifies(t *testing.T) {
 			dst[i] = float64(i) * 1.5
 		}
 	}
-	v := NewVDS()
+	s := NewSaver()
+	v := s.VDS
 	data := make([]float64, 1024)
 	fill(data)
 	if err := v.PushComputed("data", &data, func() error { fill(data); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := v.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Restart: the value is regenerated, not decoded.
-	v2 := NewVDS()
-	if err := v2.StartRestore(snap); err != nil {
-		t.Fatal(err)
-	}
+	v2 := rollback(t, s).VDS
 	data2 := make([]float64, 1024)
 	ran := false
-	err = v2.PushComputed("data", &data2, func() error { ran = true; fill(data2); return nil })
+	err := v2.PushComputed("data", &data2, func() error { ran = true; fill(data2); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,21 +60,14 @@ func TestComputedRestoreRecomputesAndVerifies(t *testing.T) {
 }
 
 func TestComputedRestoreDetectsWrongRecomputation(t *testing.T) {
-	v := NewVDS()
+	s := NewSaver()
 	x := 42
-	if err := v.PushComputed("x", &x, func() error { return nil }); err != nil {
+	if err := s.VDS.PushComputed("x", &x, func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := v.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := NewVDS()
-	if err := v2.StartRestore(snap); err != nil {
-		t.Fatal(err)
-	}
+	v2 := rollback(t, s).VDS
 	var y int
-	err = v2.PushComputed("x", &y, func() error { y = 7; return nil }) // wrong value
+	err := v2.PushComputed("x", &y, func() error { y = 7; return nil }) // wrong value
 	if err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
 		t.Fatalf("err = %v, want fingerprint mismatch", err)
 	}
@@ -87,13 +75,13 @@ func TestComputedRestoreDetectsWrongRecomputation(t *testing.T) {
 
 func TestReplicatedSavedOnPrimaryOnly(t *testing.T) {
 	mk := func(primary bool) []byte {
-		v := NewVDS()
-		v.Primary = primary
+		s := NewSaver()
+		s.VDS.Primary = primary
 		tbl := []float64{1, 2, 3, 4}
-		if err := v.PushReplicated("tbl", &tbl); err != nil {
+		if err := s.VDS.PushReplicated("tbl", &tbl); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := v.Snapshot()
+		snap, err := s.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,20 +117,12 @@ func TestReplicatedRestoreThroughReplicaMap(t *testing.T) {
 
 	// A non-primary rank's snapshot carries only the marker; restore pulls
 	// the value from the distributed replica map.
-	vo := NewVDS()
+	so := NewSaver()
 	tblO := []float64{10, 20, 30}
-	if err := vo.PushReplicated("tbl", &tblO); err != nil {
+	if err := so.VDS.PushReplicated("tbl", &tblO); err != nil {
 		t.Fatal(err)
 	}
-	otherSnap, err := vo.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	v2 := NewVDS()
-	if err := v2.StartRestore(otherSnap); err != nil {
-		t.Fatal(err)
-	}
+	v2 := rollback(t, so).VDS
 	v2.SetReplicas(replicas)
 	var got []float64
 	if err := v2.PushReplicated("tbl", &got); err != nil {
@@ -154,40 +134,26 @@ func TestReplicatedRestoreThroughReplicaMap(t *testing.T) {
 }
 
 func TestReplicatedRestoreWithoutReplicaFails(t *testing.T) {
-	vo := NewVDS()
+	so := NewSaver()
 	tbl := []float64{1}
-	if err := vo.PushReplicated("tbl", &tbl); err != nil {
+	if err := so.VDS.PushReplicated("tbl", &tbl); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := vo.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := NewVDS()
-	if err := v2.StartRestore(snap); err != nil {
-		t.Fatal(err)
-	}
+	v2 := rollback(t, so).VDS
 	var got []float64
-	err = v2.PushReplicated("tbl", &got)
+	err := v2.PushReplicated("tbl", &got)
 	if err == nil || !strings.Contains(err.Error(), "no replica") {
 		t.Fatalf("err = %v, want no-replica error", err)
 	}
 }
 
 func TestKindMismatchDetected(t *testing.T) {
-	v := NewVDS()
+	s := NewSaver()
 	x := 1
-	if err := v.Push("x", &x); err != nil {
+	if err := s.VDS.Push("x", &x); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := v.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := NewVDS()
-	if err := v2.StartRestore(snap); err != nil {
-		t.Fatal(err)
-	}
+	v2 := rollback(t, s).VDS
 	var y int
 	if err := v2.PushComputed("x", &y, func() error { return nil }); err == nil {
 		t.Fatal("saved entry restored as computed should fail")

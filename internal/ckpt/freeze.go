@@ -2,8 +2,10 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -212,7 +214,8 @@ func (sl *slab) release(pool *bufPool) {
 // It owns every byte it references: mutating the live application after
 // Freeze does not affect it. (Under incremental freeze "owns" is shared
 // ownership: clean regions reference the previous epoch's slabs, kept
-// alive by their refcounts.)
+// alive by their refcounts. A Frozen parsed from a state blob references
+// the blob: see parseState.)
 type Frozen struct {
 	trace []int
 	vds   []frozenEntry
@@ -239,7 +242,7 @@ type frozenEntry struct {
 	// replicated marker of a non-primary rank.
 	enc  []byte
 	ptr  any
-	size int // encoded value size (the writeBytes payload length)
+	size int // encoded value size (the length its record is framed with)
 	// gen is the live entry's write-clock stamp at capture; slab is the
 	// refcounted pool buffer behind ptr for the pooled types (nil for
 	// non-pooled copies, which the GC manages).
@@ -810,9 +813,11 @@ func (e *frozenEntry) writeValue(w SectionWriter, scratch *bytes.Buffer, floats 
 		}
 		return writeFloat64sTo(w, *p, floats)
 	}
-	if err := EncodeTo(scratch, e.ptr); err != nil {
+	raw, err := appendValue(scratch.AvailableBuffer(), e.ptr)
+	if err != nil {
 		return err
 	}
+	scratch.Write(raw)
 	return flushScratch(w, scratch)
 }
 
@@ -848,4 +853,62 @@ func uvarintLen(v uint64) int {
 		n++
 	}
 	return n
+}
+
+func writeUvarint(buf *bytes.Buffer, v uint64) {
+	var b [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(b[:], v)
+	buf.Write(b[:n])
+}
+
+func writeString(buf *bytes.Buffer, s string) {
+	writeUvarint(buf, uint64(len(s)))
+	buf.WriteString(s)
+}
+
+// floatScratch is the conversion batch for writing float64 slices, in
+// bytes: one Write per 1024 elements instead of per element, which keeps
+// the encoder near memory bandwidth — checkpoint cost in Figure 8 is
+// dominated by this path. A streamed write converts through a buffer of
+// this size that its caller owns: an array here would escape through the
+// io.Writer and cost an allocation per call.
+const floatScratch = 8 * 1024
+
+// writeFloat64sTo streams a counted float64 slice into w — the checkpoint
+// flusher streams grids through it straight into the chunked store writer,
+// with no intermediate whole-state buffer, converting through scratch.
+func writeFloat64sTo(w io.Writer, xs []float64, scratch []byte) error {
+	n := binary.PutUvarint(scratch, uint64(len(xs)))
+	if _, err := w.Write(scratch[:n]); err != nil {
+		return err
+	}
+	return writeFloat64sRawTo(w, xs, scratch)
+}
+
+// writeFloat64sRawTo streams the little-endian payload without a length
+// prefix — the per-page form: a paged frozen entry writes one prefix for
+// the whole slice and then each page's payload through this — one
+// len(scratch)/8 elements at a time.
+func writeFloat64sRawTo(w io.Writer, xs []float64, scratch []byte) error {
+	for len(xs) > 0 {
+		n := min(len(xs), len(scratch)/8)
+		out := scratch[:8*n]
+		putFloat64s(out, xs[:n])
+		if _, err := w.Write(out); err != nil {
+			return err
+		}
+		xs = xs[n:]
+	}
+	return nil
+}
+
+// putFloat64s writes xs little-endian into out (8·len(xs) bytes). Walking
+// both slices, not indexing them, is what lets the compiler drop the
+// per-element bounds checks: the loop then runs at memcpy speed (a third
+// faster), and a survivor's rollback serializes its whole state through it.
+func putFloat64s(out []byte, xs []float64) {
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(out, math.Float64bits(x))
+		out = out[8:]
+	}
 }

@@ -1,8 +1,12 @@
 package ckpt
 
 import (
+	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
+
+	"ccift/internal/wire"
 )
 
 // fuzzTargets returns a fresh pointer of every type the codec decodes on
@@ -52,7 +56,9 @@ func fuzzSeed(tb testing.TB) []byte {
 // snapshot, whose registrations then decode their values, and as a single
 // encoded value of every type — never panic it and never make it allocate
 // more than 1 MiB: every count it reads is checked against the bytes left
-// before anything is allocated from it.
+// before anything is allocated from it. A state blob that parses is one
+// layout run backwards: encoded again, it parses to the same view, and the
+// view's WriteTo streams exactly that encoding.
 func FuzzRestore(f *testing.F) {
 	seed := fuzzSeed(f)
 	f.Add(seed)
@@ -65,12 +71,23 @@ func FuzzRestore(f *testing.F) {
 		}
 	}
 	f.Add([]byte{tagFloat64Matrix, 0xff, 0xff, 0xff, 0xff, 0x0f}) // 2^32 rows, none present
+	// A gob type definition whose struct claims 65,072 fields in 29 bytes.
+	f.Add([]byte("\f('\x7f\x03\x01\x02\xff0\x00\x01\xfe\xfe00000000000000000000000000000"))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) > 8<<10 { // a row or a heap block is a byte of input and tens in memory
 			t.Skip()
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
+		if f, err := parseState(raw); err == nil {
+			again := wire.Encode(nil, f.code)
+			if g, err := parseState(again); err != nil || !reflect.DeepEqual(g, f) {
+				t.Fatalf("a parsed blob encoded again parses to %+v (%v), not %+v", g, err, f)
+			}
+			if streamed, err := f.Snapshot(); err != nil || !bytes.Equal(streamed, again) {
+				t.Fatalf("the parsed view streams %d bytes (%v), its layout encodes %d", len(streamed), err, len(again))
+			}
+		}
 		s := NewSaver()
 		if s.StartRestore(raw) == nil {
 			for name, p := range fuzzTargets() {

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -8,6 +9,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"ccift/internal/wire"
 )
 
 // The serialized state is a storage format: chunk boundaries decide dedup
@@ -148,6 +151,30 @@ func TestStateStreamIsByteIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		if got := goldenDigest(t, seed); got != want[seed] {
 			t.Errorf("seed %d: state stream digest %s, want %s", seed, got, want[seed])
+		}
+	}
+}
+
+// TestStateLayoutRunsBothWays: the state blob is one layout, run forwards
+// by Saver.Snapshot over the live state and backwards by the parse every
+// rollback from a blob goes through. Parsing each seed's snapshot and
+// encoding the view again reproduces the snapshot, and the parsed view,
+// streamed through Frozen.WriteTo like any retained view, writes it too.
+func TestStateLayoutRunsBothWays(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		snap, err := goldenState(t, seed).Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := parseState(snap)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if again := wire.Encode(nil, f.code); !bytes.Equal(again, snap) {
+			t.Errorf("seed %d: the parsed snapshot encodes to %d bytes, not its own %d", seed, len(again), len(snap))
+		}
+		if streamed, err := f.Snapshot(); err != nil || !bytes.Equal(streamed, snap) {
+			t.Errorf("seed %d: the parsed view streams %d bytes (%v), not the %d it was parsed from", seed, len(streamed), err, len(snap))
 		}
 	}
 }

@@ -3,7 +3,6 @@ package ckpt
 import (
 	"bytes"
 	"fmt"
-	"sort"
 )
 
 // Heap is the checkpointer's own heap management system (Section 5.1.3).
@@ -25,7 +24,7 @@ type Heap struct {
 	// live bytes, maintained incrementally for state-size accounting.
 	liveBytes int
 	// muts is the monotone write clock behind dirty-region tracking:
-	// Alloc, Realloc, Restore and Touch stamp the affected block, so an
+	// Alloc, Realloc, a restore and Touch stamp the affected block, so an
 	// incremental Freeze can tell "unchanged since the last capture" by
 	// comparing stamps (see freeze.go).
 	muts uint64
@@ -91,53 +90,9 @@ func (h *Heap) Live() int { return len(h.blocks) }
 // LiveBytes reports the total payload bytes of live blocks.
 func (h *Heap) LiveBytes() int { return h.liveBytes }
 
-// Snapshot serializes the HOS and all live blocks.
-func (h *Heap) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	writeUvarint(&buf, uint64(h.nextID))
-	ids := make([]int, 0, len(h.blocks))
-	for id := range h.blocks {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	writeUvarint(&buf, uint64(len(ids)))
-	for _, id := range ids {
-		writeUvarint(&buf, uint64(id))
-		writeBytes(&buf, h.blocks[id].Data)
-	}
-	return buf.Bytes(), nil
-}
-
-// Restore replaces the heap contents with a snapshot; handles allocated
-// after the snapshot are discarded, exactly as a rollback requires.
-func (h *Heap) Restore(snapshot []byte) error {
-	rd := &cursor{snapshot}
-	next, err := readUvarint(rd)
-	if err != nil {
-		return fmt.Errorf("ckpt: corrupt heap snapshot: %w", err)
-	}
-	n, err := readCount(rd, 2) // id, data length
-	if err != nil {
-		return fmt.Errorf("ckpt: corrupt heap snapshot: %w", err)
-	}
-	fh := frozenHeap{next: int(next), blocks: make([]frozenBlock, n)}
-	for i := range fh.blocks {
-		id, err := readUvarint(rd)
-		if err != nil {
-			return fmt.Errorf("ckpt: corrupt heap snapshot: %w", err)
-		}
-		view, err := readBytes(rd)
-		if err != nil {
-			return fmt.Errorf("ckpt: corrupt heap snapshot: %w", err)
-		}
-		fh.blocks[i] = frozenBlock{id: int(id), data: view}
-	}
-	h.install(fh)
-	return nil
-}
-
 // install replaces the heap contents with fh's blocks, each cloned into the
-// block's own memory.
+// block's own memory; handles allocated after the capture are gone, exactly
+// as a rollback requires.
 func (h *Heap) install(fh frozenHeap) {
 	h.blocks = make(map[int]*Block, len(fh.blocks))
 	h.nextID, h.liveBytes = fh.next, 0

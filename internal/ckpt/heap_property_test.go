@@ -53,7 +53,8 @@ func TestHeapReallocUnknownPanics(t *testing.T) {
 // handles, and byte accounting.
 func TestHeapRandomOpsSnapshotRestore(t *testing.T) {
 	f := func(ops []uint16) bool {
-		h := NewHeap()
+		s := NewSaver()
+		h := s.Heap
 		var live []int
 		for _, op := range ops {
 			kind := op % 4
@@ -81,14 +82,15 @@ func TestHeapRandomOpsSnapshotRestore(t *testing.T) {
 			}
 		}
 
-		snap, err := h.Snapshot()
+		snap, err := s.Snapshot()
 		if err != nil {
 			return false
 		}
-		h2 := NewHeap()
-		if err := h2.Restore(snap); err != nil {
+		r := NewSaver()
+		if err := r.StartRestore(snap); err != nil {
 			return false
 		}
+		h2 := r.Heap
 		if h2.Live() != h.Live() || h2.LiveBytes() != h.LiveBytes() {
 			return false
 		}

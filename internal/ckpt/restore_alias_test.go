@@ -3,8 +3,10 @@ package ckpt
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -174,10 +176,79 @@ func TestDecodeCountsAreNotTrusted(t *testing.T) {
 	if err := s.StartRestore(huge); err == nil {
 		t.Fatal("a position stack of 2^63-1 labels in a 9-byte snapshot restored")
 	}
-	if err := s.VDS.StartRestore(huge); err == nil {
+	if err := s.StartRestore(stateBlob(huge, nil)); err == nil {
 		t.Fatal("a VDS section of 2^63-1 entries in 9 bytes restored")
 	}
-	if err := s.Heap.Restore(append([]byte{1}, huge...)); err == nil {
+	if err := s.StartRestore(stateBlob([]byte{0}, append([]byte{1}, huge...))); err == nil {
 		t.Fatal("a heap of 2^63-1 blocks in 10 bytes restored")
+	}
+}
+
+// stateBlob frames a VDS section and a heap section after an empty position
+// trace, byte by byte as the state layout does.
+func stateBlob(vds, heap []byte) []byte {
+	if heap == nil {
+		heap = []byte{1, 0} // next handle 1, no blocks
+	}
+	blob := []byte{0}
+	for _, sec := range [][]byte{vds, heap} {
+		blob = append(binary.AppendUvarint(blob, uint64(len(sec))), sec...)
+	}
+	return blob
+}
+
+// TestRestoreRefusesCollidingHandlesAndNames: the next handle a restored
+// heap hands out is stored data, and so is every block's. A blob whose
+// block handles are not strictly increasing below it would have Alloc hand
+// out a live block's handle and silently replace that block; a blob that
+// names one variable twice would restore whichever came last. Both are
+// restore errors.
+func TestRestoreRefusesCollidingHandlesAndNames(t *testing.T) {
+	block := func(id byte) []byte { return []byte{id, 4, 'a', 'b', 'c', 'd'} }
+	heap := func(next byte, ids ...byte) []byte {
+		sec := []byte{next, byte(len(ids))}
+		for _, id := range ids {
+			sec = append(sec, block(id)...)
+		}
+		return sec
+	}
+	intVar := func(name string) []byte {
+		raw, err := Encode(ptr(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := append([]byte{byte(len(name))}, name...)
+		return append(append(e, byte(kindSaved), byte(len(raw))), raw...)
+	}
+	vars := func(names ...string) []byte {
+		sec := []byte{byte(len(names))}
+		for _, n := range names {
+			sec = append(sec, intVar(n)...)
+		}
+		return sec
+	}
+	for name, tc := range map[string]struct {
+		vds, heap []byte
+		want      string
+	}{
+		"a block at the next handle":   {[]byte{0}, heap(1, 1), "handle 1 after 0, next 1"},
+		"a block past the next handle": {[]byte{0}, heap(3, 1, 5), "handle 5 after 1, next 3"},
+		"a handle twice":               {[]byte{0}, heap(4, 2, 2), "handle 2 after 2"},
+		"handles out of order":         {[]byte{0}, heap(4, 3, 2), "handle 2 after 3"},
+		"handle 0":                     {[]byte{0}, heap(4, 0), "handle 0 after 0"},
+		"a name twice":                 {vars("x", "y", "x"), nil, `"x" registered twice`},
+	} {
+		s := NewSaver()
+		err := s.StartRestore(stateBlob(tc.vds, tc.heap))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want a restore error containing %q", name, err, tc.want)
+		}
+	}
+	s := NewSaver()
+	if err := s.StartRestore(stateBlob(vars("x", "y"), heap(4, 1, 3))); err != nil {
+		t.Fatalf("two names, handles 1 and 3 below 4: %v", err)
+	}
+	if b := s.Heap.Alloc(4); b.ID != 4 || s.Heap.Live() != 3 || s.Heap.LiveBytes() != 12 {
+		t.Fatalf("the first Alloc after the restore: handle %d, %d blocks and %d bytes live", b.ID, s.Heap.Live(), s.Heap.LiveBytes())
 	}
 }

@@ -1,8 +1,10 @@
 package ckpt
 
 import (
-	"bytes"
 	"fmt"
+	"slices"
+
+	"ccift/internal/wire"
 )
 
 // Saver bundles the three state-saving structures of Section 5.1 — the
@@ -41,74 +43,115 @@ func NewSaver() *Saver {
 	return &Saver{PS: NewPositionStack(), VDS: NewVDS(), Heap: NewHeap()}
 }
 
-// Snapshot serializes position, variables and heap.
+// Snapshot encodes position, variables and heap: the state blob's layout
+// run over the live state, every value encoded afresh. It shares nothing
+// with Freeze and Frozen.WriteTo but the layout and the value codec, so it
+// is the reference their stream is held to.
 func (s *Saver) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	trace := s.PS.Snapshot()
-	writeUvarint(&buf, uint64(len(trace)))
-	for _, l := range trace {
-		writeUvarint(&buf, uint64(l))
+	f := &Frozen{trace: s.PS.labels, heap: frozenHeap{next: s.Heap.nextID}}
+	for _, e := range s.VDS.entries {
+		fe := frozenEntry{name: e.name, kind: e.kind}
+		var err error
+		switch {
+		case e.kind == kindComputed:
+			fe.enc, err = fingerprint(e.ptr)
+		case e.kind != kindReplicated || s.VDS.Primary:
+			fe.enc, err = Encode(e.ptr)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("ckpt: encode %q: %w", e.name, err)
+		}
+		f.vds = append(f.vds, fe)
 	}
-	vds, err := s.VDS.Snapshot()
-	if err != nil {
-		return nil, err
+	for id, b := range s.Heap.blocks {
+		f.heap.blocks = append(f.heap.blocks, frozenBlock{id: id, data: b.Data})
 	}
-	writeBytes(&buf, vds)
-	heap, err := s.Heap.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	writeBytes(&buf, heap)
-	return buf.Bytes(), nil
+	slices.SortFunc(f.heap.blocks, func(a, b frozenBlock) int { return a.id - b.id })
+	return wire.Encode(nil, f.code), nil
 }
 
-// StartRestore loads a snapshot and arms the PS resume cursor and the VDS
-// restore map; the heap is restored immediately (its handles must resolve
-// before the application re-executes). blob is only read and must stay
-// unmodified: the restore map holds views of it, and each value is copied
-// out once, into the program's own memory, when its registration arrives.
+// code is the state blob's one layout: the PS trace, then the VDS section
+// and the heap section, each framed by its length. A VDS entry is a name,
+// a kind and its value record (empty for a replicated value off the
+// primary); a heap block is a handle and its bytes. Decoded, the records
+// and the blocks are views of the blob. A name appears once, and handles
+// rise strictly within [1, next): a restored heap hands out next and up.
+func (f *Frozen) code(c *wire.Codec) {
+	wire.Seq(c, "label", &f.trace, 1, func(l *int) { wire.Uint(c, l) })
+	section(c, "VDS section", func(c *wire.Codec) {
+		names := map[string]bool{}
+		wire.Seq(c, "variable", &f.vds, 3, func(e *frozenEntry) {
+			wire.Str(c, &e.name)
+			c.Require(!names[e.name], "%q registered twice", e.name)
+			names[e.name] = true
+			wire.Uint(c, &e.kind)
+			c.Require(e.kind >= kindSaved && e.kind <= kindReplicated, "%q has kind %d", e.name, e.kind)
+			wire.View(c, &e.enc)
+			e.size = len(e.enc)
+		})
+	})
+	section(c, "heap section", func(c *wire.Codec) {
+		wire.Uint(c, &f.heap.next)
+		last := 0
+		wire.Seq(c, "block", &f.heap.blocks, 2, func(b *frozenBlock) {
+			wire.Uint(c, &b.id)
+			c.Require(last < b.id && b.id < f.heap.next, "handle %d after %d, next %d", b.id, last, f.heap.next)
+			last = b.id
+			wire.View(c, &b.data)
+		})
+	})
+}
+
+// section codes a part of the blob as its length and then the fields layout
+// visits, which must fill exactly that length.
+func section(c *wire.Codec, noun string, layout func(*wire.Codec)) {
+	var b []byte
+	if !c.Decoding() {
+		b = wire.Encode(nil, layout)
+	}
+	if wire.View(c, &b); c.Decoding() {
+		err := wire.Decode(b, layout)
+		c.Require(err == nil, "%s: %w", noun, err)
+	}
+}
+
+// parseState is the decode direction of the state blob's layout: a Frozen
+// whose value records and heap blocks are views of blob, which must stay
+// unmodified while the view is read. It belongs to no Saver's pool.
+func parseState(blob []byte) (*Frozen, error) {
+	f := &Frozen{}
+	if err := wire.Decode(blob, f.code); err != nil {
+		return nil, fmt.Errorf("ckpt: corrupt state snapshot: %w", err)
+	}
+	return f, nil
+}
+
+// StartRestore arms the restore StartRestoreView arms, from a state blob: a
+// replacement's rollback. blob is only read and must stay unmodified: the
+// restore map holds views of it, and each value is copied out once, into
+// the program's own memory, when its registration arrives.
 func (s *Saver) StartRestore(blob []byte) error {
-	// Restored live state shares no history with any previous freeze: the
-	// retained regions are stale and must never be re-referenced.
-	s.dropRetained()
-	rd := &cursor{blob}
-	n, err := readCount(rd, 1)
+	f, err := parseState(blob)
 	if err != nil {
-		return fmt.Errorf("ckpt: corrupt state snapshot: %w", err)
-	}
-	trace := make([]int, n)
-	for i := range trace {
-		l, err := readUvarint(rd)
-		if err != nil {
-			return fmt.Errorf("ckpt: corrupt state snapshot: %w", err)
-		}
-		trace[i] = int(l)
-	}
-	s.PS.StartResume(trace)
-	vds, err := readBytes(rd)
-	if err != nil {
-		return fmt.Errorf("ckpt: corrupt state snapshot: %w", err)
-	}
-	if err := s.VDS.StartRestore(vds); err != nil {
 		return err
 	}
-	heap, err := readBytes(rd)
-	if err != nil {
-		return fmt.Errorf("ckpt: corrupt state snapshot: %w", err)
-	}
-	return s.Heap.Restore(heap)
+	return s.StartRestoreView(f)
 }
 
-// StartRestoreView arms the restore StartRestore would arm from f.Snapshot(),
-// straight from the frozen view: a survivor's rollback, which then moves each
-// restored byte once. A page-granular value is copied page by page into its
-// variable when the registration arrives; every other value goes through the
-// codec, from the view's pre-encoded record or an encode of its owned copy
+// StartRestoreView arms the PS resume cursor and the VDS restore map from a
+// frozen view and restores the heap at once (its handles must resolve before
+// the application re-executes): a survivor's rollback from its retained view
+// and, through StartRestore, a replacement's from its parsed blob. Each
+// restored byte moves once. A page-granular value is copied page by page
+// into its variable when the registration arrives; every other value goes
+// through the codec, from the view's record or an encode of its owned copy
 // (a []float64 or []byte that does not page is at most a page); heap blocks
 // are cloned now.
 // The restore map reads f's pages until the last registration: f must not go
 // back to a pool before then (a disowned view's pages are the collector's).
 func (s *Saver) StartRestoreView(f *Frozen) error {
+	// Restored live state shares no history with any previous freeze: the
+	// retained regions are stale and must never be re-referenced.
 	s.dropRetained()
 	s.PS.StartResume(f.trace)
 	restore := make(map[string]restoreRec, len(f.vds))

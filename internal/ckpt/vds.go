@@ -1,7 +1,6 @@
 package ckpt
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 )
@@ -305,91 +304,3 @@ func (v *VDS) Live(name string) bool {
 
 // Len reports the number of live descriptors.
 func (v *VDS) Len() int { return len(v.entries) }
-
-// Snapshot encodes every live variable into a checkpoint section: full
-// values for saved entries (and replicated ones on the primary),
-// fingerprints for computed entries, markers for replicated entries
-// elsewhere.
-func (v *VDS) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	writeUvarint(&buf, uint64(len(v.entries)))
-	for _, e := range v.entries {
-		writeString(&buf, e.name)
-		buf.WriteByte(byte(e.kind))
-		switch e.kind {
-		case kindSaved:
-			raw, err := Encode(e.ptr)
-			if err != nil {
-				return nil, fmt.Errorf("ckpt: encode %q: %w", e.name, err)
-			}
-			writeBytes(&buf, raw)
-		case kindComputed:
-			sum, err := fingerprint(e.ptr)
-			if err != nil {
-				return nil, fmt.Errorf("ckpt: fingerprint %q: %w", e.name, err)
-			}
-			writeBytes(&buf, sum)
-		case kindReplicated:
-			if v.Primary {
-				raw, err := Encode(e.ptr)
-				if err != nil {
-					return nil, fmt.Errorf("ckpt: encode %q: %w", e.name, err)
-				}
-				writeBytes(&buf, raw)
-			} else {
-				writeBytes(&buf, nil)
-			}
-		default:
-			return nil, fmt.Errorf("ckpt: entry %q has invalid kind %d", e.name, e.kind)
-		}
-	}
-	return buf.Bytes(), nil
-}
-
-// parseVDSSnapshot decodes the section produced by Snapshot. Each entry's
-// data is a view of snapshot, not a copy.
-func parseVDSSnapshot(snapshot []byte) ([]restoreEntry, error) {
-	rd := &cursor{snapshot}
-	n, err := readCount(rd, 3) // name length, kind, data length
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: corrupt VDS snapshot: %w", err)
-	}
-	out := make([]restoreEntry, 0, n)
-	for i := 0; i < n; i++ {
-		name, err := readString(rd)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: corrupt VDS snapshot: %w", err)
-		}
-		kind, err := rd.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: corrupt VDS snapshot: %w", err)
-		}
-		data, err := readBytes(rd)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: corrupt VDS snapshot: %w", err)
-		}
-		out = append(out, restoreEntry{name: name, kind: entryKind(kind), data: data})
-	}
-	return out, nil
-}
-
-type restoreEntry struct {
-	name string
-	kind entryKind
-	data []byte
-}
-
-// StartRestore loads a snapshot produced by Snapshot and arms restoration:
-// subsequent Push/PushComputed/PushReplicated calls restore their
-// variable's saved value, recompute it, or fetch the distributed replica.
-func (v *VDS) StartRestore(snapshot []byte) error {
-	entries, err := parseVDSSnapshot(snapshot)
-	if err != nil {
-		return err
-	}
-	v.restore = make(map[string]restoreRec, len(entries))
-	for _, e := range entries {
-		v.restore[e.name] = restoreRec{kind: e.kind, data: e.data}
-	}
-	return nil
-}

@@ -6,9 +6,11 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 )
 
@@ -136,10 +138,93 @@ func Str(c *Codec, s *string) {
 
 // Bytes codes a byte slice as its length and its bytes; decoded, a copy.
 func Bytes(c *Codec, p *[]byte) {
-	if n := c.count(len(*p), 1); c.dec {
-		*p = make([]byte, n)
+	if View(c, p); c.dec {
+		*p = bytes.Clone(*p)
 	}
-	Fixed(c, *p)
+}
+
+// View codes a byte slice as Bytes does; decoded, a view of the input, its
+// capacity clipped so that an append cannot reach the bytes behind it.
+func View(c *Codec, p *[]byte) {
+	n := c.count(len(*p), 1)
+	switch {
+	case !c.dec:
+		c.b = append(c.b, *p...)
+	case c.err != nil:
+		*p = nil
+	default:
+		*p, c.b = c.b[:n:n], c.b[n:]
+	}
+}
+
+// word is what Word and Words code: eight bytes, little-endian.
+type word interface{ int | int64 | uint64 | float64 }
+
+// Word codes a fixed 8-byte little-endian word: an integer's two's
+// complement, a float64's IEEE 754 bits.
+func Word[T word](c *Codec, v *T) {
+	s := []T{*v}
+	codeWords(c, s)
+	*v = s[0]
+}
+
+// Words codes a vector of words as its length and then each word. Encoded,
+// the output grows once; decoded, the words fill *s's array when it has the
+// capacity.
+func Words[T word](c *Codec, s *[]T) {
+	n := c.count(len(*s), 8)
+	if c.err != nil {
+		return
+	}
+	if c.dec && cap(*s) < n {
+		*s = make([]T, n)
+	}
+	*s = (*s)[:n]
+	codeWords(c, *s)
+}
+
+// codeWords codes len(s) words with no length before them. Walking both
+// slices, not indexing them, lets the compiler drop the per-element bounds
+// checks: the loops run at memcpy speed, and a restore converts a whole
+// state through them.
+func codeWords[T word](c *Codec, s []T) {
+	if !c.dec {
+		at := len(c.b)
+		c.b = slices.Grow(c.b, 8*len(s))[:at+8*len(s)]
+		out := c.b[at:]
+		if fs, ok := any(s).([]float64); ok {
+			for _, x := range fs {
+				binary.LittleEndian.PutUint64(out, math.Float64bits(x))
+				out = out[8:]
+			}
+			return
+		}
+		for _, x := range s {
+			binary.LittleEndian.PutUint64(out, uint64(x))
+			out = out[8:]
+		}
+		return
+	}
+	if c.err == nil && 8*len(s) > len(c.b) {
+		c.fail("%d bytes wanted, %d left", 8*len(s), len(c.b))
+	}
+	if c.err != nil {
+		clear(s)
+		return
+	}
+	src := c.b[:8*len(s)]
+	c.b = c.b[8*len(s):]
+	if fs, ok := any(s).([]float64); ok {
+		for i := range fs {
+			fs[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
+			src = src[8:]
+		}
+		return
+	}
+	for i := range s {
+		s[i] = T(binary.LittleEndian.Uint64(src))
+		src = src[8:]
+	}
 }
 
 // Fixed codes len(p) bytes as they are, with no length before them.

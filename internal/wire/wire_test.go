@@ -25,8 +25,15 @@ type fields struct {
 	Off  bool
 	S    string
 	B    []byte
+	V    []byte
 	Sum  [4]byte
 	List [][]uint32
+	W    int
+	WF   float64
+	WU   uint64
+	Fs   []float64
+	Is   []int
+	I64s []int64
 }
 
 func (f *fields) code(c *Codec) {
@@ -41,19 +48,29 @@ func (f *fields) code(c *Codec) {
 	Flag(c, &f.Off)
 	Str(c, &f.S)
 	Bytes(c, &f.B)
+	View(c, &f.V)
 	Fixed(c, f.Sum[:])
 	Seq(c, "list", &f.List, 1, func(l *[]uint32) {
 		Seq(c, "item", l, 1, func(v *uint32) { Uint(c, v) })
 	})
+	Word(c, &f.W)
+	Word(c, &f.WF)
+	Word(c, &f.WU)
+	Words(c, &f.Fs)
+	Words(c, &f.Is)
+	Words(c, &f.I64s)
 }
 
 func TestPrimitivesRoundTrip(t *testing.T) {
 	for name, f := range map[string]*fields{
-		"zero": {B: []byte{}},
+		"zero": {B: []byte{}, V: []byte{}},
 		"small": {U8: 1, U32: 127, U64: 128, N: 300, N64: 1 << 40, I: -1, I64: 64, On: true,
-			S: "split", B: []byte{0, 0xff}, Sum: [4]byte{1, 2, 3, 4}, List: [][]uint32{nil, {7}, {0, 1 << 31}}},
+			S: "split", B: []byte{0, 0xff}, V: []byte{7}, Sum: [4]byte{1, 2, 3, 4}, List: [][]uint32{nil, {7}, {0, 1 << 31}},
+			W: -2, WF: 0.5, WU: 3, Fs: []float64{1, -2.5}, Is: []int{-1, 0}, I64s: []int64{1 << 40}},
 		"extremes": {U8: math.MaxUint8, U32: math.MaxUint32, U64: math.MaxUint64, N: math.MaxInt, N64: math.MaxInt64,
-			I: math.MinInt, I64: math.MaxInt64, On: true, S: strings.Repeat("x", 300), B: bytes.Repeat([]byte{9}, 200)},
+			I: math.MinInt, I64: math.MaxInt64, On: true, S: strings.Repeat("x", 300), B: bytes.Repeat([]byte{9}, 200),
+			V: bytes.Repeat([]byte{8}, 200), W: math.MinInt, WF: math.Inf(-1), WU: math.MaxUint64,
+			Fs: []float64{math.SmallestNonzeroFloat64, math.MaxFloat64}, Is: []int{math.MaxInt}, I64s: []int64{math.MinInt64}},
 	} {
 		raw := Encode(nil, f.code)
 		got := &fields{}
@@ -74,6 +91,8 @@ func TestDecodeRejects(t *testing.T) {
 	var s string
 	var b []byte
 	var sum [32]byte
+	var w float64
+	var ws []int64
 	var list []uint8
 	items := func(c *Codec) { Seq(c, "item", &list, 1, func(v *uint8) { Uint(c, v) }) }
 	for _, c := range []struct {
@@ -91,6 +110,9 @@ func TestDecodeRejects(t *testing.T) {
 		{"short string", uv(5, []byte("four")...), func(c *Codec) { Str(c, &s) }, "count 5"},
 		{"short bytes", uv(5, 1, 2, 3, 4), func(c *Codec) { Bytes(c, &b) }, "count 5"},
 		{"short fixed", make([]byte, 31), func(c *Codec) { Fixed(c, sum[:]) }, "32 bytes wanted, 31 left"},
+		{"short view", uv(5, 1, 2, 3, 4), func(c *Codec) { View(c, &b) }, "count 5"},
+		{"short word", make([]byte, 7), func(c *Codec) { Word(c, &w) }, "8 bytes wanted, 7 left"},
+		{"short words", uv(2, make([]byte, 15)...), func(c *Codec) { Words(c, &ws) }, "count 2 exceeds what 15 bytes"},
 		// 200 is a two-byte uvarint: with 199 bytes after it and 201 in
 		// all, the count is refused at the count, not at element 199.
 		{"count checked after its own varint", uv(200, make([]byte, 199)...), items, "item count: count 200 exceeds what 199 bytes"},
@@ -105,6 +127,42 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	if err := Decode(uv(200, make([]byte, 200)...), items); err != nil || len(list) != 200 {
 		t.Errorf("200 one-byte items in 200 bytes: %d items, %v", len(list), err)
+	}
+}
+
+// TestViewsAndWordsShareTheirMemory: a view is the input's bytes with no
+// room behind them, and a vector of words decodes into the array its
+// destination already has when that is big enough.
+func TestViewsAndWordsShareTheirMemory(t *testing.T) {
+	type pair struct {
+		V  []byte
+		Fs []float64
+	}
+	code := func(p *pair) func(*Codec) {
+		return func(c *Codec) { View(c, &p.V); Words(c, &p.Fs) }
+	}
+	raw := Encode(nil, code(&pair{V: []byte("view"), Fs: []float64{1, 2, 3}}))
+	if want := 1 + 4 + 1 + 3*8; len(raw) != want || cap(raw) < want {
+		t.Fatalf("encoded %d bytes, want %d", len(raw), want)
+	}
+	dst := make([]float64, 8)
+	got := &pair{Fs: dst}
+	if err := Decode(raw, code(got)); err != nil {
+		t.Fatal(err)
+	}
+	if string(got.V) != "view" || &got.V[0] != &raw[1] || cap(got.V) != 4 {
+		t.Errorf("view %q at %p, capacity %d: want the input's 4 bytes at %p", got.V, &got.V[0], cap(got.V), &raw[1])
+	}
+	if !reflect.DeepEqual(got.Fs, []float64{1, 2, 3}) || &got.Fs[0] != &dst[0] {
+		t.Errorf("words %v: want [1 2 3] in the destination's array", got.Fs)
+	}
+	var x float64
+	word := Encode(nil, func(c *Codec) { Word(c, &x) })
+	if n := testing.AllocsPerRun(100, func() { _ = Decode(word, func(c *Codec) { Word(c, &x) }) }); n > 1 {
+		t.Errorf("decoding a word allocates %v times, want the codec's one", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = Decode(raw, code(got)) }); n > 1 {
+		t.Errorf("decoding a view and words into room allocates %v times, want the codec's one", n)
 	}
 }
 
