@@ -4,6 +4,7 @@ import (
 	"math"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -165,6 +166,65 @@ func TestCodecDecodeIntoExistingBuffer(t *testing.T) {
 	}
 }
 
+// TestCodecDecodeMatrixIntoLiveRows: a matrix decodes into new rows, so a
+// variable that holds rows when it registers takes the saved matrix, an
+// empty one too.
+func TestCodecDecodeMatrixIntoLiveRows(t *testing.T) {
+	for _, saved := range [][][]float64{nil, {}, {{1, 2}}, {{1}, {}, {2, 3}, {4}}} {
+		raw, err := Encode(&saved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := [][]float64{{9, 9}, {9}, {9}}
+		if err := Decode(raw, &live); err != nil || len(live) != len(saved) {
+			t.Fatalf("%v into three rows: %v, %v", saved, live, err)
+		}
+		for i := range saved {
+			if !slices.Equal(live[i], saved[i]) {
+				t.Fatalf("%v into three rows: %v", saved, live)
+			}
+		}
+	}
+}
+
+// TestCodecFailedDecodeKeepsTheVariable: a record cut short, or of another
+// type, fails and leaves the variable as it was.
+func TestCodecFailedDecodeKeepsTheVariable(t *testing.T) {
+	type point struct{ X, Y int }
+	other, err := Encode(ptr(uint64(3))) // a type none of the variables has
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, pair := range map[string]func() (saved, live any){
+		"int":    func() (any, any) { return ptr(-1), ptr(7) },
+		"f64":    func() (any, any) { return ptr(0.5), ptr(2.5) },
+		"bool":   func() (any, any) { return ptr(true), ptr(false) },
+		"str":    func() (any, any) { return ptr("saved"), ptr("live") },
+		"bytes":  func() (any, any) { return ptr([]byte("saved")), ptr([]byte("live")) },
+		"floats": func() (any, any) { return ptr([]float64{1, 2, 3}), ptr([]float64{9}) },
+		"matrix": func() (any, any) { return ptr([][]float64{{1}, {2, 3}}), ptr([][]float64{{9, 9}}) },
+		"gob":    func() (any, any) { return &point{1, 2}, &point{9, 9} },
+	} {
+		saved, _ := pair()
+		raw, err := Encode(saved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts := [][]byte{other}
+		for k := range raw {
+			cuts = append(cuts, raw[:k])
+		}
+		for _, cut := range cuts {
+			_, live := pair()
+			_, want := pair()
+			if err := Decode(cut, live); err == nil || !reflect.DeepEqual(live, want) {
+				t.Errorf("%s: %d bytes of %d decode to %v (%v), want an error and %v", name, len(cut), len(raw),
+					reflect.ValueOf(live).Elem(), err, reflect.ValueOf(want).Elem())
+			}
+		}
+	}
+}
+
 func TestCodecPropertyFloatSlices(t *testing.T) {
 	f := func(xs []float64) bool {
 		raw, err := Encode(&xs)
@@ -248,6 +308,15 @@ func TestPositionStackResume(t *testing.T) {
 	if !reflect.DeepEqual(ps.Snapshot(), []int{3, 7}) {
 		t.Fatalf("live stack = %v", ps.Snapshot())
 	}
+}
+
+func TestPositionStackPushNegativePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	NewPositionStack().Push(-1)
 }
 
 func TestPositionStackPopEmptyPanics(t *testing.T) {

@@ -62,7 +62,8 @@ func Decode(raw []byte, ptr any) error {
 // Words are 8 bytes little-endian, a bool the uvarint 0 or 1, strings and
 // byte slices a length and their bytes, vectors a count and their words. A
 // numeric vector decodes into the array the variable has when it is big
-// enough. The error is gob's, either way; a field that does not fit fails c.
+// enough; a matrix decodes into new rows. The error is gob's, either way; a
+// field that does not fit fails c and leaves *ptr as it was.
 func codeValue(c *wire.Codec, ptr any) error {
 	switch p := ptr.(type) {
 	case *int:
@@ -108,7 +109,7 @@ func codeValue(c *wire.Codec, ptr any) error {
 			raw = b.Bytes()
 		}
 		tag(c, tagGob)
-		if wire.View(c, &raw); !c.Decoding() {
+		if wire.View(c, &raw); !c.Decoding() || c.Err() != nil {
 			return nil
 		}
 		if !gobFramed(raw) {

@@ -33,8 +33,14 @@ type PositionStack struct {
 // NewPositionStack returns an empty position stack.
 func NewPositionStack() *PositionStack { return &PositionStack{} }
 
-// Push records entry into checkpointable call site label.
-func (ps *PositionStack) Push(label int) { ps.labels = append(ps.labels, label) }
+// Push records entry into checkpointable call site label. A label is not
+// negative: the trace stores labels as uvarints.
+func (ps *PositionStack) Push(label int) {
+	if label < 0 {
+		panic(fmt.Sprintf("ckpt: PositionStack.Push of negative label %d", label))
+	}
+	ps.labels = append(ps.labels, label)
+}
 
 // Pop records return from the most recent checkpointable call site.
 func (ps *PositionStack) Pop() {

@@ -109,7 +109,7 @@ func section(c *wire.Codec, noun string, layout func(*wire.Codec)) {
 	if !c.Decoding() {
 		b = wire.Encode(nil, layout)
 	}
-	if wire.View(c, &b); c.Decoding() {
+	if wire.View(c, &b); c.Decoding() && c.Err() == nil {
 		err := wire.Decode(b, layout)
 		c.Require(err == nil, "%s: %w", noun, err)
 	}

@@ -15,8 +15,8 @@ import (
 )
 
 // Codec runs a layout one way. Encoding, b is the output. Decoding, b is
-// what is left of the input and err the first field that did not fit,
-// after which every field reads as zero.
+// what is left of the input and err the first field that did not fit: that
+// field and every one after it keep the value they had.
 type Codec struct {
 	b   []byte
 	dec bool
@@ -43,6 +43,9 @@ func Decode(src []byte, layout func(*Codec)) error {
 // Decoding reports which way the layout runs.
 func (c *Codec) Decoding() bool { return c.dec }
 
+// Err is the first field that did not fit, or nil.
+func (c *Codec) Err() error { return c.err }
+
 // Require fails a decode unless ok: a layout's check beyond a field's type.
 func (c *Codec) Require(ok bool, format string, args ...any) {
 	if c.dec && !ok {
@@ -66,12 +69,11 @@ func Uint[T ~uint8 | ~uint32 | ~uint64 | ~int | ~int64](c *Codec, v *T) {
 	if n <= 0 {
 		c.fail("truncated or overlong varint")
 	}
-	if *v = T(x); c.err != nil || *v < 0 || uint64(*v) != x {
-		*v = 0
-		c.fail("%d out of range for %T", x, *v)
+	if t := T(x); c.err != nil || t < 0 || uint64(t) != x {
+		c.fail("%d out of range for %T", x, t)
 		return
 	}
-	c.b = c.b[n:]
+	*v, c.b = T(x), c.b[n:]
 }
 
 // Int codes an integer as a zigzag varint, binary.AppendVarint's bytes;
@@ -79,11 +81,12 @@ func Uint[T ~uint8 | ~uint32 | ~uint64 | ~int | ~int64](c *Codec, v *T) {
 func Int[T ~int | ~int64](c *Codec, v *T) {
 	x := int64(*v)
 	z := uint64(x<<1) ^ uint64(x>>63)
-	if Uint(c, &z); c.dec {
+	if Uint(c, &z); c.dec && c.err == nil {
 		x = int64(z>>1) ^ -int64(z&1)
-		if *v = T(x); int64(*v) != x {
-			*v = 0
-			c.fail("%d out of range for %T", x, *v)
+		if t := T(x); int64(t) != x {
+			c.fail("%d out of range for %T", x, t)
+		} else {
+			*v = t
 		}
 	}
 }
@@ -95,14 +98,15 @@ func Flag(c *Codec, v *bool) {
 		x = 1
 	}
 	Uint(c, &x)
-	c.Require(x <= 1, "flag %d is neither 0 nor 1", x)
-	*v = x == 1
+	if c.Require(x <= 1, "flag %d is neither 0 nor 1", x); c.err == nil {
+		*v = x == 1
+	}
 }
 
 // count codes a length; decoded, the bytes left after it must hold that
 // many elements of at least min bytes each.
 func (c *Codec) count(n, min int) int {
-	if Uint(c, &n); c.dec && n > len(c.b)/min {
+	if Uint(c, &n); c.dec && c.err == nil && n > len(c.b)/min {
 		c.fail("count %d exceeds what %d bytes can hold", n, len(c.b))
 		return 0
 	}
@@ -110,22 +114,32 @@ func (c *Codec) count(n, min int) int {
 }
 
 // Seq codes a list as its length and then each element through elem, which
-// takes at least min bytes. Decoded, an empty list is nil, and a failure
-// names the list's noun and the element it is in.
+// takes at least min bytes. Decoded, the list is a new one, nil when empty,
+// stored once every element has fit; a failure names the list's noun and
+// the element it is in.
 func Seq[T any](c *Codec, noun string, s *[]T, min int, elem func(*T)) {
 	if c.err != nil {
 		return
 	}
-	if n := c.count(len(*s), min); c.err != nil {
+	n := c.count(len(*s), min)
+	if c.err != nil {
 		c.err = fmt.Errorf("%s count: %w", noun, c.err)
-	} else if c.dec && n > 0 {
-		*s = make([]T, n)
+		return
 	}
-	for i := 0; i < len(*s) && c.err == nil; i++ {
-		if elem(&(*s)[i]); c.err != nil {
-			c.err = fmt.Errorf("%s %d: %w", noun, i, c.err)
+	list := *s
+	if c.dec {
+		list = nil
+		if n > 0 {
+			list = make([]T, n)
 		}
 	}
+	for i := range list {
+		if elem(&list[i]); c.err != nil {
+			c.err = fmt.Errorf("%s %d: %w", noun, i, c.err)
+			return
+		}
+	}
+	*s = list
 }
 
 // Str codes a string as its length and its bytes.
@@ -138,7 +152,7 @@ func Str(c *Codec, s *string) {
 
 // Bytes codes a byte slice as its length and its bytes; decoded, a copy.
 func Bytes(c *Codec, p *[]byte) {
-	if View(c, p); c.dec {
+	if View(c, p); c.dec && c.err == nil {
 		*p = bytes.Clone(*p)
 	}
 }
@@ -150,9 +164,7 @@ func View(c *Codec, p *[]byte) {
 	switch {
 	case !c.dec:
 		c.b = append(c.b, *p...)
-	case c.err != nil:
-		*p = nil
-	default:
+	case c.err == nil:
 		*p, c.b = c.b[:n:n], c.b[n:]
 	}
 }
@@ -209,7 +221,6 @@ func codeWords[T word](c *Codec, s []T) {
 		c.fail("%d bytes wanted, %d left", 8*len(s), len(c.b))
 	}
 	if c.err != nil {
-		clear(s)
 		return
 	}
 	src := c.b[:8*len(s)]

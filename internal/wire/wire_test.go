@@ -61,8 +61,9 @@ func (f *fields) code(c *Codec) {
 	Words(c, &f.I64s)
 }
 
-func TestPrimitivesRoundTrip(t *testing.T) {
-	for name, f := range map[string]*fields{
+// samples are values of fields: every one zero, small ones, and extremes.
+func samples() map[string]*fields {
+	return map[string]*fields{
 		"zero": {B: []byte{}, V: []byte{}},
 		"small": {U8: 1, U32: 127, U64: 128, N: 300, N64: 1 << 40, I: -1, I64: 64, On: true,
 			S: "split", B: []byte{0, 0xff}, V: []byte{7}, Sum: [4]byte{1, 2, 3, 4}, List: [][]uint32{nil, {7}, {0, 1 << 31}},
@@ -71,12 +72,45 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 			I: math.MinInt, I64: math.MaxInt64, On: true, S: strings.Repeat("x", 300), B: bytes.Repeat([]byte{9}, 200),
 			V: bytes.Repeat([]byte{8}, 200), W: math.MinInt, WF: math.Inf(-1), WU: math.MaxUint64,
 			Fs: []float64{math.SmallestNonzeroFloat64, math.MaxFloat64}, Is: []int{math.MaxInt}, I64s: []int64{math.MinInt64}},
-	} {
+	}
+}
+
+func TestPrimitivesRoundTrip(t *testing.T) {
+	for name, f := range samples() {
 		raw := Encode(nil, f.code)
 		got := &fields{}
 		if err := Decode(raw, got.code); err != nil || !reflect.DeepEqual(got, f) {
 			t.Errorf("%s: decoded %+v (%v), encoded %+v", name, got, err, f)
 		}
+	}
+}
+
+// TestDecodeKeepsWhatDidNotFit: decoded into a value that holds fields
+// already, a record cut short sets the fields before the cut and keeps the
+// failed field and the ones after it. A list is replaced whole, by nil when
+// the record's is empty.
+func TestDecodeKeepsWhatDidNotFit(t *testing.T) {
+	ext := samples()["extremes"]
+	raw := Encode(nil, ext.code)
+	for k := range raw {
+		got := samples()["small"]
+		if err := Decode(raw[:k], got.code); err == nil {
+			t.Fatalf("%d bytes of %d decoded", k, len(raw))
+		}
+		g, e, s := reflect.ValueOf(got).Elem(), reflect.ValueOf(ext).Elem(), reflect.ValueOf(samples()["small"]).Elem()
+		set := 0
+		for set < g.NumField() && reflect.DeepEqual(g.Field(set).Interface(), e.Field(set).Interface()) {
+			set++
+		}
+		for i := set; i < g.NumField(); i++ {
+			if !reflect.DeepEqual(g.Field(i).Interface(), s.Field(i).Interface()) {
+				t.Fatalf("%d bytes of %d: field %s is %v, neither the record's nor the one it had", k, len(raw), g.Type().Field(i).Name, g.Field(i))
+			}
+		}
+	}
+	got := samples()["small"]
+	if err := Decode(Encode(nil, samples()["zero"].code), got.code); err != nil || got.List != nil || len(got.Fs) != 0 {
+		t.Errorf("empty lists decoded over full ones: list %v, words %v, %v", got.List, got.Fs, err)
 	}
 }
 
