@@ -642,12 +642,11 @@ func TestArchitecture(t *testing.T) {
 		// The records read back from outside the process — the protocol
 		// record, the log, the chunk manifest, the control frame, the
 		// application state and its values — are layouts of internal/wire's
-		// codec, which checks every count against the bytes present. A
-		// varint call anywhere else is a hand decoder growing back;
-		// internal/ckpt/freeze.go, the state's streaming writer (chunk cuts,
-		// floats converted through a scratch), is the one exception, and it
-		// reads nothing. internal/wire sits below every package, so it
-		// imports only the standard library.
+		// codec, which checks every count against the bytes present, and
+		// which also sizes them and streams them, cuts and all. A varint
+		// call anywhere else is a hand decoder, or a second encoder, growing
+		// back. internal/wire sits below every package, so it imports only
+		// the standard library.
 		var got []string
 		for path, f := range parseDir(t, "internal/wire", 0) {
 			for _, imp := range f.Imports {
@@ -658,7 +657,7 @@ func TestArchitecture(t *testing.T) {
 		}
 		varint := regexp.MustCompile(`^(Put|Append|Read)?(Uvarint|Varint)$`)
 		for path, f := range files {
-			if strings.HasPrefix(path, "internal/wire/") || path == "internal/ckpt/freeze.go" {
+			if strings.HasPrefix(path, "internal/wire/") {
 				continue
 			}
 			for _, imp := range f.Imports {

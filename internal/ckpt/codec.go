@@ -36,14 +36,9 @@ const (
 
 // Encode serializes the value pointed to by ptr.
 func Encode(ptr any) ([]byte, error) {
-	return appendValue(nil, ptr)
-}
-
-// appendValue appends the encoding of the value pointed to by ptr to dst.
-func appendValue(dst []byte, ptr any) ([]byte, error) {
 	var err error
-	dst = wire.Encode(dst, func(c *wire.Codec) { err = codeValue(c, ptr) })
-	return dst, err
+	raw := wire.Encode(nil, func(c *wire.Codec) { err = codeValue(c, ptr) })
+	return raw, err
 }
 
 // Decode deserializes raw (produced by Encode) into the value pointed to by

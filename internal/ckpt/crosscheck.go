@@ -3,6 +3,8 @@ package ckpt
 import (
 	"bytes"
 	"fmt"
+
+	"ccift/internal/wire"
 )
 
 // Freeze cross-checking: the debug mode guarding incremental-by-default.
@@ -25,37 +27,18 @@ import (
 // block. Cost is one full encode of the live state per call, so this is
 // a debug mode, not a production default.
 func (s *Saver) VerifyFrozen(f *Frozen) error {
-	floats := s.pool.takeFloats()
-	defer s.pool.giveFloats(floats)
+	var got []byte
 	for i := range f.vds {
 		fe := &f.vds[i]
 		idx, ok := s.VDS.index[fe.name]
 		if !ok {
 			return fmt.Errorf("ckpt: freeze cross-check: frozen variable %q is not live", fe.name)
 		}
-		e := s.VDS.entries[idx]
-		var want []byte
-		var err error
-		switch e.kind {
-		case kindComputed:
-			want, err = fingerprint(e.ptr)
-		case kindReplicated:
-			if !s.VDS.Primary {
-				continue // zero-length marker on both sides
-			}
-			want, err = Encode(e.ptr)
-		default:
-			want, err = Encode(e.ptr)
-		}
+		want, err := s.VDS.record(&s.VDS.entries[idx])
 		if err != nil {
 			return fmt.Errorf("ckpt: freeze cross-check: encode live %q: %w", fe.name, err)
 		}
-		var got, scratch bytes.Buffer
-		got.Grow(fe.size)
-		if err := fe.writeValue(nopSection{&got}, &scratch, floats); err != nil {
-			return fmt.Errorf("ckpt: freeze cross-check: serialize frozen %q: %w", fe.name, err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
+		if got = wire.Encode(got[:0], fe.record); !bytes.Equal(got, want) {
 			return fmt.Errorf("ckpt: freeze cross-check: variable %q: the frozen copy differs from the live value — "+
 				"a write since the last checkpoint was not followed by Touch/TouchRange(%q)", fe.name, fe.name)
 		}

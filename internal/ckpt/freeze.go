@@ -1,24 +1,23 @@
 package ckpt
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"ccift/internal/wire"
 )
 
 // Checkpoint freezing: the blocking half of the asynchronous checkpoint
 // pipeline. Saver.Freeze copies the live application state (PS trace, VDS
 // values, heap blocks) into an immutable Frozen view — raw memcopies, no
 // encoding — so the rank is stopped only for the duration of the copy.
-// Serialization (Frozen.WriteTo / Frozen.Snapshot) then runs against the
-// frozen view, typically on a background flusher goroutine, while the rank
-// computes on. The serialized byte stream is identical to Saver.Snapshot's,
-// so restore is oblivious to which path produced a checkpoint.
+// Serialization then runs the state blob's one layout, Frozen.code, which a
+// restore parses with, over the view, typically on a background flusher
+// while the rank computes on: WriteTo streams it into the chunked store
+// writer, Snapshot encodes and StateBytes sizes it. Saver.Snapshot runs it
+// over the live state, so every path writes the same bytes.
 //
 // With Saver.Incremental set, Freeze goes one step further: a region (VDS
 // variable or heap block) whose write clock has not moved since the
@@ -34,27 +33,10 @@ import (
 // Touch, so dirty-tracking them would trade a free copy for a stale-counter
 // hazard.
 
-// SectionWriter is the sink Frozen.WriteTo streams into. Cut marks a
-// dedup-friendly boundary: a chunked writer closes its current chunk there,
-// so an unchanged variable re-serialized in a later epoch hashes to the
-// same chunks regardless of what changed before it in the stream.
-type SectionWriter interface {
-	io.Writer
-	Cut() error
-}
-
-// nopSection adapts a plain buffer (Cut is meaningless without chunking).
-type nopSection struct{ *bytes.Buffer }
-
-func (nopSection) Cut() error { return nil }
-
-// cutoverBytes is the value size above which WriteTo isolates an entry or
-// heap block between Cuts, giving it its own chunk run in chunked storage.
+// cutoverBytes is the record size from which the state layout isolates a
+// VDS value or heap block between cuts: unchanged, it hashes to the same
+// chunks in a later epoch whatever changed before it.
 const cutoverBytes = 4096
-
-// fingerprintSize is the encoded size of a computed entry's record (16
-// bytes of FNV-128a; see fingerprint in exclude.go).
-const fingerprintSize = 16
 
 // bufPool recycles the large slabs ([]float64 grids, []byte heap blocks)
 // of released Frozen views. The protocol admits one outstanding checkpoint
@@ -67,34 +49,38 @@ type bufPool struct {
 	mu  sync.Mutex
 	f64 [][]float64
 	byt [][]byte
-	// floats is the float encoder's scratch (see floatScratch): one per
-	// Saver, lent to one WriteTo at a time; nil while lent.
-	floats []byte
+	// stream is the buffer WriteTo streams through (see streamBuffer): one
+	// per Saver, lent to one WriteTo at a time; nil while lent.
+	stream []byte
 }
 
-// takeFloats lends the float encoder's scratch to a WriteTo — the pool's
-// when it is in, a fresh one when another WriteTo holds it or there is no
-// pool (a disowned view).
-func (p *bufPool) takeFloats() []byte {
+// streamBuffer is the size of the buffer WriteTo encodes through: one Write
+// per 1024 floats keeps the stream near memory bandwidth (Figure 8's cost
+// is dominated by this path), and the buffer stays in the L1 cache.
+const streamBuffer = 8 << 10
+
+// takeStream lends the stream buffer to a WriteTo: the pool's when it is
+// in, else (another WriteTo holds it, or a disowned view) a fresh one.
+func (p *bufPool) takeStream() []byte {
 	var b []byte
 	if p != nil {
 		p.mu.Lock()
-		b, p.floats = p.floats, nil
+		b, p.stream = p.stream, nil
 		p.mu.Unlock()
 	}
 	if b == nil {
-		b = make([]byte, floatScratch)
+		b = make([]byte, 0, streamBuffer)
 	}
 	return b
 }
 
-// giveFloats takes the scratch back.
-func (p *bufPool) giveFloats(b []byte) {
+// giveStream takes the buffer back.
+func (p *bufPool) giveStream(b []byte) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	p.floats = b
+	p.stream = b
 	p.mu.Unlock()
 }
 
@@ -110,8 +96,12 @@ const poolKeep = 256
 // elements, or nil. Smallest, not first: a 4 KB vector that takes a 64 KB
 // page slab keeps it for as long as some frozen view references the vector,
 // while the next page capture allocates afresh — the pool would grow by a
-// page every time the two met.
+// page every time the two met. An empty value takes nothing, for the same
+// reason.
 func take[T any](free *[][]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
 	best := -1
 	for i, b := range *free {
 		if cap(b) >= n && (best < 0 || cap(b) < cap((*free)[best])) {
@@ -242,7 +232,7 @@ type frozenEntry struct {
 	// replicated marker of a non-primary rank.
 	enc  []byte
 	ptr  any
-	size int // encoded value size (the length its record is framed with)
+	size int // the record's size, measured once at capture: its frame
 	// gen is the live entry's write-clock stamp at capture; slab is the
 	// refcounted pool buffer behind ptr for the pooled types (nil for
 	// non-pooled copies, which the GC manages).
@@ -487,11 +477,6 @@ func (v *VDS) freeze(pool *bufPool, prev map[string]frozenEntry, f *Frozen) ([]f
 // is nil on a full freeze — then every page copies.
 func capturePaged(e *vdsEntry, prev *frozenEntry, elems, perPage, numPages int, isF64 bool, pool *bufPool, f *Frozen) frozenEntry {
 	fe := frozenEntry{name: e.name, kind: e.kind, gen: e.gen, elems: elems}
-	if isF64 {
-		fe.size = 1 + uvarintLen(uint64(elems)) + 8*elems
-	} else {
-		fe.size = 1 + uvarintLen(uint64(elems)) + elems
-	}
 	gens := e.pageGens(elems, numPages)
 	// Page sharing needs the previous capture to have the identical page
 	// geometry AND payload type; a resize or type rebind bumps the entry
@@ -530,12 +515,14 @@ func capturePaged(e *vdsEntry, prev *frozenEntry, elems, perPage, numPages int, 
 		fe.pages[p] = pg
 		f.dirty++
 	}
+	fe.size = wire.Size(fe.record)
 	return fe
 }
 
 func (fe *frozenEntry) captureValue(ptr any, name string, pool *bufPool) error {
-	if owned, sl, size, ok := copyValue(ptr, pool); ok {
-		fe.ptr, fe.slab, fe.size = owned, sl, size
+	if owned, sl, ok := copyValue(ptr, pool); ok {
+		fe.ptr, fe.slab = owned, sl
+		fe.size = wire.Size(fe.record)
 		return nil
 	}
 	raw, err := Encode(ptr)
@@ -569,346 +556,107 @@ func (h *Heap) freeze(pool *bufPool, prev map[int]frozenBlock, f *Frozen) frozen
 	return frozenHeap{next: h.nextID, blocks: blocks}
 }
 
-// copyValue returns an owned deep copy of the pointed-to value together
-// with its encoded size, for the codec's fast-path types. ok is false for
-// types that need the gob fallback (those are encoded at freeze time).
-// The large slab types draw their copies from pool and report the
-// refcounted slab that owns the buffer; Frozen.Release returns it for the
-// next epoch once the last sharer is done.
-func copyValue(ptr any, pool *bufPool) (owned any, sl *slab, size int, ok bool) {
+// copyValue returns an owned deep copy of the pointed-to value, for the
+// codec's fast-path types. ok is false for types that need the gob
+// fallback (those are encoded at freeze time). The large slab types draw
+// their copies from pool and report the refcounted slab that owns the
+// buffer; Frozen.Release returns it for the next epoch once the last
+// sharer is done.
+func copyValue(ptr any, pool *bufPool) (owned any, sl *slab, ok bool) {
 	switch p := ptr.(type) {
 	case *int:
-		v := *p
-		return &v, nil, 9, true
+		return clone(p), nil, true
 	case *int64:
-		v := *p
-		return &v, nil, 9, true
+		return clone(p), nil, true
 	case *uint64:
-		v := *p
-		return &v, nil, 9, true
+		return clone(p), nil, true
 	case *float64:
-		v := *p
-		return &v, nil, 9, true
+		return clone(p), nil, true
 	case *bool:
-		v := *p
-		return &v, nil, 2, true
+		return clone(p), nil, true
 	case *string:
-		v := *p // strings are immutable; sharing is a safe copy
-		return &v, nil, 1 + uvarintLen(uint64(len(v))) + len(v), true
+		return clone(p), nil, true // strings are immutable; sharing is a safe copy
 	case *[]byte:
 		sl := newByteSlab(pool, len(*p))
 		copy(sl.byt, *p)
-		return &sl.byt, sl, 1 + uvarintLen(uint64(len(sl.byt))) + len(sl.byt), true
+		return &sl.byt, sl, true
 	case *[]float64:
 		sl := newF64Slab(pool, len(*p))
 		copy(sl.f64, *p)
-		return &sl.f64, sl, 1 + uvarintLen(uint64(len(sl.f64))) + 8*len(sl.f64), true
+		return &sl.f64, sl, true
 	case *[]int:
 		cp := append([]int(nil), *p...)
-		return &cp, nil, 1 + uvarintLen(uint64(len(cp))) + 8*len(cp), true
+		return &cp, nil, true
 	case *[]int64:
 		cp := append([]int64(nil), *p...)
-		return &cp, nil, 1 + uvarintLen(uint64(len(cp))) + 8*len(cp), true
+		return &cp, nil, true
 	case *[][]float64:
 		cp := make([][]float64, len(*p))
-		size := 1 + uvarintLen(uint64(len(cp)))
 		for i, row := range *p {
 			cp[i] = append([]float64(nil), row...)
-			size += uvarintLen(uint64(len(row))) + 8*len(row)
 		}
-		return &cp, nil, size, true
+		return &cp, nil, true
 	}
-	return nil, nil, 0, false
+	return nil, nil, false
+}
+
+// clone is a pointer to a copy of *p.
+func clone[T any](p *T) *T {
+	v := *p
+	return &v
 }
 
 // --- serialization against the frozen view ---
 
-// Snapshot serializes the frozen state into one blob, byte-identical to
-// what Saver.Snapshot would have produced at freeze time.
+// Snapshot encodes the frozen state into one blob, byte-identical to what
+// Saver.Snapshot would have produced at freeze time.
 func (f *Frozen) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(f.StateBytes())
-	if err := f.WriteTo(nopSection{&buf}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	var err error
+	blob := wire.Encode(make([]byte, 0, f.StateBytes()), func(c *wire.Codec) {
+		f.code(c)
+		err = c.Err()
+	})
+	return blob, err
 }
 
-// StateBytes reports the exact serialized size of the frozen state.
-func (f *Frozen) StateBytes() int {
-	vds := f.vdsSectionSize()
-	heap := f.heap.sectionSize()
-	return psSectionSize(f.trace) + uvarintLen(uint64(vds)) + vds + uvarintLen(uint64(heap)) + heap
+// StateBytes reports the exact serialized size of the frozen state. It
+// stays a call: inlined, it moves the benchmark's speed probe (ROADMAP 7(k)).
+//
+//go:noinline
+func (f *Frozen) StateBytes() int { return wire.Size(f.code) }
+
+// WriteTo streams the frozen state into w, producing Snapshot's bytes, and
+// cuts where the layout cuts: after the trace, after the VDS section and
+// around every record or heap block of cutoverBytes or more, so a chunked
+// sink dedups unchanged variables and heap blocks across epochs. It
+// encodes through one buffer lent by the Saver's pool.
+func (f *Frozen) WriteTo(w wire.Sink) error {
+	buf := f.pool.takeStream()
+	defer f.pool.giveStream(buf)
+	return wire.Stream(w, buf, f.code)
 }
 
-func (f *Frozen) vdsSectionSize() int {
-	size := uvarintLen(uint64(len(f.vds)))
-	for _, e := range f.vds {
-		size += entryOverhead(e.name, e.size) + e.size
-	}
-	return size
-}
-
-// entryOverhead is the framing around one VDS entry's value: name, kind
-// byte, value length prefix.
-func entryOverhead(name string, valueSize int) int {
-	return uvarintLen(uint64(len(name))) + len(name) + 1 + uvarintLen(uint64(valueSize))
-}
-
-func (fh frozenHeap) sectionSize() int {
-	size := uvarintLen(uint64(fh.next)) + uvarintLen(uint64(len(fh.blocks)))
-	for _, b := range fh.blocks {
-		size += uvarintLen(uint64(b.id)) + uvarintLen(uint64(len(b.data))) + len(b.data)
-	}
-	return size
-}
-
-func psSectionSize(trace []int) int {
-	size := uvarintLen(uint64(len(trace)))
-	for _, l := range trace {
-		size += uvarintLen(uint64(l))
-	}
-	return size
-}
-
-// WriteTo streams the frozen state into w, producing the same bytes as
-// Snapshot. Cut is called at section boundaries and around every value
-// larger than cutoverBytes, so a chunked SectionWriter dedups unchanged
-// variables and heap blocks across epochs.
-func (f *Frozen) WriteTo(w SectionWriter) error {
-	var scratch bytes.Buffer
-	floats := f.pool.takeFloats()
-	defer f.pool.giveFloats(floats)
-
-	// PS section.
-	writeUvarint(&scratch, uint64(len(f.trace)))
-	for _, l := range f.trace {
-		writeUvarint(&scratch, uint64(l))
-	}
-	if err := flushScratch(w, &scratch); err != nil {
-		return err
-	}
-	if err := w.Cut(); err != nil {
-		return err
-	}
-
-	// VDS section (framed, then entry stream).
-	writeUvarint(&scratch, uint64(f.vdsSectionSize()))
-	writeUvarint(&scratch, uint64(len(f.vds)))
-	cw := &countingSection{w: w}
-	for _, e := range f.vds {
-		writeString(&scratch, e.name)
-		scratch.WriteByte(byte(e.kind))
-		writeUvarint(&scratch, uint64(e.size))
-		if err := flushScratch(w, &scratch); err != nil {
-			return err
-		}
-		big := e.size >= cutoverBytes
-		if big {
-			if err := w.Cut(); err != nil {
-				return err
-			}
-		}
-		// Every value byte flows through cw: the stream frames the value
-		// with e.size, so a drift between the size formulas
-		// (copyValue/encodedSize) and the codec's actual output must fail
-		// the write here — never surface as a corrupt blob at restore,
-		// when the state needed to recover is already gone.
-		cw.n = 0
-		if err := e.writeValue(cw, &scratch, floats); err != nil {
-			return err
-		}
-		if cw.n != e.size {
-			return fmt.Errorf("ckpt: entry %q serialized to %d bytes, size formula says %d", e.name, cw.n, e.size)
-		}
-		if big {
-			if err := w.Cut(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flushScratch(w, &scratch); err != nil {
-		return err
-	}
-	if err := w.Cut(); err != nil {
-		return err
-	}
-
-	// Heap section (framed, then block stream).
-	writeUvarint(&scratch, uint64(f.heap.sectionSize()))
-	writeUvarint(&scratch, uint64(f.heap.next))
-	writeUvarint(&scratch, uint64(len(f.heap.blocks)))
-	for _, b := range f.heap.blocks {
-		writeUvarint(&scratch, uint64(b.id))
-		writeUvarint(&scratch, uint64(len(b.data)))
-		if len(b.data) >= cutoverBytes {
-			// Stream big blocks straight into w (as the VDS float path
-			// does): buffering through scratch would cost a full extra
-			// memcpy and pin a block-sized scratch for the rest of the walk.
-			if err := flushScratch(w, &scratch); err != nil {
-				return err
-			}
-			if err := w.Cut(); err != nil {
-				return err
-			}
-			if _, err := w.Write(b.data); err != nil {
-				return err
-			}
-			if err := w.Cut(); err != nil {
-				return err
-			}
-			continue
-		}
-		scratch.Write(b.data)
-		if err := flushScratch(w, &scratch); err != nil {
-			return err
-		}
-	}
-	return flushScratch(w, &scratch)
-}
-
-// writeValue encodes the entry's value (exactly e.size bytes) into w,
-// buffering small pieces through scratch and converting floats through
-// floats.
-func (e *frozenEntry) writeValue(w SectionWriter, scratch *bytes.Buffer, floats []byte) error {
-	if e.enc != nil {
-		scratch.Write(e.enc)
-		return flushScratch(w, scratch)
-	}
-	if e.pages != nil {
-		// Page-granular capture: tag + element count, then the raw page
-		// payloads in order — byte-identical to encoding the whole slice,
-		// so storage, dedup and restore never see the page structure.
+// record encodes the entry's value record, e.size bytes: the pre-encoded
+// bytes, the value codec over the owned copy, or the tag, element count and
+// each page's words or bytes, what the whole []float64 or []byte encodes
+// to. A replicated value off the primary has none. (Decoded, a record is a
+// view of the blob.)
+func (e *frozenEntry) record(c *wire.Codec) {
+	switch {
+	case e.enc != nil:
+		wire.Fixed(c, e.enc)
+	case e.pages != nil:
+		t := tagBytes
 		if e.pages[0].f64 != nil {
-			scratch.WriteByte(tagFloat64Slice)
-		} else {
-			scratch.WriteByte(tagBytes)
+			t = tagFloat64Slice
 		}
-		writeUvarint(scratch, uint64(e.elems))
-		if err := flushScratch(w, scratch); err != nil {
-			return err
-		}
+		tag(c, t)
+		wire.Uint(c, &e.elems)
 		for i := range e.pages {
-			if pg := &e.pages[i]; pg.f64 != nil {
-				if err := writeFloat64sRawTo(w, pg.f64, floats); err != nil {
-					return err
-				}
-			} else {
-				if _, err := w.Write(pg.byt); err != nil {
-					return err
-				}
-			}
+			wire.Fixed(c, e.pages[i].f64) // one of the two is empty
+			wire.Fixed(c, e.pages[i].byt)
 		}
-		return nil
-	}
-	if e.ptr == nil {
-		return nil // replicated marker: zero bytes
-	}
-	// Stream the float fast path directly (the dominant payload); encode
-	// everything else through scratch — those values are small.
-	if p, ok := e.ptr.(*[]float64); ok {
-		scratch.WriteByte(tagFloat64Slice)
-		if err := flushScratch(w, scratch); err != nil {
-			return err
-		}
-		return writeFloat64sTo(w, *p, floats)
-	}
-	raw, err := appendValue(scratch.AvailableBuffer(), e.ptr)
-	if err != nil {
-		return err
-	}
-	scratch.Write(raw)
-	return flushScratch(w, scratch)
-}
-
-// countingSection counts the bytes written through it; WriteTo verifies
-// each VDS value against its precomputed size with one.
-type countingSection struct {
-	w SectionWriter
-	n int
-}
-
-func (c *countingSection) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += n
-	return n, err
-}
-
-func (c *countingSection) Cut() error { return c.w.Cut() }
-
-func flushScratch(w io.Writer, scratch *bytes.Buffer) error {
-	if scratch.Len() == 0 {
-		return nil
-	}
-	_, err := w.Write(scratch.Bytes())
-	scratch.Reset()
-	return err
-}
-
-// uvarintLen reports the encoded length of v as a uvarint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], v)
-	buf.Write(b[:n])
-}
-
-func writeString(buf *bytes.Buffer, s string) {
-	writeUvarint(buf, uint64(len(s)))
-	buf.WriteString(s)
-}
-
-// floatScratch is the conversion batch for writing float64 slices, in
-// bytes: one Write per 1024 elements instead of per element, which keeps
-// the encoder near memory bandwidth — checkpoint cost in Figure 8 is
-// dominated by this path. A streamed write converts through a buffer of
-// this size that its caller owns: an array here would escape through the
-// io.Writer and cost an allocation per call.
-const floatScratch = 8 * 1024
-
-// writeFloat64sTo streams a counted float64 slice into w — the checkpoint
-// flusher streams grids through it straight into the chunked store writer,
-// with no intermediate whole-state buffer, converting through scratch.
-func writeFloat64sTo(w io.Writer, xs []float64, scratch []byte) error {
-	n := binary.PutUvarint(scratch, uint64(len(xs)))
-	if _, err := w.Write(scratch[:n]); err != nil {
-		return err
-	}
-	return writeFloat64sRawTo(w, xs, scratch)
-}
-
-// writeFloat64sRawTo streams the little-endian payload without a length
-// prefix — the per-page form: a paged frozen entry writes one prefix for
-// the whole slice and then each page's payload through this — one
-// len(scratch)/8 elements at a time.
-func writeFloat64sRawTo(w io.Writer, xs []float64, scratch []byte) error {
-	for len(xs) > 0 {
-		n := min(len(xs), len(scratch)/8)
-		out := scratch[:8*n]
-		putFloat64s(out, xs[:n])
-		if _, err := w.Write(out); err != nil {
-			return err
-		}
-		xs = xs[n:]
-	}
-	return nil
-}
-
-// putFloat64s writes xs little-endian into out (8·len(xs) bytes). Walking
-// both slices, not indexing them, is what lets the compiler drop the
-// per-element bounds checks: the loop then runs at memcpy speed (a third
-// faster), and a survivor's rollback serializes its whole state through it.
-func putFloat64s(out []byte, xs []float64) {
-	for _, x := range xs {
-		binary.LittleEndian.PutUint64(out, math.Float64bits(x))
-		out = out[8:]
+	case e.ptr != nil:
+		codeValue(c, e.ptr) // a fast-path type: no gob, no error
 	}
 }

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -353,5 +354,97 @@ func TestFrozenWriteToCutsAroundLargeValues(t *testing.T) {
 	}
 	if !bytes.Equal(rec.Bytes(), want) {
 		t.Fatal("WriteTo stream differs from Snapshot")
+	}
+}
+
+// discard is a sink that drops the stream: what is left is WriteTo's own
+// cost.
+type discard struct{}
+
+func (discard) Write(p []byte) (int, error) { return len(p), nil }
+func (discard) Cut() error                  { return nil }
+
+// smallState registers n small variables of every scalar kind and a short
+// vector, and allocates n heap blocks of 64 bytes.
+func smallState(tb testing.TB, n int) *Saver {
+	tb.Helper()
+	s := NewSaver()
+	for i := 0; i < n; i++ {
+		var v any
+		switch i % 5 {
+		case 0:
+			v = ptr(i)
+		case 1:
+			v = ptr(float64(i) / 3)
+		case 2:
+			v = ptr(fmt.Sprint("a string longer than a conversion buffer: ", i))
+		case 3:
+			v = ptr(i%2 == 0)
+		default:
+			v = &[]float64{1, 2, float64(i)}
+		}
+		if err := s.VDS.Push(fmt.Sprint("v", i), v); err != nil {
+			tb.Fatal(err)
+		}
+		s.Heap.Alloc(64).Data[0] = byte(i)
+	}
+	return s
+}
+
+// TestWriteToAllocationsDoNotGrowWithEntries: streaming a frozen view
+// allocates what the stream needs once — its codec and the frames it sizes
+// — and nothing per variable or heap block.
+func TestWriteToAllocationsDoNotGrowWithEntries(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector; the allocation gate runs without it")
+	}
+	allocs := func(n int) float64 {
+		f, err := smallState(t, n).Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Release()
+		return testing.AllocsPerRun(20, func() {
+			if err := f.WriteTo(discard{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(500); many > few {
+		t.Errorf("WriteTo allocates %v times for 10 variables and 10 heap blocks, %v for 500 and 500", few, many)
+	}
+}
+
+func BenchmarkFrozenWriteTo(b *testing.B) {
+	grid := NewSaver()
+	xs := make([]float64, 4<<20/8)
+	for i := range xs {
+		xs[i] = float64(i)
+	}
+	if err := grid.VDS.Push("grid", &xs); err != nil {
+		b.Fatal(err)
+	}
+	small := smallState(b, 450)
+	for id := 1; id <= 400; id++ {
+		small.Heap.Free(id) // 50 heap blocks
+	}
+	for _, c := range []struct {
+		name string
+		s    *Saver
+	}{{"grid-4MB", grid}, {"small-450+50", small}} {
+		b.Run(c.name, func(b *testing.B) {
+			f, err := c.s.Freeze()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer f.Release()
+			b.SetBytes(int64(f.StateBytes()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := f.WriteTo(discard{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

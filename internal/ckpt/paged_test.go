@@ -39,11 +39,11 @@ func freezeBytes(t *testing.T, s *Saver) (*Frozen, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := f.WriteTo(nopSection{&buf}); err != nil {
+	var rec cutRecorder
+	if err := f.WriteTo(&rec); err != nil {
 		t.Fatal(err)
 	}
-	return f, buf.Bytes()
+	return f, rec.Bytes()
 }
 
 func TestPagedFreezeSharesCleanPages(t *testing.T) {

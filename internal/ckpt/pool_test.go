@@ -20,7 +20,8 @@ func (p *bufPool) freeBytes() (n int) {
 // pinned behind 4 KB for as long as a view holds the vector — and the page
 // capture that came up short allocated afresh. With views kept for two
 // epochs, as the protocol's retained ring keeps them, the slabs in
-// existence must stay at exactly the bytes those views hold.
+// existence must stay at exactly the bytes those views hold. An empty value
+// draws no slab at all: the smallest that fits it is any.
 func TestPoolHandsOutTheSmallestSlabThatFits(t *testing.T) {
 	s := NewSaver()
 	gridA := make([]float64, 3*pageBytes/8)
@@ -28,12 +29,14 @@ func TestPoolHandsOutTheSmallestSlabThatFits(t *testing.T) {
 	raw := make([]byte, 3*pageBytes+100)
 	small := make([]byte, 700)
 	gridB := make([]float64, 2*pageBytes/8+17)
+	var none []float64
+	var nothing []byte
 	state := 0
 	for _, v := range []struct {
 		name string
 		ptr  any
 		size int
-	}{{"gridA", &gridA, 8 * len(gridA)}, {"vec", &vec, 8 * len(vec)}, {"raw", &raw, len(raw)}, {"small", &small, len(small)}, {"gridB", &gridB, 8 * len(gridB)}} {
+	}{{"none", &none, 0}, {"nothing", &nothing, 0}, {"gridA", &gridA, 8 * len(gridA)}, {"vec", &vec, 8 * len(vec)}, {"raw", &raw, len(raw)}, {"small", &small, len(small)}, {"gridB", &gridB, 8 * len(gridB)}} {
 		if err := s.VDS.Push(v.name, v.ptr); err != nil {
 			t.Fatal(err)
 		}

@@ -49,19 +49,13 @@ func NewSaver() *Saver {
 // is the reference their stream is held to.
 func (s *Saver) Snapshot() ([]byte, error) {
 	f := &Frozen{trace: s.PS.labels, heap: frozenHeap{next: s.Heap.nextID}}
-	for _, e := range s.VDS.entries {
-		fe := frozenEntry{name: e.name, kind: e.kind}
-		var err error
-		switch {
-		case e.kind == kindComputed:
-			fe.enc, err = fingerprint(e.ptr)
-		case e.kind != kindReplicated || s.VDS.Primary:
-			fe.enc, err = Encode(e.ptr)
-		}
+	for i := range s.VDS.entries {
+		e := &s.VDS.entries[i]
+		raw, err := s.VDS.record(e)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: encode %q: %w", e.name, err)
 		}
-		f.vds = append(f.vds, fe)
+		f.vds = append(f.vds, frozenEntry{name: e.name, kind: e.kind, enc: raw, size: len(raw)})
 	}
 	for id, b := range s.Heap.blocks {
 		f.heap.blocks = append(f.heap.blocks, frozenBlock{id: id, data: b.Data})
@@ -70,34 +64,52 @@ func (s *Saver) Snapshot() ([]byte, error) {
 	return wire.Encode(nil, f.code), nil
 }
 
+// record encodes the live entry's value record: the fingerprint of a
+// computed value, nothing for a replicated one off the primary, and the
+// value otherwise.
+func (v *VDS) record(e *vdsEntry) ([]byte, error) {
+	switch {
+	case e.kind == kindComputed:
+		return fingerprint(e.ptr)
+	case e.kind == kindReplicated && !v.Primary:
+		return nil, nil
+	}
+	return Encode(e.ptr)
+}
+
 // code is the state blob's one layout: the PS trace, then the VDS section
-// and the heap section, each framed by its length. A VDS entry is a name,
-// a kind and its value record (empty for a replicated value off the
-// primary); a heap block is a handle and its bytes. Decoded, the records
-// and the blocks are views of the blob. A name appears once, and handles
-// rise strictly within [1, next): a restored heap hands out next and up.
+// and the heap section, each framed by its length, with a cut after the
+// trace and after the VDS section. A VDS entry is a name, a kind and its
+// value record (see frozenEntry.record; empty for a replicated value off
+// the primary) framed by its size; a heap block is a handle and its bytes.
+// Decoded, the records and the blocks are views of the blob. A name
+// appears once, and handles rise strictly within [1, next): a restored
+// heap hands out next and up.
 func (f *Frozen) code(c *wire.Codec) {
 	wire.Seq(c, "label", &f.trace, 1, func(l *int) { wire.Uint(c, l) })
+	c.Cut()
 	section(c, "VDS section", func(c *wire.Codec) {
 		names := map[string]bool{}
 		wire.Seq(c, "variable", &f.vds, 3, func(e *frozenEntry) {
 			wire.Str(c, &e.name)
-			c.Require(!names[e.name], "%q registered twice", e.name)
-			names[e.name] = true
 			wire.Uint(c, &e.kind)
-			c.Require(e.kind >= kindSaved && e.kind <= kindReplicated, "%q has kind %d", e.name, e.kind)
-			wire.View(c, &e.enc)
-			e.size = len(e.enc)
+			if isolated(c, &e.enc, e.size, e.record); c.Decoding() {
+				c.Require(!names[e.name], "%q registered twice", e.name)
+				c.Require(e.kind >= kindSaved && e.kind <= kindReplicated, "%q has kind %d", e.name, e.kind)
+				names[e.name], e.size = true, len(e.enc)
+			}
 		})
 	})
+	c.Cut()
 	section(c, "heap section", func(c *wire.Codec) {
 		wire.Uint(c, &f.heap.next)
 		last := 0
 		wire.Seq(c, "block", &f.heap.blocks, 2, func(b *frozenBlock) {
 			wire.Uint(c, &b.id)
-			c.Require(last < b.id && b.id < f.heap.next, "handle %d after %d, next %d", b.id, last, f.heap.next)
-			last = b.id
-			wire.View(c, &b.data)
+			if isolated(c, &b.data, len(b.data), func(c *wire.Codec) { wire.Fixed(c, b.data) }); c.Decoding() {
+				c.Require(last < b.id && b.id < f.heap.next, "handle %d after %d, next %d", b.id, last, f.heap.next)
+				last = b.id
+			}
 		})
 	})
 }
@@ -106,13 +118,29 @@ func (f *Frozen) code(c *wire.Codec) {
 // visits, which must fill exactly that length.
 func section(c *wire.Codec, noun string, layout func(*wire.Codec)) {
 	var b []byte
+	n := 0
 	if !c.Decoding() {
-		b = wire.Encode(nil, layout)
+		n = wire.Size(layout)
 	}
-	if wire.View(c, &b); c.Decoding() && c.Err() == nil {
+	if wire.Frame(c, &b, n, layout); c.Decoding() && c.Err() == nil {
 		err := wire.Decode(b, layout)
 		c.Require(err == nil, "%s: %w", noun, err)
 	}
+}
+
+// isolated codes a value record or heap block framed by its size n. One
+// of cutoverBytes or more sits between cuts of its own, after its length
+// and after its body.
+func isolated(c *wire.Codec, p *[]byte, n int, body func(*wire.Codec)) {
+	wire.Frame(c, p, n, func(c *wire.Codec) {
+		if n >= cutoverBytes {
+			c.Cut()
+		}
+		body(c)
+		if n >= cutoverBytes {
+			c.Cut()
+		}
+	})
 }
 
 // parseState is the decode direction of the state blob's layout: a Frozen

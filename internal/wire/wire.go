@@ -2,7 +2,9 @@
 // process that wrote them (a local checkpoint's protocol record and log, a
 // chunk manifest, a control frame) and the one [u32 length | body] frame
 // reader. A format is one layout, visiting its fields in order, that a
-// Codec runs either way. It imports only the standard library.
+// Codec runs either way: it encodes into memory or streams into a sink,
+// sizes what it would encode, or decodes. It imports only the standard
+// library.
 package wire
 
 import (
@@ -11,16 +13,32 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
+	"sync"
 )
 
-// Codec runs a layout one way. Encoding, b is the output. Decoding, b is
-// what is left of the input and err the first field that did not fit: that
-// field and every one after it keep the value they had.
+// Codec runs a layout one way. Encoding, b is the output; streaming, the
+// buffer the sink takes its bytes through; sizing, empty, and n counts what
+// a stream handed on or a sizing run counted. Decoding, b is what is left
+// of the input. err is the first field that did not fit, or the first
+// failure to encode: that field and every one after it keep the value they
+// had, and a stream writes nothing more.
 type Codec struct {
-	b   []byte
-	dec bool
-	err error
+	b      []byte
+	dec    bool
+	sizing bool
+	sink   Sink
+	n      int
+	err    error
+}
+
+// Sink takes a stream's bytes. Cut marks a boundary in them: a chunked
+// store closes its chunk there, so what follows hashes apart from what
+// came before.
+type Sink interface {
+	io.Writer
+	Cut() error
 }
 
 // Encode appends the fields layout visits to dst.
@@ -29,6 +47,33 @@ func Encode(dst []byte, layout func(*Codec)) []byte {
 	layout(c)
 	return c.b
 }
+
+// Stream encodes what layout visits into sink, through buf: the bytes
+// collect in buf and go on whenever it fills, so a field longer than buf
+// reaches the sink in buf-sized batches and is never held whole. It returns
+// the sink's first error, after which nothing more is written, or the
+// layout's.
+func Stream(sink Sink, buf []byte, layout func(*Codec)) error {
+	c := &Codec{b: buf[:0], sink: sink}
+	layout(c)
+	c.flush()
+	return c.err
+}
+
+// Size is the length of what Encode appends for layout, counted as layout
+// runs: nothing is written, and a framed field's body does not run.
+func Size(layout func(*Codec)) int {
+	c := sizers.Get().(*Codec)
+	*c = Codec{sizing: true}
+	layout(c)
+	n := c.n
+	sizers.Put(c)
+	return n
+}
+
+// sizers recycles Size's codecs: a checkpoint sizes every record it
+// captures, and a codec handed to a layout escapes to the heap.
+var sizers = sync.Pool{New: func() any { return new(Codec) }}
 
 // Decode fills the fields layout visits from all of src.
 func Decode(src []byte, layout func(*Codec)) error {
@@ -43,7 +88,8 @@ func Decode(src []byte, layout func(*Codec)) error {
 // Decoding reports which way the layout runs.
 func (c *Codec) Decoding() bool { return c.dec }
 
-// Err is the first field that did not fit, or nil.
+// Err is the first field that did not fit, or the first failure to encode,
+// or nil.
 func (c *Codec) Err() error { return c.err }
 
 // Require fails a decode unless ok: a layout's check beyond a field's type.
@@ -53,27 +99,91 @@ func (c *Codec) Require(ok bool, format string, args ...any) {
 	}
 }
 
+// Cut passes a boundary on to a stream's sink, after the bytes before it.
+// Encoding in memory, sizing or decoding, it does nothing.
+func (c *Codec) Cut() {
+	if c.sink == nil {
+		return
+	}
+	if c.flush(); c.err == nil {
+		c.err = c.sink.Cut()
+	}
+}
+
 func (c *Codec) fail(format string, args ...any) {
 	if c.err == nil {
 		c.err = fmt.Errorf(format, args...)
 	}
 }
 
+// flush hands a stream's buffer to the sink; after a failure the bytes are
+// counted and dropped.
+func (c *Codec) flush() {
+	if len(c.b) == 0 {
+		return
+	}
+	if c.err == nil {
+		_, c.err = c.sink.Write(c.b)
+	}
+	c.n, c.b = c.n+len(c.b), c.b[:0]
+}
+
+// at is how many bytes the encode has produced so far.
+func (c *Codec) at() int { return c.n + len(c.b) }
+
+// room flushes a stream's buffer when fewer than k bytes are free in it.
+func (c *Codec) room(k int) {
+	if c.sink != nil && cap(c.b)-len(c.b) < k {
+		c.flush()
+	}
+}
+
+// put writes p as it is; a stream fills its buffer with p one batch at a
+// time. (A buffer of no capacity grows by append.)
+func put[S ~string | ~[]byte](c *Codec, p S) {
+	if c.sizing {
+		c.n += len(p)
+		return
+	}
+	for c.sink != nil && cap(c.b) > 0 && len(p) > cap(c.b)-len(c.b) {
+		k := cap(c.b) - len(c.b)
+		c.b = append(c.b, p[:k]...)
+		p = p[k:]
+		c.flush()
+	}
+	c.b = append(c.b, p...)
+}
+
+// uvarint writes x as a uvarint.
+func (c *Codec) uvarint(x uint64) {
+	switch {
+	case c.sizing:
+		c.n += (bits.Len64(x|1) + 6) / 7
+	case x < 0x80: // most of a layout's: a tag, a kind, a short length
+		c.room(1)
+		c.b = append(c.b, byte(x))
+	default:
+		c.room(binary.MaxVarintLen64)
+		c.b = binary.AppendUvarint(c.b, x)
+	}
+}
+
 // Uint codes a non-negative integer as a uvarint; decoded, it must fit in T.
 func Uint[T ~uint8 | ~uint32 | ~uint64 | ~int | ~int64](c *Codec, v *T) {
 	if !c.dec {
-		c.b = binary.AppendUvarint(c.b, uint64(*v))
+		c.uvarint(uint64(*v))
 		return
 	}
 	x, n := binary.Uvarint(c.b)
-	if n <= 0 {
+	switch t := T(x); {
+	case c.err != nil:
+	case n <= 0:
 		c.fail("truncated or overlong varint")
-	}
-	if t := T(x); c.err != nil || t < 0 || uint64(t) != x {
+	case t < 0 || uint64(t) != x:
 		c.fail("%d out of range for %T", x, t)
-		return
+	default:
+		*v, c.b = t, c.b[n:]
 	}
-	*v, c.b = T(x), c.b[n:]
 }
 
 // Int codes an integer as a zigzag varint, binary.AppendVarint's bytes;
@@ -97,9 +207,10 @@ func Flag(c *Codec, v *bool) {
 	if *v {
 		x = 1
 	}
-	Uint(c, &x)
-	if c.Require(x <= 1, "flag %d is neither 0 nor 1", x); c.err == nil {
-		*v = x == 1
+	if Uint(c, &x); c.dec && c.err == nil {
+		if c.Require(x <= 1, "flag %d is neither 0 nor 1", x); c.err == nil {
+			*v = x == 1
+		}
 	}
 }
 
@@ -115,15 +226,17 @@ func (c *Codec) count(n, min int) int {
 
 // Seq codes a list as its length and then each element through elem, which
 // takes at least min bytes. Decoded, the list is a new one, nil when empty,
-// stored once every element has fit; a failure names the list's noun and
-// the element it is in.
+// stored once every element has fit, and a failure names the list's noun
+// and the element it is in. An encode's failure goes back as it is.
 func Seq[T any](c *Codec, noun string, s *[]T, min int, elem func(*T)) {
 	if c.err != nil {
 		return
 	}
 	n := c.count(len(*s), min)
 	if c.err != nil {
-		c.err = fmt.Errorf("%s count: %w", noun, c.err)
+		if c.dec {
+			c.err = fmt.Errorf("%s count: %w", noun, c.err)
+		}
 		return
 	}
 	list := *s
@@ -135,7 +248,9 @@ func Seq[T any](c *Codec, noun string, s *[]T, min int, elem func(*T)) {
 	}
 	for i := range list {
 		if elem(&list[i]); c.err != nil {
-			c.err = fmt.Errorf("%s %d: %w", noun, i, c.err)
+			if c.dec {
+				c.err = fmt.Errorf("%s %d: %w", noun, i, c.err)
+			}
 			return
 		}
 	}
@@ -144,10 +259,22 @@ func Seq[T any](c *Codec, noun string, s *[]T, min int, elem func(*T)) {
 
 // Str codes a string as its length and its bytes.
 func Str(c *Codec, s *string) {
-	b := []byte(*s)
-	if Bytes(c, &b); c.dec {
+	if b := text(c, *s); c.dec && c.err == nil {
 		*s = string(b)
 	}
+}
+
+// text encodes s as Str does, with no copy of it; decoding, it is a view
+// of the string's bytes.
+func text(c *Codec, s string) []byte {
+	var b []byte
+	if c.dec {
+		View(c, &b)
+		return b
+	}
+	c.count(len(s), 1)
+	put(c, s)
+	return nil
 }
 
 // Bytes codes a byte slice as its length and its bytes; decoded, a copy.
@@ -163,13 +290,33 @@ func View(c *Codec, p *[]byte) {
 	n := c.count(len(*p), 1)
 	switch {
 	case !c.dec:
-		c.b = append(c.b, *p...)
+		put(c, *p)
 	case c.err == nil:
 		*p, c.b = c.b[:n:n], c.b[n:]
 	}
 }
 
-// word is what Word and Words code: eight bytes, little-endian.
+// Frame codes a field framed by its length: n, then the body. Encoding, n
+// is a length the caller already knows and body writes the body, which
+// must fill exactly n bytes or the encode fails; sizing, body does not run.
+// Decoding, *p is the body, a view as View gives, and body does not run.
+func Frame(c *Codec, p *[]byte, n int, body func(*Codec)) {
+	switch {
+	case c.dec:
+		View(c, p)
+	case c.sizing:
+		Uint(c, &n)
+		c.n += n
+	default:
+		Uint(c, &n)
+		at := c.at()
+		if body(c); c.at()-at != n {
+			c.fail("a field framed as %d bytes wrote %d", n, c.at()-at)
+		}
+	}
+}
+
+// word is what Word, Words and Fixed code: eight bytes, little-endian.
 type word interface{ int | int64 | uint64 | float64 }
 
 // Word codes a fixed 8-byte little-endian word: an integer's two's
@@ -180,8 +327,8 @@ func Word[T word](c *Codec, v *T) {
 	*v = s[0]
 }
 
-// Words codes a vector of words as its length and then each word. Encoded,
-// the output grows once; decoded, the words fill *s's array when it has the
+// Words codes a vector of words as its length and then each word. Encoded
+// in memory, the output grows once; decoded, the words fill *s's array when it has the
 // capacity.
 func Words[T word](c *Codec, s *[]T) {
 	n := c.count(len(*s), 8)
@@ -195,58 +342,83 @@ func Words[T word](c *Codec, s *[]T) {
 	codeWords(c, *s)
 }
 
-// codeWords codes len(s) words with no length before them. Walking both
-// slices, not indexing them, lets the compiler drop the per-element bounds
-// checks: the loops run at memcpy speed, and a restore converts a whole
-// state through them.
-func codeWords[T word](c *Codec, s []T) {
-	if !c.dec {
-		at := len(c.b)
-		c.b = slices.Grow(c.b, 8*len(s))[:at+8*len(s)]
-		out := c.b[at:]
-		if fs, ok := any(s).([]float64); ok {
-			for _, x := range fs {
-				binary.LittleEndian.PutUint64(out, math.Float64bits(x))
-				out = out[8:]
-			}
-			return
+// Fixed codes len(p) bytes or floats as they are, with no length before
+// them; decoded, into p.
+func Fixed[T byte | float64](c *Codec, p []T) {
+	switch b := any(p).(type) {
+	case []float64:
+		codeWords(c, b)
+	case []byte:
+		switch {
+		case !c.dec:
+			put(c, b)
+		case c.err == nil && len(b) > len(c.b):
+			c.fail("%d bytes wanted, %d left", len(b), len(c.b))
+		case c.err == nil:
+			c.b = c.b[copy(b, c.b):]
 		}
-		for _, x := range s {
-			binary.LittleEndian.PutUint64(out, uint64(x))
-			out = out[8:]
-		}
-		return
-	}
-	if c.err == nil && 8*len(s) > len(c.b) {
-		c.fail("%d bytes wanted, %d left", 8*len(s), len(c.b))
-	}
-	if c.err != nil {
-		return
-	}
-	src := c.b[:8*len(s)]
-	c.b = c.b[8*len(s):]
-	if fs, ok := any(s).([]float64); ok {
-		for i := range fs {
-			fs[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
-			src = src[8:]
-		}
-		return
-	}
-	for i := range s {
-		s[i] = T(binary.LittleEndian.Uint64(src))
-		src = src[8:]
 	}
 }
 
-// Fixed codes len(p) bytes as they are, with no length before them.
-func Fixed(c *Codec, p []byte) {
+// codeWords codes len(s) words with no length before them. A stream
+// converts them into its buffer a buffer's worth at a time; in memory, the
+// output grows once. Walking both slices, not indexing them, lets the
+// compiler drop the per-element bounds checks: the loops run at memcpy
+// speed, and a checkpoint and a restore convert a whole state through them.
+func codeWords[T word](c *Codec, s []T) {
 	switch {
+	case c.sizing:
+		c.n += 8 * len(s)
 	case !c.dec:
-		c.b = append(c.b, p...)
-	case c.err == nil && len(p) > len(c.b):
-		c.fail("%d bytes wanted, %d left", len(p), len(c.b))
+		for len(s) > 0 {
+			k := len(s)
+			if c.sink != nil {
+				c.room(8)
+				k = min(k, max(cap(c.b)-len(c.b), 8)/8)
+			}
+			at := len(c.b)
+			c.b = slices.Grow(c.b, 8*k)[:at+8*k]
+			if fs, ok := any(s[:k]).([]float64); ok {
+				putFloats(c.b[at:], fs)
+			} else {
+				out := c.b[at:]
+				for _, x := range s[:k] {
+					binary.LittleEndian.PutUint64(out, uint64(x))
+					out = out[8:]
+				}
+			}
+			s = s[k:]
+		}
+	case c.err == nil && 8*len(s) > len(c.b):
+		c.fail("%d bytes wanted, %d left", 8*len(s), len(c.b))
 	case c.err == nil:
-		c.b = c.b[copy(p, c.b):]
+		src := c.b[:8*len(s)]
+		c.b = c.b[8*len(s):]
+		if fs, ok := any(s).([]float64); ok {
+			getFloats(fs, src)
+			return
+		}
+		for i := range s {
+			s[i] = T(binary.LittleEndian.Uint64(src))
+			src = src[8:]
+		}
+	}
+}
+
+// putFloats and getFloats convert floats to and from their words outside
+// the generic code: converted inside it, a streamed grid ran at a third of
+// the speed.
+func putFloats(out []byte, xs []float64) {
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(out, math.Float64bits(x))
+		out = out[8:]
+	}
+}
+
+func getFloats(xs []float64, src []byte) {
+	for i := range xs {
+		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
+		src = src[8:]
 	}
 }
 

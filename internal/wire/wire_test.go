@@ -27,6 +27,7 @@ type fields struct {
 	B    []byte
 	V    []byte
 	Sum  [4]byte
+	Fr   []byte
 	List [][]uint32
 	W    int
 	WF   float64
@@ -50,6 +51,9 @@ func (f *fields) code(c *Codec) {
 	Bytes(c, &f.B)
 	View(c, &f.V)
 	Fixed(c, f.Sum[:])
+	c.Cut()
+	Frame(c, &f.Fr, len(f.Fr), func(c *Codec) { Fixed(c, f.Fr) })
+	c.Cut()
 	Seq(c, "list", &f.List, 1, func(l *[]uint32) {
 		Seq(c, "item", l, 1, func(v *uint32) { Uint(c, v) })
 	})
@@ -64,13 +68,13 @@ func (f *fields) code(c *Codec) {
 // samples are values of fields: every one zero, small ones, and extremes.
 func samples() map[string]*fields {
 	return map[string]*fields{
-		"zero": {B: []byte{}, V: []byte{}},
+		"zero": {B: []byte{}, V: []byte{}, Fr: []byte{}},
 		"small": {U8: 1, U32: 127, U64: 128, N: 300, N64: 1 << 40, I: -1, I64: 64, On: true,
-			S: "split", B: []byte{0, 0xff}, V: []byte{7}, Sum: [4]byte{1, 2, 3, 4}, List: [][]uint32{nil, {7}, {0, 1 << 31}},
+			S: "split", B: []byte{0, 0xff}, V: []byte{7}, Sum: [4]byte{1, 2, 3, 4}, Fr: []byte("framed"), List: [][]uint32{nil, {7}, {0, 1 << 31}},
 			W: -2, WF: 0.5, WU: 3, Fs: []float64{1, -2.5}, Is: []int{-1, 0}, I64s: []int64{1 << 40}},
 		"extremes": {U8: math.MaxUint8, U32: math.MaxUint32, U64: math.MaxUint64, N: math.MaxInt, N64: math.MaxInt64,
 			I: math.MinInt, I64: math.MaxInt64, On: true, S: strings.Repeat("x", 300), B: bytes.Repeat([]byte{9}, 200),
-			V: bytes.Repeat([]byte{8}, 200), W: math.MinInt, WF: math.Inf(-1), WU: math.MaxUint64,
+			V: bytes.Repeat([]byte{8}, 200), Fr: bytes.Repeat([]byte{6}, 5000), W: math.MinInt, WF: math.Inf(-1), WU: math.MaxUint64,
 			Fs: []float64{math.SmallestNonzeroFloat64, math.MaxFloat64}, Is: []int{math.MaxInt}, I64s: []int64{math.MinInt64}},
 	}
 }
@@ -81,6 +85,137 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 		got := &fields{}
 		if err := Decode(raw, got.code); err != nil || !reflect.DeepEqual(got, f) {
 			t.Errorf("%s: decoded %+v (%v), encoded %+v", name, got, err, f)
+		}
+	}
+}
+
+// recorder is a sink that keeps the bytes it is handed and the offsets it
+// is cut at. With failAt set, its failAt-th call, a Write or a Cut, fails,
+// and it counts every call after that one.
+type recorder struct {
+	bytes.Buffer
+	cuts          []int
+	calls, failAt int
+	late, longest int
+}
+
+var errSink = errors.New("sink failed")
+
+func (r *recorder) call() error {
+	switch r.calls++; {
+	case r.failAt == 0 || r.calls < r.failAt:
+		return nil
+	case r.calls > r.failAt:
+		r.late++
+	}
+	return errSink
+}
+
+func (r *recorder) Write(p []byte) (int, error) {
+	if err := r.call(); err != nil {
+		return 0, err
+	}
+	r.longest = max(r.longest, len(p))
+	return r.Buffer.Write(p)
+}
+
+func (r *recorder) Cut() error {
+	if err := r.call(); err != nil {
+		return err
+	}
+	r.cuts = append(r.cuts, r.Len())
+	return nil
+}
+
+// TestStreamAndSizeRunTheLayout: for every sample, Size counts what Encode
+// writes, and Stream hands a sink Encode's bytes, cut at the same offsets
+// whatever its buffer's capacity, in writes no longer than a buffer that
+// holds a varint. A sink that fails at any call ends the stream with its
+// error: nothing reaches it after that. (A stream of thousands of calls,
+// through a buffer of a byte or none, fails at a thousand of them.)
+func TestStreamAndSizeRunTheLayout(t *testing.T) {
+	for name, f := range samples() {
+		want := Encode(nil, f.code)
+		if n := Size(f.code); n != len(want) {
+			t.Errorf("%s: Size %d, Encode wrote %d", name, n, len(want))
+		}
+		var cuts []int
+		for _, size := range []int{0, 1, 9, 4 << 10, 64 << 10} {
+			var r recorder
+			if err := Stream(&r, make([]byte, 0, size), f.code); err != nil || !bytes.Equal(r.Bytes(), want) {
+				t.Errorf("%s through %d bytes: streamed %d bytes (%v), Encode wrote %d", name, size, r.Len(), err, len(want))
+			}
+			if size >= binary.MaxVarintLen64 && r.longest > size {
+				t.Errorf("%s through %d bytes: a write of %d", name, size, r.longest)
+			}
+			if cuts == nil {
+				cuts = r.cuts
+			} else if !reflect.DeepEqual(r.cuts, cuts) {
+				t.Errorf("%s through %d bytes: cut at %v, through no buffer at %v", name, size, r.cuts, cuts)
+			}
+			for k := 1; k <= r.calls; k += 1 + r.calls/1000 { // every call, or a thousand spread over them
+
+				bad := recorder{failAt: k}
+				if err := Stream(&bad, make([]byte, 0, size), f.code); err != errSink || bad.late > 0 {
+					t.Errorf("%s through %d bytes, a sink failing at call %d: %v, and %d calls after it", name, size, k, err, bad.late)
+				}
+			}
+		}
+		if len(cuts) != 2 {
+			t.Errorf("%s: cut at %v, want the layout's two cuts", name, cuts)
+		}
+	}
+}
+
+// TestOnlyStreamCuts: a cut reaches a stream's sink, after the bytes
+// before it, and changes nothing that Encode, Size or Decode do.
+func TestOnlyStreamCuts(t *testing.T) {
+	s, cut := "ab", true
+	layout := func(c *Codec) {
+		Str(c, &s)
+		if cut {
+			c.Cut()
+		}
+		Str(c, &s)
+	}
+	var r recorder
+	if err := Stream(&r, make([]byte, 0, 64), layout); err != nil || !reflect.DeepEqual(r.cuts, []int{3}) {
+		t.Errorf("streamed with cuts at %v (%v), want [3]", r.cuts, err)
+	}
+	raw, n := Encode(nil, layout), Size(layout)
+	cut = false
+	if !bytes.Equal(raw, Encode(nil, layout)) || n != Size(layout) {
+		t.Errorf("a cut changed what Encode or Size make of the layout")
+	}
+	cut = true
+	if err := Decode(raw, layout); err != nil || s != "ab" {
+		t.Errorf("decoded %q across a cut: %v", s, err)
+	}
+}
+
+// TestFrameHoldsItsBodyToItsLength: a framed field whose body writes more
+// or less than its length fails the encode, in memory and streaming, and a
+// stream writes nothing after it. Sizing trusts the length and does not
+// run the body.
+func TestFrameHoldsItsBodyToItsLength(t *testing.T) {
+	for _, n := range []int{3, 5} {
+		ran := false
+		layout := func(c *Codec) {
+			var p []byte
+			Frame(c, &p, n, func(c *Codec) { ran = true; Fixed(c, []byte("four")) })
+			c.Cut()
+		}
+		var err error
+		Encode(nil, func(c *Codec) { layout(c); err = c.Err() })
+		if err == nil || !strings.Contains(err.Error(), "wrote 4") {
+			t.Errorf("a body of 4 bytes framed as %d encoded: %v", n, err)
+		}
+		var r recorder
+		if err := Stream(&r, nil, layout); err == nil || r.calls > 1 {
+			t.Errorf("a body of 4 bytes framed as %d streamed: %v, %d sink calls", n, err, r.calls)
+		}
+		if ran = false; Size(layout) != 1+n || ran {
+			t.Errorf("framed as %d: Size %d, body run %v", n, Size(layout), ran)
 		}
 	}
 }
