@@ -376,6 +376,21 @@ func TestArchitecture(t *testing.T) {
 		}
 	})
 
+	t.Run("internal/protocol and internal/launch import no encoding/json", func(t *testing.T) {
+		// What crosses the process boundary — control frames, the counters
+		// riding them, recovery slices — is a wire layout. A JSON codec here
+		// is a second format on a second stream growing back.
+		for _, dir := range []string{"internal/protocol", "internal/launch"} {
+			for path, f := range parseDir(t, dir, 0) {
+				for _, imp := range f.Imports {
+					if imp.Path.Value == `"encoding/json"` {
+						t.Errorf("%s imports encoding/json: what crosses the process boundary is an internal/wire layout", path)
+					}
+				}
+			}
+		}
+	})
+
 	t.Run("the control allgather runs in exchangeControl alone", func(t *testing.T) {
 		// A control allgather: an Allgather or AllgatherInto that carries the
 		// control states, or any literal bytes.

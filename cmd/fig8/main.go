@@ -220,8 +220,9 @@ func distributedRunner(exe, app string, ranks int, async bool) harness.CellRunne
 		if checksum == "" {
 			return harness.Cell{}, fmt.Errorf("distributed cell: no result line in rank 0 output %q", res.Output)
 		}
-		// Workers stream their protocol counters back over the stats pipe,
-		// so the checkpoint-volume columns populate exactly as in-process.
+		// Workers stream their protocol counters back on their control
+		// streams, so the checkpoint-volume columns populate exactly as
+		// in-process.
 		cell := harness.Cell{Mode: mode, Seconds: elapsed, Checksum: checksum}
 		for _, s := range res.Stats {
 			cell.Checkpoints += s.CheckpointsTaken

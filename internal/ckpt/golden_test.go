@@ -79,7 +79,7 @@ func goldenState(t *testing.T, seed int64) *Saver {
 
 func ptr[T any](v T) *T { return &v }
 
-// streamDigest is a SectionWriter that hashes the stream and every offset
+// streamDigest is a wire.Sink that hashes the stream and every offset
 // it is cut at.
 type streamDigest struct {
 	h hash.Hash

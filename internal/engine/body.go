@@ -64,9 +64,8 @@ type rankOutcome struct {
 func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 	rank := b.comm.Rank()
 	frame := func(s protocol.Stats, final bool) {
-		if b.statsSink != nil { // nil: a worker process without a stats pipe
-			b.statsSink(protocol.StatsFrame{V: protocol.StatsWireVersion,
-				Rank: rank, Incarnation: b.incarnation, Final: final, Stats: s})
+		if b.statsSink != nil { // nil: a worker with no control stream to ship them on
+			b.statsSink(protocol.StatsFrame{Rank: rank, Incarnation: b.incarnation, Final: final, Stats: s})
 		}
 	}
 	layer := protocol.NewLayer(b.comm, protocol.Config{
@@ -86,8 +85,8 @@ func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 	// flush drains (defers are LIFO): the retained copies and the final
 	// counters then include a checkpoint that was still flushing. It runs
 	// on panic unwinds too, so a survivor keeps its copies across a
-	// rollback and the stats stream carries the counters of an incarnation
-	// that just died.
+	// rollback and the final stats frame carries the counters of an
+	// incarnation that just died.
 	defer func() {
 		out.retained = layer.Retained()
 		frame(layer.Stats, true)

@@ -43,7 +43,6 @@ const (
 	envIncarnation = "CCIFT_INCARNATION" // incarnation this process was spawned into (for fault injection; start names the one to run)
 	envStore       = "CCIFT_STORE_DIR"   // shared checkpoint directory
 	envDetector    = "CCIFT_DETECTOR_MS" // heartbeat suspicion timeout, milliseconds
-	envStatsFD     = "CCIFT_STATS_FD"    // fd of the stats stream pipe (write end)
 	envControlFD   = "CCIFT_CONTROL_FD"  // fd of the control stream (see control.go)
 )
 
@@ -77,8 +76,8 @@ type Config struct {
 	Stderr  io.Writer
 	Verbose bool
 	// StatsSink, when non-nil, receives every stats frame the workers emit
-	// on their CCIFT_STATS_FD pipes, live as checkpoints complete. Called
-	// from per-worker reader goroutines; the sink must synchronize. The
+	// on their control streams, live as checkpoints complete. Called from
+	// per-worker watcher goroutines; the sink must synchronize. The
 	// supervisor aggregates the same frames into Result.Stats /
 	// Result.PerRank regardless.
 	StatsSink func(protocol.StatsFrame)
@@ -88,7 +87,7 @@ type Config struct {
 }
 
 // Result reports a completed distributed run: the supervisor's Result
-// (Stats and PerRank reconstructed from the workers' stats streams, one
+// (Stats and PerRank reconstructed from the workers' stats frames, one
 // Incarnations entry per spawned incarnation; Values stays empty, since
 // only rank 0's output crosses the process boundary) plus that output.
 type Result struct {
@@ -171,14 +170,14 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 // world is the process-shaped world the supervisor's incarnations run in:
 // a death costs fresh processes for the dead ranks only and an in-process
-// rollback for every survivor, so the processes, their events and their
-// stats readers outlive any one incarnation.
+// rollback for every survivor, so the processes and their watchers outlive
+// any one incarnation.
 type world struct {
 	cfg Config
 	sup *engine.Supervisor
 
 	errMu sync.Mutex     // keeps lines on cfg.Stderr whole
-	tails sync.WaitGroup // every process's stats reader and watcher
+	tails sync.WaitGroup // every process's watcher
 
 	// Each process's watcher posts its events in order (every ready, then
 	// its exit) to the incarnation listening, or drops them once quit closes.
@@ -223,8 +222,8 @@ func (w *world) kill(running bool) {
 	}
 }
 
-// spawn starts rank r's process (to first run incarnation), with a reader
-// for its stats stream and a watcher for its control stream and exit.
+// spawn starts rank r's process (to first run incarnation), with a watcher
+// for its control stream and exit.
 func (w *world) spawn(r, incarnation int) error {
 	cfg := w.cfg
 	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM|syscall.SOCK_CLOEXEC, 0)
@@ -241,37 +240,26 @@ func (w *world) spawn(r, incarnation int) error {
 		envIncarnation+"="+strconv.Itoa(incarnation),
 		envStore+"="+cfg.StoreDir,
 		envDetector+"="+strconv.FormatInt(cfg.DetectorTimeout.Milliseconds(), 10),
-		envStatsFD+"=3",
-		envControlFD+"=4",
+		envControlFD+"=3",
 	)
 	if r == 0 {
 		w.rank0Out = &bytes.Buffer{}
 		cmd.Stdout = w.rank0Out
 	}
 	cmd.Stderr = &prefixWriter{w: cfg.Stderr, mu: &w.errMu, prefix: fmt.Sprintf("[rank %d] ", r)}
-	statsR, statsW, err := os.Pipe()
-	if err == nil {
-		cmd.ExtraFiles = []*os.File{statsW, ctlChild}
-		err = cmd.Start()
-		statsW.Close()
-	}
+	cmd.ExtraFiles = []*os.File{ctlChild}
+	err = cmd.Start()
 	ctlChild.Close()
 	if err != nil {
-		statsR.Close()
 		ctl.Close()
 		return fmt.Errorf("launch: spawn rank %d: %w: %w", r, cerr.ErrTransport, err)
 	}
 	if cfg.Verbose {
 		w.logf("launch: incarnation %d: rank %d is pid %d\n", incarnation, r, cmd.Process.Pid)
 	}
-	w.tails.Add(2)
-	go func() {
-		defer w.tails.Done()
-		defer statsR.Close()
-		protocol.ReadStatsFrames(statsR, w.sup.Observe)
-	}()
 	p := &proc{rank: r, cmd: cmd, ctl: ctl, started: -1}
 	w.procs[r] = p
+	w.tails.Add(1)
 	go func() {
 		defer w.tails.Done()
 		post := func(e event) {
@@ -280,10 +268,19 @@ func (w *world) spawn(r, incarnation int) error {
 			case <-w.quit:
 			}
 		}
-		// The stream ends with the process, so one goroutine keeps its events in order.
+		// The stream ends with the process, so one goroutine keeps its
+		// frames in order: every stats frame is observed before the exit is
+		// posted, and the rank is replaced only once the exit is folded.
+		// The watcher blocks only while posting a ready or an exit, and
+		// after either its worker writes nothing until a start arrives, so
+		// a stats write never stalls a computing rank behind a launcher
+		// busy recovering.
 		for f, err := readCtlFrame(ctl); err == nil; f, err = readCtlFrame(ctl) {
-			if f.Kind == ctlReady {
+			switch f.Kind {
+			case ctlReady:
 				post(event{p: p, addr: f.Addr})
+			case ctlStats:
+				w.sup.Observe(protocol.StatsFrame{Rank: p.rank, Incarnation: f.Incarnation, Final: f.Final, Stats: f.Stats})
 			}
 		}
 		err := cmd.Wait()
@@ -449,9 +446,8 @@ func (w *world) runIncarnation(ctx context.Context, incarnation int, plan *proto
 			}
 			return engine.Outcome{Failed: true}
 		case done == n:
-			// Every worker has exited, so every stats pipe is at EOF: wait
-			// for the readers so the final frames are in the Result.
-			w.tails.Wait()
+			// Every worker's exit was posted after its stream's last frame,
+			// so the final frames are in the Result.
 			return engine.Outcome{}
 		}
 	}

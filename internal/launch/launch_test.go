@@ -94,7 +94,7 @@ func (k killOnPut) Put(key string, data []byte) error {
 // the process was spawned into, which the kill-mid-flush variant reads.
 var launcherEnv = map[string]bool{
 	"CCIFT_WORKER": true, "CCIFT_RANK": true, "CCIFT_RANKS": true, "CCIFT_INCARNATION": true,
-	"CCIFT_STORE_DIR": true, "CCIFT_DETECTOR_MS": true, "CCIFT_STATS_FD": true, "CCIFT_CONTROL_FD": true,
+	"CCIFT_STORE_DIR": true, "CCIFT_DETECTOR_MS": true, "CCIFT_CONTROL_FD": true,
 	"CCIFT_FREEZE_CROSSCHECK": true,
 }
 
@@ -107,7 +107,7 @@ func TestMain(m *testing.M) {
 		for _, kv := range os.Environ() {
 			name, _, _ := strings.Cut(kv, "=")
 			if strings.HasPrefix(name, "CCIFT_") && !strings.HasPrefix(name, "CCIFT_TEST_") && !launcherEnv[name] {
-				fmt.Fprintf(os.Stderr, "worker environment carries %s, which is not one of the launcher's eight variables\n", name)
+				fmt.Fprintf(os.Stderr, "worker environment carries %s, which is not one of the launcher's seven variables\n", name)
 				os.Exit(2)
 			}
 		}
@@ -364,12 +364,50 @@ func TestDistributedStatsCrossProcess(t *testing.T) {
 }
 
 // TestDistributedStatsSurviveRestart: after a SIGKILL and rollback, the
-// final Result reports the FINAL incarnation's counters for every rank.
+// final Result reports the FINAL incarnation's counters for every rank, and
+// the frames arrive in order per rank: a rank's incarnations never go back,
+// and the killed process's frames all arrive before its replacement's
+// first. Both hold by construction — a process's frames share its one
+// stream with the exit that gets it replaced — not by timing.
 func TestDistributedStatsSurviveRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns two incarnations of real processes")
 	}
-	res := runLaplace(t, []launch.KillSpec{{Rank: 2, AtOp: 100, Incarnation: 0}})
+	const doomed = 2
+	var mu sync.Mutex
+	var frames []protocol.StatsFrame // in arrival order
+	res, err := launch.Run(launch.Config{
+		Ranks:  testRanks,
+		Kills:  []launch.KillSpec{{Rank: doomed, AtOp: 100, Incarnation: 0}},
+		Stderr: io.Discard,
+		StatsSink: func(f protocol.StatsFrame) {
+			mu.Lock()
+			frames = append(frames, f)
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatalf("launch.Run: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	latest := map[int]int{}     // rank → newest incarnation seen
+	lastOld, firstNew := -1, -1 // the doomed rank's last incarnation-0 frame, its replacement's first
+	for i, f := range frames {
+		if f.Incarnation < latest[f.Rank] {
+			t.Errorf("frame %d: rank %d went back from incarnation %d to %d", i, f.Rank, latest[f.Rank], f.Incarnation)
+		}
+		latest[f.Rank] = max(latest[f.Rank], f.Incarnation)
+		if f.Rank == doomed && f.Incarnation == 0 {
+			lastOld = i
+		}
+		if f.Rank == doomed && f.Incarnation == 1 && firstNew < 0 {
+			firstNew = i
+		}
+	}
+	if firstNew < 0 || lastOld > firstNew {
+		t.Errorf("the killed rank's incarnation-0 frames end at %d, its replacement's begin at %d: want every old frame first", lastOld, firstNew)
+	}
 	if res.Restarts != 1 {
 		t.Fatalf("%d restarts, want 1", res.Restarts)
 	}

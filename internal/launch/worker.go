@@ -60,22 +60,14 @@ func workerRun(app WorkerApp) (int, error) {
 	rank, err1 := envInt(envRank, 0)
 	ranks, err2 := envInt(envRanks, 1)
 	detectorMS, err3 := envInt(envDetector, 1)
-	statsFD, err4 := envInt(envStatsFD, 3)
-	ctlFD, err5 := envInt(envControlFD, 3)
-	if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
+	ctlFD, err4 := envInt(envControlFD, 3)
+	if err := errors.Join(err1, err2, err3, err4); err != nil {
 		return cerr.CodeSpec, err
 	}
 	storeDir := os.Getenv(envStore)
 	if storeDir == "" {
 		return cerr.CodeSpec, fmt.Errorf("%w: missing env %s", cerr.ErrSpec, envStore)
 	}
-
-	// The stats stream: frames go to the launcher on the inherited pipe,
-	// from the rank's own goroutine only. Losing the stream (launcher gone)
-	// must not fail the computation, so errors are ignored.
-	statsPipe := os.NewFile(uintptr(statsFD), envStatsFD)
-	defer statsPipe.Close()
-	statsSink := func(f protocol.StatsFrame) { _ = protocol.WriteStatsFrame(statsPipe, f) }
 
 	disk, err := storage.NewDisk(storeDir)
 	if err != nil {
@@ -142,9 +134,16 @@ func workerRun(app WorkerApp) (int, error) {
 			Start:        tr.Start,
 			AnnounceDone: tr.AnnounceDone,
 			AllDone:      tr.AllDone,
-			StatsSink:    statsSink,
-			Recovery:     &st.Recovery,
-			Retained:     retained,
+			// Stats frames share the stream: this goroutine writes them
+			// between the start and the ready that follows it, each frame
+			// in one Write (os.File serializes concurrent ones). Losing the
+			// stream (launcher gone) must not fail the computation, so
+			// errors are ignored: readControl reports it.
+			StatsSink: func(f protocol.StatsFrame) {
+				_ = writeCtlFrame(ctl, &ctlFrame{Kind: ctlStats, Incarnation: f.Incarnation, Final: f.Final, Stats: f.Stats})
+			},
+			Recovery: &st.Recovery,
+			Retained: retained,
 		}, app.Prog)
 		tr.Close()
 

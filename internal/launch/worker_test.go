@@ -23,6 +23,17 @@ import (
 	"ccift/internal/wire"
 )
 
+// statsFrame is a stats frame whose every counter holds a distinct value,
+// set by reflection: a counter the layout drops or swaps reads back wrong.
+func statsFrame() *ctlFrame {
+	f := &ctlFrame{Kind: ctlStats, Incarnation: 2, Final: true}
+	sv := reflect.ValueOf(&f.Stats).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		sv.Field(i).SetInt(int64(i+1) * 1_000_003)
+	}
+	return f
+}
+
 func TestControlFrameRoundTrip(t *testing.T) {
 	frames := []*ctlFrame{
 		{Kind: ctlReady, Addr: "127.0.0.1:4242"},
@@ -30,6 +41,7 @@ func TestControlFrameRoundTrip(t *testing.T) {
 		{Kind: ctlStart, Incarnation: 1, Addrs: []string{"a:1", "b:2"}, KillAtOp: 77,
 			Recovery: protocol.RankRecovery{Epoch: 4, Suppress: []uint32{9, 11}, Replicas: map[string][]byte{"table": {1, 2, 3}},
 				Record: []byte("the rank's protocol record")}},
+		statsFrame(),
 	}
 	var stream bytes.Buffer
 	for _, f := range frames {
@@ -86,6 +98,7 @@ func FuzzReadCtlFrame(f *testing.F) {
 		{Kind: ctlStart, Incarnation: 1, Addrs: []string{"a:1", "b:2"}, KillAtOp: 77,
 			Recovery: protocol.RankRecovery{Epoch: -1, Suppress: []uint32{9, 1 << 31}, Replicas: map[string][]byte{"table": {1, 2, 3}, "": nil},
 				Record: []byte{1, 2}}},
+		statsFrame(),
 	} {
 		var b bytes.Buffer
 		if err := writeCtlFrame(&b, fr); err != nil {
@@ -137,22 +150,18 @@ func workerEnv(t *testing.T) *os.File {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := syscall.Open(os.DevNull, syscall.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	setWorkerEnv(t, stats, fds[1])
+	setWorkerEnv(t, fds[1])
 	launcher := os.NewFile(uintptr(fds[0]), "launcher-end")
 	t.Cleanup(func() { launcher.Close() })
 	return launcher
 }
 
 // setWorkerEnv sets a well-formed environment for rank 0 of a one-rank
-// world around the two descriptor numbers.
-func setWorkerEnv(t *testing.T, statsFD, ctlFD int) {
+// world around the control stream's descriptor number.
+func setWorkerEnv(t *testing.T, ctlFD int) {
 	for k, v := range map[string]string{
 		envRank: "0", envRanks: "1", envStore: t.TempDir(), envDetector: "2000",
-		envStatsFD: strconv.Itoa(statsFD), envControlFD: strconv.Itoa(ctlFD),
+		envControlFD: strconv.Itoa(ctlFD),
 	} {
 		t.Setenv(k, v)
 	}
@@ -161,11 +170,10 @@ func setWorkerEnv(t *testing.T, statsFD, ctlFD int) {
 func TestWorkerRejectsMalformedEnv(t *testing.T) {
 	for _, bad := range []struct{ key, value string }{
 		{envDetector, "soon"}, {envDetector, "0"},
-		{envStatsFD, "stdout"}, {envStatsFD, "2"},
 		{envControlFD, "x"}, {envControlFD, "1"}, {envControlFD, ""},
 	} {
 		t.Run(bad.key+"="+bad.value, func(t *testing.T) {
-			setWorkerEnv(t, 3, 4) // never opened: validation comes first
+			setWorkerEnv(t, 3) // never opened: validation comes first
 			t.Setenv(bad.key, bad.value)
 			code, err := workerRun(WorkerApp{})
 			if code != cerr.CodeSpec || !errors.Is(err, cerr.ErrSpec) {

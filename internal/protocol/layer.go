@@ -131,8 +131,8 @@ type Config struct {
 }
 
 // Stats counts protocol activity for the evaluation harness. The json
-// tags are the stable wire names of the cross-process stats stream (see
-// stats.go); add fields freely, but never rename or reuse a tag.
+// tags name the metrics endpoint's series; the control stream carries the
+// counters as a layout (Stats.Code), which no tag touches.
 // ControlCollectives counts explicit control exchanges — one per rooted
 // collective (Bcast, Reduce, Gather, Scatter, Scan) and AlignedBarrier; the
 // symmetric collectives carry their control word on their own messages.

@@ -1,34 +1,19 @@
 package protocol
 
-// The cross-process stats stream. A distributed worker emits its protocol
-// counters as newline-delimited JSON frames on a pipe the launcher holds
-// the read end of (CCIFT_STATS_FD); the launcher feeds every frame into an
-// Aggregator, which reconstructs per-rank and whole-run views identical to
-// what the in-process substrate reads straight out of its layers.
-//
-// The wire form is versioned and decoded tolerantly: unknown fields —
-// counters a newer worker grew — are ignored, so a launcher never breaks
-// when scraping a newer worker's stream. Renaming or reusing a json tag is
-// the only breaking change; don't.
-
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
 	"reflect"
 	"sort"
 	"sync"
+
+	"ccift/internal/wire"
 )
 
-// StatsWireVersion is the version stamped on every emitted frame. Bump it
-// only for changes an old launcher cannot ignore (added fields are NOT
-// that — tolerant decode absorbs them).
-const StatsWireVersion = 1
-
-// StatsFrame is one line of the stats stream: a cumulative snapshot of one
-// rank's counters in one incarnation. Final marks the rank's last frame of
-// an incarnation (emitted as its worker shuts down).
+// StatsFrame is a cumulative snapshot of one rank's counters in one
+// incarnation. Final marks the rank's last frame of an incarnation (emitted
+// as it ends). A distributed worker ships Incarnation, Final and Stats to
+// its launcher as a control frame, and the launcher fills in Rank from the
+// stream the frame arrived on. V is not carried on the wire: it stays only
+// while the benchmark module sets it, and goes with the next change there.
 type StatsFrame struct {
 	V           int   `json:"v"`
 	Rank        int   `json:"rank"`
@@ -37,46 +22,14 @@ type StatsFrame struct {
 	Stats       Stats `json:"stats"`
 }
 
-// WriteStatsFrame emits f as one JSON line on w, stamping the current wire
-// version.
-func WriteStatsFrame(w io.Writer, f StatsFrame) error {
-	f.V = StatsWireVersion
-	b, err := json.Marshal(f)
-	if err != nil {
-		return fmt.Errorf("protocol: encode stats frame: %w", err)
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-// parseStatsFrame decodes one line of the stream. Unknown fields (at any
-// nesting level) are ignored so newer emitters interoperate with older
-// readers; a missing or zero version marks the line as not a stats frame.
-func parseStatsFrame(line []byte) (StatsFrame, error) {
-	var f StatsFrame
-	if err := json.Unmarshal(line, &f); err != nil {
-		return StatsFrame{}, fmt.Errorf("protocol: decode stats frame: %w", err)
-	}
-	if f.V < 1 {
-		return StatsFrame{}, fmt.Errorf("protocol: stats frame without version field")
-	}
-	return f, nil
-}
-
-// ReadStatsFrames consumes newline-delimited frames from r until EOF,
-// calling sink for each well-formed frame. Malformed lines are skipped —
-// a worker dying mid-write must not poison the frames already received.
-func ReadStatsFrames(r io.Reader, sink func(StatsFrame)) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if f, err := parseStatsFrame(line); err == nil {
-			sink(f)
+// Code is the counters' one layout, as a worker ships them to its launcher:
+// every int64 field in declaration order, walked as Add walks them, so a
+// counter added to Stats crosses the stream with no edit here.
+func (s *Stats) Code(c *wire.Codec) {
+	sv := reflect.ValueOf(s).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		if f := sv.Field(i); f.Kind() == reflect.Int64 {
+			wire.Int(c, f.Addr().Interface().(*int64))
 		}
 	}
 }
@@ -126,7 +79,7 @@ func NewAggregator(onObserve func(total Stats, f StatsFrame)) *Aggregator {
 }
 
 // Observe folds one frame in. Safe for concurrent use (rank goroutines and
-// per-worker pipe readers all feed the same aggregator).
+// per-worker control-stream watchers all feed the same aggregator).
 func (a *Aggregator) Observe(f StatsFrame) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -160,7 +160,7 @@ func launchDistributed(ctx context.Context, cfg engine.Config, d *Distributed) (
 	// Only rank 0's rendered result crosses the process boundary: Values
 	// holds that one string (fmt's rendering of the program's return value,
 	// which the worker prints as "result: <value>"). The per-rank protocol
-	// counters DO cross it, via the workers' stats streams.
+	// counters DO cross it, as stats frames on the workers' control streams.
 	res := &lres.Result
 	for _, line := range strings.Split(lres.Output, "\n") {
 		if v, ok := strings.CutPrefix(line, "result: "); ok {

@@ -68,8 +68,8 @@ func newMetricsRun(addr string, ranks int) (*metricsRun, error) {
 		counters: map[string]*metrics.Counter{},
 		last:     map[int]*rankWindow{},
 	}
-	// One counter per protocol counter, named from the stable wire tag so
-	// the metric set and the stats stream can never drift.
+	// One counter per protocol counter, named from its json tag so the
+	// metric set and the counters the frames carry can never drift.
 	t := reflect.TypeOf(protocol.Stats{})
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)

@@ -4,7 +4,7 @@ package ccift_test
 // counters are not approximations streamed from afar — for everything the
 // protocol determines (message counts, bytes, piggyback traffic,
 // checkpoints taken and their serialized size), the numbers a worker
-// process reports over its stats pipe must be byte-identical to what the
+// process reports on its control stream must be byte-identical to what the
 // in-process engine reads out of the same program. Timing-dependent
 // counters (blocked/flush durations, late-message races) are exempt.
 
@@ -43,9 +43,9 @@ func TestStatsByteComparableAcrossSubstrates(t *testing.T) {
 		// Checkpoint counters are throughput-gated, not byte-identical: the
 		// initiator only requests a new checkpoint after the previous commit
 		// completes, so a slower substrate fits fewer rounds into the same
-		// program, and gob's varint sizes shift by a byte or two with the
-		// exact op each checkpoint lands on. They must still be nonzero —
-		// checkpoints demonstrably flowed over the stats pipe.
+		// program, and the state layout's varint sizes shift by a byte or
+		// two with the exact op each checkpoint lands on. They must still be
+		// nonzero — checkpoints demonstrably flowed over the control stream.
 		if a.Stats.CheckpointsTaken == 0 || b.Stats.CheckpointsTaken == 0 ||
 			a.Stats.CheckpointBytes == 0 || b.Stats.CheckpointBytes == 0 {
 			t.Errorf("rank %d checkpoint counters zero on a fault-free full-mode run (in-process %d/%d bytes, distributed %d/%d bytes)",
