@@ -743,6 +743,32 @@ func TestArchitecture(t *testing.T) {
 		}
 	})
 
+	t.Run("the public options match api/options.txt", func(t *testing.T) {
+		// The option surface is a checked-in list: a new knob is a visible
+		// one-line diff that has to be argued for ("new knobs need a
+		// measured reason to exist"). The list is every top-level With*
+		// function of the root package, its signature as go doc prints it,
+		// in byte order.
+		var got []string
+		for _, f := range parseDir(t, ".", 0) {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "With") {
+					continue
+				}
+				got = append(got, "func "+fn.Name.Name+strings.TrimPrefix(types.ExprString(fn.Type), "func"))
+			}
+		}
+		slices.Sort(got)
+		want, err := os.ReadFile("api/options.txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := strings.Join(got, "\n") + "\n"; g != string(want) {
+			t.Fatalf("the options of the root package are\n%s\napi/options.txt lists\n%s\nadd or remove an option only with its measured reason, and update the file to the list above", g, want)
+		}
+	})
+
 	t.Run("Rank's methods match api/rank.txt", func(t *testing.T) {
 		// The program-facing surface is a checked-in list, like the options
 		// (api/options.txt): a method added to Rank is a visible one-line

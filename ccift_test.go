@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"ccift"
 )
@@ -42,10 +43,14 @@ func stencil(iters, width int) ccift.Program {
 	}
 }
 
-// launchInProc runs prog in-process under the given options.
+// launchInProc runs prog in-process under the given options, for at most a
+// minute: a recovery that deadlocks fails the test instead of hanging the
+// package.
 func launchInProc(t *testing.T, prog ccift.Program, opts ...ccift.Option) *ccift.Result {
 	t.Helper()
-	res, err := ccift.Launch(context.Background(), ccift.NewSpec(opts...), prog)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := ccift.Launch(ctx, ccift.NewSpec(opts...), prog)
 	if err != nil {
 		t.Fatal(err)
 	}

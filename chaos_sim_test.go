@@ -342,7 +342,11 @@ func TestSimulated1000RankWorld(t *testing.T) {
 	ref := soakRef(t, ranks, 3, 4)
 	store := &opCounter{Stable: ccift.NewMemoryStore()}
 	start := time.Now()
-	res, err := ccift.Launch(context.Background(), ccift.NewSpec(
+	// The bound is also the run's deadline, so a recovery that deadlocks
+	// fails here instead of at the package timeout.
+	ctx, cancel := context.WithTimeout(context.Background(), bound)
+	defer cancel()
+	res, err := ccift.Launch(ctx, ccift.NewSpec(
 		ccift.WithRanks(ranks), ccift.WithMode(ccift.Full), ccift.WithEveryN(2),
 		ccift.WithStore(store),
 		ccift.WithSimulated(ccift.Scenario{
@@ -356,7 +360,7 @@ func TestSimulated1000RankWorld(t *testing.T) {
 		}),
 	), stencil(3, 4))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("1000-rank virtual world with one death, bounded at %v: %v", bound, err)
 	}
 	if elapsed := time.Since(start); elapsed > bound {
 		t.Fatalf("1000-rank virtual world with one death took %v, want < %v", elapsed, bound)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -63,14 +64,18 @@ type reorderedKill struct {
 // earlier frame from another sender, while each link stays FIFO. The
 // protocol must not assume FIFO delivery across senders (Section 3.3): each
 // run must end with ref's values, after exactly one rollback to the kill's
-// epoch.
+// epoch, within a minute: a recovery that deadlocks fails the run instead of
+// hanging the package, since the virtual clock cannot advance a world whose
+// every rank waits for a message nobody will send.
 func checkReordered(t *testing.T, cfg Config, rank int, prog Program, ref []any, kills []reorderedKill) {
 	t.Helper()
 	for _, k := range kills {
 		run := cfg
 		run.Failures = []Failure{{Rank: rank, AtOp: k.atOp}}
 		run, _ = simConfig(t, run, sim.Scenario{Seed: k.seed, Latency: 100 * time.Microsecond, Jitter: 400 * time.Microsecond})
-		res, err := Run(run, prog)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		res, err := RunContext(ctx, run, prog)
+		cancel()
 		if err != nil {
 			t.Fatalf("seed=%d atOp=%d: %v", k.seed, k.atOp, err)
 		}

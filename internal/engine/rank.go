@@ -102,8 +102,9 @@ func (r *Rank) WaitF64Into(h protocol.Handle, dst []float64) {
 // Each fills a result the caller provides, of the length every rank knows
 // (see mpi's collectives); a root-only result is ignored on the other ranks.
 
-// Barrier synchronizes all ranks; on recovery a barrier that was executed
-// while logging is not re-executed (see protocol.Layer.Barrier).
+// Barrier synchronizes all ranks; on recovery a barrier that crossed the
+// recovery line — executed while logging, with a participant still in the
+// old epoch — is not re-executed (see protocol.Layer.Barrier).
 func (r *Rank) Barrier() { r.l.Barrier() }
 
 // AlignedBarrier is the paper's barrier treatment: all participants execute

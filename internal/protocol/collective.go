@@ -11,13 +11,15 @@ import (
 // others' (epoch color, amLogging). Here that is a presence set — one bit per
 // control state, "somebody in this call is in that state" — and the state
 // machine applies the rules to it (machine.collective). A logging
-// participant logs the result unless one in its (new) epoch has stopped
-// logging, in which case it stops first and logs nothing (Figure 5, call B);
-// old-epoch participants (call A) do not prevent logging: on recovery they
-// do not re-execute the call, and the others read their logged results. A
-// non-logging participant that sees a logging one of the other color notes
-// the checkpoint it has yet to take, and a call whose every participant is
-// logging and has reported ready ends logging there.
+// participant logs the result only when the call crosses the recovery line:
+// a participant of the old epoch executed it before its local checkpoint,
+// so on recovery it does not re-execute the call, and the others read their
+// logged results (Figure 5, call A). A call whose participants are all in
+// the new epoch is re-executed by all of them on recovery, and nobody logs
+// it; if one of them has stopped logging, the others stop first (call B).
+// A non-logging participant that sees a logging one of the other color
+// notes the checkpoint it has yet to take, and a call whose every
+// participant is logging and has reported ready ends logging there.
 //
 // Allreduce, Allgather, Alltoall, Reducescatter and Barrier bring something
 // from every participant to every participant, so each contributes its bit
@@ -48,34 +50,36 @@ func (l *Layer) exchangeControl() (seen uint32) {
 	return seen
 }
 
-// applyControl hands the machine a collective's presence set, however it
-// was obtained, and acts on what it decides; laggard as machine.collective.
-func (l *Layer) applyControl(seen uint32) (laggard bool) {
-	laggard = l.m.collective(seen)
+// applyControl hands the machine a data collective's presence set, however
+// it was obtained, and acts on what it decides; logs as machine.collective.
+func (l *Layer) applyControl(seen uint32) (logs bool) {
+	_, logs = l.m.collective(seen)
 	l.act()
-	return laggard
+	return logs
 }
 
 // collective runs one data collective under the protocol: the prologue
 // (see collectivePrologue), the control information (riding on the call
-// when rides, exchanged before it otherwise), the call itself and the
-// logging of its result. The result is dst, which call fills — nil where
-// the caller gets nothing back (Barrier, a rooted collective off its root),
-// which makes an empty log entry. call executes the collective with this
-// rank's control word and returns the words it brought back.
+// when rides, exchanged before it otherwise), the call itself and, on the
+// machine's verdict, the logging of its result. The result is dst, which
+// call fills — nil where the caller gets nothing back (Barrier, a rooted
+// collective off its root), which makes an empty log entry. call executes
+// the collective with this rank's control word and returns the words it
+// brought back.
 func (l *Layer) collective(rides bool, dst []byte, call func(word uint32) uint32) {
 	seq, live := l.collectivePrologue(dst, call)
 	if !live {
 		return
 	}
+	var logs bool
 	if rides {
-		l.applyControl(call(1 << l.m.ctlState()))
+		logs = l.applyControl(call(1 << l.m.ctlState()))
 	} else {
-		l.applyControl(l.exchangeControl())
+		logs = l.applyControl(l.exchangeControl())
 		call(0)
 	}
 	l.trace(TraceCollective, -1, 0, uint32(seq), len(dst))
-	if l.m.amLogging {
+	if logs {
 		l.log.Add(Entry{Kind: KindCollective, Seq: seq, Data: append([]byte(nil), dst...)})
 	}
 }
@@ -83,9 +87,10 @@ func (l *Layer) collective(rides bool, dst []byte, call func(word uint32) uint32
 // collectivePrologue is how every collective under the layer starts: the
 // op count, the inactive fast path (call runs with no word), the call's
 // slot in the collective sequence, and the recovery replay, which completes
-// a call that originally executed while logging by copying the logged
-// result into dst — some participants may not re-execute it at all
-// (Section 4.5). live reports a call the protocol still has to run.
+// a call that crossed the recovery line by copying the logged result into
+// dst — the old-epoch participants do not re-execute it at all (Section
+// 4.5). A call with no entry is re-executed. live reports a call the
+// protocol still has to run.
 func (l *Layer) collectivePrologue(dst []byte, call func(word uint32) uint32) (seq int64, live bool) {
 	l.enterOp()
 	if !l.active() {
@@ -178,11 +183,14 @@ func (l *Layer) ScanInto(dst, data []byte, op mpi.Op) {
 }
 
 // Barrier synchronizes all ranks. It is treated as a loggable collective:
-// a participant that executed the barrier while logging records it and, on
-// recovery, skips the re-execution — the synchronization it witnessed is a
-// fact of the pre-failure history, and under this library's pure
-// message-passing semantics every ordering the barrier established is
-// already pinned by the late-message log and early-send suppression.
+// a logging participant records a barrier that crosses the recovery line
+// (an old-epoch participant is present) and, on recovery, skips the
+// re-execution — the old-epoch participants resume after it, and the
+// synchronization it witnessed is a fact of the pre-failure history. Under
+// this library's pure message-passing semantics every ordering the barrier
+// established is already pinned by the late-message log and early-send
+// suppression. A barrier whose participants share one epoch is not logged:
+// all of them re-execute it.
 //
 // The paper instead forces all participants into the same epoch before the
 // barrier, because a C application may use barriers to order effects the
@@ -205,7 +213,9 @@ func (l *Layer) AlignedBarrier() {
 	if _, live := l.collectivePrologue(nil, l.comm.Barrier); !live {
 		return
 	}
-	if laggard := l.applyControl(l.exchangeControl()); laggard {
+	laggard, _ := l.m.collective(l.exchangeControl())
+	l.act()
+	if laggard {
 		if l.cfg.Debug && l.replay != nil && !l.replay.Exhausted() {
 			panic(fmt.Sprintf("protocol: rank %d: barrier-forced checkpoint while replay pending", l.rank))
 		}

@@ -19,9 +19,12 @@ import (
 //   - Wildcard: the resolved (source, tag) of a receive posted with
 //     MPI_ANY_SOURCE/MPI_ANY_TAG — a non-deterministic decision; recovery
 //     narrows the re-executed receive to the logged source and tag.
-//   - Collective: the result of a collective communication call executed
-//     while logging (Section 4.5); recovery returns the logged result
-//     without re-executing the call.
+//   - Collective: the result of a collective communication call that
+//     crosses the recovery line: executed while logging, with a participant
+//     still in the old epoch, which will not re-execute it (Section 4.5).
+//     Recovery returns the logged result without re-executing the call. A
+//     call whose participants share one epoch has no entry: all of them
+//     re-execute it.
 //   - Event: an application-level non-deterministic value (random number,
 //     clock reading) drawn through the protocol layer.
 

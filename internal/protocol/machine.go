@@ -285,8 +285,15 @@ func (m *machine) ctlState() uint32 {
 // collective applies Section 4.5's rules (see collective.go) to the
 // presence set of a collective's participants. laggard reports a rank in
 // the old epoch of a checkpoint in progress (AlignedBarrier checkpoints it).
-func (m *machine) collective(seen uint32) (laggard bool) {
-	mine := m.ctlState() & ctlColorBit
+// logs is the verdict that this participant logs the call's result: it is
+// still logging and a participant of the other color, one that executed the
+// call before its local checkpoint, is present (Figure 5, call A). The call
+// crosses the recovery line, and that participant will not re-execute it.
+// A call whose participants are all in this epoch is re-executed by every
+// one of them, so nobody logs it. Every logging participant sees the same
+// set in the same epoch, so their verdicts agree.
+func (m *machine) collective(seen uint32) (laggard, logs bool) {
+	mine := uint32(m.epoch) & ctlColorBit // this participant's color bit; epochs are not negative
 	// A logging participant stops if one in its (new) epoch has stopped, or
 	// if every participant (a Layer collective spans the world) is logging
 	// and ready: what the initiator counts messages to learn, learnt by all
@@ -303,7 +310,10 @@ func (m *machine) collective(seen uint32) (laggard bool) {
 		}
 		laggard = true
 	}
-	return laggard
+	// A participant of the other color, in any state ctlState gives it: not
+	// logging (the old epoch's), logging, or logging and ready.
+	other := uint32(1<<(mine^ctlColorBit) | 1<<otherLogging | 1<<(otherLogging|ctlReadyBit))
+	return laggard, m.amLogging && seen&other != 0
 }
 
 // potential counts a PotentialCheckpoint toward the EveryN trigger.

@@ -155,6 +155,9 @@ type explorer struct {
 	buf     []byte
 	commits int // transitions that committed, over all paths
 	classes [3]int
+	// verdicts counts the logging participants' collective verdicts: not
+	// logged (re-executed on recovery), and logged.
+	verdicts [2]int
 }
 
 func (x *explorer) fail(w *world, format string, args ...any) {
@@ -291,9 +294,12 @@ func (x *explorer) visit(w *world) {
 		x.step(w, 0, func(w *world, _ *machine) {
 			w.colls++
 			seen := uint32(1)<<w.ms[0].ctlState() | 1<<w.ms[1].ctlState()
-			w.ms[1].collective(seen)
+			logging := [2]bool{w.ms[0].amLogging, w.ms[1].amLogging}
+			var logs [2]bool
+			_, logs[1] = w.ms[1].collective(seen)
 			x.settle(w, 1, w.ms[0].init)
-			w.ms[0].collective(seen)
+			_, logs[0] = w.ms[0].collective(seen)
+			x.checkVerdicts(w, seen, logging, logs)
 		})
 	}
 	if !w.restored && w.committed >= 1 {
@@ -309,6 +315,46 @@ func (x *explorer) visit(w *world) {
 			}
 		}
 	}
+}
+
+// checkVerdicts holds a collective's logging verdicts to Section 4.5, with
+// the ranks' epochs as the truth: the participants that entered it logging
+// agree; a participant logs only while logging, and only a call that an
+// older epoch's participant (one of the other color in seen) executed
+// before its local checkpoint, which that participant will not re-execute
+// on recovery; and a participant still logging after such a call logs it.
+func (x *explorer) checkVerdicts(w *world, seen uint32, logging, logs [2]bool) {
+	x.t.Helper()
+	if logging[0] && logging[1] && logs[0] != logs[1] {
+		x.fail(w, "logging participants disagree on logging the collective: %v", logs)
+	}
+	for r, m := range w.ms {
+		switch {
+		case logs[r]:
+			x.verdicts[1]++
+		case logging[r]:
+			x.verdicts[0]++
+		}
+		other := w.ms[1-r]
+		crosses := other.epoch < m.epoch
+		if logs[r] && (!logging[r] || !crosses || !otherColorIn(seen, m.ctlState()&ctlColorBit)) {
+			x.fail(w, "rank %d (logging %v) logs a collective with rank %d in epoch %d, presence set %#x", r, logging[r], 1-r, other.epoch, seen)
+		}
+		if m.amLogging && crosses && !logs[r] {
+			x.fail(w, "rank %d logs no collective that rank %d executed in the older epoch %d", r, 1-r, other.epoch)
+		}
+	}
+}
+
+// otherColorIn reports whether the presence set holds a state whose color
+// bit is not color.
+func otherColorIn(seen, color uint32) bool {
+	for s := uint32(0); s <= ctlStateMask; s++ {
+		if seen&(1<<s) != 0 && s&ctlColorBit != color {
+			return true
+		}
+	}
+	return false
 }
 
 // rollback restarts both ranks from the committed epoch, as the supervisor
@@ -336,8 +382,11 @@ func TestMachineExhaustive(t *testing.T) {
 		w.ms[r] = newMachine(r, 2, 0, r == 0)
 	}
 	x.visit(w)
-	t.Logf("%d states, %d commits; messages delivered intra/late/early: %v", len(x.seen), x.commits, x.classes)
+	t.Logf("%d states, %d commits; messages delivered intra/late/early: %v; logging participants' collectives re-executed/logged: %v", len(x.seen), x.commits, x.classes, x.verdicts)
 	if x.commits == 0 || x.classes[Late] == 0 || x.classes[Early] == 0 {
 		t.Fatalf("the exploration never committed, or never delivered a late or an early message: %d commits, %v", x.commits, x.classes)
+	}
+	if x.verdicts[0] == 0 || x.verdicts[1] == 0 {
+		t.Fatalf("the exploration never met a logging participant's collective of both verdicts (re-executed/logged: %v)", x.verdicts)
 	}
 }

@@ -1,8 +1,10 @@
 package protocol
 
 import (
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"ccift/internal/mpi"
 	"ccift/internal/storage"
@@ -270,8 +272,9 @@ func TestFigure5CallA(t *testing.T) {
 			t.Fatalf("rank %d allreduce = %v", i, res)
 		}
 	}
-	// P and Q executed the call while logging: the result is in their
-	// logs. R executed it before its checkpoint: nothing logged.
+	// P and Q executed the call while logging, and R in the old epoch: the
+	// call crosses the recovery line, and the result is in P's and Q's logs.
+	// R executed it before its checkpoint: nothing logged.
 	countColl := func(l *Layer) int {
 		n := 0
 		for _, e := range l.log.entries {
@@ -379,6 +382,136 @@ func TestFigure5CallB(t *testing.T) {
 	_ = cs
 }
 
+// waitOrFail waits for wg and fails the test if it has not finished within
+// the deadline: a collective that one participant re-executes and another
+// skips waits forever, and the test must say so rather than hang.
+func waitOrFail(t *testing.T, wg *sync.WaitGroup, what string) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: still blocked after 10s; the participants disagree on which collectives a recovery re-executes", what)
+	}
+}
+
+// together runs f on every layer at once and waits for all of them.
+func together(t *testing.T, ls []*Layer, what string, f func(l *Layer)) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for _, l := range ls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(l)
+		}()
+	}
+	waitOrFail(t, &wg, what)
+}
+
+// TestCollectiveLoggedOnlyAcrossTheRecoveryLine: the initiator P takes its
+// local checkpoint one gap of collectives ahead of Q and R. The calls of
+// that gap — an Allreduce, whose control word rides on its own messages, and
+// a Gather to P, which runs the explicit exchange — cross the recovery line:
+// P executes them in the new epoch and re-executes them on recovery, Q and R
+// execute them in the old one and do not. So P logs their results. The same
+// two calls after Q's and R's checkpoints have every participant in the new
+// epoch, all of them logging: all three re-execute those, and nobody logs
+// them. A message Q sends R in the old epoch and R receives only after them
+// keeps the logging phase open across them (R cannot report ready), and it
+// is the one other entry: R's late message. After the commit a rank dies
+// and every rank rolls back to the committed checkpoint: P reads the
+// straddling results back, R its late message, all three re-execute the
+// rest, and every result is the fault-free one.
+func TestCollectiveLoggedOnlyAcrossTheRecoveryLine(t *testing.T) {
+	// gap is one rank's two collectives between checkpoints, their results
+	// side by side: the sum, then the gathered squares (zero off P).
+	gap := func(l *Layer, i int) []float64 {
+		v := float64(10*i + l.Rank() + 1)
+		sum := allreduce(l, mpi.F64Bytes([]float64{v}), mpi.SumF64)
+		squares := make([]byte, 8*l.Size())
+		l.GatherInto(0, squares, mpi.F64Bytes([]float64{v * v}))
+		return append(mpi.BytesF64(sum), mpi.BytesF64(squares)...)
+	}
+	ls, cs, _ := newTestLayers(t, 3, Full)
+	P, Q, R := ls[0], ls[1], ls[2]
+	late := []byte("old-epoch")
+
+	var results [3][2][]float64
+	P.requestCheckpoint()
+	P.PotentialCheckpoint()
+	Q.Send(2, 5, late)
+	together(t, ls, "the straddling gap", func(l *Layer) { results[l.Rank()][0] = gap(l, 0) })
+	for _, l := range []*Layer{Q, R} {
+		if l.Epoch() != 0 {
+			t.Fatalf("rank %d checkpointed before the straddling gap", l.Rank())
+		}
+		l.PotentialCheckpoint() // requested: a participant of the gap was logging in the new epoch
+	}
+	together(t, ls, "the gap inside the new epoch", func(l *Layer) { results[l.Rank()][1] = gap(l, 1) })
+	for i, l := range ls {
+		if !l.Logging() {
+			t.Fatalf("rank %d stopped logging before R received its late message", i)
+		}
+	}
+	if m := R.Recv(1, 5); string(m.Data) != string(late) {
+		t.Fatalf("R received %q", m.Data)
+	}
+	pump(t, ls, cs, 1)
+
+	// Pinned in bytes: a log is a count, then per entry its kind, sequence
+	// number, source, tag and length (5 bytes) and the payload. P's holds the
+	// two straddling results, 1 + (5+8) + (5+24) = 43; Q's is empty, 1; R's
+	// holds the late message, 1 + (5+9) = 15.
+	want := [3]*Log{NewLog(), NewLog(), NewLog()}
+	want[0].Add(Entry{Kind: KindCollective, Seq: 0, Data: mpi.F64Bytes(results[0][0][:1])})
+	want[0].Add(Entry{Kind: KindCollective, Seq: 1, Data: mpi.F64Bytes(results[0][0][1:])})
+	want[2].Add(Entry{Kind: KindLate, Seq: 0, Src: 1, Tag: 5, Data: late})
+	for i, n := range []int64{43, 1, 15} {
+		if got := ls[i].Stats.LogBytes; got != n || string(ls[i].log.Marshal()) != string(want[i].Marshal()) {
+			t.Fatalf("rank %d logged %d bytes, entries %+v; want %d, entries %+v", i, got, ls[i].log.entries, n, want[i].entries)
+		}
+	}
+
+	// A rank dies after the commit: every rank rolls back to epoch 1.
+	w2 := mpi.NewWorld(3, mpi.Options{})
+	ls2 := make([]*Layer, 3)
+	recs := recoverySlices(t, cs, 1, 3)
+	for r := range ls2 {
+		ls2[r] = NewLayer(w2.Comm(r), Config{Mode: Full, Store: cs, Debug: true})
+		if err := ls2[r].RestoreFrom(recs[r], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var again [3][2][]float64
+	var replayed []byte
+	together(t, ls2, "the recovery", func(l *Layer) {
+		if l.Rank() == 0 {
+			again[0][0] = gap(l, 0) // from the log: Q and R do not re-execute it
+		}
+		again[l.Rank()][1] = gap(l, 1)
+		if l.Rank() == 2 {
+			replayed = l.Recv(1, 5).Data // from the log: Q does not re-send it
+		}
+	})
+	if !slices.Equal(again[0][0], results[0][0]) || string(replayed) != string(late) {
+		t.Fatalf("P replayed the straddling gap as %v (fault-free %v), R the late message as %q", again[0][0], results[0][0], replayed)
+	}
+	for r, l := range ls2 {
+		if !slices.Equal(again[r][1], results[r][1]) {
+			t.Fatalf("rank %d re-executed the new epoch's gap as %v, fault-free %v", r, again[r][1], results[r][1])
+		}
+		want := int64(0) // the collective results read back: P's two
+		if r == 0 {
+			want = 2
+		}
+		if l.Stats.ReplayedResults != want || !l.replay.Exhausted() {
+			t.Fatalf("rank %d read %d results back (replay exhausted: %v), want %d", r, l.Stats.ReplayedResults, l.replay.Exhausted(), want)
+		}
+	}
+}
+
 // TestAlignedBarrierEpochAlignment verifies the MPI_Barrier rule of
 // Section 4.5: all processes execute an aligned barrier in the same epoch,
 // with laggards taking their pending checkpoint first.
@@ -411,8 +544,9 @@ func TestAlignedBarrierEpochAlignment(t *testing.T) {
 }
 
 // TestLoggedBarrierSkippedOnRecovery verifies the library's default barrier
-// treatment: a barrier executed while logging is recorded and skipped on
-// recovery, so ranks whose checkpoints straddle it never deadlock.
+// treatment: a barrier executed while logging, with a participant still in
+// the old epoch, is recorded and skipped on recovery, so ranks whose
+// checkpoints straddle it never deadlock.
 //
 // The scenario uses three ranks so that the logging phase provably cannot
 // end before the barrier: R has not taken its local checkpoint when the
@@ -432,15 +566,9 @@ func TestLoggedBarrierSkippedOnRecovery(t *testing.T) {
 		t.Fatal("setup: P and Q should be logging, R not")
 	}
 
-	var wg sync.WaitGroup
-	for _, l := range []*Layer{P, Q, R} {
-		wg.Add(1)
-		go func(l *Layer) {
-			defer wg.Done()
-			l.Barrier() // P, Q logging: entry recorded; R in old epoch: live
-		}(l)
-	}
-	wg.Wait()
+	together(t, ls, "the barrier", func(l *Layer) {
+		l.Barrier() // P, Q logging: entry recorded; R in old epoch: live
+	})
 	if !P.Logging() || !Q.Logging() {
 		t.Fatal("P and Q must still be logging after the barrier (R's mySendCount is outstanding)")
 	}
@@ -462,8 +590,14 @@ func TestLoggedBarrierSkippedOnRecovery(t *testing.T) {
 	// the sequential calls below cannot deadlock. R's checkpoint is from
 	// after the barrier, so R never re-executes it — which is why converting
 	// the logged barrier into a log lookup is the only consistent treatment.
-	l2[0].Barrier()
-	l2[1].Barrier()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		l2[0].Barrier()
+		l2[1].Barrier()
+	}()
+	waitOrFail(t, &wg, "P's and Q's recovered barriers")
 	for i, l := range l2 {
 		if !l.replay.Exhausted() {
 			t.Fatalf("rank %d: log entries should have been consumed", i)
