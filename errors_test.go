@@ -178,6 +178,13 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 			want:       ccift.ErrProgram,
 		},
 		{
+			name:       "registers a struct",
+			opts:       base(),
+			workerProg: "struct",
+			want:       ccift.ErrProgram,
+			wantMsg:    `"origin"`,
+		},
+		{
 			name:     "worker binary unspawnable",
 			opts:     base(),
 			want:     ccift.ErrTransport,
@@ -228,6 +235,34 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 		}
 		if !tc.inprocOnly {
 			t.Run(tc.name+"/distributed", func(t *testing.T) { run(t, true) })
+		}
+	}
+}
+
+// TestRegisteringATypeWithNoLayoutFails: a variable of a type the
+// checkpoint does not lay out fails the run as the program's error, naming
+// the variable and its type, where it registers — before any checkpoint
+// reaches the store.
+func TestRegisteringATypeWithNoLayoutFails(t *testing.T) {
+	for name, ptr := range map[string]func() any{
+		"struct": func() any { return &struct{ X, Y float64 }{} },
+		"map":    func() any { return &map[string]int{} },
+		"int32s": func() any { return &[]int32{} },
+	} {
+		store := ccift.NewMemoryStore()
+		_, err := ccift.Launch(context.Background(), ccift.NewSpec(
+			ccift.WithRanks(2), ccift.WithMode(ccift.Full), ccift.WithEveryN(1), ccift.WithStore(store)),
+			func(r *ccift.Rank) (any, error) {
+				r.Register(name, ptr())
+				r.PotentialCheckpoint()
+				return nil, nil
+			})
+		assertExactlyOne(t, err, ccift.ErrProgram)
+		if want := fmt.Sprintf("%q): %T has no checkpoint layout", name, ptr()); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %v does not say %s", name, err, want)
+		}
+		if keys, _ := store.List(""); len(keys) != 0 {
+			t.Errorf("%s: the store holds %v", name, keys)
 		}
 	}
 }

@@ -1,13 +1,19 @@
 package ckpt
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"math"
-	"net/netip"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
-	"time"
+
+	"ccift/internal/wire"
 )
 
 func TestCodecRoundTripScalars(t *testing.T) {
@@ -56,10 +62,7 @@ func TestCodecRoundTripScalars(t *testing.T) {
 
 func roundTrip(t *testing.T, src, dst any) {
 	t.Helper()
-	raw, err := Encode(src)
-	if err != nil {
-		t.Fatalf("encode %T: %v", src, err)
-	}
+	raw := Encode(src)
 	if err := Decode(raw, dst); err != nil {
 		t.Fatalf("decode %T: %v", dst, err)
 	}
@@ -103,44 +106,9 @@ func TestCodecRoundTripSlices(t *testing.T) {
 	}
 }
 
-func TestCodecGobFallback(t *testing.T) {
-	type point struct{ X, Y float64 }
-	p := point{1, 2}
-	var p2 point
-	roundTrip(t, &p, &p2)
-	if p2 != p {
-		t.Fatalf("struct: got %+v", p2)
-	}
-	m := map[string]int{"a": 1}
-	var m2 map[string]int
-	roundTrip(t, &m, &m2)
-	if m2["a"] != 1 {
-		t.Fatalf("map: got %v", m2)
-	}
-	// Every kind of type definition gob sends: a struct, a slice, an
-	// array, a map, a GobEncoder and a BinaryMarshaler.
-	type nested struct {
-		Rows  []point
-		Grid  [2][3]int
-		Index map[string][]int
-		When  time.Time
-		Where netip.Addr
-	}
-	n := nested{Rows: []point{{1, 2}, {3, 4}}, Grid: [2][3]int{{1}, {0, 2}}, Index: map[string][]int{"k": {5}},
-		When: time.Unix(1e9, 7).UTC(), Where: netip.MustParseAddr("10.0.0.1")}
-	var n2 nested
-	roundTrip(t, &n, &n2)
-	if !reflect.DeepEqual(n2, n) {
-		t.Fatalf("nested: got %+v", n2)
-	}
-}
-
 func TestCodecTagMismatch(t *testing.T) {
 	i := 3
-	raw, err := Encode(&i)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := Encode(&i)
 	var f float64
 	if err := Decode(raw, &f); err == nil {
 		t.Fatal("decoding int bytes into *float64 should fail")
@@ -149,10 +117,7 @@ func TestCodecTagMismatch(t *testing.T) {
 
 func TestCodecDecodeIntoExistingBuffer(t *testing.T) {
 	xs := []float64{1, 2, 3}
-	raw, err := Encode(&xs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := Encode(&xs)
 	dst := make([]float64, 8) // larger capacity: must be reused and resized
 	hold := dst[:cap(dst)]
 	if err := Decode(raw, &dst); err != nil {
@@ -171,10 +136,7 @@ func TestCodecDecodeIntoExistingBuffer(t *testing.T) {
 // empty one too.
 func TestCodecDecodeMatrixIntoLiveRows(t *testing.T) {
 	for _, saved := range [][][]float64{nil, {}, {{1, 2}}, {{1}, {}, {2, 3}, {4}}} {
-		raw, err := Encode(&saved)
-		if err != nil {
-			t.Fatal(err)
-		}
+		raw := Encode(&saved)
 		live := [][]float64{{9, 9}, {9}, {9}}
 		if err := Decode(raw, &live); err != nil || len(live) != len(saved) {
 			t.Fatalf("%v into three rows: %v, %v", saved, live, err)
@@ -190,11 +152,7 @@ func TestCodecDecodeMatrixIntoLiveRows(t *testing.T) {
 // TestCodecFailedDecodeKeepsTheVariable: a record cut short, or of another
 // type, fails and leaves the variable as it was.
 func TestCodecFailedDecodeKeepsTheVariable(t *testing.T) {
-	type point struct{ X, Y int }
-	other, err := Encode(ptr(uint64(3))) // a type none of the variables has
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := Encode(ptr(uint64(3))) // a type none of the variables has
 	for name, pair := range map[string]func() (saved, live any){
 		"int":    func() (any, any) { return ptr(-1), ptr(7) },
 		"f64":    func() (any, any) { return ptr(0.5), ptr(2.5) },
@@ -203,13 +161,9 @@ func TestCodecFailedDecodeKeepsTheVariable(t *testing.T) {
 		"bytes":  func() (any, any) { return ptr([]byte("saved")), ptr([]byte("live")) },
 		"floats": func() (any, any) { return ptr([]float64{1, 2, 3}), ptr([]float64{9}) },
 		"matrix": func() (any, any) { return ptr([][]float64{{1}, {2, 3}}), ptr([][]float64{{9, 9}}) },
-		"gob":    func() (any, any) { return &point{1, 2}, &point{9, 9} },
 	} {
 		saved, _ := pair()
-		raw, err := Encode(saved)
-		if err != nil {
-			t.Fatal(err)
-		}
+		raw := Encode(saved)
 		cuts := [][]byte{other}
 		for k := range raw {
 			cuts = append(cuts, raw[:k])
@@ -227,10 +181,7 @@ func TestCodecFailedDecodeKeepsTheVariable(t *testing.T) {
 
 func TestCodecPropertyFloatSlices(t *testing.T) {
 	f := func(xs []float64) bool {
-		raw, err := Encode(&xs)
-		if err != nil {
-			return false
-		}
+		raw := Encode(&xs)
 		var back []float64
 		if err := Decode(raw, &back); err != nil {
 			return false
@@ -252,10 +203,7 @@ func TestCodecPropertyFloatSlices(t *testing.T) {
 
 func TestCodecPropertyStrings(t *testing.T) {
 	f := func(s string) bool {
-		raw, err := Encode(&s)
-		if err != nil {
-			return false
-		}
+		raw := Encode(&s)
 		var back string
 		return Decode(raw, &back) == nil && back == s
 	}
@@ -424,6 +372,83 @@ func TestVDSRebind(t *testing.T) {
 func TestVDSNilPointer(t *testing.T) {
 	if err := NewVDS().Push("x", nil); err == nil {
 		t.Fatal("nil pointer must be rejected")
+	}
+}
+
+// TestVDSRefusesTypesWithNoLayout: every registration kind refuses a
+// pointer to a type the codec does not lay out, naming the variable and its
+// type, and registers nothing.
+func TestVDSRefusesTypesWithNoLayout(t *testing.T) {
+	type point struct{ X, Y float64 }
+	type handle int64
+	for _, ptr := range []any{&point{}, new(map[string]int), new([]int32), new(handle), new([2]float64), new(*int), 7} {
+		want := fmt.Sprintf(`"x"): %T has no checkpoint layout; register a pointer to one of int, `, ptr)
+		v := NewVDS()
+		for kind, push := range map[string]func() error{
+			"saved":      func() error { return v.Push("x", ptr) },
+			"computed":   func() error { return v.PushComputed("x", ptr, func() error { return nil }) },
+			"replicated": func() error { return v.PushReplicated("x", ptr) },
+		} {
+			if err := push(); err == nil || !strings.Contains(err.Error(), want) || v.Live("x") {
+				t.Errorf("%s %T: %v (live %v), want an error containing %q", kind, ptr, err, v.Live("x"), want)
+			}
+		}
+	}
+}
+
+// TestLaidOutTypesAreOneList holds laidOut, codeValue and copyValue in
+// step: the two functions have a case for exactly the listed types, each
+// listed name spells its pointer's type, the scalars are the types that are
+// not slices, and every listed type registers, freezes and round-trips.
+func TestLaidOutTypesAreOneList(t *testing.T) {
+	var names []string
+	for _, lt := range laidOut {
+		names = append(names, lt.name)
+		elem := reflect.TypeOf(lt.ptr).Elem()
+		if spelled := strings.ReplaceAll(elem.String(), "uint8", "byte"); spelled != lt.name {
+			t.Errorf("laidOut names %s by a *%s", lt.name, spelled)
+		}
+		if lt.scalar != (elem.Kind() != reflect.Slice) {
+			t.Errorf("%s: scalar %v, but the scalars are exactly the types that are not slices", lt.name, lt.scalar)
+		}
+		if ok, scalar := LaidOut(lt.name); !ok || scalar != lt.scalar {
+			t.Errorf("LaidOut(%q) = %v, %v", lt.name, ok, scalar)
+		}
+		s := NewSaver()
+		if err := s.VDS.Push("v", reflect.New(elem).Interface()); err != nil {
+			t.Fatal(err)
+		}
+		f, err := s.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := reflect.New(elem).Interface()
+		if err := Decode(wire.Encode(nil, f.vds[0].record), back); err != nil {
+			t.Errorf("%s: %v", lt.name, err)
+		}
+		f.Release()
+	}
+	fset := token.NewFileSet()
+	for file, fn := range map[string]string{"codec.go": "codeValue", "freeze.go": "copyValue"} {
+		src, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cases []string
+		ast.Inspect(src, func(n ast.Node) bool {
+			if d, ok := n.(*ast.FuncDecl); ok && d.Name.Name != fn {
+				return false
+			}
+			if cc, ok := n.(*ast.CaseClause); ok {
+				for _, e := range cc.List {
+					cases = append(cases, strings.TrimPrefix(types.ExprString(e), "*"))
+				}
+			}
+			return true
+		})
+		if !slices.Equal(cases, names) {
+			t.Errorf("%s in %s has a case for %v; laidOut lists %v", fn, file, cases, names)
+		}
 	}
 }
 

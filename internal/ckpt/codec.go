@@ -1,10 +1,8 @@
 package ckpt
 
 import (
-	"bytes"
-	"encoding/gob"
-	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 
 	"ccift/internal/wire"
@@ -12,11 +10,12 @@ import (
 
 // The checkpoint codec. C3 copies raw bytes from the VDS/HOS descriptors
 // into the checkpoint file; the Go analogue is a compact little-endian
-// encoding with fast paths for the numeric kernels HPC codes checkpoint
-// ([]float64 grids and vectors, counters) and a gob fallback for arbitrary
-// structured data. The fast paths matter because checkpoint cost in
-// Figure 8 is dominated by moving application state, so the encoder must
-// run near memory bandwidth rather than at reflection speed.
+// encoding of the types HPC codes checkpoint: numeric scalars, strings,
+// []float64 grids and vectors, integer vectors and byte buffers. The
+// layouts matter because checkpoint cost in Figure 8 is dominated by moving
+// application state, so the encoder must run near memory bandwidth rather
+// than at reflection speed. A variable of any other type is refused when it
+// registers (see admit): a program registers a struct's fields instead.
 
 // Type tags for the encoding.
 const (
@@ -31,14 +30,66 @@ const (
 	tagIntSlice
 	tagInt64Slice
 	tagFloat64Matrix
-	tagGob
 )
 
-// Encode serializes the value pointed to by ptr.
-func Encode(ptr any) ([]byte, error) {
-	var err error
-	raw := wire.Encode(nil, func(c *wire.Codec) { err = codeValue(c, ptr) })
-	return raw, err
+// laidOut is the one list of the types a variable may be registered with:
+// each has a case in codeValue and in copyValue. A type is named as Go
+// source spells it (what the precompiler reads), given by a pointer to a
+// value of it (what a registration is checked against), and marked scalar
+// when every freeze re-copies it: a few bytes, which a loop counter changes
+// every iteration without a Touch, so dirty-tracking it would trade a free
+// copy for a stale-state hazard.
+var laidOut = []struct {
+	name   string
+	ptr    any
+	scalar bool
+}{
+	{"int", new(int), true},
+	{"int64", new(int64), true},
+	{"uint64", new(uint64), true},
+	{"float64", new(float64), true},
+	{"bool", new(bool), true},
+	{"string", new(string), true},
+	{"[]byte", new([]byte), false},
+	{"[]float64", new([]float64), false},
+	{"[]int", new([]int), false},
+	{"[]int64", new([]int64), false},
+	{"[][]float64", new([][]float64), false},
+}
+
+// LaidOut reports whether the codec lays out the type Go source spells as
+// name, and whether that type is a scalar.
+func LaidOut(name string) (ok, scalar bool) {
+	for _, t := range laidOut {
+		if t.name == name {
+			return true, t.scalar
+		}
+	}
+	return false, false
+}
+
+// admit checks a registration's pointer: it must be non-nil and point to a
+// laid-out type. It reports whether that type is a scalar.
+func admit(op, name string, ptr any) (scalar bool, err error) {
+	if ptr == nil {
+		return false, fmt.Errorf("ckpt: VDS.%s(%q): nil pointer", op, name)
+	}
+	for _, t := range laidOut {
+		if reflect.TypeOf(t.ptr) == reflect.TypeOf(ptr) {
+			return t.scalar, nil
+		}
+	}
+	var names []string
+	for _, t := range laidOut {
+		names = append(names, t.name)
+	}
+	return false, fmt.Errorf("ckpt: VDS.%s(%q): %T has no checkpoint layout; register a pointer to one of %s (a struct's fields one by one)",
+		op, name, ptr, strings.Join(names, ", "))
+}
+
+// Encode serializes the value pointed to by ptr, one of the laid-out types.
+func Encode(ptr any) []byte {
+	return wire.Encode(nil, func(c *wire.Codec) { codeValue(c, ptr) })
 }
 
 // Decode deserializes raw (produced by Encode) into the value pointed to by
@@ -46,20 +97,19 @@ func Encode(ptr any) ([]byte, error) {
 // What it stores through ptr is a copy (for *[]float64, a conversion) and
 // never a view of raw, which a survivor restores from again.
 func Decode(raw []byte, ptr any) error {
-	var gobErr error
-	if err := wire.Decode(raw, func(c *wire.Codec) { gobErr = codeValue(c, ptr) }); err != nil {
+	if err := wire.Decode(raw, func(c *wire.Codec) { codeValue(c, ptr) }); err != nil {
 		return fmt.Errorf("ckpt: decode %T: %w", ptr, err)
 	}
-	return gobErr
+	return nil
 }
 
 // codeValue is the value codec's one layout: a type tag, then the value.
 // Words are 8 bytes little-endian, a bool the uvarint 0 or 1, strings and
 // byte slices a length and their bytes, vectors a count and their words. A
 // numeric vector decodes into the array the variable has when it is big
-// enough; a matrix decodes into new rows. The error is gob's, either way; a
-// field that does not fit fails c and leaves *ptr as it was.
-func codeValue(c *wire.Codec, ptr any) error {
+// enough; a matrix decodes into new rows. A field that does not fit fails c
+// and leaves *ptr as it was.
+func codeValue(c *wire.Codec, ptr any) {
 	switch p := ptr.(type) {
 	case *int:
 		tag(c, tagInt)
@@ -95,26 +145,8 @@ func codeValue(c *wire.Codec, ptr any) error {
 		tag(c, tagFloat64Matrix)
 		wire.Seq(c, "row", p, 1, func(row *[]float64) { wire.Words(c, row) })
 	default:
-		var raw []byte
-		if !c.Decoding() {
-			var b bytes.Buffer
-			if err := gob.NewEncoder(&b).Encode(ptr); err != nil {
-				return fmt.Errorf("ckpt: gob encode %T: %w", ptr, err)
-			}
-			raw = b.Bytes()
-		}
-		tag(c, tagGob)
-		if wire.View(c, &raw); !c.Decoding() || c.Err() != nil {
-			return nil
-		}
-		if !gobFramed(raw) {
-			return fmt.Errorf("ckpt: gob decode %T: %w", ptr, errTornGob)
-		}
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(ptr); err != nil {
-			return fmt.Errorf("ckpt: gob decode %T: %w", ptr, err)
-		}
+		panic(fmt.Sprintf("ckpt: %T has no checkpoint layout", ptr)) // admit refuses it at registration
 	}
-	return nil
 }
 
 // tag codes a value's type tag; decoded, it must be want.
@@ -122,108 +154,4 @@ func tag(c *wire.Codec, want byte) {
 	got := want
 	wire.Uint(c, &got)
 	c.Require(got == want, "tag %d, want %d", got, want)
-}
-
-// errTornGob is a gob field whose messages, or the types they define, claim
-// more bytes than it holds.
-var errTornGob = errors.New("a message or a type it defines claims more bytes than the field holds")
-
-// gobFramed reports whether b is a whole number of gob messages, each type
-// definition among them within its message. The gob decoder allocates what
-// a count claims (up to 10 MB at a time) before it reads what is counted: a
-// message's length, and the field list of a struct type it is told about.
-// Checked here first, every such claim it meets is backed by bytes that are
-// present. (A value's own lists are the value type's business: a type the
-// codec falls back to gob for is trusted as far as gob trusts it.)
-func gobFramed(b []byte) bool {
-	for len(b) > 0 {
-		n, rest, ok := gobUint(b)
-		if !ok || n > uint64(len(rest)) {
-			return false
-		}
-		// A message that starts with a negative type id (low bit 1) defines it.
-		if id, def, _ := gobUint(rest[:n]); id&1 == 1 {
-			if _, ok := skipGobStruct(def, "wireType"); !ok {
-				return false
-			}
-		}
-		b = rest[n:]
-	}
-	return true
-}
-
-// gobWire is encoding/gob's wire form of a type definition, its wireType
-// and the structs under it: each struct's fields in order, as a struct's
-// name, "int", "string", or "[]" and the name of the elements' struct.
-var gobWire = map[string][]string{
-	"wireType":       {"arrayType", "sliceType", "structType", "mapType", "gobEncoderType", "gobEncoderType", "gobEncoderType"},
-	"arrayType":      {"CommonType", "int", "int"},
-	"sliceType":      {"CommonType", "int"},
-	"structType":     {"CommonType", "[]fieldType"},
-	"mapType":        {"CommonType", "int", "int"},
-	"gobEncoderType": {"CommonType"},
-	"CommonType":     {"string", "int"},
-	"fieldType":      {"string", "int"},
-}
-
-// skipGobStruct skips one gob-encoded struct of gobWire's kind at the front
-// of b: each field sent is the step from the previous field's number and
-// its value, and a step of 0 ends the struct. A field the kind does not
-// have, a string longer than the bytes left or a list of more elements than
-// there are bytes left (an element takes one at least) is not ok.
-func skipGobStruct(b []byte, kind string) ([]byte, bool) {
-	fields, field := gobWire[kind], 0
-	for {
-		step, rest, ok := gobUint(b)
-		if !ok || step > uint64(len(fields)-field) {
-			return nil, false
-		}
-		if b = rest; step == 0 {
-			return b, true
-		}
-		field += int(step)
-		var n uint64
-		switch f := fields[field-1]; {
-		case f == "int":
-			_, b, ok = gobUint(b)
-		case f == "string":
-			if n, b, ok = gobUint(b); ok && n <= uint64(len(b)) {
-				b = b[n:]
-			} else {
-				ok = false
-			}
-		case strings.HasPrefix(f, "[]"):
-			if n, b, ok = gobUint(b); n > uint64(len(b)) {
-				ok = false
-			}
-			for ; ok && n > 0; n-- {
-				b, ok = skipGobStruct(b, f[2:])
-			}
-		default:
-			b, ok = skipGobStruct(b, f)
-		}
-		if !ok {
-			return nil, false
-		}
-	}
-}
-
-// gobUint reads one of gob's unsigned integers: a byte below 0x80, or a
-// negated byte count and then that many bytes, high byte first.
-func gobUint(b []byte) (uint64, []byte, bool) {
-	if len(b) == 0 {
-		return 0, nil, false
-	}
-	if b[0] <= 0x7f {
-		return uint64(b[0]), b[1:], true
-	}
-	k := 256 - int(b[0])
-	if k > 8 || k >= len(b) {
-		return 0, nil, false
-	}
-	var n uint64
-	for _, c := range b[1 : 1+k] {
-		n = n<<8 | uint64(c)
-	}
-	return n, b[1+k:], true
 }

@@ -34,10 +34,7 @@ func (s *Saver) VerifyFrozen(f *Frozen) error {
 		if !ok {
 			return fmt.Errorf("ckpt: freeze cross-check: frozen variable %q is not live", fe.name)
 		}
-		want, err := s.VDS.record(&s.VDS.entries[idx])
-		if err != nil {
-			return fmt.Errorf("ckpt: freeze cross-check: encode live %q: %w", fe.name, err)
-		}
+		want := s.VDS.record(&s.VDS.entries[idx])
 		if got = wire.Encode(got[:0], fe.record); !bytes.Equal(got, want) {
 			return fmt.Errorf("ckpt: freeze cross-check: variable %q: the frozen copy differs from the live value — "+
 				"a write since the last checkpoint was not followed by Touch/TouchRange(%q)", fe.name, fe.name)

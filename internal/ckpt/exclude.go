@@ -42,18 +42,19 @@ const (
 // PushComputed registers a variable whose value is excluded from
 // checkpoints: only a fingerprint is saved, and on restart recompute must
 // regenerate the identical value (the fingerprint is verified). ptr must be
-// a pointer to a codec-supported value.
+// a pointer to a laid-out type, as for Push.
 //
 // If a restart is in progress and a saved fingerprint exists under name,
 // recompute runs immediately and the result is checked.
 func (v *VDS) PushComputed(name string, ptr any, recompute func() error) error {
-	if ptr == nil {
-		return fmt.Errorf("ckpt: VDS.PushComputed(%q): nil pointer", name)
+	scalar, err := admit("PushComputed", name, ptr)
+	if err != nil {
+		return err
 	}
 	if recompute == nil {
 		return fmt.Errorf("ckpt: VDS.PushComputed(%q): nil recompute function", name)
 	}
-	v.pushEntry(vdsEntry{name: name, ptr: ptr, kind: kindComputed, recompute: recompute})
+	v.pushEntry(vdsEntry{name: name, ptr: ptr, kind: kindComputed, recompute: recompute, scalar: scalar})
 	if v.restore != nil {
 		if rec, ok := v.restore[name]; ok {
 			if rec.kind != kindComputed {
@@ -62,11 +63,7 @@ func (v *VDS) PushComputed(name string, ptr any, recompute func() error) error {
 			if err := recompute(); err != nil {
 				return fmt.Errorf("ckpt: recompute %q: %w", name, err)
 			}
-			sum, err := fingerprint(ptr)
-			if err != nil {
-				return err
-			}
-			if !bytes.Equal(sum, rec.data) {
+			if !bytes.Equal(fingerprint(ptr), rec.data) {
 				return fmt.Errorf("ckpt: recompute %q: fingerprint mismatch — the recomputation does not reproduce the checkpointed value", name)
 			}
 			delete(v.restore, name)
@@ -78,12 +75,14 @@ func (v *VDS) PushComputed(name string, ptr any, recompute func() error) error {
 // PushReplicated registers a variable that every rank holds identically.
 // Only the primary rank's checkpoint carries the value; the others carry a
 // marker. On restart the recovery driver supplies the primary's copy via
-// SetReplicas, and this registration restores from it.
+// SetReplicas, and this registration restores from it. ptr must be a
+// pointer to a laid-out type, as for Push.
 func (v *VDS) PushReplicated(name string, ptr any) error {
-	if ptr == nil {
-		return fmt.Errorf("ckpt: VDS.PushReplicated(%q): nil pointer", name)
+	scalar, err := admit("PushReplicated", name, ptr)
+	if err != nil {
+		return err
 	}
-	v.pushEntry(vdsEntry{name: name, ptr: ptr, kind: kindReplicated})
+	v.pushEntry(vdsEntry{name: name, ptr: ptr, kind: kindReplicated, scalar: scalar})
 	if v.restore != nil {
 		if rec, ok := v.restore[name]; ok {
 			if rec.kind != kindReplicated {
@@ -114,14 +113,10 @@ func (v *VDS) SetReplicas(replicas map[string][]byte) {
 }
 
 // fingerprint hashes a value's encoding; 16 bytes of FNV-128a.
-func fingerprint(ptr any) ([]byte, error) {
-	raw, err := Encode(ptr)
-	if err != nil {
-		return nil, err
-	}
+func fingerprint(ptr any) []byte {
 	h := fnv.New128a()
-	h.Write(raw)
-	return h.Sum(nil), nil
+	h.Write(Encode(ptr))
+	return h.Sum(nil)
 }
 
 // ReplicatedCarried reports how many replicated values the frozen state

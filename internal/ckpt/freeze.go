@@ -225,11 +225,12 @@ type Frozen struct {
 type frozenEntry struct {
 	name string
 	kind entryKind
-	// Exactly one of enc/ptr/pages holds the value: enc is a pre-encoded
-	// record (gob fallback, computed fingerprint), ptr an owned deep copy
-	// of a fast-path value (encoded lazily at write time), pages the
-	// page-granular capture of a large slice. All nil is the zero-length
-	// replicated marker of a non-primary rank.
+	// Exactly one of enc/ptr/pages holds the value: enc an encoded record
+	// (a computed entry's fingerprint, or any record parsed from a blob or
+	// encoded live by Saver.Snapshot), ptr an owned deep copy of the value
+	// (encoded lazily at write time), pages the page-granular capture of a
+	// large slice. All nil is the zero-length replicated marker of a
+	// non-primary rank.
 	enc  []byte
 	ptr  any
 	size int // the record's size, measured once at capture: its frame
@@ -296,11 +297,11 @@ type frozenBlock struct {
 }
 
 // Freeze captures an immutable snapshot of the Saver's current state. The
-// cost is one copy of the live bytes (plus immediate encoding for values
-// outside the codec's fast paths and fingerprinting for computed entries);
-// no serialization or storage I/O happens here. With s.Incremental set,
-// regions untouched since the previous Freeze are re-referenced from it
-// instead of copied — see the Touch contract on VDS.Touch and Heap.Touch.
+// cost is one copy of the live bytes (plus fingerprinting for computed
+// entries); no serialization or storage I/O happens here. With
+// s.Incremental set, regions untouched since the previous Freeze are
+// re-referenced from it instead of copied — see the Touch contract on
+// VDS.Touch and Heap.Touch.
 func (s *Saver) Freeze() (*Frozen, error) {
 	f := &Frozen{trace: s.PS.Snapshot(), pool: &s.pool}
 	var prevVDS map[string]frozenEntry
@@ -396,18 +397,6 @@ func (f *Frozen) Release() {
 // a pool nobody will draw from again.
 func (f *Frozen) Disown() { f.pool = nil }
 
-// scalarPtr reports whether ptr is one of the always-recaptured scalar
-// types. Their copies are a few bytes, and counters legitimately change
-// every iteration without a Touch, so dirty-tracking them would trade a
-// free copy for a stale-state hazard.
-func scalarPtr(ptr any) bool {
-	switch ptr.(type) {
-	case *int, *int64, *uint64, *float64, *bool, *string:
-		return true
-	}
-	return false
-}
-
 // freeze captures the VDS section into f. With a non-nil prev map
 // (incremental mode), a non-scalar entry whose write-clock stamp matches
 // the previous epoch's capture is re-referenced instead of copied; a large
@@ -426,7 +415,7 @@ func (v *VDS) freeze(pool *bufPool, prev map[string]frozenEntry, f *Frozen) ([]f
 			f.regions++
 		}
 		var pe *frozenEntry
-		if prev != nil && !scalarPtr(e.ptr) {
+		if prev != nil && !e.scalar {
 			if p, ok := prev[e.name]; ok && p.kind == e.kind {
 				if p.gen == e.gen {
 					p.retainSlabs()
@@ -444,20 +433,13 @@ func (v *VDS) freeze(pool *bufPool, prev map[string]frozenEntry, f *Frozen) ([]f
 		fe := frozenEntry{name: e.name, kind: e.kind, gen: e.gen}
 		switch e.kind {
 		case kindSaved:
-			if err := fe.captureValue(e.ptr, e.name, pool); err != nil {
-				return nil, err
-			}
+			fe.captureValue(e.ptr, pool)
 		case kindComputed:
-			sum, err := fingerprint(e.ptr)
-			if err != nil {
-				return nil, fmt.Errorf("ckpt: fingerprint %q: %w", e.name, err)
-			}
-			fe.enc, fe.size = sum, len(sum)
+			fe.enc = fingerprint(e.ptr)
+			fe.size = len(fe.enc)
 		case kindReplicated:
 			if v.Primary {
-				if err := fe.captureValue(e.ptr, e.name, pool); err != nil {
-					return nil, err
-				}
+				fe.captureValue(e.ptr, pool)
 			}
 			// Non-primary: the zero-length marker (enc and ptr both nil).
 		default:
@@ -519,18 +501,10 @@ func capturePaged(e *vdsEntry, prev *frozenEntry, elems, perPage, numPages int, 
 	return fe
 }
 
-func (fe *frozenEntry) captureValue(ptr any, name string, pool *bufPool) error {
-	if owned, sl, ok := copyValue(ptr, pool); ok {
-		fe.ptr, fe.slab = owned, sl
-		fe.size = wire.Size(fe.record)
-		return nil
-	}
-	raw, err := Encode(ptr)
-	if err != nil {
-		return fmt.Errorf("ckpt: encode %q: %w", name, err)
-	}
-	fe.enc, fe.size = raw, len(raw)
-	return nil
+// captureValue takes an owned copy of the value and measures its record.
+func (fe *frozenEntry) captureValue(ptr any, pool *bufPool) {
+	fe.ptr, fe.slab = copyValue(ptr, pool)
+	fe.size = wire.Size(fe.record)
 }
 
 // freeze captures the heap section into f, sharing clean blocks from the
@@ -556,48 +530,46 @@ func (h *Heap) freeze(pool *bufPool, prev map[int]frozenBlock, f *Frozen) frozen
 	return frozenHeap{next: h.nextID, blocks: blocks}
 }
 
-// copyValue returns an owned deep copy of the pointed-to value, for the
-// codec's fast-path types. ok is false for types that need the gob
-// fallback (those are encoded at freeze time). The large slab types draw
-// their copies from pool and report the refcounted slab that owns the
-// buffer; Frozen.Release returns it for the next epoch once the last
-// sharer is done.
-func copyValue(ptr any, pool *bufPool) (owned any, sl *slab, ok bool) {
+// copyValue returns an owned deep copy of the pointed-to value, one of the
+// laid-out types. The large slab types draw their copies from pool and
+// report the refcounted slab that owns the buffer; Frozen.Release returns
+// it for the next epoch once the last sharer is done.
+func copyValue(ptr any, pool *bufPool) (owned any, sl *slab) {
 	switch p := ptr.(type) {
 	case *int:
-		return clone(p), nil, true
+		return clone(p), nil
 	case *int64:
-		return clone(p), nil, true
+		return clone(p), nil
 	case *uint64:
-		return clone(p), nil, true
+		return clone(p), nil
 	case *float64:
-		return clone(p), nil, true
+		return clone(p), nil
 	case *bool:
-		return clone(p), nil, true
+		return clone(p), nil
 	case *string:
-		return clone(p), nil, true // strings are immutable; sharing is a safe copy
+		return clone(p), nil // strings are immutable; sharing is a safe copy
 	case *[]byte:
 		sl := newByteSlab(pool, len(*p))
 		copy(sl.byt, *p)
-		return &sl.byt, sl, true
+		return &sl.byt, sl
 	case *[]float64:
 		sl := newF64Slab(pool, len(*p))
 		copy(sl.f64, *p)
-		return &sl.f64, sl, true
+		return &sl.f64, sl
 	case *[]int:
 		cp := append([]int(nil), *p...)
-		return &cp, nil, true
+		return &cp, nil
 	case *[]int64:
 		cp := append([]int64(nil), *p...)
-		return &cp, nil, true
+		return &cp, nil
 	case *[][]float64:
 		cp := make([][]float64, len(*p))
 		for i, row := range *p {
 			cp[i] = append([]float64(nil), row...)
 		}
-		return &cp, nil, true
+		return &cp, nil
 	}
-	return nil, nil, false
+	panic(fmt.Sprintf("ckpt: %T has no checkpoint layout", ptr)) // admit refuses it at registration
 }
 
 // clone is a pointer to a copy of *p.
@@ -657,6 +629,6 @@ func (e *frozenEntry) record(c *wire.Codec) {
 			wire.Fixed(c, e.pages[i].byt)
 		}
 	case e.ptr != nil:
-		codeValue(c, e.ptr) // a fast-path type: no gob, no error
+		codeValue(c, e.ptr)
 	}
 }

@@ -6,13 +6,8 @@ import (
 	"testing"
 )
 
-type gobStruct struct {
-	A int
-	B string
-}
-
-// buildRichSaver registers one value of every representative shape — fast
-// paths, gob fallback, computed, replicated — plus heap blocks.
+// buildRichSaver registers one value of every representative shape — saved,
+// computed, replicated — plus heap blocks.
 func buildRichSaver(t *testing.T, primary bool) *Saver {
 	t.Helper()
 	s := NewSaver()
@@ -31,7 +26,7 @@ func buildRichSaver(t *testing.T, primary bool) *Saver {
 	ids := []int{1, 2, 3}
 	counts := []int64{9, 8}
 	mat := [][]float64{{1, 2}, {3, 4, 5}}
-	gs := gobStruct{A: 1, B: "two"}
+	stamp := uint64(1) << 40
 	table := []float64{10, 20, 30}
 	ro := make([]float64, 600)
 
@@ -48,7 +43,7 @@ func buildRichSaver(t *testing.T, primary bool) *Saver {
 	must(s.VDS.Push("ids", &ids))
 	must(s.VDS.Push("counts", &counts))
 	must(s.VDS.Push("mat", &mat))
-	must(s.VDS.Push("gs", &gs))
+	must(s.VDS.Push("stamp", &stamp))
 	must(s.VDS.PushReplicated("table", &table))
 	must(s.VDS.PushComputed("ro", &ro, func() error { return nil }))
 

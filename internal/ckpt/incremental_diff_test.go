@@ -26,12 +26,6 @@ import (
 
 const diffChunkSize = 512 // small chunks: every epoch spans many
 
-type diffGob struct {
-	A int
-	B string
-	C []float64
-}
-
 // liveVar is one registered variable, shared by pointer between both
 // Savers. mutable is false for computed entries (read-only by contract).
 type liveVar struct {
@@ -151,9 +145,12 @@ func (d *diffDriver) register() {
 		v.ptr = &m
 		push(&m)
 	case 6:
-		g := &diffGob{A: d.rng.Int(), B: "g", C: d.newSlice(d.rng.Intn(20))}
-		v.ptr = g
-		push(g)
+		xs := make([]int64, d.rng.Intn(20))
+		for i := range xs {
+			xs[i] = d.rng.Int63()
+		}
+		v.ptr = &xs
+		push(&xs)
 	case 7:
 		xs := d.newSlice(d.sliceLen())
 		v.ptr = &xs
@@ -292,10 +289,11 @@ func (d *diffDriver) mutate() {
 			*p = append(*p, d.newSlice(d.rng.Intn(30)))
 		}
 		d.touch(v.name)
-	case *diffGob:
-		p.A++
-		if d.rng.Intn(3) == 0 {
-			p.C = append(p.C, d.rng.NormFloat64())
+	case *[]int64:
+		if len(*p) > 0 && d.rng.Intn(2) == 0 {
+			(*p)[d.rng.Intn(len(*p))]++
+		} else {
+			*p = append(*p, d.rng.Int63())
 		}
 		d.touch(v.name)
 	case *[]float64:
@@ -511,15 +509,11 @@ func (d *diffDriver) checkRestore(f *ckpt.Frozen) {
 	replicas := map[string][]byte{}
 	for _, v := range d.vars {
 		if v.replicated {
-			if replicas[v.name], err = ckpt.Encode(v.ptr); err != nil {
-				d.fatalf("encode replica %q: %v", v.name, err)
-			}
+			replicas[v.name] = ckpt.Encode(v.ptr)
 		}
 	}
 	fromView, fromBlob := ckpt.NewSaver(), ckpt.NewSaver()
-	if err := fromView.StartRestoreView(f); err != nil {
-		d.fatalf("epoch %d: restore from the view: %v", d.epoch, err)
-	}
+	fromView.StartRestoreView(f)
 	if err := fromBlob.StartRestore(blob); err != nil {
 		d.fatalf("epoch %d: restore from the blob: %v", d.epoch, err)
 	}
@@ -601,8 +595,10 @@ func scribble(ptr any) {
 		for _, row := range *p {
 			scribble(&row)
 		}
-	case *diffGob:
-		scribble(&p.C)
+	case *[]int64:
+		for i := range *p {
+			(*p)[i] = -1
+		}
 	}
 }
 

@@ -51,10 +51,7 @@ func (s *Saver) Snapshot() ([]byte, error) {
 	f := &Frozen{trace: s.PS.labels, heap: frozenHeap{next: s.Heap.nextID}}
 	for i := range s.VDS.entries {
 		e := &s.VDS.entries[i]
-		raw, err := s.VDS.record(e)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: encode %q: %w", e.name, err)
-		}
+		raw := s.VDS.record(e)
 		f.vds = append(f.vds, frozenEntry{name: e.name, kind: e.kind, enc: raw, size: len(raw)})
 	}
 	for id, b := range s.Heap.blocks {
@@ -67,12 +64,12 @@ func (s *Saver) Snapshot() ([]byte, error) {
 // record encodes the live entry's value record: the fingerprint of a
 // computed value, nothing for a replicated one off the primary, and the
 // value otherwise.
-func (v *VDS) record(e *vdsEntry) ([]byte, error) {
+func (v *VDS) record(e *vdsEntry) []byte {
 	switch {
 	case e.kind == kindComputed:
 		return fingerprint(e.ptr)
 	case e.kind == kindReplicated && !v.Primary:
-		return nil, nil
+		return nil
 	}
 	return Encode(e.ptr)
 }
@@ -163,7 +160,8 @@ func (s *Saver) StartRestore(blob []byte) error {
 	if err != nil {
 		return err
 	}
-	return s.StartRestoreView(f)
+	s.StartRestoreView(f)
+	return nil
 }
 
 // StartRestoreView arms the PS resume cursor and the VDS restore map from a
@@ -177,7 +175,7 @@ func (s *Saver) StartRestore(blob []byte) error {
 // are cloned now.
 // The restore map reads f's pages until the last registration: f must not go
 // back to a pool before then (a disowned view's pages are the collector's).
-func (s *Saver) StartRestoreView(f *Frozen) error {
+func (s *Saver) StartRestoreView(f *Frozen) {
 	// Restored live state shares no history with any previous freeze: the
 	// retained regions are stale and must never be re-referenced.
 	s.dropRetained()
@@ -187,15 +185,10 @@ func (s *Saver) StartRestoreView(f *Frozen) error {
 		e := &f.vds[i]
 		rec := restoreRec{kind: e.kind, data: e.enc, pages: e.pages, elems: e.elems}
 		if e.ptr != nil {
-			raw, err := Encode(e.ptr)
-			if err != nil {
-				return fmt.Errorf("ckpt: encode %q: %w", e.name, err)
-			}
-			rec.data = raw
+			rec.data = Encode(e.ptr)
 		}
 		restore[e.name] = rec
 	}
 	s.VDS.restore = restore
 	s.Heap.install(f.heap)
-	return nil
 }

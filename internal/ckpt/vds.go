@@ -46,6 +46,8 @@ type vdsEntry struct {
 	ptr       any
 	kind      entryKind
 	recompute func() error
+	// scalar marks a laid-out scalar type, which every freeze re-copies.
+	scalar bool
 	// gen is the write clock's value at the entry's last registration or
 	// Touch; an incremental Freeze treats a matching gen as "clean".
 	gen uint64
@@ -161,18 +163,19 @@ func NewVDS() *VDS {
 }
 
 // Push registers a variable whose full value is saved with every
-// checkpoint. ptr must be a pointer to a codec-supported value (see
-// Encode). If a restart is in progress and a saved value exists under
+// checkpoint. ptr must be a pointer to a laid-out type (see laidOut); any
+// other is refused, like a nil pointer. If a restart is in progress and a saved value exists under
 // name, the value is immediately restored through ptr.
 //
 // Registering a name that is already live rebinds its pointer; this happens
 // when an instrumented function is called again and re-registers its
 // locals.
 func (v *VDS) Push(name string, ptr any) error {
-	if ptr == nil {
-		return fmt.Errorf("ckpt: VDS.Push(%q): nil pointer", name)
+	scalar, err := admit("Push", name, ptr)
+	if err != nil {
+		return err
 	}
-	v.pushEntry(vdsEntry{name: name, ptr: ptr, kind: kindSaved})
+	v.pushEntry(vdsEntry{name: name, ptr: ptr, kind: kindSaved, scalar: scalar})
 	if v.restore != nil {
 		if rec, ok := v.restore[name]; ok {
 			if rec.kind != kindSaved {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -73,9 +72,7 @@ func checkReordered(t *testing.T, cfg Config, rank int, prog Program, ref []any,
 		run := cfg
 		run.Failures = []Failure{{Rank: rank, AtOp: k.atOp}}
 		run, _ = simConfig(t, run, sim.Scenario{Seed: k.seed, Latency: 100 * time.Microsecond, Jitter: 400 * time.Microsecond})
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		res, err := RunContext(ctx, run, prog)
-		cancel()
+		res, err := runWithin(run, prog)
 		if err != nil {
 			t.Fatalf("seed=%d atOp=%d: %v", k.seed, k.atOp, err)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -60,6 +61,15 @@ func runRef(t *testing.T, cfg Config, prog Program) []any {
 		t.Fatal(err)
 	}
 	return ref.Values
+}
+
+// runWithin runs prog under a one-minute deadline, for a test that injects a
+// failure: a recovery that deadlocks fails the run instead of hanging the
+// package until its timeout.
+func runWithin(cfg Config, prog Program) (*Result, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	return RunContext(ctx, cfg, prog)
 }
 
 func TestRunUnmodified(t *testing.T) {
@@ -289,7 +299,7 @@ func TestCollectivesSurviveRecovery(t *testing.T) {
 			Ranks: 4, Mode: protocol.Full, EveryN: 4, Debug: true,
 			Failures: []Failure{{Rank: int(atOp) % 4, AtOp: atOp, Incarnation: 0}},
 		}
-		res, err := Run(cfg, prog)
+		res, err := runWithin(cfg, prog)
 		if err != nil {
 			t.Fatalf("atOp=%d: %v", atOp, err)
 		}

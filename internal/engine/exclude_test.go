@@ -38,7 +38,7 @@ func TestReplicatedStateRecovery(t *testing.T) {
 		Ranks: 3, Mode: protocol.Full, EveryN: 5, Debug: true,
 		Failures: []Failure{{Rank: 2, AtOp: 130, Incarnation: 0}},
 	})
-	res, err := Run(cfg, prog)
+	res, err := runWithin(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func TestIncrementalFreezeRecovery(t *testing.T) {
 		// Simulated: both runs take the same checkpoints at the same
 		// iterations, so their copy volumes compare like with like, and op
 		// 50 of rank 1 follows the first commit.
-		res, err := Run(onSim(t, Config{
+		res, err := runWithin(onSim(t, Config{
 			Ranks: 3, Mode: protocol.Full, EveryN: 4, Debug: true,
 			Policy:   protocol.Policy{FullFreeze: !incremental},
 			Failures: []Failure{{Rank: 1, AtOp: 50, Incarnation: 0}},

@@ -200,13 +200,30 @@ func (r *Rank) PotentialCheckpoint() { r.l.PotentialCheckpoint() }
 
 // Register pushes a variable descriptor: ptr's value is saved with every
 // checkpoint and restored through ptr on restart. Names must be unique per
-// live scope.
+// live scope. ptr points to a type the checkpoint codec lays out — int,
+// int64, uint64, float64, bool, string, []byte, []float64, []int, []int64
+// or [][]float64 — or to a protocol.Handle or protocol.CommHandle; any
+// other type panics here, and the run ends with ErrProgram naming the
+// variable: register a struct's fields one by one.
 func (r *Rank) Register(name string, ptr any) {
 	fresh := !r.l.Saver.VDS.Live(name)
-	if err := r.l.Saver.VDS.Push(name, ptr); err != nil {
+	if err := r.l.Saver.VDS.Push(name, handleWord(ptr)); err != nil {
 		panic(err)
 	}
 	r.trackReg(name, fresh)
+}
+
+// handleWord passes a request or communicator handle to the VDS as the
+// int64 it is: the handle types are named, and the checkpoint codec lays out
+// int64. Every other pointer goes as it is.
+func handleWord(ptr any) any {
+	switch p := ptr.(type) {
+	case *protocol.Handle:
+		return (*int64)(p)
+	case *protocol.CommHandle:
+		return (*int64)(p)
+	}
+	return ptr
 }
 
 // trackReg records a registration made through this Rank. A re-registration
@@ -225,7 +242,7 @@ func (r *Rank) trackReg(name string, fresh bool) {
 // case, with the original initializer as the recomputation.
 func (r *Rank) RegisterComputed(name string, ptr any, recompute func() error) {
 	fresh := !r.l.Saver.VDS.Live(name)
-	if err := r.l.Saver.VDS.PushComputed(name, ptr, recompute); err != nil {
+	if err := r.l.Saver.VDS.PushComputed(name, handleWord(ptr), recompute); err != nil {
 		panic(err)
 	}
 	r.trackReg(name, fresh)
@@ -237,7 +254,7 @@ func (r *Rank) RegisterComputed(name string, ptr any, recompute func() error) {
 // rank 0's copy.
 func (r *Rank) RegisterReplicated(name string, ptr any) {
 	fresh := !r.l.Saver.VDS.Live(name)
-	if err := r.l.Saver.VDS.PushReplicated(name, ptr); err != nil {
+	if err := r.l.Saver.VDS.PushReplicated(name, handleWord(ptr)); err != nil {
 		panic(err)
 	}
 	r.trackReg(name, fresh)
@@ -250,13 +267,13 @@ func (r *Rank) RegisterReplicated(name string, ptr any) {
 //
 // Placement rule: call Touch after the last write to a variable and
 // before the next PotentialCheckpoint — every mutation of a registered
-// non-scalar value (slice writes, reslicing or swapping slice headers,
-// struct field updates) must be covered by a Touch, or the checkpoint
-// freezes stale bytes and a recovery silently diverges. Scalar values
-// (int, int64, uint64, float64, bool, string) are always re-copied and
-// never need touching; touching them anyway is harmless. For heap blocks
-// use Heap().Touch(id). Without incremental freeze, Touch is a cheap
-// no-op-equivalent, so instrumented programs can call it unconditionally.
+// slice (element writes, reslicing or swapping slice headers) must be
+// covered by a Touch, or the checkpoint freezes stale bytes and a recovery
+// silently diverges. Scalar values (the non-slice types Register lists,
+// handles included) are always re-copied and never need touching;
+// touching them anyway is harmless. For heap blocks use Heap().Touch(id).
+// Without incremental freeze, Touch is a cheap no-op-equivalent, so
+// instrumented programs can call it unconditionally.
 // Touching a name with no live registration panics — a typo here would
 // otherwise surface as silently corrupt recovered state.
 func (r *Rank) Touch(names ...string) {

@@ -42,7 +42,11 @@
 //   - inside any block containing checkpointable calls, variable
 //     declarations must come after the last such call of that block;
 //     function-level declarations belong to the leading var group;
-//   - switch/select bodies must not contain checkpointable calls.
+//   - switch/select bodies must not contain checkpointable calls;
+//   - a registered variable declared with a type literal (a struct, map,
+//     array, pointer or slice) must have one the checkpoint lays out
+//     ([]float64, not []int32); register a struct's fields instead. A named
+//     type is checked when the program registers it.
 package precompiler
 
 import (
@@ -52,7 +56,10 @@ import (
 	"go/format"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"strconv"
+
+	"ccift/internal/ckpt"
 )
 
 // Names of the identifiers the transformation emits.
@@ -343,6 +350,12 @@ func (t *transformer) instrumentFunc(fi *funcInfo) error {
 	if len(refs) == 0 {
 		// Checkpointable only through dead code paths; nothing to do.
 		return nil
+	}
+	for _, v := range vars {
+		if !laidOut(v.typ) {
+			return t.errf(v.typ.Pos(), "%s: %s has type %s, which the checkpoint cannot hold; register its fields as variables of their own",
+				c.name, v.name, types.ExprString(v.typ))
+		}
 	}
 
 	var out []ast.Stmt
@@ -660,18 +673,26 @@ func (c *funcCtx) pushStmts(n int) []ast.Stmt {
 }
 
 // scalarType reports whether a declared type is one the runtime re-copies
-// at every freeze without a Touch (ckpt's scalar kinds). A variable
+// at every freeze without a Touch (ckpt's laid-out scalars). A variable
 // declared without a type is not known to be one.
 func scalarType(typ ast.Expr) bool {
-	id, ok := typ.(*ast.Ident)
-	if !ok {
+	if typ == nil {
 		return false
 	}
-	switch id.Name {
-	case "int", "int64", "uint64", "float64", "bool", "string":
+	_, scalar := ckpt.LaidOut(types.ExprString(typ))
+	return scalar
+}
+
+// laidOut reports whether a registered variable's declared type may be
+// registered: a type literal only when the checkpoint lays it out. A named
+// type, or none, is the runtime's to check.
+func laidOut(typ ast.Expr) bool {
+	switch typ.(type) {
+	case nil, *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.IndexListExpr:
 		return true
 	}
-	return false
+	ok, _ := ckpt.LaidOut(types.ExprString(typ))
+	return ok
 }
 
 // requireNoNestedSites passes a statement through unchanged after checking

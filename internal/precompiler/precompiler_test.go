@@ -241,6 +241,39 @@ func f(r *Rank) {
 			wantErr: "switch/select",
 		},
 		{
+			name: "struct local",
+			body: `func f(r *Rank) {
+	var p struct{ X, Y float64 }
+	r.PotentialCheckpoint()
+	_ = p
+}`,
+			wantErr: "p has type struct{X, Y float64}, which the checkpoint cannot hold; register its fields",
+		},
+		{
+			name:    "map parameter",
+			body:    "func f(r *Rank, m map[string]int) { r.PotentialCheckpoint() }",
+			wantErr: "m has type map[string]int",
+		},
+		{
+			name:    "array parameter",
+			body:    "func f(r *Rank, a [4]float64) { r.PotentialCheckpoint() }",
+			wantErr: "a has type [4]float64",
+		},
+		{
+			name:    "pointer parameter",
+			body:    "func f(r *Rank, q *int) { r.PotentialCheckpoint() }",
+			wantErr: "q has type *int",
+		},
+		{
+			name: "slice of an unlaid element",
+			body: `func f(r *Rank) {
+	var hist []int32
+	r.PotentialCheckpoint()
+	_ = hist
+}`,
+			wantErr: "hist has type []int32",
+		},
+		{
 			name: "no rank parameter",
 			body: `func g(r *Rank) { r.PotentialCheckpoint() }
 func f() { var r *Rank; g(r) }`,
@@ -261,6 +294,33 @@ func f() { var r *Rank; g(r) }`,
 }
 
 // TestMultiFilePackage: the checkpointable fixed point crosses files.
+// TestRegisteredTypesTheCheckpointHolds: a registered variable declared
+// with a laid-out type literal, with a named type (the runtime checks it)
+// or with none is instrumented, and only the laid-out scalars go without a
+// Touch.
+func TestRegisteredTypesTheCheckpointHolds(t *testing.T) {
+	src := `package app
+
+import "ccift/internal/engine"
+
+type Grid []float64
+
+func f(r *engine.Rank, raw []byte, rows [][]float64, g Grid, n int) {
+	var s string
+	var k = 3
+	r.PotentialCheckpoint()
+	_, _ = s, k
+}
+`
+	out, err := transformFile("app.go", []byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `r.Touch("f.raw", "f.rows", "f.g", "f.k")`; !strings.Contains(string(out), want) {
+		t.Fatalf("output does not write %s:\n%s", want, out)
+	}
+}
+
 func TestMultiFilePackage(t *testing.T) {
 	a := `package app
 

@@ -155,11 +155,8 @@ func (l *Layer) RestoreFrom(rec *RankRecovery, retained []*RetainedState) error 
 	}
 	if l.cfg.Mode == Full {
 		if ret != nil {
-			err = l.Saver.StartRestoreView(ret.Frozen)
-		} else {
-			err = l.Saver.StartRestore(app)
-		}
-		if err != nil {
+			l.Saver.StartRestoreView(ret.Frozen)
+		} else if err = l.Saver.StartRestore(app); err != nil {
 			return fmt.Errorf("protocol: restore application state (epoch %d, rank %d): %w", epoch, l.rank, err)
 		}
 		l.Saver.VDS.SetReplicas(rec.Replicas)

@@ -269,7 +269,7 @@ func Str(c *Codec, s *string) {
 func text(c *Codec, s string) []byte {
 	var b []byte
 	if c.dec {
-		View(c, &b)
+		view(c, &b)
 		return b
 	}
 	c.count(len(s), 1)
@@ -279,14 +279,14 @@ func text(c *Codec, s string) []byte {
 
 // Bytes codes a byte slice as its length and its bytes; decoded, a copy.
 func Bytes(c *Codec, p *[]byte) {
-	if View(c, p); c.dec && c.err == nil {
+	if view(c, p); c.dec && c.err == nil {
 		*p = bytes.Clone(*p)
 	}
 }
 
-// View codes a byte slice as Bytes does; decoded, a view of the input, its
+// view codes a byte slice as Bytes does; decoded, a view of the input, its
 // capacity clipped so that an append cannot reach the bytes behind it.
-func View(c *Codec, p *[]byte) {
+func view(c *Codec, p *[]byte) {
 	n := c.count(len(*p), 1)
 	switch {
 	case !c.dec:
@@ -299,11 +299,11 @@ func View(c *Codec, p *[]byte) {
 // Frame codes a field framed by its length: n, then the body. Encoding, n
 // is a length the caller already knows and body writes the body, which
 // must fill exactly n bytes or the encode fails; sizing, body does not run.
-// Decoding, *p is the body, a view as View gives, and body does not run.
+// Decoding, *p is the body, a view of the input, and body does not run.
 func Frame(c *Codec, p *[]byte, n int, body func(*Codec)) {
 	switch {
 	case c.dec:
-		View(c, p)
+		view(c, p)
 	case c.sizing:
 		Uint(c, &n)
 		c.n += n

@@ -49,7 +49,7 @@ func (f *fields) code(c *Codec) {
 	Flag(c, &f.Off)
 	Str(c, &f.S)
 	Bytes(c, &f.B)
-	View(c, &f.V)
+	view(c, &f.V)
 	Fixed(c, f.Sum[:])
 	c.Cut()
 	Frame(c, &f.Fr, len(f.Fr), func(c *Codec) { Fixed(c, f.Fr) })
@@ -279,7 +279,7 @@ func TestDecodeRejects(t *testing.T) {
 		{"short string", uv(5, []byte("four")...), func(c *Codec) { Str(c, &s) }, "count 5"},
 		{"short bytes", uv(5, 1, 2, 3, 4), func(c *Codec) { Bytes(c, &b) }, "count 5"},
 		{"short fixed", make([]byte, 31), func(c *Codec) { Fixed(c, sum[:]) }, "32 bytes wanted, 31 left"},
-		{"short view", uv(5, 1, 2, 3, 4), func(c *Codec) { View(c, &b) }, "count 5"},
+		{"short view", uv(5, 1, 2, 3, 4), func(c *Codec) { view(c, &b) }, "count 5"},
 		{"short word", make([]byte, 7), func(c *Codec) { Word(c, &w) }, "8 bytes wanted, 7 left"},
 		{"short words", uv(2, make([]byte, 15)...), func(c *Codec) { Words(c, &ws) }, "count 2 exceeds what 15 bytes"},
 		// 200 is a two-byte uvarint: with 199 bytes after it and 201 in
@@ -308,7 +308,7 @@ func TestViewsAndWordsShareTheirMemory(t *testing.T) {
 		Fs []float64
 	}
 	code := func(p *pair) func(*Codec) {
-		return func(c *Codec) { View(c, &p.V); Words(c, &p.Fs) }
+		return func(c *Codec) { view(c, &p.V); Words(c, &p.Fs) }
 	}
 	raw := Encode(nil, code(&pair{V: []byte("view"), Fs: []float64{1, 2, 3}}))
 	if want := 1 + 4 + 1 + 3*8; len(raw) != want || cap(raw) < want {

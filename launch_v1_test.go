@@ -128,8 +128,21 @@ func staleProg() ccift.Program {
 	}
 }
 
+// structProg registers a struct, a type the checkpoint does not lay out:
+// the registration fails the run before its first checkpoint.
+func structProg() ccift.Program {
+	return func(r *ccift.Rank) (any, error) {
+		var origin struct{ X, Y float64 }
+		r.Register("origin", &origin)
+		r.PotentialCheckpoint()
+		return origin.X, nil
+	}
+}
+
 func testProg() ccift.Program {
 	switch os.Getenv(progEnv) {
+	case "struct":
+		return structProg()
 	case "hang":
 		return hangProg()
 	case "fail":

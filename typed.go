@@ -53,8 +53,10 @@ func Allreduce[T Element64](r *Rank, xs []T, op Op) []T {
 // returns a pointer to it: the value is saved with every checkpoint and —
 // through the same VDS machinery Register uses — restored into the
 // returned pointer when a restarted incarnation re-executes the Reg call.
-// T must be a codec-supported type (numeric scalars and slices, strings,
-// maps and structs of those).
+// T must be a type Register accepts: int, int64, uint64, float64, bool,
+// string, []byte, []float64, []int, []int64 or [][]float64 (or a request
+// or communicator handle); any other panics, and the run ends with
+// ErrProgram. Register a struct's fields one by one.
 func Reg[T any](r *Rank, name string) *T {
 	p := new(T)
 	r.Register(name, p)

@@ -98,12 +98,12 @@ func TestRegSurvivesRollback(t *testing.T) {
 	prog := func(r *ccift.Rank) (any, error) {
 		it := ccift.Reg[int](r, "it")
 		acc := ccift.Reg[float64](r, "acc")
-		hist := ccift.Reg[[]int32](r, "hist")
+		hist := ccift.Reg[[]int64](r, "hist")
 		for ; *it < 12; *it++ {
 			r.PotentialCheckpoint()
 			part := ccift.Allreduce(r, []float64{float64(r.Rank() + 1)}, ccift.SumF64)
 			*acc += part[0]
-			*hist = append(*hist, int32(*it))
+			*hist = append(*hist, int64(*it))
 			r.Touch("hist") // append rebinds/mutates: write intent for incremental freeze
 		}
 		return fmt.Sprintf("%v/%v", *acc, *hist), nil
