@@ -324,6 +324,7 @@ var exportAllowList = map[string]string{
 	"internal/mpi.World.PoisonReleased":            "a test seam, like storage.PoisonReleasedChunks",
 	"internal/mpi.World.Transport":                 "the tests of the simulated and TCP transports drive a world's transport directly",
 	"internal/storage.ChunkedWriter.Pipeline":      "bench/ pins it (probes.go)",
+	"internal/ckpt.Saver.StartRestore":             "bench/ pins it (probes.go): the restore from a blob its probe holds",
 	"internal/protocol.Layer.Config":               "TestPolicySeam's probe reads what a worker process's layer was configured with",
 	"internal/protocol.VerifyEveryFreeze":          "a test seam a TestMain calls, like storage.PoisonReleasedChunks",
 	"internal/storage.PoisonReleasedChunks":        "a test seam every suite's TestMain calls",

@@ -88,7 +88,7 @@ func (v *VDS) PushReplicated(name string, ptr any) error {
 			if rec.kind != kindReplicated {
 				return fmt.Errorf("ckpt: restore %q: checkpoint kind %d, registered as replicated", name, rec.kind)
 			}
-			if rec.pages == nil && len(rec.data) == 0 {
+			if rec.pages == nil && rec.val == nil && len(rec.data) == 0 {
 				// This rank was not the primary: the value comes from the
 				// primary's checkpoint, distributed by the recovery driver.
 				replica, ok := v.replicas[name]
@@ -97,7 +97,7 @@ func (v *VDS) PushReplicated(name string, ptr any) error {
 				}
 				rec.data = replica
 			}
-			if err := rec.into(ptr); err != nil {
+			if err := rec.into(ptr, &v.scratch); err != nil {
 				return fmt.Errorf("ckpt: restore replicated %q: %w", name, err)
 			}
 			delete(v.restore, name)

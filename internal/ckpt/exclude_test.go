@@ -15,10 +15,7 @@ func TestComputedEntrySavesOnlyFingerprint(t *testing.T) {
 	if err := v.PushComputed("big", &big, func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := s.Snapshot()
 	if len(snap) > 128 {
 		t.Fatalf("computed snapshot is %d bytes; should be a fingerprint, not the data", len(snap))
 	}
@@ -81,10 +78,7 @@ func TestReplicatedSavedOnPrimaryOnly(t *testing.T) {
 		if err := s.VDS.PushReplicated("tbl", &tbl); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := s.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap := s.Snapshot()
 		return snap
 	}
 	primarySnap, otherSnap := mk(true), mk(false)
@@ -103,10 +97,7 @@ func TestReplicatedRestoreThroughReplicaMap(t *testing.T) {
 	if err := sp.VDS.PushReplicated("tbl", &tbl); err != nil {
 		t.Fatal(err)
 	}
-	primaryBlob, err := sp.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	primaryBlob := sp.Snapshot()
 	replicas, err := ExtractReplicated(primaryBlob)
 	if err != nil {
 		t.Fatal(err)

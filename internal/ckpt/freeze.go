@@ -229,8 +229,9 @@ type frozenEntry struct {
 	// (a computed entry's fingerprint, or any record parsed from a blob or
 	// encoded live by Saver.Snapshot), ptr an owned deep copy of the value
 	// (encoded lazily at write time), pages the page-granular capture of a
-	// large slice. All nil is the zero-length replicated marker of a
-	// non-primary rank.
+	// large slice. A parsed or Snapshot-encoded split record is its lead in
+	// enc and its payload in body. All nil is the zero-length replicated
+	// marker of a non-primary rank.
 	enc  []byte
 	ptr  any
 	size int // the record's size, measured once at capture: its frame
@@ -247,6 +248,9 @@ type frozenEntry struct {
 	// order yields the identical payload a whole-value capture encodes.
 	pages []frozenPage
 	elems int
+	// body is a split record's payload (see measure): its size, and where a
+	// parsed state has it; ptr or pages write it otherwise.
+	body payload
 }
 
 // frozenPage is one page of a page-granular frozenEntry. Exactly one of
@@ -303,6 +307,9 @@ type frozenBlock struct {
 // re-referenced from it instead of copied — see the Touch contract on
 // VDS.Touch and Heap.Touch.
 func (s *Saver) Freeze() (*Frozen, error) {
+	if err := s.VDS.settle(); err != nil {
+		return nil, err
+	}
 	f := &Frozen{trace: s.PS.Snapshot(), pool: &s.pool}
 	var prevVDS map[string]frozenEntry
 	var prevHeap map[int]frozenBlock
@@ -350,7 +357,7 @@ func (s *Saver) retainFrozen(f *Frozen) {
 }
 
 // dropRetained releases the Saver's retention references on the last
-// frozen epoch's slabs (retainFrozen's replacement path, and StartRestore:
+// frozen epoch's slabs (retainFrozen's replacement path, and StartRestoreView:
 // restored live state shares no history with any previous freeze).
 func (s *Saver) dropRetained() {
 	for _, fe := range s.lastVDS {
@@ -497,14 +504,45 @@ func capturePaged(e *vdsEntry, prev *frozenEntry, elems, perPage, numPages int, 
 		fe.pages[p] = pg
 		f.dirty++
 	}
-	fe.size = wire.Size(fe.record)
+	fe.measure()
 	return fe
 }
 
 // captureValue takes an owned copy of the value and measures its record.
 func (fe *frozenEntry) captureValue(ptr any, pool *bufPool) {
 	fe.ptr, fe.slab = copyValue(ptr, pool)
+	fe.measure()
+}
+
+// measure sizes the entry's record, once, and splits it when the state
+// layout does: a saved []float64 or []byte whose record is cutoverBytes or
+// more keeps its lead — the tag and the count — in the VDS section, and its
+// payload — the words or bytes — follows the blob's sections, from a cut
+// on, so that it fills whole chunks of its own and a replacement reads them
+// straight into the variable.
+func (fe *frozenEntry) measure() {
 	fe.size = wire.Size(fe.record)
+	if fe.kind != kindSaved || fe.size < cutoverBytes {
+		return
+	}
+	switch p := fe.ptr.(type) {
+	case *[]float64:
+		fe.body.n = 8 * len(*p)
+	case *[]byte:
+		fe.body.n = len(*p)
+	case nil:
+		if fe.pages != nil {
+			fe.body.n = fe.elems * fe.pages[0].width()
+		}
+	}
+}
+
+// width is the page's bytes per element.
+func (pg *frozenPage) width() int {
+	if pg.f64 != nil {
+		return 8
+	}
+	return 1
 }
 
 // freeze captures the heap section into f, sharing clean blocks from the
@@ -599,8 +637,9 @@ func (f *Frozen) StateBytes() int { return wire.Size(f.code) }
 
 // WriteTo streams the frozen state into w, producing Snapshot's bytes, and
 // cuts where the layout cuts: after the trace, after the VDS section and
-// around every record or heap block of cutoverBytes or more, so a chunked
-// sink dedups unchanged variables and heap blocks across epochs. It
+// the heap section, around every record or heap block of cutoverBytes or
+// more and after every split record's lead and payload, so a chunked sink
+// dedups unchanged variables and heap blocks across epochs. It
 // encodes through one buffer lent by the Saver's pool.
 func (f *Frozen) WriteTo(w wire.Sink) error {
 	buf := f.pool.takeStream()
@@ -609,26 +648,57 @@ func (f *Frozen) WriteTo(w wire.Sink) error {
 }
 
 // record encodes the entry's value record, e.size bytes: the pre-encoded
-// bytes, the value codec over the owned copy, or the tag, element count and
-// each page's words or bytes, what the whole []float64 or []byte encodes
-// to. A replicated value off the primary has none. (Decoded, a record is a
-// view of the blob.)
+// bytes, the value codec over the owned copy, or the lead and the payload
+// of a split or paged one, what the whole []float64 or []byte encodes to. A
+// replicated value off the primary has none. (Decoded, a record is a view
+// of the blob.)
 func (e *frozenEntry) record(c *wire.Codec) {
 	switch {
+	case e.body.n > 0 || e.pages != nil:
+		e.lead(c)
+		e.payload(c)
 	case e.enc != nil:
 		wire.Fixed(c, e.enc)
-	case e.pages != nil:
-		t := tagBytes
-		if e.pages[0].f64 != nil {
-			t = tagFloat64Slice
-		}
-		tag(c, t)
-		wire.Uint(c, &e.elems)
-		for i := range e.pages {
-			wire.Fixed(c, e.pages[i].f64) // one of the two is empty
-			wire.Fixed(c, e.pages[i].byt)
-		}
 	case e.ptr != nil:
 		codeValue(c, e.ptr)
 	}
+}
+
+// lead encodes a []float64 or []byte record's tag and element count, what
+// codeValue writes before the words or bytes; a parsed split record's lead
+// is its pre-encoded bytes.
+func (e *frozenEntry) lead(c *wire.Codec) {
+	if e.enc != nil {
+		wire.Fixed(c, e.enc)
+		return
+	}
+	t, n := tagBytes, e.elems
+	switch p := e.ptr.(type) {
+	case *[]float64:
+		t, n = tagFloat64Slice, len(*p)
+	case *[]byte:
+		n = len(*p)
+	default:
+		if e.pages[0].f64 != nil {
+			t = tagFloat64Slice
+		}
+	}
+	tag(c, t)
+	wire.Uint(c, &n)
+}
+
+// payload encodes the words or bytes after the lead: the owned copy's, each
+// page's in order, or a parsed record's.
+func (e *frozenEntry) payload(c *wire.Codec) {
+	switch p := e.ptr.(type) {
+	case *[]float64:
+		wire.Fixed(c, *p)
+	case *[]byte:
+		wire.Fixed(c, *p)
+	}
+	for i := range e.pages {
+		wire.Fixed(c, e.pages[i].f64) // one of the two is empty
+		wire.Fixed(c, e.pages[i].byt)
+	}
+	wire.Fixed(c, e.body.raw)
 }

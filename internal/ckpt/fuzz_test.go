@@ -36,10 +36,7 @@ func fuzzSeed(tb testing.TB) []byte {
 		}
 	}
 	copy(s.Heap.Alloc(5).Data, "block")
-	snap, err := s.Snapshot()
-	if err != nil {
-		tb.Fatal(err)
-	}
+	snap := s.Snapshot()
 	return snap
 }
 
@@ -61,6 +58,13 @@ func FuzzRestore(f *testing.F) {
 	}
 	f.Add([]byte{tagFloat64Matrix, 0xff, 0xff, 0xff, 0xff, 0x0f}) // 2^32 rows, none present
 	f.Add([]byte{tagFloat64Matrix + 1, 3, 'a', 'b', 'c'})         // an older checkpoint's gob record: no type has its tag now
+	for name, v := range map[string]any{"floats": ptr(make([]float64, 512)), "bytes": ptr(make([]byte, 4094))} {
+		split := NewSaver() // a record the layout splits: its lead in the head, its payload after it
+		if err := split.VDS.Push(name, v); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(split.Snapshot())
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) > 8<<10 { // a row or a heap block is a byte of input and tens in memory
 			t.Skip()

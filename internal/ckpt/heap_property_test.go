@@ -82,10 +82,7 @@ func TestHeapRandomOpsSnapshotRestore(t *testing.T) {
 			}
 		}
 
-		snap, err := s.Snapshot()
-		if err != nil {
-			return false
-		}
+		snap := s.Snapshot()
 		r := NewSaver()
 		if err := r.StartRestore(snap); err != nil {
 			return false

@@ -177,7 +177,10 @@ func TestDecodeCountsAreNotTrusted(t *testing.T) {
 	}
 	s := NewSaver()
 	if err := s.StartRestore(huge); err == nil {
-		t.Fatal("a position stack of 2^63-1 labels in a 9-byte snapshot restored")
+		t.Fatal("a head of 2^63-1 bytes in a 9-byte snapshot restored")
+	}
+	if err := s.StartRestore(append([]byte{9}, huge...)); err == nil {
+		t.Fatal("a position stack of 2^63-1 labels in a 10-byte snapshot restored")
 	}
 	if err := s.StartRestore(stateBlob(huge, nil)); err == nil {
 		t.Fatal("a VDS section of 2^63-1 entries in 9 bytes restored")
@@ -188,16 +191,16 @@ func TestDecodeCountsAreNotTrusted(t *testing.T) {
 }
 
 // stateBlob frames a VDS section and a heap section after an empty position
-// trace, byte by byte as the state layout does.
+// trace, and those in the head, byte by byte as the state layout does.
 func stateBlob(vds, heap []byte) []byte {
 	if heap == nil {
 		heap = []byte{1, 0} // next handle 1, no blocks
 	}
-	blob := []byte{0}
+	head := []byte{0}
 	for _, sec := range [][]byte{vds, heap} {
-		blob = append(binary.AppendUvarint(blob, uint64(len(sec))), sec...)
+		head = append(binary.AppendUvarint(head, uint64(len(sec))), sec...)
 	}
-	return blob
+	return append(binary.AppendUvarint(nil, uint64(len(head))), head...)
 }
 
 // TestRestoreRefusesCollidingHandlesAndNames: the next handle a restored
@@ -218,7 +221,7 @@ func TestRestoreRefusesCollidingHandlesAndNames(t *testing.T) {
 	intVar := func(name string) []byte {
 		raw := Encode(ptr(7))
 		e := append([]byte{byte(len(name))}, name...)
-		return append(append(e, byte(kindSaved), byte(len(raw))), raw...)
+		return append(append(e, byte(kindSaved), 0, byte(len(raw))), raw...)
 	}
 	vars := func(names ...string) []byte {
 		sec := []byte{byte(len(names))}

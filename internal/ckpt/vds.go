@@ -3,6 +3,10 @@ package ckpt
 import (
 	"errors"
 	"fmt"
+
+	"ccift/internal/mpi"
+	"ccift/internal/storage"
+	"ccift/internal/wire"
 )
 
 // VDS is the Variable Descriptor Stack (paper Figure 7). Instrumented code
@@ -34,11 +38,17 @@ type VDS struct {
 	// comparing stamps (see freeze.go).
 	muts uint64
 
-	// restore holds decoded records awaiting their re-registration after a
-	// restart; replicas holds the primary's replicated values, supplied by
-	// the recovery driver.
+	// restore holds the parsed or retained records awaiting their
+	// re-registration after a restart; replicas holds the primary's
+	// replicated values, supplied by the recovery driver.
 	restore  map[string]restoreRec
 	replicas map[string][]byte
+	// stored marks a restore map with a payload still in the store (see
+	// settle).
+	stored bool
+	// scratch is what a value restored from a frozen view's owned copy is
+	// encoded through on its way into the registered variable.
+	scratch []byte
 }
 
 type vdsEntry struct {
@@ -108,53 +118,141 @@ func (e *vdsEntry) pageGens(elems, numPages int) []uint64 {
 	return gens
 }
 
+// restoreRec is one saved value awaiting its registration. The first of
+// val, pages and body that is set holds it, and data otherwise.
 type restoreRec struct {
 	kind entryKind
+	// data is the value record, or a split record's lead.
 	data []byte
-	// pages and elems are a frozen view's page-granular capture
-	// (Saver.StartRestoreView): copied into the variable page by page,
-	// never decoded.
+	// val is a frozen view's owned copy of the value (Saver.StartRestoreView),
+	// encoded at registration.
+	val any
+	// pages and elems are a frozen view's page-granular capture: copied into
+	// the variable page by page, never decoded. elems also counts a split
+	// record's elements.
 	pages []frozenPage
 	elems int
+	// body is a parsed split record's payload, the entry's in the parsed
+	// view (a pointer: the map holds its values inline).
+	body *payload
 }
 
-// into restores the record's value through ptr.
-func (rec restoreRec) into(ptr any) error {
-	if rec.pages == nil {
-		return Decode(rec.data, ptr)
+// payload is a split record's words or bytes (see frozenEntry.measure), n
+// of them, where a parsed state holds them: in memory — a view of a parsed
+// blob, or what settle read — or on the run of obj's chunks from first on.
+type payload struct {
+	n     int
+	f64   bool // words of a []float64, else a []byte's bytes
+	raw   []byte
+	obj   *storage.Object
+	first int
+}
+
+// read fills dst, n bytes, with the payload: a copy, or the run of chunks
+// read straight into dst and verified there.
+func (b *payload) read(dst []byte) error {
+	if b.obj == nil {
+		copy(dst, b.raw)
+		return nil
 	}
-	switch p := ptr.(type) {
-	case *[]float64:
-		if rec.pages[0].f64 != nil {
-			*p = copyPages(*p, rec.elems, rec.pages, func(pg *frozenPage) []float64 { return pg.f64 })
-			return nil
+	return b.obj.ReadInto(b.first, dst)
+}
+
+// into restores the record's value through ptr; scratch is the buffer an
+// owned copy is encoded through.
+func (rec restoreRec) into(ptr any, scratch *[]byte) error {
+	switch {
+	case rec.val != nil:
+		*scratch = wire.Encode((*scratch)[:0], func(c *wire.Codec) { codeValue(c, rec.val) })
+		return Decode(*scratch, ptr)
+	case rec.pages != nil:
+		switch p := ptr.(type) {
+		case *[]float64:
+			if rec.pages[0].f64 != nil {
+				*p = copyPages(*p, rec.elems, rec.pages, func(pg *frozenPage) []float64 { return pg.f64 })
+				return nil
+			}
+		case *[]byte:
+			if rec.pages[0].byt != nil {
+				*p = copyPages(*p, rec.elems, rec.pages, func(pg *frozenPage) []byte { return pg.byt })
+				return nil
+			}
 		}
-	case *[]byte:
-		if rec.pages[0].byt != nil {
-			*p = copyPages(*p, rec.elems, rec.pages, func(pg *frozenPage) []byte { return pg.byt })
-			return nil
+	case rec.body != nil:
+		var err error
+		switch p := ptr.(type) {
+		case *[]float64:
+			if rec.body.f64 {
+				*p, err = fill(*p, rec.elems, rec.body)
+				return err
+			}
+		case *[]byte:
+			if !rec.body.f64 {
+				*p, err = fill(*p, rec.elems, rec.body)
+				return err
+			}
 		}
+	default:
+		return Decode(rec.data, ptr)
 	}
 	return fmt.Errorf("ckpt: decode %T: %w", ptr, errPagedType)
 }
 
-// errPagedType is a page-granular value restored into a variable of another
-// type.
-var errPagedType = errors.New("the checkpoint holds a paged value of another type")
+// errPagedType is a page-granular or split value restored into a variable
+// of another type.
+var errPagedType = errors.New("the checkpoint holds a []float64 or []byte value of another type")
 
-// copyPages fills dst — resized when its capacity holds n elements,
-// reallocated when not, never pointed at a page, which the view keeps for
-// the next rollback — with the pages in order.
-func copyPages[T any](dst []T, n int, pages []frozenPage, page func(*frozenPage) []T) []T {
+// resize returns dst holding n elements: resized when its capacity holds
+// them, reallocated when not. The program's array is what a restore fills
+// (as Words decodes into it), never a page or a payload, which the view
+// keeps for the next rollback.
+func resize[T any](dst []T, n int) []T {
 	if cap(dst) < n {
 		dst = make([]T, n)
 	}
-	dst = dst[:n]
+	return dst[:n]
+}
+
+// copyPages fills dst, resized to n elements, with the pages in order.
+func copyPages[T any](dst []T, n int, pages []frozenPage, page func(*frozenPage) []T) []T {
+	dst = resize(dst, n)
 	off := 0
 	for i := range pages {
 		off += copy(dst[off:], page(&pages[i]))
 	}
 	return dst
+}
+
+// fill reads a split record's payload into dst, resized to n elements: its
+// wire form is the vector's own memory on a little-endian host, so the
+// payload is copied, or its chunks read, straight into it (mpi.Fill). It
+// returns once every byte is there and every chunk has passed its check.
+func fill[T byte | float64](dst []T, n int, b *payload) ([]T, error) {
+	dst = resize(dst, n)
+	var err error
+	mpi.Fill(dst, func(w []byte) { err = b.read(w) })
+	return dst, err
+}
+
+// settle reads every payload no registration has taken yet out of the
+// store, into memory of its own: a rank calls it before its first local
+// checkpoint after the rollback, whose commit lets a prune delete the chunks
+// the restore map points at.
+func (v *VDS) settle() error {
+	if !v.stored {
+		return nil
+	}
+	for name, rec := range v.restore {
+		if b := rec.body; b != nil && b.obj != nil {
+			raw := make([]byte, b.n)
+			if err := b.read(raw); err != nil {
+				return fmt.Errorf("ckpt: restore %q: %w", name, err)
+			}
+			b.raw, b.obj = raw, nil
+		}
+	}
+	v.stored = false
+	return nil
 }
 
 // NewVDS returns an empty variable descriptor stack.
@@ -181,7 +279,7 @@ func (v *VDS) Push(name string, ptr any) error {
 			if rec.kind != kindSaved {
 				return fmt.Errorf("ckpt: restore %q: checkpoint kind %d, registered as saved", name, rec.kind)
 			}
-			if err := rec.into(ptr); err != nil {
+			if err := rec.into(ptr, &v.scratch); err != nil {
 				return fmt.Errorf("ckpt: restore %q: %w", name, err)
 			}
 			delete(v.restore, name)

@@ -291,9 +291,18 @@ func collectiveProg(iters int) Program {
 	}
 }
 
+// TestCollectivesSurviveRecovery kills a rank at four points of a program
+// that runs every collective, on the wall clock, and then twice on the
+// simulator with rank 1 dying after the commit of an epoch whose collectives
+// straddled the recovery line: ranks that had taken the checkpoint ran a
+// collective with ranks that had not, so a rolled-back rank can only take
+// that collective's result from its log. (With the logging rule mutated to
+// "never log", both simulated rows deadlock.)
 func TestCollectivesSurviveRecovery(t *testing.T) {
 	prog := collectiveProg(15)
 	ref := runRef(t, Config{Ranks: 4, Mode: protocol.Unmodified}, prog)
+	checkReordered(t, Config{Ranks: 4, Mode: protocol.Full, EveryN: 4, Debug: true}, 1, prog, ref,
+		[]reorderedKill{{seed: 2, atOp: 89, want: 1}, {seed: 3, atOp: 103, want: 1}})
 	for _, atOp := range []int64{10, 30, 60, 90} {
 		cfg := Config{
 			Ranks: 4, Mode: protocol.Full, EveryN: 4, Debug: true,

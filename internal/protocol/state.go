@@ -107,8 +107,10 @@ func (l *Layer) writeState(p *flushTask) (total, written int64, err error) {
 // epoch serves the log from memory and arms the Saver straight from its
 // frozen view — a surviving rank's localized rollback serializes nothing and
 // touches the store not at all — and stays retained for the next rollback;
-// every other entry is released. Without one, the application stream and
-// the log are read from the store.
+// every other entry is released. Without one, the log and the head of the
+// state object are read from the store, and each large []float64 or []byte
+// value is read from its chunks straight into the variable when the
+// re-executing program registers it.
 func (l *Layer) RestoreFrom(rec *RankRecovery, retained []*RetainedState) error {
 	epoch := rec.Epoch
 	st, err := unmarshalRecord(rec.Record)
@@ -126,7 +128,8 @@ func (l *Layer) RestoreFrom(rec *RankRecovery, retained []*RetainedState) error 
 			r.Frozen.Release()
 		}
 	}
-	var app, logRaw []byte
+	var obj *storage.Object
+	var logRaw []byte
 	if ret != nil {
 		logRaw = ret.Log
 		l.ring[0] = ret
@@ -141,7 +144,7 @@ func (l *Layer) RestoreFrom(rec *RankRecovery, retained []*RetainedState) error 
 		}
 	} else {
 		if l.cfg.Mode == Full {
-			if app, err = l.cfg.Store.GetState(epoch, l.rank); err != nil {
+			if obj, err = l.cfg.Store.OpenState(epoch, l.rank); err != nil {
 				return fmt.Errorf("protocol: load state (epoch %d, rank %d): %w", epoch, l.rank, err)
 			}
 		}
@@ -156,7 +159,7 @@ func (l *Layer) RestoreFrom(rec *RankRecovery, retained []*RetainedState) error 
 	if l.cfg.Mode == Full {
 		if ret != nil {
 			l.Saver.StartRestoreView(ret.Frozen)
-		} else if err = l.Saver.StartRestore(app); err != nil {
+		} else if err = l.Saver.StartRestoreFrom(obj); err != nil {
 			return fmt.Errorf("protocol: restore application state (epoch %d, rank %d): %w", epoch, l.rank, err)
 		}
 		l.Saver.VDS.SetReplicas(rec.Replicas)

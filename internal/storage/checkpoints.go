@@ -101,6 +101,22 @@ func (c *CheckpointStore) GetState(epoch, rank int) ([]byte, error) {
 	return state, nil
 }
 
+// OpenState opens a rank's state object for an epoch by its manifest, for
+// a reader that reads its chunks into memory of its own (Object.ReadInto).
+// A state key holding anything but a manifest is a corrupt store.
+func (c *CheckpointStore) OpenState(epoch, rank int) (*Object, error) {
+	key := StateKey(epoch, rank)
+	man, err := c.S.Get(key)
+	if err != nil {
+		return nil, err
+	}
+	refs, err := ParseManifest(man)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", key, err)
+	}
+	return &Object{s: c.S, refs: refs}, nil
+}
+
 // PutMeta durably stores a rank's protocol record for an epoch.
 func (c *CheckpointStore) PutMeta(epoch, rank int, data []byte) error {
 	return c.S.Put(MetaKey(epoch, rank), data)

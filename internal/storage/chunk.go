@@ -384,8 +384,8 @@ func ParseManifest(blob []byte) ([]ChunkRef, error) {
 	return m, nil
 }
 
-// fetched is one chunk read into its slot (ref.Len bytes of the blob being
-// assembled), and the size the store holds it at.
+// fetched is one chunk read into its slot (ref.Len bytes of the memory the
+// run is read into), and the size the store holds it at.
 type fetched struct {
 	ref  ChunkRef
 	size int
@@ -400,32 +400,57 @@ func (f fetched) verify() error {
 	return nil
 }
 
-// Assemble reassembles a chunked blob from its manifest, verifying each
-// chunk's length and content hash (a torn or swept chunk must surface as
-// an error, never as silently corrupt state).
+// Object is a chunked blob opened by its manifest, read a run of chunks at
+// a time into memory the caller names: a whole blob (Assemble), or the part
+// of a state object one variable keeps, read straight into that variable.
+type Object struct {
+	s    Stable
+	refs []ChunkRef
+}
+
+// Chunks is how many chunks the object has.
+func (o *Object) Chunks() int { return len(o.refs) }
+
+// ChunkLen is the length of chunk i.
+func (o *Object) ChunkLen(i int) int { return int(o.refs[i].Len) }
+
+// Run returns the end of the run of chunks from first on that holds exactly
+// n bytes; a run that ends inside a chunk, or past the last, is an error of
+// the ErrStore category.
+func (o *Object) Run(first, n int) (end int, err error) {
+	for end = first; n > 0 && end < len(o.refs); end++ {
+		n -= int(o.refs[end].Len)
+	}
+	if n != 0 || first > len(o.refs) {
+		return 0, fmt.Errorf("%w: no run of whole chunks from chunk %d holds the bytes asked for", cerr.ErrStore, first)
+	}
+	return end, nil
+}
+
+// ReadInto reads the run of chunks from first on that fills dst, each
+// straight into its slot of dst, and verifies each chunk's length and
+// content hash in place (a torn or swept chunk must surface as an error,
+// never as silently corrupt state). It is the one read-and-verify pipeline.
 //
-// The reads are issued here, on the caller's goroutine, in manifest order,
-// each straight into the chunk's slot of the pre-sized result (GetInto: no
-// slice and no copy per chunk on a store that can, Get and a copy on one
-// that cannot); hashing runs in place behind them on min(GOMAXPROCS,
-// chunks) verifiers, so while chunk N+1 is read the chunks before it are
-// hashed on every core the process has. A store on virtual time therefore
-// sees the calls a serial reader would make, from the same goroutine in the
-// same order — which is why there is no serial variant to select. A blob of
-// one chunk has nothing to overlap and is verified by the caller, as a
-// ChunkedWriter short of a second full chunk spawns no worker. The first
-// bad chunk a verifier reports ends the reading: the caller issues no read
-// once it has seen it, joins every verifier and returns that one error.
-func Assemble(s Stable, manifest []byte) ([]byte, error) {
-	refs, err := ParseManifest(manifest)
+// The reads are issued here, on the caller's goroutine, in manifest order
+// (GetInto: no slice and no copy per chunk on a store that can, Get and a
+// copy on one that cannot); hashing runs in place behind them on
+// min(GOMAXPROCS, chunks) verifiers, so while chunk N+1 is read the chunks
+// before it are hashed on every core the process has. A store on virtual
+// time therefore sees the calls a serial reader would make, from the same
+// goroutine in the same order — which is why there is no serial variant to
+// select. A run of one chunk has nothing to overlap and is verified by the
+// caller, as a ChunkedWriter short of a second full chunk spawns no worker.
+// The first bad chunk a verifier reports ends the reading: the caller
+// issues no read once it has seen it, joins every verifier and returns that
+// one error. Every error is of the ErrStore category, and a chunk's names
+// the chunk.
+func (o *Object) ReadInto(first int, dst []byte) error {
+	end, err := o.Run(first, len(dst))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var size int64
-	for _, r := range refs {
-		size += r.Len
-	}
-	out := make([]byte, size)
+	refs := o.refs[first:end]
 	workers := min(runtime.GOMAXPROCS(0), len(refs))
 	if len(refs) < 2 {
 		workers = 0
@@ -453,10 +478,10 @@ func Assemble(s Stable, manifest []byte) ([]byte, error) {
 		if err != nil {
 			break
 		}
-		f := fetched{ref: r, slot: out[off : off+r.Len]}
+		f := fetched{ref: r, slot: dst[off : off+r.Len]}
 		off += r.Len
-		if f.size, err = GetInto(s, r.Key(), f.slot); err != nil {
-			err = fmt.Errorf("storage: assemble: %w", err)
+		if f.size, err = GetInto(o.s, r.Key(), f.slot); err != nil {
+			err = fmt.Errorf("%w: assemble: chunk %s: %w", cerr.ErrStore, r.Key(), err)
 			break
 		}
 		if workers == 0 {
@@ -473,7 +498,23 @@ func Assemble(s Stable, manifest []byte) ([]byte, error) {
 	if err == nil && len(bad) > 0 {
 		err = <-bad
 	}
+	return err
+}
+
+// Assemble reassembles a chunked blob from its manifest: one buffer of the
+// blob's size, every chunk read into its slot and verified there
+// (Object.ReadInto).
+func Assemble(s Stable, manifest []byte) ([]byte, error) {
+	refs, err := ParseManifest(manifest)
 	if err != nil {
+		return nil, err
+	}
+	var size int64
+	for _, r := range refs {
+		size += r.Len
+	}
+	out := make([]byte, size)
+	if err := (&Object{s: s, refs: refs}).ReadInto(0, out); err != nil {
 		return nil, err
 	}
 	return out, nil

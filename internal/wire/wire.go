@@ -43,9 +43,13 @@ type Sink interface {
 
 // Encode appends the fields layout visits to dst.
 func Encode(dst []byte, layout func(*Codec)) []byte {
-	c := &Codec{b: dst}
+	c := codecs.Get().(*Codec)
+	*c = Codec{b: dst}
 	layout(c)
-	return c.b
+	out := c.b
+	*c = Codec{}
+	codecs.Put(c)
+	return out
 }
 
 // Stream encodes what layout visits into sink, through buf: the bytes
@@ -63,26 +67,44 @@ func Stream(sink Sink, buf []byte, layout func(*Codec)) error {
 // Size is the length of what Encode appends for layout, counted as layout
 // runs: nothing is written, and a framed field's body does not run.
 func Size(layout func(*Codec)) int {
-	c := sizers.Get().(*Codec)
+	c := codecs.Get().(*Codec)
 	*c = Codec{sizing: true}
 	layout(c)
 	n := c.n
-	sizers.Put(c)
+	codecs.Put(c)
 	return n
 }
 
-// sizers recycles Size's codecs: a checkpoint sizes every record it
-// captures, and a codec handed to a layout escapes to the heap.
-var sizers = sync.Pool{New: func() any { return new(Codec) }}
+// codecs recycles the codecs of Encode, Size and Decode: a checkpoint sizes
+// every record it captures, a restore decodes every value it hands back, and
+// a codec handed to a layout escapes to the heap.
+var codecs = sync.Pool{New: func() any { return new(Codec) }}
 
 // Decode fills the fields layout visits from all of src.
 func Decode(src []byte, layout func(*Codec)) error {
-	c := &Codec{b: src, dec: true}
+	c := codecs.Get().(*Codec)
+	*c = Codec{b: src, dec: true}
 	layout(c)
 	if c.err == nil && len(c.b) != 0 {
 		c.fail("%d trailing bytes", len(c.b))
 	}
-	return c.err
+	err := c.err
+	*c = Codec{}
+	codecs.Put(c)
+	return err
+}
+
+// DecodePrefix fills the fields layout visits from the start of src, and
+// reports how many bytes they took: what leads a record whose length the
+// reader does not know yet.
+func DecodePrefix(src []byte, layout func(*Codec)) (int, error) {
+	c := codecs.Get().(*Codec)
+	*c = Codec{b: src, dec: true}
+	layout(c)
+	n, err := len(src)-len(c.b), c.err
+	*c = Codec{}
+	codecs.Put(c)
+	return n, err
 }
 
 // Decoding reports which way the layout runs.
@@ -309,6 +331,27 @@ func Frame(c *Codec, p *[]byte, n int, body func(*Codec)) {
 		c.n += n
 	default:
 		Uint(c, &n)
+		Span(c, p, n, body)
+	}
+}
+
+// Span codes a field of n bytes that a length coded elsewhere announces,
+// with none before it. Encoding, body writes it, and must write exactly n
+// bytes or the encode fails; sizing, body does not run. Decoding, *p is a
+// view of the next n bytes of the input, its capacity clipped, and body does
+// not run.
+func Span(c *Codec, p *[]byte, n int, body func(*Codec)) {
+	switch {
+	case c.dec:
+		if c.err == nil && (n < 0 || n > len(c.b)) {
+			c.fail("%d bytes wanted, %d left", n, len(c.b))
+		}
+		if c.err == nil {
+			*p, c.b = c.b[:n:n], c.b[n:]
+		}
+	case c.sizing:
+		c.n += n
+	default:
 		at := c.at()
 		if body(c); c.at()-at != n {
 			c.fail("a field framed as %d bytes wrote %d", n, c.at()-at)

@@ -767,7 +767,8 @@ func TestReductionOperatorsMatchPerElementReference(t *testing.T) {
 // count divided by the run's local checkpoints is what one rank's
 // checkpoint costs — and, in Full mode, the Gets of a replacement restoring rank 1
 // from the committed epoch the run leaves behind (its slice of the recovery
-// gather, then RestoreFrom with nothing retained). The simulated store makes
+// gather, then RestoreFrom with nothing retained, then a freeze, which reads
+// the chunks of every large value no registration took). The simulated store makes
 // every dedup probe's answer a function of the virtual timeline, so the
 // counts are exact: a key written or read once more per checkpoint fails
 // here. A local checkpoint is one state manifest and its chunks (Full mode
@@ -842,6 +843,13 @@ func TestStoreOpsPerCheckpointOnTheSimulator(t *testing.T) {
 		if err := l.RestoreFrom(plan.ForRank(1), nil); err != nil {
 			t.Fatal(err)
 		}
+		// No program registers here, so the next freeze reads every large
+		// value's chunks, as it would for a registration that never came.
+		f, err := l.Saver.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Release()
 		t.Logf("%s: the replacement's Gets %+v", r.exp.App, st.gets)
 		if st.gets != r.replacement {
 			t.Errorf("%s: a replacement restoring epoch %d made Gets %#v, want %#v", r.exp.App, epoch, st.gets, r.replacement)
