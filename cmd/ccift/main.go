@@ -13,6 +13,10 @@
 // All files of one invocation are treated as a single package, so the
 // checkpointable-function analysis crosses file boundaries.
 //
+// A variable the liveness analysis proves dead at every checkpoint site is
+// left out of the checkpoint; ccift names each on stderr, and each variable
+// dead at some sites only, which stays registered.
+//
 // The emitted Register / deferred Unregister pairs are depth-verified at
 // runtime: an instrumented scope that unregisters without having
 // registered (or pops a descriptor pushed behind the Rank's back) panics
@@ -58,10 +62,17 @@ func run(args []string, out, dir string) error {
 		}
 		files[i] = precompiler.File{Name: name, Src: src}
 	}
-	transformed, err := precompiler.Transform(files)
+	res, err := precompiler.Transform(files)
 	if err != nil {
 		return err
 	}
+	for _, v := range res.Dead {
+		fmt.Fprintf(os.Stderr, "ccift: %s is dead at every checkpoint site: not saved\n", v)
+	}
+	for _, v := range res.Mixed {
+		fmt.Fprintf(os.Stderr, "ccift: %s is dead at some checkpoint sites and live at others: saved\n", v)
+	}
+	transformed := res.Files
 	switch {
 	case dir != "":
 		if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -27,8 +27,11 @@ import (
 //     its checkpoint and distributes it to every other rank's restore map.
 //
 // Dead-variable exclusion (the paper's third direction, compiler-assisted
-// checkpointing of live data only) falls out of the VDS discipline itself:
-// a variable not currently pushed is not saved.
+// checkpointing of live data only) needs no entry kind: a variable not
+// currently pushed is not saved, and the precompiler's liveness pass
+// (internal/precompiler/liveness.go) decides what to push, leaving out a
+// variable that every path from each checkpoint site rewrites in full
+// before reading it.
 
 // entryKind discriminates how a VDS entry is checkpointed.
 type entryKind byte

@@ -23,6 +23,11 @@
 //     scalar type (scalars are always re-copied). Every checkpoint the
 //     function reaches, directly or through a call, then sees its writes.
 //
+//   - Live data only (the paper's Section 7): a leading variable that its
+//     declaration allocates and that every path from each checkpoint site
+//     writes in full before reading is dead, and is not registered at all
+//     (liveness.go states the rule).
+//
 // C's goto can jump anywhere; Go's cannot jump into a block. The dispatch
 // therefore cascades: the function-level dispatch jumps either directly to
 // a top-level resume label or to the enclosing for/if/block statement of a
@@ -91,17 +96,39 @@ type File struct {
 	Src  []byte
 }
 
+// Result is what one transformation emitted, and what its liveness
+// analysis decided. Variables are named "function.variable".
+type Result struct {
+	// Files are the rewritten sources, in input order.
+	Files [][]byte
+	// Dead are the variables no checkpoint saves.
+	Dead []string
+	// Mixed are the variables dead at some of their function's checkpoint
+	// sites and live at others: they stay registered.
+	Mixed []string
+}
+
 // Transform instruments all checkpointable functions across the given
-// files of one package and returns the rewritten sources in input order.
-// Files without checkpointable functions are returned formatted but
-// otherwise untouched.
-func Transform(files []File) ([][]byte, error) {
+// files of one package and returns the rewritten sources in input order,
+// with what the liveness analysis decided. Files without checkpointable
+// functions are returned formatted but otherwise untouched.
+func Transform(files []File) (Result, error) { return transform(files, false) }
+
+// TransformPoisoned is the liveness analysis' test oracle: Transform, plus,
+// on each instrumented function's restart path, a fill of every dead
+// variable with poison (NaN for floats, 0xA5 in every byte of an integer).
+// A program that reads a variable the analysis declared dead before
+// writing it reads poison. Tests build programs with it; nothing ships its
+// output.
+func TransformPoisoned(files []File) (Result, error) { return transform(files, true) }
+
+func transform(files []File, poison bool) (Result, error) {
 	fset := token.NewFileSet()
 	parsed := make([]*ast.File, len(files))
 	for i, f := range files {
 		af, err := parser.ParseFile(fset, f.Name, f.Src, parser.ParseComments)
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		parsed[i] = af
 	}
@@ -114,16 +141,16 @@ func Transform(files []File) ([][]byte, error) {
 			if !ok || fd.Recv != nil || fd.Body == nil {
 				continue
 			}
-			fi := &funcInfo{decl: fd, rank: rankParam(fd)}
+			fi := &funcInfo{decl: fd, file: af, rank: rankParam(fd)}
 			funcs[fd.Name.Name] = fi
 			order = append(order, fd.Name.Name)
 		}
 	}
 	markCheckpointable(funcs)
 
-	tr := &transformer{fset: fset, funcs: funcs}
+	tr := &transformer{fset: fset, funcs: funcs, poison: poison}
 	if err := tr.checkClosures(funcs); err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	for _, name := range order {
 		fi := funcs[name]
@@ -131,27 +158,29 @@ func Transform(files []File) ([][]byte, error) {
 			continue
 		}
 		if fi.rank == "" {
-			return nil, tr.errf(fi.decl.Pos(),
+			return Result{}, tr.errf(fi.decl.Pos(),
 				"function %s can reach PotentialCheckpoint but has no *Rank parameter to carry the runtime", name)
 		}
 		if err := tr.instrumentFunc(fi); err != nil {
-			return nil, err
+			return Result{}, err
 		}
 	}
 
-	out := make([][]byte, len(parsed))
+	res := tr.res
+	res.Files = make([][]byte, len(parsed))
 	for i, af := range parsed {
 		var buf bytes.Buffer
 		if err := format.Node(&buf, fset, af); err != nil {
-			return nil, fmt.Errorf("precompiler: format %s: %w", files[i].Name, err)
+			return Result{}, fmt.Errorf("precompiler: format %s: %w", files[i].Name, err)
 		}
-		out[i] = buf.Bytes()
+		res.Files[i] = buf.Bytes()
 	}
-	return out, nil
+	return res, nil
 }
 
 type funcInfo struct {
 	decl           *ast.FuncDecl
+	file           *ast.File
 	rank           string // name of the *Rank parameter, "" if none
 	checkpointable bool
 }
@@ -250,8 +279,10 @@ func isPotentialCheckpoint(n ast.Node, rank string) bool {
 }
 
 type transformer struct {
-	fset  *token.FileSet
-	funcs map[string]*funcInfo
+	fset   *token.FileSet
+	funcs  map[string]*funcInfo
+	poison bool
+	res    Result
 }
 
 func (t *transformer) errf(pos token.Pos, format string, args ...any) error {
@@ -322,6 +353,10 @@ func (t *transformer) instrumentFunc(fi *funcInfo) error {
 		}
 		break
 	}
+	// Dead variables (liveness.go) are neither registered nor touched; the
+	// analysis reads the body before instrumentation rewrites it.
+	dead, mixed := c.deadVars(fi.decl, body.List[:lead])
+	var deadDecls []variable
 	for _, s := range body.List[:lead] {
 		gen := s.(*ast.DeclStmt).Decl.(*ast.GenDecl)
 		if gen.Tok != token.VAR {
@@ -329,8 +364,11 @@ func (t *transformer) instrumentFunc(fi *funcInfo) error {
 		}
 		for _, spec := range gen.Specs {
 			if vs, ok := spec.(*ast.ValueSpec); ok {
-				for _, n := range vs.Names {
-					if n.Name != "_" {
+				for i, n := range vs.Names {
+					switch {
+					case dead[n.Name]:
+						deadDecls = append(deadDecls, variable{n.Name, vs.Values[i].(*ast.CallExpr).Args[0]})
+					case n.Name != "_":
 						vars = append(vars, variable{n.Name, vs.Type})
 					}
 				}
@@ -357,6 +395,12 @@ func (t *transformer) instrumentFunc(fi *funcInfo) error {
 				c.name, v.name, types.ExprString(v.typ))
 		}
 	}
+	for _, v := range deadDecls {
+		t.res.Dead = append(t.res.Dead, c.name+"."+v.name)
+	}
+	for _, v := range mixed {
+		t.res.Mixed = append(t.res.Mixed, c.name+"."+v)
+	}
 
 	var out []ast.Stmt
 	out = append(out, body.List[:lead]...)
@@ -375,20 +419,118 @@ func (t *transformer) instrumentFunc(fi *funcInfo) error {
 			Type:  ast.NewIdent("int"),
 		}},
 	}})
-	out = append(out, &ast.IfStmt{
-		Cond: c.psCall("Resuming"),
-		Body: &ast.BlockStmt{List: []ast.Stmt{
-			&ast.AssignStmt{
-				Lhs: []ast.Expr{ast.NewIdent(targetVar)},
-				Tok: token.ASSIGN,
-				Rhs: []ast.Expr{c.psCall("Resume")},
-			},
-		}},
-	})
+	resume := []ast.Stmt{&ast.AssignStmt{
+		Lhs: []ast.Expr{ast.NewIdent(targetVar)},
+		Tok: token.ASSIGN,
+		Rhs: []ast.Expr{c.psCall("Resume")},
+	}}
+	if t.poison {
+		for _, v := range deadDecls {
+			resume = append(resume, poisonFill(fi.file, v.name, elemType(v.typ)))
+		}
+	}
+	out = append(out, &ast.IfStmt{Cond: c.psCall("Resuming"), Body: &ast.BlockStmt{List: resume}})
 	out = append(out, c.dispatch(refs))
 	out = append(out, rest...)
 	body.List = out
+	placeEmitted(body)
 	return nil
+}
+
+// placeEmitted gives every emitted node of an instrumented body the start
+// position of the source node before it. The printer flushes a comment
+// before the first token positioned after it; emitted tokens, which have
+// no position, would otherwise drift past the comments that follow them in
+// the source and pull them in among the emitted statements.
+func placeEmitted(body *ast.BlockStmt) {
+	var last token.Pos
+	ast.Inspect(body, func(n ast.Node) bool {
+		if n == nil {
+			return false
+		}
+		for _, p := range ownPositions(n) {
+			if !p.IsValid() {
+				*p = last
+			}
+		}
+		if p := n.Pos(); p > last {
+			last = p
+		}
+		return true
+	})
+}
+
+// ownPositions returns the position fields of the node kinds the
+// transformation emits.
+func ownPositions(n ast.Node) []*token.Pos {
+	switch n := n.(type) {
+	case *ast.Ident:
+		return []*token.Pos{&n.NamePos}
+	case *ast.BasicLit:
+		return []*token.Pos{&n.ValuePos}
+	case *ast.CallExpr:
+		return []*token.Pos{&n.Lparen, &n.Rparen}
+	case *ast.UnaryExpr:
+		return []*token.Pos{&n.OpPos}
+	case *ast.IndexExpr:
+		return []*token.Pos{&n.Lbrack, &n.Rbrack}
+	case *ast.AssignStmt:
+		return []*token.Pos{&n.TokPos}
+	case *ast.DeferStmt:
+		return []*token.Pos{&n.Defer}
+	case *ast.GenDecl:
+		return []*token.Pos{&n.TokPos}
+	case *ast.IfStmt:
+		return []*token.Pos{&n.If}
+	case *ast.BlockStmt:
+		return []*token.Pos{&n.Lbrace, &n.Rbrace}
+	case *ast.SwitchStmt:
+		return []*token.Pos{&n.Switch}
+	case *ast.CaseClause:
+		return []*token.Pos{&n.Case, &n.Colon}
+	case *ast.BranchStmt:
+		return []*token.Pos{&n.TokPos}
+	case *ast.LabeledStmt:
+		return []*token.Pos{&n.Colon}
+	case *ast.RangeStmt:
+		return []*token.Pos{&n.For, &n.TokPos}
+	}
+	return nil
+}
+
+// poisonFill builds the oracle's fill of a dead []elem v:
+//
+//	for ccift_i := range v {
+//		v[ccift_i] = <poison>
+//	}
+func poisonFill(file *ast.File, v, elem string) ast.Stmt {
+	i := ast.NewIdent("ccift_i")
+	return &ast.RangeStmt{
+		Key: i, Tok: token.DEFINE, X: ast.NewIdent(v),
+		Body: &ast.BlockStmt{List: []ast.Stmt{&ast.AssignStmt{
+			Lhs: []ast.Expr{&ast.IndexExpr{X: ast.NewIdent(v), Index: ast.NewIdent(i.Name)}},
+			Tok: token.ASSIGN,
+			Rhs: []ast.Expr{poisonValue(file, elem)},
+		}}},
+	}
+}
+
+// importName returns the name file refers to the package at path by,
+// importing it when the file does not.
+func importName(file *ast.File, path string) string {
+	quoted := strconv.Quote(path)
+	for _, im := range file.Imports {
+		if im.Path.Value == quoted {
+			if im.Name != nil {
+				return im.Name.Name
+			}
+			return path
+		}
+	}
+	spec := &ast.ImportSpec{Path: &ast.BasicLit{Kind: token.STRING, Value: quoted}}
+	file.Imports = append(file.Imports, spec)
+	file.Decls = append([]ast.Decl{&ast.GenDecl{Tok: token.IMPORT, Specs: []ast.Spec{spec}}}, file.Decls...)
+	return path
 }
 
 // dispatch builds the switch that routes a resuming execution to its label.
@@ -605,7 +747,7 @@ func (c *funcCtx) instrumentBlock(b *ast.BlockStmt) (*ast.BlockStmt, []labelRef,
 	if len(refs) > 0 {
 		newList = append([]ast.Stmt{c.dispatch(refs)}, newList...)
 	}
-	return &ast.BlockStmt{List: newList}, refs, nil
+	return &ast.BlockStmt{Lbrace: b.Lbrace, List: newList, Rbrace: b.Rbrace}, refs, nil
 }
 
 // wrapContainer labels a statement that holds nested sites and re-targets
@@ -616,7 +758,10 @@ func (c *funcCtx) wrapContainer(s ast.Stmt, refs []labelRef) ([]ast.Stmt, []labe
 	for i, r := range refs {
 		outRefs[i] = labelRef{label: r.label, target: name, direct: false}
 	}
-	return []ast.Stmt{&ast.LabeledStmt{Label: ast.NewIdent(name), Stmt: s}}, outRefs, nil
+	// The label takes the statement's position, so a blank line before the
+	// statement stays before the label.
+	label := &ast.Ident{NamePos: s.Pos(), Name: name}
+	return []ast.Stmt{&ast.LabeledStmt{Label: label, Colon: s.Pos(), Stmt: s}}, outRefs, nil
 }
 
 // wrapCheckpointSite emits Figure 6's checkpoint-site form: the label sits

@@ -348,20 +348,20 @@ func driver(r *Rank) {
 	helper(r)
 }
 `
-	out, err := Transform([]File{{Name: "a.go", Src: []byte(a)}, {Name: "b.go", Src: []byte(b)}})
+	res, err := Transform([]File{{Name: "a.go", Src: []byte(a)}, {Name: "b.go", Src: []byte(b)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(out[1]), "ccift_l1") {
-		t.Fatalf("driver in b.go was not instrumented:\n%s", out[1])
+	if !strings.Contains(string(res.Files[1]), "ccift_l1") {
+		t.Fatalf("driver in b.go was not instrumented:\n%s", res.Files[1])
 	}
 }
 
 // transformFile is the single-file convenience form of Transform.
 func transformFile(name string, src []byte) ([]byte, error) {
-	out, err := Transform([]File{{Name: name, Src: src}})
+	res, err := Transform([]File{{Name: name, Src: src}})
 	if err != nil {
 		return nil, err
 	}
-	return out[0], nil
+	return res.Files[0], nil
 }

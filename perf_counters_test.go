@@ -606,15 +606,16 @@ func (c *chunkless) Delete(key string) error {
 }
 
 // TestSteadyFlushAllocatesNoBuffers: once the first checkpoints have filled
-// the free lists, a Full checkpoint of a 2 MB state allocates neither chunk
-// buffers (256 KB each, two per flush of more than two chunks) nor float
-// conversion scratch (8 KB per 64 KB page before, 33 pages here): what is
-// left per checkpoint is the header, the manifest, the chunk keys and the
-// protocol's messages. Two runs that differ only in how often they
-// checkpoint tell what one more checkpoint costs: 42–66 KB, measured on
-// 2 vCPUs at -cpu 1, 2 and 4, where buffers allocated per flush made it
-// 860 KB. (A float scratch per page brings it to ≈ 335 KB, chunk buffers
-// per flush to ≈ 566 KB.)
+// the free lists, a Full checkpoint of a 1 MB state (Laplace's grid, 2 MB
+// while its sweep target was saved too) allocates neither chunk buffers
+// (256 KB each, two per flush of more than two chunks) nor float conversion
+// scratch (8 KB per 64 KB page before, 17 pages here): what is left per
+// checkpoint is the header, the manifest, the chunk keys and the protocol's
+// messages. Two runs that differ only in how often they checkpoint tell
+// what one more checkpoint costs: 33–57 KB of the 1 MB state, 42–66 KB of
+// the 2 MB one, measured on 2 vCPUs at -cpu 1, 2 and 4, where buffers
+// allocated per flush made it 860 KB. (A float scratch per page brought the
+// 2 MB state's to ≈ 335 KB, chunk buffers per flush to ≈ 566 KB.)
 func TestSteadyFlushAllocatesNoBuffers(t *testing.T) {
 	skipAllocationGateUnderRace(t)
 	prog := laplace.Program(laplace.Params{N: 512, Iters: 300})
@@ -631,7 +632,7 @@ func TestSteadyFlushAllocatesNoBuffers(t *testing.T) {
 	perCkpt := (float64(manyBytes) - float64(fewBytes)) / float64(many-few)
 	t.Logf("%.0f KB per local checkpoint (%d vs %d checkpoints)", perCkpt/1e3, many, few)
 	if perCkpt > 160e3 {
-		t.Fatalf("a steady-state local checkpoint of a 2 MB state allocated %.0f KB, want under 160 KB (no chunk buffer, no float scratch)", perCkpt/1e3)
+		t.Fatalf("a steady-state local checkpoint of a 1 MB state allocated %.0f KB, want under 160 KB (no chunk buffer, no float scratch)", perCkpt/1e3)
 	}
 }
 
@@ -785,23 +786,27 @@ func TestStoreOpsPerCheckpointOnTheSimulator(t *testing.T) {
 		ckpts       int64
 		puts, has   keyOps
 		replacement keyOps // Gets; Full mode only
+		copied      int64  // bytes the freezes copied, both ranks
 	}
+	// Laplace's sweep target is dead at its checkpoint (the precompiler
+	// leaves it out): with it registered the Full row was 24 chunk Puts, 36
+	// probes, 6 replacement Gets and 208986 bytes copied.
 	rows := []row{
 		{harness.CGExperiment(2, harness.Smoke), ccift.Full, 4,
 			keyOps{Chunk: 14, State: 4, Log: 4, Meta: 4, Commit: 2}, keyOps{Chunk: 20},
-			keyOps{Chunk: 5, State: 1, Log: 1}},
+			keyOps{Chunk: 5, State: 1, Log: 1}, 139374},
 		{harness.LaplaceExperiment(2, harness.Smoke), ccift.Full, 6,
-			keyOps{Chunk: 24, State: 6, Log: 6, Meta: 6, Commit: 3}, keyOps{Chunk: 36},
-			keyOps{Chunk: 6, State: 1, Log: 1}},
+			keyOps{Chunk: 22, State: 6, Log: 6, Meta: 6, Commit: 3}, keyOps{Chunk: 30},
+			keyOps{Chunk: 5, State: 1, Log: 1}, 104814},
 		{harness.NeurosysExperiment(2, harness.Smoke), ccift.Full, 4,
 			keyOps{Chunk: 6, State: 4, Log: 4, Meta: 4, Commit: 2}, keyOps{Chunk: 12},
-			keyOps{Chunk: 3, State: 1, Log: 1}},
+			keyOps{Chunk: 3, State: 1, Log: 1}, 6198},
 		{harness.CGExperiment(2, harness.Smoke), ccift.NoAppState, 4,
-			keyOps{Log: 4, Meta: 4, Commit: 2}, keyOps{}, keyOps{}},
+			keyOps{Log: 4, Meta: 4, Commit: 2}, keyOps{}, keyOps{}, 0},
 		{harness.LaplaceExperiment(2, harness.Smoke), ccift.NoAppState, 6,
-			keyOps{Log: 6, Meta: 6, Commit: 3}, keyOps{}, keyOps{}},
+			keyOps{Log: 6, Meta: 6, Commit: 3}, keyOps{}, keyOps{}, 0},
 		{harness.NeurosysExperiment(2, harness.Smoke), ccift.NoAppState, 4,
-			keyOps{Log: 4, Meta: 4, Commit: 2}, keyOps{}, keyOps{}},
+			keyOps{Log: 4, Meta: 4, Commit: 2}, keyOps{}, keyOps{}, 0},
 	}
 	for _, r := range rows {
 		size := r.exp.Sizes[0]
@@ -821,10 +826,14 @@ func TestStoreOpsPerCheckpointOnTheSimulator(t *testing.T) {
 			t.Fatalf("%s, %v: %v", r.exp.App, r.mode, err)
 		}
 		ckpts := countersOf(res.Stats).CheckpointsTaken
-		t.Logf("%s, %v: %d local checkpoints; Puts %+v, Has %+v", r.exp.App, r.mode, ckpts, st.puts, st.has)
-		if ckpts != r.ckpts || st.puts != r.puts || st.has != r.has {
-			t.Errorf("%s, %v: %d local checkpoints with Puts %#v and Has %#v, want %d with %#v and %#v",
-				r.exp.App, r.mode, ckpts, st.puts, st.has, r.ckpts, r.puts, r.has)
+		var copied int64
+		for _, s := range res.Stats {
+			copied += s.CheckpointBytesCopied
+		}
+		t.Logf("%s, %v: %d local checkpoints; Puts %+v, Has %+v; %d B copied", r.exp.App, r.mode, ckpts, st.puts, st.has, copied)
+		if ckpts != r.ckpts || st.puts != r.puts || st.has != r.has || copied != r.copied {
+			t.Errorf("%s, %v: %d local checkpoints with Puts %#v and Has %#v, %d B copied; want %d with %#v and %#v, %d B",
+				r.exp.App, r.mode, ckpts, st.puts, st.has, copied, r.ckpts, r.puts, r.has, r.copied)
 		}
 		if r.mode != ccift.Full {
 			continue
