@@ -1,6 +1,7 @@
 package ccift_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -15,28 +16,68 @@ import (
 	"testing"
 )
 
-// The architecture's rules, checked on the source. Each row is a property a
-// simplification established and a later change could quietly undo; as a
-// test it fails wherever the suite runs, not only in CI. The benchmark
-// module (bench/, its own go.mod) is outside every rule.
+// The architecture's rules, checked on the source: the one place they live.
+// Each rule is a property a change established and a later one could
+// quietly undo; as a test it fails wherever the suite runs, not only in CI.
+// Each row of the table names the PR that established its rule and carries
+// one deliberate violation its check must report, so a check that has gone
+// blind fails as loudly as a broken rule. The benchmark module (bench/, its
+// own go.mod) is outside every rule.
 
-// parseDir parses the non-test Go files directly in dir, keyed by path.
-func parseDir(t *testing.T, dir string, mode parser.Mode) map[string]*ast.File {
+// tree is the module's Go source outside bench/ and testdata/, test files
+// included, parsed and keyed by path.
+type tree map[string]*ast.File
+
+// parseDir parses the Go files directly in dir, test files included, keyed
+// by path.
+func parseDir(t *testing.T, dir string) tree {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := map[string]*ast.File{}
+	files := tree{}
 	fset := token.NewFileSet()
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
 		path := filepath.ToSlash(filepath.Join(dir, name))
-		if files[path], err = parser.ParseFile(fset, path, nil, mode); err != nil {
+		if files[path], err = parser.ParseFile(fset, path, nil, 0); err != nil {
 			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+// parseTree parses the module's tree.
+func parseTree(t *testing.T) tree {
+	t.Helper()
+	files := tree{}
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir == "bench" || d.Name() == "testdata" || dir != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		maps.Copy(files, parseDir(t, dir))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// code returns the non-test files of tr directly in one of dirs ("." is the
+// root package), or in the whole module when no dir is given.
+func (tr tree) code(dirs ...string) tree {
+	files := tree{}
+	for path, f := range tr {
+		if !strings.HasSuffix(path, "_test.go") && (len(dirs) == 0 || slices.Contains(dirs, filepath.Dir(path))) {
+			files[path] = f
 		}
 	}
 	return files
@@ -129,27 +170,6 @@ func figure4Field(e ast.Expr) string {
 			return ""
 		}
 	}
-}
-
-// goFiles parses every non-test Go file of the module outside bench/ and
-// testdata/, keyed by path.
-func goFiles(t *testing.T) map[string]*ast.File {
-	t.Helper()
-	files := map[string]*ast.File{}
-	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if dir == "bench" || d.Name() == "testdata" || dir != "." && strings.HasPrefix(d.Name(), ".") {
-			return filepath.SkipDir
-		}
-		maps.Copy(files, parseDir(t, dir, 0))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return files
 }
 
 // exportsWithoutUsers lists "dir.Name" (or "dir.Type.Method") for every
@@ -347,223 +367,357 @@ func exportAllowed(name string) (string, bool) {
 	return "", false
 }
 
-func TestArchitecture(t *testing.T) {
-	files := goFiles(t)
+// errorRootAllowList is every function of the root package, store/ and
+// internal/ that may build an error without wrapping a cause or a category,
+// keyed "path: function", with the reason. Everywhere else an error is born
+// in the cerr category it reaches Launch or a CLI with, and every layer
+// above wraps it with %w, so exactly one ccift.Err* survives to the caller.
+var errorRootAllowList = map[string]string{
+	"internal/wire/wire.go: fail":                 "a decode error of the codec, which imports only the standard library: its reader decides the category (ErrStore off the store, ErrTransport off a socket)",
+	"internal/wire/wire.go: ReadFrame":            "a lying length word, and the codec imports only the standard library: its reader decides the category (launch's control stream wraps ErrTransport)",
+	"internal/protocol/machine.go: verify":        "Figure 4's Debug invariant faults: machine.go imports nothing from internal/, and the Layer panics with the text, which ends the run as ErrProgram",
+	"internal/ckpt/freeze.go: freeze":             "a can't-happen guard: pushEntry stores only the three kinds the switch lists",
+	"internal/harness/harness.go: ChecksumsAgree": "a Figure 8 verdict fig8 prints and exits 1 on: no run returns it",
+}
 
-	t.Run("only internal/mpi/elems.go imports unsafe", func(t *testing.T) {
-		var got []string
-		for path, f := range files {
-			for _, imp := range f.Imports {
-				if imp.Path.Value == `"unsafe"` {
-					got = append(got, path)
-				}
-			}
+// errorSites lists "path: function: what" for every fmt.Errorf of the root
+// package, store/ and internal/ whose format is not a literal that wraps
+// with %w, and every errors.New that is not the value of a package-level
+// var (a sentinel). A site outside a function is keyed by its declaration
+// keyword.
+func errorSites(files tree) []string {
+	var sites []string
+	for path, f := range files {
+		if filepath.Dir(path) != "." && !strings.HasPrefix(path, "store/") && !strings.HasPrefix(path, "internal/") {
+			continue
 		}
-		slices.Sort(got)
-		if !slices.Equal(got, []string{"internal/mpi/elems.go"}) {
-			t.Fatalf("unsafe is imported by %v: only internal/mpi/elems.go may view typed memory as bytes (and never the reverse); a second file is the per-element pack loops, or worse, growing back", got)
-		}
-	})
-
-	t.Run("internal/mpi imports no math/rand", func(t *testing.T) {
-		// The message-order adversary is the simulator's seeded per-link
-		// jitter (internal/sim). A PRNG in the substrate is a second,
-		// unseeded-by-the-scenario reordering mode growing back.
-		for path, f := range parseDir(t, "internal/mpi", 0) {
-			for _, imp := range f.Imports {
-				if p := strings.Trim(imp.Path.Value, `"`); p == "math/rand" || p == "math/rand/v2" {
-					t.Errorf("%s imports %s: internal/mpi delivers in arrival order; reordering belongs to internal/sim", path, p)
-				}
-			}
-		}
-	})
-
-	t.Run("internal/protocol and internal/launch import no encoding/json", func(t *testing.T) {
-		// What crosses the process boundary — control frames, the counters
-		// riding them, recovery slices — is a wire layout. A JSON codec here
-		// is a second format on a second stream growing back.
-		for _, dir := range []string{"internal/protocol", "internal/launch"} {
-			for path, f := range parseDir(t, dir, 0) {
-				for _, imp := range f.Imports {
-					if imp.Path.Value == `"encoding/json"` {
-						t.Errorf("%s imports encoding/json: what crosses the process boundary is an internal/wire layout", path)
-					}
-				}
-			}
-		}
-	})
-
-	t.Run("the control allgather runs in exchangeControl alone", func(t *testing.T) {
-		// A control allgather: an Allgather or AllgatherInto that carries the
-		// control states, or any literal bytes.
-		control := func(call *ast.CallExpr) bool {
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Allgather" && sel.Sel.Name != "AllgatherInto" {
-				return false
-			}
-			found := false
-			for _, arg := range call.Args {
-				ast.Inspect(arg, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.CompositeLit:
-						found = true
-					case *ast.SelectorExpr:
-						found = found || n.Sel.Name == "ctlStates" || n.Sel.Name == "ctlMine"
-					}
-					return !found
-				})
-			}
-			return found
-		}
-		sites := funcsCalling(parseDir(t, "internal/protocol", 0), control)
-		if want := []string{"internal/protocol/collective.go: exchangeControl"}; !slices.Equal(sites, want) {
-			t.Fatalf("control allgathers in %v, want %v: the riding collectives carry their control word on their own messages, and the rooted ones and AlignedBarrier share the one explicit exchange — a second is a per-collective control round growing back", sites, want)
-		}
-	})
-
-	t.Run("no serialized copy of the state retained in internal/protocol", func(t *testing.T) {
-		// A tee on the state writer, or a state-sized buffer kept beside the
-		// retained view, is 4 MB per epoch per rank growing back.
-		var got []string
-		for path, f := range parseDir(t, "internal/protocol", 0) {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.Ident:
-					if n.Name == "teeSection" || n.Name == "retainedBytes" {
-						got = append(got, path+": "+n.Name)
-					}
-				case *ast.SelectorExpr:
-					if s := types.ExprString(n); s == "io.MultiWriter" || s == "io.TeeReader" {
-						got = append(got, path+": "+s)
-					}
-				case *ast.Field, *ast.ValueSpec:
-					names, typ := declared(n)
-					for _, id := range names {
-						if s := types.ExprString(typ); strings.HasPrefix(id.Name, "retain") && strings.TrimPrefix(s, "*") == "bytes.Buffer" {
-							got = append(got, path+": "+id.Name+" "+s)
+		for _, decl := range f.Decls {
+			owner := ""
+			sentinel := map[ast.Expr]bool{}
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				owner = d.Name.Name
+			case *ast.GenDecl:
+				owner = d.Tok.String()
+				for _, spec := range d.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok && d.Tok == token.VAR {
+						for _, v := range vs.Values {
+							sentinel[v] = true
 						}
+					}
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				switch types.ExprString(call.Fun) {
+				case "fmt.Errorf":
+					if format, ok := literal(call.Args[0]); !ok || !strings.Contains(format, "%w") {
+						sites = append(sites, path+": "+owner+": fmt.Errorf without a literal format that wraps with %w")
+					}
+				case "errors.New":
+					if !sentinel[call] {
+						sites = append(sites, path+": "+owner+": errors.New outside a package-level var")
 					}
 				}
 				return true
 			})
 		}
-		if len(got) > 0 {
-			t.Fatalf("%v: internal/protocol retains frozen views (ckpt.Frozen), not serialized state blobs", got)
-		}
-	})
+	}
+	slices.Sort(sites)
+	return sites
+}
 
-	t.Run("a survivor serializes its retained view only to cross-check it under Debug", func(t *testing.T) {
-		// A survivor arms its Saver straight from the view; a Snapshot outside
-		// the Debug cross-check is the serialize-then-decode rollback growing
-		// back, and none at all is the cross-check gone.
-		snapshot := func(call *ast.CallExpr) bool {
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			return ok && sel.Sel.Name == "Snapshot"
-		}
-		var got []string
-		for path, f := range parseDir(t, "internal/protocol", 0) {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				var debug []ast.Node // the bodies of the function's `if ….Debug` branches
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					if is, ok := n.(*ast.IfStmt); ok && strings.HasSuffix(types.ExprString(is.Cond), ".Debug") {
-						debug = append(debug, is.Body)
-					}
-					if call, ok := n.(*ast.CallExpr); ok && snapshot(call) {
-						site := path + ": " + fn.Name.Name
-						if slices.ContainsFunc(debug, func(b ast.Node) bool { return b.Pos() <= call.Pos() && call.End() <= b.End() }) {
-							site += ", under Debug"
-						}
-						got = append(got, site)
-					}
-					return true
-				})
-			}
-		}
-		slices.Sort(got)
-		if want := []string{"internal/protocol/state.go: RestoreFrom, under Debug"}; !slices.Equal(got, want) {
-			t.Fatalf("Snapshot calls in internal/protocol: %v, want %v: a survivor restores straight out of its retained view, and serializes it only for the Debug check against the store's object", got, want)
-		}
-	})
+// literal returns the text of a string literal, or of a concatenation of
+// string literals.
+func literal(e ast.Expr) (string, bool) {
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		return e.Value, e.Kind == token.STRING
+	case *ast.BinaryExpr:
+		x, okx := literal(e.X)
+		y, oky := literal(e.Y)
+		return x + y, okx && oky && e.Op == token.ADD
+	}
+	return "", false
+}
 
-	t.Run("one spelling per collective", func(t *testing.T) {
-		for pt, want := range collectiveSurface {
+// rule is one of the architecture's rules.
+type rule struct {
+	name string
+	pr   int // the PR that established the rule
+	// check returns what violates the rule in a tree, one message per
+	// finding.
+	check func(tr tree) []string
+	// violation is a file that breaks the rule: it joins the tree, or
+	// replaces the file of the tree at its path, and check must report it.
+	violation snippet
+}
+
+type snippet struct{ path, src string }
+
+var rules = []rule{
+	{
+		name: "only internal/mpi/elems.go imports unsafe",
+		pr:   25,
+		check: func(tr tree) []string {
 			var got []string
-			for _, f := range parseDir(t, pt[0], 0) {
-				for _, decl := range f.Decls {
-					fn, ok := decl.(*ast.FuncDecl)
-					if !ok || fn.Recv == nil || !fn.Name.IsExported() || !collectiveName.MatchString(fn.Name.Name) {
-						continue
-					}
-					if star, ok := fn.Recv.List[0].Type.(*ast.StarExpr); ok {
-						if id, ok := star.X.(*ast.Ident); ok && id.Name == pt[1] {
-							got = append(got, fn.Name.Name)
-						}
+			for path, f := range tr.code() {
+				for _, imp := range f.Imports {
+					if imp.Path.Value == `"unsafe"` {
+						got = append(got, path)
 					}
 				}
 			}
 			slices.Sort(got)
-			if !slices.Equal(got, want) {
-				t.Errorf("the collectives of *%s.%s are %v, want %v: each collective is one form that fills a result the caller provides, and a second spelling (a form returning a fresh slice, a typed variant) is a surface that grows at every layer at once — add one here only with the reason it needs to exist",
-					filepath.Base(pt[0]), pt[1], got, want)
+			if !slices.Equal(got, []string{"internal/mpi/elems.go"}) {
+				return []string{fmt.Sprintf("unsafe is imported by %v: only internal/mpi/elems.go may view typed memory as bytes (and never the reverse); a second file is the per-element pack loops, or worse, growing back", got)}
 			}
-		}
-	})
-
-	t.Run("machine.go imports nothing from internal/ and no time", func(t *testing.T) {
+			return nil
+		},
+		violation: snippet{"internal/mpi/pack.go", `package mpi; import "unsafe"; func view(x []float64) []byte { return unsafe.Slice((*byte)(unsafe.Pointer(&x[0])), 8*len(x)) }`},
+	},
+	{
+		name: "internal/mpi imports no math/rand",
+		pr:   39,
+		// The message-order adversary is the simulator's seeded per-link
+		// jitter (internal/sim). A PRNG in the substrate is a second,
+		// unseeded-by-the-scenario reordering mode growing back.
+		check: func(tr tree) (got []string) {
+			for path, f := range tr.code("internal/mpi") {
+				for _, imp := range f.Imports {
+					if p := strings.Trim(imp.Path.Value, `"`); p == "math/rand" || p == "math/rand/v2" {
+						got = append(got, fmt.Sprintf("%s imports %s: internal/mpi delivers in arrival order; reordering belongs to internal/sim", path, p))
+					}
+				}
+			}
+			return got
+		},
+		violation: snippet{"internal/mpi/chaos.go", `package mpi; import "math/rand"; func shuffle(q []int) { rand.Shuffle(len(q), func(i, j int) { q[i], q[j] = q[j], q[i] }) }`},
+	},
+	{
+		name: "internal/protocol and internal/launch import no encoding/json",
+		pr:   46,
+		// What crosses the process boundary — control frames, the counters
+		// riding them, recovery slices — is a wire layout. A JSON codec here
+		// is a second format on a second stream growing back.
+		check: func(tr tree) (got []string) {
+			for path, f := range tr.code("internal/protocol", "internal/launch") {
+				for _, imp := range f.Imports {
+					if imp.Path.Value == `"encoding/json"` {
+						got = append(got, fmt.Sprintf("%s imports encoding/json: what crosses the process boundary is an internal/wire layout", path))
+					}
+				}
+			}
+			return got
+		},
+		violation: snippet{"internal/launch/stats.go", `package launch; import "encoding/json"; func encodeStats(v any) ([]byte, error) { return json.Marshal(v) }`},
+	},
+	{
+		name: "the control allgather runs in exchangeControl alone",
+		pr:   25,
+		check: func(tr tree) []string {
+			// A control allgather: an Allgather or AllgatherInto that carries the
+			// control states, or any literal bytes.
+			control := func(call *ast.CallExpr) bool {
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "Allgather" && sel.Sel.Name != "AllgatherInto" {
+					return false
+				}
+				found := false
+				for _, arg := range call.Args {
+					ast.Inspect(arg, func(n ast.Node) bool {
+						switch n := n.(type) {
+						case *ast.CompositeLit:
+							found = true
+						case *ast.SelectorExpr:
+							found = found || n.Sel.Name == "ctlStates" || n.Sel.Name == "ctlMine"
+						}
+						return !found
+					})
+				}
+				return found
+			}
+			sites := funcsCalling(tr.code("internal/protocol"), control)
+			if want := []string{"internal/protocol/collective.go: exchangeControl"}; !slices.Equal(sites, want) {
+				return []string{fmt.Sprintf("control allgathers in %v, want %v: the riding collectives carry their control word on their own messages, and the rooted ones and AlignedBarrier share the one explicit exchange — a second is a per-collective control round growing back", sites, want)}
+			}
+			return nil
+		},
+		violation: snippet{"internal/protocol/vote.go", `package protocol; func (l *Layer) vote() []byte { return l.w.Allgather([]byte{1}) }`},
+	},
+	{
+		name: "no serialized copy of the state retained in internal/protocol",
+		pr:   19,
+		// A tee on the state writer, or a state-sized buffer kept beside the
+		// retained view, is 4 MB per epoch per rank growing back.
+		check: func(tr tree) []string {
+			var got []string
+			for path, f := range tr.code("internal/protocol") {
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.Ident:
+						if n.Name == "teeSection" || n.Name == "retainedBytes" {
+							got = append(got, path+": "+n.Name)
+						}
+					case *ast.SelectorExpr:
+						if s := types.ExprString(n); s == "io.MultiWriter" || s == "io.TeeReader" {
+							got = append(got, path+": "+s)
+						}
+					case *ast.Field, *ast.ValueSpec:
+						names, typ := declared(n)
+						for _, id := range names {
+							if s := types.ExprString(typ); strings.HasPrefix(id.Name, "retain") && strings.TrimPrefix(s, "*") == "bytes.Buffer" {
+								got = append(got, path+": "+id.Name+" "+s)
+							}
+						}
+					}
+					return true
+				})
+			}
+			if len(got) > 0 {
+				return []string{fmt.Sprintf("%v: internal/protocol retains frozen views (ckpt.Frozen), not serialized state blobs", got)}
+			}
+			return nil
+		},
+		violation: snippet{"internal/protocol/keep.go", `package protocol; import "bytes"; type kept struct{ retained bytes.Buffer }`},
+	},
+	{
+		name: "a survivor serializes its retained view only to cross-check it under Debug",
+		pr:   34,
+		// A survivor arms its Saver straight from the view; a Snapshot outside
+		// the Debug cross-check is the serialize-then-decode rollback growing
+		// back, and none at all is the cross-check gone.
+		check: func(tr tree) []string {
+			snapshot := func(call *ast.CallExpr) bool {
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				return ok && sel.Sel.Name == "Snapshot"
+			}
+			var got []string
+			for path, f := range tr.code("internal/protocol") {
+				for _, decl := range f.Decls {
+					fn, ok := decl.(*ast.FuncDecl)
+					if !ok || fn.Body == nil {
+						continue
+					}
+					var debug []ast.Node // the bodies of the function's `if ….Debug` branches
+					ast.Inspect(fn.Body, func(n ast.Node) bool {
+						if is, ok := n.(*ast.IfStmt); ok && strings.HasSuffix(types.ExprString(is.Cond), ".Debug") {
+							debug = append(debug, is.Body)
+						}
+						if call, ok := n.(*ast.CallExpr); ok && snapshot(call) {
+							site := path + ": " + fn.Name.Name
+							if slices.ContainsFunc(debug, func(b ast.Node) bool { return b.Pos() <= call.Pos() && call.End() <= b.End() }) {
+								site += ", under Debug"
+							}
+							got = append(got, site)
+						}
+						return true
+					})
+				}
+			}
+			slices.Sort(got)
+			if want := []string{"internal/protocol/state.go: RestoreFrom, under Debug"}; !slices.Equal(got, want) {
+				return []string{fmt.Sprintf("Snapshot calls in internal/protocol: %v, want %v: a survivor restores straight out of its retained view, and serializes it only for the Debug check against the store's object", got, want)}
+			}
+			return nil
+		},
+		violation: snippet{"internal/protocol/rollback.go", `package protocol; func (l *Layer) rollback(r *RetainedState) []byte { return r.Frozen.Snapshot() }`},
+	},
+	{
+		name: "one spelling per collective",
+		pr:   33,
+		check: func(tr tree) (got []string) {
+			for pt, want := range collectiveSurface {
+				var have []string
+				for _, f := range tr.code(pt[0]) {
+					for _, decl := range f.Decls {
+						fn, ok := decl.(*ast.FuncDecl)
+						if !ok || fn.Recv == nil || !fn.Name.IsExported() || !collectiveName.MatchString(fn.Name.Name) {
+							continue
+						}
+						if star, ok := fn.Recv.List[0].Type.(*ast.StarExpr); ok {
+							if id, ok := star.X.(*ast.Ident); ok && id.Name == pt[1] {
+								have = append(have, fn.Name.Name)
+							}
+						}
+					}
+				}
+				slices.Sort(have)
+				if !slices.Equal(have, want) {
+					got = append(got, fmt.Sprintf("the collectives of *%s.%s are %v, want %v: each collective is one form that fills a result the caller provides, and a second spelling (a form returning a fresh slice, a typed variant) is a surface that grows at every layer at once — add one here only with the reason it needs to exist",
+						filepath.Base(pt[0]), pt[1], have, want))
+				}
+			}
+			return got
+		},
+		violation: snippet{"internal/mpi/typed.go", `package mpi; func (c *Comm) AllreduceF64(data []float64, op func(a, b float64) float64) []float64 { return nil }`},
+	},
+	{
+		name: "machine.go imports nothing from internal/ and no time",
+		pr:   37,
 		// Figure 4 as a pure state machine (protocol/machine.go) can be
 		// stepped without a world only while it reaches for no substrate,
 		// store or clock.
-		f, ok := files["internal/protocol/machine.go"]
-		if !ok {
-			t.Fatal("internal/protocol/machine.go is gone: the protocol's state machine lives there")
-		}
-		for _, imp := range f.Imports {
-			if p := strings.Trim(imp.Path.Value, `"`); strings.HasPrefix(p, "ccift/internal/") || p == "time" {
-				t.Errorf("internal/protocol/machine.go imports %s: the state machine does no I/O and reads no clock; the Layer, its shell, does", p)
+		check: func(tr tree) (got []string) {
+			f, ok := tr["internal/protocol/machine.go"]
+			if !ok {
+				return []string{"internal/protocol/machine.go is gone: the protocol's state machine lives there"}
 			}
-		}
-	})
-
-	t.Run("Figure 4's variables are assigned in machine.go alone", func(t *testing.T) {
-		var got []string
-		for path, f := range parseDir(t, "internal/protocol", 0) {
-			if path == "internal/protocol/machine.go" {
-				continue
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				var lhs []ast.Expr
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					lhs = n.Lhs
-				case *ast.IncDecStmt:
-					lhs = []ast.Expr{n.X}
+			for _, imp := range f.Imports {
+				if p := strings.Trim(imp.Path.Value, `"`); strings.HasPrefix(p, "ccift/internal/") || p == "time" {
+					got = append(got, fmt.Sprintf("internal/protocol/machine.go imports %s: the state machine does no I/O and reads no clock; the Layer, its shell, does", p))
 				}
-				for _, e := range lhs {
-					if name := figure4Field(e); name != "" {
-						got = append(got, path+": "+types.ExprString(e))
+			}
+			return got
+		},
+		violation: snippet{"internal/protocol/machine.go", `package protocol; import "time"; type machine struct{ since time.Time }`},
+	},
+	{
+		name: "Figure 4's variables are assigned in machine.go alone",
+		pr:   37,
+		check: func(tr tree) []string {
+			var got []string
+			for path, f := range tr.code("internal/protocol") {
+				if path == "internal/protocol/machine.go" {
+					continue
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					var lhs []ast.Expr
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						lhs = n.Lhs
+					case *ast.IncDecStmt:
+						lhs = []ast.Expr{n.X}
 					}
-				}
-				return true
-			})
-		}
-		slices.Sort(got)
-		if len(got) > 0 {
-			t.Fatalf("%v: the protocol's epoch, logging and coordination state changes only through a transition of the state machine (internal/protocol/machine.go); the Layer reads it and runs the actions it queues", got)
-		}
-	})
-
-	t.Run("no clock fork in protocol or storage, no sleep in internal/engine", func(t *testing.T) {
+					for _, e := range lhs {
+						if name := figure4Field(e); name != "" {
+							got = append(got, path+": "+types.ExprString(e))
+						}
+					}
+					return true
+				})
+			}
+			slices.Sort(got)
+			if len(got) > 0 {
+				return []string{fmt.Sprintf("%v: the protocol's epoch, logging and coordination state changes only through a transition of the state machine (internal/protocol/machine.go); the Layer reads it and runs the actions it queues", got)}
+			}
+			return nil
+		},
+		violation: snippet{"internal/protocol/skip.go", `package protocol; func (l *Layer) skipEpoch() { l.m.epoch++ }`},
+	},
+	{
+		name: "no clock fork in protocol or storage, no sleep in internal/engine",
+		pr:   17,
 		// One checkpoint write path on every clock: a branch on
 		// which clock the layer or the writer runs is the sim-sync mode
 		// growing back, and a sleep in the engine or its tests is a
 		// wall-clock stand-in for a wait that belongs on virtual time.
-		var got []string
-		for _, dir := range []string{"internal/protocol", "internal/storage"} {
-			for path, f := range parseDir(t, dir, 0) {
+		check: func(tr tree) []string {
+			var got []string
+			for path, f := range tr.code("internal/protocol", "internal/storage") {
 				ast.Inspect(f, func(n ast.Node) bool {
 					if b, ok := n.(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.NEQ) {
 						x, y := types.ExprString(b.X), types.ExprString(b.Y)
@@ -574,88 +728,92 @@ func TestArchitecture(t *testing.T) {
 					return true
 				})
 			}
-		}
-		entries, err := os.ReadDir("internal/engine")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fset := token.NewFileSet()
-		for _, e := range entries {
-			if !strings.HasSuffix(e.Name(), ".go") {
-				continue
-			}
-			path := "internal/engine/" + e.Name()
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if s, ok := n.(*ast.SelectorExpr); ok && types.ExprString(s) == "time.Sleep" {
-					got = append(got, path+": time.Sleep")
+			for path, f := range tr {
+				if filepath.Dir(path) != "internal/engine" {
+					continue
 				}
-				return true
-			})
-		}
-		if len(got) > 0 {
-			t.Fatalf("%v: internal/protocol and internal/storage take no decision on the clock they run on, and internal/engine (tests included) parks on the transport or tests on virtual time instead of sleeping", got)
-		}
-	})
-
-	t.Run("no sleep or settle window in internal/launch", func(t *testing.T) {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if s, ok := n.(*ast.SelectorExpr); ok && types.ExprString(s) == "time.Sleep" {
+						got = append(got, path+": time.Sleep")
+					}
+					return true
+				})
+			}
+			slices.Sort(got)
+			if len(got) > 0 {
+				return []string{fmt.Sprintf("%v: internal/protocol and internal/storage take no decision on the clock they run on, and internal/engine (tests included) parks on the transport or tests on virtual time instead of sleeping", got)}
+			}
+			return nil
+		},
+		violation: snippet{"internal/engine/settle_test.go", `package engine; import "time"; func settle() { time.Sleep(10 * time.Millisecond) }`},
+	},
+	{
+		name: "no sleep or settle window in internal/launch",
+		pr:   15,
 		// Distributed recovery is event-driven end to end: a sleep or a
 		// time.After in the launcher or the worker role is a poll or a
 		// settle window growing back. The one bounded wait (a rank that
 		// neither parks nor dies) uses a stoppable time.NewTimer.
-		sites := funcsCalling(parseDir(t, "internal/launch", 0), func(call *ast.CallExpr) bool {
-			s := types.ExprString(call.Fun)
-			return s == "time.Sleep" || s == "time.After"
-		})
-		if len(sites) > 0 {
-			t.Fatalf("%v: internal/launch reacts to events (a frame, an exit), it does not wait out a timer", sites)
-		}
-	})
-
-	t.Run("one owner of the store layout", func(t *testing.T) {
+		check: func(tr tree) []string {
+			sites := funcsCalling(tr.code("internal/launch"), func(call *ast.CallExpr) bool {
+				s := types.ExprString(call.Fun)
+				return s == "time.Sleep" || s == "time.After"
+			})
+			if len(sites) > 0 {
+				return []string{fmt.Sprintf("%v: internal/launch reacts to events (a frame, an exit), it does not wait out a timer", sites)}
+			}
+			return nil
+		},
+		violation: snippet{"internal/launch/settle.go", `package launch; import "time"; func settle(done <-chan struct{}) { select { case <-done: case <-time.After(time.Second): } }`},
+	},
+	{
+		name: "one owner of the store layout",
+		pr:   23,
 		// The keys, the manifest format and the one enumeration of ckpt/
 		// live in internal/storage; everything else (the commit's prune,
 		// package store behind c3admin) projects its walk. A key literal, a
 		// manifest parse or a List anywhere else is a second walker growing
 		// back — the kind that once missed the meta.<rank> blobs.
 		// (internal/sim's List is a delegating Stable wrapper.)
-		var got []string
-		for path, f := range files {
-			if strings.HasPrefix(path, "internal/storage/") {
-				continue
-			}
-			admin := strings.HasPrefix(path, "store/") || strings.HasPrefix(path, "cmd/")
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.BasicLit:
-					if n.Kind == token.STRING && strings.HasPrefix(n.Value[1:], "ckpt/") {
-						got = append(got, path+": "+n.Value)
-					}
-				case *ast.SelectorExpr:
-					if name := n.Sel.Name; name == "IsManifest" || name == "ParseManifest" || admin && name == "List" {
-						got = append(got, path+": "+types.ExprString(n))
-					}
+		check: func(tr tree) []string {
+			var got []string
+			for path, f := range tr.code() {
+				if strings.HasPrefix(path, "internal/storage/") {
+					continue
 				}
-				return true
+				admin := strings.HasPrefix(path, "store/") || strings.HasPrefix(path, "cmd/")
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.BasicLit:
+						if n.Kind == token.STRING && strings.HasPrefix(n.Value[1:], "ckpt/") {
+							got = append(got, path+": "+n.Value)
+						}
+					case *ast.SelectorExpr:
+						if name := n.Sel.Name; name == "IsManifest" || name == "ParseManifest" || admin && name == "List" {
+							got = append(got, path+": "+types.ExprString(n))
+						}
+					}
+					return true
+				})
+			}
+			walks := funcsCalling(tr.code("internal/storage"), func(call *ast.CallExpr) bool {
+				s := types.ExprString(call.Fun)
+				return strings.HasSuffix(s, ".List") && s != "t.Inner.List" // Throttled delegates
 			})
-		}
-		walks := funcsCalling(parseDir(t, "internal/storage", 0), func(call *ast.CallExpr) bool {
-			s := types.ExprString(call.Fun)
-			return strings.HasSuffix(s, ".List") && s != "t.Inner.List" // Throttled delegates
-		})
-		if want := []string{"internal/storage/checkpoints.go: Walk"}; !slices.Equal(walks, want) {
-			got = append(got, walks...)
-		}
-		slices.Sort(got)
-		if len(got) > 0 {
-			t.Fatalf("%v: the store layout belongs to internal/storage — its key constructors, and one function that lists it (CheckpointStore.Walk), which everything else reads through Walk, Read and Refs", got)
-		}
-	})
-
-	t.Run("one owner of record layouts", func(t *testing.T) {
+			if want := []string{"internal/storage/checkpoints.go: Walk"}; !slices.Equal(walks, want) {
+				got = append(got, walks...)
+			}
+			slices.Sort(got)
+			if len(got) > 0 {
+				return []string{fmt.Sprintf("%v: the store layout belongs to internal/storage — its key constructors, and one function that lists it (CheckpointStore.Walk), which everything else reads through Walk, Read and Refs", got)}
+			}
+			return nil
+		},
+		violation: snippet{"store/epochs.go", `package store; import "ccift/internal/storage"; func epochs(s storage.Stable) ([]string, error) { return s.List("ckpt/") }`},
+	},
+	{
+		name: "one owner of record layouts",
+		pr:   41,
 		// The records read back from outside the process — the protocol
 		// record, the log, the chunk manifest, the control frame, the
 		// application state and its values — are layouts of internal/wire's
@@ -664,155 +822,254 @@ func TestArchitecture(t *testing.T) {
 		// call anywhere else is a hand decoder, or a second encoder, growing
 		// back. internal/wire sits below every package, so it imports only
 		// the standard library.
-		var got []string
-		for path, f := range parseDir(t, "internal/wire", 0) {
-			for _, imp := range f.Imports {
-				if p := strings.Trim(imp.Path.Value, `"`); strings.HasPrefix(p, "ccift") || strings.Contains(strings.Split(p, "/")[0], ".") {
-					got = append(got, path+" imports "+p)
+		check: func(tr tree) []string {
+			var got []string
+			for path, f := range tr.code("internal/wire") {
+				for _, imp := range f.Imports {
+					if p := strings.Trim(imp.Path.Value, `"`); strings.HasPrefix(p, "ccift") || strings.Contains(strings.Split(p, "/")[0], ".") {
+						got = append(got, path+" imports "+p)
+					}
 				}
 			}
-		}
-		varint := regexp.MustCompile(`^(Put|Append|Read)?(Uvarint|Varint)$`)
-		for path, f := range files {
-			if strings.HasPrefix(path, "internal/wire/") {
-				continue
-			}
-			for _, imp := range f.Imports {
-				if imp.Path.Value != `"encoding/binary"` {
+			varint := regexp.MustCompile(`^(Put|Append|Read)?(Uvarint|Varint)$`)
+			for path, f := range tr.code() {
+				if strings.HasPrefix(path, "internal/wire/") {
 					continue
 				}
-				name := "binary"
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
-				ast.Inspect(f, func(n ast.Node) bool {
-					if s, ok := n.(*ast.SelectorExpr); ok && types.ExprString(s.X) == name && varint.MatchString(s.Sel.Name) {
-						got = append(got, path+": "+types.ExprString(s))
+				for _, imp := range f.Imports {
+					if imp.Path.Value != `"encoding/binary"` {
+						continue
 					}
-					return true
-				})
+					name := "binary"
+					if imp.Name != nil {
+						name = imp.Name.Name
+					}
+					ast.Inspect(f, func(n ast.Node) bool {
+						if s, ok := n.(*ast.SelectorExpr); ok && types.ExprString(s.X) == name && varint.MatchString(s.Sel.Name) {
+							got = append(got, path+": "+types.ExprString(s))
+						}
+						return true
+					})
+				}
 			}
-		}
-		slices.Sort(got)
-		if len(got) > 0 {
-			t.Fatalf("%v: a record read back from outside the process is a layout of internal/wire's codec, which imports only the standard library", got)
-		}
-	})
-
-	t.Run("one supervision loop", func(t *testing.T) {
+			slices.Sort(got)
+			if len(got) > 0 {
+				return []string{fmt.Sprintf("%v: a record read back from outside the process is a layout of internal/wire's codec, which imports only the standard library", got)}
+			}
+			return nil
+		},
+		violation: snippet{"internal/launch/frame.go", `package launch; import "encoding/binary"; func kind(b []byte) (uint64, int) { return binary.Uvarint(b) }`},
+	},
+	{
+		name: "one supervision loop",
+		pr:   13,
 		// The rollback logic exists once (engine.Supervisor): a second place
 		// that mints the restart-budget error or gathers a recovery plan is a
 		// second rollback loop growing back.
-		internal := map[string]*ast.File{}
-		for path, f := range files {
-			if strings.HasPrefix(path, "internal/") && !strings.HasPrefix(path, "internal/cerr/") {
-				internal[path] = f
+		check: func(tr tree) []string {
+			internal := tree{}
+			for path, f := range tr.code() {
+				if strings.HasPrefix(path, "internal/") && !strings.HasPrefix(path, "internal/cerr/") {
+					internal[path] = f
+				}
 			}
-		}
-		budget := funcsCalling(internal, func(call *ast.CallExpr) bool {
-			if len(call.Args) < 2 {
-				return false
+			budget := funcsCalling(internal, func(call *ast.CallExpr) bool {
+				if len(call.Args) < 2 {
+					return false
+				}
+				lit, ok := call.Args[0].(*ast.BasicLit)
+				return ok && strings.HasPrefix(lit.Value, `"%w`) && types.ExprString(call.Args[1]) == "cerr.ErrMaxRestarts"
+			})
+			gathers := funcsCalling(internal, func(call *ast.CallExpr) bool {
+				return types.ExprString(call.Fun) == "protocol.GatherRecovery"
+			})
+			want := []string{"internal/engine/supervise.go: Run"}
+			if !slices.Equal(budget, want) || !slices.Equal(gathers, want) {
+				return []string{fmt.Sprintf("ErrMaxRestarts is minted in %v and the recovery plan gathered in %v, want each once, in %v", budget, gathers, want)}
 			}
-			lit, ok := call.Args[0].(*ast.BasicLit)
-			return ok && strings.HasPrefix(lit.Value, `"%w`) && types.ExprString(call.Args[1]) == "cerr.ErrMaxRestarts"
-		})
-		gathers := funcsCalling(internal, func(call *ast.CallExpr) bool {
-			return types.ExprString(call.Fun) == "protocol.GatherRecovery"
-		})
-		want := []string{"internal/engine/supervise.go: Run"}
-		if !slices.Equal(budget, want) || !slices.Equal(gathers, want) {
-			t.Fatalf("ErrMaxRestarts is minted in %v and the recovery plan gathered in %v, want each once, in %v", budget, gathers, want)
-		}
-	})
-
-	t.Run("no feedback state in the flush path", func(t *testing.T) {
+			return nil
+		},
+		violation: snippet{"internal/launch/budget.go", `package launch; import ("fmt"; "ccift/internal/cerr"); func outOfRestarts(n int) error { return fmt.Errorf("%w: %d restarts", cerr.ErrMaxRestarts, n) }`},
+	},
+	{
+		name: "no feedback state in the flush path",
+		pr:   18,
 		// Nothing paces the flush: the adaptive governor went
 		// because no workload engaged it, and the fixed cap that replaced it
 		// for the same reason. A rate the code adapts is the governor growing
 		// back without a workload that needs it.
-		governor := regexp.MustCompile(`observe(Idle|Flush)|govMark|idleRate|potentialCalls`)
-		var got []string
-		for path, f := range parseDir(t, "internal/protocol", 0) {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && governor.MatchString(id.Name) {
-					got = append(got, path+": "+id.Name)
-				}
-				return true
-			})
-		}
-		if len(got) > 0 {
-			t.Fatalf("%v: flush pacing has no feedback state", got)
-		}
-	})
-
-	t.Run("the public options match api/options.txt", func(t *testing.T) {
+		check: func(tr tree) []string {
+			governor := regexp.MustCompile(`observe(Idle|Flush)|govMark|idleRate|potentialCalls`)
+			var got []string
+			for path, f := range tr.code("internal/protocol") {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && governor.MatchString(id.Name) {
+						got = append(got, path+": "+id.Name)
+					}
+					return true
+				})
+			}
+			if len(got) > 0 {
+				return []string{fmt.Sprintf("%v: flush pacing has no feedback state", got)}
+			}
+			return nil
+		},
+		violation: snippet{"internal/protocol/pace.go", `package protocol; type pacer struct{ idleRate float64 }`},
+	},
+	{
+		name: "the public options match api/options.txt",
+		pr:   12,
 		// The option surface is a checked-in list: a new knob is a visible
 		// one-line diff that has to be argued for ("new knobs need a
 		// measured reason to exist"). The list is every top-level With*
 		// function of the root package, its signature as go doc prints it,
 		// in byte order.
-		var got []string
-		for _, f := range parseDir(t, ".", 0) {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "With") {
-					continue
+		check: func(tr tree) []string {
+			var got []string
+			for _, f := range tr.code(".") {
+				for _, decl := range f.Decls {
+					fn, ok := decl.(*ast.FuncDecl)
+					if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "With") {
+						continue
+					}
+					got = append(got, "func "+fn.Name.Name+strings.TrimPrefix(types.ExprString(fn.Type), "func"))
 				}
-				got = append(got, "func "+fn.Name.Name+strings.TrimPrefix(types.ExprString(fn.Type), "func"))
 			}
-		}
-		slices.Sort(got)
-		want, err := os.ReadFile("api/options.txt")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g := strings.Join(got, "\n") + "\n"; g != string(want) {
-			t.Fatalf("the options of the root package are\n%s\napi/options.txt lists\n%s\nadd or remove an option only with its measured reason, and update the file to the list above", g, want)
-		}
-	})
-
-	t.Run("Rank's methods match api/rank.txt", func(t *testing.T) {
+			slices.Sort(got)
+			want, err := os.ReadFile("api/options.txt")
+			if err != nil {
+				return []string{err.Error()}
+			}
+			if g := strings.Join(got, "\n") + "\n"; g != string(want) {
+				return []string{fmt.Sprintf("the options of the root package are\n%s\napi/options.txt lists\n%s\nadd or remove an option only with its measured reason, and update the file to the list above", g, want)}
+			}
+			return nil
+		},
+		violation: snippet{"knob.go", `package ccift; func WithSpinBudget(d time.Duration) Option { return nil }`},
+	},
+	{
+		name: "Rank's methods match api/rank.txt",
+		pr:   37,
 		// The program-facing surface is a checked-in list, like the options
 		// (api/options.txt): a method added to Rank is a visible one-line
 		// diff that has to be argued for.
-		var got []string
-		for _, f := range parseDir(t, "internal/engine", 0) {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Recv == nil || !fn.Name.IsExported() || types.ExprString(fn.Recv.List[0].Type) != "*Rank" {
+		check: func(tr tree) []string {
+			var got []string
+			for _, f := range tr.code("internal/engine") {
+				for _, decl := range f.Decls {
+					fn, ok := decl.(*ast.FuncDecl)
+					if !ok || fn.Recv == nil || !fn.Name.IsExported() || types.ExprString(fn.Recv.List[0].Type) != "*Rank" {
+						continue
+					}
+					got = append(got, fn.Name.Name+strings.TrimPrefix(types.ExprString(fn.Type), "func"))
+				}
+			}
+			slices.Sort(got)
+			want, err := os.ReadFile("api/rank.txt")
+			if err != nil {
+				return []string{err.Error()}
+			}
+			if g := strings.Join(got, "\n") + "\n"; g != string(want) {
+				return []string{fmt.Sprintf("the exported methods of engine.Rank (ccift.Rank) are\n%s\napi/rank.txt lists\n%s\nadd or remove a method only with its reason, and update the file to the list above", g, want)}
+			}
+			return nil
+		},
+		violation: snippet{"internal/engine/shortcut.go", `package engine; func (r *Rank) Store() any { return r.l.Saver }`},
+	},
+	{
+		name: "every export in internal/ has a user outside its own file",
+		pr:   36,
+		check: func(tr tree) (got []string) {
+			var orphans []string
+			matched := map[string]bool{}
+			for _, name := range exportsWithoutUsers(tr.code()) {
+				if key, ok := exportAllowed(name); ok {
+					matched[key] = true
+				} else {
+					orphans = append(orphans, name)
+				}
+			}
+			if len(orphans) > 0 {
+				got = append(got, fmt.Sprintf("%v: exported from internal/ with no non-test user outside their own file — delete what nothing calls, unexport what only its package calls (its tests included), or add it to exportAllowList with the reason it stays", orphans))
+			}
+			// An entry nothing matches any more is a reason that outlived its export.
+			for key := range exportAllowList {
+				if !matched[key] {
+					got = append(got, fmt.Sprintf("exportAllowList lists %s, which is no longer an export without users: drop the entry", key))
+				}
+			}
+			return got
+		},
+		violation: snippet{"internal/mpi/probe.go", `package mpi; func ProbeAll(c *Comm) int { return 0 }`},
+	},
+	{
+		name: "errors are born in their category and wrapped with %w",
+		pr:   6,
+		// Every error escaping Launch (or c3admin's store API) matches
+		// exactly one ccift.Err* through errors.Is. That holds only while a
+		// new error carries its cerr category from birth and every layer
+		// above wraps it with %w: a %v flattens the cause to a string and
+		// drops the category. A layer that adds a category to an error that
+		// may already carry one does it with cerr.Ensure.
+		check: func(tr tree) (got []string) {
+			matched := map[string]bool{}
+			for _, site := range errorSites(tr.code()) {
+				key := site[:strings.LastIndex(site, ": ")]
+				if _, ok := errorRootAllowList[key]; ok {
+					matched[key] = true
 					continue
 				}
-				got = append(got, fn.Name.Name+strings.TrimPrefix(types.ExprString(fn.Type), "func"))
+				got = append(got, fmt.Sprintf("%s: give the error the cerr category it reaches Launch with (fmt.Errorf(\"%%w: …\", cerr.ErrX, …)) or wrap its cause with %%w, so exactly one ccift.Err* survives to the caller; or add the function to errorRootAllowList with the reason its reader decides", site))
 			}
-		}
-		slices.Sort(got)
-		want, err := os.ReadFile("api/rank.txt")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g := strings.Join(got, "\n") + "\n"; g != string(want) {
-			t.Fatalf("the exported methods of engine.Rank (ccift.Rank) are\n%s\napi/rank.txt lists\n%s\nadd or remove a method only with its reason, and update the file to the list above", g, want)
-		}
-	})
+			for key := range errorRootAllowList {
+				if !matched[key] {
+					got = append(got, fmt.Sprintf("errorRootAllowList lists %s, which builds no unwrapped error any more: drop the entry", key))
+				}
+			}
+			return got
+		},
+		violation: snippet{"internal/storage/put.go", `package storage; import "fmt"; func put(s Stable, key string, b []byte) error { return fmt.Errorf("storage: put %s: %v", key, s.Put(key, b)) }`},
+	},
+	{
+		name: "Comm.sendh calls no make",
+		pr:   29,
+		// One send path, and it recycles: sendh takes the message and its
+		// copy of the payload from the world's free list (World.message), on
+		// every substrate, with no switch beside it. A make in sendh is the
+		// per-send allocation growing back.
+		check: func(tr tree) []string {
+			sites := funcsCalling(tr.code("internal/mpi"), func(call *ast.CallExpr) bool {
+				return types.ExprString(call.Fun) == "make"
+			})
+			if slices.Contains(sites, "internal/mpi/p2p.go: sendh") {
+				return []string{"Comm.sendh takes its message and payload buffer from World.message, it does not allocate them"}
+			}
+			return nil
+		},
+		violation: snippet{"internal/mpi/p2p.go", `package mpi; func (c *Comm) sendh(dst, tag int, data []byte) { copy(make([]byte, len(data)), data) }`},
+	},
+}
 
-	t.Run("every export in internal/ has a user outside its own file", func(t *testing.T) {
-		var got []string
-		matched := map[string]bool{}
-		for _, name := range exportsWithoutUsers(files) {
-			if key, ok := exportAllowed(name); ok {
-				matched[key] = true
-			} else {
-				got = append(got, name)
+func TestArchitecture(t *testing.T) {
+	tr := parseTree(t)
+	for _, r := range rules {
+		t.Run(r.name, func(t *testing.T) {
+			found := r.check(tr)
+			for _, msg := range found {
+				t.Error(msg)
 			}
-		}
-		if len(got) > 0 {
-			t.Errorf("%v: exported from internal/ with no non-test user outside their own file — delete what nothing calls, unexport what only its package calls (its tests included), or add it to exportAllowList with the reason it stays", got)
-		}
-		// An entry nothing matches any more is a reason that outlived its export.
-		for key := range exportAllowList {
-			if !matched[key] {
-				t.Errorf("exportAllowList lists %s, which is no longer an export without users: drop the entry", key)
-			}
-		}
-	})
+			t.Run("catches a violation", func(t *testing.T) {
+				f, err := parser.ParseFile(token.NewFileSet(), r.violation.path, r.violation.src, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				violated := maps.Clone(tr)
+				violated[r.violation.path] = f
+				fresh := func(msg string) bool { return !slices.Contains(found, msg) }
+				if !slices.ContainsFunc(r.check(violated), fresh) {
+					t.Errorf("the rule of PR %d reports nothing for its violation, %s:\n%s", r.pr, r.violation.path, r.violation.src)
+				}
+			})
+		})
+	}
 }

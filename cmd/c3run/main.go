@@ -60,12 +60,12 @@ func main() {
 
 	prog, stateBytes, err := apps.Build(*app, *ranks, *size, *iters)
 	if err != nil {
-		apps.Fail("c3run", fmt.Errorf("%w: %w", ccift.ErrSpec, err))
+		apps.Fail("c3run", err)
 	}
 
 	everyN, intv, err := apps.ResolveTrigger(*every, *interval)
 	if err != nil {
-		apps.Fail("c3run", fmt.Errorf("%w: %w", ccift.ErrSpec, err))
+		apps.Fail("c3run", err)
 	}
 	opts := []ccift.Option{
 		ccift.WithRanks(*ranks),

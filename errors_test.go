@@ -185,6 +185,13 @@ func TestErrorTaxonomyMatrix(t *testing.T) {
 			wantMsg:    `"origin"`,
 		},
 		{
+			name:       "touches a name it never registered",
+			opts:       base(),
+			workerProg: "typo",
+			want:       ccift.ErrProgram,
+			wantMsg:    `VDS.Touch("gird")`,
+		},
+		{
 			name:     "worker binary unspawnable",
 			opts:     base(),
 			want:     ccift.ErrTransport,

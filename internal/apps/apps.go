@@ -53,7 +53,7 @@ func (k *KillFlag) String() string { return fmt.Sprint(*k) }
 func (k *KillFlag) Set(v string) error {
 	rank, op, ok := strings.Cut(v, "@")
 	if !ok {
-		return fmt.Errorf("want rank@op, got %q", v)
+		return fmt.Errorf("%w: want rank@op, got %q", cerr.ErrSpec, v)
 	}
 	r, err := strconv.Atoi(rank)
 	if err != nil {
@@ -73,7 +73,7 @@ func (k *KillFlag) Set(v string) error {
 // is given the op-count trigger defaults to every 25 calls.
 func ResolveTrigger(every int, interval time.Duration) (int, time.Duration, error) {
 	if every > 0 && interval > 0 {
-		return 0, 0, fmt.Errorf("-every (%d) and -interval (%v) are mutually exclusive checkpoint triggers; pick one", every, interval)
+		return 0, 0, fmt.Errorf("%w: -every (%d) and -interval (%v) are mutually exclusive checkpoint triggers; pick one", cerr.ErrSpec, every, interval)
 	}
 	if every == 0 && interval == 0 {
 		return 25, 0, nil
@@ -146,6 +146,6 @@ func Build(app string, ranks, size, iters int) (engine.Program, int64, error) {
 		p := neurosys.Params{K: size, Iters: iters}
 		return neurosys.Program(p), int64(p.StateBytesPerRank(ranks)), nil
 	default:
-		return nil, 0, fmt.Errorf("unknown app %q (want %v)", app, names())
+		return nil, 0, fmt.Errorf("%w: unknown app %q (want %v)", cerr.ErrSpec, app, names())
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"ccift/internal/cerr"
 	"ccift/internal/engine"
 	"ccift/internal/mpi"
 )
@@ -58,7 +59,7 @@ func Program(p Params) engine.Program {
 	return func(r *engine.Rank) (any, error) {
 		ranks := r.Size()
 		if p.N%ranks != 0 {
-			return nil, fmt.Errorf("cg: N=%d not divisible by %d ranks", p.N, ranks)
+			return nil, fmt.Errorf("%w: cg: N=%d not divisible by %d ranks", cerr.ErrProgram, p.N, ranks)
 		}
 		rows := p.N / ranks
 		lo := r.Rank() * rows

@@ -63,29 +63,13 @@ func TestLaplaceModesAgree(t *testing.T) {
 	}
 }
 
-func TestLaplaceRecovery(t *testing.T) {
-	// The halo exchange uses Irecv/Isend/Wait; failures land between
-	// posting and completion, exercising request pseudo-handle recovery.
-	p := Params{N: 32, Iters: 20}
-	ref := run(t, engine.Config{Ranks: 4, Mode: protocol.Unmodified}, p)
-	for _, atOp := range []int64{13, 27, 44, 61, 88} {
-		cfg := engine.Config{
-			Ranks: 4, Mode: protocol.Full, EveryN: 4, Debug: true,
-			Failures: []engine.Failure{{Rank: int(atOp % 4), AtOp: atOp, Incarnation: 0}},
-		}
-		got := run(t, cfg, p)
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("atOp=%d: %v != %v", atOp, got, ref)
-		}
-	}
-}
-
 // TestLaplaceRecoversOnTheSimulator: kills at several ops of a simulated
-// world whose jitter reorders frames across senders. Which commit a kill
-// follows is a function of the seed, so each run names the epoch it
-// restores, and five of the six take the restart path (solve resumed at
-// its checkpoint, next not restored), which TestLaplaceRecovery's
-// wall-clock kills cannot promise. Every run ends with the fault-free
+// world whose jitter reorders frames across senders, under the protocol's
+// Debug assertions. Which commit a kill follows, and which call it lands
+// in, are functions of the seed, so each row names the epoch it restores:
+// five of the six take the restart path (solve resumed at its checkpoint,
+// next not restored), and five die inside the halo exchange, between an
+// Irecv/Isend post and its Wait. Every run ends with the fault-free
 // checksum.
 func TestLaplaceRecoversOnTheSimulator(t *testing.T) {
 	p := Params{N: 32, Iters: 24}
@@ -93,13 +77,20 @@ func TestLaplaceRecoversOnTheSimulator(t *testing.T) {
 	for _, k := range []struct {
 		seed, atOp int64
 		want       int
-	}{{1, 40, -1}, {2, 150, 1}, {3, 140, 2}, {4, 190, 2}, {5, 170, 1}, {6, 130, 1}} {
+	}{
+		{1, 40, -1}, // in the first checkpoint's control send
+		{2, 150, 1}, // in an Isend, with an Irecv posted
+		{3, 140, 2}, // in an Isend, with an Irecv posted
+		{4, 190, 2}, // in the Wait on a halo row
+		{5, 170, 1}, // in the Wait on a halo row
+		{6, 130, 1}, // in the Wait on a halo row
+	} {
 		s, err := sim.New(4, sim.Scenario{Seed: k.seed, Latency: 100 * time.Microsecond, Jitter: 400 * time.Microsecond})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := engine.Run(engine.Config{
-			Ranks: 4, Mode: protocol.Full, EveryN: 5,
+			Ranks: 4, Mode: protocol.Full, EveryN: 5, Debug: true,
 			Failures:     []engine.Failure{{Rank: int(k.seed % 4), AtOp: k.atOp}},
 			NewTransport: s.NewTransport, Clock: s.DetectorClock(), RankClock: s.RankClock,
 			Store: s.WrapStore(storage.NewMemory()),

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"ccift/internal/cerr"
 	"ccift/internal/engine"
 	"ccift/internal/mpi"
 )
@@ -43,7 +44,7 @@ func Program(p Params) engine.Program {
 		n := p.K * p.K
 		ranks := r.Size()
 		if n%ranks != 0 {
-			return nil, fmt.Errorf("neurosys: %d neurons not divisible by %d ranks", n, ranks)
+			return nil, fmt.Errorf("%w: neurosys: %d neurons not divisible by %d ranks", cerr.ErrProgram, n, ranks)
 		}
 		local := n / ranks
 		lo := r.Rank() * local

@@ -3,6 +3,7 @@ package baseline
 import (
 	"fmt"
 
+	"ccift/internal/cerr"
 	"ccift/internal/mpi"
 	"ccift/internal/storage"
 )
@@ -87,7 +88,7 @@ func (b *Blocking) Restore() (state []byte, epoch int, err error) {
 		return nil, 0, err
 	}
 	if !ok {
-		return nil, 0, fmt.Errorf("baseline: no committed blocking checkpoint")
+		return nil, 0, fmt.Errorf("%w: baseline: no committed blocking checkpoint", cerr.ErrWorldDead)
 	}
 	state, err = b.store.GetState(epoch, b.comm.Rank())
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 
+	"ccift/internal/cerr"
 	"ccift/internal/wire"
 )
 
@@ -72,7 +73,7 @@ func LaidOut(name string) (ok, scalar bool) {
 // laid-out type. It reports whether that type is a scalar.
 func admit(op, name string, ptr any) (scalar bool, err error) {
 	if ptr == nil {
-		return false, fmt.Errorf("ckpt: VDS.%s(%q): nil pointer", op, name)
+		return false, fmt.Errorf("%w: ckpt: VDS.%s(%q): nil pointer", cerr.ErrProgram, op, name)
 	}
 	for _, t := range laidOut {
 		if reflect.TypeOf(t.ptr) == reflect.TypeOf(ptr) {
@@ -83,8 +84,8 @@ func admit(op, name string, ptr any) (scalar bool, err error) {
 	for _, t := range laidOut {
 		names = append(names, t.name)
 	}
-	return false, fmt.Errorf("ckpt: VDS.%s(%q): %T has no checkpoint layout; register a pointer to one of %s (a struct's fields one by one)",
-		op, name, ptr, strings.Join(names, ", "))
+	return false, fmt.Errorf("%w: ckpt: VDS.%s(%q): %T has no checkpoint layout; register a pointer to one of %s (a struct's fields one by one)",
+		cerr.ErrProgram, op, name, ptr, strings.Join(names, ", "))
 }
 
 // Encode serializes the value pointed to by ptr, one of the laid-out types.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"ccift/internal/cerr"
 	"ccift/internal/wire"
 )
 
@@ -32,23 +33,23 @@ func (s *Saver) VerifyFrozen(f *Frozen) error {
 		fe := &f.vds[i]
 		idx, ok := s.VDS.index[fe.name]
 		if !ok {
-			return fmt.Errorf("ckpt: freeze cross-check: frozen variable %q is not live", fe.name)
+			return fmt.Errorf("%w: ckpt: freeze cross-check: frozen variable %q is not live", cerr.ErrProgram, fe.name)
 		}
 		want := s.VDS.record(&s.VDS.entries[idx])
 		if got = wire.Encode(got[:0], fe.record); !bytes.Equal(got, want) {
-			return fmt.Errorf("ckpt: freeze cross-check: variable %q: the frozen copy differs from the live value — "+
-				"a write since the last checkpoint was not followed by Touch/TouchRange(%q)", fe.name, fe.name)
+			return fmt.Errorf("%w: ckpt: freeze cross-check: variable %q: the frozen copy differs from the live value — "+
+				"a write since the last checkpoint was not followed by Touch/TouchRange(%q)", cerr.ErrProgram, fe.name, fe.name)
 		}
 	}
 	for i := range f.heap.blocks {
 		fb := &f.heap.blocks[i]
 		b, ok := s.Heap.blocks[fb.id]
 		if !ok {
-			return fmt.Errorf("ckpt: freeze cross-check: frozen heap block %d is not live", fb.id)
+			return fmt.Errorf("%w: ckpt: freeze cross-check: frozen heap block %d is not live", cerr.ErrProgram, fb.id)
 		}
 		if !bytes.Equal(fb.data, b.Data) {
-			return fmt.Errorf("ckpt: freeze cross-check: heap block %d: the frozen copy differs from the live data — "+
-				"a write since the last checkpoint was not followed by Heap.Touch(%d)", fb.id, fb.id)
+			return fmt.Errorf("%w: ckpt: freeze cross-check: heap block %d: the frozen copy differs from the live data — "+
+				"a write since the last checkpoint was not followed by Heap.Touch(%d)", cerr.ErrProgram, fb.id, fb.id)
 		}
 	}
 	return nil

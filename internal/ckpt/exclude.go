@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+
+	"ccift/internal/cerr"
 )
 
 // State-exclusion optimizations (paper Section 7). The paper's system
@@ -55,19 +57,19 @@ func (v *VDS) PushComputed(name string, ptr any, recompute func() error) error {
 		return err
 	}
 	if recompute == nil {
-		return fmt.Errorf("ckpt: VDS.PushComputed(%q): nil recompute function", name)
+		return fmt.Errorf("%w: ckpt: VDS.PushComputed(%q): nil recompute function", cerr.ErrProgram, name)
 	}
 	v.pushEntry(vdsEntry{name: name, ptr: ptr, kind: kindComputed, recompute: recompute, scalar: scalar})
 	if v.restore != nil {
 		if rec, ok := v.restore[name]; ok {
 			if rec.kind != kindComputed {
-				return fmt.Errorf("ckpt: restore %q: checkpoint kind %d, registered as computed", name, rec.kind)
+				return fmt.Errorf("%w: ckpt: restore %q: checkpoint kind %d, registered as computed", cerr.ErrProgram, name, rec.kind)
 			}
 			if err := recompute(); err != nil {
 				return fmt.Errorf("ckpt: recompute %q: %w", name, err)
 			}
 			if !bytes.Equal(fingerprint(ptr), rec.data) {
-				return fmt.Errorf("ckpt: recompute %q: fingerprint mismatch — the recomputation does not reproduce the checkpointed value", name)
+				return fmt.Errorf("%w: ckpt: recompute %q: fingerprint mismatch — the recomputation does not reproduce the checkpointed value", cerr.ErrProgram, name)
 			}
 			delete(v.restore, name)
 		}
@@ -89,14 +91,14 @@ func (v *VDS) PushReplicated(name string, ptr any) error {
 	if v.restore != nil {
 		if rec, ok := v.restore[name]; ok {
 			if rec.kind != kindReplicated {
-				return fmt.Errorf("ckpt: restore %q: checkpoint kind %d, registered as replicated", name, rec.kind)
+				return fmt.Errorf("%w: ckpt: restore %q: checkpoint kind %d, registered as replicated", cerr.ErrProgram, name, rec.kind)
 			}
 			if rec.pages == nil && rec.val == nil && len(rec.data) == 0 {
 				// This rank was not the primary: the value comes from the
 				// primary's checkpoint, distributed by the recovery driver.
 				replica, ok := v.replicas[name]
 				if !ok {
-					return fmt.Errorf("ckpt: restore %q: no replica available — was the primary's checkpoint loaded?", name)
+					return fmt.Errorf("%w: ckpt: restore %q: no replica available — was the primary's checkpoint loaded?", cerr.ErrProgram, name)
 				}
 				rec.data = replica
 			}

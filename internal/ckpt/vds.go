@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ccift/internal/cerr"
 	"ccift/internal/mpi"
 	"ccift/internal/storage"
 	"ccift/internal/wire"
@@ -277,7 +278,7 @@ func (v *VDS) Push(name string, ptr any) error {
 	if v.restore != nil {
 		if rec, ok := v.restore[name]; ok {
 			if rec.kind != kindSaved {
-				return fmt.Errorf("ckpt: restore %q: checkpoint kind %d, registered as saved", name, rec.kind)
+				return fmt.Errorf("%w: ckpt: restore %q: checkpoint kind %d, registered as saved", cerr.ErrProgram, name, rec.kind)
 			}
 			if err := rec.into(ptr, &v.scratch); err != nil {
 				return fmt.Errorf("ckpt: restore %q: %w", name, err)
@@ -313,7 +314,7 @@ func (v *VDS) pushEntry(e vdsEntry) {
 func (v *VDS) Touch(name string) error {
 	i, ok := v.index[name]
 	if !ok {
-		return fmt.Errorf("ckpt: VDS.Touch(%q): no live variable registered under that name", name)
+		return fmt.Errorf("%w: ckpt: VDS.Touch(%q): no live variable registered under that name", cerr.ErrProgram, name)
 	}
 	v.muts++
 	e := &v.entries[i]
@@ -337,7 +338,7 @@ func (v *VDS) Touch(name string) error {
 func (v *VDS) TouchRange(name string, off, n int) error {
 	i, ok := v.index[name]
 	if !ok {
-		return fmt.Errorf("ckpt: VDS.TouchRange(%q): no live variable registered under that name", name)
+		return fmt.Errorf("%w: ckpt: VDS.TouchRange(%q): no live variable registered under that name", cerr.ErrProgram, name)
 	}
 	e := &v.entries[i]
 	paged, elems, perPage, _ := pageGeometry(e.kind, true, e.ptr)
@@ -388,10 +389,10 @@ func (v *VDS) Pop() {
 // with both names so the faulty call site is identifiable.
 func (v *VDS) PopExpect(name string) error {
 	if len(v.entries) == 0 {
-		return fmt.Errorf("ckpt: VDS.PopExpect(%q) on empty stack", name)
+		return fmt.Errorf("%w: ckpt: VDS.PopExpect(%q) on empty stack", cerr.ErrProgram, name)
 	}
 	if top := v.entries[len(v.entries)-1].name; top != name {
-		return fmt.Errorf("ckpt: VDS.PopExpect(%q): stack top is %q — mismatched register/unregister pairing", name, top)
+		return fmt.Errorf("%w: ckpt: VDS.PopExpect(%q): stack top is %q — mismatched register/unregister pairing", cerr.ErrProgram, name, top)
 	}
 	v.Pop()
 	return nil

@@ -104,7 +104,7 @@ func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 			return fmt.Errorf("%w: cannot recover from a checkpoint in mode %v", cerr.ErrWorldDead, b.mode)
 		}
 		if err := layer.RestoreFrom(rec, b.retained); err != nil {
-			return fmt.Errorf("restore: %w: %w", cerr.ErrStore, err)
+			return fmt.Errorf("restore: %w", cerr.Ensure(err, cerr.ErrStore))
 		}
 		r.restarting = true
 	} else {

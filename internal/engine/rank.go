@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math/rand"
 
 	"ccift/internal/ckpt"
@@ -276,10 +275,15 @@ func (r *Rank) RegisterReplicated(name string, ptr any) {
 // instrumented programs can call it unconditionally.
 // Touching a name with no live registration panics — a typo here would
 // otherwise surface as silently corrupt recovered state.
+//
+// Touch and TouchRange stay calls: inlined into the benchmark applications'
+// iteration loops, they move the kernels (ROADMAP 7(k)).
+//
+//go:noinline
 func (r *Rank) Touch(names ...string) {
 	for _, name := range names {
 		if err := r.l.Saver.VDS.Touch(name); err != nil {
-			panic(fmt.Sprintf("engine: Rank.Touch: %v", err))
+			panic(err)
 		}
 	}
 }
@@ -298,9 +302,11 @@ func (r *Rank) Touch(names ...string) {
 // Touch, so it is always safe to call. Resizing or swapping the slice
 // header still requires a full Touch — TouchRange covers element writes
 // through the existing header only.
+//
+//go:noinline
 func (r *Rank) TouchRange(name string, off, n int) {
 	if err := r.l.Saver.VDS.TouchRange(name, off, n); err != nil {
-		panic(fmt.Sprintf("engine: Rank.TouchRange: %v", err))
+		panic(err)
 	}
 }
 
@@ -316,7 +322,7 @@ func (r *Rank) Unregister() {
 	}
 	name := r.regs[len(r.regs)-1]
 	if err := r.l.Saver.VDS.PopExpect(name); err != nil {
-		panic(fmt.Sprintf("engine: Rank.Unregister: %v", err))
+		panic(err)
 	}
 	r.regs = r.regs[:len(r.regs)-1]
 }

@@ -110,7 +110,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig, prog Program) (retained []
 	stopCancel := context.AfterFunc(ctx, world.Cancel)
 	defer stopCancel()
 	if err := cfg.Start(); err != nil {
-		return nil, rankEnd(cfg.Rank, nil, fmt.Errorf("engine: start transport: %w: %w", cerr.ErrTransport, err))
+		return nil, rankEnd(cfg.Rank, nil, fmt.Errorf("engine: start transport: %w", cerr.Ensure(err, cerr.ErrTransport)))
 	}
 
 	defer func() {

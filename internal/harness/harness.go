@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"ccift/internal/cerr"
 	"ccift/internal/engine"
 	"ccift/internal/protocol"
 	"ccift/internal/storage"
@@ -176,7 +177,7 @@ func ParseMode(s string) (protocol.Mode, error) {
 			return m, nil
 		}
 	}
-	return 0, fmt.Errorf("harness: unknown mode %q (want one of %v)", s, modes)
+	return 0, fmt.Errorf("%w: harness: unknown mode %q (want one of %v)", cerr.ErrSpec, s, modes)
 }
 
 // overhead returns a cell's runtime overhead relative to the unmodified

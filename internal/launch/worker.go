@@ -101,7 +101,7 @@ func workerRun(app WorkerApp) (int, error) {
 			},
 		})
 		if err != nil {
-			return cerr.CodeTransport, fmt.Errorf("%w: %w", cerr.ErrTransport, err)
+			return cerr.CodeTransport, cerr.Ensure(err, cerr.ErrTransport)
 		}
 		writeCtlFrame(ctl, &ctlFrame{Kind: ctlReady, Addr: tr.Addr()}) // a failed write means the stream is closed, which starts reports
 		st, ok := <-starts

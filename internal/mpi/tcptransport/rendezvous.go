@@ -1,6 +1,10 @@
 package tcptransport
 
-import "fmt"
+import (
+	"fmt"
+
+	"ccift/internal/cerr"
+)
 
 // StaticRendezvous builds Publish/Lookup over an address table the caller
 // owns: every listener is bound before any transport starts, so publish has
@@ -11,7 +15,7 @@ func StaticRendezvous(addrs []string) (publish func(rank int, addr string) error
 	publish = func(int, string) error { return nil }
 	lookup = func(rank int) (string, error) {
 		if rank < 0 || rank >= len(addrs) {
-			return "", fmt.Errorf("tcptransport: no address for rank %d", rank)
+			return "", fmt.Errorf("tcptransport: %w: no address for rank %d", cerr.ErrTransport, rank)
 		}
 		return addrs[rank], nil
 	}

@@ -105,10 +105,10 @@ type peerConn struct {
 // before the world (and its rendezvous peers) exist.
 func New(cfg Config) (*Transport, error) {
 	if cfg.Size <= 0 || cfg.Rank < 0 || cfg.Rank >= cfg.Size {
-		return nil, fmt.Errorf("tcptransport: rank %d out of range [0,%d)", cfg.Rank, cfg.Size)
+		return nil, fmt.Errorf("tcptransport: %w: rank %d out of range [0,%d)", cerr.ErrTransport, cfg.Rank, cfg.Size)
 	}
 	if cfg.Publish == nil || cfg.Lookup == nil {
-		return nil, fmt.Errorf("tcptransport: Publish and Lookup are required")
+		return nil, fmt.Errorf("tcptransport: %w: Publish and Lookup are required", cerr.ErrTransport)
 	}
 	if cfg.ListenAddr == "" {
 		cfg.ListenAddr = "127.0.0.1:0"
@@ -163,7 +163,7 @@ func (t *Transport) Attach(w *mpi.World) mpi.Transport {
 // before Start simply block until the mesh forms.
 func (t *Transport) Start() error {
 	if t.world == nil {
-		return fmt.Errorf("tcptransport: Start before Attach")
+		return fmt.Errorf("tcptransport: %w: Start before Attach", cerr.ErrTransport)
 	}
 	if err := t.cfg.Publish(t.cfg.Rank, t.Addr()); err != nil {
 		return fmt.Errorf("tcptransport: publish address: %w", err)
@@ -421,7 +421,7 @@ func (t *Transport) monitor() {
 		}
 		t.mu.Unlock()
 		if meshLate && len(unformed) > 0 {
-			t.peerDead(unformed[0], fmt.Errorf("no connection to peers %v within %v of start", unformed, t.cfg.DialTimeout))
+			t.peerDead(unformed[0], fmt.Errorf("%w: no connection to peers %v within %v of start", cerr.ErrTransport, unformed, t.cfg.DialTimeout))
 			return
 		}
 		for _, tg := range targets {
@@ -429,7 +429,7 @@ func (t *Transport) monitor() {
 		}
 		for _, p := range t.det.Suspects() {
 			if suspectable[p] {
-				t.peerDead(p, fmt.Errorf("no traffic for %v", t.cfg.SuspectTimeout))
+				t.peerDead(p, fmt.Errorf("%w: no traffic for %v", cerr.ErrTransport, t.cfg.SuspectTimeout))
 				return
 			}
 		}

@@ -97,7 +97,7 @@ func (l *Layer) finishFlush() error {
 		if errors.Is(t.err, context.Canceled) || errors.Is(t.err, context.DeadlineExceeded) {
 			return mpi.ErrCanceled
 		}
-		return fmt.Errorf("protocol: persist state (epoch %d, rank %d): %w: %w", t.epoch, l.rank, cerr.ErrStore, t.err)
+		return fmt.Errorf("protocol: persist state (epoch %d, rank %d): %w", t.epoch, l.rank, cerr.Ensure(t.err, cerr.ErrStore))
 	}
 	l.Stats.CheckpointBytes += t.total
 	l.Stats.CheckpointBytesWritten += t.written

@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 
 	"ccift/internal/cerr"
@@ -80,15 +79,16 @@ func (m *record) marshal() []byte {
 }
 
 // unmarshalRecord decodes a record; one of another format (a store written
-// by an older build) is refused.
+// by an older build) is refused. Every record it reads came out of the store,
+// so every error it returns is of the ErrStore category.
 func unmarshalRecord(raw []byte) (*record, error) {
 	rest, ok := bytes.CutPrefix(raw, recordMagic)
 	if !ok {
-		return nil, errors.New("not a " + string(recordMagic) + " protocol record")
+		return nil, fmt.Errorf("%w: not a %s protocol record", cerr.ErrStore, recordMagic)
 	}
 	m := &record{}
 	if err := wire.Decode(rest, m.code); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", cerr.ErrStore, err)
 	}
 	return m, nil
 }
@@ -121,19 +121,16 @@ type RecoveryPlan struct {
 func GatherRecovery(store *storage.CheckpointStore, epoch, ranks int) (*RecoveryPlan, error) {
 	plan := &RecoveryPlan{Epoch: epoch, Suppress: make([][]uint32, ranks), records: make([][]byte, ranks)}
 	for r := 0; r < ranks; r++ {
-		corrupt := func(format string, args ...any) error {
-			return fmt.Errorf("protocol: %w: protocol record of rank %d, epoch %d: "+format, append([]any{cerr.ErrStore, r, epoch}, args...)...)
-		}
 		raw, err := store.GetMeta(epoch, r)
-		if err != nil {
-			return nil, corrupt("%w", err)
+		var m *record
+		if err == nil {
+			m, err = unmarshalRecord(raw)
 		}
-		m, err := unmarshalRecord(raw)
-		if err != nil {
-			return nil, corrupt("%w", err)
+		if err == nil && (m.Epoch != epoch || len(m.EarlyIDs) > ranks) {
+			err = fmt.Errorf("%w: records epoch %d and %d senders in a world of %d", cerr.ErrStore, m.Epoch, len(m.EarlyIDs), ranks)
 		}
-		if m.Epoch != epoch || len(m.EarlyIDs) > ranks {
-			return nil, corrupt("records epoch %d and %d senders in a world of %d", m.Epoch, len(m.EarlyIDs), ranks)
+		if err != nil {
+			return nil, fmt.Errorf("protocol: protocol record of rank %d, epoch %d: %w", r, epoch, cerr.Ensure(err, cerr.ErrStore))
 		}
 		plan.records[r] = raw
 		for sender, set := range m.EarlyIDs {

@@ -3,7 +3,6 @@ package protocol
 import (
 	"bytes"
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -49,7 +48,7 @@ func (l *Layer) captureState(epoch int) (*flushTask, error) {
 			// copies everything and has no contract to check.)
 			if err := l.Saver.VerifyFrozen(f); err != nil {
 				f.Release()
-				return nil, fmt.Errorf("%w: %w", cerr.ErrProgram, err)
+				return nil, err
 			}
 		}
 		p.frozen = f
@@ -115,10 +114,10 @@ func (l *Layer) RestoreFrom(rec *RankRecovery, retained []*RetainedState) error 
 	epoch := rec.Epoch
 	st, err := unmarshalRecord(rec.Record)
 	if err == nil && st.Epoch != epoch {
-		err = errors.New("it records another epoch")
+		err = fmt.Errorf("%w: it records another epoch", cerr.ErrStore)
 	}
 	if err != nil {
-		return fmt.Errorf("protocol: %w: protocol record of rank %d, epoch %d: %w", cerr.ErrStore, l.rank, epoch, err)
+		return fmt.Errorf("protocol: protocol record of rank %d, epoch %d: %w", l.rank, epoch, err)
 	}
 	var ret *RetainedState
 	for _, r := range retained {

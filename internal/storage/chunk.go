@@ -320,7 +320,7 @@ func (w *ChunkedWriter) store(sum [sha256.Size]byte, chunk []byte) error {
 // content cost nothing).
 func (w *ChunkedWriter) Commit() (total, written int64, err error) {
 	if w.committed {
-		return 0, 0, fmt.Errorf("storage: ChunkedWriter for %s committed twice", w.key)
+		return 0, 0, fmt.Errorf("%w: storage: ChunkedWriter for %s committed twice", cerr.ErrStore, w.key)
 	}
 	// However this ends the worker is joined: nothing outlives the writer.
 	defer w.Abort()

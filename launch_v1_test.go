@@ -139,10 +139,24 @@ func structProg() ccift.Program {
 	}
 }
 
+// typoProg touches a name it never registered: the run ends with the
+// program's error, naming the variable, before its first checkpoint.
+func typoProg() ccift.Program {
+	return func(r *ccift.Rank) (any, error) {
+		grid := ccift.Reg[[]float64](r, "grid")
+		*grid = append(*grid, 1)
+		r.Touch("gird")
+		r.PotentialCheckpoint()
+		return (*grid)[0], nil
+	}
+}
+
 func testProg() ccift.Program {
 	switch os.Getenv(progEnv) {
 	case "struct":
 		return structProg()
+	case "typo":
+		return typoProg()
 	case "hang":
 		return hangProg()
 	case "fail":
