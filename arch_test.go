@@ -1031,6 +1031,32 @@ var rules = []rule{
 		violation: snippet{"internal/storage/put.go", `package storage; import "fmt"; func put(s Stable, key string, b []byte) error { return fmt.Errorf("storage: put %s: %v", key, s.Put(key, b)) }`},
 	},
 	{
+		name: "protocol.Config.IncrementalFreeze is named by bench/ alone",
+		pr:   54,
+		// Every layer freezes incrementally; the field is ignored and stays
+		// only while the benchmark module sets it. A Go file here that sets
+		// or reads it is the full freeze's switch growing back.
+		check: func(tr tree) (got []string) {
+			for path, f := range tr {
+				ast.Inspect(f, func(n ast.Node) bool {
+					var id *ast.Ident
+					switch n := n.(type) {
+					case *ast.KeyValueExpr:
+						id, _ = n.Key.(*ast.Ident)
+					case *ast.SelectorExpr:
+						id = n.Sel
+					}
+					if id != nil && id.Name == "IncrementalFreeze" {
+						got = append(got, fmt.Sprintf("%s names IncrementalFreeze: every freeze is incremental, and the field stays only for bench/", path))
+					}
+					return true
+				})
+			}
+			return got
+		},
+		violation: snippet{"internal/engine/full.go", `package engine; import "ccift/internal/protocol"; var fullFreeze = protocol.Config{IncrementalFreeze: false}`},
+	},
+	{
 		name: "Comm.sendh calls no make",
 		pr:   29,
 		// One send path, and it recycles: sendh takes the message and its

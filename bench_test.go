@@ -308,7 +308,7 @@ func BenchmarkAsyncRankSlowdown(b *testing.B) {
 				}
 				d, n := run(b, engine.Config{
 					Ranks: 1, Mode: protocol.Full, EveryN: everyN, Store: disk,
-					Policy: protocol.Policy{Sync: variant == "sync"},
+					Sync: variant == "sync",
 				})
 				with += d
 				ckpts += n

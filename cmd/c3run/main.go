@@ -52,7 +52,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "base seed for application randomness")
 	maxRestarts := flag.Int("max-restarts", 10, "bound on rollbacks")
 	syncCkpt := flag.Bool("sync", false, "blocking checkpoint writes (the Figure 8 baseline) instead of the async pipeline")
-	incremental := flag.Bool("incremental", true, "dirty-region freeze (the default): copy only regions the app touched since the last checkpoint; -incremental=false re-copies the whole state every checkpoint and waives the Touch contract")
 	debug := flag.Bool("debug", false, "protocol assertions, among them the freeze verifier: fail the run, naming the variable, if a write escaped Touch/TouchRange (costs a full state encode per checkpoint)")
 	var kills apps.KillFlag
 	flag.Var(&kills, "kill", "rank@op stopping failure (repeatable; i-th flag = i-th incarnation)")
@@ -74,7 +73,6 @@ func main() {
 		ccift.WithSeed(*seed),
 		ccift.WithMaxRestarts(*maxRestarts),
 		ccift.WithAsyncCheckpoint(!*syncCkpt),
-		ccift.WithIncrementalFreeze(*incremental),
 	}
 	if *debug {
 		opts = append(opts, ccift.WithDebug())
@@ -146,7 +144,7 @@ func main() {
 			total.CheckpointsTaken, apps.HumanBytes(total.CheckpointBytes),
 			total.LateLogged, apps.HumanBytes(total.LogBytes),
 			total.ReplayedLate, total.SuppressedSends)
-		if *incremental && total.CheckpointRegions > 0 {
+		if total.CheckpointRegions > 0 {
 			fmt.Printf("incremental: %s copied into frozen views (%s logical), %d/%d regions dirty across checkpoints\n",
 				apps.HumanBytes(total.CheckpointBytesCopied), apps.HumanBytes(total.CheckpointBytes),
 				total.CheckpointRegionsDirty, total.CheckpointRegions)

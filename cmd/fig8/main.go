@@ -302,6 +302,6 @@ func workerMain(app string, ranks, size, iters, every int, modeName string, asyn
 		// The sweep measures the paper's blocking checkpoint semantics
 		// unless -async flips the cell onto the async pipeline,
 		// exactly like the in-process harness (see Experiment.runOnce).
-		Policy: protocol.Policy{Sync: !async},
+		Sync: !async,
 	})
 }

@@ -334,7 +334,7 @@ func TestSupervisorContractAcrossSubstrates(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				cfg := engine.Config{
-					Ranks: confRanks, Mode: row.mode, EveryN: confEveryN, Policy: protocol.Policy{Sync: true},
+					Ranks: confRanks, Mode: row.mode, EveryN: confEveryN, Sync: true,
 					Failures: row.kills, MaxRestarts: row.maxRestarts,
 				}
 				if row.cancelOnRestart {

@@ -138,7 +138,7 @@ func cgProgram(n, iters int) ccift.Program {
 			for i := range *dir {
 				(*dir)[i] = (*res)[i] + beta*(*dir)[i]
 			}
-			// Write intent for the (default) incremental freeze: the
+			// Write intent for the incremental freeze: the
 			// iteration rewrote these vectors; a is read-only and rs/it are
 			// scalars, which never need a Touch.
 			r.Touch("x", "res", "dir")

@@ -123,7 +123,7 @@ func laplaceProgram(n, iters int) ccift.Program {
 				}
 			}
 			*grid, *next = nx, g
-			// Write intent for the (default) incremental freeze: the sweep
+			// Write intent for the incremental freeze: the sweep
 			// rewrote the interior and the swap rebound both slices.
 			r.Touch("grid", "next")
 		}

@@ -143,7 +143,7 @@ func neurosysProgram(k, iters int) ccift.Program {
 			for i := range vs {
 				vs[i] += dt / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
 			}
-			// Write intent for the (default) incremental freeze: only the
+			// Write intent for the incremental freeze: only the
 			// membrane block changes per step; drive is read-only after
 			// initialization and it is a scalar.
 			r.Touch("v")

@@ -28,8 +28,8 @@ type rankBody struct {
 	interval  time.Duration
 	seed      int64
 	debug     bool
+	sync      bool
 	tracer    protocol.Tracer
-	policy    protocol.Policy
 	clock     clock.Clock
 	statsSink func(protocol.StatsFrame)
 
@@ -69,17 +69,16 @@ func runRank(b *rankBody, prog Program, out *rankOutcome) error {
 		}
 	}
 	layer := protocol.NewLayer(b.comm, protocol.Config{
-		Mode:              b.mode,
-		Store:             b.store,
-		EveryN:            b.everyN,
-		Interval:          b.interval,
-		Debug:             b.debug,
-		Tracer:            b.tracer,
-		Ctx:               b.ctx,
-		AsyncFlush:        !b.policy.Sync,
-		IncrementalFreeze: !b.policy.FullFreeze,
-		StatsSink:         func(s protocol.Stats) { frame(s, false) },
-		Clock:             b.clock,
+		Mode:       b.mode,
+		Store:      b.store,
+		EveryN:     b.everyN,
+		Interval:   b.interval,
+		Debug:      b.debug,
+		Tracer:     b.tracer,
+		Ctx:        b.ctx,
+		AsyncFlush: !b.sync,
+		StatsSink:  func(s protocol.Stats) { frame(s, false) },
+		Clock:      b.clock,
 	})
 	// Registered before the Shutdown defer below so it runs AFTER the
 	// flush drains (defers are LIFO): the retained copies and the final

@@ -47,8 +47,8 @@ func (p *putClock) Put(key string, data []byte) error {
 
 // crashProg is a ring exchange. Beyond the scalars, each rank carries a
 // grid it partially rewrites (with Touch write intent) every iteration and
-// folds into its result, so the incremental-freeze variant cannot recover
-// from a stale frozen region without the checksum diverging.
+// folds into its result, so a recovery from a stale frozen region makes
+// the checksum diverge.
 func crashProg(r *Rank) (any, error) {
 	next := (r.Rank() + 1) % r.Size()
 	prev := (r.Rank() - 1 + r.Size()) % r.Size()
@@ -84,11 +84,10 @@ func TestCrashDuringFlushRecovery(t *testing.T) {
 	// run executes the schedule with the given crashes and reports when the
 	// doomed rank's epoch-2 state manifest — the last write of its state
 	// flush — began in the first incarnation.
-	run := func(t *testing.T, fullFreeze bool, crashes []sim.Crash) (*Result, time.Duration) {
+	run := func(t *testing.T, crashes []sim.Crash) (*Result, time.Duration) {
 		t.Helper()
 		cfg, s := simConfig(t, Config{
 			Ranks: 3, Mode: protocol.Full, EveryN: 5, Debug: true,
-			Policy:          protocol.Policy{FullFreeze: fullFreeze},
 			DetectorTimeout: 20 * time.Millisecond,
 		}, sim.Scenario{Seed: 1, Latency: time.Millisecond, SlowStore: &sim.SlowStore{Delay: putDelay}, Crashes: crashes})
 		pc := &putClock{Stable: cfg.Store, s: s, key: storage.StateKey(2, doomed)}
@@ -100,31 +99,28 @@ func TestCrashDuringFlushRecovery(t *testing.T) {
 		return res, pc.began
 	}
 
-	// Both write modes must survive a crash mid-flush: the async pipeline
-	// with full freezes, and the dirty-region incremental pipeline whose
-	// epoch-2 flush shares epoch-1 slabs at the moment of death.
-	for _, variant := range []string{"full-freeze", "incremental"} {
-		t.Run(variant, func(t *testing.T) {
-			// The schedule is a function of the scenario, so a fault-free
-			// pass tells when the write the crash must interrupt begins.
-			clean, began := run(t, variant == "full-freeze", nil)
-			if began == 0 || clean.Restarts != 0 || !reflect.DeepEqual(clean.Values, ref) {
-				t.Fatalf("fault-free pass: epoch-2 manifest write at %v, %d restarts, values %v (want %v)", began, clean.Restarts, clean.Values, ref)
-			}
-			crashAt := began + putDelay/2
-			res, again := run(t, variant == "full-freeze", []sim.Crash{{Rank: doomed, At: crashAt}})
-			if again != began {
-				t.Fatalf("the schedule moved: epoch-2 manifest write began at %v, then at %v", began, again)
-			}
-			if res.Restarts != 1 {
-				t.Fatalf("%d restarts, want the one crash at %v (inside the write open from %v to %v)", res.Restarts, crashAt, began, began+putDelay)
-			}
-			if len(res.RecoveredEpochs) != 1 || res.RecoveredEpochs[0] != 1 {
-				t.Fatalf("recovered epochs %v, want [1]: a crash mid-flush must fall back to the previous committed epoch, never the one in flight", res.RecoveredEpochs)
-			}
-			if !reflect.DeepEqual(res.Values, ref) {
-				t.Fatalf("recovered values %v != fault-free %v", res.Values, ref)
-			}
-		})
-	}
+	// Every freeze is incremental. The schedule is a function of the
+	// scenario, so a fault-free pass tells when the write the crash must
+	// interrupt begins: an epoch-2 flush that shares epoch-1 slabs at the
+	// moment of death.
+	t.Run("incremental", func(t *testing.T) {
+		clean, began := run(t, nil)
+		if began == 0 || clean.Restarts != 0 || !reflect.DeepEqual(clean.Values, ref) {
+			t.Fatalf("fault-free pass: epoch-2 manifest write at %v, %d restarts, values %v (want %v)", began, clean.Restarts, clean.Values, ref)
+		}
+		crashAt := began + putDelay/2
+		res, again := run(t, []sim.Crash{{Rank: doomed, At: crashAt}})
+		if again != began {
+			t.Fatalf("the schedule moved: epoch-2 manifest write began at %v, then at %v", began, again)
+		}
+		if res.Restarts != 1 {
+			t.Fatalf("%d restarts, want the one crash at %v (inside the write open from %v to %v)", res.Restarts, crashAt, began, began+putDelay)
+		}
+		if len(res.RecoveredEpochs) != 1 || res.RecoveredEpochs[0] != 1 {
+			t.Fatalf("recovered epochs %v, want [1]: a crash mid-flush must fall back to the previous committed epoch, never the one in flight", res.RecoveredEpochs)
+		}
+		if !reflect.DeepEqual(res.Values, ref) {
+			t.Fatalf("recovered values %v != fault-free %v", res.Values, ref)
+		}
+	})
 }

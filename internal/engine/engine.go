@@ -61,6 +61,10 @@ type Config struct {
 	Seed int64
 	// Debug enables protocol assertions.
 	Debug bool
+	// Sync restores the classic stop-serialize-fsync checkpoint (the Figure
+	// 8 baselines): the rank blocks until its state is durable. Off, the
+	// default, a checkpoint blocks the rank only for its freeze.
+	Sync bool
 	// Tracer, when non-nil, receives protocol events from every rank (see
 	// internal/trace for a recorder that renders space-time diagrams).
 	Tracer protocol.Tracer
@@ -73,9 +77,6 @@ type Config struct {
 	// incarnation's world; nil selects the in-process indexed-mailbox
 	// transport. The simulated substrate plugs in here.
 	NewTransport func(*mpi.World) mpi.Transport
-	// Policy is the checkpoint policy, handed to every rank's protocol
-	// layer untouched; the zero value is the default fast path.
-	Policy protocol.Policy
 	// StatsSink, when non-nil, receives live per-rank counter snapshots as
 	// the run progresses (each completed checkpoint and each rank's
 	// finish), tagged with rank and incarnation. Called concurrently from
@@ -333,7 +334,7 @@ func (w *inProcess) runIncarnation(ctx context.Context, incarnation int, plan *p
 			errs[r] = runRank(&rankBody{
 				ctx: ctx, comm: world.Comm(r), incarnation: incarnation,
 				mode: cfg.Mode, store: w.sup.cs, everyN: cfg.EveryN, interval: cfg.Interval,
-				seed: cfg.Seed, debug: cfg.Debug, tracer: cfg.Tracer, policy: cfg.Policy,
+				seed: cfg.Seed, debug: cfg.Debug, tracer: cfg.Tracer, sync: cfg.Sync,
 				clock: clk, statsSink: w.sup.Observe,
 				recovery: plan.ForRank(r), retained: retained[r],
 				announceDone: func() {

@@ -99,7 +99,7 @@ func TestComputedRecomputeOnlyOnRestart(t *testing.T) {
 	for _, ranks := range []int{1, 2} {
 		place := func(cfg Config) Config {
 			if ranks == 1 {
-				cfg.Policy.Sync = true
+				cfg.Sync = true
 				return cfg
 			}
 			return onSim(t, cfg)

@@ -37,7 +37,7 @@ func TestFinishCarriesCheckpointToCommit(t *testing.T) {
 		store := storage.NewMemory()
 		cfg, s := simConfig(t, Config{
 			Ranks: 3, Mode: protocol.Full, EveryN: 5, Debug: true, Store: store,
-			Policy: protocol.Policy{Sync: sync},
+			Sync: sync,
 		}, sim.Scenario{Seed: 1, Latency: time.Millisecond, SlowStore: &sim.SlowStore{Delay: 50 * time.Millisecond}})
 		res, err := Run(cfg, ringProg(8, 4))
 		if err != nil {

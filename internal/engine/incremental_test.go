@@ -7,11 +7,11 @@ import (
 	"ccift/internal/protocol"
 )
 
-// End-to-end dirty-region checkpointing: the same program runs with full
-// and incremental freezes, under failure injection, and must produce
-// identical results — while the incremental run's capture volume reflects
-// only the touched regions. State is modeled as heap "pages" plus one VDS
-// vector so both region kinds exercise sharing and recovery.
+// End-to-end dirty-region checkpointing: a program runs under failure
+// injection and must produce the fault-free result, while its capture
+// volume reflects only the touched regions. State is modeled as heap
+// "pages" plus one VDS vector so both region kinds exercise sharing and
+// recovery.
 
 // incrProg mutates one rotating heap page per iteration (with Touch write
 // intent) and folds every page into a running checksum, so a recovery from
@@ -90,47 +90,39 @@ func TestIncrementalFreezeRecovery(t *testing.T) {
 	const iters = 24
 	ref := runRef(t, Config{Ranks: 3, Mode: protocol.Unmodified}, incrProg(iters))
 
-	run := func(incremental bool) *Result {
-		t.Helper()
-		// Simulated: both runs take the same checkpoints at the same
-		// iterations, so their copy volumes compare like with like, and op
-		// 50 of rank 1 follows the first commit.
-		res, err := runWithin(onSim(t, Config{
-			Ranks: 3, Mode: protocol.Full, EveryN: 4, Debug: true,
-			Policy:   protocol.Policy{FullFreeze: !incremental},
-			Failures: []Failure{{Rank: 1, AtOp: 50, Incarnation: 0}},
-		}), incrProg(iters))
-		if err != nil {
-			t.Fatalf("incremental=%v: %v", incremental, err)
-		}
-		if res.Restarts != 1 || res.RecoveredEpochs[0] != 1 {
-			t.Fatalf("incremental=%v: %d restarts from %v, want one from epoch 1", incremental, res.Restarts, res.RecoveredEpochs)
-		}
-		if !reflect.DeepEqual(res.Values, ref) {
-			t.Fatalf("incremental=%v: values %v != fault-free %v", incremental, res.Values, ref)
-		}
-		return res
+	// Simulated: the checkpoints fall at the same iterations on every run,
+	// and op 50 of rank 1 follows the first commit.
+	res, err := runWithin(onSim(t, Config{
+		Ranks: 3, Mode: protocol.Full, EveryN: 4, Debug: true,
+		Failures: []Failure{{Rank: 1, AtOp: 50, Incarnation: 0}},
+	}), incrProg(iters))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Restarts != 1 || res.RecoveredEpochs[0] != 1 {
+		t.Fatalf("%d restarts from %v, want one from epoch 1", res.Restarts, res.RecoveredEpochs)
+	}
+	if !reflect.DeepEqual(res.Values, ref) {
+		t.Fatalf("values %v != fault-free %v", res.Values, ref)
 	}
 
-	full := run(false)
-	incr := run(true)
-
-	var fullCopied, incrCopied, incrDirty, incrRegions int64
-	for i := range full.Stats {
-		fullCopied += full.Stats[i].CheckpointBytesCopied
-		incrCopied += incr.Stats[i].CheckpointBytesCopied
-		incrDirty += incr.Stats[i].CheckpointRegionsDirty
-		incrRegions += incr.Stats[i].CheckpointRegions
+	var logical, copied, dirty, regions int64
+	for _, s := range res.Stats {
+		logical += s.CheckpointBytes
+		copied += s.CheckpointBytesCopied
+		dirty += s.CheckpointRegionsDirty
+		regions += s.CheckpointRegions
 	}
-	if fullCopied == 0 || incrRegions == 0 {
-		t.Fatalf("copy stats not threaded: full copied %d, incremental regions %d", fullCopied, incrRegions)
+	if logical == 0 || regions == 0 {
+		t.Fatalf("copy stats not threaded: %d logical bytes, %d regions", logical, regions)
 	}
-	// ~2 of 16 pages dirty per epoch (plus the small vector and scalars):
-	// the incremental captures must move well under half the full volume.
-	if incrCopied*2 >= fullCopied {
-		t.Fatalf("incremental copied %d bytes vs full %d: dirty tracking did not shrink the freeze", incrCopied, fullCopied)
+	// At most 4 of 32 pages dirty per epoch (plus the small vector and scalars):
+	// the captures must move well under half of the checkpoints' logical
+	// state.
+	if copied*2 >= logical {
+		t.Fatalf("copied %d bytes of a %d-byte logical state: dirty tracking did not shrink the freeze", copied, logical)
 	}
-	if incrDirty >= incrRegions {
-		t.Fatalf("every region dirty (%d/%d): sharing never happened", incrDirty, incrRegions)
+	if dirty >= regions {
+		t.Fatalf("every region dirty (%d/%d): sharing never happened", dirty, regions)
 	}
 }

@@ -259,10 +259,9 @@ func (r *Rank) RegisterReplicated(name string, ptr any) {
 	r.trackReg(name, fresh)
 }
 
-// Touch records write intent on registered variables: under incremental
-// freeze (WithIncrementalFreeze), the next checkpoint re-copies touched
-// regions and re-references the previous epoch's frozen copy for clean
-// ones.
+// Touch records write intent on registered variables: the next
+// checkpoint's freeze re-copies touched regions and re-references the
+// previous epoch's frozen copy for clean ones.
 //
 // Placement rule: call Touch after the last write to a variable and
 // before the next PotentialCheckpoint — every mutation of a registered
@@ -271,8 +270,9 @@ func (r *Rank) RegisterReplicated(name string, ptr any) {
 // silently diverges. Scalar values (the non-slice types Register lists,
 // handles included) are always re-copied and never need touching;
 // touching them anyway is harmless. For heap blocks use Heap().Touch(id).
-// Without incremental freeze, Touch is a cheap no-op-equivalent, so
-// instrumented programs can call it unconditionally.
+// A program that cannot track its writes Touches every registered name,
+// and Heap().Touch every block it writes, before each PotentialCheckpoint;
+// the precompiler emits the Touch of the names it registers.
 // Touching a name with no live registration panics — a typo here would
 // otherwise surface as silently corrupt recovered state.
 //

@@ -52,7 +52,7 @@ func TestStraddlingHandleRecoverySweep(t *testing.T) {
 	for _, syncCkpt := range []bool{false, true} {
 		for i := 0; i < reps; i++ {
 			cfg := Config{
-				Ranks: 3, Mode: protocol.Full, EveryN: 4, Debug: true, Policy: protocol.Policy{Sync: syncCkpt},
+				Ranks: 3, Mode: protocol.Full, EveryN: 4, Debug: true, Sync: syncCkpt,
 				Failures: []Failure{{Rank: 2, AtOp: 52, Incarnation: 0}},
 			}
 			res, err := Run(cfg, prog)

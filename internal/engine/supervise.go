@@ -96,7 +96,7 @@ func (s *Supervisor) Run(ctx context.Context,
 		} else {
 			epoch, haveCkpt, err := s.cs.Committed()
 			if err != nil {
-				return fail(fmt.Errorf("%w: read commit record: %w", cerr.ErrStore, err))
+				return fail(fmt.Errorf("read commit record: %w", cerr.Ensure(err, cerr.ErrStore)))
 			}
 			rec := -1
 			if haveCkpt {

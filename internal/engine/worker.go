@@ -34,8 +34,6 @@ type WorkerConfig struct {
 	// EveryN / Interval are the initiator's checkpoint triggers.
 	EveryN   int
 	Interval time.Duration
-	// Policy is the checkpoint policy (see Config.Policy).
-	Policy protocol.Policy
 	// KillAtOp, when non-zero, schedules this rank's death at its
 	// KillAtOp-th substrate operation. Kill performs the death; the
 	// launcher's worker installs a real self-SIGKILL (which never returns),
@@ -46,8 +44,10 @@ type WorkerConfig struct {
 	// Seed is the base seed for application randomness (mixed with rank and
 	// incarnation exactly as the in-process engine does).
 	Seed int64
-	// Debug enables protocol assertions. Tracer receives protocol events.
+	// Debug enables protocol assertions. Sync selects the blocking
+	// checkpoint (see Config.Sync). Tracer receives protocol events.
 	Debug  bool
+	Sync   bool
 	Tracer protocol.Tracer
 	// NewTransport builds the cross-process substrate (tcptransport.Attach).
 	// Required, as is Start, which brings the mesh up once the world exists.
@@ -125,7 +125,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig, prog Program) (retained []
 	if err := runRank(&rankBody{
 		ctx: ctx, comm: world.Comm(cfg.Rank), incarnation: cfg.Incarnation,
 		mode: cfg.Mode, store: storage.NewCheckpointStore(cfg.Store), everyN: cfg.EveryN, interval: cfg.Interval,
-		seed: cfg.Seed, debug: cfg.Debug, tracer: cfg.Tracer, policy: cfg.Policy,
+		seed: cfg.Seed, debug: cfg.Debug, tracer: cfg.Tracer, sync: cfg.Sync,
 		statsSink: cfg.StatsSink,
 		recovery:  cfg.Recovery, retained: cfg.Retained,
 		announceDone: cfg.AnnounceDone, allDone: cfg.AllDone,

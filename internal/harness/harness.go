@@ -150,7 +150,7 @@ func (e Experiment) runOnce(ctx context.Context, size Size, mode protocol.Mode) 
 		// the paper's overhead with flush contention.) Async flips the
 		// sweep onto the async pipeline for an apples-to-apples
 		// wall-clock comparison of the same cells.
-		Policy: protocol.Policy{Sync: !e.Async},
+		Sync: !e.Async,
 	}
 	start := time.Now()
 	res, err := engine.RunContext(ctx, cfg, size.Program)

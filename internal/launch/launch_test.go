@@ -26,6 +26,7 @@ import (
 	"ccift/internal/cerr"
 	"ccift/internal/engine"
 	"ccift/internal/launch"
+	"ccift/internal/mpi"
 	"ccift/internal/protocol"
 	"ccift/internal/storage"
 )
@@ -49,26 +50,64 @@ const (
 //     only hold when the rank blocks through serialize+fsync; under async
 //     the rank races ahead of its own flush, so those tests pin the sync
 //     baseline.
-//   - "kill-mid-flush": async, and the doomed rank SIGKILLs itself the
-//     moment its epoch-2 state manifest write begins — a real process
-//     death with a checkpoint flush in flight by construction. Runs the
-//     long program: epoch 2 must demonstrably begin while every rank is
-//     still computing, which the short program cannot guarantee (a rank
-//     that has finished its loop takes no further checkpoints).
-//   - "kill-mid-flush-incremental": the same crash window with dirty-region
-//     freezing enabled, so the flush that dies is an incremental epoch
-//     sharing the previous epoch's frozen slabs; recovery must still come
-//     from the prior commit with identical output (laplace honors the
-//     Touch contract).
-//   - "long-baseline": the long program fault-free, for the mid-flush
-//     tests' output comparison.
+//   - "kill-mid-flush": async, on gatedRing, and the doomed rank SIGKILLs
+//     itself the moment its epoch-2 state manifest write begins — a real
+//     process death with a checkpoint flush in flight by construction; the
+//     flush that dies is an incremental epoch sharing the previous epoch's
+//     frozen slabs.
+//   - "gated": gatedRing fault-free: the mid-flush test's output
+//     comparison, and the program of every test that acts on the first
+//     checkpoint's stats frame (a kill or a cancel) and needs the run still
+//     computing when it lands.
+//
+// Any other value makes the worker exit 2, so a test cannot name a variant
+// that silently falls back to the default program.
 const envVariant = "CCIFT_TEST_WORKER_VARIANT"
 
-// testLongIters sizes the "kill-mid-flush"/"long-baseline" program so the
-// epoch-1 commit → epoch-2 checkpoint sequence (a few storage fsyncs)
-// completes while hundreds of iterations still remain, on any plausibly
-// slow machine.
-const testLongIters = 400
+// gatedRing's length, and the iteration at which it waits for epoch 2.
+const (
+	gatedIters = 40
+	gateIter   = 20
+)
+
+// gatedRing is the "gated" variants' program: a ring exchange over a grid
+// each rank partially rewrites (with Touch) every iteration and folds into
+// its result. At iteration gateIter every rank services the protocol until
+// it has taken its epoch-2 checkpoint, so epoch 2 — and rank 2's state write
+// the trap kills — begins before the program can end, however fast the
+// machine computes against its flushes. (On Laplace, which ends after a
+// fixed number of iterations, a loaded machine let the run finish while
+// epoch 1 was still flushing, and the trap never fired.) The gate changes no
+// state, so the result does not depend on where the checkpoints fall.
+func gatedRing(r *engine.Rank) (any, error) {
+	next := (r.Rank() + 1) % r.Size()
+	prev := (r.Rank() - 1 + r.Size()) % r.Size()
+	var it int
+	var total float64
+	grid := make([]float64, 2048)
+	in := make([]float64, 1) // rewritten by every receive: scratch
+	r.Register("it", &it)
+	r.Register("total", &total)
+	r.Register("grid", &grid)
+	for ; it < gatedIters; it++ {
+		r.PotentialCheckpoint()
+		for it == gateIter && r.Epoch() < 2 {
+			r.PotentialCheckpoint()
+		}
+		h := r.Irecv(prev, 1)
+		r.Wait(r.Isend(next, 1, mpi.F64Bytes([]float64{float64(r.Rank()*1000 + it)})))
+		r.WaitF64Into(h, in)
+		total += in[0]
+		for j := 0; j < 64; j++ {
+			grid[(it*131+j)%len(grid)] += total
+		}
+		r.Touch("grid")
+	}
+	for _, x := range grid {
+		total += x
+	}
+	return total, nil
+}
 
 // killOnPut SIGKILLs the process when a write to key begins: the flusher
 // goroutine dies mid-checkpoint, exactly like a machine crash during the
@@ -112,21 +151,20 @@ func TestMain(m *testing.M) {
 			}
 		}
 		variant := os.Getenv(envVariant)
-		iters := testIters
-		if strings.HasPrefix(variant, "kill-mid-flush") || variant == "long-baseline" {
-			iters = testLongIters
-		}
-		prog, _, err := apps.Build("laplace", testRanks, testSize, iters)
+		prog, _, err := apps.Build("laplace", testRanks, testSize, testIters)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		app := launch.WorkerApp{Prog: prog, EveryN: testEveryN, Mode: protocol.Full}
 		switch variant {
+		case "":
 		case "sync":
-			app.Policy.Sync = true
-		case "kill-mid-flush", "kill-mid-flush-incremental":
-			app.Policy.FullFreeze = variant != "kill-mid-flush-incremental"
+			app.Sync = true
+		case "gated":
+			app.Prog = gatedRing
+		case "kill-mid-flush":
+			app.Prog = gatedRing
 			// Only the first incarnation's rank 2 is doomed: epoch numbers
 			// restart below the trigger after recovery, so an unconditional
 			// trap would kill every re-spawn at its epoch-2 flush forever.
@@ -135,6 +173,9 @@ func TestMain(m *testing.M) {
 					return killOnPut{Stable: s, key: storage.StateKey(2, 2)}
 				}
 			}
+		default:
+			fmt.Fprintf(os.Stderr, "unknown %s %q\n", envVariant, variant)
+			os.Exit(2)
 		}
 		launch.WorkerMain(app)
 	}
@@ -247,7 +288,7 @@ func TestReusedStoreIgnoresStaleCommit(t *testing.T) {
 				return nil, "", err
 			}
 			res, err := engine.Run(engine.Config{Ranks: testRanks, Mode: protocol.Full, EveryN: testEveryN,
-				Store: disk, Policy: protocol.Policy{Sync: true}, Failures: kills}, prog)
+				Store: disk, Sync: true, Failures: kills}, prog)
 			if err != nil {
 				return nil, "", err
 			}
@@ -290,35 +331,36 @@ func TestReusedStoreIgnoresStaleCommit(t *testing.T) {
 // invariant before any rank can begin checkpoint 2 (the initiator starts a
 // new global checkpoint only after the previous one's commit record is
 // durable), and epoch 2 can never commit because the dead rank's manifest
-// was never written: recovery from exactly epoch 1 is deterministic.
+// was never written: recovery from exactly epoch 1 is deterministic. That
+// the write happens at all is gatedRing's gate, not the machine's pace.
 func TestDistributedKillMidFlush(t *testing.T) {
-	t.Setenv(envVariant, "long-baseline")
-	baseline := runLaplace(t, nil)
-	// The same crash window twice: full freezes, then dirty-region
-	// incremental freezes — a real SIGKILL inside an incremental epoch
-	// whose flush shares the previous epoch's slabs must still recover
-	// from the prior commit with byte-identical output.
-	for _, variant := range []string{"kill-mid-flush", "kill-mid-flush-incremental"} {
-		t.Run(variant, func(t *testing.T) {
-			t.Setenv(envVariant, variant)
-			res, err := launch.Run(launch.Config{Ranks: testRanks, Stderr: io.Discard})
-			if err != nil {
-				t.Fatalf("launch.Run: %v", err)
-			}
-			if res.Restarts != 1 {
-				t.Fatalf("%d restarts, want 1", res.Restarts)
-			}
-			if got := res.Incarnations[0].Exits[2]; got != "signal: killed" {
-				t.Fatalf("doomed rank exited %q, want signal: killed", got)
-			}
-			if len(res.RecoveredEpochs) != 1 || res.RecoveredEpochs[0] != 1 {
-				t.Fatalf("recovered epochs %v, want [1]: a crash mid-flush must fall back to the previous committed epoch, never the one in flight", res.RecoveredEpochs)
-			}
-			if res.Output != baseline.Output {
-				t.Fatalf("recovered output %q != fault-free output %q", res.Output, baseline.Output)
-			}
-		})
+	t.Setenv(envVariant, "gated")
+	baseline, err := launch.Run(launch.Config{Ranks: testRanks, Stderr: io.Discard})
+	if err != nil {
+		t.Fatalf("fault-free launch.Run: %v", err)
 	}
+	t.Run("kill-mid-flush-incremental", func(t *testing.T) {
+		t.Setenv(envVariant, "kill-mid-flush")
+		res, err := launch.Run(launch.Config{Ranks: testRanks, Stderr: io.Discard})
+		if err != nil {
+			t.Fatalf("launch.Run: %v", err)
+		}
+		if res.Restarts == 0 {
+			t.Fatalf("no restart: rank 2 never began its epoch-2 state write, where the trap is, though the gate at iteration %d holds every rank until its epoch-2 checkpoint", gateIter)
+		}
+		if res.Restarts != 1 {
+			t.Fatalf("%d restarts, want 1", res.Restarts)
+		}
+		if got := res.Incarnations[0].Exits[2]; got != "signal: killed" {
+			t.Fatalf("doomed rank exited %q, want signal: killed", got)
+		}
+		if len(res.RecoveredEpochs) != 1 || res.RecoveredEpochs[0] != 1 {
+			t.Fatalf("recovered epochs %v, want [1]: a crash mid-flush must fall back to the previous committed epoch, never the one in flight", res.RecoveredEpochs)
+		}
+		if res.Output != baseline.Output {
+			t.Fatalf("recovered output %q != fault-free output %q", res.Output, baseline.Output)
+		}
+	})
 }
 
 // TestDistributedStatsCrossProcess pins the stats-aggregation regression:
@@ -478,9 +520,12 @@ func (l *spawnLog) spawned() [][2]int {
 // SIGKILLs from outside, back to back, once a checkpoint has been taken.
 // The burst must cost one rollback round, not two: every rank parks or
 // dies, both corpses are replaced exactly once, and the survivors never
-// notice more than one incarnation change.
+// notice more than one incarnation change. The program is gatedRing: no rank
+// can end before its epoch-2 checkpoint, which follows the epoch-1 commit, so
+// kills sent at the first checkpoint's stats frame land mid-run on any
+// machine.
 func TestDistributedKillBurst(t *testing.T) {
-	t.Setenv(envVariant, "long-baseline")
+	t.Setenv(envVariant, "gated")
 	baseline := runLaplace(t, nil)
 
 	victims := []int{1, 2}
@@ -588,7 +633,7 @@ func TestScratchDirRemovedOnFailure(t *testing.T) {
 	}
 	assertEmpty("a run that exhausted its restart budget")
 
-	t.Setenv(envVariant, "long-baseline")
+	t.Setenv(envVariant, "gated") // the cancel lands before any rank can end, as in TestDistributedKillBurst
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	_, err = launch.RunContext(ctx, launch.Config{

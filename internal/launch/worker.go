@@ -31,13 +31,13 @@ type WorkerApp struct {
 	Interval time.Duration
 	Seed     int64
 	Debug    bool
+	// Sync selects the blocking checkpoint (see engine.Config.Sync).
+	Sync bool
 	// Mode selects the protocol version. Recovery requires Full — a
 	// killed run in any other mode fails hard — so production launchers
 	// pass Full; the fig8 harness sweeps the other versions for fault-free
 	// overhead measurements.
 	Mode protocol.Mode
-	// Policy is the checkpoint policy, handed to the engine untouched.
-	Policy protocol.Policy
 	// WrapStore, when non-nil, wraps the worker's stable store before the
 	// engine sees it. Fault-injection tests use it to fail or delay
 	// specific writes (e.g. SIGKILL mid checkpoint flush); production
@@ -119,7 +119,7 @@ func workerRun(app WorkerApp) (int, error) {
 			Store:       store,
 			EveryN:      app.EveryN,
 			Interval:    app.Interval,
-			Policy:      app.Policy,
+			Sync:        app.Sync,
 			KillAtOp:    st.KillAtOp,
 			Kill: func() {
 				// A real stopping failure: no deferred cleanup, no recover, no

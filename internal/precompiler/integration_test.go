@@ -312,7 +312,7 @@ func TestPrecompiledInPlaceWritesRecover(t *testing.T) {
 	}
 	for _, atOp := range []int64{150, 250, 350} {
 		res, err := engine.Run(engine.Config{
-			Ranks: ranks, Mode: protocol.Full, EveryN: 10, Policy: protocol.Policy{Sync: true},
+			Ranks: ranks, Mode: protocol.Full, EveryN: 10, Sync: true,
 			Failures: []engine.Failure{{Rank: 1, AtOp: atOp}},
 		}, prog)
 		if err != nil {

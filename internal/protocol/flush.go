@@ -17,7 +17,7 @@ import (
 // stable storage (writeState). By default the task is
 // started through clock.Go — a goroutine on the wall clock, an actor the
 // simulation's scheduler counts on a virtual one — and the rank computes on;
-// under Policy.Sync the rank runs the same body itself.
+// without Config.AsyncFlush the rank runs the same body itself.
 //
 // The layer stays single-threaded. The task touches only the capture and
 // the layer's immutable fields, leaves its outcome in the flushTask, and

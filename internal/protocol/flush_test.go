@@ -13,7 +13,7 @@ import (
 )
 
 // A flush ends in one of three ways — its completion event reaches the
-// rank, the rank ran it inline (Policy.Sync), or Shutdown drained it — and
+// rank, the rank ran it inline (no AsyncFlush), or Shutdown drained it — and
 // all three go through finishFlush. These tests drive each end on a
 // one-rank world, with a store that holds the state manifest's Put until
 // the test lets it go (so "in flight" is a state, not a race) or fails it.

@@ -63,21 +63,6 @@ var controlSpecs = []mpi.RecvSpec{
 	{Source: mpi.AnySource, Tag: tagFlushDone},
 }
 
-// Policy is the checkpoint policy of a run: how a checkpoint is frozen and
-// made durable. It is owned here and carried untouched by every
-// configuration struct above the protocol (ccift.Spec, engine.Config,
-// engine.WorkerConfig, launch.WorkerApp). The zero value is the default
-// fast path: asynchronous flush, dirty-region incremental freeze and the
-// hash-ahead chunk writer.
-type Policy struct {
-	// Sync restores the classic stop-serialize-fsync checkpoint (the
-	// Figure 8 baselines): the rank blocks until its state is durable.
-	Sync bool
-	// FullFreeze re-copies the whole registered state at every freeze and
-	// waives the Touch write-intent contract.
-	FullFreeze bool
-}
-
 // Config configures a protocol layer.
 type Config struct {
 	Mode  Mode
@@ -96,8 +81,8 @@ type Config struct {
 	// disables. (The paper uses a 30-second interval.)
 	Interval time.Duration
 	// Debug enables internal consistency assertions: the protocol state
-	// machine's invariant check after every transition; an incremental
-	// freeze verified byte-for-byte against a fresh encode of the live state
+	// machine's invariant check after every transition; every freeze
+	// verified byte-for-byte against a fresh encode of the live state
 	// (a missed Touch is an immediate ErrProgram naming the variable); and a
 	// rollback from a retained view checked against the store's state object.
 	Debug bool
@@ -110,11 +95,9 @@ type Config struct {
 	// classic stop-serialize-fsync checkpoint. It is the same write path on
 	// the wall clock and on a virtual one.
 	AsyncFlush bool
-	// IncrementalFreeze enables dirty-region tracking (ckpt.Saver.Incremental):
-	// a freeze copies only regions touched since the previous epoch and
-	// re-references the prior frozen slabs for clean ones. It requires the
-	// application to honor the Touch write-intent contract; the serialized
-	// state is byte-identical to a full freeze.
+	// IncrementalFreeze is ignored: every layer freezes incrementally
+	// (ckpt.Saver.Incremental), so a program owes the Touch write-intent
+	// contract. The field stays only while the benchmark module sets it.
 	IncrementalFreeze bool
 	// StatsSink, when non-nil, receives cumulative snapshots of this
 	// layer's Stats at observable progress points (each completed
@@ -266,7 +249,7 @@ func NewLayer(comm *mpi.Comm, cfg Config) *Layer {
 	// Rank 0 carries the replicated-data copies (Section 7's distributed
 	// redundant data optimization) and plays the initiator.
 	l.Saver.VDS.Primary = l.rank == 0
-	l.Saver.Incremental = cfg.IncrementalFreeze
+	l.Saver.Incremental = true
 	l.m = newMachine(l.rank, n, cfg.EveryN, l.rank == 0 && cfg.Mode >= NoAppState)
 	l.lastStart = l.clk.Now()
 	return l
@@ -460,7 +443,7 @@ func (l *Layer) PotentialCheckpoint() {
 // (captureState: the encoded protocol record + a frozen copy of the
 // application state, the only part the rank blocks for) and flush
 // (writeState: chunked durable write), which startFlush runs as a task
-// beside the rank, or inline under Policy.Sync. The capture records the
+// beside the rank, or inline without AsyncFlush. The capture records the
 // epoch that ends, so it precedes the machine's transition; the control
 // messages the transition queues go out once the flush has started.
 func (l *Layer) takeCheckpoint() {

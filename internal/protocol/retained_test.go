@@ -74,8 +74,8 @@ func (r *reach) walk(v reflect.Value) {
 	}
 }
 
-// ringRank is a one-rank Full layer with incremental freeze over a grid of
-// `pages` 64 KB pages and a 4 KB vector.
+// ringRank is a one-rank Full layer over a grid of `pages` 64 KB pages and
+// a 4 KB vector.
 type ringRank struct {
 	l    *Layer
 	cs   *storage.CheckpointStore
@@ -91,7 +91,7 @@ func newRingRank(t *testing.T, pages int, debug bool) *ringRank {
 	t.Helper()
 	rr := &ringRank{gets: &getLog{Stable: storage.NewMemory()}, grid: make([]float64, pages*ringPage), vec: make([]float64, 512)}
 	rr.cs = storage.NewCheckpointStore(rr.gets)
-	rr.l = NewLayer(mpi.NewWorld(1, mpi.Options{}).Comm(0), Config{Mode: Full, Store: rr.cs, IncrementalFreeze: true, Debug: debug})
+	rr.l = NewLayer(mpi.NewWorld(1, mpi.Options{}).Comm(0), Config{Mode: Full, Store: rr.cs, Debug: debug})
 	rr.register(t, rr.l)
 	return rr
 }
@@ -204,7 +204,7 @@ func TestRetainedMidFlushViewIsReleased(t *testing.T) {
 	rec := recoverySlices(t, rr.cs, 1, 1)[0]
 	rr.gets.keys = nil
 	for rollback := 1; rollback <= 2; rollback++ {
-		l := NewLayer(mpi.NewWorld(1, mpi.Options{}).Comm(0), Config{Mode: Full, Store: rr.cs, IncrementalFreeze: true})
+		l := NewLayer(mpi.NewWorld(1, mpi.Options{}).Comm(0), Config{Mode: Full, Store: rr.cs})
 		if err := l.RestoreFrom(rec, kept); err != nil {
 			t.Fatal(err)
 		}

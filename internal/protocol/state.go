@@ -23,10 +23,10 @@ import (
 var verifyFreezes atomic.Bool
 
 // VerifyEveryFreeze is a test seam, not an option: from here on, for the
-// life of the process, every incremental freeze is verified against the
-// live state as if Debug were set. A suite calls it from TestMain to soak
-// every program it runs — Debug or not, worker processes included — for a
-// write that escaped Touch.
+// life of the process, every freeze is verified against the live state as
+// if Debug were set. A suite calls it from TestMain to soak every program
+// it runs — Debug or not, worker processes included — for a write that
+// escaped Touch.
 func VerifyEveryFreeze() { verifyFreezes.Store(true) }
 
 // captureState is the blocking half of the local checkpoint of epoch: it
@@ -40,12 +40,11 @@ func (l *Layer) captureState(epoch int) (*flushTask, error) {
 		if err != nil {
 			return nil, err
 		}
-		if l.cfg.IncrementalFreeze && (l.cfg.Debug || verifyFreezes.Load()) {
+		if l.cfg.Debug || verifyFreezes.Load() {
 			// The rank is still blocked, so the live state is exactly what
 			// the frozen view claims to be: any byte difference means a
 			// mutation escaped the Touch write-intent contract — the
-			// application's bug, reported in its category. (A full freeze
-			// copies everything and has no contract to check.)
+			// application's bug, reported in its category.
 			if err := l.Saver.VerifyFrozen(f); err != nil {
 				f.Release()
 				return nil, err

@@ -88,7 +88,7 @@ func Launch(ctx context.Context, spec *Spec, prog Program) (*Result, error) {
 			Seed:     cfg.Seed,
 			Debug:    cfg.Debug,
 			Mode:     cfg.Mode,
-			Policy:   cfg.Policy,
+			Sync:     cfg.Sync,
 		})
 	}
 	if spec.metricsAddr != "" {

@@ -205,7 +205,7 @@ func TestMain(m *testing.M) {
 				mode = protocol.NoAppState
 			}
 			launch.WorkerMain(launch.WorkerApp{Prog: conformanceProg(), EveryN: confEveryN,
-				Mode: mode, Policy: protocol.Policy{Sync: true}})
+				Mode: mode, Sync: true})
 		}
 		// This process is one rank of a distributed test run: the Launch
 		// call below detects the worker role, runs it, and exits.

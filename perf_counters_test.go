@@ -231,25 +231,21 @@ func TestIncrementalCopyVolumeAtTenPercentDirty(t *testing.T) {
 	}
 	for name, prog := range map[string]engine.Program{"heap-blocks": heapProg, "paged-grid": gridProg} {
 		t.Run(name, func(t *testing.T) {
-			copied := map[bool]int64{}
-			for _, full := range []bool{true, false} {
-				res, err := engine.Run(engine.Config{
-					Ranks: 1, Mode: protocol.Full, EveryN: 1, Policy: protocol.Policy{FullFreeze: full},
-				}, prog)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := res.Stats[0].CheckpointsTaken; got != ckpts {
-					t.Fatalf("%d checkpoints taken, want %d", got, ckpts)
-				}
-				copied[full] = res.Stats[0].CheckpointBytesCopied / ckpts
+			res, err := engine.Run(engine.Config{Ranks: 1, Mode: protocol.Full, EveryN: 1}, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Stats[0]
+			if st.CheckpointsTaken != ckpts {
+				t.Fatalf("%d checkpoints taken, want %d", st.CheckpointsTaken, ckpts)
 			}
 			const state = pages * pageBytes
-			if copied[true] < state {
-				t.Fatalf("a full freeze copied %d B per checkpoint of a %d B state", copied[true], state)
+			logical, copied := st.CheckpointBytes/ckpts, st.CheckpointBytesCopied/ckpts
+			if logical < state {
+				t.Fatalf("a checkpoint of a %d B state holds %d B", state, logical)
 			}
-			if lo, hi := int64(state/10), int64(state/5); copied[false] < lo || copied[false] > hi {
-				t.Fatalf("an incremental freeze copied %d B per checkpoint at 10%% dirty, want between %d and %d (full: %d)", copied[false], lo, hi, copied[true])
+			if lo, hi := int64(state/10), int64(state/5); copied < lo || copied > hi {
+				t.Fatalf("a freeze copied %d B per checkpoint at 10%% dirty, want between %d and %d (logical: %d)", copied, lo, hi, logical)
 			}
 		})
 	}

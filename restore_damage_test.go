@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,5 +114,44 @@ func TestDamagedChunkEndsTheRunAsAStoreFailure(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// tornCommitStore hands back every commit record that exists three bytes
+// long, a torn record, and counts the records it tore. The commit record is
+// read only when a rollback begins.
+type tornCommitStore struct {
+	ccift.Stable
+	torn atomic.Int32
+}
+
+func (s *tornCommitStore) Get(key string) ([]byte, error) {
+	b, err := s.Stable.Get(key)
+	if err == nil && strings.HasSuffix(key, "/COMMIT") {
+		s.torn.Add(1)
+		return b[:3], nil
+	}
+	return b, err
+}
+
+// TestTornCommitRecordIsOneStoreFailure: a commit record read after a kill
+// that is 3 bytes long ends the run with exactly one ErrStore whose message
+// names the category once: the storage layer already gave the error its
+// category, and the supervisor only adds what it was reading.
+func TestTornCommitRecordIsOneStoreFailure(t *testing.T) {
+	store := &tornCommitStore{Stable: ccift.NewMemoryStore()}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	_, err := ccift.Launch(ctx, ccift.NewSpec(ccift.WithRanks(2), ccift.WithMode(ccift.Full), ccift.WithEveryN(5), ccift.WithStore(store),
+		ccift.WithSimulated(ccift.Scenario{Seed: 7, Latency: time.Millisecond}), ccift.WithFailures(ccift.Failure{Rank: 1, AtOp: 60})), gridProg)
+	if store.torn.Load() == 0 {
+		t.Fatalf("no commit record was read after the kill (err %v): the kill did not follow a commit", err)
+	}
+	assertExactlyOne(t, err, ccift.ErrStore)
+	if !strings.Contains(err.Error(), "commit record is 3 bytes") {
+		t.Fatalf("err %q does not say the commit record is torn", err)
+	}
+	if n := strings.Count(err.Error(), ccift.ErrStore.Error()); n != 1 {
+		t.Fatalf("err %q names its category %d times, want once", err, n)
 	}
 }

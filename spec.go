@@ -70,15 +70,14 @@ func WithMaxRestarts(n int) Option { return func(s *Spec) { s.cfg.MaxRestarts = 
 func WithSeed(seed int64) Option { return func(s *Spec) { s.cfg.Seed = seed } }
 
 // WithDebug enables protocol assertions. Two of them are more than a
-// comparison. Every incremental freeze is verified byte-for-byte against a
+// comparison. Every freeze is verified byte-for-byte against a
 // fresh encode of the live state while the rank is still blocked, so a
 // write that escaped Touch fails the run with an ErrProgram-category error
 // naming the variable (or heap block) instead of recovering stale state;
 // that costs a full state encode per checkpoint. And a survivor's rollback
 // from its retained frozen view also reads the epoch's state object and
 // requires the view to serialize to exactly those bytes. Use it in tests
-// and when migrating a program to the incremental default, not in
-// production.
+// and when adding Touch calls to a program, not in production.
 func WithDebug() Option { return func(s *Spec) { s.cfg.Debug = true } }
 
 // WithAsyncCheckpoint toggles the asynchronous checkpoint pipeline, which
@@ -89,28 +88,7 @@ func WithDebug() Option { return func(s *Spec) { s.cfg.Debug = true } }
 // flush, so crash-recovery semantics are identical. Pass false to restore
 // the classic stop-serialize-fsync path (the Figure 8 baselines).
 func WithAsyncCheckpoint(enabled bool) Option {
-	return func(s *Spec) { s.cfg.Policy.Sync = !enabled }
-}
-
-// WithIncrementalFreeze toggles dirty-region checkpointing, which is ON
-// by default: the blocking freeze copies only the regions (registered
-// variables, pages of large variables, heap blocks) the program touched
-// since the last checkpoint and re-references the previous epoch's frozen
-// slabs for the clean ones, so a mostly-clean epoch blocks for O(dirty)
-// instead of O(state). Programs must honor the write-intent contract —
-// call Rank.Touch (or TouchRange for a sub-range of a large slice,
-// Heap().Touch for heap blocks) after the last write to a region and
-// before the next PotentialCheckpoint; scalar variables are exempt, and
-// registration/resize/unregister dirty implicitly. The serialized
-// checkpoint bytes are identical to a full freeze's, so chunk dedup,
-// storage and recovery are unaffected. Pass false for programs that do not
-// maintain Touch calls: every checkpoint then re-copies the whole
-// registered state and the contract does not apply. WithDebug verifies the
-// contract at runtime. Programs made by the ccift precompiler honor it: it
-// touches a function's registered non-scalar variables before each
-// checkpoint the function reaches.
-func WithIncrementalFreeze(enabled bool) Option {
-	return func(s *Spec) { s.cfg.Policy.FullFreeze = !enabled }
+	return func(s *Spec) { s.cfg.Sync = !enabled }
 }
 
 // WithTracer streams protocol events from every rank (in-process substrate

@@ -8,16 +8,11 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"ccift"
-	"ccift/internal/engine"
-	"ccift/internal/launch"
-	"ccift/internal/protocol"
 )
 
 func TestSpecValidation(t *testing.T) {
@@ -105,33 +100,31 @@ type nopTracer struct{}
 
 func (nopTracer) Trace(ccift.TraceEvent) {}
 
-// The policy seam: protocol.Policy travels Spec → engine.Config (in
-// process) and Spec → launch.WorkerApp → engine.WorkerConfig (distributed)
-// as one value, and is translated into the layer's protocol.Config at one
-// site. policySeam says, per Policy field, which public option owns it
-// and how the layer's effective config shows a non-zero value. Debug is
-// not a Policy field, but it selects the freeze verifier and travels the
-// same two paths, so it has a row too.
+// The policy seam: Sync and Debug travel Spec → engine.Config (in process)
+// and Spec → launch.WorkerApp → engine.WorkerConfig (distributed), and are
+// translated into the layer's protocol.Config at one site. policySeam says,
+// per field, which public option sets it and how the layer's effective
+// config shows it.
 var policySeam = map[string]struct {
 	opt    ccift.Option
 	effect string
 }{
-	"Sync":       {ccift.WithAsyncCheckpoint(false), "AsyncFlush:false"},
-	"FullFreeze": {ccift.WithIncrementalFreeze(false), "IncrementalFreeze:false"},
-	"Debug":      {ccift.WithDebug(), "Debug:true"},
+	"Sync":  {ccift.WithAsyncCheckpoint(false), "AsyncFlush:false"},
+	"Debug": {ccift.WithDebug(), "Debug:true"},
 }
 
-// policyEnv names, for a re-exec'd worker, the Policy field under test
-// ("-" for the zero policy).
+// policyEnv names, for a re-exec'd worker, the field under test ("-" for
+// the default policy).
 const policyEnv = "CCIFT_TEST_POLICY"
 
-// policyWith returns the zero Policy with the named field set non-zero.
-func policyWith(field string) protocol.Policy {
-	var p protocol.Policy
-	if f := reflect.ValueOf(&p).Elem().FieldByName(field); f.IsValid() {
-		f.SetBool(true)
+// policyOptions is the seam run's spec: the default policy plus the named
+// field's option.
+func policyOptions(field string) []ccift.Option {
+	opts := []ccift.Option{ccift.WithRanks(2), ccift.WithMode(ccift.Full)}
+	if opt := policySeam[field].opt; opt != nil {
+		opts = append(opts, opt)
 	}
-	return p
+	return opts
 }
 
 // policyProbe reports the effective configuration of its rank's layer.
@@ -139,68 +132,41 @@ func policyProbe(r *ccift.Rank) (any, error) {
 	return fmt.Sprintf("%+v", r.Layer().Config()), nil
 }
 
-// policyWorker is the worker role of a seam run: through the public Launch
-// when an option owns the field, through launch.WorkerApp directly
-// otherwise.
+// policyWorker is the worker role of a seam run. Launch never returns in a
+// worker process.
 func policyWorker(field string) {
-	if opt := policySeam[field].opt; opt != nil {
-		ccift.Launch(context.Background(), ccift.NewSpec(ccift.WithRanks(2), ccift.WithMode(ccift.Full),
-			ccift.WithDistributed(ccift.Distributed{}), opt), policyProbe)
-	}
-	launch.WorkerMain(launch.WorkerApp{Prog: policyProbe, Mode: protocol.Full, Policy: policyWith(field)})
+	ccift.Launch(context.Background(), ccift.NewSpec(append(policyOptions(field), ccift.WithDistributed(ccift.Distributed{}))...), policyProbe)
 }
 
 func TestPolicySeam(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the worker round trips spawn real processes")
 	}
-	// effective runs the probe under the zero policy plus the named field
-	// ("-": none) and returns rank 0's view on both paths.
+	// effective runs the probe under the default policy plus the named
+	// field ("-": none) and returns rank 0's view on both paths.
 	effective := func(field string) (inproc, worker string) {
 		t.Setenv(policyEnv, field)
-		opts := []ccift.Option{ccift.WithRanks(2), ccift.WithMode(ccift.Full)}
-		if opt := policySeam[field].opt; opt != nil {
-			opts = append(opts, opt)
-			res, err := ccift.Launch(context.Background(), ccift.NewSpec(opts...), policyProbe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dist, err := ccift.Launch(context.Background(), ccift.NewSpec(append(opts,
-				ccift.WithDistributed(ccift.Distributed{Stderr: io.Discard}))...), policyProbe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fmt.Sprint(res.Values[0]), fmt.Sprint(dist.Values[0])
-		}
-		res, err := engine.Run(engine.Config{Ranks: 2, Mode: protocol.Full, Policy: policyWith(field)}, policyProbe)
+		opts := policyOptions(field)
+		res, err := ccift.Launch(context.Background(), ccift.NewSpec(opts...), policyProbe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dist, err := launch.Run(launch.Config{Ranks: 2, Args: os.Args[1:], Stderr: io.Discard})
+		dist, err := ccift.Launch(context.Background(), ccift.NewSpec(append(opts,
+			ccift.WithDistributed(ccift.Distributed{Stderr: io.Discard}))...), policyProbe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprint(res.Values[0]), dist.Output
+		return fmt.Sprint(res.Values[0]), fmt.Sprint(dist.Values[0])
 	}
 	zeroIn, zeroWorker := effective("-")
-	fields := []string{"Debug"}
-	pt := reflect.TypeOf(protocol.Policy{})
-	for i := 0; i < pt.NumField(); i++ {
-		fields = append(fields, pt.Field(i).Name)
-	}
-	for _, field := range fields {
-		seam, ok := policySeam[field]
-		if !ok {
-			t.Errorf("protocol.Policy.%s is not in policySeam: name the option that owns it and its effect on the layer", field)
-			continue
-		}
+	for field, seam := range policySeam {
 		in, worker := effective(field)
 		for path, got := range map[string][2]string{"in-process": {zeroIn, in}, "worker": {zeroWorker, worker}} {
 			if strings.Contains(got[0], seam.effect) {
-				t.Errorf("%s: the zero policy already shows %s", path, seam.effect)
+				t.Errorf("%s: the default policy already shows %s", path, seam.effect)
 			}
 			if !strings.Contains(got[1], seam.effect) {
-				t.Errorf("%s: Policy.%s did not reach the layer: want %s in %s", path, field, seam.effect, got[1])
+				t.Errorf("%s: %s did not reach the layer: want %s in %s", path, field, seam.effect, got[1])
 			}
 		}
 	}
