@@ -341,14 +341,14 @@ var exportAllowList = map[string]string{
 	"internal/launch.Run":                          "bench/ pins it (exec.go)",
 	"internal/protocol.Layer.CheckpointInProgress": "bench/ pins it (exec.go)",
 	"internal/mpi.World.OpCount":                   "bench/ pins it (exec.go, ring.go)",
-	"internal/mpi.World.PoisonReleased":            "a test seam, like storage.PoisonReleasedChunks",
+	"internal/mpi.World.PoisonReleased":            "a test seam, like ckpt.PoisonReleasedSlabs",
 	"internal/mpi.World.Transport":                 "the tests of the simulated and TCP transports drive a world's transport directly",
 	"internal/storage.ChunkedWriter.Pipeline":      "bench/ pins it (probes.go)",
 	"internal/ckpt.Saver.StartRestore":             "bench/ pins it (probes.go): the restore from a blob its probe holds",
 	"internal/precompiler.TransformPoisoned":       "the liveness oracle's generation: the Laplace suite rebuilds itself and the launch suite with it, and nothing ships it",
 	"internal/protocol.Layer.Config":               "TestPolicySeam's probe reads what a worker process's layer was configured with",
-	"internal/protocol.VerifyEveryFreeze":          "a test seam a TestMain calls, like storage.PoisonReleasedChunks",
-	"internal/storage.PoisonReleasedChunks":        "a test seam every suite's TestMain calls",
+	"internal/protocol.VerifyEveryFreeze":          "a test seam a TestMain calls, like ckpt.PoisonReleasedSlabs",
+	"internal/ckpt.PoisonReleasedSlabs":            "a test seam every suite's TestMain calls",
 	"internal/storage.Disk.GetInto":                "an optional method storage.GetInto finds by type assertion",
 	"internal/storage.Disk.Has":                    "an optional method storage.Has finds by type assertion",
 	"internal/storage.Memory.Has":                  "an optional method storage.Has finds by type assertion",

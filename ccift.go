@@ -99,7 +99,10 @@ const (
 	AnyTag = mpi.AnyTag
 )
 
-// Stable is the stable-storage interface checkpoints are written to.
+// Stable is the stable-storage interface checkpoints are written to. Put
+// must not retain data, or any part of it, after it returns: a checkpoint's
+// chunks are views of the frozen state, which is reused once the flush is
+// over, and every in-tree store copies.
 type Stable = storage.Stable
 
 // NewMemoryStore returns an in-memory stable store (tests, benchmarks).

@@ -2,10 +2,12 @@ package ckpt
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"ccift/internal/mpi"
 	"ccift/internal/wire"
 )
 
@@ -17,7 +19,12 @@ import (
 // restore parses with, over the view, typically on a background flusher
 // while the rank computes on: WriteTo streams it into the chunked store
 // writer, Snapshot encodes and StateBytes sizes it. Saver.Snapshot runs it
-// over the live state, so every path writes the same bytes.
+// over the live state, so every path writes the same bytes. While it
+// flushes, the view is lent to the store: every page and slab a payload is
+// made of goes to the chunked writer as it is, hashed and stored from where
+// the freeze put it, so the freeze's copy is the only one the bulk of a
+// checkpoint takes. The view stays unmodified until Release, which follows
+// the flush, and only Release returns its slabs to the pool.
 //
 // With Saver.Incremental set, Freeze goes one step further: a region (VDS
 // variable or heap block) whose write clock has not moved since the
@@ -37,6 +44,16 @@ import (
 // VDS value or heap block between cuts: unchanged, it hashes to the same
 // chunks in a later epoch whatever changed before it.
 const cutoverBytes = 4096
+
+// poisonReleased is the PoisonReleasedSlabs seam.
+var poisonReleased atomic.Bool
+
+// PoisonReleasedSlabs is a test seam, not an option: from here on, for the
+// life of the process, every slab a released view hands back to its pool is
+// overwritten first. A store that kept a view of what the flush lent it,
+// instead of a copy, then holds poison where the chunk's bytes were, and the
+// next read that verifies the chunk fails.
+func PoisonReleasedSlabs() { poisonReleased.Store(true) }
 
 // bufPool recycles the large slabs ([]float64 grids, []byte heap blocks)
 // of released Frozen views. The protocol admits one outstanding checkpoint
@@ -132,6 +149,11 @@ func (p *bufPool) putF64(b []float64) {
 	if cap(b) == 0 {
 		return
 	}
+	if poisonReleased.Load() {
+		for i := range b {
+			b[i] = math.Float64frombits(0xDBDBDBDBDBDBDBDB)
+		}
+	}
 	p.mu.Lock()
 	if len(p.f64) < poolKeep {
 		p.f64 = append(p.f64, b)
@@ -152,6 +174,11 @@ func (p *bufPool) getBytes(n int) []byte {
 func (p *bufPool) putBytes(b []byte) {
 	if cap(b) == 0 {
 		return
+	}
+	if poisonReleased.Load() {
+		for i := range b {
+			b[i] = 0xDB
+		}
 	}
 	p.mu.Lock()
 	if len(p.byt) < poolKeep {
@@ -640,7 +667,10 @@ func (f *Frozen) StateBytes() int { return wire.Size(f.code) }
 // the heap section, around every record or heap block of cutoverBytes or
 // more and after every split record's lead and payload, so a chunked sink
 // dedups unchanged variables and heap blocks across epochs. It
-// encodes through one buffer lent by the Saver's pool.
+// encodes through one buffer lent by the Saver's pool, and lends a sink
+// that takes views (wire.Stream) every page, slab and parsed payload as it
+// is: those must not be written until the sink is finished, which is why
+// only Release hands them back.
 func (f *Frozen) WriteTo(w wire.Sink) error {
 	buf := f.pool.takeStream()
 	defer f.pool.giveStream(buf)
@@ -688,17 +718,29 @@ func (e *frozenEntry) lead(c *wire.Codec) {
 }
 
 // payload encodes the words or bytes after the lead: the owned copy's, each
-// page's in order, or a parsed record's.
+// page's in order, or a parsed record's. Every one is a run of the view's
+// memory a stream can lend to its sink (see WriteTo).
 func (e *frozenEntry) payload(c *wire.Codec) {
 	switch p := e.ptr.(type) {
 	case *[]float64:
-		wire.Fixed(c, *p)
+		words(c, *p)
 	case *[]byte:
 		wire.Fixed(c, *p)
 	}
 	for i := range e.pages {
-		wire.Fixed(c, e.pages[i].f64) // one of the two is empty
+		words(c, e.pages[i].f64) // one of the two is empty
 		wire.Fixed(c, e.pages[i].byt)
 	}
 	wire.Fixed(c, e.body.raw)
+}
+
+// words encodes floats as wire.Fixed does: as the bytes of their own memory
+// where that is their wire form (mpi.View), which a stream lends as it is,
+// and word by word through the stream's buffer on a big-endian host.
+func words(c *wire.Codec, xs []float64) {
+	if b, ok := mpi.View(xs); ok {
+		wire.Fixed(c, b)
+		return
+	}
+	wire.Fixed(c, xs)
 }

@@ -2,8 +2,14 @@ package ckpt
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"slices"
 	"testing"
+
+	"ccift/internal/mpi"
+	"ccift/internal/storage"
+	"ccift/internal/wire"
 )
 
 // buildRichSaver registers one value of every representative shape — saved,
@@ -346,6 +352,81 @@ func TestFrozenWriteToCutsAroundLargeValues(t *testing.T) {
 	}
 }
 
+// streamRecord is a sink that keeps a stream's bytes and where it cut.
+type streamRecord struct {
+	bytes.Buffer
+	cuts []int
+}
+
+func (r *streamRecord) Cut() error { r.cuts = append(r.cuts, r.Len()); return nil }
+
+// lendRecord is a streamRecord that takes lent views as a chunked writer
+// does, and counts the bytes it was lent.
+type lendRecord struct {
+	streamRecord
+	lent int
+}
+
+func (r *lendRecord) Lend(p []byte) error {
+	r.lent += len(p)
+	r.Write(p)
+	return nil
+}
+
+// TestLentStreamIsByteIdentical: a frozen view streamed into a sink that
+// takes lent views produces the bytes and the cuts it produces in a sink
+// that takes every byte through Write — Snapshot's bytes — and the lent
+// bytes are its pages and slabs: every paged or split payload on a
+// little-endian host, the byte-typed ones on a big-endian one, whose floats
+// go through the stream buffer. The copy path runs here on every host.
+func TestLentStreamIsByteIdentical(t *testing.T) {
+	s := buildRichSaver(t, true)
+	grid := make([]float64, 3*pageSplitBytes/8+600) // four pages, the last one short
+	for i := range grid {
+		grid[i] = float64(i) / 7
+	}
+	raw := bytes.Repeat([]byte("paged bytes "), pageSplitBytes/6)
+	slab := make([]float64, 2*cutoverBytes/8) // split, not paged: one whole-value slab
+	for _, e := range []struct {
+		name string
+		v    any
+	}{{"big-grid", &grid}, {"big-raw", &raw}, {"slab", &slab}} {
+		if err := s.VDS.Push(e.name, e.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := s.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Release()
+	var copied streamRecord
+	var lent lendRecord
+	if err := f.WriteTo(&copied); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.WriteTo(&lent); err != nil {
+		t.Fatal(err)
+	}
+	want, err := f.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(copied.Bytes(), want) || !bytes.Equal(lent.Bytes(), want) {
+		t.Fatal("the copied or the lent stream differs from Snapshot")
+	}
+	if !slices.Equal(copied.cuts, lent.cuts) {
+		t.Fatalf("cuts differ: copied %v, lent %v", copied.cuts, lent.cuts)
+	}
+	payloads := len(raw) + 5000 // the paged bytes and the 5000-byte heap block
+	if _, ok := mpi.View(grid); ok {
+		payloads += 8 * (len(grid) + len(slab) + 4096) // and the floats: both grids and the split 4096-float one
+	}
+	if lent.lent != payloads {
+		t.Fatalf("%d bytes lent, want the %d of the pages and slabs", lent.lent, payloads)
+	}
+}
+
 // discard is a sink that drops the stream: what is left is WriteTo's own
 // cost.
 type discard struct{}
@@ -414,13 +495,24 @@ func BenchmarkFrozenWriteTo(b *testing.B) {
 		b.Fatal(err)
 	}
 	small := smallState(b, 450)
+	store := storage.NewMemory()
 	for id := 1; id <= 400; id++ {
 		small.Heap.Free(id) // 50 heap blocks
+	}
+	// The chunked row is a flush: every chunk hashed and probed, the first
+	// iteration's stored (a copy the store makes), the later ones' found.
+	chunked := func() wire.Sink {
+		return storage.NewChunkedWriter(context.Background(), store, "state", 0)
 	}
 	for _, c := range []struct {
 		name string
 		s    *Saver
-	}{{"grid-4MB", grid}, {"small-450+50", small}} {
+		sink func() wire.Sink
+	}{
+		{"grid-4MB", grid, func() wire.Sink { return discard{} }},
+		{"small-450+50", small, func() wire.Sink { return discard{} }},
+		{"grid-4MB-chunked", grid, chunked},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			f, err := c.s.Freeze()
 			if err != nil {
@@ -430,8 +522,14 @@ func BenchmarkFrozenWriteTo(b *testing.B) {
 			b.SetBytes(int64(f.StateBytes()))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := f.WriteTo(discard{}); err != nil {
+				w := c.sink()
+				if err := f.WriteTo(w); err != nil {
 					b.Fatal(err)
+				}
+				if cw, ok := w.(*storage.ChunkedWriter); ok {
+					if _, _, err := cw.Commit(); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

@@ -4,12 +4,12 @@ import (
 	"os"
 	"testing"
 
+	"ccift/internal/ckpt"
 	"ccift/internal/protocol"
-	"ccift/internal/storage"
 )
 
-// Every test here runs with the chunk writers' released buffers poisoned
-// (storage.PoisonReleasedChunks), over every store the suites use — the
+// Every test here runs with the frozen views' released slabs poisoned
+// (ckpt.PoisonReleasedSlabs), over every store the suites use — the
 // simulated store, Memory and the wrappers the tests put around them — so a
 // store that kept a view of a chunk instead of copying it fails the next
 // read that verifies the chunk: a replacement's restore, or the Debug
@@ -19,7 +19,7 @@ import (
 // incremental freeze against the live state, Debug or not: a test program
 // that writes registered state without Touch fails there by name.
 func TestMain(m *testing.M) {
-	storage.PoisonReleasedChunks()
+	ckpt.PoisonReleasedSlabs()
 	if os.Getenv("CCIFT_FREEZE_CROSSCHECK") == "1" {
 		protocol.VerifyEveryFreeze()
 	}

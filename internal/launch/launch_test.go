@@ -24,6 +24,7 @@ import (
 
 	"ccift/internal/apps"
 	"ccift/internal/cerr"
+	"ccift/internal/ckpt"
 	"ccift/internal/engine"
 	"ccift/internal/launch"
 	"ccift/internal/mpi"
@@ -55,6 +56,10 @@ const (
 //     process death with a checkpoint flush in flight by construction; the
 //     flush that dies is an incremental epoch sharing the previous epoch's
 //     frozen slabs.
+//   - "sync-kill-after-commit": "kill-mid-flush" on the blocking write
+//     path. The write the trap is on follows the epoch-1 commit by protocol
+//     invariant, so the kill lands after a commit whatever the machine's
+//     pace — which an op count cannot promise on real processes.
 //   - "gated": gatedRing fault-free: the mid-flush test's output
 //     comparison, and the program of every test that acts on the first
 //     checkpoint's stats frame (a kill or a cancel) and needs the run still
@@ -138,10 +143,10 @@ var launcherEnv = map[string]bool{
 }
 
 func TestMain(m *testing.M) {
-	// Workers write their checkpoints to Disk with the chunk writers'
-	// released buffers poisoned: a chunk Disk had not copied would fail the
+	// Workers write their checkpoints to Disk with the frozen views'
+	// released slabs poisoned: a chunk Disk had not copied would fail the
 	// replacement's verified restore.
-	storage.PoisonReleasedChunks()
+	ckpt.PoisonReleasedSlabs()
 	if launch.IsWorker() {
 		for _, kv := range os.Environ() {
 			name, _, _ := strings.Cut(kv, "=")
@@ -163,8 +168,8 @@ func TestMain(m *testing.M) {
 			app.Sync = true
 		case "gated":
 			app.Prog = gatedRing
-		case "kill-mid-flush":
-			app.Prog = gatedRing
+		case "kill-mid-flush", "sync-kill-after-commit":
+			app.Prog, app.Sync = gatedRing, variant == "sync-kill-after-commit"
 			// Only the first incarnation's rank 2 is doomed: epoch numbers
 			// restart below the trigger after recovery, so an unconditional
 			// trap would kill every re-spawn at its epoch-2 flush forever.
@@ -211,9 +216,8 @@ func TestDistributedFaultFree(t *testing.T) {
 }
 
 func TestDistributedSIGKILLRecovery(t *testing.T) {
-	// Sync write path: the late-kill assertion below (op 300 ⇒ a commit has
-	// landed) is calibrated against ranks that block through their
-	// checkpoint write. TestDistributedKillMidFlush covers the async
+	// Sync write path, the Figure 8 baseline: ranks block through their
+	// checkpoint writes. TestDistributedKillMidFlush covers the async
 	// pipeline's crash window.
 	t.Setenv(envVariant, "sync")
 	baseline := runLaplace(t, nil)
@@ -246,16 +250,29 @@ func TestDistributedSIGKILLRecovery(t *testing.T) {
 	}
 
 	// Kill late enough that a global checkpoint has committed: recovery
-	// must restore from it rather than restarting from scratch.
-	late := runLaplace(t, []launch.KillSpec{{Rank: 2, AtOp: 300, Incarnation: 0}})
+	// must restore from it rather than restarting from scratch. An op count
+	// is wall-clock placement on real processes, so the kill is a trap on a
+	// write that follows commit 1 — rank 2's epoch-2 state write, which
+	// gatedRing holds every rank until — and the output to match is the
+	// gated program's.
+	t.Setenv(envVariant, "gated")
+	gated := runLaplace(t, nil)
+	t.Setenv(envVariant, "sync-kill-after-commit")
+	late := runLaplace(t, nil)
+	if late.Restarts == 0 {
+		t.Fatalf("late kill: no restart — rank 2 never began its epoch-2 state write, the post-commit write the trap is on, though the gate at iteration %d holds every rank until its epoch-2 checkpoint", gateIter)
+	}
 	if late.Restarts != 1 {
 		t.Fatalf("late kill: %d restarts, want 1", late.Restarts)
+	}
+	if got := late.Incarnations[0].Exits[2]; got != "signal: killed" {
+		t.Fatalf("late kill: doomed rank exited %q, want signal: killed", got)
 	}
 	if len(late.RecoveredEpochs) != 1 || late.RecoveredEpochs[0] < 1 {
 		t.Fatalf("late kill recovered epochs %v, want one committed epoch >= 1", late.RecoveredEpochs)
 	}
-	if late.Output != baseline.Output {
-		t.Fatalf("checkpoint-recovered output %q != fault-free output %q", late.Output, baseline.Output)
+	if late.Output != gated.Output {
+		t.Fatalf("checkpoint-recovered output %q != fault-free output %q", late.Output, gated.Output)
 	}
 }
 

@@ -87,10 +87,20 @@ func Unpacked[T Fixed](b []byte) []T {
 // Wire returns the wire form of xs for a call that only reads it: xs's own
 // memory on a little-endian host (no copy), a packed copy otherwise.
 func Wire[T Fixed](xs []T) []byte {
-	if bigEndian {
-		return Packed(xs)
+	if b, ok := View(xs); ok {
+		return b
 	}
-	return view(xs)
+	return Packed(xs)
+}
+
+// View returns xs's own memory where it is xs's wire form — on a
+// little-endian host — for a reader that may keep it instead of a copy; ok
+// is false where it is not, and the caller encodes the elements itself.
+func View[T Fixed](xs []T) (b []byte, ok bool) {
+	if bigEndian {
+		return nil, false
+	}
+	return view(xs), true
 }
 
 // Fill has fill write the wire form of dst's elements: straight into the

@@ -4,15 +4,15 @@ import (
 	"os"
 	"testing"
 
-	"ccift/internal/storage"
+	"ccift/internal/ckpt"
 )
 
-// Every test here runs with the chunk writers' released buffers poisoned
-// (storage.PoisonReleasedChunks): the retained-state suites read the store's
+// Every test here runs with the frozen views' released slabs poisoned
+// (ckpt.PoisonReleasedSlabs): the retained-state suites read the store's
 // state objects back and compare them with the retained views, so a store
-// that aliased a chunk buffer would fail them.
+// that kept a view of what a flush lent it would fail them.
 func TestMain(m *testing.M) {
-	storage.PoisonReleasedChunks()
+	ckpt.PoisonReleasedSlabs()
 	os.Exit(m.Run())
 }
 

@@ -77,7 +77,8 @@ func (l *Layer) captureState(epoch int) (*flushTask, error) {
 func (l *Layer) writeState(p *flushTask) (total, written int64, err error) {
 	if p.frozen != nil {
 		w := l.cfg.Store.StateWriter(l.cfg.Ctx, p.epoch, l.rank, storage.DefaultChunkSize)
-		// Join the writer's hash worker on every exit; a no-op after Commit.
+		// Finish the writer on every exit; a no-op after Commit. The frozen
+		// view it was lent stays unreleased until this returns.
 		defer w.Abort()
 		if err := p.frozen.WriteTo(w); err != nil {
 			return 0, 0, err

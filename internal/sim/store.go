@@ -60,11 +60,15 @@ func (st *simStore) delay(op, key string) {
 	st.s.Sleep(d)
 }
 
-func (st *simStore) Put(key string, data []byte) error {
+func (st *simStore) Put(key string, data []byte) error { return st.PutParts(key, data) }
+
+// PutParts is the chunk writer's gather write (storage.PutParts): one Put
+// of the blob the parts make up, to the store and to the timeline alike.
+func (st *simStore) PutParts(key string, parts ...[]byte) error {
 	st.delay("put", key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	err := st.inner.Put(key, data)
+	err := storage.PutParts(st.inner, key, parts...)
 	if _, seen := st.putAt[key]; err == nil && !seen {
 		st.putAt[key] = st.s.Elapsed()
 	}

@@ -7,9 +7,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"ccift/internal/cerr"
 	"ccift/internal/wire"
@@ -71,81 +71,51 @@ func (r ChunkRef) defectAt(size int, chunk []byte) string {
 	return ""
 }
 
-// ChunkedWriter streams a blob into content-hashed chunks. It implements
-// io.Writer plus Cut, the dedup boundary hook: Cut closes the current
+// ChunkedWriter streams a blob into content-hashed chunks. It is a
+// wire.Sink that also takes lent views: Write copies bytes in, Lend takes
+// them as they are, and Cut, the dedup boundary hook, closes the current
 // chunk early so that content after the boundary hashes independently of
-// content before it — serializers call it between sections and around
-// large values. Commit writes the manifest under the writer's key.
+// content before it (serializers call it between sections and around large
+// values). Commit writes the manifest under the writer's key.
+//
+// A chunk is a run of parts: the views Lend was given, kept as they are, and
+// the bytes Write copied into the writer's one buffer, which grows to what
+// arrives (a chunk at most) and is refilled from its start for every chunk.
+// A frozen state lends its pages and slabs (ckpt's Frozen.WriteTo), so the
+// bulk of a checkpoint is hashed and stored from where the freeze put it,
+// in parts (PutParts), and only its head is copied.
 //
 // Like Assemble on the read side, the writer has one path. Every store call
 // of a stream — the dedup probe and the Put of each chunk, then the
-// manifest — is issued by the goroutine that calls Write/Cut/Commit, in
-// stream order, so a store on virtual time (internal/sim's SlowStore: a
-// sleep and a PRNG draw per call) sees exactly what a serial writer would
-// show it, and there is no serial writer to select. What overlaps is the
-// SHA-256: from a stream's second full chunk on, a full chunk is handed to
-// one lazily spawned worker and stored one flush later, so chunk N is
-// hashed while chunk N+1 fills and chunk N-1 is Put. A blob that never
-// fills a second chunk spawns nothing.
+// manifest — is issued by the goroutine that calls Write/Lend/Cut/Commit,
+// in stream order, and each chunk is hashed there just before its probe, so
+// a store on virtual time (internal/sim's SlowStore: a sleep and a PRNG draw
+// per call) sees exactly what a serial writer would show it, and there is no
+// serial writer to select. The writer starts no goroutine.
 //
-// The writer is single-use and not safe for concurrent use. Its chunk
-// buffers come from a free list shared by every writer and go back to it
-// when the writer is finished — Commit has returned, or the owner called
-// Abort — so a steady-state flush fills the buffers the previous one gave
-// back instead of allocating two chunks' worth.
+// The writer is single-use and not safe for concurrent use. It is finished
+// when Commit has returned or the owner called Abort; a view it was lent must
+// stay unmodified until then.
 type ChunkedWriter struct {
 	s         Stable
 	ctx       context.Context
 	key       string
 	chunkSize int
-	buf       []byte // the chunk being filled
+	parts     [][]byte // the chunk being filled, in order
+	fill      int      // its length
+	tail      bool     // its last part is buf's tail, which a Write extends
+	buf       []byte   // the bytes Write copied into it
+	digest    hash.Hash
+	sum       []byte // the digest's output
 	refs      []ChunkRef
 	total     int64 // logical blob bytes
 	written   int64 // bytes actually Put (manifest + dedup-missed chunks)
 	committed bool
 	err       error // the first failed store call (the stream has a hole, nothing more is stored), or errFinished
-
-	// The hash worker (nil until a second full chunk) and the two buffers
-	// that rotate around it: ahead is the chunk the worker holds, flushed
-	// but not yet stored; spare is free. Exactly one of them is set once
-	// the worker runs.
-	sawFull      bool
-	hashIn       chan []byte
-	hashOut      chan [sha256.Size]byte
-	ahead, spare []byte
-
-	// held are the free-list entries behind buf, ahead and spare: however
-	// those three rotate, they are views of these two buffers, which go back
-	// to the free list as they are when the writer finishes.
-	held [2]*[]byte
 }
-
-// chunkFree is the free list of chunk buffers. A sync.Pool drops what it
-// holds across two collections, so an idle process keeps no chunk buffer.
-var chunkFree sync.Pool
-
-// poisonFreed is the PoisonReleasedChunks seam.
-var poisonFreed atomic.Bool
-
-// PoisonReleasedChunks is a test seam, not an option: from here on, for the
-// life of the process, every chunk buffer a finished writer hands back is
-// overwritten before it goes on the free list. A Stable that kept a view of
-// a buffer it was given in Put, instead of a copy, then holds poison where
-// the chunk's bytes were, and the next read that verifies the chunk fails.
-func PoisonReleasedChunks() { poisonFreed.Store(true) }
 
 // errFinished is what a finished writer answers every later call with.
 var errFinished = errors.New("storage: chunked writer already finished")
-
-// chunkBuffer takes a buffer of at least n bytes' capacity off the free
-// list, or makes one.
-func chunkBuffer(n int) *[]byte {
-	if p, _ := chunkFree.Get().(*[]byte); p != nil && cap(*p) >= n {
-		return p
-	}
-	b := make([]byte, 0, n)
-	return &b
-}
 
 // NewChunkedWriter returns a writer that stores chunks in s and, on
 // Commit, a manifest under key. chunkSize <= 0 selects DefaultChunkSize.
@@ -155,63 +125,62 @@ func NewChunkedWriter(ctx context.Context, s Stable, key string, chunkSize int) 
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
 	}
-	w := &ChunkedWriter{s: s, ctx: ctx, key: key, chunkSize: chunkSize}
-	w.held[0] = chunkBuffer(chunkSize)
-	w.buf = (*w.held[0])[:0]
-	return w
+	return &ChunkedWriter{s: s, ctx: ctx, key: key, chunkSize: chunkSize, digest: sha256.New()}
 }
 
-// Pipeline selects nothing: the writer overlaps hashing on its own once a
-// stream is long enough (see the type comment). The method remains for
-// callers written against a writer that took a pipeline depth here.
+// Pipeline selects nothing: the writer hashes each chunk as it stores it
+// (see the type comment). The method remains for callers written against a
+// writer that took a pipeline depth here.
 func (w *ChunkedWriter) Pipeline(int) *ChunkedWriter { return w }
 
-// Abort finishes a writer that will not be committed: it joins the hash
-// worker and hands the chunk buffers back, after which every call fails.
-// Safe to call in any state, including after Commit (which finishes the
-// writer itself) and more than once, so callers can simply defer it.
+// Abort finishes a writer that will not be committed: it drops the views it
+// holds, after which every call fails. Safe to call in any state, including
+// after Commit (which finishes the writer itself) and more than once, so
+// callers can simply defer it.
 func (w *ChunkedWriter) Abort() {
-	if w.hashIn != nil {
-		close(w.hashIn)
-		for range w.hashOut { // a sum nobody stored; the worker closes hashOut as it exits
-		}
-		w.hashIn = nil
-	}
 	if w.err == nil {
 		w.err = errFinished
 	}
-	// The worker is joined and every Put has returned — and a store copies
-	// on Put — so nothing reads the buffers any more.
-	w.buf, w.ahead, w.spare = nil, nil, nil
-	for i, p := range w.held {
-		if p == nil {
-			continue
-		}
-		if poisonFreed.Load() {
-			b := (*p)[:cap(*p)]
-			for j := range b {
-				b[j] = 0xDB
-			}
-		}
-		chunkFree.Put(p)
-		w.held[i] = nil
-	}
+	w.parts, w.buf = nil, nil
 }
 
-// Write implements io.Writer, spilling every full chunk to the store.
-func (w *ChunkedWriter) Write(p []byte) (int, error) {
+// Write implements io.Writer: p is copied into the chunk being filled, and
+// every chunk it fills is stored.
+func (w *ChunkedWriter) Write(p []byte) (int, error) { return w.add(p, false) }
+
+// Lend is Write without the copy: p's runs become parts of the chunks as
+// they are, and the writer reads them until it is finished, so p must stay
+// unmodified until Commit or Abort has returned.
+func (w *ChunkedWriter) Lend(p []byte) error {
+	_, err := w.add(p, true)
+	return err
+}
+
+// add appends p to the chunk being filled, as views when lent and onto the
+// buffer's tail otherwise, and stores every chunk it fills.
+func (w *ChunkedWriter) add(p []byte, lent bool) (int, error) {
 	if w.err != nil {
 		return 0, w.err
 	}
 	n := len(p)
 	for len(p) > 0 {
-		room := w.chunkSize - len(w.buf)
-		if room > len(p) {
-			room = len(p)
+		k := min(len(p), w.chunkSize-w.fill)
+		part := p[:k]
+		if !lent {
+			// A part before the tail may view an array the buffer has
+			// outgrown: nothing writes that array again.
+			at := len(w.buf)
+			if w.tail {
+				at -= len(w.parts[len(w.parts)-1])
+				w.parts = w.parts[:len(w.parts)-1]
+			}
+			w.buf = append(w.buf, part...)
+			part = w.buf[at:]
 		}
-		w.buf = append(w.buf, p[:room]...)
-		p = p[room:]
-		if len(w.buf) == w.chunkSize {
+		w.parts, w.tail = append(w.parts, part), !lent
+		w.fill += k
+		p = p[k:]
+		if w.fill == w.chunkSize {
 			if err := w.flush(); err != nil {
 				return n - len(p), err
 			}
@@ -224,13 +193,13 @@ func (w *ChunkedWriter) Write(p []byte) (int, error) {
 // call it at section boundaries so unchanged sections re-chunk identically
 // across epochs regardless of earlier length changes.
 func (w *ChunkedWriter) Cut() error {
-	if len(w.buf) == 0 {
+	if w.fill == 0 {
 		return w.err
 	}
 	return w.flush()
 }
 
-// flush closes the chunk in w.buf.
+// flush hashes the chunk being filled and stores it.
 func (w *ChunkedWriter) flush() error {
 	if w.err != nil {
 		return w.err
@@ -240,70 +209,30 @@ func (w *ChunkedWriter) flush() error {
 			return err
 		}
 	}
-	full := len(w.buf) == w.chunkSize
-	if !full || !w.sawFull {
-		// A stream's first full chunk, and every short chunk a Cut closes,
-		// is hashed here and stored at once, behind the chunk the worker
-		// may still hold.
-		w.sawFull = w.sawFull || full
-		if err := w.storeAhead(); err != nil {
-			return err
-		}
-		err := w.store(sha256.Sum256(w.buf), w.buf)
-		w.buf = w.buf[:0]
-		return err
+	w.digest.Reset()
+	for _, part := range w.parts {
+		w.digest.Write(part)
 	}
-	if w.hashIn == nil {
-		w.hashIn, w.hashOut = make(chan []byte), make(chan [sha256.Size]byte, 1)
-		w.held[1] = chunkBuffer(w.chunkSize)
-		w.spare = (*w.held[1])[:0]
-		go func(in <-chan []byte, out chan<- [sha256.Size]byte) {
-			defer close(out)
-			for b := range in {
-				out <- sha256.Sum256(b)
-			}
-		}(w.hashIn, w.hashOut)
-	}
-	// Hand this chunk to the worker, then store the one it has finished:
-	// that Put runs while this chunk is hashed.
-	prev := w.ahead
-	var sum [sha256.Size]byte
-	if prev != nil {
-		sum = <-w.hashOut
-	}
-	w.hashIn <- w.buf
-	w.ahead = w.buf
-	if prev == nil {
-		w.buf, w.spare = w.spare, nil
-		return nil
-	}
-	err := w.store(sum, prev)
-	w.buf = prev[:0]
-	return err
-}
-
-// storeAhead stores the chunk the hash worker holds, if any.
-func (w *ChunkedWriter) storeAhead() error {
-	if w.ahead == nil {
-		return nil
-	}
-	err := w.store(<-w.hashOut, w.ahead)
-	w.ahead, w.spare = nil, w.ahead[:0]
+	w.sum = w.digest.Sum(w.sum[:0])
+	ref := ChunkRef{Len: int64(w.fill)}
+	copy(ref.Sum[:], w.sum)
+	err := w.store(ref)
+	clear(w.parts)
+	w.parts, w.fill, w.tail, w.buf = w.parts[:0], 0, false, w.buf[:0]
 	return err
 }
 
 // store probes for one hashed chunk, Puts it if the store lacks it, and
-// appends its manifest ref. The stores copy on Put, so chunk's buffer is
-// reusable the moment this returns.
-func (w *ChunkedWriter) store(sum [sha256.Size]byte, chunk []byte) error {
-	ref := ChunkRef{Sum: sum, Len: int64(len(chunk))}
+// appends its manifest ref. A store keeps nothing of what Put is given, so
+// the parts are free again the moment this returns.
+func (w *ChunkedWriter) store(ref ChunkRef) error {
 	ok, err := Has(w.s, ref.Key())
 	if err != nil {
 		w.err = fmt.Errorf("storage: probe chunk: %w", err)
 		return w.err
 	}
 	if !ok {
-		if err := w.s.Put(ref.Key(), chunk); err != nil {
+		if err := PutParts(w.s, ref.Key(), w.parts...); err != nil {
 			w.err = fmt.Errorf("storage: put chunk: %w", err)
 			return w.err
 		}
@@ -322,13 +251,9 @@ func (w *ChunkedWriter) Commit() (total, written int64, err error) {
 	if w.committed {
 		return 0, 0, fmt.Errorf("%w: storage: ChunkedWriter for %s committed twice", cerr.ErrStore, w.key)
 	}
-	// However this ends the worker is joined: nothing outlives the writer.
+	// However this ends the writer is finished: it holds no view past it.
 	defer w.Abort()
 	if err := w.Cut(); err != nil {
-		return 0, 0, err
-	}
-	// A stream that ended on a chunk boundary left its last chunk ahead.
-	if err := w.storeAhead(); err != nil {
 		return 0, 0, err
 	}
 	if w.total > maxBlobBytes {
@@ -440,7 +365,7 @@ func (o *Object) Run(first, n int) (end int, err error) {
 // time therefore sees the calls a serial reader would make, from the same
 // goroutine in the same order — which is why there is no serial variant to
 // select. A run of one chunk has nothing to overlap and is verified by the
-// caller, as a ChunkedWriter short of a second full chunk spawns no worker.
+// caller.
 // The first bad chunk a verifier reports ends the reading: the caller
 // issues no read once it has seen it, joins every verifier and returns that
 // one error. Every error is of the ErrStore category, and a chunk's names

@@ -7,6 +7,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -25,7 +26,10 @@ var ErrNotFound = errors.New("storage: key not found")
 // either fully stored or absent. Implementations must be safe for
 // concurrent use by multiple ranks.
 type Stable interface {
-	// Put durably stores data under key, replacing any previous blob.
+	// Put durably stores data under key, replacing any previous blob. It
+	// must not retain data, or any part of it, after it returns: the caller
+	// reuses the memory at once, and a checkpoint's chunks are views of the
+	// frozen state, which goes back to a pool after its flush.
 	Put(key string, data []byte) error
 	// Get returns the blob stored under key, or ErrNotFound.
 	Get(key string) ([]byte, error)
@@ -56,6 +60,27 @@ func Has(s Stable, key string) (bool, error) {
 		return false, nil
 	}
 	return err == nil, err
+}
+
+// partsPutter is the optional gather write: a store that can take a blob in
+// parts (every in-tree store) spares the chunked writer a buffer to join
+// them in. Like Put, PutParts must not retain any part after it returns.
+type partsPutter interface {
+	PutParts(key string, parts ...[]byte) error
+}
+
+// PutParts stores the blob the parts make up, in order, under key: in one
+// call on a store that takes parts, as Put of the one part there is, or as
+// Put of the parts joined into one buffer. The chunked writer stores every
+// chunk through here.
+func PutParts(s Stable, key string, parts ...[]byte) error {
+	if p, ok := s.(partsPutter); ok {
+		return p.PutParts(key, parts...)
+	}
+	if len(parts) == 1 {
+		return s.Put(key, parts[0])
+	}
+	return s.Put(key, bytes.Join(parts, nil))
 }
 
 // intoReader is the optional read-into-buffer path: a store that can place
@@ -101,13 +126,16 @@ func NewMemory() *Memory {
 }
 
 // Put implements Stable.
-func (m *Memory) Put(key string, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
+func (m *Memory) Put(key string, data []byte) error { return m.PutParts(key, data) }
+
+// PutParts implements the optional gather write: the parts are copied into
+// one blob.
+func (m *Memory) PutParts(key string, parts ...[]byte) error {
+	cp := bytes.Join(parts, nil)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.blobs[key] = cp
-	m.bytesWritten += int64(len(data))
+	m.bytesWritten += int64(len(cp))
 	return nil
 }
 
@@ -185,7 +213,11 @@ func (d *Disk) path(key string) string {
 }
 
 // Put implements Stable.
-func (d *Disk) Put(key string, data []byte) error {
+func (d *Disk) Put(key string, data []byte) error { return d.PutParts(key, data) }
+
+// PutParts implements the optional gather write: the parts are written to
+// the blob's temp file one after another.
+func (d *Disk) PutParts(key string, parts ...[]byte) error {
 	p := d.path(key)
 	dir := filepath.Dir(p)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -195,7 +227,12 @@ func (d *Disk) Put(key string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(data)
+	var werr error
+	for _, part := range parts {
+		if _, werr = tmp.Write(part); werr != nil {
+			break
+		}
+	}
 	if werr == nil {
 		// CreateTemp makes the file 0600; published blobs keep the store's
 		// historical world-readable mode.
@@ -376,13 +413,21 @@ func NewThrottled(inner Stable, bytesPerSecond float64) *Throttled {
 
 // Put implements Stable, sleeping long enough that the effective write
 // bandwidth matches BytesPerSecond.
-func (t *Throttled) Put(key string, data []byte) error {
+func (t *Throttled) Put(key string, data []byte) error { return t.PutParts(key, data) }
+
+// PutParts implements the optional gather write: the inner store takes the
+// parts (storage.PutParts), and the throttle sleeps for their total.
+func (t *Throttled) PutParts(key string, parts ...[]byte) error {
 	start := time.Now()
-	if err := t.Inner.Put(key, data); err != nil {
+	if err := PutParts(t.Inner, key, parts...); err != nil {
 		return err
 	}
+	n := 0
+	for _, part := range parts {
+		n += len(part)
+	}
 	if t.BytesPerSecond > 0 {
-		want := time.Duration(float64(len(data)) / t.BytesPerSecond * float64(time.Second))
+		want := time.Duration(float64(n) / t.BytesPerSecond * float64(time.Second))
 		if elapsed := time.Since(start); elapsed < want {
 			t.Sleep(want - elapsed)
 		}

@@ -14,16 +14,23 @@ import (
 
 // The ChunkedWriter has one path. What it stores is what the plainest
 // serial chunker would store — same boundaries, same keys, same manifest
-// bytes — because every store call is made by the writing goroutine in
-// stream order; only SHA-256 runs ahead, on one worker, from the second
-// full chunk on.
+// bytes — because every chunk is hashed and every store call made by the
+// writing goroutine in stream order, whether its bytes were written or lent.
 
 // writeMixed streams data into w with Cut boundaries at every offset in
-// cuts, mimicking a serializer's section structure.
+// cuts, mimicking a serializer's section structure: 1 KiB at a time, every
+// third KiB lent and the others written, so chunks are made of views and of
+// buffered runs in every order.
 func writeMixed(w *ChunkedWriter, data []byte, cuts map[int]bool) error {
 	for off := 0; off < len(data); {
 		n := min(1024, len(data)-off)
-		if _, err := w.Write(data[off : off+n]); err != nil {
+		var err error
+		if off%3072 == 1024 {
+			err = w.Lend(data[off : off+n])
+		} else {
+			_, err = w.Write(data[off : off+n])
+		}
+		if err != nil {
 			return err
 		}
 		off += n
@@ -170,28 +177,29 @@ func (c *callLog) Has(key string) (bool, error) {
 	return c.Memory.Has(key)
 }
 
-func (c *callLog) Put(key string, data []byte) error {
+func (c *callLog) Put(key string, data []byte) error { return c.PutParts(key, data) }
+
+func (c *callLog) PutParts(key string, parts ...[]byte) error {
 	if err := c.note("put", key); err != nil {
 		return err
 	}
-	return c.Memory.Put(key, data)
+	return c.Memory.PutParts(key, parts...)
 }
 
 // TestWriterStoreCallsStayOnTheWriter: every probe and every Put of a
 // stream comes from the goroutine that writes it, in stream order — probe
 // then Put per chunk, the manifest last — which is what lets a store on
-// virtual time treat the writer as a serial one. A blob short of a second
-// full chunk runs with no worker at all; a longer one has exactly one.
+// virtual time treat the writer as a serial one. However long the blob,
+// the writer starts no goroutine.
 func TestWriterStoreCallsStayOnTheWriter(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		chunks int
 		cuts   map[int]bool
-		worker int // goroutines beside the caller's during the last store call
 	}{
-		{"sub-chunk", 1, map[int]bool{1024: true}, 0},
-		{"one-full-chunk", 2, nil, 0},
-		{"long", 17, map[int]bool{5*testChunk + 1024: true}, 1},
+		{"sub-chunk", 1, map[int]bool{1024: true}},
+		{"one-full-chunk", 2, nil},
+		{"long", 17, map[int]bool{5*testChunk + 1024: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := streamOf(tc.chunks)
@@ -218,10 +226,8 @@ func TestWriterStoreCallsStayOnTheWriter(t *testing.T) {
 					t.Fatalf("call %d (%s) came from goroutine %s, the writer is %s", i, c.calls[i], g, me)
 				}
 			}
-			// The last chunk store (before the manifest) is where a worker,
-			// if the stream earned one, is alive.
-			if extra := slices.Max(c.live) - before; extra != tc.worker {
-				t.Fatalf("%d goroutines beside the writer, want %d", extra, tc.worker)
+			if extra := slices.Max(c.live) - before; extra != 0 {
+				t.Fatalf("%d goroutines beside the writer during a store call, want none", extra)
 			}
 			if after := settledGoroutines(before); after > before {
 				t.Fatalf("goroutines: %d before, %d after Commit", before, after)
@@ -277,8 +283,9 @@ func TestWriterFailures(t *testing.T) {
 	}
 }
 
-// TestWriterAbort: Abort joins the worker of a writer that is given up
-// mid-stream, is idempotent, and is a no-op on one that never spawned.
+// TestWriterAbort: Abort finishes a writer that is given up mid-stream,
+// publishing nothing and leaving no goroutine, is idempotent, and is a no-op
+// on one that never wrote.
 func TestWriterAbort(t *testing.T) {
 	m := NewMemory()
 	before := runtime.NumGoroutine()
@@ -292,5 +299,33 @@ func TestWriterAbort(t *testing.T) {
 	}
 	if after := settledGoroutines(before); after > before {
 		t.Fatalf("goroutines: %d before, %d after", before, after)
+	}
+}
+
+// TestFinishedWriterRefusesEveryCall: once it is finished a writer stores
+// nothing more — Write, Lend, Cut and Commit all fail.
+func TestFinishedWriterRefusesEveryCall(t *testing.T) {
+	m := NewMemory()
+	w := NewChunkedWriter(context.Background(), m, "blob", testChunk)
+	data := make([]byte, 3*testChunk)
+	rand.New(rand.NewSource(3)).Read(data)
+	if _, err := w.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	w.Abort()
+	if _, err := w.Write(data); !errors.Is(err, errFinished) {
+		t.Fatalf("Write after Abort: %v", err)
+	}
+	if err := w.Lend(data); !errors.Is(err, errFinished) {
+		t.Fatalf("Lend after Abort: %v", err)
+	}
+	if err := w.Cut(); !errors.Is(err, errFinished) {
+		t.Fatalf("Cut after Abort: %v", err)
+	}
+	if _, _, err := w.Commit(); !errors.Is(err, errFinished) {
+		t.Fatalf("Commit after Abort: %v", err)
+	}
+	if ok, _ := m.Has("blob"); ok {
+		t.Fatal("an aborted writer published a manifest")
 	}
 }

@@ -41,6 +41,17 @@ type Sink interface {
 	Cut() error
 }
 
+// lender is a Sink that can take a view of a field in place of a copy of
+// its bytes: it reads p until it is finished with the stream, and p must
+// stay unmodified that long.
+type lender interface {
+	Lend(p []byte) error
+}
+
+// lendBytes is the shortest field a stream lends to a sink that takes
+// views: a shorter one costs less to copy than to carry as a part of its own.
+const lendBytes = 4 << 10
+
 // Encode appends the fields layout visits to dst.
 func Encode(dst []byte, layout func(*Codec)) []byte {
 	c := codecs.Get().(*Codec)
@@ -54,9 +65,11 @@ func Encode(dst []byte, layout func(*Codec)) []byte {
 
 // Stream encodes what layout visits into sink, through buf: the bytes
 // collect in buf and go on whenever it fills, so a field longer than buf
-// reaches the sink in buf-sized batches and is never held whole. It returns
-// the sink's first error, after which nothing more is written, or the
-// layout's.
+// reaches the sink in buf-sized batches and is never held whole. A sink that
+// takes lent views (Lend) is handed every []byte of lendBytes or more that
+// Fixed codes as it is, with no copy: such a field must stay unmodified
+// until the sink is finished with the stream. It returns the sink's first
+// error, after which nothing more is written, or the layout's.
 func Stream(sink Sink, buf []byte, layout func(*Codec)) error {
 	c := &Codec{b: buf[:0], sink: sink}
 	layout(c)
@@ -158,6 +171,20 @@ func (c *Codec) room(k int) {
 	if c.sink != nil && cap(c.b)-len(c.b) < k {
 		c.flush()
 	}
+}
+
+// lend writes p as it is: a stream lends a long p to a sink that takes
+// views, after the bytes before it, and puts it otherwise.
+func (c *Codec) lend(p []byte) {
+	l, ok := c.sink.(lender)
+	if !ok || len(p) < lendBytes {
+		put(c, p)
+		return
+	}
+	if c.flush(); c.err == nil {
+		c.err = l.Lend(p)
+	}
+	c.n += len(p)
 }
 
 // put writes p as it is; a stream fills its buffer with p one batch at a
@@ -386,7 +413,8 @@ func Words[T word](c *Codec, s *[]T) {
 }
 
 // Fixed codes len(p) bytes or floats as they are, with no length before
-// them; decoded, into p.
+// them; decoded, into p. Streamed, bytes of lendBytes or more are lent to a
+// sink that takes views (see Stream).
 func Fixed[T byte | float64](c *Codec, p []T) {
 	switch b := any(p).(type) {
 	case []float64:
@@ -394,7 +422,7 @@ func Fixed[T byte | float64](c *Codec, p []T) {
 	case []byte:
 		switch {
 		case !c.dec:
-			put(c, b)
+			c.lend(b)
 		case c.err == nil && len(b) > len(c.b):
 			c.fail("%d bytes wanted, %d left", len(b), len(c.b))
 		case c.err == nil:

@@ -167,6 +167,58 @@ func TestStreamAndSizeRunTheLayout(t *testing.T) {
 	}
 }
 
+// lendRecorder is a recorder that takes lent views, and notes the length of
+// each one it took.
+type lendRecorder struct {
+	recorder
+	lent []int
+}
+
+func (r *lendRecorder) Lend(p []byte) error {
+	if _, err := r.Write(p); err != nil {
+		return err
+	}
+	r.lent = append(r.lent, len(p))
+	return nil
+}
+
+// TestStreamLendsLongFields: a sink that takes lent views is handed every
+// Fixed field of lendBytes or more as a view, after the bytes before it, and
+// the rest through Write — framed, a lent field still fills its frame — and
+// it receives the bytes and the cuts a sink without Lend receives. A sink
+// that fails at a Lend ends the stream there.
+func TestStreamLendsLongFields(t *testing.T) {
+	long, short := bytes.Repeat([]byte{7}, lendBytes), bytes.Repeat([]byte{9}, lendBytes-1)
+	var framed []byte
+	layout := func(c *Codec) {
+		s := "head"
+		Str(c, &s)
+		Fixed(c, long)
+		Fixed(c, short)
+		c.Cut()
+		Frame(c, &framed, len(long), func(c *Codec) { Fixed(c, long) })
+	}
+	var plain recorder
+	var lent lendRecorder
+	for _, sink := range []Sink{&plain, &lent} {
+		if err := Stream(sink, make([]byte, 0, 64), layout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(lent.Bytes(), plain.Bytes()) || !bytes.Equal(plain.Bytes(), Encode(nil, layout)) || !reflect.DeepEqual(lent.cuts, plain.cuts) {
+		t.Fatalf("a lending sink got %d bytes cut at %v, a plain one %d cut at %v", lent.Len(), lent.cuts, plain.Len(), plain.cuts)
+	}
+	if !reflect.DeepEqual(lent.lent, []int{lendBytes, lendBytes}) {
+		t.Fatalf("lent %v, want the two long fields", lent.lent)
+	}
+	for k := 1; k <= lent.calls; k++ {
+		bad := lendRecorder{recorder: recorder{failAt: k}}
+		if err := Stream(&bad, make([]byte, 0, 64), layout); err != errSink || bad.late > 0 {
+			t.Errorf("a sink failing at call %d: %v, and %d calls after it", k, err, bad.late)
+		}
+	}
+}
+
 // TestOnlyStreamCuts: a cut reaches a stream's sink, after the bytes
 // before it, and changes nothing that Encode, Size or Decode do.
 func TestOnlyStreamCuts(t *testing.T) {

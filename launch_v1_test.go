@@ -16,9 +16,9 @@ import (
 	"time"
 
 	"ccift"
+	"ccift/internal/ckpt"
 	"ccift/internal/launch"
 	"ccift/internal/protocol"
-	"ccift/internal/storage"
 )
 
 // Parameters shared by the launcher-side tests and the re-exec'd workers
@@ -185,10 +185,10 @@ func workerSpec() *ccift.Spec {
 }
 
 func TestMain(m *testing.M) {
-	// Launcher and worker processes alike poison the chunk buffers a
-	// finished writer gives back, so a store that kept a view of one fails
-	// the next verified read (internal/storage's seam).
-	storage.PoisonReleasedChunks()
+	// Launcher and worker processes alike poison the slabs a released
+	// frozen view gives back, so a store that kept a view of one fails the
+	// next verified read (internal/ckpt's seam).
+	ckpt.PoisonReleasedSlabs()
 	if os.Getenv("CCIFT_FREEZE_CROSSCHECK") == "1" {
 		// CI's soak: every incremental freeze of every program here is
 		// verified against the live state, Debug or not, in the launcher

@@ -462,12 +462,15 @@ func TestFloatCollectiveAllocations(t *testing.T) {
 // that keeps its collective results — the neurosys-ctl problem, shortened —
 // allocates next to nothing once it is set up, so the collector stays out of
 // it: no cycle with or without the protocol. Under it, three local
-// checkpoints to disk allocate their frozen views and the chunk buffers the
-// free list does not have yet — one per rank flushing at once, so more at
-// -cpu 4 (1.1 MB at -cpu 1, 1.4 at 2, 1.95 at 4, measured on 2 vCPUs; the
-// buffers were allocated per flush before, 3.4 MB and a cycle). Before
-// collectives recycled their messages this run allocated 174 MB unmodified
-// and 177 MB in Full mode, over 49–65 cycles.
+// checkpoints to disk allocate their frozen views, the flushes' stream and
+// head buffers and the Disk's file calls, and the protocol's collectives
+// allocate the messages their free lists do not hold yet: 0.71–0.76 MB at
+// -cpu 1, 2 and 4, measured on 2 vCPUs, against a bound of 0.95 MB. While
+// each flush took a 256 KiB chunk buffer, from a free list the first
+// flushes had to fill — one per rank flushing at once — it was 0.93–1.95
+// MB, and 3.4 MB and a cycle when the buffers were allocated per flush.
+// Before collectives recycled their messages this run allocated 174 MB
+// unmodified and 177 MB in Full mode, over 49–65 cycles.
 //
 // The cycle count is taken in a process of its own: every goroutine an
 // earlier test ran leaves its descriptor live for good (0.55 MB after the
@@ -493,7 +496,7 @@ func TestSteadyStateRunAllocatesLittle(t *testing.T) {
 		maxGCs   uint32
 	}{
 		{protocol.Unmodified, 1_000_000, 0},
-		{protocol.Full, 2_500_000, 0},
+		{protocol.Full, 950_000, 0},
 	} {
 		disk, err := storage.NewDisk(t.TempDir())
 		if err != nil {
@@ -575,9 +578,11 @@ type chunkless struct {
 
 var chunkKeys = strings.TrimSuffix(storage.ChunkRef{}.Key(), storage.ChunkRef{}.Hex())
 
-func (c *chunkless) Put(key string, data []byte) error {
+func (c *chunkless) Put(key string, data []byte) error { return c.PutParts(key, data) }
+
+func (c *chunkless) PutParts(key string, parts ...[]byte) error {
 	if !strings.HasPrefix(key, chunkKeys) {
-		return c.Memory.Put(key, data)
+		return c.Memory.PutParts(key, parts...)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -604,11 +609,12 @@ func (c *chunkless) Delete(key string) error {
 // TestSteadyFlushAllocatesNoBuffers: once the first checkpoints have filled
 // the free lists, a Full checkpoint of a 1 MB state (Laplace's grid, 2 MB
 // while its sweep target was saved too) allocates neither chunk buffers
-// (256 KB each, two per flush of more than two chunks) nor float conversion
-// scratch (8 KB per 64 KB page before, 17 pages here): what is left per
-// checkpoint is the header, the manifest, the chunk keys and the protocol's
-// messages. Two runs that differ only in how often they checkpoint tell
-// what one more checkpoint costs: 33–57 KB of the 1 MB state, 42–66 KB of
+// (256 KB each; a flush lends the store its frozen pages instead) nor float
+// conversion scratch (8 KB per 64 KB page before, 17 pages here): what is
+// left per checkpoint is the header, the manifest, the chunk keys and the
+// protocol's messages. Two runs that differ only in how often they
+// checkpoint tell what one more checkpoint costs: 32–35 KB of the 1 MB
+// state (33–57 KB while chunk buffers came from a free list), 42–66 KB of
 // the 2 MB one, measured on 2 vCPUs at -cpu 1, 2 and 4, where buffers
 // allocated per flush made it 860 KB. (A float scratch per page brought the
 // 2 MB state's to ≈ 335 KB, chunk buffers per flush to ≈ 566 KB.)
@@ -629,6 +635,43 @@ func TestSteadyFlushAllocatesNoBuffers(t *testing.T) {
 	t.Logf("%.0f KB per local checkpoint (%d vs %d checkpoints)", perCkpt/1e3, many, few)
 	if perCkpt > 160e3 {
 		t.Fatalf("a steady-state local checkpoint of a 1 MB state allocated %.0f KB, want under 160 KB (no chunk buffer, no float scratch)", perCkpt/1e3)
+	}
+}
+
+// TestFirstCheckpointAllocatesItsFrozenCopy: the first Full checkpoint of a
+// Laplace rank (N=384 over 2 ranks, a 590 KB grid each) allocates the
+// frozen copy of its state — the pool has no slab yet — and next to nothing
+// else: the flush hashes and stores the frozen pages where they are, so no
+// chunk buffer is made. A run with one checkpoint and the same run with none
+// tell what the checkpoint cost; less its frozen copy it is under 64 KiB per
+// rank (35–43 KiB measured on 2 vCPUs at -cpu 1, 2 and 4: the stream and
+// head buffers, the view's page table, the protocol's record), where the
+// chunk buffers a flush took, one or two of 256 KiB, made it 288–417 KiB.
+func TestFirstCheckpointAllocatesItsFrozenCopy(t *testing.T) {
+	skipAllocationGateUnderRace(t)
+	const ranks = 2
+	prog := laplace.Program(laplace.Params{N: 384, Iters: 40})
+	run := func(everyN int) (bytes uint64, copied, taken int64) {
+		store := &chunkless{Memory: storage.NewMemory(), chunks: map[string]bool{}}
+		_, bytes, _, res := runAllocs(t, engine.Config{Ranks: ranks, Mode: protocol.Full, EveryN: everyN, Store: store}, prog)
+		for _, s := range res.Stats {
+			copied += s.CheckpointBytesCopied
+			taken += s.CheckpointsTaken
+		}
+		return bytes, copied, taken
+	}
+	none, _, taken := run(0)
+	if taken != 0 {
+		t.Fatalf("%d local checkpoints with no trigger", taken)
+	}
+	one, copied, taken := run(30)
+	if taken != ranks {
+		t.Fatalf("%d local checkpoints at EveryN 30, want one per rank", taken)
+	}
+	extra := (float64(one) - float64(none) - float64(copied)) / ranks
+	t.Logf("the first checkpoint allocated %.0f KiB per rank beside its %.0f KiB frozen copy", extra/1024, float64(copied)/ranks/1024)
+	if extra >= 64<<10 {
+		t.Fatalf("the first checkpoint allocated %.0f KiB per rank beside its frozen copy, want under 64 KiB (no chunk buffer)", extra/1024)
 	}
 }
 
