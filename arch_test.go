@@ -1074,6 +1074,32 @@ var rules = []rule{
 		},
 		violation: snippet{"internal/mpi/p2p.go", `package mpi; func (c *Comm) sendh(dst, tag int, data []byte) { copy(make([]byte, len(data)), data) }`},
 	},
+	{
+		name: "one distributed launch path",
+		pr:   56,
+		// ccift.Launch is the one launcher and the one worker entry of a
+		// distributed run: a driver that spawns workers or runs the worker
+		// role itself is a fork of it, one that drifts (fig8's dropped the
+		// worker's Interval and Seed, and parsed the result line by hand).
+		check: func(tr tree) []string {
+			outside := tree{}
+			for path, f := range tr.code() {
+				if !strings.HasPrefix(path, "internal/launch/") {
+					outside[path] = f
+				}
+			}
+			sites := funcsCalling(outside, func(call *ast.CallExpr) bool {
+				fn := types.ExprString(call.Fun)
+				return fn == "launch.WorkerMain" || fn == "launch.RunContext"
+			})
+			want := []string{"launch.go: Launch", "launch.go: launchDistributed"}
+			if !slices.Equal(sites, want) {
+				return []string{fmt.Sprintf("launch.WorkerMain and launch.RunContext are called from %v, want %v alone", sites, want)}
+			}
+			return nil
+		},
+		violation: snippet{"cmd/fig8/worker.go", `package main; import "ccift/internal/launch"; func workerMain() { launch.WorkerMain(launch.WorkerApp{}) }`},
+	},
 }
 
 func TestArchitecture(t *testing.T) {

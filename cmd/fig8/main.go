@@ -17,10 +17,14 @@
 //	fig8 -distributed -short -app laplace   # the CI smoke path
 //	fig8 -sim -simseed 42   # each cell over the simulated substrate
 //
+// Every cell is one ccift.Launch, made by internal/harness; the substrate
+// option is the only thing the flags change about it.
+//
 // With -distributed every cell spawns one worker process per rank over a
-// full TCP mesh (the launcher re-execs this binary; the -w* flags are the
-// worker-side cell parameters and not meant for direct use), so the
-// paper's overhead curves exist for real processes, not just goroutines.
+// full TCP mesh, so the paper's overhead curves exist for real processes,
+// not just goroutines. The launcher re-execs this binary with the sweep's
+// own flags plus -cell, which names the cell; the worker rebuilds the same
+// sweep and re-enters it at that cell, whose Launch takes the worker role.
 //
 // With -sim every cell runs over the deterministic simulated network
 // (virtual time, seeded schedules): the sweep proves all four program
@@ -32,48 +36,47 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
+	"slices"
 	"time"
 
 	"ccift"
-	"ccift/internal/apps"
 	"ccift/internal/harness"
-	"ccift/internal/launch"
-	"ccift/internal/protocol"
 )
 
-func main() {
-	app := flag.String("app", "all", "benchmark: cg, laplace, neurosys, or all")
-	ranks := flag.Int("ranks", 8, "number of ranks (the paper used 16)")
-	repeats := flag.Int("repeats", 3, "repetitions per cell; the best run is reported")
-	scaleName := flag.String("scale", "quick", "problem scale: quick or paper")
-	verdicts := flag.Bool("verdicts", true, "print Section 6.2 shape verdicts")
-	async := flag.Bool("async", false, "measure the asynchronous flush pipeline instead of the paper's blocking checkpoints (see README: the default figure stays sync)")
-	distributed := flag.Bool("distributed", false, "run each cell as one OS process per rank over TCP (the paper's curves on the real-process substrate)")
-	simulated := flag.Bool("sim", false, "run each cell over the deterministic simulated substrate (virtual time, seeded network)")
-	simSeed := flag.Int64("simseed", 1, "scenario seed for -sim; the same seed replays the same sweep")
-	simLat := flag.Duration("simlat", 200*time.Microsecond, "simulated per-hop network latency for -sim")
-	short := flag.Bool("short", false, "one tiny size per chart, single repeat, no verdicts: the CI smoke path")
-	// Worker-side cell parameters: set by the -distributed launcher when it
-	// re-execs this binary, never by hand.
-	wapp := flag.String("wapp", "", "internal: worker cell application")
-	wranks := flag.Int("wranks", 1, "internal: worker cell world size")
-	wsize := flag.Int("wsize", 0, "internal: worker cell problem size")
-	witers := flag.Int("witers", 0, "internal: worker cell iterations")
-	wevery := flag.Int("wevery", 0, "internal: worker cell checkpoint trigger")
-	wmode := flag.String("wmode", "", "internal: worker cell protocol mode")
-	wasync := flag.Bool("wasync", false, "internal: worker cell async pipeline")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
 
-	if launch.IsWorker() {
-		workerMain(*wapp, *wranks, *wsize, *witers, *wevery, *wmode, *wasync)
-	}
+// sweep is what one fig8 command line asks for.
+type sweep struct {
+	exps     []harness.Experiment
+	verdicts bool
+	// notes tell the reader how the sweep runs, before its tables.
+	notes []string
+	// cell is set on a -distributed worker: the one cell it runs.
+	cell string
+}
+
+// parse turns a command line into the sweep it asks for.
+func parse(args []string) (sweep, error) {
+	fs := flag.NewFlagSet("fig8", flag.ExitOnError)
+	app := fs.String("app", "all", "benchmark: cg, laplace, neurosys, or all")
+	ranks := fs.Int("ranks", 8, "number of ranks (the paper used 16)")
+	repeats := fs.Int("repeats", 3, "repetitions per cell; the best run is reported")
+	scaleName := fs.String("scale", "quick", "problem scale: quick or paper")
+	verdicts := fs.Bool("verdicts", true, "print Section 6.2 shape verdicts")
+	async := fs.Bool("async", false, "measure the asynchronous flush pipeline instead of the paper's blocking checkpoints (see README: the default figure stays sync)")
+	distributed := fs.Bool("distributed", false, "run each cell as one OS process per rank over TCP (the paper's curves on the real-process substrate)")
+	simulated := fs.Bool("sim", false, "run each cell over the deterministic simulated substrate (virtual time, seeded network)")
+	simSeed := fs.Int64("simseed", 1, "scenario seed for -sim; the same seed replays the same sweep")
+	simLat := fs.Duration("simlat", 200*time.Microsecond, "simulated per-hop network latency for -sim")
+	short := fs.Bool("short", false, "one tiny size per chart, single repeat, no verdicts: the CI smoke path")
+	cell := fs.String("cell", "", "internal: the one cell a -distributed worker runs, set by the launcher when it re-execs this binary")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits with 2 here
 
 	var scale harness.Scale
 	switch {
@@ -87,8 +90,7 @@ func main() {
 	case *scaleName == "paper":
 		scale = harness.Paper
 	default:
-		fmt.Fprintf(os.Stderr, "fig8: unknown scale %q\n", *scaleName)
-		os.Exit(2)
+		return sweep{}, fmt.Errorf("unknown scale %q", *scaleName)
 	}
 
 	var exps []harness.Experiment
@@ -102,78 +104,94 @@ func main() {
 	case "neurosys":
 		exps = []harness.Experiment{harness.NeurosysExperiment(*ranks, scale)}
 	default:
-		fmt.Fprintf(os.Stderr, "fig8: unknown app %q\n", *app)
-		os.Exit(2)
+		return sweep{}, fmt.Errorf("unknown app %q", *app)
 	}
 
+	if *distributed && *simulated {
+		return sweep{}, errors.New("-distributed and -sim are mutually exclusive: a sweep uses one substrate")
+	}
+	s := sweep{exps: exps, verdicts: *verdicts, cell: *cell}
+	var substrate func(string) ccift.Option
+	switch {
+	case *simulated:
+		s.notes = append(s.notes, fmt.Sprintf("simulated substrate — seed %d, %v per-hop latency, virtual time", *simSeed, *simLat))
+		// Under virtual time the wall clock measures the simulator's event
+		// loop, not the paper's runtime overheads; only checksum agreement
+		// across the four versions is meaningful.
+		s.skipVerdicts("-sim timings measure the simulator")
+		sc := ccift.Scenario{Seed: *simSeed, Latency: *simLat}
+		substrate = func(string) ccift.Option { return ccift.WithSimulated(sc) }
+	case *distributed:
+		s.notes = append(s.notes, fmt.Sprintf("distributed substrate — %d worker processes per cell over TCP", *ranks))
+		// Cell timings include a near-constant launcher cost (process
+		// spawn, mesh formation, store setup) that deflates the overhead
+		// ratios the Section 6.2 thresholds were written for; the
+		// distributed sweep is for checksum agreement and absolute curves,
+		// not shape verdicts.
+		s.skipVerdicts("-distributed timings include per-cell launch cost")
+		substrate = func(cell string) ccift.Option {
+			return ccift.WithDistributed(ccift.Distributed{
+				Args: append(slices.Clip(args), "-cell", cell),
+				// Worker stderr is noise in a sweep (hundreds of clean
+				// ranks); hard failures still surface through Launch's
+				// error.
+				Stderr: io.Discard,
+			})
+		}
+	}
+	if *async {
+		s.notes = append(s.notes, "async pipeline — ranks overlap checkpoint flushes with compute (not the paper's figure; see README)")
+	}
+	for i := range s.exps {
+		s.exps[i].Repeats = *repeats
+		s.exps[i].Async = *async
+		s.exps[i].Substrate = substrate
+	}
+	return s, nil
+}
+
+// skipVerdicts turns the shape verdicts off, saying why, if they were on.
+func (s *sweep) skipVerdicts(why string) {
+	if s.verdicts {
+		s.notes = append(s.notes, why+"; skipping shape verdicts")
+		s.verdicts = false
+	}
+}
+
+// run executes the command line and returns the exit code.
+func run(args []string) int {
+	s, err := parse(args)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fig8: %v\n", err)
+		return 2
+	}
+	if ccift.IsWorker() {
+		// The cell's Launch runs this worker's rank and exits the process.
+		_, err := harness.RunCell(context.Background(), s.exps, s.cell)
+		fmt.Fprintf(os.Stderr, "fig8 worker: %v\n", err)
+		return 1
+	}
 	// A sweep at -scale paper runs for minutes; ^C cancels the in-flight
-	// engine run cleanly instead of leaving goroutines mid-incarnation.
+	// run cleanly instead of leaving goroutines mid-incarnation.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *distributed && *simulated {
-		fmt.Fprintln(os.Stderr, "fig8: -distributed and -sim are mutually exclusive: a sweep uses one substrate")
-		os.Exit(2)
+	for _, note := range s.notes {
+		fmt.Println("fig8: " + note)
 	}
-	if *simulated {
-		fmt.Printf("fig8: simulated substrate — seed %d, %v per-hop latency, virtual time\n", *simSeed, *simLat)
-		if *verdicts {
-			// Under virtual time the wall clock measures the simulator's
-			// event loop, not the paper's runtime overheads; only checksum
-			// agreement across the four versions is meaningful.
-			fmt.Println("fig8: -sim timings measure the simulator; skipping shape verdicts")
-			*verdicts = false
-		}
-	}
-
-	exe := ""
-	if *distributed {
-		var err error
-		exe, err = os.Executable()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fig8: resolve worker binary: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("fig8: distributed substrate — %d worker processes per cell over TCP\n", *ranks)
-		if *verdicts {
-			// Cell timings include a near-constant launcher cost (process
-			// spawn, mesh formation, store setup) that deflates the
-			// overhead ratios the Section 6.2 thresholds were written
-			// for; the distributed sweep is for checksum agreement and
-			// absolute curves, not shape verdicts.
-			fmt.Println("fig8: -distributed timings include per-cell launch cost; skipping shape verdicts")
-			*verdicts = false
-		}
-	}
-
-	if *async {
-		fmt.Println("fig8: async pipeline — ranks overlap checkpoint flushes with compute (not the paper's figure; see README)")
-	}
-
 	failed := false
-	for _, e := range exps {
-		e.Repeats = *repeats
-		e.Async = *async
-		var table *harness.Table
-		var err error
-		switch {
-		case *distributed:
-			table, err = e.RunContextWith(ctx, distributedRunner(exe, e.App, *ranks, *async))
-		case *simulated:
-			table, err = e.RunContextWith(ctx, simRunner(*ranks, *simSeed, *simLat, *async))
-		default:
-			table, err = e.RunContext(ctx)
-		}
+	for _, e := range s.exps {
+		table, err := e.RunContext(ctx)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fig8: %s: %v\n", e.App, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Println(table.Render())
 		if err := table.ChecksumsAgree(); err != nil {
 			fmt.Fprintf(os.Stderr, "fig8: CHECKSUM MISMATCH: %v\n", err)
 			failed = true
 		}
-		if *verdicts {
+		if s.verdicts {
 			vs := table.Verdicts()
 			fmt.Print(harness.RenderVerdicts(vs))
 			for _, v := range vs {
@@ -185,123 +203,7 @@ func main() {
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
-}
-
-// distributedRunner runs one cell as a real distributed job: this binary
-// re-exec'd as one worker process per rank, full TCP mesh, shared on-disk
-// store under a scratch directory the launcher cleans up. The checksum is
-// rank 0's result line, so ChecksumsAgree still proves the four versions
-// chart the same computation.
-func distributedRunner(exe, app string, ranks int, async bool) harness.CellRunner {
-	return func(ctx context.Context, size harness.Size, mode protocol.Mode) (harness.Cell, error) {
-		args := cellArgs(app, ranks, size, mode, async)
-		start := time.Now()
-		res, err := launch.RunContext(ctx, launch.Config{
-			Exe:   exe,
-			Args:  args,
-			Ranks: ranks,
-			// Worker stderr is noise in a sweep (hundreds of clean ranks);
-			// hard failures still surface through the launcher's error.
-			Stderr: io.Discard,
-		})
-		if err != nil {
-			return harness.Cell{}, fmt.Errorf("distributed cell: %w", err)
-		}
-		elapsed := time.Since(start).Seconds()
-		checksum := ""
-		for _, line := range strings.Split(res.Output, "\n") {
-			if v, ok := strings.CutPrefix(line, "result: "); ok {
-				checksum = v
-				break
-			}
-		}
-		if checksum == "" {
-			return harness.Cell{}, fmt.Errorf("distributed cell: no result line in rank 0 output %q", res.Output)
-		}
-		// Workers stream their protocol counters back on their control
-		// streams, so the checkpoint-volume columns populate exactly as
-		// in-process.
-		cell := harness.Cell{Mode: mode, Seconds: elapsed, Checksum: checksum}
-		for _, s := range res.Stats {
-			cell.Checkpoints += s.CheckpointsTaken
-			cell.CheckpointMB += float64(s.CheckpointBytes) / 1e6
-			cell.LogMB += float64(s.LogBytes) / 1e6
-		}
-		return cell, nil
-	}
-}
-
-// simRunner runs one cell through the identical public Launch call over the
-// simulated substrate: same program, same checkpoint trigger, same
-// checkpoint policy as the other runners (blocking unless async), but every
-// message crosses the seeded discrete-event network in virtual time. The
-// checksum column then proves the four versions agree under simulated
-// latency too, and a repeated sweep with the same -simseed is replayable.
-func simRunner(ranks int, seed int64, latency time.Duration, async bool) harness.CellRunner {
-	return func(ctx context.Context, size harness.Size, mode protocol.Mode) (harness.Cell, error) {
-		start := time.Now()
-		res, err := ccift.Launch(ctx, ccift.NewSpec(
-			ccift.WithRanks(ranks),
-			ccift.WithMode(mode),
-			ccift.WithEveryN(size.EveryN),
-			ccift.WithInterval(size.Interval),
-			ccift.WithAsyncCheckpoint(async),
-			ccift.WithSimulated(ccift.Scenario{Seed: seed, Latency: latency}),
-		), size.Program)
-		if err != nil {
-			return harness.Cell{}, fmt.Errorf("simulated cell: %w", err)
-		}
-		cell := harness.Cell{Mode: mode, Seconds: time.Since(start).Seconds(), Checksum: res.Values[0]}
-		for _, s := range res.Stats {
-			cell.Checkpoints += s.CheckpointsTaken
-			cell.CheckpointMB += float64(s.CheckpointBytes) / 1e6
-			cell.LogMB += float64(s.LogBytes) / 1e6
-		}
-		return cell, nil
-	}
-}
-
-// cellArgs renders one cell's parameters as the -w* worker flags.
-func cellArgs(app string, ranks int, size harness.Size, mode protocol.Mode, async bool) []string {
-	args := []string{
-		"-wapp", app,
-		"-wranks", strconv.Itoa(ranks),
-		"-wsize", strconv.Itoa(size.Arg),
-		"-witers", strconv.Itoa(size.Iters),
-		"-wevery", strconv.Itoa(size.EveryN),
-		"-wmode", mode.String(),
-	}
-	if async {
-		args = append(args, "-wasync")
-	}
-	return args
-}
-
-// workerMain is the re-exec'd worker role of a -distributed sweep: rebuild
-// the cell's program from the -w* flags and hand it to the launch worker
-// protocol. Never returns.
-func workerMain(app string, ranks, size, iters, every int, modeName string, async bool) {
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "fig8 worker: %v\n", err)
-		os.Exit(1)
-	}
-	mode, err := harness.ParseMode(modeName)
-	if err != nil {
-		fail(err)
-	}
-	prog, _, err := apps.Build(app, ranks, size, iters)
-	if err != nil {
-		fail(err)
-	}
-	launch.WorkerMain(launch.WorkerApp{
-		Prog:   prog,
-		EveryN: every,
-		Mode:   mode,
-		// The sweep measures the paper's blocking checkpoint semantics
-		// unless -async flips the cell onto the async pipeline,
-		// exactly like the in-process harness (see Experiment.runOnce).
-		Sync: !async,
-	})
+	return 0
 }

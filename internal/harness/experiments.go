@@ -52,8 +52,6 @@ func CGExperiment(ranks int, scale Scale) Experiment {
 		e.Sizes = append(e.Sizes, Size{
 			Label:      fmt.Sprintf("%dx%d", s.n, s.n),
 			Program:    cg.Program(p),
-			Arg:        s.n,
-			Iters:      s.iters,
 			StateBytes: p.StateBytesPerRank(ranks),
 			EveryN:     s.everyN,
 		})
@@ -83,8 +81,6 @@ func LaplaceExperiment(ranks int, scale Scale) Experiment {
 		e.Sizes = append(e.Sizes, Size{
 			Label:      fmt.Sprintf("%dx%d", s.n, s.n),
 			Program:    laplace.Program(p),
-			Arg:        s.n,
-			Iters:      s.iters,
 			StateBytes: p.StateBytesPerRank(ranks),
 			EveryN:     s.everyN,
 		})
@@ -115,8 +111,6 @@ func NeurosysExperiment(ranks int, scale Scale) Experiment {
 		e.Sizes = append(e.Sizes, Size{
 			Label:      fmt.Sprintf("%dx%d", s.k, s.k),
 			Program:    neurosys.Program(p),
-			Arg:        s.k,
-			Iters:      s.iters,
 			StateBytes: p.StateBytesPerRank(ranks),
 			EveryN:     s.everyN,
 		})

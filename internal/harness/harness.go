@@ -11,10 +11,10 @@ import (
 	"strings"
 	"time"
 
+	"ccift"
 	"ccift/internal/cerr"
 	"ccift/internal/engine"
 	"ccift/internal/protocol"
-	"ccift/internal/storage"
 )
 
 // modes in Figure 8's bar order.
@@ -26,12 +26,6 @@ type Size struct {
 	Label string
 	// Program builds the application.
 	Program engine.Program
-	// Arg and Iters are the application-level parameters behind Program
-	// (the problem edge and iteration count), for drivers that must
-	// rebuild the same program in another process — fig8's -distributed
-	// sweep passes them to its re-exec'd workers.
-	Arg   int
-	Iters int
 	// StateBytes estimates per-process application state (the annotation
 	// above each Figure 8 bar group).
 	StateBytes int
@@ -47,17 +41,25 @@ type Experiment struct {
 	App     string
 	Ranks   int
 	Repeats int
-	// BandwidthMBps throttles checkpoint writes, modelling the paper's
-	// 40 MB/s local disks. Zero disables.
+	// BandwidthMBps throttles checkpoint writes on the in-process
+	// substrate, modelling the paper's 40 MB/s local disks. Zero disables.
 	BandwidthMBps float64
 	// Async measures the asynchronous flush pipeline instead of
 	// the paper's blocking checkpoint semantics. The default (sync) is
-	// what Figure 8 charts — see runOnce — so the published curves stay
+	// what Figure 8 charts — see runCell — so the published curves stay
 	// comparable to the paper; Async exists for the fig8 -async sweep
 	// that quantifies how much of the full-checkpoint bar the pipeline
 	// hides.
 	Async bool
 	Sizes []Size
+	// Substrate, when set, moves the cells off the in-process substrate:
+	// given a cell's name, it returns the option (WithSimulated or
+	// WithDistributed) that cell runs on, and that substrate keeps its own
+	// default store. Nil runs every cell in process on a
+	// BandwidthMBps-throttled in-memory store. A distributed substrate
+	// hands the name to its workers, which find their cell again with
+	// RunCell.
+	Substrate func(cell string) ccift.Option
 }
 
 // Cell is one measured bar.
@@ -71,6 +73,8 @@ type Cell struct {
 	CheckpointMB float64
 	// LogMB is the late-message/non-determinism log volume.
 	LogMB float64
+	// PerRank is every rank's protocol counters, as Launch reports them.
+	PerRank []protocol.RankStats
 }
 
 // Row is one size's set of four bars.
@@ -85,25 +89,13 @@ type Table struct {
 	Rows       []Row
 }
 
-// CellRunner executes one (size, mode) cell and returns its measurement.
-// The default runner drives the in-process engine; cmd/fig8's -distributed
-// flag substitutes one that runs each cell as real OS processes over TCP.
-type CellRunner func(ctx context.Context, size Size, mode protocol.Mode) (Cell, error)
-
 // Run executes the experiment.
 func (e Experiment) Run() (*Table, error) { return e.RunContext(context.Background()) }
 
 // RunContext executes the experiment under a context: cancellation aborts
-// the in-flight engine run and returns its error.
+// the in-flight run and returns its error. Each cell is measured Repeats
+// times and the fastest run is kept.
 func (e Experiment) RunContext(ctx context.Context) (*Table, error) {
-	return e.RunContextWith(ctx, e.runOnce)
-}
-
-// RunContextWith executes the experiment with a substituted cell runner
-// (see CellRunner); measurement selection (best of Repeats) and table
-// assembly are unchanged, so in-process and distributed sweeps render and
-// verdict identically.
-func (e Experiment) RunContextWith(ctx context.Context, run CellRunner) (*Table, error) {
 	t := &Table{Experiment: e}
 	repeats := e.Repeats
 	if repeats == 0 {
@@ -114,12 +106,11 @@ func (e Experiment) RunContextWith(ctx context.Context, run CellRunner) (*Table,
 		for _, mode := range modes {
 			best := Cell{Mode: mode, Seconds: -1}
 			for rep := 0; rep < repeats; rep++ {
-				cell, err := run(ctx, size, mode)
+				cell, err := e.runCell(ctx, size, mode)
 				if err != nil {
 					return nil, fmt.Errorf("%s %s %v: %w", e.App, size.Label, mode, err)
 				}
 				if best.Seconds < 0 || cell.Seconds < best.Seconds {
-					cell.Mode = mode
 					best = cell
 				}
 			}
@@ -130,35 +121,33 @@ func (e Experiment) RunContextWith(ctx context.Context, run CellRunner) (*Table,
 	return t, nil
 }
 
-func (e Experiment) runOnce(ctx context.Context, size Size, mode protocol.Mode) (Cell, error) {
-	var store storage.Stable = storage.NewMemory()
-	if e.BandwidthMBps > 0 {
-		store = storage.NewThrottled(store, e.BandwidthMBps*1e6)
+// runCell measures one cell: one ccift.Launch of the size's program in the
+// given mode, on the experiment's substrate. Every substrate runs the same
+// spec, so every cell runs the checkpoint the sweep asked for.
+func (e Experiment) runCell(ctx context.Context, size Size, mode protocol.Mode) (Cell, error) {
+	opts := []ccift.Option{
+		ccift.WithRanks(e.Ranks),
+		ccift.WithMode(mode),
+		ccift.WithEveryN(size.EveryN),
+		ccift.WithInterval(size.Interval),
+		// Figure 8 charts the paper's blocking checkpoint: the rank stops
+		// until its state is durable. Async is the other row, the same
+		// cells on the async pipeline, for an apples-to-apples wall-clock
+		// comparison.
+		ccift.WithAsyncCheckpoint(e.Async),
 	}
-	cfg := engine.Config{
-		Ranks:    e.Ranks,
-		Mode:     mode,
-		Store:    store,
-		EveryN:   size.EveryN,
-		Interval: size.Interval,
-		// The Figure 8 experiments measure the paper's blocking
-		// checkpoint semantics by default: the rank stops until its
-		// state is durable. (The write itself shares the chunked dedup
-		// writer; the async pipeline's overlap is measured separately
-		// by BenchmarkCheckpointBlocked / BENCH_pr4.json, where blocked
-		// vs flush time is told apart — wall-clock alone would conflate
-		// the paper's overhead with flush contention.) Async flips the
-		// sweep onto the async pipeline for an apples-to-apples
-		// wall-clock comparison of the same cells.
-		Sync: !e.Async,
+	switch {
+	case e.Substrate != nil:
+		opts = append(opts, e.Substrate(e.cellName(size, mode)))
+	case e.BandwidthMBps > 0:
+		opts = append(opts, ccift.WithStore(ccift.NewThrottledStore(ccift.NewMemoryStore(), e.BandwidthMBps*1e6)))
 	}
 	start := time.Now()
-	res, err := engine.RunContext(ctx, cfg, size.Program)
+	res, err := ccift.Launch(ctx, ccift.NewSpec(opts...), size.Program)
 	if err != nil {
 		return Cell{}, err
 	}
-	elapsed := time.Since(start).Seconds()
-	cell := Cell{Mode: mode, Seconds: elapsed, Checksum: res.Values[0]}
+	cell := Cell{Mode: mode, Seconds: time.Since(start).Seconds(), Checksum: res.Values[0], PerRank: res.PerRank}
 	for _, s := range res.Stats {
 		cell.Checkpoints += s.CheckpointsTaken
 		cell.CheckpointMB += float64(s.CheckpointBytes) / 1e6
@@ -167,17 +156,27 @@ func (e Experiment) runOnce(ctx context.Context, size Size, mode protocol.Mode) 
 	return cell, nil
 }
 
-// ParseMode resolves a protocol Mode from its String() rendering
-// ("unmodified", "piggyback-only", "no-app-state", "full") — the inverse
-// fig8's distributed workers need to rebuild a cell's configuration from
-// re-exec'd flags.
-func ParseMode(s string) (protocol.Mode, error) {
-	for _, m := range modes {
-		if m.String() == s {
-			return m, nil
+// cellName names one cell of the experiment: "laplace/64x64/full".
+func (e Experiment) cellName(size Size, mode protocol.Mode) string {
+	return e.App + "/" + size.Label + "/" + mode.String()
+}
+
+// RunCell measures the one cell of exps that name names
+// ("laplace/64x64/full"). A distributed sweep's worker process rebuilds
+// the launcher's experiments and comes back here, so it reaches the very
+// Launch call its launcher made, which takes the worker role and never
+// returns.
+func RunCell(ctx context.Context, exps []Experiment, name string) (Cell, error) {
+	for _, e := range exps {
+		for _, size := range e.Sizes {
+			for _, mode := range modes {
+				if e.cellName(size, mode) == name {
+					return e.runCell(ctx, size, mode)
+				}
+			}
 		}
 	}
-	return 0, fmt.Errorf("%w: harness: unknown mode %q (want one of %v)", cerr.ErrSpec, s, modes)
+	return Cell{}, fmt.Errorf("%w: harness: no cell %q", cerr.ErrSpec, name)
 }
 
 // overhead returns a cell's runtime overhead relative to the unmodified
@@ -198,7 +197,8 @@ func (r Row) overhead(mode protocol.Mode) float64 {
 func (t *Table) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 8 — %s (%d ranks", t.Experiment.App, t.Experiment.Ranks)
-	if t.Experiment.BandwidthMBps > 0 {
+	if t.Experiment.BandwidthMBps > 0 && t.Experiment.Substrate == nil {
+		// Only the in-process store is throttled.
 		fmt.Fprintf(&b, ", %.0f MB/s stable storage", t.Experiment.BandwidthMBps)
 	}
 	fmt.Fprintf(&b, ")\n")

@@ -194,9 +194,9 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("%w: WithStore supplies an in-process store, which no worker process can reach; "+
 				"distributed runs share checkpoints through Distributed.StoreDir", cerr.ErrSpec)
 		}
-		if s.cfg.Mode != protocol.Full {
-			return fmt.Errorf("%w: distributed runs recover from shared checkpoints and require Full mode, got %v "+
-				"(the in-process substrate runs any mode)", cerr.ErrSpec, s.cfg.Mode)
+		if s.cfg.Mode != protocol.Full && len(s.cfg.Failures) > 0 {
+			return fmt.Errorf("%w: distributed runs recover from shared checkpoints and require Full mode to schedule failures, got %v "+
+				"(a fault-free distributed run, like any in-process one, runs any mode)", cerr.ErrSpec, s.cfg.Mode)
 		}
 		if s.cfg.Tracer != nil {
 			return fmt.Errorf("%w: WithTracer is in-process only: the recorder cannot observe worker processes", cerr.ErrSpec)

@@ -46,7 +46,9 @@ func TestSpecValidation(t *testing.T) {
 		{"distributed-with-inprocess-store", []ccift.Option{ccift.WithRanks(2), ccift.WithMode(ccift.Full),
 			ccift.WithStore(ccift.NewMemoryStore()), ccift.WithDistributed(dist)}, "StoreDir"},
 		{"distributed-without-full", []ccift.Option{ccift.WithRanks(2), ccift.WithMode(ccift.NoAppState),
-			ccift.WithDistributed(dist)}, "require Full mode"},
+			ccift.WithFailures(ccift.Failure{Rank: 1, AtOp: 10}), ccift.WithDistributed(dist)}, "require Full mode"},
+		{"valid-distributed-fault-free-any-mode", []ccift.Option{ccift.WithRanks(2), ccift.WithMode(ccift.NoAppState),
+			ccift.WithDistributed(dist)}, ""},
 		{"distributed-with-tracer", []ccift.Option{ccift.WithRanks(2), ccift.WithMode(ccift.Full),
 			ccift.WithTracer(nopTracer{}), ccift.WithDistributed(dist)}, "in-process only"},
 	}
