@@ -47,8 +47,8 @@ func BenchmarkAblationLogging(b *testing.B) {
 		r.Register("x", &x)
 		for ; it < iters; it++ {
 			r.PotentialCheckpoint()
-			r.SendF64(next, 1, x)
-			in := r.RecvF64(prev, 1)
+			r.Send(next, 1, mpi.F64Bytes(x))
+			in := mpi.BytesF64(r.Recv(prev, 1).Data)
 			for i := range x {
 				x[i] = x[i]*0.5 + in[i]*0.5
 			}
@@ -173,58 +173,41 @@ func BenchmarkSenderLogSend(b *testing.B) {
 	}
 }
 
-// BenchmarkTypedSend compares the v1 typed messaging path against the v0
-// helpers on the application send/receive hot path: ccift.Send encodes
-// into a fresh buffer and hands its ownership to the substrate (one
-// payload copy), while SendF64 packs with F64Bytes and the substrate
-// defensively copies again (two copies). Both variants run the identical
-// two-rank ping stream through the full protocol layer, so the delta is
-// exactly the copy the typed path removes.
+// BenchmarkTypedSend times the typed send/receive hot path: a two-rank
+// ping-pong through the full protocol layer. ccift.Send hands the
+// substrate a view of the caller's vector, which the substrate copies once
+// into a recycled message; ccift.Recv decodes with one copy into the typed
+// result and gives the message back. So a round trip allocates the two
+// results and nothing per send.
 func BenchmarkTypedSend(b *testing.B) {
 	for _, size := range []int{64, 1024, 16384} {
 		elems := size / 8
-		for _, typed := range []bool{false, true} {
-			name := fmt.Sprintf("msg=%dB/sendf64", size)
-			if typed {
-				name = fmt.Sprintf("msg=%dB/typed", size)
-			}
-			b.Run(name, func(b *testing.B) {
-				iters := b.N
-				payload := make([]float64, elems)
-				// Ping-pong keeps exactly one message in flight, so the
-				// queue depth (and with it GC noise) is bounded and the
-				// per-op figure is the send+receive path itself.
-				prog := func(r *ccift.Rank) (any, error) {
-					me, peer := r.Rank(), 1-r.Rank()
-					for i := 0; i < iters; i++ {
-						if me == 0 {
-							if typed {
-								ccift.Send(r, peer, 1, payload)
-								ccift.Recv[float64](r, peer, 2)
-							} else {
-								r.SendF64(peer, 1, payload)
-								r.RecvF64(peer, 2)
-							}
-						} else {
-							if typed {
-								in := ccift.Recv[float64](r, peer, 1)
-								ccift.Send(r, peer, 2, in)
-							} else {
-								in := r.RecvF64(peer, 1)
-								r.SendF64(peer, 2, in)
-							}
-						}
+		b.Run(fmt.Sprintf("msg=%dB/typed", size), func(b *testing.B) {
+			iters := b.N
+			payload := make([]float64, elems)
+			// Ping-pong keeps exactly one message in flight, so the
+			// queue depth (and with it GC noise) is bounded and the
+			// per-op figure is the send+receive path itself.
+			prog := func(r *ccift.Rank) (any, error) {
+				me, peer := r.Rank(), 1-r.Rank()
+				for i := 0; i < iters; i++ {
+					if me == 0 {
+						ccift.Send(r, peer, 1, payload)
+						ccift.Recv[float64](r, peer, 2)
+					} else {
+						in := ccift.Recv[float64](r, peer, 1)
+						ccift.Send(r, peer, 2, in)
 					}
-					return nil, nil
 				}
-				b.SetBytes(int64(size))
-				b.ReportAllocs()
-				b.ResetTimer()
-				if _, err := engine.Run(engine.Config{Ranks: 2, Mode: protocol.Full}, prog); err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
+				return nil, nil
+			}
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			if _, err := engine.Run(engine.Config{Ranks: 2, Mode: protocol.Full}, prog); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

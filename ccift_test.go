@@ -29,8 +29,8 @@ func stencil(iters, width int) ccift.Program {
 		}
 		for ; it < iters; it++ {
 			r.PotentialCheckpoint()
-			r.SendF64(next, 1, x)
-			in := r.RecvF64(prev, 1)
+			ccift.Send(r, next, 1, x)
+			in := ccift.Recv[float64](r, prev, 1)
 			for i := range x {
 				x[i] = (x[i] + in[i]) / 2
 			}

@@ -86,8 +86,8 @@ ccift_c1:
 			ccift_target = 0
 			goto ccift_l2
 		}
-		r.SendF64(next, 1, []float64{acc})
-		in = r.RecvF64(prev, 1)
+		ccift.Send(r, next, 1, []float64{acc})
+		in = ccift.Recv[float64](r, prev, 1)
 		acc = acc*0.75 + in[0]*0.25
 		r.Touch("worker.in")
 		r.PS().Push(1)

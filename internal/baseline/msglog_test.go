@@ -135,8 +135,8 @@ func TestLogVolumeBlowupVsC3(t *testing.T) {
 		r.Register("x", &x)
 		for ; it < iters; it++ {
 			r.PotentialCheckpoint()
-			r.SendF64(next, 1, x)
-			in := r.RecvF64(prev, 1)
+			r.Send(next, 1, mpi.F64Bytes(x))
+			in := mpi.BytesF64(r.Recv(prev, 1).Data)
 			for i := range x {
 				x[i] = x[i]*0.5 + in[i]*0.5 + 1
 			}

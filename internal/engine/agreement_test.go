@@ -169,11 +169,11 @@ func agreementProg(call agreementCall, steps, loner, skew int, entries *entryLog
 			for i := 0; i < skew; i++ {
 				switch me {
 				case a:
-					r.SendF64(b, 1, []float64{acc})
-					acc += r.RecvF64(b, 2)[0] * 0.0625
+					r.Send(b, 1, mpi.F64Bytes([]float64{acc}))
+					acc += mpi.BytesF64(r.Recv(b, 2).Data)[0] * 0.0625
 				case b:
-					got := r.RecvF64(a, 1)[0]
-					r.SendF64(a, 2, []float64{acc})
+					got := mpi.BytesF64(r.Recv(a, 1).Data)[0]
+					r.Send(a, 2, mpi.F64Bytes([]float64{acc}))
 					acc += got * 0.0625
 				}
 			}

@@ -39,8 +39,8 @@ func ringRecvTag(iters, width, recvTag int) Program {
 		}
 		for ; it < iters; it++ {
 			r.PotentialCheckpoint()
-			r.SendF64(next, 1, x)
-			in := r.RecvF64(prev, recvTag)
+			r.Send(next, 1, mpi.F64Bytes(x))
+			in := mpi.BytesF64(r.Recv(prev, recvTag).Data)
 			for i := range x {
 				x[i] = x[i]*0.5 + in[i]*0.5 + 1
 			}
@@ -333,9 +333,9 @@ func nondetProg(iters int) Program {
 			if r.Rank() == 0 {
 				v := r.Random()
 				seen = append(seen, v)
-				r.SendF64(1, 1, []float64{v})
+				r.Send(1, 1, mpi.F64Bytes([]float64{v}))
 			} else {
-				seen = append(seen, r.RecvF64(0, 1)[0])
+				seen = append(seen, mpi.BytesF64(r.Recv(0, 1).Data)[0])
 			}
 			r.Touch("seen")
 		}
@@ -379,7 +379,7 @@ func wildcardProg(iters int) Program {
 				// wildcards differently than the original run.
 				sum = sum*1.0001 + mpi.BytesF64(a.Data)[0]*2 + mpi.BytesF64(b.Data)[0]*3
 			} else {
-				r.SendF64(0, r.Rank(), []float64{float64(r.Rank()*100 + it)})
+				r.Send(0, r.Rank(), mpi.F64Bytes([]float64{float64(r.Rank()*100 + it)}))
 			}
 		}
 		return sum, nil

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"math/rand"
 
 	"ccift/internal/ckpt"
@@ -45,7 +46,8 @@ func (r *Rank) Epoch() int { return r.l.Epoch() }
 // on recovery (its effects are part of the restored state).
 func (r *Rank) Restarting() bool { return r.restarting }
 
-// Layer exposes the protocol layer (tests, harness).
+// Layer exposes the protocol layer: to the typed receive (ccift.Recv),
+// to tests and to bench.
 func (r *Rank) Layer() *protocol.Layer { return r.l }
 
 // --- point-to-point ---
@@ -68,24 +70,6 @@ func (r *Rank) Wait(h protocol.Handle) *protocol.AppMessage { return r.l.Wait(h)
 
 // Test checks a pseudo-handle without blocking.
 func (r *Rank) Test(h protocol.Handle) (*protocol.AppMessage, bool) { return r.l.Test(h) }
-
-// SendOwned sends a buffer whose ownership the caller hands over: no
-// defensive copy is made, so the caller must not modify data after the
-// call. The typed ccift.Send front end encodes into a fresh buffer and
-// sends it through here, so encoding is the payload's only copy.
-func (r *Rank) SendOwned(dst, tag int, data []byte) { r.l.SendOwned(dst, tag, data) }
-
-// SendF64 sends a float64 vector: the substrate's defensive copy of xs's
-// own memory is the payload's only copy.
-func (r *Rank) SendF64(dst, tag int, xs []float64) { r.l.Send(dst, tag, mpi.Wire(xs)) }
-
-// RecvF64 receives a float64 vector into a fresh slice, the caller's
-// forever; the message goes back to the world. It panics if the payload is
-// not a whole number of elements.
-func (r *Rank) RecvF64(src, tag int) (xs []float64) {
-	r.l.RecvFunc(src, tag, func(p []byte) { xs = mpi.Unpacked[float64](p) })
-	return xs
-}
 
 // WaitF64Into completes the receive request h into dst, which is the
 // caller's: its length must equal the payload's in elements (anything else
@@ -349,17 +333,15 @@ func (r *Rank) SubComm(h protocol.CommHandle) *mpi.Comm { return r.l.SubComm(h) 
 
 // --- logged non-determinism ---
 
-// Random returns a uniform float64 in [0,1). The draw is logged while a
-// global checkpoint is in progress and replayed on recovery, so recovered
-// executions agree with the state other processes checkpointed.
+// Random returns a uniform float64 in [0,1). The draw is one Nondet
+// decision, 8 little-endian bytes: logged while a global checkpoint is in
+// progress and replayed on recovery, so recovered executions agree with the
+// state other processes checkpointed.
 func (r *Rank) Random() float64 {
-	v := r.l.NondetUint64(func() uint64 { return uint64(r.rng.Int63()) })
-	return float64(v&((1<<53)-1)) / (1 << 53)
-}
-
-// RandomUint64 returns a logged uniform 64-bit value.
-func (r *Rank) RandomUint64() uint64 {
-	return r.l.NondetUint64(func() uint64 { return r.rng.Uint64() })
+	b := r.Nondet(func() []byte {
+		return binary.LittleEndian.AppendUint64(nil, uint64(r.rng.Int63()))
+	})
+	return float64(binary.LittleEndian.Uint64(b)&((1<<53)-1)) / (1 << 53)
 }
 
 // Nondet routes an arbitrary non-deterministic decision through the

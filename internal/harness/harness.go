@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ccift"
+	"ccift/internal/apps"
 	"ccift/internal/cerr"
 	"ccift/internal/engine"
 	"ccift/internal/protocol"
@@ -30,10 +31,8 @@ type Size struct {
 	// above each Figure 8 bar group).
 	StateBytes int
 	// EveryN is the checkpoint trigger in PotentialCheckpoint calls on the
-	// initiator; Interval (if non-zero) uses wall time like the paper's
-	// 30-second setting.
-	EveryN   int
-	Interval time.Duration
+	// initiator.
+	EveryN int
 }
 
 // Experiment is one Figure 8 chart.
@@ -129,7 +128,6 @@ func (e Experiment) runCell(ctx context.Context, size Size, mode protocol.Mode) 
 		ccift.WithRanks(e.Ranks),
 		ccift.WithMode(mode),
 		ccift.WithEveryN(size.EveryN),
-		ccift.WithInterval(size.Interval),
 		// Figure 8 charts the paper's blocking checkpoint: the rank stops
 		// until its state is durable. Async is the other row, the same
 		// cells on the async pipeline, for an apples-to-apples wall-clock
@@ -207,7 +205,7 @@ func (t *Table) Render() string {
 	for _, row := range t.Rows {
 		fmt.Fprintf(&b, "%-14s %-10s %11.3fs %11.3fs %11.3fs %11.3fs %9.1f%% %9.1f%%\n",
 			row.Size.Label,
-			humanBytes(row.Size.StateBytes),
+			apps.HumanBytes(int64(row.Size.StateBytes)),
 			row.Cells[0].Seconds, row.Cells[1].Seconds, row.Cells[2].Seconds, row.Cells[3].Seconds,
 			row.overhead(protocol.PiggybackOnly), row.overhead(protocol.Full))
 	}
@@ -302,15 +300,4 @@ func RenderVerdicts(vs []Verdict) string {
 		fmt.Fprintf(&b, "[%s] %s — %s\n", mark, v.Claim, v.Note)
 	}
 	return b.String()
-}
-
-func humanBytes(n int) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
 }

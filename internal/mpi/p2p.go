@@ -45,23 +45,16 @@ func (c *Comm) SendHdr(dst, tag int, header uint32, data []byte) {
 // the buffer over and must not modify it after the call (the receiver, and
 // anyone the caller deliberately shares it with, see the same bytes). This
 // is the zero-copy handoff a real transport performs when the send buffer
-// is DMA-ready; SenderLog uses it to share one immutable buffer between
-// its retained log entry and the wire.
+// is DMA-ready; SenderLog, its one caller, uses it to share one immutable
+// buffer between its retained log entry and the wire. The message it
+// allocates owns no payload, so World.Release ignores it.
 func (c *Comm) SendShared(dst, tag int, data []byte) {
-	c.SendSharedHdr(dst, tag, 0, data)
-}
-
-// SendSharedHdr is SendShared with an out-of-band 32-bit header word: the
-// zero-copy handoff of SendShared combined with the piggyback channel of
-// SendHdr. The protocol layer's owned-buffer send path (typed messaging)
-// uses it so an encoded payload crosses the substrate with no further copy.
-func (c *Comm) SendSharedHdr(dst, tag int, header uint32, data []byte) {
 	c.world.enter(c.members[c.myIdx])
 	wdst := c.worldRank(dst)
 	if c.world.killed[wdst].Load() {
 		return
 	}
-	c.world.tr.Send(wdst, &Message{Source: c.myIdx, Tag: tag, Header: header, Data: data, ctx: c.ctx})
+	c.world.tr.Send(wdst, &Message{Source: c.myIdx, Tag: tag, Data: data, ctx: c.ctx})
 }
 
 // send is the uncounted send core; collectives use it so that one

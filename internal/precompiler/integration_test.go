@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ccift/internal/engine"
+	"ccift/internal/mpi"
 	"ccift/internal/protocol"
 	"ccift/internal/sim"
 	"ccift/internal/storage"
@@ -68,8 +69,8 @@ ccift_c1:
 			ccift_target = 0
 			goto ccift_l2
 		}
-		r.SendF64(next, 1, []float64{acc})
-		in = r.RecvF64(prev, 1)
+		r.Send(next, 1, mpi.F64Bytes([]float64{acc}))
+		in = mpi.BytesF64(r.Recv(prev, 1).Data)
 		acc = acc*0.5 + in[0]*0.5
 		r.Touch("pipeline.in")
 		r.PS().Push(1)

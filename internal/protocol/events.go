@@ -1,7 +1,5 @@
 package protocol
 
-import "encoding/binary"
-
 // Non-deterministic event logging (Section 3.2): if a global checkpoint
 // depends on a non-deterministic event — a random number a process
 // generated and sent to a peer that then checkpointed, say — that event
@@ -31,15 +29,4 @@ func (l *Layer) NondetBytes(gen func() []byte) []byte {
 		l.Stats.EventsLogged++
 	}
 	return v
-}
-
-// NondetUint64 is NondetBytes for a single 64-bit value (random draws,
-// clock readings).
-func (l *Layer) NondetUint64(gen func() uint64) uint64 {
-	out := l.NondetBytes(func() []byte {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], gen())
-		return b[:]
-	})
-	return binary.LittleEndian.Uint64(out)
 }

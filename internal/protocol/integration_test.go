@@ -88,7 +88,7 @@ func TestFullRoundUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestNondetEventLogAndReplay: values drawn through NondetUint64 while
+// TestNondetEventLogAndReplay: decisions drawn through NondetBytes while
 // logging are recorded, and a restored layer replays them in order before
 // generating fresh ones.
 func TestNondetEventLogAndReplay(t *testing.T) {
@@ -101,9 +101,9 @@ func TestNondetEventLogAndReplay(t *testing.T) {
 	if !P.Logging() {
 		t.Fatal("P should be logging")
 	}
-	var orig []uint64
+	var orig [][]byte
 	for i := 0; i < 3; i++ {
-		orig = append(orig, P.NondetUint64(func() uint64 { return uint64(100 + i) }))
+		orig = append(orig, P.NondetBytes(func() []byte { return []byte{byte(100 + i), byte(i)} }))
 	}
 	if P.Stats.EventsLogged != 3 {
 		t.Fatalf("EventsLogged = %d", P.Stats.EventsLogged)
@@ -118,14 +118,14 @@ func TestNondetEventLogAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		got := P2.NondetUint64(func() uint64 { return 999999 })
-		if got != orig[i] {
-			t.Fatalf("replayed draw %d = %d, want %d", i, got, orig[i])
+		got := P2.NondetBytes(func() []byte { return []byte{99, 99, 99} })
+		if !bytes.Equal(got, orig[i]) {
+			t.Fatalf("replayed draw %d = %v, want %v", i, got, orig[i])
 		}
 	}
 	// The log is exhausted: the next draw is live.
-	if got := P2.NondetUint64(func() uint64 { return 424242 }); got != 424242 {
-		t.Fatalf("post-replay draw = %d", got)
+	if got := P2.NondetBytes(func() []byte { return []byte{42} }); !bytes.Equal(got, []byte{42}) {
+		t.Fatalf("post-replay draw = %v", got)
 	}
 }
 
@@ -133,8 +133,8 @@ func TestNondetEventLogAndReplay(t *testing.T) {
 // directly.
 func TestNondetInactiveBypasses(t *testing.T) {
 	ls, _, _ := newTestLayers(t, 1, Unmodified)
-	if got := ls[0].NondetUint64(func() uint64 { return 7 }); got != 7 {
-		t.Fatalf("got %d", got)
+	if got := ls[0].NondetBytes(func() []byte { return []byte{7} }); !bytes.Equal(got, []byte{7}) {
+		t.Fatalf("got %v", got)
 	}
 	if ls[0].Stats.EventsLogged != 0 {
 		t.Fatal("unmodified mode logged an event")

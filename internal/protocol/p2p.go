@@ -12,49 +12,32 @@ import (
 // the piggyback (Figure 4's communicationEventHandler).
 
 // Send delivers data to dst with the given tag through the protocol layer.
-// The payload is copied, so the caller may reuse its buffer.
+// The payload is copied, so the caller may reuse its buffer. It is the one
+// application send: Isend, Sendrecv and the typed front end all come here,
+// and an inactive layer (Unmodified) sends the same message with a zero
+// header word, as a plain substrate send does.
 func (l *Layer) Send(dst, tag int, data []byte) {
-	l.sendApp(dst, tag, data, false)
-}
-
-// SendOwned is Send for a buffer the caller hands over: no defensive copy
-// is made, so data must not be modified after the call. The typed
-// messaging front end encodes into a fresh buffer and sends it through
-// here, making the encode the payload's only copy.
-func (l *Layer) SendOwned(dst, tag int, data []byte) {
-	l.sendApp(dst, tag, data, true)
-}
-
-func (l *Layer) sendApp(dst, tag int, data []byte, owned bool) {
 	l.enterOp()
-	if !l.active() {
-		if owned {
-			l.comm.SendShared(dst, tag, data)
-		} else {
-			l.comm.Send(dst, tag, data)
+	var hdr uint32
+	if l.active() {
+		if tag < 0 {
+			panic(fmt.Sprintf("protocol: application tags must be non-negative, got %d", tag))
 		}
-		return
+		pb, suppressed := l.m.appSend(dst)
+		l.Stats.MessagesSent++
+		l.Stats.BytesSent += int64(len(data))
+		if suppressed {
+			l.Stats.SuppressedSends++
+			l.trace(TraceSendSuppressed, dst, tag, pb.MessageID, len(data))
+			return
+		}
+		l.Stats.PiggybackBytes += pbBytes
+		l.trace(TraceSend, dst, tag, pb.MessageID, len(data))
+		// The packed piggyback travels in the wire message's header
+		// segment: attaching it costs no allocation or copy of the payload.
+		hdr = pb.Pack()
 	}
-	if tag < 0 {
-		panic(fmt.Sprintf("protocol: application tags must be non-negative, got %d", tag))
-	}
-	pb, suppressed := l.m.appSend(dst)
-	l.Stats.MessagesSent++
-	l.Stats.BytesSent += int64(len(data))
-	if suppressed {
-		l.Stats.SuppressedSends++
-		l.trace(TraceSendSuppressed, dst, tag, pb.MessageID, len(data))
-		return
-	}
-	l.Stats.PiggybackBytes += pbBytes
-	l.trace(TraceSend, dst, tag, pb.MessageID, len(data))
-	// The packed piggyback travels in the wire message's header segment:
-	// attaching it costs no allocation or copy of the payload.
-	if owned {
-		l.comm.SendSharedHdr(dst, tag, pb.Pack(), data)
-	} else {
-		l.comm.SendHdr(dst, tag, pb.Pack(), data)
-	}
+	l.comm.SendHdr(dst, tag, hdr, data)
 }
 
 // Recv blocks until a message matching (src, tag) is delivered to the

@@ -458,6 +458,52 @@ func TestFloatCollectiveAllocations(t *testing.T) {
 	}
 }
 
+// TestTypedPointToPointAllocations: a typed send allocates nothing — the
+// substrate copies the caller's vector into a message from the world's free
+// list, which the receiver gives back once it has decoded the payload — and
+// a typed receive allocates its result and nothing else, under the protocol
+// (not logging) as without it. A call pair is one ping-pong at 2 ranks: two
+// sends and two receives, the receives either into a vector the caller
+// keeps (WaitF64Into, so the sends are all that can allocate) or through
+// Recv. (When Send handed the substrate a packed copy of its own, each send
+// allocated that copy and a message the world could not recycle: 4 and 6.)
+func TestTypedPointToPointAllocations(t *testing.T) {
+	skipAllocationGateUnderRace(t)
+	const runs = 200
+	xs := make([]float64, 512)
+	recvs := []struct {
+		name string
+		want float64
+		recv func(r *engine.Rank, src int, dst []float64)
+	}{
+		{"WaitF64Into", 0, func(r *engine.Rank, src int, dst []float64) { r.WaitF64Into(r.Irecv(src, 1), dst) }},
+		{"Recv", 2, func(r *engine.Rank, src int, _ []float64) { ccift.Recv[float64](r, src, 1) }},
+	}
+	for _, mode := range []protocol.Mode{protocol.Unmodified, protocol.Full} {
+		for _, c := range recvs {
+			var perRun float64
+			_, err := engine.Run(engine.Config{Ranks: 2, Mode: mode}, func(r *engine.Rank) (any, error) {
+				peer, dst := 1-r.Rank(), make([]float64, len(xs))
+				if r.Rank() == 0 {
+					perRun = testing.AllocsPerRun(runs, func() { ccift.Send(r, peer, 1, xs); c.recv(r, peer, dst) })
+				} else {
+					for i := 0; i < runs+1; i++ { // AllocsPerRun warms up with one extra call
+						c.recv(r, peer, dst)
+						ccift.Send(r, peer, 1, xs)
+					}
+				}
+				return nil, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if perRun > c.want {
+				t.Fatalf("Send with %s, %v: %.0f allocations per ping-pong at 2 ranks, want at most %.0f (the typed results and nothing else)", c.name, mode, perRun, c.want)
+			}
+		}
+	}
+}
+
 // TestSteadyStateRunAllocatesLittle: a whole run of an iterative program
 // that keeps its collective results — the neurosys-ctl problem, shortened —
 // allocates next to nothing once it is set up, so the collector stays out of

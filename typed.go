@@ -2,17 +2,16 @@ package ccift
 
 import "ccift/internal/mpi"
 
-// Typed messaging and state. These generic front ends subsume the
-// SendF64/RecvF64 method pairs: one function per direction for every
+// Typed messaging and state: one function per direction for every
 // fixed-width element type, and a payload is copied once. The wire format
 // is the elements packed little-endian — on a little-endian host, the
-// vector's own memory — so Send encodes into a fresh buffer and hands its
-// ownership to the substrate (the encode is the only copy), Recv decodes
-// with one copy into the typed result, and a collective allocates its
-// result once, with its element type, has the substrate fill that memory
-// and sends the caller's vector from its own: the substrate's defensive
-// send copy is the contribution's only copy. Typed and untyped ranks
-// interoperate: F64Bytes produces the same bytes.
+// vector's own memory — so Send hands the substrate a view of the caller's
+// vector, which the substrate copies once into a recycled message, Recv
+// decodes with one copy into the typed result and gives the message back,
+// and a collective allocates its result once, with its element type, has
+// the substrate fill that memory and sends the caller's vector from its
+// own. Typed and untyped ranks interoperate: F64Bytes produces the same
+// bytes.
 
 // Element enumerates the fixed-width element types the typed messaging
 // front end can put on the wire.
@@ -21,8 +20,9 @@ type Element interface {
 }
 
 // Send sends a vector of fixed-width elements to dst with the given tag.
+// The vector is copied before Send returns, so the caller may reuse it.
 func Send[T Element](r *Rank, dst, tag int, xs []T) {
-	r.SendOwned(dst, tag, mpi.Packed(xs))
+	r.Send(dst, tag, mpi.Wire(xs))
 }
 
 // Recv receives a vector of fixed-width elements matching (src, tag); src

@@ -54,18 +54,19 @@ func TestTypedRoundTrips(t *testing.T) {
 	roundTrip(t, []float64{}) // empty payloads must survive too
 }
 
-// TestTypedWireCompatibility pins that Send[float64] and SendF64 produce
-// the identical wire format, in both directions.
+// TestTypedWireCompatibility pins that Send[float64] and a byte-level send
+// of F64Bytes put the identical wire format on the wire, in both
+// directions: each is decoded by the other side's receive.
 func TestTypedWireCompatibility(t *testing.T) {
 	xs := []float64{3.5, -0.25, 1e-300}
 	res := launch2(t, func(r *ccift.Rank) (any, error) {
 		if r.Rank() == 0 {
-			ccift.Send(r, 1, 1, xs) // typed send ...
-			r.SendF64(1, 2, xs)     // ... and v0 send
+			ccift.Send(r, 1, 1, xs)          // typed send ...
+			r.Send(1, 2, ccift.F64Bytes(xs)) // ... and byte-level send
 			return nil, nil
 		}
-		a := r.RecvF64(0, 1)              // ... received by the v0 helper
-		b := ccift.Recv[float64](r, 0, 2) // ... and by the typed front end
+		a := ccift.BytesF64(r.Recv(0, 1).Data) // ... received byte-level
+		b := ccift.Recv[float64](r, 0, 2)      // ... and by the typed front end
 		return [2][]float64{a, b}, nil
 	})
 	got := res.Values[1].([2][]float64)
