@@ -1100,6 +1100,24 @@ var rules = []rule{
 		},
 		violation: snippet{"cmd/fig8/worker.go", `package main; import "ccift/internal/launch"; func workerMain() { launch.WorkerMain(launch.WorkerApp{}) }`},
 	},
+	{
+		name: "one metrics renderer",
+		pr:   59,
+		// The endpoint is metrics.go's one handler, rendering the run's
+		// stats at scrape time. An HTTP server anywhere else is a second
+		// observability system (a general-purpose registry was one).
+		check: func(tr tree) (got []string) {
+			for path, f := range tr.code() {
+				for _, imp := range f.Imports {
+					if imp.Path.Value == `"net/http"` && path != "metrics.go" {
+						got = append(got, fmt.Sprintf("%s imports net/http: metrics.go is the one endpoint", path))
+					}
+				}
+			}
+			return got
+		},
+		violation: snippet{"internal/obs/serve.go", `package obs; import "net/http"; func serve(h http.Handler) error { return http.ListenAndServe(":9377", h) }`},
+	},
 }
 
 func TestArchitecture(t *testing.T) {

@@ -351,7 +351,9 @@ func (l *Layer) handleControl(specIdx int, msg *mpi.Message) {
 		if len(msg.Data) > 8 {
 			w1 = ctlU64(msg.Data, 1)
 		}
-		l.m.control(msg.Source, tag, ctlU64(msg.Data, 0), w1)
+		src, w0 := msg.Source, ctlU64(msg.Data, 0)
+		l.comm.World().Release(msg) // the words are read: nothing reads msg again
+		l.m.control(src, tag, w0, w1)
 	}
 	l.act()
 }

@@ -72,8 +72,8 @@ type Aggregator struct {
 }
 
 // NewAggregator returns an empty aggregator. onObserve, when non-nil, runs
-// under the aggregator's lock after each frame with the updated cumulative
-// total — the hook a metrics registry refreshes from.
+// under the aggregator's lock after each accepted frame with the updated
+// cumulative total — the hook the metrics endpoint folds frames in from.
 func NewAggregator(onObserve func(total Stats, f StatsFrame)) *Aggregator {
 	return &Aggregator{cur: make(map[int]StatsFrame), onOb: onObserve}
 }
