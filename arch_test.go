@@ -116,7 +116,7 @@ func declared(n ast.Node) ([]*ast.Ident, ast.Expr) {
 
 // collectiveName matches the exported methods that are collectives, in any
 // spelling: the MPI name, then whatever suffix a form adds.
-var collectiveName = regexp.MustCompile(`^(AlignedBarrier|Barrier|Bcast|Reduce|Allreduce|Gather|Allgather|Alltoall|Scatter|Scan|Reducescatter|Sendrecv)`)
+var collectiveName = regexp.MustCompile(`^(Barrier|Bcast|Reduce|Allreduce|Gather|Allgather|Alltoall|Scatter|Scan|Reducescatter|Sendrecv)`)
 
 // collectiveSurface is every collective method of the three layers a
 // message crosses. One form per collective — the one that fills a result
@@ -129,11 +129,11 @@ var collectiveSurface = map[[2]string][]string{
 		"GatherInto", "ReduceInto", "ReducescatterInto", "ScanInto", "ScatterInto",
 	},
 	{"internal/protocol", "Layer"}: {
-		"AlignedBarrier", "Allgather", "AllgatherInto", "AllreduceInto", "AlltoallInto", "Barrier", "BcastInto",
+		"Allgather", "AllgatherInto", "AllreduceInto", "AlltoallInto", "Barrier", "BcastInto",
 		"GatherInto", "ReduceInto", "ReducescatterInto", "ScanInto", "ScatterInto", "Sendrecv",
 	},
 	{"internal/engine", "Rank"}: {
-		"AlignedBarrier", "AllgatherF64Into", "AllgatherInto", "AllreduceF64", "AllreduceF64Into",
+		"AllgatherF64Into", "AllgatherInto", "AllreduceF64", "AllreduceF64Into",
 		"AllreduceInto", "AlltoallInto", "Barrier", "BcastInto", "GatherF64Into", "GatherInto",
 		"ReduceInto", "ReducescatterInto", "ScanInto", "ScatterInto", "Sendrecv",
 	},
@@ -341,6 +341,8 @@ var exportAllowList = map[string]string{
 	"internal/launch.Run":                          "bench/ pins it (exec.go)",
 	"internal/protocol.Layer.CheckpointInProgress": "bench/ pins it (exec.go)",
 	"internal/mpi.World.OpCount":                   "bench/ pins it (exec.go, ring.go)",
+	"internal/mpi.Comm.Allgather":                  "bench/ pins it (probes.go): the allocating form its control-collective probe times",
+	"internal/protocol.Layer.Allgather":            "bench/ pins it (probes.go): the allocating form its control-collective probe times",
 	"internal/mpi.World.PoisonReleased":            "a test seam, like ckpt.PoisonReleasedSlabs",
 	"internal/mpi.World.Transport":                 "the tests of the simulated and TCP transports drive a world's transport directly",
 	"internal/storage.ChunkedWriter.Pipeline":      "bench/ pins it (probes.go)",
@@ -542,7 +544,7 @@ var rules = []rule{
 			}
 			sites := funcsCalling(tr.code("internal/protocol"), control)
 			if want := []string{"internal/protocol/collective.go: exchangeControl"}; !slices.Equal(sites, want) {
-				return []string{fmt.Sprintf("control allgathers in %v, want %v: the riding collectives carry their control word on their own messages, and the rooted ones and AlignedBarrier share the one explicit exchange — a second is a per-collective control round growing back", sites, want)}
+				return []string{fmt.Sprintf("control allgathers in %v, want %v: the riding collectives carry their control word on their own messages, and the rooted ones share the one explicit exchange — a second is a per-collective control round growing back", sites, want)}
 			}
 			return nil
 		},
@@ -977,6 +979,60 @@ var rules = []rule{
 		violation: snippet{"internal/engine/shortcut.go", `package engine; func (r *Rank) Store() any { return r.l.Saver }`},
 	},
 	{
+		name: "no raw communicator reaches a program",
+		// Traffic the protocol does not see is neither logged nor suppressed,
+		// which is Section 3's inconsistency: a message on a communicator of
+		// the program's own crosses the recovery line unnoticed. So no
+		// exported method of Rank, and no exported name of the root package,
+		// carries an mpi.Comm or a communicator handle in its signature; the
+		// one communicator is the world's, inside the protocol layer.
+		check: func(tr tree) []string {
+			comm := func(n ast.Node) (found bool) {
+				ast.Inspect(n, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.SelectorExpr:
+						found = found || n.Sel.Name == "Comm" || n.Sel.Name == "CommHandle" || n.Sel.Name == "WorldComm"
+					case *ast.Ident:
+						found = found || n.Name == "CommHandle" || n.Name == "WorldComm"
+					}
+					return !found
+				})
+				return found
+			}
+			var got []string
+			for path, f := range tr.code("internal/engine", ".") {
+				root := filepath.Dir(path) == "."
+				for _, decl := range f.Decls {
+					switch d := decl.(type) {
+					case *ast.FuncDecl:
+						onRank := d.Recv != nil && types.ExprString(d.Recv.List[0].Type) == "*Rank"
+						if d.Name.IsExported() && (root || onRank) && comm(d.Type) {
+							got = append(got, path+": "+d.Name.Name)
+						}
+					case *ast.GenDecl:
+						for _, spec := range d.Specs {
+							switch sp := spec.(type) {
+							case *ast.TypeSpec:
+								if root && sp.Name.IsExported() && comm(sp.Type) {
+									got = append(got, path+": "+sp.Name.Name)
+								}
+							case *ast.ValueSpec:
+								if root && slices.ContainsFunc(sp.Names, (*ast.Ident).IsExported) && comm(sp) {
+									got = append(got, path+": "+sp.Names[0].Name)
+								}
+							}
+						}
+					}
+				}
+			}
+			if len(got) > 0 {
+				return []string{fmt.Sprintf("%v: a program's messages go through the protocol layer, not a communicator of its own", got)}
+			}
+			return nil
+		},
+		violation: snippet{"internal/engine/subcomm.go", `package engine; import "ccift/internal/mpi"; func (r *Rank) SubComm(h int) *mpi.Comm { return nil }`},
+	},
+	{
 		name: "every export in internal/ has a user outside its own file",
 		pr:   36,
 		check: func(tr tree) (got []string) {
@@ -1137,7 +1193,7 @@ func TestArchitecture(t *testing.T) {
 				violated[r.violation.path] = f
 				fresh := func(msg string) bool { return !slices.Contains(found, msg) }
 				if !slices.ContainsFunc(r.check(violated), fresh) {
-					t.Errorf("the rule of PR %d reports nothing for its violation, %s:\n%s", r.pr, r.violation.path, r.violation.src)
+					t.Errorf("the rule %q reports nothing for its violation, %s:\n%s", r.name, r.violation.path, r.violation.src)
 				}
 			})
 		})

@@ -1,8 +1,8 @@
 // Benchmarks for the design arguments bench/ does not measure: the
 // Section 1.2 case against message logging (log volume, per-send cost),
-// Section 7's state exclusion and replication, the typed-send copy, the
-// Section 4.2 piggyback codec, rank slowdown under the async flush, and
-// the blocking baseline. Everything bench/ reports — Figure 8's four
+// Section 7's state exclusion, the typed-send copy, the Section 4.2
+// piggyback codec, rank slowdown under the async flush, and the blocking
+// baseline. Everything bench/ reports — Figure 8's four
 // versions (base_s / full_s and the per-layer *_cost_s), freeze, encode
 // and restore throughput (ckpt.*), blocked time (ckpt.blocked_ms_*), the
 // control collective (protocol.allgather_full_us), recovery (recover_ms,
@@ -92,51 +92,6 @@ func BenchmarkAblationStateExclusion(b *testing.B) {
 			var ckptBytes int64
 			for i := 0; i < b.N; i++ {
 				res, err := engine.Run(engine.Config{Ranks: benchRanks, Mode: protocol.Full, EveryN: 6}, cg.Program(p))
-				if err != nil {
-					b.Fatal(err)
-				}
-				ckptBytes = 0
-				for _, s := range res.Stats {
-					ckptBytes += s.CheckpointBytes
-				}
-			}
-			b.ReportMetric(float64(ckptBytes), "ckpt-B/run")
-		})
-	}
-}
-
-// BenchmarkAblationReplication quantifies Section 7's distributed
-// redundant data: a table held identically by every rank is checkpointed
-// once instead of once per rank.
-func BenchmarkAblationReplication(b *testing.B) {
-	const tableLen = 1 << 17 // 1 MB per rank
-	prog := func(replicated bool) engine.Program {
-		return func(r *engine.Rank) (any, error) {
-			var it int
-			table := make([]float64, tableLen)
-			r.Register("it", &it)
-			if replicated {
-				r.RegisterReplicated("table", &table)
-			} else {
-				r.Register("table", &table)
-			}
-			for ; it < 8; it++ {
-				r.PotentialCheckpoint()
-				r.Barrier()
-			}
-			return nil, nil
-		}
-	}
-	for _, replicated := range []bool{false, true} {
-		name := "per-rank-copies"
-		if replicated {
-			name = "replicated-once"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.SetBytes(8 * tableLen)
-			var ckptBytes int64
-			for i := 0; i < b.N; i++ {
-				res, err := engine.Run(engine.Config{Ranks: benchRanks, Mode: protocol.Full, EveryN: 3}, prog(replicated))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -142,10 +142,3 @@ func F64Bytes(xs []float64) []byte { return mpi.F64Bytes(xs) }
 
 // BytesF64 unpacks a wire payload into a float64 slice.
 func BytesF64(b []byte) []float64 { return mpi.BytesF64(b) }
-
-// CommHandle names a communicator owned by the protocol layer; handles are
-// restored on recovery by persistent-object call replay.
-type CommHandle = protocol.CommHandle
-
-// WorldComm is the world communicator's handle.
-const WorldComm = protocol.WorldComm

@@ -382,9 +382,8 @@ func TestVDSRefusesTypesWithNoLayout(t *testing.T) {
 		want := fmt.Sprintf(`"x"): %T has no checkpoint layout; register a pointer to one of int, `, ptr)
 		v := NewVDS()
 		for kind, push := range map[string]func() error{
-			"saved":      func() error { return v.Push("x", ptr) },
-			"computed":   func() error { return v.PushComputed("x", ptr, func() error { return nil }) },
-			"replicated": func() error { return v.PushReplicated("x", ptr) },
+			"saved":    func() error { return v.Push("x", ptr) },
+			"computed": func() error { return v.PushComputed("x", ptr, func() error { return nil }) },
 		} {
 			if err := push(); err == nil || !strings.Contains(err.Error(), want) || v.Live("x") {
 				t.Errorf("%s %T: %v (live %v), want an error containing %q", kind, ptr, err, v.Live("x"), want)

@@ -70,74 +70,6 @@ func TestComputedRestoreDetectsWrongRecomputation(t *testing.T) {
 	}
 }
 
-func TestReplicatedSavedOnPrimaryOnly(t *testing.T) {
-	mk := func(primary bool) []byte {
-		s := NewSaver()
-		s.VDS.Primary = primary
-		tbl := []float64{1, 2, 3, 4}
-		if err := s.VDS.PushReplicated("tbl", &tbl); err != nil {
-			t.Fatal(err)
-		}
-		snap := s.Snapshot()
-		return snap
-	}
-	primarySnap, otherSnap := mk(true), mk(false)
-	if len(primarySnap) <= len(otherSnap) {
-		t.Fatalf("primary snapshot (%dB) should carry the data the others (%dB) omit",
-			len(primarySnap), len(otherSnap))
-	}
-}
-
-func TestReplicatedRestoreThroughReplicaMap(t *testing.T) {
-	// The primary rank's Saver snapshot carries the value; the recovery
-	// driver extracts it from exactly this format.
-	sp := NewSaver()
-	sp.VDS.Primary = true
-	tbl := []float64{10, 20, 30}
-	if err := sp.VDS.PushReplicated("tbl", &tbl); err != nil {
-		t.Fatal(err)
-	}
-	primaryBlob := sp.Snapshot()
-	replicas, err := ExtractReplicated(primaryBlob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(replicas) != 1 {
-		t.Fatalf("replicas = %v", replicas)
-	}
-
-	// A non-primary rank's snapshot carries only the marker; restore pulls
-	// the value from the distributed replica map.
-	so := NewSaver()
-	tblO := []float64{10, 20, 30}
-	if err := so.VDS.PushReplicated("tbl", &tblO); err != nil {
-		t.Fatal(err)
-	}
-	v2 := rollback(t, so).VDS
-	v2.SetReplicas(replicas)
-	var got []float64
-	if err := v2.PushReplicated("tbl", &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 10 || got[2] != 30 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestReplicatedRestoreWithoutReplicaFails(t *testing.T) {
-	so := NewSaver()
-	tbl := []float64{1}
-	if err := so.VDS.PushReplicated("tbl", &tbl); err != nil {
-		t.Fatal(err)
-	}
-	v2 := rollback(t, so).VDS
-	var got []float64
-	err := v2.PushReplicated("tbl", &got)
-	if err == nil || !strings.Contains(err.Error(), "no replica") {
-		t.Fatalf("err = %v, want no-replica error", err)
-	}
-}
-
 func TestKindMismatchDetected(t *testing.T) {
 	s := NewSaver()
 	x := 1

@@ -257,8 +257,7 @@ type frozenEntry struct {
 	// encoded live by Saver.Snapshot), ptr an owned deep copy of the value
 	// (encoded lazily at write time), pages the page-granular capture of a
 	// large slice. A parsed or Snapshot-encoded split record is its lead in
-	// enc and its payload in body. All nil is the zero-length replicated
-	// marker of a non-primary rank.
+	// enc and its payload in body.
 	enc  []byte
 	ptr  any
 	size int // the record's size, measured once at capture: its frame
@@ -440,7 +439,7 @@ func (v *VDS) freeze(pool *bufPool, prev map[string]frozenEntry, f *Frozen) ([]f
 	out := make([]frozenEntry, 0, len(v.entries))
 	for i := range v.entries {
 		e := &v.entries[i]
-		paged, elems, perPage, isF64 := pageGeometry(e.kind, v.Primary, e.ptr)
+		paged, elems, perPage, isF64 := pageGeometry(e.kind, e.ptr)
 		numPages := 0
 		if paged {
 			numPages = (elems + perPage - 1) / perPage
@@ -471,11 +470,6 @@ func (v *VDS) freeze(pool *bufPool, prev map[string]frozenEntry, f *Frozen) ([]f
 		case kindComputed:
 			fe.enc = fingerprint(e.ptr)
 			fe.size = len(fe.enc)
-		case kindReplicated:
-			if v.Primary {
-				fe.captureValue(e.ptr, pool)
-			}
-			// Non-primary: the zero-length marker (enc and ptr both nil).
 		default:
 			return nil, fmt.Errorf("ckpt: entry %q has invalid kind %d", e.name, e.kind)
 		}
@@ -679,9 +673,8 @@ func (f *Frozen) WriteTo(w wire.Sink) error {
 
 // record encodes the entry's value record, e.size bytes: the pre-encoded
 // bytes, the value codec over the owned copy, or the lead and the payload
-// of a split or paged one, what the whole []float64 or []byte encodes to. A
-// replicated value off the primary has none. (Decoded, a record is a view
-// of the blob.)
+// of a split or paged one, what the whole []float64 or []byte encodes to.
+// (Decoded, a record is a view of the blob.)
 func (e *frozenEntry) record(c *wire.Codec) {
 	switch {
 	case e.body.n > 0 || e.pages != nil:

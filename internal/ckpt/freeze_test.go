@@ -12,12 +12,11 @@ import (
 	"ccift/internal/wire"
 )
 
-// buildRichSaver registers one value of every representative shape — saved,
-// computed, replicated — plus heap blocks.
-func buildRichSaver(t *testing.T, primary bool) *Saver {
+// buildRichSaver registers one value of every representative shape — saved
+// and computed — plus heap blocks.
+func buildRichSaver(t *testing.T) *Saver {
 	t.Helper()
 	s := NewSaver()
-	s.VDS.Primary = primary
 	s.PS.Push(3)
 	s.PS.Push(7)
 
@@ -33,7 +32,6 @@ func buildRichSaver(t *testing.T, primary bool) *Saver {
 	counts := []int64{9, 8}
 	mat := [][]float64{{1, 2}, {3, 4, 5}}
 	stamp := uint64(1) << 40
-	table := []float64{10, 20, 30}
 	ro := make([]float64, 600)
 
 	must := func(err error) {
@@ -50,7 +48,6 @@ func buildRichSaver(t *testing.T, primary bool) *Saver {
 	must(s.VDS.Push("counts", &counts))
 	must(s.VDS.Push("mat", &mat))
 	must(s.VDS.Push("stamp", &stamp))
-	must(s.VDS.PushReplicated("table", &table))
 	must(s.VDS.PushComputed("ro", &ro, func() error { return nil }))
 
 	b := s.Heap.Alloc(5000)
@@ -66,23 +63,21 @@ func buildRichSaver(t *testing.T, primary bool) *Saver {
 // Saver.Snapshot would have produced at freeze time, and Frozen.StateBytes
 // predicts the length without serializing.
 func TestFreezeSnapshotMatchesSaver(t *testing.T) {
-	for _, primary := range []bool{true, false} {
-		s := buildRichSaver(t, primary)
-		want := s.Snapshot()
-		f, err := s.Freeze()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := f.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("primary=%v: frozen snapshot differs from direct snapshot (%d vs %d bytes)", primary, len(got), len(want))
-		}
-		if f.StateBytes() != len(want) {
-			t.Fatalf("primary=%v: Frozen.StateBytes = %d, snapshot is %d bytes", primary, f.StateBytes(), len(want))
-		}
+	s := buildRichSaver(t)
+	want := s.Snapshot()
+	f, err := s.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("frozen snapshot differs from direct snapshot (%d vs %d bytes)", len(got), len(want))
+	}
+	if f.StateBytes() != len(want) {
+		t.Fatalf("Frozen.StateBytes = %d, snapshot is %d bytes", f.StateBytes(), len(want))
 	}
 }
 
@@ -380,7 +375,7 @@ func (r *lendRecord) Lend(p []byte) error {
 // little-endian host, the byte-typed ones on a big-endian one, whose floats
 // go through the stream buffer. The copy path runs here on every host.
 func TestLentStreamIsByteIdentical(t *testing.T) {
-	s := buildRichSaver(t, true)
+	s := buildRichSaver(t)
 	grid := make([]float64, 3*pageSplitBytes/8+600) // four pages, the last one short
 	for i := range grid {
 		grid[i] = float64(i) / 7

@@ -19,11 +19,13 @@ import (
 // payload of every split record (a saved []float64 or []byte of cutoverBytes
 // or more) behind a framed head, so that the head is a prefix of whole
 // chunks and each payload fills chunks of its own; any change to the
-// stream, or to where it is cut, changes them.
+// stream, or to where it is cut, changes them. (They were retaken when the
+// replicated entry kind went: the seeds register those values as saved
+// ones, and the layout code of the time wrote the same digests.)
 
 // goldenState registers a seeded random state on a fresh incremental Saver:
 // every fast-path type of the codec, float and byte slices below and above
-// the paging threshold (with a short last page), the three entry kinds, heap
+// the paging threshold (with a short last page), both entry kinds, heap
 // blocks on both sides of cutoverBytes, and a position trace. (No gob value:
 // gob numbers the types it meets process-wide, so its bytes depend on what
 // else the test binary encoded first.)
@@ -32,7 +34,6 @@ func goldenState(t *testing.T, seed int64) *Saver {
 	rng := rand.New(rand.NewSource(seed))
 	s := NewSaver()
 	s.Incremental = true
-	s.VDS.Primary = seed%2 == 1
 	for i := rng.Intn(4); i >= 0; i-- {
 		s.PS.Push(rng.Intn(1 << 16))
 	}
@@ -61,12 +62,9 @@ func goldenState(t *testing.T, seed int64) *Saver {
 	for i, v := range vars {
 		name := string(rune('a' + i))
 		var err error
-		switch rng.Intn(4) {
-		case 0:
-			err = s.VDS.PushReplicated(name, v)
-		case 1:
+		if rng.Intn(4) == 1 {
 			err = s.VDS.PushComputed(name, v, func() error { return nil })
-		default:
+		} else {
 			err = s.VDS.Push(name, v)
 		}
 		if err != nil {
@@ -138,14 +136,14 @@ func goldenDigest(t *testing.T, seed int64) string {
 
 func TestStateStreamIsByteIdentical(t *testing.T) {
 	want := map[int64]string{
-		1: "f830a863d3e4708125e26db5a9037584e88dddf84ea9947f8dc4baf2cdb631f1",
-		2: "6023465d94db1af505209ff550455c7b9e308a03fde40d49ebfe2731539fc294",
-		3: "f16d12d88939ef3b922a9afc645254f2914f2cba888025f277da855a37546067",
-		4: "18404031de1a5102e1fc408827c80b00d7f560ef30ee15481bdb4e019cb8d4e2",
-		5: "8ff3293fc11438435f1110aa50a6c902d27b74e34b8b82d331ef34cc50209176",
-		6: "03b670e20f467e0e9c43014d1961786a70f66c0c8f2a6b9b949e36d4c4653298",
-		7: "5ea5a86dc54fb7c5fdf7f6759824146dbc1be3661dbb1d46a2ee11ba2aa62d61",
-		8: "30a336787e17760b1df365bb70ed6bd5c8aafe3e8a33a56ee12767ed633a4bf4",
+		1: "aa290e9786e9d3347a992fbf78e1aad7f0483f14de515c80c22c1103910064d1",
+		2: "59c97dad606daef7d840e2e0909d2d4476389476be2aaa726c9fc712c6ba6617",
+		3: "100caa02e5d7e5fcfb2ab3b13f28d49ca18b565806d8077ca9d809d77e301125",
+		4: "4d4d9b6710d2e228d1e5718e7c51a8e6eaaa0ca875e4749be1f73ddb4954c6b2",
+		5: "5e5ee557f2b8d516e26a89de9a10e10694b4f9374f878e75928a4a3939a8fc2e",
+		6: "565ee3dd6cd26faba0615012a995eae118865395516462614401d7fa92cb7146",
+		7: "62dd6d701d995442416e75178c436eb853325e9465e70dadb417cea33658d9f5",
+		8: "d669eca018a0f8aa11a873922ebc6a421b8241b16f6210973f42dfddfc6c2bcf",
 	}
 	for seed := int64(1); seed <= 8; seed++ {
 		if got := goldenDigest(t, seed); got != want[seed] {

@@ -29,10 +29,9 @@ const diffChunkSize = 512 // small chunks: every epoch spans many
 // liveVar is one registered variable, shared by pointer between both
 // Savers. mutable is false for computed entries (read-only by contract).
 type liveVar struct {
-	name       string
-	ptr        any
-	mutable    bool
-	replicated bool
+	name    string
+	ptr     any
+	mutable bool
 }
 
 // teeSection records the bytes flowing into a chunked writer so one
@@ -161,15 +160,6 @@ func (d *diffDriver) register() {
 		}
 		if err := d.full.VDS.PushComputed(name, &xs, rec); err != nil {
 			d.fatalf("full push computed: %v", err)
-		}
-	case 8:
-		xs := d.newSlice(d.sliceLen())
-		v.ptr, v.replicated = &xs, true
-		if err := d.inc.VDS.PushReplicated(name, &xs); err != nil {
-			d.fatalf("inc push replicated: %v", err)
-		}
-		if err := d.full.VDS.PushReplicated(name, &xs); err != nil {
-			d.fatalf("full push replicated: %v", err)
 		}
 	default:
 		xs := d.newSlice(d.sliceLen())
@@ -348,7 +338,7 @@ func (d *diffDriver) rebind() {
 		return
 	}
 	xs := d.newSlice(d.sliceLen())
-	v.ptr, v.replicated = &xs, false // Push re-registers it as saved
+	v.ptr = &xs
 	if err := d.inc.VDS.Push(v.name, &xs); err != nil {
 		d.fatalf("inc rebind: %v", err)
 	}
@@ -506,29 +496,19 @@ func (d *diffDriver) checkRestore(f *ckpt.Frozen) {
 	if err != nil {
 		d.fatalf("epoch %d: snapshot: %v", d.epoch, err)
 	}
-	replicas := map[string][]byte{}
-	for _, v := range d.vars {
-		if v.replicated {
-			replicas[v.name] = ckpt.Encode(v.ptr)
-		}
-	}
 	fromView, fromBlob := ckpt.NewSaver(), ckpt.NewSaver()
 	fromView.StartRestoreView(f)
 	if err := fromBlob.StartRestore(blob); err != nil {
 		d.fatalf("epoch %d: restore from the blob: %v", d.epoch, err)
 	}
 	restored := func(s *ckpt.Saver) (vals []any, heap [][]byte, trace []int) {
-		s.VDS.SetReplicas(replicas)
 		for _, v := range d.vars {
 			p := reflect.New(reflect.TypeOf(v.ptr).Elem())
 			var err error
-			switch {
-			case !v.mutable:
+			if !v.mutable {
 				live := reflect.ValueOf(v.ptr).Elem()
 				err = s.VDS.PushComputed(v.name, p.Interface(), func() error { p.Elem().Set(live); return nil })
-			case v.replicated:
-				err = s.VDS.PushReplicated(v.name, p.Interface())
-			default:
+			} else {
 				err = s.VDS.Push(v.name, p.Interface())
 			}
 			if err != nil {
@@ -613,9 +593,6 @@ func runDifferentialSequence(t *testing.T, seed int64) {
 		storeFull: storage.NewMemory(),
 	}
 	d.inc.Incremental = true
-	primary := d.rng.Intn(2) == 0
-	d.inc.VDS.Primary = primary
-	d.full.VDS.Primary = primary
 
 	// Seed a little state so the first checkpoint is never trivial.
 	d.register()

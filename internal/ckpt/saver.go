@@ -96,14 +96,10 @@ func leadOf(rec []byte) (n, width, k int, err error) {
 }
 
 // record encodes the live entry's value record: the fingerprint of a
-// computed value, nothing for a replicated one off the primary, and the
-// value otherwise.
+// computed value, and the value otherwise.
 func (v *VDS) record(e *vdsEntry) []byte {
-	switch {
-	case e.kind == kindComputed:
+	if e.kind == kindComputed {
 		return fingerprint(e.ptr)
-	case e.kind == kindReplicated && !v.Primary:
-		return nil
 	}
 	return Encode(e.ptr)
 }
@@ -145,10 +141,10 @@ func (f *Frozen) head(vds, heap int) func(*wire.Codec) {
 
 // vdsSection lays out the VDS entries. An entry is a name, a kind, the size
 // of its payload (0 when the record is whole) and its value record framed
-// by its size — a split record's lead, followed by a cut; empty for a
-// replicated value off the primary. Decoded, the records and the leads are
-// views of the blob. A name appears once, and a split record is a saved
-// []float64 or []byte whose lead counts its payload.
+// by its size — a split record's lead, followed by a cut. Decoded, the
+// records and the leads are views of the blob. A name appears once, and a
+// split record is a saved []float64 or []byte whose lead counts its
+// payload.
 func (f *Frozen) vdsSection(c *wire.Codec) {
 	names := map[string]bool{}
 	wire.Seq(c, "variable", &f.vds, 4, func(e *frozenEntry) {
@@ -163,7 +159,7 @@ func (f *Frozen) vdsSection(c *wire.Codec) {
 		}
 		if c.Decoding() && c.Err() == nil {
 			c.Require(!names[e.name], "%q registered twice", e.name)
-			c.Require(e.kind >= kindSaved && e.kind <= kindReplicated, "%q has kind %d", e.name, e.kind)
+			c.Require(e.kind >= kindSaved && e.kind <= kindComputed, "%q has kind %d", e.name, e.kind)
 			if e.body.n > 0 {
 				n, width, k, err := leadOf(e.enc)
 				c.Require(e.kind == kindSaved && err == nil && k == len(e.enc) && width > 0 && e.body.n <= wire.MaxFrame &&

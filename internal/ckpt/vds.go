@@ -23,15 +23,11 @@ import (
 // pointer.
 //
 // Beyond the paper's always-save-everything baseline, descriptors carry a
-// kind implementing the Section 7 state-exclusion optimizations: see
-// PushComputed and PushReplicated in exclude.go.
+// kind implementing Section 7's recomputation checkpointing: see
+// PushComputed in exclude.go.
 type VDS struct {
 	entries []vdsEntry
 	index   map[string]int
-
-	// Primary marks the rank whose checkpoints carry replicated values
-	// (rank 0 by convention; set by the protocol layer).
-	Primary bool
 
 	// muts is the monotone write clock behind dirty-region tracking: every
 	// Push and Touch stamps the affected entry with the next tick, so an
@@ -40,10 +36,8 @@ type VDS struct {
 	muts uint64
 
 	// restore holds the parsed or retained records awaiting their
-	// re-registration after a restart; replicas holds the primary's
-	// replicated values, supplied by the recovery driver.
-	restore  map[string]restoreRec
-	replicas map[string][]byte
+	// re-registration after a restart.
+	restore map[string]restoreRec
 	// stored marks a restore map with a payload still in the store (see
 	// settle).
 	stored bool
@@ -86,8 +80,8 @@ const (
 // pageGeometry reports whether a live entry's value is captured paged,
 // and if so its element count, elements per page, and whether elements
 // are float64s (true) or bytes (false).
-func pageGeometry(kind entryKind, primary bool, ptr any) (paged bool, elems, perPage int, isF64 bool) {
-	if kind == kindComputed || (kind == kindReplicated && !primary) {
+func pageGeometry(kind entryKind, ptr any) (paged bool, elems, perPage int, isF64 bool) {
+	if kind == kindComputed {
 		return false, 0, 0, false
 	}
 	switch p := ptr.(type) {
@@ -341,7 +335,7 @@ func (v *VDS) TouchRange(name string, off, n int) error {
 		return fmt.Errorf("%w: ckpt: VDS.TouchRange(%q): no live variable registered under that name", cerr.ErrProgram, name)
 	}
 	e := &v.entries[i]
-	paged, elems, perPage, _ := pageGeometry(e.kind, true, e.ptr)
+	paged, elems, perPage, _ := pageGeometry(e.kind, e.ptr)
 	lo, hi := off, off+n
 	if lo < 0 {
 		lo = 0

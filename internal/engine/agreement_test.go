@@ -98,10 +98,6 @@ var agreementCalls = []struct {
 		r.ScanInto(dst, mpi.F64Bytes([]float64{v}), mpi.SumF64)
 		return mpi.BytesF64(dst)[0]
 	}},
-	{"AlignedBarrier", func(r *Rank, _ int, v float64) float64 {
-		r.AlignedBarrier()
-		return v
-	}},
 }
 
 // entryState is what one participant brought to one call.

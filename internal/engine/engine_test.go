@@ -470,43 +470,6 @@ func TestIsendIrecvAcrossCheckpoints(t *testing.T) {
 	}
 }
 
-func TestCommDupSurvivesRecovery(t *testing.T) {
-	// Persistent opaque objects: a communicator created before the
-	// checkpoint must be usable after recovery via call replay.
-	prog := func(r *Rank) (any, error) {
-		var it int
-		var sum float64
-		var dup protocol.CommHandle
-		r.Register("it", &it)
-		r.Register("sum", &sum)
-		r.Register("dup", &dup)
-		if !r.Restarting() {
-			dup = r.CommDup(protocol.WorldComm)
-		}
-		for ; it < 12; it++ {
-			r.PotentialCheckpoint()
-			// Use the duplicated communicator directly for a barrier-like
-			// allreduce (raw escape hatch, not protocol-managed).
-			out := make([]byte, 8)
-			r.SubComm(dup).AllreduceInto(out, mpi.F64Bytes([]float64{1}), mpi.SumF64, 0)
-			sum += mpi.BytesF64(out)[0]
-		}
-		return sum, nil
-	}
-	ref := runRef(t, Config{Ranks: 3, Mode: protocol.Unmodified}, prog)
-	cfg := Config{
-		Ranks: 3, Mode: protocol.Full, EveryN: 3, Debug: true,
-		Failures: []Failure{{Rank: 1, AtOp: 20, Incarnation: 0}},
-	}
-	res, err := Run(cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Values, ref) {
-		t.Fatalf("values %v != ref %v", res.Values, ref)
-	}
-}
-
 func TestStatsPiggybackAccounting(t *testing.T) {
 	res, err := Run(Config{Ranks: 2, Mode: protocol.PiggybackOnly}, ringProg(10, 4))
 	if err != nil {

@@ -1,90 +1,87 @@
 package engine
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
-	"ccift/internal/mpi"
 	"ccift/internal/protocol"
+	"ccift/internal/storage"
 )
 
-// TestReplicatedStateRecovery: data every rank holds identically is saved
-// once and redistributed on recovery.
-func TestReplicatedStateRecovery(t *testing.T) {
+// TestReplicatedDataIsStoredOnce: Section 7's distributed redundant data —
+// a value every rank holds identically — needs no registration kind of its
+// own. Each rank Registers its copy of a 1 MB table; every rank's manifest
+// names the same chunks for it, and the content-addressed store holds those
+// chunks, and so the table, once.
+func TestReplicatedDataIsStoredOnce(t *testing.T) {
+	const ranks, tableLen = 4, 1 << 17
 	prog := func(r *Rank) (any, error) {
 		var it int
-		var acc float64
-		table := make([]float64, 4096) // identical on every rank
+		table := make([]float64, tableLen) // identical on every rank
+		for i := range table {
+			table[i] = float64(i%97) + 0.5
+		}
 		r.Register("it", &it)
-		r.Register("acc", &acc)
-		r.RegisterReplicated("table", &table)
-		if !r.Restarting() {
-			for i := range table {
-				table[i] = float64(i % 97)
-			}
-		}
-		for ; it < 30; it++ {
+		r.Register("table", &table)
+		for ; it < 8; it++ {
 			r.PotentialCheckpoint()
-			s := r.AllreduceF64([]float64{table[(it*37)%len(table)]}, mpi.SumF64)
-			acc += s[0]
+			r.Barrier()
 		}
-		return acc, nil
+		return nil, nil
 	}
-	ref := runRef(t, Config{Ranks: 3, Mode: protocol.Unmodified}, prog)
-
-	// Simulated: op 130 of rank 2 follows the fourth commit, so the restart
-	// redistributes the table from a checkpoint, not from a rerun.
-	cfg := onSim(t, Config{
-		Ranks: 3, Mode: protocol.Full, EveryN: 5, Debug: true,
-		Failures: []Failure{{Rank: 2, AtOp: 130, Incarnation: 0}},
-	})
-	res, err := runWithin(cfg, prog)
+	mem := storage.NewMemory()
+	if _, err := Run(Config{Ranks: ranks, Mode: protocol.Full, EveryN: 3, Store: mem}, prog); err != nil {
+		t.Fatal(err)
+	}
+	cs := storage.NewCheckpointStore(mem)
+	epoch, ok, err := cs.Committed()
+	if err != nil || !ok {
+		t.Fatalf("no committed checkpoint (%v)", err)
+	}
+	// The table's payload fills whole chunks of its own at the end of the
+	// state object, behind the head.
+	var table []string
+	for r := 0; r < ranks; r++ {
+		refs, ok, err := cs.Refs(storage.StateKey(epoch, r))
+		if err != nil || !ok {
+			t.Fatalf("rank %d: state manifest of epoch %d: %v", r, epoch, err)
+		}
+		var keys []string
+		for n := int64(0); n < 8*tableLen && len(refs) > 0; refs = refs[:len(refs)-1] {
+			n += refs[len(refs)-1].Len
+			keys = append(keys, refs[len(refs)-1].Key())
+		}
+		if r == 0 {
+			table = keys
+		} else if !slices.Equal(keys, table) {
+			t.Fatalf("rank %d names the table's chunks %v, rank 0 %v", r, keys, table)
+		}
+	}
+	entries, err := cs.Walk()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Restarts != 1 || res.RecoveredEpochs[0] != 4 {
-		t.Fatalf("restarts=%d epochs=%v, want one restart from epoch 4", res.Restarts, res.RecoveredEpochs)
-	}
-	if !reflect.DeepEqual(res.Values, ref) {
-		t.Fatalf("values %v != ref %v", res.Values, ref)
-	}
-
-	// Rank 0's checkpoint carries the table; the others carry markers.
-	var per [3]int64
-	for r, s := range res.Stats {
-		per[r] = s.CheckpointBytes
-	}
-	if per[1] >= per[0]/2 || per[2] >= per[0]/2 {
-		t.Fatalf("non-primary checkpoints should be far smaller: %v", per)
-	}
-}
-
-// TestReplicatedFingerprintAcrossModes: replication must not change
-// results in any mode.
-func TestReplicatedModesAgree(t *testing.T) {
-	prog := func(r *Rank) (any, error) {
-		var it int
-		var acc float64
-		weights := []float64{0.25, 0.5, 0.125, 0.125}
-		r.Register("it", &it)
-		r.Register("acc", &acc)
-		r.RegisterReplicated("weights", &weights)
-		for ; it < 10; it++ {
-			r.PotentialCheckpoint()
-			acc += weights[it%len(weights)]
-			r.Barrier()
+	held, stored := map[string]int{}, 0
+	for _, e := range entries {
+		if e.Class != storage.Chunk {
+			continue
 		}
-		return acc, nil
+		blob, ok, err := cs.Read(e.Key)
+		if err != nil || !ok {
+			t.Fatalf("chunk %s: %v", e.Key, err)
+		}
+		held[e.Key]++
+		stored += len(blob)
 	}
-	ref := runRef(t, Config{Ranks: 2, Mode: protocol.Unmodified}, prog)
-	for _, mode := range []protocol.Mode{protocol.PiggybackOnly, protocol.NoAppState, protocol.Full} {
-		res, err := Run(Config{Ranks: 2, Mode: mode, EveryN: 3}, prog)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+	for _, k := range table {
+		if held[k] != 1 {
+			t.Fatalf("the store holds the table's chunk %s %d times, want once", k, held[k])
 		}
-		if !reflect.DeepEqual(res.Values, ref) {
-			t.Fatalf("%v: values %v != ref %v", mode, res.Values, ref)
-		}
+	}
+	t.Logf("epoch %d: the table is %d chunks; the store holds %d chunk bytes for %d ranks' copies of %d bytes", epoch, len(table), stored, ranks, 8*tableLen)
+	// Besides the one table, only the ranks' heads: a few hundred bytes each.
+	if stored >= 8*tableLen+ranks*4096 {
+		t.Fatalf("the store holds %d chunk bytes, want one %d-byte table and the heads", stored, 8*tableLen)
 	}
 }
 

@@ -90,12 +90,6 @@ func (r *Rank) WaitF64Into(h protocol.Handle, dst []float64) {
 // old epoch — is not re-executed (see protocol.Layer.Barrier).
 func (r *Rank) Barrier() { r.l.Barrier() }
 
-// AlignedBarrier is the paper's barrier treatment: all participants execute
-// it in the same epoch, with laggards checkpointing at the barrier site.
-// Only position-stack-instrumented programs (precompiler output) may use
-// it, because resume must land at the barrier itself.
-func (r *Rank) AlignedBarrier() { r.l.AlignedBarrier() }
-
 // AllreduceInto combines byte payloads across ranks into dst (len(data)
 // bytes): the form the typed front ends build on, so a result is allocated
 // once, with its element type.
@@ -185,9 +179,9 @@ func (r *Rank) PotentialCheckpoint() { r.l.PotentialCheckpoint() }
 // checkpoint and restored through ptr on restart. Names must be unique per
 // live scope. ptr points to a type the checkpoint codec lays out — int,
 // int64, uint64, float64, bool, string, []byte, []float64, []int, []int64
-// or [][]float64 — or to a protocol.Handle or protocol.CommHandle; any
-// other type panics here, and the run ends with ErrProgram naming the
-// variable: register a struct's fields one by one.
+// or [][]float64 — or to a protocol.Handle; any other type panics here, and
+// the run ends with ErrProgram naming the variable: register a struct's
+// fields one by one.
 func (r *Rank) Register(name string, ptr any) {
 	fresh := !r.l.Saver.VDS.Live(name)
 	if err := r.l.Saver.VDS.Push(name, handleWord(ptr)); err != nil {
@@ -196,14 +190,11 @@ func (r *Rank) Register(name string, ptr any) {
 	r.trackReg(name, fresh)
 }
 
-// handleWord passes a request or communicator handle to the VDS as the
-// int64 it is: the handle types are named, and the checkpoint codec lays out
-// int64. Every other pointer goes as it is.
+// handleWord passes a request handle to the VDS as the int64 it is: the
+// handle type is named, and the checkpoint codec lays out int64. Every other
+// pointer goes as it is.
 func handleWord(ptr any) any {
-	switch p := ptr.(type) {
-	case *protocol.Handle:
-		return (*int64)(p)
-	case *protocol.CommHandle:
+	if p, ok := ptr.(*protocol.Handle); ok {
 		return (*int64)(p)
 	}
 	return ptr
@@ -226,18 +217,6 @@ func (r *Rank) trackReg(name string, fresh bool) {
 func (r *Rank) RegisterComputed(name string, ptr any, recompute func() error) {
 	fresh := !r.l.Saver.VDS.Live(name)
 	if err := r.l.Saver.VDS.PushComputed(name, handleWord(ptr), recompute); err != nil {
-		panic(err)
-	}
-	r.trackReg(name, fresh)
-}
-
-// RegisterReplicated pushes a descriptor for data every rank holds
-// identically (Section 7's distributed redundant data): only rank 0's
-// checkpoint carries the value; on restart the other ranks restore from
-// rank 0's copy.
-func (r *Rank) RegisterReplicated(name string, ptr any) {
-	fresh := !r.l.Saver.VDS.Live(name)
-	if err := r.l.Saver.VDS.PushReplicated(name, handleWord(ptr)); err != nil {
 		panic(err)
 	}
 	r.trackReg(name, fresh)
@@ -316,20 +295,6 @@ func (r *Rank) PS() *ckpt.PositionStack { return r.l.Saver.PS }
 
 // Heap returns the checkpointable heap manager.
 func (r *Rank) Heap() *ckpt.Heap { return r.l.Saver.Heap }
-
-// --- MPI library opaque objects ---
-
-// CommDup duplicates a communicator (collective); the pseudo-handle
-// survives recovery via call replay.
-func (r *Rank) CommDup(parent protocol.CommHandle) protocol.CommHandle { return r.l.CommDup(parent) }
-
-// CommSplit splits a communicator (collective).
-func (r *Rank) CommSplit(parent protocol.CommHandle, color, key int) protocol.CommHandle {
-	return r.l.CommSplit(parent, color, key)
-}
-
-// SubComm resolves a communicator pseudo-handle.
-func (r *Rank) SubComm(h protocol.CommHandle) *mpi.Comm { return r.l.SubComm(h) }
 
 // --- logged non-determinism ---
 

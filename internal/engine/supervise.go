@@ -104,8 +104,7 @@ func (s *Supervisor) Run(ctx context.Context,
 				// these early messages are informed of the messageIDs so
 				// that resending these messages can be suppressed"):
 				// O(world) reads of the ranks' protocol records build every
-				// sender's suppression list (the primary's state is opened
-				// only if it carries replicas); each rank gets its slice.
+				// sender's suppression list; each rank gets its slice.
 				rec = epoch
 				if plan, err = protocol.GatherRecovery(s.cs, epoch, s.cfg.Ranks); err != nil {
 					return fail(fmt.Errorf("gather recovery plan: %w", cerr.Ensure(err, cerr.ErrStore)))

@@ -39,7 +39,7 @@ func TestControlFrameRoundTrip(t *testing.T) {
 		{Kind: ctlReady, Addr: "127.0.0.1:4242"},
 		{Kind: ctlAbort, Incarnation: 3},
 		{Kind: ctlStart, Incarnation: 1, Addrs: []string{"a:1", "b:2"}, KillAtOp: 77,
-			Recovery: protocol.RankRecovery{Epoch: 4, Suppress: []uint32{9, 11}, Replicas: map[string][]byte{"table": {1, 2, 3}},
+			Recovery: protocol.RankRecovery{Epoch: 4, Suppress: []uint32{9, 11},
 				Record: []byte("the rank's protocol record")}},
 		statsFrame(),
 	}
@@ -96,7 +96,7 @@ func FuzzReadCtlFrame(f *testing.F) {
 		{Kind: ctlReady, Addr: "127.0.0.1:4242"},
 		{Kind: ctlAbort, Incarnation: 3},
 		{Kind: ctlStart, Incarnation: 1, Addrs: []string{"a:1", "b:2"}, KillAtOp: 77,
-			Recovery: protocol.RankRecovery{Epoch: -1, Suppress: []uint32{9, 1 << 31}, Replicas: map[string][]byte{"table": {1, 2, 3}, "": nil},
+			Recovery: protocol.RankRecovery{Epoch: -1, Suppress: []uint32{9, 1 << 31},
 				Record: []byte{1, 2}}},
 		statsFrame(),
 	} {

@@ -77,8 +77,6 @@ type World struct {
 	failMu   sync.Mutex
 	failures []int // ranks that stop-failed, in detection order
 
-	ctxCounter atomic.Int64
-
 	// free recycles messages and the payload buffers they carry (see
 	// message and Release). It belongs to the world, so a rollback, which
 	// builds a fresh one, starts from an empty list: nothing a dead

@@ -403,47 +403,6 @@ func TestScatter(t *testing.T) {
 	}
 }
 
-func TestCommDup(t *testing.T) {
-	runRanks(t, 4, Options{}, func(c *Comm) {
-		dup := c.Dup()
-		// A message sent on the dup is invisible to the parent comm.
-		if c.Rank() == 0 {
-			dup.Send(1, 5, []byte("on-dup"))
-			c.Send(1, 5, []byte("on-world"))
-		}
-		if c.Rank() == 1 {
-			m := c.Recv(0, 5)
-			if string(m.Data) != "on-world" {
-				panic("world comm got dup's message")
-			}
-			m = dup.Recv(0, 5)
-			if string(m.Data) != "on-dup" {
-				panic("dup comm mismatch")
-			}
-		}
-		dup.Barrier(0)
-	})
-}
-
-func TestCommSplit(t *testing.T) {
-	runRanks(t, 6, Options{}, func(c *Comm) {
-		color := c.Rank() % 2
-		sub := c.Split(color, c.Rank())
-		if sub.Size() != 3 {
-			panic(fmt.Sprintf("split size = %d", sub.Size()))
-		}
-		// Sub-rank should be the index among same-color ranks.
-		if sub.Rank() != c.Rank()/2 {
-			panic(fmt.Sprintf("split rank = %d", sub.Rank()))
-		}
-		out := BytesF64(allreduce(sub, F64Bytes([]float64{float64(c.Rank())}), SumF64))
-		want := []float64{0 + 2 + 4, 1 + 3 + 5}[color]
-		if out[0] != want {
-			panic(fmt.Sprintf("split allreduce = %v want %v", out[0], want))
-		}
-	})
-}
-
 func TestKillPlanStopsRank(t *testing.T) {
 	w := NewWorld(2, Options{KillPlan: map[int]int64{1: 2}})
 	var wg sync.WaitGroup

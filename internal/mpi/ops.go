@@ -18,6 +18,10 @@ func f64At(b []byte, i int) float64 { return math.Float64frombits(binary.LittleE
 
 func putF64(b []byte, i int, x float64) { binary.LittleEndian.PutUint64(b[i:], math.Float64bits(x)) }
 
+func putI64(b []byte, off int, v int64) { binary.LittleEndian.PutUint64(b[off:], uint64(v)) }
+
+func getI64(b []byte, off int) int64 { return int64(binary.LittleEndian.Uint64(b[off:])) }
+
 // SumF64 sums payloads interpreted as packed float64 vectors.
 var SumF64 Op = opFunc(func(dst, src []byte) {
 	for i := 0; i+8 <= len(dst); i += 8 {

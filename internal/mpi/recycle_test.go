@@ -196,17 +196,14 @@ func ownershipProgram(c *Comm) {
 
 // TestRecycledPayloadsNeverReachACaller: every collective, at every
 // communicator size — the butterfly ones and the ones that go through rank
-// 0 — and on the halves of a split one, returns what the reference says
-// while every released payload is poisoned.
+// 0 — returns what the reference says while every released payload is
+// poisoned.
 func TestRecycledPayloadsNeverReachACaller(t *testing.T) {
 	for n := 1; n <= 9; n++ {
 		w := NewWorld(n, Options{})
 		w.PoisonReleased()
 		runWorld(t, w, ownershipProgram)
 	}
-	w := NewWorld(6, Options{})
-	w.PoisonReleased()
-	runWorld(t, w, func(c *Comm) { ownershipProgram(c.Split(c.Rank()%2, c.Rank())) })
 }
 
 // TestEveryCollectiveGivesBackEveryMessage: one call of a collective

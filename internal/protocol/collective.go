@@ -27,9 +27,7 @@ import (
 // Bcast, Reduce, Gather, Scatter and Scan keep an explicit one-byte
 // allgather before the data call, because they need agreement: one that
 // logs a call skips it on recovery and one that did not re-executes it, and
-// in a rooted pattern a leaf never hears the root. AlignedBarrier (the
-// paper's barrier: every participant in the same epoch) needs the verdict
-// before the barrier proper, so it runs the explicit exchange too.
+// in a rooted pattern a leaf never hears the root.
 
 const (
 	ctlColorBit   = 1 << 0
@@ -53,7 +51,7 @@ func (l *Layer) exchangeControl() (seen uint32) {
 // applyControl hands the machine a data collective's presence set, however
 // it was obtained, and acts on what it decides; logs as machine.collective.
 func (l *Layer) applyControl(seen uint32) (logs bool) {
-	_, logs = l.m.collective(seen)
+	logs = l.m.collective(seen)
 	l.act()
 	return logs
 }
@@ -194,37 +192,10 @@ func (l *Layer) ScanInto(dst, data []byte, op mpi.Op) {
 //
 // The paper instead forces all participants into the same epoch before the
 // barrier, because a C application may use barriers to order effects the
-// protocol cannot see (files, shared devices). That exact mechanism is
-// available as AlignedBarrier; it requires position-stack-based resume,
-// which precompiler-instrumented programs have, because the forced
-// checkpoint happens at the barrier site rather than at a loop-top
-// PotentialCheckpoint.
+// protocol cannot see (files, shared devices). That needs a checkpoint at
+// the barrier site and a resume there; no program here orders such effects,
+// so it is not reproduced.
 func (l *Layer) Barrier() { l.collective(true, nil, l.comm.Barrier) }
-
-// AlignedBarrier is the paper's MPI_Barrier treatment (Section 4.5): the
-// control exchange detects epoch disagreement, and a participant that has
-// not yet taken the in-progress checkpoint takes it right here — the
-// precompiler inserts a potential checkpoint before each barrier — so that
-// the barrier proper executes with every process in the same epoch.
-// Callers must be able to resume at this exact program point (position
-// stack instrumentation). It takes a collective slot but is never logged,
-// so a replay never completes it.
-func (l *Layer) AlignedBarrier() {
-	if _, live := l.collectivePrologue(nil, l.comm.Barrier); !live {
-		return
-	}
-	laggard, _ := l.m.collective(l.exchangeControl())
-	l.act()
-	if laggard {
-		if l.cfg.Debug && l.replay != nil && !l.replay.Exhausted() {
-			panic(fmt.Sprintf("protocol: rank %d: barrier-forced checkpoint while replay pending", l.rank))
-		}
-		if l.cfg.Mode == NoAppState || l.cfg.Mode == Full {
-			l.takeCheckpoint()
-		}
-	}
-	l.comm.Barrier(0)
-}
 
 // Sendrecv performs the combined send-and-receive through the protocol
 // layer: the outgoing message is piggybacked (and suppressed during

@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -14,8 +15,7 @@ import (
 
 // Protocol-level integration tests: multi-rank goroutine scenarios driven
 // directly through Layer (no engine supervisor), covering the event log,
-// pseudo-handles, persistent-object replay, and full protocol rounds under
-// live traffic.
+// request pseudo-handles, and full protocol rounds under live traffic.
 
 // runLayers executes fn concurrently on freshly built layers and waits.
 func runLayers(t *testing.T, n int, mode Mode, fn func(l *Layer)) (*storage.CheckpointStore, []*Layer) {
@@ -138,107 +138,6 @@ func TestNondetInactiveBypasses(t *testing.T) {
 	}
 	if ls[0].Stats.EventsLogged != 0 {
 		t.Fatal("unmodified mode logged an event")
-	}
-}
-
-// TestCommDupSplitReplay: communicators created before a checkpoint are
-// reconstructed on restore by persistent-call replay, and the replayed
-// communicators carry the same membership.
-func TestCommDupSplitReplay(t *testing.T) {
-	const n = 4
-	handles := make([]CommHandle, n)
-	splits := make([]CommHandle, n)
-	ls, cs, _ := newTestLayers(t, n, Full)
-	var wg sync.WaitGroup
-	errs := make(chan string, n)
-	for _, l := range ls {
-		wg.Add(1)
-		go func(l *Layer) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs <- fmt.Sprintf("rank %d: %v", l.Rank(), p)
-				}
-			}()
-			handles[l.Rank()] = l.CommDup(WorldComm)
-			// Even/odd split.
-			splits[l.Rank()] = l.CommSplit(WorldComm, l.Rank()%2, l.Rank())
-			if l.Rank() == 0 {
-				l.requestCheckpoint()
-			}
-			// Repeated checkpoint opportunities until the global checkpoint
-			// commits: the request may arrive at any point relative to this
-			// rank's progress, so no fixed round count is safe.
-			for i := 0; i < 1_000_000; i++ {
-				l.PotentialCheckpoint()
-				l.serviceControl()
-				if _, ok, _ := cs.Committed(); ok {
-					break
-				}
-			}
-			// Extra rounds so every rank's stoppedLogging drains.
-			for i := 0; i < 50; i++ {
-				l.serviceControl()
-			}
-		}(l)
-	}
-	wg.Wait()
-	select {
-	case e := <-errs:
-		t.Fatal(e)
-	default:
-	}
-	e, ok, _ := cs.Committed()
-	if !ok {
-		t.Fatal("no commit")
-	}
-
-	// Restore all ranks in a fresh world; the pseudo-handles must resolve
-	// to working communicators with the original shapes.
-	w2 := mpi.NewWorld(n, mpi.Options{})
-	recs := recoverySlices(t, cs, e, n)
-	var wg2 sync.WaitGroup
-	fail := make(chan string, n)
-	for r := 0; r < n; r++ {
-		wg2.Add(1)
-		go func(r int) {
-			defer wg2.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					fail <- fmt.Sprintf("rank %d: %v", r, p)
-				}
-			}()
-			l := NewLayer(w2.Comm(r), Config{Mode: Full, Store: cs, Debug: true})
-			if err := l.RestoreFrom(recs[r], nil); err != nil {
-				panic(err)
-			}
-			dup := l.SubComm(handles[r])
-			if dup.Size() != n || dup.Rank() != r {
-				panic(fmt.Sprintf("dup shape %d/%d", dup.Rank(), dup.Size()))
-			}
-			sub := l.SubComm(splits[r])
-			if sub.Size() != n/2 {
-				panic(fmt.Sprintf("split size %d", sub.Size()))
-			}
-			// The replayed split must actually work: reduce ranks within
-			// each half.
-			out := make([]byte, 8)
-			sub.AllreduceInto(out, mpi.F64Bytes([]float64{float64(r)}), mpi.SumF64, 0)
-			sum := mpi.BytesF64(out)[0]
-			want := 0.0
-			for q := r % 2; q < n; q += 2 {
-				want += float64(q)
-			}
-			if sum != want {
-				panic(fmt.Sprintf("split allreduce = %v, want %v", sum, want))
-			}
-		}(r)
-	}
-	wg2.Wait()
-	select {
-	case e := <-fail:
-		t.Fatal(e)
-	default:
 	}
 }
 
@@ -481,5 +380,39 @@ func TestIprobe(t *testing.T) {
 	}
 	if m := Q2.Recv(0, 7); string(m.Data) != "late" {
 		t.Fatalf("replayed recv got %q", m.Data)
+	}
+}
+
+// TestPoisonedControlWordsAreImpossible: a control message whose word no
+// peer can have sent — here a recycled payload's 0xDB poison — is an
+// impossible event that a Debug layer reports, naming the rank, the source
+// and the message, instead of ignoring it and waiting for a word that never
+// comes.
+func TestPoisonedControlWordsAreImpossible(t *testing.T) {
+	poison := bytes.Repeat([]byte{0xDB}, 16)
+	for _, c := range []struct {
+		tag, src, dst int
+		name          string
+	}{
+		{tagPleaseCheckpoint, 0, 1, "pleaseCheckpoint"},
+		{tagMySendCount, 0, 1, "mySendCount"},
+		{tagStopLogging, 0, 1, "stopLogging"},
+		{tagReadyToStop, 1, 0, "readyToStopLogging"},
+		{tagStoppedLogging, 1, 0, "stoppedLogging"},
+		{tagCannotCheckpoint, 1, 0, "cannotCheckpoint"},
+	} {
+		ls, _, _ := newTestLayers(t, 2, Full)
+		ls[c.src].comm.Send(c.dst, c.tag, poison)
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			ls[c.dst].serviceControl()
+			return nil
+		}()
+		msg := fmt.Sprint(got)
+		for _, want := range []string{fmt.Sprintf("rank %d:", c.dst), fmt.Sprintf("control message %d from rank %d", c.tag, c.src)} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s with a poisoned word: the layer reported %q, want it to name %q", c.name, msg, want)
+			}
+		}
 	}
 }

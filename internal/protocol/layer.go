@@ -117,8 +117,8 @@ type Config struct {
 // tags name the metrics endpoint's series; the control stream carries the
 // counters as a layout (Stats.Code), which no tag touches.
 // ControlCollectives counts explicit control exchanges — one per rooted
-// collective (Bcast, Reduce, Gather, Scatter, Scan) and AlignedBarrier; the
-// symmetric collectives carry their control word on their own messages.
+// collective (Bcast, Reduce, Gather, Scatter, Scan); the symmetric
+// collectives carry their control word on their own messages.
 type Stats struct {
 	MessagesSent       int64 `json:"messages_sent"`
 	BytesSent          int64 `json:"bytes_sent"`
@@ -203,7 +203,6 @@ type Layer struct {
 
 	// MPI library state (Section 5.2).
 	handles *handleTable
-	persist []PersistRecord
 
 	// selSpecs is the receive path's reusable app+control spec buffer.
 	selSpecs []mpi.RecvSpec
@@ -246,10 +245,8 @@ func NewLayer(comm *mpi.Comm, cfg Config) *Layer {
 	if cfg.Ctx != nil {
 		l.done = cfg.Ctx.Done()
 	}
-	// Rank 0 carries the replicated-data copies (Section 7's distributed
-	// redundant data optimization) and plays the initiator.
-	l.Saver.VDS.Primary = l.rank == 0
 	l.Saver.Incremental = true
+	// Rank 0 plays the initiator.
 	l.m = newMachine(l.rank, n, cfg.EveryN, l.rank == 0 && cfg.Mode >= NoAppState)
 	l.lastStart = l.clk.Now()
 	return l

@@ -1,6 +1,9 @@
 package protocol
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // machine is Figure 4 of the paper: one process's protocol variables, the
 // initiator's coordination state, and every transition between them. Each
@@ -105,10 +108,11 @@ func (m *machine) impossible(format string, args ...any) {
 }
 
 // verify is the invariant check the shell runs under Debug after every
-// transition: no impossible event (a stale mySendCount, a coordination
-// message at a non-initiator), and no peer that sent fewer messages than
-// this logging rank counted from it. Figure 3's classes need no check here:
-// the exhaustive test proves color and amLogging agree with the epochs.
+// transition: no impossible event (a control message naming an epoch no
+// peer can have sent, a coordination message at a non-initiator), and no
+// peer that sent fewer messages than this logging rank counted from it.
+// Figure 3's classes need no check here: the exhaustive test proves color
+// and amLogging agree with the epochs.
 func (m *machine) verify() error {
 	if m.fault != "" {
 		return fmt.Errorf("protocol: rank %d: %s", m.rank, m.fault)
@@ -158,39 +162,61 @@ func (m *machine) appReceive(src int, pb Piggyback) Class {
 	return c
 }
 
-// control handles a control message from src with words w0 and w1.
+// control handles a control message from src with words w0 and w1. Its
+// first word names an epoch, and one outside epochRange is an event the
+// protocol's ordering rules exclude.
 func (m *machine) control(src, tag int, w0, w1 uint64) {
+	epoch := int(w0)
+	if lo, hi := m.epochRange(tag); epoch < lo || epoch > hi {
+		m.impossible("control message %d from rank %d names epoch %d, outside [%d, %d] in epoch %d", tag, src, epoch, lo, hi, m.epoch)
+		return
+	}
 	switch tag {
 	case tagPleaseCheckpoint:
-		if target := int(w0); target > m.epoch && target > m.requestedEpoch {
-			m.checkpointRequested, m.requestedEpoch = true, target
+		if epoch > m.epoch && epoch > m.requestedEpoch {
+			m.checkpointRequested, m.requestedEpoch = true, epoch
 			if m.finished {
-				m.decline(target)
+				m.decline(epoch)
 			}
 		}
 	case tagMySendCount:
-		// The count is of the sender's previous epoch, for our logging phase
-		// of checkpoint `epoch`: we are in it (logging) or one behind (not
-		// checkpointed yet). Anything else breaks the protocol's ordering.
-		if epoch := int(w0); epoch == m.epoch || epoch == m.epoch+1 {
-			m.totalSent[src] = int64(w1)
-			if m.amLogging {
-				m.receivedAll()
-			}
-		} else {
-			m.impossible("stale mySendCount(epoch=%d) in epoch %d", epoch, m.epoch)
+		m.totalSent[src] = int64(w1)
+		if m.amLogging {
+			m.receivedAll()
 		}
 	case tagStopLogging:
-		if int(w0) == m.epoch && m.amLogging {
+		if epoch == m.epoch && m.amLogging {
 			m.finalizeLog()
 		}
 	case tagReadyToStop, tagStoppedLogging, tagCannotCheckpoint:
-		if !m.initiator {
-			m.impossible("control message %d received by non-initiator", tag)
-		} else if int(w0) == m.init.target && m.init.inProgress {
+		if epoch == m.init.target && m.init.inProgress {
 			m.coordinate(tag)
 		}
 	}
+}
+
+// epochRange is the range of epochs a control message of tag can name when
+// it reaches this rank; every epoch one names is at least 1. The initiator
+// asks for the checkpoint after the one every rank has taken, so a target
+// is at most one past this rank's epoch. A send count is of the sender's
+// previous epoch, for this rank's logging phase of checkpoint `epoch`: the
+// rank is in it (logging) or one behind (not checkpointed yet). Logging is
+// ordered to stop only in an epoch every rank has reached. The reports of
+// the control phases go to the initiator alone: the range is empty on any
+// other rank.
+func (m *machine) epochRange(tag int) (lo, hi int) {
+	switch tag {
+	case tagPleaseCheckpoint:
+		return 1, m.epoch + 1
+	case tagMySendCount:
+		return m.epoch, m.epoch + 1
+	case tagStopLogging:
+		return 1, m.epoch
+	}
+	if !m.initiator {
+		return 1, 0
+	}
+	return 1, math.MaxInt
 }
 
 // coordinate is the initiator's side of the control phases of the global
@@ -283,16 +309,15 @@ func (m *machine) ctlState() uint32 {
 }
 
 // collective applies Section 4.5's rules (see collective.go) to the
-// presence set of a collective's participants. laggard reports a rank in
-// the old epoch of a checkpoint in progress (AlignedBarrier checkpoints it).
-// logs is the verdict that this participant logs the call's result: it is
-// still logging and a participant of the other color, one that executed the
-// call before its local checkpoint, is present (Figure 5, call A). The call
-// crosses the recovery line, and that participant will not re-execute it.
-// A call whose participants are all in this epoch is re-executed by every
-// one of them, so nobody logs it. Every logging participant sees the same
-// set in the same epoch, so their verdicts agree.
-func (m *machine) collective(seen uint32) (laggard, logs bool) {
+// presence set of a collective's participants. It reports the verdict that
+// this participant logs the call's result: it is still logging and a
+// participant of the other color, one that executed the call before its
+// local checkpoint, is present (Figure 5, call A). The call crosses the
+// recovery line, and that participant will not re-execute it. A call whose
+// participants are all in this epoch is re-executed by every one of them, so
+// nobody logs it. Every logging participant sees the same set in the same
+// epoch, so their verdicts agree.
+func (m *machine) collective(seen uint32) (logs bool) {
 	mine := uint32(m.epoch) & ctlColorBit // this participant's color bit; epochs are not negative
 	// A logging participant stops if one in its (new) epoch has stopped, or
 	// if every participant (a Layer collective spans the world) is logging
@@ -308,12 +333,11 @@ func (m *machine) collective(seen uint32) (laggard, logs bool) {
 		if m.requestedEpoch <= m.epoch {
 			m.checkpointRequested, m.requestedEpoch = true, m.epoch+1
 		}
-		laggard = true
 	}
 	// A participant of the other color, in any state ctlState gives it: not
 	// logging (the old epoch's), logging, or logging and ready.
 	other := uint32(1<<(mine^ctlColorBit) | 1<<otherLogging | 1<<(otherLogging|ctlReadyBit))
-	return laggard, m.amLogging && seen&other != 0
+	return m.amLogging && seen&other != 0
 }
 
 // potential counts a PotentialCheckpoint toward the EveryN trigger.

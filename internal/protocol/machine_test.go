@@ -296,9 +296,9 @@ func (x *explorer) visit(w *world) {
 			seen := uint32(1)<<w.ms[0].ctlState() | 1<<w.ms[1].ctlState()
 			logging := [2]bool{w.ms[0].amLogging, w.ms[1].amLogging}
 			var logs [2]bool
-			_, logs[1] = w.ms[1].collective(seen)
+			logs[1] = w.ms[1].collective(seen)
 			x.settle(w, 1, w.ms[0].init)
-			_, logs[0] = w.ms[0].collective(seen)
+			logs[0] = w.ms[0].collective(seen)
 			x.checkVerdicts(w, seen, logging, logs)
 		})
 	}

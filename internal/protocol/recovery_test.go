@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"ccift/internal/cerr"
-	"ccift/internal/ckpt"
 	"ccift/internal/mpi"
 	"ccift/internal/storage"
 )
@@ -30,15 +29,14 @@ func (g *getLog) Get(key string) ([]byte, error) {
 }
 
 // committedWorld takes one global checkpoint of a 3-rank world in which
-// every rank registers a multi-chunk grid and, when replicated is set, one
-// Section-7 replicated table; it returns the store and its Get log.
-func committedWorld(t *testing.T, replicated bool) (*storage.CheckpointStore, *getLog, []float64) {
+// every rank registers a multi-chunk grid; it returns the store and its Get
+// log.
+func committedWorld(t *testing.T) (*storage.CheckpointStore, *getLog) {
 	t.Helper()
 	const ranks = 3
 	gl := &getLog{Stable: storage.NewMemory()}
 	cs := storage.NewCheckpointStore(gl)
 	w := mpi.NewWorld(ranks, mpi.Options{})
-	table := []float64{3, 1, 4, 1, 5, 9, 2, 6}
 	ls := make([]*Layer, ranks)
 	for r := range ls {
 		ls[r] = NewLayer(w.Comm(r), Config{Mode: Full, Store: cs})
@@ -48,12 +46,6 @@ func committedWorld(t *testing.T, replicated bool) (*storage.CheckpointStore, *g
 		}
 		if err := ls[r].Saver.VDS.Push("grid", &grid); err != nil {
 			t.Fatal(err)
-		}
-		if replicated {
-			mine := append([]float64(nil), table...)
-			if err := ls[r].Saver.VDS.PushReplicated("table", &mine); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	ls[0].requestCheckpoint()
@@ -66,63 +58,37 @@ func committedWorld(t *testing.T, replicated bool) (*storage.CheckpointStore, *g
 	ls[0].PotentialCheckpoint()
 	pump(t, ls, cs, 1)
 	gl.keys = nil
-	return cs, gl, table
+	return cs, gl
 }
 
-// TestGatherReadsOnlySidecars: for a program without replicated data the
-// gather is exactly `ranks` Gets, all of them protocol records; with
-// replicated data it additionally reads the primary's state once — its
-// manifest and each chunk — and nothing else.
+// TestGatherReadsOnlySidecars: the gather is exactly `ranks` Gets, all of
+// them protocol records; it opens no rank's state, multi-chunk as it is.
 func TestGatherReadsOnlySidecars(t *testing.T) {
 	const ranks = 3
-	for _, replicated := range []bool{false, true} {
-		cs, gl, table := committedWorld(t, replicated)
-		man, err := gl.Stable.Get(storage.StateKey(1, 0))
-		if err != nil {
-			t.Fatal(err)
+	cs, gl := committedWorld(t)
+	man, err := gl.Stable.Get(storage.StateKey(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs, err := storage.ParseManifest(man)
+	if err != nil || len(refs) < 4 {
+		t.Fatalf("primary state: %d chunks, %v; want a multi-chunk manifest", len(refs), err)
+	}
+	plan, err := GatherRecovery(cs, 1, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas := 0
+	for _, k := range gl.keys {
+		if strings.Contains(k, "/meta.") {
+			metas++
 		}
-		refs, err := storage.ParseManifest(man)
-		if err != nil || len(refs) < 4 {
-			t.Fatalf("primary state: %d chunks, %v; want a multi-chunk manifest", len(refs), err)
-		}
-		plan, err := GatherRecovery(cs, 1, ranks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var metas, states, chunks, other int
-		for _, k := range gl.keys {
-			switch {
-			case strings.Contains(k, "/meta."):
-				metas++
-			case k == storage.StateKey(1, 0):
-				states++
-			case strings.HasPrefix(k, "ckpt/chunks/"):
-				chunks++
-			default:
-				other++
-			}
-		}
-		wantStates, wantChunks := 0, 0
-		if replicated {
-			wantStates, wantChunks = 1, len(refs)
-		}
-		if metas != ranks || states != wantStates || chunks != wantChunks || other != 0 {
-			t.Fatalf("replicated=%v: gather read %d protocol records, %d state manifests, %d chunks, %d other keys; want %d, %d, %d, 0\n%v",
-				replicated, metas, states, chunks, other, ranks, wantStates, wantChunks, gl.keys)
-		}
-		if len(plan.Suppress[1]) != 1 || len(plan.Suppress[0])+len(plan.Suppress[2]) != 0 {
-			t.Fatalf("suppression table %v, want one ID for sender 1", plan.Suppress)
-		}
-		if !replicated {
-			if plan.Replicas != nil {
-				t.Fatalf("replicas %v from a program that registered none", plan.Replicas)
-			}
-			continue
-		}
-		var got []float64
-		if err := ckpt.Decode(plan.Replicas["table"], &got); err != nil || !reflect.DeepEqual(got, table) || len(plan.Replicas) != 1 {
-			t.Fatalf("replicas %v decode to %v (%v), want table %v", plan.Replicas, got, err, table)
-		}
+	}
+	if metas != ranks || len(gl.keys) != ranks {
+		t.Fatalf("gather read %d keys, %d of them protocol records; want %d protocol records and nothing else\n%v", len(gl.keys), metas, ranks, gl.keys)
+	}
+	if len(plan.Suppress[1]) != 1 || len(plan.Suppress[0])+len(plan.Suppress[2]) != 0 {
+		t.Fatalf("suppression table %v, want one ID for sender 1", plan.Suppress)
 	}
 }
 
@@ -137,7 +103,7 @@ func TestGatherRequiresSidecar(t *testing.T) {
 		"wrong epoch": func(cs *storage.CheckpointStore) error { return cs.PutMeta(1, 1, other) },
 		"garbage":     func(cs *storage.CheckpointStore) error { return cs.PutMeta(1, 1, []byte("not a record")) },
 	} {
-		cs, gl, _ := committedWorld(t, false)
+		cs, gl := committedWorld(t)
 		if err := damage(cs); err != nil {
 			t.Fatal(err)
 		}
@@ -173,13 +139,9 @@ func recoverySlices(t testing.TB, cs *storage.CheckpointStore, epoch, ranks int)
 }
 
 // sampleRecord has an entry in every section, negative values among them
-// (a wildcard receive's source and tag, a split's color).
+// (a wildcard receive's source and tag).
 func sampleRecord() *record {
-	return &record{Epoch: 3, Replicated: 1, EarlyIDs: [][]uint32{nil, {1, 2, 1<<32 - 1}, {9}},
-		Persist: []PersistRecord{
-			{Op: "dup", Parent: WorldComm, Result: 1},
-			{Op: "split", Parent: 1, Args: []int64{-1, 4}, Result: 2},
-		},
+	return &record{Epoch: 3, EarlyIDs: [][]uint32{nil, {1, 2, 1<<32 - 1}, {9}},
 		Requests: []reqRecord{
 			{2, reqState{isRecv: true, src: -1, tag: -2}},
 			{5, reqState{src: 1, tag: 7, done: true}},
@@ -197,14 +159,13 @@ func TestRecoveryMetaRoundTrip(t *testing.T) {
 }
 
 // TestRecordIsTheProtocolSection: a local checkpoint's record carries the
-// layer's whole protocol section — its request records sorted by handle,
-// its persistent-object calls, NextReq — and RestoreFrom, handed nothing
-// but the gather's slice, rebuilds the pseudo-handle table from it.
+// layer's whole protocol section — its request records sorted by handle and
+// NextReq — and RestoreFrom, handed nothing but the gather's slice, rebuilds
+// the pseudo-handle table from it.
 func TestRecordIsTheProtocolSection(t *testing.T) {
 	w := mpi.NewWorld(1, mpi.Options{})
 	cs := storage.NewCheckpointStore(storage.NewMemory())
 	l := NewLayer(w.Comm(0), Config{Mode: Full, Store: cs})
-	dup := l.CommDup(WorldComm)
 	var reqs []Handle
 	for tag := 3; tag < 8; tag++ {
 		reqs = append(reqs, l.Irecv(0, tag))
@@ -220,8 +181,8 @@ func TestRecordIsTheProtocolSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Epoch != 1 || len(m.Persist) != 1 || m.Persist[0].Result != dup || len(m.Requests) != len(reqs) || m.NextReq != reqs[len(reqs)-1]+1 {
-		t.Fatalf("record %+v, want epoch 1, the dup and %d receives", m, len(reqs))
+	if m.Epoch != 1 || len(m.Requests) != len(reqs) || m.NextReq != reqs[len(reqs)-1]+1 {
+		t.Fatalf("record %+v, want epoch 1 and %d receives", m, len(reqs))
 	}
 	for i, r := range m.Requests {
 		if r.Handle != reqs[i] || !r.isRecv || r.tag != 3+i {
@@ -236,7 +197,7 @@ func TestRecordIsTheProtocolSection(t *testing.T) {
 	if err := l2.RestoreFrom(plan.ForRank(0), nil); err != nil {
 		t.Fatal(err)
 	}
-	if l2.SubComm(dup) == nil || len(l2.handles.reqs) != len(reqs) || l2.handles.nextReq != m.NextReq {
+	if len(l2.handles.reqs) != len(reqs) || l2.handles.nextReq != m.NextReq {
 		t.Fatalf("restored %d requests and next handle %d, want %d and %d", len(l2.handles.reqs), l2.handles.nextReq, len(reqs), m.NextReq)
 	}
 }
@@ -264,17 +225,17 @@ func FuzzRecoveryMeta(f *testing.F) {
 		return b
 	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)-2])                                         // truncated inside the request records
-	f.Add(append(append([]byte(nil), valid...), 0))                     // trailing byte
-	f.Add(enc(3, 1, u(1<<40)))                                          // 2^40 senders, none present
-	f.Add(enc(1, 0, u(1), u(1<<32)))                                    // 2^32 IDs, none present
-	f.Add(enc(1, 0, u(0), u(1<<16)))                                    // 2^16 persistent calls, none present
-	f.Add(enc(1, 0, u(0), u(0), u(1<<16)))                              // 2^16 requests, none present
-	f.Add(enc(1, 0, u(0), u(1), u(5), "split", 0, u(1), 3, 2, u(0), 0)) // a split with one argument
-	f.Add(enc(1, 0, u(0), u(1), u(3), "dup", 0, u(1), 7, 1, u(0), 0))   // a dup with an argument
-	f.Add(enc(1, 0, u(0), u(0), u(1), -1, u(1), -1, -2, u(0), -7))      // negative handle, source, tag and NextReq
-	f.Add(enc(1, 0, u(0), u(0), u(1), 2, u(2), 0, 0, u(0), 0))          // a flag that is neither 0 nor 1
-	f.Add([]byte("C3RM0003"))                                           // the previous format's magic
+	f.Add(valid[:len(valid)-2])                           // truncated inside the request records
+	f.Add(append(append([]byte(nil), valid...), 0))       // trailing byte
+	f.Add(enc(3, u(1<<40)))                               // 2^40 senders, none present
+	f.Add(enc(1, u(1), u(1<<32)))                         // 2^32 IDs, none present
+	f.Add(enc(1, u(1), u(1), u(1<<32), u(0), 0))          // an ID over 32 bits
+	f.Add(enc(1, u(0), u(1<<16)))                         // 2^16 requests, none present
+	f.Add(enc(1, u(2), u(0)))                             // truncated between two senders
+	f.Add(enc(-1, u(0), u(0), 0))                         // a negative epoch
+	f.Add(enc(1, u(0), u(1), -1, u(1), -1, -2, u(0), -7)) // negative handle, source, tag and NextReq
+	f.Add(enc(1, u(0), u(1), 2, u(2), 0, 0, u(0), 0))     // a flag that is neither 0 nor 1
+	f.Add([]byte("C3RM0003"))                             // older formats' magics
 	f.Add([]byte("C3RM0004"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {

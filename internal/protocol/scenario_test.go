@@ -512,37 +512,6 @@ func TestCollectiveLoggedOnlyAcrossTheRecoveryLine(t *testing.T) {
 	}
 }
 
-// TestAlignedBarrierEpochAlignment verifies the MPI_Barrier rule of
-// Section 4.5: all processes execute an aligned barrier in the same epoch,
-// with laggards taking their pending checkpoint first.
-func TestAlignedBarrierEpochAlignment(t *testing.T) {
-	ls, cs, _ := newTestLayers(t, 3, Full)
-	P := ls[0]
-
-	P.requestCheckpoint()
-	P.PotentialCheckpoint() // P moves to epoch 1; Q and R are still at 0
-	if P.Epoch() != 1 || ls[1].Epoch() != 0 || ls[2].Epoch() != 0 {
-		t.Fatal("setup failed")
-	}
-
-	var wg sync.WaitGroup
-	for _, l := range ls {
-		wg.Add(1)
-		go func(l *Layer) {
-			defer wg.Done()
-			l.AlignedBarrier()
-		}(l)
-	}
-	wg.Wait()
-
-	for i, l := range ls {
-		if l.Epoch() != 1 {
-			t.Fatalf("rank %d executed the barrier in epoch %d", i, l.Epoch())
-		}
-	}
-	pump(t, ls, cs, 1)
-}
-
 // TestLoggedBarrierSkippedOnRecovery verifies the library's default barrier
 // treatment: a barrier executed while logging, with a participant still in
 // the old epoch, is recorded and skipped on recovery, so ranks whose

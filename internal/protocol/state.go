@@ -34,7 +34,7 @@ func VerifyEveryFreeze() { verifyFreezes.Store(true) }
 // hundred bytes. No storage I/O happens here.
 func (l *Layer) captureState(epoch int) (*flushTask, error) {
 	p := &flushTask{epoch: epoch}
-	rec := record{Epoch: epoch, EarlyIDs: l.m.earlyIDs, Persist: l.persist, NextReq: l.handles.nextReq}
+	rec := record{Epoch: epoch, EarlyIDs: l.m.earlyIDs, NextReq: l.handles.nextReq}
 	if l.cfg.Mode == Full {
 		f, err := l.Saver.Freeze()
 		if err != nil {
@@ -51,7 +51,6 @@ func (l *Layer) captureState(epoch int) (*flushTask, error) {
 			}
 		}
 		p.frozen = f
-		rec.Replicated = f.ReplicatedCarried()
 		copied, dirty, regions := f.CopyStats()
 		l.Stats.CheckpointBytesCopied += copied
 		l.Stats.CheckpointRegionsDirty += int64(dirty)
@@ -100,13 +99,12 @@ func (l *Layer) writeState(p *flushTask) (total, written int64, err error) {
 // The whole protocol section comes from rec.Record, the rank's protocol
 // record as the recovery gather read it. rec.Suppress lists the message IDs
 // (gathered from every receiver's early-ID sets) that this rank must not
-// re-send during recovery; rec.Replicas are the primary's replicated values.
-// retained is what the rank's previous incarnation left behind
-// (Layer.Retained), and the layer takes it over. The entry for exactly this
-// epoch serves the log from memory and arms the Saver straight from its
-// frozen view — a surviving rank's localized rollback serializes nothing and
-// touches the store not at all — and stays retained for the next rollback;
-// every other entry is released. Without one, the log and the head of the
+// re-send during recovery. retained is what the rank's previous incarnation
+// left behind (Layer.Retained), and the layer takes it over. The entry for
+// exactly this epoch serves the log from memory and arms the Saver straight
+// from its frozen view — a surviving rank's localized rollback serializes
+// nothing and touches the store not at all — and stays retained for the next
+// rollback; every other entry is released. Without one, the log and the head of the
 // state object are read from the store, and each large []float64 or []byte
 // value is read from its chunks straight into the variable when the
 // re-executing program registers it.
@@ -161,7 +159,6 @@ func (l *Layer) RestoreFrom(rec *RankRecovery, retained []*RetainedState) error 
 		} else if err = l.Saver.StartRestoreFrom(obj); err != nil {
 			return fmt.Errorf("protocol: restore application state (epoch %d, rank %d): %w", epoch, l.rank, err)
 		}
-		l.Saver.VDS.SetReplicas(rec.Replicas)
 	}
 
 	l.m.restore(epoch, st.EarlyIDs, rec.Suppress)
@@ -169,10 +166,8 @@ func (l *Layer) RestoreFrom(rec *RankRecovery, retained []*RetainedState) error 
 	l.log = NewLog()
 	l.replay = NewReplay(lg)
 
-	// MPI library state: replay persistent-object calls, re-initialize
-	// request pseudo-handles.
+	// MPI library state: re-initialize the request pseudo-handles.
 	l.handles = newHandleTable()
-	l.replayPersistent(st.Persist)
 	l.handles.nextReq = st.NextReq
 	for _, r := range st.Requests {
 		l.handles.reqs[r.Handle] = &r.reqState

@@ -493,7 +493,8 @@ func getFloats(xs []float64, src []byte) {
 	}
 }
 
-// MaxFrame bounds a frame's length word: a start frame carries replicas.
+// MaxFrame bounds a frame's length word, and the size of any one blob or
+// record a decoder accepts.
 const MaxFrame = 1 << 30
 
 // ReadFrame reads one [u32 little-endian length | body] frame from r and

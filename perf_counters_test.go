@@ -603,14 +603,24 @@ func runAllocs(t *testing.T, cfg engine.Config, prog engine.Program) (mallocs, b
 // is the runtime's: a rank that parks on its mailbox takes a sudog, and the
 // per-P caches the collections emptied refill as the ranks meet on different
 // Ps — up to 76 at 2000 iterations, which failed the bound in up to 3 of 10
-// runs of the -count=3 -cpu 1,2,4 gate, and up to 116 at 20000.
+// runs of the -count=3 -cpu 1,2,4 gate, up to 116 at 20000, and once 238
+// under a loaded machine. That share only ever adds to a run, so each length
+// runs several times and counts its fewest allocations: an allocation per
+// iteration is in every run, the runtime's refills are not.
 func TestHaloExchangeAllocatesNothing(t *testing.T) {
 	skipAllocationGateUnderRace(t)
-	const extra = 20000
+	const extra, runs = 20000, 5
+	fewest := func(cfg engine.Config, iters int) uint64 {
+		least := uint64(math.MaxUint64)
+		for range runs {
+			n, _, _, _ := runAllocs(t, cfg, laplace.Program(laplace.Params{N: 32, Iters: iters}))
+			least = min(least, n)
+		}
+		return least
+	}
 	for _, mode := range []protocol.Mode{protocol.Unmodified, protocol.Full} {
 		cfg := engine.Config{Ranks: 2, Mode: mode} // no trigger: Full never logs
-		short, _, _, _ := runAllocs(t, cfg, laplace.Program(laplace.Params{N: 32, Iters: 10}))
-		long, _, _, _ := runAllocs(t, cfg, laplace.Program(laplace.Params{N: 32, Iters: 10 + extra}))
+		short, long := fewest(cfg, 10), fewest(cfg, 10+extra)
 		if perIter := (float64(long) - float64(short)) / extra; perIter >= 0.01 {
 			t.Fatalf("%v: %.3f allocations per halo iteration (%d more over %d iterations), want none", mode, perIter, long-short, extra)
 		}
