@@ -1174,6 +1174,77 @@ var rules = []rule{
 		},
 		violation: snippet{"internal/obs/serve.go", `package obs; import "net/http"; func serve(h http.Handler) error { return http.ListenAndServe(":9377", h) }`},
 	},
+	{
+		name: "one communicator",
+		// The protocol classifies and logs a message by the epochs of its
+		// two endpoints, on the world's communicator, the only one there is.
+		// A second Comm built anywhere but World.Comm, or a context or member
+		// map to tell communicators apart, is the machinery of several
+		// growing back: a word on every message and every receive spec, and
+		// a copy of the specs on every protocol receive to stamp it.
+		check: func(tr tree) (got []string) {
+			var sites []string
+			for path, f := range tr.code("internal/mpi") {
+				for _, decl := range f.Decls {
+					site := path + ": package level"
+					if fn, ok := decl.(*ast.FuncDecl); ok {
+						site = path + ": " + fn.Name.Name
+					}
+					ast.Inspect(decl, func(n ast.Node) bool {
+						switch n := n.(type) {
+						case *ast.CompositeLit:
+							if types.ExprString(n.Type) == "Comm" {
+								sites = append(sites, site)
+							}
+						case *ast.StructType:
+							for _, field := range n.Fields.List {
+								for _, id := range field.Names {
+									if id.Name == "ctx" || id.Name == "members" {
+										got = append(got, fmt.Sprintf("%s: a struct field named %s: one communicator needs no context and no member map", path, id.Name))
+									}
+								}
+							}
+						}
+						return true
+					})
+				}
+			}
+			slices.Sort(sites)
+			if want := []string{"internal/mpi/mpi.go: Comm"}; !slices.Equal(sites, want) {
+				got = append(got, fmt.Sprintf("a Comm is built in %v, want %v alone: the world's communicator is the only one", sites, want))
+			}
+			return got
+		},
+		violation: snippet{"internal/mpi/dup.go", `package mpi; func (c *Comm) Dup() *Comm { return &Comm{world: c.world} }`},
+	},
+	{
+		name: "no program reaches the communicator through the layer",
+		// A program's messages go through the protocol layer. Rank.Layer is
+		// for ccift.Recv's RecvFunc (typed.go); Layer.Comm hands out the raw
+		// communicator, whose traffic the protocol neither logs nor
+		// suppresses. The benchmark module's two calls are outside the tree.
+		check: func(tr tree) (got []string) {
+			for path, f := range tr.code() {
+				ast.Inspect(f, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok || len(call.Args) > 0 {
+						return true
+					}
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+						switch {
+						case sel.Sel.Name == "Comm":
+							got = append(got, fmt.Sprintf("%s calls .Comm(): a program's messages go through the protocol layer, not its communicator", path))
+						case sel.Sel.Name == "Layer" && path != "typed.go":
+							got = append(got, fmt.Sprintf("%s calls .Layer(): only typed.go reaches the protocol layer, for RecvFunc", path))
+						}
+					}
+					return true
+				})
+			}
+			return got
+		},
+		violation: snippet{"internal/apps/cg/leak.go", `package cg; import "ccift/internal/engine"; func leak(r *engine.Rank) { r.Layer().Comm().Send(1, 0, nil) }`},
+	},
 }
 
 func TestArchitecture(t *testing.T) {

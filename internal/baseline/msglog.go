@@ -44,12 +44,6 @@ func NewSenderLog(comm *mpi.Comm) *SenderLog {
 }
 
 // Send transmits and retains a copy — the defining cost of the scheme.
-// The copy into the log region happens once, before the caller's buffer
-// can be reused; the wire then carries the same immutable bytes via the
-// transport's zero-copy handoff (Comm.SendShared), exactly as a real
-// implementation DMAs from its pinned log region instead of copying
-// twice. Receivers must treat delivered payloads as read-only, which
-// every decode-and-copy receiver in this repository does.
 func (s *SenderLog) Send(dst, tag int, data []byte) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
@@ -63,7 +57,7 @@ func (s *SenderLog) Send(dst, tag int, data []byte) {
 	if n := int64(len(s.retained)); n > s.PeakMessages {
 		s.PeakMessages = n
 	}
-	s.comm.SendShared(dst, tag, cp)
+	s.comm.Send(dst, tag, cp)
 }
 
 // logEntryOverhead approximates the per-entry metadata (destination, tag,

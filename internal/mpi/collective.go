@@ -62,10 +62,10 @@ func checkLen(coll string, got, want int) {
 // ⌈log2 n⌉ rounds; each round forwards everything heard so far, so the last
 // one completes every participant's OR).
 func (c *Comm) Barrier(word uint32) uint32 {
-	c.world.enter(c.members[c.myIdx])
+	c.world.enter(c.rank)
 	seq := c.nextColl()
 	n := c.Size()
-	me := c.myIdx
+	me := c.rank
 	for k, round := 1, 0; k < n; k, round = k*2, round+1 {
 		dst := (me + k) % n
 		src := (me - k + n) % n
@@ -80,7 +80,7 @@ func (c *Comm) Barrier(word uint32) uint32 {
 // BcastInto distributes root's buf into every other rank's buf, which is as
 // long (binomial tree).
 func (c *Comm) BcastInto(root int, buf []byte) {
-	c.world.enter(c.members[c.myIdx])
+	c.world.enter(c.rank)
 	c.bcast(root, buf, 0)
 }
 
@@ -90,7 +90,7 @@ func (c *Comm) bcast(root int, buf []byte, word uint32) uint32 {
 	seq := c.nextColl()
 	n := c.Size()
 	// Work in a rotated space where root is rank 0 (MPICH-style binomial).
-	vrank := (c.myIdx - root + n) % n
+	vrank := (c.rank - root + n) % n
 	mask := 1
 	for mask < n {
 		if vrank&mask != 0 {
@@ -120,8 +120,8 @@ func (c *Comm) bcast(root int, buf []byte, word uint32) uint32 {
 // ReduceInto combines every rank's data with op into root's dst (len(data)
 // bytes; ignored on the other ranks), over a binomial tree.
 func (c *Comm) ReduceInto(root int, dst, data []byte, op Op) {
-	c.world.enter(c.members[c.myIdx])
-	if c.myIdx == root {
+	c.world.enter(c.rank)
+	if c.rank == root {
 		checkLen("Reduce", len(dst), len(data))
 	} else {
 		dst = nil
@@ -138,7 +138,7 @@ func (c *Comm) ReduceInto(root int, dst, data []byte, op Op) {
 func (c *Comm) reduce(root int, acc, data []byte, op Op, word uint32) ([]byte, uint32) {
 	seq := c.nextColl()
 	n := c.Size()
-	vrank := (c.myIdx - root + n) % n
+	vrank := (c.rank - root + n) % n
 	combined := false // acc holds this rank's data and its children's so far
 	start := func() {
 		if acc == nil {
@@ -182,7 +182,7 @@ func (c *Comm) reduce(root int, acc, data []byte, op Op, word uint32) ([]byte, u
 // communicators it uses recursive doubling (the butterfly of the paper's CG
 // code); otherwise it reduces to rank 0 and broadcasts.
 func (c *Comm) AllreduceInto(dst, data []byte, op Op, word uint32) uint32 {
-	c.world.enter(c.members[c.myIdx])
+	c.world.enter(c.rank)
 	checkLen("Allreduce", len(dst), len(data))
 	n := c.Size()
 	if n&(n-1) != 0 {
@@ -192,7 +192,7 @@ func (c *Comm) AllreduceInto(dst, data []byte, op Op, word uint32) uint32 {
 	seq := c.nextColl()
 	copy(dst, data)
 	for mask, round := 1, 0; mask < n; mask, round = mask*2, round+1 {
-		partner := c.myIdx ^ mask
+		partner := c.rank ^ mask
 		c.sendh(partner, c.collTag(seq, round), word, dst)
 		m := c.recvInternal(partner, c.collTag(seq, round))
 		checkLen("Allreduce", len(m.Data), len(dst))
@@ -206,14 +206,14 @@ func (c *Comm) AllreduceInto(dst, data []byte, op Op, word uint32) uint32 {
 // GatherInto concatenates every rank's equal-sized data in root's dst in
 // rank order (Size()·len(data) bytes; ignored on the other ranks).
 func (c *Comm) GatherInto(root int, dst, data []byte) {
-	c.world.enter(c.members[c.myIdx])
+	c.world.enter(c.rank)
 	c.gather(root, dst, data, 0)
 }
 
 func (c *Comm) gather(root int, dst, data []byte, word uint32) uint32 {
 	seq := c.nextColl()
 	n := c.Size()
-	if c.myIdx != root {
+	if c.rank != root {
 		c.sendh(root, c.collTag(seq, 0), word, data)
 		return word
 	}
@@ -241,7 +241,7 @@ func (c *Comm) Allgather(data []byte) []byte {
 // words. Power-of-two communicators use recursive doubling (butterfly);
 // others gather to rank 0 and broadcast.
 func (c *Comm) AllgatherInto(dst, data []byte, word uint32) uint32 {
-	c.world.enter(c.members[c.myIdx])
+	c.world.enter(c.rank)
 	n := c.Size()
 	blk := len(data)
 	checkLen("Allgather", len(dst), blk*n)
@@ -250,13 +250,13 @@ func (c *Comm) AllgatherInto(dst, data []byte, word uint32) uint32 {
 		return c.bcast(0, dst, word)
 	}
 	seq := c.nextColl()
-	copy(dst[c.myIdx*blk:], data)
+	copy(dst[c.rank*blk:], data)
 	// Recursive doubling: at the start of the round with offset mask, this
-	// rank owns the mask blocks of its aligned group [myIdx &^ (mask-1),
+	// rank owns the mask blocks of its aligned group [rank &^ (mask-1),
 	// +mask); exchanging groups with the partner doubles the holding.
 	for mask, round := 1, 0; mask < n; mask, round = mask*2, round+1 {
-		partner := c.myIdx ^ mask
-		myStart := c.myIdx &^ (mask - 1)
+		partner := c.rank ^ mask
+		myStart := c.rank &^ (mask - 1)
 		c.sendh(partner, c.collTag(seq, round), word, dst[myStart*blk:(myStart+mask)*blk])
 		m := c.recvInternal(partner, c.collTag(seq, round))
 		theirStart := partner &^ (mask - 1)
@@ -273,7 +273,7 @@ func (c *Comm) AllgatherInto(dst, data []byte, word uint32) uint32 {
 // carrying the participants' words. data must divide evenly into Size()
 // blocks.
 func (c *Comm) AlltoallInto(dst, data []byte, word uint32) uint32 {
-	c.world.enter(c.members[c.myIdx])
+	c.world.enter(c.rank)
 	seq := c.nextColl()
 	n := c.Size()
 	if len(data)%n != 0 {
@@ -281,9 +281,9 @@ func (c *Comm) AlltoallInto(dst, data []byte, word uint32) uint32 {
 	}
 	checkLen("Alltoall", len(dst), len(data))
 	blk := len(data) / n
-	copy(dst[c.myIdx*blk:], data[c.myIdx*blk:(c.myIdx+1)*blk])
+	copy(dst[c.rank*blk:], data[c.rank*blk:(c.rank+1)*blk])
 	for i := 1; i < n; i++ {
-		to := (c.myIdx + i) % n
+		to := (c.rank + i) % n
 		c.sendh(to, c.collTag(seq, 0), word, data[to*blk:(to+1)*blk])
 	}
 	seen := word
@@ -301,10 +301,10 @@ func (c *Comm) AlltoallInto(dst, data []byte, word uint32) uint32 {
 // receives block i. data, ignored on the other ranks, must divide evenly
 // into Size() blocks at root.
 func (c *Comm) ScatterInto(root int, dst, data []byte) {
-	c.world.enter(c.members[c.myIdx])
+	c.world.enter(c.rank)
 	seq := c.nextColl()
 	n := c.Size()
-	if c.myIdx != root {
+	if c.rank != root {
 		m := c.recvInternal(root, c.collTag(seq, 0))
 		checkLen("Scatter", len(m.Data), len(dst))
 		copy(dst, m.Data)
@@ -330,7 +330,7 @@ func (c *Comm) recvInternal(src, tag int) *Message {
 	if c.world.dead.Load() {
 		panic(ErrWorldDead)
 	}
-	_, m := c.world.tr.Await(c.members[c.myIdx], c.spec1(RecvSpec{Source: src, Tag: tag}))
+	_, m := c.world.tr.Await(c.rank, c.spec1(src, tag))
 	return m
 }
 
@@ -339,13 +339,13 @@ func (c *Comm) recvInternal(src, tag int) *Message {
 // Implemented as a linear chain, the standard algorithm for modest rank
 // counts.
 func (c *Comm) ScanInto(dst, data []byte, op Op) {
-	c.world.enter(c.members[c.myIdx])
+	c.world.enter(c.rank)
 	checkLen("Scan", len(dst), len(data))
 	seq := c.nextColl()
-	if c.myIdx == 0 {
+	if c.rank == 0 {
 		copy(dst, data)
 	} else {
-		m := c.recvInternal(c.myIdx-1, c.collTag(seq, 0))
+		m := c.recvInternal(c.rank-1, c.collTag(seq, 0))
 		checkLen("Scan", len(m.Data), len(data))
 		// prefix ⊕ own, in that order: Combine folds src into dst, so fold
 		// our contribution into the predecessor's prefix (the message's
@@ -354,8 +354,8 @@ func (c *Comm) ScanInto(dst, data []byte, op Op) {
 		copy(dst, m.Data)
 		c.world.Release(m)
 	}
-	if c.myIdx < c.Size()-1 {
-		c.send(c.myIdx+1, c.collTag(seq, 0), dst)
+	if c.rank < c.Size()-1 {
+		c.send(c.rank+1, c.collTag(seq, 0), dst)
 	}
 }
 
@@ -367,7 +367,7 @@ func (c *Comm) ScanInto(dst, data []byte, op Op) {
 // (their OR rides down). Reduce-then-scatter is the simple algorithm;
 // recursive halving is an optimization with identical semantics.
 func (c *Comm) ReducescatterInto(dst, data []byte, op Op, word uint32) uint32 {
-	c.world.enter(c.members[c.myIdx])
+	c.world.enter(c.rank)
 	n := c.Size()
 	if len(data)%n != 0 {
 		panic(fmt.Sprintf("mpi: Reducescatter: payload %d bytes not divisible by %d ranks", len(data), n))
@@ -376,7 +376,7 @@ func (c *Comm) ReducescatterInto(dst, data []byte, op Op, word uint32) uint32 {
 	checkLen("Reducescatter", len(dst), blockLen)
 	acc, word := c.reduce(0, nil, data, op, word)
 	seq := c.nextColl()
-	if c.myIdx == 0 {
+	if c.rank == 0 {
 		for r := 1; r < n; r++ {
 			c.sendh(r, c.collTag(seq, 0), word, acc[r*blockLen:(r+1)*blockLen])
 		}

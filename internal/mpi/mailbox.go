@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// Message is an application-visible message as delivered by Recv or Wait.
+// Message is an application-visible message as delivered by Recv or Select.
 type Message struct {
-	// Source is the sender's rank within the receiving communicator.
+	// Source is the sender's rank.
 	Source int
 	// Tag is the application tag the message was sent with.
 	Tag int
@@ -19,12 +19,9 @@ type Message struct {
 	// piggyback attachment zero-copy: the payload is never re-allocated to
 	// prepend control bytes. Zero for plain sends.
 	Header uint32
-	// Data is the payload. The receiver owns it — except when the sender
-	// used SendShared, whose zero-copy handoff makes the buffer shared and
-	// immutable: such payloads must be treated as read-only.
+	// Data is the payload. The receiver owns it.
 	Data []byte
 
-	ctx int64 // communicator context the message belongs to
 	// recyclable marks a message that owns its payload outright (sendh's
 	// copy, a decoded frame) and has not been handed back: the only kind
 	// World.Release accepts.
@@ -33,16 +30,12 @@ type Message struct {
 
 // RecvSpec describes what a receive is willing to match.
 type RecvSpec struct {
-	Source int // rank within the communicator, or AnySource
+	Source int // rank, or AnySource
 	Tag    int // tag, or AnyTag
-	ctx    int64
 }
 
 // matches reports whether the spec accepts m.
 func (s RecvSpec) matches(m *Message) bool {
-	if m.ctx != s.ctx {
-		return false
-	}
 	if s.Source != AnySource && s.Source != m.Source {
 		return false
 	}
@@ -65,8 +58,8 @@ type node struct {
 	bkt          *bucket
 }
 
-// bucket is the FIFO of queued messages sharing one exact (ctx, tag,
-// source) triple. Delivery only appends, so appending at the tail keeps
+// bucket is the FIFO of queued messages sharing one exact (tag, source)
+// pair. Delivery only appends, so appending at the tail keeps
 // the bucket sorted by master order and the head is always the earliest
 // match.
 type bucket struct {
@@ -76,17 +69,11 @@ type bucket struct {
 }
 
 type bucketKey struct {
-	ctx    int64
 	source int
 	tag    int
 }
 
-type tagKey struct {
-	ctx int64
-	tag int
-}
-
-// tagBuckets is the per-(ctx, tag) index: one bucket per source, a count
+// tagBuckets is the per-tag index: one bucket per source, a count
 // of queued indexed nodes across all of them, and a lazy min-heap of
 // bucket heads ordered by master key. The heap makes the AnySource match
 // amortized O(log sources) per consumed message: the previous design
@@ -168,8 +155,8 @@ func (tb *tagBuckets) dropEmpty() {
 }
 
 // mailbox holds the arrived-but-unmatched messages of one rank. Matching
-// follows delivery order, so two messages with the same (source, tag, ctx)
-// are received in arrival order, while tag matching lets the application
+// follows delivery order, so two messages with the same (source, tag) are
+// received in arrival order, while tag matching lets the application
 // receive messages out of order — the non-FIFO property of Section 3.3.
 //
 // Receives with fully-specified specs (no wildcards, or only a source
@@ -191,15 +178,15 @@ type mailbox struct {
 	// bucket order always mirrors master order because delivery only
 	// appends.
 	indexed int
-	exact   map[bucketKey]*bucket  // (ctx, tag, source) -> FIFO
-	byTag   map[tagKey]*tagBuckets // (ctx, tag) -> per-source index
-	free    *node                  // recycled nodes
+	exact   map[bucketKey]*bucket // (tag, source) -> FIFO
+	byTag   map[int]*tagBuckets   // tag -> per-source index
+	free    *node                 // recycled nodes
 
-	// Emptied buckets stay registered so ping-pong traffic on one (ctx,
-	// tag, source) triple reuses its bucket instead of re-allocating it
+	// Emptied buckets stay registered so ping-pong traffic on one (tag,
+	// source) pair reuses its bucket instead of re-allocating it
 	// every round trip; a sweep reclaims them once they clearly dominate
 	// (amortized O(1) per message, bounding the map size by live traffic)
-	// and keeps what it reclaimed for the next new triple — every collective
+	// and keeps what it reclaimed for the next new pair — every collective
 	// round uses a fresh tag — as the free list keeps nodes.
 	emptyBuckets int
 	freeBuckets  []*bucket
@@ -221,7 +208,7 @@ func newMailbox(w *World) *mailbox {
 	b := &mailbox{
 		world: w,
 		exact: make(map[bucketKey]*bucket),
-		byTag: make(map[tagKey]*tagBuckets),
+		byTag: make(map[int]*tagBuckets),
 	}
 	b.cond = sync.NewCond(&b.mu)
 	return b
@@ -280,11 +267,11 @@ func (b *mailbox) interrupt() {
 	b.mu.Unlock()
 }
 
-// bucketAppend registers n at the tail of its (ctx, tag, source) bucket.
+// bucketAppend registers n at the tail of its (tag, source) bucket.
 // Appending is always correct: nodes are indexed in master order, so
 // bucket order mirrors it.
 func (b *mailbox) bucketAppend(n *node) {
-	bk := bucketKey{ctx: n.m.ctx, source: n.m.Source, tag: n.m.Tag}
+	bk := bucketKey{source: n.m.Source, tag: n.m.Tag}
 	bkt := b.exact[bk]
 	if bkt == nil {
 		if n := len(b.freeBuckets); n > 0 {
@@ -294,15 +281,14 @@ func (b *mailbox) bucketAppend(n *node) {
 			bkt = &bucket{bk: bk}
 		}
 		b.exact[bk] = bkt
-		tk := tagKey{ctx: bk.ctx, tag: bk.tag}
-		tb := b.byTag[tk]
+		tb := b.byTag[bk.tag]
 		if tb == nil {
 			if n := len(b.freeTags); n > 0 {
 				tb, b.freeTags = b.freeTags[n-1], b.freeTags[:n-1]
 			} else {
 				tb = &tagBuckets{srcs: make(map[int]*bucket)}
 			}
-			b.byTag[tk] = tb
+			b.byTag[bk.tag] = tb
 		}
 		tb.srcs[bk.source] = bkt
 		bkt.tb = tb
@@ -379,9 +365,9 @@ func (b *mailbox) sweepEmptyBuckets() {
 		delete(bkt.tb.srcs, bk.source)
 		b.freeBuckets = append(b.freeBuckets, bkt)
 	}
-	for tk, tb := range b.byTag {
+	for tag, tb := range b.byTag {
 		if len(tb.srcs) == 0 {
-			delete(b.byTag, tk)
+			delete(b.byTag, tag)
 			clear(tb.heap)
 			tb.heap, tb.live = tb.heap[:0], 0
 			b.freeTags = append(b.freeTags, tb)
@@ -415,8 +401,8 @@ func (b *mailbox) tryMatch(specs []RecvSpec) (int, *Message) {
 		s := &specs[si]
 		var cand *node
 		if s.Source == AnySource {
-			cand = b.minFor(b.byTag[tagKey{ctx: s.ctx, tag: s.Tag}])
-		} else if bkt := b.exact[bucketKey{ctx: s.ctx, source: s.Source, tag: s.Tag}]; bkt != nil {
+			cand = b.minFor(b.byTag[s.Tag])
+		} else if bkt := b.exact[bucketKey{source: s.Source, tag: s.Tag}]; bkt != nil {
 			cand = bkt.head
 		}
 		if cand != nil && (best == nil || cand.key < best.key) {
@@ -432,7 +418,7 @@ func (b *mailbox) tryMatch(specs []RecvSpec) (int, *Message) {
 	return bestSpec, m
 }
 
-// minFor returns the earliest queued node of the (ctx, tag) index: the
+// minFor returns the earliest queued node of a tag's index: the
 // first valid entry of the lazy heap, discarding stale entries whose
 // bucket head moved on or drained (mu held).
 func (b *mailbox) minFor(tb *tagBuckets) *node {
@@ -599,8 +585,8 @@ func (b *mailbox) probe(spec RecvSpec) (bool, *Message) {
 	b.ensureIndexed()
 	var cand *node
 	if spec.Source == AnySource {
-		cand = b.minFor(b.byTag[tagKey{ctx: spec.ctx, tag: spec.Tag}])
-	} else if bkt := b.exact[bucketKey{ctx: spec.ctx, source: spec.Source, tag: spec.Tag}]; bkt != nil {
+		cand = b.minFor(b.byTag[spec.Tag])
+	} else if bkt := b.exact[bucketKey{source: spec.Source, tag: spec.Tag}]; bkt != nil {
 		cand = bkt.head
 	}
 	if cand == nil {
@@ -616,15 +602,14 @@ func (b *mailbox) pending() int {
 	return b.count
 }
 
-// pendingApp reports the number of queued application messages (tag >= 0)
-// in the given communicator context, excluding internal collective and
-// control traffic.
-func (b *mailbox) pendingApp(ctx int64) int {
+// pendingApp reports the number of queued application messages (tag >= 0),
+// excluding internal collective and control traffic.
+func (b *mailbox) pendingApp() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	n := 0
 	for q := b.head; q != nil; q = q.next {
-		if q.m.ctx == ctx && q.m.Tag >= 0 {
+		if q.m.Tag >= 0 {
 			n++
 		}
 	}

@@ -1,10 +1,9 @@
 // Package mpi is an in-process message-passing substrate with MPI-like
 // semantics: point-to-point sends and receives with tag and source
 // matching (including wildcards and therefore non-FIFO application-level
-// delivery, Section 3.3 of the paper), non-blocking operations with request
-// objects, communicators with dup/split, and collective operations
-// implemented in terms of point-to-point messages (butterfly/binomial
-// trees, as the paper's benchmark codes do).
+// delivery, Section 3.3 of the paper) and collective operations implemented
+// in terms of point-to-point messages (butterfly/binomial trees, as the
+// paper's benchmark codes do), on the one communicator a world has.
 //
 // Ranks are goroutines sharing a World. The transport is reliable — the
 // paper assumes a reliable message-delivery layer (LA-MPI) and builds on
@@ -19,7 +18,7 @@ import (
 	"sync/atomic"
 )
 
-// Wildcards for Recv/Irecv/Probe.
+// Wildcards for Recv, Select and Iprobe.
 const (
 	AnySource = -1
 	AnyTag    = -1
@@ -119,11 +118,14 @@ func (w *World) Comm(rank int) *Comm {
 	if rank < 0 || rank >= w.size {
 		panic(fmt.Sprintf("mpi: Comm(%d): out of range [0,%d)", rank, w.size))
 	}
-	members := make([]int, w.size)
-	for i := range members {
-		members[i] = i
+	return &Comm{world: w, rank: rank}
+}
+
+// checkRank panics unless rank is one of the world's.
+func (w *World) checkRank(rank int) {
+	if rank < 0 || rank >= w.size {
+		panic(fmt.Sprintf("mpi: rank %d out of range [0,%d)", rank, w.size))
 	}
-	return &Comm{world: w, ctx: 0, members: members, myIdx: rank}
 }
 
 // message returns a message with an n-byte payload buffer for sendh to
@@ -150,9 +152,8 @@ func (w *World) message(n int) *Message {
 // released. A Transport that serialises messages in Send may release
 // one as soon as it is encoded. Only a message that owns its payload
 // outright is taken — one sendh filled, or one DecodeMessage built; a
-// SendShared message, whose buffer the sender still holds, a Notify, and a
-// second Release of the same message are ignored, so a transport need not
-// know which kind it was handed.
+// Notify and a second Release of the same message are ignored, so a
+// transport need not know which kind it was handed.
 func (w *World) Release(m *Message) {
 	if !m.recyclable {
 		return

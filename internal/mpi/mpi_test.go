@@ -107,27 +107,6 @@ func TestAnySourceAnyTag(t *testing.T) {
 	})
 }
 
-func TestIsendIrecvWait(t *testing.T) {
-	runRanks(t, 2, Options{}, func(c *Comm) {
-		if c.Rank() == 0 {
-			req := c.Isend(1, 3, []byte("x"))
-			if m := c.Wait(req); m != nil {
-				panic("send wait should return nil message")
-			}
-		} else {
-			req := c.Irecv(0, 3)
-			m := c.Wait(req)
-			if string(m.Data) != "x" {
-				panic("irecv failed")
-			}
-			// Waiting again on a completed request returns the same message.
-			if m2 := c.Wait(req); m2 != m {
-				panic("double wait should be idempotent")
-			}
-		}
-	})
-}
-
 func TestTestNonblocking(t *testing.T) {
 	runRanks(t, 2, Options{}, func(c *Comm) {
 		if c.Rank() == 0 {
@@ -136,14 +115,29 @@ func TestTestNonblocking(t *testing.T) {
 				panic("bad handshake")
 			}
 		} else {
-			req := c.Irecv(0, 4)
-			if _, ok := c.Test(req); ok {
-				panic("Test should not complete before any send")
+			if _, m := c.PollSelect([]RecvSpec{{Source: 0, Tag: 4}}); m != nil {
+				panic("PollSelect should not match before any send")
 			}
-			_ = req
 			c.Send(0, 9, []byte("sent"))
 		}
 	})
+}
+
+// TestSendOutsideTheWorldPanics: a destination that is no rank of the
+// world is a program error, reported with the rank and the world's range.
+func TestSendOutsideTheWorldPanics(t *testing.T) {
+	c := NewWorld(2, Options{}).Comm(0)
+	for _, dst := range []int{-1, 2} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("mpi: rank %d out of range [0,2)", dst)
+				if p := recover(); p != want {
+					t.Errorf("Send to %d panicked with %v, want %q", dst, p, want)
+				}
+			}()
+			c.Send(dst, 1, nil)
+		}()
+	}
 }
 
 func TestIprobe(t *testing.T) {

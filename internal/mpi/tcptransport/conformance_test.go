@@ -1,7 +1,7 @@
 package tcptransport_test
 
 // Transport-contract conformance suite: every behaviour the mpi.Transport
-// documentation promises — reliable eager delivery, per-(sender, context)
+// documentation promises — reliable eager delivery, per-sender
 // non-overtaking order, matchOrder semantics with lowest-spec-index
 // tie-breaking, Interrupt wakeup, ErrWorldDead on shutdown — is exercised
 // through one shared table against both substrates: the in-process
@@ -546,15 +546,12 @@ func TestTCPCancelWakesSendDuringMeshFormation(t *testing.T) {
 	}
 }
 
-// TestTCPFrameLengthIsNotTrusted: a frame's length word is a claim, not an
-// allocation size. A peer that completes the hello, claims a 1 GiB frame
-// and hangs up is a broken connection — the world is shut down and the
-// peer recorded as killed — and the transport allocates no more than the
-// bytes that arrived on the way. (Not parallel: it measures the process's
-// allocations.)
-func TestTCPFrameLengthIsNotTrusted(t *testing.T) {
+// helloAsRank1 starts rank 0 of a 2-rank TCP world and connects to it as
+// rank 1 over a raw socket, hello done, for a test to write frames of its
+// own. broken receives the transport's "presumed dead" report.
+func helloAsRank1(t *testing.T) (tr *tcptransport.Transport, world *mpi.World, c net.Conn, broken chan string) {
 	publish, lookup := tcptransport.StaticRendezvous(make([]string, 2))
-	broken := make(chan string, 1)
+	broken = make(chan string, 1)
 	tr, err := tcptransport.New(tcptransport.Config{Rank: 0, Size: 2, Publish: publish, Lookup: lookup,
 		Logf: func(format string, args ...any) {
 			if msg := fmt.Sprintf(format, args...); strings.Contains(msg, "presumed dead") {
@@ -567,41 +564,75 @@ func TestTCPFrameLengthIsNotTrusted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
-	world := mpi.NewWorld(2, mpi.Options{NewTransport: tr.Attach})
+	t.Cleanup(tr.Close)
+	world = mpi.NewWorld(2, mpi.Options{NewTransport: tr.Attach})
 	if err := tr.Start(); err != nil {
 		t.Fatal(err)
 	}
-	c, err := net.Dial("tcp", tr.Addr())
-	if err != nil {
+	if c, err = net.Dial("tcp", tr.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
 	hello := []byte{5, 0, 0, 0, 1} // [u32 length | type hello] and rank 1
 	hello = binary.LittleEndian.AppendUint32(hello, 1)
 	if _, err := c.Write(hello); err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := c.Write(binary.LittleEndian.AppendUint32(nil, 1<<30)); err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
+	return tr, world, c, broken
+}
+
+// awaitBroken waits for the transport to report its peer dead and then
+// for the world to be shut down with peer 1 recorded as killed.
+func awaitBroken(t *testing.T, world *mpi.World, broken chan string) {
 	select {
 	case msg := <-broken:
 		t.Log(msg)
 	case <-time.After(10 * time.Second):
-		t.Fatal("a peer that hung up mid-frame was not reported")
+		t.Fatal("the broken connection was not reported")
 	}
-	runtime.ReadMemStats(&after)
 	for deadline := time.Now().Add(5 * time.Second); !world.Dead() && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond) // the report precedes the shutdown
 	}
 	if !world.Dead() || !world.Killed(1) {
 		t.Fatalf("world dead %v, peer 1 killed %v; want the broken connection to shut the world down", world.Dead(), world.Killed(1))
 	}
+}
+
+// TestTCPFrameLengthIsNotTrusted: a frame's length word is a claim, not an
+// allocation size. A peer that completes the hello, claims a 1 GiB frame
+// and hangs up is a broken connection — the world is shut down and the
+// peer recorded as killed — and the transport allocates no more than the
+// bytes that arrived on the way. (Not parallel: it measures the process's
+// allocations.)
+func TestTCPFrameLengthIsNotTrusted(t *testing.T) {
+	_, world, c, broken := helloAsRank1(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := c.Write(binary.LittleEndian.AppendUint32(nil, 1<<30)); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	awaitBroken(t, world, broken)
+	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("a 4-byte claim of 1 GiB allocated %d bytes", grew)
+	}
+}
+
+// TestTCPFrameSourceIsItsPeer: on a connection to rank 1, a well-formed
+// message frame that names rank 7 as its source is corrupt — a message's
+// source is the rank that sent it, and the protocol indexes per-peer state
+// by it. It breaks the connection as a bad length does, and is never
+// delivered.
+func TestTCPFrameSourceIsItsPeer(t *testing.T) {
+	tr, world, c, broken := helloAsRank1(t)
+	body := mpi.AppendMessage([]byte{0, 0, 0, 0, 2}, &mpi.Message{Source: 7, Tag: 1, Data: []byte("forged")}) // [u32 length | type message]
+	binary.LittleEndian.PutUint32(body, uint32(len(body)-4))
+	if _, err := c.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	awaitBroken(t, world, broken)
+	if n := tr.Pending(0); n != 0 {
+		t.Fatalf("%d messages delivered from a frame naming another rank as its source", n)
 	}
 }

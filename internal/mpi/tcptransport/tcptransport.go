@@ -14,7 +14,7 @@
 // the worker process exits for the launcher to re-spawn.
 //
 // Contract notes (see mpi.Transport):
-//   - Per-(sender, context) non-overtaking order holds because each sender
+//   - Per-sender non-overtaking order holds because each sender
 //     writes a peer's frames onto one TCP stream in send order and the
 //     receiver decodes them sequentially into the mailbox.
 //   - Delivery is eager: Send completes once the frame is written to the
@@ -315,6 +315,11 @@ func (t *Transport) readLoop(peer int, c net.Conn) {
 		switch body[0] {
 		case frameMsg:
 			m, err := mpi.DecodeMessage(body[1:])
+			if err == nil && m.Source != peer {
+				// One communicator: a message's source is the rank that sent
+				// it, and the protocol indexes per-peer state by it.
+				err = fmt.Errorf("tcptransport: %w: frame from peer %d names source %d", cerr.ErrTransport, peer, m.Source)
+			}
 			if err != nil {
 				t.connBroken(peer, err)
 				return
@@ -581,9 +586,9 @@ func (t *Transport) Pending(rank int) int {
 }
 
 // PendingApp implements mpi.Transport.
-func (t *Transport) PendingApp(rank int, ctx int64) int {
+func (t *Transport) PendingApp(rank int, _ int64) int {
 	t.hosted(rank)
-	return t.mb.PendingApp(ctx)
+	return t.mb.PendingApp(0)
 }
 
 // Interrupt implements mpi.Transport: wake the local mailbox and any sender

@@ -11,12 +11,11 @@ package mpi
 //
 //   - Delivery is reliable and eager: Send completes once the message is
 //     queued at the destination; the *Message (including Data) is owned by
-//     the transport from that point and by the receiver after matching
-//     (read-only when the buffer was handed over via Comm.SendShared). A
+//     the transport from that point and by the receiver after matching. A
 //     transport that delivers an encoding of m, not m, may give m back with
 //     World.Release once it is encoded.
-//   - Per-(sender, context) order is preserved (MPI's non-overtaking
-//     guarantee); cross-sender interleaving is unconstrained.
+//   - Per-sender order is preserved (MPI's non-overtaking guarantee);
+//     cross-sender interleaving is unconstrained.
 //   - Matching semantics are those of matchOrder: the queued message
 //     earliest in delivery order that satisfies any spec wins, and ties
 //     between specs go to the lowest spec index.
@@ -46,7 +45,9 @@ type Transport interface {
 	// without removing it.
 	Probe(rank int, spec RecvSpec) (bool, *Message)
 	// Pending reports the number of queued messages for rank; PendingApp
-	// restricts the count to application messages (Tag >= 0) on ctx.
+	// restricts the count to application messages (Tag >= 0). PendingApp's
+	// second argument names the world's communicator, whose context is
+	// always 0; implementations ignore it.
 	Pending(rank int) int
 	PendingApp(rank int, ctx int64) int
 	// Interrupt wakes every blocked receiver, spinning or parked, so
@@ -90,9 +91,7 @@ func (t *inprocTransport) Probe(rank int, spec RecvSpec) (bool, *Message) {
 
 func (t *inprocTransport) Pending(rank int) int { return t.boxes[rank].pending() }
 
-func (t *inprocTransport) PendingApp(rank int, ctx int64) int {
-	return t.boxes[rank].pendingApp(ctx)
-}
+func (t *inprocTransport) PendingApp(rank int, _ int64) int { return t.boxes[rank].pendingApp() }
 
 func (t *inprocTransport) Interrupt() {
 	for _, b := range t.boxes {

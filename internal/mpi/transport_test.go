@@ -89,18 +89,6 @@ func TestSendHdrCarriesHeaderOutOfBand(t *testing.T) {
 	})
 }
 
-func TestSendSharedDeliversCallerBuffer(t *testing.T) {
-	runRanks(t, 2, Options{}, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.SendShared(1, 1, []byte("zero-copy"))
-		} else {
-			if m := c.Recv(0, 1); string(m.Data) != "zero-copy" {
-				panic(fmt.Sprintf("data = %q", m.Data))
-			}
-		}
-	})
-}
-
 // TestIndexedMatchOrder pins the matching rule the indexed mailbox must
 // preserve: earliest delivery wins across specs, ties between specs go to
 // the lowest spec index, and per-sender order survives exact-match

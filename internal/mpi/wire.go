@@ -12,26 +12,24 @@ import (
 // carries the 32-bit protocol piggyback word out of band) followed by the
 // payload, so decoding never re-allocates to strip control bytes.
 //
-//	ctx     int64   communicator context
-//	source  int32   sender's rank within the communicator
-//	tag     int32   application tag
+//	source  int32   sender's rank
+//	tag     int32   tag
 //	header  uint32  out-of-band control word (protocol piggyback)
 //	dlen    uint32  payload length
 //	payload [dlen]byte
 //
 // All integers are little-endian.
-const msgWireHeader = 24
+const msgWireHeader = 16
 
 // AppendMessage appends the wire encoding of m to buf and returns the
 // extended slice. It is the encoder used by transports that move messages
 // between address spaces; the in-process transport never pays for it.
 func AppendMessage(buf []byte, m *Message) []byte {
 	var h [msgWireHeader]byte
-	binary.LittleEndian.PutUint64(h[0:], uint64(m.ctx))
-	binary.LittleEndian.PutUint32(h[8:], uint32(int32(m.Source)))
-	binary.LittleEndian.PutUint32(h[12:], uint32(int32(m.Tag)))
-	binary.LittleEndian.PutUint32(h[16:], m.Header)
-	binary.LittleEndian.PutUint32(h[20:], uint32(len(m.Data)))
+	binary.LittleEndian.PutUint32(h[0:], uint32(int32(m.Source)))
+	binary.LittleEndian.PutUint32(h[4:], uint32(int32(m.Tag)))
+	binary.LittleEndian.PutUint32(h[8:], m.Header)
+	binary.LittleEndian.PutUint32(h[12:], uint32(len(m.Data)))
 	buf = append(buf, h[:]...)
 	return append(buf, m.Data...)
 }
@@ -43,15 +41,14 @@ func DecodeMessage(b []byte) (*Message, error) {
 	if len(b) < msgWireHeader {
 		return nil, fmt.Errorf("mpi: %w: message frame too short: %d bytes", cerr.ErrTransport, len(b))
 	}
-	dlen := int(binary.LittleEndian.Uint32(b[20:]))
+	dlen := int(binary.LittleEndian.Uint32(b[12:]))
 	if len(b) != msgWireHeader+dlen {
 		return nil, fmt.Errorf("mpi: %w: message frame length %d, want %d", cerr.ErrTransport, len(b), msgWireHeader+dlen)
 	}
 	m := &Message{
-		Source: int(int32(binary.LittleEndian.Uint32(b[8:]))),
-		Tag:    int(int32(binary.LittleEndian.Uint32(b[12:]))),
-		Header: binary.LittleEndian.Uint32(b[16:]),
-		ctx:    int64(binary.LittleEndian.Uint64(b[0:])),
+		Source: int(int32(binary.LittleEndian.Uint32(b[0:]))),
+		Tag:    int(int32(binary.LittleEndian.Uint32(b[4:]))),
+		Header: binary.LittleEndian.Uint32(b[8:]),
 
 		recyclable: true,
 	}
@@ -97,9 +94,10 @@ func (mb *Mailbox) Probe(spec RecvSpec) (bool, *Message) { return mb.b.probe(spe
 // Pending reports the number of queued messages.
 func (mb *Mailbox) Pending() int { return mb.b.pending() }
 
-// PendingApp reports the number of queued application messages (Tag >= 0)
-// on ctx.
-func (mb *Mailbox) PendingApp(ctx int64) int { return mb.b.pendingApp(ctx) }
+// PendingApp reports the number of queued application messages (Tag >= 0).
+// Its argument names the world's communicator, whose context is always 0,
+// and is ignored.
+func (mb *Mailbox) PendingApp(ctx int64) int { return mb.b.pendingApp() }
 
 // Interrupt wakes every receiver blocked on the mailbox so AwaitCond
 // conditions and world-death are re-observed.

@@ -8,10 +8,10 @@ import (
 
 func TestMessageWireRoundTrip(t *testing.T) {
 	cases := []*Message{
-		{Source: 0, Tag: 0, ctx: 0},
-		{Source: 3, Tag: 17, Header: 0xDEADBEEF, Data: []byte("hello"), ctx: 1 << 20},
-		{Source: 1, Tag: -14, Data: []byte{0, 1, 2, 3, 4, 5, 6, 7}, ctx: -3},
-		{Source: 1023, Tag: 1 << 30, Data: bytes.Repeat([]byte{0xAB}, 4096), ctx: (1 << 40) + 7},
+		{Source: 0, Tag: 0},
+		{Source: 3, Tag: 17, Header: 0xDEADBEEF, Data: []byte("hello")},
+		{Source: 1, Tag: -14, Data: []byte{0, 1, 2, 3, 4, 5, 6, 7}},
+		{Source: 1023, Tag: 1 << 30, Data: bytes.Repeat([]byte{0xAB}, 4096)},
 	}
 	for i, m := range cases {
 		enc := AppendMessage(nil, m)
@@ -22,7 +22,7 @@ func TestMessageWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
-		if got.Source != m.Source || got.Tag != m.Tag || got.Header != m.Header || got.ctx != m.ctx {
+		if got.Source != m.Source || got.Tag != m.Tag || got.Header != m.Header {
 			t.Fatalf("case %d: decoded %+v, want %+v", i, got, m)
 		}
 		if !bytes.Equal(got.Data, m.Data) {
@@ -39,8 +39,29 @@ func TestMessageWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMessageWireLayout pins the frame byte for byte: source, tag, header
+// word and payload length, 4 little-endian bytes each, then the payload:
+// what every process of a distributed run writes and reads.
+func TestMessageWireLayout(t *testing.T) {
+	m := &Message{Source: 3, Tag: -7, Header: 0xC0FFEE01, Data: []byte{0xA1, 0xB2, 0xC3}}
+	want := []byte{
+		0x03, 0x00, 0x00, 0x00, // source 3
+		0xF9, 0xFF, 0xFF, 0xFF, // tag -7
+		0x01, 0xEE, 0xFF, 0xC0, // header word 0xC0FFEE01
+		0x03, 0x00, 0x00, 0x00, // payload length 3
+		0xA1, 0xB2, 0xC3, // payload
+	}
+	if got := AppendMessage(nil, m); !bytes.Equal(got, want) {
+		t.Fatalf("encoded % x, want % x", got, want)
+	}
+	got, err := DecodeMessage(want)
+	if err != nil || got.Source != 3 || got.Tag != -7 || got.Header != 0xC0FFEE01 || !bytes.Equal(got.Data, m.Data) {
+		t.Fatalf("decoded %+v (%v), want %+v", got, err, m)
+	}
+}
+
 func TestDecodeMessageRejectsTornFrames(t *testing.T) {
-	m := &Message{Source: 2, Tag: 9, Data: []byte("payload"), ctx: 5}
+	m := &Message{Source: 2, Tag: 9, Data: []byte("payload")}
 	enc := AppendMessage(nil, m)
 	for _, n := range []int{0, 5, msgWireHeader - 1, len(enc) - 1} {
 		if _, err := DecodeMessage(enc[:n]); err == nil {
@@ -80,7 +101,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		again, err := DecodeMessage(enc)
 		if err != nil || again.Source != m.Source || again.Tag != m.Tag || again.Header != m.Header ||
-			again.ctx != m.ctx || !bytes.Equal(again.Data, m.Data) {
+			!bytes.Equal(again.Data, m.Data) {
 			t.Fatalf("round trip: %+v (%v), want %+v", again, err, m)
 		}
 	})

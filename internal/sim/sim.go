@@ -27,14 +27,14 @@
 // task posts is stamped at an instant the scenario decides, not the host.
 //
 // Determinism: sends are stamped at the frozen virtual now; every random
-// draw comes from a per-link PRNG stream keyed by (seed, context, src,
-// dst), so concurrent goroutine interleaving can neither reorder nor
-// perturb draws; and events due at the same instant dispatch in a fixed
-// order (link identity, then link sequence). With Latency > 0 every
-// delivery lands at a quiescence point, making the full event order — and
-// therefore results and protocol counters — a pure function of (program,
-// scenario). The scheduler applies the whole batch of due events before
-// waking any rank, so a rank never observes a half-applied instant.
+// draw comes from a per-link PRNG stream keyed by (seed, src, dst), so
+// concurrent goroutine interleaving can neither reorder nor perturb draws;
+// and events due at the same instant dispatch in a fixed order (link
+// identity, then link sequence). With Latency > 0 every delivery lands at a
+// quiescence point, making the full event order — and therefore results and
+// protocol counters — a pure function of (program, scenario). The scheduler
+// applies the whole batch of due events before waking any rank, so a rank
+// never observes a half-applied instant.
 //
 // That holds for a run with asynchronous helpers because a task is started
 // through the clock, never with a bare go statement; it reports back with
@@ -63,6 +63,7 @@ import (
 	"time"
 
 	"ccift/internal/clock"
+	"ccift/internal/mpi"
 )
 
 // simBase is the fixed origin of virtual time: every simulation starts at
@@ -76,10 +77,7 @@ const (
 	evTimer          // clock.AfterFunc firing
 )
 
-type linkKey struct {
-	ctx      int64
-	src, dst int
-}
+type linkKey struct{ src, dst int }
 
 type link struct {
 	rng       *prng
@@ -122,9 +120,6 @@ func (h eventHeap) Less(i, j int) bool {
 		return a.kind < b.kind
 	}
 	if a.lk != b.lk {
-		if a.lk.ctx != b.lk.ctx {
-			return a.lk.ctx < b.lk.ctx
-		}
 		if a.lk.src != b.lk.src {
 			return a.lk.src < b.lk.src
 		}
@@ -347,7 +342,7 @@ func (s *Sim) dispatchDue() {
 				continue
 			}
 			l.delivered = e.linkSeq
-			m, err := mpiDecode(e.frame)
+			m, err := mpi.DecodeMessage(e.frame)
 			if err != nil {
 				panic(fmt.Sprintf("sim: corrupt internal frame: %v", err))
 			}
@@ -413,18 +408,20 @@ func (s *Sim) Sleep(d time.Duration) {
 }
 
 // link returns (creating on first use) the per-link state for lk; its
-// PRNG stream depends only on (Seed, lk), never on traffic elsewhere.
+// PRNG stream depends only on (Seed, lk), never on traffic elsewhere. The 0
+// is part of every stream's seed: without it, every seed would draw another
+// schedule.
 func (s *Sim) link(lk linkKey) *link {
 	l := s.links[lk]
 	if l == nil {
-		l = &link{rng: newPRNG(mix(s.sc.Seed, lk.ctx, int64(lk.src), int64(lk.dst)))}
+		l = &link{rng: newPRNG(mix(s.sc.Seed, 0, int64(lk.src), int64(lk.dst)))}
 		s.links[lk] = l
 	}
 	return l
 }
 
 // prng is a tiny splitmix64 generator. Link streams are created per
-// (seed, context, src, dst) — n² of them in an n-rank world — and
+// (seed, src, dst) — n² of them in an n-rank world — and
 // math/rand's 607-word LFG seeding dominated 512-rank profiles; splitmix
 // seeds in one word and draws in a few cycles.
 type prng struct{ state uint64 }

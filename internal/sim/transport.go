@@ -1,15 +1,11 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
 	"ccift/internal/mpi"
 )
-
-// mpiDecode parses one wire frame back into a message.
-func mpiDecode(frame []byte) (*mpi.Message, error) { return mpi.DecodeMessage(frame) }
 
 // transport is the mpi.Transport for one incarnation's world. Frames are
 // encoded with the shared wire codec, scheduled through the event heap
@@ -71,10 +67,9 @@ func (t *transport) RankDone(rank int) {
 // duplication), so the schedule is a pure function of (scenario, link,
 // frame index).
 func (t *transport) Send(dst int, m *mpi.Message) {
+	src := m.Source
 	frame := mpi.AppendMessage(nil, m)
 	t.w.Release(m) // the frame is what travels (and what a duplicate re-delivers)
-	ctx := int64(binary.LittleEndian.Uint64(frame[0:]))
-	src := int(int32(binary.LittleEndian.Uint32(frame[8:])))
 
 	s := t.s
 	s.mu.Lock()
@@ -82,7 +77,7 @@ func (t *transport) Send(dst int, m *mpi.Message) {
 	if s.curTr != t || s.stopped {
 		return
 	}
-	lk := linkKey{ctx: ctx, src: src, dst: dst}
+	lk := linkKey{src: src, dst: dst}
 	l := s.link(lk)
 	l.seq++
 
@@ -198,9 +193,7 @@ func (t *transport) Probe(rank int, spec mpi.RecvSpec) (bool, *mpi.Message) {
 
 func (t *transport) Pending(rank int) int { return t.boxes[rank].Pending() }
 
-func (t *transport) PendingApp(rank int, ctx int64) int {
-	return t.boxes[rank].PendingApp(ctx)
-}
+func (t *transport) PendingApp(rank int, _ int64) int { return t.boxes[rank].PendingApp(0) }
 
 // Interrupt wakes every parked rank so AwaitCond conditions and
 // world-death are re-observed; mailbox waiters (none in normal sim
