@@ -330,7 +330,6 @@ func pkgPath(file string) string {
 // user outside its own file, with the reason. A key ending in "." covers a
 // whole package or type.
 var exportAllowList = map[string]string{
-	"internal/baseline.":                           "the reference models the paper argues against (Section 3: blocking, Chandy–Lamport, sender-based logging), run only by their own tests",
 	"internal/testseed.":                           "the suites' shared seed helper: a package only tests import",
 	"internal/ckpt.Heap.":                          "the program-facing heap, reached through Rank.Heap()",
 	"internal/ckpt.PositionStack.":                 "the program-facing position stack, reached through Rank.PS()",
@@ -357,6 +356,7 @@ var exportAllowList = map[string]string{
 	"internal/storage.Throttled.Has":               "an optional method storage.Has finds by type assertion",
 	"internal/storage.LogKey":                      "the layout's key constructors are one set: tests that damage a store name a rank's blobs by them",
 	"internal/storage.MetaKey":                     "the layout's key constructors are one set: tests that damage a store name a rank's blobs by them",
+	"internal/storage.CheckpointStore.PutState":    "a state object written whole in one call: the storage and store suites and internal/baseline's blocking model write with it",
 }
 
 // exportAllowed reports the exportAllowList key that covers an export.
@@ -520,35 +520,133 @@ var rules = []rule{
 	{
 		name: "the control allgather runs in exchangeControl alone",
 		pr:   25,
-		check: func(tr tree) []string {
-			// A control allgather: an Allgather or AllgatherInto that carries the
-			// control states, or any literal bytes.
-			control := func(call *ast.CallExpr) bool {
+		check: func(tr tree) (got []string) {
+			// The row keeps its name from when the exchange was an allgather;
+			// it now checks for a barrier carrying the presence word.
+			// A control exchange: a communicator Barrier given a word, or an
+			// Allgather or AllgatherInto that carries literal bytes.
+			barrier := func(call *ast.CallExpr) bool {
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				return ok && sel.Sel.Name == "Barrier" && len(call.Args) == 1
+			}
+			allgather := func(call *ast.CallExpr) bool {
 				sel, ok := call.Fun.(*ast.SelectorExpr)
 				if !ok || sel.Sel.Name != "Allgather" && sel.Sel.Name != "AllgatherInto" {
 					return false
 				}
-				found := false
-				for _, arg := range call.Args {
+				return slices.ContainsFunc(call.Args, func(arg ast.Expr) (found bool) {
 					ast.Inspect(arg, func(n ast.Node) bool {
-						switch n := n.(type) {
-						case *ast.CompositeLit:
-							found = true
-						case *ast.SelectorExpr:
-							found = found || n.Sel.Name == "ctlStates" || n.Sel.Name == "ctlMine"
-						}
+						_, lit := n.(*ast.CompositeLit)
+						found = found || lit
 						return !found
 					})
-				}
-				return found
+					return found
+				})
 			}
-			sites := funcsCalling(tr.code("internal/protocol"), control)
-			if want := []string{"internal/protocol/collective.go: exchangeControl"}; !slices.Equal(sites, want) {
-				return []string{fmt.Sprintf("control allgathers in %v, want %v: the riding collectives carry their control word on their own messages, and the rooted ones share the one explicit exchange — a second is a per-collective control round growing back", sites, want)}
+			code := tr.code("internal/protocol")
+			if sites, want := funcsCalling(code, barrier), []string{"internal/protocol/collective.go: exchangeControl"}; !slices.Equal(sites, want) {
+				got = append(got, fmt.Sprintf("control barriers in %v, want %v: the riding collectives carry their control word on their own messages, and the rooted ones share the one explicit exchange — a second is a per-collective control round growing back", sites, want))
 			}
-			return nil
+			if sites := funcsCalling(code, allgather); len(sites) > 0 {
+				got = append(got, fmt.Sprintf("control allgathers in %v: the explicit exchange is a barrier carrying the presence word, not bytes to decode back into it", sites))
+			}
+			return got
 		},
-		violation: snippet{"internal/protocol/vote.go", `package protocol; func (l *Layer) vote() []byte { return l.w.Allgather([]byte{1}) }`},
+		violation: snippet{"internal/protocol/vote.go", `package protocol; func (l *Layer) vote() uint32 { return l.comm.Barrier(1) }`},
+	},
+	{
+		name: "one control tag",
+		// Figure 4's control messages travel on tagControl and name their
+		// kind in the header word; controlSpec receives them all. A reserved
+		// tag of a kind's own is a spec on every protocol receive growing
+		// back.
+		check: func(tr tree) (got []string) {
+			code := tr.code("internal/protocol")
+			consts := map[string]bool{}
+			for _, f := range code {
+				for _, decl := range f.Decls {
+					if d, ok := decl.(*ast.GenDecl); ok && d.Tok == token.CONST {
+						for _, spec := range d.Specs {
+							for _, id := range spec.(*ast.ValueSpec).Names {
+								consts[id.Name] = true
+							}
+						}
+					}
+				}
+			}
+			constant := func(e ast.Expr) bool {
+				if u, ok := e.(*ast.UnaryExpr); ok {
+					e = u.X
+				}
+				switch e := e.(type) {
+				case *ast.BasicLit:
+					return true
+				case *ast.Ident:
+					return consts[e.Name]
+				}
+				return false
+			}
+			var specs []string
+			for path, f := range code {
+				for _, decl := range f.Decls {
+					site := path + ": "
+					switch d := decl.(type) {
+					case *ast.FuncDecl:
+						site += d.Name.Name
+					case *ast.GenDecl:
+						if len(d.Specs) == 1 {
+							if vs, ok := d.Specs[0].(*ast.ValueSpec); ok {
+								site += vs.Names[0].Name
+							}
+						}
+					}
+					ast.Inspect(decl, func(n ast.Node) bool {
+						switch n := n.(type) {
+						case *ast.CallExpr:
+							sel, ok := n.Fun.(*ast.SelectorExpr)
+							if !ok {
+								return true
+							}
+							i, named := map[string]int{"Send": 1, "SendHdr": 1, "Notify": 0}[sel.Sel.Name]
+							if named && len(n.Args) > i && constant(n.Args[i]) && types.ExprString(n.Args[i]) != "tagControl" {
+								got = append(got, fmt.Sprintf("%s sends on the constant tag %s: control messages share tagControl and name their kind in the header", site, types.ExprString(n.Args[i])))
+							}
+						case *ast.CompositeLit:
+							// A spec literal, or the elided ones of a list of specs.
+							lits := []ast.Expr{n}
+							if n.Type == nil {
+								return true
+							} else if at, ok := n.Type.(*ast.ArrayType); ok && types.ExprString(at.Elt) == "mpi.RecvSpec" {
+								lits = n.Elts
+							} else if types.ExprString(n.Type) != "mpi.RecvSpec" {
+								return true
+							}
+							for _, lit := range lits {
+								if kv, ok := lit.(*ast.KeyValueExpr); ok {
+									lit = kv.Value
+								}
+								cl, ok := lit.(*ast.CompositeLit)
+								if !ok || cl != n && cl.Type != nil {
+									continue
+								}
+								for _, el := range cl.Elts {
+									if kv, ok := el.(*ast.KeyValueExpr); ok && types.ExprString(kv.Key) == "Tag" && constant(kv.Value) {
+										specs = append(specs, site)
+									}
+								}
+							}
+						}
+						return true
+					})
+				}
+			}
+			slices.Sort(specs)
+			if want := []string{"internal/protocol/layer.go: controlSpec"}; !slices.Equal(specs, want) {
+				got = append(got, fmt.Sprintf("receive specs naming a reserved tag in %v, want %v alone", specs, want))
+			}
+			return got
+		},
+		violation: snippet{"internal/protocol/ping.go", `package protocol; func (l *Layer) ping() { l.comm.Send(0, -18, nil) }`},
 	},
 	{
 		name: "no serialized copy of the state retained in internal/protocol",

@@ -1,12 +1,13 @@
 // Benchmarks for the design arguments bench/ does not measure: the
-// Section 1.2 case against message logging (log volume, per-send cost),
+// Section 1.2 case against message logging (log volume; the per-send cost
+// and the blocking checkpoint are internal/baseline's own benchmarks),
 // Section 7's state exclusion, the typed-send copy, the Section 4.2
-// piggyback codec, rank slowdown under the async flush, and the blocking
-// baseline. Everything bench/ reports — Figure 8's four
-// versions (base_s / full_s and the per-layer *_cost_s), freeze, encode
-// and restore throughput (ckpt.*), blocked time (ckpt.blocked_ms_*), the
-// control collective (protocol.allgather_full_us), recovery (recover_ms,
-// engine.*) — is measured there and only there: `bash bench/run.sh`.
+// piggyback codec and rank slowdown under the async flush. Everything
+// bench/ reports — Figure 8's four versions (base_s / full_s and the
+// per-layer *_cost_s), freeze, encode and restore throughput (ckpt.*),
+// blocked time (ckpt.blocked_ms_*), the control collective
+// (protocol.allgather_full_us), recovery (recover_ms, engine.*) — is
+// measured there and only there: `bash bench/run.sh`.
 //
 // Run these with:
 //
@@ -20,7 +21,6 @@ import (
 
 	"ccift"
 	"ccift/internal/apps/cg"
-	"ccift/internal/baseline"
 	"ccift/internal/engine"
 	"ccift/internal/mpi"
 	"ccift/internal/protocol"
@@ -101,29 +101,6 @@ func BenchmarkAblationStateExclusion(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(ckptBytes), "ckpt-B/run")
-		})
-	}
-}
-
-// BenchmarkSenderLogSend measures the per-send cost message logging adds:
-// the retained copy is the scheme's defining overhead.
-func BenchmarkSenderLogSend(b *testing.B) {
-	for _, size := range []int{64, 1024, 16384} {
-		b.Run(fmt.Sprintf("msg=%dB", size), func(b *testing.B) {
-			w := mpi.NewWorld(2, mpi.Options{})
-			sl := baseline.NewSenderLog(w.Comm(0))
-			payload := make([]byte, size)
-			sink := w.Comm(1)
-			b.SetBytes(int64(size))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sl.Send(1, 1, payload)
-				sink.Recv(0, 1)
-				if i%1024 == 0 {
-					sl.Truncate() // periodic stable point, as a checkpoint would provide
-				}
-			}
 		})
 	}
 }
@@ -257,51 +234,4 @@ func BenchmarkAsyncRankSlowdown(b *testing.B) {
 			b.ReportMetric(float64(with-base)/float64(time.Millisecond)/float64(ckpts), "overhead-ms/ckpt")
 		})
 	}
-}
-
-// BenchmarkBlockingVsC3Checkpoint compares one global checkpoint under the
-// blocking baseline against the C3 protocol for the same state size. The
-// blocking version stalls every rank for the duration; C3 overlaps the
-// logging phase with execution.
-func BenchmarkBlockingVsC3Checkpoint(b *testing.B) {
-	const stateMB = 4
-	b.Run("blocking", func(b *testing.B) {
-		b.SetBytes(stateMB << 20)
-		for i := 0; i < b.N; i++ {
-			store := storage.NewCheckpointStore(storage.NewMemory())
-			w := mpi.NewWorld(benchRanks, mpi.Options{})
-			done := make(chan error, benchRanks)
-			for r := 0; r < benchRanks; r++ {
-				go func(r int) {
-					bl := baseline.NewBlocking(w.Comm(r), store)
-					_, err := bl.Checkpoint(make([]byte, stateMB<<20))
-					done <- err
-				}(r)
-			}
-			for r := 0; r < benchRanks; r++ {
-				if err := <-done; err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("c3", func(b *testing.B) {
-		b.SetBytes(stateMB << 20)
-		prog := func(r *engine.Rank) (any, error) {
-			state := make([]float64, stateMB<<20/8)
-			var it int
-			r.Register("it", &it)
-			r.Register("state", &state)
-			for ; it < 2; it++ {
-				r.PotentialCheckpoint()
-				r.Barrier()
-			}
-			return nil, nil
-		}
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Run(engine.Config{Ranks: benchRanks, Mode: protocol.Full, EveryN: 1}, prog); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

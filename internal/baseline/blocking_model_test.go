@@ -53,7 +53,7 @@ func (b *Blocking) Checkpoint(state []byte) (crossed int, err error) {
 	// will be received after this rank's state was saved: a crossing
 	// message. (Internal barrier traffic is excluded; a real blocking
 	// checkpointer's own synchronization does not cross itself.)
-	crossed = b.comm.PendingApp()
+	crossed = b.comm.World().Transport().PendingApp(b.comm.Rank(), 0)
 	b.Crossed += crossed
 
 	epoch := b.Epoch + 1

@@ -18,4 +18,7 @@
 //     retained until the next global checkpoint; the accounting shows the
 //     retention-volume blow-up relative to the C3 late-message log
 //     (Section 1.2's argument against message logging for parallel codes).
+//
+// The models live in the package's _test.go files, beside the tests and
+// benchmarks that run them: no program links them.
 package baseline

@@ -78,16 +78,17 @@ func (c *Comm) SelectWait(specs []RecvSpec, stop func() bool) (int, *Message) {
 // task posted it with Notify.
 const Local = -2
 
-// Notify queues an empty message with the given (reserved, negative) tag in
-// this rank's own mailbox, where a Select with an AnySource spec for the
-// tag receives it. It is how a task the rank started — the checkpoint
-// flusher — reports back, so unlike every other method of a Comm it may be
-// called from another goroutine than the rank's, and it is not a substrate
-// operation: it counts no op, consults no kill plan and never panics. The
-// transport orders the event like any delivery (the simulated one at a
-// quiescence point), and a rank parked in Select or SelectWait wakes for it.
-func (c *Comm) Notify(tag int) {
-	c.world.tr.Send(c.rank, &Message{Source: Local, Tag: tag})
+// Notify queues an empty message with the given (reserved, negative) tag and
+// header word in this rank's own mailbox, where a Select with an AnySource
+// spec for the tag receives it. It is how a task the rank started — the
+// checkpoint flusher — reports back, so unlike every other method of a Comm
+// it may be called from another goroutine than the rank's, and it is not a
+// substrate operation: it counts no op, consults no kill plan and never
+// panics. The transport orders the event like any delivery (the simulated
+// one at a quiescence point), and a rank parked in Select or SelectWait
+// wakes for it.
+func (c *Comm) Notify(tag int, header uint32) {
+	c.world.tr.Send(c.rank, &Message{Source: Local, Tag: tag, Header: header})
 }
 
 // PollSelect is the non-blocking variant of Select; it returns (-1, nil)
@@ -108,8 +109,3 @@ func (c *Comm) spec1(src, tag int) []RecvSpec {
 // Pending reports the number of undelivered messages queued for this rank
 // (diagnostics).
 func (c *Comm) Pending() int { return c.world.tr.Pending(c.rank) }
-
-// PendingApp reports the number of undelivered application messages
-// (non-negative tags) queued for this rank, excluding internal collective
-// and reserved-tag traffic.
-func (c *Comm) PendingApp() int { return c.world.tr.PendingApp(c.rank, 0) }

@@ -24,28 +24,22 @@ import (
 // Allreduce, Allgather, Alltoall, Reducescatter and Barrier bring something
 // from every participant to every participant, so each contributes its bit
 // as the word mpi carries on the collective's own messages: no extra round.
-// Bcast, Reduce, Gather, Scatter and Scan keep an explicit one-byte
-// allgather before the data call, because they need agreement: one that
-// logs a call skips it on recovery and one that did not re-executes it, and
-// in a rooted pattern a leaf never hears the root.
+// Bcast, Reduce, Gather, Scatter and Scan keep an explicit exchange before
+// the data call — a barrier carrying the same word — because they need
+// agreement: one that logs a call skips it on recovery and one that did not
+// re-executes it, and in a rooted pattern a leaf never hears the root.
 
 const (
 	ctlColorBit   = 1 << 0
 	ctlLoggingBit = 1 << 1
 	ctlReadyBit   = 1 << 2 // logging, and has reported readyToStopLogging
-	ctlStateMask  = ctlColorBit | ctlLoggingBit | ctlReadyBit
 )
 
 // exchangeControl is the explicit control collective: it returns the
 // presence set of this call's participants.
-func (l *Layer) exchangeControl() (seen uint32) {
-	l.ctlMine[0] = byte(l.m.ctlState())
-	l.comm.AllgatherInto(l.ctlStates, l.ctlMine[:], 0)
+func (l *Layer) exchangeControl() uint32 {
 	l.Stats.ControlCollectives++
-	for _, s := range l.ctlStates {
-		seen |= 1 << (s & ctlStateMask)
-	}
-	return seen
+	return l.comm.Barrier(1 << l.m.ctlState())
 }
 
 // applyControl hands the machine a data collective's presence set, however

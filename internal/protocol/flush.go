@@ -21,19 +21,19 @@ import (
 //
 // The layer stays single-threaded. The task touches only the capture and
 // the layer's immutable fields, leaves its outcome in the flushTask, and
-// posts tagFlushDone into the rank's own mailbox (mpi.Comm.Notify: no
-// substrate operation, so no op is counted and no kill fires on its
-// behalf). The rank meets that event wherever it services control and
-// integrates the outcome there (finishFlush), as it does after the inline
-// write and in Shutdown's drain. A rank reports stoppedLogging — so the
-// commit record can be written — only once its log and its state are both
-// durable (machine.reportStopped): a crash mid-flush recovers from the
+// posts a control message of kind kindFlushDone into the rank's own mailbox
+// (mpi.Comm.Notify: no substrate operation, so no op is counted and no kill
+// fires on its behalf). The rank meets that event wherever it services
+// control and integrates the outcome there (finishFlush), as it does after
+// the inline write and in Shutdown's drain. A rank reports stoppedLogging —
+// so the commit record can be written — only once its log and its state are
+// both durable (machine.reportStopped): a crash mid-flush recovers from the
 // previous committed epoch.
 
 // flushTask is one checkpoint's flush: what captureState copied while the
 // rank was stopped, and the write's outcome. The fields below wait are
 // written by the task and read by the rank only once the task is known to
-// be over: it received the task's tagFlushDone, or wait returned.
+// be over: it received the task's flushDone event, or wait returned.
 type flushTask struct {
 	epoch  int
 	record []byte       // the protocol record, encoded
@@ -67,7 +67,7 @@ func (l *Layer) startFlush(t *flushTask) {
 	}
 	t.wait = clock.Go(l.clk, func() {
 		write()
-		l.comm.Notify(tagFlushDone)
+		l.comm.Notify(tagControl, -kindFlushDone)
 	})
 }
 

@@ -383,33 +383,38 @@ func TestIprobe(t *testing.T) {
 	}
 }
 
-// TestPoisonedControlWordsAreImpossible: a control message whose word no
-// peer can have sent — here a recycled payload's 0xDB poison — is an
-// impossible event that a Debug layer reports, naming the rank, the source
-// and the message, instead of ignoring it and waiting for a word that never
-// comes.
+// TestPoisonedControlWordsAreImpossible: a control message no peer can have
+// sent — a word that is a recycled payload's 0xDB poison, a payload that is
+// not its kind's words, a header that names no kind — is an impossible
+// event that a Debug layer reports, naming the rank, the source and the
+// message, instead of ignoring it, waiting for a word that never comes, or
+// indexing past the payload.
 func TestPoisonedControlWordsAreImpossible(t *testing.T) {
 	poison := bytes.Repeat([]byte{0xDB}, 16)
 	for _, c := range []struct {
-		tag, src, dst int
-		name          string
+		kind, src, dst int
+		data           []byte
+		name           string
 	}{
-		{tagPleaseCheckpoint, 0, 1, "pleaseCheckpoint"},
-		{tagMySendCount, 0, 1, "mySendCount"},
-		{tagStopLogging, 0, 1, "stopLogging"},
-		{tagReadyToStop, 1, 0, "readyToStopLogging"},
-		{tagStoppedLogging, 1, 0, "stoppedLogging"},
-		{tagCannotCheckpoint, 1, 0, "cannotCheckpoint"},
+		{kindPleaseCheckpoint, 0, 1, poison[:8], "pleaseCheckpoint"},
+		{kindMySendCount, 0, 1, poison, "mySendCount"},
+		{kindStopLogging, 0, 1, poison[:8], "stopLogging"},
+		{kindReadyToStop, 1, 0, poison[:8], "readyToStopLogging"},
+		{kindStoppedLogging, 1, 0, poison[:8], "stoppedLogging"},
+		{kindCannotCheckpoint, 1, 0, poison[:8], "cannotCheckpoint"},
+		{kindPleaseCheckpoint, 0, 1, poison[:4], "a 4-byte pleaseCheckpoint"},
+		{kindMySendCount, 0, 1, poison[:8], "a one-word mySendCount"},
+		{-18, 0, 1, poison[:8], "an unknown kind"},
 	} {
 		ls, _, _ := newTestLayers(t, 2, Full)
-		ls[c.src].comm.Send(c.dst, c.tag, poison)
+		ls[c.src].comm.SendHdr(c.dst, tagControl, uint32(-c.kind), c.data)
 		got := func() (p any) {
 			defer func() { p = recover() }()
 			ls[c.dst].serviceControl()
 			return nil
 		}()
 		msg := fmt.Sprint(got)
-		for _, want := range []string{fmt.Sprintf("rank %d:", c.dst), fmt.Sprintf("control message %d from rank %d", c.tag, c.src)} {
+		for _, want := range []string{fmt.Sprintf("rank %d:", c.dst), fmt.Sprintf("control message %d from rank %d", c.kind, c.src)} {
 			if !strings.Contains(msg, want) {
 				t.Errorf("%s with a poisoned word: the layer reported %q, want it to name %q", c.name, msg, want)
 			}

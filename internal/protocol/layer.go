@@ -38,30 +38,28 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// Control message tags (application tags must be non-negative). The first
-// five are Figure 4's. tagCannotCheckpoint is the end-of-program rule, the
-// one way a checkpoint that cannot complete is given up (see Finish);
-// tagFlushDone is not a message between ranks at all but the event a rank's
-// own flush task posts when it is over (see flush.go).
+// Control messages share one reserved tag (application tags are
+// non-negative) and name their kind in Message.Header, the word where an
+// application message carries its piggyback, as its magnitude -kind; the
+// payload is the kind's one or two words. The first five kinds are Figure 4's. kindCannotCheckpoint is
+// the end-of-program rule, the one way a checkpoint that cannot complete is
+// given up (see Finish); kindFlushDone is not a message between ranks at all
+// but the event a rank's own flush task posts when it is over (see
+// flush.go).
+const tagControl = -10
+
 const (
-	tagPleaseCheckpoint = -11
-	tagMySendCount      = -12
-	tagReadyToStop      = -13
-	tagStopLogging      = -14
-	tagStoppedLogging   = -15
-	tagCannotCheckpoint = -16
-	tagFlushDone        = -17
+	kindPleaseCheckpoint = -11
+	kindMySendCount      = -12
+	kindReadyToStop      = -13
+	kindStopLogging      = -14
+	kindStoppedLogging   = -15
+	kindCannotCheckpoint = -16
+	kindFlushDone        = -17
 )
 
-var controlSpecs = []mpi.RecvSpec{
-	{Source: mpi.AnySource, Tag: tagPleaseCheckpoint},
-	{Source: mpi.AnySource, Tag: tagMySendCount},
-	{Source: mpi.AnySource, Tag: tagReadyToStop},
-	{Source: mpi.AnySource, Tag: tagStopLogging},
-	{Source: mpi.AnySource, Tag: tagStoppedLogging},
-	{Source: mpi.AnySource, Tag: tagCannotCheckpoint},
-	{Source: mpi.AnySource, Tag: tagFlushDone},
-}
+// controlSpec receives every control message.
+var controlSpec = mpi.RecvSpec{Source: mpi.AnySource, Tag: tagControl}
 
 // Config configures a protocol layer.
 type Config struct {
@@ -204,13 +202,9 @@ type Layer struct {
 	// MPI library state (Section 5.2).
 	handles *handleTable
 
-	// selSpecs is the receive path's reusable app+control spec buffer.
-	selSpecs []mpi.RecvSpec
-
-	// exchangeControl's scratch: every rank's state byte, and this rank's
-	// contribution to them.
-	ctlStates []byte
-	ctlMine   [1]byte
+	// sel is the receive path's spec pair, kept so that a receive
+	// allocates none: the application's, then controlSpec.
+	sel [2]mpi.RecvSpec
 
 	// done is cfg.Ctx's done channel (nil without one): the per-op
 	// cancellation check is one channel poll, not a ctx.Err() lock.
@@ -232,14 +226,14 @@ type Layer struct {
 func NewLayer(comm *mpi.Comm, cfg Config) *Layer {
 	n := comm.Size()
 	l := &Layer{
-		comm:      comm,
-		cfg:       cfg,
-		rank:      comm.Rank(),
-		size:      n,
-		Saver:     ckpt.NewSaver(),
-		log:       NewLog(),
-		handles:   newHandleTable(),
-		ctlStates: make([]byte, n),
+		comm:    comm,
+		cfg:     cfg,
+		rank:    comm.Rank(),
+		size:    n,
+		Saver:   ckpt.NewSaver(),
+		log:     NewLog(),
+		handles: newHandleTable(),
+		sel:     [2]mpi.RecvSpec{1: controlSpec},
 	}
 	l.clk = clock.Or(cfg.Clock)
 	if cfg.Ctx != nil {
@@ -330,27 +324,36 @@ func (l *Layer) raiseIfCanceled() {
 // drainControl handles every queued control message.
 func (l *Layer) drainControl() {
 	for {
-		idx, msg := l.comm.PollSelect(controlSpecs)
+		_, msg := l.comm.PollSelect(l.sel[1:])
 		if msg == nil {
 			return
 		}
-		l.handleControl(idx, msg)
+		l.handleControl(msg)
 	}
 }
 
 // handleControl hands a control message to the machine — or integrates the
-// rank's own flush, whose completion arrives the same way — and acts.
-func (l *Layer) handleControl(specIdx int, msg *mpi.Message) {
-	if tag := controlSpecs[specIdx].Tag; tag == tagFlushDone {
+// rank's own flush, whose completion arrives the same way — and acts. A
+// payload that is not its kind's words is an impossible event, and the
+// message is dropped.
+func (l *Layer) handleControl(msg *mpi.Message) {
+	src, kind, n := msg.Source, -int(msg.Header), len(msg.Data)
+	want := 8 // the epoch; mySendCount adds the count
+	if kind == kindMySendCount {
+		want = 16
+	}
+	var w [2]uint64
+	for i := 0; n == want && i < n/8; i++ {
+		w[i] = binary.LittleEndian.Uint64(msg.Data[8*i:])
+	}
+	l.comm.World().Release(msg) // the words are read: nothing reads msg again
+	switch {
+	case src == mpi.Local: // no rank sent it: the flush task's kindFlushDone
 		l.flushDone()
-	} else {
-		var w1 uint64
-		if len(msg.Data) > 8 {
-			w1 = ctlU64(msg.Data, 1)
-		}
-		src, w0 := msg.Source, ctlU64(msg.Data, 0)
-		l.comm.World().Release(msg) // the words are read: nothing reads msg again
-		l.m.control(src, tag, w0, w1)
+	case n != want:
+		l.m.impossible("control message %d from rank %d carries %d bytes, not its kind's %d", kind, src, n, want)
+	default:
+		l.m.control(src, kind, w[0], w[1])
 	}
 	l.act()
 }
@@ -372,18 +375,14 @@ func (l *Layer) maybeInitiate(force bool) {
 // CheckpointInProgress reports whether the initiator is mid-protocol.
 func (l *Layer) CheckpointInProgress() bool { return l.m.init.inProgress }
 
-func (l *Layer) sendCtl(dst, tag int, words []uint64) {
+func (l *Layer) sendCtl(dst, kind int, words []uint64) {
 	var arr [16]byte // a control message is one or two words, and Send copies what it is given
 	buf := arr[:8*len(words)]
 	for i, w := range words {
 		binary.LittleEndian.PutUint64(buf[8*i:], w)
 	}
 	l.Stats.ControlMessages++
-	l.comm.Send(dst, tag, buf)
-}
-
-func ctlU64(b []byte, i int) uint64 {
-	return binary.LittleEndian.Uint64(b[8*i:])
+	l.comm.SendHdr(dst, tagControl, uint32(-kind), buf)
 }
 
 // writeLog writes the log of the logging phase the machine has just
@@ -515,8 +514,8 @@ func (l *Layer) ServiceControlUntil(stop func() bool) {
 		if stop() {
 			return
 		}
-		if idx, msg := l.comm.SelectWait(controlSpecs, stop); msg != nil {
-			l.handleControl(idx, msg)
+		if _, msg := l.comm.SelectWait(l.sel[1:], stop); msg != nil {
+			l.handleControl(msg)
 		}
 	}
 }

@@ -62,7 +62,7 @@ type initiatorState struct {
 // action is one effect a transition queues for the shell.
 type action struct {
 	kind     actionKind
-	dst, tag int // actSend: to dst, or to every rank in order when everyRank
+	dst, tag int // actSend: of kind tag, to dst or to every rank in order when everyRank
 	words    [2]uint64
 	n        int // words in use
 }
@@ -94,8 +94,8 @@ func newMachine(rank, size, everyN int, initiator bool) machine {
 
 func (m *machine) color() bool { return m.epoch%2 == 1 }
 
-func (m *machine) ctl(dst, tag int, words ...uint64) {
-	a := action{kind: actSend, dst: dst, tag: tag, n: len(words)}
+func (m *machine) ctl(dst, kind int, words ...uint64) {
+	a := action{kind: actSend, dst: dst, tag: kind, n: len(words)}
 	copy(a.words[:], words)
 	m.out = append(m.out, a)
 }
@@ -162,40 +162,45 @@ func (m *machine) appReceive(src int, pb Piggyback) Class {
 	return c
 }
 
-// control handles a control message from src with words w0 and w1. Its
-// first word names an epoch, and one outside epochRange is an event the
-// protocol's ordering rules exclude.
-func (m *machine) control(src, tag int, w0, w1 uint64) {
-	epoch := int(w0)
-	if lo, hi := m.epochRange(tag); epoch < lo || epoch > hi {
-		m.impossible("control message %d from rank %d names epoch %d, outside [%d, %d] in epoch %d", tag, src, epoch, lo, hi, m.epoch)
+// control handles a control message of kind from src with words w0 and
+// w1. A kind between ranks is -16…-11 (kindFlushDone is the rank's own
+// event), and its first word names an epoch: anything else, or an epoch
+// outside epochRange, is an event the protocol's ordering rules exclude.
+func (m *machine) control(src, kind int, w0, w1 uint64) {
+	if kind < kindCannotCheckpoint || kind > kindPleaseCheckpoint {
+		m.impossible("control message %d from rank %d names no kind", kind, src)
 		return
 	}
-	switch tag {
-	case tagPleaseCheckpoint:
+	epoch := int(w0)
+	if lo, hi := m.epochRange(kind); epoch < lo || epoch > hi {
+		m.impossible("control message %d from rank %d names epoch %d, outside [%d, %d] in epoch %d", kind, src, epoch, lo, hi, m.epoch)
+		return
+	}
+	switch kind {
+	case kindPleaseCheckpoint:
 		if epoch > m.epoch && epoch > m.requestedEpoch {
 			m.checkpointRequested, m.requestedEpoch = true, epoch
 			if m.finished {
 				m.decline(epoch)
 			}
 		}
-	case tagMySendCount:
+	case kindMySendCount:
 		m.totalSent[src] = int64(w1)
 		if m.amLogging {
 			m.receivedAll()
 		}
-	case tagStopLogging:
+	case kindStopLogging:
 		if epoch == m.epoch && m.amLogging {
 			m.finalizeLog()
 		}
-	case tagReadyToStop, tagStoppedLogging, tagCannotCheckpoint:
+	case kindReadyToStop, kindStoppedLogging, kindCannotCheckpoint:
 		if epoch == m.init.target && m.init.inProgress {
-			m.coordinate(tag)
+			m.coordinate(kind)
 		}
 	}
 }
 
-// epochRange is the range of epochs a control message of tag can name when
+// epochRange is the range of epochs a control message of kind can name when
 // it reaches this rank; every epoch one names is at least 1. The initiator
 // asks for the checkpoint after the one every rank has taken, so a target
 // is at most one past this rank's epoch. A send count is of the sender's
@@ -204,13 +209,13 @@ func (m *machine) control(src, tag int, w0, w1 uint64) {
 // ordered to stop only in an epoch every rank has reached. The reports of
 // the control phases go to the initiator alone: the range is empty on any
 // other rank.
-func (m *machine) epochRange(tag int) (lo, hi int) {
-	switch tag {
-	case tagPleaseCheckpoint:
+func (m *machine) epochRange(kind int) (lo, hi int) {
+	switch kind {
+	case kindPleaseCheckpoint:
 		return 1, m.epoch + 1
-	case tagMySendCount:
+	case kindMySendCount:
 		return m.epoch, m.epoch + 1
-	case tagStopLogging:
+	case kindStopLogging:
 		return 1, m.epoch
 	}
 	if !m.initiator {
@@ -221,21 +226,21 @@ func (m *machine) epochRange(tag int) (lo, hi int) {
 
 // coordinate is the initiator's side of the control phases of the global
 // checkpoint in progress.
-func (m *machine) coordinate(tag int) {
-	switch tag {
-	case tagReadyToStop:
+func (m *machine) coordinate(kind int) {
+	switch kind {
+	case kindReadyToStop:
 		// Phase 3: once every process has taken its local checkpoint no
 		// message can be early, so logging may stop.
 		if m.init.ready++; m.init.ready == m.size {
-			m.ctl(everyRank, tagStopLogging, uint64(m.init.target))
+			m.ctl(everyRank, kindStopLogging, uint64(m.init.target))
 		}
-	case tagStoppedLogging:
+	case kindStoppedLogging:
 		// Phase 4: every rank's log and state are durable.
 		if m.init.stopped++; m.init.stopped == m.size {
 			m.init.inProgress = false
 			m.out = append(m.out, action{kind: actCommit, words: [2]uint64{uint64(m.init.target)}, n: 1})
 		}
-	case tagCannotCheckpoint:
+	case kindCannotCheckpoint:
 		// A rank's program returned before it could do its part and it will
 		// take part in no other checkpoint: give this one up, start none.
 		m.init.inProgress, m.init.closed = false, true
@@ -254,7 +259,7 @@ func (m *machine) receivedAll() {
 			return
 		}
 	}
-	m.ctl(0, tagReadyToStop, uint64(m.epoch))
+	m.ctl(0, kindReadyToStop, uint64(m.epoch))
 	m.readySent = true
 	for p := range m.totalSent {
 		m.totalSent[p] = -1
@@ -280,7 +285,7 @@ func (m *machine) flushed() {
 func (m *machine) reportStopped() {
 	if m.logDone && !m.flushing && !m.stopSent {
 		m.stopSent = true
-		m.ctl(0, tagStoppedLogging, uint64(m.epoch))
+		m.ctl(0, kindStoppedLogging, uint64(m.epoch))
 	}
 }
 
@@ -289,7 +294,7 @@ func (m *machine) reportStopped() {
 // taken, or a logging phase short of a late message it will never receive.
 func (m *machine) decline(epoch int) {
 	m.checkpointRequested, m.amLogging = false, false
-	m.ctl(0, tagCannotCheckpoint, uint64(epoch))
+	m.ctl(0, kindCannotCheckpoint, uint64(epoch))
 }
 
 // ctlState is this participant's bit of a collective's presence set: epoch
@@ -361,7 +366,7 @@ func (m *machine) initiate(due bool) bool {
 		return false
 	}
 	m.init = initiatorState{inProgress: true, target: m.epoch + 1}
-	m.ctl(everyRank, tagPleaseCheckpoint, uint64(m.init.target))
+	m.ctl(everyRank, kindPleaseCheckpoint, uint64(m.init.target))
 	return true
 }
 
@@ -371,7 +376,7 @@ func (m *machine) initiate(due bool) bool {
 // checkpoint (the early IDs of the epoch that ends among it) beforehand.
 func (m *machine) checkpoint() {
 	for q, n := range m.sendCount {
-		m.ctl(q, tagMySendCount, uint64(m.epoch+1), uint64(n))
+		m.ctl(q, kindMySendCount, uint64(m.epoch+1), uint64(n))
 	}
 	m.enter(m.epoch+1, m.earlyIDs, true)
 	m.logDone, m.flushing, m.stopSent = false, true, false

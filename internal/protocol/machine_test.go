@@ -346,6 +346,9 @@ func (x *explorer) checkVerdicts(w *world, seen uint32, logging, logs [2]bool) {
 	}
 }
 
+// ctlStateMask covers every control state a presence set has a bit for.
+const ctlStateMask = ctlColorBit | ctlLoggingBit | ctlReadyBit
+
 // otherColorIn reports whether the presence set holds a state whose color
 // bit is not color.
 func otherColorIn(seen, color uint32) bool {

@@ -100,12 +100,13 @@ func (l *Layer) recvApp(src, tag int) delivery {
 	if ok {
 		return d
 	}
+	l.sel[0] = mpi.RecvSpec{Source: d.src, Tag: d.tag}
 	for {
-		idx, m := l.comm.Select(l.appSelectSpecs(d.src, d.tag))
+		idx, m := l.comm.Select(l.sel[:])
 		if idx == 0 {
 			return l.deliver(m, src == mpi.AnySource || tag == mpi.AnyTag)
 		}
-		l.handleControl(idx-1, m)
+		l.handleControl(m)
 	}
 }
 
@@ -134,16 +135,6 @@ func (l *Layer) replayHead(src, tag int) (d delivery, ok bool) {
 		d.src, d.tag = e.Src, e.Tag
 	}
 	return d, false
-}
-
-// appSelectSpecs builds {app spec, control specs...} in the layer's
-// reusable buffer — this runs once per application receive, so a fresh
-// slice per call would put an allocation on the hot path.
-func (l *Layer) appSelectSpecs(src, tag int) []mpi.RecvSpec {
-	l.selSpecs = l.selSpecs[:0]
-	l.selSpecs = append(l.selSpecs, mpi.RecvSpec{Source: src, Tag: tag})
-	l.selSpecs = append(l.selSpecs, controlSpecs...)
-	return l.selSpecs
 }
 
 // deliver processes an incoming application message: strip the piggyback,
@@ -266,9 +257,9 @@ func (l *Layer) Test(h Handle) (*AppMessage, bool) {
 	}
 	d, ok := l.replayHead(st.src, st.tag)
 	if !ok {
-		l.selSpecs = append(l.selSpecs[:0], mpi.RecvSpec{Source: d.src, Tag: d.tag})
-		idx, m := l.comm.PollSelect(l.selSpecs)
-		if idx != 0 || m == nil {
+		l.sel[0] = mpi.RecvSpec{Source: d.src, Tag: d.tag}
+		_, m := l.comm.PollSelect(l.sel[:1])
+		if m == nil {
 			return nil, false
 		}
 		d = l.deliver(m, st.src == mpi.AnySource || st.tag == mpi.AnyTag)

@@ -357,7 +357,7 @@ func TestTaskHoldsVirtualTime(t *testing.T) {
 	waitTask := clock.Go(s.RankClock(1), func() {
 		time.Sleep(20 * time.Millisecond) // wall-time work the scheduler cannot see
 		posted = s.Elapsed()
-		c.Notify(tag)
+		c.Notify(tag, 0)
 		s.Sleep(5 * time.Millisecond)
 		woke = s.Elapsed()
 	})

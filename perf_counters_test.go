@@ -277,7 +277,7 @@ func simulatedCost(t *testing.T, ranks int, mode protocol.Mode, prog engine.Prog
 // collectives that bring every participant's word to every participant
 // takes the rounds and the sends the unmodified program takes — its control
 // word rides on its own messages — and each of the five rooted ones takes
-// exactly one allgather more, the explicit control exchange. No checkpoint
+// exactly one barrier more, the explicit control exchange. No checkpoint
 // is ever requested, so nothing else is on the wire.
 func TestCollectiveCostsItsOwnRounds(t *testing.T) {
 	const calls = 5
@@ -310,7 +310,6 @@ func TestCollectiveCostsItsOwnRounds(t *testing.T) {
 			return nil, nil
 		}
 	}
-	exchange := func(r *engine.Rank) { r.AllgatherInto(make([]byte, r.Size()), []byte{0}) }
 	for _, ranks := range []int{2, 8, 64} {
 		for _, c := range riding {
 			baseT, baseN := simulatedCost(t, ranks, protocol.Unmodified, repeat(c.call))
@@ -322,10 +321,10 @@ func TestCollectiveCostsItsOwnRounds(t *testing.T) {
 		}
 		for _, c := range rooted {
 			plainT, plainN := simulatedCost(t, ranks, protocol.Unmodified, repeat(c.call))
-			wantT, wantN := simulatedCost(t, ranks, protocol.Unmodified, repeat(func(r *engine.Rank) { exchange(r); c.call(r) }))
+			wantT, wantN := simulatedCost(t, ranks, protocol.Unmodified, repeat(func(r *engine.Rank) { r.Barrier(); c.call(r) }))
 			fullT, fullN := simulatedCost(t, ranks, protocol.Full, repeat(c.call))
 			if fullT != wantT || fullN != wantN || fullN <= plainN {
-				t.Fatalf("%s × %d at %d ranks: %v and %d sends in Full mode, want those of a one-byte allgather plus the call (%v, %d; the call alone: %v, %d)",
+				t.Fatalf("%s × %d at %d ranks: %v and %d sends in Full mode, want those of a barrier plus the call (%v, %d; the call alone: %v, %d)",
 					c.name, calls, ranks, fullT, fullN, wantT, wantN, plainT, plainN)
 			}
 		}
